@@ -11,7 +11,7 @@ threaded onto a backbone, with square-path junctions between backbone blocks
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .connector import ConnectionRequest, ConnectResult, connect_one
 from .gadgets import (
@@ -24,7 +24,7 @@ from .gadgets import (
     is_square_path,
     validate_embedding,
 )
-from .graphcore import Graph, InputError, rng_for
+from .graphcore import Graph, InputError
 from .matching import BipartiteInstance, hall_saturating_matching
 
 
@@ -326,24 +326,41 @@ def complete_absorbers(
     return tuple(singles), None
 
 
+def _walk_fault(
+    g: Graph,
+    seq: tuple[int, ...],
+    span: AbstractSet[int],
+    entry: tuple[int, int],
+    exit: tuple[int, int],
+) -> str | None:
+    """Why ``seq`` is not a square path on exactly ``span`` from ``entry``
+    to ``exit``, or ``None`` when it is."""
+    check = is_square_path(g, seq)
+    if not check.ok:
+        return check.reason
+    if set(seq) != span:
+        return "wrong span"
+    if seq[:2] != entry or seq[-2:] != exit:
+        return "endpoints moved"
+    return None
+
+
+def _unit_fault(g: Graph, unit: AbsorberUnit, mode: str) -> str | None:
+    """Why the unit's ``mode`` traversal does not span the unit (less ``x``
+    when excluding) between ``unit.entry`` and ``unit.exit``, or ``None``."""
+    span = set(unit.vertex_set())
+    if mode == "exclude":
+        span.discard(unit.x)
+    return _walk_fault(g, unit.traversal(mode), span, unit.entry, unit.exit)
+
+
 def _audit_unit(g: Graph, unit: AbsorberUnit) -> None:
     for mode in ("include", "exclude"):
-        seq = unit.traversal(mode)
-        check = is_square_path(g, seq)
-        if not check.ok:
+        fault = _unit_fault(g, unit, mode)
+        if fault is not None:
             raise AssertionError(
-                f"unit traversal ({mode}) for absorbee {unit.x} invalid: "
-                f"{check.reason}"
+                f"unit traversal ({mode}) for absorbee {unit.x} invalid: {fault}"
             )
-        want = set(unit.vertex_set())
-        if mode == "exclude":
-            want.discard(unit.x)
-        if set(seq) != want:
-            raise AssertionError(
-                f"unit traversal ({mode}) does not span the unit"
-            )
-        if seq[:2] != unit.entry or seq[-2:] != unit.exit:
-            raise AssertionError("unit traversal endpoints drifted")
 
 
 def chain_absorbers(
@@ -432,71 +449,59 @@ def absorb(a: Absorber, x_prime: Iterable[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class AbsorberVerification:
-    """Result of driving an absorber through subset traversals."""
+    """Result of the absorber audit.
+
+    ``subsets_checked`` counts the subset traversals walked, a failing one
+    included; ``failure`` names the first failing subset and why it fails.
+    """
 
     ok: bool
-    mode: str
     subsets_checked: int
     failure: dict | None
 
 
-def verify_absorber(
-    g: Graph,
-    a: Absorber,
-    mode: str = "exhaustive",
-    samples: int = 64,
-    seed: int = 0,
-) -> AbsorberVerification:
-    """Drive the absorber over absorbee subsets and check every traversal.
+def verify_absorber(g: Graph, a: Absorber) -> AbsorberVerification:
+    """Check that every subset traversal ``absorb(a, X')`` is valid.
 
-    ``exhaustive`` tries all ``2^|X|`` subsets and requires ``|X| <= 20``;
-    ``sampled`` tries ``samples`` random subsets plus the empty and full sets.
-    Each traversal must be a square path in ``g`` with the fixed entry and
-    exit pairs, spanning the body minus exactly the chosen subset.
+    Valid means a square path in ``g`` with distinct vertices, spanning
+    ``a.body()`` minus ``X'``, from ``a.entry`` to ``a.exit``.  The check is
+    exact for all ``2^|X|`` subsets while walking only ``|X| + 1`` of them,
+    in time linear in the body:
+
+    (a) the all-``include`` traversal ``absorb(a, ())`` is valid;
+    (b) each unit's ``exclude`` traversal is a square path spanning the unit
+        less its absorbee, with the same first and last pairs
+        (``unit.entry``, ``unit.exit``) as its ``include`` traversal.
+
+    Sufficiency: ``absorb(a, X')`` concatenates unit traversals and link
+    interiors in a fixed order.  Both modes of a unit walk every backbone
+    slot (at least 8), so a pair at distance at most 2 that crosses a unit
+    boundary lies inside the window of that unit's exit pair, the next link
+    and the next unit's entry pair.  That window is the same for every
+    ``X'``, and (a) checks it.  Pairs inside a unit are checked by (a) for
+    ``include`` and by (b) for ``exclude``.  By (b) a unit's ``exclude``
+    piece holds its ``include`` piece less ``x``, and (a) makes the
+    ``include`` pieces and links pairwise disjoint, so every traversal has
+    distinct vertices and spans the body less ``X'``.  The ends are the first
+    unit's entry and the last unit's exit in either mode.  Necessity: a
+    fault in (a) or (b) is a fault in the traversal for ``X' = ()`` or
+    ``X' = (x,)``.
+
+    Returns:
+        ``ok`` with ``subsets_checked == |X| + 1``, or the first fault with
+        ``failure["subset"]`` set to ``()`` for (a) and ``(x,)`` for unit
+        ``x`` failing (b).
     """
-    absorbees = a.absorbees
-    if mode == "exhaustive":
-        if len(absorbees) > 20:
-            raise InputError(
-                f"exhaustive verification caps at 20 absorbees, got {len(absorbees)}"
-            )
-        subsets: Iterable[tuple[int, ...]] = (
-            tuple(v for k, v in enumerate(absorbees) if mask >> k & 1)
-            for mask in range(1 << len(absorbees))
-        )
-        total = 1 << len(absorbees)
-    elif mode == "sampled":
-        rng = rng_for(seed, 23)
-        picks = [(), tuple(absorbees)]
-        for _ in range(max(0, samples)):
-            mask = rng.integers(0, 1 << len(absorbees))
-            picks.append(tuple(v for k, v in enumerate(absorbees) if mask >> k & 1))
-        subsets = picks
-        total = len(picks)
-    else:
-        raise InputError(f"mode must be exhaustive or sampled, got {mode!r}")
-
-    body = a.body()
-    checked = 0
-    for sub in subsets:
-        seq = absorb(a, sub)
-        check = is_square_path(g, seq)
-        if not check.ok:
+    fault = _walk_fault(g, absorb(a, ()), a.body(), a.entry, a.exit)
+    if fault is not None:
+        return AbsorberVerification(False, 1, {"subset": (), "reason": fault})
+    for k, unit in enumerate(a.units):
+        fault = _unit_fault(g, unit, "exclude")
+        if fault is not None:
             return AbsorberVerification(
-                False, mode, checked, {"subset": sub, "reason": check.reason}
+                False, k + 2, {"subset": (unit.x,), "reason": fault}
             )
-        if set(seq) != body - set(sub):
-            return AbsorberVerification(
-                False, mode, checked, {"subset": sub, "reason": "wrong span"}
-            )
-        if seq[:2] != a.entry or seq[-2:] != a.exit:
-            return AbsorberVerification(
-                False, mode, checked, {"subset": sub, "reason": "endpoints moved"}
-            )
-        checked += 1
-    if checked != total:
-        raise AssertionError("subset enumeration drifted")
-    return AbsorberVerification(True, mode, checked, None)
+    return AbsorberVerification(True, len(a.units) + 1, None)
 
 
 # -- serialization ------------------------------------------------------------
@@ -528,10 +533,14 @@ def absorber_from_json_obj(obj: Mapping) -> Absorber:
                 *(int(v) for v in entry["star"]),
             )
             blocks = int(entry["blocks"])
-            backbone = Embedding(
-                build_gadget(BACKBONE, blocks=blocks),
-                tuple(int(v) for v in entry["backbone"]),
-            )
+            slots = tuple(int(v) for v in entry["backbone"])
+            # Checked before the template is built: its size follows blocks.
+            if len(slots) != 4 * blocks:
+                raise InputError(
+                    f"absorbee {star.x}: {blocks} blocks need a backbone of "
+                    f"{4 * blocks} vertices, got {len(slots)}"
+                )
+            backbone = Embedding(build_gadget(BACKBONE, blocks=blocks), slots)
             junctions = tuple(
                 tuple(int(v) for v in j) for j in entry["junctions"]
             )
@@ -539,4 +548,10 @@ def absorber_from_json_obj(obj: Mapping) -> Absorber:
         links = tuple(tuple(int(v) for v in l) for l in obj["links"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed absorber description: {exc}") from exc
+    if not units:
+        raise InputError("an absorber needs at least one unit")
+    if len(links) != len(units) - 1:
+        raise InputError(
+            f"{len(units)} units need {len(units) - 1} links, got {len(links)}"
+        )
     return Absorber(tuple(units), links)

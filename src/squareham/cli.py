@@ -270,8 +270,8 @@ def _cmd_absorber_verify(args) -> tuple[int, str, dict]:
     g = read_graph(args.graph)
     obj = json.loads(Path(args.absorber).read_text())
     a = absorber_from_json_obj(obj)
-    report = verify_absorber(g, a, args.mode, samples=args.samples, seed=args.seed)
-    meta = {"absorber": args.absorber, "mode": args.mode, "seed": args.seed}
+    report = verify_absorber(g, a)
+    meta = {"absorber": args.absorber}
     return (0 if report.ok else 1), _json_text(report), meta
 
 
@@ -396,9 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv = actions.add_parser("verify", help="verify a stored absorber")
     pv.add_argument("--graph", required=True)
     pv.add_argument("--absorber", required=True)
-    pv.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
-    pv.add_argument("--samples", type=int, default=64)
-    common(pv)
+    common(pv, seed=False)
     pv.set_defaults(handler=_cmd_absorber_verify)
 
     p = sub.add_parser("gadget", help="dump a labeled template")

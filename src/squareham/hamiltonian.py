@@ -652,8 +652,7 @@ def _attempt(
     absorber, fail = chain_absorbers(g, singles, w7_pool, acfg)
     if fail is not None:
         return FailureReport(fail.stage, dict(fail.diagnostics, plan=plan))
-    mode = "exhaustive" if len(x_cls) <= 12 else "sampled"
-    audit = verify_absorber(g, absorber, mode, samples=64, seed=seed0)
+    audit = verify_absorber(g, absorber)
     if not audit.ok:
         raise AssertionError(f"constructed absorber failed verification: {audit}")
 

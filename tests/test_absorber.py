@@ -1,11 +1,13 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
-from hypothesis.strategies import integers
+from hypothesis.strategies import data, integers, sampled_from
 
 from squareham import (
     AbsorberConfig,
+    Graph,
     InputError,
     absorb,
     build_single_absorbers,
@@ -18,6 +20,7 @@ from squareham import (
     verify_absorber,
 )
 from squareham.absorber import absorber_from_json_obj, absorber_to_json_obj
+from squareham.gadgets import square_path_pairs
 from squareham.graphcore import random_partition
 
 
@@ -52,6 +55,26 @@ def build_full_absorber(n: int, p: float, seed: int, x_count: int = 3):
     return g, built, fail
 
 
+def subset_walk_is_valid(g, a, dropped) -> bool:
+    walk = absorb(a, dropped)
+    return (
+        is_square_path(g, walk).ok
+        and set(walk) == a.body() - set(dropped)
+        and walk[:2] == a.entry
+        and walk[-2:] == a.exit
+    )
+
+
+def every_subset_walk_is_valid(g, a) -> bool:
+    """Reference audit: walk the traversal for every subset of absorbees."""
+    xs = a.absorbees
+    return all(
+        subset_walk_is_valid(g, a, dropped)
+        for k in range(len(xs) + 1)
+        for dropped in itertools.combinations(xs, k)
+    )
+
+
 @settings(max_examples=8)
 @given(integers(min_value=0, max_value=60))
 def test_built_absorbers_pass_exhaustive_verification(seed: int) -> None:
@@ -60,9 +83,93 @@ def test_built_absorbers_pass_exhaustive_verification(seed: int) -> None:
         assert fail.stage
         assert fail.diagnostics
         return
-    report = verify_absorber(g, absorber, "exhaustive")
+    report = verify_absorber(g, absorber)
     assert report.ok
-    assert report.subsets_checked == 2 ** len(absorber.absorbees)
+    assert every_subset_walk_is_valid(g, absorber)
+
+
+def with_unit_vertex(a, k: int, old: int, new: int):
+    """``a`` with vertex ``old`` of unit ``k`` (not its absorbee) renamed."""
+    unit = a.units[k]
+    slots = tuple(new if v == old else v for v in unit.backbone.vertices)
+    junctions = tuple(
+        tuple(new if v == old else v for v in j) for j in unit.junctions
+    )
+    bad = replace(
+        unit, backbone=replace(unit.backbone, vertices=slots), junctions=junctions
+    )
+    return replace(a, units=a.units[:k] + (bad,) + a.units[k + 1 :])
+
+
+def corrupt(g, a, kind: str, draw):
+    """``(g, a)`` with one vertex of ``a`` rewritten, or with the host cut
+    down to the edges the (a) and (b) walks use less one, as ``kind`` says.
+    Unchanged when ``a`` has nothing of that kind to rewrite."""
+    if kind == "host":
+        needed = set(square_path_pairs(absorb(a, ())))
+        for unit in a.units:
+            needed.update(square_path_pairs(unit.traversal("exclude")))
+        edges = sorted(needed)
+        drop = draw(sampled_from(edges))
+        return Graph(g.n, [e for e in edges if e != drop]), a
+    new = draw(integers(min_value=0, max_value=g.n - 1))
+    if kind == "backbone":
+        k = draw(integers(min_value=0, max_value=len(a.units) - 1))
+        old = draw(sampled_from(a.units[k].backbone.vertices))
+        return g, with_unit_vertex(a, k, old, new)
+    if kind == "junction":
+        spots = [
+            (k, v) for k, u in enumerate(a.units) for j in u.junctions for v in j
+        ]
+        if not spots:
+            return g, a
+        k, old = draw(sampled_from(spots))
+        return g, with_unit_vertex(a, k, old, new)
+    if kind == "link":
+        spots = [(i, v) for i, link in enumerate(a.links) for v in link]
+        if not spots:
+            return g, a
+        i, old = draw(sampled_from(spots))
+        link = tuple(new if v == old else v for v in a.links[i])
+        return g, replace(a, links=a.links[:i] + (link,) + a.links[i + 1 :])
+    if kind == "shared" and len(a.units) > 1:
+        k1, k2 = draw(
+            sampled_from(list(itertools.permutations(range(len(a.units)), 2)))
+        )
+        shared = draw(sampled_from(sorted(a.units[k1].vertex_set())))
+        old = draw(sampled_from(a.units[k2].backbone.vertices))
+        return g, with_unit_vertex(a, k2, old, shared)
+    return g, a
+
+
+@settings(max_examples=60)
+@given(
+    integers(min_value=0, max_value=60),
+    integers(min_value=1, max_value=5),
+    sampled_from(("none", "backbone", "junction", "link", "shared", "host")),
+    data(),
+)
+def test_compositional_check_matches_subset_enumeration(
+    seed: int, x_count: int, kind: str, draws
+) -> None:
+    g, absorber, _ = build_full_absorber(150, 0.55, seed, x_count)
+    if absorber is None:
+        return
+    host, bad = corrupt(g, absorber, kind, draws.draw)
+    report = verify_absorber(host, bad)
+    assert report.ok == every_subset_walk_is_valid(host, bad)
+    if report.ok:
+        assert report.subsets_checked == len(bad.absorbees) + 1
+    else:
+        assert not subset_walk_is_valid(host, bad, report.failure["subset"])
+
+
+def test_verification_runs_past_63_absorbees() -> None:
+    g, absorber, fail = build_full_absorber(1000, 0.5, 1, x_count=64)
+    assert fail is None
+    report = verify_absorber(g, absorber)
+    assert report.ok
+    assert report.subsets_checked == 65
 
 
 @settings(max_examples=6)
@@ -116,21 +223,9 @@ def test_verification_detects_a_corrupted_unit() -> None:
 
     bad_unit = replace(unit, backbone=replace(unit.backbone, vertices=tuple(verts)))
     bad = replace(absorber, units=(bad_unit,) + absorber.units[1:])
-    report = verify_absorber(g, bad, "exhaustive")
+    report = verify_absorber(g, bad)
     assert not report.ok
     assert report.failure
-
-
-def test_verification_modes_and_validation() -> None:
-    g, absorber, _ = build_full_absorber(150, 0.55, 7)
-    assert absorber is not None
-    sampled = verify_absorber(g, absorber, "sampled", samples=5, seed=1)
-    assert sampled.ok
-    assert sampled.subsets_checked <= 2 ** len(absorber.absorbees)
-    again = verify_absorber(g, absorber, "sampled", samples=5, seed=1)
-    assert again == sampled
-    with pytest.raises(InputError):
-        verify_absorber(g, absorber, "telepathic")
 
 
 def test_absorber_json_round_trip() -> None:

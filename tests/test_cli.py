@@ -141,7 +141,7 @@ def test_absorber_build_verify_round_trips(tmp_path, capsys) -> None:
                "--absorber", absorber) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is True
-    assert report["subsets_checked"] == 8
+    assert report["subsets_checked"] == 4
 
 
 def test_absorber_verify_detects_a_mismatched_host(tmp_path) -> None:
@@ -152,6 +152,32 @@ def test_absorber_verify_detects_a_mismatched_host(tmp_path) -> None:
                "--seed", "3", "--out", absorber) == 0
     assert run("absorber", "verify", "--graph", other,
                "--absorber", absorber) == 1
+
+
+@pytest.mark.parametrize(
+    "description",
+    [
+        {"units": [], "links": []},
+        {"units": [{"x": 0, "star": [1, 2, 3, 4], "blocks": 2,
+                    "backbone": [2, 1, 5], "junctions": [[]]}],
+         "links": []},
+        {"units": [{"x": 0, "star": [1, 2, 3, 4], "blocks": 10**9,
+                    "backbone": [2, 1, 5], "junctions": [[]]}],
+         "links": []},
+        {"units": [{"x": 0, "star": [1, 2, 3, 4], "blocks": 2,
+                    "backbone": [2, 1, 5, 6, 3, 4, 7, 8], "junctions": [[]]}],
+         "links": [[]]},
+    ],
+    ids=["no-units", "short-backbone", "huge-blocks", "extra-link"],
+)
+def test_absorber_verify_rejects_malformed_descriptions(
+    tmp_path, description
+) -> None:
+    graph = write_graph(tmp_path, "g.edges", 12, 0.5, 0)
+    absorber = tmp_path / "absorber.json"
+    absorber.write_text(json.dumps(description))
+    assert run("absorber", "verify", "--graph", graph,
+               "--absorber", str(absorber)) == 2
 
 
 def test_absorber_build_failure_reports_a_stage(tmp_path, capsys) -> None:

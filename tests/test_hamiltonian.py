@@ -185,6 +185,15 @@ def test_pipeline_is_deterministic() -> None:
         assert first.order == second.order
 
 
+def test_pipeline_audits_absorbers_with_more_than_63_absorbees() -> None:
+    # |X| = 65 on this host: more subsets than a 64-bit mask can index.
+    g = gnp_generate(1300, 0.6, 1)
+    out = find_square_ham(g, config=PipelineConfig(seed=1))
+    assert isinstance(out, (Certificate, FailureReport))
+    if isinstance(out, Certificate):
+        assert verify_certificate(g, out).ok
+
+
 def test_pipeline_failure_reports_name_a_stage() -> None:
     g = gnp_generate(100, 0.05, 0)
     outcome = find_square_ham(g, config=PipelineConfig(seed=0, restarts=2))
