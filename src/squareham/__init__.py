@@ -1,9 +1,9 @@
 """Constructive machinery for squares of Hamilton cycles in sparse graphs.
 
 Submodules:
-    graphcore: graphs, random generation, counting statistics, goodness checks.
+    graphcore: graphs, random generation, counting statistics, family membership.
     gadgets: square-path / pseudo-path / backbone templates and embeddings.
-    matching: Hall, star, and set-system matching engines with witnesses.
+    matching: Hall matching with a deficient-set witness.
     connector: projection-graph growth and pair-to-pair connection search.
     absorber: per-vertex absorbing structures, chaining, verification.
     hamiltonian: the end-to-end pipeline, brute-force oracle, certificates.
@@ -55,7 +55,6 @@ from .graphcore import (
     Graph,
     InputError,
     check_family_membership,
-    check_good_set,
     complete_graph,
     gnp_generate,
     read_graph,
@@ -72,10 +71,7 @@ from .hamiltonian import (
 )
 from .matching import (
     BipartiteInstance,
-    SetSystemInstance,
     hall_saturating_matching,
-    haxell_matching,
-    star_matching,
 )
 
 __all__ = [
@@ -97,7 +93,6 @@ __all__ = [
     "InputError",
     "PipelineConfig",
     "RetentionProfile",
-    "SetSystemInstance",
     "StarRecord",
     "absorb",
     "brute_force_square_ham",
@@ -106,7 +101,6 @@ __all__ = [
     "build_single_absorbers",
     "chain_absorbers",
     "check_family_membership",
-    "check_good_set",
     "complete_absorbers",
     "complete_graph",
     "connect_all",
@@ -115,7 +109,6 @@ __all__ = [
     "find_square_ham",
     "gnp_generate",
     "hall_saturating_matching",
-    "haxell_matching",
     "is_square_cycle",
     "is_square_path",
     "k3_attack",
@@ -124,7 +117,6 @@ __all__ = [
     "read_graph",
     "resilience_experiment",
     "rng_for",
-    "star_matching",
     "triangle_retention_profile",
     "validate_embedding",
     "verify_absorber",

@@ -22,7 +22,6 @@ from .gadgets import (
     backbone_label,
     build_gadget,
     is_square_path,
-    validate_embedding,
 )
 from .graphcore import Graph, InputError
 from .matching import BipartiteInstance, hall_saturating_matching

@@ -41,7 +41,6 @@ from .graphcore import (
     Graph,
     InputError,
     gnp_generate,
-    graph_from_edgelist_text,
     graph_to_edgelist_text,
     graph_to_json_obj,
     random_partition,
@@ -118,10 +117,14 @@ def load_pipeline_config(path: str | None, seed: int | None) -> PipelineConfig:
         default = fields[key]
         if isinstance(default, tuple):
             kwargs[key] = _ints(raw)
-        elif isinstance(default, int):
-            kwargs[key] = int(raw)
-        else:
-            kwargs[key] = float(raw)
+            continue
+        kind = int if isinstance(default, int) else float
+        try:
+            kwargs[key] = kind(raw)
+        except ValueError as exc:
+            raise InputError(
+                f"config key {key!r} needs {kind.__name__}, got {raw!r}"
+            ) from exc
     if seed is not None:
         kwargs["seed"] = seed
     return PipelineConfig(**kwargs)

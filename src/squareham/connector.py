@@ -29,7 +29,6 @@ from .gadgets import (
     validate_embedding,
 )
 from .graphcore import Graph, InputError, random_partition, rng_for
-from .matching import BipartiteInstance, star_matching
 
 SKIP = "skip"
 CONSECUTIVE = "consecutive"
@@ -46,52 +45,6 @@ def f_index(i: int, b: int) -> int:
     if i < 0:
         raise InputError(f"step index must be non-negative, got {i}")
     return i - 1 if i % 2 == 0 else i - b
-
-
-# -- edge-set extension ------------------------------------------------------
-
-
-def extend_edges(
-    g: Graph,
-    w1: Iterable[int],
-    w2: Iterable[int],
-    w3: Iterable[int],
-    f12: Iterable[tuple[int, int]],
-    x: Iterable[int] = (),
-) -> tuple[tuple[int, int], ...]:
-    """Push an edge family one class further through common neighborhoods.
-
-    Given ``f12`` between classes ``w1`` and ``w2``, returns the ordered pairs
-    ``(v2, v3)`` with ``v2`` in ``w2``, ``v3`` in ``w3`` minus ``x``, such
-    that ``{v2, v3}`` is a host edge and some ``f12``-partner ``v1`` of ``v2``
-    is also adjacent to ``v3``.
-
-    Raises:
-        InputError: If the classes overlap or an ``f12`` edge does not run
-            between ``w1`` and ``w2`` in the host graph.
-    """
-    s1, s2, s3 = frozenset(w1), frozenset(w2), frozenset(w3)
-    if s1 & s2 or s1 & s3 or s2 & s3:
-        raise InputError("classes w1, w2, w3 must be pairwise disjoint")
-    xs = frozenset(x)
-    partners: dict[int, set[int]] = {}
-    for u, v in f12:
-        if u in s1 and v in s2:
-            a, c = u, v
-        elif v in s1 and u in s2:
-            a, c = v, u
-        else:
-            raise InputError(f"f12 edge ({u}, {v}) outside E_G(w1, w2)")
-        if not g.has_edge(u, v):
-            raise InputError(f"f12 edge ({u}, {v}) outside E_G(w1, w2)")
-        partners.setdefault(c, set()).add(a)
-    out: list[tuple[int, int]] = []
-    for v2 in sorted(partners):
-        mates = partners[v2]
-        for v3 in sorted((g.neighbors(v2) & s3) - xs):
-            if g.neighbors(v3) & mates:
-                out.append((v2, v3))
-    return tuple(out)
 
 
 # -- projection graphs -------------------------------------------------------
@@ -413,255 +366,6 @@ def expansion_stats(f: ProjectionGraph, eps: float) -> ExpansionStats:
             )
         )
     return ExpansionStats(eps, strong, weak, tuple(steps), tuple(blocks))
-
-
-# -- expansion predicates ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Condition:
-    """A single compared quantity; ``value`` is ``None`` for vacuous checks."""
-
-    name: str
-    value: float | None
-    bound: float
-    relation: str
-    ok: bool
-
-
-@dataclass(frozen=True)
-class ExpansionParams:
-    """Numeric knobs of the expansion predicates.
-
-    ``logn`` overrides the natural-log factor in thresholds (useful at desk
-    scale, where genuine ``log n`` floors exceed any buildable instance).
-    ``mu`` is required by statement 8 and must lie in ``(32 eps / alpha, 1)``.
-    """
-
-    alpha: float
-    eps: float
-    p: float
-    logn: float | None = None
-    mu: float | None = None
-    slack: float = 1e-9
-
-
-@dataclass(frozen=True)
-class PredicateReport:
-    """Outcome of one expansion statement on concrete data.
-
-    ``status`` is ``"holds"`` or ``"fails"`` when every hypothesis is met and
-    ``"not-applicable"`` otherwise.  All compared quantities are itemized.
-    """
-
-    statement: int
-    status: str
-    hypotheses: tuple[Condition, ...]
-    conclusions: tuple[Condition, ...]
-    detail: str
-
-
-def _cond(name: str, value: float | None, bound: float, relation: str, slack: float) -> Condition:
-    if value is None:
-        return Condition(name, None, bound, relation, True)
-    if relation == ">=":
-        ok = value >= bound - slack
-    elif relation == "<=":
-        ok = value <= bound + slack
-    elif relation == "<":
-        ok = value < bound + slack
-    elif relation == ">":
-        ok = value > bound - slack
-    else:
-        raise InputError(f"unknown relation {relation!r}")
-    return Condition(name, value, bound, relation, ok)
-
-
-def expansion_predicate(
-    g: Graph,
-    statement: int,
-    w1: Sequence[int],
-    w2: Sequence[int],
-    w3: Sequence[int],
-    f12: Sequence[tuple[int, int]],
-    x: Iterable[int],
-    params: ExpansionParams,
-) -> PredicateReport:
-    """Evaluate one of the nine expansion statements on concrete classes.
-
-    The edge family ``f12`` lives between ``w1`` and ``w2``; the pushed
-    family is computed into ``w3`` minus ``x``.  Degree-quantified hypotheses
-    range over the ``w2``-side vertices incident to ``f12`` (the only side
-    where pushed edges can attach); statement 1's degree cap, which is
-    explicitly two-sided, ranges over all of ``w1`` and ``w2``.  Statements
-    report ``not-applicable`` when a hypothesis fails, otherwise whether every
-    conclusion holds.
-    """
-    if statement not in range(1, 10):
-        raise InputError(f"statement must be 1..9, got {statement}")
-    if not (len(w1) == len(w2) == len(w3)):
-        raise InputError("classes w1, w2, w3 must have equal size")
-    ntil = len(w1)
-    eps, alpha, p, slack = params.eps, params.alpha, params.p, params.slack
-    if not (0 < eps < 1) or not (0 < p <= 1) or alpha <= 0:
-        raise InputError("params require 0<eps<1, 0<p<=1, alpha>0")
-    ln = math.log(g.n) if params.logn is None else params.logn
-    if ln <= 0:
-        raise InputError(f"log factor must be positive, got {ln}")
-    xs = frozenset(x)
-    f23 = extend_edges(g, w1, w2, w3, f12, xs)
-    s1, s2 = frozenset(w1), frozenset(w2)
-    deg12: dict[int, int] = {}
-    for u, v in f12:
-        side2 = v if v in s2 else u
-        deg12[side2] = deg12.get(side2, 0) + 1
-    u2 = tuple(sorted(deg12))
-    f_count = len(f12)
-    e23 = len(f23)
-    deg23: dict[int, int] = {}
-    deg23_w3: dict[int, int] = {}
-    for v2, v3 in f23:
-        deg23[v2] = deg23.get(v2, 0) + 1
-        deg23_w3[v3] = deg23_w3.get(v3, 0) + 1
-
-    hyps: list[Condition] = []
-    concs: list[Condition] = []
-    detail = ""
-
-    def minmax(vals: Iterable[int]) -> tuple[float | None, float | None]:
-        vals = list(vals)
-        if not vals:
-            return None, None
-        return float(min(vals)), float(max(vals))
-
-    lo_u2, hi_u2 = minmax(deg12.values())
-
-    if statement == 1:
-        hyps.append(_cond("|U|", len(u2), len(xs) / ln, ">=", slack))
-        hyps.append(_cond("max deg_f12 over w1+w2", hi_u2, eps / p, "<=", slack))
-        target = math.floor((1 - eps) * min(len(u2), eps / p**2) + slack)
-        leaves = max(1, math.ceil(alpha * ntil * p**2 / 2 - slack))
-        saturated = _max_star_saturated(u2, f23, leaves)
-        concs.append(
-            _cond(
-                f"star-saturated vertices (r={leaves})",
-                float(len(saturated)),
-                float(target),
-                ">=",
-                slack,
-            )
-        )
-        detail = (
-            f"greedy-certified saturable set of {len(saturated)} centers "
-            f"against a target of {target}"
-        )
-    elif statement == 2:
-        hyps.append(_cond("|f12|", f_count, eps**-17 * ntil * ln**2, ">=", slack))
-        hyps.append(_cond("max deg_f12 on u2", hi_u2, eps**-4 * ln / p, "<=", slack))
-        concs.append(_cond("|f23|", e23, eps**-4 * f_count, ">=", slack))
-    elif statement == 3:
-        hyps.append(_cond("|f12|", f_count, eps**-5 * ntil * ln, ">=", slack))
-        hyps.append(_cond("min deg_f12 on u2", lo_u2, eps**-4 * ln / p, ">=", slack))
-        concs.append(
-            _cond("|f23|", e23, alpha * ntil * p / 4 * len(u2), ">=", slack)
-        )
-    elif statement == 4:
-        hyps.append(_cond("|f12|", f_count, eps**-5 * ln / p * ntil, ">=", slack))
-        hyps.append(_cond("min deg_f12 on u2", lo_u2, eps**-4 * ln / p, ">=", slack))
-        hyps.append(_cond("max deg_f12 on u2", hi_u2, ntil * p / 3, "<=", slack))
-        concs.append(_cond("|f23|", e23, (1 + alpha / 4) * f_count, ">=", slack))
-    elif statement == 5:
-        hyps.append(_cond("|f12|", f_count, eps**-10 * ln / p * ntil, ">=", slack))
-        hyps.append(_cond("min deg_f12 on u2", lo_u2, ntil * p / 3, ">=", slack))
-        host = sum(len(g.neighbors(v) & frozenset(w3)) for v in u2)
-        concs.append(_cond("|f23|", e23, (1 - eps**2) * host, ">=", slack))
-        big = [
-            v
-            for v in u2
-            if deg23.get(v, 0)
-            >= (1 - 2 * eps**3) * len(g.neighbors(v) & frozenset(w3)) - slack
-        ]
-        concs.append(
-            _cond(
-                "high-retention centers",
-                float(len(big)),
-                (1 - 3 * eps**3) * len(u2),
-                ">=",
-                slack,
-            )
-        )
-        detail = f"{len(big)} of {len(u2)} centers retain their host degree"
-    elif statement == 6:
-        hyps.append(_cond("|U|", len(u2), 2 * ntil / 3, ">=", slack))
-        hyps.append(_cond("min deg_f12 on u2", lo_u2, ntil * p / 3, ">=", slack))
-        floor = (1 / 3 + alpha / 2) * ntil * p
-        w3_live = sorted(set(w3) - xs)
-        big = [v for v in w3_live if deg23_w3.get(v, 0) >= floor - slack]
-        concs.append(
-            _cond("well-connected w3 vertices", float(len(big)), (1 - eps) * ntil, ">=", slack)
-        )
-        detail = f"{len(big)} of {len(w3_live)} live w3 vertices clear {floor:.2f}"
-    elif statement == 7:
-        hyps.append(_cond("|f12|", f_count, eps**-18 * ntil * ln**2, ">=", slack))
-        hyps.append(_cond("|f23|", e23, eps**-3 * f_count, "<", slack))
-        thr = eps**-4 * ln / p
-        heavy = [v for v in u2 if deg12[v] >= thr - slack]
-        mass = sum(deg12[v] for v in heavy)
-        concs.append(_cond("f12 mass on heavy centers", mass, (1 - eps) * f_count, ">=", slack))
-        detail = f"{len(heavy)} heavy centers carry {mass} of {f_count} pairs"
-    elif statement == 8:
-        mu = params.mu
-        if mu is None or not (32 * eps / alpha < mu < 1):
-            raise InputError(
-                f"statement 8 needs mu in (32*eps/alpha, 1), got {mu}"
-            )
-        hyps.append(_cond("|f12|", f_count, eps * ntil**2 * p, ">=", slack))
-        hyps.append(_cond("|f23|", e23, (1 + mu * alpha / 8) * f_count, "<", slack))
-        heavy = [v for v in u2 if deg12[v] > ntil * p / 3 + slack]
-        mass = sum(deg12[v] for v in heavy)
-        concs.append(_cond("f12 mass on heavy centers", mass, (1 - mu) * f_count, ">=", slack))
-        detail = f"{len(heavy)} heavy centers carry {mass} of {f_count} pairs"
-    elif statement == 9:
-        hyps.append(_cond("|f12|", f_count, eps * ntil**2 * p, ">=", slack))
-        concs.append(_cond("|f23|", e23, (1 - math.sqrt(eps)) * f_count, ">=", slack))
-
-    applicable = all(c.ok for c in hyps)
-    if not applicable:
-        status = "not-applicable"
-    else:
-        status = "holds" if all(c.ok for c in concs) else "fails"
-    return PredicateReport(statement, status, tuple(hyps), tuple(concs), detail)
-
-
-def _max_star_saturated(
-    centers: Sequence[int], f23: Sequence[tuple[int, int]], leaves: int
-) -> tuple[int, ...]:
-    """A saturable center subset, certified by iterated violator removal.
-
-    Returns a subset of ``centers`` admitting vertex-disjoint ``leaves``-leaf
-    stars in ``f23``.  The subset is a sound lower bound for the maximum: the
-    star property is closed under taking centers away, and each round removes
-    only a certified deficient set.
-    """
-    nbrs: dict[int, set[int]] = {c: set() for c in centers}
-    rights: dict[int, int] = {}
-    for v2, v3 in f23:
-        if v2 in nbrs:
-            rights.setdefault(v3, len(rights))
-            nbrs[v2].add(rights[v3])
-    active = list(centers)
-    while active:
-        inst = BipartiteInstance(
-            tuple(tuple(sorted(nbrs[c])) for c in active), max(len(rights), 1)
-        )
-        res = star_matching(inst, leaves)
-        if res.status == "matched":
-            return tuple(active)
-        drop = set(res.violator or ())
-        if not drop:
-            raise AssertionError("deficient star matching without a violator")
-        active = [c for i, c in enumerate(active) if i not in drop]
-    return ()
 
 
 # -- connection search -------------------------------------------------------

@@ -20,7 +20,7 @@ port orientation is what makes concatenation sound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 from .graphcore import Graph, InputError
 

@@ -9,8 +9,7 @@ floating point with a small absolute slack to absorb rounding.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,7 +32,12 @@ def rng_for(seed: int, *salt: int) -> np.random.Generator:
 
     Returns:
         A ``numpy`` generator that depends only on ``(seed, *salt)``.
+
+    Raises:
+        InputError: If the seed or a salt is negative.
     """
+    if seed < 0 or any(s < 0 for s in salt):
+        raise InputError(f"seed and salt must be non-negative, got {(seed, *salt)}")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(salt)))
 
 
@@ -168,26 +172,6 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
-def induced_subgraph(g: Graph, verts: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on ``verts`` relabeled to ``0..k-1``.
-
-    Returns:
-        ``(subgraph, mapping)`` where ``mapping[i]`` is the original vertex
-        behind new vertex ``i``.
-    """
-    order = tuple(sorted(set(verts)))
-    for v in order:
-        g._check_vertex(v)
-    pos = {v: i for i, v in enumerate(order)}
-    edges = [
-        (pos[u], pos[v])
-        for u in order
-        for v in g.neighbors(u)
-        if v in pos and u < v
-    ]
-    return Graph(len(order), edges), order
-
-
 # -- seeded generation ----------------------------------------------------
 
 
@@ -263,94 +247,10 @@ def random_partition(
 # -- statistics ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DegreeInto:
-    v: int
-    s: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CodegreeInto:
-    u: int
-    v: int
-    s: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class EdgesBetween:
-    x: tuple[int, ...]
-    y: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class TrianglesAtVertex:
-    v: int
-
-
-@dataclass(frozen=True)
-class TrianglesOnEdge:
-    u: int
-    v: int
-
-
-@dataclass(frozen=True)
-class PairFamilyTriangleSum:
-    pairs: tuple[tuple[int, int], ...]
-    w: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PairFamilyCommonUnion:
-    pairs: tuple[tuple[int, int], ...]
-    w: tuple[int, ...]
-
-
-StatQuery = (
-    DegreeInto
-    | CodegreeInto
-    | EdgesBetween
-    | TrianglesAtVertex
-    | TrianglesOnEdge
-    | PairFamilyTriangleSum
-    | PairFamilyCommonUnion
-)
-
-
-def degree_into(g: Graph, v: int, s: Iterable[int]) -> int:
-    """Number of neighbors of ``v`` inside the set ``s``."""
-    target = _vertex_set(g, s)
-    return len(g.neighbors(v) & target)
-
-
-def codegree_into(g: Graph, u: int, v: int, s: Iterable[int]) -> int:
-    """Number of common neighbors of ``u`` and ``v`` inside ``s``."""
-    target = _vertex_set(g, s)
-    return len(g.neighbors(u) & g.neighbors(v) & target)
-
-
-def edges_between(g: Graph, x: Iterable[int], y: Iterable[int]) -> int:
-    """Number of edges with one endpoint in ``x`` and the other in ``y``.
-
-    The sets must be disjoint.
-    """
-    xs = _vertex_set(g, x)
-    ys = _vertex_set(g, y)
-    if xs & ys:
-        raise InputError("edges_between requires disjoint sets")
-    small, other = (xs, ys) if len(xs) <= len(ys) else (ys, xs)
-    return sum(len(g.neighbors(u) & other) for u in small)
-
-
 def edges_within(g: Graph, s: Iterable[int]) -> int:
     """Number of edges with both endpoints in ``s``."""
     ss = _vertex_set(g, s)
     return sum(len(g.neighbors(u) & ss) for u in ss) // 2
-
-
-def triangles_at_vertex(g: Graph, v: int) -> int:
-    """Number of triangles containing ``v``."""
-    nb = g.neighbors(v)
-    return sum(len(g.neighbors(u) & nb) for u in nb) // 2
 
 
 def triangles_on_edge(g: Graph, u: int, v: int) -> int:
@@ -358,44 +258,6 @@ def triangles_on_edge(g: Graph, u: int, v: int) -> int:
     g._check_vertex(u)
     g._check_vertex(v)
     return len(g.neighbors(u) & g.neighbors(v))
-
-
-def pair_family_triangle_sum(
-    g: Graph, pairs: Iterable[tuple[int, int]], w: Iterable[int]
-) -> int:
-    """Sum of codegrees into ``w`` over a family of vertex pairs."""
-    ws = _vertex_set(g, w)
-    return sum(len(g.neighbors(u) & g.neighbors(v) & ws) for u, v in pairs)
-
-
-def pair_family_common_union(
-    g: Graph, pairs: Iterable[tuple[int, int]], w: Iterable[int]
-) -> int:
-    """Size of the union of pairwise common neighborhoods inside ``w``."""
-    ws = _vertex_set(g, w)
-    union: set[int] = set()
-    for u, v in pairs:
-        union |= g.neighbors(u) & g.neighbors(v) & ws
-    return len(union)
-
-
-def graph_stat(g: Graph, query: StatQuery) -> int:
-    """Exact counting statistics; dispatches on the query variant."""
-    if isinstance(query, DegreeInto):
-        return degree_into(g, query.v, query.s)
-    if isinstance(query, CodegreeInto):
-        return codegree_into(g, query.u, query.v, query.s)
-    if isinstance(query, EdgesBetween):
-        return edges_between(g, query.x, query.y)
-    if isinstance(query, TrianglesAtVertex):
-        return triangles_at_vertex(g, query.v)
-    if isinstance(query, TrianglesOnEdge):
-        return triangles_on_edge(g, query.u, query.v)
-    if isinstance(query, PairFamilyTriangleSum):
-        return pair_family_triangle_sum(g, query.pairs, query.w)
-    if isinstance(query, PairFamilyCommonUnion):
-        return pair_family_common_union(g, query.pairs, query.w)
-    raise InputError(f"unknown stat query {query!r}")
 
 
 def triangle_profile(g: Graph) -> np.ndarray:
@@ -502,322 +364,6 @@ def check_family_membership(
         min_codegree_edge=min_codeg_e,
     )
 
-
-# -- good-set report --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PropertyCheck:
-    """One statistical property of a sampled vertex set.
-
-    ``margin`` is the worst observed slack, signed so that non-negative means
-    the property held on every examined witness.  ``vacuous`` marks properties
-    whose quantifier admitted no witness at the given scale.
-    """
-
-    name: str
-    passed: bool
-    vacuous: bool
-    margin: float | None
-    samples: int
-    detail: str
-
-
-@dataclass(frozen=True)
-class GoodSetReport:
-    """Eight-property goodness report for a reservoir candidate."""
-
-    checks: tuple[PropertyCheck, ...]
-    alpha: float
-    eps: float
-    p: float
-    sample_budget: int
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def check(self, name: str) -> PropertyCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-def check_good_set(
-    gamma: Graph,
-    g: Graph,
-    w: Iterable[int],
-    alpha: float,
-    eps: float,
-    p: float,
-    sample_budget: int,
-    *,
-    seed: int = 0,
-    logn: float | None = None,
-    extra_witnesses: dict[str, list] | None = None,
-    slack: float = DEFAULT_SLACK,
-) -> GoodSetReport:
-    """Evaluate the eight goodness properties of a candidate reservoir set.
-
-    Per-vertex and per-edge properties (G2-G5) are checked exactly; the
-    subset-quantified properties (G1, G6, G7, G8) are checked on
-    ``sample_budget`` random admissible witnesses plus any caller-supplied
-    ones.  Witness-size floors scale with ``logn`` (natural log of ``n`` by
-    default); passing a smaller value makes the sampled quantifiers bite at
-    desk scale.
-
-    Args:
-        gamma: Host graph.
-        g: Dense spanning subgraph under study.
-        w: Candidate reservoir set.
-        alpha: Density surplus parameter.
-        eps: Concentration tolerance.
-        p: Host edge probability.
-        sample_budget: Random witnesses per sampled property (at least 1).
-        seed: Sampling seed.
-        logn: Override for the ``log n`` factor in witness-size floors.
-        extra_witnesses: Optional per-property witnesses; keys ``"G1"``,
-            ``"G6"``, ``"G7"``, ``"G8"``.
-
-    Returns:
-        A :class:`GoodSetReport` with exactly eight entries.
-    """
-    if sample_budget < 1:
-        raise InputError("sample_budget must be at least 1")
-    ws = tuple(sorted(_vertex_set(gamma, w)))
-    if g.n != gamma.n:
-        raise InputError("host and subgraph must share a vertex set")
-    n = gamma.n
-    ln = math.log(n) if logn is None else logn
-    rng = rng_for(seed, 2)
-    extras = extra_witnesses or {}
-    wset = frozenset(ws)
-    checks: list[PropertyCheck] = []
-
-    # G1: between a large subset of W and a large disjoint set, the host edge
-    # count is within (1 +- eps) of |X||Y|p.  Sampled.
-    floor1 = eps**-3 * ln / p
-    witnesses1: list[tuple[tuple[int, ...], tuple[int, ...]]] = list(extras.get("G1", []))
-    size1 = math.ceil(floor1)
-    if size1 <= len(ws) and size1 <= n - size1:
-        outside = sorted(set(range(n)) - wset)
-        for _ in range(sample_budget):
-            xs = _sample(rng, ws, size1)
-            pool = outside if len(outside) >= size1 else sorted(set(range(n)) - set(xs))
-            if len(pool) < size1:
-                break
-            ys = _sample(rng, pool, size1)
-            witnesses1.append((xs, ys))
-    margin1, worst1 = None, ""
-    for xs, ys in witnesses1:
-        e = edges_between(gamma, xs, ys)
-        base = len(xs) * len(ys) * p
-        m = min(e - (1 - eps) * base, (1 + eps) * base - e)
-        if margin1 is None or m < margin1:
-            margin1, worst1 = m, f"|X|={len(xs)} |Y|={len(ys)} e={e}"
-    checks.append(
-        _sampled_check("G1", margin1, len(witnesses1), worst1, slack)
-    )
-
-    # G2: host degree into W is (1 +- eps)|W|p for every vertex.  Exact.
-    margin2, worst2 = None, ""
-    base2 = len(ws) * p
-    for v in range(n):
-        d = degree_into(gamma, v, ws)
-        m = min(d - (1 - eps) * base2, (1 + eps) * base2 - d)
-        if margin2 is None or m < margin2:
-            margin2, worst2 = m, f"v={v} deg={d}"
-    checks.append(_exact_check("G2", margin2, n, worst2, slack))
-
-    # G3: subgraph degree into W is proportional to total degree.  Exact.
-    margin3, worst3 = None, ""
-    for v in range(n):
-        d = degree_into(g, v, ws)
-        base = g.degree(v) * len(ws) / n
-        m = min(d - (1 - eps) * base, (1 + eps) * base - d)
-        if margin3 is None or m < margin3:
-            margin3, worst3 = m, f"v={v} deg={d} expected={base:.2f}"
-    checks.append(_exact_check("G3", margin3, n, worst3, slack))
-
-    # G4: subgraph degree into W clears the (2/3 + alpha)|W|p floor.  Exact.
-    margin4, worst4 = None, ""
-    thr4 = (2.0 / 3.0 + alpha) * len(ws) * p
-    for v in range(n):
-        d = degree_into(g, v, ws)
-        m = d - thr4
-        if margin4 is None or m < margin4:
-            margin4, worst4 = m, f"v={v} deg={d} floor={thr4:.2f}"
-    checks.append(_exact_check("G4", margin4, n, worst4, slack))
-
-    # G5: per-edge codegree into W clears the alpha|W|p^2 floor.  Exact.
-    margin5, worst5, count5 = None, "", 0
-    thr5 = alpha * len(ws) * p**2
-    for u, v in g.edges():
-        c = codegree_into(g, u, v, ws)
-        m = c - thr5
-        count5 += 1
-        if margin5 is None or m < margin5:
-            margin5, worst5 = m, f"edge=({u},{v}) codeg={c} floor={thr5:.2f}"
-    if count5 == 0:
-        checks.append(PropertyCheck("G5", True, True, None, 0, "no edges"))
-    else:
-        checks.append(_exact_check("G5", margin5, count5, worst5, slack))
-
-    # G6: summed codegrees of a bounded-multiplicity pair family into any
-    # large W' stay below (1 + eps)|P||W'|p^2.  Sampled.
-    floor6 = math.ceil(eps**-10 * ln / p**2)
-    mult6 = math.floor(1.0 + 1.0 / p + slack)
-    witnesses6: list[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]] = list(
-        extras.get("G6", [])
-    )
-    wprime_size = max(math.ceil(eps * len(ws)), 1)
-    outside_pool = sorted(set(range(n)) - wset)
-    for _ in range(sample_budget):
-        fam = _sample_pair_family(rng, outside_pool, floor6, mult6)
-        if fam is None:
-            break
-        wprime = _sample(rng, ws, wprime_size) if ws else ()
-        witnesses6.append((fam, wprime))
-    margin6, worst6 = None, ""
-    for fam, wprime in witnesses6:
-        total = pair_family_triangle_sum(g, fam, wprime)
-        bound = (1 + eps) * len(fam) * len(wprime) * p**2
-        m = bound - total
-        if margin6 is None or m < margin6:
-            margin6, worst6 = m, f"|P|={len(fam)} |W'|={len(wprime)} sum={total}"
-    checks.append(_sampled_check("G6", margin6, len(witnesses6), worst6, slack))
-
-    # G7: the union of common neighborhoods over a small bounded-multiplicity
-    # edge family expands to at least alpha|P||W|p^2 vertices.  Sampled.
-    mult7 = math.floor(1.0 + eps / p + slack)
-    size7 = math.floor(1.0 + eps / p**2 + slack)
-    witnesses7: list[tuple[tuple[int, int], ...]] = list(extras.get("G7", []))
-    g_edges_outside = [
-        (u, v) for u, v in g.edges() if u not in wset and v not in wset
-    ]
-    for _ in range(sample_budget):
-        fam = _sample_edge_family(rng, g_edges_outside, size7, mult7)
-        if fam is None:
-            break
-        witnesses7.append(fam)
-    margin7, worst7 = None, ""
-    for fam in witnesses7:
-        got = pair_family_common_union(g, fam, ws)
-        thr = alpha * len(fam) * len(ws) * p**2
-        m = got - thr
-        if margin7 is None or m < margin7:
-            margin7, worst7 = m, f"|P|={len(fam)} union={got} floor={thr:.2f}"
-    checks.append(_sampled_check("G7", margin7, len(witnesses7), worst7, slack))
-
-    # G8: per-pair host codegree into W stays below (1 + eps)|W|p^2.  Sampled
-    # over vertex pairs (exhaustive when the budget covers them all).
-    witnesses8: list[tuple[int, int]] = list(extras.get("G8", []))
-    all_pairs = n * (n - 1) // 2
-    if all_pairs and all_pairs <= sample_budget:
-        witnesses8.extend(
-            (u, v) for u in range(n) for v in range(u + 1, n)
-        )
-    elif all_pairs:
-        for _ in range(sample_budget):
-            u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
-            witnesses8.append((min(u, v), max(u, v)))
-    margin8, worst8 = None, ""
-    thr8 = (1 + eps) * len(ws) * p**2
-    for u, v in witnesses8:
-        c = codegree_into(gamma, u, v, ws)
-        m = thr8 - c
-        if margin8 is None or m < margin8:
-            margin8, worst8 = m, f"pair=({u},{v}) codeg={c} cap={thr8:.2f}"
-    checks.append(_sampled_check("G8", margin8, len(witnesses8), worst8, slack))
-
-    return GoodSetReport(
-        checks=tuple(checks),
-        alpha=alpha,
-        eps=eps,
-        p=p,
-        sample_budget=sample_budget,
-    )
-
-
-def _exact_check(
-    name: str, margin: float | None, samples: int, detail: str, slack: float
-) -> PropertyCheck:
-    if margin is None:
-        return PropertyCheck(name, True, True, None, 0, "no witnesses")
-    return PropertyCheck(name, margin >= -slack, False, margin, samples, detail)
-
-
-def _sampled_check(
-    name: str, margin: float | None, samples: int, detail: str, slack: float
-) -> PropertyCheck:
-    if margin is None:
-        return PropertyCheck(
-            name, True, True, None, samples, "quantifier admits no witness at this scale"
-        )
-    return PropertyCheck(name, margin >= -slack, False, margin, samples, detail)
-
-
-def _sample(rng: np.random.Generator, pool: Sequence[int], size: int) -> tuple[int, ...]:
-    idx = rng.choice(len(pool), size=size, replace=False)
-    return tuple(sorted(pool[int(i)] for i in idx))
-
-
-def _sample_pair_family(
-    rng: np.random.Generator, pool: Sequence[int], size: int, multiplicity: int
-) -> tuple[tuple[int, int], ...] | None:
-    """A random family of vertex pairs from ``pool`` honoring a multiplicity cap."""
-    if multiplicity < 1 or len(pool) < 2:
-        return None
-    if size > multiplicity * len(pool) // 2:
-        return None
-    used: dict[int, int] = {}
-    fam: set[tuple[int, int]] = set()
-    attempts = 0
-    while len(fam) < size and attempts < 50 * size + 100:
-        attempts += 1
-        i, j = (int(x) for x in rng.choice(len(pool), size=2, replace=False))
-        u, v = pool[i], pool[j]
-        pair = (min(u, v), max(u, v))
-        if pair in fam:
-            continue
-        if used.get(u, 0) >= multiplicity or used.get(v, 0) >= multiplicity:
-            continue
-        fam.add(pair)
-        used[u] = used.get(u, 0) + 1
-        used[v] = used.get(v, 0) + 1
-    if len(fam) < size:
-        return None
-    return tuple(sorted(fam))
-
-
-def _sample_edge_family(
-    rng: np.random.Generator,
-    edges: Sequence[tuple[int, int]],
-    max_size: int,
-    multiplicity: int,
-) -> tuple[tuple[int, int], ...] | None:
-    """A random subfamily of ``edges`` honoring the size and multiplicity caps."""
-    if not edges or max_size < 1 or multiplicity < 1:
-        return None
-    order = rng.permutation(len(edges))
-    used: dict[int, int] = {}
-    fam: list[tuple[int, int]] = []
-    for i in order:
-        if len(fam) >= max_size:
-            break
-        u, v = edges[int(i)]
-        if used.get(u, 0) >= multiplicity or used.get(v, 0) >= multiplicity:
-            continue
-        fam.append((min(u, v), max(u, v)))
-        used[u] = used.get(u, 0) + 1
-        used[v] = used.get(v, 0) + 1
-    if not fam:
-        return None
-    return tuple(sorted(fam))
-
-
-# -- file formats -----------------------------------------------------------
 
 
 def graph_to_edgelist_text(g: Graph) -> str:

@@ -50,7 +50,6 @@ class PipelineConfig:
     the absorbee set against ``n``.
     """
 
-    alpha: float = 0.05
     eps: float = 0.75
     connector_length: int = 8
     x_fraction: float = 0.05
@@ -74,7 +73,7 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "eps", "x_fraction", "cover_eps"):
+        for name in ("eps", "x_fraction", "cover_eps"):
             value = getattr(self, name)
             if not 0 < value < 1:
                 raise InputError(f"{name} must lie in (0, 1), got {value}")
@@ -356,7 +355,13 @@ def cover_with_square_paths(
     with whatever class ``i`` left uncovered.  Paths shorter than two
     vertices are returned as leftover instead.
     """
+    if class_floor < 1:
+        raise InputError(f"class_floor must be at least 1, got {class_floor}")
+    if not 0 < eps < 1:
+        raise InputError(f"eps must lie in (0, 1), got {eps}")
     u = sorted(set(u_prime))
+    for v in u:
+        g._check_vertex(v)
     msize = len(u)
     if msize == 0:
         return CoverResult((), (), (), eps, 0.0)

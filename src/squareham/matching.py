@@ -1,17 +1,8 @@
-"""Matching engines with failure certificates.
+"""Bipartite matching with a failure certificate.
 
-Three engines, all certifying:
-
-* :func:`hall_saturating_matching` — bipartite matching that saturates the
-  left side, or a deficient left set ``A'`` with ``|N(A')| < |A'|``.
-* :func:`star_matching` — vertex-disjoint stars with ``r`` leaves centered at
-  every left vertex, or a left set ``A'`` with ``|N(A')| < r |A'|``.
-* :func:`haxell_matching` — a system of pairwise disjoint ``(r-1)``-sets, one
-  chosen per left vertex from its candidate lists, or a budgeted search for a
-  blocking pair ``(A', B')`` with ``|B'| <= (2r-3)|A'|`` such that every
-  candidate of every vertex in ``A'`` meets ``B'``.
-
-Left and right vertices are dense integers.  All engines are deterministic.
+:func:`hall_saturating_matching` returns a matching that saturates the left
+side, or a deficient left set ``A'`` with ``|N(A')| < |A'|``.  Left and right
+vertices are dense integers, and the engine is deterministic.
 """
 
 from __future__ import annotations
@@ -173,207 +164,3 @@ def hall_saturating_matching(inst: BipartiteInstance) -> MatchingResult:
         return MatchingResult("matched", tuple(match_l), None, None)
     violator, neighborhood = _deficiency_certificate(inst, match_l, match_r)
     return MatchingResult("deficient", None, violator, neighborhood)
-
-
-@dataclass(frozen=True)
-class StarMatchingResult:
-    """Either disjoint ``r``-leaf stars for all left vertices or a witness.
-
-    ``stars[a]`` lists the ``r`` leaves of left vertex ``a``.  A deficient
-    instance yields a left set with ``|N(A')| < r |A'|``.
-    """
-
-    status: str
-    r: int
-    stars: tuple[tuple[int, ...], ...] | None
-    violator: tuple[int, ...] | None
-    neighborhood: tuple[int, ...] | None
-
-
-def star_matching(inst: BipartiteInstance, r: int) -> StarMatchingResult:
-    """Vertex-disjoint ``r``-leaf stars saturating the left side.
-
-    Reduces to bipartite matching by cloning each left vertex ``r`` times.
-    The alternating-reachability set of the clone instance is closed under
-    sibling clones, so a deficiency projects back to an original-left set
-    ``A'`` with ``|N(A')| < r |A'|``.
-    """
-    if r < 1:
-        raise InputError(f"star size must be positive, got {r}")
-    blown = BipartiteInstance(
-        tuple(row for row in inst.adjacency for _ in range(r)), inst.right_count
-    )
-    match_l, match_r = _hopcroft_karp(blown)
-    if all(b != -1 for b in match_l):
-        stars = tuple(
-            tuple(sorted(match_l[a * r : (a + 1) * r])) for a in range(inst.left_count)
-        )
-        return StarMatchingResult("matched", r, stars, None, None)
-    clone_violator, neighborhood = _deficiency_certificate(blown, match_l, match_r)
-    originals = sorted({c // r for c in clone_violator})
-    # Sibling closure: every clone of a reachable original is reachable.
-    if len(clone_violator) != r * len(originals):
-        raise AssertionError("clone violator is not closed under siblings")
-    if len(neighborhood) >= r * len(originals):
-        raise AssertionError("star deficiency certificate failed its own audit")
-    return StarMatchingResult(
-        "deficient", r, None, tuple(originals), tuple(neighborhood)
-    )
-
-
-# -- set-system matching -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SetSystemInstance:
-    """Each left vertex owns candidate sets of ``r - 1`` right vertices.
-
-    ``candidates[a]`` is a tuple of sorted ``(r-1)``-tuples.  A matching picks
-    one candidate per left vertex with all chosen sets pairwise disjoint.
-    """
-
-    candidates: tuple[tuple[tuple[int, ...], ...], ...]
-    right_count: int
-    r: int
-
-    def __post_init__(self) -> None:
-        if self.r < 2:
-            raise InputError(f"set size parameter must be at least 2, got {self.r}")
-        for a, sets in enumerate(self.candidates):
-            for s in sets:
-                if len(s) != self.r - 1 or len(set(s)) != len(s):
-                    raise InputError(
-                        f"candidate {s} of left {a} is not a {self.r - 1}-set"
-                    )
-                for b in s:
-                    if not (0 <= b < self.right_count):
-                        raise InputError(
-                            f"right vertex {b} of left {a} out of range"
-                        )
-
-    @property
-    def left_count(self) -> int:
-        return len(self.candidates)
-
-
-@dataclass(frozen=True)
-class SetSystemResult:
-    """Three-valued outcome of the set-system matching search.
-
-    ``status`` is ``"matched"`` (with the chosen set per left vertex),
-    ``"blocked"`` (with a pair ``(A', B')``, ``|B'| <= (2r-3)|A'|``, such that
-    every candidate of every ``A'`` vertex meets ``B'``), or ``"unknown"``
-    when the node budget ran out first.
-    """
-
-    status: str
-    assignment: tuple[tuple[int, ...], ...] | None
-    witness: tuple[tuple[int, ...], tuple[int, ...]] | None
-    nodes_used: int
-
-
-def haxell_matching(inst: SetSystemInstance, budget: int) -> SetSystemResult:
-    """Search for a disjoint system of candidate sets, or a blocking witness.
-
-    A backtracking search (most-constrained vertex first) looks for the
-    matching; if it exhausts, a bounded hitting-set search looks for a
-    blocking pair over growing left sets.  Both searches draw from the same
-    node ``budget``; when it runs out, the result is ``"unknown"``.
-    """
-    if budget < 1:
-        raise InputError(f"budget must be positive, got {budget}")
-    nodes = [0]
-
-    def spend() -> bool:
-        nodes[0] += 1
-        return nodes[0] <= budget
-
-    nl = inst.left_count
-    chosen: list[tuple[int, ...] | None] = [None] * nl
-    used: set[int] = set()
-
-    def search() -> bool | None:
-        """True found, False exhausted, None budget out."""
-        if not spend():
-            return None
-        todo = [a for a in range(nl) if chosen[a] is None]
-        if not todo:
-            return True
-        # Most-constrained first keeps the tree small.
-        def options(a: int) -> list[tuple[int, ...]]:
-            return [s for s in inst.candidates[a] if not used.intersection(s)]
-
-        a = min(todo, key=lambda v: len(options(v)))
-        for s in options(a):
-            chosen[a] = s
-            used.update(s)
-            res = search()
-            if res:
-                return True
-            used.difference_update(s)
-            chosen[a] = None
-            if res is None:
-                return None
-        return False
-
-    found = search()
-    if found:
-        assignment = tuple(chosen[a] for a in range(nl))  # type: ignore[misc]
-        return SetSystemResult("matched", assignment, None, nodes[0])
-    if found is None:
-        return SetSystemResult("unknown", None, None, nodes[0])
-
-    # No matching exists; hunt for a blocking pair.  Try left subsets in
-    # order of increasing size, and for each run a depth-bounded hitting-set
-    # branch over uncovered candidate sets.
-    from itertools import combinations
-
-    cap = lambda a_size: (2 * inst.r - 3) * a_size  # noqa: E731
-
-    def hit(a_set: tuple[int, ...], b_set: set[int], depth_left: int) -> set[int] | None:
-        if not spend():
-            raise _BudgetOut()
-        for a in a_set:
-            for s in inst.candidates[a]:
-                if not b_set.intersection(s):
-                    if depth_left == 0:
-                        return None
-                    for v in s:
-                        b_set.add(v)
-                        got = hit(a_set, b_set, depth_left - 1)
-                        if got is not None:
-                            return got
-                        b_set.remove(v)
-                    return None
-        return set(b_set)
-
-    try:
-        for size in range(1, nl + 1):
-            for a_set in combinations(range(nl), size):
-                got = hit(a_set, set(), cap(size))
-                if got is not None:
-                    witness = (tuple(a_set), tuple(sorted(got)))
-                    _audit_blocking(inst, witness)
-                    return SetSystemResult("blocked", None, witness, nodes[0])
-    except _BudgetOut:
-        return SetSystemResult("unknown", None, None, nodes[0])
-    # A left vertex with no candidates at all blocks trivially; reaching here
-    # without a witness means the bounded hunt failed within its caps.
-    return SetSystemResult("unknown", None, None, nodes[0])
-
-
-class _BudgetOut(Exception):
-    pass
-
-
-def _audit_blocking(
-    inst: SetSystemInstance, witness: tuple[tuple[int, ...], tuple[int, ...]]
-) -> None:
-    a_set, b_set = witness
-    if len(b_set) > (2 * inst.r - 3) * len(a_set):
-        raise AssertionError("blocking witness exceeds its size cap")
-    bs = set(b_set)
-    for a in a_set:
-        for s in inst.candidates[a]:
-            if not bs.intersection(s):
-                raise AssertionError("blocking witness misses a candidate set")

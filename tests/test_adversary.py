@@ -261,6 +261,11 @@ def test_experiment_accepts_explicit_seed_lists() -> None:
     assert empty["aggregates"] == {}
 
 
+def test_experiment_rejects_negative_seeds() -> None:
+    with pytest.raises(InputError):
+        resilience_experiment(30, 0.5, 0.05, [-3], ExperimentChecks(), jobs=1)
+
+
 def test_experiment_csv_is_flat_and_repeats_params() -> None:
     report = resilience_experiment(50, 0.5, 0.1, 2, ExperimentChecks())
     text = experiment_report_to_csv(report)

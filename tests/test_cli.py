@@ -117,6 +117,15 @@ def test_unknown_config_keys_are_a_usage_error(tmp_path) -> None:
     assert run("find", "--graph", graph, "--config", str(config)) == 2
 
 
+def test_malformed_config_values_are_a_usage_error(tmp_path, capsys) -> None:
+    graph = write_graph(tmp_path, "g.edges", 20, 0.5, 0)
+    config = tmp_path / "bad.cfg"
+    for text in ("restarts = abc\n", "eps = half\n", "alpha = 0.05\n"):
+        config.write_text(text)
+        assert run("find", "--graph", graph, "--config", str(config)) == 2
+    assert "restarts" in capsys.readouterr().err
+
+
 def test_connect_embeds_each_requested_pair(tmp_path, capsys) -> None:
     graph = write_graph(tmp_path, "g.edges", 30, 1.0, 0)
     assert run("connect", "--graph", graph, "--pairs", "0,1,2,3",
@@ -232,6 +241,19 @@ def test_cover_reports_paths_and_leftover(tmp_path, capsys) -> None:
     assert "paths" in payload and "leftover" in payload
     covered = sum(len(p) for p in payload["paths"]) + len(payload["leftover"])
     assert covered == 60
+
+
+def test_cover_rejects_bad_parameters(tmp_path, capsys) -> None:
+    graph = write_graph(tmp_path, "g.edges", 20, 0.5, 2)
+    assert run("cover", "--graph", graph, "--class-floor", "0") == 2
+    assert run("cover", "--graph", graph, "--eps", "1.5") == 2
+    assert run("cover", "--graph", graph, "--verts", "999") == 2
+    capsys.readouterr()
+
+
+def test_negative_seeds_are_a_usage_error(capsys) -> None:
+    assert run("generate", "-n", "5", "-p", "0.5", "--seed", "-1") == 2
+    assert "non-negative" in capsys.readouterr().err
 
 
 def test_missing_input_files_exit_three(tmp_path) -> None:

@@ -14,7 +14,7 @@ from squareham import (
     rng_for,
     validate_embedding,
 )
-from squareham.connector import ExpansionParams, expansion_predicate, split_step
+from squareham.connector import split_step
 from squareham.graphcore import random_partition
 
 
@@ -269,21 +269,3 @@ def test_split_step_lands_in_the_interior(m: int, b: int) -> None:
         return
     s = split_step(m, b)
     assert 1 <= s <= m
-
-
-def test_expansion_predicate_validates_inputs_and_reports_status() -> None:
-    g = complete_graph(30)
-    w1, w2, w3 = list(range(10)), list(range(10, 20)), list(range(20, 30))
-    f12 = [(a, b) for a in w1 for b in w2]
-    params = ExpansionParams(eps=0.001, alpha=0.5, p=1.0, mu=0.9)
-    for statement in range(1, 10):
-        report = expansion_predicate(g, statement, w1, w2, w3, f12, (), params)
-        assert report.statement == statement
-        assert report.status in ("holds", "fails", "not-applicable")
-        assert report.hypotheses
-        if report.status == "not-applicable":
-            assert any(not c.ok for c in report.hypotheses)
-    with pytest.raises(InputError):
-        expansion_predicate(g, 0, w1, w2, w3, f12, (), params)
-    with pytest.raises(InputError):
-        expansion_predicate(g, 1, w1, w2, w3[:5], f12, (), params)

@@ -147,6 +147,17 @@ def test_cover_rejects_vertices_outside_the_host() -> None:
         cover_with_square_paths(g, [5, 25], eps=0.3, seed=0)
 
 
+def test_cover_validates_its_parameters_up_front() -> None:
+    g = gnp_generate(20, 0.5, 0)
+    with pytest.raises(InputError):
+        cover_with_square_paths(g, range(20), class_floor=0)
+    for eps in (0.0, 1.0, 1.5):
+        with pytest.raises(InputError):
+            cover_with_square_paths(g, range(20), eps=eps)
+    with pytest.raises(InputError):
+        cover_with_square_paths(g, [25], eps=0.3)
+
+
 def test_leftover_matching_pairs_into_the_absorbee_set() -> None:
     g = complete_graph(12)
     res = match_leftover(g, [0, 1, 2], [3, 4, 5, 6])
@@ -227,6 +238,12 @@ def test_config_validation_rejects_nonsense() -> None:
         PipelineConfig(restarts=0)
     with pytest.raises(InputError):
         PipelineConfig(assembly_lengths=(3,))
+
+
+def test_pipeline_rejects_a_negative_seed() -> None:
+    g = gnp_generate(100, 0.6, 1)
+    with pytest.raises(InputError):
+        find_square_ham(g, config=PipelineConfig(seed=-1))
 
 
 def test_certificate_and_failure_serialization_round_trip() -> None:

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given
 from hypothesis.strategies import integers
@@ -7,11 +5,8 @@ from hypothesis.strategies import integers
 from squareham import (
     BipartiteInstance,
     InputError,
-    SetSystemInstance,
     hall_saturating_matching,
-    haxell_matching,
     rng_for,
-    star_matching,
 )
 
 
@@ -78,112 +73,9 @@ def test_deficient_witness_violates_the_expansion_bound(seed: int) -> None:
     assert len(nbhd) < len(result.violator)
 
 
-@given(integers(min_value=0, max_value=2**31 - 1))
-def test_single_star_matching_agrees_with_plain_matching(seed: int) -> None:
-    inst = random_instance(seed)
-    plain = hall_saturating_matching(inst)
-    starred = star_matching(inst, 1)
-    assert (starred.status == "matched") == (plain.status == "matched")
-    if starred.status == "matched":
-        picked: list[int] = []
-        for i, leaves in enumerate(starred.stars):
-            assert len(leaves) == 1
-            assert leaves[0] in inst.adjacency[i]
-            picked.extend(leaves)
-        assert len(set(picked)) == len(picked)
-
-
-@given(integers(min_value=0, max_value=2**31 - 1), integers(min_value=2, max_value=3))
-def test_wider_stars_use_disjoint_leaf_sets(seed: int, r: int) -> None:
-    rng = rng_for(seed, 22)
-    left = int(rng.integers(1, 4))
-    right = int(rng.integers(r * left, r * left + 5))
-    adjacency = tuple(
-        tuple(sorted(int(v) for v in range(right) if rng.random() < 0.8))
-        for _ in range(left)
-    )
-    inst = BipartiteInstance(adjacency, right)
-    result = star_matching(inst, r)
-    if result.status != "matched":
-        return
-    all_leaves: list[int] = []
-    for i, leaves in enumerate(result.stars):
-        assert len(leaves) == r
-        assert set(leaves) <= set(adjacency[i])
-        all_leaves.extend(leaves)
-    assert len(set(all_leaves)) == len(all_leaves)
-
-
-def test_star_matching_rejects_nonpositive_width() -> None:
-    inst = BipartiteInstance(((0,),), 1)
-    with pytest.raises(InputError):
-        star_matching(inst, 0)
-
-
 def test_matching_rejects_out_of_range_adjacency() -> None:
     with pytest.raises(InputError):
         hall_saturating_matching(BipartiteInstance(((3,),), 2))
-
-
-def random_set_system(seed: int, r: int) -> SetSystemInstance:
-    rng = rng_for(seed, 23)
-    count = int(rng.integers(1, 5))
-    right = int(rng.integers(r, 9))
-    candidates = []
-    for _ in range(count):
-        pool = list(itertools.combinations(range(right), r - 1))
-        take = int(rng.integers(0, min(len(pool), 6) + 1))
-        picks = rng.choice(len(pool), size=take, replace=False) if take else []
-        candidates.append(tuple(sorted(pool[int(i)] for i in picks)))
-    return SetSystemInstance(tuple(candidates), right, r)
-
-
-def disjoint_system_exists(inst: SetSystemInstance) -> bool:
-    """Exhaustive choice of one candidate set per left vertex."""
-
-    def place(a: int, used: set[int]) -> bool:
-        if a == len(inst.candidates):
-            return True
-        return any(
-            not used & set(s) and place(a + 1, used | set(s))
-            for s in inst.candidates[a]
-        )
-
-    return place(0, set())
-
-
-@given(integers(min_value=0, max_value=2**31 - 1), integers(min_value=2, max_value=3))
-def test_set_system_matching_agrees_with_exhaustive_search(seed: int, r: int) -> None:
-    inst = random_set_system(seed, r)
-    result = haxell_matching(inst, budget=200_000)
-    if result.status == "unknown":
-        return
-    assert (result.status == "matched") == disjoint_system_exists(inst)
-    if result.status == "matched":
-        seen: list[int] = []
-        for a, block in enumerate(result.assignment):
-            assert block in inst.candidates[a]
-            seen.extend(block)
-        assert len(set(seen)) == len(seen)
-
-
-def test_set_system_budget_exhaustion_reports_unknown() -> None:
-    rng = rng_for(99, 24)
-    pool = list(itertools.combinations(range(21), 2))
-    candidates = tuple(
-        tuple(
-            sorted(
-                pool[int(i)]
-                for i in rng.choice(len(pool), size=12, replace=False)
-            )
-        )
-        for _ in range(7)
-    )
-    inst = SetSystemInstance(candidates, 21, 3)
-    starved = haxell_matching(inst, budget=2)
-    assert starved.status == "unknown"
-    with pytest.raises(InputError):
-        haxell_matching(inst, budget=0)
 
 
 @given(integers(min_value=0, max_value=2**31 - 1))
