@@ -45,19 +45,13 @@ class StarRecord:
 class AbsorberConfig:
     """Construction knobs for absorber completion and chaining.
 
-    ``blocks`` is the backbone block count per unit; junctions and links are
-    tried at the direct length first, then at the fallback length through the
-    auxiliary reservoir.
+    ``blocks`` is the backbone block count per unit; ``unit_retries`` bounds
+    the fresh backbone cuts tried per unit.  Junctions and links always
+    sweep square-path lengths 4..8 through their reservoir, shortest first.
     """
 
     blocks: int = 4
-    junction_length: int = 4
-    junction_fallback_length: int = 8
-    link_length: int = 4
-    link_fallback_length: int = 8
     unit_retries: int = 8
-    link_retries: int = 8
-    connect_retries: int = 2
     seed: int = 0
 
 
@@ -138,9 +132,6 @@ class Absorber:
             verts.update(interior)
         return frozenset(verts)
 
-    def interior_body(self) -> frozenset[int]:
-        return self.body() - set(self.absorbees)
-
 
 @dataclass(frozen=True)
 class BuildFailure:
@@ -210,31 +201,24 @@ def _connect_with_fallback(
     g: Graph,
     frm: tuple[int, int],
     to: tuple[int, int],
-    direct_length: int,
-    fallback_length: int,
     reservoir: Sequence[int],
     exclude: set[int],
     seed: int,
-    retries: int,
 ) -> ConnectResult:
     """Shortest connection first, lengthening one vertex at a time.
 
-    Sweeping every length between the direct and fallback targets keeps
-    reservoir consumption minimal: most jobs close with zero or one interior
-    vertex, so the reservoir survives many jobs.
+    Sweeping lengths 4..8 (zero to four interior vertices) keeps reservoir
+    consumption minimal: most jobs close with zero or one interior vertex,
+    so the reservoir survives many jobs.
     """
-    last: ConnectResult | None = None
-    for length in range(direct_length, fallback_length + 1):
-        attempts = 1 if length - 4 <= 4 else max(1, retries)
-        for attempt in range(attempts):
-            req = ConnectionRequest(
-                pairs=((frm, to),), w=tuple(reservoir), b=1, length=length
-            )
-            last = connect_one(g, req, exclude, seed * 31 + attempt)
-            if last.ok:
-                return last
-    assert last is not None
-    return last
+    for length in range(4, 9):
+        req = ConnectionRequest(
+            pairs=((frm, to),), w=tuple(reservoir), b=1, length=length
+        )
+        res = connect_one(g, req, exclude, seed * 31)
+        if res.ok:
+            break
+    return res
 
 
 def complete_absorbers(
@@ -285,12 +269,9 @@ def complete_absorbers(
                     g,
                     frm,
                     to,
-                    config.junction_length,
-                    config.junction_fallback_length,
                     w6,
                     used | taken | {rec.x},
                     base + 7 * i,
-                    config.connect_retries,
                 )
                 if not jres.ok:
                     wired = False
@@ -398,12 +379,9 @@ def chain_absorbers(
             g,
             frm,
             to,
-            config.link_length,
-            config.link_fallback_length,
             w7,
             used | body,
             config.seed * 9_176 + i * 13,
-            config.link_retries,
         )
         if not res.ok:
             return None, BuildFailure(

@@ -466,8 +466,14 @@ def resilience_experiment(
     Returns:
         A JSON-ready report ``{"params": ..., "per_seed": [...],
         "aggregates": ...}``.  Deterministic for fixed seeds and params.
+
+    Raises:
+        InputError: If ``gamma`` is outside ``[0, 1/2)`` or the seed count is
+            negative.
     """
     _gamma_fraction(gamma)
+    if isinstance(seeds, int) and seeds < 0:
+        raise InputError(f"seed count must be non-negative, got {seeds}")
     seed_list = list(range(seeds)) if isinstance(seeds, int) else [
         int(s) for s in seeds
     ]

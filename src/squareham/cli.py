@@ -23,9 +23,6 @@ from .absorber import (
     AbsorberConfig,
     absorber_from_json_obj,
     absorber_to_json_obj,
-    build_single_absorbers,
-    chain_absorbers,
-    complete_absorbers,
     verify_absorber,
 )
 from .adversary import (
@@ -51,12 +48,14 @@ from .hamiltonian import (
     Certificate,
     FailureReport,
     PipelineConfig,
+    build_absorber,
     certificate_from_json_obj,
     certificate_to_json_obj,
     cover_with_square_paths,
     failure_report_to_json_obj,
     find_square_ham,
     jsonable,
+    reservoir_sizes,
     verify_certificate,
 )
 
@@ -128,22 +127,6 @@ def load_pipeline_config(path: str | None, seed: int | None) -> PipelineConfig:
     if seed is not None:
         kwargs["seed"] = seed
     return PipelineConfig(**kwargs)
-
-
-def _pool_plan(x_count: int, blocks: int) -> list[int]:
-    """Reservoir sizes for a standalone absorber build over given absorbees."""
-    interior = 4 * blocks - 4
-    star = x_count + 4
-    # Rounds after the first match against two anchors at once, so their
-    # pools see roughly squared edge density and need more slack.
-    joint = 2 * x_count + 8
-    # Three or more blocks push the spine search onto the layered route,
-    # which only gains traction once the reservoir is population-scale.
-    floor = 110 if blocks >= 3 else max(8, interior + 1)
-    w5 = interior * x_count + floor
-    w6 = 2 * (blocks - 1) * x_count + 4
-    w7 = 2 * max(x_count - 1, 1) + 4
-    return [star, joint, joint, joint, w5, w6, w7]
 
 
 def _cmd_generate(args) -> tuple[int, str, dict]:
@@ -242,7 +225,15 @@ def _cmd_connect(args) -> tuple[int, str, dict]:
 def _cmd_absorber_build(args) -> tuple[int, str, dict]:
     g = read_graph(args.graph)
     xs = _ints(args.x)
-    sizes = _pool_plan(len(xs), args.blocks)
+    # The pipeline restarts with a fresh cut when a build fails; a standalone
+    # build gets one cut, so its star and backbone margins are wider.
+    sizing = PipelineConfig(
+        connector_length=4 * args.blocks,
+        star_margin=4,
+        joint_margin=8,
+        backbone_headroom=8,
+    )
+    sizes = reservoir_sizes(len(xs), sizing)
     rest = [v for v in range(g.n) if v not in set(xs)]
     if sum(sizes) > len(rest):
         report = FailureReport(
@@ -252,16 +243,8 @@ def _cmd_absorber_build(args) -> tuple[int, str, dict]:
         )
         return 1, _json_text(failure_report_to_json_obj(report)), {}
     part = random_partition(rest, sizes, rng_for(args.seed, 71))
-    w1, w2, w3, w4, w5, w6, w7 = part.classes
     cfg = AbsorberConfig(blocks=args.blocks, seed=args.seed)
-    records, fail = build_single_absorbers(g, xs, w1, w2, w3, w4)
-    if fail is None:
-        singles, fail = complete_absorbers(g, records, w5, w6, cfg)
-    if fail is None:
-        # Reservoir slack left over from earlier stages funds the links.
-        taken = {v for rec in singles for v in rec.body()}
-        link_pool = sorted((set(w5) | set(w6) | set(w7)) - taken)
-        built, fail = chain_absorbers(g, singles, link_pool, cfg)
+    built, fail = build_absorber(g, xs, part.classes, cfg)
     meta = {"x": list(xs), "blocks": args.blocks, "seed": args.seed}
     if fail is not None:
         report = FailureReport(fail.stage, dict(fail.diagnostics))

@@ -34,17 +34,8 @@ SKIP = "skip"
 CONSECUTIVE = "consecutive"
 SEED = "seed"
 
-
-def f_index(i: int, b: int) -> int:
-    """Back-reference of step ``i``: one step for even ``i``, ``b`` for odd.
-
-    Step ``0`` refers back to the virtual seed side ``-1``.
-    """
-    if b not in (1, 2):
-        raise InputError(f"skip width must be 1 or 2, got {b}")
-    if i < 0:
-        raise InputError(f"step index must be non-negative, got {i}")
-    return i - 1 if i % 2 == 0 else i - b
+# Tolerance of the expansion statistics a failed search reports.
+_STATS_EPS = 0.05
 
 
 # -- projection graphs -------------------------------------------------------
@@ -315,14 +306,6 @@ class ExpansionStats:
     steps: tuple[StepStats, ...]
     blocks: tuple[BlockStats, ...]
 
-    @property
-    def all_blocks_strong(self) -> bool:
-        return all(blk.expanding_strong for blk in self.blocks)
-
-    @property
-    def all_blocks_weak(self) -> bool:
-        return all(blk.expanding_weak for blk in self.blocks)
-
 
 def step_pair_count(f: ProjectionGraph, t: int) -> int:
     """Number of step-``t`` pairs spanning classes ``pi(f(t))`` and ``pi(t)``."""
@@ -383,7 +366,6 @@ class ConnectionRequest:
         length: Total label count of the target gadget (``>= 4`` for width 1;
             a multiple of 4, at least 8, for width 2).
         retries: Rounds of fresh reservoir cuts in :func:`connect_all`.
-        stats_eps: Tolerance used for diagnostic expansion statistics.
     """
 
     pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
@@ -391,7 +373,6 @@ class ConnectionRequest:
     b: int = 1
     length: int = 4
     retries: int = 3
-    stats_eps: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -576,8 +557,8 @@ def connect_one(
         "config": cfg,
         "middle_forward_per_job": per_seed_fwd,
         "middle_backward_per_job": per_seed_bwd,
-        "forward_stats": expansion_stats(fwd, req.stats_eps),
-        "backward_stats": expansion_stats(bwd, req.stats_eps),
+        "forward_stats": expansion_stats(fwd, _STATS_EPS),
+        "backward_stats": expansion_stats(bwd, _STATS_EPS),
     }
     if req.b == 2:
         compat = 0
@@ -752,7 +733,6 @@ def connect_all(
             b=req.b,
             length=req.length,
             retries=req.retries,
-            stats_eps=req.stats_eps,
         )
         res = None
         for attempt in range(max(1, req.retries)):

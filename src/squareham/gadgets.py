@@ -55,9 +55,6 @@ class Gadget:
     port_to: tuple[int, int]
     params: tuple[int, ...]
 
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
 
 def _norm(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
@@ -204,9 +201,6 @@ class Embedding:
 
     gadget: Gadget
     vertices: tuple[int, ...]
-
-    def image_of(self, label: int) -> int:
-        return self.vertices[label]
 
     @property
     def port_from_image(self) -> tuple[int, int]:
@@ -431,9 +425,7 @@ def join_pseudo_paths_to_backbone(blue: Embedding, red: Embedding) -> Embedding:
     vertices = tuple(assign[lab] for lab in range(4 * blocks))
     emb = Embedding(gadget, vertices)
     # Every backbone edge must be realized by one of the two walks.
-    walk_edges = set(square_path_pairs_pseudo(blue)) | set(
-        square_path_pairs_pseudo(red)
-    )
+    walk_edges = set(blue.edge_images()) | set(red.edge_images())
     for i, j in gadget.edges:
         e = _norm(vertices[i], vertices[j])
         if e not in walk_edges:
@@ -441,11 +433,6 @@ def join_pseudo_paths_to_backbone(blue: Embedding, red: Embedding) -> Embedding:
                 f"backbone edge ({i}, {j}) not realized by either walk"
             )
     return emb
-
-
-def square_path_pairs_pseudo(emb: Embedding) -> tuple[tuple[int, int], ...]:
-    """Host-edge images of a pseudo-path embedding."""
-    return emb.edge_images()
 
 
 # -- absorber traversal ------------------------------------------------------

@@ -93,9 +93,6 @@ class Graph:
         self._check_vertex(v)
         return self._adj[v]
 
-    def sorted_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self.neighbors(v)))
-
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 

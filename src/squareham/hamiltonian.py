@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 from .absorber import (
     Absorber,
     AbsorberConfig,
+    BuildFailure,
     absorb,
     build_single_absorbers,
     chain_absorbers,
@@ -45,9 +46,15 @@ class PipelineConfig:
 
     The asymptotic argument fixes these existentially; here they are explicit
     knobs, logged with every run.  ``connector_length`` is the width-2
-    backbone connector length (a multiple of 4, at least 8); ``eps`` is the
-    fraction of absorbees reserved as leftover anchors; ``x_fraction`` sizes
-    the absorbee set against ``n``.
+    backbone connector length (a multiple of 4, at least 8), so each unit
+    has ``connector_length // 4`` blocks; ``eps`` is the fraction of
+    absorbees reserved as leftover anchors; ``x_fraction`` sizes the
+    absorbee set against ``n``.  ``star_margin``, ``joint_factor``,
+    ``joint_margin``, ``backbone_headroom``, ``junction_weight`` and
+    ``link_weight`` size the absorber reservoirs (see
+    :func:`reservoir_sizes`); ``unit_retries`` bounds the backbone cuts
+    tried per absorber unit; ``assembly_lengths`` and ``assembly_budget``
+    bound the final threading search; ``seed`` is non-negative.
     """
 
     eps: float = 0.75
@@ -65,8 +72,6 @@ class PipelineConfig:
     small_n_cutoff: int = 40
     brute_budget: int = 3_000_000
     unit_retries: int = 8
-    connect_retries: int = 3
-    link_retries: int = 6
     assembly_lengths: tuple[int, ...] = (4, 5, 6, 7, 8)
     assembly_budget: int = 2_000
     restarts: int = 8
@@ -86,15 +91,11 @@ class PipelineConfig:
             raise InputError("small_n_cutoff must be at least 5")
         if self.class_floor < 4:
             raise InputError("class_floor must be at least 4")
-        for name in (
-            "unit_retries",
-            "connect_retries",
-            "link_retries",
-            "restarts",
-            "assembly_budget",
-        ):
+        for name in ("unit_retries", "restarts", "assembly_budget"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be at least 1")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
         for length in self.assembly_lengths:
             if not 4 <= length <= 8:
                 raise InputError(
@@ -433,30 +434,44 @@ def match_leftover(
     return LeftoverMatching(True, pairs, (), ())
 
 
-def _plan_partition(n: int, config: PipelineConfig) -> dict | None:
-    """Role-weighted reservoir sizes, shrinking the absorbee count to fit.
+# Three or more blocks push the backbone search onto the projection route,
+# which only gains traction once its reservoir is population-scale.
+_PROJECTION_BACKBONE_FLOOR = 110
 
-    The first star pool feeds single-adjacency picks; the other three feed
-    joint-adjacency picks and must be roughly twice as wide to keep the
-    Hall rounds saturable.
+
+def reservoir_sizes(x: int, config: PipelineConfig) -> list[int]:
+    """Role-weighted reservoir sizes for an absorber over ``x`` absorbees.
+
+    Returns ``[star, joint, joint, joint, w5, w6, w7]``: the four star pools,
+    then the backbone, junction and link reservoirs.  The first star pool
+    feeds single-adjacency picks; the other three feed joint-adjacency picks
+    and must be roughly twice as wide to keep the Hall rounds saturable.
     """
     blocks = config.connector_length // 4
     interior = config.connector_length - 4
+    star = x + config.star_margin
+    joint = config.joint_factor * x + config.joint_margin
+    # Star pools leave exactly (star - x) + 3 (joint - x) vertices unpicked,
+    # and build_absorber feeds those to the backbone reservoir; the planned
+    # slice only tops up the difference.
+    spare = (star - x) + 3 * (joint - x)
+    headroom = max(config.backbone_headroom, interior + 1)
+    if blocks >= 3:
+        headroom = max(headroom, _PROJECTION_BACKBONE_FLOOR)
+    w5 = max(0, interior * x - spare) + headroom
+    w6 = config.junction_weight * (blocks - 1) * x + 4
+    w7 = config.link_weight * max(x - 1, 1) + 4
+    return [star, joint, joint, joint, w5, w6, w7]
+
+
+def _plan_partition(n: int, config: PipelineConfig) -> dict | None:
+    """Reservoir sizes for ``n`` vertices, shrinking the absorbee count to fit."""
     x = max(4, round(config.x_fraction * n))
     while x >= 2:
-        star = x + config.star_margin
-        joint = config.joint_factor * x + config.joint_margin
-        # Star pools leave exactly (star - x) + 3 (joint - x) vertices
-        # unpicked, and those flow into the backbone reservoir; the planned
-        # slice only tops up the difference.
-        spare = (star - x) + 3 * (joint - x)
-        w5 = max(0, interior * x - spare) + max(
-            config.backbone_headroom, interior + 1
-        )
-        w6 = config.junction_weight * (blocks - 1) * x + 4
-        w7 = config.link_weight * max(x - 1, 1) + 4
-        total = x + star + 3 * joint + w5 + w6 + w7
+        sizes = reservoir_sizes(x, config)
+        total = x + sum(sizes)
         if n - total >= max(config.class_floor, 8):
+            star, joint, _, _, w5, w6, w7 = sizes
             return {
                 "x": x,
                 "star": star,
@@ -468,6 +483,36 @@ def _plan_partition(n: int, config: PipelineConfig) -> dict | None:
             }
         x -= 1
     return None
+
+
+def build_absorber(
+    g: Graph,
+    xs: Iterable[int],
+    pools: Sequence[Sequence[int]],
+    acfg: AbsorberConfig,
+) -> tuple[Absorber | None, BuildFailure | None]:
+    """Build one chained absorber over ``xs`` from seven disjoint pools.
+
+    ``pools`` are sized by :func:`reservoir_sizes`: four star pools, then the
+    backbone, junction and link reservoirs.  Star-pool vertices the cores
+    leave unpicked join the backbone reservoir, which keeps it from
+    starving; whatever the units leave of the backbone and junction
+    reservoirs joins the link reservoir.
+    """
+    w1, w2, w3, w4, w5, w6, w7 = pools
+    records, fail = build_single_absorbers(g, xs, w1, w2, w3, w4)
+    if fail is not None:
+        return None, fail
+    star_used = {v for r in records for v in (r.u1, r.u2, r.v1, r.v2)}
+    w5_pool = sorted(
+        (set(w1) | set(w2) | set(w3) | set(w4) | set(w5)) - star_used
+    )
+    singles, fail = complete_absorbers(g, records, w5_pool, w6, acfg)
+    if fail is not None:
+        return None, fail
+    taken = {v for single in singles for v in single.body()}
+    w7_pool = sorted(set(w7) | ((set(w5_pool) | set(w6)) - taken))
+    return chain_absorbers(g, singles, w7_pool, acfg)
 
 
 def _direct_arc(g: Graph, frm: tuple[int, int], to: tuple[int, int]) -> bool:
@@ -618,43 +663,15 @@ def _attempt(
             "partition",
             {"n": n, "reason": "reservoir budgets do not fit any absorbee count"},
         )
-    sizes = [
-        plan["x"],
-        plan["star"],
-        plan["joint"],
-        plan["joint"],
-        plan["joint"],
-        plan["w5"],
-        plan["w6"],
-        plan["w7"],
-    ]
+    sizes = [plan["x"], *reservoir_sizes(plan["x"], config)]
     part = random_partition(range(n), sizes, rng_for(seed0, 53))
-    x_cls, w1, w2, w3, w4, w5, w6, w7 = part.classes
-
-    records, fail = build_single_absorbers(g, x_cls, w1, w2, w3, w4)
-    if fail is not None:
-        return FailureReport(fail.stage, dict(fail.diagnostics, plan=plan))
-    # Star-pool leftovers would only rejoin the covering territory; feeding
-    # them to the backbone reservoir instead keeps its pool from starving.
-    star_used = {v for r in records for v in (r.u1, r.u2, r.v1, r.v2)}
-    w5_pool = sorted(
-        (set(w1) | set(w2) | set(w3) | set(w4) | set(w5)) - star_used
-    )
+    x_cls, *pools = part.classes
     acfg = AbsorberConfig(
         blocks=config.connector_length // 4,
         unit_retries=config.unit_retries,
-        connect_retries=config.connect_retries,
-        link_retries=config.link_retries,
         seed=seed0 + 1,
     )
-    singles, fail = complete_absorbers(g, records, w5_pool, w6, acfg)
-    if fail is not None:
-        return FailureReport(fail.stage, dict(fail.diagnostics, plan=plan))
-    taken = set()
-    for single in singles:
-        taken |= single.body()
-    w7_pool = sorted(set(w7) | ((set(w5_pool) | set(w6)) - taken))
-    absorber, fail = chain_absorbers(g, singles, w7_pool, acfg)
+    absorber, fail = build_absorber(g, x_cls, pools, acfg)
     if fail is not None:
         return FailureReport(fail.stage, dict(fail.diagnostics, plan=plan))
     audit = verify_absorber(g, absorber)

@@ -264,6 +264,8 @@ def test_experiment_accepts_explicit_seed_lists() -> None:
 def test_experiment_rejects_negative_seeds() -> None:
     with pytest.raises(InputError):
         resilience_experiment(30, 0.5, 0.05, [-3], ExperimentChecks(), jobs=1)
+    with pytest.raises(InputError):
+        resilience_experiment(30, 0.5, 0.05, -3, ExperimentChecks(), jobs=1)
 
 
 def test_experiment_csv_is_flat_and_repeats_params() -> None:

@@ -120,7 +120,8 @@ def test_unknown_config_keys_are_a_usage_error(tmp_path) -> None:
 def test_malformed_config_values_are_a_usage_error(tmp_path, capsys) -> None:
     graph = write_graph(tmp_path, "g.edges", 20, 0.5, 0)
     config = tmp_path / "bad.cfg"
-    for text in ("restarts = abc\n", "eps = half\n", "alpha = 0.05\n"):
+    for text in ("restarts = abc\n", "eps = half\n", "alpha = 0.05\n",
+                 "connect_retries = 3\n", "link_retries = 6\n"):
         config.write_text(text)
         assert run("find", "--graph", graph, "--config", str(config)) == 2
     assert "restarts" in capsys.readouterr().err
@@ -253,6 +254,9 @@ def test_cover_rejects_bad_parameters(tmp_path, capsys) -> None:
 
 def test_negative_seeds_are_a_usage_error(capsys) -> None:
     assert run("generate", "-n", "5", "-p", "0.5", "--seed", "-1") == 2
+    assert "non-negative" in capsys.readouterr().err
+    assert run("experiment", "-n", "20", "-p", "0.5", "--gamma", "0.1",
+               "--seeds", "-3") == 2
     assert "non-negative" in capsys.readouterr().err
 
 

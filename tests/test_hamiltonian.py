@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from squareham import (
     gnp_generate,
     is_square_cycle,
     is_square_path,
+    k3_attack,
     verify_certificate,
 )
 from squareham.hamiltonian import (
@@ -241,9 +244,51 @@ def test_config_validation_rejects_nonsense() -> None:
 
 
 def test_pipeline_rejects_a_negative_seed() -> None:
-    g = gnp_generate(100, 0.6, 1)
-    with pytest.raises(InputError):
-        find_square_ham(g, config=PipelineConfig(seed=-1))
+    # n = 20 takes the brute-force path, which draws no random numbers.
+    for g in (gnp_generate(100, 0.6, 1), gnp_generate(20, 0.9, 1)):
+        with pytest.raises(InputError):
+            find_square_ham(g, config=PipelineConfig(seed=-1))
+
+
+def outcome_digest(outcome: Certificate | FailureReport) -> str:
+    if isinstance(outcome, Certificate):
+        obj = certificate_to_json_obj(outcome)
+    else:
+        obj = failure_report_to_json_obj(outcome)
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def test_default_config_outputs_are_pinned() -> None:
+    # Refactors of the pipeline must not move seeded default-config outputs.
+    g = gnp_generate(200, 0.5, 1)
+    pinned = {
+        0: "9365cc38569d601f2fe579919fc898238cec7a58f9e4da6c0bba5ff33aaab564",
+        3: "17113b8901f5bc432b8c239ab04f280621657effec5b8ccb07ba49eef6ef95bd",
+    }
+    for seed, digest in pinned.items():
+        outcome = find_square_ham(g, config=PipelineConfig(seed=seed))
+        assert isinstance(outcome, Certificate)
+        assert outcome_digest(outcome) == digest
+    host = gnp_generate(400, 0.5, 5)
+    attacked = k3_attack(host, 0.05, 5).attacked
+    outcome = find_square_ham(
+        attacked, gamma_host=host, config=PipelineConfig(seed=0)
+    )
+    assert isinstance(outcome, FailureReport)
+    assert outcome_digest(outcome) == (
+        "cb8fac897c05ded3fb65b43acd4860dcd927bd709f8fa24bbf65e803c2c8fa95"
+    )
+
+
+def test_three_block_connectors_get_a_projection_scale_backbone_pool() -> None:
+    # connector_length 12 puts the backbone search on the projection route,
+    # which starves on a backbone reservoir sized like the two-block one.
+    g = gnp_generate(400, 0.5, 50)
+    outcome = find_square_ham(
+        g, config=PipelineConfig(seed=0, connector_length=12)
+    )
+    assert isinstance(outcome, Certificate)
+    assert verify_certificate(g, outcome).ok
 
 
 def test_certificate_and_failure_serialization_round_trip() -> None:
