@@ -4,7 +4,7 @@ Submodules:
     graphcore: graphs, random generation, counting statistics, family membership.
     gadgets: square-path / pseudo-path / backbone templates and embeddings.
     matching: Hall matching with a deficient-set witness.
-    connector: projection-graph growth and pair-to-pair connection search.
+    connector: pair-to-pair connection search over a reservoir.
     absorber: per-vertex absorbing structures, chaining, verification.
     hamiltonian: the end-to-end pipeline, brute-force oracle, certificates.
     adversary: triangle-removal attacks, retention profiling, experiments.
@@ -37,10 +37,8 @@ from .adversary import (
 from .connector import (
     ConnectionRequest,
     ConnectResult,
-    build_projection_graph,
     connect_all,
     connect_one,
-    extract_pseudo_path,
 )
 from .gadgets import (
     Embedding,
@@ -97,7 +95,6 @@ __all__ = [
     "absorb",
     "brute_force_square_ham",
     "build_gadget",
-    "build_projection_graph",
     "build_single_absorbers",
     "chain_absorbers",
     "check_family_membership",
@@ -105,7 +102,6 @@ __all__ = [
     "complete_graph",
     "connect_all",
     "connect_one",
-    "extract_pseudo_path",
     "find_square_ham",
     "gnp_generate",
     "hall_saturating_matching",

@@ -204,7 +204,7 @@ def _cmd_connect(args) -> tuple[int, str, dict]:
     req = ConnectionRequest(
         pairs=pairs, w=w, b=args.b, length=args.length, retries=args.retries
     )
-    res = connect_all(g, req, args.seed, x=_ints(args.exclude), route=args.route)
+    res = connect_all(g, req, args.seed, x=_ints(args.exclude))
     payload = {
         "ok": res.ok,
         "embeddings": [
@@ -216,13 +216,14 @@ def _cmd_connect(args) -> tuple[int, str, dict]:
         "pairs": args.pairs,
         "b": args.b,
         "length": args.length,
-        "route": args.route,
         "seed": args.seed,
     }
     return (0 if res.ok else 1), _json_text(payload), cfg
 
 
 def _cmd_absorber_build(args) -> tuple[int, str, dict]:
+    if args.blocks < 2:
+        raise InputError(f"--blocks must be at least 2, got {args.blocks}")
     g = read_graph(args.graph)
     xs = _ints(args.x)
     # The pipeline restarts with a fresh cut when a build fails; a standalone
@@ -365,7 +366,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", default="", help="reservoir vertices (default: rest)")
     p.add_argument("--b", type=int, choices=(1, 2), default=1)
     p.add_argument("--length", type=int, default=4)
-    p.add_argument("--route", choices=("auto", "direct", "projection"), default="auto")
     p.add_argument("--retries", type=int, default=3)
     p.add_argument("--exclude", default="", help="vertices to keep out of interiors")
     common(p)

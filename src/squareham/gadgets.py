@@ -346,95 +346,6 @@ def join_square_paths(p1: Embedding, p2: Embedding) -> Embedding:
     return Embedding(build_gadget(SQUARE_PATH, length=len(merged)), merged)
 
 
-def join_pseudo_paths_to_backbone(blue: Embedding, red: Embedding) -> Embedding:
-    """Interleave two width-2 pseudo-paths sharing an ordered end pair.
-
-    Requirements: both gadgets are pseudo-paths with ``b == 2``; the blue
-    length is a multiple of four; blue and red lengths sum to ``2 (mod 4)``;
-    the red path is at least two labels longer than the blue one; the two
-    sequences end with the same ordered vertex pair and share exactly those
-    two vertices.
-
-    Returns:
-        A backbone embedding on ``(len(blue) + len(red) - 2) / 4`` blocks.
-        Its entry port is the reversed start pair of the blue path and its
-        exit port is the reversed start pair of the red path.
-    """
-    for emb, name in ((blue, "blue"), (red, "red")):
-        if emb.gadget.kind != PSEUDO_PATH or emb.gadget.params[0] != 2:
-            raise CompositionError(f"{name} input must be a width-2 pseudo-path")
-    l1, l2 = len(blue.vertices), len(red.vertices)
-    if l1 % 4 != 0:
-        raise CompositionError(f"blue length {l1} must be a multiple of 4")
-    if (l1 + l2 - 2) % 4 != 0:
-        raise CompositionError(
-            f"lengths {l1} and {l2} do not tile a whole number of blocks"
-        )
-    if l2 < l1 + 2:
-        raise CompositionError(
-            f"red length {l2} must exceed blue length {l1} by at least 2"
-        )
-    if blue.vertices[-2:] != red.vertices[-2:]:
-        raise CompositionError("paths must end with the same ordered pair")
-    shared = blue.vertex_set() & red.vertex_set()
-    if shared != set(blue.vertices[-2:]):
-        raise CompositionError("paths must share exactly their final pair")
-
-    k = l1 // 4
-    blocks = (l1 + l2 - 2) // 4
-    gadget = build_gadget(BACKBONE, blocks=blocks)
-    assign: dict[int, int] = {}
-
-    def put(i: int, j: int, vertex: int) -> None:
-        lab = backbone_label(i, j, blocks)
-        if lab in assign and assign[lab] != vertex:
-            raise CompositionError(
-                f"slot ({i}, {j}) assigned twice with different vertices"
-            )
-        assign[lab] = vertex
-
-    # Blue walk: entry half of block 1, whole even blocks upward, then the
-    # near half of block 2k.
-    blue_slots: list[tuple[int, int]] = [(1, 2), (1, 1)]
-    for j in range(2, 2 * k - 1, 2):
-        blue_slots += [(j, 2), (j, 1), (j, 3), (j, 4)]
-    blue_slots += [(2 * k, 2), (2 * k, 1)]
-    # Red walk: exit half of block 1, odd blocks upward, the top block if it
-    # is even-indexed, then even blocks downward until meeting the blue walk.
-    red_slots: list[tuple[int, int]] = [(1, 3), (1, 4)]
-    top_odd = blocks if blocks % 2 == 1 else blocks - 1
-    for j in range(3, top_odd + 1, 2):
-        red_slots += [(j, 2), (j, 1), (j, 3), (j, 4)]
-    if blocks % 2 == 0:
-        red_slots += [(blocks, 3), (blocks, 4), (blocks, 2), (blocks, 1)]
-        start_even = blocks - 2
-    else:
-        start_even = blocks - 1
-    for j in range(start_even, 2 * k - 1, -2):
-        red_slots += [(j, 3), (j, 4), (j, 2), (j, 1)]
-
-    if len(blue_slots) != l1 or len(red_slots) != l2:
-        raise AssertionError("tiling walks do not match the path lengths")
-    for (i, j), vertex in zip(blue_slots, blue.vertices):
-        put(i, j, vertex)
-    for (i, j), vertex in zip(red_slots, red.vertices):
-        put(i, j, vertex)
-    if len(assign) != 4 * blocks:
-        raise AssertionError("tiling walks did not cover every slot")
-
-    vertices = tuple(assign[lab] for lab in range(4 * blocks))
-    emb = Embedding(gadget, vertices)
-    # Every backbone edge must be realized by one of the two walks.
-    walk_edges = set(blue.edge_images()) | set(red.edge_images())
-    for i, j in gadget.edges:
-        e = _norm(vertices[i], vertices[j])
-        if e not in walk_edges:
-            raise CompositionError(
-                f"backbone edge ({i}, {j}) not realized by either walk"
-            )
-    return emb
-
-
 # -- absorber traversal ------------------------------------------------------
 
 

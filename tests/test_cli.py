@@ -142,6 +142,22 @@ def test_connect_rejects_malformed_job_strings(tmp_path) -> None:
     assert run("connect", "--graph", graph, "--pairs", "0,1,2") == 2
 
 
+def test_connect_builds_long_backbones_without_a_route_flag(tmp_path) -> None:
+    graph = write_graph(tmp_path, "g.edges", 30, 1.0, 0)
+    assert run("connect", "--graph", graph, "--pairs", "0,1,2,3",
+               "--b", "2", "--length", "12", "--seed", "5") == 0
+    assert run("connect", "--graph", graph, "--pairs", "0,1,2,3",
+               "--route", "direct") == 2
+
+
+@pytest.mark.parametrize("retries", ["0", "-4"])
+def test_connect_rejects_retries_below_one(tmp_path, capsys, retries) -> None:
+    graph = write_graph(tmp_path, "g.edges", 30, 1.0, 0)
+    assert run("connect", "--graph", graph, "--pairs", "0,1,2,3",
+               "--retries", retries) == 2
+    assert "retries" in capsys.readouterr().err
+
+
 def test_absorber_build_verify_round_trips(tmp_path, capsys) -> None:
     graph = write_graph(tmp_path, "g.edges", 120, 0.55, 7)
     absorber = str(tmp_path / "absorber.json")
@@ -188,6 +204,14 @@ def test_absorber_verify_rejects_malformed_descriptions(
     absorber.write_text(json.dumps(description))
     assert run("absorber", "verify", "--graph", graph,
                "--absorber", str(absorber)) == 2
+
+
+@pytest.mark.parametrize("blocks", ["1", "0"])
+def test_absorber_build_rejects_blocks_below_two(tmp_path, capsys, blocks) -> None:
+    graph = write_graph(tmp_path, "g.edges", 120, 0.55, 7)
+    assert run("absorber", "build", "--graph", graph, "--x", "0,1,2",
+               "--blocks", blocks) == 2
+    assert "--blocks" in capsys.readouterr().err
 
 
 def test_absorber_build_failure_reports_a_stage(tmp_path, capsys) -> None:

@@ -18,7 +18,6 @@ from squareham.gadgets import (
     absorber_traversal,
     backbone_label,
     interleave_offset,
-    join_pseudo_paths_to_backbone,
     join_square_paths,
     reverse_square_path,
     square_path_pairs,
@@ -278,24 +277,3 @@ def test_traversal_rejects_bad_arguments() -> None:
         absorber_traversal(3, ((),), 9, "include")
     with pytest.raises(InputError):
         absorber_traversal(2, ((),), 9, "sideways")
-
-
-def test_joining_pseudo_paths_forms_a_backbone() -> None:
-    blocks = 3
-    blue_len, red_len = 4, 4 * blocks - 2
-    shared = (100, 101)
-    blue = Embedding(
-        build_gadget("pseudo-path", length=blue_len, b=2),
-        (0, 1) + shared,
-    )
-    red = Embedding(
-        build_gadget("pseudo-path", length=red_len, b=2),
-        tuple(range(2, red_len)) + shared,
-    )
-    joined = join_pseudo_paths_to_backbone(blue, red)
-    assert joined.gadget.kind == "backbone"
-    assert joined.gadget.params[0] == blocks
-    assert len(joined.vertices) == 4 * blocks
-    assert len(set(joined.vertices)) == 4 * blocks
-    assert joined.port_from_image == (blue.vertices[0], blue.vertices[1])
-    assert joined.port_to_image == (red.vertices[1], red.vertices[0])

@@ -280,9 +280,9 @@ def test_default_config_outputs_are_pinned() -> None:
     )
 
 
-def test_three_block_connectors_get_a_projection_scale_backbone_pool() -> None:
-    # connector_length 12 puts the backbone search on the projection route,
-    # which starves on a backbone reservoir sized like the two-block one.
+def test_three_block_connectors_get_a_widened_backbone_pool() -> None:
+    # connector_length 12 asks for three-block backbones, which the template
+    # search rarely finds in a reservoir sized like the two-block one.
     g = gnp_generate(400, 0.5, 50)
     outcome = find_square_ham(
         g, config=PipelineConfig(seed=0, connector_length=12)
