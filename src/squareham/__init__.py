@@ -1,7 +1,9 @@
 """Constructive machinery for squares of Hamilton cycles in sparse graphs.
 
 Submodules:
-    graphcore: graphs, random generation, counting statistics, family membership.
+    graphcore: graphs (derived graphs built from their parent's rows), random
+        generation, codegrees and triangle counts from one ``A·A`` product,
+        family membership.
     gadgets: square-path / pseudo-path / backbone templates and embeddings.
     matching: Hall matching with a deficient-set witness.
     connector: pair-to-pair connection search over a reservoir.
@@ -26,7 +28,6 @@ from .absorber import (
 )
 from .adversary import (
     AttackResult,
-    ExperimentChecks,
     RetentionProfile,
     k3_attack,
     max_triangle_packing,
@@ -83,7 +84,6 @@ __all__ = [
     "ConnectResult",
     "ConnectionRequest",
     "Embedding",
-    "ExperimentChecks",
     "FailureReport",
     "FamilyParams",
     "Gadget",

@@ -23,6 +23,7 @@ import numpy as np
 from .graphcore import (
     Graph,
     InputError,
+    codegrees,
     edges_within,
     gnp_generate,
     rng_for,
@@ -80,12 +81,10 @@ def k3_attack(gamma_graph: Graph, gamma, seed: int) -> AttackResult:
     chosen = rng.choice(n, size=size, replace=False) if size else np.zeros(0, int)
     v1 = tuple(sorted(int(v) for v in chosen))
     v1_set = frozenset(v1)
-    removed = [
-        (u, v) for u, v in gamma_graph.edges() if u in v1_set and v in v1_set
-    ]
+    removed = [(u, v) for u in v1 for v in gamma_graph.neighbors(u) & v1_set if u < v]
     attacked = gamma_graph.remove_edges(removed)
-    for u, v in attacked.edges():
-        assert not (u in v1_set and v in v1_set), "attack left an internal edge"
+    for u in v1:
+        assert not attacked.neighbors(u) & v1_set, "attack left an internal edge"
     v2 = tuple(v for v in range(n) if v not in v1_set)
     return AttackResult(v1, v2, attacked, len(removed))
 
@@ -297,12 +296,8 @@ def prune_triangle_poor_edges(g: Graph, threshold: int) -> Graph:
         raise InputError(f"threshold must be nonnegative, got {threshold}")
     if threshold == 0 or g.edge_count == 0:
         return g
-    a = g.matrix.astype(np.float64)
-    paths2 = a @ a
-    removed = [
-        (u, v) for u, v in g.edges() if int(round(paths2[u, v])) < threshold
-    ]
-    return g.remove_edges(removed)
+    poor = np.triu(g.matrix, 1) & (codegrees(g) < threshold)
+    return g.remove_edges(np.argwhere(poor).tolist())
 
 
 def complete_graph_v1_destroyed_fraction(n: int, gamma=0) -> Fraction:
@@ -319,20 +314,20 @@ def complete_graph_v1_destroyed_fraction(n: int, gamma=0) -> Fraction:
     return 1 - Fraction(math.comb(n - size, 2), math.comb(n - 1, 2))
 
 
-@dataclass(frozen=True)
-class ExperimentChecks:
-    """Per-seed measurement knobs for :func:`resilience_experiment`."""
-
-    prune_eps: float = 0.05
-    density_eps: float = 0.15
-    density_vertices: int = 4
-    density_subsets: int = 3
-    packing_budget: int = 200_000
-    packing_exact_max_n: int = 30
-    retained_center: float = 4 / 9
-    retained_band: float = 0.10
-    destroyed_center: float = 5 / 9
-    destroyed_band: float = 0.05
+# Per-seed measurement settings of :func:`resilience_experiment`, echoed in
+# its report as ``params["checks"]``.
+EXPERIMENT_CHECKS = {
+    "prune_eps": 0.05,
+    "density_eps": 0.15,
+    "density_vertices": 4,
+    "density_subsets": 3,
+    "packing_budget": 200_000,
+    "packing_exact_max_n": 30,
+    "retained_center": 4 / 9,
+    "retained_band": 0.10,
+    "destroyed_center": 5 / 9,
+    "destroyed_band": 0.05,
+}
 
 
 def _percentiles(values: np.ndarray) -> dict:
@@ -351,9 +346,7 @@ def _class_aggregate(t_before, t_after, verts) -> float:
     return float(t_after[idx].sum() / denom)
 
 
-def _density_checks(
-    graph: Graph, p: float, seed: int, checks: ExperimentChecks
-) -> dict:
+def _density_checks(graph: Graph, p: float, seed: int) -> dict:
     """Sampled neighborhood edge-density tests.
 
     For sampled vertices ``v`` and subsets ``S`` of ``N(v)`` at or above the
@@ -364,12 +357,12 @@ def _density_checks(
     rng = rng_for(seed, 67)
     floor = math.ceil((2 / 3) * n * p)
     passed = total = skipped = 0
-    count = min(checks.density_vertices, n)
+    count = min(EXPERIMENT_CHECKS["density_vertices"], n)
     verts = rng.choice(n, size=count, replace=False) if count else []
     for v in sorted(int(x) for x in verts):
         nbrs = sorted(graph.neighbors(v))
         subsets = [nbrs]
-        for _ in range(checks.density_subsets):
+        for _ in range(EXPERIMENT_CHECKS["density_subsets"]):
             if len(nbrs) > floor:
                 size = int(rng.integers(floor, len(nbrs) + 1))
                 subsets.append(
@@ -379,7 +372,7 @@ def _density_checks(
             if len(s) < max(floor, 2):
                 skipped += 1
                 continue
-            cap = (1 + checks.density_eps) * math.comb(len(s), 2) * p
+            cap = (1 + EXPERIMENT_CHECKS["density_eps"]) * math.comb(len(s), 2) * p
             total += 1
             if edges_within(graph, s) <= cap:
                 passed += 1
@@ -387,7 +380,7 @@ def _density_checks(
 
 
 def _experiment_one_seed(args) -> dict:
-    n, p, gamma, seed, checks = args
+    n, p, gamma, seed = args
     graph = gnp_generate(n, p, seed)
     attack = k3_attack(graph, gamma, seed)
     t_before = triangle_profile(graph)
@@ -400,7 +393,7 @@ def _experiment_one_seed(args) -> dict:
     agg_v1 = _class_aggregate(t_before, t_after, v1)
     agg_v2 = _class_aggregate(t_before, t_after, v2)
     v1_destroyed = np.sort(destroyed[v1]) if v1 else np.zeros(0)
-    prune_threshold = math.ceil(checks.prune_eps * n * p * p)
+    prune_threshold = math.ceil(EXPERIMENT_CHECKS["prune_eps"] * n * p * p)
     pruned = prune_triangle_poor_edges(attack.attacked, prune_threshold)
     min_deg_after = (
         min(pruned.degree(v) for v in range(n)) if n else 0
@@ -419,12 +412,12 @@ def _experiment_one_seed(args) -> dict:
         "prune_threshold": prune_threshold,
         "min_degree_after_prune": int(min_deg_after),
         "degree_reference": (2 / 3 + float(_gamma_fraction(gamma)) / 4) * n * p,
-        "density": _density_checks(graph, p, seed, checks),
+        "density": _density_checks(graph, p, seed),
     }
     packing = {"structural_bound": (3 * len(v2) // 2) // 3}
-    if n <= checks.packing_exact_max_n:
+    if n <= EXPERIMENT_CHECKS["packing_exact_max_n"]:
         res = max_triangle_packing(
-            attack.attacked, v1=attack.v1, budget=checks.packing_budget
+            attack.attacked, v1=attack.v1, budget=EXPERIMENT_CHECKS["packing_budget"]
         )
         packing.update(
             status=res.status, size=res.size, lower=res.lower, upper=res.upper
@@ -450,7 +443,6 @@ def resilience_experiment(
     p: float,
     gamma,
     seeds,
-    checks: ExperimentChecks = ExperimentChecks(),
     jobs: int = 1,
 ) -> dict:
     """Seeded Monte Carlo sweep of the attack and its theory checkpoints.
@@ -460,18 +452,20 @@ def resilience_experiment(
         p: Edge probability.
         gamma: Attack slack in ``[0, 1/2)``.
         seeds: Seed count (``int``) or explicit iterable of seeds.
-        checks: Measurement knobs.
-        jobs: Parallel workers across seeds (each seed single-threaded).
+        jobs: Parallel workers across seeds (each seed single-threaded),
+            capped at the number of seeds.
 
     Returns:
         A JSON-ready report ``{"params": ..., "per_seed": [...],
         "aggregates": ...}``.  Deterministic for fixed seeds and params.
 
     Raises:
-        InputError: If ``gamma`` is outside ``[0, 1/2)`` or the seed count is
-            negative.
+        InputError: If ``gamma`` is outside ``[0, 1/2)``, the seed count is
+            negative or ``jobs`` is below 1.
     """
     _gamma_fraction(gamma)
+    if jobs < 1:
+        raise InputError(f"jobs must be at least 1, got {jobs}")
     if isinstance(seeds, int) and seeds < 0:
         raise InputError(f"seed count must be non-negative, got {seeds}")
     seed_list = list(range(seeds)) if isinstance(seeds, int) else [
@@ -482,22 +476,13 @@ def resilience_experiment(
         "p": p,
         "gamma": float(_gamma_fraction(gamma)),
         "seeds": seed_list,
-        "checks": {
-            "prune_eps": checks.prune_eps,
-            "density_eps": checks.density_eps,
-            "density_vertices": checks.density_vertices,
-            "density_subsets": checks.density_subsets,
-            "packing_budget": checks.packing_budget,
-            "packing_exact_max_n": checks.packing_exact_max_n,
-            "retained_center": checks.retained_center,
-            "retained_band": checks.retained_band,
-            "destroyed_center": checks.destroyed_center,
-            "destroyed_band": checks.destroyed_band,
-        },
+        "checks": dict(EXPERIMENT_CHECKS),
     }
-    tasks = [(n, p, gamma, s, checks) for s in seed_list]
-    if jobs > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    tasks = [(n, p, gamma, s) for s in seed_list]
+    # The executor forks all of its workers at the first submit.
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_seed = list(pool.map(_experiment_one_seed, tasks))
     else:
         per_seed = [_experiment_one_seed(t) for t in tasks]
@@ -508,12 +493,14 @@ def resilience_experiment(
         within_ret = sum(
             1
             for x in retained_vals
-            if abs(x - checks.retained_center) <= checks.retained_band
+            if abs(x - EXPERIMENT_CHECKS["retained_center"])
+            <= EXPERIMENT_CHECKS["retained_band"]
         )
         within_dst = sum(
             1
             for x in destroyed_vals
-            if abs(x - checks.destroyed_center) <= checks.destroyed_band
+            if abs(x - EXPERIMENT_CHECKS["destroyed_center"])
+            <= EXPERIMENT_CHECKS["destroyed_band"]
         )
         density_totals = sum(r["density"]["total"] for r in per_seed)
         density_passed = sum(r["density"]["passed"] for r in per_seed)

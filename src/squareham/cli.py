@@ -26,7 +26,6 @@ from .absorber import (
     verify_absorber,
 )
 from .adversary import (
-    ExperimentChecks,
     experiment_report_to_csv,
     k3_attack,
     resilience_experiment,
@@ -278,7 +277,6 @@ def _cmd_experiment(args) -> tuple[int, str, dict]:
         args.p,
         args.gamma,
         args.seeds,
-        checks=ExperimentChecks(),
         jobs=args.jobs,
     )
     text = (

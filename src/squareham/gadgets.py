@@ -1,4 +1,4 @@
-"""Gadget templates and their composition rules.
+"""Gadget templates, their host embeddings, and square-path checks.
 
 A *gadget* is a small labeled graph template together with two ordered
 two-vertex ports.  Embedding a gadget into a host graph realizes a structure
@@ -29,10 +29,6 @@ PSEUDO_PATH = "pseudo-path"
 BACKBONE = "backbone"
 
 T = TypeVar("T")
-
-
-class CompositionError(ValueError):
-    """Raised when gadgets cannot be composed as requested."""
 
 
 @dataclass(frozen=True)
@@ -212,11 +208,6 @@ class Embedding:
         a, b = self.gadget.port_to
         return (self.vertices[a], self.vertices[b])
 
-    def edge_images(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            sorted(_norm(self.vertices[i], self.vertices[j]) for i, j in self.gadget.edges)
-        )
-
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.vertices)
 
@@ -311,39 +302,6 @@ def is_square_cycle(g: Graph, order: Sequence[int]) -> ValidationResult:
             if not g.has_edge(u, v):
                 return ValidationResult(False, f"missing edge ({u}, {v})")
     return ValidationResult(True, None)
-
-
-def reverse_square_path(emb: Embedding) -> Embedding:
-    """The same square path walked backwards (ports swap and reverse)."""
-    if emb.gadget.kind != SQUARE_PATH:
-        raise CompositionError("only square paths are reversible")
-    return Embedding(emb.gadget, tuple(reversed(emb.vertices)))
-
-
-# -- composition -------------------------------------------------------------
-
-
-def join_square_paths(p1: Embedding, p2: Embedding) -> Embedding:
-    """Concatenate two square paths that overlap in one ordered port pair.
-
-    ``p1``'s exit port must equal ``p2``'s entry port (same ordered vertices),
-    and the two paths must share exactly those two vertices.  The result walks
-    ``p1`` and then the rest of ``p2``.
-    """
-    if p1.gadget.kind != SQUARE_PATH or p2.gadget.kind != SQUARE_PATH:
-        raise CompositionError("join_square_paths expects two square paths")
-    if p1.port_to_image != p2.port_from_image:
-        raise CompositionError(
-            f"exit port {p1.port_to_image} does not meet entry port "
-            f"{p2.port_from_image}"
-        )
-    shared = p1.vertex_set() & p2.vertex_set()
-    if shared != set(p1.port_to_image):
-        raise CompositionError(
-            f"paths share {sorted(shared)}, expected exactly the joint port"
-        )
-    merged = p1.vertices + p2.vertices[2:]
-    return Embedding(build_gadget(SQUARE_PATH, length=len(merged)), merged)
 
 
 # -- absorber traversal ------------------------------------------------------

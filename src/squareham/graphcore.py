@@ -4,6 +4,11 @@ Vertices are dense integers ``0..n-1``.  All set-valued results use sorted
 tuples so that seeded runs are reproducible down to iteration order.  Real
 thresholds (degree floors, codegree floors, density windows) are compared in
 floating point with a small absolute slack to absorb rounding.
+
+Graphs from outside edges go through the validating :class:`Graph`
+constructor; graphs derived from another graph (edge deletion) are built
+from the parent's adjacency rows.  Every codegree and triangle count comes
+from one ``A·A`` product, :func:`codegrees`.
 """
 
 from __future__ import annotations
@@ -44,8 +49,10 @@ def rng_for(seed: int, *salt: int) -> np.random.Generator:
 class Graph:
     """Immutable undirected simple graph on vertices ``0..n-1``.
 
-    Adjacency is exposed both as per-vertex frozensets and as a cached boolean
-    matrix for bulk counting.  Instances are safe to share across threads.
+    Adjacency is held as per-vertex frozensets (the rows), with a cached
+    boolean matrix for bulk counting.  ``Graph(n, edges)`` validates outside
+    edges; derived graphs are built from the parent's rows without
+    re-validating them.  Instances are safe to share across threads.
     """
 
     __slots__ = ("n", "_adj", "_edge_count", "_matrix")
@@ -54,19 +61,26 @@ class Graph:
         if n < 0:
             raise InputError(f"vertex count must be non-negative, got {n}")
         adj: list[set[int]] = [set() for _ in range(n)]
-        count = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
-            if v not in adj[u]:
-                adj[u].add(v)
-                adj[v].add(u)
-                count += 1
-        self.n = n
-        self._adj = tuple(frozenset(s) for s in adj)
-        self._edge_count = count
+            adj[u].add(v)
+            adj[v].add(u)
+        self._set_rows(tuple(frozenset(s) for s in adj))
+
+    @classmethod
+    def _from_rows(cls, rows: tuple[frozenset[int], ...]) -> "Graph":
+        """A graph on already symmetric, loop-free rows (not re-validated)."""
+        g = cls.__new__(cls)
+        g._set_rows(rows)
+        return g
+
+    def _set_rows(self, rows: tuple[frozenset[int], ...]) -> None:
+        self.n = len(rows)
+        self._adj = rows
+        self._edge_count = sum(map(len, rows)) // 2
         self._matrix: np.ndarray | None = None
 
     # -- basic views ------------------------------------------------------
@@ -75,9 +89,6 @@ class Graph:
     def edge_count(self) -> int:
         return self._edge_count
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as lexicographically sorted ``(u, v)`` pairs with ``u < v``."""
         return tuple(
@@ -85,16 +96,21 @@ class Graph:
         )
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
+        self.check_vertex(u)
+        self.check_vertex(v)
         return v in self._adj[u]
 
     def neighbors(self, v: int) -> frozenset[int]:
-        self._check_vertex(v)
+        self.check_vertex(v)
         return self._adj[v]
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
+
+    def check_vertex(self, v: int) -> None:
+        """Raise :class:`InputError` unless ``v`` is a vertex of this graph."""
+        if not (0 <= v < self.n):
+            raise InputError(f"vertex {v} out of range for n={self.n}")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -111,46 +127,37 @@ class Graph:
     # -- derived graphs ---------------------------------------------------
 
     def remove_edges(self, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """A copy of this graph with the given edges deleted (missing edges ignored)."""
-        drop = {self._norm_pair(u, v) for u, v in edges}
-        kept = [e for e in self.edges() if e not in drop]
-        return Graph(self.n, kept)
+        """A copy of this graph with the given pairs deleted.
+
+        Pairs that are not edges (missing, self or out-of-range pairs) are
+        ignored.  Rows no pair touches are shared with this graph.
+        """
+        n = self.n
+        drop: dict[int, set[int]] = {}
+        for u, v in edges:
+            if 0 <= u < n and 0 <= v < n:
+                drop.setdefault(u, set()).add(v)
+                drop.setdefault(v, set()).add(u)
+        rows = (row - drop[u] if u in drop else row for u, row in enumerate(self._adj))
+        return Graph._from_rows(tuple(rows))
 
     def is_subgraph_of(self, other: "Graph") -> tuple[bool, tuple[int, int] | None]:
         """Whether every edge of this graph is an edge of ``other`` (same n).
 
         Returns:
-            ``(True, None)`` or ``(False, offending_edge)``.
+            ``(True, None)`` or ``(False, offending_edge)``, where the
+            offending edge is the first one in :meth:`edges` order.  Rows are
+            symmetric, so in the first row ``u`` that is not a subset every
+            extra neighbour is larger than ``u``.
         """
         if self.n != other.n:
             return False, None
-        for u, v in self.edges():
-            if not other.has_edge(u, v):
-                return False, (u, v)
+        for u, (mine, theirs) in enumerate(zip(self._adj, other._adj)):
+            if not mine <= theirs:
+                return False, (u, min(mine - theirs))
         return True, None
 
-    def audit(self) -> None:
-        """Structural invariant check: symmetry, loop-freeness, edge count."""
-        total = 0
-        for u in range(self.n):
-            if u in self._adj[u]:
-                raise AssertionError(f"self-loop at {u}")
-            for v in self._adj[u]:
-                if u not in self._adj[v]:
-                    raise AssertionError(f"asymmetric adjacency {u}->{v}")
-            total += len(self._adj[u])
-        if total != 2 * self._edge_count:
-            raise AssertionError("edge_count does not equal half the degree sum")
-
     # -- helpers ----------------------------------------------------------
-
-    def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n):
-            raise InputError(f"vertex {v} out of range for n={self.n}")
-
-    @staticmethod
-    def _norm_pair(u: int, v: int) -> tuple[int, int]:
-        return (u, v) if u < v else (v, u)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -250,11 +257,16 @@ def edges_within(g: Graph, s: Iterable[int]) -> int:
     return sum(len(g.neighbors(u) & ss) for u in ss) // 2
 
 
-def triangles_on_edge(g: Graph, u: int, v: int) -> int:
-    """Number of triangles containing the pair ``{u, v}`` (its codegree)."""
-    g._check_vertex(u)
-    g._check_vertex(v)
-    return len(g.neighbors(u) & g.neighbors(v))
+def codegrees(g: Graph) -> np.ndarray:
+    """Common-neighbour counts of all pairs, from one ``A·A`` product.
+
+    Returns:
+        An ``int64`` matrix ``c`` with ``c[u, v] = |N(u) & N(v)|``: for an
+        edge ``uv`` that is the number of triangles on it.  The diagonal
+        holds the degrees.
+    """
+    a = g.matrix.astype(np.float64)
+    return (a @ a).astype(np.int64)
 
 
 def triangle_profile(g: Graph) -> np.ndarray:
@@ -264,17 +276,13 @@ def triangle_profile(g: Graph) -> np.ndarray:
         An ``int64`` array ``t`` with ``t[v]`` the number of triangles at ``v``;
         ``t.sum()`` equals three times the total triangle count.
     """
-    if g.n == 0:
-        return np.zeros(0, dtype=np.int64)
-    a = g.matrix.astype(np.float64)
-    paths2 = a @ a
-    return np.rint((paths2 * a).sum(axis=1) / 2).astype(np.int64)
+    return (codegrees(g) * g.matrix).sum(axis=1) // 2
 
 
 def _vertex_set(g: Graph, s: Iterable[int]) -> frozenset[int]:
     out = frozenset(s)
     for v in out:
-        g._check_vertex(v)
+        g.check_vertex(v)
     return out
 
 
@@ -334,19 +342,18 @@ def check_family_membership(
     deg_thr = (2.0 / 3.0 + params.alpha) * params.n * params.p
     codeg_thr = params.alpha * params.n * params.p**2
 
-    min_deg, min_deg_v = None, None
-    for v in range(g.n):
-        d = g.degree(v)
-        if min_deg is None or d < min_deg:
-            min_deg, min_deg_v = d, v
-    if min_deg is None:
-        min_deg = 0
+    c = codegrees(g)
+    degrees = c.diagonal()
+    min_deg_v = int(np.argmin(degrees)) if g.n else None
+    min_deg = int(degrees[min_deg_v]) if g.n else 0
 
+    # First minimum over the upper triangle in row-major order, which is
+    # the order of g.edges().
+    on_edge = np.where(np.triu(g.matrix, 1), c, np.iinfo(np.int64).max)
     min_codeg, min_codeg_e = None, None
-    for u, v in g.edges():
-        c = triangles_on_edge(g, u, v)
-        if min_codeg is None or c < min_codeg:
-            min_codeg, min_codeg_e = c, (u, v)
+    if g.edge_count:
+        flat = int(np.argmin(on_edge))
+        min_codeg, min_codeg_e = int(on_edge.flat[flat]), divmod(flat, g.n)
 
     ok = min_deg >= deg_thr - slack and (
         min_codeg is None or min_codeg >= codeg_thr - slack
@@ -360,7 +367,6 @@ def check_family_membership(
         min_codegree=min_codeg,
         min_codegree_edge=min_codeg_e,
     )
-
 
 
 def graph_to_edgelist_text(g: Graph) -> str:

@@ -362,7 +362,7 @@ def cover_with_square_paths(
         raise InputError(f"eps must lie in (0, 1), got {eps}")
     u = sorted(set(u_prime))
     for v in u:
-        g._check_vertex(v)
+        g.check_vertex(v)
     msize = len(u)
     if msize == 0:
         return CoverResult((), (), (), eps, 0.0)

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -15,8 +17,8 @@ from squareham import (
     prune_triangle_poor_edges,
     triangle_retention_profile,
 )
+from squareham import adversary
 from squareham.adversary import (
-    ExperimentChecks,
     attack_class_size,
     complete_graph_v1_destroyed_fraction,
     experiment_report_to_csv,
@@ -212,7 +214,7 @@ def test_pruning_threshold_matches_a_codegree_oracle(g: Graph) -> None:
 
 
 def test_experiment_report_has_the_documented_shape() -> None:
-    report = resilience_experiment(60, 0.5, 0.1, 3, ExperimentChecks())
+    report = resilience_experiment(60, 0.5, 0.1, 3)
     assert set(report) == {"params", "per_seed", "aggregates"}
     assert len(report["per_seed"]) == 3
     row = report["per_seed"][0]
@@ -238,7 +240,7 @@ def test_experiment_report_has_the_documented_shape() -> None:
 
 
 def test_experiment_runs_exact_packings_on_small_hosts() -> None:
-    report = resilience_experiment(20, 0.7, 0.0, 2, ExperimentChecks())
+    report = resilience_experiment(20, 0.7, 0.0, 2)
     for row in report["per_seed"]:
         packing = row["packing"]
         assert packing["status"] == "exact"
@@ -246,30 +248,64 @@ def test_experiment_runs_exact_packings_on_small_hosts() -> None:
 
 
 def test_experiment_is_deterministic_and_parallel_agnostic() -> None:
-    serial = resilience_experiment(50, 0.5, 0.1, 4, ExperimentChecks(), jobs=1)
-    parallel = resilience_experiment(50, 0.5, 0.1, 4, ExperimentChecks(), jobs=2)
+    serial = resilience_experiment(50, 0.5, 0.1, 4, jobs=1)
+    parallel = resilience_experiment(50, 0.5, 0.1, 4, jobs=2)
     assert serial == parallel
 
 
 def test_experiment_accepts_explicit_seed_lists() -> None:
-    direct = resilience_experiment(50, 0.5, 0.1, [7, 9], ExperimentChecks())
-    counted = resilience_experiment(50, 0.5, 0.1, 2, ExperimentChecks())
+    direct = resilience_experiment(50, 0.5, 0.1, [7, 9])
+    counted = resilience_experiment(50, 0.5, 0.1, 2)
     assert [r["seed"] for r in direct["per_seed"]] == [7, 9]
     assert [r["seed"] for r in counted["per_seed"]] == [0, 1]
-    empty = resilience_experiment(50, 0.5, 0.1, [], ExperimentChecks())
+    empty = resilience_experiment(50, 0.5, 0.1, [])
     assert empty["per_seed"] == []
     assert empty["aggregates"] == {}
 
 
+def test_experiment_rejects_jobs_below_one() -> None:
+    for jobs in (0, -3):
+        with pytest.raises(InputError):
+            resilience_experiment(40, 0.5, 0.05, 2, jobs=jobs)
+
+
+def test_experiment_asks_for_at_most_one_worker_per_seed(monkeypatch) -> None:
+    # The process pool forks every worker it is allowed at the first submit,
+    # so the request must be capped before the pool is built.
+    asked: list[int] = []
+
+    class SerialPool:
+        def __init__(self, max_workers: int) -> None:
+            asked.append(max_workers)
+
+        def __enter__(self) -> "SerialPool":
+            return self
+
+        def __exit__(self, *exc) -> None:
+            return None
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(
+        adversary.concurrent.futures, "ProcessPoolExecutor", SerialPool
+    )
+    capped = resilience_experiment(40, 0.5, 0.05, 2, jobs=10_000)
+    assert asked == [2]
+    assert capped == resilience_experiment(40, 0.5, 0.05, 2, jobs=1)
+    resilience_experiment(40, 0.5, 0.05, 1, jobs=10_000)
+    assert asked == [2]
+
+
 def test_experiment_rejects_negative_seeds() -> None:
     with pytest.raises(InputError):
-        resilience_experiment(30, 0.5, 0.05, [-3], ExperimentChecks(), jobs=1)
+        resilience_experiment(30, 0.5, 0.05, [-3], jobs=1)
     with pytest.raises(InputError):
-        resilience_experiment(30, 0.5, 0.05, -3, ExperimentChecks(), jobs=1)
+        resilience_experiment(30, 0.5, 0.05, -3, jobs=1)
 
 
 def test_experiment_csv_is_flat_and_repeats_params() -> None:
-    report = resilience_experiment(50, 0.5, 0.1, 2, ExperimentChecks())
+    report = resilience_experiment(50, 0.5, 0.1, 2)
     text = experiment_report_to_csv(report)
     lines = text.strip().split("\n")
     assert len(lines) == 3
@@ -280,3 +316,39 @@ def test_experiment_csv_is_flat_and_repeats_params() -> None:
     second = dict(zip(header, lines[2].split(",")))
     assert first["param.n"] == second["param.n"] == "50"
     assert {first["seed"], second["seed"]} == {"0", "1"}
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def test_experiment_report_is_pinned() -> None:
+    # The dict-order-sensitive digest also pins the params["checks"] echo.
+    report = resilience_experiment(400, 0.5, 0.05, [0, 1])
+    assert _digest(report) == (
+        "8605efe0c9e9810eab635bb14751a76dd34b599b70716a5fe9aaab3cc82497c1"
+    )
+    csv_text = experiment_report_to_csv(report)
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == (
+        "7797b9fd36a15ce653e46cad2b884bd30c6f10fba03be2814fce02092e53eabf"
+    )
+
+
+def test_attack_and_pruning_outputs_are_pinned() -> None:
+    host = gnp_generate(600, 0.5, 3)
+    res = k3_attack(host, 0.05, 3)
+    assert _digest(res.attacked.edges()) == (
+        "71c117ce9b4dae4274e8b992f24621fe4633192ca0a65aae8470d8cca599bd8d"
+    )
+    assert _digest(res.v1) == (
+        "c041e38c90f2bdb32f49cfc8080d2020218239c0ea9f7173cb5bdb6a272f5529"
+    )
+    assert res.removed_edge_count == 11949
+    # The experiment's threshold ceil(0.05 * n p^2) = 8 keeps every edge of
+    # this host; 90 cuts 12,622 of them.
+    assert _digest(prune_triangle_poor_edges(res.attacked, 8).edges()) == (
+        "71c117ce9b4dae4274e8b992f24621fe4633192ca0a65aae8470d8cca599bd8d"
+    )
+    assert _digest(prune_triangle_poor_edges(res.attacked, 90).edges()) == (
+        "d020530093f77e539e47b24134cd5b6c80fed64119a387aa9c3f8a07a8882543"
+    )

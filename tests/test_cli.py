@@ -259,6 +259,14 @@ def test_experiment_jobs_do_not_change_the_bytes(tmp_path) -> None:
     assert one.read_bytes() == two.read_bytes()
 
 
+def test_experiment_rejects_jobs_below_one(capsys) -> None:
+    base = ["experiment", "-n", "20", "-p", "0.5", "--gamma", "0.05",
+            "--seeds", "2"]
+    assert run(*base, "--jobs", "0") == 2
+    assert run(*base, "--jobs", "-3") == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err
+
+
 def test_cover_reports_paths_and_leftover(tmp_path, capsys) -> None:
     graph = write_graph(tmp_path, "g.edges", 60, 0.7, 2)
     assert run("cover", "--graph", graph, "--seed", "1") == 0

@@ -18,8 +18,6 @@ from squareham.gadgets import (
     absorber_traversal,
     backbone_label,
     interleave_offset,
-    join_square_paths,
-    reverse_square_path,
     square_path_pairs,
 )
 
@@ -128,27 +126,6 @@ def test_square_cycle_membership_on_its_exact_edge_set() -> None:
     assert is_square_cycle(g, range(n))
     assert is_square_cycle(g, [(i + 3) % n for i in range(n)])
     assert not is_square_cycle(g, [0, 2, 1, 3, 4, 5, 6, 7])
-
-
-@given(integers(min_value=3, max_value=10), integers(min_value=3, max_value=10))
-def test_joining_square_paths_merges_at_the_shared_port(m: int, k: int) -> None:
-    p1 = Embedding(build_gadget("square-path", length=m), tuple(range(m)))
-    p2 = Embedding(
-        build_gadget("square-path", length=k),
-        tuple(range(m - 2, m + k - 2)),
-    )
-    joined = join_square_paths(p1, p2)
-    assert joined.vertices == tuple(range(m + k - 2))
-    assert joined.gadget.labels == m + k - 2
-    g = complete_graph(m + k - 2)
-    assert validate_embedding(g, joined).ok
-
-
-def test_reverse_square_path_flips_the_embedding() -> None:
-    emb = Embedding(build_gadget("square-path", length=5), (3, 1, 4, 0, 2))
-    rev = reverse_square_path(emb)
-    assert rev.vertices == (2, 0, 4, 1, 3)
-    assert validate_embedding(complete_graph(5), rev).ok
 
 
 @given(integers(min_value=4, max_value=12))

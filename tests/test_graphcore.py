@@ -17,6 +17,7 @@ from squareham import (
 from squareham.graphcore import (
     FamilyParams,
     check_family_membership,
+    codegrees,
     edges_within,
     graph_from_edgelist_text,
     graph_from_json_obj,
@@ -24,7 +25,6 @@ from squareham.graphcore import (
     graph_to_json_obj,
     random_partition,
     triangle_profile,
-    triangles_on_edge,
 )
 
 from strategies import gnp_graphs, seeds
@@ -83,9 +83,12 @@ def test_triangle_profile_matches_per_vertex_enumeration(g: Graph) -> None:
 
 
 @given(gnp_graphs(max_n=14))
-def test_triangles_on_edge_counts_common_neighbors(g: Graph) -> None:
-    for u, v in g.edges():
-        assert triangles_on_edge(g, u, v) == len(g.neighbors(u) & g.neighbors(v))
+def test_codegrees_count_common_neighbors_of_every_pair(g: Graph) -> None:
+    c = codegrees(g)
+    assert c.dtype == "int64" and c.shape == (g.n, g.n)
+    for u in range(g.n):
+        for v in range(g.n):
+            assert c[u, v] == len(g.neighbors(u) & g.neighbors(v))
 
 
 @given(gnp_graphs(min_n=2, max_n=14), seeds())
@@ -110,6 +113,25 @@ def test_subgraph_relation_is_reflexive_and_detects_extras(g: Graph) -> None:
         ok, offending = full.is_subgraph_of(g)
         assert not ok
         assert offending is not None and not g.has_edge(*offending)
+
+
+@given(gnp_graphs(min_n=2, max_n=16), gnp_graphs(min_n=2, max_n=16))
+def test_subgraph_check_names_the_first_missing_edge(g: Graph, h: Graph) -> None:
+    if g.n != h.n:
+        assert g.is_subgraph_of(h) == (False, None)
+        return
+    missing = [e for e in g.edges() if not h.has_edge(*e)]
+    expected = (False, missing[0]) if missing else (True, None)
+    assert g.is_subgraph_of(h) == expected
+
+
+def test_remove_edges_ignores_pairs_that_are_not_edges() -> None:
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    h = g.remove_edges([(0, 2), (3, 3), (1, 4), (-1, 3), (5, -2), (2, 1)])
+    assert h.edges() == ((0, 1), (2, 3))
+    assert h.edge_count == 2 and h.n == 4
+    assert g.remove_edges([(0, 3), (2, 2), (0, 9), (-1, 0)]) == g
+    assert g.edges() == ((0, 1), (1, 2), (2, 3))
 
 
 @given(gnp_graphs(min_n=2, max_n=16), seeds())
@@ -198,6 +220,20 @@ def test_family_membership_holds_for_the_graph_itself(n: int, alpha: float) -> N
     assert report.ok
     assert report.min_degree == n - 1
     assert report.min_codegree == n - 2
+
+
+@given(gnp_graphs(min_n=1, max_n=16), floats(min_value=0.01, max_value=0.5))
+def test_family_membership_names_the_first_minimizers(g: Graph, alpha: float) -> None:
+    report = check_family_membership(g, g, FamilyParams(alpha=alpha, p=0.5, n=g.n))
+    degrees = [g.degree(v) for v in range(g.n)]
+    assert report.min_degree == min(degrees)
+    assert report.min_degree_vertex == degrees.index(min(degrees))
+    shared = [len(g.neighbors(u) & g.neighbors(v)) for u, v in g.edges()]
+    if shared:
+        assert report.min_codegree == min(shared)
+        assert report.min_codegree_edge == g.edges()[shared.index(min(shared))]
+    else:
+        assert report.min_codegree is None and report.min_codegree_edge is None
 
 
 def test_family_membership_flags_a_starved_vertex() -> None:

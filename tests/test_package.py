@@ -35,3 +35,24 @@ def test_no_module_has_an_unused_top_level_import(path: Path) -> None:
         if name not in used
     ]
     assert unused == [], f"{path.name} imports but never uses {unused}"
+
+
+def _reads_private_attribute_of_another_object(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Attribute) or not node.attr.startswith("_"):
+        return False
+    if node.attr.startswith("__") and node.attr.endswith("__"):
+        return False
+    return not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "graphcore.py"], ids=lambda p: p.name
+)
+def test_graph_internals_stay_inside_graphcore(path: Path) -> None:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    offenders = [
+        f"line {node.lineno}: .{node.attr}"
+        for node in ast.walk(tree)
+        if _reads_private_attribute_of_another_object(node)
+    ]
+    assert offenders == [], f"{path.name} reads private attributes: {offenders}"
