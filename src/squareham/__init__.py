@@ -1,9 +1,10 @@
 """Constructive machinery for squares of Hamilton cycles in sparse graphs.
 
 Submodules:
-    graphcore: graphs (derived graphs built from their parent's rows), random
-        generation, codegrees and triangle counts from one ``A·A`` product,
-        family membership.
+    graphcore: graphs with one ``int`` bitset per adjacency row (derived
+        graphs built from their parent's rows), random generation packed
+        from one boolean matrix, codegrees and triangle counts from one
+        ``A·A`` product, family membership.
     gadgets: square-path / pseudo-path / backbone templates and embeddings.
     matching: Hall matching with a deficient-set witness.
     connector: pair-to-pair connection search over a reservoir.

@@ -23,7 +23,7 @@ from .gadgets import (
     build_gadget,
     is_square_path,
 )
-from .graphcore import Graph, InputError
+from .graphcore import Graph, InputError, bits, mask_of
 from .matching import BipartiteInstance, hall_saturating_matching
 
 
@@ -163,16 +163,19 @@ def build_single_absorbers(
         for j in range(i + 1, len(all_sides)):
             if all_sides[i] & all_sides[j]:
                 raise InputError("absorbee set and star classes must be disjoint")
+    for side in (xs, *pools):
+        g.check_vertices(side)
     chosen: list[list[int]] = [[] for _ in xs]
     anchors = list(xs)
     for round_no, pool in enumerate(pools):
         index = {v: k for k, v in enumerate(pool)}
+        pool_mask = mask_of(pool)
         rows = []
         for i, x in enumerate(xs):
-            allowed = g.neighbors(x)
+            allowed = g.row(x) & pool_mask
             if round_no > 0:
-                allowed = allowed & g.neighbors(anchors[i])
-            rows.append(tuple(sorted(index[v] for v in allowed if v in index)))
+                allowed &= g.row(anchors[i])
+            rows.append(tuple(index[v] for v in bits(allowed)))
         res = hall_saturating_matching(BipartiteInstance(tuple(rows), len(pool)))
         if res.status != "matched":
             return None, BuildFailure(

@@ -23,9 +23,11 @@ import numpy as np
 from .graphcore import (
     Graph,
     InputError,
+    bits,
     codegrees,
     edges_within,
     gnp_generate,
+    mask_of,
     rng_for,
     triangle_profile,
 )
@@ -80,12 +82,13 @@ def k3_attack(gamma_graph: Graph, gamma, seed: int) -> AttackResult:
     rng = rng_for(seed, 61)
     chosen = rng.choice(n, size=size, replace=False) if size else np.zeros(0, int)
     v1 = tuple(sorted(int(v) for v in chosen))
-    v1_set = frozenset(v1)
-    removed = [(u, v) for u in v1 for v in gamma_graph.neighbors(u) & v1_set if u < v]
+    v1_mask = mask_of(v1)
+    rows = gamma_graph.rows
+    removed = [(u, v) for u in v1 for v in bits(rows[u] & v1_mask) if u < v]
     attacked = gamma_graph.remove_edges(removed)
     for u in v1:
-        assert not attacked.neighbors(u) & v1_set, "attack left an internal edge"
-    v2 = tuple(v for v in range(n) if v not in v1_set)
+        assert not attacked.rows[u] & v1_mask, "attack left an internal edge"
+    v2 = tuple(v for v in range(n) if not v1_mask >> v & 1)
     return AttackResult(v1, v2, attacked, len(removed))
 
 
@@ -182,12 +185,11 @@ class _Budget(Exception):
 
 
 def _all_triangles(g: Graph) -> list[tuple[int, int, int]]:
+    rows = g.rows
     tris = []
     for u, v in g.edges():
-        for w in sorted(g.neighbors(u) & g.neighbors(v)):
-            if w > v:
-                tris.append((u, v, w))
-    return sorted(tris)
+        tris.extend((u, v, w) for w in bits(rows[u] & rows[v]) if w > v)
+    return tris
 
 
 def max_triangle_packing(
@@ -199,20 +201,34 @@ def max_triangle_packing(
 
     Branches on the smallest vertex still usable by some live triangle:
     either one of its triangles joins the packing, or the vertex is set
-    aside.  A vertices-remaining/3 bound prunes; a greedy packing seeds the
-    incumbent.  When the node budget runs out the result brackets the
-    optimum instead of pinning it.
+    aside.  A vertices-remaining/3 bound prunes, capped by the structural
+    bound when ``v1`` is given; a greedy packing seeds the incumbent.  When
+    the node budget runs out the result brackets the optimum instead of
+    pinning it.
 
     Args:
         g: Host graph.
-        v1: Optional vertex class that no packed triangle may meet twice;
+        v1: Optional vertex class that no triangle of ``g`` meets twice;
             supplies the structural bound.
         budget: Search-node allowance.
 
     Returns:
         A :class:`PackingResult` with a witness packing.
+
+    Raises:
+        InputError: If a triangle of ``g`` has two vertices in ``v1``.
     """
     tris = _all_triangles(g)
+    # No packing is larger than the triangle count or the structural bound.
+    ceiling = len(tris)
+    structural = None
+    if v1 is not None:
+        v1_set = frozenset(v1)
+        if any(len(v1_set.intersection(t)) > 1 for t in tris):
+            raise InputError("v1 must not hold two vertices of a triangle")
+        v2_count = g.n - len(v1_set & set(range(g.n)))
+        structural = (3 * v2_count // 2) // 3
+        ceiling = min(ceiling, structural)
     tri_at: dict[int, list[int]] = {}
     for idx, t in enumerate(tris):
         for v in t:
@@ -235,7 +251,7 @@ def max_triangle_packing(
         nodes += 1
         if nodes > budget:
             raise _Budget
-        if len(chosen) + live_bound(covered) <= len(best):
+        if min(len(chosen) + live_bound(covered), ceiling) <= len(best):
             return
         pivot = None
         for v in in_triangle:
@@ -265,16 +281,7 @@ def max_triangle_packing(
     except _Budget:
         status = "bracket"
     size = len(best)
-    upper = size if status == "exact" else min(len(in_triangle) // 3, len(tris))
-    structural = None
-    if v1 is not None:
-        v1_set = frozenset(v1)
-        v2_count = g.n - len(v1_set & set(range(g.n)))
-        structural = (3 * v2_count // 2) // 3
-        for i in best:
-            assert (
-                len(v1_set.intersection(tris[i])) <= 1
-            ), "packed triangle meets the removed class twice"
+    upper = size if status == "exact" else min(len(in_triangle) // 3, ceiling)
     witness = tuple(tris[i] for i in sorted(best))
     return PackingResult(status, size, size, upper, nodes, structural, witness)
 
@@ -360,7 +367,7 @@ def _density_checks(graph: Graph, p: float, seed: int) -> dict:
     count = min(EXPERIMENT_CHECKS["density_vertices"], n)
     verts = rng.choice(n, size=count, replace=False) if count else []
     for v in sorted(int(x) for x in verts):
-        nbrs = sorted(graph.neighbors(v))
+        nbrs = bits(graph.rows[v])
         subsets = [nbrs]
         for _ in range(EXPERIMENT_CHECKS["density_subsets"]):
             if len(nbrs) > floor:

@@ -461,3 +461,7 @@ def run_command(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_command())
+
+
+if __name__ == "__main__":
+    main()

@@ -9,6 +9,7 @@ rounds so that the jobs of one request get pairwise disjoint interiors.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -16,6 +17,7 @@ from .gadgets import (
     BACKBONE,
     SQUARE_PATH,
     Embedding,
+    Gadget,
     build_gadget,
     validate_embedding,
 )
@@ -105,11 +107,16 @@ def connect_one(
     Returns:
         A :class:`ConnectResult`; never raises for purely quantitative
         failures (a thin reservoir, an exhausted node budget).
+
+    Raises:
+        InputError: On a malformed request, or a reservoir vertex (outside
+            ``x`` and the ports) that is not a vertex of ``g``.
     """
     _validate_request(g, req)
     xs = set(x)
     ports = {v for (a, c) in req.pairs for v in (*a, *c)}
     pool = sorted(set(req.w) - xs - ports)
+    g.check_vertices(pool)
     cfg = {
         "b": req.b,
         "length": req.length,
@@ -118,6 +125,26 @@ def connect_one(
         "seed": seed,
     }
     return _direct_connect(g, req, pool, seed, cfg)
+
+
+@functools.cache
+def _template(
+    b: int, length: int
+) -> tuple[Gadget, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The target gadget, its free labels in ascending order, and for each
+    free label the template neighbours already placed when it is filled."""
+    if b == 1:
+        gadget = build_gadget(SQUARE_PATH, length=length)
+    else:
+        gadget = build_gadget(BACKBONE, blocks=length // 4)
+    fixed = {*gadget.port_from, *gadget.port_to}
+    free = tuple(lab for lab in range(gadget.labels) if lab not in fixed)
+    back_nbrs: dict[int, list[int]] = {lab: [] for lab in free}
+    for a, c in gadget.edges:
+        for lab, other in ((a, c), (c, a)):
+            if lab in back_nbrs and (other not in back_nbrs or other < lab):
+                back_nbrs[lab].append(other)
+    return gadget, free, tuple(tuple(back_nbrs[lab]) for lab in free)
 
 
 def _direct_connect(
@@ -132,22 +159,14 @@ def _direct_connect(
 
     Free labels are assigned in ascending order from a seeded shuffle of the
     reservoir; a candidate must be adjacent to every already-placed template
-    neighbor.  Each job gets its own node budget.
+    neighbor, which is one bit test against the AND of their rows.  Each job
+    gets its own node budget.
     """
     cfg = dict(cfg, route="direct")
-    if req.b == 1:
-        gadget = build_gadget(SQUARE_PATH, length=req.length)
-    else:
-        gadget = build_gadget(BACKBONE, blocks=req.length // 4)
+    gadget, free, back_nbrs = _template(req.b, req.length)
     f0, f1 = gadget.port_from
     t0, t1 = gadget.port_to
-    free = sorted(set(range(gadget.labels)) - {f0, f1, t0, t1})
-    # Template neighbors already placed when a free label gets filled.
-    back_nbrs: dict[int, list[int]] = {lab: [] for lab in free}
-    for a, b in gadget.edges:
-        for lab, other in ((a, b), (b, a)):
-            if lab in back_nbrs and (other not in back_nbrs or other < lab):
-                back_nbrs[lab].append(other)
+    rows = g.rows
     rng = rng_for(seed, 13)
     order = [pool[i] for i in rng.permutation(len(pool))] if pool else []
     nodes_spent: list[int] = []
@@ -155,7 +174,7 @@ def _direct_connect(
         image: dict[int, int] = {f0: x1, f1: x2, t0: y1, t1: y2}
         # Edges between two fixed labels beyond the port edges must also hold.
         fixed_ok = all(
-            g.has_edge(image[a], image[b])
+            rows[image[a]] >> image[b] & 1
             for a, b in gadget.edges
             if a in image and b in image
         )
@@ -170,13 +189,17 @@ def _direct_connect(
             if k == len(free):
                 return tuple(image[lab] for lab in range(gadget.labels))
             lab = free[k]
+            # Every bit of -1 is set: with no placed neighbour, any vertex fits.
+            fits = -1
+            for o in back_nbrs[k]:
+                fits &= rows[image[o]]
             for v in order:
                 if v in taken:
                     continue
                 nodes += 1
                 if nodes > budget:
                     return None
-                if all(g.has_edge(v, image[o]) for o in back_nbrs[lab]):
+                if fits >> v & 1:
                     image[lab] = v
                     taken.add(v)
                     out = fill(k + 1)

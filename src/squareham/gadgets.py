@@ -246,9 +246,10 @@ def validate_embedding(
     for v in emb.vertices:
         if not (0 <= v < g.n):
             return ValidationResult(False, f"vertex {v} outside host range")
+    rows = g.rows
     for i, j in gad.edges:
         u, v = emb.vertices[i], emb.vertices[j]
-        if not g.has_edge(u, v):
+        if not rows[u] >> v & 1:
             return ValidationResult(
                 False,
                 f"template edge ({i}, {j}) maps to missing host edge ({u}, {v})",
@@ -280,26 +281,38 @@ def square_path_pairs(seq: Sequence[int]) -> tuple[tuple[int, int], ...]:
 
 
 def is_square_path(g: Graph, seq: Sequence[int]) -> ValidationResult:
-    """Whether ``seq`` traces the square of a path in ``g``."""
+    """Whether ``seq`` traces the square of a path in ``g``.
+
+    Raises:
+        InputError: If an entry of a repetition-free ``seq`` is not a vertex.
+    """
     if len(set(seq)) != len(seq):
         return ValidationResult(False, "sequence repeats a vertex")
+    g.check_vertices(seq)
+    rows = g.rows
     for u, v in square_path_pairs(seq):
-        if not g.has_edge(u, v):
+        if not rows[u] >> v & 1:
             return ValidationResult(False, f"missing edge ({u}, {v})")
     return ValidationResult(True, None)
 
 
 def is_square_cycle(g: Graph, order: Sequence[int]) -> ValidationResult:
-    """Whether ``order`` traces the square of a cycle in ``g`` (cyclically)."""
+    """Whether ``order`` traces the square of a cycle in ``g`` (cyclically).
+
+    Raises:
+        InputError: If an entry of a repetition-free ``order`` is not a vertex.
+    """
     n = len(order)
     if len(set(order)) != n:
         return ValidationResult(False, "order repeats a vertex")
+    g.check_vertices(order)
+    rows = g.rows
     for i in range(n):
         for d in (1, 2):
             u, v = order[i], order[(i + d) % n]
             if u == v:
                 continue
-            if not g.has_edge(u, v):
+            if not rows[u] >> v & 1:
                 return ValidationResult(False, f"missing edge ({u}, {v})")
     return ValidationResult(True, None)
 

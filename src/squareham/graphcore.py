@@ -5,17 +5,22 @@ tuples so that seeded runs are reproducible down to iteration order.  Real
 thresholds (degree floors, codegree floors, density windows) are compared in
 floating point with a small absolute slack to absorb rounding.
 
-Graphs from outside edges go through the validating :class:`Graph`
-constructor; graphs derived from another graph (edge deletion) are built
-from the parent's adjacency rows.  Every codegree and triangle count comes
-from one ``A·A`` product, :func:`codegrees`.
+Each adjacency row is one Python ``int`` bitset (bit ``v`` of row ``u`` is
+the pair ``uv``), so "is ``v`` adjacent to every vertex of a placed set" is
+one AND of rows and one bit test; :func:`bits` and :func:`mask_of` convert
+between bitsets and ascending vertex lists.  Graphs from outside edges go
+through the validating :class:`Graph` constructor; :func:`gnp_generate`
+packs its rows from one boolean matrix, and graphs derived from another
+graph (edge deletion) are built from the parent's rows.  Every codegree and
+triangle count comes from one ``A·A`` product, :func:`codegrees`, over the
+matrix unpacked from the rows.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -49,13 +54,18 @@ def rng_for(seed: int, *salt: int) -> np.random.Generator:
 class Graph:
     """Immutable undirected simple graph on vertices ``0..n-1``.
 
-    Adjacency is held as per-vertex frozensets (the rows), with a cached
-    boolean matrix for bulk counting.  ``Graph(n, edges)`` validates outside
-    edges; derived graphs are built from the parent's rows without
-    re-validating them.  Instances are safe to share across threads.
+    Adjacency is held as one Python ``int`` bitset per vertex (the rows):
+    bit ``v`` of ``rows[u]`` is set exactly when ``uv`` is an edge.  Hot
+    callers test candidates with row algebra (``rows[u] >> v & 1``, ``&`` of
+    several rows against a pool mask) instead of per-pair lookups.  The
+    boolean matrix used for bulk counting is unpacked from the rows and
+    cached; :meth:`neighbors` builds a fresh frozenset per call and is meant
+    for tests and cold paths.  ``Graph(n, edges)`` validates outside edges;
+    derived graphs are built from the parent's rows without re-validating
+    them.  Instances are safe to share across threads.
     """
 
-    __slots__ = ("n", "_adj", "_edge_count", "_matrix")
+    __slots__ = ("n", "_rows", "_edge_count", "_matrix")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -68,19 +78,19 @@ class Graph:
                 raise InputError(f"self-loop at vertex {u}")
             adj[u].add(v)
             adj[v].add(u)
-        self._set_rows(tuple(frozenset(s) for s in adj))
+        self._set_rows(tuple(mask_of(s) for s in adj))
 
     @classmethod
-    def _from_rows(cls, rows: tuple[frozenset[int], ...]) -> "Graph":
+    def _from_rows(cls, rows: tuple[int, ...]) -> "Graph":
         """A graph on already symmetric, loop-free rows (not re-validated)."""
         g = cls.__new__(cls)
         g._set_rows(rows)
         return g
 
-    def _set_rows(self, rows: tuple[frozenset[int], ...]) -> None:
+    def _set_rows(self, rows: tuple[int, ...]) -> None:
         self.n = len(rows)
-        self._adj = rows
-        self._edge_count = sum(map(len, rows)) // 2
+        self._rows = rows
+        self._edge_count = sum(r.bit_count() for r in rows) // 2
         self._matrix: np.ndarray | None = None
 
     # -- basic views ------------------------------------------------------
@@ -89,39 +99,60 @@ class Graph:
     def edge_count(self) -> int:
         return self._edge_count
 
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """The adjacency bitsets, indexed by vertex (an immutable tuple)."""
+        return self._rows
+
+    def row(self, v: int) -> int:
+        """The adjacency bitset of vertex ``v`` (checked)."""
+        self.check_vertex(v)
+        return self._rows[v]
+
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as lexicographically sorted ``(u, v)`` pairs with ``u < v``."""
         return tuple(
-            (u, v) for u in range(self.n) for v in sorted(self._adj[u]) if u < v
+            (u, u + 1 + v)
+            for u, row in enumerate(self._rows)
+            for v in bits(row >> (u + 1))
         )
 
     def has_edge(self, u: int, v: int) -> bool:
         self.check_vertex(u)
         self.check_vertex(v)
-        return v in self._adj[u]
+        return self._rows[u] >> v & 1 == 1
 
     def neighbors(self, v: int) -> frozenset[int]:
-        self.check_vertex(v)
-        return self._adj[v]
+        """The neighbours of ``v`` as a new frozenset (derived, not cached)."""
+        return frozenset(bits(self.row(v)))
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        return self.row(v).bit_count()
 
     def check_vertex(self, v: int) -> None:
         """Raise :class:`InputError` unless ``v`` is a vertex of this graph."""
         if not (0 <= v < self.n):
             raise InputError(f"vertex {v} out of range for n={self.n}")
 
+    def check_vertices(self, vs: Collection[int]) -> None:
+        """Raise :class:`InputError` unless every entry of ``vs`` is a vertex."""
+        if vs:
+            self.check_vertex(min(vs))
+            self.check_vertex(max(vs))
+
     @property
     def matrix(self) -> np.ndarray:
-        """Boolean adjacency matrix, built lazily and cached."""
+        """Boolean adjacency matrix, unpacked from the rows and cached."""
         if self._matrix is None:
-            m = np.zeros((self.n, self.n), dtype=bool)
-            for u in range(self.n):
-                nb = list(self._adj[u])
-                if nb:
-                    m[u, nb] = True
-            self._matrix = m
+            n = self.n
+            width = (n + 7) // 8
+            packed = np.frombuffer(
+                b"".join(r.to_bytes(width, "little") for r in self._rows),
+                dtype=np.uint8,
+            ).reshape(n, width)
+            self._matrix = np.unpackbits(
+                packed, axis=1, count=n, bitorder="little"
+            ).astype(bool)
         return self._matrix
 
     # -- derived graphs ---------------------------------------------------
@@ -133,12 +164,12 @@ class Graph:
         ignored.  Rows no pair touches are shared with this graph.
         """
         n = self.n
-        drop: dict[int, set[int]] = {}
+        drop: dict[int, int] = {}
         for u, v in edges:
             if 0 <= u < n and 0 <= v < n:
-                drop.setdefault(u, set()).add(v)
-                drop.setdefault(v, set()).add(u)
-        rows = (row - drop[u] if u in drop else row for u, row in enumerate(self._adj))
+                drop[u] = drop.get(u, 0) | 1 << v
+                drop[v] = drop.get(v, 0) | 1 << u
+        rows = (row & ~drop[u] if u in drop else row for u, row in enumerate(self._rows))
         return Graph._from_rows(tuple(rows))
 
     def is_subgraph_of(self, other: "Graph") -> tuple[bool, tuple[int, int] | None]:
@@ -152,9 +183,10 @@ class Graph:
         """
         if self.n != other.n:
             return False, None
-        for u, (mine, theirs) in enumerate(zip(self._adj, other._adj)):
-            if not mine <= theirs:
-                return False, (u, min(mine - theirs))
+        for u, (mine, theirs) in enumerate(zip(self._rows, other._rows)):
+            extra = mine & ~theirs
+            if extra:
+                return False, (u, (extra & -extra).bit_length() - 1)
         return True, None
 
     # -- helpers ----------------------------------------------------------
@@ -162,13 +194,27 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._adj == other._adj
+        return self.n == other.n and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj))
+        return hash((self.n, self._rows))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self._edge_count})"
+
+
+def bits(mask: int) -> list[int]:
+    """The set bits of a non-negative ``mask``, in ascending order."""
+    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
+
+
+def mask_of(vs: Iterable[int]) -> int:
+    """The bitset with bit ``v`` set for every ``v`` in ``vs`` (all ``>= 0``)."""
+    mask = 0
+    for v in vs:
+        mask |= 1 << v
+    return mask
 
 
 def complete_graph(n: int) -> Graph:
@@ -195,11 +241,14 @@ def gnp_generate(n: int, p: float, seed: int) -> Graph:
     if not (0.0 <= p <= 1.0):
         raise InputError(f"p must lie in [0, 1], got {p}")
     rng = rng_for(seed, 0)
-    edges: list[tuple[int, int]] = []
+    # Vertex u draws n - 1 - u uniforms for the pairs (u, u+1..n-1), in
+    # vertex order; that draw order fixes which graph a seed gives.
+    m = np.zeros((n, n), dtype=bool)
     for u in range(n - 1):
-        hits = np.flatnonzero(rng.random(n - 1 - u) < p)
-        edges.extend((u, u + 1 + int(v)) for v in hits)
-    return Graph(n, edges)
+        m[u, u + 1 :] = rng.random(n - 1 - u) < p
+    m |= m.T
+    packed = np.packbits(m, axis=1, bitorder="little")
+    return Graph._from_rows(tuple(int.from_bytes(r.tobytes(), "little") for r in packed))
 
 
 # -- partitioning ----------------------------------------------------------
@@ -253,8 +302,11 @@ def random_partition(
 
 def edges_within(g: Graph, s: Iterable[int]) -> int:
     """Number of edges with both endpoints in ``s``."""
-    ss = _vertex_set(g, s)
-    return sum(len(g.neighbors(u) & ss) for u in ss) // 2
+    ss = frozenset(s)
+    g.check_vertices(ss)
+    mask = mask_of(ss)
+    rows = g.rows
+    return sum((rows[u] & mask).bit_count() for u in ss) // 2
 
 
 def codegrees(g: Graph) -> np.ndarray:
@@ -277,13 +329,6 @@ def triangle_profile(g: Graph) -> np.ndarray:
         ``t.sum()`` equals three times the total triangle count.
     """
     return (codegrees(g) * g.matrix).sum(axis=1) // 2
-
-
-def _vertex_set(g: Graph, s: Iterable[int]) -> frozenset[int]:
-    out = frozenset(s)
-    for v in out:
-        g.check_vertex(v)
-    return out
 
 
 # -- family membership -----------------------------------------------------

@@ -27,7 +27,7 @@ from .absorber import (
 )
 from .connector import ConnectionRequest, connect_one
 from .gadgets import is_square_path
-from .graphcore import Graph, InputError, random_partition, rng_for
+from .graphcore import Graph, InputError, bits, mask_of, random_partition, rng_for
 from .matching import BipartiteInstance, hall_saturating_matching
 
 STAGES = (
@@ -192,10 +192,11 @@ def verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
     if len(order) != g.n or set(order) != set(range(g.n)):
         raise InputError("certificate order must be a permutation of all vertices")
     n = g.n
+    rows = g.rows
     for i in range(n):
         for d in (1, 2):
             u, v = order[i], order[(i + d) % n]
-            if not g.has_edge(u, v):
+            if not rows[u] >> v & 1:
                 return CertificateCheck(False, i, d, (min(u, v), max(u, v)))
     return CertificateCheck(True, None, None, None)
 
@@ -223,10 +224,11 @@ def brute_force_square_ham(g: Graph, budget: int = 3_000_000) -> BruteForceResul
     n = g.n
     if n < 3:
         return BruteForceResult("none", None, 0)
+    rows = g.rows
     order = [0]
     used = [False] * n
     used[0] = True
-    iters = [iter(sorted(g.neighbors(0)))]
+    iters = [iter(bits(rows[0]))]
     nodes = 0
     while iters:
         depth = len(order)
@@ -239,15 +241,15 @@ def brute_force_square_ham(g: Graph, budget: int = 3_000_000) -> BruteForceResul
             continue
         if used[v]:
             continue
-        if depth >= 2 and not g.has_edge(v, order[-2]):
+        if depth >= 2 and not rows[v] >> order[-2] & 1:
             continue
         if depth == n - 1:
             if order[1] > v:
                 continue
             if not (
-                g.has_edge(v, order[0])
-                and g.has_edge(v, order[1])
-                and g.has_edge(order[-1], order[0])
+                rows[v] >> order[0] & 1
+                and rows[v] >> order[1] & 1
+                and rows[order[-1]] >> order[0] & 1
             ):
                 continue
             cert = Certificate(tuple(order) + (v,))
@@ -259,7 +261,7 @@ def brute_force_square_ham(g: Graph, budget: int = 3_000_000) -> BruteForceResul
             return BruteForceResult("unknown", None, nodes)
         order.append(v)
         used[v] = True
-        iters.append(iter(sorted(g.neighbors(v) - {order[0]})))
+        iters.append(iter(bits(rows[v] & ~(1 << order[0]))))
     return BruteForceResult("none", None, nodes)
 
 
@@ -290,7 +292,9 @@ def almost_spanning_square_path(
         return AlmostSpanningResult((), 0.0)
     if len(vs) == 1:
         return AlmostSpanningResult((vs[0],), 1.0)
-    vset = set(vs)
+    g.check_vertices(vs)
+    rows = g.rows
+    vmask = mask_of(vs)
     rng = rng_for(seed, 47)
     best: tuple[int, ...] = (vs[0],)
     target = math.ceil((1 - eps) * len(vs))
@@ -298,30 +302,28 @@ def almost_spanning_square_path(
     while spent < budget and len(best) < target:
         spent += 1
         a = vs[int(rng.integers(len(vs)))]
-        nbrs = sorted((g.neighbors(a) & vset) - {a})
+        nbrs = rows[a] & vmask
         if not nbrs:
             continue
-        b = nbrs[int(rng.integers(len(nbrs)))]
+        b = bits(nbrs)[int(rng.integers(nbrs.bit_count()))]
         path = [a, b]
-        in_path = {a, b}
+        # Target vertices not on the path yet.
+        free = vmask & ~(1 << a | 1 << b)
         while spent < budget:
             spent += 1
-            fwd = sorted(
-                (g.neighbors(path[-1]) & g.neighbors(path[-2]) & vset) - in_path
-            )
-            bwd = sorted(
-                (g.neighbors(path[0]) & g.neighbors(path[1]) & vset) - in_path
-            )
+            fwd = rows[path[-1]] & rows[path[-2]] & free
+            bwd = rows[path[0]] & rows[path[1]] & free
             if not fwd and not bwd:
                 break
             # Feed the scarcer end first so neither side starves early.
-            if fwd and (not bwd or len(fwd) <= len(bwd)):
-                v = fwd[int(rng.integers(len(fwd)))]
+            nf, nb = fwd.bit_count(), bwd.bit_count()
+            if fwd and (not bwd or nf <= nb):
+                v = bits(fwd)[int(rng.integers(nf))]
                 path.append(v)
             else:
-                v = bwd[int(rng.integers(len(bwd)))]
+                v = bits(bwd)[int(rng.integers(nb))]
                 path.insert(0, v)
-            in_path.add(v)
+            free &= ~(1 << v)
         if len(path) > len(best):
             best = tuple(path)
     if len(best) >= 2:
@@ -361,8 +363,7 @@ def cover_with_square_paths(
     if not 0 < eps < 1:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
     u = sorted(set(u_prime))
-    for v in u:
-        g.check_vertex(v)
+    g.check_vertices(u)
     msize = len(u)
     if msize == 0:
         return CoverResult((), (), (), eps, 0.0)
@@ -417,10 +418,11 @@ def match_leftover(
     anchors = sorted(set(x1))
     if set(qs) & set(anchors):
         raise InputError("leftover vertices and anchors must be disjoint")
+    g.check_vertices(anchors)
     index = {v: k for k, v in enumerate(anchors)}
+    anchor_mask = mask_of(anchors)
     rows = tuple(
-        tuple(sorted(index[u] for u in g.neighbors(q) if u in index))
-        for q in qs
+        tuple(index[u] for u in bits(g.row(q) & anchor_mask)) for q in qs
     )
     res = hall_saturating_matching(BipartiteInstance(rows, len(anchors)))
     if res.status != "matched":
@@ -554,6 +556,7 @@ def _insert_into_paths(g: Graph, paths: list[list[int]], q: int) -> bool:
     Splicing between positions ``i - 1`` and ``i`` needs ``q`` adjacent to
     the two split vertices and to their outer distance-2 partners.
     """
+    row = g.row(q)
     for path in paths:
         for i in range(1, len(path)):
             anchors = [path[i - 1], path[i]]
@@ -561,7 +564,7 @@ def _insert_into_paths(g: Graph, paths: list[list[int]], q: int) -> bool:
                 anchors.append(path[i - 2])
             if i + 1 < len(path):
                 anchors.append(path[i + 1])
-            if all(g.has_edge(q, v) for v in anchors):
+            if all(row >> v & 1 for v in anchors):
                 path.insert(i, q)
                 return True
     return False

@@ -175,6 +175,30 @@ def test_packing_respects_the_attack_structure() -> None:
         assert len(set(t) & set(res.v1)) <= 1
 
 
+@given(gnp_graphs(min_n=3, max_n=9, min_p=0.3, max_p=1.0), integers(0, 50))
+def test_packing_with_a_class_matches_exhaustive_search(g: Graph, seed: int) -> None:
+    res = k3_attack(g, 0.0, seed)
+    packing = max_triangle_packing(res.attacked, v1=res.v1)
+    assert packing.status == "exact"
+    assert packing.size == packing.upper == brute_max_packing(res.attacked)
+    assert packing.size <= packing.structural_bound
+
+
+def test_structural_bound_settles_small_experiment_packings() -> None:
+    # The greedy packing already meets the structural bound of 9; without
+    # that bound the search spent its whole budget and reported upper 10.
+    report = resilience_experiment(30, 0.5, 0.05, [0, 1])
+    for row in report["per_seed"]:
+        packing = row["packing"]
+        assert packing["status"] == "exact"
+        assert packing["size"] == packing["upper"] == packing["structural_bound"] == 9
+
+
+def test_packing_rejects_a_class_holding_two_corners_of_a_triangle() -> None:
+    with pytest.raises(InputError):
+        max_triangle_packing(complete_graph(6), v1=(0, 1))
+
+
 def test_packing_budget_exhaustion_brackets_the_answer() -> None:
     g = gnp_generate(30, 0.6, 1)
     res = max_triangle_packing(g, budget=10)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import squareham
 from squareham.cli import run_command
 from squareham.graphcore import graph_from_edgelist_text
 
@@ -265,6 +270,20 @@ def test_experiment_rejects_jobs_below_one(capsys) -> None:
     assert run(*base, "--jobs", "0") == 2
     assert run(*base, "--jobs", "-3") == 2
     assert "jobs must be at least 1" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_the_command() -> None:
+    src = str(Path(squareham.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "squareham.cli", "experiment", "-n", "20",
+         "-p", "0.5", "--gamma", "0.05", "--seeds", "2", "--jobs", "0"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "jobs must be at least 1" in proc.stderr
 
 
 def test_cover_reports_paths_and_leftover(tmp_path, capsys) -> None:

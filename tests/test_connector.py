@@ -5,9 +5,11 @@ from hypothesis.strategies import integers, sampled_from
 from squareham import (
     ConnectionRequest,
     InputError,
+    build_gadget,
     complete_graph,
     connect_all,
     connect_one,
+    connector,
     gnp_generate,
     rng_for,
     validate_embedding,
@@ -161,6 +163,40 @@ def test_request_validation_rejects_malformed_jobs() -> None:
         )
         with pytest.raises(InputError):
             connect_all(g, req, seed=0)
+
+
+@pytest.mark.parametrize("bad", [-1, 10])
+def test_reservoir_vertices_outside_the_host_are_rejected(bad: int) -> None:
+    # With seed 0 the search lands on vertex 8 or 7 before it would reach
+    # the bad one; the reservoir is checked before any search starts.
+    g = complete_graph(10)
+    req = ConnectionRequest(
+        pairs=(((0, 1), (2, 3)),), w=(4, 5, 6, 7, 8, 9, bad), length=5
+    )
+    with pytest.raises(InputError):
+        connect_one(g, req, (), seed=0)
+    # Excluded vertices are not part of the reservoir.
+    assert connect_one(g, req, (bad,), seed=0).ok
+
+
+def test_connection_templates_are_built_once_per_shape(monkeypatch) -> None:
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append((args, kwargs))
+        return build_gadget(*args, **kwargs)
+
+    monkeypatch.setattr(connector, "build_gadget", counting)
+    connector._template.cache_clear()
+    g = complete_graph(30)
+    for seed in range(3):
+        for b, length in ((1, 6), (2, 8)):
+            req = ConnectionRequest(
+                pairs=(((0, 1), (2, 3)),), w=tuple(range(4, 30)), b=b, length=length
+            )
+            assert connect_one(g, req, (), seed).ok
+    assert len(built) == 2
+    connector._template.cache_clear()
 
 
 @given(integers(min_value=0, max_value=60))

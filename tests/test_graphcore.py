@@ -1,9 +1,12 @@
+import hashlib
 import itertools
+import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
-from hypothesis.strategies import floats, integers, lists
+from hypothesis.strategies import data, floats, integers, just, lists, tuples
 
 from squareham import (
     Graph,
@@ -16,6 +19,7 @@ from squareham import (
 )
 from squareham.graphcore import (
     FamilyParams,
+    bits,
     check_family_membership,
     codegrees,
     edges_within,
@@ -23,6 +27,7 @@ from squareham.graphcore import (
     graph_from_json_obj,
     graph_to_edgelist_text,
     graph_to_json_obj,
+    mask_of,
     random_partition,
     triangle_profile,
 )
@@ -43,6 +48,29 @@ def test_gnp_same_seed_reproduces_edge_set(seed: int, n: int) -> None:
     g1 = gnp_generate(n, 0.4, seed)
     g2 = gnp_generate(n, 0.4, seed)
     assert g1.edges() == g2.edges()
+
+
+# sha256 of json.dumps(gnp_generate(n, p, 11).edges()), computed when rows
+# were still frozensets; the bitset generator must reproduce every graph.
+_EMPTY = "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
+GNP_PINS = {
+    (0, 0.0): _EMPTY, (0, 0.35): _EMPTY, (0, 1.0): _EMPTY,
+    (1, 0.0): _EMPTY, (1, 0.35): _EMPTY, (1, 1.0): _EMPTY,
+    (2, 0.0): _EMPTY, (2, 0.35): _EMPTY,
+    (2, 1.0): "4b206b21939b457eb85499fb9142a2b2ff32d29b25b2a70733887616d179d748",
+    (57, 0.0): _EMPTY,
+    (57, 0.35): "0733ef60cfb8f4333723d577b9a1a18648f5819e4b4065baf9d79f2a050dd09a",
+    (57, 1.0): "bdcda9c0753511aa1e70514f0e5de8e32be557365deae99d2dcf61e1f6c7b4e9",
+    (300, 0.0): _EMPTY,
+    (300, 0.35): "f1abad90f134f75f0acd516a1acb257b6ba8552fce6937158e92da729f2b53da",
+    (300, 1.0): "907671c5de6a0099a013f6d1a1e8a61d2e58784129a528ed34b38eaab66b3a2a",
+}
+
+
+@pytest.mark.parametrize("n, p", sorted(GNP_PINS))
+def test_gnp_edges_are_pinned(n: int, p: float) -> None:
+    edges = gnp_generate(n, p, 11).edges()
+    assert hashlib.sha256(json.dumps(edges).encode()).hexdigest() == GNP_PINS[n, p]
 
 
 @given(seeds(), integers(min_value=1, max_value=30))
@@ -201,6 +229,90 @@ def test_edgelist_text_rejects_malformed_input() -> None:
         graph_from_edgelist_text("3 1\n0 5\n")
     with pytest.raises(InputError):
         graph_from_edgelist_text("3 2\n0 1\n")
+
+
+def edge_lists(max_n: int = 12):
+    """A vertex count and a list of loop-free pairs on it."""
+    return integers(min_value=1, max_value=max_n).flatmap(
+        lambda n: tuples(
+            just(n),
+            lists(
+                tuples(integers(0, n - 1), integers(0, n - 1)).filter(
+                    lambda e: e[0] != e[1]
+                ),
+                max_size=3 * n,
+            ),
+        )
+    )
+
+
+def reference_rows(n: int, edges) -> list[frozenset[int]]:
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return [frozenset(s) for s in adj]
+
+
+@given(edge_lists(), data())
+def test_bitset_rows_agree_with_a_frozenset_model(case, draw) -> None:
+    n, edges = case
+    g = Graph(n, edges)
+    ref = reference_rows(n, edges)
+    assert g.rows == tuple(mask_of(r) for r in ref)
+    for u in range(n):
+        assert g.neighbors(u) == ref[u]
+        assert g.degree(u) == len(ref[u])
+        assert bits(g.row(u)) == sorted(ref[u])
+        for v in range(n):
+            assert g.has_edge(u, v) == (v in ref[u])
+    pairs = sorted({(min(e), max(e)) for e in edges})
+    assert g.edges() == tuple(pairs)
+    assert g.edge_count == len(pairs)
+    expected = np.zeros((n, n), dtype=bool)
+    for u, v in pairs:
+        expected[u, v] = expected[v, u] = True
+    assert g.matrix.dtype == bool and (g.matrix == expected).all()
+
+    # Missing, self, out-of-range and negative pairs are all ignored.
+    doomed = draw.draw(
+        lists(tuples(integers(-2, n + 1), integers(-2, n + 1)), max_size=2 * n)
+    )
+    h = g.remove_edges(doomed)
+    kept = [
+        (u, v)
+        for u, v in pairs
+        if (u, v) not in doomed and (v, u) not in doomed
+    ]
+    assert h.edges() == tuple(kept)
+    assert h == Graph(n, kept) and hash(h) == hash(Graph(n, kept))
+    assert h.is_subgraph_of(g) == (True, None)
+    extra = [e for e in pairs if e not in kept]
+    assert g.is_subgraph_of(h) == ((False, extra[0]) if extra else (True, None))
+    assert (g == h) == (not extra)
+    assert g != Graph(n + 1, edges)
+
+
+def test_bits_and_masks_invert_each_other() -> None:
+    assert bits(0) == [] and mask_of([]) == 0
+    for vs in ([3], [0, 5, 64, 65], list(range(0, 300, 7)), list(range(40))):
+        assert bits(mask_of(vs)) == vs
+        assert mask_of(reversed(vs)) == mask_of(vs)
+
+
+@pytest.mark.parametrize("v", [-1, 5, 99])
+def test_vertex_views_reject_vertices_outside_the_graph(v: int) -> None:
+    g = complete_graph(5)
+    with pytest.raises(InputError):
+        g.has_edge(0, v)
+    with pytest.raises(InputError):
+        g.has_edge(v, 0)
+    with pytest.raises(InputError):
+        g.neighbors(v)
+    with pytest.raises(InputError):
+        g.row(v)
+    with pytest.raises(InputError):
+        g.degree(v)
 
 
 def test_graph_collapses_duplicates_and_rejects_loops() -> None:

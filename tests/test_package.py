@@ -56,3 +56,23 @@ def test_graph_internals_stay_inside_graphcore(path: Path) -> None:
         if _reads_private_attribute_of_another_object(node)
     ]
     assert offenders == [], f"{path.name} reads private attributes: {offenders}"
+
+
+# Pipeline modules test candidates with row masks; Graph.neighbors builds a
+# fresh frozenset per call, which made the solve pipeline slower than the
+# per-pair lookups it replaced.
+ROW_MASK_MODULES = ("absorber", "connector", "gadgets", "hamiltonian", "matching")
+
+
+@pytest.mark.parametrize("name", ROW_MASK_MODULES)
+def test_pipeline_modules_never_call_neighbors(name: str) -> None:
+    path = Path(squareham.__file__).parent / f"{name}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "neighbors"
+    ]
+    assert calls == [], f"{name}.py calls .neighbors(): {calls}"
