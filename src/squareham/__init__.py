@@ -9,7 +9,8 @@ Submodules:
     matching: Hall matching with a deficient-set witness.
     connector: pair-to-pair connection search over a reservoir.
     absorber: per-vertex absorbing structures, chaining, verification.
-    hamiltonian: the end-to-end pipeline, brute-force oracle, certificates.
+    hamiltonian: the end-to-end pipeline, brute-force oracle, certificates
+        and checkable infeasibility witnesses.
     adversary: triangle-removal attacks, retention profiling, experiments.
     cli: the ``artifact`` command-line front end.
 """
@@ -64,10 +65,14 @@ from .graphcore import (
 from .hamiltonian import (
     Certificate,
     FailureReport,
+    InfeasibilityWitness,
     PipelineConfig,
+    WitnessCheck,
     brute_force_square_ham,
+    find_infeasibility_witness,
     find_square_ham,
     verify_certificate,
+    verify_witness,
 )
 from .matching import (
     BipartiteInstance,
@@ -89,10 +94,12 @@ __all__ = [
     "FamilyParams",
     "Gadget",
     "Graph",
+    "InfeasibilityWitness",
     "InputError",
     "PipelineConfig",
     "RetentionProfile",
     "StarRecord",
+    "WitnessCheck",
     "absorb",
     "brute_force_square_ham",
     "build_gadget",
@@ -103,6 +110,7 @@ __all__ = [
     "complete_graph",
     "connect_all",
     "connect_one",
+    "find_infeasibility_witness",
     "find_square_ham",
     "gnp_generate",
     "hall_saturating_matching",
@@ -118,5 +126,6 @@ __all__ = [
     "validate_embedding",
     "verify_absorber",
     "verify_certificate",
+    "verify_witness",
     "write_graph",
 ]

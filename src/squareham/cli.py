@@ -56,6 +56,8 @@ from .hamiltonian import (
     jsonable,
     reservoir_sizes,
     verify_certificate,
+    verify_witness,
+    witness_from_json_obj,
 )
 
 _USAGE_ERROR = 2
@@ -182,10 +184,13 @@ def _cmd_find(args) -> tuple[int, str, dict]:
 
 
 def _cmd_verify(args) -> tuple[int, str, dict]:
+    """Check a certificate, or the witness a failure report of ``find`` carries."""
     g = read_graph(args.graph)
     obj = json.loads(Path(args.certificate).read_text())
-    cert = certificate_from_json_obj(obj)
-    check = verify_certificate(g, cert)
+    if isinstance(obj, dict) and "witness" in obj:
+        check = verify_witness(g, witness_from_json_obj(obj["witness"]))
+    else:
+        check = verify_certificate(g, certificate_from_json_obj(obj))
     return (0 if check.ok else 1), _json_text(check), {
         "graph": args.graph,
         "certificate": args.certificate,
@@ -348,9 +353,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(handler=_cmd_find)
 
-    p = sub.add_parser("verify", help="check a stored certificate")
+    p = sub.add_parser(
+        "verify", help="check a stored certificate or infeasibility witness"
+    )
     p.add_argument("--graph", required=True)
-    p.add_argument("--certificate", required=True)
+    p.add_argument(
+        "--certificate",
+        required=True,
+        help="a certificate, or a failure report of find that carries a witness",
+    )
     common(p, seed=False)
     p.set_defaults(handler=_cmd_verify)
 

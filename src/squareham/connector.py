@@ -109,13 +109,17 @@ def connect_one(
         failures (a thin reservoir, an exhausted node budget).
 
     Raises:
-        InputError: On a malformed request, or a reservoir vertex (outside
-            ``x`` and the ports) that is not a vertex of ``g``.
+        InputError: On a malformed request, a negative seed, or a reservoir
+            vertex (outside ``x`` and the ports) that is not a vertex of
+            ``g``.
     """
     _validate_request(g, req)
+    # The reservoir shuffle is drawn lazily, so check the seed up front.
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     xs = set(x)
     ports = {v for (a, c) in req.pairs for v in (*a, *c)}
-    pool = sorted(set(req.w) - xs - ports)
+    pool = tuple(sorted(set(req.w) - xs - ports))
     g.check_vertices(pool)
     cfg = {
         "b": req.b,
@@ -147,10 +151,21 @@ def _template(
     return gadget, free, tuple(tuple(back_nbrs[lab]) for lab in free)
 
 
+@functools.lru_cache(maxsize=8)
+def _reservoir_order(seed: int, pool: tuple[int, ...]) -> tuple[int, ...]:
+    """The seeded shuffle of ``pool`` the template search tries candidates in.
+
+    Cached for the last few keys: the short-first length sweep of the
+    absorber's junctions asks for the same order once per length.
+    """
+    perm = rng_for(seed, 13).permutation(len(pool)).tolist()
+    return tuple(pool[i] for i in perm)
+
+
 def _direct_connect(
     g: Graph,
     req: ConnectionRequest,
-    pool: list[int],
+    pool: tuple[int, ...],
     seed: int,
     cfg: dict,
     budget: int = 100_000,
@@ -158,17 +173,17 @@ def _direct_connect(
     """Fill the target template by backtracking over the reservoir.
 
     Free labels are assigned in ascending order from a seeded shuffle of the
-    reservoir; a candidate must be adjacent to every already-placed template
-    neighbor, which is one bit test against the AND of their rows.  Each job
-    gets its own node budget.
+    reservoir, drawn only once a job gets to its first free label; a
+    candidate must be adjacent to every already-placed template neighbor,
+    which is one bit test against the AND of their rows.  Each job gets its
+    own node budget.
     """
     cfg = dict(cfg, route="direct")
     gadget, free, back_nbrs = _template(req.b, req.length)
     f0, f1 = gadget.port_from
     t0, t1 = gadget.port_to
     rows = g.rows
-    rng = rng_for(seed, 13)
-    order = [pool[i] for i in rng.permutation(len(pool))] if pool else []
+    order: tuple[int, ...] = ()
     nodes_spent: list[int] = []
     for i, ((x1, x2), (y1, y2)) in enumerate(req.pairs):
         image: dict[int, int] = {f0: x1, f1: x2, t0: y1, t1: y2}
@@ -181,6 +196,8 @@ def _direct_connect(
         if not fixed_ok:
             nodes_spent.append(0)
             continue
+        if free and not order:
+            order = _reservoir_order(seed, pool)
         taken: set[int] = set()
         nodes = 0
 

@@ -120,16 +120,50 @@ class CertificateCheck:
     missing: tuple[int, int] | None
 
 
+WITNESS_KINDS = ("low-degree", "independent-set")
+
+
+@dataclass(frozen=True)
+class InfeasibilityWitness:
+    """A checkable proof that a host holds no square Hamilton cycle.
+
+    ``low-degree``: ``vertices`` is one vertex of degree below 4; for
+    ``n >= 5`` the square of ``C_n`` is 4-regular.  ``independent-set``:
+    ``vertices`` is an independent set of more than ``n // 3`` vertices; the
+    square of ``C_n`` has independence number ``n // 3``.
+    """
+
+    kind: str
+    vertices: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.kind not in WITNESS_KINDS:
+            raise InputError(f"unknown witness kind {self.kind!r}")
+
+
+@dataclass(frozen=True)
+class WitnessCheck:
+    """Verification outcome; on failure ``reason`` says what does not hold."""
+
+    ok: bool
+    reason: str | None
+
+
 @dataclass(frozen=True)
 class FailureReport:
     """Where and why a pipeline run stopped.
 
     ``stage`` is one of :data:`STAGES`; ``diagnostics`` is stage-specific and
-    never empty.
+    never empty.  ``witness`` is set when the host provably holds no square
+    Hamilton cycle (see :func:`find_infeasibility_witness`); the report is
+    then a checkable "no", and ``stage`` names where the attempt that
+    preceded the proof stopped.  Otherwise it is ``None`` and the report
+    only says that the pipeline ran short.
     """
 
     stage: str
     diagnostics: dict
+    witness: InfeasibilityWitness | None = None
 
     def __post_init__(self) -> None:
         if self.stage not in STAGES:
@@ -168,7 +202,19 @@ def certificate_from_json_obj(obj: Mapping) -> Certificate:
 
 
 def failure_report_to_json_obj(report: FailureReport) -> dict:
-    return {"stage": report.stage, "diagnostics": jsonable(report.diagnostics)}
+    obj = {"stage": report.stage, "diagnostics": jsonable(report.diagnostics)}
+    if report.witness is not None:
+        obj["witness"] = jsonable(report.witness)
+    return obj
+
+
+def witness_from_json_obj(obj: Mapping) -> InfeasibilityWitness:
+    try:
+        return InfeasibilityWitness(
+            str(obj["kind"]), tuple(int(v) for v in obj["vertices"])
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed witness: {exc}") from exc
 
 
 def verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
@@ -199,6 +245,86 @@ def verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
             if not rows[u] >> v & 1:
                 return CertificateCheck(False, i, d, (min(u, v), max(u, v)))
     return CertificateCheck(True, None, None, None)
+
+
+def find_infeasibility_witness(g: Graph) -> InfeasibilityWitness | None:
+    """A cheap proof that ``g`` holds no square Hamilton cycle, if one shows.
+
+    First looks for a vertex of degree below 4 (a proof only for
+    ``n >= 5``), then grows a greedy minimum-degree independent set: the
+    alive vertex with the fewest alive neighbours (lowest index on ties)
+    joins it and its closed neighbourhood dies.  The set is returned only
+    if it holds more than ``n // 3`` vertices.  ``None`` proves nothing.
+    """
+    n = g.n
+    if n < 3:
+        return None
+    rows = g.rows
+    if n >= 5:
+        for v, row in enumerate(rows):
+            if row.bit_count() < 4:
+                return InfeasibilityWitness("low-degree", (v,))
+    alive = (1 << n) - 1
+    chosen: list[int] = []
+    while alive:
+        candidates = bits(alive)
+        v = min(candidates, key=lambda u: (rows[u] & alive).bit_count())
+        if rows[v] & alive:
+            chosen.append(v)
+            alive &= ~(rows[v] | 1 << v)
+            continue
+        # Taking an isolated vertex leaves every other degree as it was, so
+        # the greedy takes all isolated vertices next, lowest first.
+        isolated = [u for u in candidates if not rows[u] & alive]
+        chosen.extend(isolated)
+        alive &= ~mask_of(isolated)
+    if len(chosen) > n // 3:
+        return InfeasibilityWitness("independent-set", tuple(chosen))
+    return None
+
+
+def verify_witness(g: Graph, w: InfeasibilityWitness) -> WitnessCheck:
+    """Check that ``w`` proves ``g`` holds no square Hamilton cycle.
+
+    Returns:
+        A :class:`WitnessCheck`; on failure the reason names the vertex,
+        the adjacent pair or the size that breaks the proof.
+
+    Raises:
+        InputError: If the graph has fewer than 3 vertices, a vertex is out
+            of range or repeated, or a low-degree witness does not name
+            exactly one vertex.
+    """
+    n = g.n
+    if n < 3:
+        raise InputError("squares of Hamilton cycles need at least 3 vertices")
+    vs = w.vertices
+    g.check_vertices(vs)
+    if len(set(vs)) != len(vs):
+        raise InputError("witness vertices must be distinct")
+    rows = g.rows
+    if w.kind == "low-degree":
+        if len(vs) != 1:
+            raise InputError("a low-degree witness names exactly one vertex")
+        if n < 5:
+            return WitnessCheck(
+                False, f"the square of C_{n} is K_{n}, so degree proves nothing"
+            )
+        degree = rows[vs[0]].bit_count()
+        if degree >= 4:
+            return WitnessCheck(False, f"vertex {vs[0]} has degree {degree}")
+        return WitnessCheck(True, None)
+    if len(vs) <= n // 3:
+        return WitnessCheck(
+            False, f"{len(vs)} vertices, not more than n // 3 = {n // 3}"
+        )
+    members = mask_of(vs)
+    for v in vs:
+        inside = rows[v] & members
+        if inside:
+            u = (inside & -inside).bit_length() - 1
+            return WitnessCheck(False, f"vertices {v} and {u} are adjacent")
+    return WitnessCheck(True, None)
 
 
 @dataclass(frozen=True)
@@ -759,12 +885,15 @@ def find_square_ham(
     gamma_host: Graph | None = None,
     config: PipelineConfig = PipelineConfig(),
 ) -> Certificate | FailureReport:
-    """Find the square of a Hamilton cycle, or report the failing stage.
+    """Find the square of a Hamilton cycle, or report why there is none.
 
     Small instances delegate to exhaustive search.  Larger ones run the
     partition / absorber / covering / matching / connecting / absorption
-    pipeline, restarting with fresh randomness when a stage fails.  Every
-    returned certificate has passed :func:`verify_certificate`.
+    pipeline, restarting with fresh randomness when a stage fails.  After
+    the first attempt fails (at any stage but ``partition``), one
+    :func:`find_infeasibility_witness` search runs; if it finds a proof, the
+    restarts stop.  The search never runs before an attempt that could
+    certify, so certificates do not depend on it.
 
     Args:
         g: Host graph.
@@ -772,7 +901,11 @@ def find_square_ham(
         config: Pipeline tunables.
 
     Returns:
-        A verified :class:`Certificate` or a :class:`FailureReport`.
+        One of three outcomes: a :class:`Certificate` that has passed
+        :func:`verify_certificate`; a :class:`FailureReport` of the first
+        attempt whose ``witness`` passes :func:`verify_witness`; or the
+        last attempt's :class:`FailureReport`, with no witness, naming the
+        stage that ran short.
     """
     if gamma_host is not None:
         ok, offending = g.is_subgraph_of(gamma_host)
@@ -801,5 +934,9 @@ def find_square_ham(
         last = outcome
         if outcome.stage == "partition":
             break
+        if restart == 0:
+            witness = find_infeasibility_witness(g)
+            if witness is not None:
+                return dataclasses.replace(outcome, witness=witness)
     assert last is not None
     return last

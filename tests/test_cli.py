@@ -103,6 +103,36 @@ def test_find_failure_emits_a_staged_report_with_exit_one(tmp_path, capsys) -> N
     assert "diagnostics" in payload
 
 
+def test_find_writes_a_witness_that_verify_checks(tmp_path, capsys) -> None:
+    host = write_graph(tmp_path, "host.edges", 100, 0.6, 1)
+    attacked = str(tmp_path / "attacked.edges")
+    assert run("attack", "--graph", host, "--gamma", "0.05", "--seed", "1",
+               "--format", "edgelist", "--out", attacked) == 0
+    report = tmp_path / "report.json"
+    assert run("find", "--graph", attacked, "--host", host, "--seed", "0",
+               "--out", str(report)) == 1
+    payload = json.loads(report.read_text())
+    assert payload["witness"]["kind"] == "independent-set"
+    assert run("verify", "--graph", attacked, "--certificate", str(report)) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    # Well-formed but wrong: the attacked class is not independent in the host.
+    assert run("verify", "--graph", host, "--certificate", str(report)) == 1
+    check = json.loads(capsys.readouterr().out)
+    assert check["ok"] is False and "adjacent" in check["reason"]
+    for witness in ({"kind": "independent-set", "vertices": [0, 0, 1]},
+                    {"kind": "independent-set", "vertices": [100]},
+                    {"kind": "odd-cycle", "vertices": [0]},
+                    {"vertices": [0]},
+                    None):
+        report.write_text(json.dumps(dict(payload, witness=witness)))
+        assert run("verify", "--graph", attacked, "--certificate", str(report)) == 2
+    # A report without a witness is not something verify can check.
+    del payload["witness"]
+    report.write_text(json.dumps(payload))
+    assert run("verify", "--graph", attacked, "--certificate", str(report)) == 2
+    capsys.readouterr()
+
+
 def test_find_reads_key_value_config_files(tmp_path) -> None:
     graph = write_graph(tmp_path, "g.edges", 100, 0.6, 12)
     config = tmp_path / "pipeline.cfg"

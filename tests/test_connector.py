@@ -216,3 +216,30 @@ def test_connect_all_keeps_job_interiors_disjoint(seed: int) -> None:
         interior = set(emb.vertices[2:-2])
         assert not interior & seen
         seen |= interior
+
+
+def test_reservoir_order_is_drawn_once_and_only_when_needed(monkeypatch) -> None:
+    draws = []
+    rng_for = connector.rng_for
+
+    def counting(*args):
+        draws.append(args)
+        return rng_for(*args)
+
+    monkeypatch.setattr(connector, "rng_for", counting)
+    connector._reservoir_order.cache_clear()
+    g = complete_graph(12).remove_edges([(1, 2)])
+    w = tuple(range(6, 12))
+    # Length 5 needs the port edge 1-2, so no job gets to a free label.
+    blocked = ConnectionRequest(pairs=(((0, 1), (2, 3)),), w=w, length=5)
+    res = connect_one(g, blocked, (), seed=4)
+    assert not res.ok and res.diagnostics["nodes_per_job"] == [0]
+    assert draws == []
+    # A sweep over lengths with one seed and one pool draws one shuffle.
+    for length in (6, 7, 8):
+        req = ConnectionRequest(pairs=(((0, 3), (4, 5)),), w=w, length=length)
+        assert connect_one(g, req, (), seed=4).ok
+    assert len(draws) == 1
+    connector._reservoir_order.cache_clear()
+    with pytest.raises(InputError):
+        connect_one(g, blocked, (), seed=-1)

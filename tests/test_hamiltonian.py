@@ -5,22 +5,26 @@ import json
 
 import pytest
 from hypothesis import given, settings
-from hypothesis.strategies import floats, integers, permutations
+from hypothesis.strategies import booleans, floats, integers, permutations
 
 from squareham import (
     Certificate,
     Graph,
     FailureReport,
+    InfeasibilityWitness,
     InputError,
     PipelineConfig,
     brute_force_square_ham,
     complete_graph,
+    find_infeasibility_witness,
     find_square_ham,
     gnp_generate,
+    hamiltonian,
     is_square_cycle,
     is_square_path,
     k3_attack,
     verify_certificate,
+    verify_witness,
 )
 from squareham.hamiltonian import (
     STAGES,
@@ -30,9 +34,10 @@ from squareham.hamiltonian import (
     cover_with_square_paths,
     failure_report_to_json_obj,
     match_leftover,
+    witness_from_json_obj,
 )
 
-from strategies import gnp_graphs
+from strategies import gnp_graphs, seeds
 
 
 def square_cycle_host(n: int) -> Graph:
@@ -275,8 +280,13 @@ def test_default_config_outputs_are_pinned() -> None:
         attacked, gamma_host=host, config=PipelineConfig(seed=0)
     )
     assert isinstance(outcome, FailureReport)
+    assert verify_witness(attacked, outcome.witness).ok
+    # The first attempt's report, with the witness that ended the restarts.
+    assert outcome_digest(dataclasses.replace(outcome, witness=None)) == (
+        "86cbd89900c535be944d4536005d3670ebfebfda085ac74adbcb8ccbe408750d"
+    )
     assert outcome_digest(outcome) == (
-        "cb8fac897c05ded3fb65b43acd4860dcd927bd709f8fa24bbf65e803c2c8fa95"
+        "2c45abc8fd886705b7c98a34273d04d470b72669dae204137be8da9fce073619"
     )
 
 
@@ -305,3 +315,142 @@ def test_certificate_and_failure_serialization_round_trip() -> None:
         FailureReport("no-such-stage", {"a": 1})
     with pytest.raises(InputError):
         FailureReport("covering", {})
+
+
+@settings(max_examples=150)
+@given(gnp_graphs(min_n=1, max_n=11))
+def test_witnesses_appear_only_on_hosts_without_a_square_cycle(g) -> None:
+    witness = find_infeasibility_witness(g)
+    if witness is None:
+        return
+    assert brute_force_square_ham(g).status == "none"
+    assert verify_witness(g, witness).ok
+
+
+def greedy_independent_set(g: Graph) -> list[int]:
+    """The minimum-degree greedy, one vertex per step, as a reference."""
+    rows, alive, chosen = g.rows, (1 << g.n) - 1, []
+    while alive:
+        v = min(
+            (u for u in range(g.n) if alive >> u & 1),
+            key=lambda u: (rows[u] & alive).bit_count(),
+        )
+        chosen.append(v)
+        alive &= ~(rows[v] | 1 << v)
+    return chosen
+
+
+@settings(max_examples=60)
+@given(gnp_graphs(min_n=5, max_n=60, min_p=0.3), seeds(), booleans())
+def test_witness_search_matches_the_one_step_greedy(g, seed, attack) -> None:
+    if attack:
+        g = k3_attack(g, 0.05, seed).attacked
+    witness = find_infeasibility_witness(g)
+    low = [v for v in range(g.n) if g.degree(v) < 4]
+    if low:
+        assert witness == InfeasibilityWitness("low-degree", (low[0],))
+        return
+    greedy = greedy_independent_set(g)
+    if len(greedy) > g.n // 3:
+        assert witness == InfeasibilityWitness("independent-set", tuple(greedy))
+    else:
+        assert witness is None
+
+
+def test_witness_search_prefers_a_low_degree_vertex() -> None:
+    g = complete_graph(9).remove_edges([(4, v) for v in (0, 5, 6, 7, 8)])
+    assert find_infeasibility_witness(g) == InfeasibilityWitness("low-degree", (4,))
+    assert find_infeasibility_witness(complete_graph(9)) is None
+    # Below n = 5 every vertex of the square of C_n has degree n - 1 < 4.
+    assert find_infeasibility_witness(complete_graph(4)) is None
+
+
+def test_witness_verification_rejects_broken_proofs() -> None:
+    # Vertices 0..3 are isolated; 4..9 form a clique.
+    g = Graph(10, [(u, v) for u in range(4, 10) for v in range(u + 1, 10)])
+    assert verify_witness(g, InfeasibilityWitness("independent-set", (0, 1, 2, 3))).ok
+    assert verify_witness(g, InfeasibilityWitness("low-degree", (0,))).ok
+    wrong = [
+        InfeasibilityWitness("independent-set", (0, 1, 2, 4, 5)),  # adjacent pair
+        InfeasibilityWitness("independent-set", (0, 1, 2)),  # 3 <= 10 // 3
+        InfeasibilityWitness("low-degree", (4,)),  # degree 5
+    ]
+    for witness in wrong:
+        check = verify_witness(g, witness)
+        assert not check.ok and check.reason
+    # The square of C_4 is K_4, so degree 0 proves nothing there.
+    tiny = Graph(4, [(1, 2), (2, 3), (1, 3)])
+    assert not verify_witness(tiny, InfeasibilityWitness("low-degree", (0,))).ok
+    malformed = [
+        InfeasibilityWitness("independent-set", (0, 1, 2, 2)),  # repeated
+        InfeasibilityWitness("independent-set", (0, 1, 2, 10)),  # out of range
+        InfeasibilityWitness("independent-set", (-1, 0, 1, 2)),
+        InfeasibilityWitness("low-degree", (0, 1)),
+    ]
+    for witness in malformed:
+        with pytest.raises(InputError):
+            verify_witness(g, witness)
+    with pytest.raises(InputError):
+        InfeasibilityWitness("odd-cycle", (0,))
+    with pytest.raises(InputError):
+        verify_witness(Graph(2, []), InfeasibilityWitness("low-degree", (0,)))
+
+
+def test_witness_json_round_trip() -> None:
+    witness = InfeasibilityWitness("independent-set", (3, 0, 7))
+    report = FailureReport("connecting", {"a": 1}, witness)
+    obj = json.loads(json.dumps(failure_report_to_json_obj(report)))
+    assert obj["witness"] == {"kind": "independent-set", "vertices": [3, 0, 7]}
+    assert witness_from_json_obj(obj["witness"]) == witness
+    assert "witness" not in failure_report_to_json_obj(
+        FailureReport("connecting", {"a": 1})
+    )
+    for bad in (None, {}, {"kind": "low-degree"}, {"kind": "x", "vertices": [1]},
+                {"kind": "low-degree", "vertices": ["a"]}):
+        with pytest.raises(InputError):
+            witness_from_json_obj(bad)
+
+
+def record_attempts(monkeypatch) -> list[int]:
+    restarts: list[int] = []
+    attempt = hamiltonian._attempt
+
+    def recording(g, config, restart):
+        restarts.append(restart)
+        return attempt(g, config, restart)
+
+    monkeypatch.setattr(hamiltonian, "_attempt", recording)
+    return restarts
+
+
+def test_attacked_hosts_stop_after_one_attempt_with_a_witness(monkeypatch) -> None:
+    host = gnp_generate(100, 0.6, 1)
+    attacked = k3_attack(host, 0.05, 1).attacked
+    restarts = record_attempts(monkeypatch)
+    outcome = find_square_ham(attacked, host, PipelineConfig(seed=0))
+    assert restarts == [0]
+    assert isinstance(outcome, FailureReport)
+    assert outcome.witness.kind == "independent-set"
+    assert verify_witness(attacked, outcome.witness).ok
+    assert not verify_witness(host, outcome.witness).ok
+
+
+# Seed 0 fails all 8 restarts; seed 1 certifies at restart 3.
+@pytest.mark.parametrize("seed, attempts", [(0, 8), (1, 4)])
+def test_gnp_restarts_are_untouched_by_the_witness_search(
+    monkeypatch, seed, attempts
+) -> None:
+    g = gnp_generate(200, 0.5, 0)
+    config = PipelineConfig(seed=seed)
+    expected = []
+    for restart in range(config.restarts):
+        expected.append(hamiltonian._attempt(g, config, restart))
+        if isinstance(expected[-1], Certificate):
+            break
+    assert len(expected) == attempts
+    restarts = record_attempts(monkeypatch)
+    outcome = find_square_ham(g, config=config)
+    assert restarts == list(range(len(expected)))
+    assert outcome == expected[-1]
+    if isinstance(outcome, FailureReport):
+        assert outcome.witness is None

@@ -1,9 +1,11 @@
 import ast
+import json
 from pathlib import Path
 
 import pytest
 
 import squareham
+from squareham.hamiltonian import STAGES
 
 # ``__init__.py`` is left out: its imports are the package's re-exports.
 MODULES = sorted(
@@ -76,3 +78,12 @@ def test_pipeline_modules_never_call_neighbors(name: str) -> None:
         and node.func.attr == "neighbors"
     ]
     assert calls == [], f"{name}.py calls .neighbors(): {calls}"
+
+
+def test_benchmark_gates_one_failure_metric_per_stage() -> None:
+    # perfbench names its per-layer failure counters after STAGES; a stage
+    # added without a gated metric in BENCHMARK.json would go unmeasured.
+    spec = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+    names = {m["name"] for m in json.loads(spec.read_text())["per_layer"]}
+    gated = {name for name in names if name.startswith("hamiltonian.fail.")}
+    assert gated == {f"hamiltonian.fail.{stage}" for stage in STAGES}
