@@ -90,14 +90,16 @@ class AbsorberUnit:
         return frozenset(verts)
 
     def traversal(self, mode: str) -> tuple[int, ...]:
+        # absorber_traversal checks the block count; every token it emits
+        # names a slot inside the backbone, so the labels are indexed directly.
         tokens = absorber_traversal(self.blocks, self.junctions, self.x, mode)
-        out = []
-        for tok in tokens:
-            if isinstance(tok, SlotToken):
-                out.append(self.slot(tok.block, tok.slot))
-            else:
-                out.append(tok)
-        return tuple(out)
+        slots = self.backbone.vertices
+        return tuple(
+            slots[4 * (tok.block - 1) + tok.slot - 1]
+            if isinstance(tok, SlotToken)
+            else tok
+            for tok in tokens
+        )
 
 
 @dataclass(frozen=True)
@@ -205,20 +207,20 @@ def _connect_with_fallback(
     frm: tuple[int, int],
     to: tuple[int, int],
     reservoir: Sequence[int],
-    exclude: set[int],
+    exclude: AbstractSet[int],
     seed: int,
 ) -> ConnectResult:
     """Shortest connection first, lengthening one vertex at a time.
 
     Sweeping lengths 4..8 (zero to four interior vertices) keeps reservoir
     consumption minimal: most jobs close with zero or one interior vertex,
-    so the reservoir survives many jobs.
+    so the reservoir survives many jobs.  The reservoir less ``exclude`` is
+    filtered once for all five lengths.
     """
+    w = tuple(v for v in reservoir if v not in exclude)
     for length in range(4, 9):
-        req = ConnectionRequest(
-            pairs=((frm, to),), w=tuple(reservoir), b=1, length=length
-        )
-        res = connect_one(g, req, exclude, seed * 31)
+        req = ConnectionRequest(pairs=((frm, to),), w=w, b=1, length=length)
+        res = connect_one(g, req, (), seed * 31)
         if res.ok:
             break
     return res
@@ -246,15 +248,18 @@ def complete_absorbers(
     for uidx, rec in enumerate(records):
         unit = None
         last_diag: dict = {}
+        # Both reservoirs less the finished units (and this absorbee),
+        # filtered once per unit.
+        req = ConnectionRequest(
+            pairs=(((rec.u2, rec.u1), (rec.v2, rec.v1)),),
+            w=tuple(v for v in w5 if v not in used),
+            b=2,
+            length=4 * config.blocks,
+        )
+        w6_free = [v for v in w6 if v not in used and v != rec.x]
         for attempt in range(max(1, config.unit_retries)):
             base = config.seed * 100_003 + uidx * 1_009 + attempt * 17
-            req = ConnectionRequest(
-                pairs=(((rec.u2, rec.u1), (rec.v2, rec.v1)),),
-                w=tuple(w5),
-                b=2,
-                length=4 * config.blocks,
-            )
-            res = connect_one(g, req, used, base)
+            res = connect_one(g, req, (), base)
             if not res.ok:
                 last_diag = {"phase": "backbone", "connect": res.diagnostics}
                 continue
@@ -269,12 +274,7 @@ def complete_absorbers(
                 frm = (lab(i, 3), lab(i, 4))
                 to = (lab(i + 1, 1), lab(i + 1, 2))
                 jres = _connect_with_fallback(
-                    g,
-                    frm,
-                    to,
-                    w6,
-                    used | taken | {rec.x},
-                    base + 7 * i,
+                    g, frm, to, w6_free, taken, base + 7 * i
                 )
                 if not jres.ok:
                     wired = False
@@ -371,6 +371,7 @@ def chain_absorbers(
     units: list[AbsorberUnit] = []
     links: list[tuple[int, ...]] = []
     used: set[int] = set()
+    w7_free = [v for v in w7 if v not in body]
     for i, a in enumerate(absorbers):
         units.extend(a.units)
         links.extend(a.links)
@@ -379,12 +380,7 @@ def chain_absorbers(
         frm = a.exit
         to = absorbers[i + 1].entry
         res = _connect_with_fallback(
-            g,
-            frm,
-            to,
-            w7,
-            used | body,
-            config.seed * 9_176 + i * 13,
+            g, frm, to, w7_free, used, config.seed * 9_176 + i * 13
         )
         if not res.ok:
             return None, BuildFailure(

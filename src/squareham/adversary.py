@@ -84,12 +84,12 @@ def k3_attack(gamma_graph: Graph, gamma, seed: int) -> AttackResult:
     v1 = tuple(sorted(int(v) for v in chosen))
     v1_mask = mask_of(v1)
     rows = gamma_graph.rows
-    removed = [(u, v) for u in v1 for v in bits(rows[u] & v1_mask) if u < v]
-    attacked = gamma_graph.remove_edges(removed)
+    removed = sum((rows[u] & v1_mask).bit_count() for u in v1) // 2
+    attacked = gamma_graph.remove_edges_within(v1)
     for u in v1:
         assert not attacked.rows[u] & v1_mask, "attack left an internal edge"
     v2 = tuple(v for v in range(n) if not v1_mask >> v & 1)
-    return AttackResult(v1, v2, attacked, len(removed))
+    return AttackResult(v1, v2, attacked, removed)
 
 
 @dataclass(frozen=True)

@@ -117,38 +117,37 @@ def connect_one(
     # The reservoir shuffle is drawn lazily, so check the seed up front.
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
-    xs = set(x)
     ports = {v for (a, c) in req.pairs for v in (*a, *c)}
-    pool = tuple(sorted(set(req.w) - xs - ports))
-    g.check_vertices(pool)
-    cfg = {
-        "b": req.b,
-        "length": req.length,
-        "pairs": len(req.pairs),
-        "pool": len(pool),
-        "seed": seed,
-    }
-    return _direct_connect(g, req, pool, seed, cfg)
+    pool = tuple(sorted(set(req.w).difference(x, ports)))
+    if pool:
+        g.check_vertex(pool[0])
+        g.check_vertex(pool[-1])
+    return _direct_connect(g, req, pool, seed)
 
 
 @functools.cache
-def _template(
-    b: int, length: int
-) -> tuple[Gadget, tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The target gadget, its free labels in ascending order, and for each
-    free label the template neighbours already placed when it is filled."""
+def _template(b: int, length: int) -> tuple[
+    Gadget,
+    tuple[tuple[int, int], ...],
+    tuple[int, ...],
+    tuple[tuple[int, ...], ...],
+]:
+    """The target gadget, its edges between two port labels, its free labels
+    in ascending order, and for each free label the template neighbours
+    already placed when it is filled."""
     if b == 1:
         gadget = build_gadget(SQUARE_PATH, length=length)
     else:
         gadget = build_gadget(BACKBONE, blocks=length // 4)
     fixed = {*gadget.port_from, *gadget.port_to}
+    fixed_edges = tuple((a, c) for a, c in gadget.edges if a in fixed and c in fixed)
     free = tuple(lab for lab in range(gadget.labels) if lab not in fixed)
     back_nbrs: dict[int, list[int]] = {lab: [] for lab in free}
     for a, c in gadget.edges:
         for lab, other in ((a, c), (c, a)):
             if lab in back_nbrs and (other not in back_nbrs or other < lab):
                 back_nbrs[lab].append(other)
-    return gadget, free, tuple(tuple(back_nbrs[lab]) for lab in free)
+    return gadget, fixed_edges, free, tuple(tuple(back_nbrs[lab]) for lab in free)
 
 
 @functools.lru_cache(maxsize=8)
@@ -159,7 +158,7 @@ def _reservoir_order(seed: int, pool: tuple[int, ...]) -> tuple[int, ...]:
     absorber's junctions asks for the same order once per length.
     """
     perm = rng_for(seed, 13).permutation(len(pool)).tolist()
-    return tuple(pool[i] for i in perm)
+    return tuple(map(pool.__getitem__, perm))
 
 
 def _direct_connect(
@@ -167,7 +166,6 @@ def _direct_connect(
     req: ConnectionRequest,
     pool: tuple[int, ...],
     seed: int,
-    cfg: dict,
     budget: int = 100_000,
 ) -> ConnectResult:
     """Fill the target template by backtracking over the reservoir.
@@ -178,8 +176,7 @@ def _direct_connect(
     which is one bit test against the AND of their rows.  Each job gets its
     own node budget.
     """
-    cfg = dict(cfg, route="direct")
-    gadget, free, back_nbrs = _template(req.b, req.length)
+    gadget, fixed_edges, free, back_nbrs = _template(req.b, req.length)
     f0, f1 = gadget.port_from
     t0, t1 = gadget.port_to
     rows = g.rows
@@ -188,12 +185,7 @@ def _direct_connect(
     for i, ((x1, x2), (y1, y2)) in enumerate(req.pairs):
         image: dict[int, int] = {f0: x1, f1: x2, t0: y1, t1: y2}
         # Edges between two fixed labels beyond the port edges must also hold.
-        fixed_ok = all(
-            rows[image[a]] >> image[b] & 1
-            for a, b in gadget.edges
-            if a in image and b in image
-        )
-        if not fixed_ok:
+        if not all(rows[image[a]] >> image[c] & 1 for a, c in fixed_edges):
             nodes_spent.append(0)
             continue
         if free and not order:
@@ -232,6 +224,14 @@ def _direct_connect(
         nodes_spent.append(nodes)
         if verts is not None:
             return _success(g, req, i, Embedding(gadget, verts))
+    cfg = {
+        "b": req.b,
+        "length": req.length,
+        "pairs": len(req.pairs),
+        "pool": len(pool),
+        "seed": seed,
+        "route": "direct",
+    }
     return ConnectResult(
         False, None, None, {"config": cfg, "nodes_per_job": nodes_spent}
     )

@@ -290,9 +290,13 @@ def is_square_path(g: Graph, seq: Sequence[int]) -> ValidationResult:
         return ValidationResult(False, "sequence repeats a vertex")
     g.check_vertices(seq)
     rows = g.rows
-    for u, v in square_path_pairs(seq):
-        if not rows[u] >> v & 1:
-            return ValidationResult(False, f"missing edge ({u}, {v})")
+    # The pairs of square_path_pairs, in its order, read straight off the rows.
+    for i, u in enumerate(seq):
+        row = rows[u]
+        for v in seq[i + 1 : i + 3]:
+            if not row >> v & 1:
+                a, b = _norm(u, v)
+                return ValidationResult(False, f"missing edge ({a}, {b})")
     return ValidationResult(True, None)
 
 

@@ -12,8 +12,12 @@ between bitsets and ascending vertex lists.  Graphs from outside edges go
 through the validating :class:`Graph` constructor; :func:`gnp_generate`
 packs its rows from one boolean matrix, and graphs derived from another
 graph (edge deletion) are built from the parent's rows.  Every codegree and
-triangle count comes from one ``A·A`` product, :func:`codegrees`, over the
-matrix unpacked from the rows.
+triangle count comes from one ``A·A`` product over the matrix unpacked from
+the rows, squared in float32 by BLAS.  That is exact: every entry of ``A·A``
+is an integer of at most ``n``, and float32 holds every integer below 2^24
+exactly (a graph on 2^24 vertices would need a 256 TiB matrix).  A triangle
+count sums a row of such entries, which can pass 2^24, so those sums are
+accumulated in float64 (exact below 2^53).
 """
 
 from __future__ import annotations
@@ -172,6 +176,22 @@ class Graph:
         rows = (row & ~drop[u] if u in drop else row for u, row in enumerate(self._rows))
         return Graph._from_rows(tuple(rows))
 
+    def remove_edges_within(self, vs: Collection[int]) -> "Graph":
+        """A copy of this graph with every edge inside ``vs`` deleted.
+
+        Rows outside ``vs`` are shared with this graph; rows inside are
+        ANDed with the complement of ``vs``.
+
+        Raises:
+            InputError: If an entry of ``vs`` is not a vertex.
+        """
+        self.check_vertices(vs)
+        outside = ~mask_of(vs)
+        rows = list(self._rows)
+        for u in vs:
+            rows[u] &= outside
+        return Graph._from_rows(tuple(rows))
+
     def is_subgraph_of(self, other: "Graph") -> tuple[bool, tuple[int, int] | None]:
         """Whether every edge of this graph is an edge of ``other`` (same n).
 
@@ -224,6 +244,9 @@ def complete_graph(n: int) -> Graph:
 
 # -- seeded generation ----------------------------------------------------
 
+#: Most uniforms :func:`gnp_generate` draws at once (512 KB of float64s).
+_GNP_DRAW_CAP = 1 << 16
+
 
 def gnp_generate(n: int, p: float, seed: int) -> Graph:
     """Binomial random graph G(n, p) from a deterministic seeded stream.
@@ -242,10 +265,20 @@ def gnp_generate(n: int, p: float, seed: int) -> Graph:
         raise InputError(f"p must lie in [0, 1], got {p}")
     rng = rng_for(seed, 0)
     # Vertex u draws n - 1 - u uniforms for the pairs (u, u+1..n-1), in
-    # vertex order; that draw order fixes which graph a seed gives.
+    # vertex order; that draw order fixes which graph a seed gives.  Runs of
+    # consecutive rows share one draw of at most _GNP_DRAW_CAP uniforms (a
+    # longer row gets a draw of its own), which is the same stream; boolean
+    # mask assignment fills the rows' upper parts in that row-major order.
     m = np.zeros((n, n), dtype=bool)
-    for u in range(n - 1):
-        m[u, u + 1 :] = rng.random(n - 1 - u) < p
+    cols = np.arange(n)
+    u = 0
+    while u < n - 1:
+        v, count = u + 1, n - 1 - u
+        while v < n - 1 and count + n - 1 - v <= _GNP_DRAW_CAP:
+            count += n - 1 - v
+            v += 1
+        m[u:v][cols > cols[u:v, None]] = rng.random(count) < p
+        u = v
     m |= m.T
     packed = np.packbits(m, axis=1, bitorder="little")
     return Graph._from_rows(tuple(int.from_bytes(r.tobytes(), "little") for r in packed))
@@ -309,26 +342,41 @@ def edges_within(g: Graph, s: Iterable[int]) -> int:
     return sum((rows[u] & mask).bit_count() for u in ss) // 2
 
 
+def _square(g: Graph) -> np.ndarray:
+    """``A·A`` as float32, every entry an exact integer (see the module notes).
+
+    This is the only matrix product in the package.
+    """
+    a = g.matrix.astype(np.float32)
+    return a @ a
+
+
 def codegrees(g: Graph) -> np.ndarray:
     """Common-neighbour counts of all pairs, from one ``A·A`` product.
+
+    The product runs in float32 and is exact: each entry is an integer of at
+    most ``n``, below 2^24, so every partial sum is representable.
 
     Returns:
         An ``int64`` matrix ``c`` with ``c[u, v] = |N(u) & N(v)|``: for an
         edge ``uv`` that is the number of triangles on it.  The diagonal
         holds the degrees.
     """
-    a = g.matrix.astype(np.float64)
-    return (a @ a).astype(np.int64)
+    return _square(g).astype(np.int64)
 
 
 def triangle_profile(g: Graph) -> np.ndarray:
     """Per-vertex triangle counts, computed in bulk.
 
+    Reads the same exact float32 ``A·A`` as :func:`codegrees`; each row sum
+    (at most ``n^2``) is accumulated in float64, which is exact below 2^53.
+
     Returns:
         An ``int64`` array ``t`` with ``t[v]`` the number of triangles at ``v``;
         ``t.sum()`` equals three times the total triangle count.
     """
-    return (codegrees(g) * g.matrix).sum(axis=1) // 2
+    on_edges = (_square(g) * g.matrix).sum(axis=1, dtype=np.float64)
+    return on_edges.astype(np.int64) // 2
 
 
 # -- family membership -----------------------------------------------------

@@ -658,17 +658,17 @@ def _cascade_connect(
     g: Graph,
     frm: tuple[int, int],
     to: tuple[int, int],
-    pool: Sequence[int],
-    exclude: set[int],
+    pool: tuple[int, ...],
     seed: int,
     lengths: Sequence[int],
 ) -> tuple[int, ...] | None:
-    """Shortest-first connection attempts; returns the interior or None."""
+    """Shortest-first connection attempts through ``pool``; returns the
+    interior or None."""
     if len({*frm, *to}) != 4:
         return None
     for k, length in enumerate(lengths):
-        req = ConnectionRequest(pairs=((frm, to),), w=tuple(pool), b=1, length=length)
-        res = connect_one(g, req, exclude, seed * 37 + k)
+        req = ConnectionRequest(pairs=((frm, to),), w=pool, b=1, length=length)
+        res = connect_one(g, req, (), seed * 37 + k)
         if res.ok:
             return tuple(
                 v for v in res.embedding.vertices if v not in (*frm, *to)
@@ -726,10 +726,9 @@ def _assemble_cycle(
         nodes += 1
         if _direct_arc(g, cur, to):
             return ()
-        pool = [v for v in fuel if v not in consumed]
+        pool = tuple(v for v in fuel if v not in consumed)
         return _cascade_connect(
-            g, cur, to, pool, set(consumed), seed * 7919 + salt,
-            config.assembly_lengths,
+            g, cur, to, pool, seed * 7919 + salt, config.assembly_lengths
         )
 
     def dfs(

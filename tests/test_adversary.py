@@ -24,7 +24,7 @@ from squareham.adversary import (
     experiment_report_to_csv,
     resilience_experiment,
 )
-from squareham.graphcore import Graph
+from squareham.graphcore import Graph, edges_within
 
 from strategies import gnp_graphs
 
@@ -56,6 +56,15 @@ def test_attack_removes_exactly_the_internal_edges(seed: int) -> None:
     assert set(res.attacked.edges()) == set(g.edges()) - internal
     for u, v in res.attacked.edges():
         assert not (u in v1 and v in v1)
+
+
+@given(integers(min_value=0, max_value=200))
+def test_attack_deletes_the_class_pairs_and_shares_every_other_row(seed: int) -> None:
+    g = gnp_generate(70, 0.6, seed)
+    res = k3_attack(g, 0.05, seed)
+    assert res.attacked == g.remove_edges(itertools.combinations(res.v1, 2))
+    assert res.removed_edge_count == edges_within(g, res.v1)
+    assert all(res.attacked.rows[v] is g.rows[v] for v in res.v2)
 
 
 @given(integers(min_value=0, max_value=200))

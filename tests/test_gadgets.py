@@ -20,6 +20,9 @@ from squareham.gadgets import (
     interleave_offset,
     square_path_pairs,
 )
+from squareham.graphcore import rng_for
+
+from strategies import gnp_graphs, seeds
 
 
 def square_path_edge_oracle(length: int) -> set[tuple[int, int]]:
@@ -138,6 +141,16 @@ def test_square_path_pairs_lists_every_close_pair(length: int) -> None:
     assert {tuple(sorted(p)) for p in pairs} == {
         tuple(sorted(p)) for p in expected
     }
+
+
+@given(gnp_graphs(min_n=1, max_n=12, min_p=0.5), seeds())
+def test_square_path_check_names_the_first_missing_close_pair(g, seed: int) -> None:
+    seq = [int(v) for v in rng_for(seed, 2).permutation(g.n)]
+    missing = [p for p in square_path_pairs(seq) if not g.has_edge(*p)]
+    res = is_square_path(g, seq)
+    assert res.ok == (not missing)
+    if missing:
+        assert res.reason == f"missing edge ({missing[0][0]}, {missing[0][1]})"
 
 
 def test_validate_embedding_accepts_exact_image_and_flags_gaps() -> None:

@@ -17,6 +17,7 @@ from squareham import (
     rng_for,
     write_graph,
 )
+from squareham import graphcore
 from squareham.graphcore import (
     FamilyParams,
     bits,
@@ -73,6 +74,45 @@ def test_gnp_edges_are_pinned(n: int, p: float) -> None:
     assert hashlib.sha256(json.dumps(edges).encode()).hexdigest() == GNP_PINS[n, p]
 
 
+# The same digests for hosts whose uniforms span more than one draw block
+# (n = 400 needs 79,800 uniforms, n = 1000 needs 499,500); computed when
+# every row was drawn on its own.
+GNP_BLOCK_PINS = {
+    (400, 0.35): "0aa29117bb3bf7355a462889cb6e003ea5486cfa00d56e733d55cd39b088fd82",
+    (1000, 0.35): "b017c297e295b1720ed6fba0b08e6f3f461b1077b899b0c10458adc91e504ffa",
+    (1000, 0.5): "db59eeb2138633a73957c4e40d439ea85de62a3623eb86d8ae9f4c219c6163d7",
+}
+
+
+@pytest.mark.parametrize("n, p", sorted(GNP_BLOCK_PINS))
+def test_gnp_edges_are_pinned_across_draw_blocks(n: int, p: float) -> None:
+    assert n * (n - 1) // 2 > graphcore._GNP_DRAW_CAP
+    edges = gnp_generate(n, p, 11).edges()
+    assert hashlib.sha256(json.dumps(edges).encode()).hexdigest() == GNP_BLOCK_PINS[n, p]
+
+
+def _gnp_row_by_row(n: int, p: float, seed: int) -> Graph:
+    rng = rng_for(seed, 0)
+    return Graph(
+        n,
+        [
+            (u, u + 1 + int(i))
+            for u in range(n - 1)
+            for i in np.flatnonzero(rng.random(n - 1 - u) < p)
+        ],
+    )
+
+
+@pytest.mark.parametrize("cap", [1, 5, 17, 64])
+@given(seeds(), integers(min_value=0, max_value=24))
+def test_gnp_draw_blocks_replay_the_row_by_row_stream(cap: int, seed: int, n: int) -> None:
+    # Small caps put block boundaries everywhere, rows longer than the cap
+    # included.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphcore, "_GNP_DRAW_CAP", cap)
+        assert gnp_generate(n, 0.5, seed) == _gnp_row_by_row(n, 0.5, seed)
+
+
 @given(seeds(), integers(min_value=1, max_value=30))
 def test_gnp_extreme_probabilities(seed: int, n: int) -> None:
     assert gnp_generate(n, 0.0, seed).edge_count == 0
@@ -108,6 +148,36 @@ def test_complete_graph_has_all_pairs(n: int) -> None:
 def test_triangle_profile_matches_per_vertex_enumeration(g: Graph) -> None:
     profile = triangle_profile(g)
     assert list(profile) == [brute_triangles_at(g, v) for v in range(g.n)]
+
+
+def _int64_codegrees(g: Graph) -> np.ndarray:
+    a = g.matrix.astype(np.int64)
+    return a @ a
+
+
+@given(gnp_graphs(max_n=60))
+def test_float32_products_equal_an_int64_reference(g: Graph) -> None:
+    ref = _int64_codegrees(g)
+    c = codegrees(g)
+    assert c.dtype == np.int64 and (c == ref).all()
+    rows = g.rows
+    per_vertex = [
+        sum((rows[u] & rows[v]).bit_count() for u in bits(rows[v])) // 2
+        for v in range(g.n)
+    ]
+    t = triangle_profile(g)
+    assert t.dtype == np.int64 and t.tolist() == per_vertex
+    assert t.tolist() == ((ref * g.matrix).sum(axis=1) // 2).tolist()
+
+
+def test_float32_products_are_exact_on_k2000() -> None:
+    n = 2000
+    k = gnp_generate(n, 1.0, 0)
+    assert k.edge_count == n * (n - 1) // 2
+    c = codegrees(k)
+    assert (c.diagonal() == n - 1).all()
+    assert (c[~np.eye(n, dtype=bool)] == n - 2).all()
+    assert (triangle_profile(k) == math.comb(n - 1, 2)).all()
 
 
 @given(gnp_graphs(max_n=14))
@@ -160,6 +230,33 @@ def test_remove_edges_ignores_pairs_that_are_not_edges() -> None:
     assert h.edge_count == 2 and h.n == 4
     assert g.remove_edges([(0, 3), (2, 2), (0, 9), (-1, 0)]) == g
     assert g.edges() == ((0, 1), (1, 2), (2, 3))
+
+
+@given(gnp_graphs(max_n=40), seeds())
+def test_remove_edges_within_equals_removing_the_inside_pairs(g: Graph, seed: int) -> None:
+    rng = rng_for(seed, 5)
+    size = int(rng.integers(0, g.n + 1))
+    picks = [
+        [],
+        [int(rng.integers(g.n))],
+        list(range(g.n)),
+        sorted(int(v) for v in rng.choice(g.n, size=size, replace=False)),
+    ]
+    for vs in picks:
+        inside = set(vs)
+        h = g.remove_edges_within(vs)
+        assert h == g.remove_edges(itertools.combinations(vs, 2))
+        assert h.edge_count == g.edge_count - edges_within(g, vs)
+        assert all(h.rows[u] is g.rows[u] for u in range(g.n) if u not in inside)
+
+
+def test_remove_edges_within_rejects_vertices_outside_the_graph() -> None:
+    g = complete_graph(4)
+    assert g.remove_edges_within([]) == g
+    assert g.remove_edges_within([0, 3]).edges() == ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3))
+    for vs in ([4], [-1, 2]):
+        with pytest.raises(InputError):
+            g.remove_edges_within(vs)
 
 
 @given(gnp_graphs(min_n=2, max_n=16), seeds())

@@ -87,3 +87,34 @@ def test_benchmark_gates_one_failure_metric_per_stage() -> None:
     names = {m["name"] for m in json.loads(spec.read_text())["per_layer"]}
     gated = {name for name in names if name.startswith("hamiltonian.fail.")}
     assert gated == {f"hamiltonian.fail.{stage}" for stage in STAGES}
+
+
+def _matrix_products(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+            node.op, ast.MatMult
+        ):
+            found.append(f"line {node.lineno}: @")
+        elif isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot"):
+            found.append(f"line {node.lineno}: .{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "graphcore.py"], ids=lambda p: p.name
+)
+def test_only_graphcore_multiplies_matrices(path: Path) -> None:
+    # graphcore squares the adjacency matrix once, in float32, which is exact
+    # for integer entries of at most n; a second product elsewhere would
+    # have to repeat that argument.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _matrix_products(tree) == [], f"{path.name} multiplies matrices"
+
+
+def test_the_matrix_product_guard_sees_every_spelling() -> None:
+    spellings = ("a @ b", "a @= b", "np.matmul(a, b)", "np.dot(a, b)", "a.dot(b)")
+    for src in spellings:
+        assert _matrix_products(ast.parse(src)), src
+    graphcore = Path(squareham.__file__).parent / "graphcore.py"
+    assert len(_matrix_products(ast.parse(graphcore.read_text(encoding="utf-8")))) == 1
