@@ -5,7 +5,7 @@ Submodules:
         graphs built from their parent's rows), random generation packed
         from one boolean matrix, codegrees and triangle counts from one
         ``A·A`` product, family membership.
-    gadgets: square-path / pseudo-path / backbone templates and embeddings.
+    gadgets: square-path / backbone templates and embeddings.
     matching: Hall matching with a deficient-set witness.
     connector: pair-to-pair connection search over a reservoir.
     absorber: per-vertex absorbing structures, chaining, verification.

@@ -6,10 +6,16 @@ same fixed ordered endpoint pairs spanning every body vertex except ``X'``.
 It is assembled from one *unit* per absorbee — a five-vertex star core
 threaded onto a backbone, with square-path junctions between backbone blocks
 — and square-path links between consecutive units.
+
+The backbone, junction and link reservoirs travel as ``int`` bitsets: a
+unit's jobs draw from its reservoir less the finished units with one AND,
+and the connector tries the pool in a seeded shuffle of the whole ascending
+pool.  The public builders also accept vertex sequences.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
@@ -23,7 +29,7 @@ from .gadgets import (
     build_gadget,
     is_square_path,
 )
-from .graphcore import Graph, InputError, bits, mask_of
+from .graphcore import Graph, InputError, as_mask, bits, mask_of
 from .matching import BipartiteInstance, hall_saturating_matching
 
 
@@ -89,17 +95,26 @@ class AbsorberUnit:
             verts.update(interior)
         return frozenset(verts)
 
+    @functools.cached_property
+    def _walks(self) -> dict[str, tuple[int, ...]]:
+        return {}
+
     def traversal(self, mode: str) -> tuple[int, ...]:
-        # absorber_traversal checks the block count; every token it emits
-        # names a slot inside the backbone, so the labels are indexed directly.
-        tokens = absorber_traversal(self.blocks, self.junctions, self.x, mode)
-        slots = self.backbone.vertices
-        return tuple(
-            slots[4 * (tok.block - 1) + tok.slot - 1]
-            if isinstance(tok, SlotToken)
-            else tok
-            for tok in tokens
-        )
+        """The unit's square path in ``mode`` (built once per mode)."""
+        walk = self._walks.get(mode)
+        if walk is None:
+            # absorber_traversal checks the block count and the mode; every
+            # token it emits names a slot inside the backbone, so the labels
+            # are indexed directly.
+            tokens = absorber_traversal(self.blocks, self.junctions, self.x, mode)
+            slots = self.backbone.vertices
+            walk = self._walks[mode] = tuple(
+                slots[4 * (tok.block - 1) + tok.slot - 1]
+                if isinstance(tok, SlotToken)
+                else tok
+                for tok in tokens
+            )
+        return walk
 
 
 @dataclass(frozen=True)
@@ -206,21 +221,19 @@ def _connect_with_fallback(
     g: Graph,
     frm: tuple[int, int],
     to: tuple[int, int],
-    reservoir: Sequence[int],
-    exclude: AbstractSet[int],
+    pool: int,
     seed: int,
 ) -> ConnectResult:
     """Shortest connection first, lengthening one vertex at a time.
 
     Sweeping lengths 4..8 (zero to four interior vertices) keeps reservoir
     consumption minimal: most jobs close with zero or one interior vertex,
-    so the reservoir survives many jobs.  The reservoir less ``exclude`` is
-    filtered once for all five lengths.
+    so the reservoir survives many jobs.  All five lengths draw from the
+    same ``pool`` mask.
     """
-    w = tuple(v for v in reservoir if v not in exclude)
     for length in range(4, 9):
-        req = ConnectionRequest(pairs=((frm, to),), w=w, b=1, length=length)
-        res = connect_one(g, req, (), seed * 31)
+        req = ConnectionRequest(pairs=((frm, to),), w=pool, b=1, length=length)
+        res = connect_one(g, req, 0, seed * 31)
         if res.ok:
             break
     return res
@@ -229,42 +242,42 @@ def _connect_with_fallback(
 def complete_absorbers(
     g: Graph,
     records: Sequence[StarRecord],
-    w5: Sequence[int],
-    w6: Sequence[int],
+    w5: int | Iterable[int],
+    w6: int | Iterable[int],
     config: AbsorberConfig,
 ) -> tuple[tuple[Absorber, ...] | None, BuildFailure | None]:
     """Thread each star core onto a backbone and wire its block junctions.
 
     The backbone of each unit is grown through ``w5`` (its first block being
-    the star core), junction interiors through ``w6``.  A unit that cannot be
-    wired retries with a fresh backbone cut up to ``config.unit_retries``
-    times; reservoir vertices are retired as units succeed.  Each record
-    yields a single-vertex absorber.
+    the star core), junction interiors through ``w6``; both are bitsets or
+    vertex sequences.  A unit that cannot be wired retries with a fresh
+    backbone cut up to ``config.unit_retries`` times; reservoir vertices are
+    retired as units succeed.  Each record yields a single-vertex absorber.
     """
     if config.blocks < 2:
         raise InputError(f"absorber units need at least 2 blocks, got {config.blocks}")
+    w5, w6 = as_mask(w5), as_mask(w6)
     singles: list[Absorber] = []
-    used: set[int] = set()
+    used = 0
     for uidx, rec in enumerate(records):
         unit = None
         last_diag: dict = {}
-        # Both reservoirs less the finished units (and this absorbee),
-        # filtered once per unit.
+        # Both reservoirs less the finished units (and this absorbee).
         req = ConnectionRequest(
             pairs=(((rec.u2, rec.u1), (rec.v2, rec.v1)),),
-            w=tuple(v for v in w5 if v not in used),
+            w=w5 & ~used,
             b=2,
             length=4 * config.blocks,
         )
-        w6_free = [v for v in w6 if v not in used and v != rec.x]
+        w6_free = w6 & ~used & ~(1 << rec.x)
         for attempt in range(max(1, config.unit_retries)):
             base = config.seed * 100_003 + uidx * 1_009 + attempt * 17
-            res = connect_one(g, req, (), base)
+            res = connect_one(g, req, 0, base)
             if not res.ok:
                 last_diag = {"phase": "backbone", "connect": res.diagnostics}
                 continue
             backbone = res.embedding
-            taken = set(backbone.vertex_set())
+            taken = mask_of(backbone.vertices)
             interiors: list[tuple[int, ...]] = []
             wired = True
             for i in range(1, config.blocks):
@@ -274,7 +287,7 @@ def complete_absorbers(
                 frm = (lab(i, 3), lab(i, 4))
                 to = (lab(i + 1, 1), lab(i + 1, 2))
                 jres = _connect_with_fallback(
-                    g, frm, to, w6_free, taken, base + 7 * i
+                    g, frm, to, w6_free & ~taken, base + 7 * i
                 )
                 if not jres.ok:
                     wired = False
@@ -289,12 +302,12 @@ def complete_absorbers(
                     if v not in (*frm, *to)
                 )
                 interiors.append(interior)
-                taken |= set(interior)
+                taken |= mask_of(interior)
             if not wired:
                 continue
             unit = AbsorberUnit(rec, backbone, tuple(interiors))
             _audit_unit(g, unit)
-            used |= set(unit.vertex_set())
+            used |= mask_of(unit.vertex_set())
             break
         if unit is None:
             return None, BuildFailure(
@@ -349,29 +362,29 @@ def _audit_unit(g: Graph, unit: AbsorberUnit) -> None:
 def chain_absorbers(
     g: Graph,
     absorbers: Sequence[Absorber],
-    w7: Sequence[int],
+    w7: int | Iterable[int],
     config: AbsorberConfig,
 ) -> tuple[Absorber | None, BuildFailure | None]:
     """Join absorbers in order with square-path links into one absorber.
 
     Each link connects an absorber's exit pair to the next one's entry pair,
     directly when the three required host edges exist, otherwise through the
-    ``w7`` reservoir.  A single absorber is returned unchanged.
+    ``w7`` reservoir (a bitset or a vertex sequence).  A single absorber is
+    returned unchanged.
     """
     if not absorbers:
         raise InputError("an absorber needs at least one unit")
     if len(absorbers) == 1:
         return absorbers[0], None
-    body: set[int] = set()
+    body = 0
     for a in absorbers:
-        more = a.body()
+        more = mask_of(a.body())
         if body & more:
             raise InputError("absorbers to chain must be pairwise disjoint")
         body |= more
     units: list[AbsorberUnit] = []
     links: list[tuple[int, ...]] = []
-    used: set[int] = set()
-    w7_free = [v for v in w7 if v not in body]
+    free = as_mask(w7) & ~body
     for i, a in enumerate(absorbers):
         units.extend(a.units)
         links.extend(a.links)
@@ -380,7 +393,7 @@ def chain_absorbers(
         frm = a.exit
         to = absorbers[i + 1].entry
         res = _connect_with_fallback(
-            g, frm, to, w7_free, used, config.seed * 9_176 + i * 13
+            g, frm, to, free, config.seed * 9_176 + i * 13
         )
         if not res.ok:
             return None, BuildFailure(
@@ -394,7 +407,7 @@ def chain_absorbers(
             v for v in res.embedding.vertices if v not in (*frm, *to)
         )
         links.append(interior)
-        used |= set(interior)
+        free &= ~mask_of(interior)
     absorber = Absorber(tuple(units), tuple(links))
     return absorber, None
 

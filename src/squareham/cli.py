@@ -267,9 +267,7 @@ def _cmd_absorber_verify(args) -> tuple[int, str, dict]:
 
 
 def _cmd_gadget(args) -> tuple[int, str, dict]:
-    gadget = build_gadget(
-        args.kind, length=args.length, b=args.b, blocks=args.blocks
-    )
+    gadget = build_gadget(args.kind, length=args.length, blocks=args.blocks)
     meta = {"kind": args.kind}
     if args.format == "edgelist":
         return 0, graph_to_edgelist_text(Graph(gadget.labels, gadget.edges)), meta
@@ -396,10 +394,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gadget", help="dump a labeled template")
     p.add_argument(
-        "--kind", choices=("square-path", "pseudo-path", "backbone"), required=True
+        "--kind", choices=("square-path", "backbone"), required=True
     )
     p.add_argument("--length", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
     p.add_argument("--blocks", type=int, default=None)
     p.add_argument("--format", choices=("json", "edgelist"), default="json")
     common(p, seed=False)

@@ -5,6 +5,14 @@ whose entry and exit ports are two prescribed ordered host edges, with every
 other vertex drawn from a reservoir.  One seeded backtracking search fills
 the gadget template label by label; :func:`connect_all` runs it in greedy
 rounds so that the jobs of one request get pairwise disjoint interiors.
+
+Reservoirs travel as ``int`` bitsets: the pipeline hands each job its
+reservoir as one mask, and :func:`connect_one` takes away the exclusions
+and the ports with one AND.  The pool's vertices are listed once per
+distinct mask, and the search tries them in a seeded shuffle of the whole
+ascending pool, so a seed picks the same interior whichever form the
+reservoir came in.  Vertex sequences are still accepted for ``w`` and
+``x`` (the CLI and tests pass them).
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from .gadgets import (
     build_gadget,
     validate_embedding,
 )
-from .graphcore import Graph, InputError, rng_for
+from .graphcore import Graph, InputError, bits, mask_of, rng_for
 
 
 @dataclass(frozen=True)
@@ -31,7 +39,8 @@ class ConnectionRequest:
     Attributes:
         pairs: ``((from_pair, to_pair), ...)``; each pair is an ordered host
             edge, and the four vertices of one job are distinct.
-        w: Reservoir vertices the interiors are drawn from.
+        w: Reservoir the interiors are drawn from: a bitset (bit ``v``
+            set for vertex ``v``) or a sequence of vertices.
         b: Skip width; 1 builds square paths, 2 builds backbones.
         length: Total label count of the target gadget (``>= 4`` for width 1;
             a multiple of 4, at least 8, for width 2).
@@ -40,7 +49,7 @@ class ConnectionRequest:
     """
 
     pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    w: tuple[int, ...]
+    w: int | Sequence[int]
     b: int = 1
     length: int = 4
     retries: int = 3
@@ -95,14 +104,15 @@ def _validate_request(g: Graph, req: ConnectionRequest) -> None:
 def connect_one(
     g: Graph,
     req: ConnectionRequest,
-    x: Iterable[int],
+    x: int | Iterable[int],
     seed: int,
 ) -> ConnectResult:
     """Satisfy one job of a connection request from the reservoir.
 
     A seeded backtracking search fills each job's gadget template in turn;
     the first job that fits wins.  Interior vertices come only from
-    ``req.w`` minus ``x`` and the request's ports.
+    ``req.w`` minus ``x`` and the request's ports; ``x``, like ``req.w``, is
+    a bitset or a vertex sequence.
 
     Returns:
         A :class:`ConnectResult`; never raises for purely quantitative
@@ -117,12 +127,32 @@ def connect_one(
     # The reservoir shuffle is drawn lazily, so check the seed up front.
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
-    ports = {v for (a, c) in req.pairs for v in (*a, *c)}
-    pool = tuple(sorted(set(req.w).difference(x, ports)))
-    if pool:
-        g.check_vertex(pool[0])
-        g.check_vertex(pool[-1])
-    return _direct_connect(g, req, pool, seed)
+    # _validate_request has checked that every port is a vertex.
+    ports = mask_of(v for (a, c) in req.pairs for v in (*a, *c))
+    if isinstance(req.w, int) and isinstance(x, int):
+        pool_mask = req.w & ~(x | ports)
+    else:
+        # Exclusions go first, so an excluded vertex need not be one of g;
+        # mask_of rejects a negative vertex left in the pool.
+        free = _vertex_set(req.w).difference(_vertex_set(x), bits(ports))
+        pool_mask = mask_of(free)
+    if pool_mask < 0 or pool_mask >> g.n:
+        raise InputError(f"reservoir holds vertices outside 0..{g.n - 1}")
+    return _direct_connect(g, req, _listed(pool_mask), seed)
+
+
+def _vertex_set(vs: int | Iterable[int]) -> set[int]:
+    return set(bits(vs) if isinstance(vs, int) else vs)
+
+
+@functools.lru_cache(maxsize=8)
+def _listed(pool_mask: int) -> tuple[int, ...]:
+    """The pool's vertices in ascending order.
+
+    Cached for the last few masks: a short-first length sweep asks for the
+    same pool once per length.
+    """
+    return tuple(bits(pool_mask))
 
 
 @functools.cache
@@ -190,6 +220,8 @@ def _direct_connect(
             continue
         if free and not order:
             order = _reservoir_order(seed, pool)
+        # A set: a membership test is cheaper than a shift of a wide mask
+        # in the candidate loop, which is the search's inner loop.
         taken: set[int] = set()
         nodes = 0
 

@@ -6,9 +6,6 @@ that can be concatenated with others through its ports:
 
 * ``square-path``: the square of a path on ``length`` labels; every pair of
   labels at distance at most two along the path is an edge.
-* ``pseudo-path``: a square path whose odd-position back-edges skip ``b``
-  positions instead of one.  With ``b == 1`` this is exactly the square path;
-  with ``b == 2`` two of them can interleave into a backbone.
 * ``backbone``: ``blocks`` four-vertex blocks wired so that the structure can
   be traversed by square paths in two ways — one visiting an attached special
   vertex, one avoiding it — with identical endpoints.
@@ -25,7 +22,6 @@ from typing import Sequence, TypeVar
 from .graphcore import Graph, InputError
 
 SQUARE_PATH = "square-path"
-PSEUDO_PATH = "pseudo-path"
 BACKBONE = "backbone"
 
 T = TypeVar("T")
@@ -36,7 +32,7 @@ class Gadget:
     """A labeled template graph with ordered entry and exit ports.
 
     Attributes:
-        kind: One of ``square-path``, ``pseudo-path``, ``backbone``.
+        kind: ``square-path`` or ``backbone``.
         labels: Number of labels; labels are ``0..labels-1``.
         edges: Sorted tuple of label pairs ``(i, j)`` with ``i < j``.
         port_from: Ordered entry port (pair of labels).
@@ -56,28 +52,17 @@ def _norm(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def interleave_offset(k: int, b: int) -> int:
-    """Back-edge target for the label at 1-indexed position ``k + 1``.
-
-    Even positions always reach back one step; odd positions reach back ``b``
-    steps.  With ``b == 1`` this is the plain square-path rule.
-    """
-    return k - 1 if k % 2 == 0 else k - b
-
-
 def build_gadget(
     kind: str,
     *,
     length: int | None = None,
-    b: int | None = None,
     blocks: int | None = None,
 ) -> Gadget:
     """Construct a gadget template.
 
     Args:
-        kind: ``square-path`` (requires ``length >= 2``), ``pseudo-path``
-            (requires ``length >= 2`` and ``b`` in ``{1, 2}``), or
-            ``backbone`` (requires ``blocks >= 2``).
+        kind: ``square-path`` (requires ``length >= 2``) or ``backbone``
+            (requires ``blocks >= 2``).
 
     Returns:
         The template with its canonical ports.
@@ -101,30 +86,6 @@ def build_gadget(
             port_from=(0, 1),
             port_to=(length - 2, length - 1),
             params=(length,),
-        )
-    if kind == PSEUDO_PATH:
-        if length is None or length < 2:
-            raise InputError(f"pseudo-path needs length >= 2, got {length}")
-        if b not in (1, 2):
-            raise InputError(f"pseudo-path skip width must be 1 or 2, got {b}")
-        # 1-indexed construction: {u1,u2}, then each new u_i hangs on u_{i-1}
-        # and on u_{interleave_offset(i-1)}.
-        pairs: set[tuple[int, int]] = {(0, 1)}
-        for i in range(3, length + 1):
-            pairs.add(_norm(i - 2, i - 1))
-            back = interleave_offset(i - 1, b)
-            if back < 1:
-                raise InputError(
-                    f"pseudo-path with b={b} undefined at length {length}"
-                )
-            pairs.add(_norm(back - 1, i - 1))
-        return Gadget(
-            kind=PSEUDO_PATH,
-            labels=length,
-            edges=tuple(sorted(pairs)),
-            port_from=(0, 1),
-            port_to=(length - 2, length - 1),
-            params=(b, length),
         )
     if kind == BACKBONE:
         if blocks is None or blocks < 2:

@@ -8,7 +8,8 @@ floating point with a small absolute slack to absorb rounding.
 Each adjacency row is one Python ``int`` bitset (bit ``v`` of row ``u`` is
 the pair ``uv``), so "is ``v`` adjacent to every vertex of a placed set" is
 one AND of rows and one bit test; :func:`bits` and :func:`mask_of` convert
-between bitsets and ascending vertex lists.  Graphs from outside edges go
+between bitsets and ascending vertex lists, and :func:`nth_bit` picks one
+set bit without listing the others.  Graphs from outside edges go
 through the validating :class:`Graph` constructor; :func:`gnp_generate`
 packs its rows from one boolean matrix, and graphs derived from another
 graph (edge deletion) are built from the parent's rows.  Every codegree and
@@ -192,6 +193,20 @@ class Graph:
             rows[u] &= outside
         return Graph._from_rows(tuple(rows))
 
+    def remove_marked_edges(self, marked: np.ndarray) -> "Graph":
+        """A copy of this graph without the pairs set in ``marked``.
+
+        ``marked`` is a symmetric boolean ``n x n`` matrix.  Each row of it
+        is packed into one bitset; rows it leaves empty are shared with this
+        graph.
+        """
+        packed = np.packbits(marked, axis=1, bitorder="little")
+        rows = []
+        for row, drop in zip(self._rows, packed):
+            gone = int.from_bytes(drop.tobytes(), "little")
+            rows.append(row & ~gone if gone else row)
+        return Graph._from_rows(tuple(rows))
+
     def is_subgraph_of(self, other: "Graph") -> tuple[bool, tuple[int, int] | None]:
         """Whether every edge of this graph is an edge of ``other`` (same n).
 
@@ -223,18 +238,75 @@ class Graph:
         return f"Graph(n={self.n}, m={self._edge_count})"
 
 
+#: Most set bits :func:`bits` lists with a lowest-bit loop.  Both that loop
+#: (per bit) and the numpy unpacking (per call) cost time linear in the
+#: mask's width, so the crossover, about 24 bits, holds at every width.
+_SMALL_MASK_BITS = 24
+
+
 def bits(mask: int) -> list[int]:
     """The set bits of a non-negative ``mask``, in ascending order."""
+    if mask < 0:
+        raise InputError(f"a vertex mask must be non-negative, got {mask}")
+    if mask.bit_count() <= _SMALL_MASK_BITS:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
     raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), np.uint8)
     return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
 
 
+def nth_bit(mask: int, k: int) -> int:
+    """``bits(mask)[k]`` for ``0 <= k < mask.bit_count()``, without listing.
+
+    Halves the window around the wanted bit by the population count of its
+    lower half until it is one machine word wide, then clears the ``k``
+    lowest bits left.
+
+    Raises:
+        IndexError: If ``k`` is not the index of a set bit.
+    """
+    if not 0 <= k < mask.bit_count():
+        raise IndexError(f"bit index {k} out of range for {mask.bit_count()} set bits")
+    base = 0
+    width = mask.bit_length()
+    while width > 64:
+        half = width >> 1
+        low = mask & ((1 << half) - 1)
+        below = low.bit_count()
+        if k < below:
+            mask, width = low, half
+        else:
+            k -= below
+            mask >>= half
+            base += half
+            width -= half
+    for _ in range(k):
+        mask &= mask - 1
+    return base + (mask & -mask).bit_length() - 1
+
+
 def mask_of(vs: Iterable[int]) -> int:
-    """The bitset with bit ``v`` set for every ``v`` in ``vs`` (all ``>= 0``)."""
+    """The bitset with bit ``v`` set for every ``v`` in ``vs``.
+
+    Raises:
+        InputError: If an entry is negative.
+    """
     mask = 0
-    for v in vs:
-        mask |= 1 << v
+    try:
+        for v in vs:
+            mask |= 1 << v
+    except ValueError:
+        raise InputError(f"vertices must be non-negative, got {v}") from None
     return mask
+
+
+def as_mask(vs: int | Iterable[int]) -> int:
+    """``vs`` itself when it is already a bitset, else :func:`mask_of` of it."""
+    return vs if isinstance(vs, int) else mask_of(vs)
 
 
 def complete_graph(n: int) -> Graph:
@@ -375,7 +447,12 @@ def triangle_profile(g: Graph) -> np.ndarray:
         An ``int64`` array ``t`` with ``t[v]`` the number of triangles at ``v``;
         ``t.sum()`` equals three times the total triangle count.
     """
-    on_edges = (_square(g) * g.matrix).sum(axis=1, dtype=np.float64)
+    return _triangles(g, _square(g))
+
+
+def _triangles(g: Graph, sq: np.ndarray) -> np.ndarray:
+    """:func:`triangle_profile` of ``g`` from its square ``sq``."""
+    on_edges = (sq * g.matrix).sum(axis=1, dtype=np.float64)
     return on_edges.astype(np.int64) // 2
 
 

@@ -27,7 +27,15 @@ from .absorber import (
 )
 from .connector import ConnectionRequest, connect_one
 from .gadgets import is_square_path
-from .graphcore import Graph, InputError, bits, mask_of, random_partition, rng_for
+from .graphcore import (
+    Graph,
+    InputError,
+    bits,
+    mask_of,
+    nth_bit,
+    random_partition,
+    rng_for,
+)
 from .matching import BipartiteInstance, hall_saturating_matching
 
 STAGES = (
@@ -431,7 +439,7 @@ def almost_spanning_square_path(
         nbrs = rows[a] & vmask
         if not nbrs:
             continue
-        b = bits(nbrs)[int(rng.integers(nbrs.bit_count()))]
+        b = nth_bit(nbrs, int(rng.integers(nbrs.bit_count())))
         path = [a, b]
         # Target vertices not on the path yet.
         free = vmask & ~(1 << a | 1 << b)
@@ -444,10 +452,10 @@ def almost_spanning_square_path(
             # Feed the scarcer end first so neither side starves early.
             nf, nb = fwd.bit_count(), bwd.bit_count()
             if fwd and (not bwd or nf <= nb):
-                v = bits(fwd)[int(rng.integers(nf))]
+                v = nth_bit(fwd, int(rng.integers(nf)))
                 path.append(v)
             else:
-                v = bits(bwd)[int(rng.integers(nb))]
+                v = nth_bit(bwd, int(rng.integers(nb)))
                 path.insert(0, v)
             free &= ~(1 << v)
         if len(path) > len(best):
@@ -627,21 +635,21 @@ def build_absorber(
     backbone, junction and link reservoirs.  Star-pool vertices the cores
     leave unpicked join the backbone reservoir, which keeps it from
     starving; whatever the units leave of the backbone and junction
-    reservoirs joins the link reservoir.
+    reservoirs joins the link reservoir.  The three reservoirs are handed
+    down as bitsets.
     """
     w1, w2, w3, w4, w5, w6, w7 = pools
     records, fail = build_single_absorbers(g, xs, w1, w2, w3, w4)
     if fail is not None:
         return None, fail
-    star_used = {v for r in records for v in (r.u1, r.u2, r.v1, r.v2)}
-    w5_pool = sorted(
-        (set(w1) | set(w2) | set(w3) | set(w4) | set(w5)) - star_used
-    )
-    singles, fail = complete_absorbers(g, records, w5_pool, w6, acfg)
+    star_used = mask_of(v for r in records for v in (r.u1, r.u2, r.v1, r.v2))
+    w5_pool = mask_of((*w1, *w2, *w3, *w4, *w5)) & ~star_used
+    w6_pool = mask_of(w6)
+    singles, fail = complete_absorbers(g, records, w5_pool, w6_pool, acfg)
     if fail is not None:
         return None, fail
-    taken = {v for single in singles for v in single.body()}
-    w7_pool = sorted(set(w7) | ((set(w5_pool) | set(w6)) - taken))
+    taken = mask_of(v for single in singles for v in single.body())
+    w7_pool = mask_of(w7) | ((w5_pool | w6_pool) & ~taken)
     return chain_absorbers(g, singles, w7_pool, acfg)
 
 
@@ -658,17 +666,24 @@ def _cascade_connect(
     g: Graph,
     frm: tuple[int, int],
     to: tuple[int, int],
-    pool: tuple[int, ...],
+    pool: int,
     seed: int,
     lengths: Sequence[int],
 ) -> tuple[int, ...] | None:
-    """Shortest-first connection attempts through ``pool``; returns the
-    interior or None."""
+    """Shortest-first connection attempts through the ``pool`` mask; returns
+    the interior or None.
+
+    The caller has found no direct arc from ``frm`` to ``to``, and the
+    length-4 template is exactly that arc, so length 4 is skipped; ``k``
+    still numbers every length, which keeps the seeds of the others.
+    """
     if len({*frm, *to}) != 4:
         return None
     for k, length in enumerate(lengths):
+        if length == 4:
+            continue
         req = ConnectionRequest(pairs=((frm, to),), w=pool, b=1, length=length)
-        res = connect_one(g, req, (), seed * 37 + k)
+        res = connect_one(g, req, 0, seed * 37 + k)
         if res.ok:
             return tuple(
                 v for v in res.embedding.vertices if v not in (*frm, *to)
@@ -700,7 +715,7 @@ def _assemble_cycle(
     g: Graph,
     a: Absorber,
     pieces: Sequence[tuple[int, ...]],
-    fuel: Sequence[int],
+    fuel: int,
     seed: int,
     config: PipelineConfig,
 ) -> tuple[tuple[int, ...] | None, dict]:
@@ -708,9 +723,9 @@ def _assemble_cycle(
 
     Piece order and orientation are free, so a budgeted depth-first search
     explores them: parity-free chains (three host edges) first, then short
-    connectors whose interiors consume ``fuel``.  Returns the cycle segment
-    that follows the absorber traversal, or diagnostics on the deepest
-    threading reached.
+    connectors whose interiors consume the ``fuel`` mask.  Returns the cycle
+    segment that follows the absorber traversal, or diagnostics on the
+    deepest threading reached.
     """
     total = len(pieces)
     nodes = 0
@@ -719,14 +734,14 @@ def _assemble_cycle(
     def probe(
         cur: tuple[int, int],
         to: tuple[int, int],
-        consumed: frozenset[int],
+        consumed: int,
         salt: int,
     ) -> tuple[int, ...] | None:
         nonlocal nodes
         nodes += 1
         if _direct_arc(g, cur, to):
             return ()
-        pool = tuple(v for v in fuel if v not in consumed)
+        pool = fuel & ~consumed
         return _cascade_connect(
             g, cur, to, pool, seed * 7919 + salt, config.assembly_lengths
         )
@@ -734,9 +749,9 @@ def _assemble_cycle(
     def dfs(
         cur: tuple[int, int],
         remaining: tuple[int, ...],
-        consumed: frozenset[int],
+        consumed: int,
         acc: tuple[int, ...],
-    ) -> tuple[tuple[int, ...], frozenset[int]] | None:
+    ) -> tuple[tuple[int, ...], int] | None:
         nonlocal deepest
         deepest = max(deepest, total - len(remaining))
         if nodes > config.assembly_budget:
@@ -745,7 +760,7 @@ def _assemble_cycle(
             interior = probe(cur, a.entry, consumed, 1)
             if interior is None:
                 return None
-            return acc + interior, consumed | set(interior)
+            return acc + interior, consumed | mask_of(interior)
         ranked = []
         for pi in remaining:
             piece = pieces[pi]
@@ -763,23 +778,23 @@ def _assemble_cycle(
             out = dfs(
                 (ori[-2], ori[-1]),
                 tuple(j for j in remaining if j != pi),
-                consumed | set(interior),
+                consumed | mask_of(interior),
                 acc + interior + ori,
             )
             if out is not None:
                 return out
         return None
 
-    result = dfs(a.exit, tuple(range(total)), frozenset(), ())
+    result = dfs(a.exit, tuple(range(total)), 0, ())
     if result is None:
         return None, {
             "threaded_pieces": deepest,
             "unthreaded_pieces": total - deepest,
             "probes": nodes,
-            "reservoir": len(fuel),
+            "reservoir": fuel.bit_count(),
         }
     suffix, consumed = result
-    return suffix, {"consumed": set(consumed)}
+    return suffix, {"consumed": set(bits(consumed))}
 
 
 def _attempt(
@@ -858,7 +873,7 @@ def _attempt(
     # Every absorbee not sitting inside a piece is legal connector fuel: the
     # absorber hands over whatever the threading consumed.
     matched_anchors = {xv for _, xv in matching.pairs}
-    fuel = sorted(set(xs) - matched_anchors)
+    fuel = mask_of(xs) & ~mask_of(matched_anchors)
     suffix, info = _assemble_cycle(g, absorber, pieces, fuel, seed0 + 3, config)
     if suffix is None:
         return FailureReport("connecting", dict(info, plan=plan))

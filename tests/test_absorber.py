@@ -19,6 +19,7 @@ from squareham import (
     rng_for,
     verify_absorber,
 )
+from squareham import absorber as absorber_module
 from squareham.absorber import absorber_from_json_obj, absorber_to_json_obj
 from squareham.gadgets import square_path_pairs
 from squareham.graphcore import random_partition
@@ -86,6 +87,37 @@ def test_built_absorbers_pass_exhaustive_verification(seed: int) -> None:
     report = verify_absorber(g, absorber)
     assert report.ok
     assert every_subset_walk_is_valid(g, absorber)
+
+
+def test_unit_traversals_are_built_once_per_mode(monkeypatch) -> None:
+    built = []
+    traverse = absorber_module.absorber_traversal
+
+    def counting(blocks, junctions, x, mode):
+        built.append((x, mode))
+        return traverse(blocks, junctions, x, mode)
+
+    monkeypatch.setattr(absorber_module, "absorber_traversal", counting)
+    g, a, fail = next(
+        bundle
+        for seed in range(20)
+        if (bundle := build_full_absorber(150, 0.55, seed))[1] is not None
+    )
+    # Completion audits both modes of every unit; nothing after that
+    # rebuilds a walk.
+    modes = ("include", "exclude")
+    assert sorted(built) == sorted((x, m) for x in a.absorbees for m in modes)
+    assert verify_absorber(g, a).ok
+    for k in range(len(a.absorbees) + 1):
+        absorb(a, a.absorbees[:k])
+    assert len(built) == 2 * len(a.absorbees)
+    # A rebuilt unit starts without walks and finds the same ones.
+    for unit in a.units:
+        fresh = replace(unit)
+        for mode in ("include", "exclude"):
+            assert fresh.traversal(mode) == unit.traversal(mode)
+    with pytest.raises(InputError):
+        a.units[0].traversal("sideways")
 
 
 def with_unit_vertex(a, k: int, old: int, new: int):

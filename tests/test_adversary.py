@@ -24,6 +24,7 @@ from squareham.adversary import (
     experiment_report_to_csv,
     resilience_experiment,
 )
+from squareham import graphcore
 from squareham.graphcore import Graph, edges_within
 
 from strategies import gnp_graphs
@@ -385,3 +386,20 @@ def test_attack_and_pruning_outputs_are_pinned() -> None:
     assert _digest(prune_triangle_poor_edges(res.attacked, 90).edges()) == (
         "d020530093f77e539e47b24134cd5b6c80fed64119a387aa9c3f8a07a8882543"
     )
+
+
+def test_each_experiment_seed_squares_two_graphs(monkeypatch) -> None:
+    # The host's triangle counts need one A·A; the attacked graph's triangle
+    # counts and its pruning share a second.
+    squared = []
+    square = adversary._square
+
+    def counting(g):
+        squared.append(g)
+        return square(g)
+
+    monkeypatch.setattr(adversary, "_square", counting)
+    monkeypatch.setattr(graphcore, "_square", counting)
+    report = resilience_experiment(60, 0.5, 0.1, [1, 2])
+    assert len(squared) == 4
+    assert len(report["per_seed"]) == 2

@@ -269,7 +269,7 @@ def test_gadget_edgelist_matches_the_template_size(capsys) -> None:
 
 
 def test_gadget_rejects_missing_parameters() -> None:
-    assert run("gadget", "--kind", "pseudo-path", "--length", "7") == 2
+    assert run("gadget", "--kind", "square-path", "--length", "1") == 2
     assert run("gadget", "--kind", "square-path") == 2
     assert run("gadget", "--kind", "backbone", "--blocks", "1") == 2
 

@@ -14,6 +14,7 @@ from squareham import (
     rng_for,
     validate_embedding,
 )
+from squareham.graphcore import mask_of
 
 
 def host_and_jobs(n: int, p: float, seed: int, jobs: int = 1):
@@ -177,6 +178,40 @@ def test_reservoir_vertices_outside_the_host_are_rejected(bad: int) -> None:
         connect_one(g, req, (), seed=0)
     # Excluded vertices are not part of the reservoir.
     assert connect_one(g, req, (bad,), seed=0).ok
+
+
+@given(integers(min_value=0, max_value=100), sampled_from((4, 6, 8)))
+def test_a_reservoir_given_as_a_mask_connects_like_its_vertex_tuple(
+    seed: int, length: int
+) -> None:
+    bundle = host_and_jobs(60, 0.6, seed, jobs=2)
+    if bundle is None:
+        return
+    g, pairs, w = bundle
+    x = w[::3]
+    results = [
+        connect_one(
+            g,
+            ConnectionRequest(pairs=pairs, w=w_form, b=1, length=length),
+            x_form,
+            seed=seed,
+        )
+        for w_form in (w, mask_of(w))
+        for x_form in (x, mask_of(x))
+    ]
+    assert all(res == results[0] for res in results)
+
+
+def test_reservoir_masks_outside_the_host_are_rejected() -> None:
+    g = complete_graph(10)
+    pairs = (((0, 1), (2, 3)),)
+    for w in (mask_of((4, 5, 10)), -1):
+        with pytest.raises(InputError):
+            connect_one(g, ConnectionRequest(pairs=pairs, w=w, length=5), 0, seed=0)
+    # A vertex outside the host is fine once it is excluded, in either form.
+    w = mask_of((4, 5, 6, 10))
+    assert connect_one(g, ConnectionRequest(pairs=pairs, w=w, length=5), 1 << 10, 0).ok
+    assert connect_one(g, ConnectionRequest(pairs=pairs, w=w, length=5), (10, -1), 0).ok
 
 
 def test_connection_templates_are_built_once_per_shape(monkeypatch) -> None:

@@ -17,7 +17,6 @@ from squareham import (
 from squareham.gadgets import (
     absorber_traversal,
     backbone_label,
-    interleave_offset,
     square_path_pairs,
 )
 from squareham.graphcore import rng_for
@@ -34,18 +33,6 @@ def square_path_edge_oracle(length: int) -> set[tuple[int, int]]:
     }
 
 
-def pseudo_path_edge_oracle(length: int) -> set[tuple[int, int]]:
-    """Width-two lacing: consecutive edges plus alternating back edges.
-
-    Every label from the third on reaches back two steps at even positions
-    and three steps at odd positions.
-    """
-    edges = {(i, i + 1) for i in range(length - 1)}
-    for m in range(2, length):
-        edges.add((m - 2, m) if m % 2 == 0 else (m - 3, m))
-    return edges
-
-
 @given(integers(min_value=2, max_value=40))
 def test_square_path_edge_set_matches_distance_two_oracle(length: int) -> None:
     gadget = build_gadget("square-path", length=length)
@@ -53,22 +40,6 @@ def test_square_path_edge_set_matches_distance_two_oracle(length: int) -> None:
     assert len(gadget.edges) == 2 * length - 3
     assert gadget.port_from == (0, 1)
     assert gadget.port_to == (length - 2, length - 1)
-
-
-@given(integers(min_value=2, max_value=40))
-def test_width_one_pseudo_path_is_the_square_path(length: int) -> None:
-    plain = build_gadget("square-path", length=length)
-    pseudo = build_gadget("pseudo-path", length=length, b=1)
-    assert set(pseudo.edges) == set(plain.edges)
-    assert pseudo.port_from == plain.port_from
-    assert pseudo.port_to == plain.port_to
-
-
-@given(integers(min_value=2, max_value=40))
-def test_width_two_pseudo_path_matches_lacing_oracle(length: int) -> None:
-    gadget = build_gadget("pseudo-path", length=length, b=2)
-    assert set(gadget.edges) == pseudo_path_edge_oracle(length)
-    assert len(gadget.edges) == 2 * length - 3
 
 
 @given(integers(min_value=2, max_value=8))
@@ -95,8 +66,6 @@ def test_build_gadget_rejects_bad_parameters() -> None:
         build_gadget("no-such-kind", length=4)
     with pytest.raises(InputError):
         build_gadget("square-path", length=1)
-    with pytest.raises(InputError):
-        build_gadget("pseudo-path", length=6, b=3)
     with pytest.raises(InputError):
         build_gadget("backbone", blocks=1)
     with pytest.raises(InputError):
@@ -207,7 +176,7 @@ def synthetic_unit_host(blocks: int, connector_length: int):
         edges.add(tuple(sorted((core[i], core[j]))))
     for a, b in backbone.edges:
         edges.add(tuple(sorted((verts[a], verts[b]))))
-    conn = build_gadget("pseudo-path", length=connector_length, b=1)
+    conn = build_gadget("square-path", length=connector_length)
     for i in range(1, blocks):
         tail = (
             verts[backbone_label(i, 3, blocks)],

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given
-from hypothesis.strategies import data, floats, integers, just, lists, tuples
+from hypothesis.strategies import data, floats, integers, just, lists, sets, tuples
 
 from squareham import (
     Graph,
@@ -29,6 +29,7 @@ from squareham.graphcore import (
     graph_to_edgelist_text,
     graph_to_json_obj,
     mask_of,
+    nth_bit,
     random_partition,
     triangle_profile,
 )
@@ -395,6 +396,58 @@ def test_bits_and_masks_invert_each_other() -> None:
     for vs in ([3], [0, 5, 64, 65], list(range(0, 300, 7)), list(range(40))):
         assert bits(mask_of(vs)) == vs
         assert mask_of(reversed(vs)) == mask_of(vs)
+
+
+# Vertex sets on both sides of bits' small-mask cutoff, over narrow and
+# multi-word widths.
+small_and_large_sets = integers(min_value=1, max_value=3000).flatmap(
+    lambda width: sets(integers(min_value=0, max_value=width - 1), max_size=60)
+)
+
+
+@given(small_and_large_sets)
+def test_bits_lists_the_same_vertices_on_both_paths(vs: set[int]) -> None:
+    mask = mask_of(vs)
+    assert bits(mask) == sorted(vs)
+    # Force each path in turn: the lowest-bit loop and the numpy unpacking.
+    cutoff = graphcore._SMALL_MASK_BITS
+    try:
+        for forced in (-1, 10**6):
+            graphcore._SMALL_MASK_BITS = forced
+            assert bits(mask) == sorted(vs)
+    finally:
+        graphcore._SMALL_MASK_BITS = cutoff
+
+
+@given(small_and_large_sets, data())
+def test_nth_bit_is_the_kth_listed_bit(vs: set[int], draw) -> None:
+    mask = mask_of(vs)
+    listed = bits(mask)
+    if listed:
+        picks = lists(integers(min_value=0, max_value=len(listed) - 1), max_size=8)
+        for k in [0, len(listed) - 1, *draw.draw(picks)]:
+            assert nth_bit(mask, k) == listed[k]
+    for k in (-1, len(listed)):
+        with pytest.raises(IndexError):
+            nth_bit(mask, k)
+
+
+def test_masks_reject_negative_vertices() -> None:
+    with pytest.raises(InputError):
+        mask_of([3, -1])
+    with pytest.raises(InputError):
+        bits(-1)
+    assert graphcore.as_mask(0b101) == 0b101
+    assert graphcore.as_mask((0, 2)) == 0b101
+
+
+@given(gnp_graphs(max_n=40), seeds())
+def test_remove_marked_edges_equals_removing_the_marked_pairs(g: Graph, seed: int) -> None:
+    upper = np.triu(rng_for(seed, 6).random((g.n, g.n)) < 0.3, 1)
+    marked = upper | upper.T
+    h = g.remove_marked_edges(marked)
+    assert h == g.remove_edges(np.argwhere(upper).tolist())
+    assert all(h.rows[u] is g.rows[u] for u in range(g.n) if not marked[u].any())
 
 
 @pytest.mark.parametrize("v", [-1, 5, 99])

@@ -288,6 +288,39 @@ def test_default_config_outputs_are_pinned() -> None:
     assert outcome_digest(outcome) == (
         "2c45abc8fd886705b7c98a34273d04d470b72669dae204137be8da9fce073619"
     )
+    # Larger hosts: one default-config certificate and one on a config with
+    # widened absorber reservoirs.
+    larger = (
+        (gnp_generate(800, 0.7, 1), PipelineConfig(seed=0),
+         "ebdcd0182e7c478264345e5ed97dc3257409536148612b1410024fbe86969f51"),
+        (gnp_generate(1000, 0.5, 2),
+         PipelineConfig(seed=0, backbone_headroom=100, junction_weight=4, link_weight=4),
+         "e19715b3020c0e626b30fbada7f87db8c5d95c66eadd4c1fdf278cee281ab36c"),
+    )
+    for g, config, digest in larger:
+        outcome = find_square_ham(g, config=config)
+        assert isinstance(outcome, Certificate)
+        assert outcome_digest(outcome) == digest
+
+
+def test_threading_never_asks_for_the_length_four_connection(monkeypatch) -> None:
+    # The threading tests the direct arc before it connects, and the
+    # length-4 template is that arc, so the sweep starts at length 5.
+    asked = []
+    connect = hamiltonian.connect_one
+
+    def recording(g, req, x, seed):
+        asked.append((req.length, seed))
+        return connect(g, req, x, seed)
+
+    monkeypatch.setattr(hamiltonian, "connect_one", recording)
+    g = complete_graph(12).remove_edges([(0, 2)])
+    interior = hamiltonian._cascade_connect(
+        g, (0, 1), (2, 3), sum(1 << v for v in range(4, 12)), 3, (4, 5, 6)
+    )
+    assert interior is not None and len(interior) == 1
+    # Length 5 keeps the seed of its place in the sweep.
+    assert asked == [(5, 3 * 37 + 1)]
 
 
 def test_three_block_connectors_get_a_widened_backbone_pool() -> None:
