@@ -13,6 +13,11 @@ Submodules:
         and checkable infeasibility witnesses.
     adversary: triangle-removal attacks, retention profiling, experiments.
     cli: the ``artifact`` command-line front end.
+
+Below the CLI, a vertex set (a star pool, a reservoir, an exclusion, an
+absorber body) is an ``int`` bitset with bit ``v`` set for vertex ``v``;
+the CLI converts its parsed vertex lists once.  Sequences carry order:
+paths, certificates and witnesses.
 """
 
 __version__ = "0.1.0"

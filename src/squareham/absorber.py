@@ -7,29 +7,29 @@ It is assembled from one *unit* per absorbee — a five-vertex star core
 threaded onto a backbone, with square-path junctions between backbone blocks
 — and square-path links between consecutive units.
 
-The backbone, junction and link reservoirs travel as ``int`` bitsets: a
-unit's jobs draw from its reservoir less the finished units with one AND,
-and the connector tries the pool in a seeded shuffle of the whole ascending
-pool.  The public builders also accept vertex sequences.
+The absorbee set, the star pools and the backbone, junction and link
+reservoirs are ``int`` bitsets, and so are a unit's vertex set and an
+absorber's body: a unit's jobs draw from its reservoir less the finished
+units with one AND, and the connector tries the pool in a seeded shuffle of
+the whole ascending pool.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .connector import ConnectionRequest, ConnectResult, connect_one
 from .gadgets import (
     BACKBONE,
     Embedding,
-    SlotToken,
     absorber_traversal,
     backbone_label,
     build_gadget,
     is_square_path,
 )
-from .graphcore import Graph, InputError, as_mask, bits, mask_of
+from .graphcore import Graph, InputError, bits, mask_of
 from .matching import BipartiteInstance, hall_saturating_matching
 
 
@@ -88,12 +88,12 @@ class AbsorberUnit:
     def exit(self) -> tuple[int, int]:
         return (self.slot(self.blocks, 3), self.slot(self.blocks, 4))
 
-    def vertex_set(self) -> frozenset[int]:
-        verts = set(self.backbone.vertices)
-        verts.add(self.x)
+    def vertex_set(self) -> int:
+        """Every vertex of the unit, absorbee included, as a bitset."""
+        verts = mask_of(self.backbone.vertices) | 1 << self.x
         for interior in self.junctions:
-            verts.update(interior)
-        return frozenset(verts)
+            verts |= mask_of(interior)
+        return verts
 
     @functools.cached_property
     def _walks(self) -> dict[str, tuple[int, ...]]:
@@ -103,16 +103,8 @@ class AbsorberUnit:
         """The unit's square path in ``mode`` (built once per mode)."""
         walk = self._walks.get(mode)
         if walk is None:
-            # absorber_traversal checks the block count and the mode; every
-            # token it emits names a slot inside the backbone, so the labels
-            # are indexed directly.
-            tokens = absorber_traversal(self.blocks, self.junctions, self.x, mode)
-            slots = self.backbone.vertices
-            walk = self._walks[mode] = tuple(
-                slots[4 * (tok.block - 1) + tok.slot - 1]
-                if isinstance(tok, SlotToken)
-                else tok
-                for tok in tokens
+            walk = self._walks[mode] = absorber_traversal(
+                self.backbone.vertices, self.junctions, self.x, mode
             )
         return walk
 
@@ -140,75 +132,81 @@ class Absorber:
     def exit(self) -> tuple[int, int]:
         return self.units[-1].exit
 
-    def body(self) -> frozenset[int]:
-        """Every vertex of the structure, absorbees included."""
-        verts: set[int] = set()
+    def body(self) -> int:
+        """Every vertex of the structure, absorbees included, as a bitset."""
+        verts = 0
         for u in self.units:
             verts |= u.vertex_set()
         for interior in self.links:
-            verts.update(interior)
-        return frozenset(verts)
+            verts |= mask_of(interior)
+        return verts
 
 
 @dataclass(frozen=True)
 class BuildFailure:
-    """Why a construction stage could not finish (diagnostics are nonempty)."""
+    """Why the absorber could not be built (diagnostics are nonempty).
 
-    stage: str
+    Completion and chaining failures name their ``phase`` (``backbone``,
+    ``junction-i`` or ``link``); a deficient star round names its
+    ``round``.
+    """
+
     diagnostics: dict
 
 
 def build_single_absorbers(
     g: Graph,
-    x_set: Iterable[int],
-    w1: Sequence[int],
-    w2: Sequence[int],
-    w3: Sequence[int],
-    w4: Sequence[int],
+    xs: int,
+    w1: int,
+    w2: int,
+    w3: int,
+    w4: int,
 ) -> tuple[tuple[StarRecord, ...] | None, BuildFailure | None]:
     """Assign each absorbee a disjoint five-vertex star core by Hall rounds.
 
-    Four saturating matchings run in sequence: ``u1`` from ``w1`` adjacent to
+    The absorbee set ``xs`` and the four star pools are bitsets.  Four
+    saturating matchings run in sequence: ``u1`` from ``w1`` adjacent to
     ``x``; ``u2`` from ``w2`` adjacent to ``x`` and ``u1``; ``v1`` from ``w3``
     adjacent to ``x`` and ``u2``; ``v2`` from ``w4`` adjacent to ``x`` and
-    ``v1``.  A deficient round aborts with the violating absorbee set.
+    ``v1``.  Each round matches onto host vertex ids.  A deficient round
+    aborts with the violating absorbee set.
+
+    Raises:
+        InputError: If two of the five sets overlap or one holds a bit
+            outside ``0..n-1``.
     """
-    xs = tuple(sorted(set(x_set)))
-    pools = [tuple(sorted(set(side))) for side in (w1, w2, w3, w4)]
-    all_sides = [set(xs)] + [set(side) for side in pools]
-    for i in range(len(all_sides)):
-        for j in range(i + 1, len(all_sides)):
-            if all_sides[i] & all_sides[j]:
-                raise InputError("absorbee set and star classes must be disjoint")
-    for side in (xs, *pools):
-        g.check_vertices(side)
-    chosen: list[list[int]] = [[] for _ in xs]
-    anchors = list(xs)
-    for round_no, pool in enumerate(pools):
-        index = {v: k for k, v in enumerate(pool)}
-        pool_mask = mask_of(pool)
-        rows = []
-        for i, x in enumerate(xs):
-            allowed = g.row(x) & pool_mask
+    seen = 0
+    for side in (xs, w1, w2, w3, w4):
+        if side < 0 or side >> g.n:
+            raise InputError(f"absorbee set or star class outside 0..{g.n - 1}")
+        if side & seen:
+            raise InputError("absorbee set and star classes must be disjoint")
+        seen |= side
+    rows = g.rows
+    xs_listed = bits(xs)
+    chosen: list[list[int]] = [[] for _ in xs_listed]
+    anchors = list(xs_listed)
+    for round_no, pool in enumerate((w1, w2, w3, w4)):
+        adjacency = []
+        for i, x in enumerate(xs_listed):
+            allowed = rows[x] & pool
             if round_no > 0:
-                allowed &= g.row(anchors[i])
-            rows.append(tuple(index[v] for v in bits(allowed)))
-        res = hall_saturating_matching(BipartiteInstance(tuple(rows), len(pool)))
+                allowed &= rows[anchors[i]]
+            adjacency.append(tuple(bits(allowed)))
+        res = hall_saturating_matching(BipartiteInstance(tuple(adjacency), g.n))
         if res.status != "matched":
             return None, BuildFailure(
-                "absorber",
                 {
                     "round": round_no + 1,
-                    "violating_absorbees": [xs[i] for i in res.violator],
+                    "violating_absorbees": [xs_listed[i] for i in res.violator],
                     "joint_neighborhood": len(res.neighborhood),
                 },
             )
-        for i in range(len(xs)):
-            v = pool[res.pairs[i]]
+        for i, v in enumerate(res.pairs):
             chosen[i].append(v)
             anchors[i] = v
     records = tuple(
-        StarRecord(x, c[0], c[1], c[2], c[3]) for x, c in zip(xs, chosen)
+        StarRecord(x, c[0], c[1], c[2], c[3]) for x, c in zip(xs_listed, chosen)
     )
     for rec in records:
         check = is_square_path(g, rec.core_sequence())
@@ -242,21 +240,20 @@ def _connect_with_fallback(
 def complete_absorbers(
     g: Graph,
     records: Sequence[StarRecord],
-    w5: int | Iterable[int],
-    w6: int | Iterable[int],
+    w5: int,
+    w6: int,
     config: AbsorberConfig,
 ) -> tuple[tuple[Absorber, ...] | None, BuildFailure | None]:
     """Thread each star core onto a backbone and wire its block junctions.
 
     The backbone of each unit is grown through ``w5`` (its first block being
-    the star core), junction interiors through ``w6``; both are bitsets or
-    vertex sequences.  A unit that cannot be wired retries with a fresh
-    backbone cut up to ``config.unit_retries`` times; reservoir vertices are
-    retired as units succeed.  Each record yields a single-vertex absorber.
+    the star core), junction interiors through ``w6``; both are bitsets.  A
+    unit that cannot be wired retries with a fresh backbone cut up to
+    ``config.unit_retries`` times; reservoir vertices are retired as units
+    succeed.  Each record yields a single-vertex absorber.
     """
     if config.blocks < 2:
         raise InputError(f"absorber units need at least 2 blocks, got {config.blocks}")
-    w5, w6 = as_mask(w5), as_mask(w6)
     singles: list[Absorber] = []
     used = 0
     for uidx, rec in enumerate(records):
@@ -307,11 +304,10 @@ def complete_absorbers(
                 continue
             unit = AbsorberUnit(rec, backbone, tuple(interiors))
             _audit_unit(g, unit)
-            used |= mask_of(unit.vertex_set())
+            used |= unit.vertex_set()
             break
         if unit is None:
             return None, BuildFailure(
-                "connecting",
                 {
                     "absorbee": rec.x,
                     "attempts": max(1, config.unit_retries),
@@ -325,16 +321,16 @@ def complete_absorbers(
 def _walk_fault(
     g: Graph,
     seq: tuple[int, ...],
-    span: AbstractSet[int],
+    span: int,
     entry: tuple[int, int],
     exit: tuple[int, int],
 ) -> str | None:
-    """Why ``seq`` is not a square path on exactly ``span`` from ``entry``
-    to ``exit``, or ``None`` when it is."""
+    """Why ``seq`` is not a square path on exactly the bitset ``span`` from
+    ``entry`` to ``exit``, or ``None`` when it is."""
     check = is_square_path(g, seq)
     if not check.ok:
         return check.reason
-    if set(seq) != span:
+    if mask_of(seq) != span:
         return "wrong span"
     if seq[:2] != entry or seq[-2:] != exit:
         return "endpoints moved"
@@ -344,9 +340,9 @@ def _walk_fault(
 def _unit_fault(g: Graph, unit: AbsorberUnit, mode: str) -> str | None:
     """Why the unit's ``mode`` traversal does not span the unit (less ``x``
     when excluding) between ``unit.entry`` and ``unit.exit``, or ``None``."""
-    span = set(unit.vertex_set())
+    span = unit.vertex_set()
     if mode == "exclude":
-        span.discard(unit.x)
+        span &= ~(1 << unit.x)
     return _walk_fault(g, unit.traversal(mode), span, unit.entry, unit.exit)
 
 
@@ -362,15 +358,14 @@ def _audit_unit(g: Graph, unit: AbsorberUnit) -> None:
 def chain_absorbers(
     g: Graph,
     absorbers: Sequence[Absorber],
-    w7: int | Iterable[int],
+    w7: int,
     config: AbsorberConfig,
 ) -> tuple[Absorber | None, BuildFailure | None]:
     """Join absorbers in order with square-path links into one absorber.
 
     Each link connects an absorber's exit pair to the next one's entry pair,
     directly when the three required host edges exist, otherwise through the
-    ``w7`` reservoir (a bitset or a vertex sequence).  A single absorber is
-    returned unchanged.
+    ``w7`` reservoir bitset.  A single absorber is returned unchanged.
     """
     if not absorbers:
         raise InputError("an absorber needs at least one unit")
@@ -378,13 +373,13 @@ def chain_absorbers(
         return absorbers[0], None
     body = 0
     for a in absorbers:
-        more = mask_of(a.body())
+        more = a.body()
         if body & more:
             raise InputError("absorbers to chain must be pairwise disjoint")
         body |= more
     units: list[AbsorberUnit] = []
     links: list[tuple[int, ...]] = []
-    free = as_mask(w7) & ~body
+    free = w7 & ~body
     for i, a in enumerate(absorbers):
         units.extend(a.units)
         links.extend(a.links)
@@ -397,8 +392,8 @@ def chain_absorbers(
         )
         if not res.ok:
             return None, BuildFailure(
-                "connecting",
                 {
+                    "phase": "link",
                     "link": (a.absorbees[-1], absorbers[i + 1].absorbees[0]),
                     "connect": res.diagnostics,
                 },

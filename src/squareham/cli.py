@@ -39,6 +39,7 @@ from .graphcore import (
     gnp_generate,
     graph_to_edgelist_text,
     graph_to_json_obj,
+    mask_of,
     random_partition,
     read_graph,
     rng_for,
@@ -200,15 +201,13 @@ def _cmd_verify(args) -> tuple[int, str, dict]:
 def _cmd_connect(args) -> tuple[int, str, dict]:
     g = read_graph(args.graph)
     pairs = _job_pairs(args.pairs)
-    ports = {v for (a, c) in pairs for v in (*a, *c)}
-    if args.w:
-        w = _ints(args.w)
-    else:
-        w = tuple(v for v in range(g.n) if v not in ports)
+    # The connector never draws a port, so the default reservoir is every
+    # vertex.
+    w = mask_of(_ints(args.w)) if args.w else (1 << g.n) - 1
     req = ConnectionRequest(
         pairs=pairs, w=w, b=args.b, length=args.length, retries=args.retries
     )
-    res = connect_all(g, req, args.seed, x=_ints(args.exclude))
+    res = connect_all(g, req, args.seed, x=mask_of(_ints(args.exclude)))
     payload = {
         "ok": res.ok,
         "embeddings": [
@@ -249,10 +248,11 @@ def _cmd_absorber_build(args) -> tuple[int, str, dict]:
         return 1, _json_text(failure_report_to_json_obj(report)), {}
     part = random_partition(rest, sizes, rng_for(args.seed, 71))
     cfg = AbsorberConfig(blocks=args.blocks, seed=args.seed)
-    built, fail = build_absorber(g, xs, part.classes, cfg)
+    pools = [mask_of(cls) for cls in part.classes]
+    built, fail = build_absorber(g, mask_of(xs), pools, cfg)
     meta = {"x": list(xs), "blocks": args.blocks, "seed": args.seed}
     if fail is not None:
-        report = FailureReport(fail.stage, dict(fail.diagnostics))
+        report = FailureReport("absorber", dict(fail.diagnostics))
         return 1, _json_text(failure_report_to_json_obj(report)), meta
     return 0, _json_text(absorber_to_json_obj(built)), meta
 

@@ -6,20 +6,17 @@ other vertex drawn from a reservoir.  One seeded backtracking search fills
 the gadget template label by label; :func:`connect_all` runs it in greedy
 rounds so that the jobs of one request get pairwise disjoint interiors.
 
-Reservoirs travel as ``int`` bitsets: the pipeline hands each job its
-reservoir as one mask, and :func:`connect_one` takes away the exclusions
-and the ports with one AND.  The pool's vertices are listed once per
-distinct mask, and the search tries them in a seeded shuffle of the whole
-ascending pool, so a seed picks the same interior whichever form the
-reservoir came in.  Vertex sequences are still accepted for ``w`` and
-``x`` (the CLI and tests pass them).
+The reservoir and the exclusions are ``int`` bitsets (bit ``v`` set for
+vertex ``v``): :func:`connect_one` takes away the exclusions and the ports
+with one AND.  The pool's vertices are listed once per distinct mask, and
+the search tries them in a seeded shuffle of the whole ascending pool.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .gadgets import (
     BACKBONE,
@@ -39,8 +36,8 @@ class ConnectionRequest:
     Attributes:
         pairs: ``((from_pair, to_pair), ...)``; each pair is an ordered host
             edge, and the four vertices of one job are distinct.
-        w: Reservoir the interiors are drawn from: a bitset (bit ``v``
-            set for vertex ``v``) or a sequence of vertices.
+        w: Reservoir the interiors are drawn from, as a bitset (bit ``v``
+            set for vertex ``v``).
         b: Skip width; 1 builds square paths, 2 builds backbones.
         length: Total label count of the target gadget (``>= 4`` for width 1;
             a multiple of 4, at least 8, for width 2).
@@ -49,7 +46,7 @@ class ConnectionRequest:
     """
 
     pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    w: int | Sequence[int]
+    w: int
     b: int = 1
     length: int = 4
     retries: int = 3
@@ -104,45 +101,36 @@ def _validate_request(g: Graph, req: ConnectionRequest) -> None:
 def connect_one(
     g: Graph,
     req: ConnectionRequest,
-    x: int | Iterable[int],
+    x: int,
     seed: int,
 ) -> ConnectResult:
     """Satisfy one job of a connection request from the reservoir.
 
     A seeded backtracking search fills each job's gadget template in turn;
     the first job that fits wins.  Interior vertices come only from
-    ``req.w`` minus ``x`` and the request's ports; ``x``, like ``req.w``, is
-    a bitset or a vertex sequence.
+    ``req.w`` minus the bitset ``x`` and the request's ports.
 
     Returns:
         A :class:`ConnectResult`; never raises for purely quantitative
         failures (a thin reservoir, an exhausted node budget).
 
     Raises:
-        InputError: On a malformed request, a negative seed, or a reservoir
-            vertex (outside ``x`` and the ports) that is not a vertex of
-            ``g``.
+        InputError: On a malformed request, a negative seed or exclusion
+            mask, or a reservoir vertex (outside ``x`` and the ports) that
+            is not a vertex of ``g``.
     """
     _validate_request(g, req)
     # The reservoir shuffle is drawn lazily, so check the seed up front.
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
+    if x < 0:
+        raise InputError(f"an exclusion mask must be non-negative, got {x}")
     # _validate_request has checked that every port is a vertex.
     ports = mask_of(v for (a, c) in req.pairs for v in (*a, *c))
-    if isinstance(req.w, int) and isinstance(x, int):
-        pool_mask = req.w & ~(x | ports)
-    else:
-        # Exclusions go first, so an excluded vertex need not be one of g;
-        # mask_of rejects a negative vertex left in the pool.
-        free = _vertex_set(req.w).difference(_vertex_set(x), bits(ports))
-        pool_mask = mask_of(free)
+    pool_mask = req.w & ~(x | ports)
     if pool_mask < 0 or pool_mask >> g.n:
         raise InputError(f"reservoir holds vertices outside 0..{g.n - 1}")
     return _direct_connect(g, req, _listed(pool_mask), seed)
-
-
-def _vertex_set(vs: int | Iterable[int]) -> set[int]:
-    return set(bits(vs) if isinstance(vs, int) else vs)
 
 
 @functools.lru_cache(maxsize=8)
@@ -290,18 +278,19 @@ def connect_all(
     g: Graph,
     req: ConnectionRequest,
     seed: int,
-    x: Iterable[int] = (),
+    x: int = 0,
 ) -> ConnectAllResult:
     """Connect every job of a request with pairwise disjoint interiors.
 
     Greedy rounds: each round satisfies one job and retires its vertices from
     the pool.  A round makes up to ``req.retries`` attempts with fresh search
-    seeds before the whole batch fails.
+    seeds before the whole batch fails.  No interior touches the bitset
+    ``x``.
     """
     _validate_request(g, req)
     remaining = list(range(len(req.pairs)))
     out: list[Embedding | None] = [None] * len(req.pairs)
-    used: set[int] = set(x)
+    used = x
     round_no = 0
     while remaining:
         sub = ConnectionRequest(
@@ -326,7 +315,7 @@ def connect_all(
             )
         job = remaining.pop(res.seed_index)
         out[job] = res.embedding
-        used.update(res.embedding.vertex_set())
+        used |= mask_of(res.embedding.vertices)
         round_no += 1
     _audit_disjoint_interiors(req, out)
     return ConnectAllResult(True, tuple(out), None)

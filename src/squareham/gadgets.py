@@ -285,21 +285,13 @@ def is_square_cycle(g: Graph, order: Sequence[int]) -> ValidationResult:
 # -- absorber traversal ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SlotToken:
-    """Symbolic reference to backbone slot ``(block, slot)`` in a traversal."""
-
-    block: int
-    slot: int
-
-
 def absorber_traversal(
-    blocks: int,
+    backbone: Sequence[T],
     connector_interiors: Sequence[Sequence[T]],
     x: T,
     mode: str,
-) -> tuple[object, ...]:
-    """Symbolic traversal order of an absorber unit.
+) -> tuple[T, ...]:
+    """Traversal order of an absorber unit.
 
     An absorber unit consists of a backbone on ``blocks`` blocks, a special
     vertex ``x`` attached to the first block, and ``blocks - 1`` connector
@@ -311,26 +303,34 @@ def absorber_traversal(
     * ``exclude`` covers the same ground while avoiding ``x``.
 
     Args:
-        blocks: Backbone block count (at least 2).
-        connector_interiors: Interior element sequences of the connectors
+        backbone: The backbone's vertices in label order (see
+            :func:`backbone_label`); its length is ``4 * blocks``.
+        connector_interiors: Interior vertex sequences of the connectors
             between consecutive blocks (may be empty sequences).
-        x: The special element, inserted verbatim by ``include``.
+        x: The special vertex, inserted verbatim by ``include``.
         mode: ``include`` or ``exclude``.
 
     Returns:
-        A tuple mixing :class:`SlotToken` entries with connector elements
-        (and ``x`` for ``include``).
+        The walk as a tuple of backbone vertices, connector interior
+        vertices and (for ``include``) ``x``.
     """
-    if blocks < 2:
-        raise InputError(f"absorber traversal needs blocks >= 2, got {blocks}")
+    blocks = len(backbone) // 4
+    if blocks < 2 or len(backbone) % 4:
+        raise InputError(
+            "absorber traversal needs a backbone of 4 * blocks vertices with "
+            f"blocks >= 2, got {len(backbone)}"
+        )
     if len(connector_interiors) != blocks - 1:
         raise InputError(
             f"expected {blocks - 1} connector interiors, got {len(connector_interiors)}"
         )
     if mode not in ("include", "exclude"):
         raise InputError(f"mode must be include or exclude, got {mode!r}")
-    w = SlotToken
-    out: list[object] = []
+
+    def w(i: int, j: int) -> T:
+        return backbone[backbone_label(i, j, blocks)]
+
+    out: list[T] = []
     if mode == "include":
         out += [w(1, 1), w(1, 2), x, w(1, 3), w(1, 4)]
         for i in range(2, blocks + 1):

@@ -7,10 +7,13 @@ floating point with a small absolute slack to absorb rounding.
 
 Each adjacency row is one Python ``int`` bitset (bit ``v`` of row ``u`` is
 the pair ``uv``), so "is ``v`` adjacent to every vertex of a placed set" is
-one AND of rows and one bit test; :func:`bits` and :func:`mask_of` convert
+one AND of rows and one bit test.  Every vertex set that crosses a module
+boundary below the CLI (star pools, reservoirs, exclusions, absorber
+bodies) is such an ``int`` mask; sequences remain only where order matters
+(paths, certificates, witnesses).  :func:`bits` and :func:`mask_of` convert
 between bitsets and ascending vertex lists, and :func:`nth_bit` picks one
-set bit without listing the others.  Graphs from outside edges go
-through the validating :class:`Graph` constructor; :func:`gnp_generate`
+set bit without listing the others.  Graphs from outside edges go through
+the validating :class:`Graph` constructor; :func:`gnp_generate`
 packs its rows from one boolean matrix, and graphs derived from another
 graph (edge deletion) are built from the parent's rows.  Every codegree and
 triangle count comes from one ``A·A`` product over the matrix unpacked from
@@ -302,11 +305,6 @@ def mask_of(vs: Iterable[int]) -> int:
     except ValueError:
         raise InputError(f"vertices must be non-negative, got {v}") from None
     return mask
-
-
-def as_mask(vs: int | Iterable[int]) -> int:
-    """``vs`` itself when it is already a bitset, else :func:`mask_of` of it."""
-    return vs if isinstance(vs, int) else mask_of(vs)
 
 
 def complete_graph(n: int) -> Graph:

@@ -553,20 +553,15 @@ def match_leftover(
     if set(qs) & set(anchors):
         raise InputError("leftover vertices and anchors must be disjoint")
     g.check_vertices(anchors)
-    index = {v: k for k, v in enumerate(anchors)}
     anchor_mask = mask_of(anchors)
-    rows = tuple(
-        tuple(index[u] for u in bits(g.row(q) & anchor_mask)) for q in qs
-    )
-    res = hall_saturating_matching(BipartiteInstance(rows, len(anchors)))
+    # Matched onto host vertex ids: the right side is all of 0..n-1.
+    rows = tuple(tuple(bits(g.row(q) & anchor_mask)) for q in qs)
+    res = hall_saturating_matching(BipartiteInstance(rows, g.n))
     if res.status != "matched":
         return LeftoverMatching(
-            False,
-            (),
-            tuple(qs[i] for i in res.violator),
-            tuple(anchors[j] for j in res.neighborhood),
+            False, (), tuple(qs[i] for i in res.violator), res.neighborhood
         )
-    pairs = tuple((qs[i], anchors[res.pairs[i]]) for i in range(len(qs)))
+    pairs = tuple(zip(qs, res.pairs))
     return LeftoverMatching(True, pairs, (), ())
 
 
@@ -625,32 +620,32 @@ def _plan_partition(n: int, config: PipelineConfig) -> dict | None:
 
 def build_absorber(
     g: Graph,
-    xs: Iterable[int],
-    pools: Sequence[Sequence[int]],
+    xs: int,
+    pools: Sequence[int],
     acfg: AbsorberConfig,
 ) -> tuple[Absorber | None, BuildFailure | None]:
-    """Build one chained absorber over ``xs`` from seven disjoint pools.
+    """Build one chained absorber over the bitset ``xs`` from seven disjoint
+    bitset pools.
 
     ``pools`` are sized by :func:`reservoir_sizes`: four star pools, then the
     backbone, junction and link reservoirs.  Star-pool vertices the cores
     leave unpicked join the backbone reservoir, which keeps it from
     starving; whatever the units leave of the backbone and junction
-    reservoirs joins the link reservoir.  The three reservoirs are handed
-    down as bitsets.
+    reservoirs joins the link reservoir.
     """
     w1, w2, w3, w4, w5, w6, w7 = pools
     records, fail = build_single_absorbers(g, xs, w1, w2, w3, w4)
     if fail is not None:
         return None, fail
     star_used = mask_of(v for r in records for v in (r.u1, r.u2, r.v1, r.v2))
-    w5_pool = mask_of((*w1, *w2, *w3, *w4, *w5)) & ~star_used
-    w6_pool = mask_of(w6)
-    singles, fail = complete_absorbers(g, records, w5_pool, w6_pool, acfg)
+    w5_pool = (w1 | w2 | w3 | w4 | w5) & ~star_used
+    singles, fail = complete_absorbers(g, records, w5_pool, w6, acfg)
     if fail is not None:
         return None, fail
-    taken = mask_of(v for single in singles for v in single.body())
-    w7_pool = mask_of(w7) | ((w5_pool | w6_pool) & ~taken)
-    return chain_absorbers(g, singles, w7_pool, acfg)
+    taken = 0
+    for single in singles:
+        taken |= single.body()
+    return chain_absorbers(g, singles, w7 | ((w5_pool | w6) & ~taken), acfg)
 
 
 def _direct_arc(g: Graph, frm: tuple[int, int], to: tuple[int, int]) -> bool:
@@ -810,24 +805,22 @@ def _attempt(
         )
     sizes = [plan["x"], *reservoir_sizes(plan["x"], config)]
     part = random_partition(range(n), sizes, rng_for(seed0, 53))
-    x_cls, *pools = part.classes
+    x_mask, *pools = map(mask_of, part.classes)
     acfg = AbsorberConfig(
         blocks=config.connector_length // 4,
         unit_retries=config.unit_retries,
         seed=seed0 + 1,
     )
-    absorber, fail = build_absorber(g, x_cls, pools, acfg)
+    absorber, fail = build_absorber(g, x_mask, pools, acfg)
     if fail is not None:
-        return FailureReport(fail.stage, dict(fail.diagnostics, plan=plan))
+        return FailureReport("absorber", dict(fail.diagnostics, plan=plan))
     audit = verify_absorber(g, absorber)
     if not audit.ok:
         raise AssertionError(f"constructed absorber failed verification: {audit}")
 
-    body = absorber.body()
-    u_prime = sorted(set(range(n)) - body)
     cover = cover_with_square_paths(
         g,
-        u_prime,
+        bits(((1 << n) - 1) & ~absorber.body()),
         eps=config.cover_eps,
         seed=seed0 + 2,
         class_floor=config.class_floor,
@@ -842,7 +835,7 @@ def _attempt(
     for path in paths:
         check = is_square_path(g, tuple(path))
         assert check.ok, f"splicing broke a covering path: {check.reason}"
-    xs = sorted(x_cls)
+    xs = bits(x_mask)
     perm = rng_for(seed0, 59).permutation(len(xs))
     k1 = math.floor(config.eps * len(xs))
     x1 = sorted(xs[int(i)] for i in perm[:k1])
@@ -873,7 +866,7 @@ def _attempt(
     # Every absorbee not sitting inside a piece is legal connector fuel: the
     # absorber hands over whatever the threading consumed.
     matched_anchors = {xv for _, xv in matching.pairs}
-    fuel = mask_of(xs) & ~mask_of(matched_anchors)
+    fuel = x_mask & ~mask_of(matched_anchors)
     suffix, info = _assemble_cycle(g, absorber, pieces, fuel, seed0 + 3, config)
     if suffix is None:
         return FailureReport("connecting", dict(info, plan=plan))
@@ -901,13 +894,14 @@ def find_square_ham(
 ) -> Certificate | FailureReport:
     """Find the square of a Hamilton cycle, or report why there is none.
 
-    Small instances delegate to exhaustive search.  Larger ones run the
-    partition / absorber / covering / matching / connecting / absorption
-    pipeline, restarting with fresh randomness when a stage fails.  After
-    the first attempt fails (at any stage but ``partition``), one
-    :func:`find_infeasibility_witness` search runs; if it finds a proof, the
-    restarts stop.  The search never runs before an attempt that could
-    certify, so certificates do not depend on it.
+    Small instances delegate to exhaustive search; when it finds no cycle,
+    the report carries a :func:`find_infeasibility_witness` proof if one
+    shows.  Larger ones run the partition / absorber / covering / matching /
+    connecting / absorption pipeline, restarting with fresh randomness when
+    a stage fails.  After the first attempt fails (at any stage but
+    ``partition``), one :func:`find_infeasibility_witness` search runs; if
+    it finds a proof, the restarts stop.  The search never runs before an
+    attempt that could certify, so certificates do not depend on it.
 
     Args:
         g: Host graph.
@@ -916,10 +910,11 @@ def find_square_ham(
 
     Returns:
         One of three outcomes: a :class:`Certificate` that has passed
-        :func:`verify_certificate`; a :class:`FailureReport` of the first
-        attempt whose ``witness`` passes :func:`verify_witness`; or the
-        last attempt's :class:`FailureReport`, with no witness, naming the
-        stage that ran short.
+        :func:`verify_certificate`; a :class:`FailureReport` (of the
+        exhaustive search, or of the first attempt) whose ``witness``
+        passes :func:`verify_witness`; or the last attempt's
+        :class:`FailureReport`, with no witness, naming the stage that ran
+        short.
     """
     if gamma_host is not None:
         ok, offending = g.is_subgraph_of(gamma_host)
@@ -939,6 +934,7 @@ def find_square_ham(
                 "brute_status": res.status,
                 "nodes": res.nodes,
             },
+            find_infeasibility_witness(g),
         )
     last: FailureReport | None = None
     for restart in range(max(1, config.restarts)):

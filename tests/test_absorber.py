@@ -22,7 +22,7 @@ from squareham import (
 from squareham import absorber as absorber_module
 from squareham.absorber import absorber_from_json_obj, absorber_to_json_obj
 from squareham.gadgets import square_path_pairs
-from squareham.graphcore import random_partition
+from squareham.graphcore import bits, mask_of
 
 
 def build_full_absorber(n: int, p: float, seed: int, x_count: int = 3):
@@ -30,29 +30,26 @@ def build_full_absorber(n: int, p: float, seed: int, x_count: int = 3):
     g = gnp_generate(n, p, seed)
     rng = rng_for(seed, 41)
     order = [int(v) for v in rng.permutation(n)]
-    xs = order[:x_count]
     star = x_count + 4
     joint = 2 * x_count + 8
-    pools = []
-    at = x_count
-    for size in (star, joint, joint, joint):
-        pools.append(order[at : at + size])
+    masks = []
+    at = 0
+    for size in (x_count, star, joint, joint, joint, 4 * x_count + 20, 2 * x_count + 8):
+        masks.append(mask_of(order[at : at + size]))
         at += size
-    w5 = order[at : at + 4 * x_count + 20]
-    at += 4 * x_count + 20
-    w6 = order[at : at + 2 * x_count + 8]
-    at += 2 * x_count + 8
-    w7 = order[at:]
+    xs, w1, w2, w3, w4, w5, w6 = masks
+    w7 = mask_of(order[at:])
     cfg = AbsorberConfig(blocks=2, seed=seed)
-    records, fail = build_single_absorbers(g, xs, *pools)
+    records, fail = build_single_absorbers(g, xs, w1, w2, w3, w4)
     if fail is not None:
         return g, None, fail
     singles, fail = complete_absorbers(g, records, w5, w6, cfg)
     if fail is not None:
         return g, None, fail
-    taken = {v for rec in singles for v in rec.body()}
-    link_pool = sorted((set(w5) | set(w6) | set(w7)) - taken)
-    built, fail = chain_absorbers(g, singles, link_pool, cfg)
+    taken = 0
+    for single in singles:
+        taken |= single.body()
+    built, fail = chain_absorbers(g, singles, (w5 | w6 | w7) & ~taken, cfg)
     return g, built, fail
 
 
@@ -60,7 +57,7 @@ def subset_walk_is_valid(g, a, dropped) -> bool:
     walk = absorb(a, dropped)
     return (
         is_square_path(g, walk).ok
-        and set(walk) == a.body() - set(dropped)
+        and mask_of(walk) == a.body() & ~mask_of(dropped)
         and walk[:2] == a.entry
         and walk[-2:] == a.exit
     )
@@ -81,7 +78,6 @@ def every_subset_walk_is_valid(g, a) -> bool:
 def test_built_absorbers_pass_exhaustive_verification(seed: int) -> None:
     g, absorber, fail = build_full_absorber(150, 0.55, seed)
     if absorber is None:
-        assert fail.stage
         assert fail.diagnostics
         return
     report = verify_absorber(g, absorber)
@@ -93,9 +89,9 @@ def test_unit_traversals_are_built_once_per_mode(monkeypatch) -> None:
     built = []
     traverse = absorber_module.absorber_traversal
 
-    def counting(blocks, junctions, x, mode):
+    def counting(backbone, junctions, x, mode):
         built.append((x, mode))
-        return traverse(blocks, junctions, x, mode)
+        return traverse(backbone, junctions, x, mode)
 
     monkeypatch.setattr(absorber_module, "absorber_traversal", counting)
     g, a, fail = next(
@@ -168,7 +164,7 @@ def corrupt(g, a, kind: str, draw):
         k1, k2 = draw(
             sampled_from(list(itertools.permutations(range(len(a.units)), 2)))
         )
-        shared = draw(sampled_from(sorted(a.units[k1].vertex_set())))
+        shared = draw(sampled_from(bits(a.units[k1].vertex_set())))
         old = draw(sampled_from(a.units[k2].backbone.vertices))
         return g, with_unit_vertex(a, k2, old, shared)
     return g, a
@@ -215,7 +211,7 @@ def test_absorbed_walks_span_the_body_minus_the_dropped_set(seed: int) -> None:
     for k in range(len(xs) + 1):
         for dropped in itertools.combinations(xs, k):
             walk = absorb(absorber, dropped)
-            assert set(walk) == body - set(dropped)
+            assert mask_of(walk) == body & ~mask_of(dropped)
             assert len(walk) == len(set(walk))
             assert is_square_path(g, walk).ok
             assert (walk[0], walk[1]) == absorber.entry
@@ -248,7 +244,7 @@ def test_verification_detects_a_corrupted_unit() -> None:
     outside = next(
         v
         for v in range(g.n)
-        if v not in absorber.body() and not g.neighbors(v) >= set(verts[:4])
+        if not absorber.body() >> v & 1 and not g.neighbors(v) >= set(verts[:4])
     )
     verts[-1] = outside
     from dataclasses import replace
@@ -269,31 +265,41 @@ def test_absorber_json_round_trip() -> None:
         absorber_from_json_obj({"nonsense": True})
 
 
+# The absorbee 0 and four star pools of two vertices each, as bitsets.
+STAR_CLASSES = (1 << 0, 0b110, 0b11000, 0b1100000, 0b110000000)
+
+
 def test_star_stage_reports_a_deficient_round() -> None:
     # An absorbee with no neighbors in the first pool cannot be matched.
     g = gnp_generate(40, 0.0, 0)
-    records, fail = build_single_absorbers(g, [0], [1, 2], [3, 4], [5, 6], [7, 8])
+    records, fail = build_single_absorbers(g, *STAR_CLASSES)
     assert records is None
     assert fail is not None
-    assert fail.stage == "absorber"
+    assert fail.diagnostics["round"] == 1
     assert 0 in fail.diagnostics["violating_absorbees"]
 
 
 def test_star_stage_rejects_overlapping_classes() -> None:
     g = complete_graph(20)
-    with pytest.raises(InputError):
-        build_single_absorbers(g, [0], [1, 2], [2, 3], [4, 5], [6, 7])
+    xs, w1, w2, w3, w4 = STAR_CLASSES
+    assert build_single_absorbers(g, xs, w1, w2, w3, w4)[1] is None
+    for bad in (
+        (xs, w1, w2 | w1, w3, w4),  # two star pools share vertices
+        (xs, w1, w2, w3, w4 | xs),  # a star pool holds the absorbee
+        (xs, w1, w2, w3, w4 | 1 << 20),  # vertex 20 is not one of g
+        (xs, -1, 0, 0, 0),  # a negative mask is no vertex set
+    ):
+        with pytest.raises(InputError):
+            build_single_absorbers(g, *bad)
 
 
 def test_completion_reports_exhausted_reservoirs() -> None:
     g = complete_graph(30)
-    records, fail = build_single_absorbers(
-        g, [0], [1, 2], [3, 4], [5, 6], [7, 8]
-    )
+    records, fail = build_single_absorbers(g, *STAR_CLASSES)
     assert fail is None
     cfg = AbsorberConfig(blocks=2, seed=0)
-    singles, fail = complete_absorbers(g, records, [9], [10], cfg)
+    singles, fail = complete_absorbers(g, records, 1 << 9, 1 << 10, cfg)
     assert singles is None
     assert fail is not None
-    assert fail.stage in ("absorber", "connecting")
-    assert fail.diagnostics
+    assert fail.diagnostics["phase"] == "backbone"
+    assert fail.diagnostics["absorbee"] == 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -191,6 +192,39 @@ def test_connect_rejects_retries_below_one(tmp_path, capsys, retries) -> None:
     assert run("connect", "--graph", graph, "--pairs", "0,1,2,3",
                "--retries", retries) == 2
     assert "retries" in capsys.readouterr().err
+
+
+def stdout_digest(capsys, *argv: str) -> tuple[int, str]:
+    code = run(*argv)
+    return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def test_connect_and_absorber_build_outputs_are_pinned(tmp_path, capsys) -> None:
+    # The CLI turns its vertex lists into masks; the outputs must not move.
+    graph = write_graph(tmp_path, "g.edges", 60, 0.6, 4)
+    pairs = "2,3,4,5;6,7,0,2"
+    reservoir = ",".join(str(v) for v in range(8, 60, 2))
+    assert stdout_digest(
+        capsys, "connect", "--graph", graph, "--pairs", pairs, "--length", "6",
+        "--w", reservoir, "--exclude", "10,20,30", "--seed", "2",
+    ) == (0, "559cd602aefdef27ea8c1d242d1ed034f80bcec9eee1a43f031cceb82a735b29")
+    assert stdout_digest(
+        capsys, "connect", "--graph", graph, "--pairs", pairs, "--b", "2",
+        "--length", "8", "--exclude", "9,11,13", "--seed", "1",
+    ) == (0, "effdd9494036582dd6f5fbb26cf6fac3abb1e3a6e1562bcb5d156a0857278799")
+    graph = write_graph(tmp_path, "h.edges", 120, 0.55, 7)
+    assert stdout_digest(
+        capsys, "absorber", "build", "--graph", graph, "--x", "0,1,2",
+        "--seed", "3",
+    ) == (0, "b992541495d274ee1fb1b0b7068cd056c48a9a6fd534762afe15b99d7d218339")
+
+
+def test_connect_rejects_negative_vertices(tmp_path, capsys) -> None:
+    graph = write_graph(tmp_path, "g.edges", 30, 1.0, 0)
+    for flag in ("--exclude", "--w"):
+        assert run("connect", "--graph", graph, "--pairs", "0,1,2,3",
+                   flag, "-1") == 2
+        assert "non-negative" in capsys.readouterr().err
 
 
 def test_absorber_build_verify_round_trips(tmp_path, capsys) -> None:

@@ -14,11 +14,11 @@ from squareham import (
     rng_for,
     validate_embedding,
 )
-from squareham.graphcore import mask_of
+from squareham.graphcore import bits, mask_of
 
 
 def host_and_jobs(n: int, p: float, seed: int, jobs: int = 1):
-    """A random host, disjoint port edges, and the remaining reservoir."""
+    """A random host, disjoint port edges, and the remaining reservoir mask."""
     g = gnp_generate(n, p, seed)
     rng = rng_for(seed, 31)
     taken: set[int] = set()
@@ -53,7 +53,7 @@ def host_and_jobs(n: int, p: float, seed: int, jobs: int = 1):
             return None
         pairs.append((frm, to))
         taken |= {*frm, *to}
-    w = tuple(v for v in range(n) if v not in taken)
+    w = mask_of(v for v in range(n) if v not in taken)
     return g, tuple(pairs), w
 
 
@@ -63,14 +63,14 @@ def test_short_connections_on_a_complete_graph_always_land(
 ) -> None:
     g = complete_graph(24)
     req = ConnectionRequest(
-        pairs=(((0, 1), (2, 3)),), w=tuple(range(4, 24)), b=1, length=length
+        pairs=(((0, 1), (2, 3)),), w=mask_of(range(4, 24)), b=1, length=length
     )
-    res = connect_one(g, req, (), seed=seed)
+    res = connect_one(g, req, 0, seed=seed)
     assert res.ok
     emb = res.embedding
     assert validate_embedding(g, emb, connect_from=(0, 1), connect_to=(2, 3)).ok
     assert len(emb.vertices) == length
-    assert set(emb.vertices[2:-2]) <= set(req.w)
+    assert mask_of(emb.vertices[2:-2]) & ~req.w == 0
 
 
 @given(integers(min_value=0, max_value=100))
@@ -79,14 +79,14 @@ def test_interiors_avoid_the_exclusion_set(seed: int) -> None:
     if bundle is None:
         return
     g, pairs, w = bundle
-    x = set(w[::3])
+    x = mask_of(bits(w)[::3])
     req = ConnectionRequest(pairs=pairs, w=w, b=1, length=6)
     res = connect_one(g, req, x, seed=seed)
     if not res.ok:
         return
-    interior = set(res.embedding.vertices[2:-2])
+    interior = mask_of(res.embedding.vertices[2:-2])
     assert not interior & x
-    assert interior <= set(w)
+    assert interior & ~w == 0
 
 
 @given(integers(min_value=0, max_value=100))
@@ -96,8 +96,8 @@ def test_connection_is_deterministic_per_seed(seed: int) -> None:
         return
     g, pairs, w = bundle
     req = ConnectionRequest(pairs=pairs, w=w, b=1, length=6)
-    first = connect_one(g, req, (), seed=seed)
-    second = connect_one(g, req, (), seed=seed)
+    first = connect_one(g, req, 0, seed=seed)
+    second = connect_one(g, req, 0, seed=seed)
     assert first.ok == second.ok
     if first.ok:
         assert first.embedding == second.embedding
@@ -112,7 +112,7 @@ def test_long_direct_connections_produce_valid_square_paths(seed: int) -> None:
         return
     g, pairs, w = bundle
     req = ConnectionRequest(pairs=pairs, w=w, b=1, length=12)
-    res = connect_one(g, req, (), seed=seed)
+    res = connect_one(g, req, 0, seed=seed)
     assert res.ok
     (frm, to) = pairs[res.seed_index]
     assert validate_embedding(g, res.embedding, connect_from=frm, connect_to=to).ok
@@ -127,7 +127,7 @@ def test_width_two_connections_form_backbones(seed: int, length: int) -> None:
         return
     g, pairs, w = bundle
     req = ConnectionRequest(pairs=pairs, w=w, b=2, length=length)
-    res = connect_one(g, req, (), seed=seed)
+    res = connect_one(g, req, 0, seed=seed)
     assert res.ok
     assert res.embedding.gadget.kind == "backbone"
     (frm, to) = pairs[res.seed_index]
@@ -139,28 +139,28 @@ def test_request_validation_rejects_malformed_jobs() -> None:
     with pytest.raises(InputError):
         connect_one(
             g,
-            ConnectionRequest(pairs=(((0, 1), (0, 2)),), w=(5, 6), length=4),
-            (),
+            ConnectionRequest(pairs=(((0, 1), (0, 2)),), w=0b1100000, length=4),
+            0,
             seed=0,
         )
     with pytest.raises(InputError):
         connect_one(
             g,
-            ConnectionRequest(pairs=(((0, 1), (2, 3)),), w=(5, 6), length=3, b=2),
-            (),
+            ConnectionRequest(pairs=(((0, 1), (2, 3)),), w=0b1100000, length=3, b=2),
+            0,
             seed=0,
         )
     sparse = gnp_generate(10, 0.0, 0)
     with pytest.raises(InputError):
         connect_one(
             sparse,
-            ConnectionRequest(pairs=(((0, 1), (2, 3)),), w=(5, 6), length=4),
-            (),
+            ConnectionRequest(pairs=(((0, 1), (2, 3)),), w=0b1100000, length=4),
+            0,
             seed=0,
         )
     for retries in (0, -4):
         req = ConnectionRequest(
-            pairs=(((0, 1), (2, 3)),), w=(5, 6), length=4, retries=retries
+            pairs=(((0, 1), (2, 3)),), w=0b1100000, length=4, retries=retries
         )
         with pytest.raises(InputError):
             connect_all(g, req, seed=0)
@@ -169,37 +169,13 @@ def test_request_validation_rejects_malformed_jobs() -> None:
 @pytest.mark.parametrize("bad", [-1, 10])
 def test_reservoir_vertices_outside_the_host_are_rejected(bad: int) -> None:
     # With seed 0 the search lands on vertex 8 or 7 before it would reach
-    # the bad one; the reservoir is checked before any search starts.
+    # the bad one; the reservoir is checked before any search starts.  A
+    # negative vertex has no bit, so it is rejected as the mask is formed.
     g = complete_graph(10)
-    req = ConnectionRequest(
-        pairs=(((0, 1), (2, 3)),), w=(4, 5, 6, 7, 8, 9, bad), length=5
-    )
     with pytest.raises(InputError):
-        connect_one(g, req, (), seed=0)
-    # Excluded vertices are not part of the reservoir.
-    assert connect_one(g, req, (bad,), seed=0).ok
-
-
-@given(integers(min_value=0, max_value=100), sampled_from((4, 6, 8)))
-def test_a_reservoir_given_as_a_mask_connects_like_its_vertex_tuple(
-    seed: int, length: int
-) -> None:
-    bundle = host_and_jobs(60, 0.6, seed, jobs=2)
-    if bundle is None:
-        return
-    g, pairs, w = bundle
-    x = w[::3]
-    results = [
-        connect_one(
-            g,
-            ConnectionRequest(pairs=pairs, w=w_form, b=1, length=length),
-            x_form,
-            seed=seed,
-        )
-        for w_form in (w, mask_of(w))
-        for x_form in (x, mask_of(x))
-    ]
-    assert all(res == results[0] for res in results)
+        w = mask_of((4, 5, 6, 7, 8, 9, bad))
+        req = ConnectionRequest(pairs=(((0, 1), (2, 3)),), w=w, length=5)
+        connect_one(g, req, 0, seed=0)
 
 
 def test_reservoir_masks_outside_the_host_are_rejected() -> None:
@@ -208,10 +184,12 @@ def test_reservoir_masks_outside_the_host_are_rejected() -> None:
     for w in (mask_of((4, 5, 10)), -1):
         with pytest.raises(InputError):
             connect_one(g, ConnectionRequest(pairs=pairs, w=w, length=5), 0, seed=0)
-    # A vertex outside the host is fine once it is excluded, in either form.
+    # A vertex outside the host is fine once it is excluded.
     w = mask_of((4, 5, 6, 10))
     assert connect_one(g, ConnectionRequest(pairs=pairs, w=w, length=5), 1 << 10, 0).ok
-    assert connect_one(g, ConnectionRequest(pairs=pairs, w=w, length=5), (10, -1), 0).ok
+    # A negative exclusion mask would silently exclude every vertex.
+    with pytest.raises(InputError):
+        connect_one(g, ConnectionRequest(pairs=pairs, w=w, length=5), -1 << 10, 0)
 
 
 def test_connection_templates_are_built_once_per_shape(monkeypatch) -> None:
@@ -227,9 +205,9 @@ def test_connection_templates_are_built_once_per_shape(monkeypatch) -> None:
     for seed in range(3):
         for b, length in ((1, 6), (2, 8)):
             req = ConnectionRequest(
-                pairs=(((0, 1), (2, 3)),), w=tuple(range(4, 30)), b=b, length=length
+                pairs=(((0, 1), (2, 3)),), w=mask_of(range(4, 30)), b=b, length=length
             )
-            assert connect_one(g, req, (), seed).ok
+            assert connect_one(g, req, 0, seed).ok
     assert len(built) == 2
     connector._template.cache_clear()
 
@@ -245,10 +223,10 @@ def test_connect_all_keeps_job_interiors_disjoint(seed: int) -> None:
     if not res.ok:
         return
     assert len(res.embeddings) == len(pairs)
-    seen: set[int] = set()
+    seen = 0
     for emb, (frm, to) in zip(res.embeddings, pairs):
         assert validate_embedding(g, emb, connect_from=frm, connect_to=to).ok
-        interior = set(emb.vertices[2:-2])
+        interior = mask_of(emb.vertices[2:-2])
         assert not interior & seen
         seen |= interior
 
@@ -264,17 +242,17 @@ def test_reservoir_order_is_drawn_once_and_only_when_needed(monkeypatch) -> None
     monkeypatch.setattr(connector, "rng_for", counting)
     connector._reservoir_order.cache_clear()
     g = complete_graph(12).remove_edges([(1, 2)])
-    w = tuple(range(6, 12))
+    w = mask_of(range(6, 12))
     # Length 5 needs the port edge 1-2, so no job gets to a free label.
     blocked = ConnectionRequest(pairs=(((0, 1), (2, 3)),), w=w, length=5)
-    res = connect_one(g, blocked, (), seed=4)
+    res = connect_one(g, blocked, 0, seed=4)
     assert not res.ok and res.diagnostics["nodes_per_job"] == [0]
     assert draws == []
     # A sweep over lengths with one seed and one pool draws one shuffle.
     for length in (6, 7, 8):
         req = ConnectionRequest(pairs=(((0, 3), (4, 5)),), w=w, length=length)
-        assert connect_one(g, req, (), seed=4).ok
+        assert connect_one(g, req, 0, seed=4).ok
     assert len(draws) == 1
     connector._reservoir_order.cache_clear()
     with pytest.raises(InputError):
-        connect_one(g, blocked, (), seed=-1)
+        connect_one(g, blocked, 0, seed=-1)

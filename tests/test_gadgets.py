@@ -193,16 +193,6 @@ def synthetic_unit_host(blocks: int, connector_length: int):
     return host, tuple(verts), tuple(interiors), x
 
 
-def resolve_traversal(tokens, verts, blocks: int) -> tuple[int, ...]:
-    out = []
-    for tok in tokens:
-        if hasattr(tok, "block"):
-            out.append(verts[backbone_label(tok.block, tok.slot, blocks)])
-        else:
-            out.append(tok)
-    return tuple(out)
-
-
 @pytest.mark.parametrize("blocks", [2, 3, 4])
 @pytest.mark.parametrize("connector_length", [4, 8])
 def test_both_traversals_are_square_paths_on_the_unit_edges(
@@ -219,9 +209,7 @@ def test_both_traversals_are_square_paths_on_the_unit_edges(
         ("include", everything),
         ("exclude", everything - {x}),
     ):
-        walk = resolve_traversal(
-            absorber_traversal(blocks, interiors, x, mode), verts, blocks
-        )
+        walk = absorber_traversal(verts, interiors, x, mode)
         assert set(walk) == covered
         assert len(walk) == len(covered)
         assert is_square_path(host, walk)
@@ -231,8 +219,10 @@ def test_both_traversals_are_square_paths_on_the_unit_edges(
 
 def test_traversal_rejects_bad_arguments() -> None:
     with pytest.raises(InputError):
-        absorber_traversal(1, (), 9, "include")
+        absorber_traversal(tuple(range(4)), (), 9, "include")
     with pytest.raises(InputError):
-        absorber_traversal(3, ((),), 9, "include")
+        absorber_traversal(tuple(range(10)), ((),), 9, "include")
     with pytest.raises(InputError):
-        absorber_traversal(2, ((),), 9, "sideways")
+        absorber_traversal(tuple(range(12)), ((),), 9, "include")
+    with pytest.raises(InputError):
+        absorber_traversal(tuple(range(8)), ((),), 9, "sideways")

@@ -437,8 +437,6 @@ def test_masks_reject_negative_vertices() -> None:
         mask_of([3, -1])
     with pytest.raises(InputError):
         bits(-1)
-    assert graphcore.as_mask(0b101) == 0b101
-    assert graphcore.as_mask((0, 2)) == 0b101
 
 
 @given(gnp_graphs(max_n=40), seeds())

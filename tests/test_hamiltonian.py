@@ -230,6 +230,21 @@ def test_pipeline_delegates_small_hosts_to_exhaustive_search() -> None:
     assert outcome.diagnostics["brute_status"] == "none"
 
 
+def test_small_host_failures_carry_a_witness_when_one_shows() -> None:
+    # K_{5,7}: triangle-free, so exhaustive search finds no square cycle,
+    # and its side of 7 is independent with 7 > 12 // 3.
+    g = Graph(12, [(u, v) for u in range(5) for v in range(5, 12)])
+    outcome = find_square_ham(g)
+    assert isinstance(outcome, FailureReport)
+    assert outcome.diagnostics["brute_status"] == "none"
+    assert outcome.witness.kind == "independent-set"
+    assert verify_witness(g, outcome.witness).ok
+    # A budget too small to decide still gets the proof.
+    outcome = find_square_ham(g, config=PipelineConfig(brute_budget=1))
+    assert outcome.diagnostics["brute_status"] == "unknown"
+    assert verify_witness(g, outcome.witness).ok
+
+
 def test_pipeline_checks_the_host_relation() -> None:
     g = complete_graph(30)
     tiny = gnp_generate(30, 0.1, 0)
@@ -281,12 +296,13 @@ def test_default_config_outputs_are_pinned() -> None:
     )
     assert isinstance(outcome, FailureReport)
     assert verify_witness(attacked, outcome.witness).ok
+    assert (outcome.stage, outcome.diagnostics["phase"]) == ("absorber", "backbone")
     # The first attempt's report, with the witness that ended the restarts.
     assert outcome_digest(dataclasses.replace(outcome, witness=None)) == (
-        "86cbd89900c535be944d4536005d3670ebfebfda085ac74adbcb8ccbe408750d"
+        "52c99a88a307a9927fc71a38b74641a267700f750feba9ae20252e1b216a4e3b"
     )
     assert outcome_digest(outcome) == (
-        "2c45abc8fd886705b7c98a34273d04d470b72669dae204137be8da9fce073619"
+        "bca3d465fc2ed7bb4f4cdb2286c646f68c2dc9af6c8858206685b692b6c880dc"
     )
     # Larger hosts: one default-config certificate and one on a config with
     # widened absorber reservoirs.
