@@ -7,7 +7,8 @@ Submodules:
         ``A·A`` product, family membership.
     gadgets: square-path / backbone templates and embeddings.
     matching: Hall matching with a deficient-set witness.
-    connector: pair-to-pair connection search over a reservoir.
+    connector: one pair-to-pair connection per search over a reservoir,
+        and batches with disjoint interiors.
     absorber: per-vertex absorbing structures, chaining, verification.
     hamiltonian: the end-to-end pipeline, brute-force oracle, certificates
         and checkable infeasibility witnesses.

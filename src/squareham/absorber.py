@@ -142,18 +142,6 @@ class Absorber:
         return verts
 
 
-@dataclass(frozen=True)
-class BuildFailure:
-    """Why the absorber could not be built (diagnostics are nonempty).
-
-    Completion and chaining failures name their ``phase`` (``backbone``,
-    ``junction-i`` or ``link``); a deficient star round names its
-    ``round``.
-    """
-
-    diagnostics: dict
-
-
 def build_single_absorbers(
     g: Graph,
     xs: int,
@@ -161,7 +149,7 @@ def build_single_absorbers(
     w2: int,
     w3: int,
     w4: int,
-) -> tuple[tuple[StarRecord, ...] | None, BuildFailure | None]:
+) -> tuple[tuple[StarRecord, ...] | None, dict | None]:
     """Assign each absorbee a disjoint five-vertex star core by Hall rounds.
 
     The absorbee set ``xs`` and the four star pools are bitsets.  Four
@@ -169,7 +157,8 @@ def build_single_absorbers(
     ``x``; ``u2`` from ``w2`` adjacent to ``x`` and ``u1``; ``v1`` from ``w3``
     adjacent to ``x`` and ``u2``; ``v2`` from ``w4`` adjacent to ``x`` and
     ``v1``.  Each round matches onto host vertex ids.  A deficient round
-    aborts with the violating absorbee set.
+    aborts with diagnostics naming the ``round`` and the violating absorbee
+    set.
 
     Raises:
         InputError: If two of the five sets overlap or one holds a bit
@@ -195,13 +184,11 @@ def build_single_absorbers(
             adjacency.append(tuple(bits(allowed)))
         res = hall_saturating_matching(BipartiteInstance(tuple(adjacency), g.n))
         if res.status != "matched":
-            return None, BuildFailure(
-                {
-                    "round": round_no + 1,
-                    "violating_absorbees": [xs_listed[i] for i in res.violator],
-                    "joint_neighborhood": len(res.neighborhood),
-                },
-            )
+            return None, {
+                "round": round_no + 1,
+                "violating_absorbees": [xs_listed[i] for i in res.violator],
+                "joint_neighborhood": len(res.neighborhood),
+            }
         for i, v in enumerate(res.pairs):
             chosen[i].append(v)
             anchors[i] = v
@@ -230,8 +217,8 @@ def _connect_with_fallback(
     same ``pool`` mask.
     """
     for length in range(4, 9):
-        req = ConnectionRequest(pairs=((frm, to),), w=pool, b=1, length=length)
-        res = connect_one(g, req, 0, seed * 31)
+        req = ConnectionRequest(frm, to, pool, 1, length)
+        res = connect_one(g, req, seed * 31)
         if res.ok:
             break
     return res
@@ -243,14 +230,16 @@ def complete_absorbers(
     w5: int,
     w6: int,
     config: AbsorberConfig,
-) -> tuple[tuple[Absorber, ...] | None, BuildFailure | None]:
+) -> tuple[tuple[Absorber, ...] | None, dict | None]:
     """Thread each star core onto a backbone and wire its block junctions.
 
     The backbone of each unit is grown through ``w5`` (its first block being
     the star core), junction interiors through ``w6``; both are bitsets.  A
     unit that cannot be wired retries with a fresh backbone cut up to
     ``config.unit_retries`` times; reservoir vertices are retired as units
-    succeed.  Each record yields a single-vertex absorber.
+    succeed.  Each record yields a single-vertex absorber.  A unit that
+    cannot be wired at all aborts with diagnostics naming its ``phase``
+    (``backbone`` or ``junction-i``).
     """
     if config.blocks < 2:
         raise InputError(f"absorber units need at least 2 blocks, got {config.blocks}")
@@ -261,15 +250,12 @@ def complete_absorbers(
         last_diag: dict = {}
         # Both reservoirs less the finished units (and this absorbee).
         req = ConnectionRequest(
-            pairs=(((rec.u2, rec.u1), (rec.v2, rec.v1)),),
-            w=w5 & ~used,
-            b=2,
-            length=4 * config.blocks,
+            (rec.u2, rec.u1), (rec.v2, rec.v1), w5 & ~used, 2, 4 * config.blocks
         )
         w6_free = w6 & ~used & ~(1 << rec.x)
         for attempt in range(max(1, config.unit_retries)):
             base = config.seed * 100_003 + uidx * 1_009 + attempt * 17
-            res = connect_one(g, req, 0, base)
+            res = connect_one(g, req, base)
             if not res.ok:
                 last_diag = {"phase": "backbone", "connect": res.diagnostics}
                 continue
@@ -293,11 +279,8 @@ def complete_absorbers(
                         "connect": jres.diagnostics,
                     }
                     break
-                interior = tuple(
-                    v
-                    for v in jres.embedding.vertices
-                    if v not in (*frm, *to)
-                )
+                # The ports are the first two and the last two labels.
+                interior = jres.embedding.vertices[2:-2]
                 interiors.append(interior)
                 taken |= mask_of(interior)
             if not wired:
@@ -307,13 +290,11 @@ def complete_absorbers(
             used |= unit.vertex_set()
             break
         if unit is None:
-            return None, BuildFailure(
-                {
-                    "absorbee": rec.x,
-                    "attempts": max(1, config.unit_retries),
-                    **last_diag,
-                },
-            )
+            return None, {
+                "absorbee": rec.x,
+                "attempts": max(1, config.unit_retries),
+                **last_diag,
+            }
         singles.append(Absorber((unit,), ()))
     return tuple(singles), None
 
@@ -360,12 +341,14 @@ def chain_absorbers(
     absorbers: Sequence[Absorber],
     w7: int,
     config: AbsorberConfig,
-) -> tuple[Absorber | None, BuildFailure | None]:
+) -> tuple[Absorber | None, dict | None]:
     """Join absorbers in order with square-path links into one absorber.
 
     Each link connects an absorber's exit pair to the next one's entry pair,
     directly when the three required host edges exist, otherwise through the
-    ``w7`` reservoir bitset.  A single absorber is returned unchanged.
+    ``w7`` reservoir bitset.  A single absorber is returned unchanged.  A
+    link that cannot be made aborts with diagnostics naming the ``link``
+    phase.
     """
     if not absorbers:
         raise InputError("an absorber needs at least one unit")
@@ -391,16 +374,12 @@ def chain_absorbers(
             g, frm, to, free, config.seed * 9_176 + i * 13
         )
         if not res.ok:
-            return None, BuildFailure(
-                {
-                    "phase": "link",
-                    "link": (a.absorbees[-1], absorbers[i + 1].absorbees[0]),
-                    "connect": res.diagnostics,
-                },
-            )
-        interior = tuple(
-            v for v in res.embedding.vertices if v not in (*frm, *to)
-        )
+            return None, {
+                "phase": "link",
+                "link": (a.absorbees[-1], absorbers[i + 1].absorbees[0]),
+                "connect": res.diagnostics,
+            }
+        interior = res.embedding.vertices[2:-2]
         links.append(interior)
         free &= ~mask_of(interior)
     absorber = Absorber(tuple(units), tuple(links))

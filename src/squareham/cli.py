@@ -200,14 +200,16 @@ def _cmd_verify(args) -> tuple[int, str, dict]:
 
 def _cmd_connect(args) -> tuple[int, str, dict]:
     g = read_graph(args.graph)
-    pairs = _job_pairs(args.pairs)
     # The connector never draws a port, so the default reservoir is every
     # vertex.
     w = mask_of(_ints(args.w)) if args.w else (1 << g.n) - 1
-    req = ConnectionRequest(
-        pairs=pairs, w=w, b=args.b, length=args.length, retries=args.retries
+    reqs = [
+        ConnectionRequest(frm, to, w, args.b, args.length)
+        for frm, to in _job_pairs(args.pairs)
+    ]
+    res = connect_all(
+        g, reqs, args.seed, args.retries, x=mask_of(_ints(args.exclude))
     )
-    res = connect_all(g, req, args.seed, x=mask_of(_ints(args.exclude)))
     payload = {
         "ok": res.ok,
         "embeddings": [
@@ -229,6 +231,8 @@ def _cmd_absorber_build(args) -> tuple[int, str, dict]:
         raise InputError(f"--blocks must be at least 2, got {args.blocks}")
     g = read_graph(args.graph)
     xs = _ints(args.x)
+    if len(set(xs)) != len(xs):
+        raise InputError(f"absorbees must be distinct, got {args.x!r}")
     # The pipeline restarts with a fresh cut when a build fails; a standalone
     # build gets one cut, so its star and backbone margins are wider.
     sizing = PipelineConfig(
@@ -252,7 +256,7 @@ def _cmd_absorber_build(args) -> tuple[int, str, dict]:
     built, fail = build_absorber(g, mask_of(xs), pools, cfg)
     meta = {"x": list(xs), "blocks": args.blocks, "seed": args.seed}
     if fail is not None:
-        report = FailureReport("absorber", dict(fail.diagnostics))
+        report = FailureReport("absorber", fail)
         return 1, _json_text(failure_report_to_json_obj(report)), meta
     return 0, _json_text(absorber_to_json_obj(built)), meta
 

@@ -18,7 +18,6 @@ from typing import Iterable, Mapping, Sequence
 from .absorber import (
     Absorber,
     AbsorberConfig,
-    BuildFailure,
     absorb,
     build_single_absorbers,
     chain_absorbers,
@@ -623,7 +622,7 @@ def build_absorber(
     xs: int,
     pools: Sequence[int],
     acfg: AbsorberConfig,
-) -> tuple[Absorber | None, BuildFailure | None]:
+) -> tuple[Absorber | None, dict | None]:
     """Build one chained absorber over the bitset ``xs`` from seven disjoint
     bitset pools.
 
@@ -677,12 +676,11 @@ def _cascade_connect(
     for k, length in enumerate(lengths):
         if length == 4:
             continue
-        req = ConnectionRequest(pairs=((frm, to),), w=pool, b=1, length=length)
-        res = connect_one(g, req, 0, seed * 37 + k)
+        req = ConnectionRequest(frm, to, pool, 1, length)
+        res = connect_one(g, req, seed * 37 + k)
         if res.ok:
-            return tuple(
-                v for v in res.embedding.vertices if v not in (*frm, *to)
-            )
+            # The ports are the first two and the last two labels.
+            return res.embedding.vertices[2:-2]
     return None
 
 
@@ -813,7 +811,7 @@ def _attempt(
     )
     absorber, fail = build_absorber(g, x_mask, pools, acfg)
     if fail is not None:
-        return FailureReport("absorber", dict(fail.diagnostics, plan=plan))
+        return FailureReport("absorber", dict(fail, plan=plan))
     audit = verify_absorber(g, absorber)
     if not audit.ok:
         raise AssertionError(f"constructed absorber failed verification: {audit}")

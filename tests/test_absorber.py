@@ -78,7 +78,7 @@ def every_subset_walk_is_valid(g, a) -> bool:
 def test_built_absorbers_pass_exhaustive_verification(seed: int) -> None:
     g, absorber, fail = build_full_absorber(150, 0.55, seed)
     if absorber is None:
-        assert fail.diagnostics
+        assert fail
         return
     report = verify_absorber(g, absorber)
     assert report.ok
@@ -275,8 +275,8 @@ def test_star_stage_reports_a_deficient_round() -> None:
     records, fail = build_single_absorbers(g, *STAR_CLASSES)
     assert records is None
     assert fail is not None
-    assert fail.diagnostics["round"] == 1
-    assert 0 in fail.diagnostics["violating_absorbees"]
+    assert fail["round"] == 1
+    assert 0 in fail["violating_absorbees"]
 
 
 def test_star_stage_rejects_overlapping_classes() -> None:
@@ -301,5 +301,5 @@ def test_completion_reports_exhausted_reservoirs() -> None:
     singles, fail = complete_absorbers(g, records, 1 << 9, 1 << 10, cfg)
     assert singles is None
     assert fail is not None
-    assert fail.diagnostics["phase"] == "backbone"
-    assert fail.diagnostics["absorbee"] == 0
+    assert fail["phase"] == "backbone"
+    assert fail["absorbee"] == 0

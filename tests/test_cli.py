@@ -194,6 +194,12 @@ def test_connect_rejects_retries_below_one(tmp_path, capsys, retries) -> None:
     assert "retries" in capsys.readouterr().err
 
 
+def test_connect_rejects_overlapping_from_pairs(tmp_path, capsys) -> None:
+    graph = write_graph(tmp_path, "g.edges", 30, 1.0, 0)
+    assert run("connect", "--graph", graph, "--pairs", "0,1,2,3;1,4,5,6") == 2
+    assert "from-pairs" in capsys.readouterr().err
+
+
 def stdout_digest(capsys, *argv: str) -> tuple[int, str]:
     code = run(*argv)
     return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
@@ -237,6 +243,14 @@ def test_absorber_build_verify_round_trips(tmp_path, capsys) -> None:
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is True
     assert report["subsets_checked"] == 4
+
+
+def test_absorber_build_rejects_repeated_absorbees(tmp_path, capsys) -> None:
+    # A repeated absorbee would size the pools for more units than it builds.
+    graph = write_graph(tmp_path, "g.edges", 120, 0.55, 7)
+    assert run("absorber", "build", "--graph", graph, "--x", "0,0,1",
+               "--seed", "3") == 2
+    assert "distinct" in capsys.readouterr().err
 
 
 def test_absorber_verify_detects_a_mismatched_host(tmp_path) -> None:

@@ -62,10 +62,8 @@ def test_short_connections_on_a_complete_graph_always_land(
     length: int, seed: int
 ) -> None:
     g = complete_graph(24)
-    req = ConnectionRequest(
-        pairs=(((0, 1), (2, 3)),), w=mask_of(range(4, 24)), b=1, length=length
-    )
-    res = connect_one(g, req, 0, seed=seed)
+    req = ConnectionRequest((0, 1), (2, 3), mask_of(range(4, 24)), b=1, length=length)
+    res = connect_one(g, req, seed=seed)
     assert res.ok
     emb = res.embedding
     assert validate_embedding(g, emb, connect_from=(0, 1), connect_to=(2, 3)).ok
@@ -78,13 +76,13 @@ def test_interiors_avoid_the_exclusion_set(seed: int) -> None:
     bundle = host_and_jobs(60, 0.6, seed)
     if bundle is None:
         return
-    g, pairs, w = bundle
+    g, ((frm, to),), w = bundle
     x = mask_of(bits(w)[::3])
-    req = ConnectionRequest(pairs=pairs, w=w, b=1, length=6)
-    res = connect_one(g, req, x, seed=seed)
+    req = ConnectionRequest(frm, to, w, b=1, length=6)
+    res = connect_all(g, [req], seed=seed, x=x)
     if not res.ok:
         return
-    interior = mask_of(res.embedding.vertices[2:-2])
+    interior = mask_of(res.embeddings[0].vertices[2:-2])
     assert not interior & x
     assert interior & ~w == 0
 
@@ -94,14 +92,13 @@ def test_connection_is_deterministic_per_seed(seed: int) -> None:
     bundle = host_and_jobs(50, 0.5, seed)
     if bundle is None:
         return
-    g, pairs, w = bundle
-    req = ConnectionRequest(pairs=pairs, w=w, b=1, length=6)
-    first = connect_one(g, req, 0, seed=seed)
-    second = connect_one(g, req, 0, seed=seed)
+    g, ((frm, to),), w = bundle
+    req = ConnectionRequest(frm, to, w, b=1, length=6)
+    first = connect_one(g, req, seed=seed)
+    second = connect_one(g, req, seed=seed)
     assert first.ok == second.ok
     if first.ok:
         assert first.embedding == second.embedding
-        assert first.seed_index == second.seed_index
 
 
 @settings(max_examples=10)
@@ -110,11 +107,10 @@ def test_long_direct_connections_produce_valid_square_paths(seed: int) -> None:
     bundle = host_and_jobs(300, 0.5, seed)
     if bundle is None:
         return
-    g, pairs, w = bundle
-    req = ConnectionRequest(pairs=pairs, w=w, b=1, length=12)
-    res = connect_one(g, req, 0, seed=seed)
+    g, ((frm, to),), w = bundle
+    req = ConnectionRequest(frm, to, w, b=1, length=12)
+    res = connect_one(g, req, seed=seed)
     assert res.ok
-    (frm, to) = pairs[res.seed_index]
     assert validate_embedding(g, res.embedding, connect_from=frm, connect_to=to).ok
     assert len(res.embedding.vertices) == 12
 
@@ -125,45 +121,31 @@ def test_width_two_connections_form_backbones(seed: int, length: int) -> None:
     bundle = host_and_jobs(300, 0.5, seed)
     if bundle is None:
         return
-    g, pairs, w = bundle
-    req = ConnectionRequest(pairs=pairs, w=w, b=2, length=length)
-    res = connect_one(g, req, 0, seed=seed)
+    g, ((frm, to),), w = bundle
+    req = ConnectionRequest(frm, to, w, b=2, length=length)
+    res = connect_one(g, req, seed=seed)
     assert res.ok
     assert res.embedding.gadget.kind == "backbone"
-    (frm, to) = pairs[res.seed_index]
     assert validate_embedding(g, res.embedding, connect_from=frm, connect_to=to).ok
 
 
 def test_request_validation_rejects_malformed_jobs() -> None:
     g = complete_graph(10)
     with pytest.raises(InputError):
-        connect_one(
-            g,
-            ConnectionRequest(pairs=(((0, 1), (0, 2)),), w=0b1100000, length=4),
-            0,
-            seed=0,
-        )
+        connect_one(g, ConnectionRequest((0, 1), (0, 2), 0b1100000, length=4), seed=0)
     with pytest.raises(InputError):
         connect_one(
-            g,
-            ConnectionRequest(pairs=(((0, 1), (2, 3)),), w=0b1100000, length=3, b=2),
-            0,
-            seed=0,
+            g, ConnectionRequest((0, 1), (2, 3), 0b1100000, length=3, b=2), seed=0
         )
     sparse = gnp_generate(10, 0.0, 0)
     with pytest.raises(InputError):
         connect_one(
-            sparse,
-            ConnectionRequest(pairs=(((0, 1), (2, 3)),), w=0b1100000, length=4),
-            0,
-            seed=0,
+            sparse, ConnectionRequest((0, 1), (2, 3), 0b1100000, length=4), seed=0
         )
+    req = ConnectionRequest((0, 1), (2, 3), 0b1100000, length=4)
     for retries in (0, -4):
-        req = ConnectionRequest(
-            pairs=(((0, 1), (2, 3)),), w=0b1100000, length=4, retries=retries
-        )
         with pytest.raises(InputError):
-            connect_all(g, req, seed=0)
+            connect_all(g, [req], seed=0, retries=retries)
 
 
 @pytest.mark.parametrize("bad", [-1, 10])
@@ -174,22 +156,23 @@ def test_reservoir_vertices_outside_the_host_are_rejected(bad: int) -> None:
     g = complete_graph(10)
     with pytest.raises(InputError):
         w = mask_of((4, 5, 6, 7, 8, 9, bad))
-        req = ConnectionRequest(pairs=(((0, 1), (2, 3)),), w=w, length=5)
-        connect_one(g, req, 0, seed=0)
+        req = ConnectionRequest((0, 1), (2, 3), w, length=5)
+        connect_one(g, req, seed=0)
 
 
 def test_reservoir_masks_outside_the_host_are_rejected() -> None:
     g = complete_graph(10)
-    pairs = (((0, 1), (2, 3)),)
     for w in (mask_of((4, 5, 10)), -1):
         with pytest.raises(InputError):
-            connect_one(g, ConnectionRequest(pairs=pairs, w=w, length=5), 0, seed=0)
+            connect_one(g, ConnectionRequest((0, 1), (2, 3), w, length=5), seed=0)
     # A vertex outside the host is fine once it is excluded.
-    w = mask_of((4, 5, 6, 10))
-    assert connect_one(g, ConnectionRequest(pairs=pairs, w=w, length=5), 1 << 10, 0).ok
+    req = ConnectionRequest((0, 1), (2, 3), mask_of((4, 5, 6, 10)), length=5)
+    with pytest.raises(InputError):
+        connect_one(g, req, seed=0)
+    assert connect_all(g, [req], seed=0, x=1 << 10).ok
     # A negative exclusion mask would silently exclude every vertex.
     with pytest.raises(InputError):
-        connect_one(g, ConnectionRequest(pairs=pairs, w=w, length=5), -1 << 10, 0)
+        connect_all(g, [req], seed=0, x=-1 << 10)
 
 
 def test_connection_templates_are_built_once_per_shape(monkeypatch) -> None:
@@ -204,10 +187,8 @@ def test_connection_templates_are_built_once_per_shape(monkeypatch) -> None:
     g = complete_graph(30)
     for seed in range(3):
         for b, length in ((1, 6), (2, 8)):
-            req = ConnectionRequest(
-                pairs=(((0, 1), (2, 3)),), w=mask_of(range(4, 30)), b=b, length=length
-            )
-            assert connect_one(g, req, 0, seed).ok
+            req = ConnectionRequest((0, 1), (2, 3), mask_of(range(4, 30)), b, length)
+            assert connect_one(g, req, seed).ok
     assert len(built) == 2
     connector._template.cache_clear()
 
@@ -218,8 +199,8 @@ def test_connect_all_keeps_job_interiors_disjoint(seed: int) -> None:
     if bundle is None:
         return
     g, pairs, w = bundle
-    req = ConnectionRequest(pairs=pairs, w=w, b=1, length=6, retries=3)
-    res = connect_all(g, req, seed=seed)
+    reqs = [ConnectionRequest(frm, to, w, b=1, length=6) for frm, to in pairs]
+    res = connect_all(g, reqs, seed=seed, retries=3)
     if not res.ok:
         return
     assert len(res.embeddings) == len(pairs)
@@ -244,15 +225,53 @@ def test_reservoir_order_is_drawn_once_and_only_when_needed(monkeypatch) -> None
     g = complete_graph(12).remove_edges([(1, 2)])
     w = mask_of(range(6, 12))
     # Length 5 needs the port edge 1-2, so no job gets to a free label.
-    blocked = ConnectionRequest(pairs=(((0, 1), (2, 3)),), w=w, length=5)
-    res = connect_one(g, blocked, 0, seed=4)
-    assert not res.ok and res.diagnostics["nodes_per_job"] == [0]
+    blocked = ConnectionRequest((0, 1), (2, 3), w, length=5)
+    res = connect_one(g, blocked, seed=4)
+    assert not res.ok and res.diagnostics["nodes"] == 0
     assert draws == []
     # A sweep over lengths with one seed and one pool draws one shuffle.
     for length in (6, 7, 8):
-        req = ConnectionRequest(pairs=(((0, 3), (4, 5)),), w=w, length=length)
-        assert connect_one(g, req, 0, seed=4).ok
+        req = ConnectionRequest((0, 3), (4, 5), w, length=length)
+        assert connect_one(g, req, seed=4).ok
     assert len(draws) == 1
     connector._reservoir_order.cache_clear()
     with pytest.raises(InputError):
-        connect_one(g, blocked, 0, seed=-1)
+        connect_one(g, blocked, seed=-1)
+
+
+def test_connect_all_names_the_stalled_jobs_and_the_last_search() -> None:
+    # Vertex 9 fits neither job, so job 0 takes vertex 8 and job 1 is left
+    # with a pool of one vertex that it cannot use.
+    g = complete_graph(12).remove_edges([(9, 0), (9, 4)])
+    w = mask_of((8, 9))
+    reqs = [
+        ConnectionRequest((0, 1), (2, 3), w, length=5),
+        ConnectionRequest((4, 5), (6, 7), w, length=5),
+    ]
+    res = connect_all(g, reqs, seed=2, retries=3)
+    assert not res.ok
+    assert res.embeddings[0].vertices == (0, 1, 8, 2, 3)
+    assert res.embeddings[1] is None
+    # The last search is job 1's third attempt in round 1.
+    last_seed = 2 * 1_000_003 + 101 + 2
+    assert res.diagnostics == {
+        "stalled_jobs": [1],
+        "last_failure": {
+            "config": {"b": 1, "length": 5, "pool": 1, "seed": last_seed},
+            "nodes": 1,
+        },
+    }
+
+
+def test_connect_all_rejects_overlapping_ports_and_empty_batches() -> None:
+    g = complete_graph(10)
+    w = mask_of(range(8, 10))
+    for frm, to, side in (((1, 4), (5, 6), "from"), ((4, 5), (3, 6), "to")):
+        reqs = [
+            ConnectionRequest((0, 1), (2, 3), w),
+            ConnectionRequest(frm, to, w),
+        ]
+        with pytest.raises(InputError, match=f"^{side}-pairs"):
+            connect_all(g, reqs, seed=0)
+    with pytest.raises(InputError):
+        connect_all(g, [], seed=0)

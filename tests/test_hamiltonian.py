@@ -14,8 +14,10 @@ from squareham import (
     InfeasibilityWitness,
     InputError,
     PipelineConfig,
+    absorber,
     brute_force_square_ham,
     complete_graph,
+    connector,
     find_infeasibility_witness,
     find_square_ham,
     gnp_generate,
@@ -299,10 +301,10 @@ def test_default_config_outputs_are_pinned() -> None:
     assert (outcome.stage, outcome.diagnostics["phase"]) == ("absorber", "backbone")
     # The first attempt's report, with the witness that ended the restarts.
     assert outcome_digest(dataclasses.replace(outcome, witness=None)) == (
-        "52c99a88a307a9927fc71a38b74641a267700f750feba9ae20252e1b216a4e3b"
+        "bee71dc5b02aa5d477681e8191bbbf1898114a83bda499fa851f9075e046e751"
     )
     assert outcome_digest(outcome) == (
-        "bca3d465fc2ed7bb4f4cdb2286c646f68c2dc9af6c8858206685b692b6c880dc"
+        "cc406b6698edb91fcab093e5caee81bc5a69d9234cb970486a434936e7e85422"
     )
     # Larger hosts: one default-config certificate and one on a config with
     # widened absorber reservoirs.
@@ -325,9 +327,9 @@ def test_threading_never_asks_for_the_length_four_connection(monkeypatch) -> Non
     asked = []
     connect = hamiltonian.connect_one
 
-    def recording(g, req, x, seed):
+    def recording(g, req, seed):
         asked.append((req.length, seed))
-        return connect(g, req, x, seed)
+        return connect(g, req, seed)
 
     monkeypatch.setattr(hamiltonian, "connect_one", recording)
     g = complete_graph(12).remove_edges([(0, 2)])
@@ -337,6 +339,35 @@ def test_threading_never_asks_for_the_length_four_connection(monkeypatch) -> Non
     assert interior is not None and len(interior) == 1
     # Length 5 keeps the seed of its place in the sweep.
     assert asked == [(5, 3 * 37 + 1)]
+
+
+def test_every_pipeline_search_passes_the_names_the_benchmark_wraps(
+    monkeypatch,
+) -> None:
+    # The traced benchmark names each connection after its call site by
+    # wrapping connect_one in absorber and hamiltonian, and counts searches
+    # and pool sizes at connector._direct_connect.  A search that reaches
+    # _direct_connect by another name would be counted but never named.
+    calls = {"absorber": 0, "hamiltonian": 0, "direct": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for key, module in (("absorber", absorber), ("hamiltonian", hamiltonian)):
+        monkeypatch.setattr(module, "connect_one", counting(key, module.connect_one))
+    monkeypatch.setattr(
+        connector, "_direct_connect", counting("direct", connector._direct_connect)
+    )
+    host = gnp_generate(400, 0.5, 5)
+    attacked = k3_attack(host, 0.05, 5).attacked
+    for g, gamma_host in ((gnp_generate(200, 0.5, 1), None), (attacked, host)):
+        find_square_ham(g, gamma_host=gamma_host, config=PipelineConfig(seed=0))
+    assert calls["absorber"] > 0 and calls["hamiltonian"] > 0
+    assert calls["absorber"] + calls["hamiltonian"] == calls["direct"]
 
 
 def test_three_block_connectors_get_a_widened_backbone_pool() -> None:
