@@ -9,7 +9,9 @@ Submodules:
     matching: Hall matching with a deficient-set witness.
     connector: one pair-to-pair connection per search over a reservoir,
         and batches with disjoint interiors.
-    absorber: per-vertex absorbing structures, chaining, verification.
+    absorber: per-vertex absorbing units (the star core kept only in the
+        backbone), chaining, and the one absorber audit, which chaining
+        runs on every absorber it returns.
     hamiltonian: the end-to-end pipeline, brute-force oracle, certificates
         and checkable infeasibility witnesses.
     adversary: triangle-removal attacks, retention profiling, experiments.
@@ -73,7 +75,6 @@ from .hamiltonian import (
     FailureReport,
     InfeasibilityWitness,
     PipelineConfig,
-    WitnessCheck,
     brute_force_square_ham,
     find_infeasibility_witness,
     find_square_ham,
@@ -105,7 +106,6 @@ __all__ = [
     "PipelineConfig",
     "RetentionProfile",
     "StarRecord",
-    "WitnessCheck",
     "absorb",
     "brute_force_square_ham",
     "build_gadget",

@@ -5,7 +5,11 @@ which, for every subset ``X'`` of ``X``, carries a square path between the
 same fixed ordered endpoint pairs spanning every body vertex except ``X'``.
 It is assembled from one *unit* per absorbee — a five-vertex star core
 threaded onto a backbone, with square-path junctions between backbone blocks
-— and square-path links between consecutive units.
+— and square-path links between consecutive units.  The star core lives only
+in the backbone: its first block is ``u1, u2, v1, v2``.
+:func:`chain_absorbers` audits the finished absorber once with
+:func:`verify_absorber`, links included; no earlier stage re-walks what it
+built.
 
 The absorbee set, the star pools and the backbone, junction and link
 reservoirs are ``int`` bitsets, and so are a unit's vertex set and an
@@ -43,35 +47,46 @@ class StarRecord:
     v1: int
     v2: int
 
-    def core_sequence(self) -> tuple[int, int, int, int, int]:
-        return (self.u1, self.u2, self.x, self.v1, self.v2)
-
 
 @dataclass(frozen=True)
 class AbsorberConfig:
     """Construction knobs for absorber completion and chaining.
 
-    ``blocks`` is the backbone block count per unit; ``unit_retries`` bounds
-    the fresh backbone cuts tried per unit.  Junctions and links always
-    sweep square-path lengths 4..8 through their reservoir, shortest first.
+    ``blocks`` (at least 2) is the backbone block count per unit;
+    ``unit_retries`` (at least 1) bounds the fresh backbone cuts tried per
+    unit.  Junctions and links always sweep square-path lengths 4..8
+    through their reservoir, shortest first.
+
+    Raises:
+        InputError: If a knob is out of range.
     """
 
     blocks: int = 4
     unit_retries: int = 8
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.blocks < 2:
+            raise InputError(
+                f"absorber units need at least 2 blocks, got {self.blocks}"
+            )
+        if self.unit_retries < 1:
+            raise InputError("unit_retries must be at least 1")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
+
 
 @dataclass(frozen=True)
 class AbsorberUnit:
-    """One absorbee's structure: star core, backbone, junction interiors."""
+    """One absorbee ``x``, its backbone and its junction interiors.
 
-    star: StarRecord
+    The backbone's first four vertices are the star core ``u1, u2, v1, v2``
+    that :func:`build_single_absorbers` matched to ``x``.
+    """
+
+    x: int
     backbone: Embedding
     junctions: tuple[tuple[int, ...], ...]
-
-    @property
-    def x(self) -> int:
-        return self.star.x
 
     @property
     def blocks(self) -> int:
@@ -195,10 +210,6 @@ def build_single_absorbers(
     records = tuple(
         StarRecord(x, c[0], c[1], c[2], c[3]) for x, c in zip(xs_listed, chosen)
     )
-    for rec in records:
-        check = is_square_path(g, rec.core_sequence())
-        if not check.ok:
-            raise AssertionError(f"star core invalid for {rec}: {check.reason}")
     return records, None
 
 
@@ -230,20 +241,19 @@ def complete_absorbers(
     w5: int,
     w6: int,
     config: AbsorberConfig,
-) -> tuple[tuple[Absorber, ...] | None, dict | None]:
+) -> tuple[tuple[AbsorberUnit, ...] | None, dict | None]:
     """Thread each star core onto a backbone and wire its block junctions.
 
     The backbone of each unit is grown through ``w5`` (its first block being
     the star core), junction interiors through ``w6``; both are bitsets.  A
     unit that cannot be wired retries with a fresh backbone cut up to
     ``config.unit_retries`` times; reservoir vertices are retired as units
-    succeed.  Each record yields a single-vertex absorber.  A unit that
-    cannot be wired at all aborts with diagnostics naming its ``phase``
-    (``backbone`` or ``junction-i``).
+    succeed.  Each record yields one unit, in order; the units are audited
+    once chained (see :func:`chain_absorbers`).  A unit that cannot be
+    wired at all aborts with diagnostics naming its ``phase`` (``backbone``
+    or ``junction-i``).
     """
-    if config.blocks < 2:
-        raise InputError(f"absorber units need at least 2 blocks, got {config.blocks}")
-    singles: list[Absorber] = []
+    units: list[AbsorberUnit] = []
     used = 0
     for uidx, rec in enumerate(records):
         unit = None
@@ -253,7 +263,7 @@ def complete_absorbers(
             (rec.u2, rec.u1), (rec.v2, rec.v1), w5 & ~used, 2, 4 * config.blocks
         )
         w6_free = w6 & ~used & ~(1 << rec.x)
-        for attempt in range(max(1, config.unit_retries)):
+        for attempt in range(config.unit_retries):
             base = config.seed * 100_003 + uidx * 1_009 + attempt * 17
             res = connect_one(g, req, base)
             if not res.ok:
@@ -285,18 +295,17 @@ def complete_absorbers(
                 taken |= mask_of(interior)
             if not wired:
                 continue
-            unit = AbsorberUnit(rec, backbone, tuple(interiors))
-            _audit_unit(g, unit)
+            unit = AbsorberUnit(rec.x, backbone, tuple(interiors))
             used |= unit.vertex_set()
             break
         if unit is None:
             return None, {
                 "absorbee": rec.x,
-                "attempts": max(1, config.unit_retries),
+                "attempts": config.unit_retries,
                 **last_diag,
             }
-        singles.append(Absorber((unit,), ()))
-    return tuple(singles), None
+        units.append(unit)
+    return tuple(units), None
 
 
 def _walk_fault(
@@ -327,62 +336,52 @@ def _unit_fault(g: Graph, unit: AbsorberUnit, mode: str) -> str | None:
     return _walk_fault(g, unit.traversal(mode), span, unit.entry, unit.exit)
 
 
-def _audit_unit(g: Graph, unit: AbsorberUnit) -> None:
-    for mode in ("include", "exclude"):
-        fault = _unit_fault(g, unit, mode)
-        if fault is not None:
-            raise AssertionError(
-                f"unit traversal ({mode}) for absorbee {unit.x} invalid: {fault}"
-            )
-
-
 def chain_absorbers(
     g: Graph,
-    absorbers: Sequence[Absorber],
+    units: Sequence[AbsorberUnit],
     w7: int,
     config: AbsorberConfig,
 ) -> tuple[Absorber | None, dict | None]:
-    """Join absorbers in order with square-path links into one absorber.
+    """Join units in order with square-path links into one audited absorber.
 
-    Each link connects an absorber's exit pair to the next one's entry pair,
+    Each link connects a unit's exit pair to the next one's entry pair,
     directly when the three required host edges exist, otherwise through the
-    ``w7`` reservoir bitset.  A single absorber is returned unchanged.  A
-    link that cannot be made aborts with diagnostics naming the ``link``
-    phase.
+    ``w7`` reservoir bitset.  A link that cannot be made aborts with
+    diagnostics naming the ``link`` phase.  The finished absorber passes
+    :func:`verify_absorber` once; this is the only audit a built absorber
+    gets.
+
+    Raises:
+        InputError: If there are no units or two of them share a vertex.
+        AssertionError: If the finished absorber fails the audit.
     """
-    if not absorbers:
+    if not units:
         raise InputError("an absorber needs at least one unit")
-    if len(absorbers) == 1:
-        return absorbers[0], None
     body = 0
-    for a in absorbers:
-        more = a.body()
+    for unit in units:
+        more = unit.vertex_set()
         if body & more:
-            raise InputError("absorbers to chain must be pairwise disjoint")
+            raise InputError("units to chain must be pairwise disjoint")
         body |= more
-    units: list[AbsorberUnit] = []
     links: list[tuple[int, ...]] = []
     free = w7 & ~body
-    for i, a in enumerate(absorbers):
-        units.extend(a.units)
-        links.extend(a.links)
-        if i == len(absorbers) - 1:
-            break
-        frm = a.exit
-        to = absorbers[i + 1].entry
+    for i, (a, b) in enumerate(zip(units, units[1:])):
         res = _connect_with_fallback(
-            g, frm, to, free, config.seed * 9_176 + i * 13
+            g, a.exit, b.entry, free, config.seed * 9_176 + i * 13
         )
         if not res.ok:
             return None, {
                 "phase": "link",
-                "link": (a.absorbees[-1], absorbers[i + 1].absorbees[0]),
+                "link": (a.x, b.x),
                 "connect": res.diagnostics,
             }
         interior = res.embedding.vertices[2:-2]
         links.append(interior)
         free &= ~mask_of(interior)
     absorber = Absorber(tuple(units), tuple(links))
+    audit = verify_absorber(g, absorber)
+    if not audit.ok:
+        raise AssertionError(f"constructed absorber failed verification: {audit}")
     return absorber, None
 
 
@@ -475,8 +474,7 @@ def absorber_to_json_obj(a: Absorber) -> dict:
     return {
         "units": [
             {
-                "x": u.star.x,
-                "star": [u.star.u1, u.star.u2, u.star.v1, u.star.v2],
+                "x": u.x,
                 "blocks": u.blocks,
                 "backbone": list(u.backbone.vertices),
                 "junctions": [list(j) for j in u.junctions],
@@ -491,23 +489,20 @@ def absorber_from_json_obj(obj: Mapping) -> Absorber:
     try:
         units = []
         for entry in obj["units"]:
-            star = StarRecord(
-                int(entry["x"]),
-                *(int(v) for v in entry["star"]),
-            )
+            x = int(entry["x"])
             blocks = int(entry["blocks"])
             slots = tuple(int(v) for v in entry["backbone"])
             # Checked before the template is built: its size follows blocks.
             if len(slots) != 4 * blocks:
                 raise InputError(
-                    f"absorbee {star.x}: {blocks} blocks need a backbone of "
+                    f"absorbee {x}: {blocks} blocks need a backbone of "
                     f"{4 * blocks} vertices, got {len(slots)}"
                 )
             backbone = Embedding(build_gadget(BACKBONE, blocks=blocks), slots)
             junctions = tuple(
                 tuple(int(v) for v in j) for j in entry["junctions"]
             )
-            units.append(AbsorberUnit(star, backbone, junctions))
+            units.append(AbsorberUnit(x, backbone, junctions))
         links = tuple(tuple(int(v) for v in l) for l in obj["links"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed absorber description: {exc}") from exc

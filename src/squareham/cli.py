@@ -36,6 +36,7 @@ from .gadgets import build_gadget
 from .graphcore import (
     Graph,
     InputError,
+    bits,
     gnp_generate,
     graph_to_edgelist_text,
     graph_to_json_obj,
@@ -242,7 +243,7 @@ def _cmd_absorber_build(args) -> tuple[int, str, dict]:
         backbone_headroom=8,
     )
     sizes = reservoir_sizes(len(xs), sizing)
-    rest = [v for v in range(g.n) if v not in set(xs)]
+    rest = bits(((1 << g.n) - 1) & ~mask_of(xs))
     if sum(sizes) > len(rest):
         report = FailureReport(
             "partition",

@@ -22,10 +22,9 @@ from .absorber import (
     build_single_absorbers,
     chain_absorbers,
     complete_absorbers,
-    verify_absorber,
 )
 from .connector import ConnectionRequest, connect_one
-from .gadgets import is_square_path
+from .gadgets import ValidationResult, is_square_path
 from .graphcore import (
     Graph,
     InputError,
@@ -146,14 +145,6 @@ class InfeasibilityWitness:
     def __post_init__(self) -> None:
         if self.kind not in WITNESS_KINDS:
             raise InputError(f"unknown witness kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class WitnessCheck:
-    """Verification outcome; on failure ``reason`` says what does not hold."""
-
-    ok: bool
-    reason: str | None
 
 
 @dataclass(frozen=True)
@@ -290,11 +281,11 @@ def find_infeasibility_witness(g: Graph) -> InfeasibilityWitness | None:
     return None
 
 
-def verify_witness(g: Graph, w: InfeasibilityWitness) -> WitnessCheck:
+def verify_witness(g: Graph, w: InfeasibilityWitness) -> ValidationResult:
     """Check that ``w`` proves ``g`` holds no square Hamilton cycle.
 
     Returns:
-        A :class:`WitnessCheck`; on failure the reason names the vertex,
+        A :class:`ValidationResult`; on failure the reason names the vertex,
         the adjacent pair or the size that breaks the proof.
 
     Raises:
@@ -314,15 +305,15 @@ def verify_witness(g: Graph, w: InfeasibilityWitness) -> WitnessCheck:
         if len(vs) != 1:
             raise InputError("a low-degree witness names exactly one vertex")
         if n < 5:
-            return WitnessCheck(
+            return ValidationResult(
                 False, f"the square of C_{n} is K_{n}, so degree proves nothing"
             )
         degree = rows[vs[0]].bit_count()
         if degree >= 4:
-            return WitnessCheck(False, f"vertex {vs[0]} has degree {degree}")
-        return WitnessCheck(True, None)
+            return ValidationResult(False, f"vertex {vs[0]} has degree {degree}")
+        return ValidationResult(True, None)
     if len(vs) <= n // 3:
-        return WitnessCheck(
+        return ValidationResult(
             False, f"{len(vs)} vertices, not more than n // 3 = {n // 3}"
         )
     members = mask_of(vs)
@@ -330,8 +321,8 @@ def verify_witness(g: Graph, w: InfeasibilityWitness) -> WitnessCheck:
         inside = rows[v] & members
         if inside:
             u = (inside & -inside).bit_length() - 1
-            return WitnessCheck(False, f"vertices {v} and {u} are adjacent")
-    return WitnessCheck(True, None)
+            return ValidationResult(False, f"vertices {v} and {u} are adjacent")
+    return ValidationResult(True, None)
 
 
 @dataclass(frozen=True)
@@ -630,7 +621,8 @@ def build_absorber(
     backbone, junction and link reservoirs.  Star-pool vertices the cores
     leave unpicked join the backbone reservoir, which keeps it from
     starving; whatever the units leave of the backbone and junction
-    reservoirs joins the link reservoir.
+    reservoirs joins the link reservoir.  A returned absorber has passed
+    :func:`chain_absorbers`' audit.
     """
     w1, w2, w3, w4, w5, w6, w7 = pools
     records, fail = build_single_absorbers(g, xs, w1, w2, w3, w4)
@@ -638,13 +630,13 @@ def build_absorber(
         return None, fail
     star_used = mask_of(v for r in records for v in (r.u1, r.u2, r.v1, r.v2))
     w5_pool = (w1 | w2 | w3 | w4 | w5) & ~star_used
-    singles, fail = complete_absorbers(g, records, w5_pool, w6, acfg)
+    units, fail = complete_absorbers(g, records, w5_pool, w6, acfg)
     if fail is not None:
         return None, fail
     taken = 0
-    for single in singles:
-        taken |= single.body()
-    return chain_absorbers(g, singles, w7 | ((w5_pool | w6) & ~taken), acfg)
+    for unit in units:
+        taken |= unit.vertex_set()
+    return chain_absorbers(g, units, w7 | ((w5_pool | w6) & ~taken), acfg)
 
 
 def _direct_arc(g: Graph, frm: tuple[int, int], to: tuple[int, int]) -> bool:
@@ -812,9 +804,6 @@ def _attempt(
     absorber, fail = build_absorber(g, x_mask, pools, acfg)
     if fail is not None:
         return FailureReport("absorber", dict(fail, plan=plan))
-    audit = verify_absorber(g, absorber)
-    if not audit.ok:
-        raise AssertionError(f"constructed absorber failed verification: {audit}")
 
     cover = cover_with_square_paths(
         g,
@@ -935,7 +924,7 @@ def find_square_ham(
             find_infeasibility_witness(g),
         )
     last: FailureReport | None = None
-    for restart in range(max(1, config.restarts)):
+    for restart in range(config.restarts):
         outcome = _attempt(g, config, restart)
         if isinstance(outcome, Certificate):
             return outcome

@@ -43,13 +43,13 @@ def build_full_absorber(n: int, p: float, seed: int, x_count: int = 3):
     records, fail = build_single_absorbers(g, xs, w1, w2, w3, w4)
     if fail is not None:
         return g, None, fail
-    singles, fail = complete_absorbers(g, records, w5, w6, cfg)
+    units, fail = complete_absorbers(g, records, w5, w6, cfg)
     if fail is not None:
         return g, None, fail
     taken = 0
-    for single in singles:
-        taken |= single.body()
-    built, fail = chain_absorbers(g, singles, (w5 | w6 | w7) & ~taken, cfg)
+    for unit in units:
+        taken |= unit.vertex_set()
+    built, fail = chain_absorbers(g, units, (w5 | w6 | w7) & ~taken, cfg)
     return g, built, fail
 
 
@@ -99,7 +99,7 @@ def test_unit_traversals_are_built_once_per_mode(monkeypatch) -> None:
         for seed in range(20)
         if (bundle := build_full_absorber(150, 0.55, seed))[1] is not None
     )
-    # Completion audits both modes of every unit; nothing after that
+    # The chaining audit walks both modes of every unit; nothing after that
     # rebuilds a walk.
     modes = ("include", "exclude")
     assert sorted(built) == sorted((x, m) for x in a.absorbees for m in modes)
@@ -298,8 +298,57 @@ def test_completion_reports_exhausted_reservoirs() -> None:
     records, fail = build_single_absorbers(g, *STAR_CLASSES)
     assert fail is None
     cfg = AbsorberConfig(blocks=2, seed=0)
-    singles, fail = complete_absorbers(g, records, 1 << 9, 1 << 10, cfg)
-    assert singles is None
+    units, fail = complete_absorbers(g, records, 1 << 9, 1 << 10, cfg)
+    assert units is None
     assert fail is not None
     assert fail["phase"] == "backbone"
     assert fail["absorbee"] == 0
+
+
+def test_units_keep_the_star_core_as_their_first_block() -> None:
+    g, absorber, _ = build_full_absorber(150, 0.55, 11)
+    assert absorber is not None
+    for unit in absorber.units:
+        u1, u2, v1, v2 = unit.backbone.vertices[:4]
+        assert is_square_path(g, (u1, u2, unit.x, v1, v2)).ok
+
+
+def test_chaining_audits_what_it_returns() -> None:
+    g, absorber, _ = build_full_absorber(150, 0.55, 5)
+    assert absorber is not None
+    cfg = AbsorberConfig(blocks=2, seed=5)
+    free = ((1 << g.n) - 1) & ~absorber.body()
+    again, fail = chain_absorbers(g, absorber.units, free, cfg)
+    assert fail is None and verify_absorber(g, again).ok
+    # Slot (2, 1) of the first unit moves to a vertex outside the body that
+    # misses one of the rest of its block; the link ports stay as they were.
+    unit = absorber.units[0]
+    verts = list(unit.backbone.vertices)
+    verts[4] = next(
+        v
+        for v in bits(free)
+        if not all(g.has_edge(v, u) for u in verts[5:8])
+    )
+    bad = replace(unit, backbone=replace(unit.backbone, vertices=tuple(verts)))
+    pool = free & ~mask_of(verts)
+    with pytest.raises(AssertionError, match="failed verification"):
+        chain_absorbers(g, (bad,) + absorber.units[1:], pool, cfg)
+
+
+def test_chaining_rejects_empty_and_overlapping_units() -> None:
+    g, absorber, _ = build_full_absorber(150, 0.55, 11)
+    assert absorber is not None
+    cfg = AbsorberConfig(blocks=2, seed=0)
+    with pytest.raises(InputError):
+        chain_absorbers(g, (), 0, cfg)
+    with pytest.raises(InputError, match="disjoint"):
+        chain_absorbers(g, absorber.units[:1] * 2, 0, cfg)
+
+
+@pytest.mark.parametrize(
+    "knobs", [{"blocks": 1}, {"unit_retries": 0}, {"seed": -1}],
+    ids=["blocks", "unit_retries", "seed"],
+)
+def test_absorber_config_rejects_out_of_range_knobs(knobs) -> None:
+    with pytest.raises(InputError):
+        AbsorberConfig(**knobs)

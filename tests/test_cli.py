@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import squareham
+from squareham.absorber import absorber_from_json_obj, absorber_to_json_obj
 from squareham.cli import run_command
 from squareham.graphcore import graph_from_edgelist_text
 
@@ -222,7 +223,7 @@ def test_connect_and_absorber_build_outputs_are_pinned(tmp_path, capsys) -> None
     assert stdout_digest(
         capsys, "absorber", "build", "--graph", graph, "--x", "0,1,2",
         "--seed", "3",
-    ) == (0, "b992541495d274ee1fb1b0b7068cd056c48a9a6fd534762afe15b99d7d218339")
+    ) == (0, "b04fcdcb8d24b69a5feb1fad90a23756970b5fd72f211d5ee563c454500de56a")
 
 
 def test_connect_rejects_negative_vertices(tmp_path, capsys) -> None:
@@ -243,6 +244,43 @@ def test_absorber_build_verify_round_trips(tmp_path, capsys) -> None:
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is True
     assert report["subsets_checked"] == 4
+
+
+def test_absorber_build_audits_the_absorber_once(
+    tmp_path, capsys, monkeypatch
+) -> None:
+    audits = []
+    verify = squareham.absorber.verify_absorber
+
+    def auditing(*args, **kwargs):
+        audits.append(verify(*args, **kwargs))
+        return audits[-1]
+
+    monkeypatch.setattr(squareham.absorber, "verify_absorber", auditing)
+    graph = write_graph(tmp_path, "g.edges", 120, 0.55, 7)
+    assert run("absorber", "build", "--graph", graph, "--x", "0,1,2",
+               "--seed", "3") == 0
+    assert [(a.ok, a.subsets_checked) for a in audits] == [(True, 4)]
+
+
+def test_absorber_files_with_star_keys_still_load(tmp_path, capsys) -> None:
+    # Files written before a unit kept its star core only in its backbone
+    # carry each core a second time, as "star" = the first four slots.
+    graph = write_graph(tmp_path, "g.edges", 120, 0.55, 7)
+    assert run("absorber", "build", "--graph", graph, "--x", "0,1,2",
+               "--seed", "3") == 0
+    current = capsys.readouterr().out
+    obj = json.loads(current)
+    assert all("star" not in unit for unit in obj["units"])
+    for unit in obj["units"]:
+        unit["star"] = unit["backbone"][:4]
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(obj))
+    assert run("absorber", "verify", "--graph", graph,
+               "--absorber", str(old)) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    loaded = absorber_from_json_obj(json.loads(old.read_text()))
+    assert absorber_to_json_obj(loaded) == json.loads(current)
 
 
 def test_absorber_build_rejects_repeated_absorbees(tmp_path, capsys) -> None:

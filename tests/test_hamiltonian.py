@@ -370,6 +370,29 @@ def test_every_pipeline_search_passes_the_names_the_benchmark_wraps(
     assert calls["absorber"] + calls["hamiltonian"] == calls["direct"]
 
 
+def test_each_built_absorber_is_audited_once(monkeypatch) -> None:
+    # chain_absorbers runs the one absorber audit, through the absorber
+    # module's name; nothing downstream of build_absorber audits again.
+    built, audits = [], []
+    build = hamiltonian.build_absorber
+    verify = absorber.verify_absorber
+
+    def building(*args, **kwargs):
+        out = build(*args, **kwargs)
+        built.append(out[0] is not None)
+        return out
+
+    def auditing(*args, **kwargs):
+        audits.append(args[1])
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(hamiltonian, "build_absorber", building)
+    monkeypatch.setattr(absorber, "verify_absorber", auditing)
+    find_square_ham(gnp_generate(200, 0.5, 1), config=PipelineConfig(seed=0))
+    assert sum(built) >= 1
+    assert len(audits) == sum(built)
+
+
 def test_three_block_connectors_get_a_widened_backbone_pool() -> None:
     # connector_length 12 asks for three-block backbones, which the template
     # search rarely finds in a reservoir sized like the two-block one.

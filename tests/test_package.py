@@ -118,3 +118,55 @@ def test_the_matrix_product_guard_sees_every_spelling() -> None:
         assert _matrix_products(ast.parse(src)), src
     graphcore = Path(squareham.__file__).parent / "graphcore.py"
     assert len(_matrix_products(ast.parse(graphcore.read_text(encoding="utf-8")))) == 1
+
+
+def _callers(tree: ast.AST, names: set[str]) -> set[str]:
+    """Names of the innermost functions (``Class.method`` for methods) whose
+    bodies call one of ``names``, by bare name or as an attribute."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in names:
+                    found.add(scope or "<module>")
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def _library_callers(names: set[str]) -> set[str]:
+    return {
+        f"{path.stem}.{caller}"
+        for path in MODULES
+        for caller in _callers(ast.parse(path.read_text(encoding="utf-8")), names)
+    }
+
+
+def test_absorbers_are_audited_in_one_place() -> None:
+    # chain_absorbers audits every absorber the library builds, links
+    # included; a second audit elsewhere would walk the same units again.
+    walkers = _library_callers({"_unit_fault", "_walk_fault"})
+    assert walkers == {"absorber.verify_absorber", "absorber._unit_fault"}
+    audits = _library_callers({"verify_absorber"})
+    # `absorber verify` checks a stored file, which no build has audited.
+    assert audits == {"absorber.chain_absorbers", "cli._cmd_absorber_verify"}
+
+
+def test_the_caller_guard_sees_every_spelling() -> None:
+    src = (
+        "def f():\n    verify_absorber(g, a)\n"
+        "def h():\n    return absorber.verify_absorber(g, a).ok\n"
+        "class C:\n    def m(self):\n        def inner():\n"
+        "            verify_absorber(g, a)\n"
+        "verify_absorber(g, a)\n"
+        "def quiet():\n    return verify_absorber\n"
+    )
+    found = _callers(ast.parse(src), {"verify_absorber"})
+    assert found == {"f", "h", "C.m.inner", "<module>"}
