@@ -17,17 +17,19 @@ Submodules:
     adversary: triangle-removal attacks, retention profiling, experiments.
     cli: the ``artifact`` command-line front end.
 
-Below the CLI, a vertex set (a star pool, a reservoir, an exclusion, an
-absorber body) is an ``int`` bitset with bit ``v`` set for vertex ``v``;
-the CLI converts its parsed vertex lists once.  Sequences carry order:
-paths, certificates and witnesses.
+The absorber construction and the connector take vertex sets (an absorbee
+set, a star pool, a reservoir, an exclusion) as ``int`` bitsets with bit
+``v`` set for vertex ``v``, and return unit vertex sets and absorber bodies
+the same way; the CLI converts its parsed vertex lists once.  ``absorb``,
+the covering and leftover-matching functions of ``hamiltonian``, and
+``graphcore``'s ``random_partition`` and ``edges_within`` take iterables of
+vertices.  Sequences carry order: paths, certificates and witnesses.
 """
 
 __version__ = "0.1.0"
 
 from .absorber import (
     Absorber,
-    AbsorberConfig,
     AbsorberUnit,
     StarRecord,
     absorb,
@@ -89,7 +91,6 @@ from .matching import (
 __all__ = [
     "__version__",
     "Absorber",
-    "AbsorberConfig",
     "AbsorberUnit",
     "AttackResult",
     "BipartiteInstance",

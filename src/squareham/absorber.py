@@ -48,32 +48,9 @@ class StarRecord:
     v2: int
 
 
-@dataclass(frozen=True)
-class AbsorberConfig:
-    """Construction knobs for absorber completion and chaining.
-
-    ``blocks`` (at least 2) is the backbone block count per unit;
-    ``unit_retries`` (at least 1) bounds the fresh backbone cuts tried per
-    unit.  Junctions and links always sweep square-path lengths 4..8
-    through their reservoir, shortest first.
-
-    Raises:
-        InputError: If a knob is out of range.
-    """
-
-    blocks: int = 4
-    unit_retries: int = 8
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.blocks < 2:
-            raise InputError(
-                f"absorber units need at least 2 blocks, got {self.blocks}"
-            )
-        if self.unit_retries < 1:
-            raise InputError("unit_retries must be at least 1")
-        if self.seed < 0:
-            raise InputError(f"seed must be non-negative, got {self.seed}")
+# Fresh backbone cuts tried per unit before completion gives up; past that
+# the pipeline restarts with a new partition instead.
+UNIT_RETRIES = 8
 
 
 @dataclass(frozen=True)
@@ -240,19 +217,27 @@ def complete_absorbers(
     records: Sequence[StarRecord],
     w5: int,
     w6: int,
-    config: AbsorberConfig,
+    blocks: int,
+    seed: int,
 ) -> tuple[tuple[AbsorberUnit, ...] | None, dict | None]:
     """Thread each star core onto a backbone and wire its block junctions.
 
-    The backbone of each unit is grown through ``w5`` (its first block being
-    the star core), junction interiors through ``w6``; both are bitsets.  A
-    unit that cannot be wired retries with a fresh backbone cut up to
-    ``config.unit_retries`` times; reservoir vertices are retired as units
-    succeed.  Each record yields one unit, in order; the units are audited
-    once chained (see :func:`chain_absorbers`).  A unit that cannot be
-    wired at all aborts with diagnostics naming its ``phase`` (``backbone``
-    or ``junction-i``).
+    The backbone of each unit has ``blocks`` blocks and is grown through
+    ``w5`` (its first block being the star core), junction interiors through
+    ``w6``; both are bitsets.  A unit that cannot be wired retries with a
+    fresh backbone cut, derived from ``seed``, up to :data:`UNIT_RETRIES`
+    times; reservoir vertices are retired as units succeed.  Each record
+    yields one unit, in order; the units are audited once chained (see
+    :func:`chain_absorbers`).  A unit that cannot be wired at all aborts
+    with diagnostics naming its ``phase`` (``backbone`` or ``junction-i``).
+
+    Raises:
+        InputError: If ``blocks`` is below 2 or ``seed`` is negative.
     """
+    if blocks < 2:
+        raise InputError(f"absorber units need at least 2 blocks, got {blocks}")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     units: list[AbsorberUnit] = []
     used = 0
     for uidx, rec in enumerate(records):
@@ -260,11 +245,11 @@ def complete_absorbers(
         last_diag: dict = {}
         # Both reservoirs less the finished units (and this absorbee).
         req = ConnectionRequest(
-            (rec.u2, rec.u1), (rec.v2, rec.v1), w5 & ~used, 2, 4 * config.blocks
+            (rec.u2, rec.u1), (rec.v2, rec.v1), w5 & ~used, 2, 4 * blocks
         )
         w6_free = w6 & ~used & ~(1 << rec.x)
-        for attempt in range(config.unit_retries):
-            base = config.seed * 100_003 + uidx * 1_009 + attempt * 17
+        for attempt in range(UNIT_RETRIES):
+            base = seed * 100_003 + uidx * 1_009 + attempt * 17
             res = connect_one(g, req, base)
             if not res.ok:
                 last_diag = {"phase": "backbone", "connect": res.diagnostics}
@@ -273,9 +258,9 @@ def complete_absorbers(
             taken = mask_of(backbone.vertices)
             interiors: list[tuple[int, ...]] = []
             wired = True
-            for i in range(1, config.blocks):
+            for i in range(1, blocks):
                 lab = lambda a, c: backbone.vertices[  # noqa: E731
-                    backbone_label(a, c, config.blocks)
+                    backbone_label(a, c, blocks)
                 ]
                 frm = (lab(i, 3), lab(i, 4))
                 to = (lab(i + 1, 1), lab(i + 1, 2))
@@ -301,7 +286,7 @@ def complete_absorbers(
         if unit is None:
             return None, {
                 "absorbee": rec.x,
-                "attempts": config.unit_retries,
+                "attempts": UNIT_RETRIES,
                 **last_diag,
             }
         units.append(unit)
@@ -340,21 +325,25 @@ def chain_absorbers(
     g: Graph,
     units: Sequence[AbsorberUnit],
     w7: int,
-    config: AbsorberConfig,
+    seed: int,
 ) -> tuple[Absorber | None, dict | None]:
     """Join units in order with square-path links into one audited absorber.
 
     Each link connects a unit's exit pair to the next one's entry pair,
     directly when the three required host edges exist, otherwise through the
-    ``w7`` reservoir bitset.  A link that cannot be made aborts with
+    ``w7`` reservoir bitset, searched with connector seeds derived from
+    ``seed``.  A link that cannot be made aborts with
     diagnostics naming the ``link`` phase.  The finished absorber passes
     :func:`verify_absorber` once; this is the only audit a built absorber
     gets.
 
     Raises:
-        InputError: If there are no units or two of them share a vertex.
+        InputError: If there are no units, two of them share a vertex, or
+            ``seed`` is negative.
         AssertionError: If the finished absorber fails the audit.
     """
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     if not units:
         raise InputError("an absorber needs at least one unit")
     body = 0
@@ -367,7 +356,7 @@ def chain_absorbers(
     free = w7 & ~body
     for i, (a, b) in enumerate(zip(units, units[1:])):
         res = _connect_with_fallback(
-            g, a.exit, b.entry, free, config.seed * 9_176 + i * 13
+            g, a.exit, b.entry, free, seed * 9_176 + i * 13
         )
         if not res.ok:
             return None, {

@@ -19,12 +19,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .absorber import (
-    AbsorberConfig,
-    absorber_from_json_obj,
-    absorber_to_json_obj,
-    verify_absorber,
-)
+from .absorber import absorber_from_json_obj, absorber_to_json_obj, verify_absorber
 from .adversary import (
     experiment_report_to_csv,
     k3_attack,
@@ -96,8 +91,7 @@ def load_pipeline_config(path: str | None, seed: int | None) -> PipelineConfig:
     """Build a :class:`PipelineConfig` from a flat ``key=value`` file.
 
     Blank lines and ``#`` comments are ignored; ``seed`` (from ``--seed``)
-    overrides the file.  Types follow the field defaults; the assembly
-    length list is comma-separated.
+    overrides the file.  Every value is an integer.
     """
     data: dict[str, str] = {}
     if path is not None:
@@ -111,22 +105,15 @@ def load_pipeline_config(path: str | None, seed: int | None) -> PipelineConfig:
                 raise InputError(f"{path}:{lineno}: expected key=value")
             key, _, value = stripped.partition("=")
             data[key.strip()] = value.strip()
-    fields = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
     kwargs = {}
     for key, raw in data.items():
         if key not in fields:
             raise InputError(f"unknown config key {key!r}")
-        default = fields[key]
-        if isinstance(default, tuple):
-            kwargs[key] = _ints(raw)
-            continue
-        kind = int if isinstance(default, int) else float
         try:
-            kwargs[key] = kind(raw)
+            kwargs[key] = int(raw)
         except ValueError as exc:
-            raise InputError(
-                f"config key {key!r} needs {kind.__name__}, got {raw!r}"
-            ) from exc
+            raise InputError(f"config key {key!r} needs int, got {raw!r}") from exc
     if seed is not None:
         kwargs["seed"] = seed
     return PipelineConfig(**kwargs)
@@ -252,9 +239,8 @@ def _cmd_absorber_build(args) -> tuple[int, str, dict]:
         )
         return 1, _json_text(failure_report_to_json_obj(report)), {}
     part = random_partition(rest, sizes, rng_for(args.seed, 71))
-    cfg = AbsorberConfig(blocks=args.blocks, seed=args.seed)
     pools = [mask_of(cls) for cls in part.classes]
-    built, fail = build_absorber(g, mask_of(xs), pools, cfg)
+    built, fail = build_absorber(g, mask_of(xs), pools, args.blocks, args.seed)
     meta = {"x": list(xs), "blocks": args.blocks, "seed": args.seed}
     if fail is not None:
         report = FailureReport("absorber", fail)

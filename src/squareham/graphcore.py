@@ -7,12 +7,16 @@ floating point with a small absolute slack to absorb rounding.
 
 Each adjacency row is one Python ``int`` bitset (bit ``v`` of row ``u`` is
 the pair ``uv``), so "is ``v`` adjacent to every vertex of a placed set" is
-one AND of rows and one bit test.  Every vertex set that crosses a module
-boundary below the CLI (star pools, reservoirs, exclusions, absorber
-bodies) is such an ``int`` mask; sequences remain only where order matters
-(paths, certificates, witnesses).  :func:`bits` and :func:`mask_of` convert
-between bitsets and ascending vertex lists, and :func:`nth_bit` picks one
-set bit without listing the others.  Graphs from outside edges go through
+one AND of rows and one bit test.  The absorber construction (the star
+rounds, completion and chaining, ``hamiltonian.build_absorber``) and the
+connector (reservoirs, exclusions) take vertex sets as such ``int`` masks,
+and unit vertex sets and absorber bodies are masks too.
+:func:`random_partition`, :func:`edges_within`, ``absorber.absorb`` and the
+covering and matching functions of ``hamiltonian`` take iterables of
+vertices; sequences carry order (paths, certificates, witnesses).
+:func:`bits` and :func:`mask_of` convert between bitsets and ascending
+vertex lists, and :func:`nth_bit` picks one set bit without listing the
+others.  Graphs from outside edges go through
 the validating :class:`Graph` constructor; :func:`gnp_generate`
 packs its rows from one boolean matrix, and graphs derived from another
 graph (edge deletion) are built from the parent's rows.  Every codegree and

@@ -17,7 +17,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .absorber import (
     Absorber,
-    AbsorberConfig,
     absorb,
     build_single_absorbers,
     chain_absorbers,
@@ -46,67 +45,61 @@ STAGES = (
 )
 
 
+# The paper fixes these constants existentially; at desk scale each one
+# holds the one value every caller runs with.
+# Share of the absorbees kept as anchors for the leftover matching.
+_ANCHOR_SHARE = 0.75
+# Absorbee count as a share of n, before the plan shrinks it to fit.
+_ABSORBEE_SHARE = 0.05
+# Joint-adjacency star pools are twice the absorbee count wide (plus a
+# margin), which keeps their Hall rounds saturable.
+_JOINT_FACTOR = 2
+# Smallest covering class; a plan must leave at least this many vertices
+# to the covering.
+_CLASS_FLOOR = 10
+# Hosts below this size go to exhaustive search; they are far too small
+# for the reservoirs the partition plans.
+_SMALL_N = 40
+# Probes (direct-arc tests and connections) the final threading may spend.
+_ASSEMBLY_BUDGET = 2_000
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Desk-scale tunables for the full pipeline.
+    """The pipeline settings that callers run with different values.
 
-    The asymptotic argument fixes these existentially; here they are explicit
-    knobs, logged with every run.  ``connector_length`` is the width-2
-    backbone connector length (a multiple of 4, at least 8), so each unit
-    has ``connector_length // 4`` blocks; ``eps`` is the fraction of
-    absorbees reserved as leftover anchors; ``x_fraction`` sizes the
-    absorbee set against ``n``.  ``star_margin``, ``joint_factor``,
-    ``joint_margin``, ``backbone_headroom``, ``junction_weight`` and
-    ``link_weight`` size the absorber reservoirs (see
-    :func:`reservoir_sizes`); ``unit_retries`` bounds the backbone cuts
-    tried per absorber unit; ``assembly_lengths`` and ``assembly_budget``
-    bound the final threading search; ``seed`` is non-negative.
+    ``connector_length`` is the width-2 backbone connector length (a
+    multiple of 4, at least 8), so each unit has ``connector_length // 4``
+    blocks.  ``star_margin``, ``joint_margin``, ``backbone_headroom``,
+    ``junction_weight`` and ``link_weight`` size the absorber reservoirs
+    (see :func:`reservoir_sizes`); ``artifact absorber build`` widens the
+    margins because it gets one cut.  ``brute_budget`` bounds the
+    exhaustive search on small hosts, ``restarts`` the pipeline attempts
+    (both at least 1); ``seed`` is non-negative.  Every other constant of
+    the construction is fixed in this module and in ``absorber``.
     """
 
-    eps: float = 0.75
     connector_length: int = 8
-    x_fraction: float = 0.05
     star_margin: int = 2
-    joint_factor: int = 2
     joint_margin: int = 4
     backbone_headroom: int = 5
     junction_weight: int = 2
     link_weight: int = 2
-    class_floor: int = 10
-    cover_eps: float = 0.25
-    cover_budget: int = 60_000
-    small_n_cutoff: int = 40
     brute_budget: int = 3_000_000
-    unit_retries: int = 8
-    assembly_lengths: tuple[int, ...] = (4, 5, 6, 7, 8)
-    assembly_budget: int = 2_000
     restarts: int = 8
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("eps", "x_fraction", "cover_eps"):
-            value = getattr(self, name)
-            if not 0 < value < 1:
-                raise InputError(f"{name} must lie in (0, 1), got {value}")
         if self.connector_length < 8 or self.connector_length % 4 != 0:
             raise InputError(
                 "connector_length must be a multiple of 4, at least 8, "
                 f"got {self.connector_length}"
             )
-        if self.small_n_cutoff < 5:
-            raise InputError("small_n_cutoff must be at least 5")
-        if self.class_floor < 4:
-            raise InputError("class_floor must be at least 4")
-        for name in ("unit_retries", "restarts", "assembly_budget"):
+        for name in ("brute_budget", "restarts"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be at least 1")
         if self.seed < 0:
             raise InputError(f"seed must be non-negative, got {self.seed}")
-        for length in self.assembly_lengths:
-            if not 4 <= length <= 8:
-                raise InputError(
-                    f"assembly lengths must lie in 4..8, got {length}"
-                )
 
 
 @dataclass(frozen=True)
@@ -412,11 +405,11 @@ def almost_spanning_square_path(
     this is a measured heuristic, not a guarantee.
     """
     vs = sorted(set(verts)) if verts is not None else list(range(g.n))
+    g.check_vertices(vs)
     if not vs:
         return AlmostSpanningResult((), 0.0)
     if len(vs) == 1:
         return AlmostSpanningResult((vs[0],), 1.0)
-    g.check_vertices(vs)
     rows = g.rows
     vmask = mask_of(vs)
     rng = rng_for(seed, 47)
@@ -472,7 +465,7 @@ def cover_with_square_paths(
     u_prime: Iterable[int],
     eps: float = 0.25,
     seed: int = 0,
-    class_floor: int = 10,
+    class_floor: int = _CLASS_FLOOR,
     budget: int = 60_000,
 ) -> CoverResult:
     """Bootstrap covering: halving classes, each swept after the last's dregs.
@@ -481,9 +474,15 @@ def cover_with_square_paths(
     (remainder joining the last class); class ``i + 1`` is searched together
     with whatever class ``i`` left uncovered.  Paths shorter than two
     vertices are returned as leftover instead.
+
+    Raises:
+        InputError: If ``class_floor`` or ``budget`` is below 1, ``eps``
+            lies outside (0, 1), or a target is not a vertex of ``g``.
     """
     if class_floor < 1:
         raise InputError(f"class_floor must be at least 1, got {class_floor}")
+    if budget < 1:
+        raise InputError(f"budget must be at least 1, got {budget}")
     if not 0 < eps < 1:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
     u = sorted(set(u_prime))
@@ -573,7 +572,7 @@ def reservoir_sizes(x: int, config: PipelineConfig) -> list[int]:
     blocks = config.connector_length // 4
     interior = config.connector_length - 4
     star = x + config.star_margin
-    joint = config.joint_factor * x + config.joint_margin
+    joint = _JOINT_FACTOR * x + config.joint_margin
     # Star pools leave exactly (star - x) + 3 (joint - x) vertices unpicked,
     # and build_absorber feeds those to the backbone reservoir; the planned
     # slice only tops up the difference.
@@ -587,15 +586,21 @@ def reservoir_sizes(x: int, config: PipelineConfig) -> list[int]:
     return [star, joint, joint, joint, w5, w6, w7]
 
 
-def _plan_partition(n: int, config: PipelineConfig) -> dict | None:
-    """Reservoir sizes for ``n`` vertices, shrinking the absorbee count to fit."""
-    x = max(4, round(config.x_fraction * n))
+def _plan_partition(
+    n: int, config: PipelineConfig
+) -> tuple[list[int], dict] | None:
+    """Class sizes for ``n`` vertices, shrinking the absorbee count to fit.
+
+    Returns the sizes ``[x, *reservoir_sizes(x, config)]`` to cut, and the
+    plan the failure diagnostics report.
+    """
+    x = max(4, round(_ABSORBEE_SHARE * n))
     while x >= 2:
         sizes = reservoir_sizes(x, config)
         total = x + sum(sizes)
-        if n - total >= max(config.class_floor, 8):
+        if n - total >= _CLASS_FLOOR:
             star, joint, _, _, w5, w6, w7 = sizes
-            return {
+            return [x, *sizes], {
                 "x": x,
                 "star": star,
                 "joint": joint,
@@ -612,10 +617,11 @@ def build_absorber(
     g: Graph,
     xs: int,
     pools: Sequence[int],
-    acfg: AbsorberConfig,
+    blocks: int,
+    seed: int,
 ) -> tuple[Absorber | None, dict | None]:
     """Build one chained absorber over the bitset ``xs`` from seven disjoint
-    bitset pools.
+    bitset pools, with ``blocks`` backbone blocks per unit.
 
     ``pools`` are sized by :func:`reservoir_sizes`: four star pools, then the
     backbone, junction and link reservoirs.  Star-pool vertices the cores
@@ -630,13 +636,13 @@ def build_absorber(
         return None, fail
     star_used = mask_of(v for r in records for v in (r.u1, r.u2, r.v1, r.v2))
     w5_pool = (w1 | w2 | w3 | w4 | w5) & ~star_used
-    units, fail = complete_absorbers(g, records, w5_pool, w6, acfg)
+    units, fail = complete_absorbers(g, records, w5_pool, w6, blocks, seed)
     if fail is not None:
         return None, fail
     taken = 0
     for unit in units:
         taken |= unit.vertex_set()
-    return chain_absorbers(g, units, w7 | ((w5_pool | w6) & ~taken), acfg)
+    return chain_absorbers(g, units, w7 | ((w5_pool | w6) & ~taken), seed)
 
 
 def _direct_arc(g: Graph, frm: tuple[int, int], to: tuple[int, int]) -> bool:
@@ -654,22 +660,19 @@ def _cascade_connect(
     to: tuple[int, int],
     pool: int,
     seed: int,
-    lengths: Sequence[int],
 ) -> tuple[int, ...] | None:
     """Shortest-first connection attempts through the ``pool`` mask; returns
     the interior or None.
 
     The caller has found no direct arc from ``frm`` to ``to``, and the
-    length-4 template is exactly that arc, so length 4 is skipped; ``k``
-    still numbers every length, which keeps the seeds of the others.
+    length-4 template is exactly that arc, so the sweep runs lengths 5..8;
+    each length's seed is offset by ``length - 4``.
     """
     if len({*frm, *to}) != 4:
         return None
-    for k, length in enumerate(lengths):
-        if length == 4:
-            continue
+    for length in range(5, 9):
         req = ConnectionRequest(frm, to, pool, 1, length)
-        res = connect_one(g, req, seed * 37 + k)
+        res = connect_one(g, req, seed * 37 + length - 4)
         if res.ok:
             # The ports are the first two and the last two labels.
             return res.embedding.vertices[2:-2]
@@ -702,7 +705,6 @@ def _assemble_cycle(
     pieces: Sequence[tuple[int, ...]],
     fuel: int,
     seed: int,
-    config: PipelineConfig,
 ) -> tuple[tuple[int, ...] | None, dict]:
     """Thread all pieces between the absorber's exit and entry pairs.
 
@@ -727,9 +729,7 @@ def _assemble_cycle(
         if _direct_arc(g, cur, to):
             return ()
         pool = fuel & ~consumed
-        return _cascade_connect(
-            g, cur, to, pool, seed * 7919 + salt, config.assembly_lengths
-        )
+        return _cascade_connect(g, cur, to, pool, seed * 7919 + salt)
 
     def dfs(
         cur: tuple[int, int],
@@ -739,7 +739,7 @@ def _assemble_cycle(
     ) -> tuple[tuple[int, ...], int] | None:
         nonlocal deepest
         deepest = max(deepest, total - len(remaining))
-        if nodes > config.assembly_budget:
+        if nodes > _ASSEMBLY_BUDGET:
             return None
         if not remaining:
             interior = probe(cur, a.entry, consumed, 1)
@@ -753,7 +753,7 @@ def _assemble_cycle(
                 ranked.append((not _direct_arc(g, cur, (ori[0], ori[1])), pi, ori))
         ranked.sort(key=lambda t: (t[0], t[1]))
         for _, pi, ori in ranked:
-            if nodes > config.assembly_budget:
+            if nodes > _ASSEMBLY_BUDGET:
                 return None
             interior = probe(
                 cur, (ori[0], ori[1]), consumed, 101 * pi + 2 * len(acc)
@@ -787,31 +787,23 @@ def _attempt(
 ) -> Certificate | FailureReport:
     n = g.n
     seed0 = config.seed * 1_000_003 + restart * 7_919
-    plan = _plan_partition(n, config)
-    if plan is None:
+    planned = _plan_partition(n, config)
+    if planned is None:
         return FailureReport(
             "partition",
             {"n": n, "reason": "reservoir budgets do not fit any absorbee count"},
         )
-    sizes = [plan["x"], *reservoir_sizes(plan["x"], config)]
+    sizes, plan = planned
     part = random_partition(range(n), sizes, rng_for(seed0, 53))
     x_mask, *pools = map(mask_of, part.classes)
-    acfg = AbsorberConfig(
-        blocks=config.connector_length // 4,
-        unit_retries=config.unit_retries,
-        seed=seed0 + 1,
+    absorber, fail = build_absorber(
+        g, x_mask, pools, config.connector_length // 4, seed0 + 1
     )
-    absorber, fail = build_absorber(g, x_mask, pools, acfg)
     if fail is not None:
         return FailureReport("absorber", dict(fail, plan=plan))
 
     cover = cover_with_square_paths(
-        g,
-        bits(((1 << n) - 1) & ~absorber.body()),
-        eps=config.cover_eps,
-        seed=seed0 + 2,
-        class_floor=config.class_floor,
-        budget=config.cover_budget,
+        g, bits(((1 << n) - 1) & ~absorber.body()), seed=seed0 + 2
     )
     # Most stragglers splice straight into a covering path; only the rest
     # need an anchor absorbee each.
@@ -824,7 +816,7 @@ def _attempt(
         assert check.ok, f"splicing broke a covering path: {check.reason}"
     xs = bits(x_mask)
     perm = rng_for(seed0, 59).permutation(len(xs))
-    k1 = math.floor(config.eps * len(xs))
+    k1 = math.floor(_ANCHOR_SHARE * len(xs))
     x1 = sorted(xs[int(i)] for i in perm[:k1])
     if len(stragglers) > len(x1):
         return FailureReport(
@@ -854,7 +846,7 @@ def _attempt(
     # absorber hands over whatever the threading consumed.
     matched_anchors = {xv for _, xv in matching.pairs}
     fuel = x_mask & ~mask_of(matched_anchors)
-    suffix, info = _assemble_cycle(g, absorber, pieces, fuel, seed0 + 3, config)
+    suffix, info = _assemble_cycle(g, absorber, pieces, fuel, seed0 + 3)
     if suffix is None:
         return FailureReport("connecting", dict(info, plan=plan))
     consumed_x = matched_anchors | info["consumed"]
@@ -909,7 +901,7 @@ def find_square_ham(
             raise InputError(
                 f"graph is not a subgraph of the ambient host: edge {offending}"
             )
-    if g.n < config.small_n_cutoff:
+    if g.n < _SMALL_N:
         res = brute_force_square_ham(g, config.brute_budget)
         if res.status == "found":
             assert res.certificate is not None

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis.strategies import data, integers, sampled_from
 
 from squareham import (
-    AbsorberConfig,
     Graph,
     InputError,
     absorb,
@@ -39,17 +38,16 @@ def build_full_absorber(n: int, p: float, seed: int, x_count: int = 3):
         at += size
     xs, w1, w2, w3, w4, w5, w6 = masks
     w7 = mask_of(order[at:])
-    cfg = AbsorberConfig(blocks=2, seed=seed)
     records, fail = build_single_absorbers(g, xs, w1, w2, w3, w4)
     if fail is not None:
         return g, None, fail
-    units, fail = complete_absorbers(g, records, w5, w6, cfg)
+    units, fail = complete_absorbers(g, records, w5, w6, 2, seed)
     if fail is not None:
         return g, None, fail
     taken = 0
     for unit in units:
         taken |= unit.vertex_set()
-    built, fail = chain_absorbers(g, units, (w5 | w6 | w7) & ~taken, cfg)
+    built, fail = chain_absorbers(g, units, (w5 | w6 | w7) & ~taken, seed)
     return g, built, fail
 
 
@@ -297,8 +295,7 @@ def test_completion_reports_exhausted_reservoirs() -> None:
     g = complete_graph(30)
     records, fail = build_single_absorbers(g, *STAR_CLASSES)
     assert fail is None
-    cfg = AbsorberConfig(blocks=2, seed=0)
-    units, fail = complete_absorbers(g, records, 1 << 9, 1 << 10, cfg)
+    units, fail = complete_absorbers(g, records, 1 << 9, 1 << 10, 2, 0)
     assert units is None
     assert fail is not None
     assert fail["phase"] == "backbone"
@@ -316,9 +313,8 @@ def test_units_keep_the_star_core_as_their_first_block() -> None:
 def test_chaining_audits_what_it_returns() -> None:
     g, absorber, _ = build_full_absorber(150, 0.55, 5)
     assert absorber is not None
-    cfg = AbsorberConfig(blocks=2, seed=5)
     free = ((1 << g.n) - 1) & ~absorber.body()
-    again, fail = chain_absorbers(g, absorber.units, free, cfg)
+    again, fail = chain_absorbers(g, absorber.units, free, 5)
     assert fail is None and verify_absorber(g, again).ok
     # Slot (2, 1) of the first unit moves to a vertex outside the body that
     # misses one of the rest of its block; the link ports stay as they were.
@@ -332,23 +328,28 @@ def test_chaining_audits_what_it_returns() -> None:
     bad = replace(unit, backbone=replace(unit.backbone, vertices=tuple(verts)))
     pool = free & ~mask_of(verts)
     with pytest.raises(AssertionError, match="failed verification"):
-        chain_absorbers(g, (bad,) + absorber.units[1:], pool, cfg)
+        chain_absorbers(g, (bad,) + absorber.units[1:], pool, 5)
 
 
 def test_chaining_rejects_empty_and_overlapping_units() -> None:
     g, absorber, _ = build_full_absorber(150, 0.55, 11)
     assert absorber is not None
-    cfg = AbsorberConfig(blocks=2, seed=0)
     with pytest.raises(InputError):
-        chain_absorbers(g, (), 0, cfg)
+        chain_absorbers(g, (), 0, 0)
     with pytest.raises(InputError, match="disjoint"):
-        chain_absorbers(g, absorber.units[:1] * 2, 0, cfg)
+        chain_absorbers(g, absorber.units[:1] * 2, 0, 0)
 
 
-@pytest.mark.parametrize(
-    "knobs", [{"blocks": 1}, {"unit_retries": 0}, {"seed": -1}],
-    ids=["blocks", "unit_retries", "seed"],
-)
-def test_absorber_config_rejects_out_of_range_knobs(knobs) -> None:
-    with pytest.raises(InputError):
-        AbsorberConfig(**knobs)
+@pytest.mark.parametrize("blocks, seed", [(1, 0), (2, -1)], ids=["blocks", "seed"])
+def test_absorber_stages_reject_out_of_range_arguments(blocks, seed) -> None:
+    g = complete_graph(30)
+    records, fail = build_single_absorbers(g, *STAR_CLASSES)
+    assert fail is None
+    w5, w6 = mask_of(range(9, 20)), mask_of(range(20, 30))
+    with pytest.raises(InputError, match="blocks" if blocks < 2 else "seed"):
+        complete_absorbers(g, records, w5, w6, blocks, seed)
+    if seed < 0:
+        units, fail = complete_absorbers(g, records, w5, w6, 2, 0)
+        assert fail is None
+        with pytest.raises(InputError, match="seed"):
+            chain_absorbers(g, units, 0, seed)

@@ -157,9 +157,14 @@ def test_unknown_config_keys_are_a_usage_error(tmp_path) -> None:
 def test_malformed_config_values_are_a_usage_error(tmp_path, capsys) -> None:
     graph = write_graph(tmp_path, "g.edges", 20, 0.5, 0)
     config = tmp_path / "bad.cfg"
-    for text in ("restarts = abc\n", "eps = half\n", "alpha = 0.05\n",
-                 "connect_retries = 3\n", "link_retries = 6\n"):
-        config.write_text(text)
+    # Retired settings are unknown keys: the pipeline fixes them as constants.
+    retired = ("eps = 0.75", "x_fraction = 0.05", "joint_factor = 2",
+               "class_floor = 10", "cover_eps = 0.25", "cover_budget = 60000",
+               "small_n_cutoff = 40", "unit_retries = 8",
+               "assembly_lengths = 4,5,6,7,8", "assembly_budget = 2000",
+               "connect_retries = 3", "link_retries = 6")
+    for text in ("restarts = abc", "alpha = 0.05", *retired):
+        config.write_text(text + "\n")
         assert run("find", "--graph", graph, "--config", str(config)) == 2
     assert "restarts" in capsys.readouterr().err
 
@@ -415,6 +420,7 @@ def test_cover_rejects_bad_parameters(tmp_path, capsys) -> None:
     graph = write_graph(tmp_path, "g.edges", 20, 0.5, 2)
     assert run("cover", "--graph", graph, "--class-floor", "0") == 2
     assert run("cover", "--graph", graph, "--eps", "1.5") == 2
+    assert run("cover", "--graph", graph, "--budget", "-1") == 2
     assert run("cover", "--graph", graph, "--verts", "999") == 2
     capsys.readouterr()
 

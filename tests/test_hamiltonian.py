@@ -126,6 +126,13 @@ def test_almost_spanning_paths_are_square_and_meet_coverage(
     assert len(res.path) == len(set(res.path))
 
 
+def test_almost_spanning_rejects_vertices_outside_the_host() -> None:
+    g = gnp_generate(20, 0.5, 0)
+    for verts in ([10**6], [3, 10**6]):
+        with pytest.raises(InputError):
+            almost_spanning_square_path(g, verts=verts)
+
+
 def test_almost_spanning_is_deterministic() -> None:
     g = gnp_generate(80, 0.6, 4)
     a = almost_spanning_square_path(g, eps=0.25, seed=9)
@@ -161,6 +168,8 @@ def test_cover_validates_its_parameters_up_front() -> None:
     g = gnp_generate(20, 0.5, 0)
     with pytest.raises(InputError):
         cover_with_square_paths(g, range(20), class_floor=0)
+    with pytest.raises(InputError, match="budget"):
+        cover_with_square_paths(g, range(20), budget=-1)
     for eps in (0.0, 1.0, 1.5):
         with pytest.raises(InputError):
             cover_with_square_paths(g, range(20), eps=eps)
@@ -256,13 +265,11 @@ def test_pipeline_checks_the_host_relation() -> None:
 
 def test_config_validation_rejects_nonsense() -> None:
     with pytest.raises(InputError):
-        PipelineConfig(eps=0.0)
-    with pytest.raises(InputError):
         PipelineConfig(connector_length=10)
     with pytest.raises(InputError):
         PipelineConfig(restarts=0)
-    with pytest.raises(InputError):
-        PipelineConfig(assembly_lengths=(3,))
+    with pytest.raises(InputError, match="brute_budget"):
+        PipelineConfig(brute_budget=-5)
 
 
 def test_pipeline_rejects_a_negative_seed() -> None:
@@ -334,7 +341,7 @@ def test_threading_never_asks_for_the_length_four_connection(monkeypatch) -> Non
     monkeypatch.setattr(hamiltonian, "connect_one", recording)
     g = complete_graph(12).remove_edges([(0, 2)])
     interior = hamiltonian._cascade_connect(
-        g, (0, 1), (2, 3), sum(1 << v for v in range(4, 12)), 3, (4, 5, 6)
+        g, (0, 1), (2, 3), sum(1 << v for v in range(4, 12)), 3
     )
     assert interior is not None and len(interior) == 1
     # Length 5 keeps the seed of its place in the sweep.

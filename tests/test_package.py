@@ -1,11 +1,12 @@
 import ast
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
 import squareham
-from squareham.hamiltonian import STAGES
+from squareham.hamiltonian import STAGES, PipelineConfig
 
 # ``__init__.py`` is left out: its imports are the package's re-exports.
 MODULES = sorted(
@@ -170,3 +171,13 @@ def test_the_caller_guard_sees_every_spelling() -> None:
     )
     found = _callers(ast.parse(src), {"verify_absorber"})
     assert found == {"f", "h", "C.m.inner", "<module>"}
+
+
+def test_pipeline_config_holds_only_settings_callers_change() -> None:
+    # A new field needs two callers that set it to different values; a
+    # setting with one value in use is a module constant instead.
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    assert fields == {
+        "connector_length", "star_margin", "joint_margin", "backbone_headroom",
+        "junction_weight", "link_weight", "brute_budget", "restarts", "seed",
+    }
