@@ -57,7 +57,6 @@ from .gadgets import (
     Embedding,
     Gadget,
     build_gadget,
-    is_square_cycle,
     is_square_path,
     validate_embedding,
 )
@@ -70,7 +69,6 @@ from .graphcore import (
     gnp_generate,
     read_graph,
     rng_for,
-    write_graph,
 )
 from .hamiltonian import (
     Certificate,
@@ -121,7 +119,6 @@ __all__ = [
     "find_square_ham",
     "gnp_generate",
     "hall_saturating_matching",
-    "is_square_cycle",
     "is_square_path",
     "k3_attack",
     "max_triangle_packing",
@@ -134,5 +131,4 @@ __all__ = [
     "verify_absorber",
     "verify_certificate",
     "verify_witness",
-    "write_graph",
 ]

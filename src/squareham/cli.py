@@ -221,23 +221,20 @@ def _cmd_absorber_build(args) -> tuple[int, str, dict]:
     xs = _ints(args.x)
     if len(set(xs)) != len(xs):
         raise InputError(f"absorbees must be distinct, got {args.x!r}")
-    # The pipeline restarts with a fresh cut when a build fails; a standalone
-    # build gets one cut, so its star and backbone margins are wider.
-    sizing = PipelineConfig(
-        connector_length=4 * args.blocks,
-        star_margin=4,
-        joint_margin=8,
-        backbone_headroom=8,
-    )
-    sizes = reservoir_sizes(len(xs), sizing)
+    sizes = reservoir_sizes(len(xs), args.blocks)
     rest = bits(((1 << g.n) - 1) & ~mask_of(xs))
-    if sum(sizes) > len(rest):
+    needed = sum(sizes)
+    if needed > len(rest):
         report = FailureReport(
             "partition",
             {"reason": "not enough vertices for the reservoirs",
-             "needed": sum(sizes), "available": len(rest)},
+             "needed": needed, "available": len(rest)},
         )
         return 1, _json_text(failure_report_to_json_obj(report)), {}
+    # The pipeline keeps most vertices for the covering; a standalone build
+    # has every non-absorbee to spare, so its pools keep the planner's
+    # proportions and take all of them (up to rounding).
+    sizes = [s * len(rest) // needed for s in sizes]
     part = random_partition(rest, sizes, rng_for(args.seed, 71))
     pools = [mask_of(cls) for cls in part.classes]
     built, fail = build_absorber(g, mask_of(xs), pools, args.blocks, args.seed)

@@ -261,27 +261,6 @@ def is_square_path(g: Graph, seq: Sequence[int]) -> ValidationResult:
     return ValidationResult(True, None)
 
 
-def is_square_cycle(g: Graph, order: Sequence[int]) -> ValidationResult:
-    """Whether ``order`` traces the square of a cycle in ``g`` (cyclically).
-
-    Raises:
-        InputError: If an entry of a repetition-free ``order`` is not a vertex.
-    """
-    n = len(order)
-    if len(set(order)) != n:
-        return ValidationResult(False, "order repeats a vertex")
-    g.check_vertices(order)
-    rows = g.rows
-    for i in range(n):
-        for d in (1, 2):
-            u, v = order[i], order[(i + d) % n]
-            if u == v:
-                continue
-            if not rows[u] >> v & 1:
-                return ValidationResult(False, f"missing edge ({u}, {v})")
-    return ValidationResult(True, None)
-
-
 # -- absorber traversal ------------------------------------------------------
 
 

@@ -590,18 +590,6 @@ def graph_from_json_obj(obj: dict) -> Graph:
     return Graph(int(obj["n"]), edges)
 
 
-def write_graph(g: Graph, path: str, fmt: str = "edgelist") -> None:
-    """Write a graph file in ``edgelist`` or ``json`` format."""
-    if fmt == "edgelist":
-        text = graph_to_edgelist_text(g)
-    elif fmt == "json":
-        text = json.dumps(graph_to_json_obj(g), indent=2, sort_keys=True) + "\n"
-    else:
-        raise InputError(f"unknown graph format {fmt!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def read_graph(path: str) -> Graph:
     """Read a graph file, auto-detecting the edge-list and JSON formats."""
     with open(path, "r", encoding="utf-8") as fh:

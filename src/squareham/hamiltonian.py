@@ -54,6 +54,14 @@ _ABSORBEE_SHARE = 0.05
 # Joint-adjacency star pools are twice the absorbee count wide (plus a
 # margin), which keeps their Hall rounds saturable.
 _JOINT_FACTOR = 2
+# Reservoir sizing (see reservoir_sizes): the single and joint star pools'
+# margins over the absorbee count, the backbone reservoir's headroom, and
+# the per-absorbee weights of the junction and link reservoirs.
+_STAR_MARGIN = 2
+_JOINT_MARGIN = 4
+_BACKBONE_HEADROOM = 5
+_JUNCTION_WEIGHT = 2
+_LINK_WEIGHT = 2
 # Smallest covering class; a plan must leave at least this many vertices
 # to the covering.
 _CLASS_FLOOR = 10
@@ -70,21 +78,14 @@ class PipelineConfig:
 
     ``connector_length`` is the width-2 backbone connector length (a
     multiple of 4, at least 8), so each unit has ``connector_length // 4``
-    blocks.  ``star_margin``, ``joint_margin``, ``backbone_headroom``,
-    ``junction_weight`` and ``link_weight`` size the absorber reservoirs
-    (see :func:`reservoir_sizes`); ``artifact absorber build`` widens the
-    margins because it gets one cut.  ``brute_budget`` bounds the
-    exhaustive search on small hosts, ``restarts`` the pipeline attempts
-    (both at least 1); ``seed`` is non-negative.  Every other constant of
-    the construction is fixed in this module and in ``absorber``.
+    blocks.  ``brute_budget`` bounds the exhaustive search on small hosts,
+    ``restarts`` the pipeline attempts (both at least 1); ``seed`` is
+    non-negative.  Every other constant of the construction, the reservoir
+    sizing of :func:`reservoir_sizes` included, is fixed in this module and
+    in ``absorber``.
     """
 
     connector_length: int = 8
-    star_margin: int = 2
-    joint_margin: int = 4
-    backbone_headroom: int = 5
-    junction_weight: int = 2
-    link_weight: int = 2
     brute_budget: int = 3_000_000
     restarts: int = 8
     seed: int = 0
@@ -147,9 +148,9 @@ class FailureReport:
     ``stage`` is one of :data:`STAGES`; ``diagnostics`` is stage-specific and
     never empty.  ``witness`` is set when the host provably holds no square
     Hamilton cycle (see :func:`find_infeasibility_witness`); the report is
-    then a checkable "no", and ``stage`` names where the attempt that
-    preceded the proof stopped.  Otherwise it is ``None`` and the report
-    only says that the pipeline ran short.
+    then a checkable "no" of stage ``partition`` with diagnostics ``mode``
+    ``infeasibility-witness``, made before any search ran.  Otherwise it is
+    ``None`` and the report only says that the search ran short.
     """
 
     stage: str
@@ -554,49 +555,38 @@ def match_leftover(
     return LeftoverMatching(True, pairs, (), ())
 
 
-# Backbones of three or more blocks need a wider reservoir than the two-block
-# sizing gives.  On `absorber build --x 0,1,2,3,4,5 --blocks 3` over
-# G(400, .45, 0..17) x seeds 0..9, 75 of 180 builds succeed with this floor
-# and 33 without it.
-_LONG_BACKBONE_FLOOR = 110
-
-
-def reservoir_sizes(x: int, config: PipelineConfig) -> list[int]:
-    """Role-weighted reservoir sizes for an absorber over ``x`` absorbees.
+def reservoir_sizes(x: int, blocks: int) -> list[int]:
+    """Role-weighted reservoir sizes for an absorber over ``x`` absorbees
+    whose units have ``blocks`` backbone blocks.
 
     Returns ``[star, joint, joint, joint, w5, w6, w7]``: the four star pools,
     then the backbone, junction and link reservoirs.  The first star pool
     feeds single-adjacency picks; the other three feed joint-adjacency picks
     and must be roughly twice as wide to keep the Hall rounds saturable.
     """
-    blocks = config.connector_length // 4
-    interior = config.connector_length - 4
-    star = x + config.star_margin
-    joint = _JOINT_FACTOR * x + config.joint_margin
+    interior = 4 * blocks - 4
+    star = x + _STAR_MARGIN
+    joint = _JOINT_FACTOR * x + _JOINT_MARGIN
     # Star pools leave exactly (star - x) + 3 (joint - x) vertices unpicked,
     # and build_absorber feeds those to the backbone reservoir; the planned
     # slice only tops up the difference.
     spare = (star - x) + 3 * (joint - x)
-    headroom = max(config.backbone_headroom, interior + 1)
-    if blocks >= 3:
-        headroom = max(headroom, _LONG_BACKBONE_FLOOR)
+    headroom = max(_BACKBONE_HEADROOM, interior + 1)
     w5 = max(0, interior * x - spare) + headroom
-    w6 = config.junction_weight * (blocks - 1) * x + 4
-    w7 = config.link_weight * max(x - 1, 1) + 4
+    w6 = _JUNCTION_WEIGHT * (blocks - 1) * x + 4
+    w7 = _LINK_WEIGHT * max(x - 1, 1) + 4
     return [star, joint, joint, joint, w5, w6, w7]
 
 
-def _plan_partition(
-    n: int, config: PipelineConfig
-) -> tuple[list[int], dict] | None:
+def _plan_partition(n: int, blocks: int) -> tuple[list[int], dict] | None:
     """Class sizes for ``n`` vertices, shrinking the absorbee count to fit.
 
-    Returns the sizes ``[x, *reservoir_sizes(x, config)]`` to cut, and the
+    Returns the sizes ``[x, *reservoir_sizes(x, blocks)]`` to cut, and the
     plan the failure diagnostics report.
     """
     x = max(4, round(_ABSORBEE_SHARE * n))
     while x >= 2:
-        sizes = reservoir_sizes(x, config)
+        sizes = reservoir_sizes(x, blocks)
         total = x + sum(sizes)
         if n - total >= _CLASS_FLOOR:
             star, joint, _, _, w5, w6, w7 = sizes
@@ -787,7 +777,8 @@ def _attempt(
 ) -> Certificate | FailureReport:
     n = g.n
     seed0 = config.seed * 1_000_003 + restart * 7_919
-    planned = _plan_partition(n, config)
+    blocks = config.connector_length // 4
+    planned = _plan_partition(n, blocks)
     if planned is None:
         return FailureReport(
             "partition",
@@ -796,9 +787,7 @@ def _attempt(
     sizes, plan = planned
     part = random_partition(range(n), sizes, rng_for(seed0, 53))
     x_mask, *pools = map(mask_of, part.classes)
-    absorber, fail = build_absorber(
-        g, x_mask, pools, config.connector_length // 4, seed0 + 1
-    )
+    absorber, fail = build_absorber(g, x_mask, pools, blocks, seed0 + 1)
     if fail is not None:
         return FailureReport("absorber", dict(fail, plan=plan))
 
@@ -873,14 +862,12 @@ def find_square_ham(
 ) -> Certificate | FailureReport:
     """Find the square of a Hamilton cycle, or report why there is none.
 
-    Small instances delegate to exhaustive search; when it finds no cycle,
-    the report carries a :func:`find_infeasibility_witness` proof if one
-    shows.  Larger ones run the partition / absorber / covering / matching /
+    One :func:`find_infeasibility_witness` search runs first; a witness
+    proves that no certificate exists, so it ends the call before any
+    search.  Otherwise small instances delegate to exhaustive search, and
+    larger ones run the partition / absorber / covering / matching /
     connecting / absorption pipeline, restarting with fresh randomness when
-    a stage fails.  After the first attempt fails (at any stage but
-    ``partition``), one :func:`find_infeasibility_witness` search runs; if
-    it finds a proof, the restarts stop.  The search never runs before an
-    attempt that could certify, so certificates do not depend on it.
+    a stage fails.
 
     Args:
         g: Host graph.
@@ -889,11 +876,10 @@ def find_square_ham(
 
     Returns:
         One of three outcomes: a :class:`Certificate` that has passed
-        :func:`verify_certificate`; a :class:`FailureReport` (of the
-        exhaustive search, or of the first attempt) whose ``witness``
-        passes :func:`verify_witness`; or the last attempt's
-        :class:`FailureReport`, with no witness, naming the stage that ran
-        short.
+        :func:`verify_certificate`; a ``partition`` :class:`FailureReport`
+        whose ``witness`` passes :func:`verify_witness`; or the exhaustive
+        search's or the last attempt's :class:`FailureReport`, with no
+        witness, naming the stage that ran short.
     """
     if gamma_host is not None:
         ok, offending = g.is_subgraph_of(gamma_host)
@@ -901,6 +887,9 @@ def find_square_ham(
             raise InputError(
                 f"graph is not a subgraph of the ambient host: edge {offending}"
             )
+    witness = find_infeasibility_witness(g)
+    if witness is not None:
+        return FailureReport("partition", {"mode": "infeasibility-witness"}, witness)
     if g.n < _SMALL_N:
         res = brute_force_square_ham(g, config.brute_budget)
         if res.status == "found":
@@ -913,7 +902,6 @@ def find_square_ham(
                 "brute_status": res.status,
                 "nodes": res.nodes,
             },
-            find_infeasibility_witness(g),
         )
     last: FailureReport | None = None
     for restart in range(config.restarts):
@@ -923,9 +911,5 @@ def find_square_ham(
         last = outcome
         if outcome.stage == "partition":
             break
-        if restart == 0:
-            witness = find_infeasibility_witness(g)
-            if witness is not None:
-                return dataclasses.replace(outcome, witness=witness)
     assert last is not None
     return last

@@ -162,7 +162,9 @@ def test_malformed_config_values_are_a_usage_error(tmp_path, capsys) -> None:
                "class_floor = 10", "cover_eps = 0.25", "cover_budget = 60000",
                "small_n_cutoff = 40", "unit_retries = 8",
                "assembly_lengths = 4,5,6,7,8", "assembly_budget = 2000",
-               "connect_retries = 3", "link_retries = 6")
+               "connect_retries = 3", "link_retries = 6", "star_margin = 2",
+               "joint_margin = 4", "backbone_headroom = 5",
+               "junction_weight = 2", "link_weight = 2")
     for text in ("restarts = abc", "alpha = 0.05", *retired):
         config.write_text(text + "\n")
         assert run("find", "--graph", graph, "--config", str(config)) == 2
@@ -228,7 +230,7 @@ def test_connect_and_absorber_build_outputs_are_pinned(tmp_path, capsys) -> None
     assert stdout_digest(
         capsys, "absorber", "build", "--graph", graph, "--x", "0,1,2",
         "--seed", "3",
-    ) == (0, "b04fcdcb8d24b69a5feb1fad90a23756970b5fd72f211d5ee563c454500de56a")
+    ) == (0, "a93e3410f34f22d9e1b88389690a186a88b7816270b665ce377500964e93ca01")
 
 
 def test_connect_rejects_negative_vertices(tmp_path, capsys) -> None:
@@ -338,6 +340,18 @@ def test_absorber_build_rejects_blocks_below_two(tmp_path, capsys, blocks) -> No
     assert run("absorber", "build", "--graph", graph, "--x", "0,1,2",
                "--blocks", blocks) == 2
     assert "--blocks" in capsys.readouterr().err
+
+
+def test_absorber_build_fills_its_pools_with_every_spare_vertex(
+    tmp_path, capsys
+) -> None:
+    # Three-block units over six absorbees: the pools split all 194 spare
+    # vertices in the planner's proportions.
+    graph = write_graph(tmp_path, "g.edges", 200, 0.45, 1)
+    for seed in range(6):
+        assert run("absorber", "build", "--graph", graph, "--x", "0,1,2,3,4,5",
+                   "--blocks", "3", "--seed", str(seed)) == 0
+        assert len(json.loads(capsys.readouterr().out)["units"]) == 6
 
 
 def test_absorber_build_failure_reports_a_stage(tmp_path, capsys) -> None:

@@ -5,14 +5,15 @@ from hypothesis import given
 from hypothesis.strategies import integers, lists, permutations
 
 from squareham import (
+    Certificate,
     Embedding,
     Graph,
     InputError,
     build_gadget,
     complete_graph,
-    is_square_cycle,
     is_square_path,
     validate_embedding,
+    verify_certificate,
 )
 from squareham.gadgets import (
     absorber_traversal,
@@ -76,7 +77,6 @@ def test_build_gadget_rejects_bad_parameters() -> None:
 def test_any_order_is_a_square_path_of_a_complete_graph(order: list[int]) -> None:
     g = complete_graph(7)
     assert is_square_path(g, order)
-    assert is_square_cycle(g, order)
 
 
 def test_square_path_membership_on_a_sparse_witness() -> None:
@@ -86,18 +86,8 @@ def test_square_path_membership_on_a_sparse_witness() -> None:
     assert is_square_path(g, range(length))
     assert is_square_path(g, range(length - 1, -1, -1))
     assert not is_square_path(g, [0, 2, 1, 3, 4, 5])
-    assert not is_square_cycle(g, range(length))
-
-
-def test_square_cycle_membership_on_its_exact_edge_set() -> None:
-    n = 8
-    edges = {
-        tuple(sorted((i, (i + d) % n))) for i in range(n) for d in (1, 2)
-    }
-    g = Graph(n, sorted(edges))
-    assert is_square_cycle(g, range(n))
-    assert is_square_cycle(g, [(i + 3) % n for i in range(n)])
-    assert not is_square_cycle(g, [0, 2, 1, 3, 4, 5, 6, 7])
+    # The path does not close into the square of a cycle.
+    assert not verify_certificate(g, Certificate(tuple(range(length)))).ok
 
 
 @given(integers(min_value=4, max_value=12))

@@ -15,7 +15,6 @@ from squareham import (
     gnp_generate,
     read_graph,
     rng_for,
-    write_graph,
 )
 from squareham import graphcore
 from squareham.graphcore import (
@@ -312,10 +311,16 @@ def test_json_obj_round_trip(g: Graph) -> None:
 
 @given(gnp_graphs())
 def test_file_round_trip(tmp_path_factory, g: Graph) -> None:
-    path = tmp_path_factory.mktemp("graphs") / "g.edg"
-    write_graph(g, path)
-    h = read_graph(path)
-    assert h.n == g.n and h.edges() == g.edges()
+    # read_graph tells the two formats the CLI writes apart by their text.
+    folder = tmp_path_factory.mktemp("graphs")
+    for name, text in (
+        ("g.edg", graph_to_edgelist_text(g)),
+        ("g.json", json.dumps(graph_to_json_obj(g))),
+    ):
+        path = folder / name
+        path.write_text(text, encoding="utf-8")
+        h = read_graph(str(path))
+        assert h.n == g.n and h.edges() == g.edges()
 
 
 def test_edgelist_text_rejects_malformed_input() -> None:

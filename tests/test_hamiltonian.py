@@ -22,7 +22,6 @@ from squareham import (
     find_square_ham,
     gnp_generate,
     hamiltonian,
-    is_square_cycle,
     is_square_path,
     k3_attack,
     verify_certificate,
@@ -68,6 +67,18 @@ def test_verification_pinpoints_the_first_gap() -> None:
     assert check.missing == (2, 4)
     assert check.position == 2
     assert check.distance == 2
+
+
+def test_square_cycle_membership_on_its_exact_edge_set() -> None:
+    n = 8
+    g = square_cycle_host(n)
+    assert verify_certificate(g, Certificate(tuple(range(n)))).ok
+    rotated = tuple((i + 3) % n for i in range(n))
+    assert verify_certificate(g, Certificate(rotated)).ok
+    swapped = verify_certificate(g, Certificate((0, 2, 1, 3, 4, 5, 6, 7)))
+    assert not swapped.ok and swapped.missing == (1, 4)
+    with pytest.raises(InputError):
+        verify_certificate(g, Certificate((0, 1, 2, 3, 4, 5, 6, 6)))
 
 
 def test_verification_rejects_malformed_certificates() -> None:
@@ -202,7 +213,6 @@ def test_pipeline_succeeds_and_certifies_on_a_dense_instance() -> None:
     outcome = find_square_ham(g, config=PipelineConfig(seed=12))
     assert isinstance(outcome, Certificate)
     assert verify_certificate(g, outcome).ok
-    assert is_square_cycle(g, outcome.order).ok
 
 
 def test_pipeline_is_deterministic() -> None:
@@ -233,7 +243,11 @@ def test_pipeline_failure_reports_name_a_stage() -> None:
 
 
 def test_pipeline_delegates_small_hosts_to_exhaustive_search() -> None:
-    g = Graph(8, [(i, i + 1) for i in range(7)])
+    # Two disjoint K_5: 4-regular with independence number 2 <= 10 // 3, so
+    # no witness shows and only the exhaustive search can say "no".
+    g = Graph(10, [(u, v) for u, v in itertools.combinations(range(10), 2)
+                   if u // 5 == v // 5])
+    assert find_infeasibility_witness(g) is None
     outcome = find_square_ham(g)
     assert isinstance(outcome, FailureReport)
     assert outcome.stage == "partition"
@@ -242,18 +256,16 @@ def test_pipeline_delegates_small_hosts_to_exhaustive_search() -> None:
 
 
 def test_small_host_failures_carry_a_witness_when_one_shows() -> None:
-    # K_{5,7}: triangle-free, so exhaustive search finds no square cycle,
-    # and its side of 7 is independent with 7 > 12 // 3.
+    # K_{5,7}: its side of 7 is independent with 7 > 12 // 3, so the
+    # witness answers before the exhaustive search runs.
     g = Graph(12, [(u, v) for u in range(5) for v in range(5, 12)])
     outcome = find_square_ham(g)
     assert isinstance(outcome, FailureReport)
-    assert outcome.diagnostics["brute_status"] == "none"
+    assert outcome.diagnostics == {"mode": "infeasibility-witness"}
     assert outcome.witness.kind == "independent-set"
     assert verify_witness(g, outcome.witness).ok
-    # A budget too small to decide still gets the proof.
-    outcome = find_square_ham(g, config=PipelineConfig(brute_budget=1))
-    assert outcome.diagnostics["brute_status"] == "unknown"
-    assert verify_witness(g, outcome.witness).ok
+    # No budget is spent, so none changes the answer.
+    assert find_square_ham(g, config=PipelineConfig(brute_budget=1)) == outcome
 
 
 def test_pipeline_checks_the_host_relation() -> None:
@@ -305,27 +317,21 @@ def test_default_config_outputs_are_pinned() -> None:
     )
     assert isinstance(outcome, FailureReport)
     assert verify_witness(attacked, outcome.witness).ok
-    assert (outcome.stage, outcome.diagnostics["phase"]) == ("absorber", "backbone")
-    # The first attempt's report, with the witness that ended the restarts.
+    assert (outcome.stage, outcome.diagnostics["mode"]) == (
+        "partition", "infeasibility-witness"
+    )
+    # The witness-first report, without and with its witness.
     assert outcome_digest(dataclasses.replace(outcome, witness=None)) == (
-        "bee71dc5b02aa5d477681e8191bbbf1898114a83bda499fa851f9075e046e751"
+        "26c0355e0ad158b27d096ed7f26de5236794588c7ffe566c40774a99162ec77c"
     )
     assert outcome_digest(outcome) == (
-        "cc406b6698edb91fcab093e5caee81bc5a69d9234cb970486a434936e7e85422"
+        "10e613fa250e804be35809f8f4101ee121b134b6f571e8d1fa9b84ed5850ce18"
     )
-    # Larger hosts: one default-config certificate and one on a config with
-    # widened absorber reservoirs.
-    larger = (
-        (gnp_generate(800, 0.7, 1), PipelineConfig(seed=0),
-         "ebdcd0182e7c478264345e5ed97dc3257409536148612b1410024fbe86969f51"),
-        (gnp_generate(1000, 0.5, 2),
-         PipelineConfig(seed=0, backbone_headroom=100, junction_weight=4, link_weight=4),
-         "e19715b3020c0e626b30fbada7f87db8c5d95c66eadd4c1fdf278cee281ab36c"),
+    outcome = find_square_ham(gnp_generate(800, 0.7, 1), config=PipelineConfig(seed=0))
+    assert isinstance(outcome, Certificate)
+    assert outcome_digest(outcome) == (
+        "ebdcd0182e7c478264345e5ed97dc3257409536148612b1410024fbe86969f51"
     )
-    for g, config, digest in larger:
-        outcome = find_square_ham(g, config=config)
-        assert isinstance(outcome, Certificate)
-        assert outcome_digest(outcome) == digest
 
 
 def test_threading_never_asks_for_the_length_four_connection(monkeypatch) -> None:
@@ -400,9 +406,9 @@ def test_each_built_absorber_is_audited_once(monkeypatch) -> None:
     assert len(audits) == sum(built)
 
 
-def test_three_block_connectors_get_a_widened_backbone_pool() -> None:
-    # connector_length 12 asks for three-block backbones, which the template
-    # search rarely finds in a reservoir sized like the two-block one.
+def test_three_block_connectors_certify_with_the_planned_pools() -> None:
+    # connector_length 12 asks for three-block backbones; reservoir_sizes
+    # grows the backbone reservoir with the connector's interior.
     g = gnp_generate(400, 0.5, 50)
     outcome = find_square_ham(
         g, config=PipelineConfig(seed=0, connector_length=12)
@@ -533,12 +539,25 @@ def record_attempts(monkeypatch) -> list[int]:
     return restarts
 
 
-def test_attacked_hosts_stop_after_one_attempt_with_a_witness(monkeypatch) -> None:
+def record_witness_searches(monkeypatch) -> list[int]:
+    searched: list[int] = []
+    search = hamiltonian.find_infeasibility_witness
+
+    def recording(g):
+        searched.append(g.n)
+        return search(g)
+
+    monkeypatch.setattr(hamiltonian, "find_infeasibility_witness", recording)
+    return searched
+
+
+def test_attacked_hosts_get_a_witness_before_any_attempt(monkeypatch) -> None:
     host = gnp_generate(100, 0.6, 1)
     attacked = k3_attack(host, 0.05, 1).attacked
     restarts = record_attempts(monkeypatch)
+    searched = record_witness_searches(monkeypatch)
     outcome = find_square_ham(attacked, host, PipelineConfig(seed=0))
-    assert restarts == [0]
+    assert restarts == [] and searched == [100]
     assert isinstance(outcome, FailureReport)
     assert outcome.witness.kind == "independent-set"
     assert verify_witness(attacked, outcome.witness).ok
@@ -559,7 +578,9 @@ def test_gnp_restarts_are_untouched_by_the_witness_search(
             break
     assert len(expected) == attempts
     restarts = record_attempts(monkeypatch)
+    searched = record_witness_searches(monkeypatch)
     outcome = find_square_ham(g, config=config)
+    assert searched == [200]
     assert restarts == list(range(len(expected)))
     assert outcome == expected[-1]
     if isinstance(outcome, FailureReport):

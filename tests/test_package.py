@@ -160,6 +160,15 @@ def test_absorbers_are_audited_in_one_place() -> None:
     assert audits == {"absorber.chain_absorbers", "cli._cmd_absorber_verify"}
 
 
+def test_only_find_square_ham_searches_for_a_witness() -> None:
+    # find_square_ham looks for a "no" proof once, before any search; a
+    # second caller in the library would repeat the search or let a
+    # restart loop run it again.
+    assert _library_callers({"find_infeasibility_witness"}) == {
+        "hamiltonian.find_square_ham"
+    }
+
+
 def test_the_caller_guard_sees_every_spelling() -> None:
     src = (
         "def f():\n    verify_absorber(g, a)\n"
@@ -177,7 +186,4 @@ def test_pipeline_config_holds_only_settings_callers_change() -> None:
     # A new field needs two callers that set it to different values; a
     # setting with one value in use is a module constant instead.
     fields = {f.name for f in dataclasses.fields(PipelineConfig)}
-    assert fields == {
-        "connector_length", "star_margin", "joint_margin", "backbone_headroom",
-        "junction_weight", "link_weight", "brute_budget", "restarts", "seed",
-    }
+    assert fields == {"connector_length", "brute_budget", "restarts", "seed"}
