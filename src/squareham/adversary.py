@@ -317,20 +317,6 @@ def _prune_on_square(g: Graph, sq: np.ndarray, threshold: int) -> Graph:
     return g.remove_marked_edges(g.matrix & (sq < min(threshold, g.n)))
 
 
-def complete_graph_v1_destroyed_fraction(n: int, gamma=0) -> Fraction:
-    """Closed-form destroyed-triangle fraction at an attacked-class vertex
-    of the complete graph.
-
-    A class vertex keeps exactly the triangles whose other two corners
-    avoid the class, so the destroyed fraction is
-    ``1 - C(n - |v1|, 2) / C(n - 1, 2)``.
-    """
-    if n < 3:
-        raise InputError(f"need at least 3 vertices, got {n}")
-    size = attack_class_size(n, gamma)
-    return 1 - Fraction(math.comb(n - size, 2), math.comb(n - 1, 2))
-
-
 # Per-seed measurement settings of :func:`resilience_experiment`, echoed in
 # its report as ``params["checks"]``.
 EXPERIMENT_CHECKS = {

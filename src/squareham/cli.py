@@ -221,6 +221,7 @@ def _cmd_absorber_build(args) -> tuple[int, str, dict]:
     xs = _ints(args.x)
     if len(set(xs)) != len(xs):
         raise InputError(f"absorbees must be distinct, got {args.x!r}")
+    meta = {"x": list(xs), "blocks": args.blocks, "seed": args.seed}
     sizes = reservoir_sizes(len(xs), args.blocks)
     rest = bits(((1 << g.n) - 1) & ~mask_of(xs))
     needed = sum(sizes)
@@ -230,7 +231,7 @@ def _cmd_absorber_build(args) -> tuple[int, str, dict]:
             {"reason": "not enough vertices for the reservoirs",
              "needed": needed, "available": len(rest)},
         )
-        return 1, _json_text(failure_report_to_json_obj(report)), {}
+        return 1, _json_text(failure_report_to_json_obj(report)), meta
     # The pipeline keeps most vertices for the covering; a standalone build
     # has every non-absorbee to spare, so its pools keep the planner's
     # proportions and take all of them (up to rounding).
@@ -238,7 +239,6 @@ def _cmd_absorber_build(args) -> tuple[int, str, dict]:
     part = random_partition(rest, sizes, rng_for(args.seed, 71))
     pools = [mask_of(cls) for cls in part.classes]
     built, fail = build_absorber(g, mask_of(xs), pools, args.blocks, args.seed)
-    meta = {"x": list(xs), "blocks": args.blocks, "seed": args.seed}
     if fail is not None:
         report = FailureReport("absorber", fail)
         return 1, _json_text(failure_report_to_json_obj(report)), meta

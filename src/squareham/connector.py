@@ -19,6 +19,8 @@ import functools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 from .gadgets import (
     BACKBONE,
     SQUARE_PATH,
@@ -143,14 +145,25 @@ def _template(b: int, length: int) -> tuple[
 
 
 @functools.lru_cache(maxsize=8)
+def _pool_array(pool: tuple[int, ...]) -> np.ndarray:
+    """``pool`` as an int64 array.
+
+    Cached for the last few pools: the threading's length sweep shuffles
+    one pool under a different seed per length.
+    """
+    return np.array(pool, dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=8)
 def _reservoir_order(seed: int, pool: tuple[int, ...]) -> tuple[int, ...]:
     """The seeded shuffle of ``pool`` the template search tries candidates in.
 
+    Shuffling the pool's values draws the same swaps as shuffling its
+    positions, so this is ``pool`` indexed by ``permutation(len(pool))``.
     Cached for the last few keys: the short-first length sweep of the
     absorber's junctions asks for the same order once per length.
     """
-    perm = rng_for(seed, 13).permutation(len(pool)).tolist()
-    return tuple(map(pool.__getitem__, perm))
+    return tuple(rng_for(seed, 13).permutation(_pool_array(pool)).tolist())
 
 
 def _direct_connect(

@@ -55,11 +55,11 @@ _ABSORBEE_SHARE = 0.05
 # margin), which keeps their Hall rounds saturable.
 _JOINT_FACTOR = 2
 # Reservoir sizing (see reservoir_sizes): the single and joint star pools'
-# margins over the absorbee count, the backbone reservoir's headroom, and
-# the per-absorbee weights of the junction and link reservoirs.
+# margins over the absorbee count, and the per-absorbee weights of the
+# junction and link reservoirs.  The backbone reservoir's headroom is no
+# constant: it grows with the absorbee count.
 _STAR_MARGIN = 2
 _JOINT_MARGIN = 4
-_BACKBONE_HEADROOM = 5
 _JUNCTION_WEIGHT = 2
 _LINK_WEIGHT = 2
 # Smallest covering class; a plan must leave at least this many vertices
@@ -563,6 +563,12 @@ def reservoir_sizes(x: int, blocks: int) -> list[int]:
     then the backbone, junction and link reservoirs.  The first star pool
     feeds single-adjacency picks; the other three feed joint-adjacency picks
     and must be roughly twice as wide to keep the Hall rounds saturable.
+
+    The units' backbones take ``interior = 4 * blocks - 4`` vertices each
+    from the backbone reservoir, one unit after another.  Its headroom over
+    the ``interior * x`` they consume is ``max(interior + 1, x)``, so the
+    last unit still chooses among at least ``x`` spare vertices and its
+    backbone keeps finding an embedding as ``x`` grows.
     """
     interior = 4 * blocks - 4
     star = x + _STAR_MARGIN
@@ -571,7 +577,7 @@ def reservoir_sizes(x: int, blocks: int) -> list[int]:
     # and build_absorber feeds those to the backbone reservoir; the planned
     # slice only tops up the difference.
     spare = (star - x) + 3 * (joint - x)
-    headroom = max(_BACKBONE_HEADROOM, interior + 1)
+    headroom = max(interior + 1, x)
     w5 = max(0, interior * x - spare) + headroom
     w6 = _JUNCTION_WEIGHT * (blocks - 1) * x + 4
     w7 = _LINK_WEIGHT * max(x - 1, 1) + 4

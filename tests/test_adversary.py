@@ -20,7 +20,6 @@ from squareham import (
 from squareham import adversary
 from squareham.adversary import (
     attack_class_size,
-    complete_graph_v1_destroyed_fraction,
     experiment_report_to_csv,
     resilience_experiment,
 )
@@ -124,6 +123,18 @@ def test_retention_profile_rejects_non_subgraphs() -> None:
     dense = Graph(3, [(0, 1), (1, 2)])
     with pytest.raises(InputError):
         triangle_retention_profile(sparse, dense)
+
+
+def complete_graph_v1_destroyed_fraction(n: int) -> Fraction:
+    """Closed-form destroyed-triangle fraction at an attacked-class vertex
+    of the complete graph under a gamma = 0 attack.
+
+    A class vertex keeps exactly the triangles whose other two corners
+    avoid the class, so the destroyed fraction is
+    ``1 - C(n - |v1|, 2) / C(n - 1, 2)``.
+    """
+    size = attack_class_size(n, 0)
+    return 1 - Fraction(math.comb(n - size, 2), math.comb(n - 1, 2))
 
 
 def test_complete_graph_destroyed_fractions_are_exact() -> None:

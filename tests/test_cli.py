@@ -362,6 +362,20 @@ def test_absorber_build_failure_reports_a_stage(tmp_path, capsys) -> None:
     assert payload["stage"] == "partition"
 
 
+def test_absorber_build_partition_failures_record_their_config(
+    tmp_path, capsys
+) -> None:
+    # The manifest records the absorbees, blocks and seed on every outcome,
+    # the partition failure included.
+    graph = write_graph(tmp_path, "g.edges", 30, 0.5, 0)
+    out = tmp_path / "ab.json"
+    assert run("absorber", "build", "--graph", graph, "--x", "0,1,2",
+               "--seed", "4", "--out", str(out)) == 1
+    assert json.loads(out.read_text())["stage"] == "partition"
+    manifest = json.loads((tmp_path / "ab.json.manifest.json").read_text())
+    assert manifest["config"] == {"x": [0, 1, 2], "blocks": 2, "seed": 4}
+
+
 def test_gadget_edgelist_matches_the_template_size(capsys) -> None:
     assert run("gadget", "--kind", "square-path", "--length", "8",
                "--format", "edgelist") == 0

@@ -239,6 +239,14 @@ def test_reservoir_order_is_drawn_once_and_only_when_needed(monkeypatch) -> None
         connect_one(g, blocked, seed=-1)
 
 
+def test_reservoir_order_is_the_pool_indexed_by_a_seeded_permutation() -> None:
+    pool = tuple(range(3, 3000, 2))
+    for seed in range(50):
+        perm = rng_for(seed, 13).permutation(len(pool))
+        expected = tuple(pool[i] for i in perm)
+        assert connector._reservoir_order(seed, pool) == expected
+
+
 def test_connect_all_names_the_stalled_jobs_and_the_last_search() -> None:
     # Vertex 9 fits neither job, so job 0 takes vertex 8 and job 1 is left
     # with a pool of one vertex that it cannot use.
