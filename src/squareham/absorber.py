@@ -14,8 +14,9 @@ built.
 The absorbee set, the star pools and the backbone, junction and link
 reservoirs are ``int`` bitsets, and so are a unit's vertex set and an
 absorber's body: a unit's jobs draw from its reservoir less the finished
-units with one AND, and the connector tries the pool in a seeded shuffle of
-the whole ascending pool.
+units with one AND.  A junction or link first tests the direct arc, which
+needs no search; the connector's searches pick each vertex uniformly from
+the pool vertices that fit, with seeded draws.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .connector import ConnectionRequest, ConnectResult, connect_one
+from .connector import ConnectionRequest, connect_one, direct_arc
 from .gadgets import (
     BACKBONE,
     Embedding,
@@ -196,20 +197,24 @@ def _connect_with_fallback(
     to: tuple[int, int],
     pool: int,
     seed: int,
-) -> ConnectResult:
-    """Shortest connection first, lengthening one vertex at a time.
+) -> tuple[tuple[int, ...] | None, dict | None]:
+    """Shortest connection first, lengthening one vertex at a time; returns
+    the interior, or None and the last search's diagnostics.
 
     Sweeping lengths 4..8 (zero to four interior vertices) keeps reservoir
     consumption minimal: most jobs close with zero or one interior vertex,
-    so the reservoir survives many jobs.  All five lengths draw from the
-    same ``pool`` mask.
+    so the reservoir survives many jobs.  Length 4 is the direct arc, which
+    needs no search; lengths 5..8 search the same ``pool`` mask.
     """
-    for length in range(4, 9):
+    if direct_arc(g, frm, to):
+        return (), None
+    for length in range(5, 9):
         req = ConnectionRequest(frm, to, pool, 1, length)
         res = connect_one(g, req, seed * 31)
         if res.ok:
-            break
-    return res
+            # The ports are the first two and the last two labels.
+            return res.embedding.vertices[2:-2], None
+    return None, res.diagnostics
 
 
 def complete_absorbers(
@@ -264,18 +269,13 @@ def complete_absorbers(
                 ]
                 frm = (lab(i, 3), lab(i, 4))
                 to = (lab(i + 1, 1), lab(i + 1, 2))
-                jres = _connect_with_fallback(
+                interior, diag = _connect_with_fallback(
                     g, frm, to, w6_free & ~taken, base + 7 * i
                 )
-                if not jres.ok:
+                if interior is None:
                     wired = False
-                    last_diag = {
-                        "phase": f"junction-{i}",
-                        "connect": jres.diagnostics,
-                    }
+                    last_diag = {"phase": f"junction-{i}", "connect": diag}
                     break
-                # The ports are the first two and the last two labels.
-                interior = jres.embedding.vertices[2:-2]
                 interiors.append(interior)
                 taken |= mask_of(interior)
             if not wired:
@@ -355,16 +355,11 @@ def chain_absorbers(
     links: list[tuple[int, ...]] = []
     free = w7 & ~body
     for i, (a, b) in enumerate(zip(units, units[1:])):
-        res = _connect_with_fallback(
+        interior, diag = _connect_with_fallback(
             g, a.exit, b.entry, free, seed * 9_176 + i * 13
         )
-        if not res.ok:
-            return None, {
-                "phase": "link",
-                "link": (a.x, b.x),
-                "connect": res.diagnostics,
-            }
-        interior = res.embedding.vertices[2:-2]
+        if interior is None:
+            return None, {"phase": "link", "link": (a.x, b.x), "connect": diag}
         links.append(interior)
         free &= ~mask_of(interior)
     absorber = Absorber(tuple(units), tuple(links))

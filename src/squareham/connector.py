@@ -5,21 +5,21 @@ whose entry and exit ports are two prescribed ordered host edges, with every
 other vertex drawn from a reservoir.  :func:`connect_one` serves one job with
 one seeded backtracking search that fills the gadget template label by
 label.  :func:`connect_all` serves a list of jobs in greedy rounds, so that
-their interiors are pairwise disjoint.
+their interiors are pairwise disjoint.  :func:`direct_arc` tests the one
+connection with no interior, the length-4 square path.
 
 The reservoir is an ``int`` bitset (bit ``v`` set for vertex ``v``):
-:func:`connect_one` takes away the ports with one AND.  The pool's vertices
-are listed once per distinct mask, and the search tries them in a seeded
-shuffle of the whole ascending pool.
+:func:`connect_one` takes away the ports with one AND.  Each label's
+candidates are one mask, the pool less the placed vertices ANDed with the
+rows of its placed neighbours, and the search picks among them uniformly
+with draws from a seeded SplitMix64 stream, one pick at a time.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Sequence
-
-import numpy as np
+from typing import Iterator, Sequence
 
 from .gadgets import (
     BACKBONE,
@@ -29,7 +29,7 @@ from .gadgets import (
     build_gadget,
     validate_embedding,
 )
-from .graphcore import Graph, InputError, bits, mask_of, rng_for
+from .graphcore import Graph, InputError, bits, mask_of, nth_bit
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,25 @@ def _validate_request(g: Graph, req: ConnectionRequest) -> None:
         raise InputError(
             f"width-2 connections need length in 8, 12, 16, ..., got {req.length}"
         )
-    if len({*req.frm, *req.to}) != 4:
+    ports = (*req.frm, *req.to)
+    if len(set(ports)) != 4:
         raise InputError(f"job ports overlap: {req.frm} -> {req.to}")
-    if not g.has_edge(*req.frm) or not g.has_edge(*req.to):
+    g.check_vertices(ports)
+    rows = g.rows
+    if not (rows[req.frm[0]] >> req.frm[1] & 1 and rows[req.to[0]] >> req.to[1] & 1):
         raise InputError(f"job ports must be host edges: {req.frm} -> {req.to}")
+
+
+def direct_arc(g: Graph, frm: tuple[int, int], to: tuple[int, int]) -> bool:
+    """Whether two ordered host edges chain into a square path with no
+    interior: the four ports are distinct and ``frm + to`` carries all five
+    edges of the length-4 template."""
+    (a, b), (c, d) = frm, to
+    if len({a, b, c, d}) != 4:
+        return False
+    g.check_vertices((a, b, c, d))
+    rows = g.rows
+    return all(rows[u] >> v & 1 for u, v in ((a, b), (b, c), (c, d), (a, c), (b, d)))
 
 
 def connect_one(g: Graph, req: ConnectionRequest, seed: int) -> ConnectResult:
@@ -99,7 +114,7 @@ def connect_one(g: Graph, req: ConnectionRequest, seed: int) -> ConnectResult:
             vertex (outside the ports) that is not a vertex of ``g``.
     """
     _validate_request(g, req)
-    # The reservoir shuffle is drawn lazily, so check the seed up front.
+    # The search draws lazily, so check the seed up front.
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     # _validate_request has checked that every port is a vertex.
@@ -144,26 +159,16 @@ def _template(b: int, length: int) -> tuple[
     return gadget, fixed_edges, free, tuple(tuple(back_nbrs[lab]) for lab in free)
 
 
-@functools.lru_cache(maxsize=8)
-def _pool_array(pool: tuple[int, ...]) -> np.ndarray:
-    """``pool`` as an int64 array.
-
-    Cached for the last few pools: the threading's length sweep shuffles
-    one pool under a different seed per length.
-    """
-    return np.array(pool, dtype=np.int64)
-
-
-@functools.lru_cache(maxsize=8)
-def _reservoir_order(seed: int, pool: tuple[int, ...]) -> tuple[int, ...]:
-    """The seeded shuffle of ``pool`` the template search tries candidates in.
-
-    Shuffling the pool's values draws the same swaps as shuffling its
-    positions, so this is ``pool`` indexed by ``permutation(len(pool))``.
-    Cached for the last few keys: the short-first length sweep of the
-    absorber's junctions asks for the same order once per length.
-    """
-    return tuple(rng_for(seed, 13).permutation(_pool_array(pool)).tolist())
+def _splitmix64(seed: int) -> Iterator[int]:
+    """The SplitMix64 stream of 64-bit draws seeded by ``seed`` modulo 2^64
+    (Steele, Lea and Flood 2014)."""
+    m64 = (1 << 64) - 1
+    state = seed & m64
+    while True:
+        state = state + 0x9E3779B97F4A7C15 & m64
+        z = (state ^ state >> 30) * 0xBF58476D1CE4E5B9 & m64
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & m64
+        yield z ^ z >> 31
 
 
 def _direct_connect(
@@ -175,55 +180,60 @@ def _direct_connect(
 ) -> ConnectResult:
     """Fill the target template by backtracking over the reservoir.
 
-    Free labels are assigned in ascending order from a seeded shuffle of the
-    reservoir, drawn only once the search gets to its first free label; a
-    candidate must be adjacent to every already-placed template neighbor,
-    which is one bit test against the AND of their rows.  The search stops
-    after ``budget`` nodes.
+    ``pool`` lists the reservoir, ``req.w`` less the ports.  Free labels are
+    filled in ascending order.  A label's candidates are one mask: the AND
+    of its placed template neighbours' rows with the pool less the vertices
+    placed so far.  The search tries them in a random order drawn lazily,
+    one pick at a time: ``nth_bit(cands, draw % count)``, with ``draw`` from
+    a SplitMix64 stream seeded by ``seed``.  The first fitting vertex of a
+    uniformly random order of the whole pool is a uniform pick from the
+    fitting set, so each pick is distributed as in a scan of a seeded
+    shuffle of the pool.
+
+    A node is one pool vertex looked at: entering a state with ``k`` labels
+    filled costs ``len(pool) - k`` nodes, what a full pass over the pool
+    less the placed vertices costs.  A failed search enters every state
+    whatever the order, so its node count does not depend on the draws.
+    Past ``budget`` nodes the search stops and reports ``budget + 1``.
     """
     gadget, fixed_edges, free, back_nbrs = _template(req.b, req.length)
     (f0, f1), (t0, t1) = gadget.port_from, gadget.port_to
     image = {f0: req.frm[0], f1: req.frm[1], t0: req.to[0], t1: req.to[1]}
     rows = g.rows
+    size = len(pool)
     nodes = 0
     verts = None
     # Edges between two fixed labels beyond the port edges must also hold.
     if all(rows[image[a]] >> image[c] & 1 for a, c in fixed_edges):
-        order = _reservoir_order(seed, pool) if free else ()
-        # A set: a membership test is cheaper than a shift of a wide mask
-        # in the candidate loop, which is the search's inner loop.
-        taken: set[int] = set()
+        draws = _splitmix64(seed)
 
-        def fill(k: int) -> tuple[int, ...] | None:
+        def fill(k: int, avail: int) -> tuple[int, ...] | None:
             nonlocal nodes
             if k == len(free):
                 return tuple(image[lab] for lab in range(gadget.labels))
-            lab = free[k]
-            # Every bit of -1 is set: with no placed neighbour, any vertex fits.
-            fits = -1
+            nodes += size - k
+            if nodes > budget:
+                return None
+            cands = avail
             for o in back_nbrs[k]:
-                fits &= rows[image[o]]
-            for v in order:
-                if v in taken:
-                    continue
-                nodes += 1
-                if nodes > budget:
-                    return None
-                if fits >> v & 1:
-                    image[lab] = v
-                    taken.add(v)
-                    out = fill(k + 1)
-                    if out is not None:
-                        return out
-                    del image[lab]
-                    taken.discard(v)
+                cands &= rows[image[o]]
+            lab = free[k]
+            while cands:
+                v = nth_bit(cands, next(draws) % cands.bit_count())
+                bit = 1 << v
+                cands ^= bit
+                image[lab] = v
+                out = fill(k + 1, avail ^ bit)
+                if out is not None:
+                    return out
                 if nodes > budget:
                     return None
             return None
 
-        verts = fill(0)
+        verts = fill(0, req.w & ~mask_of(image.values()))
     if verts is None:
-        cfg = {"b": req.b, "length": req.length, "pool": len(pool), "seed": seed}
+        cfg = {"b": req.b, "length": req.length, "pool": size, "seed": seed}
+        nodes = min(nodes, budget + 1)
         return ConnectResult(False, None, {"config": cfg, "nodes": nodes})
     emb = Embedding(gadget, verts)
     check = validate_embedding(g, emb, connect_from=req.frm, connect_to=req.to)

@@ -22,7 +22,7 @@ from .absorber import (
     chain_absorbers,
     complete_absorbers,
 )
-from .connector import ConnectionRequest, connect_one
+from .connector import ConnectionRequest, connect_one, direct_arc
 from .gadgets import ValidationResult, is_square_path
 from .graphcore import (
     Graph,
@@ -641,15 +641,6 @@ def build_absorber(
     return chain_absorbers(g, units, w7 | ((w5_pool | w6) & ~taken), seed)
 
 
-def _direct_arc(g: Graph, frm: tuple[int, int], to: tuple[int, int]) -> bool:
-    """Whether two ordered pairs chain into a square path with no interior."""
-    return (
-        g.has_edge(frm[1], to[0])
-        and g.has_edge(frm[0], to[0])
-        and g.has_edge(frm[1], to[1])
-    )
-
-
 def _cascade_connect(
     g: Graph,
     frm: tuple[int, int],
@@ -722,7 +713,7 @@ def _assemble_cycle(
     ) -> tuple[int, ...] | None:
         nonlocal nodes
         nodes += 1
-        if _direct_arc(g, cur, to):
+        if direct_arc(g, cur, to):
             return ()
         pool = fuel & ~consumed
         return _cascade_connect(g, cur, to, pool, seed * 7919 + salt)
@@ -746,7 +737,7 @@ def _assemble_cycle(
         for pi in remaining:
             piece = pieces[pi]
             for ori in (piece, tuple(reversed(piece))):
-                ranked.append((not _direct_arc(g, cur, (ori[0], ori[1])), pi, ori))
+                ranked.append((not direct_arc(g, cur, (ori[0], ori[1])), pi, ori))
         ranked.sort(key=lambda t: (t[0], t[1]))
         for _, pi, ori in ranked:
             if nodes > _ASSEMBLY_BUDGET:

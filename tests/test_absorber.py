@@ -235,14 +235,16 @@ def test_construction_is_deterministic(seed: int) -> None:
 def test_verification_detects_a_corrupted_unit() -> None:
     g, absorber, _ = build_full_absorber(150, 0.55, 5)
     assert absorber is not None
-    # Re-route one backbone slot to a vertex the host almost surely
-    # does not connect as required.
+    # Re-route the last backbone slot to a vertex outside the body that is
+    # not adjacent to its exit-port partner, so the exit port is no host
+    # edge.  (A vertex that only misses some other slot's row may still
+    # fit every edge the slot needs, leaving a valid absorber.)
     unit = absorber.units[0]
     verts = list(unit.backbone.vertices)
     outside = next(
         v
         for v in range(g.n)
-        if not absorber.body() >> v & 1 and not g.neighbors(v) >= set(verts[:4])
+        if not absorber.body() >> v & 1 and not g.has_edge(v, verts[-2])
     )
     verts[-1] = outside
     from dataclasses import replace
@@ -252,6 +254,35 @@ def test_verification_detects_a_corrupted_unit() -> None:
     report = verify_absorber(g, bad)
     assert not report.ok
     assert report.failure
+
+
+def test_the_junction_sweep_tests_the_direct_arc_before_any_search(
+    monkeypatch,
+) -> None:
+    # The length-4 template is exactly the direct arc, so the sweep checks
+    # it without a search and starts its searches at length 5.
+    asked = []
+    connect = absorber_module.connect_one
+
+    def recording(g, req, seed):
+        asked.append(req.length)
+        return connect(g, req, seed)
+
+    monkeypatch.setattr(absorber_module, "connect_one", recording)
+    sweep = absorber_module._connect_with_fallback
+    g = complete_graph(12)
+    pool = mask_of(range(4, 12))
+    assert sweep(g, (0, 1), (2, 3), pool, 3) == ((), None)
+    assert asked == []
+    # Without the edge 0-2 there is no arc, and one interior vertex closes it.
+    g = g.remove_edges([(0, 2)])
+    interior, diag = sweep(g, (0, 1), (2, 3), pool, 3)
+    assert len(interior) == 1 and diag is None
+    assert asked == [5]
+    # With an empty pool every length fails; the report is the last search's.
+    interior, diag = sweep(g, (0, 1), (2, 3), 0, 3)
+    assert interior is None and diag["config"]["length"] == 8
+    assert asked == [5, 5, 6, 7, 8]
 
 
 def test_absorber_json_round_trip() -> None:

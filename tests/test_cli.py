@@ -221,16 +221,16 @@ def test_connect_and_absorber_build_outputs_are_pinned(tmp_path, capsys) -> None
     assert stdout_digest(
         capsys, "connect", "--graph", graph, "--pairs", pairs, "--length", "6",
         "--w", reservoir, "--exclude", "10,20,30", "--seed", "2",
-    ) == (0, "559cd602aefdef27ea8c1d242d1ed034f80bcec9eee1a43f031cceb82a735b29")
+    ) == (0, "ef1de35c00b686566a4648aa1b47fb47c7b4003924f3e50db769b6ac74683dd7")
     assert stdout_digest(
         capsys, "connect", "--graph", graph, "--pairs", pairs, "--b", "2",
         "--length", "8", "--exclude", "9,11,13", "--seed", "1",
-    ) == (0, "effdd9494036582dd6f5fbb26cf6fac3abb1e3a6e1562bcb5d156a0857278799")
+    ) == (0, "7dce13107fe6c66e991ecea139b456f12a4781e5b50c74f95c82ba6f37e8ac5e")
     graph = write_graph(tmp_path, "h.edges", 120, 0.55, 7)
     assert stdout_digest(
         capsys, "absorber", "build", "--graph", graph, "--x", "0,1,2",
         "--seed", "3",
-    ) == (0, "a93e3410f34f22d9e1b88389690a186a88b7816270b665ce377500964e93ca01")
+    ) == (0, "5264e09aed262e46f78a51ebe2af2788ed8372218f68aebf46685ca2d63ce4c8")
 
 
 def test_connect_rejects_negative_vertices(tmp_path, capsys) -> None:

@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings
-from hypothesis.strategies import integers, sampled_from
+from hypothesis import assume, given, settings
+from hypothesis.strategies import data, integers, sampled_from
 
 from squareham import (
     ConnectionRequest,
@@ -15,6 +17,8 @@ from squareham import (
     validate_embedding,
 )
 from squareham.graphcore import bits, mask_of
+
+from strategies import gnp_graphs
 
 
 def host_and_jobs(n: int, p: float, seed: int, jobs: int = 1):
@@ -212,39 +216,147 @@ def test_connect_all_keeps_job_interiors_disjoint(seed: int) -> None:
         seen |= interior
 
 
-def test_reservoir_order_is_drawn_once_and_only_when_needed(monkeypatch) -> None:
+def shuffled_scan(g, req, seed: int, budget: int = 100_000) -> tuple[bool, int]:
+    """The template search as a scan, at every state, of one seeded shuffle
+    of the whole pool; returns whether it lands and the nodes it spent.
+
+    The reference for ``connect_one``: a pick is the first fitting vertex of
+    a uniformly random order, and a node is one unplaced pool vertex looked
+    at.
+    """
+    gadget, fixed_edges, free, back_nbrs = connector._template(req.b, req.length)
+    (f0, f1), (t0, t1) = gadget.port_from, gadget.port_to
+    image = {f0: req.frm[0], f1: req.frm[1], t0: req.to[0], t1: req.to[1]}
+    rows = g.rows
+    if not all(rows[image[a]] >> image[c] & 1 for a, c in fixed_edges):
+        return False, 0
+    pool = bits(req.w & ~mask_of(image.values()))
+    order = rng_for(seed, 13).permutation(pool).tolist() if pool else []
+    taken: set[int] = set()
+    nodes = 0
+
+    def fill(k: int) -> bool:
+        nonlocal nodes
+        if k == len(free):
+            return True
+        fits = -1
+        for o in back_nbrs[k]:
+            fits &= rows[image[o]]
+        for v in order:
+            if v in taken:
+                continue
+            nodes += 1
+            if nodes > budget:
+                return False
+            if fits >> v & 1:
+                image[free[k]] = v
+                taken.add(v)
+                if fill(k + 1):
+                    return True
+                taken.discard(v)
+            if nodes > budget:
+                return False
+        return False
+
+    return fill(0), nodes
+
+
+SHAPES = [(1, length) for length in range(4, 9)] + [(2, 8), (2, 12)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(gnp_graphs(min_n=8, max_n=22, min_p=0.3, max_p=0.95), data())
+def test_search_lands_and_fails_exactly_where_the_shuffled_scan_does(g, data) -> None:
+    arcs = [*g.edges(), *((v, u) for u, v in g.edges())]
+    assume(arcs)
+    frm = data.draw(sampled_from(arcs))
+    outs = [e for e in arcs if not set(e) & set(frm)]
+    assume(outs)
+    to = data.draw(sampled_from(outs))
+    w = data.draw(integers(min_value=0, max_value=(1 << g.n) - 1))
+    for b, length in SHAPES:
+        req = ConnectionRequest(frm, to, w, b, length)
+        for seed in range(4):
+            res = connect_one(g, req, seed)
+            ok, nodes = shuffled_scan(g, req, seed)
+            assert res.ok == ok
+            if not ok:
+                assert res.diagnostics["nodes"] == nodes
+
+
+def test_a_pick_is_uniform_over_the_fitting_vertices() -> None:
+    # Vertex 11 misses port 0, so the one free label of a length-5 path has
+    # four candidates out of a pool of five.
+    g = complete_graph(12).remove_edges([(11, 0)])
+    req = ConnectionRequest((0, 1), (2, 3), mask_of((4, 5, 6, 7, 11)), length=5)
+    seeds = 400
+    picks = Counter(
+        connect_one(g, req, seed).embedding.vertices[2] for seed in range(seeds)
+    )
+    assert set(picks) == {4, 5, 6, 7}
+    for count in picks.values():
+        assert abs(count - seeds / 4) < seeds / 10
+
+
+def test_same_seed_same_embedding() -> None:
+    g = complete_graph(20)
+    w = mask_of(range(4, 20))
+    for b, length in SHAPES:
+        req = ConnectionRequest((0, 1), (2, 3), w, b, length)
+        found = set()
+        for seed in range(6):
+            first = connect_one(g, req, seed)
+            assert first.ok and connect_one(g, req, seed) == first
+            found.add(first.embedding)
+        # Every shape but the direct arc has a choice to make.
+        assert (len(found) == 1) == (length == 4)
+        # The draws take the seed modulo 2**64.
+        assert connect_one(g, req, 5 + 2**64) == first
+
+
+def test_a_search_past_its_budget_reports_budget_plus_one() -> None:
+    # Vertex 2 (the exit port's first vertex) misses the whole pool, so the
+    # last two free labels never fit and the search runs every state above.
+    pool = range(4, 20)
+    g = complete_graph(20).remove_edges([(2, v) for v in pool])
+    req = ConnectionRequest((0, 1), (2, 3), mask_of(pool), length=8)
+    res = connect_one(g, req, 5)
+    assert not res.ok
+    spent = res.diagnostics["nodes"]
+    assert spent == shuffled_scan(g, req, 5)[1] and spent > 51
+    listed = connector._listed(req.w)
+    for budget in (0, 15, 50):
+        res = connector._direct_connect(g, req, listed, 5, budget)
+        assert not res.ok and res.diagnostics["nodes"] == budget + 1
+        assert shuffled_scan(g, req, 5, budget) == (False, budget + 1)
+
+
+def test_a_search_draws_once_per_pick_and_never_before_a_free_label(
+    monkeypatch,
+) -> None:
     draws = []
-    rng_for = connector.rng_for
+    splitmix = connector._splitmix64
 
-    def counting(*args):
-        draws.append(args)
-        return rng_for(*args)
+    def counting(seed):
+        for draw in splitmix(seed):
+            draws.append(draw)
+            yield draw
 
-    monkeypatch.setattr(connector, "rng_for", counting)
-    connector._reservoir_order.cache_clear()
+    monkeypatch.setattr(connector, "_splitmix64", counting)
     g = complete_graph(12).remove_edges([(1, 2)])
     w = mask_of(range(6, 12))
     # Length 5 needs the port edge 1-2, so no job gets to a free label.
     blocked = ConnectionRequest((0, 1), (2, 3), w, length=5)
     res = connect_one(g, blocked, seed=4)
     assert not res.ok and res.diagnostics["nodes"] == 0
+    # The direct arc has no free label.
+    assert connect_one(g, ConnectionRequest((0, 3), (4, 5), w, length=4), 4).ok
     assert draws == []
-    # A sweep over lengths with one seed and one pool draws one shuffle.
-    for length in (6, 7, 8):
-        req = ConnectionRequest((0, 3), (4, 5), w, length=length)
-        assert connect_one(g, req, seed=4).ok
-    assert len(draws) == 1
-    connector._reservoir_order.cache_clear()
+    # On a complete pool every pick fits, so a length-7 job picks three times.
+    assert connect_one(g, ConnectionRequest((0, 3), (4, 5), w, length=7), 4).ok
+    assert len(draws) == 3
     with pytest.raises(InputError):
         connect_one(g, blocked, seed=-1)
-
-
-def test_reservoir_order_is_the_pool_indexed_by_a_seeded_permutation() -> None:
-    pool = tuple(range(3, 3000, 2))
-    for seed in range(50):
-        perm = rng_for(seed, 13).permutation(len(pool))
-        expected = tuple(pool[i] for i in perm)
-        assert connector._reservoir_order(seed, pool) == expected
 
 
 def test_connect_all_names_the_stalled_jobs_and_the_last_search() -> None:

@@ -81,6 +81,32 @@ def test_pipeline_modules_never_call_neighbors(name: str) -> None:
     assert calls == [], f"{name}.py calls .neighbors(): {calls}"
 
 
+def _imported_modules_and_names(tree: ast.AST) -> set[str]:
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add((node.module or "").split(".")[0])
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_the_connector_builds_no_numpy_generator() -> None:
+    # A search draws its picks lazily from a few lines of SplitMix64; a
+    # seeded numpy generator per search cost more than most searches.
+    path = Path(squareham.__file__).parent / "connector.py"
+    found = _imported_modules_and_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found & {"numpy", "rng_for"}
+    spellings = (
+        "import numpy as np",
+        "from numpy import random",
+        "from .graphcore import rng_for",
+    )
+    for src in spellings:
+        assert _imported_modules_and_names(ast.parse(src)) & {"numpy", "rng_for"}, src
+
+
 def test_benchmark_gates_one_failure_metric_per_stage() -> None:
     # perfbench names its per-layer failure counters after STAGES; a stage
     # added without a gated metric in BENCHMARK.json would go unmeasured.
