@@ -9,7 +9,8 @@ their interiors are pairwise disjoint.  :func:`direct_arc` tests the one
 connection with no interior, the length-4 square path.
 
 The reservoir is an ``int`` bitset (bit ``v`` set for vertex ``v``):
-:func:`connect_one` takes away the ports with one AND.  Each label's
+:func:`connect_one` takes away the ports with one AND, and the pool reaches
+the search as that mask; no vertex set is ever listed.  Each label's
 candidates are one mask, the pool less the placed vertices ANDed with the
 rows of its placed neighbours, and the search picks among them uniformly
 with draws from a seeded SplitMix64 stream, one pick at a time.
@@ -29,7 +30,7 @@ from .gadgets import (
     build_gadget,
     validate_embedding,
 )
-from .graphcore import Graph, InputError, bits, mask_of, nth_bit
+from .graphcore import Graph, InputError, mask_of, nth_bit
 
 
 @dataclass(frozen=True)
@@ -69,22 +70,51 @@ class ConnectResult:
     diagnostics: dict | None
 
 
-def _validate_request(g: Graph, req: ConnectionRequest) -> None:
-    if req.b not in (1, 2):
-        raise InputError(f"skip width must be 1 or 2, got {req.b}")
-    if req.b == 1 and req.length < 4:
-        raise InputError(f"width-1 connections need length >= 4, got {req.length}")
-    if req.b == 2 and (req.length < 8 or req.length % 4 != 0):
+class _Pool(int):
+    """A reservoir bitset that ``len()`` counts."""
+
+    __slots__ = ()
+    __len__ = int.bit_count
+
+
+def _validate_request(g: Graph, req: ConnectionRequest) -> int:
+    """Check one job and return the bitset of its four ports.
+
+    Raises:
+        InputError: On a width or length the templates lack, ports that are
+            not two ordered pairs of distinct vertices of ``g`` joined by
+            host edges, or a reservoir that is not an ``int``.
+    """
+    b, length = req.b, req.length
+    if b == 1:
+        if length < 4:
+            raise InputError(f"width-1 connections need length >= 4, got {length}")
+    elif b == 2:
+        if length < 8 or length % 4 != 0:
+            raise InputError(
+                f"width-2 connections need length in 8, 12, 16, ..., got {length}"
+            )
+    else:
+        raise InputError(f"skip width must be 1 or 2, got {b}")
+    try:
+        (p, q), (r, s) = req.frm, req.to
+    except (TypeError, ValueError):
         raise InputError(
-            f"width-2 connections need length in 8, 12, 16, ..., got {req.length}"
-        )
-    ports = (*req.frm, *req.to)
-    if len(set(ports)) != 4:
+            f"job ports must be two ordered pairs: {req.frm} -> {req.to}"
+        ) from None
+    if p == q or p == r or p == s or q == r or q == s or r == s:
         raise InputError(f"job ports overlap: {req.frm} -> {req.to}")
-    g.check_vertices(ports)
+    n = g.n
+    if not (0 <= p < n and 0 <= q < n and 0 <= r < n and 0 <= s < n):
+        g.check_vertices((p, q, r, s))
     rows = g.rows
-    if not (rows[req.frm[0]] >> req.frm[1] & 1 and rows[req.to[0]] >> req.to[1] & 1):
+    if not (rows[p] >> q & 1 and rows[r] >> s & 1):
         raise InputError(f"job ports must be host edges: {req.frm} -> {req.to}")
+    if not isinstance(req.w, int):
+        raise InputError(
+            f"a reservoir must be an int bitset, got {type(req.w).__name__}"
+        )
+    return 1 << p | 1 << q | 1 << r | 1 << s
 
 
 def direct_arc(g: Graph, frm: tuple[int, int], to: tuple[int, int]) -> bool:
@@ -92,11 +122,16 @@ def direct_arc(g: Graph, frm: tuple[int, int], to: tuple[int, int]) -> bool:
     interior: the four ports are distinct and ``frm + to`` carries all five
     edges of the length-4 template."""
     (a, b), (c, d) = frm, to
-    if len({a, b, c, d}) != 4:
+    if a == b or a == c or a == d or b == c or b == d or c == d:
         return False
-    g.check_vertices((a, b, c, d))
+    n = g.n
+    if not (0 <= a < n and 0 <= b < n and 0 <= c < n and 0 <= d < n):
+        g.check_vertices((a, b, c, d))
     rows = g.rows
-    return all(rows[u] >> v & 1 for u, v in ((a, b), (b, c), (c, d), (a, c), (b, d)))
+    ra, rb = rows[a], rows[b]
+    return bool(
+        ra >> b & 1 and rb >> c & 1 and rows[c] >> d & 1 and ra >> c & 1 and rb >> d & 1
+    )
 
 
 def connect_one(g: Graph, req: ConnectionRequest, seed: int) -> ConnectResult:
@@ -113,25 +148,14 @@ def connect_one(g: Graph, req: ConnectionRequest, seed: int) -> ConnectResult:
         InputError: On a malformed request, a negative seed, or a reservoir
             vertex (outside the ports) that is not a vertex of ``g``.
     """
-    _validate_request(g, req)
+    ports = _validate_request(g, req)
     # The search draws lazily, so check the seed up front.
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
-    # _validate_request has checked that every port is a vertex.
-    pool_mask = req.w & ~mask_of((*req.frm, *req.to))
-    if pool_mask < 0 or pool_mask >> g.n:
+    pool = req.w & ~ports
+    if pool < 0 or pool >> g.n:
         raise InputError(f"reservoir holds vertices outside 0..{g.n - 1}")
-    return _direct_connect(g, req, _listed(pool_mask), seed)
-
-
-@functools.lru_cache(maxsize=8)
-def _listed(pool_mask: int) -> tuple[int, ...]:
-    """The pool's vertices in ascending order.
-
-    Cached for the last few masks: a short-first length sweep asks for the
-    same pool once per length.
-    """
-    return tuple(bits(pool_mask))
+    return _direct_connect(g, req, _Pool(pool), seed)
 
 
 @functools.cache
@@ -141,7 +165,8 @@ def _template(b: int, length: int) -> tuple[
     tuple[int, ...],
     tuple[tuple[int, ...], ...],
 ]:
-    """The target gadget, its edges between two port labels, its free labels
+    """The target gadget, its edges between two port labels other than the
+    two port edges (which :func:`_validate_request` checks), its free labels
     in ascending order, and for each free label the template neighbours
     already placed when it is filled."""
     if b == 1:
@@ -149,7 +174,12 @@ def _template(b: int, length: int) -> tuple[
     else:
         gadget = build_gadget(BACKBONE, blocks=length // 4)
     fixed = {*gadget.port_from, *gadget.port_to}
-    fixed_edges = tuple((a, c) for a, c in gadget.edges if a in fixed and c in fixed)
+    port_edges = {tuple(sorted(gadget.port_from)), tuple(sorted(gadget.port_to))}
+    fixed_edges = tuple(
+        (a, c)
+        for a, c in gadget.edges
+        if a in fixed and c in fixed and (a, c) not in port_edges
+    )
     free = tuple(lab for lab in range(gadget.labels) if lab not in fixed)
     back_nbrs: dict[int, list[int]] = {lab: [] for lab in free}
     for a, c in gadget.edges:
@@ -174,21 +204,22 @@ def _splitmix64(seed: int) -> Iterator[int]:
 def _direct_connect(
     g: Graph,
     req: ConnectionRequest,
-    pool: tuple[int, ...],
+    pool: _Pool,
     seed: int,
     budget: int = 100_000,
 ) -> ConnectResult:
     """Fill the target template by backtracking over the reservoir.
 
-    ``pool`` lists the reservoir, ``req.w`` less the ports.  Free labels are
-    filled in ascending order.  A label's candidates are one mask: the AND
-    of its placed template neighbours' rows with the pool less the vertices
-    placed so far.  The search tries them in a random order drawn lazily,
-    one pick at a time: ``nth_bit(cands, draw % count)``, with ``draw`` from
-    a SplitMix64 stream seeded by ``seed``.  The first fitting vertex of a
-    uniformly random order of the whole pool is a uniform pick from the
-    fitting set, so each pick is distributed as in a scan of a seeded
-    shuffle of the pool.
+    ``pool`` is the reservoir less the ports, ``req.w & ~ports``, as a
+    bitset that ``len()`` counts, and the search starts from it.  Free
+    labels are filled in ascending order.  A label's candidates are one
+    mask: the AND of its placed template neighbours' rows with the pool
+    less the vertices placed so far.  The search tries them in a random
+    order drawn lazily, one pick at a time: ``nth_bit(cands, draw %
+    count)``, with ``draw`` from a SplitMix64 stream seeded by ``seed``.
+    The first fitting vertex of a uniformly random order of the whole pool
+    is a uniform pick from the fitting set, so each pick is distributed as
+    in a scan of a seeded shuffle of the pool.
 
     A node is one pool vertex looked at: entering a state with ``k`` labels
     filled costs ``len(pool) - k`` nodes, what a full pass over the pool
@@ -198,22 +229,28 @@ def _direct_connect(
     """
     gadget, fixed_edges, free, back_nbrs = _template(req.b, req.length)
     (f0, f1), (t0, t1) = gadget.port_from, gadget.port_to
-    image = {f0: req.frm[0], f1: req.frm[1], t0: req.to[0], t1: req.to[1]}
+    image = [0] * gadget.labels
+    image[f0], image[f1] = req.frm
+    image[t0], image[t1] = req.to
     rows = g.rows
-    size = len(pool)
+    size = pool.bit_count()
     nodes = 0
-    verts = None
+    found = False
     # Edges between two fixed labels beyond the port edges must also hold.
-    if all(rows[image[a]] >> image[c] & 1 for a, c in fixed_edges):
+    for a, c in fixed_edges:
+        if not rows[image[a]] >> image[c] & 1:
+            break
+    else:
         draws = _splitmix64(seed)
+        depth = len(free)
 
-        def fill(k: int, avail: int) -> tuple[int, ...] | None:
+        def fill(k: int, avail: int) -> bool:
             nonlocal nodes
-            if k == len(free):
-                return tuple(image[lab] for lab in range(gadget.labels))
+            if k == depth:
+                return True
             nodes += size - k
             if nodes > budget:
-                return None
+                return False
             cands = avail
             for o in back_nbrs[k]:
                 cands &= rows[image[o]]
@@ -223,19 +260,18 @@ def _direct_connect(
                 bit = 1 << v
                 cands ^= bit
                 image[lab] = v
-                out = fill(k + 1, avail ^ bit)
-                if out is not None:
-                    return out
+                if fill(k + 1, avail ^ bit):
+                    return True
                 if nodes > budget:
-                    return None
-            return None
+                    return False
+            return False
 
-        verts = fill(0, req.w & ~mask_of(image.values()))
-    if verts is None:
+        found = fill(0, pool)
+    if not found:
         cfg = {"b": req.b, "length": req.length, "pool": size, "seed": seed}
         nodes = min(nodes, budget + 1)
         return ConnectResult(False, None, {"config": cfg, "nodes": nodes})
-    emb = Embedding(gadget, verts)
+    emb = Embedding(gadget, tuple(image))
     check = validate_embedding(g, emb, connect_from=req.frm, connect_to=req.to)
     if not check.ok:
         raise AssertionError(f"connection produced an invalid embedding: {check.reason}")

@@ -65,9 +65,6 @@ _LINK_WEIGHT = 2
 # Smallest covering class; a plan must leave at least this many vertices
 # to the covering.
 _CLASS_FLOOR = 10
-# Hosts below this size go to exhaustive search; they are far too small
-# for the reservoirs the partition plans.
-_SMALL_N = 40
 # Probes (direct-arc tests and connections) the final threading may spend.
 _ASSEMBLY_BUDGET = 2_000
 
@@ -391,6 +388,13 @@ class AlmostSpanningResult:
     coverage: float
 
 
+def _check_eps_and_budget(eps: float, budget: int) -> None:
+    if budget < 1:
+        raise InputError(f"budget must be at least 1, got {budget}")
+    if not 0 < eps < 1:
+        raise InputError(f"eps must lie in (0, 1), got {eps}")
+
+
 def almost_spanning_square_path(
     g: Graph,
     eps: float = 0.1,
@@ -404,7 +408,12 @@ def almost_spanning_square_path(
     neighborhoods, restarting until the budget is spent or coverage reaches
     ``1 - eps``.  Always returns its best attempt (possibly a single vertex);
     this is a measured heuristic, not a guarantee.
+
+    Raises:
+        InputError: If ``budget`` is below 1, ``eps`` lies outside (0, 1),
+            or a target is not a vertex of ``g``.
     """
+    _check_eps_and_budget(eps, budget)
     vs = sorted(set(verts)) if verts is not None else list(range(g.n))
     g.check_vertices(vs)
     if not vs:
@@ -482,10 +491,7 @@ def cover_with_square_paths(
     """
     if class_floor < 1:
         raise InputError(f"class_floor must be at least 1, got {class_floor}")
-    if budget < 1:
-        raise InputError(f"budget must be at least 1, got {budget}")
-    if not 0 < eps < 1:
-        raise InputError(f"eps must lie in (0, 1), got {eps}")
+    _check_eps_and_budget(eps, budget)
     u = sorted(set(u_prime))
     g.check_vertices(u)
     msize = len(u)
@@ -776,11 +782,8 @@ def _attempt(
     seed0 = config.seed * 1_000_003 + restart * 7_919
     blocks = config.connector_length // 4
     planned = _plan_partition(n, blocks)
-    if planned is None:
-        return FailureReport(
-            "partition",
-            {"n": n, "reason": "reservoir budgets do not fit any absorbee count"},
-        )
+    # find_square_ham sends the hosts no plan fits to exhaustive search.
+    assert planned is not None, f"no reservoir plan fits n={n}"
     sizes, plan = planned
     part = random_partition(range(n), sizes, rng_for(seed0, 53))
     x_mask, *pools = map(mask_of, part.classes)
@@ -861,10 +864,10 @@ def find_square_ham(
 
     One :func:`find_infeasibility_witness` search runs first; a witness
     proves that no certificate exists, so it ends the call before any
-    search.  Otherwise small instances delegate to exhaustive search, and
-    larger ones run the partition / absorber / covering / matching /
-    connecting / absorption pipeline, restarting with fresh randomness when
-    a stage fails.
+    search.  Otherwise hosts too small for any reservoir plan delegate to
+    exhaustive search, and larger ones run the partition / absorber /
+    covering / matching / connecting / absorption pipeline, restarting with
+    fresh randomness when a stage fails.
 
     Args:
         g: Host graph.
@@ -887,7 +890,7 @@ def find_square_ham(
     witness = find_infeasibility_witness(g)
     if witness is not None:
         return FailureReport("partition", {"mode": "infeasibility-witness"}, witness)
-    if g.n < _SMALL_N:
+    if _plan_partition(g.n, config.connector_length // 4) is None:
         res = brute_force_square_ham(g, config.brute_budget)
         if res.status == "found":
             assert res.certificate is not None
@@ -906,7 +909,5 @@ def find_square_ham(
         if isinstance(outcome, Certificate):
             return outcome
         last = outcome
-        if outcome.stage == "partition":
-            break
     assert last is not None
     return last

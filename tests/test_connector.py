@@ -152,6 +152,37 @@ def test_request_validation_rejects_malformed_jobs() -> None:
             connect_all(g, [req], seed=0, retries=retries)
 
 
+@pytest.mark.parametrize(
+    "frm, to, b, length, message",
+    [
+        ((0, 1), (2, 3), 3, 4, "^skip width must be 1 or 2, got 3$"),
+        ((0, 1), (2, 3), 1, 3, "^width-1 connections need length >= 4, got 3$"),
+        ((0, 1), (2, 3), 2, 10, "^width-2 connections need length in 8, 12, "),
+        ((0, 1), (1, 3), 1, 4, r"^job ports overlap: \(0, 1\) -> \(1, 3\)$"),
+        ((0, 1), (2, 10), 1, 4, "^vertex 10 out of range for n=10$"),
+        ((-1, 1), (2, 3), 1, 4, "^vertex -1 out of range for n=10$"),
+        ((0, 1), (2, 3, 4), 1, 4, "^job ports must be two ordered pairs"),
+        ((0, 1), (2, 3), 1, 4, r"^job ports must be host edges: \(0, 1\) -> "),
+    ],
+)
+def test_each_malformed_job_gets_its_own_message(frm, to, b, length, message) -> None:
+    # Every check before the host-edge one fires whatever the edges.
+    g = complete_graph(10).remove_edges([(0, 1)])
+    req = ConnectionRequest(frm, to, mask_of(range(5, 10)), b, length)
+    with pytest.raises(InputError, match=message):
+        connect_one(g, req, seed=0)
+
+
+@pytest.mark.parametrize("w", [1.5, frozenset({5, 6}), None])
+def test_a_reservoir_that_is_not_an_int_is_rejected(w) -> None:
+    g = complete_graph(10)
+    req = ConnectionRequest((0, 1), (2, 3), w, length=5)
+    with pytest.raises(InputError, match="^a reservoir must be an int bitset"):
+        connect_one(g, req, seed=0)
+    with pytest.raises(InputError, match="^a reservoir must be an int bitset"):
+        connect_all(g, [req], seed=0)
+
+
 @pytest.mark.parametrize("bad", [-1, 10])
 def test_reservoir_vertices_outside_the_host_are_rejected(bad: int) -> None:
     # With seed 0 the search lands on vertex 8 or 7 before it would reach
@@ -324,9 +355,9 @@ def test_a_search_past_its_budget_reports_budget_plus_one() -> None:
     assert not res.ok
     spent = res.diagnostics["nodes"]
     assert spent == shuffled_scan(g, req, 5)[1] and spent > 51
-    listed = connector._listed(req.w)
+    pool_mask = connector._Pool(req.w)
     for budget in (0, 15, 50):
-        res = connector._direct_connect(g, req, listed, 5, budget)
+        res = connector._direct_connect(g, req, pool_mask, 5, budget)
         assert not res.ok and res.diagnostics["nodes"] == budget + 1
         assert shuffled_scan(g, req, 5, budget) == (False, budget + 1)
 

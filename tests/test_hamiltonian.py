@@ -144,6 +144,16 @@ def test_almost_spanning_rejects_vertices_outside_the_host() -> None:
             almost_spanning_square_path(g, verts=verts)
 
 
+def test_almost_spanning_rejects_what_the_cover_rejects() -> None:
+    g = gnp_generate(20, 0.5, 0)
+    for eps in (0.0, 1.0, 2):
+        with pytest.raises(InputError, match="eps"):
+            almost_spanning_square_path(g, eps=eps)
+    for budget in (0, -1):
+        with pytest.raises(InputError, match="budget"):
+            almost_spanning_square_path(g, budget=budget)
+
+
 def test_almost_spanning_is_deterministic() -> None:
     g = gnp_generate(80, 0.6, 4)
     a = almost_spanning_square_path(g, eps=0.25, seed=9)
@@ -253,6 +263,21 @@ def test_pipeline_delegates_small_hosts_to_exhaustive_search() -> None:
     assert outcome.stage == "partition"
     assert outcome.diagnostics["mode"] == "small-instance-delegation"
     assert outcome.diagnostics["brute_status"] == "none"
+
+
+@pytest.mark.parametrize(
+    "n, connector_length", [(41, 8), (58, 8), (70, 16)]
+)
+def test_hosts_no_reservoir_plan_fits_go_to_exhaustive_search(
+    n: int, connector_length: int
+) -> None:
+    # Below 59 vertices (79 at connector_length 16) no absorbee count
+    # leaves room for the reservoirs; the exhaustive search still answers.
+    config = PipelineConfig(connector_length=connector_length)
+    assert hamiltonian._plan_partition(n, connector_length // 4) is None
+    g = complete_graph(n)
+    out = find_square_ham(g, config=config)
+    assert isinstance(out, Certificate) and verify_certificate(g, out).ok
 
 
 def test_small_host_failures_carry_a_witness_when_one_shows() -> None:
@@ -381,6 +406,25 @@ def test_every_pipeline_search_passes_the_names_the_benchmark_wraps(
         find_square_ham(g, gamma_host=gamma_host, config=PipelineConfig(seed=0))
     assert calls["absorber"] > 0 and calls["hamiltonian"] > 0
     assert calls["absorber"] + calls["hamiltonian"] == calls["direct"]
+
+
+def test_every_search_gets_its_pool_as_a_mask_that_len_counts(monkeypatch) -> None:
+    # The traced benchmark averages len(pool) at connector._direct_connect
+    # into connector.pool.mean: the reservoir less the ports.
+    sizes = []
+    direct = connector._direct_connect
+
+    def checking(g, req, pool, *args, **kwargs):
+        ports = 1 << req.frm[0] | 1 << req.frm[1] | 1 << req.to[0] | 1 << req.to[1]
+        assert pool == req.w & ~ports
+        assert len(pool) == (req.w & ~ports).bit_count()
+        sizes.append(len(pool))
+        return direct(g, req, pool, *args, **kwargs)
+
+    monkeypatch.setattr(connector, "_direct_connect", checking)
+    out = find_square_ham(gnp_generate(200, 0.5, 1), config=PipelineConfig(seed=0))
+    assert isinstance(out, Certificate)
+    assert sizes and max(sizes) > 0
 
 
 def test_each_built_absorber_is_audited_once(monkeypatch) -> None:

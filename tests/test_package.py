@@ -107,6 +107,16 @@ def test_the_connector_builds_no_numpy_generator() -> None:
         assert _imported_modules_and_names(ast.parse(src)) & {"numpy", "rng_for"}, src
 
 
+def test_the_connector_never_lists_a_vertex_set() -> None:
+    # A search starts from the pool's bitset and picks with nth_bit;
+    # listing the pool per call cost more than most searches.
+    path = Path(squareham.__file__).parent / "connector.py"
+    found = _imported_modules_and_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found & {"numpy", "bits"}
+    for src in ("import numpy", "from .graphcore import Graph, bits"):
+        assert _imported_modules_and_names(ast.parse(src)) & {"numpy", "bits"}, src
+
+
 def test_benchmark_gates_one_failure_metric_per_stage() -> None:
     # perfbench names its per-layer failure counters after STAGES; a stage
     # added without a gated metric in BENCHMARK.json would go unmeasured.
