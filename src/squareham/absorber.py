@@ -81,8 +81,10 @@ class AbsorberUnit:
     def exit(self) -> tuple[int, int]:
         return (self.slot(self.blocks, 3), self.slot(self.blocks, 4))
 
+    @functools.cached_property
     def vertex_set(self) -> int:
-        """Every vertex of the unit, absorbee included, as a bitset."""
+        """Every vertex of the unit, absorbee included, as a bitset (built
+        once per unit)."""
         verts = mask_of(self.backbone.vertices) | 1 << self.x
         for interior in self.junctions:
             verts |= mask_of(interior)
@@ -129,7 +131,7 @@ class Absorber:
         """Every vertex of the structure, absorbees included, as a bitset."""
         verts = 0
         for u in self.units:
-            verts |= u.vertex_set()
+            verts |= u.vertex_set
         for interior in self.links:
             verts |= mask_of(interior)
         return verts
@@ -169,13 +171,9 @@ def build_single_absorbers(
     chosen: list[list[int]] = [[] for _ in xs_listed]
     anchors = list(xs_listed)
     for round_no, pool in enumerate((w1, w2, w3, w4)):
-        adjacency = []
-        for i, x in enumerate(xs_listed):
-            allowed = rows[x] & pool
-            if round_no > 0:
-                allowed &= rows[anchors[i]]
-            adjacency.append(tuple(bits(allowed)))
-        res = hall_saturating_matching(BipartiteInstance(tuple(adjacency), g.n))
+        # The first round anchors each absorbee to itself.
+        adjacency = tuple(rows[x] & pool & rows[a] for x, a in zip(xs_listed, anchors))
+        res = hall_saturating_matching(BipartiteInstance(adjacency, g.n))
         if res.status != "matched":
             return None, {
                 "round": round_no + 1,
@@ -281,7 +279,7 @@ def complete_absorbers(
             if not wired:
                 continue
             unit = AbsorberUnit(rec.x, backbone, tuple(interiors))
-            used |= unit.vertex_set()
+            used |= unit.vertex_set
             break
         if unit is None:
             return None, {
@@ -315,7 +313,7 @@ def _walk_fault(
 def _unit_fault(g: Graph, unit: AbsorberUnit, mode: str) -> str | None:
     """Why the unit's ``mode`` traversal does not span the unit (less ``x``
     when excluding) between ``unit.entry`` and ``unit.exit``, or ``None``."""
-    span = unit.vertex_set()
+    span = unit.vertex_set
     if mode == "exclude":
         span &= ~(1 << unit.x)
     return _walk_fault(g, unit.traversal(mode), span, unit.entry, unit.exit)
@@ -348,7 +346,7 @@ def chain_absorbers(
         raise InputError("an absorber needs at least one unit")
     body = 0
     for unit in units:
-        more = unit.vertex_set()
+        more = unit.vertex_set
         if body & more:
             raise InputError("units to chain must be pairwise disjoint")
         body |= more

@@ -8,9 +8,10 @@ floating point with a small absolute slack to absorb rounding.
 Each adjacency row is one Python ``int`` bitset (bit ``v`` of row ``u`` is
 the pair ``uv``), so "is ``v`` adjacent to every vertex of a placed set" is
 one AND of rows and one bit test.  The absorber construction (the star
-rounds, completion and chaining, ``hamiltonian.build_absorber``) and the
-connector (reservoirs, exclusions) take vertex sets as such ``int`` masks,
-and unit vertex sets and absorber bodies are masks too.
+rounds, completion and chaining, ``hamiltonian.build_absorber``), the
+connector (reservoirs, exclusions) and ``matching`` (one neighbour row per
+left vertex) take vertex sets as such ``int`` masks, and unit vertex sets
+and absorber bodies are masks too.
 :func:`random_partition`, :func:`edges_within`, ``absorber.absorb`` and the
 covering and matching functions of ``hamiltonian`` take iterables of
 vertices; sequences carry order (paths, certificates, witnesses).
@@ -274,8 +275,11 @@ def nth_bit(mask: int, k: int) -> int:
     lowest bits left.
 
     Raises:
+        InputError: If ``mask`` is negative.
         IndexError: If ``k`` is not the index of a set bit.
     """
+    if mask < 0:
+        raise InputError(f"a vertex mask must be non-negative, got {mask}")
     if not 0 <= k < mask.bit_count():
         raise IndexError(f"bit index {k} out of range for {mask.bit_count()} set bits")
     base = 0
@@ -395,7 +399,7 @@ def random_partition(
             f"requested {sum(sizes)} vertices but universe has only {len(pool)}"
         )
     rng = seed if isinstance(seed, np.random.Generator) else rng_for(seed, 1)
-    perm = [pool[i] for i in rng.permutation(len(pool))]
+    perm = [pool[i] for i in rng.permutation(len(pool)).tolist()]
     classes = []
     at = 0
     for s in sizes:
@@ -580,14 +584,30 @@ def graph_to_json_obj(g: Graph) -> dict:
 
 
 def graph_from_json_obj(obj: dict) -> Graph:
+    """The graph of a ``{"n": ..., "edges": [[u, v], ...]}`` object.
+
+    Raises:
+        InputError: If a key is missing, ``edges`` is not a list, or ``n``
+            or an endpoint is not an integer (``true`` and ``1.5`` are not).
+    """
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise InputError("graph JSON must carry 'n' and 'edges'")
+    n = obj["n"]
+    if type(n) is not int:
+        raise InputError(f"graph JSON 'n' must be an integer, got {n!r}")
+    if not isinstance(obj["edges"], (list, tuple)):
+        raise InputError(f"graph JSON 'edges' must be a list, got {obj['edges']!r}")
     edges = []
     for e in obj["edges"]:
-        if not isinstance(e, (list, tuple)) or len(e) != 2:
+        if not (
+            isinstance(e, (list, tuple))
+            and len(e) == 2
+            and type(e[0]) is int
+            and type(e[1]) is int
+        ):
             raise InputError(f"malformed edge entry {e!r}")
-        edges.append((int(e[0]), int(e[1])))
-    return Graph(int(obj["n"]), edges)
+        edges.append((e[0], e[1]))
+    return Graph(n, edges)
 
 
 def read_graph(path: str) -> Graph:

@@ -243,7 +243,9 @@ def find_infeasibility_witness(g: Graph) -> InfeasibilityWitness | None:
     ``n >= 5``), then grows a greedy minimum-degree independent set: the
     alive vertex with the fewest alive neighbours (lowest index on ties)
     joins it and its closed neighbourhood dies.  The set is returned only
-    if it holds more than ``n // 3`` vertices.  ``None`` proves nothing.
+    if it holds more than ``n // 3`` vertices, so the growth stops as soon
+    as the alive vertices could no longer lift it past that.  ``None``
+    proves nothing.
     """
     n = g.n
     if n < 3:
@@ -257,6 +259,8 @@ def find_infeasibility_witness(g: Graph) -> InfeasibilityWitness | None:
     chosen: list[int] = []
     while alive:
         candidates = bits(alive)
+        if len(chosen) + len(candidates) <= n // 3:
+            return None
         v = min(candidates, key=lambda u: (rows[u] & alive).bit_count())
         if rows[v] & alive:
             chosen.append(v)
@@ -551,7 +555,7 @@ def match_leftover(
     g.check_vertices(anchors)
     anchor_mask = mask_of(anchors)
     # Matched onto host vertex ids: the right side is all of 0..n-1.
-    rows = tuple(tuple(bits(g.row(q) & anchor_mask)) for q in qs)
+    rows = tuple(g.row(q) & anchor_mask for q in qs)
     res = hall_saturating_matching(BipartiteInstance(rows, g.n))
     if res.status != "matched":
         return LeftoverMatching(
@@ -643,7 +647,7 @@ def build_absorber(
         return None, fail
     taken = 0
     for unit in units:
-        taken |= unit.vertex_set()
+        taken |= unit.vertex_set
     return chain_absorbers(g, units, w7 | ((w5_pool | w6) & ~taken), seed)
 
 

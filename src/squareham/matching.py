@@ -2,34 +2,47 @@
 
 :func:`hall_saturating_matching` returns a matching that saturates the left
 side, or a deficient left set ``A'`` with ``|N(A')| < |A'|``.  Left and right
-vertices are dense integers, and the engine is deterministic.
+vertices are dense integers, and the engine is deterministic.  Each left
+vertex's neighbours are one ``int`` bitset over the right side, so the
+search grows a layer by OR-ing rows and picks the next neighbour to try as
+the lowest set bit of a mask, in ascending order as a sorted list would.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .graphcore import InputError
-
-_INF = float("inf")
+from .graphcore import InputError, bits
 
 
 @dataclass(frozen=True)
 class BipartiteInstance:
-    """Bipartite adjacency: ``adjacency[a]`` lists the right neighbors of ``a``."""
+    """Bipartite adjacency as bit rows: bit ``b`` of ``adjacency[a]`` is the
+    edge between left ``a`` and right ``b``, for ``0 <= b < right_count``.
 
-    adjacency: tuple[tuple[int, ...], ...]
+    Raises:
+        InputError: If ``right_count`` is negative or not an ``int``, or a
+            row is not a non-negative ``int`` or holds a bit at or above
+            ``right_count``.
+    """
+
+    adjacency: tuple[int, ...]
     right_count: int
 
     def __post_init__(self) -> None:
+        nr = self.right_count
+        if type(nr) is not int or nr < 0:
+            raise InputError(f"right_count must be a non-negative int, got {nr!r}")
         for a, row in enumerate(self.adjacency):
-            for b in row:
-                if not (0 <= b < self.right_count):
-                    raise InputError(
-                        f"right vertex {b} of left {a} out of range "
-                        f"({self.right_count} right vertices)"
-                    )
+            if type(row) is not int or row < 0:
+                raise InputError(
+                    f"row of left {a} must be a non-negative int bitset, got {row!r}"
+                )
+            if row >> nr:
+                raise InputError(
+                    f"right vertex {row.bit_length() - 1} of left {a} out of range "
+                    f"({nr} right vertices)"
+                )
 
     @property
     def left_count(self) -> int:
@@ -52,70 +65,70 @@ class MatchingResult:
 
 
 def _hopcroft_karp(inst: BipartiteInstance) -> tuple[list[int], list[int]]:
-    """Maximum matching; returns (match_left, match_right) with -1 for free."""
-    nl, nr = inst.left_count, inst.right_count
-    match_l = [-1] * nl
-    match_r = [-1] * nr
+    """Maximum matching; returns (match_left, match_right) with -1 for free.
+
+    Each phase layers the left side by alternating distance from the free
+    left vertices, as ``layers[d]``: the matched right vertices whose
+    partner sits at distance ``d``.  Then a depth-first search from each
+    free left vertex, in ascending order, steps from a vertex at distance
+    ``d`` to its lowest untried neighbour that is free or in
+    ``layers[d + 1]``.  A dead end drops its partner from its layer; an
+    augment moves each right vertex on the path to its new partner's layer.
+    """
     adj = inst.adjacency
-    dist = [0.0] * nl
-
-    def bfs() -> bool:
-        q: deque[int] = deque()
-        for a in range(nl):
-            if match_l[a] == -1:
-                dist[a] = 0.0
-                q.append(a)
-            else:
-                dist[a] = _INF
-        reachable_free = False
-        while q:
-            a = q.popleft()
-            for b in adj[a]:
-                nxt = match_r[b]
-                if nxt == -1:
-                    reachable_free = True
-                elif dist[nxt] == _INF:
-                    dist[nxt] = dist[a] + 1
-                    q.append(nxt)
-        return reachable_free
-
-    # Phase DFS with an explicit stack to stay safe on large inputs.
-    def dfs_iter(root: int) -> bool:
-        stack: list[tuple[int, int]] = [(root, 0)]
-        path: list[tuple[int, int]] = []  # (left, right) tentative pairs
-        while stack:
-            a, idx = stack.pop()
-            row = adj[a]
-            advanced = False
-            while idx < len(row):
-                b = row[idx]
-                idx += 1
-                nxt = match_r[b]
-                if nxt == -1:
-                    # Augment along the tentative path plus this edge.
-                    match_l[a] = b
-                    match_r[b] = a
-                    for la, rb in reversed(path):
+    match_l = [-1] * inst.left_count
+    match_r = [-1] * inst.right_count
+    free_r = (1 << inst.right_count) - 1
+    while True:
+        roots = [a for a, b in enumerate(match_l) if b == -1]
+        layers = [0]
+        layer = roots
+        seen = reach = 0
+        while layer:
+            nbrs = 0
+            for a in layer:
+                nbrs |= adj[a]
+            reach |= nbrs
+            new = nbrs & ~free_r & ~seen
+            seen |= new
+            layers.append(new)
+            layer = []
+            while new:
+                low = new & -new
+                layer.append(match_r[low.bit_length() - 1])
+                new ^= low
+        # The last layer is empty, so layers[d + 1] exists for every d.
+        if not reach & free_r:
+            return match_l, match_r
+        for root in roots:
+            lefts = [root]
+            rems = [adj[root]]
+            picks: list[int] = []
+            while lefts:
+                d = len(picks)
+                cand = rems[d] & (free_r | layers[d + 1])
+                if not cand:
+                    a = lefts.pop()
+                    rems.pop()
+                    if picks:
+                        picks.pop()
+                        layers[d] &= ~(1 << match_l[a])
+                    continue
+                low = cand & -cand
+                rems[d] ^= low
+                b = low.bit_length() - 1
+                picks.append(b)
+                if low & free_r:
+                    free_r ^= low
+                    for i, (la, rb) in enumerate(zip(lefts, picks)):
                         match_l[la] = rb
                         match_r[rb] = la
-                    return True
-                if dist[nxt] == dist[a] + 1:
-                    stack.append((a, idx))
-                    path.append((a, b))
-                    stack.append((nxt, 0))
-                    advanced = True
+                        layers[i] |= 1 << rb
+                        if i < d:
+                            layers[i + 1] &= ~(1 << rb)
                     break
-            if not advanced:
-                dist[a] = _INF
-                if path:
-                    path.pop()
-        return False
-
-    while bfs():
-        for a in range(nl):
-            if match_l[a] == -1:
-                dfs_iter(a)
-    return match_l, match_r
+                lefts.append(match_r[b])
+                rems.append(adj[match_r[b]])
 
 
 def _deficiency_certificate(
@@ -127,25 +140,20 @@ def _deficiency_certificate(
     vertex form a set whose neighborhood consists exactly of their matched
     partners, hence is strictly smaller.
     """
-    nl = inst.left_count
-    seen_l = [False] * nl
-    seen_r = [False] * inst.right_count
-    q: deque[int] = deque()
-    for a in range(nl):
-        if match_l[a] == -1:
-            seen_l[a] = True
-            q.append(a)
-    while q:
-        a = q.popleft()
-        for b in inst.adjacency[a]:
-            if not seen_r[b]:
-                seen_r[b] = True
-                nxt = match_r[b]
-                if nxt != -1 and not seen_l[nxt]:
-                    seen_l[nxt] = True
-                    q.append(nxt)
-    violator = tuple(a for a in range(nl) if seen_l[a])
-    neighborhood = tuple(b for b in range(inst.right_count) if seen_r[b])
+    adj = inst.adjacency
+    layer = [a for a, b in enumerate(match_l) if b == -1]
+    reached = list(layer)
+    seen_r = 0
+    while layer:
+        nbrs = 0
+        for a in layer:
+            nbrs |= adj[a]
+        new = nbrs & ~seen_r
+        seen_r |= new
+        layer = [match_r[b] for b in bits(new) if match_r[b] != -1]
+        reached += layer
+    violator = tuple(sorted(reached))
+    neighborhood = tuple(bits(seen_r))
     if len(neighborhood) >= len(violator):
         raise AssertionError("deficiency certificate failed its own audit")
     return violator, neighborhood

@@ -46,7 +46,7 @@ def build_full_absorber(n: int, p: float, seed: int, x_count: int = 3):
         return g, None, fail
     taken = 0
     for unit in units:
-        taken |= unit.vertex_set()
+        taken |= unit.vertex_set
     built, fail = chain_absorbers(g, units, (w5 | w6 | w7) & ~taken, seed)
     return g, built, fail
 
@@ -162,7 +162,7 @@ def corrupt(g, a, kind: str, draw):
         k1, k2 = draw(
             sampled_from(list(itertools.permutations(range(len(a.units)), 2)))
         )
-        shared = draw(sampled_from(bits(a.units[k1].vertex_set())))
+        shared = draw(sampled_from(bits(a.units[k1].vertex_set)))
         old = draw(sampled_from(a.units[k2].backbone.vertices))
         return g, with_unit_vertex(a, k2, old, shared)
     return g, a

@@ -467,10 +467,21 @@ def test_missing_input_files_exit_three(tmp_path) -> None:
                "--certificate", str(tmp_path / "nope.json")) == 3
 
 
-def test_malformed_graph_files_are_usage_errors(tmp_path) -> None:
+def test_malformed_graph_files_are_usage_errors(tmp_path, capsys) -> None:
     bad = tmp_path / "bad.edges"
     bad.write_text("3 5\n0 1\n")
     assert run("find", "--graph", str(bad)) == 2
+    for text in (
+        '{"n": "x", "edges": []}',
+        '{"n": 3, "edges": 5}',
+        '{"n": 3, "edges": [[0, null]]}',
+        '{"n": 3, "edges": [[0, 1.5]]}',
+        '{"n": 3, "edges": [[0, true]]}',
+    ):
+        capsys.readouterr()
+        bad.write_text(text)
+        assert run("find", "--graph", str(bad)) == 2, text
+        assert "error:" in capsys.readouterr().err, text
 
 
 def test_argparse_failures_surface_as_exit_two(capsys) -> None:

@@ -309,6 +309,28 @@ def test_json_obj_round_trip(g: Graph) -> None:
     assert h.n == g.n and h.edges() == g.edges()
 
 
+MALFORMED_GRAPH_JSON = [
+    {"n": "x", "edges": []},
+    {"n": 3.0, "edges": []},
+    {"n": True, "edges": []},
+    {"n": None, "edges": []},
+    {"n": 3, "edges": 5},
+    {"n": 3, "edges": None},
+    {"n": 3, "edges": [[0, None]]},
+    {"n": 3, "edges": [[None, 1]]},
+    {"n": 3, "edges": [[0, 1.5]]},
+    {"n": 3, "edges": [[0, True]]},
+    {"n": 3, "edges": [["0", 1]]},
+    {"n": 3, "edges": [[0, 1, 2]]},
+]
+
+
+@pytest.mark.parametrize("obj", MALFORMED_GRAPH_JSON, ids=json.dumps)
+def test_json_obj_accepts_only_integer_counts_and_endpoints(obj) -> None:
+    with pytest.raises(InputError):
+        graph_from_json_obj(obj)
+
+
 @given(gnp_graphs())
 def test_file_round_trip(tmp_path_factory, g: Graph) -> None:
     # read_graph tells the two formats the CLI writes apart by their text.
@@ -442,6 +464,8 @@ def test_masks_reject_negative_vertices() -> None:
         mask_of([3, -1])
     with pytest.raises(InputError):
         bits(-1)
+    with pytest.raises(InputError, match="non-negative"):
+        nth_bit(-5, 0)
 
 
 @given(gnp_graphs(max_n=40), seeds())

@@ -4,7 +4,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis.strategies import booleans, floats, integers, permutations
 
 from squareham import (
@@ -525,6 +525,9 @@ def greedy_independent_set(g: Graph) -> list[int]:
 
 @settings(max_examples=60)
 @given(gnp_graphs(min_n=5, max_n=60, min_p=0.3), seeds(), booleans())
+# A host large enough for the search to stop early, without and with a witness.
+@example(gnp_generate(300, 0.5, 7), 7, False)
+@example(gnp_generate(300, 0.5, 7), 7, True)
 def test_witness_search_matches_the_one_step_greedy(g, seed, attack) -> None:
     if attack:
         g = k3_attack(g, 0.05, seed).attacked

@@ -205,6 +205,30 @@ def test_only_find_square_ham_searches_for_a_witness() -> None:
     }
 
 
+def _calls_in(module: str, function: str, name: str) -> int:
+    path = Path(squareham.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (fn,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == function
+    ]
+    return sum(
+        isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == name
+        for node in ast.walk(fn)
+    )
+
+
+def test_the_hall_rounds_never_list_a_row() -> None:
+    # The matching engine walks bit rows by their lowest set bit; listing
+    # each row before a round cost most of the star rounds.
+    for name in ("bits", "sorted"):
+        assert _calls_in("matching", "_hopcroft_karp", name) == 0, name
+    # The star rounds list the absorbee set once and pass rows as masks.
+    assert _calls_in("absorber", "build_single_absorbers", "bits") == 1
+
+
 def test_the_caller_guard_sees_every_spelling() -> None:
     src = (
         "def f():\n    verify_absorber(g, a)\n"
