@@ -24,9 +24,9 @@ from .graphcore import (
     Graph,
     InputError,
     _square,
+    _square_less_within,
     _triangles,
     bits,
-    edges_within,
     gnp_generate,
     mask_of,
     rng_for,
@@ -310,9 +310,12 @@ def prune_triangle_poor_edges(g: Graph, threshold: int) -> Graph:
 def _prune_on_square(g: Graph, sq: np.ndarray, threshold: int) -> Graph:
     """:func:`prune_triangle_poor_edges` with ``A·A`` of ``g`` given as ``sq``.
 
-    ``sq`` is the exact float32 square of :func:`graphcore._square`.  An edge
-    lies on at most ``n - 2`` triangles, so capping the threshold at ``n``
-    keeps the comparison exact in float32 and changes no answer.
+    ``sq`` is the exact float32 square of :func:`graphcore._square`, or a
+    host's square turned into that of ``g`` by
+    :func:`graphcore._square_less_within`; both hold exact integers of at
+    most ``n``.  An edge lies on at most ``n - 2`` triangles, so capping the
+    threshold at ``n`` keeps the comparison exact in float32 and changes no
+    answer.
     """
     return g.remove_marked_edges(g.matrix & (sq < min(threshold, g.n)))
 
@@ -349,35 +352,39 @@ def _class_aggregate(t_before, t_after, verts) -> float:
     return float(t_after[idx].sum() / denom)
 
 
-def _density_checks(graph: Graph, p: float, seed: int) -> dict:
+def _density_checks(graph: Graph, p: float, seed: int, triangles: np.ndarray) -> dict:
     """Sampled neighborhood edge-density tests.
 
     For sampled vertices ``v`` and subsets ``S`` of ``N(v)`` at or above the
     ``(2/3)np`` floor (including ``S = N(v)`` itself), checks
-    ``e(S) <= (1 + eps) * C(|S|, 2) * p``.
+    ``e(S) <= (1 + eps) * C(|S|, 2) * p``.  ``triangles`` is the
+    :func:`graphcore.triangle_profile` of ``graph``: ``e(N(v))`` is the
+    number of triangles at ``v``.
     """
     n = graph.n
+    m = graph.matrix
     rng = rng_for(seed, 67)
     floor = math.ceil((2 / 3) * n * p)
     passed = total = skipped = 0
     count = min(EXPERIMENT_CHECKS["density_vertices"], n)
     verts = rng.choice(n, size=count, replace=False) if count else []
     for v in sorted(int(x) for x in verts):
-        nbrs = bits(graph.rows[v])
-        subsets = [nbrs]
+        nbrs = np.flatnonzero(m[v])
+        sizes_and_edges = [(nbrs.size, int(triangles[v]))]
         for _ in range(EXPERIMENT_CHECKS["density_subsets"]):
-            if len(nbrs) > floor:
-                size = int(rng.integers(floor, len(nbrs) + 1))
-                subsets.append(
-                    sorted(int(i) for i in rng.choice(nbrs, size, replace=False))
-                )
-        for s in subsets:
-            if len(s) < max(floor, 2):
+            if nbrs.size > floor:
+                size = int(rng.integers(floor, nbrs.size + 1))
+                s = rng.choice(nbrs, size, replace=False)
+                sel = np.zeros(n, dtype=bool)
+                sel[s] = True
+                sizes_and_edges.append((size, int(np.count_nonzero(m[s] & sel)) // 2))
+        for size, edges in sizes_and_edges:
+            if size < max(floor, 2):
                 skipped += 1
                 continue
-            cap = (1 + EXPERIMENT_CHECKS["density_eps"]) * math.comb(len(s), 2) * p
+            cap = (1 + EXPERIMENT_CHECKS["density_eps"]) * math.comb(size, 2) * p
             total += 1
-            if edges_within(graph, s) <= cap:
+            if edges <= cap:
                 passed += 1
     return {"passed": passed, "total": total, "skipped": skipped}
 
@@ -386,10 +393,16 @@ def _experiment_one_seed(args) -> dict:
     n, p, gamma, seed = args
     graph = gnp_generate(n, p, seed)
     attack = k3_attack(graph, gamma, seed)
-    t_before = triangle_profile(graph)
-    # One square of the attacked graph serves its triangle counts and the
-    # pruning below.
-    sq = _square(attack.attacked)
+    # Both cached matrices live to the end of the seed.  Unpacked before the
+    # squares' temporaries, they pin no freed heap above them: unpacking
+    # the attacked one after the correction raised peak RSS by about 0.5 MB.
+    graph.matrix, attack.attacked.matrix
+    # One square of the host serves its triangle counts; corrected in place
+    # to the attacked graph's square, it serves their triangle counts and
+    # the pruning below.
+    sq = _square(graph)
+    t_before = _triangles(graph, sq)
+    _square_less_within(graph, sq, attack.v1)
     t_after = _triangles(attack.attacked, sq)
     with np.errstate(invalid="ignore", divide="ignore"):
         retained = np.where(t_before > 0, t_after / np.maximum(t_before, 1), 1.0)
@@ -401,9 +414,7 @@ def _experiment_one_seed(args) -> dict:
     v1_destroyed = np.sort(destroyed[v1]) if v1 else np.zeros(0)
     prune_threshold = math.ceil(EXPERIMENT_CHECKS["prune_eps"] * n * p * p)
     pruned = _prune_on_square(attack.attacked, sq, prune_threshold)
-    min_deg_after = (
-        min(pruned.degree(v) for v in range(n)) if n else 0
-    )
+    min_deg_after = min((r.bit_count() for r in pruned.rows), default=0)
     record = {
         "seed": seed,
         "v1_size": len(v1),
@@ -418,7 +429,7 @@ def _experiment_one_seed(args) -> dict:
         "prune_threshold": prune_threshold,
         "min_degree_after_prune": int(min_deg_after),
         "degree_reference": (2 / 3 + float(_gamma_fraction(gamma)) / 4) * n * p,
-        "density": _density_checks(graph, p, seed),
+        "density": _density_checks(graph, p, seed, t_before),
     }
     packing = {"structural_bound": (3 * len(v2) // 2) // 3}
     if n <= EXPERIMENT_CHECKS["packing_exact_max_n"]:

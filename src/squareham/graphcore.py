@@ -21,12 +21,14 @@ others.  Graphs from outside edges go through
 the validating :class:`Graph` constructor; :func:`gnp_generate`
 packs its rows from one boolean matrix, and graphs derived from another
 graph (edge deletion) are built from the parent's rows.  Every codegree and
-triangle count comes from one ``A·A`` product over the matrix unpacked from
-the rows, squared in float32 by BLAS.  That is exact: every entry of ``A·A``
-is an integer of at most ``n``, and float32 holds every integer below 2^24
-exactly (a graph on 2^24 vertices would need a 256 TiB matrix).  A triangle
-count sums a row of such entries, which can pass 2^24, so those sums are
-accumulated in float64 (exact below 2^53).
+triangle count comes from one symmetric ``A·Aᵀ`` product over the matrix
+unpacked from the rows, squared in float32 by BLAS.  The square of a graph
+less the edges inside a vertex set is taken from its host's square by one
+thin correction product on that set's rows, not squared again.  Both
+products are exact: every entry is an integer of at most ``n``, and float32
+holds every integer below 2^24 exactly (a graph on 2^24 vertices would need
+a 256 TiB matrix).  A triangle count sums a row of such entries, which can
+pass 2^24, so those sums are accumulated in float64 (exact below 2^53).
 """
 
 from __future__ import annotations
@@ -267,12 +269,17 @@ def bits(mask: int) -> list[int]:
     return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
 
 
+#: Most low bits :func:`nth_bit` clears in a window wider than a machine
+#: word; that few clears cost less than halving the window again.
+_WIDE_CLEARS = 8
+
+
 def nth_bit(mask: int, k: int) -> int:
     """``bits(mask)[k]`` for ``0 <= k < mask.bit_count()``, without listing.
 
     Halves the window around the wanted bit by the population count of its
-    lower half until it is one machine word wide, then clears the ``k``
-    lowest bits left.
+    lower half until it is one machine word wide or ``k`` is small, then
+    clears the ``k`` lowest bits left.
 
     Raises:
         InputError: If ``mask`` is negative.
@@ -284,7 +291,7 @@ def nth_bit(mask: int, k: int) -> int:
         raise IndexError(f"bit index {k} out of range for {mask.bit_count()} set bits")
     base = 0
     width = mask.bit_length()
-    while width > 64:
+    while width > 64 and k > _WIDE_CLEARS:
         half = width >> 1
         low = mask & ((1 << half) - 1)
         below = low.bit_count()
@@ -420,20 +427,55 @@ def edges_within(g: Graph, s: Iterable[int]) -> int:
     return sum((rows[u] & mask).bit_count() for u in ss) // 2
 
 
-def _square(g: Graph) -> np.ndarray:
-    """``A·A`` as float32, every entry an exact integer (see the module notes).
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` of two float32 0/1 matrices; the package's only matrix product.
 
-    This is the only matrix product in the package.
+    Every entry of the result counts the ones two rows share, so it is an
+    integer of at most the inner dimension, which is at most ``n``.  Float32
+    holds every integer below 2^24 exactly, so every partial sum and the
+    result are exact for any graph whose matrix fits in memory (2^24
+    vertices would need a 256 TiB matrix).  numpy sends ``a @ a.T`` of one
+    buffer to BLAS ``ssyrk``, which computes one triangle and mirrors it.
+    """
+    return a @ b
+
+
+def _square(g: Graph) -> np.ndarray:
+    """``A·A`` as float32, every entry an exact integer (see :func:`_product`).
+
+    The matrix is symmetric, so ``A·A = A·Aᵀ``, the symmetric product.
     """
     a = g.matrix.astype(np.float32)
-    return a @ a
+    return _product(a, a.T)
+
+
+def _square_less_within(g: Graph, sq: np.ndarray, vs: Collection[int]) -> None:
+    """Turn ``sq = _square(g)`` in place into the square of ``g`` less the
+    edges inside ``vs`` (:meth:`Graph.remove_edges_within`).
+
+    Deleting the ``vs x vs`` block ``A11`` of ``A`` changes only the rows
+    and columns of ``vs`` of ``A·A``: row ``u`` of ``vs`` loses
+    ``A11[u]·[A11 A12]``, the common neighbours inside ``vs``, and the
+    rest follows by symmetry.  The correction is one thin product, exact
+    by the argument of :func:`_product`, and each difference is an exact
+    integer between 0 and ``n``.
+
+    Raises:
+        InputError: If an entry of ``vs`` is not a vertex.
+    """
+    g.check_vertices(vs)
+    idx = np.unique(np.fromiter(vs, dtype=np.intp, count=len(vs)))
+    rows = g.matrix[idx].astype(np.float32)
+    fixed = sq[idx]
+    fixed -= _product(rows[:, idx], rows)
+    sq[idx] = fixed
+    sq[:, idx] = fixed.T
 
 
 def codegrees(g: Graph) -> np.ndarray:
     """Common-neighbour counts of all pairs, from one ``A·A`` product.
 
-    The product runs in float32 and is exact: each entry is an integer of at
-    most ``n``, below 2^24, so every partial sum is representable.
+    The product runs in float32 and is exact (see :func:`_product`).
 
     Returns:
         An ``int64`` matrix ``c`` with ``c[u, v] = |N(u) & N(v)|``: for an

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
-from hypothesis.strategies import floats, integers
+from hypothesis.strategies import floats, integers, sampled_from
 
 from squareham import (
     InputError,
@@ -24,9 +24,9 @@ from squareham.adversary import (
     resilience_experiment,
 )
 from squareham import graphcore
-from squareham.graphcore import Graph, edges_within
+from squareham.graphcore import Graph, bits, edges_within, rng_for, triangle_profile
 
-from strategies import gnp_graphs
+from strategies import gnp_graphs, seeds
 
 
 @given(integers(min_value=3, max_value=5000), floats(min_value=0.0, max_value=0.49))
@@ -399,9 +399,10 @@ def test_attack_and_pruning_outputs_are_pinned() -> None:
     )
 
 
-def test_each_experiment_seed_squares_two_graphs(monkeypatch) -> None:
-    # The host's triangle counts need one A·A; the attacked graph's triangle
-    # counts and its pruning share a second.
+def test_each_experiment_seed_squares_one_graph(monkeypatch) -> None:
+    # The host's triangle counts need one A·A; a block correction turns it
+    # into the attacked graph's, which serves their triangle counts and the
+    # pruning.
     squared = []
     square = adversary._square
 
@@ -412,5 +413,58 @@ def test_each_experiment_seed_squares_two_graphs(monkeypatch) -> None:
     monkeypatch.setattr(adversary, "_square", counting)
     monkeypatch.setattr(graphcore, "_square", counting)
     report = resilience_experiment(60, 0.5, 0.1, [1, 2])
-    assert len(squared) == 4
+    assert len(squared) == 2
     assert len(report["per_seed"]) == 2
+
+
+def _looped_density_checks(graph: Graph, p: float, seed: int) -> dict:
+    """The per-vertex loop the experiment's density checks replaced."""
+    n = graph.n
+    rng = rng_for(seed, 67)
+    floor = math.ceil((2 / 3) * n * p)
+    passed = total = skipped = 0
+    count = min(adversary.EXPERIMENT_CHECKS["density_vertices"], n)
+    verts = rng.choice(n, size=count, replace=False) if count else []
+    for v in sorted(int(x) for x in verts):
+        nbrs = bits(graph.rows[v])
+        subsets = [nbrs]
+        for _ in range(adversary.EXPERIMENT_CHECKS["density_subsets"]):
+            if len(nbrs) > floor:
+                size = int(rng.integers(floor, len(nbrs) + 1))
+                subsets.append(
+                    sorted(int(i) for i in rng.choice(nbrs, size, replace=False))
+                )
+        for s in subsets:
+            if len(s) < max(floor, 2):
+                skipped += 1
+                continue
+            eps = adversary.EXPERIMENT_CHECKS["density_eps"]
+            cap = (1 + eps) * math.comb(len(s), 2) * p
+            total += 1
+            if edges_within(graph, s) <= cap:
+                passed += 1
+    return {"passed": passed, "total": total, "skipped": skipped}
+
+
+@given(
+    integers(min_value=0, max_value=60),
+    floats(min_value=0.0, max_value=1.0) | sampled_from([0.0, 1.0]),
+    seeds(),
+)
+def test_density_checks_equal_the_per_vertex_loop(n: int, p: float, seed: int) -> None:
+    g = gnp_generate(n, p, seed)
+    expected = _looped_density_checks(g, p, seed)
+    assert adversary._density_checks(g, p, seed, triangle_profile(g)) == expected
+
+
+def test_density_checks_equal_the_loop_where_subsets_are_skipped() -> None:
+    # Empty and tiny hosts, p in {0, 1}, and a density above the host's
+    # own, under whose floor every N(v) is skipped.
+    for n, p, seed in [(0, 0.5, 0), (1, 0.5, 1), (3, 1.0, 2), (3, 0.0, 3), (40, 1.0, 4)]:
+        g = gnp_generate(n, p, seed)
+        expected = _looped_density_checks(g, p, seed)
+        assert adversary._density_checks(g, p, seed, triangle_profile(g)) == expected
+    sparse = gnp_generate(40, 0.5, 5)
+    report = _looped_density_checks(sparse, 0.9, 5)
+    assert report["skipped"] > 0
+    assert adversary._density_checks(sparse, 0.9, 5, triangle_profile(sparse)) == report

@@ -250,6 +250,31 @@ def test_remove_edges_within_equals_removing_the_inside_pairs(g: Graph, seed: in
         assert all(h.rows[u] is g.rows[u] for u in range(g.n) if u not in inside)
 
 
+@given(gnp_graphs(max_n=40), seeds())
+def test_square_less_within_equals_squaring_the_graph_less_the_inside(
+    g: Graph, seed: int
+) -> None:
+    rng = rng_for(seed, 6)
+    size = int(rng.integers(0, g.n + 1))
+    picks = [
+        [],
+        [int(rng.integers(g.n))],
+        list(range(g.n)),
+        [int(v) for v in rng.choice(g.n, size=size, replace=False)],
+    ]
+    for vs in picks:
+        sq = graphcore._square(g)
+        graphcore._square_less_within(g, sq, vs)
+        assert np.array_equal(sq, graphcore._square(g.remove_edges_within(vs)))
+
+
+def test_square_less_within_rejects_vertices_outside_the_graph() -> None:
+    g = complete_graph(4)
+    for vs in ([4], [-1, 2]):
+        with pytest.raises(InputError):
+            graphcore._square_less_within(g, graphcore._square(g), vs)
+
+
 def test_remove_edges_within_rejects_vertices_outside_the_graph() -> None:
     g = complete_graph(4)
     assert g.remove_edges_within([]) == g
@@ -457,6 +482,21 @@ def test_nth_bit_is_the_kth_listed_bit(vs: set[int], draw) -> None:
     for k in (-1, len(listed)):
         with pytest.raises(IndexError):
             nth_bit(mask, k)
+
+
+@given(small_and_large_sets)
+def test_nth_bit_picks_the_same_bit_on_both_paths(vs: set[int]) -> None:
+    mask = mask_of(vs)
+    listed = sorted(vs)
+    # Force each path in turn: halving to one word, and clearing every low
+    # bit of the whole mask.
+    clears = graphcore._WIDE_CLEARS
+    try:
+        for forced in (-1, 10**6):
+            graphcore._WIDE_CLEARS = forced
+            assert [nth_bit(mask, k) for k in range(len(listed))] == listed
+    finally:
+        graphcore._WIDE_CLEARS = clears
 
 
 def test_masks_reject_negative_vertices() -> None:
