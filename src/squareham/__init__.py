@@ -18,13 +18,9 @@ Submodules:
     adversary: triangle-removal attacks, retention profiling, experiments.
     cli: the ``artifact`` command-line front end.
 
-The absorber construction and the connector take vertex sets (an absorbee
-set, a star pool, a reservoir, an exclusion) as ``int`` bitsets with bit
-``v`` set for vertex ``v``, and return unit vertex sets and absorber bodies
-the same way; the CLI converts its parsed vertex lists once.  ``absorb``,
-the covering and leftover-matching functions of ``hamiltonian``, and
-``graphcore``'s ``random_partition`` and ``edges_within`` take iterables of
-vertices.  Sequences carry order: paths, certificates and witnesses.
+Vertex sets are ``int`` bitsets, bit ``v`` set for vertex ``v``, and
+sequences carry order (paths, certificates, witnesses, report fields); the
+CLI converts each parsed vertex list once.
 """
 
 __version__ = "0.1.0"

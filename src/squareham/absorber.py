@@ -11,19 +11,19 @@ in the backbone: its first block is ``u1, u2, v1, v2``.
 :func:`verify_absorber`, links included; no earlier stage re-walks what it
 built.
 
-The absorbee set, the star pools and the backbone, junction and link
-reservoirs are ``int`` bitsets, and so are a unit's vertex set and an
-absorber's body: a unit's jobs draw from its reservoir less the finished
-units with one AND.  A junction or link first tests the direct arc, which
-needs no search; the connector's searches pick each vertex uniformly from
-the pool vertices that fit, with seeded draws.
+The absorbee set, the star pools, the backbone, junction and link
+reservoirs and the absorbees a traversal drops are ``int`` bitsets, and so
+are a unit's vertex set and an absorber's body: a unit's jobs draw from its
+reservoir less the finished units with one AND.  A junction or link first
+tests the direct arc, which needs no search; the connector's searches pick
+each vertex uniformly from the pool vertices that fit, with seeded draws.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .connector import ConnectionRequest, connect_one, direct_arc
 from .gadgets import (
@@ -161,8 +161,7 @@ def build_single_absorbers(
     """
     seen = 0
     for side in (xs, w1, w2, w3, w4):
-        if side < 0 or side >> g.n:
-            raise InputError(f"absorbee set or star class outside 0..{g.n - 1}")
+        g.check_mask(side)
         if side & seen:
             raise InputError("absorbee set and star classes must be disjoint")
         seen |= side
@@ -367,18 +366,20 @@ def chain_absorbers(
     return absorber, None
 
 
-def absorb(a: Absorber, x_prime: Iterable[int]) -> tuple[int, ...]:
+def absorb(a: Absorber, x_prime: int) -> tuple[int, ...]:
     """The traversal that leaves out exactly the absorbees in ``x_prime``.
 
     Args:
         a: The absorber.
-        x_prime: Absorbees to skip; must be a subset of ``a.absorbees``.
+        x_prime: Bitset of the absorbees to skip, a subset of ``a.absorbees``.
 
     Returns:
         A vertex sequence with the absorber's fixed entry and exit pairs
         whose vertex set is the whole body minus ``x_prime``.
     """
-    skip = set(x_prime)
+    # Not a mask of the absorbees: a stored absorber may name a huge one,
+    # which the audit rejects only once it holds this walk.
+    skip = set(bits(x_prime))
     unknown = skip - set(a.absorbees)
     if unknown:
         raise InputError(f"not absorbees of this structure: {sorted(unknown)}")
@@ -412,7 +413,7 @@ def verify_absorber(g: Graph, a: Absorber) -> AbsorberVerification:
     exact for all ``2^|X|`` subsets while walking only ``|X| + 1`` of them,
     in time linear in the body:
 
-    (a) the all-``include`` traversal ``absorb(a, ())`` is valid;
+    (a) the all-``include`` traversal ``absorb(a, 0)`` is valid;
     (b) each unit's ``exclude`` traversal is a square path spanning the unit
         less its absorbee, with the same first and last pairs
         (``unit.entry``, ``unit.exit``) as its ``include`` traversal.
@@ -436,7 +437,11 @@ def verify_absorber(g: Graph, a: Absorber) -> AbsorberVerification:
         ``failure["subset"]`` set to ``()`` for (a) and ``(x,)`` for unit
         ``x`` failing (b).
     """
-    fault = _walk_fault(g, absorb(a, ()), a.body(), a.entry, a.exit)
+    walk = absorb(a, 0)
+    # The walk holds every body vertex; checked first, a stored id of any
+    # size is rejected before the body is built as a bitset.
+    g.check_vertices(walk)
+    fault = _walk_fault(g, walk, a.body(), a.entry, a.exit)
     if fault is not None:
         return AbsorberVerification(False, 1, {"subset": (), "reason": fault})
     for k, unit in enumerate(a.units):

@@ -27,6 +27,7 @@ from .graphcore import (
     _square_less_within,
     _triangles,
     bits,
+    edges_within,
     gnp_generate,
     mask_of,
     rng_for,
@@ -84,8 +85,7 @@ def k3_attack(gamma_graph: Graph, gamma, seed: int) -> AttackResult:
     chosen = rng.choice(n, size=size, replace=False) if size else np.zeros(0, int)
     v1 = tuple(sorted(int(v) for v in chosen))
     v1_mask = mask_of(v1)
-    rows = gamma_graph.rows
-    removed = sum((rows[u] & v1_mask).bit_count() for u in v1) // 2
+    removed = edges_within(gamma_graph, v1_mask)
     attacked = gamma_graph.remove_edges_within(v1)
     for u in v1:
         assert not attacked.rows[u] & v1_mask, "attack left an internal edge"

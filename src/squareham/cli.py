@@ -31,7 +31,6 @@ from .gadgets import build_gadget
 from .graphcore import (
     Graph,
     InputError,
-    bits,
     gnp_generate,
     graph_to_edgelist_text,
     graph_to_json_obj,
@@ -72,6 +71,15 @@ def _ints(text: str) -> tuple[int, ...]:
         return tuple(int(tok) for tok in text.replace(";", ",").split(","))
     except ValueError as exc:
         raise InputError(f"expected a comma-separated integer list: {text!r}") from exc
+
+
+def _vertex_mask(g: Graph, text: str) -> int:
+    """The bitset of a comma-separated list of vertices of ``g``; a huge id
+    is rejected before it asks for a huge integer, a negative one by mask_of."""
+    vs = _ints(text)
+    if vs and max(vs) >= g.n:
+        g.check_vertex(max(vs))
+    return mask_of(vs)
 
 
 def _job_pairs(text: str) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
@@ -190,13 +198,13 @@ def _cmd_connect(args) -> tuple[int, str, dict]:
     g = read_graph(args.graph)
     # The connector never draws a port, so the default reservoir is every
     # vertex.
-    w = mask_of(_ints(args.w)) if args.w else (1 << g.n) - 1
+    w = _vertex_mask(g, args.w) if args.w else (1 << g.n) - 1
     reqs = [
         ConnectionRequest(frm, to, w, args.b, args.length)
         for frm, to in _job_pairs(args.pairs)
     ]
     res = connect_all(
-        g, reqs, args.seed, args.retries, x=mask_of(_ints(args.exclude))
+        g, reqs, args.seed, args.retries, x=_vertex_mask(g, args.exclude)
     )
     payload = {
         "ok": res.ok,
@@ -219,26 +227,27 @@ def _cmd_absorber_build(args) -> tuple[int, str, dict]:
         raise InputError(f"--blocks must be at least 2, got {args.blocks}")
     g = read_graph(args.graph)
     xs = _ints(args.x)
-    if len(set(xs)) != len(xs):
+    x_mask = _vertex_mask(g, args.x)
+    if x_mask.bit_count() != len(xs):
         raise InputError(f"absorbees must be distinct, got {args.x!r}")
     meta = {"x": list(xs), "blocks": args.blocks, "seed": args.seed}
     sizes = reservoir_sizes(len(xs), args.blocks)
-    rest = bits(((1 << g.n) - 1) & ~mask_of(xs))
+    rest = ((1 << g.n) - 1) & ~x_mask
+    available = rest.bit_count()
     needed = sum(sizes)
-    if needed > len(rest):
+    if needed > available:
         report = FailureReport(
             "partition",
             {"reason": "not enough vertices for the reservoirs",
-             "needed": needed, "available": len(rest)},
+             "needed": needed, "available": available},
         )
         return 1, _json_text(failure_report_to_json_obj(report)), meta
     # The pipeline keeps most vertices for the covering; a standalone build
     # has every non-absorbee to spare, so its pools keep the planner's
     # proportions and take all of them (up to rounding).
-    sizes = [s * len(rest) // needed for s in sizes]
-    part = random_partition(rest, sizes, rng_for(args.seed, 71))
-    pools = [mask_of(cls) for cls in part.classes]
-    built, fail = build_absorber(g, mask_of(xs), pools, args.blocks, args.seed)
+    sizes = [s * available // needed for s in sizes]
+    pools = random_partition(rest, sizes, rng_for(args.seed, 71))
+    built, fail = build_absorber(g, x_mask, pools, args.blocks, args.seed)
     if fail is not None:
         report = FailureReport("absorber", fail)
         return 1, _json_text(failure_report_to_json_obj(report)), meta
@@ -281,7 +290,7 @@ def _cmd_experiment(args) -> tuple[int, str, dict]:
 
 def _cmd_cover(args) -> tuple[int, str, dict]:
     g = read_graph(args.graph)
-    verts = _ints(args.verts) if args.verts else tuple(range(g.n))
+    verts = _vertex_mask(g, args.verts) if args.verts else (1 << g.n) - 1
     res = cover_with_square_paths(
         g,
         verts,

@@ -153,8 +153,7 @@ def connect_one(g: Graph, req: ConnectionRequest, seed: int) -> ConnectResult:
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     pool = req.w & ~ports
-    if pool < 0 or pool >> g.n:
-        raise InputError(f"reservoir holds vertices outside 0..{g.n - 1}")
+    g.check_mask(pool)
     return _direct_connect(g, req, _Pool(pool), seed)
 
 
@@ -354,12 +353,12 @@ def connect_all(
 def _audit_disjoint_interiors(
     reqs: Sequence[ConnectionRequest], embs: Sequence[Embedding | None]
 ) -> None:
-    ports = {v for req in reqs for v in (*req.frm, *req.to)}
-    seen: set[int] = set()
+    ports = mask_of(v for req in reqs for v in (*req.frm, *req.to))
+    seen = 0
     for req, emb in zip(reqs, embs):
         if emb is None:
             continue
-        interior = emb.vertex_set() - {*req.frm, *req.to}
+        interior = mask_of(emb.vertices) & ~mask_of((*req.frm, *req.to))
         if interior & ports:
             raise AssertionError("a connection interior touches a job port")
         if interior & seen:

@@ -169,9 +169,6 @@ class Embedding:
         a, b = self.gadget.port_to
         return (self.vertices[a], self.vertices[b])
 
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
-
 
 @dataclass(frozen=True)
 class ValidationResult:

@@ -1,34 +1,30 @@
 """Graph representation, seeded randomness, partitioning, and counting primitives.
 
-Vertices are dense integers ``0..n-1``.  All set-valued results use sorted
-tuples so that seeded runs are reproducible down to iteration order.  Real
-thresholds (degree floors, codegree floors, density windows) are compared in
-floating point with a small absolute slack to absorb rounding.
+Vertices are dense integers ``0..n-1``.  Real thresholds (degree floors,
+codegree floors, density windows) are compared in floating point with a
+small absolute slack to absorb rounding.
 
 Each adjacency row is one Python ``int`` bitset (bit ``v`` of row ``u`` is
 the pair ``uv``), so "is ``v`` adjacent to every vertex of a placed set" is
-one AND of rows and one bit test.  The absorber construction (the star
-rounds, completion and chaining, ``hamiltonian.build_absorber``), the
-connector (reservoirs, exclusions) and ``matching`` (one neighbour row per
-left vertex) take vertex sets as such ``int`` masks, and unit vertex sets
-and absorber bodies are masks too.
-:func:`random_partition`, :func:`edges_within`, ``absorber.absorb`` and the
-covering and matching functions of ``hamiltonian`` take iterables of
-vertices; sequences carry order (paths, certificates, witnesses).
-:func:`bits` and :func:`mask_of` convert between bitsets and ascending
-vertex lists, and :func:`nth_bit` picks one set bit without listing the
-others.  Graphs from outside edges go through
-the validating :class:`Graph` constructor; :func:`gnp_generate`
-packs its rows from one boolean matrix, and graphs derived from another
-graph (edge deletion) are built from the parent's rows.  Every codegree and
-triangle count comes from one symmetric ``A·Aᵀ`` product over the matrix
-unpacked from the rows, squared in float32 by BLAS.  The square of a graph
-less the edges inside a vertex set is taken from its host's square by one
-thin correction product on that set's rows, not squared again.  Both
-products are exact: every entry is an integer of at most ``n``, and float32
-holds every integer below 2^24 exactly (a graph on 2^24 vertices would need
-a 256 TiB matrix).  A triangle count sums a row of such entries, which can
-pass 2^24, so those sums are accumulated in float64 (exact below 2^53).
+one AND of rows and one bit test.  One rule holds across the package: a
+vertex set is such an ``int`` bitset, and a sequence carries order (paths,
+certificates, witnesses, and report fields that go to JSON).  The
+adversary's attack class, an index array for numpy, is the one exception.
+:meth:`Graph.check_mask` range-checks a bitset, :func:`bits` and
+:func:`mask_of` convert between bitsets and ascending vertex lists, and
+:func:`nth_bit` picks one set bit without listing the others.  Graphs from
+outside edges go through the validating :class:`Graph` constructor;
+:func:`gnp_generate` packs its rows from one boolean matrix, and graphs
+derived from another graph (edge deletion) are built from the parent's
+rows.  Every codegree and triangle count comes from one symmetric ``A·Aᵀ``
+product over the matrix unpacked from the rows, squared in float32 by
+BLAS.  The square of a graph less the edges inside a vertex set is taken
+from its host's square by one thin correction product on that set's rows,
+not squared again.  Both products are exact: every entry is an integer of
+at most ``n``, and float32 holds every integer below 2^24 exactly (a graph
+on 2^24 vertices would need a 256 TiB matrix).  A triangle count sums a
+row of such entries, which can pass 2^24, so those sums are accumulated in
+float64 (exact below 2^53).
 """
 
 from __future__ import annotations
@@ -85,15 +81,15 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise InputError(f"vertex count must be non-negative, got {n}")
-        adj: list[set[int]] = [set() for _ in range(n)]
+        rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
-        self._set_rows(tuple(mask_of(s) for s in adj))
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        self._set_rows(tuple(rows))
 
     @classmethod
     def _from_rows(cls, rows: tuple[int, ...]) -> "Graph":
@@ -154,6 +150,12 @@ class Graph:
         if vs:
             self.check_vertex(min(vs))
             self.check_vertex(max(vs))
+
+    def check_mask(self, mask: int) -> None:
+        """Raise :class:`InputError` unless ``mask`` is a bitset of vertices
+        of this graph: non-negative, with no bit at or above ``n``."""
+        if mask < 0 or mask >> self.n:
+            raise InputError(f"vertex mask holds bits outside 0..{self.n - 1}")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -372,33 +374,21 @@ def gnp_generate(n: int, p: float, seed: int) -> Graph:
 # -- partitioning ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint ordered classes cut from a universe, plus the residue.
-
-    Invariants: classes are pairwise disjoint, sizes match the request exactly,
-    and ``classes + residue`` partition ``universe``.
-    """
-
-    classes: tuple[tuple[int, ...], ...]
-    residue: tuple[int, ...]
-    universe: tuple[int, ...]
-
-
 def random_partition(
-    universe: Iterable[int], sizes: Sequence[int], seed: int | np.random.Generator
-) -> Partition:
+    universe: int, sizes: Sequence[int], seed: int | np.random.Generator
+) -> tuple[int, ...]:
     """Uniformly random disjoint classes of the exact requested sizes.
 
     Args:
-        universe: Vertices to partition.
+        universe: Bitset of the vertices to partition.
         sizes: Requested class sizes; must sum to at most ``|universe|``.
         seed: Integer seed or an existing generator.
 
     Returns:
-        A :class:`Partition`; leftover vertices land in the residue class.
+        One class bitset per size, in order; the vertices no class takes
+        are ``universe`` less their union.
     """
-    pool = sorted(set(universe))
+    pool = bits(universe)
     if any(s < 0 for s in sizes):
         raise InputError("class sizes must be non-negative")
     if sum(sizes) > len(pool):
@@ -410,21 +400,20 @@ def random_partition(
     classes = []
     at = 0
     for s in sizes:
-        classes.append(tuple(sorted(perm[at : at + s])))
+        classes.append(mask_of(perm[at : at + s]))
         at += s
-    return Partition(tuple(classes), tuple(sorted(perm[at:])), tuple(pool))
+    return tuple(classes)
 
 
 # -- statistics ------------------------------------------------------------
 
 
-def edges_within(g: Graph, s: Iterable[int]) -> int:
-    """Number of edges with both endpoints in ``s``."""
-    ss = frozenset(s)
-    g.check_vertices(ss)
-    mask = mask_of(ss)
+def edges_within(g: Graph, s: int) -> int:
+    """Number of edges with both endpoints in the bitset ``s`` (checked by
+    :meth:`Graph.check_mask`)."""
+    g.check_mask(s)
     rows = g.rows
-    return sum((rows[u] & mask).bit_count() for u in ss) // 2
+    return sum((rows[u] & s).bit_count() for u in bits(s)) // 2
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .absorber import (
     Absorber,
@@ -404,9 +404,10 @@ def almost_spanning_square_path(
     eps: float = 0.1,
     seed: int = 0,
     budget: int = 50_000,
-    verts: Iterable[int] | None = None,
+    verts: int | None = None,
 ) -> AlmostSpanningResult:
-    """Randomized greedy search for a long square path.
+    """Randomized greedy search for a long square path through the bitset
+    ``verts`` (every vertex of ``g`` when ``None``).
 
     Grows a path from a random edge at both ends through common
     neighborhoods, restarting until the budget is spent or coverage reaches
@@ -415,17 +416,17 @@ def almost_spanning_square_path(
 
     Raises:
         InputError: If ``budget`` is below 1, ``eps`` lies outside (0, 1),
-            or a target is not a vertex of ``g``.
+            or ``verts`` is negative or holds a bit at or above ``n``.
     """
     _check_eps_and_budget(eps, budget)
-    vs = sorted(set(verts)) if verts is not None else list(range(g.n))
-    g.check_vertices(vs)
+    vmask = (1 << g.n) - 1 if verts is None else verts
+    g.check_mask(vmask)
+    vs = bits(vmask)
     if not vs:
         return AlmostSpanningResult((), 0.0)
     if len(vs) == 1:
         return AlmostSpanningResult((vs[0],), 1.0)
     rows = g.rows
-    vmask = mask_of(vs)
     rng = rng_for(seed, 47)
     best: tuple[int, ...] = (vs[0],)
     target = math.ceil((1 - eps) * len(vs))
@@ -476,13 +477,14 @@ class CoverResult:
 
 def cover_with_square_paths(
     g: Graph,
-    u_prime: Iterable[int],
+    u_prime: int,
     eps: float = 0.25,
     seed: int = 0,
     class_floor: int = _CLASS_FLOOR,
     budget: int = 60_000,
 ) -> CoverResult:
-    """Bootstrap covering: halving classes, each swept after the last's dregs.
+    """Bootstrap covering of the bitset ``u_prime``: halving classes, each
+    swept after the last's dregs.
 
     The target set is cut into classes of sizes ``|U'|/2, |U'|/4, ...``
     (remainder joining the last class); class ``i + 1`` is searched together
@@ -491,14 +493,14 @@ def cover_with_square_paths(
 
     Raises:
         InputError: If ``class_floor`` or ``budget`` is below 1, ``eps``
-            lies outside (0, 1), or a target is not a vertex of ``g``.
+            lies outside (0, 1), or ``u_prime`` is negative or holds a bit at
+            or above ``n``.
     """
     if class_floor < 1:
         raise InputError(f"class_floor must be at least 1, got {class_floor}")
     _check_eps_and_budget(eps, budget)
-    u = sorted(set(u_prime))
-    g.check_vertices(u)
-    msize = len(u)
+    g.check_mask(u_prime)
+    msize = u_prime.bit_count()
     if msize == 0:
         return CoverResult((), (), (), eps, 0.0)
     q = 1
@@ -506,21 +508,20 @@ def cover_with_square_paths(
         q += 1
     sizes = [msize // 2 ** i for i in range(1, q + 1)]
     sizes[-1] += msize - sum(sizes)
-    part = random_partition(u, sizes, rng_for(seed, 43))
-    carry: tuple[int, ...] = ()
+    carry = 0
     paths: list[tuple[int, ...]] = []
-    for i, cls in enumerate(part.classes):
-        pool = sorted(set(carry) | set(cls))
+    for i, cls in enumerate(random_partition(u_prime, sizes, rng_for(seed, 43))):
+        pool = carry | cls
         res = almost_spanning_square_path(
             g, eps=eps, seed=seed * 101 + i, budget=budget, verts=pool
         )
+        carry = pool
         if len(res.path) >= 2:
             paths.append(res.path)
-            carry = tuple(sorted(set(pool) - set(res.path)))
-        else:
-            carry = tuple(pool)
+            carry &= ~mask_of(res.path)
+    leftover = tuple(bits(carry))
     return CoverResult(
-        tuple(paths), carry, tuple(sizes), eps, len(carry) / msize
+        tuple(paths), leftover, tuple(sizes), eps, len(leftover) / msize
     )
 
 
@@ -534,28 +535,25 @@ class LeftoverMatching:
     neighborhood: tuple[int, ...]
 
 
-def match_leftover(
-    g: Graph, q_set: Iterable[int], x1: Iterable[int]
-) -> LeftoverMatching:
+def match_leftover(g: Graph, q_set: int, x1: int) -> LeftoverMatching:
     """Match every leftover vertex to a distinct adjacent anchor.
 
     Args:
         g: Host graph.
-        q_set: Leftover vertices that must all be matched.
-        x1: Anchor vertices (disjoint from ``q_set``).
+        q_set: Bitset of the leftover vertices that must all be matched.
+        x1: Bitset of the anchor vertices (disjoint from ``q_set``).
 
     Returns:
         A :class:`LeftoverMatching`; on failure the violating leftover set
         and its joint neighborhood witness Hall's condition breaking.
     """
-    qs = sorted(set(q_set))
-    anchors = sorted(set(x1))
-    if set(qs) & set(anchors):
+    g.check_mask(q_set)
+    g.check_mask(x1)
+    if q_set & x1:
         raise InputError("leftover vertices and anchors must be disjoint")
-    g.check_vertices(anchors)
-    anchor_mask = mask_of(anchors)
+    qs = bits(q_set)
     # Matched onto host vertex ids: the right side is all of 0..n-1.
-    rows = tuple(g.row(q) & anchor_mask for q in qs)
+    rows = tuple(g.rows[q] & x1 for q in qs)
     res = hall_saturating_matching(BipartiteInstance(rows, g.n))
     if res.status != "matched":
         return LeftoverMatching(
@@ -708,8 +706,9 @@ def _assemble_cycle(
     Piece order and orientation are free, so a budgeted depth-first search
     explores them: parity-free chains (three host edges) first, then short
     connectors whose interiors consume the ``fuel`` mask.  Returns the cycle
-    segment that follows the absorber traversal, or diagnostics on the
-    deepest threading reached.
+    segment that follows the absorber traversal and, under ``consumed``, the
+    bitset of the fuel it used; or ``None`` and diagnostics on the deepest
+    threading reached.
     """
     total = len(pieces)
     nodes = 0
@@ -776,7 +775,7 @@ def _assemble_cycle(
             "reservoir": fuel.bit_count(),
         }
     suffix, consumed = result
-    return suffix, {"consumed": set(bits(consumed))}
+    return suffix, {"consumed": consumed}
 
 
 def _attempt(
@@ -789,34 +788,33 @@ def _attempt(
     # find_square_ham sends the hosts no plan fits to exhaustive search.
     assert planned is not None, f"no reservoir plan fits n={n}"
     sizes, plan = planned
-    part = random_partition(range(n), sizes, rng_for(seed0, 53))
-    x_mask, *pools = map(mask_of, part.classes)
+    x_mask, *pools = random_partition((1 << n) - 1, sizes, rng_for(seed0, 53))
     absorber, fail = build_absorber(g, x_mask, pools, blocks, seed0 + 1)
     if fail is not None:
         return FailureReport("absorber", dict(fail, plan=plan))
 
     cover = cover_with_square_paths(
-        g, bits(((1 << n) - 1) & ~absorber.body()), seed=seed0 + 2
+        g, ((1 << n) - 1) & ~absorber.body(), seed=seed0 + 2
     )
     # Most stragglers splice straight into a covering path; only the rest
     # need an anchor absorbee each.
     paths = [list(p) for p in cover.paths]
-    stragglers = [
+    stragglers = mask_of(
         q for q in cover.leftover if not _insert_into_paths(g, paths, q)
-    ]
+    )
     for path in paths:
         check = is_square_path(g, tuple(path))
         assert check.ok, f"splicing broke a covering path: {check.reason}"
     xs = bits(x_mask)
     perm = rng_for(seed0, 59).permutation(len(xs))
     k1 = math.floor(_ANCHOR_SHARE * len(xs))
-    x1 = sorted(xs[int(i)] for i in perm[:k1])
-    if len(stragglers) > len(x1):
+    x1 = mask_of(xs[int(i)] for i in perm[:k1])
+    if stragglers.bit_count() > k1:
         return FailureReport(
             "covering",
             {
-                "leftover": len(stragglers),
-                "anchor_capacity": len(x1),
+                "leftover": stragglers.bit_count(),
+                "anchor_capacity": k1,
                 "leftover_fraction": cover.leftover_fraction,
                 "target_fraction": cover.target_fraction,
                 "paths": len(paths),
@@ -829,7 +827,7 @@ def _attempt(
             {
                 "violating_leftover": list(matching.violator),
                 "joint_neighborhood": list(matching.neighborhood),
-                "anchors": len(x1),
+                "anchors": k1,
             },
         )
 
@@ -837,13 +835,12 @@ def _attempt(
     pieces.extend((q, xv) for q, xv in matching.pairs)
     # Every absorbee not sitting inside a piece is legal connector fuel: the
     # absorber hands over whatever the threading consumed.
-    matched_anchors = {xv for _, xv in matching.pairs}
-    fuel = x_mask & ~mask_of(matched_anchors)
+    matched_anchors = mask_of(xv for _, xv in matching.pairs)
+    fuel = x_mask & ~matched_anchors
     suffix, info = _assemble_cycle(g, absorber, pieces, fuel, seed0 + 3)
     if suffix is None:
         return FailureReport("connecting", dict(info, plan=plan))
-    consumed_x = matched_anchors | info["consumed"]
-    prime = absorb(absorber, consumed_x)
+    prime = absorb(absorber, matched_anchors | info["consumed"])
     cert = Certificate(tuple(prime) + suffix)
     check = verify_certificate(g, cert)
     if not check.ok:

@@ -52,7 +52,7 @@ def build_full_absorber(n: int, p: float, seed: int, x_count: int = 3):
 
 
 def subset_walk_is_valid(g, a, dropped) -> bool:
-    walk = absorb(a, dropped)
+    walk = absorb(a, mask_of(dropped))
     return (
         is_square_path(g, walk).ok
         and mask_of(walk) == a.body() & ~mask_of(dropped)
@@ -103,7 +103,7 @@ def test_unit_traversals_are_built_once_per_mode(monkeypatch) -> None:
     assert sorted(built) == sorted((x, m) for x in a.absorbees for m in modes)
     assert verify_absorber(g, a).ok
     for k in range(len(a.absorbees) + 1):
-        absorb(a, a.absorbees[:k])
+        absorb(a, mask_of(a.absorbees[:k]))
     assert len(built) == 2 * len(a.absorbees)
     # A rebuilt unit starts without walks and finds the same ones.
     for unit in a.units:
@@ -132,7 +132,7 @@ def corrupt(g, a, kind: str, draw):
     down to the edges the (a) and (b) walks use less one, as ``kind`` says.
     Unchanged when ``a`` has nothing of that kind to rewrite."""
     if kind == "host":
-        needed = set(square_path_pairs(absorb(a, ())))
+        needed = set(square_path_pairs(absorb(a, 0)))
         for unit in a.units:
             needed.update(square_path_pairs(unit.traversal("exclude")))
         edges = sorted(needed)
@@ -208,7 +208,7 @@ def test_absorbed_walks_span_the_body_minus_the_dropped_set(seed: int) -> None:
     xs = absorber.absorbees
     for k in range(len(xs) + 1):
         for dropped in itertools.combinations(xs, k):
-            walk = absorb(absorber, dropped)
+            walk = absorb(absorber, mask_of(dropped))
             assert mask_of(walk) == body & ~mask_of(dropped)
             assert len(walk) == len(set(walk))
             assert is_square_path(g, walk).ok
@@ -219,8 +219,9 @@ def test_absorbed_walks_span_the_body_minus_the_dropped_set(seed: int) -> None:
 def test_absorb_rejects_vertices_outside_the_absorbee_set() -> None:
     g, absorber, _ = build_full_absorber(150, 0.55, 3)
     assert absorber is not None
-    with pytest.raises(InputError):
-        absorb(absorber, (10**6,))
+    for x_prime in (1 << 10**6, -1):
+        with pytest.raises(InputError):
+            absorb(absorber, x_prime)
 
 
 @settings(max_examples=6)

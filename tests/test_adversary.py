@@ -24,7 +24,14 @@ from squareham.adversary import (
     resilience_experiment,
 )
 from squareham import graphcore
-from squareham.graphcore import Graph, bits, edges_within, rng_for, triangle_profile
+from squareham.graphcore import (
+    Graph,
+    bits,
+    edges_within,
+    mask_of,
+    rng_for,
+    triangle_profile,
+)
 
 from strategies import gnp_graphs, seeds
 
@@ -63,7 +70,7 @@ def test_attack_deletes_the_class_pairs_and_shares_every_other_row(seed: int) ->
     g = gnp_generate(70, 0.6, seed)
     res = k3_attack(g, 0.05, seed)
     assert res.attacked == g.remove_edges(itertools.combinations(res.v1, 2))
-    assert res.removed_edge_count == edges_within(g, res.v1)
+    assert res.removed_edge_count == edges_within(g, mask_of(res.v1))
     assert all(res.attacked.rows[v] is g.rows[v] for v in res.v2)
 
 
@@ -441,7 +448,7 @@ def _looped_density_checks(graph: Graph, p: float, seed: int) -> dict:
             eps = adversary.EXPERIMENT_CHECKS["density_eps"]
             cap = (1 + eps) * math.comb(len(s), 2) * p
             total += 1
-            if edges_within(graph, s) <= cap:
+            if edges_within(graph, mask_of(s)) <= cap:
                 passed += 1
     return {"passed": passed, "total": total, "skipped": skipped}
 

@@ -334,6 +334,53 @@ def test_absorber_verify_rejects_malformed_descriptions(
                "--absorber", str(absorber)) == 2
 
 
+@pytest.mark.parametrize("where", ["x", "backbone", "junction", "link"])
+def test_absorber_verify_rejects_a_huge_vertex_id(tmp_path, capsys, where) -> None:
+    # The audit builds the body as a bitset; a stored id of 10**12 must be
+    # rejected before that, not turned into a 10**12-bit integer.
+    huge = 10**12
+    units = [
+        {"x": 0, "blocks": 2, "backbone": list(range(1, 9)), "junctions": [[9]]},
+        {"x": 10, "blocks": 2, "backbone": list(range(11, 19)), "junctions": [[]]},
+    ]
+    links = [[19]]
+    if where == "x":
+        units[1]["x"] = huge
+    elif where == "backbone":
+        units[0]["backbone"][5] = huge
+    elif where == "junction":
+        units[0]["junctions"] = [[huge]]
+    else:
+        links = [[huge]]
+    graph = write_graph(tmp_path, "g.edges", 30, 0.5, 0)
+    absorber = tmp_path / "absorber.json"
+    absorber.write_text(json.dumps({"units": units, "links": links}))
+    assert run("absorber", "verify", "--graph", graph,
+               "--absorber", str(absorber)) == 2
+    assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("connect", "--pairs", "0,1,2,3", "--w"),
+        ("connect", "--pairs", "0,1,2,3", "--exclude"),
+        ("absorber", "build", "--x"),
+        ("cover", "--verts"),
+    ],
+    ids=["connect-w", "connect-exclude", "absorber-build-x", "cover-verts"],
+)
+def test_vertex_flags_reject_a_huge_id_before_building_a_mask(
+    tmp_path, capsys, argv
+) -> None:
+    # Each flag's vertices become one bitset; an id of 10**12 must exit 2,
+    # not ask for a 10**12-bit integer.
+    graph = write_graph(tmp_path, "g.edges", 30, 0.5, 0)
+    *command, flag = argv
+    assert run(*command, "--graph", graph, flag, f"0,1,{10**12}") == 2
+    assert "out of range" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("blocks", ["1", "0"])
 def test_absorber_build_rejects_blocks_below_two(tmp_path, capsys, blocks) -> None:
     graph = write_graph(tmp_path, "g.edges", 120, 0.55, 7)

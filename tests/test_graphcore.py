@@ -33,6 +33,7 @@ from squareham.graphcore import (
     triangle_profile,
 )
 
+from oracles import listed_random_partition
 from strategies import gnp_graphs, seeds
 
 
@@ -197,7 +198,19 @@ def test_edges_within_counts_induced_pairs(g: Graph, seed: int) -> None:
     expected = sum(
         1 for a, b in itertools.combinations(sorted(sub), 2) if g.has_edge(a, b)
     )
-    assert edges_within(g, sub) == expected
+    assert edges_within(g, mask_of(sub)) == expected
+
+
+def test_mask_checks_reject_bits_outside_the_graph() -> None:
+    g = complete_graph(4)
+    for mask in (0, 1, 0b1111):
+        g.check_mask(mask)
+        assert edges_within(g, mask) == math.comb(mask.bit_count(), 2)
+    for mask in (-1, 1 << 4, 0b10001, 1 << 10**6):
+        with pytest.raises(InputError):
+            g.check_mask(mask)
+        with pytest.raises(InputError):
+            edges_within(g, mask)
 
 
 @given(gnp_graphs(max_n=16))
@@ -246,7 +259,7 @@ def test_remove_edges_within_equals_removing_the_inside_pairs(g: Graph, seed: in
         inside = set(vs)
         h = g.remove_edges_within(vs)
         assert h == g.remove_edges(itertools.combinations(vs, 2))
-        assert h.edge_count == g.edge_count - edges_within(g, vs)
+        assert h.edge_count == g.edge_count - edges_within(g, mask_of(vs))
         assert all(h.rows[u] is g.rows[u] for u in range(g.n) if u not in inside)
 
 
@@ -298,27 +311,45 @@ def test_remove_edges_drops_exactly_the_named_pairs(g: Graph, seed: int) -> None
 @given(seeds(), integers(min_value=0, max_value=30))
 def test_random_partition_classes_are_disjoint_and_sized(seed: int, n: int) -> None:
     sizes = [n // 3, n // 4]
-    part = random_partition(range(n), sizes, rng_for(seed, 5))
-    seen: set[int] = set()
-    for cls, want in zip(part.classes, sizes):
-        assert len(cls) == want
-        assert not seen & set(cls)
-        seen |= set(cls)
-    assert seen | set(part.residue) == set(range(n))
-    assert len(seen) + len(part.residue) == n
+    universe = mask_of(range(n))
+    part = random_partition(universe, sizes, rng_for(seed, 5))
+    assert len(part) == len(sizes)
+    seen = 0
+    for cls, want in zip(part, sizes):
+        assert cls.bit_count() == want
+        assert not seen & cls
+        seen |= cls
+    assert not seen & ~universe
 
 
 @given(seeds())
 def test_random_partition_is_deterministic(seed: int) -> None:
-    a = random_partition(range(20), [5, 5, 5], rng_for(seed, 6))
-    b = random_partition(range(20), [5, 5, 5], rng_for(seed, 6))
-    assert a.classes == b.classes
-    assert a.residue == b.residue
+    a = random_partition(mask_of(range(20)), [5, 5, 5], rng_for(seed, 6))
+    b = random_partition(mask_of(range(20)), [5, 5, 5], rng_for(seed, 6))
+    assert a == b
+
+
+@given(
+    sets(integers(min_value=0, max_value=300), max_size=80),
+    lists(integers(min_value=0, max_value=30), max_size=6),
+    seeds(),
+)
+def test_random_partition_of_a_bitset_draws_the_listed_classes(
+    universe: set[int], sizes: list[int], seed: int
+) -> None:
+    while sum(sizes) > len(universe):
+        sizes.pop()
+    mask = mask_of(universe)
+    for draw in (lambda: seed, lambda: rng_for(seed, 8)):
+        expected = tuple(map(mask_of, listed_random_partition(universe, sizes, draw())))
+        assert random_partition(mask, sizes, draw()) == expected
 
 
 def test_random_partition_rejects_oversized_request() -> None:
     with pytest.raises(InputError):
-        random_partition(range(4), [3, 3], rng_for(0, 7))
+        random_partition(mask_of(range(4)), [3, 3], rng_for(0, 7))
+    with pytest.raises(InputError):
+        random_partition(-1, [1], rng_for(0, 7))
 
 
 @given(gnp_graphs())

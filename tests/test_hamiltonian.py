@@ -5,7 +5,7 @@ import json
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis.strategies import booleans, floats, integers, permutations
+from hypothesis.strategies import booleans, floats, integers, permutations, sets
 
 from squareham import (
     Certificate,
@@ -37,7 +37,9 @@ from squareham.hamiltonian import (
     match_leftover,
     witness_from_json_obj,
 )
+from squareham.graphcore import mask_of
 
+from oracles import listed_cover
 from strategies import gnp_graphs, seeds
 
 
@@ -139,7 +141,7 @@ def test_almost_spanning_paths_are_square_and_meet_coverage(
 
 def test_almost_spanning_rejects_vertices_outside_the_host() -> None:
     g = gnp_generate(20, 0.5, 0)
-    for verts in ([10**6], [3, 10**6]):
+    for verts in (1 << 10**6, mask_of([3, 10**6]), 1 << 20, -1):
         with pytest.raises(InputError):
             almost_spanning_square_path(g, verts=verts)
 
@@ -168,7 +170,9 @@ def test_cover_paths_are_disjoint_square_and_account_for_everything(
 ) -> None:
     g = gnp_generate(120, 0.6, seed)
     targets = [v for v in range(g.n) if v % 3 != 0]
-    res = cover_with_square_paths(g, targets, eps=0.3, seed=seed, class_floor=8)
+    res = cover_with_square_paths(
+        g, mask_of(targets), eps=0.3, seed=seed, class_floor=8
+    )
     seen: set[int] = set()
     for path in res.paths:
         assert is_square_path(g, path).ok
@@ -181,26 +185,48 @@ def test_cover_paths_are_disjoint_square_and_account_for_everything(
 
 def test_cover_rejects_vertices_outside_the_host() -> None:
     g = gnp_generate(20, 0.5, 0)
-    with pytest.raises(InputError):
-        cover_with_square_paths(g, [5, 25], eps=0.3, seed=0)
+    for u_prime in (mask_of([5, 25]), 1 << 20, -1):
+        with pytest.raises(InputError):
+            cover_with_square_paths(g, u_prime, eps=0.3, seed=0)
 
 
 def test_cover_validates_its_parameters_up_front() -> None:
     g = gnp_generate(20, 0.5, 0)
+    everything = mask_of(range(20))
     with pytest.raises(InputError):
-        cover_with_square_paths(g, range(20), class_floor=0)
+        cover_with_square_paths(g, everything, class_floor=0)
     with pytest.raises(InputError, match="budget"):
-        cover_with_square_paths(g, range(20), budget=-1)
+        cover_with_square_paths(g, everything, budget=-1)
     for eps in (0.0, 1.0, 1.5):
         with pytest.raises(InputError):
-            cover_with_square_paths(g, range(20), eps=eps)
+            cover_with_square_paths(g, everything, eps=eps)
     with pytest.raises(InputError):
-        cover_with_square_paths(g, [25], eps=0.3)
+        cover_with_square_paths(g, 1 << 25, eps=0.3)
+
+
+@settings(max_examples=30)
+@given(
+    gnp_graphs(min_n=30, max_n=60, min_p=0.2),
+    sets(integers(min_value=0, max_value=59), min_size=16),
+    seeds(),
+    integers(min_value=1, max_value=4),
+)
+def test_cover_on_a_bitset_draws_what_the_listed_cover_drew(
+    g: Graph, targets: set[int], seed: int, class_floor: int
+) -> None:
+    targets = {v for v in targets if v < g.n}
+    res = cover_with_square_paths(
+        g, mask_of(targets), eps=0.2, seed=seed, class_floor=class_floor,
+        budget=2_000,
+    )
+    paths, leftover = listed_cover(g, targets, 0.2, seed, class_floor, 2_000)
+    assert (res.paths, res.leftover) == (paths, leftover)
+    assert res.leftover_fraction == (len(leftover) / len(targets) if targets else 0.0)
 
 
 def test_leftover_matching_pairs_into_the_absorbee_set() -> None:
     g = complete_graph(12)
-    res = match_leftover(g, [0, 1, 2], [3, 4, 5, 6])
+    res = match_leftover(g, mask_of([0, 1, 2]), mask_of([3, 4, 5, 6]))
     assert res.ok
     matched = [x for _, x in res.pairs]
     assert len(set(matched)) == 3
@@ -208,12 +234,15 @@ def test_leftover_matching_pairs_into_the_absorbee_set() -> None:
     for q, x in res.pairs:
         assert g.has_edge(q, x)
     with pytest.raises(InputError):
-        match_leftover(g, [0, 1], [1, 2])
+        match_leftover(g, mask_of([0, 1]), mask_of([1, 2]))
+    for q_set, x1 in ((-1, 1 << 3), (1, -1), (1 << 12, 1 << 3), (1, 1 << 12)):
+        with pytest.raises(InputError):
+            match_leftover(g, q_set, x1)
 
 
 def test_leftover_matching_reports_deficiency() -> None:
     g = gnp_generate(10, 0.0, 0)
-    res = match_leftover(g, [0, 1], [2, 3])
+    res = match_leftover(g, mask_of([0, 1]), mask_of([2, 3]))
     assert not res.ok
     assert res.violator is not None
 
