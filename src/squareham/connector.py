@@ -77,13 +77,14 @@ class _Pool(int):
     __len__ = int.bit_count
 
 
-def _validate_request(g: Graph, req: ConnectionRequest) -> int:
+def _validate_request(g: Graph, req: ConnectionRequest, x: int = 0) -> int:
     """Check one job and return the bitset of its four ports.
 
     Raises:
         InputError: On a width or length the templates lack, ports that are
             not two ordered pairs of distinct vertices of ``g`` joined by
-            host edges, or a reservoir that is not an ``int``.
+            host edges, or a reservoir that is not an ``int`` bitset of
+            vertices of ``g`` once the exclusion ``x`` is taken out.
     """
     b, length = req.b, req.length
     if b == 1:
@@ -110,10 +111,7 @@ def _validate_request(g: Graph, req: ConnectionRequest) -> int:
     rows = g.rows
     if not (rows[p] >> q & 1 and rows[r] >> s & 1):
         raise InputError(f"job ports must be host edges: {req.frm} -> {req.to}")
-    if not isinstance(req.w, int):
-        raise InputError(
-            f"a reservoir must be an int bitset, got {type(req.w).__name__}"
-        )
+    g.check_mask(req.w, "reservoir", x)
     return 1 << p | 1 << q | 1 << r | 1 << s
 
 
@@ -145,16 +143,14 @@ def connect_one(g: Graph, req: ConnectionRequest, seed: int) -> ConnectResult:
         failures (a thin reservoir, an exhausted node budget).
 
     Raises:
-        InputError: On a malformed request, a negative seed, or a reservoir
-            vertex (outside the ports) that is not a vertex of ``g``.
+        InputError: On a malformed request (a reservoir that is not an
+            ``int`` bitset of vertices of ``g`` included) or a negative seed.
     """
     ports = _validate_request(g, req)
     # The search draws lazily, so check the seed up front.
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
-    pool = req.w & ~ports
-    g.check_mask(pool)
-    return _direct_connect(g, req, _Pool(pool), seed)
+    return _direct_connect(g, req, _Pool(req.w & ~ports), seed)
 
 
 @functools.cache
@@ -314,7 +310,7 @@ def connect_all(
         raise InputError(f"an exclusion mask must be non-negative, got {x}")
     fwd_seen = bwd_seen = 0
     for req in reqs:
-        _validate_request(g, req)
+        _validate_request(g, req, x)
         fwd, bwd = mask_of(req.frm), mask_of(req.to)
         if fwd & fwd_seen:
             raise InputError("from-pairs must be pairwise disjoint")

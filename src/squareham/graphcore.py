@@ -10,9 +10,12 @@ one AND of rows and one bit test.  One rule holds across the package: a
 vertex set is such an ``int`` bitset, and a sequence carries order (paths,
 certificates, witnesses, and report fields that go to JSON).  The
 adversary's attack class, an index array for numpy, is the one exception.
-:meth:`Graph.check_mask` range-checks a bitset, :func:`bits` and
+:meth:`Graph.check_mask` checks a bitset's type and range, :func:`bits` and
 :func:`mask_of` convert between bitsets and ascending vertex lists, and
-:func:`nth_bit` picks one set bit without listing the others.  Graphs from
+:func:`nth_bit` picks one set bit without listing the others.  Numpy work
+reads two bulk views of the rows, never edited: the boolean matrix,
+unpacked once and cached, and :func:`packed_rows`, the rows as bytes, a
+transient view built fresh on every call and held only for it.  Graphs from
 outside edges go through the validating :class:`Graph` constructor;
 :func:`gnp_generate` packs its rows from one boolean matrix, and graphs
 derived from another graph (edge deletion) are built from the parent's
@@ -151,24 +154,26 @@ class Graph:
             self.check_vertex(min(vs))
             self.check_vertex(max(vs))
 
-    def check_mask(self, mask: int) -> None:
+    def check_mask(
+        self, mask: int, name: str = "vertex mask", excluded: int = 0
+    ) -> None:
         """Raise :class:`InputError` unless ``mask`` is a bitset of vertices
-        of this graph: non-negative, with no bit at or above ``n``."""
-        if mask < 0 or mask >> self.n:
-            raise InputError(f"vertex mask holds bits outside 0..{self.n - 1}")
+        of this graph: an ``int``, non-negative, with no bit at or above
+        ``n`` outside the bitset ``excluded``.  ``name`` says what the mask
+        is in the message."""
+        if not isinstance(mask, int):
+            kind = type(mask).__name__
+            raise InputError(f"a {name} must be an int bitset, got {kind}")
+        if mask < 0 or (mask & ~excluded) >> self.n:
+            raise InputError(f"{name} holds bits outside 0..{self.n - 1}")
 
     @property
     def matrix(self) -> np.ndarray:
         """Boolean adjacency matrix, unpacked from the rows and cached."""
         if self._matrix is None:
             n = self.n
-            width = (n + 7) // 8
-            packed = np.frombuffer(
-                b"".join(r.to_bytes(width, "little") for r in self._rows),
-                dtype=np.uint8,
-            ).reshape(n, width)
             self._matrix = np.unpackbits(
-                packed, axis=1, count=n, bitorder="little"
+                packed_rows(self._rows, n), axis=1, count=n, bitorder="little"
             ).astype(bool)
         return self._matrix
 
@@ -307,6 +312,16 @@ def nth_bit(mask: int, k: int) -> int:
     for _ in range(k):
         mask &= mask - 1
     return base + (mask & -mask).bit_length() - 1
+
+
+def packed_rows(rows: Sequence[int], n: int) -> np.ndarray:
+    """Row bitsets of an ``n``-vertex graph as a ``len(rows) x ceil(n/8)``
+    ``uint8`` array: bit ``v`` of a row is bit ``v % 8`` of byte ``v // 8``.
+    Built fresh on every call."""
+    width = (n + 7) // 8
+    return np.frombuffer(
+        b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8
+    ).reshape(len(rows), width)
 
 
 def mask_of(vs: Iterable[int]) -> int:

@@ -29,8 +29,16 @@ from squareham.graphcore import (
     graph_to_json_obj,
     mask_of,
     nth_bit,
+    packed_rows,
     random_partition,
     triangle_profile,
+)
+from squareham.absorber import build_single_absorbers
+from squareham.connector import ConnectionRequest, connect_one
+from squareham.hamiltonian import (
+    almost_spanning_square_path,
+    cover_with_square_paths,
+    match_leftover,
 )
 
 from oracles import listed_random_partition
@@ -199,6 +207,36 @@ def test_edges_within_counts_induced_pairs(g: Graph, seed: int) -> None:
         1 for a, b in itertools.combinations(sorted(sub), 2) if g.has_edge(a, b)
     )
     assert edges_within(g, mask_of(sub)) == expected
+
+
+@given(gnp_graphs(min_n=0, max_n=30), data())
+def test_packed_rows_are_the_matrix_rows_packed(g, draw) -> None:
+    picked = draw.draw(lists(integers(0, max(g.n - 1, 0)))) if g.n else []
+    expected = np.packbits(g.matrix[picked], axis=1, bitorder="little")
+    packed = packed_rows([g.rows[u] for u in picked], g.n)
+    assert packed.dtype == np.uint8 and packed.shape == expected.shape
+    assert (packed == expected).all()
+
+
+ENTRY_POINTS = {
+    "edges_within": edges_within,
+    "cover_with_square_paths": cover_with_square_paths,
+    "almost_spanning_square_path": lambda g, s: almost_spanning_square_path(
+        g, verts=s
+    ),
+    "match_leftover": lambda g, s: match_leftover(g, s, 0),
+    "build_single_absorbers": lambda g, s: build_single_absorbers(g, s, 0, 0, 0, 0),
+    "connect_one": lambda g, s: connect_one(
+        g, ConnectionRequest((0, 1), (2, 3), s, length=5), seed=0
+    ),
+}
+
+
+@pytest.mark.parametrize("vertices", [[4, 5], {4, 5}], ids=["list", "set"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_bitset_entry_points_reject_vertex_collections(entry, vertices) -> None:
+    with pytest.raises(InputError, match="must be an int bitset, got "):
+        ENTRY_POINTS[entry](complete_graph(10), vertices)
 
 
 def test_mask_checks_reject_bits_outside_the_graph() -> None:

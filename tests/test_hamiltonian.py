@@ -553,15 +553,23 @@ def greedy_independent_set(g: Graph) -> list[int]:
 
 
 @settings(max_examples=60)
-@given(gnp_graphs(min_n=5, max_n=60, min_p=0.3), seeds(), booleans())
+@given(gnp_graphs(min_n=3, max_n=60, min_p=0.3), seeds(), booleans())
 # A host large enough for the search to stop early, without and with a witness.
 @example(gnp_generate(300, 0.5, 7), 7, False)
 @example(gnp_generate(300, 0.5, 7), 7, True)
+# Attacked hosts whose searches take degree-1 picks and isolated batches.
+@example(gnp_generate(400, 0.5, 1), 1, True)
+@example(gnp_generate(600, 0.7, 1), 1, True)
+# Below 5 vertices a low degree proves nothing, so only the greedy answers.
+@example(complete_graph(3), 0, False)
+@example(Graph(3, [(0, 1), (1, 2)]), 0, False)
+@example(complete_graph(4), 0, False)
+@example(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), 0, False)
 def test_witness_search_matches_the_one_step_greedy(g, seed, attack) -> None:
     if attack:
         g = k3_attack(g, 0.05, seed).attacked
     witness = find_infeasibility_witness(g)
-    low = [v for v in range(g.n) if g.degree(v) < 4]
+    low = [v for v in range(g.n) if g.degree(v) < 4] if g.n >= 5 else []
     if low:
         assert witness == InfeasibilityWitness("low-degree", (low[0],))
         return
@@ -570,6 +578,44 @@ def test_witness_search_matches_the_one_step_greedy(g, seed, attack) -> None:
         assert witness == InfeasibilityWitness("independent-set", tuple(greedy))
     else:
         assert witness is None
+
+
+def test_witness_search_counts_past_a_byte() -> None:
+    # Vertex 0 ties for the lowest degree, so its kill takes the 300-clique
+    # ``inner`` along; each ``far`` vertex loses 300 and each ``near`` one
+    # 250.  The ``far`` vertices are then isolated and come before any
+    # ``near`` pick; a count that wrapped at 256 would put them after.
+    inner, far, near = range(1, 301), range(301, 481), range(481, 532)
+    edges = [(0, v) for v in inner]
+    edges += itertools.combinations(inner, 2)
+    edges += [(u, v) for u in far for v in inner]
+    edges += [(u, v) for u in near for v in range(1, 251)]
+    edges += itertools.combinations(near, 2)
+    g = Graph(532, edges)
+    expected = (0, *far, near[0])
+    assert tuple(greedy_independent_set(g)) == expected
+    assert find_infeasibility_witness(g) == InfeasibilityWitness(
+        "independent-set", expected
+    )
+
+
+def test_witness_search_caches_no_matrix() -> None:
+    g = k3_attack(gnp_generate(400, 0.5, 1), 0.05, 1).attacked
+    assert g._matrix is None
+    assert find_infeasibility_witness(g).kind == "independent-set"
+    assert g._matrix is None
+
+
+def test_a_wrong_witness_fails_the_solve(monkeypatch) -> None:
+    # find_square_ham checks the witness it returns, as brute force checks
+    # its certificate; on K_5 an edge is more than n // 3 vertices.
+    monkeypatch.setattr(
+        hamiltonian,
+        "find_infeasibility_witness",
+        lambda g: InfeasibilityWitness("independent-set", (0, 1)),
+    )
+    with pytest.raises(AssertionError, match="vertices 0 and 1 are adjacent"):
+        find_square_ham(complete_graph(5))
 
 
 def test_witness_search_prefers_a_low_degree_vertex() -> None:
