@@ -73,11 +73,11 @@ class AbsorberUnit:
     def slot(self, i: int, j: int) -> int:
         return self.backbone.vertices[backbone_label(i, j, self.blocks)]
 
-    @property
+    @functools.cached_property
     def entry(self) -> tuple[int, int]:
         return (self.slot(1, 1), self.slot(1, 2))
 
-    @property
+    @functools.cached_property
     def exit(self) -> tuple[int, int]:
         return (self.slot(self.blocks, 3), self.slot(self.blocks, 4))
 
@@ -260,12 +260,12 @@ def complete_absorbers(
             taken = mask_of(backbone.vertices)
             interiors: list[tuple[int, ...]] = []
             wired = True
+            slots = backbone.vertices
             for i in range(1, blocks):
-                lab = lambda a, c: backbone.vertices[  # noqa: E731
-                    backbone_label(a, c, blocks)
-                ]
-                frm = (lab(i, 3), lab(i, 4))
-                to = (lab(i + 1, 1), lab(i + 1, 2))
+                # Slots 3, 4 of block i, then slots 1, 2 of block i + 1:
+                # labels 4i - 2 .. 4i + 1 (see backbone_label).
+                frm = slots[4 * i - 2 : 4 * i]
+                to = slots[4 * i : 4 * i + 2]
                 interior, diag = _connect_with_fallback(
                     g, frm, to, w6_free & ~taken, base + 7 * i
                 )

@@ -16,8 +16,10 @@ port orientation is what makes concatenation sound.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
-from typing import Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from .graphcore import Graph, InputError
 
@@ -181,6 +183,10 @@ class ValidationResult:
         return self.ok
 
 
+#: The one passing result, shared: the checks return it on every success.
+_VALID = ValidationResult(True, None)
+
+
 def validate_embedding(
     g: Graph,
     emb: Embedding,
@@ -194,35 +200,41 @@ def validate_embedding(
     the port images with ``connect_from`` / ``connect_to``.
     """
     gad = emb.gadget
-    if len(emb.vertices) != gad.labels:
+    verts = emb.vertices
+    if len(verts) != gad.labels:
         return ValidationResult(
-            False,
-            f"embedding has {len(emb.vertices)} vertices for {gad.labels} labels",
+            False, f"embedding has {len(verts)} vertices for {gad.labels} labels"
         )
-    if len(set(emb.vertices)) != len(emb.vertices):
+    if len(set(verts)) != len(verts):
         return ValidationResult(False, "embedding is not injective")
-    for v in emb.vertices:
-        if not (0 <= v < g.n):
+    n = g.n
+    for v in verts:
+        if not 0 <= v < n:
             return ValidationResult(False, f"vertex {v} outside host range")
     rows = g.rows
+    # One pass over the template edges, in order: each is one bit of a row.
     for i, j in gad.edges:
-        u, v = emb.vertices[i], emb.vertices[j]
+        u, v = verts[i], verts[j]
         if not rows[u] >> v & 1:
             return ValidationResult(
                 False,
                 f"template edge ({i}, {j}) maps to missing host edge ({u}, {v})",
             )
-    if connect_from is not None and emb.port_from_image != tuple(connect_from):
-        return ValidationResult(
-            False,
-            f"entry port maps to {emb.port_from_image}, expected {tuple(connect_from)}",
-        )
-    if connect_to is not None and emb.port_to_image != tuple(connect_to):
-        return ValidationResult(
-            False,
-            f"exit port maps to {emb.port_to_image}, expected {tuple(connect_to)}",
-        )
-    return ValidationResult(True, None)
+    if connect_from is not None:
+        a, b = gad.port_from
+        if (verts[a], verts[b]) != tuple(connect_from):
+            return ValidationResult(
+                False,
+                f"entry port maps to {emb.port_from_image}, expected {tuple(connect_from)}",
+            )
+    if connect_to is not None:
+        a, b = gad.port_to
+        if (verts[a], verts[b]) != tuple(connect_to):
+            return ValidationResult(
+                False,
+                f"exit port maps to {emb.port_to_image}, expected {tuple(connect_to)}",
+            )
+    return _VALID
 
 
 # -- sequence helpers --------------------------------------------------------
@@ -238,8 +250,16 @@ def square_path_pairs(seq: Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _missing_edge(u: int, v: int) -> ValidationResult:
+    a, b = _norm(u, v)
+    return ValidationResult(False, f"missing edge ({a}, {b})")
+
+
 def is_square_path(g: Graph, seq: Sequence[int]) -> ValidationResult:
     """Whether ``seq`` traces the square of a path in ``g``.
+
+    The pairs are tested in the order of :func:`square_path_pairs`, so the
+    reason names the first missing one.
 
     Raises:
         InputError: If an entry of a repetition-free ``seq`` is not a vertex.
@@ -247,15 +267,21 @@ def is_square_path(g: Graph, seq: Sequence[int]) -> ValidationResult:
     if len(set(seq)) != len(seq):
         return ValidationResult(False, "sequence repeats a vertex")
     g.check_vertices(seq)
+    if len(seq) < 2:
+        return _VALID
     rows = g.rows
-    # The pairs of square_path_pairs, in its order, read straight off the rows.
-    for i, u in enumerate(seq):
+    # One pass: entry i against entries i + 1 and i + 2, each pair one AND
+    # of entry i's row with the other entry's bit.
+    marks = [1 << v for v in seq]
+    for u, near, far in zip(seq, marks[1:], marks[2:]):
         row = rows[u]
-        for v in seq[i + 1 : i + 3]:
-            if not row >> v & 1:
-                a, b = _norm(u, v)
-                return ValidationResult(False, f"missing edge ({a}, {b})")
-    return ValidationResult(True, None)
+        if not row & near:
+            return _missing_edge(u, near.bit_length() - 1)
+        if not row & far:
+            return _missing_edge(u, far.bit_length() - 1)
+    if not rows[seq[-2]] & marks[-1]:
+        return _missing_edge(seq[-2], seq[-1])
+    return _VALID
 
 
 # -- absorber traversal ------------------------------------------------------
@@ -302,23 +328,35 @@ def absorber_traversal(
         )
     if mode not in ("include", "exclude"):
         raise InputError(f"mode must be include or exclude, got {mode!r}")
-
-    def w(i: int, j: int) -> T:
-        return backbone[backbone_label(i, j, blocks)]
-
-    out: list[T] = []
-    if mode == "include":
-        out += [w(1, 1), w(1, 2), x, w(1, 3), w(1, 4)]
-        for i in range(2, blocks + 1):
-            out += list(connector_interiors[i - 2])
-            out += [w(i, 1), w(i, 2), w(i, 3), w(i, 4)]
-    else:
-        out += [w(1, 1), w(1, 2), w(2, 2), w(2, 1)]
-        out += list(reversed(list(connector_interiors[0])))
-        out += [w(1, 4), w(1, 3)]
-        for i in range(3, blocks + 1):
-            out += [w(i, 2), w(i, 1)]
-            out += list(reversed(list(connector_interiors[i - 2])))
-            out += [w(i - 1, 4), w(i - 1, 3)]
-        out += [w(blocks, 3), w(blocks, 4)]
+    runs = _traversal_runs(blocks, mode)
+    slots = (*backbone, x)
+    out = list(runs[0](slots))
+    for run, interior in zip(runs[1:], connector_interiors):
+        out += interior if mode == "include" else reversed(interior)
+        out += run(slots)
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=64)
+def _traversal_runs(blocks: int, mode: str) -> tuple[Callable, ...]:
+    """The backbone runs of a ``mode`` unit walk on ``blocks`` blocks, as
+    getters of their labels (label ``4 * blocks`` stands for ``x``).
+
+    The walk is run 0, connector interior 0, run 1, interior 1, and so on;
+    ``exclude`` reverses each interior.  Built once per ``blocks`` value.
+    """
+
+    def w(i: int, j: int) -> int:
+        return backbone_label(i, j, blocks)
+
+    if mode == "include":
+        runs = [(w(1, 1), w(1, 2), 4 * blocks, w(1, 3), w(1, 4))]
+        runs += [(w(i, 1), w(i, 2), w(i, 3), w(i, 4)) for i in range(2, blocks + 1)]
+    else:
+        runs = [(w(1, 1), w(1, 2), w(2, 2), w(2, 1))]
+        # Each later run walks back out of block i - 2 and into block i.
+        runs += [
+            (w(i - 2, 4), w(i - 2, 3), w(i, 2), w(i, 1)) for i in range(3, blocks + 1)
+        ]
+        runs.append((w(blocks - 1, 4), w(blocks - 1, 3), w(blocks, 3), w(blocks, 4)))
+    return tuple(operator.itemgetter(*run) for run in runs)

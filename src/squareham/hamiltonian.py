@@ -30,6 +30,7 @@ from .graphcore import (
     Graph,
     InputError,
     bits,
+    bounded_draws,
     mask_of,
     nth_bit,
     packed_rows,
@@ -229,13 +230,21 @@ def verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
     order = cert.order
     if len(order) != g.n or set(order) != set(range(g.n)):
         raise InputError("certificate order must be a permutation of all vertices")
-    n = g.n
     rows = g.rows
-    for i in range(n):
-        for d in (1, 2):
-            u, v = order[i], order[(i + d) % n]
-            if not rows[u] >> v & 1:
-                return CertificateCheck(False, i, d, (min(u, v), max(u, v)))
+    # One pass: each vertex against its cyclic successors at distance 1 and
+    # 2, each pair one AND of its row with the other vertex's bit.  A fault
+    # reads its position back from the vertex, which holds only one.
+    marks = [1 << v for v in order]
+    for u, near, far in zip(order, marks[1:] + marks[:1], marks[2:] + marks[:2]):
+        row = rows[u]
+        if not row & near:
+            d, mark = 1, near
+        elif not row & far:
+            d, mark = 2, far
+        else:
+            continue
+        v = mark.bit_length() - 1
+        return CertificateCheck(False, order.index(u), d, (min(u, v), max(u, v)))
     return CertificateCheck(True, None, None, None)
 
 
@@ -444,6 +453,14 @@ def almost_spanning_square_path(
     ``1 - eps``.  Always returns its best attempt (possibly a single vertex);
     this is a measured heuristic, not a guarantee.
 
+    Each end keeps its candidate mask between steps: the end that grew
+    recomputes its own, and the other end only loses the new vertex.  Every
+    pick is ``int(rng_for(seed, 47).integers(k))`` in the order the search
+    asks, replayed by :func:`~squareham.graphcore.bounded_draws` from the
+    generator's raw PCG64 words (32-bit halves, low half first, scaled by
+    Lemire's rejection method as numpy scales them), so the paths are those
+    numpy's scalar draws gave, without numpy's cost per call.
+
     Raises:
         InputError: If ``budget`` is below 1, ``eps`` lies outside (0, 1),
             or ``verts`` is negative or holds a bit at or above ``n``.
@@ -457,37 +474,45 @@ def almost_spanning_square_path(
     if len(vs) == 1:
         return AlmostSpanningResult((vs[0],), 1.0)
     rows = g.rows
-    rng = rng_for(seed, 47)
+    draw = bounded_draws(rng_for(seed, 47))
     best: tuple[int, ...] = (vs[0],)
     target = math.ceil((1 - eps) * len(vs))
     spent = 0
     while spent < budget and len(best) < target:
         spent += 1
-        a = vs[int(rng.integers(len(vs)))]
+        a = vs[draw(len(vs))]
         nbrs = rows[a] & vmask
         if not nbrs:
             continue
-        b = nth_bit(nbrs, int(rng.integers(nbrs.bit_count())))
-        path = [a, b]
+        b = nth_bit(nbrs, draw(nbrs.bit_count()))
+        # The path is head reversed, then tail; first and last are its ends.
+        head, tail = [a], [b]
+        first, last = a, b
         # Target vertices not on the path yet.
         free = vmask & ~(1 << a | 1 << b)
+        fwd = bwd = rows[a] & rows[b] & free
         while spent < budget:
             spent += 1
-            fwd = rows[path[-1]] & rows[path[-2]] & free
-            bwd = rows[path[0]] & rows[path[1]] & free
             if not fwd and not bwd:
                 break
             # Feed the scarcer end first so neither side starves early.
             nf, nb = fwd.bit_count(), bwd.bit_count()
             if fwd and (not bwd or nf <= nb):
-                v = nth_bit(fwd, int(rng.integers(nf)))
-                path.append(v)
+                v = nth_bit(fwd, draw(nf))
+                free &= ~(1 << v)
+                fwd = rows[v] & rows[last] & free
+                bwd &= free
+                tail.append(v)
+                last = v
             else:
-                v = nth_bit(bwd, int(rng.integers(nb)))
-                path.insert(0, v)
-            free &= ~(1 << v)
-        if len(path) > len(best):
-            best = tuple(path)
+                v = nth_bit(bwd, draw(nb))
+                free &= ~(1 << v)
+                bwd = rows[v] & rows[first] & free
+                fwd &= free
+                head.append(v)
+                first = v
+        if len(head) + len(tail) > len(best):
+            best = tuple(head[::-1] + tail)
     if len(best) >= 2:
         check = is_square_path(g, best)
         assert check.ok, f"greedy extension produced a bad path: {check.reason}"

@@ -1,14 +1,27 @@
-"""Vertex-list versions of functions that now take and return bitsets.
+"""Earlier versions of library functions, kept as references.
 
-Each is the library function as it was before its vertex sets became
-``int`` bitsets, kept as the reference that the bitset version must match
-draw for draw.
+The list-based versions are the functions as they were before their vertex
+sets became ``int`` bitsets; the bitset versions must match them draw for
+draw.  The looped checks and the slot-by-slot traversal are the checks and
+walks as they were before each became one pass over a precomputed table;
+the current ones must return the same result, the same first fault and the
+same message.
 """
 
 import numpy as np
 
+from squareham.gadgets import (
+    Embedding,
+    ValidationResult,
+    backbone_label,
+    square_path_pairs,
+)
 from squareham.graphcore import Graph, mask_of, rng_for
-from squareham.hamiltonian import almost_spanning_square_path
+from squareham.hamiltonian import (
+    Certificate,
+    CertificateCheck,
+    almost_spanning_square_path,
+)
 
 
 def listed_random_partition(universe, sizes, seed) -> list[tuple[int, ...]]:
@@ -51,3 +64,73 @@ def listed_cover(
         else:
             carry = tuple(pool)
     return tuple(paths), carry
+
+
+def looped_is_square_path(g: Graph, seq) -> ValidationResult:
+    """``is_square_path`` by ``square_path_pairs``, pair by pair, for a
+    repetition-free ``seq`` of vertices."""
+    assert len(set(seq)) == len(seq)
+    for u, v in square_path_pairs(seq):
+        if not g.has_edge(u, v):
+            return ValidationResult(False, f"missing edge ({u}, {v})")
+    return ValidationResult(True, None)
+
+
+def looped_verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
+    """``verify_certificate`` for a permutation of ``0..n-1``: positions in
+    order, distance 1 before distance 2 at each."""
+    order, n = cert.order, g.n
+    for i in range(n):
+        for d in (1, 2):
+            u, v = order[i], order[(i + d) % n]
+            if not g.has_edge(u, v):
+                return CertificateCheck(False, i, d, (min(u, v), max(u, v)))
+    return CertificateCheck(True, None, None, None)
+
+
+def looped_validate_embedding(g: Graph, emb: Embedding) -> ValidationResult:
+    """``validate_embedding`` without ports, one check after another."""
+    gad, verts = emb.gadget, emb.vertices
+    if len(verts) != gad.labels:
+        return ValidationResult(
+            False, f"embedding has {len(verts)} vertices for {gad.labels} labels"
+        )
+    if len(set(verts)) != len(verts):
+        return ValidationResult(False, "embedding is not injective")
+    for v in verts:
+        if not 0 <= v < g.n:
+            return ValidationResult(False, f"vertex {v} outside host range")
+    for i, j in gad.edges:
+        u, v = verts[i], verts[j]
+        if not g.has_edge(u, v):
+            return ValidationResult(
+                False,
+                f"template edge ({i}, {j}) maps to missing host edge ({u}, {v})",
+            )
+    return ValidationResult(True, None)
+
+
+def slotted_absorber_traversal(backbone, connector_interiors, x, mode: str) -> tuple:
+    """``absorber_traversal`` slot by slot through ``backbone_label``, for
+    valid arguments."""
+    blocks = len(backbone) // 4
+
+    def w(i: int, j: int):
+        return backbone[backbone_label(i, j, blocks)]
+
+    out: list = []
+    if mode == "include":
+        out += [w(1, 1), w(1, 2), x, w(1, 3), w(1, 4)]
+        for i in range(2, blocks + 1):
+            out += list(connector_interiors[i - 2])
+            out += [w(i, 1), w(i, 2), w(i, 3), w(i, 4)]
+    else:
+        out += [w(1, 1), w(1, 2), w(2, 2), w(2, 1)]
+        out += list(reversed(list(connector_interiors[0])))
+        out += [w(1, 4), w(1, 3)]
+        for i in range(3, blocks + 1):
+            out += [w(i, 2), w(i, 1)]
+            out += list(reversed(list(connector_interiors[i - 2])))
+            out += [w(i - 1, 4), w(i - 1, 3)]
+        out += [w(blocks, 3), w(blocks, 4)]
+    return tuple(out)

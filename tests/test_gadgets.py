@@ -2,7 +2,14 @@ import itertools
 
 import pytest
 from hypothesis import given
-from hypothesis.strategies import integers, lists, permutations
+from hypothesis.strategies import (
+    data,
+    integers,
+    lists,
+    permutations,
+    sampled_from,
+    tuples,
+)
 
 from squareham import (
     Certificate,
@@ -22,6 +29,12 @@ from squareham.gadgets import (
 )
 from squareham.graphcore import rng_for
 
+from oracles import (
+    looped_is_square_path,
+    looped_validate_embedding,
+    looped_verify_certificate,
+    slotted_absorber_traversal,
+)
 from strategies import gnp_graphs, seeds
 
 
@@ -110,6 +123,72 @@ def test_square_path_check_names_the_first_missing_close_pair(g, seed: int) -> N
     assert res.ok == (not missing)
     if missing:
         assert res.reason == f"missing edge ({missing[0][0]}, {missing[0][1]})"
+
+
+@given(gnp_graphs(min_n=1, max_n=14), seeds(), integers(min_value=0, max_value=14))
+def test_square_path_check_matches_the_looped_check(g, seed: int, size: int) -> None:
+    # Every length, the empty and one-vertex sequences included.
+    seq = tuple(int(v) for v in rng_for(seed, 3).permutation(g.n)[:size])
+    assert is_square_path(g, seq) == looped_is_square_path(g, seq)
+
+
+def test_square_path_check_reports_a_far_pair_before_a_later_near_pair() -> None:
+    # Missing: (0, 2) at distance 2 from position 0, and (1, 2) at
+    # distance 1 from position 1; the pairs are read position by position.
+    seq = (0, 1, 2, 3)
+    g = Graph(4, [(0, 1), (1, 3), (2, 3)])
+    assert is_square_path(g, seq).reason == "missing edge (0, 2)"
+    # With (0, 2) present the near pair is the first fault.
+    g = Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    assert is_square_path(g, seq).reason == "missing edge (1, 2)"
+    # The last pair has no distance-2 partner; it is read last.
+    g = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3)])
+    assert is_square_path(g, seq).reason == "missing edge (2, 3)"
+
+
+@given(gnp_graphs(min_n=3, max_n=12, min_p=0.6), seeds())
+def test_certificate_check_matches_the_looped_check(g, seed: int) -> None:
+    cert = Certificate(tuple(int(v) for v in rng_for(seed, 4).permutation(g.n)))
+    assert verify_certificate(g, cert) == looped_verify_certificate(g, cert)
+
+
+def test_certificate_check_reports_the_first_gap_that_wraps_around() -> None:
+    # Order 3, 0, 4, 1, 5, 2 on K_6 less the pairs (5, 3) and (2, 3): both
+    # wrap around the end, at positions 4 (distance 2) and 5 (distance 1).
+    order = (3, 0, 4, 1, 5, 2)
+    g = complete_graph(6).remove_edges([(3, 5), (2, 3)])
+    check = verify_certificate(g, Certificate(order))
+    assert (check.ok, check.position, check.distance, check.missing) == (
+        False, 4, 2, (3, 5)
+    )
+    assert check == looped_verify_certificate(g, Certificate(order))
+
+
+@given(data())
+def test_embedding_check_matches_the_looped_check(draw) -> None:
+    g = draw.draw(gnp_graphs(min_n=1, max_n=14, min_p=0.4))
+    gadget = draw.draw(
+        sampled_from(
+            [build_gadget("square-path", length=k) for k in (2, 5, 8)]
+            + [build_gadget("backbone", blocks=b) for b in (2, 3)]
+        )
+    )
+    size = draw.draw(sampled_from([gadget.labels, gadget.labels, gadget.labels - 1]))
+    # Vertices from a little past both ends of the range, repeats allowed.
+    verts = draw.draw(tuples(*[integers(min_value=-1, max_value=g.n)] * size))
+    emb = Embedding(gadget, verts)
+    assert validate_embedding(g, emb) == looped_validate_embedding(g, emb)
+
+
+def test_embedding_check_reports_a_repeat_before_a_missing_edge() -> None:
+    gadget = build_gadget("square-path", length=4)
+    # The host lacks only (0, 3); labels 0 and 2 land on it in both
+    # embeddings, and the first also repeats vertex 0.
+    host = Graph(4, sorted(square_path_edge_oracle(4)))
+    res = validate_embedding(host, Embedding(gadget, (0, 1, 3, 0)))
+    assert res.reason == "embedding is not injective"
+    res = validate_embedding(host, Embedding(gadget, (0, 1, 3, 2)))
+    assert res.reason == "template edge (0, 2) maps to missing host edge (0, 3)"
 
 
 def test_validate_embedding_accepts_exact_image_and_flags_gaps() -> None:
@@ -205,6 +284,24 @@ def test_both_traversals_are_square_paths_on_the_unit_edges(
         assert is_square_path(host, walk)
         assert walk[:2] == entry
         assert walk[-2:] == exit_
+
+
+@given(
+    integers(min_value=2, max_value=6),
+    lists(integers(min_value=0, max_value=4), min_size=5, max_size=5),
+    sampled_from(["include", "exclude"]),
+)
+def test_traversal_matches_the_slotted_walk(
+    blocks: int, lengths: list[int], mode: str
+) -> None:
+    backbone = tuple(range(4 * blocks))
+    nxt = 4 * blocks + 1
+    interiors = []
+    for k in lengths[: blocks - 1]:
+        interiors.append(tuple(range(nxt, nxt + k)))
+        nxt += k
+    walk = absorber_traversal(backbone, interiors, 4 * blocks, mode)
+    assert walk == slotted_absorber_traversal(backbone, interiors, 4 * blocks, mode)
 
 
 def test_traversal_rejects_bad_arguments() -> None:

@@ -388,6 +388,43 @@ def test_default_config_outputs_are_pinned() -> None:
     )
 
 
+def json_digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+# (n, p, seed) -> digests of the cover (paths, leftover, class sizes) and of
+# the almost-spanning path on all of G(n, p, 1), taken when every pick was a
+# scalar numpy draw.
+COVER_PINS = {
+    (200, 0.5, 0): (
+        "514b86b0a5af45686a6ce79b15a89eec4d8969a89d6c5d608505a211bd86061d",
+        "e427b5a04737c2ee36faa534b4c3fc4fe9fd1853e10f10a1a0fac65ef6d2c62b",
+    ),
+    (200, 0.5, 5): (
+        "ba51607fffaef94da179a290a65b0a7974dec64b2b423255e2d3df08b78904a1",
+        "0fe4af958219603af817b6968d29e5a06f0e2e3df6c4c68ede01debe9cb7f3d2",
+    ),
+    (800, 0.7, 0): (
+        "6ad052b71dc376df401da1c393ab7ffc691cd995b448e0bdbe9da738a2661e50",
+        "e7fd36cad26049e5c6679573f0042b4d1230b1ea2706344588c7a753136f5634",
+    ),
+    (800, 0.7, 5): (
+        "67fc060662d6f800d7fbb400f456fa980464a71cb538ae953bb96c7f8ed13670",
+        "c626ca9031eaafda585e4ee62dc4ee0fc693812c4ff0204dabe88cffc8f88533",
+    ),
+}
+
+
+@pytest.mark.parametrize("n, p, seed", sorted(COVER_PINS))
+def test_cover_outputs_are_pinned(n: int, p: float, seed: int) -> None:
+    # The replayed draws must give the paths numpy's scalar draws gave.
+    g = gnp_generate(n, p, 1)
+    cover = cover_with_square_paths(g, (1 << n) - 1, seed=seed)
+    path = almost_spanning_square_path(g, seed=seed).path
+    cover_obj = [[list(q) for q in cover.paths], list(cover.leftover), list(cover.class_sizes)]
+    assert (json_digest(cover_obj), json_digest(list(path))) == COVER_PINS[n, p, seed]
+
+
 def test_threading_never_asks_for_the_length_four_connection(monkeypatch) -> None:
     # The threading tests the direct arc before it connects, and the
     # length-4 template is that arc, so the sweep starts at length 5.

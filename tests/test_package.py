@@ -3,6 +3,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import squareham
@@ -218,6 +219,57 @@ def _calls_in(module: str, function: str, name: str) -> int:
         and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == name
         for node in ast.walk(fn)
     )
+
+
+# Public methods of numpy's Generator and of its PCG64 bit generator.
+RNG_METHODS = {
+    name
+    for cls in (np.random.Generator, np.random.PCG64)
+    for name in dir(cls)
+    if not name.startswith("_")
+}
+
+
+def _rng_calls_in_loops(fn: ast.AST) -> list[str]:
+    """Calls of a numpy generator method inside a loop of ``fn``."""
+    return sorted(
+        {
+            f"line {node.lineno}: .{node.func.attr}"
+            for loop in ast.walk(fn)
+            if isinstance(loop, (ast.While, ast.For))
+            for node in ast.walk(loop)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in RNG_METHODS
+        }
+    )
+
+
+def test_the_cover_makes_no_numpy_call_per_pick() -> None:
+    # The extension loop picks through a replay of numpy's draws; a scalar
+    # Generator call cost about 2.8 us per pick, a third of each step.
+    path = Path(squareham.__file__).parent / "hamiltonian.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (fn,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name == "almost_spanning_square_path"
+    ]
+    assert any(isinstance(node, ast.While) for node in ast.walk(fn))
+    assert _rng_calls_in_loops(fn) == []
+
+
+def test_the_per_pick_guard_sees_every_spelling() -> None:
+    flagged = (
+        "while go:\n    v = rng.integers(k)",
+        "for k in ks:\n    out.append(int(self.rng.choice(k)))",
+        "while a:\n    while b:\n        w = rng.bit_generator.random_raw(4)",
+    )
+    for src in flagged:
+        assert _rng_calls_in_loops(ast.parse(src)), src
+    quiet = "draw = bounded_draws(rng_for(seed, 47))\nwhile go:\n    v = draw(k)"
+    assert _rng_calls_in_loops(ast.parse(quiet)) == []
 
 
 def test_the_hall_rounds_never_list_a_row() -> None:
