@@ -2,10 +2,11 @@
 
 Submodules:
     graphcore: graphs with one ``int`` bitset per adjacency row (derived
-        graphs built from their parent's rows), random generation packed
-        from one boolean matrix, codegrees and triangle counts from one
-        symmetric ``A·Aᵀ`` product (an attacked graph's square corrected
-        from its host's on the attacked class's rows), family membership.
+        graphs built from their parent's rows), random generation written
+        straight into packed rows, a block of rows at a time, codegrees and
+        triangle counts from one symmetric ``A·Aᵀ`` product (an attacked
+        graph's square corrected from its host's on the attacked class's
+        rows), family membership.
     gadgets: square-path / backbone templates and embeddings.
     matching: Hall matching with a deficient-set witness.
     connector: one pair-to-pair connection per search over a reservoir,

@@ -21,7 +21,6 @@ each vertex uniformly from the pool vertices that fit, with seeded draws.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -30,7 +29,6 @@ from .gadgets import (
     BACKBONE,
     Embedding,
     absorber_traversal,
-    backbone_label,
     build_gadget,
     is_square_path,
 )
@@ -59,40 +57,43 @@ class AbsorberUnit:
     """One absorbee ``x``, its backbone and its junction interiors.
 
     The backbone's first four vertices are the star core ``u1, u2, v1, v2``
-    that :func:`build_single_absorbers` matched to ``x``.
+    that :func:`build_single_absorbers` matched to ``x``.  ``entry`` and
+    ``exit``, the unit's first and last slot pairs, are filled at
+    construction, and the vertex set and the walks on first use, as plain
+    attributes: equality, hashing and ``repr`` see only the three fields.
     """
 
     x: int
     backbone: Embedding
     junctions: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self) -> None:
+        slots = self.backbone.vertices
+        # Slots 1, 2 of the first block and 3, 4 of the last (see
+        # backbone_label).
+        last = 4 * self.blocks
+        fill = object.__setattr__
+        fill(self, "entry", (slots[0], slots[1]))
+        fill(self, "exit", (slots[last - 2], slots[last - 1]))
+        fill(self, "_vertex_set", None)
+        fill(self, "_walks", {})
+
     @property
     def blocks(self) -> int:
         return self.backbone.gadget.params[0]
 
-    def slot(self, i: int, j: int) -> int:
-        return self.backbone.vertices[backbone_label(i, j, self.blocks)]
-
-    @functools.cached_property
-    def entry(self) -> tuple[int, int]:
-        return (self.slot(1, 1), self.slot(1, 2))
-
-    @functools.cached_property
-    def exit(self) -> tuple[int, int]:
-        return (self.slot(self.blocks, 3), self.slot(self.blocks, 4))
-
-    @functools.cached_property
+    @property
     def vertex_set(self) -> int:
         """Every vertex of the unit, absorbee included, as a bitset (built
-        once per unit)."""
-        verts = mask_of(self.backbone.vertices) | 1 << self.x
-        for interior in self.junctions:
-            verts |= mask_of(interior)
+        on first use, so a unit read from outside with an id far out of
+        range is rejected by a range check before it becomes a bitset)."""
+        verts = self._vertex_set
+        if verts is None:
+            verts = mask_of(self.backbone.vertices) | 1 << self.x
+            for interior in self.junctions:
+                verts |= mask_of(interior)
+            object.__setattr__(self, "_vertex_set", verts)
         return verts
-
-    @functools.cached_property
-    def _walks(self) -> dict[str, tuple[int, ...]]:
-        return {}
 
     def traversal(self, mode: str) -> tuple[int, ...]:
         """The unit's square path in ``mode`` (built once per mode)."""

@@ -31,6 +31,7 @@ from .graphcore import (
     InputError,
     bits,
     bounded_draws,
+    check_int,
     mask_of,
     nth_bit,
     packed_rows,
@@ -81,9 +82,10 @@ class PipelineConfig:
     multiple of 4, at least 8), so each unit has ``connector_length // 4``
     blocks.  ``brute_budget`` bounds the exhaustive search on small hosts,
     ``restarts`` the pipeline attempts (both at least 1); ``seed`` is
-    non-negative.  Every other constant of the construction, the reservoir
-    sizing of :func:`reservoir_sizes` included, is fixed in this module and
-    in ``absorber``.
+    non-negative.  Every field is an integer, and a ``bool`` is not one.
+    Every other constant of the construction, the reservoir sizing of
+    :func:`reservoir_sizes` included, is fixed in this module and in
+    ``absorber``.
     """
 
     connector_length: int = 8
@@ -92,6 +94,8 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            check_int(f.name, getattr(self, f.name))
         if self.connector_length < 8 or self.connector_length % 4 != 0:
             raise InputError(
                 "connector_length must be a multiple of 4, at least 8, "
@@ -248,6 +252,12 @@ def verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
     return CertificateCheck(True, None, None, None)
 
 
+#: Most bytes the witness search unpacks at once: the dying rows of a kill
+#: are subtracted in chunks of this many bytes of unpacked rows (one row at
+#: least).
+_WITNESS_CHUNK_BYTES = 1 << 18
+
+
 def find_infeasibility_witness(g: Graph) -> InfeasibilityWitness | None:
     """A cheap proof that ``g`` holds no square Hamilton cycle, if one shows.
 
@@ -261,13 +271,15 @@ def find_infeasibility_witness(g: Graph) -> InfeasibilityWitness | None:
 
     The alive degrees sit in one vector, started from the row popcounts
     and kept up to date as vertices die: once a kill leaves the bound
-    reachable, the column sums of the dying rows alone, packed by
-    :func:`~squareham.graphcore.packed_rows` and unpacked, are subtracted.
-    A dead vertex holds a value above every alive degree, so ``argmin``,
-    which returns the first minimum, is the lowest-index pick, and the
-    isolated vertices are exactly the zeros.  Memory beyond the graph is
-    one kill's dying rows, packed and then unpacked to a byte per vertex:
-    at most ``9 n**2 / 8`` bytes, dropped before the next kill.  Nothing is
+    reachable, the column sums of the dying rows alone are subtracted, a
+    chunk of rows at a time, each chunk packed by
+    :func:`~squareham.graphcore.packed_rows` and unpacked.  Sums add, so
+    the chunks change no degree.  A dead vertex holds a value above every
+    alive degree, so ``argmin``, which returns the first minimum, is the
+    lowest-index pick, and the isolated vertices are exactly the zeros.
+    Memory beyond the graph is the vector, the dying vertices' list and
+    one chunk, packed and then unpacked to a byte per vertex: at most
+    ``9/8 * max(n, 2**18)`` bytes, whatever the kill's size.  Nothing is
     cached on ``g``.
     """
     n = g.n
@@ -284,6 +296,7 @@ def find_infeasibility_witness(g: Graph) -> InfeasibilityWitness | None:
     # A column sum counts dying rows, at most n, so the smallest unsigned
     # type that holds n is exact, and far faster to sum in than intp.
     count_type = np.min_scalar_type(n)
+    chunk = max(1, _WITNESS_CHUNK_BYTES // n)
     bound = n // 3
     alive = (1 << n) - 1
     chosen: list[int] = []
@@ -296,12 +309,13 @@ def find_infeasibility_witness(g: Graph) -> InfeasibilityWitness | None:
             if len(chosen) + alive.bit_count() <= bound:
                 return None
             dying_ids = bits(dying)
-            degrees -= np.unpackbits(
-                packed_rows([rows[u] for u in dying_ids], n),
-                axis=1,
-                count=n,
-                bitorder="little",
-            ).sum(axis=0, dtype=count_type)
+            for at in range(0, len(dying_ids), chunk):
+                degrees -= np.unpackbits(
+                    packed_rows([rows[u] for u in dying_ids[at : at + chunk]], n),
+                    axis=1,
+                    count=n,
+                    bitorder="little",
+                ).sum(axis=0, dtype=count_type)
             degrees[dying_ids] = dead
             continue
         # Taking an isolated vertex leaves every other degree as it was, so

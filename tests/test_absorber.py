@@ -1,11 +1,12 @@
 import itertools
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis.strategies import data, integers, sampled_from
 
 from squareham import (
+    AbsorberUnit,
     Graph,
     InputError,
     absorb,
@@ -20,7 +21,7 @@ from squareham import (
 )
 from squareham import absorber as absorber_module
 from squareham.absorber import absorber_from_json_obj, absorber_to_json_obj
-from squareham.gadgets import square_path_pairs
+from squareham.gadgets import backbone_label, square_path_pairs
 from squareham.graphcore import bits, mask_of
 
 
@@ -112,6 +113,28 @@ def test_unit_traversals_are_built_once_per_mode(monkeypatch) -> None:
             assert fresh.traversal(mode) == unit.traversal(mode)
     with pytest.raises(InputError):
         a.units[0].traversal("sideways")
+
+
+def test_unit_views_sit_outside_the_compared_fields() -> None:
+    g, a, fail = next(
+        bundle
+        for seed in range(20)
+        if (bundle := build_full_absorber(150, 0.55, seed))[1] is not None
+    )
+    assert [f.name for f in fields(AbsorberUnit)] == ["x", "backbone", "junctions"]
+    for unit in a.units:
+        slots, blocks = unit.backbone.vertices, unit.blocks
+        label = lambda i, j: slots[backbone_label(i, j, blocks)]
+        assert unit.entry == (label(1, 1), label(1, 2))
+        assert unit.exit == (label(blocks, 3), label(blocks, 4))
+        assert unit.vertex_set == mask_of(
+            [unit.x, *slots, *itertools.chain(*unit.junctions)]
+        )
+        fresh = replace(unit)
+        unit.traversal("include")
+        # Walks built on one copy leave its equality, hash and repr alone.
+        assert fresh == unit and hash(fresh) == hash(unit)
+        assert repr(fresh) == repr(unit) and "entry" not in repr(unit)
 
 
 def with_unit_vertex(a, k: int, old: int, new: int):
@@ -248,7 +271,7 @@ def test_verification_detects_a_corrupted_unit() -> None:
         if not absorber.body() >> v & 1 and not g.has_edge(v, verts[-2])
     )
     verts[-1] = outside
-    from dataclasses import replace
+    from dataclasses import fields, replace
 
     bad_unit = replace(unit, backbone=replace(unit.backbone, vertices=tuple(verts)))
     bad = replace(absorber, units=(bad_unit,) + absorber.units[1:])

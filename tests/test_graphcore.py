@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,34 @@ def test_gnp_draw_blocks_replay_the_row_by_row_stream(cap: int, seed: int, n: in
         assert gnp_generate(n, 0.5, seed) == _gnp_row_by_row(n, 0.5, seed)
 
 
+@pytest.mark.parametrize("rows, cap", [(8, 5), (8, 64), (16, 17), (16, 1 << 13)])
+@given(seeds(), integers(min_value=0, max_value=70))
+@example(0, 61)
+def test_gnp_row_blocks_replay_the_row_by_row_stream(
+    rows: int, cap: int, seed: int, n: int
+) -> None:
+    # Blocks of 8 or 16 rows end mid-graph, and a last block cut short by
+    # an n that is no multiple of 8 ends mid-byte.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphcore, "_GNP_BLOCK_ROWS", rows)
+        mp.setattr(graphcore, "_GNP_DRAW_CAP", cap)
+        assert gnp_generate(n, 0.4, seed) == _gnp_row_by_row(n, 0.4, seed)
+
+
+def test_gnp_peak_memory_is_a_fraction_of_a_byte_per_pair() -> None:
+    # One byte per pair, as an n x n boolean matrix, would be n**2; the
+    # packed rows and the graph's int rows are about n**2 / 8 each.
+    n = 1024
+    tracemalloc.start()
+    try:
+        for seed in (1, 2):
+            tracemalloc.reset_peak()
+            gnp_generate(n, 0.5, seed)
+            assert tracemalloc.get_traced_memory()[1] < n * n // 2
+    finally:
+        tracemalloc.stop()
+
+
 @given(seeds(), integers(min_value=1, max_value=30))
 def test_gnp_extreme_probabilities(seed: int, n: int) -> None:
     assert gnp_generate(n, 0.0, seed).edge_count == 0
@@ -145,6 +174,9 @@ def test_gnp_rejects_bad_probability() -> None:
         gnp_generate(5, -0.1, 0)
     with pytest.raises(InputError):
         gnp_generate(-1, 0.5, 0)
+    for n, p in ((5.5, 0.5), ("5", 0.5), (True, 0.5), (5, "0.5"), (5, True)):
+        with pytest.raises(InputError, match="must be"):
+            gnp_generate(n, p, 1)
 
 
 def test_negative_seeds_and_salts_are_input_errors() -> None:
@@ -154,6 +186,18 @@ def test_negative_seeds_and_salts_are_input_errors() -> None:
         rng_for(0, 3, -1)
     with pytest.raises(InputError):
         gnp_generate(5, 0.5, -1)
+    # Seeds, salts and class sizes that are not integers.
+    with pytest.raises(InputError, match="integer"):
+        gnp_generate(5, 0.5, 1.5)
+    for seed, salt in ((1.5, ()), (True, ()), (1, (2.0,))):
+        with pytest.raises(InputError, match="integer"):
+            rng_for(seed, *salt)
+    with pytest.raises(InputError, match="integer"):
+        random_partition(15, [1.5], 1)
+    with pytest.raises(InputError, match="integer"):
+        random_partition(15.0, [1], 1)
+    # numpy integers are integers.
+    assert gnp_generate(np.int64(9), 0.5, np.int64(3)) == gnp_generate(9, 0.5, 3)
 
 
 # Ranges for the replay: k == 1 takes no output; just below 2**32 nearly

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -336,6 +337,16 @@ def test_config_validation_rejects_nonsense() -> None:
         PipelineConfig(restarts=0)
     with pytest.raises(InputError, match="brute_budget"):
         PipelineConfig(brute_budget=-5)
+    for field, value in [
+        ("seed", 1.5),
+        ("seed", True),
+        ("restarts", 2.5),
+        ("restarts", "8"),
+        ("connector_length", 8.0),
+        ("brute_budget", 10.5),
+    ]:
+        with pytest.raises(InputError, match=f"{field} must be an integer"):
+            PipelineConfig(**{field: value})
 
 
 def test_pipeline_rejects_a_negative_seed() -> None:
@@ -634,6 +645,35 @@ def test_witness_search_counts_past_a_byte() -> None:
     assert find_infeasibility_witness(g) == InfeasibilityWitness(
         "independent-set", expected
     )
+
+
+@pytest.mark.parametrize("attack", [False, True])
+def test_witness_search_chunks_change_no_pick(monkeypatch, attack) -> None:
+    # One row per chunk, and chunks that end mid-kill, against one chunk
+    # that takes a whole kill.
+    hosts = [gnp_generate(300, 0.5, s) for s in (1, 2)] + [gnp_generate(600, 0.7, 1)]
+    if attack:
+        hosts = [k3_attack(g, 0.05, 1).attacked for g in hosts]
+    for g in hosts:
+        monkeypatch.setattr(hamiltonian, "_WITNESS_CHUNK_BYTES", g.n * g.n)
+        whole = find_infeasibility_witness(g)
+        for chunk_rows in (1, 7):
+            monkeypatch.setattr(hamiltonian, "_WITNESS_CHUNK_BYTES", chunk_rows * g.n)
+            assert find_infeasibility_witness(g) == whole
+        assert (whole is not None) == attack
+
+
+def test_witness_search_memory_is_set_by_the_chunk() -> None:
+    # The first kill on G(1500, .5) takes about 750 rows, over 1 MB
+    # unpacked at once; in chunks the search stays within two of them.
+    g = gnp_generate(1500, 0.5, 1)
+    tracemalloc.start()
+    try:
+        assert find_infeasibility_witness(g) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * hamiltonian._WITNESS_CHUNK_BYTES
 
 
 def test_witness_search_caches_no_matrix() -> None:
