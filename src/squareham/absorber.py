@@ -11,12 +11,13 @@ in the backbone: its first block is ``u1, u2, v1, v2``.
 :func:`verify_absorber`, links included; no earlier stage re-walks what it
 built.
 
-The absorbee set, the star pools, the backbone, junction and link
-reservoirs and the absorbees a traversal drops are ``int`` bitsets, and so
-are a unit's vertex set and an absorber's body: a unit's jobs draw from its
-reservoir less the finished units with one AND.  A junction or link first
-tests the direct arc, which needs no search; the connector's searches pick
-each vertex uniformly from the pool vertices that fit, with seeded draws.
+The absorbee set, the star pools, the unit and link reservoirs and the
+absorbees a traversal drops are ``int`` bitsets, and so are a unit's vertex
+set and an absorber's body.  A unit's backbone and its junctions draw from
+one unit reservoir less the finished units, with one AND; the links draw
+from their own reservoir.  A junction or link first tests the direct arc,
+which needs no search; the connector's searches pick each vertex uniformly
+from the pool vertices that fit, with seeded draws.
 """
 
 from __future__ import annotations
@@ -218,18 +219,18 @@ def _connect_with_fallback(
 def complete_absorbers(
     g: Graph,
     records: Sequence[StarRecord],
-    w5: int,
-    w6: int,
+    pool: int,
     blocks: int,
     seed: int,
 ) -> tuple[tuple[AbsorberUnit, ...] | None, dict | None]:
     """Thread each star core onto a backbone and wire its block junctions.
 
-    The backbone of each unit has ``blocks`` blocks and is grown through
-    ``w5`` (its first block being the star core), junction interiors through
-    ``w6``; both are bitsets.  A unit that cannot be wired retries with a
-    fresh backbone cut, derived from ``seed``, up to :data:`UNIT_RETRIES`
-    times; reservoir vertices are retired as units succeed.  Each record
+    The backbone of each unit has ``blocks`` blocks (its first block being
+    the star core).  The backbone and its junction interiors grow through
+    one unit reservoir, the bitset ``pool``, less the finished units and the
+    absorbee; a junction also avoids the unit's backbone.  A unit that
+    cannot be wired retries with a fresh backbone cut, derived from
+    ``seed``, up to :data:`UNIT_RETRIES` times.  Each record
     yields one unit, in order; the units are audited once chained (see
     :func:`chain_absorbers`).  A unit that cannot be wired at all aborts
     with diagnostics naming its ``phase`` (``backbone`` or ``junction-i``).
@@ -246,41 +247,36 @@ def complete_absorbers(
     for uidx, rec in enumerate(records):
         unit = None
         last_diag: dict = {}
-        # Both reservoirs less the finished units (and this absorbee).
+        free = pool & ~used & ~(1 << rec.x)
         req = ConnectionRequest(
-            (rec.u2, rec.u1), (rec.v2, rec.v1), w5 & ~used, 2, 4 * blocks
+            (rec.u2, rec.u1), (rec.v2, rec.v1), free, 2, 4 * blocks
         )
-        w6_free = w6 & ~used & ~(1 << rec.x)
         for attempt in range(UNIT_RETRIES):
             base = seed * 100_003 + uidx * 1_009 + attempt * 17
             res = connect_one(g, req, base)
             if not res.ok:
                 last_diag = {"phase": "backbone", "connect": res.diagnostics}
                 continue
-            backbone = res.embedding
-            taken = mask_of(backbone.vertices)
+            slots = res.embedding.vertices
+            taken = mask_of(slots)
             interiors: list[tuple[int, ...]] = []
-            wired = True
-            slots = backbone.vertices
             for i in range(1, blocks):
                 # Slots 3, 4 of block i, then slots 1, 2 of block i + 1:
                 # labels 4i - 2 .. 4i + 1 (see backbone_label).
                 frm = slots[4 * i - 2 : 4 * i]
                 to = slots[4 * i : 4 * i + 2]
                 interior, diag = _connect_with_fallback(
-                    g, frm, to, w6_free & ~taken, base + 7 * i
+                    g, frm, to, free & ~taken, base + 7 * i
                 )
                 if interior is None:
-                    wired = False
                     last_diag = {"phase": f"junction-{i}", "connect": diag}
                     break
                 interiors.append(interior)
                 taken |= mask_of(interior)
-            if not wired:
-                continue
-            unit = AbsorberUnit(rec.x, backbone, tuple(interiors))
-            used |= unit.vertex_set
-            break
+            else:
+                unit = AbsorberUnit(rec.x, res.embedding, tuple(interiors))
+                used |= unit.vertex_set
+                break
         if unit is None:
             return None, {
                 "absorbee": rec.x,
@@ -322,15 +318,15 @@ def _unit_fault(g: Graph, unit: AbsorberUnit, mode: str) -> str | None:
 def chain_absorbers(
     g: Graph,
     units: Sequence[AbsorberUnit],
-    w7: int,
+    pool: int,
     seed: int,
 ) -> tuple[Absorber | None, dict | None]:
     """Join units in order with square-path links into one audited absorber.
 
     Each link connects a unit's exit pair to the next one's entry pair,
     directly when the three required host edges exist, otherwise through the
-    ``w7`` reservoir bitset, searched with connector seeds derived from
-    ``seed``.  A link that cannot be made aborts with
+    link reservoir bitset ``pool`` less the units, searched with connector
+    seeds derived from ``seed``.  A link that cannot be made aborts with
     diagnostics naming the ``link`` phase.  The finished absorber passes
     :func:`verify_absorber` once; this is the only audit a built absorber
     gets.
@@ -351,7 +347,7 @@ def chain_absorbers(
             raise InputError("units to chain must be pairwise disjoint")
         body |= more
     links: list[tuple[int, ...]] = []
-    free = w7 & ~body
+    free = pool & ~body
     for i, (a, b) in enumerate(zip(units, units[1:])):
         interior, diag = _connect_with_fallback(
             g, a.exit, b.entry, free, seed * 9_176 + i * 13

@@ -153,6 +153,7 @@ class Graph:
     __slots__ = ("n", "_rows", "_edge_count", "_matrix")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        check_int("vertex count", n)
         if n < 0:
             raise InputError(f"vertex count must be non-negative, got {n}")
         rows = [0] * n
@@ -412,6 +413,7 @@ def mask_of(vs: Iterable[int]) -> int:
 
 def complete_graph(n: int) -> Graph:
     """The complete graph K_n."""
+    check_int("vertex count", n)
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 

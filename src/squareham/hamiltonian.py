@@ -61,8 +61,9 @@ _ABSORBEE_SHARE = 0.05
 _JOINT_FACTOR = 2
 # Reservoir sizing (see reservoir_sizes): the single and joint star pools'
 # margins over the absorbee count, and the per-absorbee weights of the
-# junction and link reservoirs.  The backbone reservoir's headroom is no
-# constant: it grows with the absorbee count.
+# junctions' share of the unit reservoir and of the link reservoir.  The
+# unit reservoir's headroom is no constant: it grows with the absorbee
+# count.
 _STAR_MARGIN = 2
 _JOINT_MARGIN = 4
 _JUNCTION_WEIGHT = 2
@@ -636,50 +637,53 @@ def reservoir_sizes(x: int, blocks: int) -> list[int]:
     """Role-weighted reservoir sizes for an absorber over ``x`` absorbees
     whose units have ``blocks`` backbone blocks.
 
-    Returns ``[star, joint, joint, joint, w5, w6, w7]``: the four star pools,
-    then the backbone, junction and link reservoirs.  The first star pool
-    feeds single-adjacency picks; the other three feed joint-adjacency picks
-    and must be roughly twice as wide to keep the Hall rounds saturable.
+    Returns ``[star, joint, joint, joint, unit, link]``: the four star
+    pools, then the unit reservoir, which feeds the units' backbones and
+    junctions, and the link reservoir.  The first star pool feeds
+    single-adjacency picks; the other three feed joint-adjacency picks and
+    must be roughly twice as wide to keep the Hall rounds saturable.
 
     The units' backbones take ``interior = 4 * blocks - 4`` vertices each
-    from the backbone reservoir, one unit after another.  Its headroom over
-    the ``interior * x`` they consume is ``max(interior + 1, x)``, so the
-    last unit still chooses among at least ``x`` spare vertices and its
-    backbone keeps finding an embedding as ``x`` grows.
+    from the unit reservoir, one unit after another.  Its headroom over the
+    ``interior * x`` they consume is ``max(interior + 1, x)``, so the last
+    unit still chooses among at least ``x`` spare vertices and its backbone
+    keeps finding an embedding as ``x`` grows; the junctions add
+    ``_JUNCTION_WEIGHT`` vertices per junction, plus 4.
     """
     interior = 4 * blocks - 4
     star = x + _STAR_MARGIN
     joint = _JOINT_FACTOR * x + _JOINT_MARGIN
     # Star pools leave exactly (star - x) + 3 (joint - x) vertices unpicked,
-    # and build_absorber feeds those to the backbone reservoir; the planned
+    # and build_absorber feeds those to the unit reservoir; the planned
     # slice only tops up the difference.
     spare = (star - x) + 3 * (joint - x)
     headroom = max(interior + 1, x)
-    w5 = max(0, interior * x - spare) + headroom
-    w6 = _JUNCTION_WEIGHT * (blocks - 1) * x + 4
-    w7 = _LINK_WEIGHT * max(x - 1, 1) + 4
-    return [star, joint, joint, joint, w5, w6, w7]
+    unit = max(0, interior * x - spare) + headroom
+    unit += _JUNCTION_WEIGHT * (blocks - 1) * x + 4
+    link = _LINK_WEIGHT * max(x - 1, 1) + 4
+    return [star, joint, joint, joint, unit, link]
 
 
 def _plan_partition(n: int, blocks: int) -> tuple[list[int], dict] | None:
     """Class sizes for ``n`` vertices, shrinking the absorbee count to fit.
 
     Returns the sizes ``[x, *reservoir_sizes(x, blocks)]`` to cut, and the
-    plan the failure diagnostics report.
+    plan the failure diagnostics report: the absorbee count ``x``, the
+    ``star`` and ``joint`` pool sizes, the ``unit`` and ``link`` reservoir
+    sizes, and the ``uncommitted`` vertices left to the covering.
     """
     x = max(4, round(_ABSORBEE_SHARE * n))
     while x >= 2:
         sizes = reservoir_sizes(x, blocks)
         total = x + sum(sizes)
         if n - total >= _CLASS_FLOOR:
-            star, joint, _, _, w5, w6, w7 = sizes
+            star, joint, _, _, unit, link = sizes
             return [x, *sizes], {
                 "x": x,
                 "star": star,
                 "joint": joint,
-                "w5": w5,
-                "w6": w6,
-                "w7": w7,
+                "unit": unit,
+                "link": link,
                 "uncommitted": n - total,
             }
         x -= 1
@@ -693,29 +697,25 @@ def build_absorber(
     blocks: int,
     seed: int,
 ) -> tuple[Absorber | None, dict | None]:
-    """Build one chained absorber over the bitset ``xs`` from seven disjoint
+    """Build one chained absorber over the bitset ``xs`` from six disjoint
     bitset pools, with ``blocks`` backbone blocks per unit.
 
     ``pools`` are sized by :func:`reservoir_sizes`: four star pools, then the
-    backbone, junction and link reservoirs.  Star-pool vertices the cores
-    leave unpicked join the backbone reservoir, which keeps it from
-    starving; whatever the units leave of the backbone and junction
-    reservoirs joins the link reservoir.  A returned absorber has passed
-    :func:`chain_absorbers`' audit.
+    unit and link reservoirs.  Star-pool vertices the cores leave unpicked
+    join the unit reservoir, which keeps it from starving; whatever the
+    units leave of it joins the link reservoir.  A returned absorber has
+    passed :func:`chain_absorbers`' audit.
     """
-    w1, w2, w3, w4, w5, w6, w7 = pools
+    w1, w2, w3, w4, unit_pool, link_pool = pools
     records, fail = build_single_absorbers(g, xs, w1, w2, w3, w4)
     if fail is not None:
         return None, fail
     star_used = mask_of(v for r in records for v in (r.u1, r.u2, r.v1, r.v2))
-    w5_pool = (w1 | w2 | w3 | w4 | w5) & ~star_used
-    units, fail = complete_absorbers(g, records, w5_pool, w6, blocks, seed)
+    unit_pool = (w1 | w2 | w3 | w4 | unit_pool) & ~star_used
+    units, fail = complete_absorbers(g, records, unit_pool, blocks, seed)
     if fail is not None:
         return None, fail
-    taken = 0
-    for unit in units:
-        taken |= unit.vertex_set
-    return chain_absorbers(g, units, w7 | ((w5_pool | w6) & ~taken), seed)
+    return chain_absorbers(g, units, link_pool | unit_pool, seed)
 
 
 def _cascade_connect(

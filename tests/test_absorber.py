@@ -34,21 +34,18 @@ def build_full_absorber(n: int, p: float, seed: int, x_count: int = 3):
     joint = 2 * x_count + 8
     masks = []
     at = 0
-    for size in (x_count, star, joint, joint, joint, 4 * x_count + 20, 2 * x_count + 8):
+    for size in (x_count, star, joint, joint, joint, 6 * x_count + 28):
         masks.append(mask_of(order[at : at + size]))
         at += size
-    xs, w1, w2, w3, w4, w5, w6 = masks
-    w7 = mask_of(order[at:])
+    xs, w1, w2, w3, w4, unit_pool = masks
+    link_pool = mask_of(order[at:])
     records, fail = build_single_absorbers(g, xs, w1, w2, w3, w4)
     if fail is not None:
         return g, None, fail
-    units, fail = complete_absorbers(g, records, w5, w6, 2, seed)
+    units, fail = complete_absorbers(g, records, unit_pool, 2, seed)
     if fail is not None:
         return g, None, fail
-    taken = 0
-    for unit in units:
-        taken |= unit.vertex_set
-    built, fail = chain_absorbers(g, units, (w5 | w6 | w7) & ~taken, seed)
+    built, fail = chain_absorbers(g, units, unit_pool | link_pool, seed)
     return g, built, fail
 
 
@@ -350,7 +347,7 @@ def test_completion_reports_exhausted_reservoirs() -> None:
     g = complete_graph(30)
     records, fail = build_single_absorbers(g, *STAR_CLASSES)
     assert fail is None
-    units, fail = complete_absorbers(g, records, 1 << 9, 1 << 10, 2, 0)
+    units, fail = complete_absorbers(g, records, 1 << 9 | 1 << 10, 2, 0)
     assert units is None
     assert fail is not None
     assert fail["phase"] == "backbone"
@@ -400,11 +397,11 @@ def test_absorber_stages_reject_out_of_range_arguments(blocks, seed) -> None:
     g = complete_graph(30)
     records, fail = build_single_absorbers(g, *STAR_CLASSES)
     assert fail is None
-    w5, w6 = mask_of(range(9, 20)), mask_of(range(20, 30))
+    pool = mask_of(range(9, 30))
     with pytest.raises(InputError, match="blocks" if blocks < 2 else "seed"):
-        complete_absorbers(g, records, w5, w6, blocks, seed)
+        complete_absorbers(g, records, pool, blocks, seed)
     if seed < 0:
-        units, fail = complete_absorbers(g, records, w5, w6, 2, 0)
+        units, fail = complete_absorbers(g, records, pool, 2, 0)
         assert fail is None
         with pytest.raises(InputError, match="seed"):
             chain_absorbers(g, units, 0, seed)

@@ -230,7 +230,7 @@ def test_connect_and_absorber_build_outputs_are_pinned(tmp_path, capsys) -> None
     assert stdout_digest(
         capsys, "absorber", "build", "--graph", graph, "--x", "0,1,2",
         "--seed", "3",
-    ) == (0, "5264e09aed262e46f78a51ebe2af2788ed8372218f68aebf46685ca2d63ce4c8")
+    ) == (0, "77ff7a0b03d346c2daba3b5587e686dbf727f0e127a72470ff0bf9466dfaae9a")
 
 
 def test_connect_rejects_negative_vertices(tmp_path, capsys) -> None:

@@ -179,6 +179,18 @@ def test_gnp_rejects_bad_probability() -> None:
             gnp_generate(n, p, 1)
 
 
+def test_vertex_counts_that_are_not_integers_are_input_errors() -> None:
+    for make in (
+        lambda: Graph(5.5, []),
+        lambda: Graph("5", []),
+        lambda: Graph(True, []),
+        lambda: complete_graph(5.5),
+    ):
+        with pytest.raises(InputError, match="vertex count must be an integer"):
+            make()
+    assert Graph(np.int64(3), [(0, 2)]).edges() == ((0, 2),)
+
+
 def test_negative_seeds_and_salts_are_input_errors() -> None:
     with pytest.raises(InputError):
         rng_for(-1)
