@@ -291,16 +291,8 @@ def _cmd_experiment(args) -> tuple[int, str, dict]:
 def _cmd_cover(args) -> tuple[int, str, dict]:
     g = read_graph(args.graph)
     verts = _vertex_mask(g, args.verts) if args.verts else (1 << g.n) - 1
-    res = cover_with_square_paths(
-        g,
-        verts,
-        eps=args.eps,
-        seed=args.seed,
-        class_floor=args.class_floor,
-        budget=args.budget,
-    )
-    meta = {"eps": args.eps, "seed": args.seed}
-    return 0, _json_text(res), meta
+    res = cover_with_square_paths(g, verts, seed=args.seed)
+    return 0, _json_text(res), {"seed": args.seed}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -409,12 +401,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(handler=_cmd_experiment)
 
-    p = sub.add_parser("cover", help="cover a vertex set with square paths")
+    p = sub.add_parser(
+        "cover",
+        help="cover a vertex set with square paths: each class's search "
+        "aims at 3/4 of its vertices and stops after 50 steps per vertex",
+    )
     p.add_argument("--graph", required=True)
     p.add_argument("--verts", default="", help="target vertices (default: all)")
-    p.add_argument("--eps", type=float, default=0.25)
-    p.add_argument("--class-floor", type=int, default=10)
-    p.add_argument("--budget", type=int, default=60_000)
     common(p)
     p.set_defaults(handler=_cmd_cover)
     return parser

@@ -512,14 +512,14 @@ def _gnp_packed(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_partition(
-    universe: int, sizes: Sequence[int], seed: int | np.random.Generator
+    universe: int, sizes: Sequence[int], rng: np.random.Generator
 ) -> tuple[int, ...]:
     """Uniformly random disjoint classes of the exact requested sizes.
 
     Args:
         universe: Bitset of the vertices to partition.
         sizes: Requested class sizes; must sum to at most ``|universe|``.
-        seed: Integer seed or an existing generator.
+        rng: The generator that draws the permutation.
 
     Returns:
         One class bitset per size, in order; the vertices no class takes
@@ -539,7 +539,6 @@ def random_partition(
         raise InputError(
             f"requested {sum(sizes)} vertices but universe has only {len(pool)}"
         )
-    rng = seed if isinstance(seed, np.random.Generator) else rng_for(seed, 1)
     perm = [pool[i] for i in rng.permutation(len(pool)).tolist()]
     classes = []
     at = 0

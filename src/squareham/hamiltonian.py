@@ -71,6 +71,11 @@ _LINK_WEIGHT = 2
 # Smallest covering class; a plan must leave at least this many vertices
 # to the covering.
 _CLASS_FLOOR = 10
+# Each cover search aims to leave at most this share of its vertex set
+# uncovered, and spends at most this many steps per vertex of that set
+# (restarts and extensions alike).
+_COVER_EPS = 0.25
+_COVER_STEPS_PER_VERTEX = 50
 # Probes (direct-arc tests and connections) the final threading may spend.
 _ASSEMBLY_BUDGET = 2_000
 
@@ -446,27 +451,18 @@ class AlmostSpanningResult:
     coverage: float
 
 
-def _check_eps_and_budget(eps: float, budget: int) -> None:
-    if budget < 1:
-        raise InputError(f"budget must be at least 1, got {budget}")
-    if not 0 < eps < 1:
-        raise InputError(f"eps must lie in (0, 1), got {eps}")
-
-
 def almost_spanning_square_path(
-    g: Graph,
-    eps: float = 0.1,
-    seed: int = 0,
-    budget: int = 50_000,
-    verts: int | None = None,
+    g: Graph, seed: int = 0, verts: int | None = None
 ) -> AlmostSpanningResult:
     """Randomized greedy search for a long square path through the bitset
     ``verts`` (every vertex of ``g`` when ``None``).
 
     Grows a path from a random edge at both ends through common
-    neighborhoods, restarting until the budget is spent or coverage reaches
-    ``1 - eps``.  Always returns its best attempt (possibly a single vertex);
-    this is a measured heuristic, not a guarantee.
+    neighborhoods, restarting until the path holds
+    ``ceil((1 - _COVER_EPS) * |verts|)`` vertices or
+    ``_COVER_STEPS_PER_VERTEX * |verts|`` steps are spent, whichever comes
+    first.  Always returns its best attempt (possibly a single vertex); this
+    is a measured heuristic, not a guarantee.
 
     Each end keeps its candidate mask between steps: the end that grew
     recomputes its own, and the other end only loses the new vertex.  Every
@@ -477,10 +473,8 @@ def almost_spanning_square_path(
     numpy's scalar draws gave, without numpy's cost per call.
 
     Raises:
-        InputError: If ``budget`` is below 1, ``eps`` lies outside (0, 1),
-            or ``verts`` is negative or holds a bit at or above ``n``.
+        InputError: If ``verts`` is negative or holds a bit at or above ``n``.
     """
-    _check_eps_and_budget(eps, budget)
     vmask = (1 << g.n) - 1 if verts is None else verts
     g.check_mask(vmask)
     vs = bits(vmask)
@@ -491,7 +485,8 @@ def almost_spanning_square_path(
     rows = g.rows
     draw = bounded_draws(rng_for(seed, 47))
     best: tuple[int, ...] = (vs[0],)
-    target = math.ceil((1 - eps) * len(vs))
+    target = math.ceil((1 - _COVER_EPS) * len(vs))
+    budget = _COVER_STEPS_PER_VERTEX * len(vs)
     spent = 0
     while spent < budget and len(best) < target:
         spent += 1
@@ -545,36 +540,27 @@ class CoverResult:
     leftover_fraction: float
 
 
-def cover_with_square_paths(
-    g: Graph,
-    u_prime: int,
-    eps: float = 0.25,
-    seed: int = 0,
-    class_floor: int = _CLASS_FLOOR,
-    budget: int = 60_000,
-) -> CoverResult:
+def cover_with_square_paths(g: Graph, u_prime: int, seed: int = 0) -> CoverResult:
     """Bootstrap covering of the bitset ``u_prime``: halving classes, each
     swept after the last's dregs.
 
-    The target set is cut into classes of sizes ``|U'|/2, |U'|/4, ...``
-    (remainder joining the last class); class ``i + 1`` is searched together
-    with whatever class ``i`` left uncovered.  Paths shorter than two
-    vertices are returned as leftover instead.
+    The target set is cut into classes of sizes ``|U'|/2, |U'|/4, ...``,
+    none below ``_CLASS_FLOOR`` (remainder joining the last class); class
+    ``i + 1`` is searched together with whatever class ``i`` left
+    uncovered.  Each search is :func:`almost_spanning_square_path` on that
+    set, so its target and step budget follow from the set's size.  Paths
+    shorter than two vertices are returned as leftover instead.
 
     Raises:
-        InputError: If ``class_floor`` or ``budget`` is below 1, ``eps``
-            lies outside (0, 1), or ``u_prime`` is negative or holds a bit at
-            or above ``n``.
+        InputError: If ``u_prime`` is negative or holds a bit at or above
+            ``n``.
     """
-    if class_floor < 1:
-        raise InputError(f"class_floor must be at least 1, got {class_floor}")
-    _check_eps_and_budget(eps, budget)
     g.check_mask(u_prime)
     msize = u_prime.bit_count()
     if msize == 0:
-        return CoverResult((), (), (), eps, 0.0)
+        return CoverResult((), (), (), _COVER_EPS, 0.0)
     q = 1
-    while msize // 2 ** (q + 1) >= class_floor:
+    while msize // 2 ** (q + 1) >= _CLASS_FLOOR:
         q += 1
     sizes = [msize // 2 ** i for i in range(1, q + 1)]
     sizes[-1] += msize - sum(sizes)
@@ -582,16 +568,14 @@ def cover_with_square_paths(
     paths: list[tuple[int, ...]] = []
     for i, cls in enumerate(random_partition(u_prime, sizes, rng_for(seed, 43))):
         pool = carry | cls
-        res = almost_spanning_square_path(
-            g, eps=eps, seed=seed * 101 + i, budget=budget, verts=pool
-        )
+        res = almost_spanning_square_path(g, seed=seed * 101 + i, verts=pool)
         carry = pool
         if len(res.path) >= 2:
             paths.append(res.path)
             carry &= ~mask_of(res.path)
     leftover = tuple(bits(carry))
     return CoverResult(
-        tuple(paths), leftover, tuple(sizes), eps, len(leftover) / msize
+        tuple(paths), leftover, tuple(sizes), _COVER_EPS, len(leftover) / msize
     )
 
 

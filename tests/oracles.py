@@ -8,8 +8,6 @@ the current ones must return the same result, the same first fault and the
 same message.
 """
 
-import numpy as np
-
 from squareham.gadgets import (
     Embedding,
     ValidationResult,
@@ -18,16 +16,16 @@ from squareham.gadgets import (
 )
 from squareham.graphcore import Graph, mask_of, rng_for
 from squareham.hamiltonian import (
+    _CLASS_FLOOR,
     Certificate,
     CertificateCheck,
     almost_spanning_square_path,
 )
 
 
-def listed_random_partition(universe, sizes, seed) -> list[tuple[int, ...]]:
+def listed_random_partition(universe, sizes, rng) -> list[tuple[int, ...]]:
     """``random_partition`` on a vertex iterable: sorted class tuples."""
     pool = sorted(set(universe))
-    rng = seed if isinstance(seed, np.random.Generator) else rng_for(seed, 1)
     perm = [pool[i] for i in rng.permutation(len(pool)).tolist()]
     classes = []
     at = 0
@@ -38,7 +36,7 @@ def listed_random_partition(universe, sizes, seed) -> list[tuple[int, ...]]:
 
 
 def listed_cover(
-    g: Graph, u_prime, eps: float, seed: int, class_floor: int, budget: int
+    g: Graph, u_prime, seed: int
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The paths and leftover of ``cover_with_square_paths`` on a vertex
     iterable, carrying sorted tuples from class to class."""
@@ -47,7 +45,7 @@ def listed_cover(
     if msize == 0:
         return (), ()
     q = 1
-    while msize // 2 ** (q + 1) >= class_floor:
+    while msize // 2 ** (q + 1) >= _CLASS_FLOOR:
         q += 1
     sizes = [msize // 2**i for i in range(1, q + 1)]
     sizes[-1] += msize - sum(sizes)
@@ -55,9 +53,7 @@ def listed_cover(
     paths = []
     for i, cls in enumerate(listed_random_partition(u, sizes, rng_for(seed, 43))):
         pool = sorted(set(carry) | set(cls))
-        res = almost_spanning_square_path(
-            g, eps=eps, seed=seed * 101 + i, budget=budget, verts=mask_of(pool)
-        )
+        res = almost_spanning_square_path(g, seed=seed * 101 + i, verts=mask_of(pool))
         if len(res.path) >= 2:
             paths.append(res.path)
             carry = tuple(sorted(set(pool) - set(res.path)))

@@ -489,13 +489,18 @@ def test_cover_reports_paths_and_leftover(tmp_path, capsys) -> None:
     assert "paths" in payload and "leftover" in payload
     covered = sum(len(p) for p in payload["paths"]) + len(payload["leftover"])
     assert covered == 60
+    out = str(tmp_path / "cover.json")
+    assert run("cover", "--graph", graph, "--seed", "1", "--out", out) == 0
+    manifest = json.loads((tmp_path / "cover.json.manifest.json").read_text())
+    assert manifest["config"] == {"seed": 1}
 
 
 def test_cover_rejects_bad_parameters(tmp_path, capsys) -> None:
     graph = write_graph(tmp_path, "g.edges", 20, 0.5, 2)
-    assert run("cover", "--graph", graph, "--class-floor", "0") == 2
-    assert run("cover", "--graph", graph, "--eps", "1.5") == 2
-    assert run("cover", "--graph", graph, "--budget", "-1") == 2
+    # The cover takes no tuning settings, so these are unknown options.
+    for flag, value in (("--class-floor", "0"), ("--eps", "1.5"),
+                        ("--budget", "-1"), ("--budget", "5")):
+        assert run("cover", "--graph", graph, flag, value) == 2
     assert run("cover", "--graph", graph, "--verts", "999") == 2
     capsys.readouterr()
 

@@ -205,9 +205,9 @@ def test_negative_seeds_and_salts_are_input_errors() -> None:
         with pytest.raises(InputError, match="integer"):
             rng_for(seed, *salt)
     with pytest.raises(InputError, match="integer"):
-        random_partition(15, [1.5], 1)
+        random_partition(15, [1.5], rng_for(1, 7))
     with pytest.raises(InputError, match="integer"):
-        random_partition(15.0, [1], 1)
+        random_partition(15.0, [1], rng_for(1, 7))
     # numpy integers are integers.
     assert gnp_generate(np.int64(9), 0.5, np.int64(3)) == gnp_generate(9, 0.5, 3)
 
@@ -494,9 +494,10 @@ def test_random_partition_of_a_bitset_draws_the_listed_classes(
     while sum(sizes) > len(universe):
         sizes.pop()
     mask = mask_of(universe)
-    for draw in (lambda: seed, lambda: rng_for(seed, 8)):
-        expected = tuple(map(mask_of, listed_random_partition(universe, sizes, draw())))
-        assert random_partition(mask, sizes, draw()) == expected
+    expected = listed_random_partition(universe, sizes, rng_for(seed, 8))
+    assert random_partition(mask, sizes, rng_for(seed, 8)) == tuple(
+        map(mask_of, expected)
+    )
 
 
 def test_random_partition_rejects_oversized_request() -> None:

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import inspect
 import json
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import squareham
+from squareham import hamiltonian
 from squareham.hamiltonian import STAGES, PipelineConfig
 
 # ``__init__.py`` is left out: its imports are the package's re-exports.
@@ -299,3 +301,12 @@ def test_pipeline_config_holds_only_settings_callers_change() -> None:
     # setting with one value in use is a module constant instead.
     fields = {f.name for f in dataclasses.fields(PipelineConfig)}
     assert fields == {"connector_length", "brute_budget", "restarts", "seed"}
+    # The cover's target and step budget follow from each class's size.
+    cover_params = {
+        fn: list(inspect.signature(getattr(hamiltonian, fn)).parameters)
+        for fn in ("almost_spanning_square_path", "cover_with_square_paths")
+    }
+    assert cover_params == {
+        "almost_spanning_square_path": ["g", "seed", "verts"],
+        "cover_with_square_paths": ["g", "u_prime", "seed"],
+    }
