@@ -196,16 +196,19 @@ def _cmd_verify(args) -> tuple[int, str, dict]:
 
 def _cmd_connect(args) -> tuple[int, str, dict]:
     g = read_graph(args.graph)
+    # A connection's vertices are distinct, so a longer one cannot exist;
+    # reject it before its template (one entry per label) is built.
+    if args.length > g.n:
+        raise InputError(f"--length {args.length} exceeds the host's {g.n} vertices")
     # The connector never draws a port, so the default reservoir is every
     # vertex.
     w = _vertex_mask(g, args.w) if args.w else (1 << g.n) - 1
+    w &= ~_vertex_mask(g, args.exclude)
     reqs = [
         ConnectionRequest(frm, to, w, args.b, args.length)
         for frm, to in _job_pairs(args.pairs)
     ]
-    res = connect_all(
-        g, reqs, args.seed, args.retries, x=_vertex_mask(g, args.exclude)
-    )
+    res = connect_all(g, reqs, args.seed, args.retries)
     payload = {
         "ok": res.ok,
         "embeddings": [

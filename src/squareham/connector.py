@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .gadgets import (
     BACKBONE,
@@ -30,7 +30,7 @@ from .gadgets import (
     build_gadget,
     validate_embedding,
 )
-from .graphcore import Graph, InputError, mask_of, nth_bit
+from .graphcore import Graph, InputError, check_int, mask_of, nth_bit, splitmix64
 
 
 @dataclass(frozen=True)
@@ -77,14 +77,14 @@ class _Pool(int):
     __len__ = int.bit_count
 
 
-def _validate_request(g: Graph, req: ConnectionRequest, x: int = 0) -> int:
+def _validate_request(g: Graph, req: ConnectionRequest) -> int:
     """Check one job and return the bitset of its four ports.
 
     Raises:
         InputError: On a width or length the templates lack, ports that are
             not two ordered pairs of distinct vertices of ``g`` joined by
             host edges, or a reservoir that is not an ``int`` bitset of
-            vertices of ``g`` once the exclusion ``x`` is taken out.
+            vertices of ``g``.
     """
     b, length = req.b, req.length
     if b == 1:
@@ -111,7 +111,7 @@ def _validate_request(g: Graph, req: ConnectionRequest, x: int = 0) -> int:
     rows = g.rows
     if not (rows[p] >> q & 1 and rows[r] >> s & 1):
         raise InputError(f"job ports must be host edges: {req.frm} -> {req.to}")
-    g.check_mask(req.w, "reservoir", x)
+    g.check_mask(req.w, "reservoir")
     return 1 << p | 1 << q | 1 << r | 1 << s
 
 
@@ -144,10 +144,12 @@ def connect_one(g: Graph, req: ConnectionRequest, seed: int) -> ConnectResult:
 
     Raises:
         InputError: On a malformed request (a reservoir that is not an
-            ``int`` bitset of vertices of ``g`` included) or a negative seed.
+            ``int`` bitset of vertices of ``g`` included) or a seed that is
+            not a non-negative integer.
     """
     ports = _validate_request(g, req)
     # The search draws lazily, so check the seed up front.
+    check_int("seed", seed)
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     return _direct_connect(g, req, _Pool(req.w & ~ports), seed)
@@ -182,18 +184,6 @@ def _template(b: int, length: int) -> tuple[
             if lab in back_nbrs and (other not in back_nbrs or other < lab):
                 back_nbrs[lab].append(other)
     return gadget, fixed_edges, free, tuple(tuple(back_nbrs[lab]) for lab in free)
-
-
-def _splitmix64(seed: int) -> Iterator[int]:
-    """The SplitMix64 stream of 64-bit draws seeded by ``seed`` modulo 2^64
-    (Steele, Lea and Flood 2014)."""
-    m64 = (1 << 64) - 1
-    state = seed & m64
-    while True:
-        state = state + 0x9E3779B97F4A7C15 & m64
-        z = (state ^ state >> 30) * 0xBF58476D1CE4E5B9 & m64
-        z = (z ^ z >> 27) * 0x94D049BB133111EB & m64
-        yield z ^ z >> 31
 
 
 def _direct_connect(
@@ -236,7 +226,7 @@ def _direct_connect(
         if not rows[image[a]] >> image[c] & 1:
             break
     else:
-        draws = _splitmix64(seed)
+        draws = splitmix64(seed)
         depth = len(free)
 
         def fill(k: int, avail: int) -> bool:
@@ -287,30 +277,25 @@ def connect_all(
     reqs: Sequence[ConnectionRequest],
     seed: int,
     retries: int = 3,
-    x: int = 0,
 ) -> ConnectAllResult:
     """Connect every job with pairwise disjoint interiors.
 
     Greedy rounds: each round satisfies the first open job that fits, each
-    job drawing from its reservoir less the bitset ``x``, the vertices of
-    the finished jobs and the ports of the open ones.  A round makes up to
-    ``retries`` attempts with fresh search seeds before the whole batch
-    fails.
+    job drawing from its reservoir less the vertices of the finished jobs
+    and the ports of the open ones.  A round makes up to ``retries``
+    attempts with fresh search seeds before the whole batch fails.
 
     Raises:
-        InputError: On no jobs, ``retries`` below 1, a negative ``x``, a
-            malformed job, or from-pairs or to-pairs that are not pairwise
-            disjoint.
+        InputError: On no jobs, ``retries`` below 1, a malformed job, or
+            from-pairs or to-pairs that are not pairwise disjoint.
     """
     if not reqs:
         raise InputError("a batch needs at least one connection job")
     if retries < 1:
         raise InputError(f"retries must be at least 1, got {retries}")
-    if x < 0:
-        raise InputError(f"an exclusion mask must be non-negative, got {x}")
     fwd_seen = bwd_seen = 0
     for req in reqs:
-        _validate_request(g, req, x)
+        _validate_request(g, req)
         fwd, bwd = mask_of(req.frm), mask_of(req.to)
         if fwd & fwd_seen:
             raise InputError("from-pairs must be pairwise disjoint")
@@ -319,7 +304,7 @@ def connect_all(
         fwd_seen |= fwd
         bwd_seen |= bwd
     out: list[Embedding | None] = [None] * len(reqs)
-    used = x
+    used = 0
     for round_no in range(len(reqs)):
         open_jobs = [i for i, emb in enumerate(out) if emb is None]
         ports = (v for i in open_jobs for v in (*reqs[i].frm, *reqs[i].to))

@@ -28,6 +28,13 @@ are exact: every entry is an integer of at most ``n``, and float32 holds
 every integer below 2^24 exactly (a graph on 2^24 vertices would need a
 256 TiB matrix).  A triangle count sums a row of such entries, which can
 pass 2^24, so those sums are accumulated in float64 (exact below 2^53).
+
+Seeded randomness follows one rule: numpy for bulk draws, SplitMix64 per
+pick.  Partitions, permutations, G(n, p) rows and experiment samples come
+from a numpy generator made by :func:`rng_for`.  A search that picks one
+vertex at a time takes each pick as ``next(stream) % k`` from a
+:func:`splitmix64` stream, with no numpy call per pick; the pick is uniform
+up to a bias below ``k / 2^64``.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -76,64 +83,16 @@ def rng_for(seed: int, *salt: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(salt)))
 
 
-#: Most raw words :func:`bounded_draws` takes from its generator at once; it
-#: starts from a few, since most consumers want only a few dozen draws.
-_MAX_RAW_WORDS = 1024
-
-
-def bounded_draws(rng: np.random.Generator) -> Callable[[int], int]:
-    """A draw function with ``draw(k) == int(rng.integers(k))``, draw for
-    draw, for ``1 <= k <= 2**32``, at a fraction of numpy's per-call cost.
-
-    What numpy does for a scalar ``rng.integers(k)`` on its default PCG64
-    generator: ``k == 1`` returns 0 and takes nothing.  Any other range
-    takes 32-bit outputs, which PCG64 cuts from its 64-bit words, the low
-    half first, holding the high half back for the next 32-bit output,
-    across calls.  Each output ``u`` is scaled by Lemire's method:
-    ``m = u * k``; if ``m mod 2**32 < (2**32 - k) % k`` the output is
-    rejected and the next one taken, else the draw is ``m >> 32``.
-
-    Why the replay is exact: ``rng.bit_generator.random_raw`` hands out the
-    same 64-bit words, in the same order, that those outputs are cut from.
-    The replay takes them in bulk (a few first, twice as many at each
-    refill), cuts each into its halves low first, and applies the same test
-    and scaling, so from the same state it sees the same outputs and
-    returns the same draws.  The state must hold no half word back, as a
-    fresh :func:`rng_for` generator holds none, and ``rng`` must not be
-    drawn from afterwards: its words run ahead of the draws, and the half
-    held back lives here, not in the generator.
-
-    Raises:
-        InputError: From ``draw``, if ``k`` lies outside ``1..2**32``.
-    """
-    raw = rng.bit_generator.random_raw
-
-    def halves() -> Iterator[int]:
-        want = 4
-        while True:
-            # Little-endian words viewed as 32-bit pairs: low half first.
-            yield from raw(want).astype("<u8", copy=False).view("<u4").tolist()
-            want = min(2 * want, _MAX_RAW_WORDS)
-
-    take = halves().__next__
-
-    def draw(k: int) -> int:
-        if k == 1:
-            return 0
-        if not 1 < k <= 0x1_0000_0000:
-            raise InputError(f"a bounded draw needs 1 <= k <= 2**32, got {k}")
-        m = take() * k
-        low = m & 0xFFFF_FFFF
-        if low < k:
-            # numpy's shortcut: the threshold is below k, so only then is it
-            # computed.
-            threshold = (0x1_0000_0000 - k) % k
-            while low < threshold:
-                m = take() * k
-                low = m & 0xFFFF_FFFF
-        return m >> 32
-
-    return draw
+def splitmix64(seed: int) -> Iterator[int]:
+    """The SplitMix64 stream of 64-bit draws seeded by ``seed`` modulo 2^64
+    (Steele, Lea and Flood 2014)."""
+    m64 = (1 << 64) - 1
+    state = seed & m64
+    while True:
+        state = state + 0x9E3779B97F4A7C15 & m64
+        z = (state ^ state >> 30) * 0xBF58476D1CE4E5B9 & m64
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & m64
+        yield z ^ z >> 31
 
 
 class Graph:
@@ -226,17 +185,14 @@ class Graph:
             self.check_vertex(min(vs))
             self.check_vertex(max(vs))
 
-    def check_mask(
-        self, mask: int, name: str = "vertex mask", excluded: int = 0
-    ) -> None:
+    def check_mask(self, mask: int, name: str = "vertex mask") -> None:
         """Raise :class:`InputError` unless ``mask`` is a bitset of vertices
         of this graph: an ``int``, non-negative, with no bit at or above
-        ``n`` outside the bitset ``excluded``.  ``name`` says what the mask
-        is in the message."""
+        ``n``.  ``name`` says what the mask is in the message."""
         if not isinstance(mask, int):
             kind = type(mask).__name__
             raise InputError(f"a {name} must be an int bitset, got {kind}")
-        if mask < 0 or (mask & ~excluded) >> self.n:
+        if mask < 0 or mask >> self.n:
             raise InputError(f"{name} holds bits outside 0..{self.n - 1}")
 
     @property

@@ -30,13 +30,13 @@ from .graphcore import (
     Graph,
     InputError,
     bits,
-    bounded_draws,
     check_int,
     mask_of,
     nth_bit,
     packed_rows,
     random_partition,
     rng_for,
+    splitmix64,
 )
 from .matching import BipartiteInstance, hall_saturating_matching
 
@@ -465,15 +465,15 @@ def almost_spanning_square_path(
     is a measured heuristic, not a guarantee.
 
     Each end keeps its candidate mask between steps: the end that grew
-    recomputes its own, and the other end only loses the new vertex.  Every
-    pick is ``int(rng_for(seed, 47).integers(k))`` in the order the search
-    asks, replayed by :func:`~squareham.graphcore.bounded_draws` from the
-    generator's raw PCG64 words (32-bit halves, low half first, scaled by
-    Lemire's rejection method as numpy scales them), so the paths are those
-    numpy's scalar draws gave, without numpy's cost per call.
+    recomputes its own, and the other end only loses the new vertex.  Each
+    pick among ``k`` candidates is ``next(draws) % k``, with ``draws`` the
+    :func:`~squareham.graphcore.splitmix64` stream seeded by
+    ``64 * seed + 47``, so that a cover search and a connector search given
+    the same seed draw different streams.
 
     Raises:
-        InputError: If ``verts`` is negative or holds a bit at or above ``n``.
+        InputError: If ``verts`` is negative or holds a bit at or above
+            ``n``, or ``seed`` is not a non-negative integer.
     """
     vmask = (1 << g.n) - 1 if verts is None else verts
     g.check_mask(vmask)
@@ -483,18 +483,22 @@ def almost_spanning_square_path(
     if len(vs) == 1:
         return AlmostSpanningResult((vs[0],), 1.0)
     rows = g.rows
-    draw = bounded_draws(rng_for(seed, 47))
+    # The stream draws lazily, so check the seed up front.
+    check_int("seed", seed)
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
+    draws = splitmix64(64 * seed + 47)
     best: tuple[int, ...] = (vs[0],)
     target = math.ceil((1 - _COVER_EPS) * len(vs))
     budget = _COVER_STEPS_PER_VERTEX * len(vs)
     spent = 0
     while spent < budget and len(best) < target:
         spent += 1
-        a = vs[draw(len(vs))]
+        a = vs[next(draws) % len(vs)]
         nbrs = rows[a] & vmask
         if not nbrs:
             continue
-        b = nth_bit(nbrs, draw(nbrs.bit_count()))
+        b = nth_bit(nbrs, next(draws) % nbrs.bit_count())
         # The path is head reversed, then tail; first and last are its ends.
         head, tail = [a], [b]
         first, last = a, b
@@ -508,14 +512,14 @@ def almost_spanning_square_path(
             # Feed the scarcer end first so neither side starves early.
             nf, nb = fwd.bit_count(), bwd.bit_count()
             if fwd and (not bwd or nf <= nb):
-                v = nth_bit(fwd, draw(nf))
+                v = nth_bit(fwd, next(draws) % nf)
                 free &= ~(1 << v)
                 fwd = rows[v] & rows[last] & free
                 bwd &= free
                 tail.append(v)
                 last = v
             else:
-                v = nth_bit(bwd, draw(nb))
+                v = nth_bit(bwd, next(draws) % nb)
                 free &= ~(1 << v)
                 bwd = rows[v] & rows[first] & free
                 fwd &= free

@@ -208,6 +208,19 @@ def test_connect_rejects_overlapping_from_pairs(tmp_path, capsys) -> None:
     assert "from-pairs" in capsys.readouterr().err
 
 
+def test_connect_rejects_a_length_above_the_vertex_count(tmp_path, capsys) -> None:
+    # A connection's vertices are distinct, so the host bounds its length;
+    # a huge length must exit 2 before a template with one entry per label
+    # is built.
+    graph = write_graph(tmp_path, "g.edges", 6, 1.0, 0)
+    for length in ("7", "3000000"):
+        assert run("connect", "--graph", graph, "--pairs", "0,1,2,3",
+                   "--length", length) == 2
+        assert "exceeds" in capsys.readouterr().err
+    assert run("connect", "--graph", graph, "--pairs", "0,1,2,3",
+               "--length", "6") == 0
+
+
 def stdout_digest(capsys, *argv: str) -> tuple[int, str]:
     code = run(*argv)
     return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()

@@ -77,13 +77,14 @@ def test_short_connections_on_a_complete_graph_always_land(
 
 @given(integers(min_value=0, max_value=100))
 def test_interiors_avoid_the_exclusion_set(seed: int) -> None:
+    # Callers exclude vertices by taking them out of the reservoir.
     bundle = host_and_jobs(60, 0.6, seed)
     if bundle is None:
         return
     g, ((frm, to),), w = bundle
     x = mask_of(bits(w)[::3])
-    req = ConnectionRequest(frm, to, w, b=1, length=6)
-    res = connect_all(g, [req], seed=seed, x=x)
+    req = ConnectionRequest(frm, to, w & ~x, b=1, length=6)
+    res = connect_all(g, [req], seed=seed)
     if not res.ok:
         return
     interior = mask_of(res.embeddings[0].vertices[2:-2])
@@ -198,16 +199,11 @@ def test_reservoir_vertices_outside_the_host_are_rejected(bad: int) -> None:
 def test_reservoir_masks_outside_the_host_are_rejected() -> None:
     g = complete_graph(10)
     for w in (mask_of((4, 5, 10)), -1):
+        req = ConnectionRequest((0, 1), (2, 3), w, length=5)
         with pytest.raises(InputError):
-            connect_one(g, ConnectionRequest((0, 1), (2, 3), w, length=5), seed=0)
-    # A vertex outside the host is fine once it is excluded.
-    req = ConnectionRequest((0, 1), (2, 3), mask_of((4, 5, 6, 10)), length=5)
-    with pytest.raises(InputError):
-        connect_one(g, req, seed=0)
-    assert connect_all(g, [req], seed=0, x=1 << 10).ok
-    # A negative exclusion mask would silently exclude every vertex.
-    with pytest.raises(InputError):
-        connect_all(g, [req], seed=0, x=-1 << 10)
+            connect_one(g, req, seed=0)
+        with pytest.raises(InputError):
+            connect_all(g, [req], seed=0)
 
 
 def test_connection_templates_are_built_once_per_shape(monkeypatch) -> None:
@@ -366,14 +362,14 @@ def test_a_search_draws_once_per_pick_and_never_before_a_free_label(
     monkeypatch,
 ) -> None:
     draws = []
-    splitmix = connector._splitmix64
+    splitmix = connector.splitmix64
 
     def counting(seed):
         for draw in splitmix(seed):
             draws.append(draw)
             yield draw
 
-    monkeypatch.setattr(connector, "_splitmix64", counting)
+    monkeypatch.setattr(connector, "splitmix64", counting)
     g = complete_graph(12).remove_edges([(1, 2)])
     w = mask_of(range(6, 12))
     # Length 5 needs the port edge 1-2, so no job gets to a free label.
@@ -386,8 +382,9 @@ def test_a_search_draws_once_per_pick_and_never_before_a_free_label(
     # On a complete pool every pick fits, so a length-7 job picks three times.
     assert connect_one(g, ConnectionRequest((0, 3), (4, 5), w, length=7), 4).ok
     assert len(draws) == 3
-    with pytest.raises(InputError):
-        connect_one(g, blocked, seed=-1)
+    for seed in (-1, 1.5):
+        with pytest.raises(InputError):
+            connect_one(g, blocked, seed=seed)
 
 
 def test_connect_all_names_the_stalled_jobs_and_the_last_search() -> None:

@@ -13,7 +13,6 @@ from hypothesis.strategies import (
     integers,
     just,
     lists,
-    one_of,
     sets,
     tuples,
 )
@@ -30,7 +29,6 @@ from squareham import graphcore
 from squareham.graphcore import (
     FamilyParams,
     bits,
-    bounded_draws,
     check_family_membership,
     codegrees,
     edges_within,
@@ -42,6 +40,7 @@ from squareham.graphcore import (
     nth_bit,
     packed_rows,
     random_partition,
+    splitmix64,
     triangle_profile,
 )
 from squareham.absorber import build_single_absorbers
@@ -212,54 +211,12 @@ def test_negative_seeds_and_salts_are_input_errors() -> None:
     assert gnp_generate(np.int64(9), 0.5, np.int64(3)) == gnp_generate(9, 0.5, 3)
 
 
-# Ranges for the replay: k == 1 takes no output; just below 2**32 nearly
-# every output passes numpy's first test and computes the threshold; at
-# 2**31 + 1 about half the outputs are rejected.
-DRAW_RANGES = one_of(
-    just(1),
-    integers(min_value=2, max_value=1_000),
-    integers(min_value=2**32 - 1_000, max_value=2**32),
-    just(2**31 + 1),
-)
-
-
-@given(seeds(), lists(DRAW_RANGES, max_size=300))
-@example(0, [1] * 5 + [2**31 + 1] * 200 + [1, 7, 2**32 - 1])
-def test_bounded_draws_replay_numpy_draw_for_draw(seed: int, ks: list[int]) -> None:
-    # 300 draws, or 200 that reject about half their outputs, run past the
-    # first five refills (4, 8, 16, 32 and 64 words).
-    rng = rng_for(seed, 47)
-    draw = bounded_draws(rng_for(seed, 47))
-    assert [draw(k) for k in ks] == [int(rng.integers(k)) for k in ks]
-
-
-def test_bounded_draws_read_each_word_low_half_first() -> None:
-    word = int(rng_for(3, 47).bit_generator.random_raw())
-    draw = bounded_draws(rng_for(3, 47))
-    # k == 1 takes nothing, and 2**32 returns the output itself.
-    assert [draw(1) for _ in range(10)] == [0] * 10
-    assert draw(2**32) == word & 0xFFFF_FFFF
-    assert draw(2**32) == word >> 32
-
-
-def test_bounded_draws_skip_the_outputs_numpy_rejects() -> None:
-    k = 2**31 + 1
-    threshold = (2**32 - k) % k
-    words = rng_for(5, 47).bit_generator.random_raw(100).tolist()
-    halves = [h for w in words for h in (w & 0xFFFF_FFFF, w >> 32)]
-    kept = [u * k >> 32 for u in halves if u * k & 0xFFFF_FFFF >= threshold]
-    assert 60 < len(kept) < 140
-    draw = bounded_draws(rng_for(5, 47))
-    assert [draw(k) for _ in kept] == kept
-    rng = rng_for(5, 47)
-    assert [int(rng.integers(k)) for _ in kept] == kept
-
-
-def test_bounded_draws_reject_ranges_numpy_scales_otherwise() -> None:
-    draw = bounded_draws(rng_for(0, 47))
-    for k in (0, -3, 2**32 + 1):
-        with pytest.raises(InputError):
-            draw(k)
+def test_splitmix64_gives_the_reference_outputs() -> None:
+    # The first outputs of the reference SplitMix64 for seed 0; seeds are
+    # taken modulo 2^64.
+    expected = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    for seed in (0, 2**64):
+        assert list(itertools.islice(splitmix64(seed), 3)) == expected
 
 
 @given(integers(min_value=1, max_value=50))

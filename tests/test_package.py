@@ -248,8 +248,8 @@ def _rng_calls_in_loops(fn: ast.AST) -> list[str]:
 
 
 def test_the_cover_makes_no_numpy_call_per_pick() -> None:
-    # The extension loop picks through a replay of numpy's draws; a scalar
-    # Generator call cost about 2.8 us per pick, a third of each step.
+    # The extension loop picks from a SplitMix64 stream; a scalar Generator
+    # call cost about 2.8 us per pick, a third of each step.
     path = Path(squareham.__file__).parent / "hamiltonian.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     (fn,) = [
@@ -270,8 +270,33 @@ def test_the_per_pick_guard_sees_every_spelling() -> None:
     )
     for src in flagged:
         assert _rng_calls_in_loops(ast.parse(src)), src
-    quiet = "draw = bounded_draws(rng_for(seed, 47))\nwhile go:\n    v = draw(k)"
+    quiet = "draws = splitmix64(64 * seed + 47)\nwhile go:\n    v = next(draws) % k"
     assert _rng_calls_in_loops(ast.parse(quiet)) == []
+
+
+# SplitMix64's state increment, the golden-ratio constant 2^64 / phi.
+SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+
+
+def test_every_per_pick_search_draws_from_one_stream() -> None:
+    # Numpy for bulk draws, SplitMix64 per pick: the stream is defined once,
+    # in graphcore, and the two searches that pick one vertex at a time
+    # draw from it.
+    definers = {
+        f"{path.stem}.{fn.name}"
+        for path in MODULES
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(fn, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Constant) and node.value == SPLITMIX_GAMMA
+            for node in ast.walk(fn)
+        )
+    }
+    assert definers == {"graphcore.splitmix64"}
+    assert _library_callers({"splitmix64"}) == {
+        "connector._direct_connect",
+        "hamiltonian.almost_spanning_square_path",
+    }
 
 
 def test_the_hall_rounds_never_list_a_row() -> None:
