@@ -27,6 +27,8 @@ from .graphcore import (
     _square_less_within,
     _triangles,
     bits,
+    check_int,
+    check_probability,
     edges_within,
     gnp_generate,
     mask_of,
@@ -39,8 +41,8 @@ def _gamma_fraction(gamma) -> Fraction:
     """Interpret ``gamma`` as a decimal-precision rational in [0, 1/2)."""
     try:
         frac = Fraction(gamma).limit_denominator(10**9)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"gamma must be a number, got {gamma!r}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"gamma must be a finite number, got {gamma!r}") from exc
     if not 0 <= frac < Fraction(1, 2):
         raise InputError(f"gamma must lie in [0, 1/2), got {gamma}")
     return frac
@@ -130,8 +132,13 @@ def triangle_retention_profile(
         A :class:`RetentionProfile`.
 
     Raises:
-        InputError: If ``after`` is not a subgraph of ``before``.
+        InputError: If ``after`` is not a subgraph of ``before``, ``p_hint``
+            is not a real number in ``[0, 1]``, or ``gamma`` is outside
+            ``[0, 1/2)``.
     """
+    if p_hint is not None:
+        check_probability("p_hint", p_hint)
+    gfrac = None if gamma is None else _gamma_fraction(gamma)
     ok, offending = after.is_subgraph_of(before)
     if not ok:
         raise InputError(f"after-graph has a new edge {offending}")
@@ -143,8 +150,7 @@ def triangle_retention_profile(
     n = before.n
     threshold_low = threshold_high = None
     below = above = None
-    if p_hint is not None and gamma is not None:
-        gfrac = _gamma_fraction(gamma)
+    if p_hint is not None and gfrac is not None:
         scale = math.comb(n, 2) * p_hint**3
         threshold_low = float((Fraction(4, 9) - gfrac) * Fraction(scale))
         threshold_high = float((Fraction(4, 9) + gfrac) * Fraction(scale))
@@ -477,17 +483,23 @@ def resilience_experiment(
         "aggregates": ...}``.  Deterministic for fixed seeds and params.
 
     Raises:
-        InputError: If ``gamma`` is outside ``[0, 1/2)``, the seed count is
-            negative or ``jobs`` is below 1.
+        InputError: If ``n`` is not a non-negative integer, ``p`` not a real
+            number in ``[0, 1]``, ``gamma`` outside ``[0, 1/2)``, the seed
+            count or an explicit seed not a non-negative integer, or
+            ``jobs`` not an integer of at least 1.
     """
+    check_int("n", n, 0)
+    check_probability("p", p)
     _gamma_fraction(gamma)
-    if jobs < 1:
-        raise InputError(f"jobs must be at least 1, got {jobs}")
-    if isinstance(seeds, int) and seeds < 0:
-        raise InputError(f"seed count must be non-negative, got {seeds}")
-    seed_list = list(range(seeds)) if isinstance(seeds, int) else [
-        int(s) for s in seeds
-    ]
+    check_int("jobs", jobs, 1)
+    if isinstance(seeds, Iterable):
+        seeds = list(seeds)
+        for s in seeds:
+            check_int("seed", s, 0)
+        seed_list = [int(s) for s in seeds]
+    else:
+        check_int("seed count", seeds, 0)
+        seed_list = list(range(seeds))
     params = {
         "n": n,
         "p": p,

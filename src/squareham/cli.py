@@ -95,38 +95,6 @@ def _job_pairs(text: str) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]
     return tuple(jobs)
 
 
-def load_pipeline_config(path: str | None, seed: int | None) -> PipelineConfig:
-    """Build a :class:`PipelineConfig` from a flat ``key=value`` file.
-
-    Blank lines and ``#`` comments are ignored; ``seed`` (from ``--seed``)
-    overrides the file.  Every value is an integer.
-    """
-    data: dict[str, str] = {}
-    if path is not None:
-        for lineno, line in enumerate(
-            Path(path).read_text().splitlines(), start=1
-        ):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise InputError(f"{path}:{lineno}: expected key=value")
-            key, _, value = stripped.partition("=")
-            data[key.strip()] = value.strip()
-    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
-    kwargs = {}
-    for key, raw in data.items():
-        if key not in fields:
-            raise InputError(f"unknown config key {key!r}")
-        try:
-            kwargs[key] = int(raw)
-        except ValueError as exc:
-            raise InputError(f"config key {key!r} needs int, got {raw!r}") from exc
-    if seed is not None:
-        kwargs["seed"] = seed
-    return PipelineConfig(**kwargs)
-
-
 def _cmd_generate(args) -> tuple[int, str, dict]:
     g = gnp_generate(args.n, args.p, args.seed)
     text = (
@@ -170,9 +138,11 @@ def _cmd_profile(args) -> tuple[int, str, dict]:
 
 
 def _cmd_find(args) -> tuple[int, str, dict]:
+    """Run the pipeline on ``--graph``, checked against ``--host`` if given;
+    ``--seed`` is its one setting.  A failure report exits 1."""
     g = read_graph(args.graph)
     host = read_graph(args.host) if args.host else None
-    config = load_pipeline_config(args.config, args.seed)
+    config = PipelineConfig(seed=args.seed)
     outcome = find_square_ham(g, host, config)
     cfg = dataclasses.asdict(config)
     if isinstance(outcome, Certificate):
@@ -208,7 +178,7 @@ def _cmd_connect(args) -> tuple[int, str, dict]:
         ConnectionRequest(frm, to, w, args.b, args.length)
         for frm, to in _job_pairs(args.pairs)
     ]
-    res = connect_all(g, reqs, args.seed, args.retries)
+    res = connect_all(g, reqs, args.seed)
     payload = {
         "ok": res.ok,
         "embeddings": [
@@ -338,9 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find", help="run the full pipeline on a stored graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--host", default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", type=str, default=None)
+    common(p)
     p.set_defaults(handler=_cmd_find)
 
     p = sub.add_parser(
@@ -365,7 +333,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", default="", help="reservoir vertices (default: rest)")
     p.add_argument("--b", type=int, choices=(1, 2), default=1)
     p.add_argument("--length", type=int, default=4)
-    p.add_argument("--retries", type=int, default=3)
     p.add_argument("--exclude", default="", help="vertices to keep out of interiors")
     common(p)
     p.set_defaults(handler=_cmd_connect)

@@ -32,6 +32,9 @@ from .gadgets import (
 )
 from .graphcore import Graph, InputError, check_int, mask_of, nth_bit, splitmix64
 
+# Search seeds each connect_all round tries before the batch fails.
+_ROUND_ATTEMPTS = 3
+
 
 @dataclass(frozen=True)
 class ConnectionRequest:
@@ -149,9 +152,7 @@ def connect_one(g: Graph, req: ConnectionRequest, seed: int) -> ConnectResult:
     """
     ports = _validate_request(g, req)
     # The search draws lazily, so check the seed up front.
-    check_int("seed", seed)
-    if seed < 0:
-        raise InputError(f"seed must be non-negative, got {seed}")
+    check_int("seed", seed, 0)
     return _direct_connect(g, req, _Pool(req.w & ~ports), seed)
 
 
@@ -276,23 +277,21 @@ def connect_all(
     g: Graph,
     reqs: Sequence[ConnectionRequest],
     seed: int,
-    retries: int = 3,
 ) -> ConnectAllResult:
     """Connect every job with pairwise disjoint interiors.
 
     Greedy rounds: each round satisfies the first open job that fits, each
     job drawing from its reservoir less the vertices of the finished jobs
-    and the ports of the open ones.  A round makes up to ``retries``
-    attempts with fresh search seeds before the whole batch fails.
+    and the ports of the open ones.  A round tries every open job with up
+    to ``_ROUND_ATTEMPTS`` search seeds, derived from ``seed`` and the
+    round, before the whole batch fails.
 
     Raises:
-        InputError: On no jobs, ``retries`` below 1, a malformed job, or
-            from-pairs or to-pairs that are not pairwise disjoint.
+        InputError: On no jobs, a malformed job, or from-pairs or to-pairs
+            that are not pairwise disjoint.
     """
     if not reqs:
         raise InputError("a batch needs at least one connection job")
-    if retries < 1:
-        raise InputError(f"retries must be at least 1, got {retries}")
     fwd_seen = bwd_seen = 0
     for req in reqs:
         _validate_request(g, req)
@@ -313,7 +312,7 @@ def connect_all(
         round_seed = seed * 1_000_003 + round_no * 101
         tries = (
             (i, connect_one(g, job, round_seed + attempt))
-            for attempt in range(retries)
+            for attempt in range(_ROUND_ATTEMPTS)
             for i, job in jobs.items()
         )
         for i, res in tries:

@@ -54,12 +54,24 @@ class InputError(ValueError):
     """Raised when an operation receives structurally invalid input."""
 
 
-def check_int(name: str, value: object) -> None:
-    """Raise :class:`InputError` unless ``value`` is an integer: a Python or
-    numpy ``int``, not a ``bool``.  ``name`` says what the value is in the
-    message."""
+def check_int(name: str, value: object, low: int | None = None) -> None:
+    """Raise :class:`InputError` unless ``value`` is an integer, a Python or
+    numpy ``int`` but not a ``bool``, and at least ``low`` when one is given.
+    ``name`` says what the value is in the message."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InputError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        bound = "non-negative" if low == 0 else f"at least {low}"
+        raise InputError(f"{name} must be {bound}, got {value}")
+
+
+def check_probability(name: str, value: object) -> None:
+    """Raise :class:`InputError` unless ``value`` is a real number (not a
+    ``bool``) in ``[0, 1]``; NaN and the infinities are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{name} must be a real number, got {value!r}")
+    if not (0.0 <= value <= 1.0):
+        raise InputError(f"{name} must lie in [0, 1], got {value}")
 
 
 def rng_for(seed: int, *salt: int) -> np.random.Generator:
@@ -112,11 +124,15 @@ class Graph:
     __slots__ = ("n", "_rows", "_edge_count", "_matrix")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        check_int("vertex count", n)
-        if n < 0:
-            raise InputError(f"vertex count must be non-negative, got {n}")
+        check_int("vertex count", n, 0)
         rows = [0] * n
-        for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"edge {edge!r} is not a vertex pair") from exc
+            check_int("edge endpoint", u)
+            check_int("edge endpoint", v)
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
@@ -402,13 +418,8 @@ def gnp_generate(n: int, p: float, seed: int) -> Graph:
     Raises:
         InputError: If an argument is not of its kind or lies out of range.
     """
-    check_int("n", n)
-    if n < 0:
-        raise InputError(f"n must be non-negative, got {n}")
-    if isinstance(p, bool) or not isinstance(p, numbers.Real):
-        raise InputError(f"p must be a real number, got {p!r}")
-    if not (0.0 <= p <= 1.0):
-        raise InputError(f"p must lie in [0, 1], got {p}")
+    check_int("n", n, 0)
+    check_probability("p", p)
     data = _gnp_packed(int(n), float(p), rng_for(seed, 0)).tobytes()
     width = (n + 7) // 8
     # Slicing one bytes object is about twice as fast as reading numpy rows.

@@ -78,40 +78,25 @@ _COVER_EPS = 0.25
 _COVER_STEPS_PER_VERTEX = 50
 # Probes (direct-arc tests and connections) the final threading may spend.
 _ASSEMBLY_BUDGET = 2_000
+# Backbone blocks per absorber unit, and pipeline attempts per call.
+_BLOCKS = 2
+_RESTARTS = 8
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """The pipeline settings that callers run with different values.
-
-    ``connector_length`` is the width-2 backbone connector length (a
-    multiple of 4, at least 8), so each unit has ``connector_length // 4``
-    blocks.  ``brute_budget`` bounds the exhaustive search on small hosts,
-    ``restarts`` the pipeline attempts (both at least 1); ``seed`` is
-    non-negative.  Every field is an integer, and a ``bool`` is not one.
-    Every other constant of the construction, the reservoir sizing of
+    """The one pipeline setting callers run with different values: the
+    ``seed`` of every random choice, a non-negative integer (a ``bool`` is
+    not one).  Every constant of the construction, the backbone's block
+    count, the attempt count and the reservoir sizing of
     :func:`reservoir_sizes` included, is fixed in this module and in
     ``absorber``.
     """
 
-    connector_length: int = 8
-    brute_budget: int = 3_000_000
-    restarts: int = 8
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for f in dataclasses.fields(self):
-            check_int(f.name, getattr(self, f.name))
-        if self.connector_length < 8 or self.connector_length % 4 != 0:
-            raise InputError(
-                "connector_length must be a multiple of 4, at least 8, "
-                f"got {self.connector_length}"
-            )
-        for name in ("brute_budget", "restarts"):
-            if getattr(self, name) < 1:
-                raise InputError(f"{name} must be at least 1")
-        if self.seed < 0:
-            raise InputError(f"seed must be non-negative, got {self.seed}")
+        check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -398,7 +383,11 @@ def brute_force_square_ham(g: Graph, budget: int = 3_000_000) -> BruteForceResul
     Vertex 0 is pinned first and the two traversal directions are collapsed
     by requiring the second vertex to precede the last one.  Intended for
     small instances; larger ones exhaust ``budget`` and report ``unknown``.
+
+    Raises:
+        InputError: If ``budget`` is not an integer of at least 1.
     """
+    check_int("budget", budget, 1)
     n = g.n
     if n < 3:
         return BruteForceResult("none", None, 0)
@@ -484,9 +473,7 @@ def almost_spanning_square_path(
         return AlmostSpanningResult((vs[0],), 1.0)
     rows = g.rows
     # The stream draws lazily, so check the seed up front.
-    check_int("seed", seed)
-    if seed < 0:
-        raise InputError(f"seed must be non-negative, got {seed}")
+    check_int("seed", seed, 0)
     draws = splitmix64(64 * seed + 47)
     best: tuple[int, ...] = (vs[0],)
     target = math.ceil((1 - _COVER_EPS) * len(vs))
@@ -652,17 +639,17 @@ def reservoir_sizes(x: int, blocks: int) -> list[int]:
     return [star, joint, joint, joint, unit, link]
 
 
-def _plan_partition(n: int, blocks: int) -> tuple[list[int], dict] | None:
+def _plan_partition(n: int) -> tuple[list[int], dict] | None:
     """Class sizes for ``n`` vertices, shrinking the absorbee count to fit.
 
-    Returns the sizes ``[x, *reservoir_sizes(x, blocks)]`` to cut, and the
+    Returns the sizes ``[x, *reservoir_sizes(x, _BLOCKS)]`` to cut, and the
     plan the failure diagnostics report: the absorbee count ``x``, the
     ``star`` and ``joint`` pool sizes, the ``unit`` and ``link`` reservoir
     sizes, and the ``uncommitted`` vertices left to the covering.
     """
     x = max(4, round(_ABSORBEE_SHARE * n))
     while x >= 2:
-        sizes = reservoir_sizes(x, blocks)
+        sizes = reservoir_sizes(x, _BLOCKS)
         total = x + sum(sizes)
         if n - total >= _CLASS_FLOOR:
             star, joint, _, _, unit, link = sizes
@@ -840,13 +827,12 @@ def _attempt(
 ) -> Certificate | FailureReport:
     n = g.n
     seed0 = config.seed * 1_000_003 + restart * 7_919
-    blocks = config.connector_length // 4
-    planned = _plan_partition(n, blocks)
+    planned = _plan_partition(n)
     # find_square_ham sends the hosts no plan fits to exhaustive search.
     assert planned is not None, f"no reservoir plan fits n={n}"
     sizes, plan = planned
     x_mask, *pools = random_partition((1 << n) - 1, sizes, rng_for(seed0, 53))
-    absorber, fail = build_absorber(g, x_mask, pools, blocks, seed0 + 1)
+    absorber, fail = build_absorber(g, x_mask, pools, _BLOCKS, seed0 + 1)
     if fail is not None:
         return FailureReport("absorber", dict(fail, plan=plan))
 
@@ -924,13 +910,13 @@ def find_square_ham(
     proves that no certificate exists, so it ends the call before any
     search.  Otherwise hosts too small for any reservoir plan delegate to
     exhaustive search, and larger ones run the partition / absorber /
-    covering / matching / connecting / absorption pipeline, restarting with
-    fresh randomness when a stage fails.
+    covering / matching / connecting / absorption pipeline, up to
+    ``_RESTARTS`` times with fresh randomness while a stage fails.
 
     Args:
         g: Host graph.
         gamma_host: Optional ambient graph ``g`` must be a subgraph of.
-        config: Pipeline tunables.
+        config: The pipeline's seed.
 
     Returns:
         One of three outcomes: a :class:`Certificate` that has passed
@@ -950,8 +936,8 @@ def find_square_ham(
         check = verify_witness(g, witness)
         assert check.ok, f"the witness search produced a bad witness: {check.reason}"
         return FailureReport("partition", {"mode": "infeasibility-witness"}, witness)
-    if _plan_partition(g.n, config.connector_length // 4) is None:
-        res = brute_force_square_ham(g, config.brute_budget)
+    if _plan_partition(g.n) is None:
+        res = brute_force_square_ham(g)
         if res.status == "found":
             assert res.certificate is not None
             return res.certificate
@@ -964,7 +950,7 @@ def find_square_ham(
             },
         )
     last: FailureReport | None = None
-    for restart in range(config.restarts):
+    for restart in range(_RESTARTS):
         outcome = _attempt(g, config, restart)
         if isinstance(outcome, Certificate):
             return outcome

@@ -321,6 +321,29 @@ def test_experiment_rejects_jobs_below_one() -> None:
             resilience_experiment(40, 0.5, 0.05, 2, jobs=jobs)
 
 
+def test_experiment_checks_its_parameters_before_any_seed() -> None:
+    # Zero seeds run nothing, so only the up-front checks can catch these.
+    for n, p, seeds, jobs in ((-5, 0.5, 0, 1), (5.5, 0.5, 0, 1), (20, 1.5, 0, 1),
+                              (20, float("nan"), 0, 1), (20, True, 0, 1),
+                              (20, 0.5, True, 1), (20, 0.5, 1.5, 1),
+                              (20, 0.5, [1.5], 1), (20, 0.5, "ab", 1),
+                              (20, 0.5, 0, 1.5)):
+        with pytest.raises(InputError):
+            resilience_experiment(n, p, 0.05, seeds, jobs=jobs)
+    for gamma in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(InputError, match="gamma"):
+            resilience_experiment(20, 0.5, gamma, 0)
+
+
+def test_retention_profile_checks_its_theory_parameters() -> None:
+    g = complete_graph(6)
+    for p_hint, gamma in ((float("inf"), 0.1), (float("nan"), 0.1), (-1, 0.1),
+                          (2, 0.1), ("0.5", 0.1), (0.5, float("inf")),
+                          (0.5, float("nan")), (None, 0.7), (1.5, None)):
+        with pytest.raises(InputError):
+            triangle_retention_profile(g, g, p_hint, gamma)
+
+
 def test_experiment_asks_for_at_most_one_worker_per_seed(monkeypatch) -> None:
     # The process pool forks every worker it is allowed at the first submit,
     # so the request must be capped before the pool is built.

@@ -66,6 +66,23 @@ def test_attack_rejects_gamma_out_of_range(tmp_path) -> None:
     assert run("attack", "--graph", graph, "--gamma", "0.6", "--seed", "0") == 2
 
 
+def test_non_finite_or_out_of_range_parameters_are_usage_errors(
+    tmp_path, capsys
+) -> None:
+    graph = write_graph(tmp_path, "g.edges", 10, 0.5, 0)
+    profile = ("profile", "--before", graph, "--after", graph)
+    for flags in (("--p-hint", "0.5", "--gamma", "inf"),
+                  ("--p-hint", "inf", "--gamma", "0.1"),
+                  ("--p-hint", "nan", "--gamma", "0.1"),
+                  ("--p-hint", "-1", "--gamma", "0.1"),
+                  ("--p-hint", "2", "--gamma", "0.1")):
+        assert run(*profile, *flags) == 2
+    experiment = ("experiment", "-n", "20", "-p", "0.5", "--gamma", "0.1")
+    for flags in (("--gamma", "inf"), ("-n", "-5"), ("-p", "1.5")):
+        assert run(*experiment, *flags, "--seeds", "0") == 2
+    capsys.readouterr()
+
+
 def test_profile_csv_has_one_row_per_vertex(tmp_path, capsys) -> None:
     before = write_graph(tmp_path, "before.edges", 15, 0.8, 4)
     after = str(tmp_path / "after.edges")
@@ -82,6 +99,8 @@ def test_find_then_verify_round_trips(tmp_path, capsys) -> None:
     graph = write_graph(tmp_path, "g.edges", 100, 0.6, 12)
     cert = str(tmp_path / "cert.json")
     assert run("find", "--graph", graph, "--seed", "0", "--out", cert) == 0
+    manifest = json.loads((tmp_path / "cert.json.manifest.json").read_text())
+    assert manifest["config"] == {"seed": 0}
     assert run("verify", "--graph", graph, "--certificate", cert) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is True
@@ -135,42 +154,6 @@ def test_find_writes_a_witness_that_verify_checks(tmp_path, capsys) -> None:
     capsys.readouterr()
 
 
-def test_find_reads_key_value_config_files(tmp_path) -> None:
-    graph = write_graph(tmp_path, "g.edges", 100, 0.6, 12)
-    config = tmp_path / "pipeline.cfg"
-    config.write_text("# tuning\nrestarts = 4\n")
-    cert = str(tmp_path / "cert.json")
-    assert run("find", "--graph", graph, "--config", str(config),
-               "--seed", "1", "--out", cert) == 0
-    manifest = json.loads((tmp_path / "cert.json.manifest.json").read_text())
-    assert manifest["config"]["restarts"] == 4
-    assert manifest["config"]["seed"] == 1
-
-
-def test_unknown_config_keys_are_a_usage_error(tmp_path) -> None:
-    graph = write_graph(tmp_path, "g.edges", 20, 0.5, 0)
-    config = tmp_path / "bad.cfg"
-    config.write_text("wibble = 3\n")
-    assert run("find", "--graph", graph, "--config", str(config)) == 2
-
-
-def test_malformed_config_values_are_a_usage_error(tmp_path, capsys) -> None:
-    graph = write_graph(tmp_path, "g.edges", 20, 0.5, 0)
-    config = tmp_path / "bad.cfg"
-    # Retired settings are unknown keys: the pipeline fixes them as constants.
-    retired = ("eps = 0.75", "x_fraction = 0.05", "joint_factor = 2",
-               "class_floor = 10", "cover_eps = 0.25", "cover_budget = 60000",
-               "small_n_cutoff = 40", "unit_retries = 8",
-               "assembly_lengths = 4,5,6,7,8", "assembly_budget = 2000",
-               "connect_retries = 3", "link_retries = 6", "star_margin = 2",
-               "joint_margin = 4", "backbone_headroom = 5",
-               "junction_weight = 2", "link_weight = 2")
-    for text in ("restarts = abc", "alpha = 0.05", *retired):
-        config.write_text(text + "\n")
-        assert run("find", "--graph", graph, "--config", str(config)) == 2
-    assert "restarts" in capsys.readouterr().err
-
-
 def test_connect_embeds_each_requested_pair(tmp_path, capsys) -> None:
     graph = write_graph(tmp_path, "g.edges", 30, 1.0, 0)
     assert run("connect", "--graph", graph, "--pairs", "0,1,2,3",
@@ -192,14 +175,6 @@ def test_connect_builds_long_backbones_without_a_route_flag(tmp_path) -> None:
                "--b", "2", "--length", "12", "--seed", "5") == 0
     assert run("connect", "--graph", graph, "--pairs", "0,1,2,3",
                "--route", "direct") == 2
-
-
-@pytest.mark.parametrize("retries", ["0", "-4"])
-def test_connect_rejects_retries_below_one(tmp_path, capsys, retries) -> None:
-    graph = write_graph(tmp_path, "g.edges", 30, 1.0, 0)
-    assert run("connect", "--graph", graph, "--pairs", "0,1,2,3",
-               "--retries", retries) == 2
-    assert "retries" in capsys.readouterr().err
 
 
 def test_connect_rejects_overlapping_from_pairs(tmp_path, capsys) -> None:
@@ -515,6 +490,17 @@ def test_cover_rejects_bad_parameters(tmp_path, capsys) -> None:
                         ("--budget", "-1"), ("--budget", "5")):
         assert run("cover", "--graph", graph, flag, value) == 2
     assert run("cover", "--graph", graph, "--verts", "999") == 2
+    capsys.readouterr()
+
+
+def test_retired_pipeline_settings_are_unknown_options(tmp_path, capsys) -> None:
+    graph = write_graph(tmp_path, "g.edges", 30, 1.0, 0)
+    config = tmp_path / "pipeline.cfg"
+    config.write_text("restarts = 4\n")
+    # The seed is the pipeline's one setting; the rest are constants.
+    assert run("find", "--graph", graph, "--config", str(config)) == 2
+    assert run("connect", "--graph", graph, "--pairs", "0,1,2,3",
+               "--retries", "3") == 2
     capsys.readouterr()
 
 

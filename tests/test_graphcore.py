@@ -684,6 +684,13 @@ def test_graph_collapses_duplicates_and_rejects_loops() -> None:
         Graph(3, [(0, 3)])
 
 
+def test_graph_rejects_edges_that_are_not_integer_pairs() -> None:
+    for edge in ((0, 1.5), (0, "1"), (0,), (0, 1, 2), (0, True), 7, None):
+        with pytest.raises(InputError):
+            Graph(3, [edge])
+    assert Graph(3, [(np.int64(0), np.int32(2))]).has_edge(0, 2)
+
+
 @given(integers(min_value=6, max_value=30), floats(min_value=0.02, max_value=0.15))
 def test_family_membership_holds_for_the_graph_itself(n: int, alpha: float) -> None:
     gamma = complete_graph(n)

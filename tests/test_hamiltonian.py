@@ -113,6 +113,9 @@ def test_exhaustive_search_respects_its_budget() -> None:
     res = brute_force_square_ham(g, budget=50)
     assert res.status == "unknown"
     assert res.nodes <= 51
+    for budget in (0, -1, 1.5, "x", True):
+        with pytest.raises(InputError, match="budget"):
+            brute_force_square_ham(g, budget=budget)
 
 
 @settings(max_examples=30)
@@ -278,9 +281,10 @@ def test_pipeline_audits_absorbers_with_more_than_63_absorbees() -> None:
         assert verify_certificate(g, out).ok
 
 
-def test_pipeline_failure_reports_name_a_stage() -> None:
+def test_pipeline_failure_reports_name_a_stage(monkeypatch) -> None:
+    monkeypatch.setattr(hamiltonian, "_RESTARTS", 2)
     g = gnp_generate(100, 0.05, 0)
-    outcome = find_square_ham(g, config=PipelineConfig(seed=0, restarts=2))
+    outcome = find_square_ham(g, config=PipelineConfig(seed=0))
     assert isinstance(outcome, FailureReport)
     assert outcome.stage in STAGES
     assert outcome.diagnostics
@@ -299,22 +303,20 @@ def test_pipeline_delegates_small_hosts_to_exhaustive_search() -> None:
     assert outcome.diagnostics["brute_status"] == "none"
 
 
-@pytest.mark.parametrize(
-    "n, connector_length", [(41, 8), (58, 8), (70, 16)]
-)
+@pytest.mark.parametrize("n, backbone", [(41, 8), (58, 8), (70, 16)])
 def test_hosts_no_reservoir_plan_fits_go_to_exhaustive_search(
-    n: int, connector_length: int
+    monkeypatch, n: int, backbone: int
 ) -> None:
-    # Below 59 vertices (79 at connector_length 16) no absorbee count
+    # Below 59 vertices (79 with 16-vertex backbones) no absorbee count
     # leaves room for the reservoirs; the exhaustive search still answers.
-    config = PipelineConfig(connector_length=connector_length)
-    assert hamiltonian._plan_partition(n, connector_length // 4) is None
+    monkeypatch.setattr(hamiltonian, "_BLOCKS", backbone // 4)
+    assert hamiltonian._plan_partition(n) is None
     g = complete_graph(n)
-    out = find_square_ham(g, config=config)
+    out = find_square_ham(g)
     assert isinstance(out, Certificate) and verify_certificate(g, out).ok
 
 
-def test_small_host_failures_carry_a_witness_when_one_shows() -> None:
+def test_small_host_failures_carry_a_witness_when_one_shows(monkeypatch) -> None:
     # K_{5,7}: its side of 7 is independent with 7 > 12 // 3, so the
     # witness answers before the exhaustive search runs.
     g = Graph(12, [(u, v) for u in range(5) for v in range(5, 12)])
@@ -323,8 +325,12 @@ def test_small_host_failures_carry_a_witness_when_one_shows() -> None:
     assert outcome.diagnostics == {"mode": "infeasibility-witness"}
     assert outcome.witness.kind == "independent-set"
     assert verify_witness(g, outcome.witness).ok
-    # No budget is spent, so none changes the answer.
-    assert find_square_ham(g, config=PipelineConfig(brute_budget=1)) == outcome
+    # The witness answers alone: the exhaustive search never runs.
+    def unreachable(*args, **kwargs):
+        pytest.fail("the exhaustive search ran after a witness showed")
+
+    monkeypatch.setattr(hamiltonian, "brute_force_square_ham", unreachable)
+    assert find_square_ham(g) == outcome
 
 
 def test_pipeline_checks_the_host_relation() -> None:
@@ -335,22 +341,11 @@ def test_pipeline_checks_the_host_relation() -> None:
 
 
 def test_config_validation_rejects_nonsense() -> None:
-    with pytest.raises(InputError):
-        PipelineConfig(connector_length=10)
-    with pytest.raises(InputError):
-        PipelineConfig(restarts=0)
-    with pytest.raises(InputError, match="brute_budget"):
-        PipelineConfig(brute_budget=-5)
-    for field, value in [
-        ("seed", 1.5),
-        ("seed", True),
-        ("restarts", 2.5),
-        ("restarts", "8"),
-        ("connector_length", 8.0),
-        ("brute_budget", 10.5),
-    ]:
-        with pytest.raises(InputError, match=f"{field} must be an integer"):
-            PipelineConfig(**{field: value})
+    with pytest.raises(InputError, match="seed must be non-negative"):
+        PipelineConfig(seed=-1)
+    for value in (1.5, True, "8"):
+        with pytest.raises(InputError, match="seed must be an integer"):
+            PipelineConfig(seed=value)
 
 
 def test_pipeline_rejects_a_negative_seed() -> None:
@@ -530,13 +525,12 @@ def test_each_built_absorber_is_audited_once(monkeypatch) -> None:
     assert len(audits) == sum(built)
 
 
-def test_three_block_connectors_certify_with_the_planned_pools() -> None:
-    # connector_length 12 asks for three-block backbones; reservoir_sizes
-    # grows the unit reservoir with the connector's interior.
+def test_three_block_connectors_certify_with_the_planned_pools(monkeypatch) -> None:
+    # Three-block backbones: reservoir_sizes grows the unit reservoir with
+    # the backbone's interior.
+    monkeypatch.setattr(hamiltonian, "_BLOCKS", 3)
     g = gnp_generate(400, 0.5, 50)
-    outcome = find_square_ham(
-        g, config=PipelineConfig(seed=0, connector_length=12)
-    )
+    outcome = find_square_ham(g, config=PipelineConfig(seed=0))
     assert isinstance(outcome, Certificate)
     assert verify_certificate(g, outcome).ok
 
@@ -815,7 +809,7 @@ def test_gnp_restarts_are_untouched_by_the_witness_search(
     g = gnp_generate(n, p, 0)
     config = PipelineConfig(seed=seed)
     expected = []
-    for restart in range(config.restarts):
+    for restart in range(hamiltonian._RESTARTS):
         expected.append(hamiltonian._attempt(g, config, restart))
         if isinstance(expected[-1], Certificate):
             break

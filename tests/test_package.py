@@ -325,7 +325,7 @@ def test_pipeline_config_holds_only_settings_callers_change() -> None:
     # A new field needs two callers that set it to different values; a
     # setting with one value in use is a module constant instead.
     fields = {f.name for f in dataclasses.fields(PipelineConfig)}
-    assert fields == {"connector_length", "brute_budget", "restarts", "seed"}
+    assert fields == {"seed"}
     # The cover's target and step budget follow from each class's size.
     cover_params = {
         fn: list(inspect.signature(getattr(hamiltonian, fn)).parameters)
