@@ -7,13 +7,13 @@ Submodules:
         triangle counts from one symmetric ``A·Aᵀ`` product (an attacked
         graph's square corrected from its host's on the attacked class's
         rows), family membership.
-    gadgets: square-path / backbone templates and embeddings.
+    gadgets: square-path templates, embeddings and square-path checks.
     matching: Hall matching with a deficient-set witness.
     connector: one pair-to-pair connection per search over a reservoir,
         and batches with disjoint interiors.
-    absorber: per-vertex absorbing units (the star core kept only in the
-        backbone), chaining, and the one absorber audit, which chaining
-        runs on every absorber it returns.
+    absorber: per-vertex absorbing units (each the five-vertex star core
+        its Hall rounds match), chaining, and the one absorber audit, which
+        chaining runs on every absorber it returns.
     hamiltonian: the end-to-end pipeline, brute-force oracle, certificates
         and checkable infeasibility witnesses.
     adversary: triangle-removal attacks, retention profiling, experiments.
@@ -29,7 +29,6 @@ __version__ = "0.1.0"
 from .absorber import (
     Absorber,
     AbsorberUnit,
-    StarRecord,
     absorb,
     build_single_absorbers,
     chain_absorbers,
@@ -102,7 +101,6 @@ __all__ = [
     "InputError",
     "PipelineConfig",
     "RetentionProfile",
-    "StarRecord",
     "absorb",
     "brute_force_square_ham",
     "build_gadget",

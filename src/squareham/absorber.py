@@ -1,23 +1,27 @@
-"""Absorbing structures: per-vertex units, completion, chaining, traversal.
+"""Absorbing structures: per-vertex units, chaining, and the one audit.
 
 An *absorber* for a set ``X`` is a structure whose body contains ``X`` and
 which, for every subset ``X'`` of ``X``, carries a square path between the
 same fixed ordered endpoint pairs spanning every body vertex except ``X'``.
-It is assembled from one *unit* per absorbee — a five-vertex star core
-threaded onto a backbone, with square-path junctions between backbone blocks
-— and square-path links between consecutive units.  The star core lives only
-in the backbone: its first block is ``u1, u2, v1, v2``.
+It is one *unit* per absorbee, the five-vertex star core ``u1 u2 x v1 v2``,
+and square-path links between consecutive units.  A unit is a square path
+both with ``x`` (``u1 u2 x v1 v2``) and without it (``u1 u2 v1 v2``), so it
+enters at ``(u1, u2)`` and leaves at ``(v1, v2)`` either way.
 :func:`chain_absorbers` audits the finished absorber once with
 :func:`verify_absorber`, links included; no earlier stage re-walks what it
 built.
 
-The absorbee set, the star pools, the unit and link reservoirs and the
-absorbees a traversal drops are ``int`` bitsets, and so are a unit's vertex
-set and an absorber's body.  A unit's backbone and its junctions draw from
-one unit reservoir less the finished units, with one AND; the links draw
-from their own reservoir.  A junction or link first tests the direct arc,
-which needs no search; the connector's searches pick each vertex uniformly
-from the pool vertices that fit, with seeded draws.
+The paper extends each core by further absorbing blocks, because near
+``p = n^(-1/2)`` a vertex lies in about ``n^4 p^9`` copies of ``K5`` minus
+an edge, far fewer than one, so a core of its own is rare.  At the sizes
+this library runs, a vertex lies in millions of them (about ``3.8 * 10^6``
+in ``G(1000, .25)``), and the core is a unit by itself.
+
+The absorbee set, the star pool, the link reservoir and the absorbees a
+traversal drops are ``int`` bitsets, and so are a unit's vertex set and an
+absorber's body.  A link first tests the direct arc, which needs no search;
+the connector's searches pick each vertex uniformly from the pool vertices
+that fit, with seeded draws.
 """
 
 from __future__ import annotations
@@ -26,84 +30,46 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .connector import ConnectionRequest, connect_one, direct_arc
-from .gadgets import (
-    BACKBONE,
-    Embedding,
-    absorber_traversal,
-    build_gadget,
-    is_square_path,
-)
+from .gadgets import is_square_path
 from .graphcore import Graph, InputError, bits, mask_of
 from .matching import BipartiteInstance, hall_saturating_matching
 
 
 @dataclass(frozen=True)
-class StarRecord:
-    """Five-vertex core: the square path ``u1, u2, x, v1, v2`` in the host."""
-
-    x: int
-    u1: int
-    u2: int
-    v1: int
-    v2: int
-
-
-# Fresh backbone cuts tried per unit before completion gives up; past that
-# the pipeline restarts with a new partition instead.
-UNIT_RETRIES = 8
-
-
-@dataclass(frozen=True)
 class AbsorberUnit:
-    """One absorbee ``x``, its backbone and its junction interiors.
+    """One absorbee ``x`` and its star core ``(u1, u2, v1, v2)``.
 
-    The backbone's first four vertices are the star core ``u1, u2, v1, v2``
-    that :func:`build_single_absorbers` matched to ``x``.  ``entry`` and
-    ``exit``, the unit's first and last slot pairs, are filled at
-    construction, and the vertex set and the walks on first use, as plain
-    attributes: equality, hashing and ``repr`` see only the three fields.
+    The ``include`` walk is ``u1 u2 x v1 v2`` and the ``exclude`` walk is
+    ``u1 u2 v1 v2``; both enter at ``entry = (u1, u2)`` and leave at
+    ``exit = (v1, v2)``.  The walks, the ports and the vertex set are
+    derived on each use, so equality, hashing and ``repr`` see only the two
+    fields.
     """
 
     x: int
-    backbone: Embedding
-    junctions: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        slots = self.backbone.vertices
-        # Slots 1, 2 of the first block and 3, 4 of the last (see
-        # backbone_label).
-        last = 4 * self.blocks
-        fill = object.__setattr__
-        fill(self, "entry", (slots[0], slots[1]))
-        fill(self, "exit", (slots[last - 2], slots[last - 1]))
-        fill(self, "_vertex_set", None)
-        fill(self, "_walks", {})
+    core: tuple[int, int, int, int]
 
     @property
-    def blocks(self) -> int:
-        return self.backbone.gadget.params[0]
+    def entry(self) -> tuple[int, int]:
+        return self.core[:2]
+
+    @property
+    def exit(self) -> tuple[int, int]:
+        return self.core[2:]
 
     @property
     def vertex_set(self) -> int:
-        """Every vertex of the unit, absorbee included, as a bitset (built
-        on first use, so a unit read from outside with an id far out of
-        range is rejected by a range check before it becomes a bitset)."""
-        verts = self._vertex_set
-        if verts is None:
-            verts = mask_of(self.backbone.vertices) | 1 << self.x
-            for interior in self.junctions:
-                verts |= mask_of(interior)
-            object.__setattr__(self, "_vertex_set", verts)
-        return verts
+        """Every vertex of the unit, absorbee included, as a bitset."""
+        return mask_of(self.core) | 1 << self.x
 
     def traversal(self, mode: str) -> tuple[int, ...]:
-        """The unit's square path in ``mode`` (built once per mode)."""
-        walk = self._walks.get(mode)
-        if walk is None:
-            walk = self._walks[mode] = absorber_traversal(
-                self.backbone.vertices, self.junctions, self.x, mode
-            )
-        return walk
+        """The unit's square path in ``mode``."""
+        if mode == "exclude":
+            return self.core
+        if mode != "include":
+            raise InputError(f"mode must be include or exclude, got {mode!r}")
+        u1, u2, v1, v2 = self.core
+        return (u1, u2, self.x, v1, v2)
 
 
 @dataclass(frozen=True)
@@ -140,54 +106,65 @@ class Absorber:
 
 
 def build_single_absorbers(
-    g: Graph,
-    xs: int,
-    w1: int,
-    w2: int,
-    w3: int,
-    w4: int,
-) -> tuple[tuple[StarRecord, ...] | None, dict | None]:
-    """Assign each absorbee a disjoint five-vertex star core by Hall rounds.
+    g: Graph, xs: int, star: int
+) -> tuple[tuple[tuple[int, int, int, int], ...] | None, dict | None]:
+    """Match each absorbee to a disjoint star core by four Hall rounds.
 
-    The absorbee set ``xs`` and the four star pools are bitsets.  Four
-    saturating matchings run in sequence: ``u1`` from ``w1`` adjacent to
-    ``x``; ``u2`` from ``w2`` adjacent to ``x`` and ``u1``; ``v1`` from ``w3``
-    adjacent to ``x`` and ``u2``; ``v2`` from ``w4`` adjacent to ``x`` and
-    ``v1``.  Each round matches onto host vertex ids.  A deficient round
-    aborts with diagnostics naming the ``round`` and the violating absorbee
-    set.
+    The absorbee set ``xs`` and the star pool ``star`` are bitsets.  The
+    rounds pick ``u1``, ``u2``, ``v1`` and ``v2`` in turn, each from the
+    pool less the picks of the earlier rounds.  Every pick is adjacent to
+    ``x`` and to the two picks before it: ``u2 ~ u1``, ``v1 ~ u2, u1`` and
+    ``v2 ~ v1, u2``.  Those are exactly the edges that make both
+    ``u1 u2 x v1 v2`` and ``u1 u2 v1 v2`` square paths.  Each round matches
+    onto host vertex ids.
+
+    Returns:
+        The cores ``(u1, u2, v1, v2)``, one per absorbee in ascending
+        order; or ``None`` and the diagnostics of the first deficient
+        round: its ``round`` number, the violating absorbee set, the size
+        of its ``joint_neighborhood``, and ``pool``, the count of star
+        vertices left when it ran.
 
     Raises:
-        InputError: If two of the five sets overlap or one holds a bit
-            outside ``0..n-1``.
+        InputError: If the two sets overlap or one holds a bit outside
+            ``0..n-1``.
     """
-    seen = 0
-    for side in (xs, w1, w2, w3, w4):
-        g.check_mask(side)
-        if side & seen:
-            raise InputError("absorbee set and star classes must be disjoint")
-        seen |= side
+    g.check_mask(xs)
+    g.check_mask(star)
+    if xs & star:
+        raise InputError("absorbee set and star pool must be disjoint")
     rows = g.rows
     xs_listed = bits(xs)
-    chosen: list[list[int]] = [[] for _ in xs_listed]
-    anchors = list(xs_listed)
-    for round_no, pool in enumerate((w1, w2, w3, w4)):
-        # The first round anchors each absorbee to itself.
-        adjacency = tuple(rows[x] & pool & rows[a] for x, a in zip(xs_listed, anchors))
+    cores: list[list[int]] = [[] for _ in xs_listed]
+    # The two picks before the next one; before the first, only x.
+    last = before = xs_listed
+    free = star
+    for round_no in range(1, 5):
+        adjacency = tuple(
+            rows[x] & rows[a] & rows[b] & free
+            for x, a, b in zip(xs_listed, last, before)
+        )
         res = hall_saturating_matching(BipartiteInstance(adjacency, g.n))
         if res.status != "matched":
             return None, {
-                "round": round_no + 1,
+                "round": round_no,
                 "violating_absorbees": [xs_listed[i] for i in res.violator],
                 "joint_neighborhood": len(res.neighborhood),
+                "pool": free.bit_count(),
             }
-        for i, v in enumerate(res.pairs):
-            chosen[i].append(v)
-            anchors[i] = v
-    records = tuple(
-        StarRecord(x, c[0], c[1], c[2], c[3]) for x, c in zip(xs_listed, chosen)
-    )
-    return records, None
+        for core, v in zip(cores, res.pairs):
+            core.append(v)
+        before, last = last, res.pairs
+        free &= ~mask_of(res.pairs)
+    return tuple(tuple(core) for core in cores), None
+
+
+def complete_absorbers(
+    xs: int, cores: Sequence[tuple[int, int, int, int]]
+) -> tuple[AbsorberUnit, ...]:
+    """The units of the absorbees in ``xs``, ascending, with the cores that
+    :func:`build_single_absorbers` matched to them, in the same order."""
+    return tuple(AbsorberUnit(x, core) for x, core in zip(bits(xs), cores))
 
 
 def _connect_with_fallback(
@@ -208,83 +185,12 @@ def _connect_with_fallback(
     if direct_arc(g, frm, to):
         return (), None
     for length in range(5, 9):
-        req = ConnectionRequest(frm, to, pool, 1, length)
+        req = ConnectionRequest(frm, to, pool, length)
         res = connect_one(g, req, seed * 31)
         if res.ok:
             # The ports are the first two and the last two labels.
             return res.embedding.vertices[2:-2], None
     return None, res.diagnostics
-
-
-def complete_absorbers(
-    g: Graph,
-    records: Sequence[StarRecord],
-    pool: int,
-    blocks: int,
-    seed: int,
-) -> tuple[tuple[AbsorberUnit, ...] | None, dict | None]:
-    """Thread each star core onto a backbone and wire its block junctions.
-
-    The backbone of each unit has ``blocks`` blocks (its first block being
-    the star core).  The backbone and its junction interiors grow through
-    one unit reservoir, the bitset ``pool``, less the finished units and the
-    absorbee; a junction also avoids the unit's backbone.  A unit that
-    cannot be wired retries with a fresh backbone cut, derived from
-    ``seed``, up to :data:`UNIT_RETRIES` times.  Each record
-    yields one unit, in order; the units are audited once chained (see
-    :func:`chain_absorbers`).  A unit that cannot be wired at all aborts
-    with diagnostics naming its ``phase`` (``backbone`` or ``junction-i``).
-
-    Raises:
-        InputError: If ``blocks`` is below 2 or ``seed`` is negative.
-    """
-    if blocks < 2:
-        raise InputError(f"absorber units need at least 2 blocks, got {blocks}")
-    if seed < 0:
-        raise InputError(f"seed must be non-negative, got {seed}")
-    units: list[AbsorberUnit] = []
-    used = 0
-    for uidx, rec in enumerate(records):
-        unit = None
-        last_diag: dict = {}
-        free = pool & ~used & ~(1 << rec.x)
-        req = ConnectionRequest(
-            (rec.u2, rec.u1), (rec.v2, rec.v1), free, 2, 4 * blocks
-        )
-        for attempt in range(UNIT_RETRIES):
-            base = seed * 100_003 + uidx * 1_009 + attempt * 17
-            res = connect_one(g, req, base)
-            if not res.ok:
-                last_diag = {"phase": "backbone", "connect": res.diagnostics}
-                continue
-            slots = res.embedding.vertices
-            taken = mask_of(slots)
-            interiors: list[tuple[int, ...]] = []
-            for i in range(1, blocks):
-                # Slots 3, 4 of block i, then slots 1, 2 of block i + 1:
-                # labels 4i - 2 .. 4i + 1 (see backbone_label).
-                frm = slots[4 * i - 2 : 4 * i]
-                to = slots[4 * i : 4 * i + 2]
-                interior, diag = _connect_with_fallback(
-                    g, frm, to, free & ~taken, base + 7 * i
-                )
-                if interior is None:
-                    last_diag = {"phase": f"junction-{i}", "connect": diag}
-                    break
-                interiors.append(interior)
-                taken |= mask_of(interior)
-            else:
-                unit = AbsorberUnit(rec.x, res.embedding, tuple(interiors))
-                used |= unit.vertex_set
-                break
-        if unit is None:
-            return None, {
-                "absorbee": rec.x,
-                "attempts": UNIT_RETRIES,
-                **last_diag,
-            }
-        units.append(unit)
-    return tuple(units), None
 
 
 def _walk_fault(
@@ -416,16 +322,19 @@ def verify_absorber(g: Graph, a: Absorber) -> AbsorberVerification:
         (``unit.entry``, ``unit.exit``) as its ``include`` traversal.
 
     Sufficiency: ``absorb(a, X')`` concatenates unit traversals and link
-    interiors in a fixed order.  Both modes of a unit walk every backbone
-    slot (at least 8), so a pair at distance at most 2 that crosses a unit
-    boundary lies inside the window of that unit's exit pair, the next link
-    and the next unit's entry pair.  That window is the same for every
-    ``X'``, and (a) checks it.  Pairs inside a unit are checked by (a) for
-    ``include`` and by (b) for ``exclude``.  By (b) a unit's ``exclude``
-    piece holds its ``include`` piece less ``x``, and (a) makes the
-    ``include`` pieces and links pairwise disjoint, so every traversal has
-    distinct vertices and spans the body less ``X'``.  The ends are the first
-    unit's entry and the last unit's exit in either mode.  Necessity: a
+    interiors in a fixed order.  Both modes of a unit start with its entry
+    pair and end with its exit pair, and the two pairs are disjoint, so
+    each walk holds at least four vertices and no pair at distance at most
+    2 jumps over a whole unit.  A pair at distance at most 2 that crosses a
+    unit boundary therefore lies inside the window of that unit's exit
+    pair, the next link and the next unit's entry pair.  That window is the
+    same for every ``X'``, and (a) checks it.  Pairs inside a unit are
+    checked by (a) for ``include`` and by (b) for ``exclude``.  By (b) a
+    unit's ``exclude`` piece holds its ``include`` piece less ``x``, and (a)
+    makes the ``include`` pieces and links pairwise disjoint, so every
+    traversal has distinct vertices and spans the body less ``X'``.  The
+    ends are the first unit's entry and the last unit's exit in either
+    mode.  Necessity: a
     fault in (a) or (b) is a fault in the traversal for ``X' = ()`` or
     ``X' = (x,)``.
 
@@ -456,38 +365,38 @@ def verify_absorber(g: Graph, a: Absorber) -> AbsorberVerification:
 def absorber_to_json_obj(a: Absorber) -> dict:
     """JSON-ready description of an absorber (round-trips via ``from``)."""
     return {
-        "units": [
-            {
-                "x": u.x,
-                "blocks": u.blocks,
-                "backbone": list(u.backbone.vertices),
-                "junctions": [list(j) for j in u.junctions],
-            }
-            for u in a.units
-        ],
+        "units": [{"x": u.x, "core": list(u.core)} for u in a.units],
         "links": [list(l) for l in a.links],
     }
 
 
 def absorber_from_json_obj(obj: Mapping) -> Absorber:
+    """The absorber a description of :func:`absorber_to_json_obj` holds.
+
+    Raises:
+        InputError: On a malformed description, one in the old multi-block
+            unit format, a unit whose core is not four vertices, or a link
+            count that is not one less than the unit count.
+    """
     try:
         units = []
         for entry in obj["units"]:
-            x = int(entry["x"])
-            blocks = int(entry["blocks"])
-            slots = tuple(int(v) for v in entry["backbone"])
-            # Checked before the template is built: its size follows blocks.
-            if len(slots) != 4 * blocks:
+            if "blocks" in entry:
                 raise InputError(
-                    f"absorbee {x}: {blocks} blocks need a backbone of "
-                    f"{4 * blocks} vertices, got {len(slots)}"
+                    "absorber files in the multi-block unit format (units "
+                    "with a 'blocks' key) are no longer read; rebuild the "
+                    "absorber to get five-vertex units"
                 )
-            backbone = Embedding(build_gadget(BACKBONE, blocks=blocks), slots)
-            junctions = tuple(
-                tuple(int(v) for v in j) for j in entry["junctions"]
-            )
-            units.append(AbsorberUnit(x, backbone, junctions))
+            x = int(entry["x"])
+            core = tuple(int(v) for v in entry["core"])
+            if len(core) != 4:
+                raise InputError(
+                    f"absorbee {x}: a core is four vertices, got {len(core)}"
+                )
+            units.append(AbsorberUnit(x, core))
         links = tuple(tuple(int(v) for v in l) for l in obj["links"])
+    except InputError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed absorber description: {exc}") from exc
     if not units:

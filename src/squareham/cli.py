@@ -175,7 +175,7 @@ def _cmd_connect(args) -> tuple[int, str, dict]:
     w = _vertex_mask(g, args.w) if args.w else (1 << g.n) - 1
     w &= ~_vertex_mask(g, args.exclude)
     reqs = [
-        ConnectionRequest(frm, to, w, args.b, args.length)
+        ConnectionRequest(frm, to, w, args.length)
         for frm, to in _job_pairs(args.pairs)
     ]
     res = connect_all(g, reqs, args.seed)
@@ -188,7 +188,6 @@ def _cmd_connect(args) -> tuple[int, str, dict]:
     }
     cfg = {
         "pairs": args.pairs,
-        "b": args.b,
         "length": args.length,
         "seed": args.seed,
     }
@@ -196,15 +195,13 @@ def _cmd_connect(args) -> tuple[int, str, dict]:
 
 
 def _cmd_absorber_build(args) -> tuple[int, str, dict]:
-    if args.blocks < 2:
-        raise InputError(f"--blocks must be at least 2, got {args.blocks}")
     g = read_graph(args.graph)
     xs = _ints(args.x)
     x_mask = _vertex_mask(g, args.x)
     if x_mask.bit_count() != len(xs):
         raise InputError(f"absorbees must be distinct, got {args.x!r}")
-    meta = {"x": list(xs), "blocks": args.blocks, "seed": args.seed}
-    sizes = reservoir_sizes(len(xs), args.blocks)
+    meta = {"x": list(xs), "seed": args.seed}
+    sizes = reservoir_sizes(len(xs))
     rest = ((1 << g.n) - 1) & ~x_mask
     available = rest.bit_count()
     needed = sum(sizes)
@@ -220,7 +217,7 @@ def _cmd_absorber_build(args) -> tuple[int, str, dict]:
     # proportions and take all of them (up to rounding).
     sizes = [s * available // needed for s in sizes]
     pools = random_partition(rest, sizes, rng_for(args.seed, 71))
-    built, fail = build_absorber(g, x_mask, pools, args.blocks, args.seed)
+    built, fail = build_absorber(g, x_mask, pools, args.seed)
     if fail is not None:
         report = FailureReport("absorber", fail)
         return 1, _json_text(failure_report_to_json_obj(report)), meta
@@ -237,7 +234,7 @@ def _cmd_absorber_verify(args) -> tuple[int, str, dict]:
 
 
 def _cmd_gadget(args) -> tuple[int, str, dict]:
-    gadget = build_gadget(args.kind, length=args.length, blocks=args.blocks)
+    gadget = build_gadget(args.kind, length=args.length)
     meta = {"kind": args.kind}
     if args.format == "edgelist":
         return 0, graph_to_edgelist_text(Graph(gadget.labels, gadget.edges)), meta
@@ -331,7 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="jobs 'a,b,c,d[;...]': connect ordered edge (a,b) to (c,d)",
     )
     p.add_argument("--w", default="", help="reservoir vertices (default: rest)")
-    p.add_argument("--b", type=int, choices=(1, 2), default=1)
     p.add_argument("--length", type=int, default=4)
     p.add_argument("--exclude", default="", help="vertices to keep out of interiors")
     common(p)
@@ -342,7 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pb = actions.add_parser("build", help="build a chained absorber")
     pb.add_argument("--graph", required=True)
     pb.add_argument("--x", required=True, help="absorbee vertices, comma-separated")
-    pb.add_argument("--blocks", type=int, default=2)
     common(pb)
     pb.set_defaults(handler=_cmd_absorber_build)
     pv = actions.add_parser("verify", help="verify a stored absorber")
@@ -352,11 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(handler=_cmd_absorber_verify)
 
     p = sub.add_parser("gadget", help="dump a labeled template")
-    p.add_argument(
-        "--kind", choices=("square-path", "backbone"), required=True
-    )
+    p.add_argument("--kind", choices=("square-path",), required=True)
     p.add_argument("--length", type=int, default=None)
-    p.add_argument("--blocks", type=int, default=None)
     p.add_argument("--format", choices=("json", "edgelist"), default="json")
     common(p, seed=False)
     p.set_defaults(handler=_cmd_gadget)

@@ -1,11 +1,11 @@
 """Pair-to-pair connection search over a reservoir.
 
-A connection job asks for a square path (width 1) or a backbone (width 2)
-whose entry and exit ports are two prescribed ordered host edges, with every
-other vertex drawn from a reservoir.  :func:`connect_one` serves one job with
-one seeded backtracking search that fills the gadget template label by
-label.  :func:`connect_all` serves a list of jobs in greedy rounds, so that
-their interiors are pairwise disjoint.  :func:`direct_arc` tests the one
+A connection job asks for a square path whose entry and exit ports are two
+prescribed ordered host edges, with every other vertex drawn from a
+reservoir.  :func:`connect_one` serves one job with one seeded backtracking
+search that fills the gadget template label by label.  :func:`connect_all`
+serves a list of jobs in greedy rounds, so that their interiors are
+pairwise disjoint.  :func:`direct_arc` tests the one
 connection with no interior, the length-4 square path.
 
 The reservoir is an ``int`` bitset (bit ``v`` set for vertex ``v``):
@@ -22,14 +22,7 @@ import functools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .gadgets import (
-    BACKBONE,
-    SQUARE_PATH,
-    Embedding,
-    Gadget,
-    build_gadget,
-    validate_embedding,
-)
+from .gadgets import SQUARE_PATH, Embedding, Gadget, build_gadget, validate_embedding
 from .graphcore import Graph, InputError, check_int, mask_of, nth_bit, splitmix64
 
 # Search seeds each connect_all round tries before the batch fails.
@@ -46,15 +39,12 @@ class ConnectionRequest:
             distinct.
         w: Reservoir the interior is drawn from, as a bitset (bit ``v`` set
             for vertex ``v``).
-        b: Skip width; 1 builds square paths, 2 builds backbones.
-        length: Total label count of the target gadget (``>= 4`` for width 1;
-            a multiple of 4, at least 8, for width 2).
+        length: Vertex count of the square path, ports included (``>= 4``).
     """
 
     frm: tuple[int, int]
     to: tuple[int, int]
     w: int
-    b: int = 1
     length: int = 4
 
 
@@ -62,10 +52,9 @@ class ConnectionRequest:
 class ConnectResult:
     """Outcome of one connection search.
 
-    On success, ``embedding`` is a validated square path (width 1) or
-    backbone (width 2) whose ports realize the job's ordered pairs.  On
-    failure, ``diagnostics`` holds the effective configuration and the
-    search nodes spent.
+    On success, ``embedding`` is a validated square path whose ports realize
+    the job's ordered pairs.  On failure, ``diagnostics`` holds the
+    effective configuration and the search nodes spent.
     """
 
     ok: bool
@@ -84,22 +73,12 @@ def _validate_request(g: Graph, req: ConnectionRequest) -> int:
     """Check one job and return the bitset of its four ports.
 
     Raises:
-        InputError: On a width or length the templates lack, ports that are
-            not two ordered pairs of distinct vertices of ``g`` joined by
-            host edges, or a reservoir that is not an ``int`` bitset of
-            vertices of ``g``.
+        InputError: On a length below 4, ports that are not two ordered
+            pairs of distinct vertices of ``g`` joined by host edges, or a
+            reservoir that is not an ``int`` bitset of vertices of ``g``.
     """
-    b, length = req.b, req.length
-    if b == 1:
-        if length < 4:
-            raise InputError(f"width-1 connections need length >= 4, got {length}")
-    elif b == 2:
-        if length < 8 or length % 4 != 0:
-            raise InputError(
-                f"width-2 connections need length in 8, 12, 16, ..., got {length}"
-            )
-    else:
-        raise InputError(f"skip width must be 1 or 2, got {b}")
+    if req.length < 4:
+        raise InputError(f"connections need length >= 4, got {req.length}")
     try:
         (p, q), (r, s) = req.frm, req.to
     except (TypeError, ValueError):
@@ -157,7 +136,7 @@ def connect_one(g: Graph, req: ConnectionRequest, seed: int) -> ConnectResult:
 
 
 @functools.cache
-def _template(b: int, length: int) -> tuple[
+def _template(length: int) -> tuple[
     Gadget,
     tuple[tuple[int, int], ...],
     tuple[int, ...],
@@ -167,10 +146,7 @@ def _template(b: int, length: int) -> tuple[
     two port edges (which :func:`_validate_request` checks), its free labels
     in ascending order, and for each free label the template neighbours
     already placed when it is filled."""
-    if b == 1:
-        gadget = build_gadget(SQUARE_PATH, length=length)
-    else:
-        gadget = build_gadget(BACKBONE, blocks=length // 4)
+    gadget = build_gadget(SQUARE_PATH, length=length)
     fixed = {*gadget.port_from, *gadget.port_to}
     port_edges = {tuple(sorted(gadget.port_from)), tuple(sorted(gadget.port_to))}
     fixed_edges = tuple(
@@ -213,7 +189,7 @@ def _direct_connect(
     whatever the order, so its node count does not depend on the draws.
     Past ``budget`` nodes the search stops and reports ``budget + 1``.
     """
-    gadget, fixed_edges, free, back_nbrs = _template(req.b, req.length)
+    gadget, fixed_edges, free, back_nbrs = _template(req.length)
     (f0, f1), (t0, t1) = gadget.port_from, gadget.port_to
     image = [0] * gadget.labels
     image[f0], image[f1] = req.frm
@@ -254,7 +230,7 @@ def _direct_connect(
 
         found = fill(0, pool)
     if not found:
-        cfg = {"b": req.b, "length": req.length, "pool": size, "seed": seed}
+        cfg = {"length": req.length, "pool": size, "seed": seed}
         nodes = min(nodes, budget + 1)
         return ConnectResult(False, None, {"config": cfg, "nodes": nodes})
     emb = Embedding(gadget, tuple(image))

@@ -2,13 +2,9 @@
 
 A *gadget* is a small labeled graph template together with two ordered
 two-vertex ports.  Embedding a gadget into a host graph realizes a structure
-that can be concatenated with others through its ports:
-
-* ``square-path``: the square of a path on ``length`` labels; every pair of
-  labels at distance at most two along the path is an edge.
-* ``backbone``: ``blocks`` four-vertex blocks wired so that the structure can
-  be traversed by square paths in two ways — one visiting an attached special
-  vertex, one avoiding it — with identical endpoints.
+that can be concatenated with others through its ports.  The one kind is
+``square-path``: the square of a path on ``length`` labels, in which every
+pair of labels at distance at most two along the path is an edge.
 
 All labels are integers ``0..k-1``.  Ports are ordered pairs of labels; the
 port orientation is what makes concatenation sound.
@@ -16,17 +12,12 @@ port orientation is what makes concatenation sound.
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 from .graphcore import Graph, InputError
 
 SQUARE_PATH = "square-path"
-BACKBONE = "backbone"
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -34,7 +25,7 @@ class Gadget:
     """A labeled template graph with ordered entry and exit ports.
 
     Attributes:
-        kind: ``square-path`` or ``backbone``.
+        kind: ``square-path``.
         labels: Number of labels; labels are ``0..labels-1``.
         edges: Sorted tuple of label pairs ``(i, j)`` with ``i < j``.
         port_from: Ordered entry port (pair of labels).
@@ -58,13 +49,11 @@ def build_gadget(
     kind: str,
     *,
     length: int | None = None,
-    blocks: int | None = None,
 ) -> Gadget:
     """Construct a gadget template.
 
     Args:
-        kind: ``square-path`` (requires ``length >= 2``) or ``backbone``
-            (requires ``blocks >= 2``).
+        kind: ``square-path`` (requires ``length >= 2``).
 
     Returns:
         The template with its canonical ports.
@@ -89,63 +78,7 @@ def build_gadget(
             port_to=(length - 2, length - 1),
             params=(length,),
         )
-    if kind == BACKBONE:
-        if blocks is None or blocks < 2:
-            raise InputError(f"backbone needs blocks >= 2, got {blocks}")
-        return _build_backbone(blocks)
     raise InputError(f"unknown gadget kind {kind!r}")
-
-
-def backbone_label(i: int, j: int, blocks: int) -> int:
-    """Label index of slot ``j`` (1..4) in block ``i`` (1..blocks)."""
-    if not (1 <= i <= blocks and 1 <= j <= 4):
-        raise InputError(f"block slot ({i}, {j}) out of range for {blocks} blocks")
-    return (i - 1) * 4 + (j - 1)
-
-
-def _quad_edges(a1: int, a2: int, b1: int, b2: int) -> list[tuple[int, int]]:
-    """Edges of the square path on the four-label sequence (a1, a2, b1, b2)."""
-    return [
-        _norm(a1, a2),
-        _norm(a2, b1),
-        _norm(b1, b2),
-        _norm(a1, b1),
-        _norm(a2, b2),
-    ]
-
-
-def _build_backbone(blocks: int) -> Gadget:
-    w = lambda i, j: backbone_label(i, j, blocks)  # noqa: E731
-    pairs: set[tuple[int, int]] = set()
-    # First block carries both ports as plain edges.
-    pairs.add(_norm(w(1, 1), w(1, 2)))
-    pairs.add(_norm(w(1, 3), w(1, 4)))
-    # Every later block is internally a square path on its four slots.
-    for i in range(2, blocks + 1):
-        pairs.update(_quad_edges(w(i, 1), w(i, 2), w(i, 3), w(i, 4)))
-    # Entry side of the first block hooks into the second block.
-    pairs.update(_quad_edges(w(1, 1), w(1, 2), w(2, 2), w(2, 1)))
-    # Exit halves hook two blocks ahead.
-    for i in range(1, blocks - 1):
-        pairs.update(_quad_edges(w(i, 4), w(i, 3), w(i + 2, 2), w(i + 2, 1)))
-    # The final two blocks close off the far end.
-    pairs.update(
-        _quad_edges(w(blocks - 1, 4), w(blocks - 1, 3), w(blocks, 3), w(blocks, 4))
-    )
-    edges = tuple(sorted(pairs))
-    if len(edges) != 8 * blocks - 3:
-        raise AssertionError(
-            f"backbone on {blocks} blocks built {len(edges)} edges, "
-            f"expected {8 * blocks - 3}"
-        )
-    return Gadget(
-        kind=BACKBONE,
-        labels=4 * blocks,
-        edges=edges,
-        port_from=(w(1, 2), w(1, 1)),
-        port_to=(w(1, 4), w(1, 3)),
-        params=(blocks,),
-    )
 
 
 # -- embeddings --------------------------------------------------------------
@@ -282,81 +215,3 @@ def is_square_path(g: Graph, seq: Sequence[int]) -> ValidationResult:
     if not rows[seq[-2]] & marks[-1]:
         return _missing_edge(seq[-2], seq[-1])
     return _VALID
-
-
-# -- absorber traversal ------------------------------------------------------
-
-
-def absorber_traversal(
-    backbone: Sequence[T],
-    connector_interiors: Sequence[Sequence[T]],
-    x: T,
-    mode: str,
-) -> tuple[T, ...]:
-    """Traversal order of an absorber unit.
-
-    An absorber unit consists of a backbone on ``blocks`` blocks, a special
-    vertex ``x`` attached to the first block, and ``blocks - 1`` connector
-    paths whose interiors are given.  The two traversal modes walk every
-    backbone slot and every connector interior, starting at slot ``(1, 1),
-    (1, 2)`` and ending at ``(blocks, 3), (blocks, 4)``:
-
-    * ``include`` passes through ``x`` right after the entry pair;
-    * ``exclude`` covers the same ground while avoiding ``x``.
-
-    Args:
-        backbone: The backbone's vertices in label order (see
-            :func:`backbone_label`); its length is ``4 * blocks``.
-        connector_interiors: Interior vertex sequences of the connectors
-            between consecutive blocks (may be empty sequences).
-        x: The special vertex, inserted verbatim by ``include``.
-        mode: ``include`` or ``exclude``.
-
-    Returns:
-        The walk as a tuple of backbone vertices, connector interior
-        vertices and (for ``include``) ``x``.
-    """
-    blocks = len(backbone) // 4
-    if blocks < 2 or len(backbone) % 4:
-        raise InputError(
-            "absorber traversal needs a backbone of 4 * blocks vertices with "
-            f"blocks >= 2, got {len(backbone)}"
-        )
-    if len(connector_interiors) != blocks - 1:
-        raise InputError(
-            f"expected {blocks - 1} connector interiors, got {len(connector_interiors)}"
-        )
-    if mode not in ("include", "exclude"):
-        raise InputError(f"mode must be include or exclude, got {mode!r}")
-    runs = _traversal_runs(blocks, mode)
-    slots = (*backbone, x)
-    out = list(runs[0](slots))
-    for run, interior in zip(runs[1:], connector_interiors):
-        out += interior if mode == "include" else reversed(interior)
-        out += run(slots)
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=64)
-def _traversal_runs(blocks: int, mode: str) -> tuple[Callable, ...]:
-    """The backbone runs of a ``mode`` unit walk on ``blocks`` blocks, as
-    getters of their labels (label ``4 * blocks`` stands for ``x``).
-
-    The walk is run 0, connector interior 0, run 1, interior 1, and so on;
-    ``exclude`` reverses each interior.  Built once per ``blocks`` value.
-    """
-
-    def w(i: int, j: int) -> int:
-        return backbone_label(i, j, blocks)
-
-    if mode == "include":
-        runs = [(w(1, 1), w(1, 2), 4 * blocks, w(1, 3), w(1, 4))]
-        runs += [(w(i, 1), w(i, 2), w(i, 3), w(i, 4)) for i in range(2, blocks + 1)]
-    else:
-        runs = [(w(1, 1), w(1, 2), w(2, 2), w(2, 1))]
-        # Each later run walks back out of block i - 2 and into block i.
-        runs += [
-            (w(i - 2, 4), w(i - 2, 3), w(i, 2), w(i, 1)) for i in range(3, blocks + 1)
-        ]
-        runs.append((w(blocks - 1, 4), w(blocks - 1, 3), w(blocks, 3), w(blocks, 4)))
-    return tuple(operator.itemgetter(*run) for run in runs)

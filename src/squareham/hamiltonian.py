@@ -56,18 +56,6 @@ STAGES = (
 _ANCHOR_SHARE = 0.75
 # Absorbee count as a share of n, before the plan shrinks it to fit.
 _ABSORBEE_SHARE = 0.05
-# Joint-adjacency star pools are twice the absorbee count wide (plus a
-# margin), which keeps their Hall rounds saturable.
-_JOINT_FACTOR = 2
-# Reservoir sizing (see reservoir_sizes): the single and joint star pools'
-# margins over the absorbee count, and the per-absorbee weights of the
-# junctions' share of the unit reservoir and of the link reservoir.  The
-# unit reservoir's headroom is no constant: it grows with the absorbee
-# count.
-_STAR_MARGIN = 2
-_JOINT_MARGIN = 4
-_JUNCTION_WEIGHT = 2
-_LINK_WEIGHT = 2
 # Smallest covering class; a plan must leave at least this many vertices
 # to the covering.
 _CLASS_FLOOR = 10
@@ -78,8 +66,7 @@ _COVER_EPS = 0.25
 _COVER_STEPS_PER_VERTEX = 50
 # Probes (direct-arc tests and connections) the final threading may spend.
 _ASSEMBLY_BUDGET = 2_000
-# Backbone blocks per absorber unit, and pipeline attempts per call.
-_BLOCKS = 2
+# Pipeline attempts per call.
 _RESTARTS = 8
 
 
@@ -87,10 +74,9 @@ _RESTARTS = 8
 class PipelineConfig:
     """The one pipeline setting callers run with different values: the
     ``seed`` of every random choice, a non-negative integer (a ``bool`` is
-    not one).  Every constant of the construction, the backbone's block
-    count, the attempt count and the reservoir sizing of
-    :func:`reservoir_sizes` included, is fixed in this module and in
-    ``absorber``.
+    not one).  Every constant of the construction, the attempt count and
+    the reservoir sizing of :func:`reservoir_sizes` included, is fixed in
+    this module and in ``absorber``.
     """
 
     seed: int = 0
@@ -608,56 +594,38 @@ def match_leftover(g: Graph, q_set: int, x1: int) -> LeftoverMatching:
     return LeftoverMatching(True, pairs, (), ())
 
 
-def reservoir_sizes(x: int, blocks: int) -> list[int]:
-    """Role-weighted reservoir sizes for an absorber over ``x`` absorbees
-    whose units have ``blocks`` backbone blocks.
+def reservoir_sizes(x: int) -> list[int]:
+    """Reservoir sizes for an absorber over ``x`` absorbees.
 
-    Returns ``[star, joint, joint, joint, unit, link]``: the four star
-    pools, then the unit reservoir, which feeds the units' backbones and
-    junctions, and the link reservoir.  The first star pool feeds
-    single-adjacency picks; the other three feed joint-adjacency picks and
-    must be roughly twice as wide to keep the Hall rounds saturable.
-
-    The units' backbones take ``interior = 4 * blocks - 4`` vertices each
-    from the unit reservoir, one unit after another.  Its headroom over the
-    ``interior * x`` they consume is ``max(interior + 1, x)``, so the last
-    unit still chooses among at least ``x`` spare vertices and its backbone
-    keeps finding an embedding as ``x`` grows; the junctions add
-    ``_JUNCTION_WEIGHT`` vertices per junction, plus 4.
+    Returns ``[star, link]``.  The star pool feeds the four Hall rounds of
+    :func:`~squareham.absorber.build_single_absorbers`, which pick ``4x`` of
+    its ``7x + 14`` vertices: as many as four pools of ``x + 2`` for the
+    first round, a neighbour of ``x``, and of ``2x + 4`` for each later
+    round, a common neighbour of two or three vertices.  The link
+    reservoir, ``6x + 7`` vertices, feeds the square paths between
+    consecutive units, and the star vertices the rounds leave unpicked join
+    it.
     """
-    interior = 4 * blocks - 4
-    star = x + _STAR_MARGIN
-    joint = _JOINT_FACTOR * x + _JOINT_MARGIN
-    # Star pools leave exactly (star - x) + 3 (joint - x) vertices unpicked,
-    # and build_absorber feeds those to the unit reservoir; the planned
-    # slice only tops up the difference.
-    spare = (star - x) + 3 * (joint - x)
-    headroom = max(interior + 1, x)
-    unit = max(0, interior * x - spare) + headroom
-    unit += _JUNCTION_WEIGHT * (blocks - 1) * x + 4
-    link = _LINK_WEIGHT * max(x - 1, 1) + 4
-    return [star, joint, joint, joint, unit, link]
+    return [7 * x + 14, 6 * x + 7]
 
 
 def _plan_partition(n: int) -> tuple[list[int], dict] | None:
     """Class sizes for ``n`` vertices, shrinking the absorbee count to fit.
 
-    Returns the sizes ``[x, *reservoir_sizes(x, _BLOCKS)]`` to cut, and the
-    plan the failure diagnostics report: the absorbee count ``x``, the
-    ``star`` and ``joint`` pool sizes, the ``unit`` and ``link`` reservoir
-    sizes, and the ``uncommitted`` vertices left to the covering.
+    Returns the sizes ``[x, *reservoir_sizes(x)]`` to cut, and the plan the
+    failure diagnostics report: the absorbee count ``x``, the ``star`` pool
+    and ``link`` reservoir sizes, and the ``uncommitted`` vertices left to
+    the covering.
     """
     x = max(4, round(_ABSORBEE_SHARE * n))
     while x >= 2:
-        sizes = reservoir_sizes(x, _BLOCKS)
+        sizes = reservoir_sizes(x)
         total = x + sum(sizes)
         if n - total >= _CLASS_FLOOR:
-            star, joint, _, _, unit, link = sizes
+            star, link = sizes
             return [x, *sizes], {
                 "x": x,
                 "star": star,
-                "joint": joint,
-                "unit": unit,
                 "link": link,
                 "uncommitted": n - total,
             }
@@ -666,31 +634,21 @@ def _plan_partition(n: int) -> tuple[list[int], dict] | None:
 
 
 def build_absorber(
-    g: Graph,
-    xs: int,
-    pools: Sequence[int],
-    blocks: int,
-    seed: int,
+    g: Graph, xs: int, pools: Sequence[int], seed: int
 ) -> tuple[Absorber | None, dict | None]:
-    """Build one chained absorber over the bitset ``xs`` from six disjoint
-    bitset pools, with ``blocks`` backbone blocks per unit.
+    """Build one chained absorber over the bitset ``xs`` from the two
+    disjoint bitset pools of :func:`reservoir_sizes`, the star pool and the
+    link reservoir.
 
-    ``pools`` are sized by :func:`reservoir_sizes`: four star pools, then the
-    unit and link reservoirs.  Star-pool vertices the cores leave unpicked
-    join the unit reservoir, which keeps it from starving; whatever the
-    units leave of it joins the link reservoir.  A returned absorber has
+    The star vertices the cores leave unpicked join the link reservoir:
+    chaining draws from both pools less the units.  A returned absorber has
     passed :func:`chain_absorbers`' audit.
     """
-    w1, w2, w3, w4, unit_pool, link_pool = pools
-    records, fail = build_single_absorbers(g, xs, w1, w2, w3, w4)
+    star, link = pools
+    cores, fail = build_single_absorbers(g, xs, star)
     if fail is not None:
         return None, fail
-    star_used = mask_of(v for r in records for v in (r.u1, r.u2, r.v1, r.v2))
-    unit_pool = (w1 | w2 | w3 | w4 | unit_pool) & ~star_used
-    units, fail = complete_absorbers(g, records, unit_pool, blocks, seed)
-    if fail is not None:
-        return None, fail
-    return chain_absorbers(g, units, link_pool | unit_pool, seed)
+    return chain_absorbers(g, complete_absorbers(xs, cores), link | star, seed)
 
 
 def _cascade_connect(
@@ -710,7 +668,7 @@ def _cascade_connect(
     if len({*frm, *to}) != 4:
         return None
     for length in range(5, 9):
-        req = ConnectionRequest(frm, to, pool, 1, length)
+        req = ConnectionRequest(frm, to, pool, length)
         res = connect_one(g, req, seed * 37 + length - 4)
         if res.ok:
             # The ports are the first two and the last two labels.
@@ -832,7 +790,7 @@ def _attempt(
     assert planned is not None, f"no reservoir plan fits n={n}"
     sizes, plan = planned
     x_mask, *pools = random_partition((1 << n) - 1, sizes, rng_for(seed0, 53))
-    absorber, fail = build_absorber(g, x_mask, pools, _BLOCKS, seed0 + 1)
+    absorber, fail = build_absorber(g, x_mask, pools, seed0 + 1)
     if fail is not None:
         return FailureReport("absorber", dict(fail, plan=plan))
 

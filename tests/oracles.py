@@ -2,16 +2,14 @@
 
 The list-based versions are the functions as they were before their vertex
 sets became ``int`` bitsets; the bitset versions must match them draw for
-draw.  The looped checks and the slot-by-slot traversal are the checks and
-walks as they were before each became one pass over a precomputed table;
-the current ones must return the same result, the same first fault and the
-same message.
+draw.  The looped checks are the checks as they were before each became one
+pass over a precomputed table; the current ones must return the same result,
+the same first fault and the same message.
 """
 
 from squareham.gadgets import (
     Embedding,
     ValidationResult,
-    backbone_label,
     square_path_pairs,
 )
 from squareham.graphcore import Graph, mask_of, rng_for
@@ -104,29 +102,3 @@ def looped_validate_embedding(g: Graph, emb: Embedding) -> ValidationResult:
                 f"template edge ({i}, {j}) maps to missing host edge ({u}, {v})",
             )
     return ValidationResult(True, None)
-
-
-def slotted_absorber_traversal(backbone, connector_interiors, x, mode: str) -> tuple:
-    """``absorber_traversal`` slot by slot through ``backbone_label``, for
-    valid arguments."""
-    blocks = len(backbone) // 4
-
-    def w(i: int, j: int):
-        return backbone[backbone_label(i, j, blocks)]
-
-    out: list = []
-    if mode == "include":
-        out += [w(1, 1), w(1, 2), x, w(1, 3), w(1, 4)]
-        for i in range(2, blocks + 1):
-            out += list(connector_interiors[i - 2])
-            out += [w(i, 1), w(i, 2), w(i, 3), w(i, 4)]
-    else:
-        out += [w(1, 1), w(1, 2), w(2, 2), w(2, 1)]
-        out += list(reversed(list(connector_interiors[0])))
-        out += [w(1, 4), w(1, 3)]
-        for i in range(3, blocks + 1):
-            out += [w(i, 2), w(i, 1)]
-            out += list(reversed(list(connector_interiors[i - 2])))
-            out += [w(i - 1, 4), w(i - 1, 3)]
-        out += [w(blocks, 3), w(blocks, 4)]
-    return tuple(out)

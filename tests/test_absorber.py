@@ -1,5 +1,5 @@
 import itertools
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +21,7 @@ from squareham import (
 )
 from squareham import absorber as absorber_module
 from squareham.absorber import absorber_from_json_obj, absorber_to_json_obj
-from squareham.gadgets import backbone_label, square_path_pairs
+from squareham.gadgets import square_path_pairs
 from squareham.graphcore import bits, mask_of
 
 
@@ -30,22 +30,15 @@ def build_full_absorber(n: int, p: float, seed: int, x_count: int = 3):
     g = gnp_generate(n, p, seed)
     rng = rng_for(seed, 41)
     order = [int(v) for v in rng.permutation(n)]
-    star = x_count + 4
-    joint = 2 * x_count + 8
-    masks = []
-    at = 0
-    for size in (x_count, star, joint, joint, joint, 6 * x_count + 28):
-        masks.append(mask_of(order[at : at + size]))
-        at += size
-    xs, w1, w2, w3, w4, unit_pool = masks
-    link_pool = mask_of(order[at:])
-    records, fail = build_single_absorbers(g, xs, w1, w2, w3, w4)
+    star_size = 7 * x_count + 28
+    xs = mask_of(order[:x_count])
+    star = mask_of(order[x_count : x_count + star_size])
+    link_pool = mask_of(order[x_count + star_size :])
+    cores, fail = build_single_absorbers(g, xs, star)
     if fail is not None:
         return g, None, fail
-    units, fail = complete_absorbers(g, records, unit_pool, 2, seed)
-    if fail is not None:
-        return g, None, fail
-    built, fail = chain_absorbers(g, units, unit_pool | link_pool, seed)
+    units = complete_absorbers(xs, cores)
+    built, fail = chain_absorbers(g, units, link_pool | star, seed)
     return g, built, fail
 
 
@@ -81,69 +74,56 @@ def test_built_absorbers_pass_exhaustive_verification(seed: int) -> None:
     assert every_subset_walk_is_valid(g, absorber)
 
 
-def test_unit_traversals_are_built_once_per_mode(monkeypatch) -> None:
-    built = []
-    traverse = absorber_module.absorber_traversal
-
-    def counting(backbone, junctions, x, mode):
-        built.append((x, mode))
-        return traverse(backbone, junctions, x, mode)
-
-    monkeypatch.setattr(absorber_module, "absorber_traversal", counting)
-    g, a, fail = next(
-        bundle
-        for seed in range(20)
-        if (bundle := build_full_absorber(150, 0.55, seed))[1] is not None
-    )
-    # The chaining audit walks both modes of every unit; nothing after that
-    # rebuilds a walk.
-    modes = ("include", "exclude")
-    assert sorted(built) == sorted((x, m) for x in a.absorbees for m in modes)
-    assert verify_absorber(g, a).ok
-    for k in range(len(a.absorbees) + 1):
-        absorb(a, mask_of(a.absorbees[:k]))
-    assert len(built) == 2 * len(a.absorbees)
-    # A rebuilt unit starts without walks and finds the same ones.
-    for unit in a.units:
-        fresh = replace(unit)
-        for mode in ("include", "exclude"):
-            assert fresh.traversal(mode) == unit.traversal(mode)
-    with pytest.raises(InputError):
-        a.units[0].traversal("sideways")
-
-
 def test_unit_views_sit_outside_the_compared_fields() -> None:
     g, a, fail = next(
         bundle
         for seed in range(20)
         if (bundle := build_full_absorber(150, 0.55, seed))[1] is not None
     )
-    assert [f.name for f in fields(AbsorberUnit)] == ["x", "backbone", "junctions"]
     for unit in a.units:
-        slots, blocks = unit.backbone.vertices, unit.blocks
-        label = lambda i, j: slots[backbone_label(i, j, blocks)]
-        assert unit.entry == (label(1, 1), label(1, 2))
-        assert unit.exit == (label(blocks, 3), label(blocks, 4))
-        assert unit.vertex_set == mask_of(
-            [unit.x, *slots, *itertools.chain(*unit.junctions)]
-        )
+        u1, u2, v1, v2 = unit.core
+        assert unit.entry == (u1, u2)
+        assert unit.exit == (v1, v2)
+        assert unit.vertex_set == mask_of([unit.x, *unit.core])
+        assert unit.traversal("include") == (u1, u2, unit.x, v1, v2)
+        assert unit.traversal("exclude") == unit.core
         fresh = replace(unit)
-        unit.traversal("include")
-        # Walks built on one copy leave its equality, hash and repr alone.
+        # The views leave equality, hash and repr alone.
         assert fresh == unit and hash(fresh) == hash(unit)
         assert repr(fresh) == repr(unit) and "entry" not in repr(unit)
+
+
+# The unit u1 u2 x v1 v2 = 1 2 0 3 4 on exactly the edges it needs: the
+# square path of the include walk, and u1 v1 and u2 v2 of the exclude walk.
+# That is K5 less the edge u1 v2.
+UNIT_EDGES = (
+    (0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (2, 4), (3, 4), (1, 3)
+)
+
+
+def test_both_traversals_are_square_paths_on_the_unit_edges() -> None:
+    unit = AbsorberUnit(0, (1, 2, 3, 4))
+    host = Graph(5, UNIT_EDGES)
+    for mode in ("include", "exclude"):
+        walk = unit.traversal(mode)
+        assert is_square_path(host, walk)
+        assert (walk[:2], walk[-2:]) == (unit.entry, unit.exit)
+    # Every edge is needed by one of the walks.
+    for edge in UNIT_EDGES:
+        cut = Graph(5, [e for e in UNIT_EDGES if e != edge])
+        walks = (unit.traversal("include"), unit.traversal("exclude"))
+        assert not all(is_square_path(cut, walk) for walk in walks)
+
+
+def test_traversal_rejects_bad_arguments() -> None:
+    with pytest.raises(InputError, match="include or exclude"):
+        AbsorberUnit(0, (1, 2, 3, 4)).traversal("sideways")
 
 
 def with_unit_vertex(a, k: int, old: int, new: int):
     """``a`` with vertex ``old`` of unit ``k`` (not its absorbee) renamed."""
     unit = a.units[k]
-    slots = tuple(new if v == old else v for v in unit.backbone.vertices)
-    junctions = tuple(
-        tuple(new if v == old else v for v in j) for j in unit.junctions
-    )
-    bad = replace(
-        unit, backbone=replace(unit.backbone, vertices=slots), junctions=junctions
-    )
+    bad = replace(unit, core=tuple(new if v == old else v for v in unit.core))
     return replace(a, units=a.units[:k] + (bad,) + a.units[k + 1 :])
 
 
@@ -159,17 +139,9 @@ def corrupt(g, a, kind: str, draw):
         drop = draw(sampled_from(edges))
         return Graph(g.n, [e for e in edges if e != drop]), a
     new = draw(integers(min_value=0, max_value=g.n - 1))
-    if kind == "backbone":
+    if kind == "core":
         k = draw(integers(min_value=0, max_value=len(a.units) - 1))
-        old = draw(sampled_from(a.units[k].backbone.vertices))
-        return g, with_unit_vertex(a, k, old, new)
-    if kind == "junction":
-        spots = [
-            (k, v) for k, u in enumerate(a.units) for j in u.junctions for v in j
-        ]
-        if not spots:
-            return g, a
-        k, old = draw(sampled_from(spots))
+        old = draw(sampled_from(a.units[k].core))
         return g, with_unit_vertex(a, k, old, new)
     if kind == "link":
         spots = [(i, v) for i, link in enumerate(a.links) for v in link]
@@ -183,7 +155,7 @@ def corrupt(g, a, kind: str, draw):
             sampled_from(list(itertools.permutations(range(len(a.units)), 2)))
         )
         shared = draw(sampled_from(bits(a.units[k1].vertex_set)))
-        old = draw(sampled_from(a.units[k2].backbone.vertices))
+        old = draw(sampled_from(a.units[k2].core))
         return g, with_unit_vertex(a, k2, old, shared)
     return g, a
 
@@ -192,7 +164,7 @@ def corrupt(g, a, kind: str, draw):
 @given(
     integers(min_value=0, max_value=60),
     integers(min_value=1, max_value=5),
-    sampled_from(("none", "backbone", "junction", "link", "shared", "host")),
+    sampled_from(("none", "core", "link", "shared", "host")),
     data(),
 )
 def test_compositional_check_matches_subset_enumeration(
@@ -256,28 +228,25 @@ def test_construction_is_deterministic(seed: int) -> None:
 def test_verification_detects_a_corrupted_unit() -> None:
     g, absorber, _ = build_full_absorber(150, 0.55, 5)
     assert absorber is not None
-    # Re-route the last backbone slot to a vertex outside the body that is
-    # not adjacent to its exit-port partner, so the exit port is no host
-    # edge.  (A vertex that only misses some other slot's row may still
-    # fit every edge the slot needs, leaving a valid absorber.)
+    # Re-route v2 to a vertex outside the body that is not adjacent to v1,
+    # so the exit port is no host edge.  (A vertex that only misses some
+    # other core vertex may still fit every edge v2 needs, leaving a valid
+    # absorber.)
     unit = absorber.units[0]
-    verts = list(unit.backbone.vertices)
+    u1, u2, v1, v2 = unit.core
     outside = next(
         v
         for v in range(g.n)
-        if not absorber.body() >> v & 1 and not g.has_edge(v, verts[-2])
+        if not absorber.body() >> v & 1 and not g.has_edge(v, v1)
     )
-    verts[-1] = outside
-    from dataclasses import fields, replace
-
-    bad_unit = replace(unit, backbone=replace(unit.backbone, vertices=tuple(verts)))
+    bad_unit = replace(unit, core=(u1, u2, v1, outside))
     bad = replace(absorber, units=(bad_unit,) + absorber.units[1:])
     report = verify_absorber(g, bad)
     assert not report.ok
     assert report.failure
 
 
-def test_the_junction_sweep_tests_the_direct_arc_before_any_search(
+def test_the_link_sweep_tests_the_direct_arc_before_any_search(
     monkeypatch,
 ) -> None:
     # The length-4 template is exactly the direct arc, so the sweep checks
@@ -315,51 +284,85 @@ def test_absorber_json_round_trip() -> None:
         absorber_from_json_obj({"nonsense": True})
 
 
-# The absorbee 0 and four star pools of two vertices each, as bitsets.
-STAR_CLASSES = (1 << 0, 0b110, 0b11000, 0b1100000, 0b110000000)
+# The absorbee 0 and a star pool of eight vertices, as bitsets.
+STAR_CLASSES = (1 << 0, 0b111111110)
 
 
 def test_star_stage_reports_a_deficient_round() -> None:
-    # An absorbee with no neighbors in the first pool cannot be matched.
+    # An absorbee with no neighbors in the pool cannot be matched.
     g = gnp_generate(40, 0.0, 0)
-    records, fail = build_single_absorbers(g, *STAR_CLASSES)
-    assert records is None
-    assert fail is not None
-    assert fail["round"] == 1
-    assert 0 in fail["violating_absorbees"]
+    cores, fail = build_single_absorbers(g, *STAR_CLASSES)
+    assert cores is None
+    assert fail == {
+        "round": 1,
+        "violating_absorbees": [0],
+        "joint_neighborhood": 0,
+        "pool": 8,
+    }
+
+
+def test_a_failing_round_reports_the_star_vertices_it_ran_on() -> None:
+    # Three absorbees on a complete host: rounds 1 and 2 take six of the
+    # eight pool vertices, so round 3 runs on the last two.
+    g = complete_graph(20)
+    xs = 0b111 << 10
+    cores, fail = build_single_absorbers(g, xs, mask_of(range(8)))
+    assert cores is None
+    assert fail["round"] == 3 and fail["pool"] == 2
+    assert fail["joint_neighborhood"] == 2
+    assert len(fail["violating_absorbees"]) == 3
+    cores, fail = build_single_absorbers(g, xs, mask_of(range(13, 20)) | 0b11111)
+    assert fail is None
+    assert len({v for core in cores for v in core}) == 12
+
+
+def test_round_three_needs_v1_adjacent_to_u1() -> None:
+    # x = 0 sees the whole pool 1..4, which is the path 1 2 3 4.  The picks
+    # u1, u2 are two neighbours on the path, and the only common neighbour
+    # of x and u2 left in the pool is u2's other path neighbour, if any,
+    # which misses u1: the path has no triangle.  So round 3 fails.
+    g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)])
+    cores, fail = build_single_absorbers(g, 1 << 0, 0b11110)
+    assert cores is None
+    assert fail["round"] == 3 and fail["pool"] == 2
+    # Without v1 ~ u1 the core 1 2 x 3 4 would do: its include walk is a
+    # square path, and only its exclude walk lacks an edge.
+    unit = AbsorberUnit(0, (1, 2, 3, 4))
+    assert is_square_path(g, unit.traversal("include"))
+    assert not is_square_path(g, unit.traversal("exclude"))
 
 
 def test_star_stage_rejects_overlapping_classes() -> None:
     g = complete_graph(20)
-    xs, w1, w2, w3, w4 = STAR_CLASSES
-    assert build_single_absorbers(g, xs, w1, w2, w3, w4)[1] is None
+    xs, star = STAR_CLASSES
+    assert build_single_absorbers(g, xs, star)[1] is None
     for bad in (
-        (xs, w1, w2 | w1, w3, w4),  # two star pools share vertices
-        (xs, w1, w2, w3, w4 | xs),  # a star pool holds the absorbee
-        (xs, w1, w2, w3, w4 | 1 << 20),  # vertex 20 is not one of g
-        (xs, -1, 0, 0, 0),  # a negative mask is no vertex set
+        (xs, star | xs),  # the star pool holds the absorbee
+        (xs, star | 1 << 20),  # vertex 20 is not one of g
+        (xs, -1),  # a negative mask is no vertex set
+        (-1, star),
     ):
         with pytest.raises(InputError):
             build_single_absorbers(g, *bad)
 
 
-def test_completion_reports_exhausted_reservoirs() -> None:
+def test_completion_pairs_each_absorbee_with_its_core() -> None:
     g = complete_graph(30)
-    records, fail = build_single_absorbers(g, *STAR_CLASSES)
+    xs = 1 << 3 | 1 << 0
+    cores, fail = build_single_absorbers(g, xs, mask_of(range(10, 30)))
     assert fail is None
-    units, fail = complete_absorbers(g, records, 1 << 9 | 1 << 10, 2, 0)
-    assert units is None
-    assert fail is not None
-    assert fail["phase"] == "backbone"
-    assert fail["absorbee"] == 0
+    units = complete_absorbers(xs, cores)
+    assert [u.x for u in units] == [0, 3]
+    assert [u.core for u in units] == list(cores)
 
 
-def test_units_keep_the_star_core_as_their_first_block() -> None:
+def test_built_units_are_square_paths_with_and_without_their_absorbee() -> None:
     g, absorber, _ = build_full_absorber(150, 0.55, 11)
     assert absorber is not None
     for unit in absorber.units:
-        u1, u2, v1, v2 = unit.backbone.vertices[:4]
+        u1, u2, v1, v2 = unit.core
         assert is_square_path(g, (u1, u2, unit.x, v1, v2)).ok
+        assert is_square_path(g, (u1, u2, v1, v2)).ok
 
 
 def test_chaining_audits_what_it_returns() -> None:
@@ -368,17 +371,14 @@ def test_chaining_audits_what_it_returns() -> None:
     free = ((1 << g.n) - 1) & ~absorber.body()
     again, fail = chain_absorbers(g, absorber.units, free, 5)
     assert fail is None and verify_absorber(g, again).ok
-    # Slot (2, 1) of the first unit moves to a vertex outside the body that
-    # misses one of the rest of its block; the link ports stay as they were.
+    # The first unit's absorbee moves to a vertex outside the body that
+    # misses one of its core; the link ports stay as they were.
     unit = absorber.units[0]
-    verts = list(unit.backbone.vertices)
-    verts[4] = next(
-        v
-        for v in bits(free)
-        if not all(g.has_edge(v, u) for u in verts[5:8])
+    x = next(
+        v for v in bits(free) if not all(g.has_edge(v, u) for u in unit.core)
     )
-    bad = replace(unit, backbone=replace(unit.backbone, vertices=tuple(verts)))
-    pool = free & ~mask_of(verts)
+    bad = replace(unit, x=x)
+    pool = free & ~(1 << x)
     with pytest.raises(AssertionError, match="failed verification"):
         chain_absorbers(g, (bad,) + absorber.units[1:], pool, 5)
 
@@ -392,16 +392,10 @@ def test_chaining_rejects_empty_and_overlapping_units() -> None:
         chain_absorbers(g, absorber.units[:1] * 2, 0, 0)
 
 
-@pytest.mark.parametrize("blocks, seed", [(1, 0), (2, -1)], ids=["blocks", "seed"])
-def test_absorber_stages_reject_out_of_range_arguments(blocks, seed) -> None:
+def test_absorber_stages_reject_out_of_range_arguments() -> None:
     g = complete_graph(30)
-    records, fail = build_single_absorbers(g, *STAR_CLASSES)
+    xs, star = STAR_CLASSES
+    cores, fail = build_single_absorbers(g, xs, star)
     assert fail is None
-    pool = mask_of(range(9, 30))
-    with pytest.raises(InputError, match="blocks" if blocks < 2 else "seed"):
-        complete_absorbers(g, records, pool, blocks, seed)
-    if seed < 0:
-        units, fail = complete_absorbers(g, records, pool, 2, 0)
-        assert fail is None
-        with pytest.raises(InputError, match="seed"):
-            chain_absorbers(g, units, 0, seed)
+    with pytest.raises(InputError, match="seed"):
+        chain_absorbers(g, complete_absorbers(xs, cores), 0, -1)

@@ -169,10 +169,10 @@ def test_connect_rejects_malformed_job_strings(tmp_path) -> None:
     assert run("connect", "--graph", graph, "--pairs", "0,1,2") == 2
 
 
-def test_connect_builds_long_backbones_without_a_route_flag(tmp_path) -> None:
+def test_connect_builds_long_paths_without_a_route_flag(tmp_path) -> None:
     graph = write_graph(tmp_path, "g.edges", 30, 1.0, 0)
     assert run("connect", "--graph", graph, "--pairs", "0,1,2,3",
-               "--b", "2", "--length", "12", "--seed", "5") == 0
+               "--length", "12", "--seed", "5") == 0
     assert run("connect", "--graph", graph, "--pairs", "0,1,2,3",
                "--route", "direct") == 2
 
@@ -211,14 +211,14 @@ def test_connect_and_absorber_build_outputs_are_pinned(tmp_path, capsys) -> None
         "--w", reservoir, "--exclude", "10,20,30", "--seed", "2",
     ) == (0, "ef1de35c00b686566a4648aa1b47fb47c7b4003924f3e50db769b6ac74683dd7")
     assert stdout_digest(
-        capsys, "connect", "--graph", graph, "--pairs", pairs, "--b", "2",
+        capsys, "connect", "--graph", graph, "--pairs", pairs,
         "--length", "8", "--exclude", "9,11,13", "--seed", "1",
-    ) == (0, "7dce13107fe6c66e991ecea139b456f12a4781e5b50c74f95c82ba6f37e8ac5e")
+    ) == (0, "d4ad3b317cb9124813b5f46d172997bceeb258ac8f28bff24dbad0ff33f1c814")
     graph = write_graph(tmp_path, "h.edges", 120, 0.55, 7)
     assert stdout_digest(
         capsys, "absorber", "build", "--graph", graph, "--x", "0,1,2",
         "--seed", "3",
-    ) == (0, "77ff7a0b03d346c2daba3b5587e686dbf727f0e127a72470ff0bf9466dfaae9a")
+    ) == (0, "7b079c0a91f75397245b88a913ae1e146a2c89f7a21975e461a67bb00a38a7d6")
 
 
 def test_connect_rejects_negative_vertices(tmp_path, capsys) -> None:
@@ -258,24 +258,29 @@ def test_absorber_build_audits_the_absorber_once(
     assert [(a.ok, a.subsets_checked) for a in audits] == [(True, 4)]
 
 
-def test_absorber_files_with_star_keys_still_load(tmp_path, capsys) -> None:
-    # Files written before a unit kept its star core only in its backbone
-    # carry each core a second time, as "star" = the first four slots.
+def test_absorber_verify_names_the_old_multi_block_format(tmp_path, capsys) -> None:
+    # Files written while units had several four-vertex blocks carry
+    # "blocks" and no "core"; they cannot be read as five-vertex units.
+    graph = write_graph(tmp_path, "g.edges", 30, 0.5, 0)
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({
+        "units": [{"x": 0, "blocks": 2, "backbone": list(range(1, 9)),
+                   "junctions": [[]]}],
+        "links": [],
+    }))
+    assert run("absorber", "verify", "--graph", graph,
+               "--absorber", str(old)) == 2
+    assert "multi-block unit format" in capsys.readouterr().err
+
+
+def test_absorber_files_round_trip_through_the_core_format(tmp_path, capsys) -> None:
     graph = write_graph(tmp_path, "g.edges", 120, 0.55, 7)
     assert run("absorber", "build", "--graph", graph, "--x", "0,1,2",
                "--seed", "3") == 0
-    current = capsys.readouterr().out
-    obj = json.loads(current)
-    assert all("star" not in unit for unit in obj["units"])
-    for unit in obj["units"]:
-        unit["star"] = unit["backbone"][:4]
-    old = tmp_path / "old.json"
-    old.write_text(json.dumps(obj))
-    assert run("absorber", "verify", "--graph", graph,
-               "--absorber", str(old)) == 0
-    assert json.loads(capsys.readouterr().out)["ok"] is True
-    loaded = absorber_from_json_obj(json.loads(old.read_text()))
-    assert absorber_to_json_obj(loaded) == json.loads(current)
+    current = json.loads(capsys.readouterr().out)
+    assert [sorted(unit) for unit in current["units"]] == [["core", "x"]] * 3
+    assert all(len(unit["core"]) == 4 for unit in current["units"])
+    assert absorber_to_json_obj(absorber_from_json_obj(current)) == current
 
 
 def test_absorber_build_rejects_repeated_absorbees(tmp_path, capsys) -> None:
@@ -306,15 +311,17 @@ def test_absorber_verify_detects_a_mismatched_host(tmp_path) -> None:
         {"units": [{"x": 0, "star": [1, 2, 3, 4], "blocks": 10**9,
                     "backbone": [2, 1, 5], "junctions": [[]]}],
          "links": []},
-        {"units": [{"x": 0, "star": [1, 2, 3, 4], "blocks": 2,
-                    "backbone": [2, 1, 5, 6, 3, 4, 7, 8], "junctions": [[]]}],
-         "links": [[]]},
+        {"units": [{"x": 0, "core": [1, 2, 3, 4]}], "links": [[]]},
+        {"units": [{"x": 0, "core": [1, 2, 3]}], "links": []},
+        {"units": [{"x": 0}], "links": []},
     ],
-    ids=["no-units", "short-backbone", "huge-blocks", "extra-link"],
+    ids=["no-units", "short-backbone", "huge-blocks", "extra-link", "short-core",
+         "no-core"],
 )
 def test_absorber_verify_rejects_malformed_descriptions(
     tmp_path, description
 ) -> None:
+    # The two multi-block files are refused by their format alone.
     graph = write_graph(tmp_path, "g.edges", 12, 0.5, 0)
     absorber = tmp_path / "absorber.json"
     absorber.write_text(json.dumps(description))
@@ -322,22 +329,17 @@ def test_absorber_verify_rejects_malformed_descriptions(
                "--absorber", str(absorber)) == 2
 
 
-@pytest.mark.parametrize("where", ["x", "backbone", "junction", "link"])
+@pytest.mark.parametrize("where", ["x", "core", "link"])
 def test_absorber_verify_rejects_a_huge_vertex_id(tmp_path, capsys, where) -> None:
     # The audit builds the body as a bitset; a stored id of 10**12 must be
     # rejected before that, not turned into a 10**12-bit integer.
     huge = 10**12
-    units = [
-        {"x": 0, "blocks": 2, "backbone": list(range(1, 9)), "junctions": [[9]]},
-        {"x": 10, "blocks": 2, "backbone": list(range(11, 19)), "junctions": [[]]},
-    ]
+    units = [{"x": 0, "core": [1, 2, 3, 4]}, {"x": 10, "core": [11, 12, 13, 14]}]
     links = [[19]]
     if where == "x":
         units[1]["x"] = huge
-    elif where == "backbone":
-        units[0]["backbone"][5] = huge
-    elif where == "junction":
-        units[0]["junctions"] = [[huge]]
+    elif where == "core":
+        units[0]["core"][3] = huge
     else:
         links = [[huge]]
     graph = write_graph(tmp_path, "g.edges", 30, 0.5, 0)
@@ -369,23 +371,33 @@ def test_vertex_flags_reject_a_huge_id_before_building_a_mask(
     assert "out of range" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("blocks", ["1", "0"])
-def test_absorber_build_rejects_blocks_below_two(tmp_path, capsys, blocks) -> None:
-    graph = write_graph(tmp_path, "g.edges", 120, 0.55, 7)
-    assert run("absorber", "build", "--graph", graph, "--x", "0,1,2",
-               "--blocks", blocks) == 2
-    assert "--blocks" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("absorber", "build", "--graph", "G", "--x", "0", "--blocks", "2"),
+         "--blocks"),
+        (("connect", "--graph", "G", "--pairs", "0,1,2,3", "--b", "1"), "--b"),
+        (("gadget", "--kind", "backbone", "--length", "8"), "backbone"),
+        (("gadget", "--kind", "square-path", "--length", "8", "--blocks", "2"),
+         "--blocks"),
+    ],
+    ids=["absorber-blocks", "connect-b", "gadget-backbone", "gadget-blocks"],
+)
+def test_the_removed_multi_block_flags_exit_2(tmp_path, capsys, argv, named) -> None:
+    graph = write_graph(tmp_path, "g.edges", 12, 0.5, 0)
+    assert run(*(graph if a == "G" else a for a in argv)) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_absorber_build_fills_its_pools_with_every_spare_vertex(
     tmp_path, capsys
 ) -> None:
-    # Three-block units over six absorbees: the pools split all 194 spare
-    # vertices in the planner's proportions.
+    # Six absorbees: the two pools split all 194 spare vertices in the
+    # planner's proportions.
     graph = write_graph(tmp_path, "g.edges", 200, 0.45, 1)
     for seed in range(6):
         assert run("absorber", "build", "--graph", graph, "--x", "0,1,2,3,4,5",
-                   "--blocks", "3", "--seed", str(seed)) == 0
+                   "--seed", str(seed)) == 0
         assert len(json.loads(capsys.readouterr().out)["units"]) == 6
 
 
@@ -400,7 +412,7 @@ def test_absorber_build_failure_reports_a_stage(tmp_path, capsys) -> None:
 def test_absorber_build_partition_failures_record_their_config(
     tmp_path, capsys
 ) -> None:
-    # The manifest records the absorbees, blocks and seed on every outcome,
+    # The manifest records the absorbees and seed on every outcome,
     # the partition failure included.
     graph = write_graph(tmp_path, "g.edges", 30, 0.5, 0)
     out = tmp_path / "ab.json"
@@ -408,7 +420,7 @@ def test_absorber_build_partition_failures_record_their_config(
                "--seed", "4", "--out", str(out)) == 1
     assert json.loads(out.read_text())["stage"] == "partition"
     manifest = json.loads((tmp_path / "ab.json.manifest.json").read_text())
-    assert manifest["config"] == {"x": [0, 1, 2], "blocks": 2, "seed": 4}
+    assert manifest["config"] == {"x": [0, 1, 2], "seed": 4}
 
 
 def test_gadget_edgelist_matches_the_template_size(capsys) -> None:
@@ -416,7 +428,7 @@ def test_gadget_edgelist_matches_the_template_size(capsys) -> None:
                "--format", "edgelist") == 0
     g = graph_from_edgelist_text(capsys.readouterr().out)
     assert g.n == 8 and g.edge_count == 13
-    assert run("gadget", "--kind", "backbone", "--blocks", "3") == 0
+    assert run("gadget", "--kind", "square-path", "--length", "12") == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["labels"] == 12
     assert len(payload["edges"]) == 21
@@ -425,7 +437,7 @@ def test_gadget_edgelist_matches_the_template_size(capsys) -> None:
 def test_gadget_rejects_missing_parameters() -> None:
     assert run("gadget", "--kind", "square-path", "--length", "1") == 2
     assert run("gadget", "--kind", "square-path") == 2
-    assert run("gadget", "--kind", "backbone", "--blocks", "1") == 2
+    assert run("gadget", "--length", "8") == 2
 
 
 def test_experiment_json_and_csv_agree_on_seed_count(tmp_path) -> None:

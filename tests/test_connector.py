@@ -66,7 +66,7 @@ def test_short_connections_on_a_complete_graph_always_land(
     length: int, seed: int
 ) -> None:
     g = complete_graph(24)
-    req = ConnectionRequest((0, 1), (2, 3), mask_of(range(4, 24)), b=1, length=length)
+    req = ConnectionRequest((0, 1), (2, 3), mask_of(range(4, 24)), length=length)
     res = connect_one(g, req, seed=seed)
     assert res.ok
     emb = res.embedding
@@ -83,7 +83,7 @@ def test_interiors_avoid_the_exclusion_set(seed: int) -> None:
         return
     g, ((frm, to),), w = bundle
     x = mask_of(bits(w)[::3])
-    req = ConnectionRequest(frm, to, w & ~x, b=1, length=6)
+    req = ConnectionRequest(frm, to, w & ~x, length=6)
     res = connect_all(g, [req], seed=seed)
     if not res.ok:
         return
@@ -98,7 +98,7 @@ def test_connection_is_deterministic_per_seed(seed: int) -> None:
     if bundle is None:
         return
     g, ((frm, to),), w = bundle
-    req = ConnectionRequest(frm, to, w, b=1, length=6)
+    req = ConnectionRequest(frm, to, w, length=6)
     first = connect_one(g, req, seed=seed)
     second = connect_one(g, req, seed=seed)
     assert first.ok == second.ok
@@ -113,25 +113,11 @@ def test_long_direct_connections_produce_valid_square_paths(seed: int) -> None:
     if bundle is None:
         return
     g, ((frm, to),), w = bundle
-    req = ConnectionRequest(frm, to, w, b=1, length=12)
+    req = ConnectionRequest(frm, to, w, length=12)
     res = connect_one(g, req, seed=seed)
     assert res.ok
     assert validate_embedding(g, res.embedding, connect_from=frm, connect_to=to).ok
     assert len(res.embedding.vertices) == 12
-
-
-@settings(max_examples=10)
-@given(integers(min_value=0, max_value=50), sampled_from((8, 12, 16)))
-def test_width_two_connections_form_backbones(seed: int, length: int) -> None:
-    bundle = host_and_jobs(300, 0.5, seed)
-    if bundle is None:
-        return
-    g, ((frm, to),), w = bundle
-    req = ConnectionRequest(frm, to, w, b=2, length=length)
-    res = connect_one(g, req, seed=seed)
-    assert res.ok
-    assert res.embedding.gadget.kind == "backbone"
-    assert validate_embedding(g, res.embedding, connect_from=frm, connect_to=to).ok
 
 
 def test_request_validation_rejects_malformed_jobs() -> None:
@@ -139,9 +125,7 @@ def test_request_validation_rejects_malformed_jobs() -> None:
     with pytest.raises(InputError):
         connect_one(g, ConnectionRequest((0, 1), (0, 2), 0b1100000, length=4), seed=0)
     with pytest.raises(InputError):
-        connect_one(
-            g, ConnectionRequest((0, 1), (2, 3), 0b1100000, length=3, b=2), seed=0
-        )
+        connect_one(g, ConnectionRequest((0, 1), (2, 3), 0b1100000, length=3), seed=0)
     sparse = gnp_generate(10, 0.0, 0)
     with pytest.raises(InputError):
         connect_one(
@@ -150,22 +134,20 @@ def test_request_validation_rejects_malformed_jobs() -> None:
 
 
 @pytest.mark.parametrize(
-    "frm, to, b, length, message",
+    "frm, to, length, message",
     [
-        ((0, 1), (2, 3), 3, 4, "^skip width must be 1 or 2, got 3$"),
-        ((0, 1), (2, 3), 1, 3, "^width-1 connections need length >= 4, got 3$"),
-        ((0, 1), (2, 3), 2, 10, "^width-2 connections need length in 8, 12, "),
-        ((0, 1), (1, 3), 1, 4, r"^job ports overlap: \(0, 1\) -> \(1, 3\)$"),
-        ((0, 1), (2, 10), 1, 4, "^vertex 10 out of range for n=10$"),
-        ((-1, 1), (2, 3), 1, 4, "^vertex -1 out of range for n=10$"),
-        ((0, 1), (2, 3, 4), 1, 4, "^job ports must be two ordered pairs"),
-        ((0, 1), (2, 3), 1, 4, r"^job ports must be host edges: \(0, 1\) -> "),
+        ((0, 1), (2, 3), 3, "^connections need length >= 4, got 3$"),
+        ((0, 1), (1, 3), 4, r"^job ports overlap: \(0, 1\) -> \(1, 3\)$"),
+        ((0, 1), (2, 10), 4, "^vertex 10 out of range for n=10$"),
+        ((-1, 1), (2, 3), 4, "^vertex -1 out of range for n=10$"),
+        ((0, 1), (2, 3, 4), 4, "^job ports must be two ordered pairs"),
+        ((0, 1), (2, 3), 4, r"^job ports must be host edges: \(0, 1\) -> "),
     ],
 )
-def test_each_malformed_job_gets_its_own_message(frm, to, b, length, message) -> None:
+def test_each_malformed_job_gets_its_own_message(frm, to, length, message) -> None:
     # Every check before the host-edge one fires whatever the edges.
     g = complete_graph(10).remove_edges([(0, 1)])
-    req = ConnectionRequest(frm, to, mask_of(range(5, 10)), b, length)
+    req = ConnectionRequest(frm, to, mask_of(range(5, 10)), length)
     with pytest.raises(InputError, match=message):
         connect_one(g, req, seed=0)
 
@@ -213,8 +195,8 @@ def test_connection_templates_are_built_once_per_shape(monkeypatch) -> None:
     connector._template.cache_clear()
     g = complete_graph(30)
     for seed in range(3):
-        for b, length in ((1, 6), (2, 8)):
-            req = ConnectionRequest((0, 1), (2, 3), mask_of(range(4, 30)), b, length)
+        for length in (6, 8):
+            req = ConnectionRequest((0, 1), (2, 3), mask_of(range(4, 30)), length)
             assert connect_one(g, req, seed).ok
     assert len(built) == 2
     connector._template.cache_clear()
@@ -226,7 +208,7 @@ def test_connect_all_keeps_job_interiors_disjoint(seed: int) -> None:
     if bundle is None:
         return
     g, pairs, w = bundle
-    reqs = [ConnectionRequest(frm, to, w, b=1, length=6) for frm, to in pairs]
+    reqs = [ConnectionRequest(frm, to, w, length=6) for frm, to in pairs]
     res = connect_all(g, reqs, seed=seed)
     if not res.ok:
         return
@@ -247,7 +229,7 @@ def shuffled_scan(g, req, seed: int, budget: int = 100_000) -> tuple[bool, int]:
     a uniformly random order, and a node is one unplaced pool vertex looked
     at.
     """
-    gadget, fixed_edges, free, back_nbrs = connector._template(req.b, req.length)
+    gadget, fixed_edges, free, back_nbrs = connector._template(req.length)
     (f0, f1), (t0, t1) = gadget.port_from, gadget.port_to
     image = {f0: req.frm[0], f1: req.frm[1], t0: req.to[0], t1: req.to[1]}
     rows = g.rows
@@ -284,7 +266,7 @@ def shuffled_scan(g, req, seed: int, budget: int = 100_000) -> tuple[bool, int]:
     return fill(0), nodes
 
 
-SHAPES = [(1, length) for length in range(4, 9)] + [(2, 8), (2, 12)]
+LENGTHS = (4, 5, 6, 7, 8, 12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -297,8 +279,8 @@ def test_search_lands_and_fails_exactly_where_the_shuffled_scan_does(g, data) ->
     assume(outs)
     to = data.draw(sampled_from(outs))
     w = data.draw(integers(min_value=0, max_value=(1 << g.n) - 1))
-    for b, length in SHAPES:
-        req = ConnectionRequest(frm, to, w, b, length)
+    for length in LENGTHS:
+        req = ConnectionRequest(frm, to, w, length)
         for seed in range(4):
             res = connect_one(g, req, seed)
             ok, nodes = shuffled_scan(g, req, seed)
@@ -324,8 +306,8 @@ def test_a_pick_is_uniform_over_the_fitting_vertices() -> None:
 def test_same_seed_same_embedding() -> None:
     g = complete_graph(20)
     w = mask_of(range(4, 20))
-    for b, length in SHAPES:
-        req = ConnectionRequest((0, 1), (2, 3), w, b, length)
+    for length in LENGTHS:
+        req = ConnectionRequest((0, 1), (2, 3), w, length)
         found = set()
         for seed in range(6):
             first = connect_one(g, req, seed)
@@ -401,7 +383,7 @@ def test_connect_all_names_the_stalled_jobs_and_the_last_search() -> None:
     assert res.diagnostics == {
         "stalled_jobs": [1],
         "last_failure": {
-            "config": {"b": 1, "length": 5, "pool": 1, "seed": last_seed},
+            "config": {"length": 5, "pool": 1, "seed": last_seed},
             "nodes": 1,
         },
     }

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis.strategies import (
     data,
     integers,
-    lists,
     permutations,
     sampled_from,
     tuples,
@@ -22,18 +21,13 @@ from squareham import (
     validate_embedding,
     verify_certificate,
 )
-from squareham.gadgets import (
-    absorber_traversal,
-    backbone_label,
-    square_path_pairs,
-)
+from squareham.gadgets import square_path_pairs
 from squareham.graphcore import rng_for
 
 from oracles import (
     looped_is_square_path,
     looped_validate_embedding,
     looped_verify_certificate,
-    slotted_absorber_traversal,
 )
 from strategies import gnp_graphs, seeds
 
@@ -56,32 +50,13 @@ def test_square_path_edge_set_matches_distance_two_oracle(length: int) -> None:
     assert gadget.port_to == (length - 2, length - 1)
 
 
-@given(integers(min_value=2, max_value=8))
-def test_backbone_edge_count_and_ports(blocks: int) -> None:
-    gadget = build_gadget("backbone", blocks=blocks)
-    assert gadget.labels == 4 * blocks
-    assert len(gadget.edges) == 8 * blocks - 3
-    assert gadget.port_from == (1, 0)
-    assert gadget.port_to == (3, 2)
-
-
-@given(integers(min_value=2, max_value=8))
-def test_backbone_label_is_a_bijection(blocks: int) -> None:
-    seen = {
-        backbone_label(i, j, blocks)
-        for i in range(1, blocks + 1)
-        for j in range(1, 5)
-    }
-    assert seen == set(range(4 * blocks))
-
-
 def test_build_gadget_rejects_bad_parameters() -> None:
     with pytest.raises(InputError):
         build_gadget("no-such-kind", length=4)
     with pytest.raises(InputError):
         build_gadget("square-path", length=1)
     with pytest.raises(InputError):
-        build_gadget("backbone", blocks=1)
+        build_gadget("backbone", length=8)
     with pytest.raises(InputError):
         build_gadget("square-path")
 
@@ -169,8 +144,7 @@ def test_embedding_check_matches_the_looped_check(draw) -> None:
     g = draw.draw(gnp_graphs(min_n=1, max_n=14, min_p=0.4))
     gadget = draw.draw(
         sampled_from(
-            [build_gadget("square-path", length=k) for k in (2, 5, 8)]
-            + [build_gadget("backbone", blocks=b) for b in (2, 3)]
+            [build_gadget("square-path", length=k) for k in (2, 5, 8, 12)]
         )
     )
     size = draw.draw(sampled_from([gadget.labels, gadget.labels, gadget.labels - 1]))
@@ -212,104 +186,3 @@ def test_validate_embedding_checks_port_images() -> None:
     assert not wrong_entry.ok and "entry port" in wrong_entry.reason
     wrong_exit = validate_embedding(host, emb, connect_to=(5, 4))
     assert not wrong_exit.ok and "exit port" in wrong_exit.reason
-
-
-# -- absorber traversals ------------------------------------------------------
-
-
-def synthetic_unit_host(blocks: int, connector_length: int):
-    """A host carrying exactly one absorber unit's guaranteed edges.
-
-    Vertices: star core ``u1, u2, x, v1, v2`` occupies the first block's
-    slots plus the absorbee; remaining backbone slots and connector
-    interiors get fresh vertices.  Returns the host graph, the backbone
-    vertex assignment, the connector interiors, and the absorbee.
-    """
-    interiors_per = connector_length - 4
-    backbone = build_gadget("backbone", blocks=blocks)
-    x = 0
-    u1, u2, v1, v2 = 1, 2, 3, 4
-    verts = [0] * (4 * blocks)
-    verts[0], verts[1], verts[2], verts[3] = u1, u2, v1, v2
-    nxt = 5
-    for label in range(4, 4 * blocks):
-        verts[label] = nxt
-        nxt += 1
-    interiors = []
-    for _ in range(blocks - 1):
-        interiors.append(tuple(range(nxt, nxt + interiors_per)))
-        nxt += interiors_per
-    edges: set[tuple[int, int]] = set()
-    core = (u1, u2, x, v1, v2)
-    for i, j in square_path_edge_oracle(5):
-        edges.add(tuple(sorted((core[i], core[j]))))
-    for a, b in backbone.edges:
-        edges.add(tuple(sorted((verts[a], verts[b]))))
-    conn = build_gadget("square-path", length=connector_length)
-    for i in range(1, blocks):
-        tail = (
-            verts[backbone_label(i, 3, blocks)],
-            verts[backbone_label(i, 4, blocks)],
-        )
-        head = (
-            verts[backbone_label(i + 1, 1, blocks)],
-            verts[backbone_label(i + 1, 2, blocks)],
-        )
-        image = tail + interiors[i - 1] + head
-        for a, b in conn.edges:
-            edges.add(tuple(sorted((image[a], image[b]))))
-    host = Graph(nxt, sorted(edges))
-    return host, tuple(verts), tuple(interiors), x
-
-
-@pytest.mark.parametrize("blocks", [2, 3, 4])
-@pytest.mark.parametrize("connector_length", [4, 8])
-def test_both_traversals_are_square_paths_on_the_unit_edges(
-    blocks: int, connector_length: int
-) -> None:
-    host, verts, interiors, x = synthetic_unit_host(blocks, connector_length)
-    everything = set(verts) | {x} | {v for i in interiors for v in i}
-    entry = (verts[0], verts[1])
-    exit_ = (
-        verts[backbone_label(blocks, 3, blocks)],
-        verts[backbone_label(blocks, 4, blocks)],
-    )
-    for mode, covered in (
-        ("include", everything),
-        ("exclude", everything - {x}),
-    ):
-        walk = absorber_traversal(verts, interiors, x, mode)
-        assert set(walk) == covered
-        assert len(walk) == len(covered)
-        assert is_square_path(host, walk)
-        assert walk[:2] == entry
-        assert walk[-2:] == exit_
-
-
-@given(
-    integers(min_value=2, max_value=6),
-    lists(integers(min_value=0, max_value=4), min_size=5, max_size=5),
-    sampled_from(["include", "exclude"]),
-)
-def test_traversal_matches_the_slotted_walk(
-    blocks: int, lengths: list[int], mode: str
-) -> None:
-    backbone = tuple(range(4 * blocks))
-    nxt = 4 * blocks + 1
-    interiors = []
-    for k in lengths[: blocks - 1]:
-        interiors.append(tuple(range(nxt, nxt + k)))
-        nxt += k
-    walk = absorber_traversal(backbone, interiors, 4 * blocks, mode)
-    assert walk == slotted_absorber_traversal(backbone, interiors, 4 * blocks, mode)
-
-
-def test_traversal_rejects_bad_arguments() -> None:
-    with pytest.raises(InputError):
-        absorber_traversal(tuple(range(4)), (), 9, "include")
-    with pytest.raises(InputError):
-        absorber_traversal(tuple(range(10)), ((),), 9, "include")
-    with pytest.raises(InputError):
-        absorber_traversal(tuple(range(12)), ((),), 9, "include")
-    with pytest.raises(InputError):
-        absorber_traversal(tuple(range(8)), ((),), 9, "sideways")

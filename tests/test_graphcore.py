@@ -298,7 +298,7 @@ ENTRY_POINTS = {
         g, verts=s
     ),
     "match_leftover": lambda g, s: match_leftover(g, s, 0),
-    "build_single_absorbers": lambda g, s: build_single_absorbers(g, s, 0, 0, 0, 0),
+    "build_single_absorbers": lambda g, s: build_single_absorbers(g, s, 0),
     "connect_one": lambda g, s: connect_one(
         g, ConnectionRequest((0, 1), (2, 3), s, length=5), seed=0
     ),

@@ -335,3 +335,14 @@ def test_pipeline_config_holds_only_settings_callers_change() -> None:
         "almost_spanning_square_path": ["g", "seed", "verts"],
         "cover_with_square_paths": ["g", "u_prime", "seed"],
     }
+
+
+def test_connections_and_units_keep_only_the_fields_they_use() -> None:
+    # A connection is a square path, so it has no width; a unit is its
+    # five-vertex core, so it has no blocks beyond it.
+    requests = [f.name for f in dataclasses.fields(squareham.ConnectionRequest)]
+    assert requests == ["frm", "to", "w", "length"]
+    assert [f.name for f in dataclasses.fields(squareham.AbsorberUnit)] == [
+        "x",
+        "core",
+    ]
