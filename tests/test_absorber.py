@@ -392,10 +392,11 @@ def test_chaining_rejects_empty_and_overlapping_units() -> None:
         chain_absorbers(g, absorber.units[:1] * 2, 0, 0)
 
 
-def test_absorber_stages_reject_out_of_range_arguments() -> None:
+@pytest.mark.parametrize("seed", [-1], ids=["seed"])
+def test_absorber_stages_reject_out_of_range_arguments(seed: int) -> None:
     g = complete_graph(30)
     xs, star = STAR_CLASSES
     cores, fail = build_single_absorbers(g, xs, star)
     assert fail is None
     with pytest.raises(InputError, match="seed"):
-        chain_absorbers(g, complete_absorbers(xs, cores), 0, -1)
+        chain_absorbers(g, complete_absorbers(xs, cores), 0, seed)

@@ -133,15 +133,25 @@ def test_request_validation_rejects_malformed_jobs() -> None:
         )
 
 
+def kept_id(i: int, frm, to, length: int, message: str):
+    """A case under the id it had when requests also carried a skip width.
+
+    The width sat between ``to`` and ``length`` and was 1 in these cases.
+    """
+    return pytest.param(
+        frm, to, length, message, id=f"frm{i}-to{i}-1-{length}-{message}"
+    )
+
+
 @pytest.mark.parametrize(
     "frm, to, length, message",
     [
         ((0, 1), (2, 3), 3, "^connections need length >= 4, got 3$"),
-        ((0, 1), (1, 3), 4, r"^job ports overlap: \(0, 1\) -> \(1, 3\)$"),
-        ((0, 1), (2, 10), 4, "^vertex 10 out of range for n=10$"),
-        ((-1, 1), (2, 3), 4, "^vertex -1 out of range for n=10$"),
-        ((0, 1), (2, 3, 4), 4, "^job ports must be two ordered pairs"),
-        ((0, 1), (2, 3), 4, r"^job ports must be host edges: \(0, 1\) -> "),
+        kept_id(3, (0, 1), (1, 3), 4, r"^job ports overlap: \(0, 1\) -> \(1, 3\)$"),
+        kept_id(4, (0, 1), (2, 10), 4, "^vertex 10 out of range for n=10$"),
+        kept_id(5, (-1, 1), (2, 3), 4, "^vertex -1 out of range for n=10$"),
+        kept_id(6, (0, 1), (2, 3, 4), 4, "^job ports must be two ordered pairs"),
+        kept_id(7, (0, 1), (2, 3), 4, r"^job ports must be host edges: \(0, 1\) -> "),
     ],
 )
 def test_each_malformed_job_gets_its_own_message(frm, to, length, message) -> None:

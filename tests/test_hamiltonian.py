@@ -303,7 +303,8 @@ def test_pipeline_delegates_small_hosts_to_exhaustive_search() -> None:
     assert outcome.diagnostics["brute_status"] == "none"
 
 
-@pytest.mark.parametrize("n", [41, 58])
+# The ids keep the 8-vertex backbone size these cases once also ran with.
+@pytest.mark.parametrize("n", [41, 58], ids=["41-8", "58-8"])
 def test_hosts_no_reservoir_plan_fits_go_to_exhaustive_search(n: int) -> None:
     # Below 59 vertices no absorbee count leaves room for the reservoirs;
     # the exhaustive search still answers.
