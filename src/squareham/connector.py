@@ -8,6 +8,14 @@ serves a list of jobs in greedy rounds, so that their interiors are
 pairwise disjoint.  :func:`direct_arc` tests the one
 connection with no interior, the length-4 square path.
 
+The search is exhaustive below its node budget, ``NODE_BUDGET``, and two
+facts follow that let a caller skip searches whose failure is certain.  A
+search that fails under budget has entered every state, so it fails the
+same way for every seed; and it fails on every sub-pool too, whose search
+tree is a sub-tree.  :func:`ports_admit` is a check on the ports alone: a
+job whose template puts some free label next to port vertices with no
+common neighbour in the pool fails for every seed without a search.
+
 The reservoir is an ``int`` bitset (bit ``v`` set for vertex ``v``):
 :func:`connect_one` takes away the ports with one AND, and the pool reaches
 the search as that mask; no vertex set is ever listed.  Each label's
@@ -27,6 +35,9 @@ from .graphcore import Graph, InputError, check_int, mask_of, nth_bit, splitmix6
 
 # Search seeds each connect_all round tries before the batch fails.
 _ROUND_ATTEMPTS = 3
+# Pool vertices one search may look at; a failure past it reports
+# NODE_BUDGET + 1 nodes.
+NODE_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -163,12 +174,57 @@ def _template(length: int) -> tuple[
     return gadget, fixed_edges, free, tuple(tuple(back_nbrs[lab]) for lab in free)
 
 
+@functools.cache
+def _port_rules(length: int) -> tuple[
+    tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]
+]:
+    """:func:`_template`'s fixed edges, and each free label's template
+    neighbours among the port labels, as places in ``(*frm, *to)``."""
+    gadget, fixed_edges, free, _ = _template(length)
+    ports = (*gadget.port_from, *gadget.port_to)
+    port_nbrs: dict[int, list[int]] = {lab: [] for lab in free}
+    for a, c in gadget.edges:
+        for lab, other in ((a, c), (c, a)):
+            if lab in port_nbrs and other in ports:
+                port_nbrs[lab].append(ports.index(other))
+    fixed = tuple((ports.index(a), ports.index(c)) for a, c in fixed_edges)
+    return fixed, tuple(tuple(port_nbrs[lab]) for lab in free)
+
+
+def ports_admit(
+    g: Graph, frm: tuple[int, int], to: tuple[int, int], pool: int, length: int
+) -> bool:
+    """Whether the ports alone leave the length-``length`` job a chance.
+
+    ``False`` means :func:`connect_one` fails on the job for every seed:
+    an edge of the template between two port labels, beyond the two port
+    edges, is missing from ``g``, or some free label's port neighbours have
+    no common neighbour in ``pool`` less the ports.  Every candidate the
+    search could place there lies in that common neighbourhood.  The job
+    must be valid, as :func:`connect_one` asks.
+    """
+    fixed, port_nbrs = _port_rules(length)
+    ports = (*frm, *to)
+    rows = g.rows
+    for a, c in fixed:
+        if not rows[ports[a]] >> ports[c] & 1:
+            return False
+    pool &= ~(1 << ports[0] | 1 << ports[1] | 1 << ports[2] | 1 << ports[3])
+    for nbrs in port_nbrs:
+        cands = pool
+        for i in nbrs:
+            cands &= rows[ports[i]]
+        if not cands:
+            return False
+    return True
+
+
 def _direct_connect(
     g: Graph,
     req: ConnectionRequest,
     pool: _Pool,
     seed: int,
-    budget: int = 100_000,
+    budget: int = NODE_BUDGET,
 ) -> ConnectResult:
     """Fill the target template by backtracking over the reservoir.
 
@@ -188,6 +244,11 @@ def _direct_connect(
     less the placed vertices costs.  A failed search enters every state
     whatever the order, so its node count does not depend on the draws.
     Past ``budget`` nodes the search stops and reports ``budget + 1``.
+
+    Two facts follow for a failure that stays within ``budget``: the job
+    fails the same way for every seed, and it fails on every sub-pool of
+    ``pool`` too, whose candidate masks are subsets of these, so that its
+    search tree is a sub-tree of this one.
     """
     gadget, fixed_edges, free, back_nbrs = _template(req.length)
     (f0, f1), (t0, t1) = gadget.port_from, gadget.port_to

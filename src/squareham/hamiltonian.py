@@ -24,7 +24,13 @@ from .absorber import (
     chain_absorbers,
     complete_absorbers,
 )
-from .connector import ConnectionRequest, connect_one, direct_arc
+from .connector import (
+    NODE_BUDGET,
+    ConnectionRequest,
+    connect_one,
+    direct_arc,
+    ports_admit,
+)
 from .gadgets import ValidationResult, is_square_path
 from .graphcore import (
     Graph,
@@ -657,22 +663,37 @@ def _cascade_connect(
     to: tuple[int, int],
     pool: int,
     seed: int,
+    exhausted: dict[tuple[tuple[int, int], tuple[int, int]], list[int]],
 ) -> tuple[int, ...] | None:
     """Shortest-first connection attempts through the ``pool`` mask; returns
     the interior or None.
 
     The caller has found no direct arc from ``frm`` to ``to``, and the
     length-4 template is exactly that arc, so the sweep runs lengths 5..8;
-    each length's seed is offset by ``length - 4``.
+    each length's seed is offset by ``length - 4``.  A length whose ports
+    :func:`~squareham.connector.ports_admit` rules out is skipped without a
+    search.  ``exhausted`` maps a port pair to the pools on which every
+    length failed within the node budget: such a failure holds for every
+    seed and every sub-pool, so a probe on a subset of a recorded pool
+    returns None at once, and a new such failure is recorded.
     """
     if len({*frm, *to}) != 4:
         return None
+    recorded = exhausted.setdefault((frm, to), [])
+    if any(not pool & ~done for done in recorded):
+        return None
+    finished = True
     for length in range(5, 9):
+        if not ports_admit(g, frm, to, pool, length):
+            continue
         req = ConnectionRequest(frm, to, pool, length)
         res = connect_one(g, req, seed * 37 + length - 4)
         if res.ok:
             # The ports are the first two and the last two labels.
             return res.embedding.vertices[2:-2]
+        finished = finished and res.diagnostics["nodes"] <= NODE_BUDGET
+    if finished:
+        recorded.append(pool)
     return None
 
 
@@ -680,19 +701,27 @@ def _insert_into_paths(g: Graph, paths: list[list[int]], q: int) -> bool:
     """Splice ``q`` into some path interior, preserving square-path pairs.
 
     Splicing between positions ``i - 1`` and ``i`` needs ``q`` adjacent to
-    the two split vertices and to their outer distance-2 partners.
+    the two split vertices and to their outer distance-2 partners.  On the
+    string of ``q``'s adjacencies along a path, the first fit is a prefix
+    ``111`` (``11`` on a two-vertex path) at ``i = 1``, else the first
+    ``1111``, at ``i - 2``, else a suffix ``111`` at ``i = len(path) - 1``.
     """
     row = g.row(q)
     for path in paths:
-        for i in range(1, len(path)):
-            anchors = [path[i - 1], path[i]]
-            if i >= 2:
-                anchors.append(path[i - 2])
-            if i + 1 < len(path):
-                anchors.append(path[i + 1])
-            if all(row >> v & 1 for v in anchors):
-                path.insert(i, q)
-                return True
+        m = len(path)
+        if m < 2:
+            continue
+        adj = "".join("1" if row >> v & 1 else "0" for v in path)
+        if adj.startswith("111" if m > 2 else "11"):
+            i = 1
+        elif (j := adj.find("1111")) >= 0:
+            i = j + 2
+        elif adj.endswith("111"):
+            i = m - 1
+        else:
+            continue
+        path.insert(i, q)
+        return True
     return False
 
 
@@ -711,10 +740,16 @@ def _assemble_cycle(
     segment that follows the absorber traversal and, under ``consumed``, the
     bitset of the fuel it used; or ``None`` and diagnostics on the deepest
     threading reached.
+
+    Each probe counts in ``probes``, including one that
+    :func:`_cascade_connect` answers without a search, from the ports or
+    from this call's record of exhausted pools; the record lives only as
+    long as the call.
     """
     total = len(pieces)
     nodes = 0
     deepest = 0
+    exhausted: dict[tuple[tuple[int, int], tuple[int, int]], list[int]] = {}
 
     def probe(
         cur: tuple[int, int],
@@ -727,7 +762,7 @@ def _assemble_cycle(
         if direct_arc(g, cur, to):
             return ()
         pool = fuel & ~consumed
-        return _cascade_connect(g, cur, to, pool, seed * 7919 + salt)
+        return _cascade_connect(g, cur, to, pool, seed * 7919 + salt, exhausted)
 
     def dfs(
         cur: tuple[int, int],

@@ -102,3 +102,19 @@ def looped_validate_embedding(g: Graph, emb: Embedding) -> ValidationResult:
                 f"template edge ({i}, {j}) maps to missing host edge ({u}, {v})",
             )
     return ValidationResult(True, None)
+
+
+def looped_splice(g: Graph, paths: list[list[int]], q: int) -> bool:
+    """``_insert_into_paths`` as a loop over every position of every path."""
+    row = g.row(q)
+    for path in paths:
+        for i in range(1, len(path)):
+            anchors = [path[i - 1], path[i]]
+            if i >= 2:
+                anchors.append(path[i - 2])
+            if i + 1 < len(path):
+                anchors.append(path[i + 1])
+            if all(row >> v & 1 for v in anchors):
+                path.insert(i, q)
+                return True
+    return False

@@ -299,6 +299,47 @@ def test_search_lands_and_fails_exactly_where_the_shuffled_scan_does(g, data) ->
                 assert res.diagnostics["nodes"] == nodes
 
 
+@settings(max_examples=60, deadline=None)
+@given(gnp_graphs(min_n=6, max_n=14, min_p=0.3, max_p=0.95), data())
+def test_a_job_the_ports_rule_out_fails_for_every_seed(g, data) -> None:
+    arcs = [*g.edges(), *((v, u) for u, v in g.edges())]
+    assume(arcs)
+    frm = data.draw(sampled_from(arcs))
+    outs = [e for e in arcs if not set(e) & set(frm)]
+    assume(outs)
+    to = data.draw(sampled_from(outs))
+    w = data.draw(integers(min_value=0, max_value=(1 << g.n) - 1))
+    for length in range(5, 9):
+        if not connector.ports_admit(g, frm, to, w, length):
+            req = ConnectionRequest(frm, to, w, length)
+            for seed in range(5):
+                res = connect_one(g, req, seed)
+                assert not res.ok
+                assert res.diagnostics["nodes"] <= connector.NODE_BUDGET
+
+
+def test_the_port_rule_sees_each_free_label_and_the_fixed_edges() -> None:
+    for length in range(5, 9):
+        fixed, port_nbrs = connector._port_rules(length)
+        assert len(port_nbrs) == length - 4
+        # Label 2 is adjacent to both entry ports, label L - 3 to both exit
+        # ports, and every free label of these lengths to some port.
+        assert {0, 1} <= set(port_nbrs[0]) and {2, 3} <= set(port_nbrs[-1])
+        assert all(port_nbrs)
+        assert fixed == (((1, 2),) if length == 5 else ())
+    # K_8 less one edge per rule: each rules out exactly what it names.
+    def admitted(g, pool=mask_of(range(4, 8))):
+        return [connector.ports_admit(g, (0, 1), (2, 3), pool, L) for L in range(5, 9)]
+
+    g = complete_graph(8)
+    assert admitted(g) == [True] * 4
+    assert admitted(g.remove_edges([(1, 2)])) == [False, True, True, True]
+    # No pool vertex sees both entry ports.
+    assert admitted(g.remove_edges([(0, v) for v in range(4, 8)])) == [False] * 4
+    # The ports never count as their own candidates.
+    assert admitted(g, 0b1111) == [False] * 4
+
+
 def test_a_pick_is_uniform_over_the_fitting_vertices() -> None:
     # Vertex 11 misses port 0, so the one free label of a length-5 path has
     # four candidates out of a pool of five.

@@ -3,13 +3,23 @@ import hashlib
 import itertools
 import json
 import tracemalloc
+import unittest.mock
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis.strategies import booleans, integers, permutations, sets
+from hypothesis import assume, example, given, settings
+from hypothesis.strategies import (
+    booleans,
+    data,
+    integers,
+    lists,
+    permutations,
+    sampled_from,
+    sets,
+)
 
 from squareham import (
     Certificate,
+    ConnectionRequest,
     Graph,
     FailureReport,
     InfeasibilityWitness,
@@ -18,6 +28,7 @@ from squareham import (
     absorber,
     brute_force_square_ham,
     complete_graph,
+    connect_one,
     connector,
     find_infeasibility_witness,
     find_square_ham,
@@ -40,7 +51,7 @@ from squareham.hamiltonian import (
 )
 from squareham.graphcore import mask_of
 
-from oracles import listed_cover
+from oracles import listed_cover, looped_splice
 from strategies import gnp_graphs, seeds
 
 
@@ -232,6 +243,20 @@ def test_cover_on_a_bitset_draws_what_the_listed_cover_drew(
     assert res.leftover_fraction == (len(leftover) / len(targets) if targets else 0.0)
 
 
+@settings(max_examples=60)
+@given(gnp_graphs(min_n=2, max_n=14, min_p=0.3), data())
+def test_a_straggler_splices_where_the_position_loop_put_it(g, data) -> None:
+    q = data.draw(integers(min_value=0, max_value=g.n - 1))
+    rest = [v for v in data.draw(permutations(range(g.n))) if v != q]
+    cuts = data.draw(sets(integers(min_value=0, max_value=len(rest)), max_size=4))
+    cuts = sorted(cuts)
+    paths = [rest[a:b] for a, b in zip([0, *cuts], [*cuts, len(rest)])]
+    expected = [list(p) for p in paths]
+    fits = looped_splice(g, expected, q)
+    assert hamiltonian._insert_into_paths(g, paths, q) == fits
+    assert paths == expected
+
+
 def test_leftover_matching_pairs_into_the_absorbee_set() -> None:
     g = complete_graph(12)
     res = match_leftover(g, mask_of([0, 1, 2]), mask_of([3, 4, 5, 6]))
@@ -396,6 +421,30 @@ def test_default_config_outputs_are_pinned() -> None:
     )
 
 
+@pytest.mark.parametrize(
+    "h, seed, restart, certified, digest",
+    [
+        # The last of the 8 restarts fails at connecting.
+        (1, 2, 7, False,
+         "bcea2e017ec4c399c796d20b51550446ad6c26ea9a33f3c746e3c1f9e618b2d4"),
+        # Restart 0 fails at connecting and restart 1 certifies.
+        (3, 0, 0, True,
+         "d0d90d4e09688d4e3d60c1c649258e800e121aee65a6d05690280b6dbaba8f23"),
+    ],
+)
+def test_outputs_through_the_threading_failure_path_are_pinned(
+    h: int, seed: int, restart: int, certified: bool, digest: str
+) -> None:
+    # Pruning failed threading probes must not move any outcome.
+    g = gnp_generate(400, 0.35, h)
+    config = PipelineConfig(seed=seed)
+    failed = hamiltonian._attempt(g, config, restart)
+    assert isinstance(failed, FailureReport) and failed.stage == "connecting"
+    outcome = find_square_ham(g, config=config)
+    assert isinstance(outcome, Certificate) == certified
+    assert outcome_digest(outcome) == digest
+
+
 def json_digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
@@ -445,11 +494,143 @@ def test_threading_never_asks_for_the_length_four_connection(monkeypatch) -> Non
     monkeypatch.setattr(hamiltonian, "connect_one", recording)
     g = complete_graph(12).remove_edges([(0, 2)])
     interior = hamiltonian._cascade_connect(
-        g, (0, 1), (2, 3), sum(1 << v for v in range(4, 12)), 3
+        g, (0, 1), (2, 3), sum(1 << v for v in range(4, 12)), 3, {}
     )
     assert interior is not None and len(interior) == 1
     # Length 5 keeps the seed of its place in the sweep.
     assert asked == [(5, 3 * 37 + 1)]
+
+
+def plain_sweep(g, frm, to, pool, seed):
+    """The threading sweep with nothing skipped: lengths 5..8 in order."""
+    for length in range(5, 9):
+        req = ConnectionRequest(frm, to, pool, length)
+        res = connect_one(g, req, seed * 37 + length - 4)
+        if res.ok:
+            return res.embedding.vertices[2:-2]
+    return None
+
+
+def refusing(*args):
+    raise AssertionError("a probe the record answers searched")
+
+
+@settings(max_examples=40, deadline=None)
+@given(gnp_graphs(min_n=8, max_n=16, min_p=0.3, max_p=0.95), data())
+def test_the_pruned_sweep_returns_what_the_plain_sweep_returns(g, data) -> None:
+    arcs = [*g.edges(), *((v, u) for u, v in g.edges())]
+    assume(arcs)
+    frm = data.draw(sampled_from(arcs))
+    outs = [e for e in arcs if not set(e) & set(frm)]
+    assume(outs)
+    tos = data.draw(lists(sampled_from(outs), min_size=1, max_size=3))
+    pairs = [(frm, to) for to in tos]
+    exhausted: dict = {}
+    pools = {}
+    for _ in range(8):
+        frm, to = data.draw(sampled_from(pairs))
+        mask = data.draw(integers(min_value=0, max_value=(1 << g.n) - 1))
+        # Half the probes shrink the pair's last pool, as the threading does.
+        pool = pools.get((frm, to), mask) & mask if data.draw(booleans()) else mask
+        pools[frm, to] = pool
+        seed = data.draw(integers(min_value=0, max_value=1000))
+        expected = plain_sweep(g, frm, to, pool, seed)
+        if any(not pool & ~done for done in exhausted.get((frm, to), ())):
+            # A sub-pool of an exhausted pool is answered without a search.
+            with unittest.mock.patch.object(hamiltonian, "connect_one", refusing), \
+                    unittest.mock.patch.object(hamiltonian, "ports_admit", refusing):
+                got = hamiltonian._cascade_connect(g, frm, to, pool, seed, exhausted)
+        else:
+            got = hamiltonian._cascade_connect(g, frm, to, pool, seed, exhausted)
+        assert got == expected
+        assert hamiltonian._cascade_connect(g, frm, to, pool, seed, {}) == expected
+        for done in exhausted.get((frm, to), ()):
+            assert plain_sweep(g, frm, to, done, seed + 1) is None
+
+
+def test_a_sub_pool_of_an_exhausted_pool_is_answered_from_the_record(
+    monkeypatch,
+) -> None:
+    # Vertex 4 sees all four ports, so the ports admit lengths 6..8, but
+    # each of those needs two or more interior vertices; 5 sees only 4.
+    # Length 5 needs the edge 1-2, which is missing.
+    g = Graph(6, [(0, 1), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4), (4, 5)])
+    asked = []
+    connect = hamiltonian.connect_one
+
+    def recording(g, req, seed):
+        asked.append(req.length)
+        return connect(g, req, seed)
+
+    monkeypatch.setattr(hamiltonian, "connect_one", recording)
+    exhausted: dict = {}
+    frm, to = (0, 1), (2, 3)
+    assert hamiltonian._cascade_connect(g, frm, to, 0b110000, 0, exhausted) is None
+    assert asked == [6, 7, 8]
+    assert exhausted == {(frm, to): [0b110000]}
+    asked.clear()
+    for pool in (0b110000, 0b010000):
+        assert hamiltonian._cascade_connect(g, frm, to, pool, 9, exhausted) is None
+    assert asked == []
+    # Without the record the sub-pool is searched; so is a pool not inside it.
+    assert hamiltonian._cascade_connect(g, frm, to, 0b010000, 9, {}) is None
+    assert hamiltonian._cascade_connect(g, (1, 0), to, 0b010000, 9, exhausted) is None
+    assert asked == [6, 7, 8, 6, 7, 8]
+
+
+def test_a_search_out_of_budget_is_not_recorded(monkeypatch) -> None:
+    out_of_budget = connector.ConnectResult(
+        False, None, {"config": {}, "nodes": hamiltonian.NODE_BUDGET + 1}
+    )
+    monkeypatch.setattr(hamiltonian, "connect_one", lambda g, req, seed: out_of_budget)
+    exhausted: dict = {}
+    pool = sum(1 << v for v in range(4, 12))
+    g = complete_graph(12).remove_edges([(0, 2)])
+    assert hamiltonian._cascade_connect(g, (0, 1), (2, 3), pool, 0, exhausted) is None
+    assert exhausted == {((0, 1), (2, 3)): []}
+
+
+def test_the_threading_keeps_no_record_between_calls(monkeypatch) -> None:
+    # The record of exhausted pools lives inside one _assemble_cycle call:
+    # not on the host, not in a module, not in a cache.  So the same call
+    # again makes the same searches.
+    g = gnp_generate(400, 0.35, 3)
+    captured = []
+    assemble = hamiltonian._assemble_cycle
+    asked = []
+    connect = hamiltonian.connect_one
+
+    def capturing(*args):
+        captured.append(args)
+        return assemble(*args)
+
+    def recording(g, req, seed):
+        asked.append((req, seed))
+        return connect(g, req, seed)
+
+    monkeypatch.setattr(hamiltonian, "_assemble_cycle", capturing)
+    monkeypatch.setattr(hamiltonian, "connect_one", recording)
+
+    def state():
+        return (
+            [getattr(g, name) for name in type(g).__slots__],
+            connector._template.cache_info().currsize,
+            connector._port_rules.cache_info().currsize,
+        )
+
+    failed = hamiltonian._attempt(g, PipelineConfig(seed=0), 0)
+    assert failed.stage == "connecting" and len(captured) == 1
+    first = list(asked)
+    assert first
+    before = state()
+    for _ in range(2):
+        asked.clear()
+        suffix, info = assemble(*captured[0])
+        assert suffix is None and info == {
+            k: failed.diagnostics[k] for k in info
+        }
+        assert asked == first
+    assert state() == before
 
 
 def test_every_pipeline_search_passes_the_names_the_benchmark_wraps(
