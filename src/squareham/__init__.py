@@ -7,7 +7,7 @@ Submodules:
         triangle counts from one symmetric ``A·Aᵀ`` product (an attacked
         graph's square corrected from its host's on the attacked class's
         rows), family membership.
-    gadgets: square-path templates, embeddings and square-path checks.
+    gadgets: square-path checks, the connector's success check included.
     matching: Hall matching with a deficient-set witness.
     connector: one pair-to-pair connection per search over a reservoir,
         and batches with disjoint interiors.
@@ -50,13 +50,7 @@ from .connector import (
     connect_all,
     connect_one,
 )
-from .gadgets import (
-    Embedding,
-    Gadget,
-    build_gadget,
-    is_square_path,
-    validate_embedding,
-)
+from .gadgets import is_square_path, validate_embedding
 from .graphcore import (
     FamilyParams,
     Graph,
@@ -92,10 +86,8 @@ __all__ = [
     "Certificate",
     "ConnectResult",
     "ConnectionRequest",
-    "Embedding",
     "FailureReport",
     "FamilyParams",
-    "Gadget",
     "Graph",
     "InfeasibilityWitness",
     "InputError",
@@ -103,7 +95,6 @@ __all__ = [
     "RetentionProfile",
     "absorb",
     "brute_force_square_ham",
-    "build_gadget",
     "build_single_absorbers",
     "chain_absorbers",
     "check_family_membership",

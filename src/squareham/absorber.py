@@ -188,8 +188,8 @@ def _connect_with_fallback(
         req = ConnectionRequest(frm, to, pool, length)
         res = connect_one(g, req, seed * 31)
         if res.ok:
-            # The ports are the first two and the last two labels.
-            return res.embedding.vertices[2:-2], None
+            # The ports are the first two and the last two vertices.
+            return res.path[2:-2], None
     return None, res.diagnostics
 
 

@@ -27,7 +27,6 @@ from .adversary import (
     triangle_retention_profile,
 )
 from .connector import ConnectionRequest, connect_all
-from .gadgets import build_gadget
 from .graphcore import (
     Graph,
     InputError,
@@ -166,10 +165,6 @@ def _cmd_verify(args) -> tuple[int, str, dict]:
 
 def _cmd_connect(args) -> tuple[int, str, dict]:
     g = read_graph(args.graph)
-    # A connection's vertices are distinct, so a longer one cannot exist;
-    # reject it before its template (one entry per label) is built.
-    if args.length > g.n:
-        raise InputError(f"--length {args.length} exceeds the host's {g.n} vertices")
     # The connector never draws a port, so the default reservoir is every
     # vertex.
     w = _vertex_mask(g, args.w) if args.w else (1 << g.n) - 1
@@ -181,9 +176,7 @@ def _cmd_connect(args) -> tuple[int, str, dict]:
     res = connect_all(g, reqs, args.seed)
     payload = {
         "ok": res.ok,
-        "embeddings": [
-            None if emb is None else list(emb.vertices) for emb in res.embeddings
-        ],
+        "embeddings": [None if path is None else list(path) for path in res.paths],
         "diagnostics": jsonable(res.diagnostics),
     }
     cfg = {
@@ -233,14 +226,6 @@ def _cmd_absorber_verify(args) -> tuple[int, str, dict]:
     return (0 if report.ok else 1), _json_text(report), meta
 
 
-def _cmd_gadget(args) -> tuple[int, str, dict]:
-    gadget = build_gadget(args.kind, length=args.length)
-    meta = {"kind": args.kind}
-    if args.format == "edgelist":
-        return 0, graph_to_edgelist_text(Graph(gadget.labels, gadget.edges)), meta
-    return 0, _json_text(gadget), meta
-
-
 def _cmd_experiment(args) -> tuple[int, str, dict]:
     report = resilience_experiment(
         args.n,
@@ -268,8 +253,8 @@ def _cmd_cover(args) -> tuple[int, str, dict]:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="artifact",
-        description="Square-Hamilton-cycle machinery: gadgets, absorbers, "
-        "connections, attacks, and experiments.",
+        description="Square-Hamilton-cycle machinery: square-path connections, "
+        "absorbers, attacks, and experiments.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -345,13 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--absorber", required=True)
     common(pv, seed=False)
     pv.set_defaults(handler=_cmd_absorber_verify)
-
-    p = sub.add_parser("gadget", help="dump a labeled template")
-    p.add_argument("--kind", choices=("square-path",), required=True)
-    p.add_argument("--length", type=int, default=None)
-    p.add_argument("--format", choices=("json", "edgelist"), default="json")
-    common(p, seed=False)
-    p.set_defaults(handler=_cmd_gadget)
 
     p = sub.add_parser("experiment", help="seeded Monte Carlo attack sweep")
     p.add_argument("-n", type=int, required=True)

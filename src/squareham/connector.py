@@ -3,9 +3,9 @@
 A connection job asks for a square path whose entry and exit ports are two
 prescribed ordered host edges, with every other vertex drawn from a
 reservoir.  :func:`connect_one` serves one job with one seeded backtracking
-search that fills the gadget template label by label.  :func:`connect_all`
-serves a list of jobs in greedy rounds, so that their interiors are
-pairwise disjoint.  :func:`direct_arc` tests the one
+search that fills the path's interior position by position.
+:func:`connect_all` serves a list of jobs in greedy rounds, so that their
+interiors are pairwise disjoint.  :func:`direct_arc` tests the one
 connection with no interior, the length-4 square path.
 
 The search is exhaustive below its node budget, ``NODE_BUDGET``, and two
@@ -13,24 +13,24 @@ facts follow that let a caller skip searches whose failure is certain.  A
 search that fails under budget has entered every state, so it fails the
 same way for every seed; and it fails on every sub-pool too, whose search
 tree is a sub-tree.  :func:`ports_admit` is a check on the ports alone: a
-job whose template puts some free label next to port vertices with no
-common neighbour in the pool fails for every seed without a search.
+job with an interior position whose nearby ports have no common neighbour
+in the pool fails for every seed without a search.
 
 The reservoir is an ``int`` bitset (bit ``v`` set for vertex ``v``):
 :func:`connect_one` takes away the ports with one AND, and the pool reaches
-the search as that mask; no vertex set is ever listed.  Each label's
+the search as that mask; no vertex set is ever listed.  Each position's
 candidates are one mask, the pool less the placed vertices ANDed with the
-rows of its placed neighbours, and the search picks among them uniformly
-with draws from a seeded SplitMix64 stream, one pick at a time.
+rows of the vertices within distance two that are already fixed, and the
+search picks among them uniformly with draws from a seeded SplitMix64
+stream, one pick at a time.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .gadgets import SQUARE_PATH, Embedding, Gadget, build_gadget, validate_embedding
+from .gadgets import validate_embedding
 from .graphcore import Graph, InputError, check_int, mask_of, nth_bit, splitmix64
 
 # Search seeds each connect_all round tries before the batch fails.
@@ -63,13 +63,14 @@ class ConnectionRequest:
 class ConnectResult:
     """Outcome of one connection search.
 
-    On success, ``embedding`` is a validated square path whose ports realize
-    the job's ordered pairs.  On failure, ``diagnostics`` holds the
-    effective configuration and the search nodes spent.
+    On success, ``path`` is a validated square path whose first two
+    vertices are ``frm`` and whose last two are ``to``.  On failure,
+    ``diagnostics`` holds the effective configuration and the search nodes
+    spent.
     """
 
     ok: bool
-    embedding: Embedding | None
+    path: tuple[int, ...] | None
     diagnostics: dict | None
 
 
@@ -84,12 +85,15 @@ def _validate_request(g: Graph, req: ConnectionRequest) -> int:
     """Check one job and return the bitset of its four ports.
 
     Raises:
-        InputError: On a length below 4, ports that are not two ordered
+        InputError: On a length below 4 or above ``g.n`` (a square path's
+            vertices are distinct), ports that are not two ordered
             pairs of distinct vertices of ``g`` joined by host edges, or a
             reservoir that is not an ``int`` bitset of vertices of ``g``.
     """
     if req.length < 4:
         raise InputError(f"connections need length >= 4, got {req.length}")
+    if req.length > g.n:
+        raise InputError(f"length {req.length} exceeds the host's {g.n} vertices")
     try:
         (p, q), (r, s) = req.frm, req.to
     except (TypeError, ValueError):
@@ -111,7 +115,7 @@ def _validate_request(g: Graph, req: ConnectionRequest) -> int:
 def direct_arc(g: Graph, frm: tuple[int, int], to: tuple[int, int]) -> bool:
     """Whether two ordered host edges chain into a square path with no
     interior: the four ports are distinct and ``frm + to`` carries all five
-    edges of the length-4 template."""
+    edges of the length-4 square path."""
     (a, b), (c, d) = frm, to
     if a == b or a == c or a == d or b == c or b == d or c == d:
         return False
@@ -128,8 +132,8 @@ def direct_arc(g: Graph, frm: tuple[int, int], to: tuple[int, int]) -> bool:
 def connect_one(g: Graph, req: ConnectionRequest, seed: int) -> ConnectResult:
     """Serve one connection job from its reservoir.
 
-    A seeded backtracking search fills the job's gadget template.  Interior
-    vertices come only from ``req.w`` minus the job's ports.
+    A seeded backtracking search fills the square path between the job's
+    ports.  Interior vertices come only from ``req.w`` minus the ports.
 
     Returns:
         A :class:`ConnectResult`; never raises for purely quantitative
@@ -146,49 +150,19 @@ def connect_one(g: Graph, req: ConnectionRequest, seed: int) -> ConnectResult:
     return _direct_connect(g, req, _Pool(req.w & ~ports), seed)
 
 
-@functools.cache
-def _template(length: int) -> tuple[
-    Gadget,
-    tuple[tuple[int, int], ...],
-    tuple[int, ...],
-    tuple[tuple[int, ...], ...],
-]:
-    """The target gadget, its edges between two port labels other than the
-    two port edges (which :func:`_validate_request` checks), its free labels
-    in ascending order, and for each free label the template neighbours
-    already placed when it is filled."""
-    gadget = build_gadget(SQUARE_PATH, length=length)
-    fixed = {*gadget.port_from, *gadget.port_to}
-    port_edges = {tuple(sorted(gadget.port_from)), tuple(sorted(gadget.port_to))}
-    fixed_edges = tuple(
-        (a, c)
-        for a, c in gadget.edges
-        if a in fixed and c in fixed and (a, c) not in port_edges
+def _cross_edges_hold(
+    rows: list[int], frm: tuple[int, int], to: tuple[int, int], length: int
+) -> bool:
+    """Whether the host has the edges of the square path that join an entry
+    port to an exit port, the pairs of positions 0, 1 and ``length - 2``,
+    ``length - 1`` at distance two or less: ``(frm[1], to[0])`` at length 5,
+    and also ``(frm[0], to[0])`` and ``(frm[1], to[1])`` at length 4."""
+    (a, b), (c, d) = frm, to
+    if length > 5:
+        return True
+    return bool(
+        rows[b] >> c & 1 and (length == 5 or rows[a] >> c & 1 and rows[b] >> d & 1)
     )
-    free = tuple(lab for lab in range(gadget.labels) if lab not in fixed)
-    back_nbrs: dict[int, list[int]] = {lab: [] for lab in free}
-    for a, c in gadget.edges:
-        for lab, other in ((a, c), (c, a)):
-            if lab in back_nbrs and (other not in back_nbrs or other < lab):
-                back_nbrs[lab].append(other)
-    return gadget, fixed_edges, free, tuple(tuple(back_nbrs[lab]) for lab in free)
-
-
-@functools.cache
-def _port_rules(length: int) -> tuple[
-    tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]
-]:
-    """:func:`_template`'s fixed edges, and each free label's template
-    neighbours among the port labels, as places in ``(*frm, *to)``."""
-    gadget, fixed_edges, free, _ = _template(length)
-    ports = (*gadget.port_from, *gadget.port_to)
-    port_nbrs: dict[int, list[int]] = {lab: [] for lab in free}
-    for a, c in gadget.edges:
-        for lab, other in ((a, c), (c, a)):
-            if lab in port_nbrs and other in ports:
-                port_nbrs[lab].append(ports.index(other))
-    fixed = tuple((ports.index(a), ports.index(c)) for a, c in fixed_edges)
-    return fixed, tuple(tuple(port_nbrs[lab]) for lab in free)
 
 
 def ports_admit(
@@ -196,24 +170,28 @@ def ports_admit(
 ) -> bool:
     """Whether the ports alone leave the length-``length`` job a chance.
 
-    ``False`` means :func:`connect_one` fails on the job for every seed:
-    an edge of the template between two port labels, beyond the two port
-    edges, is missing from ``g``, or some free label's port neighbours have
-    no common neighbour in ``pool`` less the ports.  Every candidate the
-    search could place there lies in that common neighbourhood.  The job
-    must be valid, as :func:`connect_one` asks.
+    ``False`` means :func:`connect_one` fails on the job for every seed: an
+    edge of the square path from an entry port to an exit port is missing
+    from ``g``, or the ports within distance two of some interior position
+    have no common neighbour in ``pool`` less the ports.  Every candidate
+    the search could place there lies in that common neighbourhood.  The
+    job must be valid, as :func:`connect_one` asks.
     """
-    fixed, port_nbrs = _port_rules(length)
-    ports = (*frm, *to)
     rows = g.rows
-    for a, c in fixed:
-        if not rows[ports[a]] >> ports[c] & 1:
-            return False
-    pool &= ~(1 << ports[0] | 1 << ports[1] | 1 << ports[2] | 1 << ports[3])
-    for nbrs in port_nbrs:
+    if not _cross_edges_hold(rows, frm, to, length):
+        return False
+    (a, b), (c, d) = frm, to
+    pool &= ~(1 << a | 1 << b | 1 << c | 1 << d)
+    entry, exit_ = rows[a] & rows[b], rows[c] & rows[d]
+    # Interior position k is within distance two of port position 0 at
+    # k = 2, of 1 at k <= 3, of length - 2 at k >= length - 4 and of
+    # length - 1 at k = length - 3.
+    for k in range(2, length - 2):
         cands = pool
-        for i in nbrs:
-            cands &= rows[ports[i]]
+        if k <= 3:
+            cands &= entry if k == 2 else rows[b]
+        if k >= length - 4:
+            cands &= exit_ if k == length - 3 else rows[c]
         if not cands:
             return False
     return True
@@ -226,87 +204,87 @@ def _direct_connect(
     seed: int,
     budget: int = NODE_BUDGET,
 ) -> ConnectResult:
-    """Fill the target template by backtracking over the reservoir.
+    """Fill the square path's interior by backtracking over the reservoir.
 
     ``pool`` is the reservoir less the ports, ``req.w & ~ports``, as a
-    bitset that ``len()`` counts, and the search starts from it.  Free
-    labels are filled in ascending order.  A label's candidates are one
-    mask: the AND of its placed template neighbours' rows with the pool
-    less the vertices placed so far.  The search tries them in a random
+    bitset that ``len()`` counts, and the search starts from it.  Positions
+    ``2 .. length - 3`` are filled in ascending order.  A position's
+    candidates are one mask: the pool less the vertices placed so far,
+    ANDed with the rows of the vertices one and two places back and of the
+    exit ports within distance two.  The search tries them in a random
     order drawn lazily, one pick at a time: ``nth_bit(cands, draw %
     count)``, with ``draw`` from a SplitMix64 stream seeded by ``seed``.
     The first fitting vertex of a uniformly random order of the whole pool
     is a uniform pick from the fitting set, so each pick is distributed as
     in a scan of a seeded shuffle of the pool.
 
-    A node is one pool vertex looked at: entering a state with ``k`` labels
-    filled costs ``len(pool) - k`` nodes, what a full pass over the pool
-    less the placed vertices costs.  A failed search enters every state
-    whatever the order, so its node count does not depend on the draws.
-    Past ``budget`` nodes the search stops and reports ``budget + 1``.
+    A node is one pool vertex looked at: entering a state with ``k``
+    positions filled costs ``len(pool) - k`` nodes, what a full pass over
+    the pool less the placed vertices costs.  A failed search enters every
+    state whatever the order, so its node count does not depend on the
+    draws.  Past ``budget`` nodes the search stops and reports
+    ``budget + 1``.
 
     Two facts follow for a failure that stays within ``budget``: the job
     fails the same way for every seed, and it fails on every sub-pool of
     ``pool`` too, whose candidate masks are subsets of these, so that its
     search tree is a sub-tree of this one.
     """
-    gadget, fixed_edges, free, back_nbrs = _template(req.length)
-    (f0, f1), (t0, t1) = gadget.port_from, gadget.port_to
-    image = [0] * gadget.labels
-    image[f0], image[f1] = req.frm
-    image[t0], image[t1] = req.to
+    frm, to, length = req.frm, req.to, req.length
+    path = [*frm, *[0] * (length - 4), *to]
     rows = g.rows
     size = pool.bit_count()
     nodes = 0
     found = False
-    # Edges between two fixed labels beyond the port edges must also hold.
-    for a, c in fixed_edges:
-        if not rows[image[a]] >> image[c] & 1:
-            break
-    else:
+    if _cross_edges_hold(rows, frm, to, length):
         draws = splitmix64(seed)
-        depth = len(free)
+        last = length - 2
+        # Positions last - 2 and last - 1 are within distance two of the
+        # first exit port, and the second also of the last one.
+        exit0 = rows[to[0]]
+        exit01 = exit0 & rows[to[1]]
 
         def fill(k: int, avail: int) -> bool:
             nonlocal nodes
-            if k == depth:
+            if k == last:
                 return True
-            nodes += size - k
+            nodes += size - (k - 2)
             if nodes > budget:
                 return False
-            cands = avail
-            for o in back_nbrs[k]:
-                cands &= rows[image[o]]
-            lab = free[k]
+            cands = avail & rows[path[k - 1]] & rows[path[k - 2]]
+            if k >= last - 2:
+                cands &= exit01 if k == last - 1 else exit0
             while cands:
                 v = nth_bit(cands, next(draws) % cands.bit_count())
                 bit = 1 << v
                 cands ^= bit
-                image[lab] = v
+                path[k] = v
                 if fill(k + 1, avail ^ bit):
                     return True
                 if nodes > budget:
                     return False
             return False
 
-        found = fill(0, pool)
+        found = fill(2, pool)
     if not found:
-        cfg = {"length": req.length, "pool": size, "seed": seed}
+        cfg = {"length": length, "pool": size, "seed": seed}
         nodes = min(nodes, budget + 1)
         return ConnectResult(False, None, {"config": cfg, "nodes": nodes})
-    emb = Embedding(gadget, tuple(image))
-    check = validate_embedding(g, emb, connect_from=req.frm, connect_to=req.to)
+    path = tuple(path)
+    check = validate_embedding(g, path, connect_from=frm, connect_to=to)
     if not check.ok:
-        raise AssertionError(f"connection produced an invalid embedding: {check.reason}")
-    return ConnectResult(True, emb, None)
+        raise AssertionError(
+            f"connection produced an invalid square path: {check.reason}"
+        )
+    return ConnectResult(True, path, None)
 
 
 @dataclass(frozen=True)
 class ConnectAllResult:
-    """Batch connection outcome; ``embeddings`` aligns with the requests."""
+    """Batch connection outcome; ``paths`` aligns with the requests."""
 
     ok: bool
-    embeddings: tuple[Embedding | None, ...]
+    paths: tuple[tuple[int, ...] | None, ...]
     diagnostics: dict | None
 
 
@@ -339,10 +317,10 @@ def connect_all(
             raise InputError("to-pairs must be pairwise disjoint")
         fwd_seen |= fwd
         bwd_seen |= bwd
-    out: list[Embedding | None] = [None] * len(reqs)
+    out: list[tuple[int, ...] | None] = [None] * len(reqs)
     used = 0
     for round_no in range(len(reqs)):
-        open_jobs = [i for i, emb in enumerate(out) if emb is None]
+        open_jobs = [i for i, path in enumerate(out) if path is None]
         ports = (v for i in open_jobs for v in (*reqs[i].frm, *reqs[i].to))
         blocked = used | mask_of(ports)
         jobs = {i: replace(reqs[i], w=reqs[i].w & ~blocked) for i in open_jobs}
@@ -361,21 +339,21 @@ def connect_all(
                 tuple(out),
                 {"stalled_jobs": open_jobs, "last_failure": res.diagnostics},
             )
-        out[i] = res.embedding
-        used |= mask_of(res.embedding.vertices)
+        out[i] = res.path
+        used |= mask_of(res.path)
     _audit_disjoint_interiors(reqs, out)
     return ConnectAllResult(True, tuple(out), None)
 
 
 def _audit_disjoint_interiors(
-    reqs: Sequence[ConnectionRequest], embs: Sequence[Embedding | None]
+    reqs: Sequence[ConnectionRequest], paths: Sequence[tuple[int, ...] | None]
 ) -> None:
     ports = mask_of(v for req in reqs for v in (*req.frm, *req.to))
     seen = 0
-    for req, emb in zip(reqs, embs):
-        if emb is None:
+    for path in paths:
+        if path is None:
             continue
-        interior = mask_of(emb.vertices) & ~mask_of((*req.frm, *req.to))
+        interior = mask_of(path[2:-2])
         if interior & ports:
             raise AssertionError("a connection interior touches a job port")
         if interior & seen:

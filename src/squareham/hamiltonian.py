@@ -669,7 +669,7 @@ def _cascade_connect(
     the interior or None.
 
     The caller has found no direct arc from ``frm`` to ``to``, and the
-    length-4 template is exactly that arc, so the sweep runs lengths 5..8;
+    length-4 square path is exactly that arc, so the sweep runs lengths 5..8;
     each length's seed is offset by ``length - 4``.  A length whose ports
     :func:`~squareham.connector.ports_admit` rules out is skipped without a
     search.  ``exhausted`` maps a port pair to the pools on which every
@@ -689,8 +689,8 @@ def _cascade_connect(
         req = ConnectionRequest(frm, to, pool, length)
         res = connect_one(g, req, seed * 37 + length - 4)
         if res.ok:
-            # The ports are the first two and the last two labels.
-            return res.embedding.vertices[2:-2]
+            # The ports are the first two and the last two vertices.
+            return res.path[2:-2]
         finished = finished and res.diagnostics["nodes"] <= NODE_BUDGET
     if finished:
         recorded.append(pool)
@@ -756,10 +756,12 @@ def _assemble_cycle(
         to: tuple[int, int],
         consumed: int,
         salt: int,
+        arc: bool,
     ) -> tuple[int, ...] | None:
+        # ``arc`` is ``direct_arc(g, cur, to)``, which the caller has tested.
         nonlocal nodes
         nodes += 1
-        if direct_arc(g, cur, to):
+        if arc:
             return ()
         pool = fuel & ~consumed
         return _cascade_connect(g, cur, to, pool, seed * 7919 + salt, exhausted)
@@ -775,7 +777,7 @@ def _assemble_cycle(
         if nodes > _ASSEMBLY_BUDGET:
             return None
         if not remaining:
-            interior = probe(cur, a.entry, consumed, 1)
+            interior = probe(cur, a.entry, consumed, 1, direct_arc(g, cur, a.entry))
             if interior is None:
                 return None
             return acc + interior, consumed | mask_of(interior)
@@ -783,13 +785,14 @@ def _assemble_cycle(
         for pi in remaining:
             piece = pieces[pi]
             for ori in (piece, tuple(reversed(piece))):
-                ranked.append((not direct_arc(g, cur, (ori[0], ori[1])), pi, ori))
-        ranked.sort(key=lambda t: (t[0], t[1]))
-        for _, pi, ori in ranked:
+                ranked.append((direct_arc(g, cur, (ori[0], ori[1])), pi, ori))
+        # Direct arcs first, then by piece.
+        ranked.sort(key=lambda t: (not t[0], t[1]))
+        for arc, pi, ori in ranked:
             if nodes > _ASSEMBLY_BUDGET:
                 return None
             interior = probe(
-                cur, (ori[0], ori[1]), consumed, 101 * pi + 2 * len(acc)
+                cur, (ori[0], ori[1]), consumed, 101 * pi + 2 * len(acc), arc
             )
             if interior is None:
                 continue

@@ -7,11 +7,7 @@ pass over a precomputed table; the current ones must return the same result,
 the same first fault and the same message.
 """
 
-from squareham.gadgets import (
-    Embedding,
-    ValidationResult,
-    square_path_pairs,
-)
+from squareham.gadgets import ValidationResult
 from squareham.graphcore import Graph, mask_of, rng_for
 from squareham.hamiltonian import (
     _CLASS_FLOOR,
@@ -60,6 +56,27 @@ def listed_cover(
     return tuple(paths), carry
 
 
+def square_path_edge_oracle(length: int) -> set[tuple[int, int]]:
+    """All label pairs at distance one or two along a path."""
+    return {
+        (i, j)
+        for i in range(length)
+        for j in range(i + 1, min(i + 3, length))
+    }
+
+
+def square_path_pairs(seq) -> tuple[tuple[int, int], ...]:
+    """All pairs of sequence entries at positional distance one or two,
+    each as ``(smaller, larger)``, position by position."""
+    out = []
+    for i in range(len(seq)):
+        for j in (i + 1, i + 2):
+            if j < len(seq):
+                u, v = seq[i], seq[j]
+                out.append((u, v) if u < v else (v, u))
+    return tuple(out)
+
+
 def looped_is_square_path(g: Graph, seq) -> ValidationResult:
     """``is_square_path`` by ``square_path_pairs``, pair by pair, for a
     repetition-free ``seq`` of vertices."""
@@ -82,25 +99,24 @@ def looped_verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
     return CertificateCheck(True, None, None, None)
 
 
-def looped_validate_embedding(g: Graph, emb: Embedding) -> ValidationResult:
-    """``validate_embedding`` without ports, one check after another."""
-    gad, verts = emb.gadget, emb.vertices
-    if len(verts) != gad.labels:
-        return ValidationResult(
-            False, f"embedding has {len(verts)} vertices for {gad.labels} labels"
-        )
-    if len(set(verts)) != len(verts):
-        return ValidationResult(False, "embedding is not injective")
-    for v in verts:
-        if not 0 <= v < g.n:
-            return ValidationResult(False, f"vertex {v} outside host range")
-    for i, j in gad.edges:
-        u, v = verts[i], verts[j]
+def looped_validate_embedding(
+    g: Graph, path, connect_from=None, connect_to=None
+) -> ValidationResult:
+    """``validate_embedding`` one check after another, for a sequence of
+    vertices of ``g``: repeats, then each close pair, then each port."""
+    if len(set(path)) != len(path):
+        return ValidationResult(False, "sequence repeats a vertex")
+    for u, v in square_path_pairs(path):
         if not g.has_edge(u, v):
-            return ValidationResult(
-                False,
-                f"template edge ({i}, {j}) maps to missing host edge ({u}, {v})",
-            )
+            return ValidationResult(False, f"missing edge ({u}, {v})")
+    if connect_from is not None and tuple(path[:2]) != tuple(connect_from):
+        return ValidationResult(
+            False, f"entry port is {tuple(path[:2])}, expected {tuple(connect_from)}"
+        )
+    if connect_to is not None and tuple(path[-2:]) != tuple(connect_to):
+        return ValidationResult(
+            False, f"exit port is {tuple(path[-2:])}, expected {tuple(connect_to)}"
+        )
     return ValidationResult(True, None)
 
 

@@ -21,8 +21,9 @@ from squareham import (
 )
 from squareham import absorber as absorber_module
 from squareham.absorber import absorber_from_json_obj, absorber_to_json_obj
-from squareham.gadgets import square_path_pairs
 from squareham.graphcore import bits, mask_of
+
+from oracles import square_path_pairs
 
 
 def build_full_absorber(n: int, p: float, seed: int, x_count: int = 3):

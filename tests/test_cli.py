@@ -185,8 +185,7 @@ def test_connect_rejects_overlapping_from_pairs(tmp_path, capsys) -> None:
 
 def test_connect_rejects_a_length_above_the_vertex_count(tmp_path, capsys) -> None:
     # A connection's vertices are distinct, so the host bounds its length;
-    # a huge length must exit 2 before a template with one entry per label
-    # is built.
+    # a huge length must exit 2 before any search starts.
     graph = write_graph(tmp_path, "g.edges", 6, 1.0, 0)
     for length in ("7", "3000000"):
         assert run("connect", "--graph", graph, "--pairs", "0,1,2,3",
@@ -377,11 +376,14 @@ def test_vertex_flags_reject_a_huge_id_before_building_a_mask(
         (("absorber", "build", "--graph", "G", "--x", "0", "--blocks", "2"),
          "--blocks"),
         (("connect", "--graph", "G", "--pairs", "0,1,2,3", "--b", "1"), "--b"),
-        (("gadget", "--kind", "backbone", "--length", "8"), "backbone"),
+        # The gadget command is gone with its flags: a connection is a
+        # square path, which has no template to dump.
+        (("gadget", "--kind", "backbone", "--length", "8"), "'gadget'"),
         (("gadget", "--kind", "square-path", "--length", "8", "--blocks", "2"),
-         "--blocks"),
+         "'gadget'"),
+        (("gadget", "--kind", "square-path", "--length", "8"), "'gadget'"),
     ],
-    ids=["absorber-blocks", "connect-b", "gadget-backbone", "gadget-blocks"],
+    ids=["absorber-blocks", "connect-b", "gadget-backbone", "gadget-blocks", "gadget"],
 )
 def test_the_removed_multi_block_flags_exit_2(tmp_path, capsys, argv, named) -> None:
     graph = write_graph(tmp_path, "g.edges", 12, 0.5, 0)
@@ -421,23 +423,6 @@ def test_absorber_build_partition_failures_record_their_config(
     assert json.loads(out.read_text())["stage"] == "partition"
     manifest = json.loads((tmp_path / "ab.json.manifest.json").read_text())
     assert manifest["config"] == {"x": [0, 1, 2], "seed": 4}
-
-
-def test_gadget_edgelist_matches_the_template_size(capsys) -> None:
-    assert run("gadget", "--kind", "square-path", "--length", "8",
-               "--format", "edgelist") == 0
-    g = graph_from_edgelist_text(capsys.readouterr().out)
-    assert g.n == 8 and g.edge_count == 13
-    assert run("gadget", "--kind", "square-path", "--length", "12") == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["labels"] == 12
-    assert len(payload["edges"]) == 21
-
-
-def test_gadget_rejects_missing_parameters() -> None:
-    assert run("gadget", "--kind", "square-path", "--length", "1") == 2
-    assert run("gadget", "--kind", "square-path") == 2
-    assert run("gadget", "--length", "8") == 2
 
 
 def test_experiment_json_and_csv_agree_on_seed_count(tmp_path) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -7,7 +8,6 @@ from hypothesis.strategies import data, integers, sampled_from
 from squareham import (
     ConnectionRequest,
     InputError,
-    build_gadget,
     complete_graph,
     connect_all,
     connect_one,
@@ -18,6 +18,7 @@ from squareham import (
 )
 from squareham.graphcore import bits, mask_of
 
+from oracles import square_path_edge_oracle
 from strategies import gnp_graphs
 
 
@@ -69,10 +70,10 @@ def test_short_connections_on_a_complete_graph_always_land(
     req = ConnectionRequest((0, 1), (2, 3), mask_of(range(4, 24)), length=length)
     res = connect_one(g, req, seed=seed)
     assert res.ok
-    emb = res.embedding
-    assert validate_embedding(g, emb, connect_from=(0, 1), connect_to=(2, 3)).ok
-    assert len(emb.vertices) == length
-    assert mask_of(emb.vertices[2:-2]) & ~req.w == 0
+    path = res.path
+    assert validate_embedding(g, path, connect_from=(0, 1), connect_to=(2, 3)).ok
+    assert len(path) == length
+    assert mask_of(path[2:-2]) & ~req.w == 0
 
 
 @given(integers(min_value=0, max_value=100))
@@ -87,7 +88,7 @@ def test_interiors_avoid_the_exclusion_set(seed: int) -> None:
     res = connect_all(g, [req], seed=seed)
     if not res.ok:
         return
-    interior = mask_of(res.embeddings[0].vertices[2:-2])
+    interior = mask_of(res.paths[0][2:-2])
     assert not interior & x
     assert interior & ~w == 0
 
@@ -103,7 +104,7 @@ def test_connection_is_deterministic_per_seed(seed: int) -> None:
     second = connect_one(g, req, seed=seed)
     assert first.ok == second.ok
     if first.ok:
-        assert first.embedding == second.embedding
+        assert first.path == second.path
 
 
 @settings(max_examples=10)
@@ -116,8 +117,8 @@ def test_long_direct_connections_produce_valid_square_paths(seed: int) -> None:
     req = ConnectionRequest(frm, to, w, length=12)
     res = connect_one(g, req, seed=seed)
     assert res.ok
-    assert validate_embedding(g, res.embedding, connect_from=frm, connect_to=to).ok
-    assert len(res.embedding.vertices) == 12
+    assert validate_embedding(g, res.path, connect_from=frm, connect_to=to).ok
+    assert len(res.path) == 12
 
 
 def test_request_validation_rejects_malformed_jobs() -> None:
@@ -194,22 +195,18 @@ def test_reservoir_masks_outside_the_host_are_rejected() -> None:
             connect_all(g, [req], seed=0)
 
 
-def test_connection_templates_are_built_once_per_shape(monkeypatch) -> None:
-    built = []
-
-    def counting(*args, **kwargs):
-        built.append((args, kwargs))
-        return build_gadget(*args, **kwargs)
-
-    monkeypatch.setattr(connector, "build_gadget", counting)
-    connector._template.cache_clear()
-    g = complete_graph(30)
-    for seed in range(3):
-        for length in (6, 8):
-            req = ConnectionRequest((0, 1), (2, 3), mask_of(range(4, 30)), length)
-            assert connect_one(g, req, seed).ok
-    assert len(built) == 2
-    connector._template.cache_clear()
+def test_a_length_above_the_vertex_count_is_rejected_at_once() -> None:
+    # A square path's vertices are distinct, so the host bounds its length;
+    # nothing the size of the length is built before the check.
+    g = complete_graph(10)
+    w = mask_of(range(4, 10))
+    for length in (11, 10**12):
+        req = ConnectionRequest((0, 1), (2, 3), w, length)
+        with pytest.raises(InputError, match=f"^length {length} exceeds the host's 10"):
+            connect_one(g, req, seed=0)
+        with pytest.raises(InputError, match=f"^length {length} exceeds the host's 10"):
+            connect_all(g, [req], seed=0)
+    assert connect_one(g, ConnectionRequest((0, 1), (2, 3), w, 10), seed=0).ok
 
 
 @given(integers(min_value=0, max_value=60))
@@ -222,41 +219,47 @@ def test_connect_all_keeps_job_interiors_disjoint(seed: int) -> None:
     res = connect_all(g, reqs, seed=seed)
     if not res.ok:
         return
-    assert len(res.embeddings) == len(pairs)
+    assert len(res.paths) == len(pairs)
     seen = 0
-    for emb, (frm, to) in zip(res.embeddings, pairs):
-        assert validate_embedding(g, emb, connect_from=frm, connect_to=to).ok
-        interior = mask_of(emb.vertices[2:-2])
+    for path, (frm, to) in zip(res.paths, pairs):
+        assert validate_embedding(g, path, connect_from=frm, connect_to=to).ok
+        interior = mask_of(path[2:-2])
         assert not interior & seen
         seen |= interior
 
 
 def shuffled_scan(g, req, seed: int, budget: int = 100_000) -> tuple[bool, int]:
-    """The template search as a scan, at every state, of one seeded shuffle
-    of the whole pool; returns whether it lands and the nodes it spent.
+    """The search as a scan, at every state, of one seeded shuffle of the
+    whole pool; returns whether it lands and the nodes it spent.
 
-    The reference for ``connect_one``: a pick is the first fitting vertex of
-    a uniformly random order, and a node is one unplaced pool vertex looked
-    at.
+    The reference for ``connect_one``: positions ``2 .. length - 3`` are
+    filled in ascending order, each needing an edge to every vertex already
+    placed at distance one or two (by ``square_path_edge_oracle``), a pick
+    is the first fitting vertex of a uniformly random order, and a node is
+    one unplaced pool vertex looked at.
     """
-    gadget, fixed_edges, free, back_nbrs = connector._template(req.length)
-    (f0, f1), (t0, t1) = gadget.port_from, gadget.port_to
-    image = {f0: req.frm[0], f1: req.frm[1], t0: req.to[0], t1: req.to[1]}
+    length = req.length
+    edges = square_path_edge_oracle(length)
+    ports = {0: req.frm[0], 1: req.frm[1], length - 2: req.to[0], length - 1: req.to[1]}
     rows = g.rows
-    if not all(rows[image[a]] >> image[c] & 1 for a, c in fixed_edges):
+    if not all(rows[ports[i]] >> ports[j] & 1 for i, j in edges if {i, j} <= set(ports)):
         return False, 0
-    pool = bits(req.w & ~mask_of(image.values()))
+    image = dict(ports)
+    free = [k for k in range(length) if k not in ports]
+    pool = bits(req.w & ~mask_of(ports.values()))
     order = rng_for(seed, 13).permutation(pool).tolist() if pool else []
     taken: set[int] = set()
     nodes = 0
 
-    def fill(k: int) -> bool:
+    def fill(i: int) -> bool:
         nonlocal nodes
-        if k == len(free):
+        if i == len(free):
             return True
+        k = free[i]
         fits = -1
-        for o in back_nbrs[k]:
-            fits &= rows[image[o]]
+        for a, c in edges:
+            if k in (a, c) and (other := a + c - k) in image:
+                fits &= rows[image[other]]
         for v in order:
             if v in taken:
                 continue
@@ -264,11 +267,12 @@ def shuffled_scan(g, req, seed: int, budget: int = 100_000) -> tuple[bool, int]:
             if nodes > budget:
                 return False
             if fits >> v & 1:
-                image[free[k]] = v
+                image[k] = v
                 taken.add(v)
-                if fill(k + 1):
+                if fill(i + 1):
                     return True
                 taken.discard(v)
+                del image[k]
             if nodes > budget:
                 return False
         return False
@@ -291,6 +295,12 @@ def test_search_lands_and_fails_exactly_where_the_shuffled_scan_does(g, data) ->
     w = data.draw(integers(min_value=0, max_value=(1 << g.n) - 1))
     for length in LENGTHS:
         req = ConnectionRequest(frm, to, w, length)
+        if length > g.n:
+            # No square path that long fits in the host.
+            assert not shuffled_scan(g, req, 0)[0]
+            with pytest.raises(InputError):
+                connect_one(g, req, 0)
+            continue
         for seed in range(4):
             res = connect_one(g, req, seed)
             ok, nodes = shuffled_scan(g, req, seed)
@@ -309,7 +319,7 @@ def test_a_job_the_ports_rule_out_fails_for_every_seed(g, data) -> None:
     assume(outs)
     to = data.draw(sampled_from(outs))
     w = data.draw(integers(min_value=0, max_value=(1 << g.n) - 1))
-    for length in range(5, 9):
+    for length in range(5, min(8, g.n) + 1):
         if not connector.ports_admit(g, frm, to, w, length):
             req = ConnectionRequest(frm, to, w, length)
             for seed in range(5):
@@ -318,15 +328,42 @@ def test_a_job_the_ports_rule_out_fails_for_every_seed(g, data) -> None:
                 assert res.diagnostics["nodes"] <= connector.NODE_BUDGET
 
 
-def test_the_port_rule_sees_each_free_label_and_the_fixed_edges() -> None:
-    for length in range(5, 9):
-        fixed, port_nbrs = connector._port_rules(length)
-        assert len(port_nbrs) == length - 4
-        # Label 2 is adjacent to both entry ports, label L - 3 to both exit
-        # ports, and every free label of these lengths to some port.
-        assert {0, 1} <= set(port_nbrs[0]) and {2, 3} <= set(port_nbrs[-1])
-        assert all(port_nbrs)
-        assert fixed == (((1, 2),) if length == 5 else ())
+def port_rule_oracle(g, frm, to, pool, length) -> bool:
+    """``ports_admit`` from ``square_path_edge_oracle``: every edge between
+    two port labels holds, and every free label's port neighbours have a
+    common neighbour in the pool less the ports."""
+    ports = {0: frm[0], 1: frm[1], length - 2: to[0], length - 1: to[1]}
+    edges = square_path_edge_oracle(length)
+    if not all(g.has_edge(ports[i], ports[j]) for i, j in edges if {i, j} <= set(ports)):
+        return False
+    pool &= ~mask_of(ports.values())
+    for k in range(2, length - 2):
+        cands = pool
+        for i, j in edges:
+            if k in (i, j) and (other := i + j - k) in ports:
+                cands &= g.rows[ports[other]]
+        if not cands:
+            return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(gnp_graphs(min_n=8, max_n=14, min_p=0.3, max_p=0.95), data())
+def test_the_port_rule_sees_each_free_label_and_the_fixed_edges(g, data) -> None:
+    arcs = [*g.edges(), *((v, u) for u, v in g.edges())]
+    assume(arcs)
+    frm = data.draw(sampled_from(arcs))
+    outs = [e for e in arcs if not set(e) & set(frm)]
+    assume(outs)
+    to = data.draw(sampled_from(outs))
+    w = data.draw(integers(min_value=0, max_value=(1 << g.n) - 1))
+    for length in range(4, 9):
+        assert connector.ports_admit(g, frm, to, w, length) == port_rule_oracle(
+            g, frm, to, w, length
+        )
+
+
+def test_the_port_rule_rules_out_exactly_what_it_names() -> None:
     # K_8 less one edge per rule: each rules out exactly what it names.
     def admitted(g, pool=mask_of(range(4, 8))):
         return [connector.ports_admit(g, (0, 1), (2, 3), pool, L) for L in range(5, 9)]
@@ -340,6 +377,53 @@ def test_the_port_rule_sees_each_free_label_and_the_fixed_edges() -> None:
     assert admitted(g, 0b1111) == [False] * 4
 
 
+# (n, p, host seed): the digests of the thin pool (every third vertex)
+# and the wide one (every vertex), ports excluded.
+PINNED_CONNECTIONS = {
+    (40, 0.5, 11): (
+        "7af3a60db8cc9eec29c7e42584f2d57f114d1f66558b13a0b62104116e38e47e",
+        "8bef18c72f043bb23e2a19065fe79a55a52f00ca27070d4b5a0dfe8ab227c74d",
+    ),
+    (60, 0.3, 12): (
+        "4ca6943378e8c2058a3c3b627dfbbc96a444318a603af48b01d8281ddfe6c53b",
+        "d81c22809bced4111ec01a20f866c833903295fb8afcaa36992f83717f2bda80",
+    ),
+    (30, 0.7, 13): (
+        "51d093905e961cec44ce980aaacb4a4aad8c301b7f4c879363332dc3aaea138c",
+        "a879b91ad4d195ba8b3d25268643a7d9ca0719166e3e32ef0853ae8f8bc9f1c3",
+    ),
+    (80, 0.2, 14): (
+        "15158f690a43164480ddddcead7e8074a22c8f5bab1464cf8dd172172df1dedd",
+        "6ec349484ee274461530ca09a678da6959844f9607956d293e2c8341f8f69b2a",
+    ),
+    (160, 0.14, 21): (
+        "6bf837a7f98ef7a15b72c834894581269a4bde4c6e117495662c8e03c96fc6e4",
+        "5eb4007efafd38aac6389abc6ab42e51f30974ab7ff0992f31a00955c85756fc",
+    ),
+}
+
+
+@pytest.mark.parametrize("host", PINNED_CONNECTIONS, ids=str)
+def test_connection_results_are_pinned(host) -> None:
+    # Lengths 4..12 and seeds 0..5 on each pool: the whole path of each
+    # success and the diagnostics of each failure must not move.
+    n, p, host_seed = host
+    g = gnp_generate(n, p, host_seed)
+    edges = g.edges()
+    frm = edges[0]
+    to = next(e for e in edges if not set(e) & set(frm))
+    rest = ((1 << n) - 1) & ~mask_of((*frm, *to))
+    digests = []
+    for pool in (mask_of(range(0, n, 3)) & rest, rest):
+        h = hashlib.sha256()
+        for length in range(4, 13):
+            for seed in range(6):
+                res = connect_one(g, ConnectionRequest(frm, to, pool, length), seed)
+                h.update(repr(res.path if res.ok else res.diagnostics).encode())
+        digests.append(h.hexdigest())
+    assert tuple(digests) == PINNED_CONNECTIONS[host]
+
+
 def test_a_pick_is_uniform_over_the_fitting_vertices() -> None:
     # Vertex 11 misses port 0, so the one free label of a length-5 path has
     # four candidates out of a pool of five.
@@ -347,7 +431,7 @@ def test_a_pick_is_uniform_over_the_fitting_vertices() -> None:
     req = ConnectionRequest((0, 1), (2, 3), mask_of((4, 5, 6, 7, 11)), length=5)
     seeds = 400
     picks = Counter(
-        connect_one(g, req, seed).embedding.vertices[2] for seed in range(seeds)
+        connect_one(g, req, seed).path[2] for seed in range(seeds)
     )
     assert set(picks) == {4, 5, 6, 7}
     for count in picks.values():
@@ -363,7 +447,7 @@ def test_same_seed_same_embedding() -> None:
         for seed in range(6):
             first = connect_one(g, req, seed)
             assert first.ok and connect_one(g, req, seed) == first
-            found.add(first.embedding)
+            found.add(first.path)
         # Every shape but the direct arc has a choice to make.
         assert (len(found) == 1) == (length == 4)
         # The draws take the seed modulo 2**64.
@@ -427,8 +511,8 @@ def test_connect_all_names_the_stalled_jobs_and_the_last_search() -> None:
     ]
     res = connect_all(g, reqs, seed=2)
     assert not res.ok
-    assert res.embeddings[0].vertices == (0, 1, 8, 2, 3)
-    assert res.embeddings[1] is None
+    assert res.paths[0] == (0, 1, 8, 2, 3)
+    assert res.paths[1] is None
     # The last search is job 1's third attempt in round 1.
     last_seed = 2 * 1_000_003 + 101 + 2
     assert res.diagnostics == {

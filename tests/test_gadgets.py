@@ -1,64 +1,44 @@
-import itertools
-
 import pytest
 from hypothesis import given
 from hypothesis.strategies import (
+    booleans,
     data,
     integers,
     permutations,
     sampled_from,
-    tuples,
 )
 
 from squareham import (
     Certificate,
-    Embedding,
     Graph,
     InputError,
-    build_gadget,
     complete_graph,
     is_square_path,
     validate_embedding,
     verify_certificate,
 )
-from squareham.gadgets import square_path_pairs
 from squareham.graphcore import rng_for
 
 from oracles import (
     looped_is_square_path,
     looped_validate_embedding,
     looped_verify_certificate,
+    square_path_edge_oracle,
+    square_path_pairs,
 )
 from strategies import gnp_graphs, seeds
 
 
-def square_path_edge_oracle(length: int) -> set[tuple[int, int]]:
-    """All label pairs at distance one or two along a path."""
-    return {
-        (i, j)
-        for i in range(length)
-        for j in range(i + 1, min(i + 3, length))
-    }
-
-
 @given(integers(min_value=2, max_value=40))
 def test_square_path_edge_set_matches_distance_two_oracle(length: int) -> None:
-    gadget = build_gadget("square-path", length=length)
-    assert set(gadget.edges) == square_path_edge_oracle(length)
-    assert len(gadget.edges) == 2 * length - 3
-    assert gadget.port_from == (0, 1)
-    assert gadget.port_to == (length - 2, length - 1)
-
-
-def test_build_gadget_rejects_bad_parameters() -> None:
-    with pytest.raises(InputError):
-        build_gadget("no-such-kind", length=4)
-    with pytest.raises(InputError):
-        build_gadget("square-path", length=1)
-    with pytest.raises(InputError):
-        build_gadget("backbone", length=8)
-    with pytest.raises(InputError):
-        build_gadget("square-path")
+    # The check needs exactly the oracle's pairs: all of them pass, and
+    # each one missing is named.
+    edges = square_path_edge_oracle(length)
+    assert len(edges) == 2 * length - 3
+    assert is_square_path(Graph(length, sorted(edges)), range(length))
+    for u, v in edges:
+        g = Graph(length, sorted(edges - {(u, v)}))
+        assert is_square_path(g, range(length)).reason == f"missing edge ({u}, {v})"
 
 
 @given(permutations(list(range(7))))
@@ -141,48 +121,50 @@ def test_certificate_check_reports_the_first_gap_that_wraps_around() -> None:
 
 @given(data())
 def test_embedding_check_matches_the_looped_check(draw) -> None:
-    g = draw.draw(gnp_graphs(min_n=1, max_n=14, min_p=0.4))
-    gadget = draw.draw(
-        sampled_from(
-            [build_gadget("square-path", length=k) for k in (2, 5, 8, 12)]
-        )
+    g = draw.draw(gnp_graphs(min_n=4, max_n=14, min_p=0.4))
+    length = draw.draw(sampled_from([2, 4, 5, 8, 12]))
+    # Vertices of the host, sometimes with one repeat; each port unchecked,
+    # the path's own, or the pair from its other end.
+    verts = draw.draw(permutations(range(g.n)))[:length]
+    if draw.draw(booleans()):
+        verts[draw.draw(integers(0, len(verts) - 1))] = verts[0]
+    ports = [
+        draw.draw(sampled_from([None, tuple(verts[:2]), tuple(verts[-2:])]))
+        for _ in range(2)
+    ]
+    assert validate_embedding(g, verts, *ports) == looped_validate_embedding(
+        g, verts, *ports
     )
-    size = draw.draw(sampled_from([gadget.labels, gadget.labels, gadget.labels - 1]))
-    # Vertices from a little past both ends of the range, repeats allowed.
-    verts = draw.draw(tuples(*[integers(min_value=-1, max_value=g.n)] * size))
-    emb = Embedding(gadget, verts)
-    assert validate_embedding(g, emb) == looped_validate_embedding(g, emb)
 
 
 def test_embedding_check_reports_a_repeat_before_a_missing_edge() -> None:
-    gadget = build_gadget("square-path", length=4)
-    # The host lacks only (0, 3); labels 0 and 2 land on it in both
-    # embeddings, and the first also repeats vertex 0.
+    # The host lacks only (0, 3); positions 0 and 2 land on it in both
+    # paths, and the first also repeats vertex 0.
     host = Graph(4, sorted(square_path_edge_oracle(4)))
-    res = validate_embedding(host, Embedding(gadget, (0, 1, 3, 0)))
-    assert res.reason == "embedding is not injective"
-    res = validate_embedding(host, Embedding(gadget, (0, 1, 3, 2)))
-    assert res.reason == "template edge (0, 2) maps to missing host edge (0, 3)"
+    res = validate_embedding(host, (0, 1, 3, 0))
+    assert res.reason == "sequence repeats a vertex"
+    res = validate_embedding(host, (0, 1, 3, 2))
+    assert res.reason == "missing edge (0, 3)"
 
 
 def test_validate_embedding_accepts_exact_image_and_flags_gaps() -> None:
-    gadget = build_gadget("square-path", length=5)
     host = Graph(5, sorted(square_path_edge_oracle(5)))
-    good = validate_embedding(host, Embedding(gadget, (0, 1, 2, 3, 4)))
+    good = validate_embedding(host, (0, 1, 2, 3, 4))
     assert good.ok
-    bad = validate_embedding(host, Embedding(gadget, (0, 2, 1, 3, 4)))
+    bad = validate_embedding(host, (0, 2, 1, 3, 4))
     assert not bad.ok
     assert bad.reason
-    dup = validate_embedding(host, Embedding(gadget, (0, 1, 2, 3, 0)))
+    dup = validate_embedding(host, (0, 1, 2, 3, 0))
     assert not dup.ok
+    with pytest.raises(InputError):
+        validate_embedding(host, (0, 1, 2, 3, 5))
 
 
 def test_validate_embedding_checks_port_images() -> None:
-    gadget = build_gadget("square-path", length=4)
     host = complete_graph(8)
-    emb = Embedding(gadget, (2, 3, 4, 5))
-    assert validate_embedding(host, emb, connect_from=(2, 3), connect_to=(4, 5)).ok
-    wrong_entry = validate_embedding(host, emb, connect_from=(3, 2))
-    assert not wrong_entry.ok and "entry port" in wrong_entry.reason
-    wrong_exit = validate_embedding(host, emb, connect_to=(5, 4))
-    assert not wrong_exit.ok and "exit port" in wrong_exit.reason
+    path = (2, 3, 4, 5)
+    assert validate_embedding(host, path, connect_from=(2, 3), connect_to=(4, 5)).ok
+    wrong_entry = validate_embedding(host, path, connect_from=(3, 2))
+    assert wrong_entry.reason == "entry port is (2, 3), expected (3, 2)"
+    wrong_exit = validate_embedding(host, path, connect_to=(5, 4))
+    assert wrong_exit.reason == "exit port is (4, 5), expected (5, 4)"

@@ -507,7 +507,7 @@ def plain_sweep(g, frm, to, pool, seed):
         req = ConnectionRequest(frm, to, pool, length)
         res = connect_one(g, req, seed * 37 + length - 4)
         if res.ok:
-            return res.embedding.vertices[2:-2]
+            return res.path[2:-2]
     return None
 
 
@@ -553,8 +553,10 @@ def test_a_sub_pool_of_an_exhausted_pool_is_answered_from_the_record(
 ) -> None:
     # Vertex 4 sees all four ports, so the ports admit lengths 6..8, but
     # each of those needs two or more interior vertices; 5 sees only 4.
-    # Length 5 needs the edge 1-2, which is missing.
-    g = Graph(6, [(0, 1), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4), (4, 5)])
+    # Length 5 needs the edge 1-2, which is missing.  Vertices 6 and 7 are
+    # isolated and outside every pool: they only make the host large enough
+    # for a square path of length 8.
+    g = Graph(8, [(0, 1), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4), (4, 5)])
     asked = []
     connect = hamiltonian.connect_one
 
@@ -590,6 +592,26 @@ def test_a_search_out_of_budget_is_not_recorded(monkeypatch) -> None:
     assert exhausted == {((0, 1), (2, 3)): []}
 
 
+def test_the_threading_tests_each_arc_once_per_state(monkeypatch) -> None:
+    # A state ranks its piece orientations by direct_arc and hands each
+    # result to its probe, so a run of tests from one position never
+    # repeats a pair.
+    g = gnp_generate(400, 0.35, 3)
+    tested = []
+    arc = hamiltonian.direct_arc
+
+    def recording(g, frm, to):
+        tested.append((frm, to))
+        return arc(g, frm, to)
+
+    monkeypatch.setattr(hamiltonian, "direct_arc", recording)
+    failed = hamiltonian._attempt(g, PipelineConfig(seed=0), 0)
+    assert failed.stage == "connecting" and tested
+    for _, run in itertools.groupby(tested, key=lambda pair: pair[0]):
+        run = list(run)
+        assert len(set(run)) == len(run)
+
+
 def test_the_threading_keeps_no_record_between_calls(monkeypatch) -> None:
     # The record of exhausted pools lives inside one _assemble_cycle call:
     # not on the host, not in a module, not in a cache.  So the same call
@@ -612,11 +634,7 @@ def test_the_threading_keeps_no_record_between_calls(monkeypatch) -> None:
     monkeypatch.setattr(hamiltonian, "connect_one", recording)
 
     def state():
-        return (
-            [getattr(g, name) for name in type(g).__slots__],
-            connector._template.cache_info().currsize,
-            connector._port_rules.cache_info().currsize,
-        )
+        return [getattr(g, name) for name in type(g).__slots__]
 
     failed = hamiltonian._attempt(g, PipelineConfig(seed=0), 0)
     assert failed.stage == "connecting" and len(captured) == 1

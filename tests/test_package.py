@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import squareham
-from squareham import hamiltonian
+from squareham import connector, gadgets, hamiltonian
 from squareham.hamiltonian import STAGES, PipelineConfig
 
 # ``__init__.py`` is left out: its imports are the package's re-exports.
@@ -118,6 +118,15 @@ def test_the_connector_never_lists_a_vertex_set() -> None:
     assert not found & {"numpy", "bits"}
     for src in ("import numpy", "from .graphcore import Graph, bits"):
         assert _imported_modules_and_names(ast.parse(src)) & {"numpy", "bits"}, src
+
+
+def test_the_connector_caches_nothing() -> None:
+    # A search reads its port masks off the length and the ports; a cache
+    # per length kept every length asked for alive.
+    path = Path(squareham.__file__).parent / "connector.py"
+    found = _imported_modules_and_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert "functools" not in found
+    assert "functools" in _imported_modules_and_names(ast.parse("import functools"))
 
 
 def test_benchmark_gates_one_failure_metric_per_stage() -> None:
@@ -342,6 +351,13 @@ def test_connections_and_units_keep_only_the_fields_they_use() -> None:
     # five-vertex core, so it has no blocks beyond it.
     requests = [f.name for f in dataclasses.fields(squareham.ConnectionRequest)]
     assert requests == ["frm", "to", "w", "length"]
+    # A connection's result is its path, a plain vertex tuple.
+    results = [f.name for f in dataclasses.fields(squareham.ConnectResult)]
+    assert results == ["ok", "path", "diagnostics"]
+    batches = [f.name for f in dataclasses.fields(connector.ConnectAllResult)]
+    assert batches == ["ok", "paths", "diagnostics"]
+    for gone in ("Gadget", "Embedding", "build_gadget"):
+        assert not hasattr(squareham, gone) and not hasattr(gadgets, gone)
     assert [f.name for f in dataclasses.fields(squareham.AbsorberUnit)] == [
         "x",
         "core",
