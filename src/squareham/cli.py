@@ -343,8 +343,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "cover",
-        help="cover a vertex set with square paths: each class's search "
-        "aims at 3/4 of its vertices and stops after 50 steps per vertex",
+        help="cover a vertex set with square paths: each search aims at "
+        "3/4 of the uncovered vertices, stops after 50 steps per vertex, "
+        "and the cover stops after the first search that misses",
     )
     p.add_argument("--graph", required=True)
     p.add_argument("--verts", default="", help="target vertices (default: all)")

@@ -4,8 +4,8 @@ A connection job asks for a square path whose entry and exit ports are two
 prescribed ordered host edges, with every other vertex drawn from a
 reservoir.  :func:`connect_one` serves one job with one seeded backtracking
 search that fills the path's interior position by position.
-:func:`connect_all` serves a list of jobs in greedy rounds, so that their
-interiors are pairwise disjoint.  :func:`direct_arc` tests the one
+:func:`connect_all` serves a list of jobs in one ordered pass, so that
+their interiors are pairwise disjoint.  :func:`direct_arc` tests the one
 connection with no interior, the length-4 square path.
 
 The search is exhaustive below its node budget, ``NODE_BUDGET``, and two
@@ -33,8 +33,6 @@ from typing import Sequence
 from .gadgets import validate_embedding
 from .graphcore import Graph, InputError, check_int, mask_of, nth_bit, splitmix64
 
-# Search seeds each connect_all round tries before the batch fails.
-_ROUND_ATTEMPTS = 3
 # Pool vertices one search may look at; a failure past it reports
 # NODE_BUDGET + 1 nodes.
 NODE_BUDGET = 100_000
@@ -295,11 +293,12 @@ def connect_all(
 ) -> ConnectAllResult:
     """Connect every job with pairwise disjoint interiors.
 
-    Greedy rounds: each round satisfies the first open job that fits, each
-    job drawing from its reservoir less the vertices of the finished jobs
-    and the ports of the open ones.  A round tries every open job with up
-    to ``_ROUND_ATTEMPTS`` search seeds, derived from ``seed`` and the
-    round, before the whole batch fails.
+    One ordered pass serves each job once: job ``i`` draws from its
+    reservoir less every job's ports and the interiors served so far, with
+    search seed ``seed * 1_000_003 + 101 * served``, where ``served``
+    counts the jobs served before it.  A job that fails stalls; a later
+    job's pool only shrinks, and a failure within ``NODE_BUDGET`` holds for
+    every seed and every sub-pool, so no retry could serve it.
 
     Raises:
         InputError: On no jobs, a malformed job, or from-pairs or to-pairs
@@ -318,30 +317,27 @@ def connect_all(
         fwd_seen |= fwd
         bwd_seen |= bwd
     out: list[tuple[int, ...] | None] = [None] * len(reqs)
-    used = 0
-    for round_no in range(len(reqs)):
-        open_jobs = [i for i, path in enumerate(out) if path is None]
-        ports = (v for i in open_jobs for v in (*reqs[i].frm, *reqs[i].to))
-        blocked = used | mask_of(ports)
-        jobs = {i: replace(reqs[i], w=reqs[i].w & ~blocked) for i in open_jobs}
-        round_seed = seed * 1_000_003 + round_no * 101
-        tries = (
-            (i, connect_one(g, job, round_seed + attempt))
-            for attempt in range(_ROUND_ATTEMPTS)
-            for i, job in jobs.items()
-        )
-        for i, res in tries:
-            if res.ok:
-                break
-        else:
-            return ConnectAllResult(
-                False,
-                tuple(out),
-                {"stalled_jobs": open_jobs, "last_failure": res.diagnostics},
-            )
+    blocked = fwd_seen | bwd_seen
+    served = 0
+    stalled: list[int] = []
+    last_failure = None
+    for i, req in enumerate(reqs):
+        job = replace(req, w=req.w & ~blocked)
+        res = connect_one(g, job, seed * 1_000_003 + 101 * served)
+        if not res.ok:
+            stalled.append(i)
+            last_failure = res.diagnostics
+            continue
         out[i] = res.path
-        used |= mask_of(res.path)
+        blocked |= mask_of(res.path)
+        served += 1
     _audit_disjoint_interiors(reqs, out)
+    if stalled:
+        return ConnectAllResult(
+            False,
+            tuple(out),
+            {"stalled_jobs": stalled, "last_failure": last_failure},
+        )
     return ConnectAllResult(True, tuple(out), None)
 
 

@@ -18,7 +18,7 @@ from squareham import (
 )
 from squareham.graphcore import bits, mask_of
 
-from oracles import square_path_edge_oracle
+from oracles import rounds_connect_all, square_path_edge_oracle
 from strategies import gnp_graphs
 
 
@@ -513,8 +513,8 @@ def test_connect_all_names_the_stalled_jobs_and_the_last_search() -> None:
     assert not res.ok
     assert res.paths[0] == (0, 1, 8, 2, 3)
     assert res.paths[1] is None
-    # The last search is job 1's third attempt in round 1.
-    last_seed = 2 * 1_000_003 + 101 + 2
+    # The last search is job 1's only one, after one job was served.
+    last_seed = 2 * 1_000_003 + 101
     assert res.diagnostics == {
         "stalled_jobs": [1],
         "last_failure": {
@@ -522,6 +522,34 @@ def test_connect_all_names_the_stalled_jobs_and_the_last_search() -> None:
             "nodes": 1,
         },
     }
+
+
+@settings(max_examples=200)
+@given(gnp_graphs(min_n=8, max_n=12, min_p=0.5), data())
+def test_one_pass_serves_what_the_rounds_served(g, data) -> None:
+    # A search over at most 8 pool vertices and 4 interior positions spends
+    # fewer than 20,000 nodes, so every failure is within NODE_BUDGET and
+    # each retry of the rounds fails again.
+    arcs = [(u, v) for u in range(g.n) for v in bits(g.row(u))]
+    assume(arcs)
+    reqs = []
+    froms = tos = 0
+    for _ in range(data.draw(integers(min_value=1, max_value=3))):
+        frm, to = data.draw(sampled_from(arcs)), data.draw(sampled_from(arcs))
+        if len({*frm, *to}) < 4 or mask_of(frm) & froms or mask_of(to) & tos:
+            continue
+        froms |= mask_of(frm)
+        tos |= mask_of(to)
+        w = data.draw(integers(min_value=0, max_value=(1 << g.n) - 1))
+        length = data.draw(integers(min_value=4, max_value=8))
+        reqs.append(ConnectionRequest(frm, to, w, length))
+    assume(reqs)
+    seed = data.draw(integers(min_value=0, max_value=100))
+    res, ref = connect_all(g, reqs, seed), rounds_connect_all(g, reqs, seed)
+    assert (res.ok, res.paths) == (ref.ok, ref.paths)
+    if not res.ok:
+        assert res.diagnostics["stalled_jobs"] == ref.diagnostics["stalled_jobs"]
+        assert res.diagnostics["last_failure"]["nodes"] <= connector.NODE_BUDGET
 
 
 def test_connect_all_rejects_overlapping_ports_and_empty_batches() -> None:

@@ -51,7 +51,7 @@ from squareham.hamiltonian import (
 )
 from squareham.graphcore import mask_of
 
-from oracles import listed_cover, looped_splice
+from oracles import looped_splice
 from strategies import gnp_graphs, seeds
 
 
@@ -213,6 +213,7 @@ def test_cover_paths_are_disjoint_square_and_account_for_everything(
         seen |= set(path)
     assert seen | set(res.leftover) == set(targets)
     assert not seen & set(res.leftover)
+    assert res.leftover_fraction == len(res.leftover) / len(targets)
     assert res.leftover_fraction <= hamiltonian._COVER_EPS
 
 
@@ -223,24 +224,36 @@ def test_cover_rejects_vertices_outside_the_host() -> None:
             cover_with_square_paths(g, u_prime, seed=0)
 
 
-@settings(max_examples=30)
+@settings(max_examples=60, deadline=None)
 @given(
-    gnp_graphs(min_n=30, max_n=60, min_p=0.2),
-    sets(integers(min_value=0, max_value=59), min_size=16),
+    gnp_graphs(min_n=1, max_n=80),
+    integers(min_value=0, max_value=(1 << 80) - 1),
     seeds(),
 )
-# Eighty targets or more make three classes, so the carry is compared; the
-# sparse host leaves each search short of its target.
-@example(gnp_generate(100, 0.5, 3), set(range(100)), 7)
-@example(gnp_generate(90, 0.2, 4), set(range(90)), 2)
-def test_cover_on_a_bitset_draws_what_the_listed_cover_drew(
-    g: Graph, targets: set[int], seed: int
+# The first host stops at the floor after two searches, the second after
+# one, and the sparse one after a missed target.
+@example(gnp_generate(200, 0.5, 1), (1 << 200) - 1, 0)
+@example(gnp_generate(100, 0.5, 3), (1 << 100) - 1, 7)
+@example(gnp_generate(90, 0.2, 4), (1 << 90) - 1, 2)
+def test_the_cover_stops_at_the_floor_or_after_a_missed_target(
+    g: Graph, targets: int, seed: int
 ) -> None:
-    targets = {v for v in targets if v < g.n}
-    res = cover_with_square_paths(g, mask_of(targets), seed=seed)
-    paths, leftover = listed_cover(g, targets, seed)
-    assert (res.paths, res.leftover) == (paths, leftover)
-    assert res.leftover_fraction == (len(leftover) / len(targets) if targets else 0.0)
+    # Read from the result alone.  Search k ran on its path, the later paths
+    # and the leftover, and every search but the last met its 3/4 target.
+    # The loop ended because fewer than _COVER_FLOOR vertices were left or
+    # because its last search missed; a search on a set that spans no edge
+    # keeps no path.
+    res = cover_with_square_paths(g, targets & ((1 << g.n) - 1), seed=seed)
+    share = 1 - hamiltonian._COVER_EPS
+    left = len(res.leftover)
+    sizes = [len(path) for path in res.paths]
+    searched = [sum(sizes[k:]) + left for k in range(len(sizes))]
+    assert all(size >= share * m for size, m in zip(sizes[:-1], searched))
+    if left < hamiltonian._COVER_FLOOR:
+        return
+    rest = mask_of(res.leftover)
+    if any(g.row(v) & rest for v in res.leftover):
+        assert sizes and sizes[-1] < share * searched[-1]
 
 
 @settings(max_examples=60)
@@ -390,8 +403,8 @@ def test_default_config_outputs_are_pinned() -> None:
     # Refactors of the pipeline must not move seeded default-config outputs.
     g = gnp_generate(200, 0.5, 1)
     pinned = {
-        0: "21b617f2865358fd3d2fb3f333abe077ca3a4a1e8091b755b948b9c0f58e3d47",
-        3: "b7acc8a821ccef6a9c781616f29f988468466ad87bb5db633b7a65893fcea5ed",
+        0: "c328590427cf828a870b5c29b16a9fa3f8fff5b9f62dd62773fd322d86d692d6",
+        3: "dcc8d13d2180c233b5585200cc50c9303fb06d8b936fe23656dcbfe17ea2fa9d",
     }
     for seed, digest in pinned.items():
         outcome = find_square_ham(g, config=PipelineConfig(seed=seed))
@@ -417,7 +430,7 @@ def test_default_config_outputs_are_pinned() -> None:
     outcome = find_square_ham(gnp_generate(800, 0.7, 1), config=PipelineConfig(seed=0))
     assert isinstance(outcome, Certificate)
     assert outcome_digest(outcome) == (
-        "462f74d4f4cc71614db265a04f3df40ab827138834fb3f2946157aa445a76302"
+        "72d4a5d10c936c5ada7245661475580f3d63b9d9d31d9865218bc9e6a25cbf73"
     )
 
 
@@ -426,10 +439,10 @@ def test_default_config_outputs_are_pinned() -> None:
     [
         # The last of the 8 restarts fails at connecting.
         (1, 2, 7, False,
-         "bcea2e017ec4c399c796d20b51550446ad6c26ea9a33f3c746e3c1f9e618b2d4"),
+         "975390cb0232567a1dc797d4f3f96fec2686b883360134adfc95b6f3d0da635d"),
         # Restart 0 fails at connecting and restart 1 certifies.
         (3, 0, 0, True,
-         "d0d90d4e09688d4e3d60c1c649258e800e121aee65a6d05690280b6dbaba8f23"),
+         "81c2ad88610bbbd73489e5108ae313e6aca361c008a42593d8a8130b1571952e"),
     ],
 )
 def test_outputs_through_the_threading_failure_path_are_pinned(
@@ -449,23 +462,23 @@ def json_digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
-# (n, p, seed) -> digests of the cover (paths, leftover, class sizes) and of
+# (n, p, seed) -> digests of the cover (paths and leftover) and of
 # the almost-spanning path on all of G(n, p, 1).
 COVER_PINS = {
     (200, 0.5, 0): (
-        "c425baf0356d977c9c71c99ee3e4f8ffa43e048c3703bfb7ed5208a98e532ed1",
+        "7e26d3d62c4df011d7c3a762de4896025f626b9619dcbfbb052b993507fd2301",
         "17f8b8d00db370fce99c257b8f9c5452300d7e24a850bd1e31da43a38ba0e8da",
     ),
     (200, 0.5, 5): (
-        "e6ae27af7e704446825ad1c493f92655290d3a5010d06d5890867ee23ba64cb4",
+        "10a51aaf4cd17610202009d6119e3d4005cd6de1579d960790ba2ac49e700a4a",
         "5f12999fe3c0be204e2aa98a57ffc2ab89fd37297349b02b42dc89fd767ff261",
     ),
     (800, 0.7, 0): (
-        "ed5aff945c6d40e1fed1f9f699d01f83bc3fcb9c2f8a4c587fc789679a92311e",
+        "187fc9d62dc760cb7562fc75d4f3df3fb740b55cbcf92a1242c8bc237ef2280c",
         "74b535bae770406e08ee5f409301d8dcdf0e63f5c8f88bc9378e844c583baaf6",
     ),
     (800, 0.7, 5): (
-        "aa267b1489975f5d306bfa3c4e95e1927e8d96f5db95f5ee913bb48d9dbeb2a6",
+        "63e96726d580c78755fcb715e2125d2bd97c64a181fd668959112040625d6d3a",
         "1fe974470faf0c0cba1f945930450b4ee8c7cfe875b62075bde1e686a7575dca",
     ),
 }
@@ -477,7 +490,7 @@ def test_cover_outputs_are_pinned(n: int, p: float, seed: int) -> None:
     g = gnp_generate(n, p, 1)
     cover = cover_with_square_paths(g, (1 << n) - 1, seed=seed)
     path = almost_spanning_square_path(g, seed=seed).path
-    cover_obj = [[list(q) for q in cover.paths], list(cover.leftover), list(cover.class_sizes)]
+    cover_obj = [[list(q) for q in cover.paths], list(cover.leftover)]
     assert (json_digest(cover_obj), json_digest(list(path))) == COVER_PINS[n, p, seed]
 
 
@@ -578,6 +591,26 @@ def test_a_sub_pool_of_an_exhausted_pool_is_answered_from_the_record(
     assert hamiltonian._cascade_connect(g, frm, to, 0b010000, 9, {}) is None
     assert hamiltonian._cascade_connect(g, (1, 0), to, 0b010000, 9, exhausted) is None
     assert asked == [6, 7, 8, 6, 7, 8]
+
+
+def test_the_sweep_stops_at_the_host_size(monkeypatch) -> None:
+    # Six vertices hold no square path of length 7, which the sweep once
+    # asked for here and raised InputError.  Length 5 needs the missing
+    # edge 1-2, and length 6 fails on the pool {4, 5}.
+    g = gnp_generate(6, 0.7, 1)
+    asked = []
+    connect = hamiltonian.connect_one
+
+    def recording(g, req, seed):
+        asked.append(req.length)
+        return connect(g, req, seed)
+
+    monkeypatch.setattr(hamiltonian, "connect_one", recording)
+    exhausted: dict = {}
+    frm, to = (0, 1), (2, 3)
+    assert hamiltonian._cascade_connect(g, frm, to, 0b110000, 0, exhausted) is None
+    assert asked == [6]
+    assert exhausted == {(frm, to): [0b110000]}
 
 
 def test_a_search_out_of_budget_is_not_recorded(monkeypatch) -> None:
@@ -981,10 +1014,10 @@ def test_attacked_hosts_get_a_witness_before_any_attempt(monkeypatch) -> None:
     assert not verify_witness(host, outcome.witness).ok
 
 
-# On G(200, .5, 0), seed 0 certifies at restart 0 and seed 1 at restart 1.
-# G(400, .35, 0) with seed 0 fails all 8 restarts.
+# On G(200, .5, 0), seed 0 certifies at restart 0 and seed 2 at restart 1.
+# G(400, .35, 0) with seed 1 fails all 8 restarts.
 @pytest.mark.parametrize(
-    "n, p, seed, attempts", [(200, 0.5, 0, 1), (200, 0.5, 1, 2), (400, 0.35, 0, 8)]
+    "n, p, seed, attempts", [(200, 0.5, 0, 1), (200, 0.5, 2, 2), (400, 0.35, 1, 8)]
 )
 def test_gnp_restarts_are_untouched_by_the_witness_search(
     monkeypatch, n, p, seed, attempts

@@ -335,7 +335,7 @@ def test_pipeline_config_holds_only_settings_callers_change() -> None:
     # setting with one value in use is a module constant instead.
     fields = {f.name for f in dataclasses.fields(PipelineConfig)}
     assert fields == {"seed"}
-    # The cover's target and step budget follow from each class's size.
+    # Each cover search's target and step budget follow from its set's size.
     cover_params = {
         fn: list(inspect.signature(getattr(hamiltonian, fn)).parameters)
         for fn in ("almost_spanning_square_path", "cover_with_square_paths")
@@ -362,3 +362,25 @@ def test_connections_and_units_keep_only_the_fields_they_use() -> None:
         "x",
         "core",
     ]
+
+
+def test_the_cover_is_one_search_loop_and_the_batch_one_pass() -> None:
+    # The cover draws no classes, so its result has no class sizes, and
+    # its one target share is the module constant.
+    fields = [f.name for f in dataclasses.fields(hamiltonian.CoverResult)]
+    assert fields == ["paths", "leftover", "leftover_fraction"]
+    path = Path(squareham.__file__).parent / "hamiltonian.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (fn,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "cover_with_square_paths"
+    ]
+    called = {
+        node.func.id
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert not called & {"random_partition", "rng_for"}
+    # connect_all serves each job once, so it has no seed retries.
+    assert not hasattr(connector, "_ROUND_ATTEMPTS")
