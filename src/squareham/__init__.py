@@ -11,9 +11,11 @@ Submodules:
     matching: Hall matching with a deficient-set witness.
     connector: one pair-to-pair connection per search over a reservoir,
         and batches with disjoint interiors.
-    absorber: per-vertex absorbing units (each the five-vertex star core
-        its Hall rounds match), chaining, and the one absorber audit, which
-        chaining runs on every absorber it returns.
+    absorber: an absorber is one square path and the absorbees it may
+        leave out; it is built from five-vertex units (each the star core
+        its Hall rounds match) joined by links, and chaining runs the one
+        absorber audit, a single pass over the walk, on every absorber it
+        returns.
     hamiltonian: the end-to-end pipeline, brute-force oracle, certificates
         and checkable infeasibility witnesses.
     adversary: triangle-removal attacks, retention profiling, experiments.
@@ -28,7 +30,6 @@ __version__ = "0.1.0"
 
 from .absorber import (
     Absorber,
-    AbsorberUnit,
     absorb,
     build_single_absorbers,
     chain_absorbers,
@@ -80,7 +81,6 @@ from .matching import (
 __all__ = [
     "__version__",
     "Absorber",
-    "AbsorberUnit",
     "AttackResult",
     "BipartiteInstance",
     "Certificate",

@@ -1,15 +1,14 @@
-"""Absorbing structures: per-vertex units, chaining, and the one audit.
+"""Absorbing structures: the absorber, its construction, and its one audit.
 
-An *absorber* for a set ``X`` is a structure whose body contains ``X`` and
-which, for every subset ``X'`` of ``X``, carries a square path between the
-same fixed ordered endpoint pairs spanning every body vertex except ``X'``.
-It is one *unit* per absorbee, the five-vertex star core ``u1 u2 x v1 v2``,
-and square-path links between consecutive units.  A unit is a square path
-both with ``x`` (``u1 u2 x v1 v2``) and without it (``u1 u2 v1 v2``), so it
-enters at ``(u1, u2)`` and leaves at ``(v1, v2)`` either way.
-:func:`chain_absorbers` audits the finished absorber once with
-:func:`verify_absorber`, links included; no earlier stage re-walks what it
-built.
+An *absorber* for a set ``X`` is a square path, its ``walk``, that stays a
+square path between the same two end pairs whatever subset ``X'`` of its
+absorbees ``X`` it leaves out.  The library builds one from a *unit* per
+absorbee, the five-vertex star core ``u1 u2 x v1 v2``, joined by
+square-path links.  A unit is a square path both with ``x`` and without it
+(``u1 u2 v1 v2``), so ``x`` sits in the walk with the bridge edges
+``u1 v1`` and ``u2 v2`` around it.  :func:`chain_absorbers` audits the
+finished absorber once with :func:`verify_absorber`, links included; no
+earlier stage re-walks what it built.
 
 The paper extends each core by further absorbing blocks, because near
 ``p = n^(-1/2)`` a vertex lies in about ``n^4 p^9`` copies of ``K5`` minus
@@ -18,10 +17,12 @@ this library runs, a vertex lies in millions of them (about ``3.8 * 10^6``
 in ``G(1000, .25)``), and the core is a unit by itself.
 
 The absorbee set, the star pool, the link reservoir and the absorbees a
-traversal drops are ``int`` bitsets, and so are a unit's vertex set and an
-absorber's body.  A link first tests the direct arc, which needs no search;
-the connector's searches pick each vertex uniformly from the pool vertices
-that fit, with seeded draws.
+traversal drops are ``int`` bitsets, and so is an absorber's body.  The
+absorber keeps its walk and its absorbees as tuples: a stored file may name
+huge ids, and no bitset is built from them before the range check.  A link
+first tests the direct arc, which needs no search; the connector's searches
+pick each vertex uniformly from the pool vertices that fit, with seeded
+draws.
 """
 
 from __future__ import annotations
@@ -31,78 +32,33 @@ from typing import Mapping, Sequence
 
 from .connector import ConnectionRequest, connect_one, direct_arc
 from .gadgets import is_square_path
-from .graphcore import Graph, InputError, bits, mask_of
+from .graphcore import Graph, InputError, bits, check_int, mask_of
 from .matching import BipartiteInstance, hall_saturating_matching
 
 
 @dataclass(frozen=True)
-class AbsorberUnit:
-    """One absorbee ``x`` and its star core ``(u1, u2, v1, v2)``.
-
-    The ``include`` walk is ``u1 u2 x v1 v2`` and the ``exclude`` walk is
-    ``u1 u2 v1 v2``; both enter at ``entry = (u1, u2)`` and leave at
-    ``exit = (v1, v2)``.  The walks, the ports and the vertex set are
-    derived on each use, so equality, hashing and ``repr`` see only the two
-    fields.
-    """
-
-    x: int
-    core: tuple[int, int, int, int]
-
-    @property
-    def entry(self) -> tuple[int, int]:
-        return self.core[:2]
-
-    @property
-    def exit(self) -> tuple[int, int]:
-        return self.core[2:]
-
-    @property
-    def vertex_set(self) -> int:
-        """Every vertex of the unit, absorbee included, as a bitset."""
-        return mask_of(self.core) | 1 << self.x
-
-    def traversal(self, mode: str) -> tuple[int, ...]:
-        """The unit's square path in ``mode``."""
-        if mode == "exclude":
-            return self.core
-        if mode != "include":
-            raise InputError(f"mode must be include or exclude, got {mode!r}")
-        u1, u2, v1, v2 = self.core
-        return (u1, u2, self.x, v1, v2)
-
-
-@dataclass(frozen=True)
 class Absorber:
-    """A chained family of units with one fixed entry and exit.
+    """A square path and the absorbees it may leave out.
 
-    ``links[i]`` is the interior of the square path joining unit ``i`` to
-    unit ``i + 1`` (possibly empty).
+    ``walk`` is the traversal that keeps every absorbee; ``absorbees``
+    lists them in walk order.  The ports and the body are derived on each
+    use, so equality, hashing and ``repr`` see only the two fields.
     """
 
-    units: tuple[AbsorberUnit, ...]
-    links: tuple[tuple[int, ...], ...]
+    walk: tuple[int, ...]
+    absorbees: tuple[int, ...]
 
     @property
-    def absorbees(self) -> tuple[int, ...]:
-        return tuple(u.x for u in self.units)
+    def entry(self) -> tuple[int, ...]:
+        return self.walk[:2]
 
     @property
-    def entry(self) -> tuple[int, int]:
-        return self.units[0].entry
-
-    @property
-    def exit(self) -> tuple[int, int]:
-        return self.units[-1].exit
+    def exit(self) -> tuple[int, ...]:
+        return self.walk[-2:]
 
     def body(self) -> int:
         """Every vertex of the structure, absorbees included, as a bitset."""
-        verts = 0
-        for u in self.units:
-            verts |= u.vertex_set
-        for interior in self.links:
-            verts |= mask_of(interior)
-        return verts
+        return mask_of(self.walk)
 
 
 def build_single_absorbers(
@@ -161,10 +117,13 @@ def build_single_absorbers(
 
 def complete_absorbers(
     xs: int, cores: Sequence[tuple[int, int, int, int]]
-) -> tuple[AbsorberUnit, ...]:
-    """The units of the absorbees in ``xs``, ascending, with the cores that
-    :func:`build_single_absorbers` matched to them, in the same order."""
-    return tuple(AbsorberUnit(x, core) for x, core in zip(bits(xs), cores))
+) -> tuple[tuple[int, int, int, int, int], ...]:
+    """The units of the absorbees in ``xs``, ascending, each the walk
+    ``u1 u2 x v1 v2`` of the core :func:`build_single_absorbers` matched to
+    ``x``, in the same order."""
+    return tuple(
+        (u1, u2, x, v1, v2) for x, (u1, u2, v1, v2) in zip(bits(xs), cores)
+    )
 
 
 def _connect_with_fallback(
@@ -193,53 +152,27 @@ def _connect_with_fallback(
     return None, res.diagnostics
 
 
-def _walk_fault(
-    g: Graph,
-    seq: tuple[int, ...],
-    span: int,
-    entry: tuple[int, int],
-    exit: tuple[int, int],
-) -> str | None:
-    """Why ``seq`` is not a square path on exactly the bitset ``span`` from
-    ``entry`` to ``exit``, or ``None`` when it is."""
-    check = is_square_path(g, seq)
-    if not check.ok:
-        return check.reason
-    if mask_of(seq) != span:
-        return "wrong span"
-    if seq[:2] != entry or seq[-2:] != exit:
-        return "endpoints moved"
-    return None
-
-
-def _unit_fault(g: Graph, unit: AbsorberUnit, mode: str) -> str | None:
-    """Why the unit's ``mode`` traversal does not span the unit (less ``x``
-    when excluding) between ``unit.entry`` and ``unit.exit``, or ``None``."""
-    span = unit.vertex_set
-    if mode == "exclude":
-        span &= ~(1 << unit.x)
-    return _walk_fault(g, unit.traversal(mode), span, unit.entry, unit.exit)
-
-
 def chain_absorbers(
     g: Graph,
-    units: Sequence[AbsorberUnit],
+    units: Sequence[tuple[int, ...]],
     pool: int,
     seed: int,
 ) -> tuple[Absorber | None, dict | None]:
     """Join units in order with square-path links into one audited absorber.
 
-    Each link connects a unit's exit pair to the next one's entry pair,
-    directly when the three required host edges exist, otherwise through the
-    link reservoir bitset ``pool`` less the units, searched with connector
-    seeds derived from ``seed``.  A link that cannot be made aborts with
-    diagnostics naming the ``link`` phase.  The finished absorber passes
+    Each unit is a five-vertex walk ``u1 u2 x v1 v2`` with its absorbee in
+    the middle.  Each link connects a unit's exit pair to the next one's
+    entry pair, directly when the three required host edges exist,
+    otherwise through the link reservoir bitset ``pool`` less the units,
+    searched with connector seeds derived from ``seed``.  A link that
+    cannot be made aborts with diagnostics naming the ``link`` phase and
+    the absorbees it joins.  The finished absorber passes
     :func:`verify_absorber` once; this is the only audit a built absorber
     gets.
 
     Raises:
-        InputError: If there are no units, two of them share a vertex, or
-            ``seed`` is negative.
+        InputError: If there are no units, one is not five vertices, two of
+            them share a vertex, or ``seed`` is negative.
         AssertionError: If the finished absorber fails the audit.
     """
     if seed < 0:
@@ -248,21 +181,24 @@ def chain_absorbers(
         raise InputError("an absorber needs at least one unit")
     body = 0
     for unit in units:
-        more = unit.vertex_set
+        if len(unit) != 5:
+            raise InputError(f"a unit is five vertices, got {len(unit)}")
+        more = mask_of(unit)
         if body & more:
             raise InputError("units to chain must be pairwise disjoint")
         body |= more
-    links: list[tuple[int, ...]] = []
+    walk = list(units[0])
     free = pool & ~body
     for i, (a, b) in enumerate(zip(units, units[1:])):
         interior, diag = _connect_with_fallback(
-            g, a.exit, b.entry, free, seed * 9_176 + i * 13
+            g, a[-2:], b[:2], free, seed * 9_176 + i * 13
         )
         if interior is None:
-            return None, {"phase": "link", "link": (a.x, b.x), "connect": diag}
-        links.append(interior)
+            return None, {"phase": "link", "link": (a[2], b[2]), "connect": diag}
+        walk += interior
+        walk += b
         free &= ~mask_of(interior)
-    absorber = Absorber(tuple(units), tuple(links))
+    absorber = Absorber(tuple(walk), tuple(unit[2] for unit in units))
     audit = verify_absorber(g, absorber)
     if not audit.ok:
         raise AssertionError(f"constructed absorber failed verification: {audit}")
@@ -277,30 +213,24 @@ def absorb(a: Absorber, x_prime: int) -> tuple[int, ...]:
         x_prime: Bitset of the absorbees to skip, a subset of ``a.absorbees``.
 
     Returns:
-        A vertex sequence with the absorber's fixed entry and exit pairs
-        whose vertex set is the whole body minus ``x_prime``.
+        ``a.walk`` less ``x_prime``: the absorber's fixed entry and exit
+        pairs, and the whole body minus ``x_prime``.
     """
-    # Not a mask of the absorbees: a stored absorber may name a huge one,
-    # which the audit rejects only once it holds this walk.
+    # Not a mask of the absorbees: an unaudited absorber may name a huge one.
     skip = set(bits(x_prime))
-    unknown = skip - set(a.absorbees)
+    unknown = skip.difference(a.absorbees)
     if unknown:
         raise InputError(f"not absorbees of this structure: {sorted(unknown)}")
-    out: list[int] = []
-    for i, unit in enumerate(a.units):
-        mode = "exclude" if unit.x in skip else "include"
-        out.extend(unit.traversal(mode))
-        if i < len(a.links):
-            out.extend(a.links[i])
-    return tuple(out)
+    return tuple(v for v in a.walk if v not in skip)
 
 
 @dataclass(frozen=True)
 class AbsorberVerification:
     """Result of the absorber audit.
 
-    ``subsets_checked`` counts the subset traversals walked, a failing one
-    included; ``failure`` names the first failing subset and why it fails.
+    ``subsets_checked`` counts the subset traversals the audit stands for,
+    a failing one included; ``failure`` names the first failing subset and
+    why it fails.
     """
 
     ok: bool
@@ -313,50 +243,66 @@ def verify_absorber(g: Graph, a: Absorber) -> AbsorberVerification:
 
     Valid means a square path in ``g`` with distinct vertices, spanning
     ``a.body()`` minus ``X'``, from ``a.entry`` to ``a.exit``.  The check is
-    exact for all ``2^|X|`` subsets while walking only ``|X| + 1`` of them,
-    in time linear in the body:
+    exact for all ``2^|X|`` subsets in one pass over the walk: the walk is a
+    square path, and each absorbee, at place ``i`` of the walk,
 
-    (a) the all-``include`` traversal ``absorb(a, 0)`` is valid;
-    (b) each unit's ``exclude`` traversal is a square path spanning the unit
-        less its absorbee, with the same first and last pairs
-        (``unit.entry``, ``unit.exit``) as its ``include`` traversal.
+    (a) sits in the walk, off its end pairs: ``2 <= i <= len(walk) - 3``;
+    (b) sits at least 3 places after the absorbee before it;
+    (c) has both bridge edges, ``walk[i-2] walk[i+1]`` and
+        ``walk[i-1] walk[i+2]``.
 
-    Sufficiency: ``absorb(a, X')`` concatenates unit traversals and link
-    interiors in a fixed order.  Both modes of a unit start with its entry
-    pair and end with its exit pair, and the two pairs are disjoint, so
-    each walk holds at least four vertices and no pair at distance at most
-    2 jumps over a whole unit.  A pair at distance at most 2 that crosses a
-    unit boundary therefore lies inside the window of that unit's exit
-    pair, the next link and the next unit's entry pair.  That window is the
-    same for every ``X'``, and (a) checks it.  Pairs inside a unit are
-    checked by (a) for ``include`` and by (b) for ``exclude``.  By (b) a
-    unit's ``exclude`` piece holds its ``include`` piece less ``x``, and (a)
-    makes the ``include`` pieces and links pairwise disjoint, so every
-    traversal has distinct vertices and spans the body less ``X'``.  The
-    ends are the first unit's entry and the last unit's exit in either
-    mode.  Necessity: a
-    fault in (a) or (b) is a fault in the traversal for ``X' = ()`` or
-    ``X' = (x,)``.
+    Sufficiency: ``absorb(a, X')`` is the walk less ``X'``, so its vertices
+    are distinct, it spans the body less ``X'``, and by (a) it keeps both
+    end pairs.  Two of its vertices at distance at most 2 have at most one
+    kept vertex between them in the walk; two skipped absorbees between
+    them would, by (b), hold at least two kept vertices apart.  So they
+    skip at most one absorbee and sit at most 3 places apart in the walk:
+    within 2 they are adjacent because the walk is a square path, and at
+    3, around a skipped absorbee at ``i``, they are one of its two bridge
+    edges, which (c) checks.  Necessity: a walk that is no square path
+    fails ``X' = ()``; an absorbee on an end pair moves that pair, and a
+    missing bridge edge leaves a non-adjacent pair at distance 2, both in
+    ``X' = (x,)``.  Absorbees off the walk, out of walk order, repeated, or
+    closer than 3 places are rejected as structures the library never
+    builds: it puts five or more places between two absorbees.
 
     Returns:
         ``ok`` with ``subsets_checked == |X| + 1``, or the first fault with
-        ``failure["subset"]`` set to ``()`` for (a) and ``(x,)`` for unit
-        ``x`` failing (b).
+        ``failure["subset"]`` set to ``()`` for a walk that is no square
+        path and ``(x,)`` for absorbee ``x`` failing (a), (b) or (c).
+
+    Raises:
+        InputError: If the walk or the absorbees name a non-vertex.
     """
-    walk = absorb(a, 0)
-    # The walk holds every body vertex; checked first, a stored id of any
-    # size is rejected before the body is built as a bitset.
+    walk, xs = a.walk, a.absorbees
+    # Both range checks come first, so an id of any size is rejected
+    # before anything is built from it.
     g.check_vertices(walk)
-    fault = _walk_fault(g, walk, a.body(), a.entry, a.exit)
-    if fault is not None:
-        return AbsorberVerification(False, 1, {"subset": (), "reason": fault})
-    for k, unit in enumerate(a.units):
-        fault = _unit_fault(g, unit, "exclude")
-        if fault is not None:
-            return AbsorberVerification(
-                False, k + 2, {"subset": (unit.x,), "reason": fault}
-            )
-    return AbsorberVerification(True, len(a.units) + 1, None)
+    g.check_vertices(xs)
+    check = is_square_path(g, walk)
+    if not check.ok:
+        return AbsorberVerification(False, 1, {"subset": (), "reason": check.reason})
+    place = {v: i for i, v in enumerate(walk)}
+    last = None
+    for k, x in enumerate(xs):
+        i = place.get(x)
+        if i is None:
+            fault = "absorbee not on the walk"
+        elif not 2 <= i <= len(walk) - 3:
+            fault = "absorbee on an end pair of the walk"
+        elif last is not None and i <= last:
+            fault = "absorbee out of walk order or repeated"
+        elif last is not None and i < last + 3:
+            fault = "absorbee fewer than 3 places after the one before"
+        elif not g.has_edge(walk[i - 2], walk[i + 1]):
+            fault = f"missing bridge edge ({walk[i - 2]}, {walk[i + 1]})"
+        elif not g.has_edge(walk[i - 1], walk[i + 2]):
+            fault = f"missing bridge edge ({walk[i - 1]}, {walk[i + 2]})"
+        else:
+            last = i
+            continue
+        return AbsorberVerification(False, k + 2, {"subset": (x,), "reason": fault})
+    return AbsorberVerification(True, len(xs) + 1, None)
 
 
 # -- serialization ------------------------------------------------------------
@@ -364,45 +310,23 @@ def verify_absorber(g: Graph, a: Absorber) -> AbsorberVerification:
 
 def absorber_to_json_obj(a: Absorber) -> dict:
     """JSON-ready description of an absorber (round-trips via ``from``)."""
-    return {
-        "units": [{"x": u.x, "core": list(u.core)} for u in a.units],
-        "links": [list(l) for l in a.links],
-    }
+    return {"walk": list(a.walk), "absorbees": list(a.absorbees)}
 
 
 def absorber_from_json_obj(obj: Mapping) -> Absorber:
     """The absorber a description of :func:`absorber_to_json_obj` holds.
 
     Raises:
-        InputError: On a malformed description, one in the old multi-block
-            unit format, a unit whose core is not four vertices, or a link
-            count that is not one less than the unit count.
+        InputError: On a malformed description, files of earlier formats
+            included, one naming a vertex that is not an integer, or one
+            with no absorbee.
     """
     try:
-        units = []
-        for entry in obj["units"]:
-            if "blocks" in entry:
-                raise InputError(
-                    "absorber files in the multi-block unit format (units "
-                    "with a 'blocks' key) are no longer read; rebuild the "
-                    "absorber to get five-vertex units"
-                )
-            x = int(entry["x"])
-            core = tuple(int(v) for v in entry["core"])
-            if len(core) != 4:
-                raise InputError(
-                    f"absorbee {x}: a core is four vertices, got {len(core)}"
-                )
-            units.append(AbsorberUnit(x, core))
-        links = tuple(tuple(int(v) for v in l) for l in obj["links"])
-    except InputError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+        walk, absorbees = tuple(obj["walk"]), tuple(obj["absorbees"])
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed absorber description: {exc}") from exc
-    if not units:
-        raise InputError("an absorber needs at least one unit")
-    if len(links) != len(units) - 1:
-        raise InputError(
-            f"{len(units)} units need {len(units) - 1} links, got {len(links)}"
-        )
-    return Absorber(tuple(units), links)
+    for v in walk + absorbees:
+        check_int("an absorber vertex", v)
+    if not absorbees:
+        raise InputError("an absorber needs at least one absorbee")
+    return Absorber(walk, absorbees)

@@ -24,13 +24,7 @@ from .absorber import (
     chain_absorbers,
     complete_absorbers,
 )
-from .connector import (
-    NODE_BUDGET,
-    ConnectionRequest,
-    connect_one,
-    direct_arc,
-    ports_admit,
-)
+from .connector import ConnectionRequest, connect_one, direct_arc, ports_admit
 from .gadgets import ValidationResult, is_square_path
 from .graphcore import (
     Graph,
@@ -645,7 +639,10 @@ def build_absorber(
     disjoint bitset pools of :func:`reservoir_sizes`, the star pool and the
     link reservoir.
 
-    The star vertices the cores leave unpicked join the link reservoir:
+    The Hall rounds match each absorbee ``x`` to a star core, which makes
+    it the five-vertex unit walk ``u1 u2 x v1 v2``; chaining joins the
+    units, in ascending order of ``x``, into the absorber's one walk.  The
+    star vertices the cores leave unpicked join the link reservoir:
     chaining draws from both pools less the units.  A returned absorber has
     passed :func:`chain_absorbers`' audit.
     """
@@ -662,7 +659,6 @@ def _cascade_connect(
     to: tuple[int, int],
     pool: int,
     seed: int,
-    exhausted: dict[tuple[tuple[int, int], tuple[int, int]], list[int]],
 ) -> tuple[int, ...] | None:
     """Shortest-first connection attempts through the ``pool`` mask; returns
     the interior or None.
@@ -672,17 +668,10 @@ def _cascade_connect(
     that the host's vertex count allows; each length's seed is offset by
     ``length - 4``.  A length whose ports
     :func:`~squareham.connector.ports_admit` rules out is skipped without a
-    search.  ``exhausted`` maps a port pair to the pools on which every
-    length failed within the node budget: such a failure holds for every
-    seed and every sub-pool, so a probe on a subset of a recorded pool
-    returns None at once, and a new such failure is recorded.
+    search.
     """
     if len({*frm, *to}) != 4:
         return None
-    recorded = exhausted.setdefault((frm, to), [])
-    if any(not pool & ~done for done in recorded):
-        return None
-    finished = True
     for length in range(5, min(8, g.n) + 1):
         if not ports_admit(g, frm, to, pool, length):
             continue
@@ -691,9 +680,6 @@ def _cascade_connect(
         if res.ok:
             # The ports are the first two and the last two vertices.
             return res.path[2:-2]
-        finished = finished and res.diagnostics["nodes"] <= NODE_BUDGET
-    if finished:
-        recorded.append(pool)
     return None
 
 
@@ -742,14 +728,11 @@ def _assemble_cycle(
     threading reached.
 
     Each probe counts in ``probes``, including one that
-    :func:`_cascade_connect` answers without a search, from the ports or
-    from this call's record of exhausted pools; the record lives only as
-    long as the call.
+    :func:`_cascade_connect` answers from the ports without a search.
     """
     total = len(pieces)
     nodes = 0
     deepest = 0
-    exhausted: dict[tuple[tuple[int, int], tuple[int, int]], list[int]] = {}
 
     def probe(
         cur: tuple[int, int],
@@ -764,7 +747,7 @@ def _assemble_cycle(
         if arc:
             return ()
         pool = fuel & ~consumed
-        return _cascade_connect(g, cur, to, pool, seed * 7919 + salt, exhausted)
+        return _cascade_connect(g, cur, to, pool, seed * 7919 + salt)
 
     def dfs(
         cur: tuple[int, int],

@@ -3,10 +3,10 @@ from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
-from hypothesis.strategies import data, integers, sampled_from
+from hypothesis.strategies import booleans, data, integers, permutations, sampled_from
 
 from squareham import (
-    AbsorberUnit,
+    Absorber,
     Graph,
     InputError,
     absorb,
@@ -43,6 +43,11 @@ def build_full_absorber(n: int, p: float, seed: int, x_count: int = 3):
     return g, built, fail
 
 
+def units_of(a):
+    """The five-vertex unit walks around the absorbees of a built absorber."""
+    return [a.walk[i - 2 : i + 3] for i in map(a.walk.index, a.absorbees)]
+
+
 def subset_walk_is_valid(g, a, dropped) -> bool:
     walk = absorb(a, mask_of(dropped))
     return (
@@ -76,22 +81,18 @@ def test_built_absorbers_pass_exhaustive_verification(seed: int) -> None:
 
 
 def test_unit_views_sit_outside_the_compared_fields() -> None:
+    # The absorber's ports and body are views of its walk.
     g, a, fail = next(
         bundle
         for seed in range(20)
         if (bundle := build_full_absorber(150, 0.55, seed))[1] is not None
     )
-    for unit in a.units:
-        u1, u2, v1, v2 = unit.core
-        assert unit.entry == (u1, u2)
-        assert unit.exit == (v1, v2)
-        assert unit.vertex_set == mask_of([unit.x, *unit.core])
-        assert unit.traversal("include") == (u1, u2, unit.x, v1, v2)
-        assert unit.traversal("exclude") == unit.core
-        fresh = replace(unit)
-        # The views leave equality, hash and repr alone.
-        assert fresh == unit and hash(fresh) == hash(unit)
-        assert repr(fresh) == repr(unit) and "entry" not in repr(unit)
+    assert a.entry == a.walk[:2] and a.exit == a.walk[-2:]
+    assert a.body() == mask_of(a.walk)
+    fresh = replace(a)
+    # The views leave equality, hash and repr alone.
+    assert fresh == a and hash(fresh) == hash(a)
+    assert repr(fresh) == repr(a) and "entry" not in repr(a)
 
 
 # The unit u1 u2 x v1 v2 = 1 2 0 3 4 on exactly the edges it needs: the
@@ -103,84 +104,80 @@ UNIT_EDGES = (
 
 
 def test_both_traversals_are_square_paths_on_the_unit_edges() -> None:
-    unit = AbsorberUnit(0, (1, 2, 3, 4))
+    unit = Absorber((1, 2, 0, 3, 4), (0,))
     host = Graph(5, UNIT_EDGES)
-    for mode in ("include", "exclude"):
-        walk = unit.traversal(mode)
+    walks = (absorb(unit, 0), absorb(unit, 1 << 0))
+    assert walks == ((1, 2, 0, 3, 4), (1, 2, 3, 4))
+    for walk in walks:
         assert is_square_path(host, walk)
         assert (walk[:2], walk[-2:]) == (unit.entry, unit.exit)
-    # Every edge is needed by one of the walks.
+    assert verify_absorber(host, unit).ok
+    # Every edge is needed by one of the walks, and the audit misses none.
     for edge in UNIT_EDGES:
         cut = Graph(5, [e for e in UNIT_EDGES if e != edge])
-        walks = (unit.traversal("include"), unit.traversal("exclude"))
         assert not all(is_square_path(cut, walk) for walk in walks)
+        assert not verify_absorber(cut, unit).ok
 
 
-def test_traversal_rejects_bad_arguments() -> None:
-    with pytest.raises(InputError, match="include or exclude"):
-        AbsorberUnit(0, (1, 2, 3, 4)).traversal("sideways")
-
-
-def with_unit_vertex(a, k: int, old: int, new: int):
-    """``a`` with vertex ``old`` of unit ``k`` (not its absorbee) renamed."""
-    unit = a.units[k]
-    bad = replace(unit, core=tuple(new if v == old else v for v in unit.core))
-    return replace(a, units=a.units[:k] + (bad,) + a.units[k + 1 :])
-
-
-def corrupt(g, a, kind: str, draw):
-    """``(g, a)`` with one vertex of ``a`` rewritten, or with the host cut
-    down to the edges the (a) and (b) walks use less one, as ``kind`` says.
-    Unchanged when ``a`` has nothing of that kind to rewrite."""
-    if kind == "host":
-        needed = set(square_path_pairs(absorb(a, 0)))
-        for unit in a.units:
-            needed.update(square_path_pairs(unit.traversal("exclude")))
-        edges = sorted(needed)
-        drop = draw(sampled_from(edges))
-        return Graph(g.n, [e for e in edges if e != drop]), a
-    new = draw(integers(min_value=0, max_value=g.n - 1))
-    if kind == "core":
-        k = draw(integers(min_value=0, max_value=len(a.units) - 1))
-        old = draw(sampled_from(a.units[k].core))
-        return g, with_unit_vertex(a, k, old, new)
-    if kind == "link":
-        spots = [(i, v) for i, link in enumerate(a.links) for v in link]
-        if not spots:
-            return g, a
-        i, old = draw(sampled_from(spots))
-        link = tuple(new if v == old else v for v in a.links[i])
-        return g, replace(a, links=a.links[:i] + (link,) + a.links[i + 1 :])
-    if kind == "shared" and len(a.units) > 1:
-        k1, k2 = draw(
-            sampled_from(list(itertools.permutations(range(len(a.units)), 2)))
-        )
-        shared = draw(sampled_from(bits(a.units[k1].vertex_set)))
-        old = draw(sampled_from(a.units[k2].core))
-        return g, with_unit_vertex(a, k2, old, shared)
-    return g, a
-
-
-@settings(max_examples=60)
-@given(
-    integers(min_value=0, max_value=60),
-    integers(min_value=1, max_value=5),
-    sampled_from(("none", "core", "link", "shared", "host")),
-    data(),
-)
-def test_compositional_check_matches_subset_enumeration(
-    seed: int, x_count: int, kind: str, draws
-) -> None:
-    g, absorber, _ = build_full_absorber(150, 0.55, seed, x_count)
-    if absorber is None:
+@settings(max_examples=300, deadline=None)
+@given(data())
+def test_compositional_check_matches_subset_enumeration(draws) -> None:
+    # A random walk of at most 12 vertices on a host that holds all but at
+    # most one of its square-path pairs and some of its pairs three places
+    # apart, the bridge edges.
+    walk = tuple(draws.draw(permutations(range(12)))[: draws.draw(integers(1, 12))])
+    edges = set(square_path_pairs(walk))
+    for u, v in zip(walk, walk[3:]):
+        if draws.draw(booleans()):
+            edges.add((min(u, v), max(u, v)))
+    if edges and draws.draw(booleans()):
+        edges.discard(draws.draw(sampled_from(sorted(edges))))
+    host = Graph(12, sorted(edges))
+    # Absorbee places in walk order, 1 to 5 apart.
+    places = []
+    i = draws.draw(integers(0, 3))
+    while i < len(walk) and (not places or draws.draw(booleans())):
+        places.append(i)
+        i += draws.draw(integers(1, 5))
+    a = Absorber(walk, tuple(walk[i] for i in places))
+    report = verify_absorber(host, a)
+    if any(j - i < 3 for i, j in zip(places, places[1:])):
+        # Closer absorbees are a structure the library never builds.
+        assert not report.ok
         return
-    host, bad = corrupt(g, absorber, kind, draws.draw)
-    report = verify_absorber(host, bad)
-    assert report.ok == every_subset_walk_is_valid(host, bad)
+    assert report.ok == every_subset_walk_is_valid(host, a)
     if report.ok:
-        assert report.subsets_checked == len(bad.absorbees) + 1
+        assert report.subsets_checked == len(a.absorbees) + 1
     else:
-        assert not subset_walk_is_valid(host, bad, report.failure["subset"])
+        assert not subset_walk_is_valid(host, a, report.failure["subset"])
+
+
+# The walk 0..9 on a complete host of 13 less the edge ``cut``; the
+# absorbee at index ``k`` of ``absorbees`` is the first the audit rejects.
+@pytest.mark.parametrize(
+    "absorbees, cut, k, reason",
+    [
+        ((4, 12), None, 1, "not on the walk"),
+        ((1,), None, 0, "end pair"),
+        ((4, 8), None, 1, "end pair"),
+        ((2, 4), None, 1, "fewer than 3 places"),
+        ((6, 2), None, 1, "out of walk order"),
+        ((4, 4), None, 1, "repeated"),
+        ((4,), (2, 5), 0, "missing bridge edge (2, 5)"),
+        ((2, 6), (5, 8), 1, "missing bridge edge (5, 8)"),
+    ],
+    ids=["off-walk", "at-the-entry", "at-the-exit", "too-close", "out-of-order",
+         "repeated", "bridge", "second-bridge"],
+)
+def test_the_audit_names_each_rejection(absorbees, cut, k, reason) -> None:
+    host = complete_graph(13)
+    if cut is not None:
+        host = host.remove_edges([cut])
+    report = verify_absorber(host, Absorber(tuple(range(10)), absorbees))
+    assert not report.ok
+    assert report.failure["subset"] == (absorbees[k],)
+    assert reason in report.failure["reason"]
+    assert report.subsets_checked == k + 2
 
 
 def test_verification_runs_past_63_absorbees() -> None:
@@ -229,19 +226,17 @@ def test_construction_is_deterministic(seed: int) -> None:
 def test_verification_detects_a_corrupted_unit() -> None:
     g, absorber, _ = build_full_absorber(150, 0.55, 5)
     assert absorber is not None
-    # Re-route v2 to a vertex outside the body that is not adjacent to v1,
-    # so the exit port is no host edge.  (A vertex that only misses some
-    # other core vertex may still fit every edge v2 needs, leaving a valid
-    # absorber.)
-    unit = absorber.units[0]
-    u1, u2, v1, v2 = unit.core
+    # Re-route the first unit's v2 to a vertex outside the body that is not
+    # adjacent to its v1, so the unit's exit port is no host edge.  (A
+    # vertex that only misses some other core vertex may still fit every
+    # edge v2 needs, leaving a valid absorber.)
+    walk = absorber.walk
     outside = next(
         v
         for v in range(g.n)
-        if not absorber.body() >> v & 1 and not g.has_edge(v, v1)
+        if not absorber.body() >> v & 1 and not g.has_edge(v, walk[3])
     )
-    bad_unit = replace(unit, core=(u1, u2, v1, outside))
-    bad = replace(absorber, units=(bad_unit,) + absorber.units[1:])
+    bad = replace(absorber, walk=walk[:4] + (outside,) + walk[5:])
     report = verify_absorber(g, bad)
     assert not report.ok
     assert report.failure
@@ -279,10 +274,14 @@ def test_the_link_sweep_tests_the_direct_arc_before_any_search(
 def test_absorber_json_round_trip() -> None:
     g, absorber, _ = build_full_absorber(150, 0.55, 11)
     assert absorber is not None
-    clone = absorber_from_json_obj(absorber_to_json_obj(absorber))
-    assert clone == absorber
-    with pytest.raises(InputError):
-        absorber_from_json_obj({"nonsense": True})
+    stored = absorber_to_json_obj(absorber)
+    assert stored == {"walk": list(absorber.walk),
+                      "absorbees": list(absorber.absorbees)}
+    assert absorber_from_json_obj(stored) == absorber
+    for bad in ({"nonsense": True}, {"walk": [1, 2, 0, 3, 4], "absorbees": []},
+                {"walk": [1, 2, "x"], "absorbees": [0]}):
+        with pytest.raises(InputError):
+            absorber_from_json_obj(bad)
 
 
 # The absorbee 0 and a star pool of eight vertices, as bitsets.
@@ -326,11 +325,14 @@ def test_round_three_needs_v1_adjacent_to_u1() -> None:
     cores, fail = build_single_absorbers(g, 1 << 0, 0b11110)
     assert cores is None
     assert fail["round"] == 3 and fail["pool"] == 2
-    # Without v1 ~ u1 the core 1 2 x 3 4 would do: its include walk is a
-    # square path, and only its exclude walk lacks an edge.
-    unit = AbsorberUnit(0, (1, 2, 3, 4))
-    assert is_square_path(g, unit.traversal("include"))
-    assert not is_square_path(g, unit.traversal("exclude"))
+    # Without v1 ~ u1 the core 1 2 x 3 4 would do: the walk with x is a
+    # square path, and only the one without x lacks an edge, the bridge 1-3.
+    unit = Absorber((1, 2, 0, 3, 4), (0,))
+    assert is_square_path(g, absorb(unit, 0))
+    assert not is_square_path(g, absorb(unit, 1 << 0))
+    assert verify_absorber(g, unit).failure == {
+        "subset": (0,), "reason": "missing bridge edge (1, 3)"
+    }
 
 
 def test_star_stage_rejects_overlapping_classes() -> None:
@@ -353,16 +355,17 @@ def test_completion_pairs_each_absorbee_with_its_core() -> None:
     cores, fail = build_single_absorbers(g, xs, mask_of(range(10, 30)))
     assert fail is None
     units = complete_absorbers(xs, cores)
-    assert [u.x for u in units] == [0, 3]
-    assert [u.core for u in units] == list(cores)
+    assert [u[2] for u in units] == [0, 3]
+    assert [u[:2] + u[3:] for u in units] == list(cores)
 
 
 def test_built_units_are_square_paths_with_and_without_their_absorbee() -> None:
     g, absorber, _ = build_full_absorber(150, 0.55, 11)
     assert absorber is not None
-    for unit in absorber.units:
-        u1, u2, v1, v2 = unit.core
-        assert is_square_path(g, (u1, u2, unit.x, v1, v2)).ok
+    units = units_of(absorber)
+    assert [u[2] for u in units] == list(absorber.absorbees)
+    for u1, u2, x, v1, v2 in units:
+        assert is_square_path(g, (u1, u2, x, v1, v2)).ok
         assert is_square_path(g, (u1, u2, v1, v2)).ok
 
 
@@ -370,18 +373,19 @@ def test_chaining_audits_what_it_returns() -> None:
     g, absorber, _ = build_full_absorber(150, 0.55, 5)
     assert absorber is not None
     free = ((1 << g.n) - 1) & ~absorber.body()
-    again, fail = chain_absorbers(g, absorber.units, free, 5)
+    units = units_of(absorber)
+    again, fail = chain_absorbers(g, units, free, 5)
     assert fail is None and verify_absorber(g, again).ok
     # The first unit's absorbee moves to a vertex outside the body that
     # misses one of its core; the link ports stay as they were.
-    unit = absorber.units[0]
+    u1, u2, _, v1, v2 = units[0]
     x = next(
-        v for v in bits(free) if not all(g.has_edge(v, u) for u in unit.core)
+        v for v in bits(free)
+        if not all(g.has_edge(v, u) for u in (u1, u2, v1, v2))
     )
-    bad = replace(unit, x=x)
     pool = free & ~(1 << x)
     with pytest.raises(AssertionError, match="failed verification"):
-        chain_absorbers(g, (bad,) + absorber.units[1:], pool, 5)
+        chain_absorbers(g, [(u1, u2, x, v1, v2), *units[1:]], pool, 5)
 
 
 def test_chaining_rejects_empty_and_overlapping_units() -> None:
@@ -390,7 +394,9 @@ def test_chaining_rejects_empty_and_overlapping_units() -> None:
     with pytest.raises(InputError):
         chain_absorbers(g, (), 0, 0)
     with pytest.raises(InputError, match="disjoint"):
-        chain_absorbers(g, absorber.units[:1] * 2, 0, 0)
+        chain_absorbers(g, units_of(absorber)[:1] * 2, 0, 0)
+    with pytest.raises(InputError, match="five vertices"):
+        chain_absorbers(g, [absorber.walk[:3]], 0, 0)
 
 
 @pytest.mark.parametrize("seed", [-1], ids=["seed"])

@@ -217,7 +217,7 @@ def test_connect_and_absorber_build_outputs_are_pinned(tmp_path, capsys) -> None
     assert stdout_digest(
         capsys, "absorber", "build", "--graph", graph, "--x", "0,1,2",
         "--seed", "3",
-    ) == (0, "7b079c0a91f75397245b88a913ae1e146a2c89f7a21975e461a67bb00a38a7d6")
+    ) == (0, "e2c613c4014b77ec5ced4af7e0dcbf56e3a1cbbca6b5ee0b566fccaf4a2af327")
 
 
 def test_connect_rejects_negative_vertices(tmp_path, capsys) -> None:
@@ -257,28 +257,19 @@ def test_absorber_build_audits_the_absorber_once(
     assert [(a.ok, a.subsets_checked) for a in audits] == [(True, 4)]
 
 
-def test_absorber_verify_names_the_old_multi_block_format(tmp_path, capsys) -> None:
-    # Files written while units had several four-vertex blocks carry
-    # "blocks" and no "core"; they cannot be read as five-vertex units.
-    graph = write_graph(tmp_path, "g.edges", 30, 0.5, 0)
-    old = tmp_path / "old.json"
-    old.write_text(json.dumps({
-        "units": [{"x": 0, "blocks": 2, "backbone": list(range(1, 9)),
-                   "junctions": [[]]}],
-        "links": [],
-    }))
-    assert run("absorber", "verify", "--graph", graph,
-               "--absorber", str(old)) == 2
-    assert "multi-block unit format" in capsys.readouterr().err
-
-
 def test_absorber_files_round_trip_through_the_core_format(tmp_path, capsys) -> None:
     graph = write_graph(tmp_path, "g.edges", 120, 0.55, 7)
     assert run("absorber", "build", "--graph", graph, "--x", "0,1,2",
                "--seed", "3") == 0
     current = json.loads(capsys.readouterr().out)
-    assert [sorted(unit) for unit in current["units"]] == [["core", "x"]] * 3
-    assert all(len(unit["core"]) == 4 for unit in current["units"])
+    assert sorted(current) == ["absorbees", "walk"]
+    walk, xs = current["walk"], current["absorbees"]
+    assert xs == [0, 1, 2]
+    # Each absorbee sits in the middle of its five-vertex core, in order.
+    places = [walk.index(x) for x in xs]
+    assert places == sorted(places) and places[0] == 2
+    assert all(j - i >= 5 for i, j in zip(places, places[1:]))
+    assert places[-1] == len(walk) - 3
     assert absorber_to_json_obj(absorber_from_json_obj(current)) == current
 
 
@@ -313,14 +304,21 @@ def test_absorber_verify_detects_a_mismatched_host(tmp_path) -> None:
         {"units": [{"x": 0, "core": [1, 2, 3, 4]}], "links": [[]]},
         {"units": [{"x": 0, "core": [1, 2, 3]}], "links": []},
         {"units": [{"x": 0}], "links": []},
+        {"walk": [1, 2, 0, 3, 4]},
+        {"walk": [1, 2, 0, 3, 4], "absorbees": []},
+        {"walk": [1, 2, 0, 3, 4], "absorbees": 0},
+        {"walk": [1, 2, [0], 3, 4], "absorbees": [0]},
+        {"walk": [1.5, 2, 0, 3, 4], "absorbees": [0]},
+        {"walk": [1, 2, 0, 3, 4], "absorbees": [True]},
     ],
     ids=["no-units", "short-backbone", "huge-blocks", "extra-link", "short-core",
-         "no-core"],
+         "no-core", "no-absorbees", "empty-absorbees", "scalar-absorbees",
+         "nested-walk", "float-vertex", "bool-absorbee"],
 )
 def test_absorber_verify_rejects_malformed_descriptions(
     tmp_path, description
 ) -> None:
-    # The two multi-block files are refused by their format alone.
+    # Files of the earlier unit formats are refused by their format alone.
     graph = write_graph(tmp_path, "g.edges", 12, 0.5, 0)
     absorber = tmp_path / "absorber.json"
     absorber.write_text(json.dumps(description))
@@ -330,20 +328,21 @@ def test_absorber_verify_rejects_malformed_descriptions(
 
 @pytest.mark.parametrize("where", ["x", "core", "link"])
 def test_absorber_verify_rejects_a_huge_vertex_id(tmp_path, capsys, where) -> None:
-    # The audit builds the body as a bitset; a stored id of 10**12 must be
-    # rejected before that, not turned into a 10**12-bit integer.
+    # A stored id of 10**12 must be rejected by the range check, not turned
+    # into a 10**12-bit integer: as the second absorbee, as v2 of the first
+    # core, or as the link vertex between the two cores.
     huge = 10**12
-    units = [{"x": 0, "core": [1, 2, 3, 4]}, {"x": 10, "core": [11, 12, 13, 14]}]
-    links = [[19]]
+    walk = [1, 2, 0, 3, 4, 19, 11, 12, 10, 13, 14]
+    absorbees = [0, 10]
     if where == "x":
-        units[1]["x"] = huge
+        absorbees[1] = huge
     elif where == "core":
-        units[0]["core"][3] = huge
+        walk[4] = huge
     else:
-        links = [[huge]]
+        walk[5] = huge
     graph = write_graph(tmp_path, "g.edges", 30, 0.5, 0)
     absorber = tmp_path / "absorber.json"
-    absorber.write_text(json.dumps({"units": units, "links": links}))
+    absorber.write_text(json.dumps({"walk": walk, "absorbees": absorbees}))
     assert run("absorber", "verify", "--graph", graph,
                "--absorber", str(absorber)) == 2
     assert "out of range" in capsys.readouterr().err
@@ -400,7 +399,7 @@ def test_absorber_build_fills_its_pools_with_every_spare_vertex(
     for seed in range(6):
         assert run("absorber", "build", "--graph", graph, "--x", "0,1,2,3,4,5",
                    "--seed", str(seed)) == 0
-        assert len(json.loads(capsys.readouterr().out)["units"]) == 6
+        assert len(json.loads(capsys.readouterr().out)["absorbees"]) == 6
 
 
 def test_absorber_build_failure_reports_a_stage(tmp_path, capsys) -> None:

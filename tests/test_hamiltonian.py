@@ -3,7 +3,6 @@ import hashlib
 import itertools
 import json
 import tracemalloc
-import unittest.mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -507,7 +506,7 @@ def test_threading_never_asks_for_the_length_four_connection(monkeypatch) -> Non
     monkeypatch.setattr(hamiltonian, "connect_one", recording)
     g = complete_graph(12).remove_edges([(0, 2)])
     interior = hamiltonian._cascade_connect(
-        g, (0, 1), (2, 3), sum(1 << v for v in range(4, 12)), 3, {}
+        g, (0, 1), (2, 3), sum(1 << v for v in range(4, 12)), 3
     )
     assert interior is not None and len(interior) == 1
     # Length 5 keeps the seed of its place in the sweep.
@@ -524,10 +523,6 @@ def plain_sweep(g, frm, to, pool, seed):
     return None
 
 
-def refusing(*args):
-    raise AssertionError("a probe the record answers searched")
-
-
 @settings(max_examples=40, deadline=None)
 @given(gnp_graphs(min_n=8, max_n=16, min_p=0.3, max_p=0.95), data())
 def test_the_pruned_sweep_returns_what_the_plain_sweep_returns(g, data) -> None:
@@ -538,7 +533,6 @@ def test_the_pruned_sweep_returns_what_the_plain_sweep_returns(g, data) -> None:
     assume(outs)
     tos = data.draw(lists(sampled_from(outs), min_size=1, max_size=3))
     pairs = [(frm, to) for to in tos]
-    exhausted: dict = {}
     pools = {}
     for _ in range(8):
         frm, to = data.draw(sampled_from(pairs))
@@ -548,49 +542,7 @@ def test_the_pruned_sweep_returns_what_the_plain_sweep_returns(g, data) -> None:
         pools[frm, to] = pool
         seed = data.draw(integers(min_value=0, max_value=1000))
         expected = plain_sweep(g, frm, to, pool, seed)
-        if any(not pool & ~done for done in exhausted.get((frm, to), ())):
-            # A sub-pool of an exhausted pool is answered without a search.
-            with unittest.mock.patch.object(hamiltonian, "connect_one", refusing), \
-                    unittest.mock.patch.object(hamiltonian, "ports_admit", refusing):
-                got = hamiltonian._cascade_connect(g, frm, to, pool, seed, exhausted)
-        else:
-            got = hamiltonian._cascade_connect(g, frm, to, pool, seed, exhausted)
-        assert got == expected
-        assert hamiltonian._cascade_connect(g, frm, to, pool, seed, {}) == expected
-        for done in exhausted.get((frm, to), ()):
-            assert plain_sweep(g, frm, to, done, seed + 1) is None
-
-
-def test_a_sub_pool_of_an_exhausted_pool_is_answered_from_the_record(
-    monkeypatch,
-) -> None:
-    # Vertex 4 sees all four ports, so the ports admit lengths 6..8, but
-    # each of those needs two or more interior vertices; 5 sees only 4.
-    # Length 5 needs the edge 1-2, which is missing.  Vertices 6 and 7 are
-    # isolated and outside every pool: they only make the host large enough
-    # for a square path of length 8.
-    g = Graph(8, [(0, 1), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4), (4, 5)])
-    asked = []
-    connect = hamiltonian.connect_one
-
-    def recording(g, req, seed):
-        asked.append(req.length)
-        return connect(g, req, seed)
-
-    monkeypatch.setattr(hamiltonian, "connect_one", recording)
-    exhausted: dict = {}
-    frm, to = (0, 1), (2, 3)
-    assert hamiltonian._cascade_connect(g, frm, to, 0b110000, 0, exhausted) is None
-    assert asked == [6, 7, 8]
-    assert exhausted == {(frm, to): [0b110000]}
-    asked.clear()
-    for pool in (0b110000, 0b010000):
-        assert hamiltonian._cascade_connect(g, frm, to, pool, 9, exhausted) is None
-    assert asked == []
-    # Without the record the sub-pool is searched; so is a pool not inside it.
-    assert hamiltonian._cascade_connect(g, frm, to, 0b010000, 9, {}) is None
-    assert hamiltonian._cascade_connect(g, (1, 0), to, 0b010000, 9, exhausted) is None
-    assert asked == [6, 7, 8, 6, 7, 8]
+        assert hamiltonian._cascade_connect(g, frm, to, pool, seed) == expected
 
 
 def test_the_sweep_stops_at_the_host_size(monkeypatch) -> None:
@@ -606,23 +558,8 @@ def test_the_sweep_stops_at_the_host_size(monkeypatch) -> None:
         return connect(g, req, seed)
 
     monkeypatch.setattr(hamiltonian, "connect_one", recording)
-    exhausted: dict = {}
-    frm, to = (0, 1), (2, 3)
-    assert hamiltonian._cascade_connect(g, frm, to, 0b110000, 0, exhausted) is None
+    assert hamiltonian._cascade_connect(g, (0, 1), (2, 3), 0b110000, 0) is None
     assert asked == [6]
-    assert exhausted == {(frm, to): [0b110000]}
-
-
-def test_a_search_out_of_budget_is_not_recorded(monkeypatch) -> None:
-    out_of_budget = connector.ConnectResult(
-        False, None, {"config": {}, "nodes": hamiltonian.NODE_BUDGET + 1}
-    )
-    monkeypatch.setattr(hamiltonian, "connect_one", lambda g, req, seed: out_of_budget)
-    exhausted: dict = {}
-    pool = sum(1 << v for v in range(4, 12))
-    g = complete_graph(12).remove_edges([(0, 2)])
-    assert hamiltonian._cascade_connect(g, (0, 1), (2, 3), pool, 0, exhausted) is None
-    assert exhausted == {((0, 1), (2, 3)): []}
 
 
 def test_the_threading_tests_each_arc_once_per_state(monkeypatch) -> None:
@@ -646,9 +583,9 @@ def test_the_threading_tests_each_arc_once_per_state(monkeypatch) -> None:
 
 
 def test_the_threading_keeps_no_record_between_calls(monkeypatch) -> None:
-    # The record of exhausted pools lives inside one _assemble_cycle call:
-    # not on the host, not in a module, not in a cache.  So the same call
-    # again makes the same searches.
+    # The threading keeps nothing between calls: not on the host, not in a
+    # module, not in a cache.  So the same call again makes the same
+    # searches.
     g = gnp_generate(400, 0.35, 3)
     captured = []
     assemble = hamiltonian._assemble_cycle

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import squareham
-from squareham import connector, gadgets, hamiltonian
+from squareham import absorber, connector, gadgets, hamiltonian
 from squareham.hamiltonian import STAGES, PipelineConfig
 
 # ``__init__.py`` is left out: its imports are the package's re-exports.
@@ -200,9 +200,11 @@ def _library_callers(names: set[str]) -> set[str]:
 
 def test_absorbers_are_audited_in_one_place() -> None:
     # chain_absorbers audits every absorber the library builds, links
-    # included; a second audit elsewhere would walk the same units again.
-    walkers = _library_callers({"_unit_fault", "_walk_fault"})
-    assert walkers == {"absorber.verify_absorber", "absorber._unit_fault"}
+    # included; a second audit elsewhere would walk the same walk again.
+    # The audit is one pass over the walk, with no per-unit walker.
+    assert _library_callers({"_unit_fault", "_walk_fault"}) == set()
+    for gone in ("_unit_fault", "_walk_fault"):
+        assert not hasattr(absorber, gone)
     audits = _library_callers({"verify_absorber"})
     # `absorber verify` checks a stored file, which no build has audited.
     assert audits == {"absorber.chain_absorbers", "cli._cmd_absorber_verify"}
@@ -347,8 +349,8 @@ def test_pipeline_config_holds_only_settings_callers_change() -> None:
 
 
 def test_connections_and_units_keep_only_the_fields_they_use() -> None:
-    # A connection is a square path, so it has no width; a unit is its
-    # five-vertex core, so it has no blocks beyond it.
+    # A connection is a square path, so it has no width; an absorber is one
+    # square path and its absorbees, so it has no units or links beside it.
     requests = [f.name for f in dataclasses.fields(squareham.ConnectionRequest)]
     assert requests == ["frm", "to", "w", "length"]
     # A connection's result is its path, a plain vertex tuple.
@@ -358,10 +360,12 @@ def test_connections_and_units_keep_only_the_fields_they_use() -> None:
     assert batches == ["ok", "paths", "diagnostics"]
     for gone in ("Gadget", "Embedding", "build_gadget"):
         assert not hasattr(squareham, gone) and not hasattr(gadgets, gone)
-    assert [f.name for f in dataclasses.fields(squareham.AbsorberUnit)] == [
-        "x",
-        "core",
+    assert [f.name for f in dataclasses.fields(squareham.Absorber)] == [
+        "walk",
+        "absorbees",
     ]
+    assert not hasattr(squareham, "AbsorberUnit")
+    assert not hasattr(absorber, "AbsorberUnit")
 
 
 def test_the_cover_is_one_search_loop_and_the_batch_one_pass() -> None:
