@@ -16,8 +16,8 @@ an edge, far fewer than one, so a core of its own is rare.  At the sizes
 this library runs, a vertex lies in millions of them (about ``3.8 * 10^6``
 in ``G(1000, .25)``), and the core is a unit by itself.
 
-The absorbee set, the star pool, the link reservoir and the absorbees a
-traversal drops are ``int`` bitsets, and so is an absorber's body.  The
+The absorbee set, the pool the cores and links draw from, and the absorbees
+a traversal drops are ``int`` bitsets, and so is an absorber's body.  The
 absorber keeps its walk and its absorbees as tuples: a stored file may name
 huge ids, and no bitset is built from them before the range check.  A link
 first tests the direct arc, which needs no search; the connector's searches
@@ -62,11 +62,11 @@ class Absorber:
 
 
 def build_single_absorbers(
-    g: Graph, xs: int, star: int
+    g: Graph, xs: int, pool: int
 ) -> tuple[tuple[tuple[int, int, int, int], ...] | None, dict | None]:
     """Match each absorbee to a disjoint star core by four Hall rounds.
 
-    The absorbee set ``xs`` and the star pool ``star`` are bitsets.  The
+    The absorbee set ``xs`` and the ``pool`` are bitsets.  The
     rounds pick ``u1``, ``u2``, ``v1`` and ``v2`` in turn, each from the
     pool less the picks of the earlier rounds.  Every pick is adjacent to
     ``x`` and to the two picks before it: ``u2 ~ u1``, ``v1 ~ u2, u1`` and
@@ -78,7 +78,7 @@ def build_single_absorbers(
         The cores ``(u1, u2, v1, v2)``, one per absorbee in ascending
         order; or ``None`` and the diagnostics of the first deficient
         round: its ``round`` number, the violating absorbee set, the size
-        of its ``joint_neighborhood``, and ``pool``, the count of star
+        of its ``joint_neighborhood``, and ``pool``, the count of pool
         vertices left when it ran.
 
     Raises:
@@ -86,15 +86,15 @@ def build_single_absorbers(
             ``0..n-1``.
     """
     g.check_mask(xs)
-    g.check_mask(star)
-    if xs & star:
-        raise InputError("absorbee set and star pool must be disjoint")
+    g.check_mask(pool)
+    if xs & pool:
+        raise InputError("absorbee set and pool must be disjoint")
     rows = g.rows
     xs_listed = bits(xs)
     cores: list[list[int]] = [[] for _ in xs_listed]
     # The two picks before the next one; before the first, only x.
     last = before = xs_listed
-    free = star
+    free = pool
     for round_no in range(1, 5):
         adjacency = tuple(
             rows[x] & rows[a] & rows[b] & free
@@ -136,9 +136,9 @@ def _connect_with_fallback(
     """Shortest connection first, lengthening one vertex at a time; returns
     the interior, or None and the last search's diagnostics.
 
-    Sweeping lengths 4..8 (zero to four interior vertices) keeps reservoir
+    Sweeping lengths 4..8 (zero to four interior vertices) keeps pool
     consumption minimal: most jobs close with zero or one interior vertex,
-    so the reservoir survives many jobs.  Length 4 is the direct arc, which
+    so the pool survives many jobs.  Length 4 is the direct arc, which
     needs no search; lengths 5..8 search the same ``pool`` mask.
     """
     if direct_arc(g, frm, to):
@@ -163,7 +163,7 @@ def chain_absorbers(
     Each unit is a five-vertex walk ``u1 u2 x v1 v2`` with its absorbee in
     the middle.  Each link connects a unit's exit pair to the next one's
     entry pair, directly when the three required host edges exist,
-    otherwise through the link reservoir bitset ``pool`` less the units,
+    otherwise through the bitset ``pool`` less the units,
     searched with connector seeds derived from ``seed``.  A link that
     cannot be made aborts with diagnostics naming the ``link`` phase and
     the absorbees it joins.  The finished absorber passes

@@ -34,9 +34,7 @@ from .graphcore import (
     graph_to_edgelist_text,
     graph_to_json_obj,
     mask_of,
-    random_partition,
     read_graph,
-    rng_for,
 )
 from .hamiltonian import (
     Certificate,
@@ -49,7 +47,6 @@ from .hamiltonian import (
     failure_report_to_json_obj,
     find_square_ham,
     jsonable,
-    reservoir_sizes,
     verify_certificate,
     verify_witness,
     witness_from_json_obj,
@@ -194,23 +191,7 @@ def _cmd_absorber_build(args) -> tuple[int, str, dict]:
     if x_mask.bit_count() != len(xs):
         raise InputError(f"absorbees must be distinct, got {args.x!r}")
     meta = {"x": list(xs), "seed": args.seed}
-    sizes = reservoir_sizes(len(xs))
-    rest = ((1 << g.n) - 1) & ~x_mask
-    available = rest.bit_count()
-    needed = sum(sizes)
-    if needed > available:
-        report = FailureReport(
-            "partition",
-            {"reason": "not enough vertices for the reservoirs",
-             "needed": needed, "available": available},
-        )
-        return 1, _json_text(failure_report_to_json_obj(report)), meta
-    # The pipeline keeps most vertices for the covering; a standalone build
-    # has every non-absorbee to spare, so its pools keep the planner's
-    # proportions and take all of them (up to rounding).
-    sizes = [s * available // needed for s in sizes]
-    pools = random_partition(rest, sizes, rng_for(args.seed, 71))
-    built, fail = build_absorber(g, x_mask, pools, args.seed)
+    built, fail = build_absorber(g, x_mask, args.seed)
     if fail is not None:
         report = FailureReport("absorber", fail)
         return 1, _json_text(failure_report_to_json_obj(report)), meta

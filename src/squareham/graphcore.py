@@ -1,4 +1,4 @@
-"""Graph representation, seeded randomness, partitioning, and counting primitives.
+"""Graph representation, seeded randomness, and counting primitives.
 
 Vertices are dense integers ``0..n-1``.  Real thresholds (degree floors,
 codegree floors, density windows) are compared in floating point with a
@@ -30,7 +30,7 @@ every integer below 2^24 exactly (a graph on 2^24 vertices would need a
 pass 2^24, so those sums are accumulated in float64 (exact below 2^53).
 
 Seeded randomness follows one rule: numpy for bulk draws, SplitMix64 per
-pick.  Partitions, permutations, G(n, p) rows and experiment samples come
+pick.  Permutations, G(n, p) rows and experiment samples come
 from a numpy generator made by :func:`rng_for`.  A search that picks one
 vertex at a time takes each pick as ``next(stream) % k`` from a
 :func:`splitmix64` stream, with no numpy call per pick; the pick is uniform
@@ -473,46 +473,6 @@ def _gnp_packed(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
         )
         u0 += size
     return packed
-
-
-# -- partitioning ----------------------------------------------------------
-
-
-def random_partition(
-    universe: int, sizes: Sequence[int], rng: np.random.Generator
-) -> tuple[int, ...]:
-    """Uniformly random disjoint classes of the exact requested sizes.
-
-    Args:
-        universe: Bitset of the vertices to partition.
-        sizes: Requested class sizes; must sum to at most ``|universe|``.
-        rng: The generator that draws the permutation.
-
-    Returns:
-        One class bitset per size, in order; the vertices no class takes
-        are ``universe`` less their union.
-
-    Raises:
-        InputError: If ``universe`` or a size is not an integer, a size is
-            negative, or the sizes sum to more than ``|universe|``.
-    """
-    check_int("universe", universe)
-    for s in sizes:
-        check_int("a class size", s)
-    pool = bits(universe)
-    if any(s < 0 for s in sizes):
-        raise InputError("class sizes must be non-negative")
-    if sum(sizes) > len(pool):
-        raise InputError(
-            f"requested {sum(sizes)} vertices but universe has only {len(pool)}"
-        )
-    perm = [pool[i] for i in rng.permutation(len(pool)).tolist()]
-    classes = []
-    at = 0
-    for s in sizes:
-        classes.append(mask_of(perm[at : at + s]))
-        at += s
-    return tuple(classes)
 
 
 # -- statistics ------------------------------------------------------------

@@ -1,11 +1,12 @@
 """End-to-end construction of squares of Hamilton cycles.
 
-The pipeline partitions the vertex set into absorbee, reservoir, and covering
-territory, builds a chained absorber, covers the rest with long square paths,
-matches stray vertices to anchors, threads everything into one cycle through
-a connector reservoir, and lets the absorber swallow whatever the threading
-consumed.  Every returned certificate is re-verified; failures are
-first-class reports naming the stage that ran out of room.
+The pipeline draws a random absorbee set, builds a chained absorber around
+it from the rest of the host, covers what the absorber leaves with long
+square paths, matches stray vertices to anchor absorbees, threads everything
+into one cycle through the absorbees left over, and lets the absorber
+swallow whatever the threading consumed.  Every returned certificate is
+re-verified; failures are first-class reports naming the stage that ran out
+of room.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .graphcore import (
     mask_of,
     nth_bit,
     packed_rows,
-    random_partition,
     rng_for,
     splitmix64,
 )
@@ -54,10 +54,19 @@ STAGES = (
 # holds the one value every caller runs with.
 # Share of the absorbees kept as anchors for the leftover matching.
 _ANCHOR_SHARE = 0.75
-# Absorbee count as a share of n, before the plan shrinks it to fit.
-_ABSORBEE_SHARE = 0.05
-# Fewest uncovered vertices the cover runs a search on; a plan must leave
-# at least this many vertices to the covering.
+# Hosts of at most this many vertices go to exhaustive search.  The value is
+# where the old fixed-size reservoirs stopped fitting; it stays so that no
+# small host loses an answer exhaustive search gives, until the two can be
+# compared on small hosts.
+_EXHAUSTIVE_MAX_N = 58
+# The absorbee count is round(_ABSORBEE_SHARE * n).  The absorbees the
+# leftover matching does not take are the threading's only fuel, so at .05
+# the threading runs short, and G(4000, .15) certifies more often at .11
+# than at .1.  Each unit and link takes about six vertices of the rest of
+# the host, so the links starve from .13 on, and first fail at .12.
+_ABSORBEE_SHARE = 0.11
+# Fewest uncovered vertices the cover runs a search on; fewer go straight
+# to the splice and the leftover matching.
 _COVER_FLOOR = 10
 # Each cover search aims to leave at most this share of its vertex set
 # uncovered, and spends at most this many steps per vertex of that set
@@ -65,7 +74,11 @@ _COVER_FLOOR = 10
 _COVER_EPS = 0.25
 _COVER_STEPS_PER_VERTEX = 50
 # Probes (direct-arc tests and connections) the final threading may spend.
-_ASSEMBLY_BUDGET = 2_000
+# A threading that fails spends the whole budget before the restart: on
+# G(400, .35) a failed attempt took 50 to 130 ms at 2,000 probes and 10 to
+# 20 ms at 250 (2-vCPU VM, Python 3.11), and a restart with fresh
+# randomness certifies sooner than more probes would.
+_ASSEMBLY_BUDGET = 250
 # Pipeline attempts per call.
 _RESTARTS = 8
 
@@ -75,8 +88,8 @@ class PipelineConfig:
     """The one pipeline setting callers run with different values: the
     ``seed`` of every random choice, a non-negative integer (a ``bool`` is
     not one).  Every constant of the construction, the attempt count and
-    the reservoir sizing of :func:`reservoir_sizes` included, is fixed in
-    this module and in ``absorber``.
+    the absorbee share included, is fixed in this module and in
+    ``absorber``.
     """
 
     seed: int = 0
@@ -593,64 +606,24 @@ def match_leftover(g: Graph, q_set: int, x1: int) -> LeftoverMatching:
     return LeftoverMatching(True, pairs, (), ())
 
 
-def reservoir_sizes(x: int) -> list[int]:
-    """Reservoir sizes for an absorber over ``x`` absorbees.
-
-    Returns ``[star, link]``.  The star pool feeds the four Hall rounds of
-    :func:`~squareham.absorber.build_single_absorbers`, which pick ``4x`` of
-    its ``7x + 14`` vertices: as many as four pools of ``x + 2`` for the
-    first round, a neighbour of ``x``, and of ``2x + 4`` for each later
-    round, a common neighbour of two or three vertices.  The link
-    reservoir, ``6x + 7`` vertices, feeds the square paths between
-    consecutive units, and the star vertices the rounds leave unpicked join
-    it.
-    """
-    return [7 * x + 14, 6 * x + 7]
-
-
-def _plan_partition(n: int) -> tuple[list[int], dict] | None:
-    """Class sizes for ``n`` vertices, shrinking the absorbee count to fit.
-
-    Returns the sizes ``[x, *reservoir_sizes(x)]`` to cut, and the plan the
-    failure diagnostics report: the absorbee count ``x``, the ``star`` pool
-    and ``link`` reservoir sizes, and the ``uncommitted`` vertices left to
-    the covering.
-    """
-    x = max(4, round(_ABSORBEE_SHARE * n))
-    while x >= 2:
-        sizes = reservoir_sizes(x)
-        total = x + sum(sizes)
-        if n - total >= _COVER_FLOOR:
-            star, link = sizes
-            return [x, *sizes], {
-                "x": x,
-                "star": star,
-                "link": link,
-                "uncommitted": n - total,
-            }
-        x -= 1
-    return None
-
-
 def build_absorber(
-    g: Graph, xs: int, pools: Sequence[int], seed: int
+    g: Graph, xs: int, seed: int
 ) -> tuple[Absorber | None, dict | None]:
-    """Build one chained absorber over the bitset ``xs`` from the two
-    disjoint bitset pools of :func:`reservoir_sizes`, the star pool and the
-    link reservoir.
+    """Build one chained absorber over the bitset ``xs`` from every other
+    vertex of ``g``.
 
-    The Hall rounds match each absorbee ``x`` to a star core, which makes
-    it the five-vertex unit walk ``u1 u2 x v1 v2``; chaining joins the
-    units, in ascending order of ``x``, into the absorber's one walk.  The
-    star vertices the cores leave unpicked join the link reservoir:
-    chaining draws from both pools less the units.  A returned absorber has
-    passed :func:`chain_absorbers`' audit.
+    The Hall rounds match each absorbee ``x`` to a star core drawn from the
+    complement of ``xs``, which makes it the five-vertex unit walk
+    ``u1 u2 x v1 v2``; chaining joins the units, in ascending order of
+    ``x``, into the absorber's one walk, with links drawn from the same
+    complement less the units.  A returned absorber has passed
+    :func:`chain_absorbers`' audit.
     """
-    star, link = pools
-    cores, fail = build_single_absorbers(g, xs, star)
+    pool = ((1 << g.n) - 1) & ~xs
+    cores, fail = build_single_absorbers(g, xs, pool)
     if fail is not None:
         return None, fail
-    return chain_absorbers(g, complete_absorbers(xs, cores), link | star, seed)
+    return chain_absorbers(g, complete_absorbers(xs, cores), pool, seed)
 
 
 def _cascade_connect(
@@ -806,12 +779,10 @@ def _attempt(
 ) -> Certificate | FailureReport:
     n = g.n
     seed0 = config.seed * 1_000_003 + restart * 7_919
-    planned = _plan_partition(n)
-    # find_square_ham sends the hosts no plan fits to exhaustive search.
-    assert planned is not None, f"no reservoir plan fits n={n}"
-    sizes, plan = planned
-    x_mask, *pools = random_partition((1 << n) - 1, sizes, rng_for(seed0, 53))
-    absorber, fail = build_absorber(g, x_mask, pools, seed0 + 1)
+    x = round(_ABSORBEE_SHARE * n)
+    x_mask = mask_of(rng_for(seed0, 53).permutation(n)[:x].tolist())
+    plan = {"x": x}
+    absorber, fail = build_absorber(g, x_mask, seed0 + 1)
     if fail is not None:
         return FailureReport("absorber", dict(fail, plan=plan))
 
@@ -886,8 +857,8 @@ def find_square_ham(
 
     One :func:`find_infeasibility_witness` search runs first; a witness
     proves that no certificate exists, so it ends the call before any
-    search.  Otherwise hosts too small for any reservoir plan delegate to
-    exhaustive search, and larger ones run the partition / absorber /
+    search.  Otherwise hosts of at most ``_EXHAUSTIVE_MAX_N`` vertices
+    delegate to exhaustive search, and larger ones run the absorber /
     covering / matching / connecting / absorption pipeline, up to
     ``_RESTARTS`` times with fresh randomness while a stage fails.
 
@@ -914,7 +885,7 @@ def find_square_ham(
         check = verify_witness(g, witness)
         assert check.ok, f"the witness search produced a bad witness: {check.reason}"
         return FailureReport("partition", {"mode": "infeasibility-witness"}, witness)
-    if _plan_partition(g.n) is None:
+    if g.n <= _EXHAUSTIVE_MAX_N:
         res = brute_force_square_ham(g)
         if res.status == "found":
             assert res.certificate is not None

@@ -16,18 +16,6 @@ from squareham.graphcore import Graph, mask_of
 from squareham.hamiltonian import Certificate, CertificateCheck
 
 
-def listed_random_partition(universe, sizes, rng) -> list[tuple[int, ...]]:
-    """``random_partition`` on a vertex iterable: sorted class tuples."""
-    pool = sorted(set(universe))
-    perm = [pool[i] for i in rng.permutation(len(pool)).tolist()]
-    classes = []
-    at = 0
-    for s in sizes:
-        classes.append(tuple(sorted(perm[at : at + s])))
-        at += s
-    return classes
-
-
 def square_path_edge_oracle(length: int) -> set[tuple[int, int]]:
     """All label pairs at distance one or two along a path."""
     return {

@@ -217,7 +217,7 @@ def test_connect_and_absorber_build_outputs_are_pinned(tmp_path, capsys) -> None
     assert stdout_digest(
         capsys, "absorber", "build", "--graph", graph, "--x", "0,1,2",
         "--seed", "3",
-    ) == (0, "e2c613c4014b77ec5ced4af7e0dcbf56e3a1cbbca6b5ee0b566fccaf4a2af327")
+    ) == (0, "b05e18032d1e656e65d09d0b98e927c4dadbce82c5856daab5a103c1d1a79fc2")
 
 
 def test_connect_rejects_negative_vertices(tmp_path, capsys) -> None:
@@ -393,8 +393,7 @@ def test_the_removed_multi_block_flags_exit_2(tmp_path, capsys, argv, named) -> 
 def test_absorber_build_fills_its_pools_with_every_spare_vertex(
     tmp_path, capsys
 ) -> None:
-    # Six absorbees: the two pools split all 194 spare vertices in the
-    # planner's proportions.
+    # Six absorbees: the cores and links draw from all 194 spare vertices.
     graph = write_graph(tmp_path, "g.edges", 200, 0.45, 1)
     for seed in range(6):
         assert run("absorber", "build", "--graph", graph, "--x", "0,1,2,3,4,5",
@@ -403,25 +402,47 @@ def test_absorber_build_fills_its_pools_with_every_spare_vertex(
 
 
 def test_absorber_build_failure_reports_a_stage(tmp_path, capsys) -> None:
+    # The pool is the 27 other vertices.  When the third Hall round runs,
+    # none of the 21 left is a common neighbour of absorbee 1 and its two
+    # picks, so that round fails.
     graph = write_graph(tmp_path, "g.edges", 30, 0.5, 0)
     assert run("absorber", "build", "--graph", graph, "--x", "0,1,2",
                "--seed", "0") == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["stage"] == "partition"
+    assert payload["stage"] == "absorber"
+    assert payload["diagnostics"] == {
+        "round": 3, "violating_absorbees": [1], "joint_neighborhood": 0,
+        "pool": 21,
+    }
 
 
 def test_absorber_build_partition_failures_record_their_config(
     tmp_path, capsys
 ) -> None:
-    # The manifest records the absorbees and seed on every outcome,
-    # the partition failure included.
+    # The manifest records the absorbees and seed on every outcome, a
+    # failed Hall round included.
     graph = write_graph(tmp_path, "g.edges", 30, 0.5, 0)
     out = tmp_path / "ab.json"
     assert run("absorber", "build", "--graph", graph, "--x", "0,1,2",
                "--seed", "4", "--out", str(out)) == 1
-    assert json.loads(out.read_text())["stage"] == "partition"
+    assert json.loads(out.read_text())["stage"] == "absorber"
     manifest = json.loads((tmp_path / "ab.json.manifest.json").read_text())
     assert manifest["config"] == {"x": [0, 1, 2], "seed": 4}
+
+
+def test_absorber_build_with_too_few_spare_vertices_fails_in_a_hall_round(
+    tmp_path, capsys
+) -> None:
+    # Ten absorbees leave two spare vertices: the first Hall round cannot
+    # give each absorbee its own neighbour, and the build reports that
+    # round instead of refusing to start.
+    graph = write_graph(tmp_path, "g.edges", 12, 0.9, 0)
+    assert run("absorber", "build", "--graph", graph,
+               "--x", ",".join(map(str, range(10)))) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["stage"] == "absorber"
+    assert payload["diagnostics"]["round"] == 1
+    assert payload["diagnostics"]["pool"] == 2
 
 
 def test_experiment_json_and_csv_agree_on_seed_count(tmp_path) -> None:

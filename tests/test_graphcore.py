@@ -39,7 +39,6 @@ from squareham.graphcore import (
     mask_of,
     nth_bit,
     packed_rows,
-    random_partition,
     splitmix64,
     triangle_profile,
 )
@@ -51,7 +50,6 @@ from squareham.hamiltonian import (
     match_leftover,
 )
 
-from oracles import listed_random_partition
 from strategies import gnp_graphs, seeds
 
 
@@ -197,16 +195,12 @@ def test_negative_seeds_and_salts_are_input_errors() -> None:
         rng_for(0, 3, -1)
     with pytest.raises(InputError):
         gnp_generate(5, 0.5, -1)
-    # Seeds, salts and class sizes that are not integers.
+    # Seeds and salts that are not integers.
     with pytest.raises(InputError, match="integer"):
         gnp_generate(5, 0.5, 1.5)
     for seed, salt in ((1.5, ()), (True, ()), (1, (2.0,))):
         with pytest.raises(InputError, match="integer"):
             rng_for(seed, *salt)
-    with pytest.raises(InputError, match="integer"):
-        random_partition(15, [1.5], rng_for(1, 7))
-    with pytest.raises(InputError, match="integer"):
-        random_partition(15.0, [1], rng_for(1, 7))
     # numpy integers are integers.
     assert gnp_generate(np.int64(9), 0.5, np.int64(3)) == gnp_generate(9, 0.5, 3)
 
@@ -417,51 +411,6 @@ def test_remove_edges_drops_exactly_the_named_pairs(g: Graph, seed: int) -> None
     h = g.remove_edges(doomed)
     assert h.n == g.n
     assert set(h.edges()) == set(g.edges()) - {tuple(sorted(e)) for e in doomed}
-
-
-@given(seeds(), integers(min_value=0, max_value=30))
-def test_random_partition_classes_are_disjoint_and_sized(seed: int, n: int) -> None:
-    sizes = [n // 3, n // 4]
-    universe = mask_of(range(n))
-    part = random_partition(universe, sizes, rng_for(seed, 5))
-    assert len(part) == len(sizes)
-    seen = 0
-    for cls, want in zip(part, sizes):
-        assert cls.bit_count() == want
-        assert not seen & cls
-        seen |= cls
-    assert not seen & ~universe
-
-
-@given(seeds())
-def test_random_partition_is_deterministic(seed: int) -> None:
-    a = random_partition(mask_of(range(20)), [5, 5, 5], rng_for(seed, 6))
-    b = random_partition(mask_of(range(20)), [5, 5, 5], rng_for(seed, 6))
-    assert a == b
-
-
-@given(
-    sets(integers(min_value=0, max_value=300), max_size=80),
-    lists(integers(min_value=0, max_value=30), max_size=6),
-    seeds(),
-)
-def test_random_partition_of_a_bitset_draws_the_listed_classes(
-    universe: set[int], sizes: list[int], seed: int
-) -> None:
-    while sum(sizes) > len(universe):
-        sizes.pop()
-    mask = mask_of(universe)
-    expected = listed_random_partition(universe, sizes, rng_for(seed, 8))
-    assert random_partition(mask, sizes, rng_for(seed, 8)) == tuple(
-        map(mask_of, expected)
-    )
-
-
-def test_random_partition_rejects_oversized_request() -> None:
-    with pytest.raises(InputError):
-        random_partition(mask_of(range(4)), [3, 3], rng_for(0, 7))
-    with pytest.raises(InputError):
-        random_partition(-1, [1], rng_for(0, 7))
 
 
 @given(gnp_graphs())

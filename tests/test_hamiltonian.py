@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import sys
 import tracemalloc
 
 import pytest
@@ -40,6 +41,7 @@ from squareham import (
 )
 from squareham.hamiltonian import (
     STAGES,
+    BruteForceResult,
     almost_spanning_square_path,
     certificate_from_json_obj,
     certificate_to_json_obj,
@@ -342,10 +344,15 @@ def test_pipeline_delegates_small_hosts_to_exhaustive_search() -> None:
 
 # The ids keep the 8-vertex backbone size these cases once also ran with.
 @pytest.mark.parametrize("n", [41, 58], ids=["41-8", "58-8"])
-def test_hosts_no_reservoir_plan_fits_go_to_exhaustive_search(n: int) -> None:
-    # Below 59 vertices no absorbee count leaves room for the reservoirs;
-    # the exhaustive search still answers.
-    assert hamiltonian._plan_partition(n) is None
+def test_hosts_no_reservoir_plan_fits_go_to_exhaustive_search(
+    monkeypatch, n: int
+) -> None:
+    # Up to 58 vertices the exhaustive search answers, and the pipeline
+    # never runs.
+    def unreachable(*args, **kwargs):
+        pytest.fail("the pipeline ran on a host for exhaustive search")
+
+    monkeypatch.setattr(hamiltonian, "_attempt", unreachable)
     g = complete_graph(n)
     out = find_square_ham(g)
     assert isinstance(out, Certificate) and verify_certificate(g, out).ok
@@ -402,8 +409,8 @@ def test_default_config_outputs_are_pinned() -> None:
     # Refactors of the pipeline must not move seeded default-config outputs.
     g = gnp_generate(200, 0.5, 1)
     pinned = {
-        0: "c328590427cf828a870b5c29b16a9fa3f8fff5b9f62dd62773fd322d86d692d6",
-        3: "dcc8d13d2180c233b5585200cc50c9303fb06d8b936fe23656dcbfe17ea2fa9d",
+        0: "5054b32dff55a5fd6704a6c7c594ef38be754af7e0fe6f751f6e19ec7fb27075",
+        3: "4e5e86f81316d37be84629e7a117511686914787da7ac835860864668893bc62",
     }
     for seed, digest in pinned.items():
         outcome = find_square_ham(g, config=PipelineConfig(seed=seed))
@@ -429,26 +436,26 @@ def test_default_config_outputs_are_pinned() -> None:
     outcome = find_square_ham(gnp_generate(800, 0.7, 1), config=PipelineConfig(seed=0))
     assert isinstance(outcome, Certificate)
     assert outcome_digest(outcome) == (
-        "72d4a5d10c936c5ada7245661475580f3d63b9d9d31d9865218bc9e6a25cbf73"
+        "00877b6609fd09f64e921f284c8280b568d408ba44a7c6eabbee8a3abea5fd65"
     )
 
 
 @pytest.mark.parametrize(
-    "h, seed, restart, certified, digest",
+    "p, h, seed, restart, certified, digest",
     [
         # The last of the 8 restarts fails at connecting.
-        (1, 2, 7, False,
-         "975390cb0232567a1dc797d4f3f96fec2686b883360134adfc95b6f3d0da635d"),
+        (0.3, 1, 1, 7, False,
+         "7375ead28dcdc87886459a8403e78efa6f9f8bd800be1b0fdd172d4f379e6efd"),
         # Restart 0 fails at connecting and restart 1 certifies.
-        (3, 0, 0, True,
-         "81c2ad88610bbbd73489e5108ae313e6aca361c008a42593d8a8130b1571952e"),
+        (0.35, 2, 1, 0, True,
+         "ee7d78abb52fe02dfb86cf5749f40484c309a798ea2001df1e83677159cbba1e"),
     ],
 )
 def test_outputs_through_the_threading_failure_path_are_pinned(
-    h: int, seed: int, restart: int, certified: bool, digest: str
+    p: float, h: int, seed: int, restart: int, certified: bool, digest: str
 ) -> None:
     # Pruning failed threading probes must not move any outcome.
-    g = gnp_generate(400, 0.35, h)
+    g = gnp_generate(400, p, h)
     config = PipelineConfig(seed=seed)
     failed = hamiltonian._attempt(g, config, restart)
     assert isinstance(failed, FailureReport) and failed.stage == "connecting"
@@ -564,29 +571,30 @@ def test_the_sweep_stops_at_the_host_size(monkeypatch) -> None:
 
 def test_the_threading_tests_each_arc_once_per_state(monkeypatch) -> None:
     # A state ranks its piece orientations by direct_arc and hands each
-    # result to its probe, so a run of tests from one position never
-    # repeats a pair.
-    g = gnp_generate(400, 0.35, 3)
+    # result to its probe, so one state never repeats a pair.  A state is
+    # one call of the search, told apart by its frame: two states in a row
+    # can sit at the same position with different pieces left.
+    g = gnp_generate(400, 0.35, 0)
     tested = []
     arc = hamiltonian.direct_arc
 
     def recording(g, frm, to):
-        tested.append((frm, to))
+        tested.append((sys._getframe(1), frm, to))
         return arc(g, frm, to)
 
     monkeypatch.setattr(hamiltonian, "direct_arc", recording)
     failed = hamiltonian._attempt(g, PipelineConfig(seed=0), 0)
     assert failed.stage == "connecting" and tested
-    for _, run in itertools.groupby(tested, key=lambda pair: pair[0]):
-        run = list(run)
-        assert len(set(run)) == len(run)
+    for _, run in itertools.groupby(tested, key=lambda t: t[0]):
+        pairs = [t[1:] for t in run]
+        assert len(set(pairs)) == len(pairs)
 
 
 def test_the_threading_keeps_no_record_between_calls(monkeypatch) -> None:
     # The threading keeps nothing between calls: not on the host, not in a
     # module, not in a cache.  So the same call again makes the same
     # searches.
-    g = gnp_generate(400, 0.35, 3)
+    g = gnp_generate(400, 0.35, 0)
     captured = []
     assemble = hamiltonian._assemble_cycle
     asked = []
@@ -692,23 +700,44 @@ def test_each_built_absorber_is_audited_once(monkeypatch) -> None:
     assert len(audits) == sum(built)
 
 
-def test_the_plan_fits_from_59_vertices_and_keeps_the_absorbee_share() -> None:
-    assert hamiltonian._plan_partition(58) is None
-    sizes, plan = hamiltonian._plan_partition(59)
-    assert sizes == [2, 28, 19] and plan["uncommitted"] == 10
-    for n, x in ((200, 10), (400, 20), (800, 40), (2000, 100)):
-        sizes, plan = hamiltonian._plan_partition(n)
-        assert sizes == [x, 7 * x + 14, 6 * x + 7]
-        assert plan == {
-            "x": x, "star": 7 * x + 14, "link": 6 * x + 7,
-            "uncommitted": n - 14 * x - 21,
-        }
+def test_the_plan_fits_from_59_vertices_and_keeps_the_absorbee_share(
+    monkeypatch,
+) -> None:
+    # 58 vertices end in the exhaustive search, 59 run the pipeline.
+    searched = []
+
+    def searching(g, *args, **kwargs):
+        searched.append(g.n)
+        return BruteForceResult("unknown", None, 0)
+
+    monkeypatch.setattr(hamiltonian, "brute_force_square_ham", searching)
+    out = find_square_ham(complete_graph(58))
+    assert out.stage == "partition"
+    assert out.diagnostics["mode"] == "small-instance-delegation"
+    g = complete_graph(59)
+    out = find_square_ham(g)
+    assert isinstance(out, Certificate) and verify_certificate(g, out).ok
+    assert searched == [58]
+    # The absorbee set is 11% of the host, drawn whole, and the rest of
+    # the host is the absorber's pool; the plan reports only its size.
+    drawn = []
+
+    def failing(g, xs, seed):
+        drawn.append(xs.bit_count())
+        return None, {"round": 1}
+
+    monkeypatch.setattr(hamiltonian, "build_absorber", failing)
+    for n, x in ((59, 6), (200, 22), (400, 44), (2000, 220)):
+        out = hamiltonian._attempt(complete_graph(n), PipelineConfig(), 0)
+        assert out.stage == "absorber" and out.diagnostics["plan"] == {"x": x}
+        assert drawn.pop() == x == round(hamiltonian._ABSORBEE_SHARE * n)
 
 
 @pytest.mark.parametrize("host", [1000, 1001])
 def test_large_hosts_certify_on_the_first_attempt(host) -> None:
-    # G(1000,.5) is off the benchmark's grid.  Its 50 units take 200 of the
-    # star pool's 364 vertices; the last Hall round still saturates.
+    # G(1000,.5) is off the benchmark's grid.  Its 100 units take 400 of
+    # the 900 vertices outside the absorbee set; the last Hall round still
+    # saturates.
     g = gnp_generate(1000, 0.5, host)
     outcome = hamiltonian._attempt(g, PipelineConfig(seed=0), 0)
     assert isinstance(outcome, Certificate)
@@ -718,9 +747,21 @@ def test_large_hosts_certify_on_the_first_attempt(host) -> None:
 @pytest.mark.parametrize("host", [9000, 9001])
 def test_sparse_hosts_certify_through_one_star_pool(host) -> None:
     # G(1000,.3) is off the benchmark's grid.  Here each of the later Hall
-    # rounds needs a common neighbour of three vertices, which one star
-    # pool, less the earlier picks, still holds for every absorbee.
+    # rounds needs a common neighbour of three vertices, which the host
+    # outside the absorbee set, less the earlier picks, still holds for
+    # every absorbee.
     g = gnp_generate(1000, 0.3, host)
+    outcome = find_square_ham(g, config=PipelineConfig(seed=0))
+    assert isinstance(outcome, Certificate)
+    assert verify_certificate(g, outcome).ok
+
+
+@pytest.mark.parametrize("n, p", [(1000, 0.25), (2000, 0.2)])
+def test_sparse_hosts_certify_with_the_whole_host_as_the_pool(n, p) -> None:
+    # Off the benchmark's grid.  Fixed-size pools of 7x + 14 and 6x + 7
+    # vertices failed Hall round 3 or 4 on these hosts at seed 0; the rest
+    # of the host outside the absorbee set holds a core for every absorbee.
+    g = gnp_generate(n, p, 9000)
     outcome = find_square_ham(g, config=PipelineConfig(seed=0))
     assert isinstance(outcome, Certificate)
     assert verify_certificate(g, outcome).ok
@@ -951,10 +992,10 @@ def test_attacked_hosts_get_a_witness_before_any_attempt(monkeypatch) -> None:
     assert not verify_witness(host, outcome.witness).ok
 
 
-# On G(200, .5, 0), seed 0 certifies at restart 0 and seed 2 at restart 1.
-# G(400, .35, 0) with seed 1 fails all 8 restarts.
+# On G(200, .5, 0), seed 0 certifies at restart 0 and seed 6 at restart 1.
+# G(400, .3, 0) with seed 1 fails all 8 restarts.
 @pytest.mark.parametrize(
-    "n, p, seed, attempts", [(200, 0.5, 0, 1), (200, 0.5, 2, 2), (400, 0.35, 1, 8)]
+    "n, p, seed, attempts", [(200, 0.5, 0, 1), (200, 0.5, 6, 2), (400, 0.3, 1, 8)]
 )
 def test_gnp_restarts_are_untouched_by_the_witness_search(
     monkeypatch, n, p, seed, attempts

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import squareham
-from squareham import absorber, connector, gadgets, hamiltonian
+from squareham import absorber, connector, gadgets, graphcore, hamiltonian
 from squareham.hamiltonian import STAGES, PipelineConfig
 
 # ``__init__.py`` is left out: its imports are the package's re-exports.
@@ -388,3 +388,13 @@ def test_the_cover_is_one_search_loop_and_the_batch_one_pass() -> None:
     assert not called & {"random_partition", "rng_for"}
     # connect_all serves each job once, so it has no seed retries.
     assert not hasattr(connector, "_ROUND_ATTEMPTS")
+
+
+def test_the_absorber_draws_from_the_whole_host() -> None:
+    # One absorbee set, and every other vertex is the pool: no planner
+    # sizes a second pool, and no partition cuts one.
+    assert not hasattr(hamiltonian, "reservoir_sizes")
+    assert not hasattr(hamiltonian, "_plan_partition")
+    assert not hasattr(graphcore, "random_partition")
+    params = list(inspect.signature(hamiltonian.build_absorber).parameters)
+    assert params == ["g", "xs", "seed"]
