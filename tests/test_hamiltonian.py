@@ -573,21 +573,24 @@ def test_the_threading_tests_each_arc_once_per_state(monkeypatch) -> None:
     # A state ranks its piece orientations by direct_arc and hands each
     # result to its probe, so one state never repeats a pair.  A state is
     # one call of the search, told apart by its frame: two states in a row
-    # can sit at the same position with different pieces left.
+    # can sit at the same position with different pieces left.  Each test
+    # counts for the nearest enclosing search call, so one that a probe or
+    # a connection makes on the state's behalf falls in that state too.
     g = gnp_generate(400, 0.35, 0)
     tested = []
     arc = hamiltonian.direct_arc
 
     def recording(g, frm, to):
-        tested.append((sys._getframe(1), frm, to))
+        state = sys._getframe(1)
+        while state.f_code.co_name != "dfs":
+            state = state.f_back
+        tested.append((state, frm, to))
         return arc(g, frm, to)
 
     monkeypatch.setattr(hamiltonian, "direct_arc", recording)
     failed = hamiltonian._attempt(g, PipelineConfig(seed=0), 0)
     assert failed.stage == "connecting" and tested
-    for _, run in itertools.groupby(tested, key=lambda t: t[0]):
-        pairs = [t[1:] for t in run]
-        assert len(set(pairs)) == len(pairs)
+    assert len(set(tested)) == len(tested)
 
 
 def test_the_threading_keeps_no_record_between_calls(monkeypatch) -> None:
