@@ -9,8 +9,8 @@ Submodules:
         rows), family membership.
     gadgets: square-path checks, the connector's success check included.
     matching: Hall matching with a deficient-set witness.
-    connector: one pair-to-pair connection per search over a reservoir,
-        and batches with disjoint interiors.
+    connector: one pair-to-pair connection job per search over a
+        reservoir.
     absorber: an absorber is one square path and the absorbees it may
         leave out; it is built from five-vertex units (each the star core
         its Hall rounds match) joined by links, and chaining runs the one
@@ -48,7 +48,6 @@ from .adversary import (
 from .connector import (
     ConnectionRequest,
     ConnectResult,
-    connect_all,
     connect_one,
 )
 from .gadgets import is_square_path, validate_embedding
@@ -100,7 +99,6 @@ __all__ = [
     "check_family_membership",
     "complete_absorbers",
     "complete_graph",
-    "connect_all",
     "connect_one",
     "find_infeasibility_witness",
     "find_square_ham",

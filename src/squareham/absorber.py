@@ -137,9 +137,11 @@ def _connect_with_fallback(
     the interior, or None and the last search's diagnostics.
 
     Sweeping lengths 4..8 (zero to four interior vertices) keeps pool
-    consumption minimal: most jobs close with zero or one interior vertex,
-    so the pool survives many jobs.  Length 4 is the direct arc, which
-    needs no search; lengths 5..8 search the same ``pool`` mask.
+    consumption minimal: few links go direct (about one in ten on
+    G(200, .5) and G(800, .5), fewer on sparser hosts), and almost every
+    other link closes with one or two interior vertices, so the pool
+    survives many jobs.  Length 4 is the direct arc, which needs no
+    search; lengths 5..8 search the same ``pool`` mask.
     """
     if direct_arc(g, frm, to):
         return (), None
@@ -172,11 +174,10 @@ def chain_absorbers(
 
     Raises:
         InputError: If there are no units, one is not five vertices, two of
-            them share a vertex, or ``seed`` is negative.
+            them share a vertex, or ``seed`` is not a non-negative integer.
         AssertionError: If the finished absorber fails the audit.
     """
-    if seed < 0:
-        raise InputError(f"seed must be non-negative, got {seed}")
+    check_int("seed", seed, 0)
     if not units:
         raise InputError("an absorber needs at least one unit")
     body = 0

@@ -29,6 +29,7 @@ from .graphcore import (
     bits,
     check_int,
     check_probability,
+    check_vertex_count,
     edges_within,
     gnp_generate,
     mask_of,
@@ -483,12 +484,12 @@ def resilience_experiment(
         "aggregates": ...}``.  Deterministic for fixed seeds and params.
 
     Raises:
-        InputError: If ``n`` is not a non-negative integer, ``p`` not a real
-            number in ``[0, 1]``, ``gamma`` outside ``[0, 1/2)``, the seed
-            count or an explicit seed not a non-negative integer, or
-            ``jobs`` not an integer of at least 1.
+        InputError: If ``n`` is not an integer in ``0..sys.maxsize``,
+            ``p`` not a real number in ``[0, 1]``, ``gamma`` outside
+            ``[0, 1/2)``, the seed count or an explicit seed not a
+            non-negative integer, or ``jobs`` not an integer of at least 1.
     """
-    check_int("n", n, 0)
+    check_vertex_count("n", n)
     check_probability("p", p)
     _gamma_fraction(gamma)
     check_int("jobs", jobs, 1)

@@ -26,7 +26,7 @@ from .adversary import (
     resilience_experiment,
     triangle_retention_profile,
 )
-from .connector import ConnectionRequest, connect_all
+from .connector import ConnectionRequest, connect_one
 from .graphcore import (
     Graph,
     InputError,
@@ -78,17 +78,17 @@ def _vertex_mask(g: Graph, text: str) -> int:
     return mask_of(vs)
 
 
-def _job_pairs(text: str) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
-    """Parse ``a,b,c,d[;e,f,g,h...]`` into ((a,b),(c,d)) jobs."""
-    jobs = []
-    for chunk in text.split(";"):
-        vals = _ints(chunk)
-        if len(vals) != 4:
-            raise InputError(
-                f"each job needs four vertices from,from,to,to — got {chunk!r}"
-            )
-        jobs.append(((vals[0], vals[1]), (vals[2], vals[3])))
-    return tuple(jobs)
+def _job(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Parse ``a,b,c,d`` into the one job ((a,b),(c,d))."""
+    if ";" in text:
+        raise InputError(
+            f"connect serves one job; run it once per job, with the other "
+            f"jobs' ports and the earlier paths in --exclude — got {text!r}"
+        )
+    vals = _ints(text)
+    if len(vals) != 4:
+        raise InputError(f"a job needs four vertices from,from,to,to — got {text!r}")
+    return (vals[0], vals[1]), (vals[2], vals[3])
 
 
 def _cmd_generate(args) -> tuple[int, str, dict]:
@@ -166,22 +166,10 @@ def _cmd_connect(args) -> tuple[int, str, dict]:
     # vertex.
     w = _vertex_mask(g, args.w) if args.w else (1 << g.n) - 1
     w &= ~_vertex_mask(g, args.exclude)
-    reqs = [
-        ConnectionRequest(frm, to, w, args.length)
-        for frm, to in _job_pairs(args.pairs)
-    ]
-    res = connect_all(g, reqs, args.seed)
-    payload = {
-        "ok": res.ok,
-        "embeddings": [None if path is None else list(path) for path in res.paths],
-        "diagnostics": jsonable(res.diagnostics),
-    }
-    cfg = {
-        "pairs": args.pairs,
-        "length": args.length,
-        "seed": args.seed,
-    }
-    return (0 if res.ok else 1), _json_text(payload), cfg
+    frm, to = _job(args.pairs)
+    res = connect_one(g, ConnectionRequest(frm, to, w, args.length), args.seed)
+    cfg = {"pairs": args.pairs, "length": args.length, "seed": args.seed}
+    return (0 if res.ok else 1), _json_text(res), cfg
 
 
 def _cmd_absorber_build(args) -> tuple[int, str, dict]:
@@ -286,12 +274,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, seed=False)
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("connect", help="batch pair-to-pair connections")
+    p = sub.add_parser("connect", help="one pair-to-pair connection job")
     p.add_argument("--graph", required=True)
     p.add_argument(
         "--pairs",
         required=True,
-        help="jobs 'a,b,c,d[;...]': connect ordered edge (a,b) to (c,d)",
+        help="the job 'a,b,c,d': connect ordered edge (a,b) to (c,d)",
     )
     p.add_argument("--w", default="", help="reservoir vertices (default: rest)")
     p.add_argument("--length", type=int, default=4)

@@ -4,9 +4,8 @@ A connection job asks for a square path whose entry and exit ports are two
 prescribed ordered host edges, with every other vertex drawn from a
 reservoir.  :func:`connect_one` serves one job with one seeded backtracking
 search that fills the path's interior position by position.
-:func:`connect_all` serves a list of jobs in one ordered pass, so that
-their interiors are pairwise disjoint.  :func:`direct_arc` tests the one
-connection with no interior, the length-4 square path.
+:func:`direct_arc` tests the one connection with no interior, the length-4
+square path.
 
 The search is exhaustive below its node budget, ``NODE_BUDGET``, and two
 facts follow that let a caller skip searches whose failure is certain.  A
@@ -27,11 +26,10 @@ stream, one pick at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 from .gadgets import validate_embedding
-from .graphcore import Graph, InputError, check_int, mask_of, nth_bit, splitmix64
+from .graphcore import Graph, InputError, check_int, nth_bit, splitmix64
 
 # Pool vertices one search may look at; a failure past it reports
 # NODE_BUDGET + 1 nodes.
@@ -275,83 +273,3 @@ def _direct_connect(
             f"connection produced an invalid square path: {check.reason}"
         )
     return ConnectResult(True, path, None)
-
-
-@dataclass(frozen=True)
-class ConnectAllResult:
-    """Batch connection outcome; ``paths`` aligns with the requests."""
-
-    ok: bool
-    paths: tuple[tuple[int, ...] | None, ...]
-    diagnostics: dict | None
-
-
-def connect_all(
-    g: Graph,
-    reqs: Sequence[ConnectionRequest],
-    seed: int,
-) -> ConnectAllResult:
-    """Connect every job with pairwise disjoint interiors.
-
-    One ordered pass serves each job once: job ``i`` draws from its
-    reservoir less every job's ports and the interiors served so far, with
-    search seed ``seed * 1_000_003 + 101 * served``, where ``served``
-    counts the jobs served before it.  A job that fails stalls; a later
-    job's pool only shrinks, and a failure within ``NODE_BUDGET`` holds for
-    every seed and every sub-pool, so no retry could serve it.
-
-    Raises:
-        InputError: On no jobs, a malformed job, or from-pairs or to-pairs
-            that are not pairwise disjoint.
-    """
-    if not reqs:
-        raise InputError("a batch needs at least one connection job")
-    fwd_seen = bwd_seen = 0
-    for req in reqs:
-        _validate_request(g, req)
-        fwd, bwd = mask_of(req.frm), mask_of(req.to)
-        if fwd & fwd_seen:
-            raise InputError("from-pairs must be pairwise disjoint")
-        if bwd & bwd_seen:
-            raise InputError("to-pairs must be pairwise disjoint")
-        fwd_seen |= fwd
-        bwd_seen |= bwd
-    out: list[tuple[int, ...] | None] = [None] * len(reqs)
-    blocked = fwd_seen | bwd_seen
-    served = 0
-    stalled: list[int] = []
-    last_failure = None
-    for i, req in enumerate(reqs):
-        job = replace(req, w=req.w & ~blocked)
-        res = connect_one(g, job, seed * 1_000_003 + 101 * served)
-        if not res.ok:
-            stalled.append(i)
-            last_failure = res.diagnostics
-            continue
-        out[i] = res.path
-        blocked |= mask_of(res.path)
-        served += 1
-    _audit_disjoint_interiors(reqs, out)
-    if stalled:
-        return ConnectAllResult(
-            False,
-            tuple(out),
-            {"stalled_jobs": stalled, "last_failure": last_failure},
-        )
-    return ConnectAllResult(True, tuple(out), None)
-
-
-def _audit_disjoint_interiors(
-    reqs: Sequence[ConnectionRequest], paths: Sequence[tuple[int, ...] | None]
-) -> None:
-    ports = mask_of(v for req in reqs for v in (*req.frm, *req.to))
-    seen = 0
-    for path in paths:
-        if path is None:
-            continue
-        interior = mask_of(path[2:-2])
-        if interior & ports:
-            raise AssertionError("a connection interior touches a job port")
-        if interior & seen:
-            raise AssertionError("connection interiors overlap")
-        seen |= interior

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -63,6 +64,15 @@ def check_int(name: str, value: object, low: int | None = None) -> None:
     if low is not None and value < low:
         bound = "non-negative" if low == 0 else f"at least {low}"
         raise InputError(f"{name} must be {bound}, got {value}")
+
+
+def check_vertex_count(name: str, value: object) -> None:
+    """:func:`check_int` with a floor of 0 and a ceiling of ``sys.maxsize``,
+    the longest list of rows that can be indexed; a larger count is
+    rejected before anything is allocated."""
+    check_int(name, value, 0)
+    if value > sys.maxsize:
+        raise InputError(f"{name} must be at most {sys.maxsize}, got {value}")
 
 
 def check_probability(name: str, value: object) -> None:
@@ -124,7 +134,7 @@ class Graph:
     __slots__ = ("n", "_rows", "_edge_count", "_matrix")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        check_int("vertex count", n, 0)
+        check_vertex_count("vertex count", n)
         rows = [0] * n
         for edge in edges:
             try:
@@ -411,14 +421,14 @@ def gnp_generate(n: int, p: float, seed: int) -> Graph:
     at 6.6 MB, 3.5 MB of them the graph).
 
     Args:
-        n: Vertex count, an integer ``n >= 0``.
+        n: Vertex count, an integer in ``0..sys.maxsize``.
         p: Edge probability, a real number in ``[0, 1]``.
         seed: Stream seed, a non-negative integer.
 
     Raises:
         InputError: If an argument is not of its kind or lies out of range.
     """
-    check_int("n", n, 0)
+    check_vertex_count("n", n)
     check_probability("p", p)
     data = _gnp_packed(int(n), float(p), rng_for(seed, 0)).tobytes()
     width = (n + 7) // 8

@@ -546,9 +546,12 @@ def cover_with_square_paths(g: Graph, u_prime: int, seed: int = 0) -> CoverResul
     scarce absorbee fuel.
 
     Raises:
-        InputError: If ``u_prime`` is negative or holds a bit at or above
-            ``n``.
+        InputError: If ``seed`` is not a non-negative integer, or
+            ``u_prime`` is negative or holds a bit at or above ``n``.
     """
+    # Fewer than _COVER_FLOOR vertices start no search, so check the seed
+    # here.
+    check_int("seed", seed, 0)
     g.check_mask(u_prime)
     rest = u_prime
     paths: list[tuple[int, ...]] = []
@@ -618,7 +621,12 @@ def build_absorber(
     ``x``, into the absorber's one walk, with links drawn from the same
     complement less the units.  A returned absorber has passed
     :func:`chain_absorbers`' audit.
+
+    Raises:
+        InputError: If ``seed`` is not a non-negative integer.
     """
+    # The Hall rounds draw nothing, so check the seed before them.
+    check_int("seed", seed, 0)
     pool = ((1 << g.n) - 1) & ~xs
     cores, fail = build_single_absorbers(g, xs, pool)
     if fail is not None:

@@ -4,15 +4,11 @@ The list-based versions are the functions as they were before their vertex
 sets became ``int`` bitsets; the bitset versions must match them draw for
 draw.  The looped checks are the checks as they were before each became one
 pass over a precomputed table; the current ones must return the same result,
-the same first fault and the same message.  ``rounds_connect_all`` is the
-batch connector as it was before it served each job once.
+the same first fault and the same message.
 """
 
-from dataclasses import replace
-
-from squareham.connector import ConnectAllResult, connect_one
 from squareham.gadgets import ValidationResult
-from squareham.graphcore import Graph, mask_of
+from squareham.graphcore import Graph
 from squareham.hamiltonian import Certificate, CertificateCheck
 
 
@@ -94,36 +90,3 @@ def looped_splice(g: Graph, paths: list[list[int]], q: int) -> bool:
                 path.insert(i, q)
                 return True
     return False
-
-
-def rounds_connect_all(g: Graph, reqs, seed: int) -> ConnectAllResult:
-    """``connect_all`` in greedy rounds, for a valid batch: each round serves
-    the first open job that fits, trying every open job with up to three
-    search seeds, and the batch fails with the first round that serves
-    none."""
-    out = [None] * len(reqs)
-    used = 0
-    for round_no in range(len(reqs)):
-        open_jobs = [i for i, path in enumerate(out) if path is None]
-        blocked = used | mask_of(
-            v for i in open_jobs for v in (*reqs[i].frm, *reqs[i].to)
-        )
-        jobs = {i: replace(reqs[i], w=reqs[i].w & ~blocked) for i in open_jobs}
-        round_seed = seed * 1_000_003 + round_no * 101
-        tries = (
-            (i, connect_one(g, job, round_seed + attempt))
-            for attempt in range(3)
-            for i, job in jobs.items()
-        )
-        for i, res in tries:
-            if res.ok:
-                break
-        else:
-            return ConnectAllResult(
-                False,
-                tuple(out),
-                {"stalled_jobs": open_jobs, "last_failure": res.diagnostics},
-            )
-        out[i] = res.path
-        used |= mask_of(res.path)
-    return ConnectAllResult(True, tuple(out), None)

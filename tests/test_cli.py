@@ -160,8 +160,17 @@ def test_connect_embeds_each_requested_pair(tmp_path, capsys) -> None:
                "--length", "4", "--seed", "5") == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
-    (emb,) = payload["embeddings"]
-    assert emb[:2] == [0, 1] and emb[-2:] == [2, 3]
+    assert set(payload) == {"ok", "path", "diagnostics"}
+    path = payload["path"]
+    assert path[:2] == [0, 1] and path[-2:] == [2, 3]
+    # One reservoir vertex cannot fill two interior positions.
+    assert run("connect", "--graph", graph, "--pairs", "0,1,2,3", "--w", "4",
+               "--length", "6", "--seed", "5") == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "ok": False,
+        "path": None,
+        "diagnostics": {"config": {"length": 6, "pool": 1, "seed": 5}, "nodes": 1},
+    }
 
 
 def test_connect_rejects_malformed_job_strings(tmp_path) -> None:
@@ -178,9 +187,30 @@ def test_connect_builds_long_paths_without_a_route_flag(tmp_path) -> None:
 
 
 def test_connect_rejects_overlapping_from_pairs(tmp_path, capsys) -> None:
+    # connect serves one job, so a list of jobs, overlapping or not, exits 2.
     graph = write_graph(tmp_path, "g.edges", 30, 1.0, 0)
-    assert run("connect", "--graph", graph, "--pairs", "0,1,2,3;1,4,5,6") == 2
-    assert "from-pairs" in capsys.readouterr().err
+    for pairs in ("0,1,2,3;1,4,5,6", "0,1,2,3;4,5,6,7"):
+        assert run("connect", "--graph", graph, "--pairs", pairs) == 2
+        assert "connect serves one job" in capsys.readouterr().err
+
+
+def test_a_batch_is_one_connect_call_per_job(tmp_path, capsys) -> None:
+    # Disjoint interiors come from --exclude: the first call keeps the
+    # second job's ports out, and the second keeps the first path out.
+    graph = write_graph(tmp_path, "g.edges", 30, 1.0, 0)
+    g = squareham.read_graph(graph)
+
+    def connect(pairs: str, exclude: str) -> tuple[int, ...]:
+        assert run("connect", "--graph", graph, "--pairs", pairs, "--length", "8",
+                   "--exclude", exclude, "--seed", "3") == 0
+        return tuple(json.loads(capsys.readouterr().out)["path"])
+
+    first = connect("0,1,2,3", "4,5,6,7")
+    second = connect("4,5,6,7", ",".join(map(str, first)))
+    check = squareham.validate_embedding
+    assert check(g, first, connect_from=(0, 1), connect_to=(2, 3)).ok
+    assert check(g, second, connect_from=(4, 5), connect_to=(6, 7)).ok
+    assert not set(first[2:-2]) & set(second[2:-2])
 
 
 def test_connect_rejects_a_length_above_the_vertex_count(tmp_path, capsys) -> None:
@@ -203,16 +233,16 @@ def stdout_digest(capsys, *argv: str) -> tuple[int, str]:
 def test_connect_and_absorber_build_outputs_are_pinned(tmp_path, capsys) -> None:
     # The CLI turns its vertex lists into masks; the outputs must not move.
     graph = write_graph(tmp_path, "g.edges", 60, 0.6, 4)
-    pairs = "2,3,4,5;6,7,0,2"
+    pairs = "2,3,4,5"
     reservoir = ",".join(str(v) for v in range(8, 60, 2))
     assert stdout_digest(
         capsys, "connect", "--graph", graph, "--pairs", pairs, "--length", "6",
         "--w", reservoir, "--exclude", "10,20,30", "--seed", "2",
-    ) == (0, "ef1de35c00b686566a4648aa1b47fb47c7b4003924f3e50db769b6ac74683dd7")
+    ) == (0, "2164afa8d79283881a7cdafe8f074b8095dd1eed0305a590c530dde662306869")
     assert stdout_digest(
         capsys, "connect", "--graph", graph, "--pairs", pairs,
         "--length", "8", "--exclude", "9,11,13", "--seed", "1",
-    ) == (0, "d4ad3b317cb9124813b5f46d172997bceeb258ac8f28bff24dbad0ff33f1c814")
+    ) == (0, "f316e4a8fa2425f9d79edde83b5e6d8968114336691fcda5d7432b1a5e34c5b1")
     graph = write_graph(tmp_path, "h.edges", 120, 0.55, 7)
     assert stdout_digest(
         capsys, "absorber", "build", "--graph", graph, "--x", "0,1,2",
@@ -521,12 +551,44 @@ def test_retired_pipeline_settings_are_unknown_options(tmp_path, capsys) -> None
     capsys.readouterr()
 
 
-def test_negative_seeds_are_a_usage_error(capsys) -> None:
+def test_negative_seeds_are_a_usage_error(tmp_path, capsys) -> None:
     assert run("generate", "-n", "5", "-p", "0.5", "--seed", "-1") == 2
     assert "non-negative" in capsys.readouterr().err
     assert run("experiment", "-n", "20", "-p", "0.5", "--gamma", "0.1",
                "--seeds", "-3") == 2
     assert "non-negative" in capsys.readouterr().err
+    # Each seed is checked before any search, and the message names the
+    # seed given, not one derived from it: three target vertices start no
+    # cover search, and this host's third Hall round fails before any link.
+    host = write_graph(tmp_path, "g.edges", 30, 0.5, 0)
+    complete = write_graph(tmp_path, "k.edges", 30, 1.0, 0)
+    for argv in (
+        ("connect", "--graph", complete, "--pairs", "0,1,2,3"),
+        ("cover", "--graph", host, "--verts", "0,1,2"),
+        ("cover", "--graph", host),
+        ("absorber", "build", "--graph", host, "--x", "0,1,2"),
+    ):
+        assert run(*argv, "--seed", "-1") == 2, argv
+        assert capsys.readouterr().err == (
+            "error: seed must be non-negative, got -1\n"
+        ), argv
+
+
+def test_vertex_counts_no_list_can_index_are_a_usage_error(tmp_path, capsys) -> None:
+    # Each count is rejected before anything is allocated.
+    for n in (10**20, 2**63):
+        edges, obj = tmp_path / "big.edges", tmp_path / "big.json"
+        edges.write_text(f"{n} 0\n")
+        obj.write_text(json.dumps({"n": n, "edges": []}))
+        for argv in (
+            ("find", "--graph", str(edges)),
+            ("find", "--graph", str(obj)),
+            ("generate", "-n", str(n), "-p", "0.5"),
+            ("experiment", "-n", str(n), "-p", "0.5", "--gamma", "0.1",
+             "--seeds", "1"),
+        ):
+            assert run(*argv) == 2, argv
+            assert f"must be at most {sys.maxsize}, got {n}" in capsys.readouterr().err
 
 
 def test_missing_input_files_exit_three(tmp_path) -> None:

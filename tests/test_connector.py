@@ -9,7 +9,6 @@ from squareham import (
     ConnectionRequest,
     InputError,
     complete_graph,
-    connect_all,
     connect_one,
     connector,
     gnp_generate,
@@ -18,17 +17,18 @@ from squareham import (
 )
 from squareham.graphcore import bits, mask_of
 
-from oracles import rounds_connect_all, square_path_edge_oracle
+from oracles import square_path_edge_oracle
 from strategies import gnp_graphs
 
 
-def host_and_jobs(n: int, p: float, seed: int, jobs: int = 1):
-    """A random host, disjoint port edges, and the remaining reservoir mask."""
+def host_and_job(n: int, p: float, seed: int):
+    """A random host, two disjoint port edges, and the rest as the
+    reservoir mask."""
     g = gnp_generate(n, p, seed)
     rng = rng_for(seed, 31)
-    taken: set[int] = set()
-    pairs = []
-    for _ in range(jobs):
+    ports = []
+    for _ in range(2):
+        taken = {v for edge in ports for v in edge}
         found = None
         for _ in range(2000):
             u = int(rng.integers(n))
@@ -37,29 +37,13 @@ def host_and_jobs(n: int, p: float, seed: int, jobs: int = 1):
             nbrs = sorted(g.neighbors(u) - taken)
             if not nbrs:
                 continue
-            v = nbrs[int(rng.integers(len(nbrs)))]
-            found = (u, v)
+            found = (u, nbrs[int(rng.integers(len(nbrs)))])
             break
         if found is None:
             return None
-        frm = found
-        to = None
-        for _ in range(2000):
-            u = int(rng.integers(n))
-            if u in taken | set(frm):
-                continue
-            nbrs = sorted(g.neighbors(u) - taken - set(frm))
-            if not nbrs:
-                continue
-            v = nbrs[int(rng.integers(len(nbrs)))]
-            to = (u, v)
-            break
-        if to is None:
-            return None
-        pairs.append((frm, to))
-        taken |= {*frm, *to}
-    w = mask_of(v for v in range(n) if v not in taken)
-    return g, tuple(pairs), w
+        ports.append(found)
+    frm, to = ports
+    return g, frm, to, ((1 << n) - 1) & ~mask_of((*frm, *to))
 
 
 @given(integers(min_value=4, max_value=16), integers(min_value=0, max_value=200))
@@ -79,26 +63,26 @@ def test_short_connections_on_a_complete_graph_always_land(
 @given(integers(min_value=0, max_value=100))
 def test_interiors_avoid_the_exclusion_set(seed: int) -> None:
     # Callers exclude vertices by taking them out of the reservoir.
-    bundle = host_and_jobs(60, 0.6, seed)
+    bundle = host_and_job(60, 0.6, seed)
     if bundle is None:
         return
-    g, ((frm, to),), w = bundle
+    g, frm, to, w = bundle
     x = mask_of(bits(w)[::3])
     req = ConnectionRequest(frm, to, w & ~x, length=6)
-    res = connect_all(g, [req], seed=seed)
+    res = connect_one(g, req, seed=seed)
     if not res.ok:
         return
-    interior = mask_of(res.paths[0][2:-2])
+    interior = mask_of(res.path[2:-2])
     assert not interior & x
     assert interior & ~w == 0
 
 
 @given(integers(min_value=0, max_value=100))
 def test_connection_is_deterministic_per_seed(seed: int) -> None:
-    bundle = host_and_jobs(50, 0.5, seed)
+    bundle = host_and_job(50, 0.5, seed)
     if bundle is None:
         return
-    g, ((frm, to),), w = bundle
+    g, frm, to, w = bundle
     req = ConnectionRequest(frm, to, w, length=6)
     first = connect_one(g, req, seed=seed)
     second = connect_one(g, req, seed=seed)
@@ -110,10 +94,10 @@ def test_connection_is_deterministic_per_seed(seed: int) -> None:
 @settings(max_examples=10)
 @given(integers(min_value=0, max_value=50))
 def test_long_direct_connections_produce_valid_square_paths(seed: int) -> None:
-    bundle = host_and_jobs(300, 0.5, seed)
+    bundle = host_and_job(300, 0.5, seed)
     if bundle is None:
         return
-    g, ((frm, to),), w = bundle
+    g, frm, to, w = bundle
     req = ConnectionRequest(frm, to, w, length=12)
     res = connect_one(g, req, seed=seed)
     assert res.ok
@@ -169,8 +153,6 @@ def test_a_reservoir_that_is_not_an_int_is_rejected(w) -> None:
     req = ConnectionRequest((0, 1), (2, 3), w, length=5)
     with pytest.raises(InputError, match="^a reservoir must be an int bitset"):
         connect_one(g, req, seed=0)
-    with pytest.raises(InputError, match="^a reservoir must be an int bitset"):
-        connect_all(g, [req], seed=0)
 
 
 @pytest.mark.parametrize("bad", [-1, 10])
@@ -191,8 +173,6 @@ def test_reservoir_masks_outside_the_host_are_rejected() -> None:
         req = ConnectionRequest((0, 1), (2, 3), w, length=5)
         with pytest.raises(InputError):
             connect_one(g, req, seed=0)
-        with pytest.raises(InputError):
-            connect_all(g, [req], seed=0)
 
 
 def test_a_length_above_the_vertex_count_is_rejected_at_once() -> None:
@@ -204,28 +184,7 @@ def test_a_length_above_the_vertex_count_is_rejected_at_once() -> None:
         req = ConnectionRequest((0, 1), (2, 3), w, length)
         with pytest.raises(InputError, match=f"^length {length} exceeds the host's 10"):
             connect_one(g, req, seed=0)
-        with pytest.raises(InputError, match=f"^length {length} exceeds the host's 10"):
-            connect_all(g, [req], seed=0)
     assert connect_one(g, ConnectionRequest((0, 1), (2, 3), w, 10), seed=0).ok
-
-
-@given(integers(min_value=0, max_value=60))
-def test_connect_all_keeps_job_interiors_disjoint(seed: int) -> None:
-    bundle = host_and_jobs(120, 0.6, seed, jobs=3)
-    if bundle is None:
-        return
-    g, pairs, w = bundle
-    reqs = [ConnectionRequest(frm, to, w, length=6) for frm, to in pairs]
-    res = connect_all(g, reqs, seed=seed)
-    if not res.ok:
-        return
-    assert len(res.paths) == len(pairs)
-    seen = 0
-    for path, (frm, to) in zip(res.paths, pairs):
-        assert validate_embedding(g, path, connect_from=frm, connect_to=to).ok
-        interior = mask_of(path[2:-2])
-        assert not interior & seen
-        seen |= interior
 
 
 def shuffled_scan(g, req, seed: int, budget: int = 100_000) -> tuple[bool, int]:
@@ -498,69 +457,3 @@ def test_a_search_draws_once_per_pick_and_never_before_a_free_label(
     for seed in (-1, 1.5):
         with pytest.raises(InputError):
             connect_one(g, blocked, seed=seed)
-
-
-def test_connect_all_names_the_stalled_jobs_and_the_last_search() -> None:
-    # Vertex 9 fits neither job, so job 0 takes vertex 8 and job 1 is left
-    # with a pool of one vertex that it cannot use.
-    g = complete_graph(12).remove_edges([(9, 0), (9, 4)])
-    w = mask_of((8, 9))
-    reqs = [
-        ConnectionRequest((0, 1), (2, 3), w, length=5),
-        ConnectionRequest((4, 5), (6, 7), w, length=5),
-    ]
-    res = connect_all(g, reqs, seed=2)
-    assert not res.ok
-    assert res.paths[0] == (0, 1, 8, 2, 3)
-    assert res.paths[1] is None
-    # The last search is job 1's only one, after one job was served.
-    last_seed = 2 * 1_000_003 + 101
-    assert res.diagnostics == {
-        "stalled_jobs": [1],
-        "last_failure": {
-            "config": {"length": 5, "pool": 1, "seed": last_seed},
-            "nodes": 1,
-        },
-    }
-
-
-@settings(max_examples=200)
-@given(gnp_graphs(min_n=8, max_n=12, min_p=0.5), data())
-def test_one_pass_serves_what_the_rounds_served(g, data) -> None:
-    # A search over at most 8 pool vertices and 4 interior positions spends
-    # fewer than 20,000 nodes, so every failure is within NODE_BUDGET and
-    # each retry of the rounds fails again.
-    arcs = [(u, v) for u in range(g.n) for v in bits(g.row(u))]
-    assume(arcs)
-    reqs = []
-    froms = tos = 0
-    for _ in range(data.draw(integers(min_value=1, max_value=3))):
-        frm, to = data.draw(sampled_from(arcs)), data.draw(sampled_from(arcs))
-        if len({*frm, *to}) < 4 or mask_of(frm) & froms or mask_of(to) & tos:
-            continue
-        froms |= mask_of(frm)
-        tos |= mask_of(to)
-        w = data.draw(integers(min_value=0, max_value=(1 << g.n) - 1))
-        length = data.draw(integers(min_value=4, max_value=8))
-        reqs.append(ConnectionRequest(frm, to, w, length))
-    assume(reqs)
-    seed = data.draw(integers(min_value=0, max_value=100))
-    res, ref = connect_all(g, reqs, seed), rounds_connect_all(g, reqs, seed)
-    assert (res.ok, res.paths) == (ref.ok, ref.paths)
-    if not res.ok:
-        assert res.diagnostics["stalled_jobs"] == ref.diagnostics["stalled_jobs"]
-        assert res.diagnostics["last_failure"]["nodes"] <= connector.NODE_BUDGET
-
-
-def test_connect_all_rejects_overlapping_ports_and_empty_batches() -> None:
-    g = complete_graph(10)
-    w = mask_of(range(8, 10))
-    for frm, to, side in (((1, 4), (5, 6), "from"), ((4, 5), (3, 6), "to")):
-        reqs = [
-            ConnectionRequest((0, 1), (2, 3), w),
-            ConnectionRequest(frm, to, w),
-        ]
-        with pytest.raises(InputError, match=f"^{side}-pairs"):
-            connect_all(g, reqs, seed=0)
-    with pytest.raises(InputError):
-        connect_all(g, [], seed=0)

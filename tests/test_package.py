@@ -356,8 +356,11 @@ def test_connections_and_units_keep_only_the_fields_they_use() -> None:
     # A connection's result is its path, a plain vertex tuple.
     results = [f.name for f in dataclasses.fields(squareham.ConnectResult)]
     assert results == ["ok", "path", "diagnostics"]
-    batches = [f.name for f in dataclasses.fields(connector.ConnectAllResult)]
-    assert batches == ["ok", "paths", "diagnostics"]
+    # A batch of jobs is one connect_one call per job, each excluding the
+    # other jobs' ports and the earlier paths, so there is no batch
+    # connector, batch result or batch audit.
+    for gone in ("connect_all", "ConnectAllResult", "_audit_disjoint_interiors"):
+        assert not hasattr(connector, gone) and not hasattr(squareham, gone)
     for gone in ("Gadget", "Embedding", "build_gadget"):
         assert not hasattr(squareham, gone) and not hasattr(gadgets, gone)
     assert [f.name for f in dataclasses.fields(squareham.Absorber)] == [
@@ -386,7 +389,7 @@ def test_the_cover_is_one_search_loop_and_the_batch_one_pass() -> None:
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     }
     assert not called & {"random_partition", "rng_for"}
-    # connect_all serves each job once, so it has no seed retries.
+    # No connector retries a seed.
     assert not hasattr(connector, "_ROUND_ATTEMPTS")
 
 
