@@ -581,12 +581,12 @@ class FamilyParams:
     """Parameters of the dense-subgraph family: degree and codegree floors.
 
     Membership requires every vertex to keep degree at least ``(2/3 + alpha)np``
-    and every edge to lie on at least ``alpha n p^2`` triangles.
+    and every edge to lie on at least ``alpha n p^2`` triangles, where ``n``
+    is the vertex count of the graph checked.
     """
 
     alpha: float
     p: float
-    n: int
 
     def __post_init__(self) -> None:
         if not (0.0 < self.p <= 1.0):
@@ -616,7 +616,8 @@ def check_family_membership(
     Args:
         gamma: Host graph.
         g: Candidate spanning subgraph of ``gamma`` (checked).
-        params: Degree floor ``(2/3 + alpha)np`` and codegree floor ``alpha n p^2``.
+        params: Degree floor ``(2/3 + alpha)np`` and codegree floor
+            ``alpha n p^2``, with ``n`` the vertex count of ``g``.
 
     Returns:
         A report carrying the minimizing vertex and edge.
@@ -626,8 +627,8 @@ def check_family_membership(
     ok_sub, offending = g.is_subgraph_of(gamma)
     if not ok_sub:
         raise InputError(f"edge {offending} of the subgraph is not a host edge")
-    deg_thr = (2.0 / 3.0 + params.alpha) * params.n * params.p
-    codeg_thr = params.alpha * params.n * params.p**2
+    deg_thr = (2.0 / 3.0 + params.alpha) * g.n * params.p
+    codeg_thr = params.alpha * g.n * params.p**2
 
     c = codegrees(g)
     degrees = c.diagonal()

@@ -134,6 +134,8 @@ class InfeasibilityWitness:
     def __post_init__(self) -> None:
         if self.kind not in WITNESS_KINDS:
             raise InputError(f"unknown witness kind {self.kind!r}")
+        for v in self.vertices:
+            check_int("a witness vertex", v)
 
 
 @dataclass(frozen=True)
@@ -182,10 +184,15 @@ def certificate_to_json_obj(cert: Certificate) -> dict:
 
 
 def certificate_from_json_obj(obj: Mapping) -> Certificate:
+    """Raises :class:`InputError` on a malformed description, one naming a
+    vertex that is not an integer included."""
     try:
-        return Certificate(tuple(int(v) for v in obj["order"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        order = tuple(obj["order"])
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed certificate: {exc}") from exc
+    for v in order:
+        check_int("a certificate vertex", v)
+    return Certificate(order)
 
 
 def failure_report_to_json_obj(report: FailureReport) -> dict:
@@ -196,12 +203,13 @@ def failure_report_to_json_obj(report: FailureReport) -> dict:
 
 
 def witness_from_json_obj(obj: Mapping) -> InfeasibilityWitness:
+    """Raises :class:`InputError` on a malformed entry, one naming a vertex
+    that is not an integer included."""
     try:
-        return InfeasibilityWitness(
-            str(obj["kind"]), tuple(int(v) for v in obj["vertices"])
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        kind, vertices = str(obj["kind"]), tuple(obj["vertices"])
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed witness: {exc}") from exc
+    return InfeasibilityWitness(kind, vertices)
 
 
 def verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
@@ -883,6 +891,10 @@ def find_square_ham(
         witness, naming the stage that ran short.
     """
     if gamma_host is not None:
+        if g.n != gamma_host.n:
+            raise InputError(
+                f"graph has {g.n} vertices but the ambient host has {gamma_host.n}"
+            )
         ok, offending = g.is_subgraph_of(gamma_host)
         if not ok:
             raise InputError(

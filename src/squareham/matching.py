@@ -2,10 +2,13 @@
 
 :func:`hall_saturating_matching` returns a matching that saturates the left
 side, or a deficient left set ``A'`` with ``|N(A')| < |A'|``.  Left and right
-vertices are dense integers, and the engine is deterministic.  Each left
-vertex's neighbours are one ``int`` bitset over the right side, so the
-search grows a layer by OR-ing rows and picks the next neighbour to try as
-the lowest set bit of a mask, in ascending order as a sorted list would.
+vertices are dense integers, and the engine is deterministic: one
+augmenting-path search per left vertex, in ascending order.  Each left
+vertex's neighbours are one ``int`` bitset over the right side, so a search
+picks the next neighbour to try as the lowest set bit of a mask, in
+ascending order as a sorted list would.  The certificate is the set of left
+vertices that alternating paths reach from the free ones, which is the same
+for every maximum matching.
 """
 
 from __future__ import annotations
@@ -44,10 +47,6 @@ class BipartiteInstance:
                     f"({nr} right vertices)"
                 )
 
-    @property
-    def left_count(self) -> int:
-        return len(self.adjacency)
-
 
 @dataclass(frozen=True)
 class MatchingResult:
@@ -64,71 +63,49 @@ class MatchingResult:
     neighborhood: tuple[int, ...] | None
 
 
-def _hopcroft_karp(inst: BipartiteInstance) -> tuple[list[int], list[int]]:
+def _augmenting_search(inst: BipartiteInstance) -> tuple[list[int], list[int]]:
     """Maximum matching; returns (match_left, match_right) with -1 for free.
 
-    Each phase layers the left side by alternating distance from the free
-    left vertices, as ``layers[d]``: the matched right vertices whose
-    partner sits at distance ``d``.  Then a depth-first search from each
-    free left vertex, in ascending order, steps from a vertex at distance
-    ``d`` to its lowest untried neighbour that is free or in
-    ``layers[d + 1]``.  A dead end drops its partner from its layer; an
-    augment moves each right vertex on the path to its new partner's layer.
+    One search per left vertex, in ascending order (Kuhn, 1955).  The search
+    keeps its path as the right vertices ``picks`` it entered; from the
+    path's last left vertex it steps to the lowest free neighbour and
+    augments, or else enters the lowest neighbour it has not entered yet and
+    goes on to that neighbour's partner.  A left vertex with neither is a
+    dead end, and the search backs up one step.  Where every left vertex has
+    a free neighbour on its turn, this is the greedy pass of lowest free
+    neighbours.  One search enters each right vertex at most once.  A left
+    vertex whose search fails has no augmenting path then or later, so it
+    stays free for good and the pass ends with a maximum matching.
     """
     adj = inst.adjacency
-    match_l = [-1] * inst.left_count
+    match_l = [-1] * len(adj)
     match_r = [-1] * inst.right_count
     free_r = (1 << inst.right_count) - 1
-    while True:
-        roots = [a for a, b in enumerate(match_l) if b == -1]
-        layers = [0]
-        layer = roots
-        seen = reach = 0
-        while layer:
-            nbrs = 0
-            for a in layer:
-                nbrs |= adj[a]
-            reach |= nbrs
-            new = nbrs & ~free_r & ~seen
-            seen |= new
-            layers.append(new)
-            layer = []
-            while new:
-                low = new & -new
-                layer.append(match_r[low.bit_length() - 1])
-                new ^= low
-        # The last layer is empty, so layers[d + 1] exists for every d.
-        if not reach & free_r:
-            return match_l, match_r
-        for root in roots:
-            lefts = [root]
-            rems = [adj[root]]
-            picks: list[int] = []
-            while lefts:
-                d = len(picks)
-                cand = rems[d] & (free_r | layers[d + 1])
-                if not cand:
-                    a = lefts.pop()
-                    rems.pop()
-                    if picks:
-                        picks.pop()
-                        layers[d] &= ~(1 << match_l[a])
-                    continue
+    for root in range(len(adj)):
+        picks: list[int] = []
+        entered = 0
+        while True:
+            row = adj[match_r[picks[-1]] if picks else root]
+            free = row & free_r
+            if free:
+                low = free & -free
+                free_r ^= low
+                a = root
+                for b in picks + [low.bit_length() - 1]:
+                    nxt = match_r[b]
+                    match_l[a], match_r[b] = b, a
+                    a = nxt
+                break
+            cand = row & ~entered
+            if cand:
                 low = cand & -cand
-                rems[d] ^= low
-                b = low.bit_length() - 1
-                picks.append(b)
-                if low & free_r:
-                    free_r ^= low
-                    for i, (la, rb) in enumerate(zip(lefts, picks)):
-                        match_l[la] = rb
-                        match_r[rb] = la
-                        layers[i] |= 1 << rb
-                        if i < d:
-                            layers[i + 1] &= ~(1 << rb)
-                    break
-                lefts.append(match_r[b])
-                rems.append(adj[match_r[b]])
+                entered |= low
+                picks.append(low.bit_length() - 1)
+            elif picks:
+                picks.pop()
+            else:
+                break
+    return match_l, match_r
 
 
 def _deficiency_certificate(
@@ -167,7 +144,7 @@ def hall_saturating_matching(inst: BipartiteInstance) -> MatchingResult:
         left vertex) or ``"deficient"`` (and a witness set with
         ``|N(A')| < |A'|``).
     """
-    match_l, match_r = _hopcroft_karp(inst)
+    match_l, match_r = _augmenting_search(inst)
     if all(b != -1 for b in match_l):
         return MatchingResult("matched", tuple(match_l), None, None)
     violator, neighborhood = _deficiency_certificate(inst, match_l, match_r)

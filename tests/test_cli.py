@@ -116,6 +116,41 @@ def test_verify_fails_against_a_different_graph(tmp_path, capsys) -> None:
     assert report["ok"] is False
 
 
+@pytest.mark.parametrize(
+    "order",
+    [[True, 0, 2, 3, 4, 5.9], [0, 1, 2, 3, 4, 5.0], ["0", "1", "2", "3", "4", "5"]],
+    ids=["bool-and-float", "whole-float", "strings"],
+)
+def test_verify_rejects_a_certificate_vertex_that_is_not_an_integer(
+    tmp_path, capsys, order
+) -> None:
+    # Truncating would read the first order as (1, 0, 2, 3, 4, 5), which
+    # passes on K6.
+    graph = write_graph(tmp_path, "k6.edges", 6, 1.0, 0)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"order": order}))
+    assert run("verify", "--graph", graph, "--certificate", str(cert)) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "vertices", [[2.5], [True], [0.0], ["0"]],
+    ids=["float", "bool", "whole-float", "string"],
+)
+def test_verify_rejects_a_witness_vertex_that_is_not_an_integer(
+    tmp_path, capsys, vertices
+) -> None:
+    graph = write_graph(tmp_path, "g.edges", 10, 0.1, 0)
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({
+        "stage": "partition",
+        "diagnostics": {"mode": "infeasibility-witness"},
+        "witness": {"kind": "low-degree", "vertices": vertices},
+    }))
+    assert run("verify", "--graph", graph, "--certificate", str(report)) == 2
+    capsys.readouterr()
+
+
 def test_find_failure_emits_a_staged_report_with_exit_one(tmp_path, capsys) -> None:
     graph = write_graph(tmp_path, "g.edges", 40, 0.05, 0)
     assert run("find", "--graph", graph, "--seed", "0") == 1

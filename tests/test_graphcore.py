@@ -643,7 +643,7 @@ def test_graph_rejects_edges_that_are_not_integer_pairs() -> None:
 @given(integers(min_value=6, max_value=30), floats(min_value=0.02, max_value=0.15))
 def test_family_membership_holds_for_the_graph_itself(n: int, alpha: float) -> None:
     gamma = complete_graph(n)
-    params = FamilyParams(alpha=alpha, p=1.0, n=n)
+    params = FamilyParams(alpha=alpha, p=1.0)
     report = check_family_membership(gamma, gamma, params)
     assert report.ok
     assert report.min_degree == n - 1
@@ -652,7 +652,7 @@ def test_family_membership_holds_for_the_graph_itself(n: int, alpha: float) -> N
 
 @given(gnp_graphs(min_n=1, max_n=16), floats(min_value=0.01, max_value=0.5))
 def test_family_membership_names_the_first_minimizers(g: Graph, alpha: float) -> None:
-    report = check_family_membership(g, g, FamilyParams(alpha=alpha, p=0.5, n=g.n))
+    report = check_family_membership(g, g, FamilyParams(alpha=alpha, p=0.5))
     degrees = [g.degree(v) for v in range(g.n)]
     assert report.min_degree == min(degrees)
     assert report.min_degree_vertex == degrees.index(min(degrees))
@@ -668,10 +668,20 @@ def test_family_membership_flags_a_starved_vertex() -> None:
     n = 12
     gamma = complete_graph(n)
     g = gamma.remove_edges([(0, v) for v in range(1, n - 1)])
-    params = FamilyParams(alpha=0.1, p=1.0, n=n)
+    params = FamilyParams(alpha=0.1, p=1.0)
     report = check_family_membership(gamma, g, params)
     assert not report.ok
     assert report.min_degree_vertex == 0
+
+
+@pytest.mark.parametrize("n", [10, 100])
+def test_family_membership_floors_follow_the_graph(n: int) -> None:
+    # The floors scale with the graph checked: (2/3 + .05) * 100 * .5 = 35.8
+    # for G(100, .5), not the 3.58 a stated n of 10 gave.
+    g = gnp_generate(n, 0.5, 1)
+    report = check_family_membership(g, g, FamilyParams(alpha=0.05, p=0.5))
+    assert report.degree_threshold == pytest.approx((2 / 3 + 0.05) * n * 0.5)
+    assert report.codegree_threshold == pytest.approx(0.05 * n * 0.25)
 
 
 @given(seeds())

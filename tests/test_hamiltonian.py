@@ -378,8 +378,14 @@ def test_small_host_failures_carry_a_witness_when_one_shows(monkeypatch) -> None
 def test_pipeline_checks_the_host_relation() -> None:
     g = complete_graph(30)
     tiny = gnp_generate(30, 0.1, 0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"edge \(0, 1\)"):
         find_square_ham(g, gamma_host=tiny)
+
+
+def test_pipeline_names_both_vertex_counts_when_the_host_differs_in_size() -> None:
+    g = complete_graph(30)
+    with pytest.raises(InputError, match="30 vertices .* host has 31"):
+        find_square_ham(g, gamma_host=complete_graph(31))
 
 
 def test_config_validation_rejects_nonsense() -> None:
@@ -778,8 +784,9 @@ def test_certificate_and_failure_serialization_round_trip() -> None:
     obj = failure_report_to_json_obj(report)
     assert obj["stage"] == "covering"
     assert obj["diagnostics"]["leftover"] == [1, 2]
-    with pytest.raises(InputError):
-        certificate_from_json_obj({"not-order": []})
+    for bad in ({"not-order": []}, {"order": 5}, {"order": [0, 1.5, 2]}):
+        with pytest.raises(InputError):
+            certificate_from_json_obj(bad)
     with pytest.raises(InputError):
         FailureReport("no-such-stage", {"a": 1})
     with pytest.raises(InputError):
@@ -939,6 +946,9 @@ def test_witness_verification_rejects_broken_proofs() -> None:
             verify_witness(g, witness)
     with pytest.raises(InputError):
         InfeasibilityWitness("odd-cycle", (0,))
+    for vertex in (2.5, True, "0"):
+        with pytest.raises(InputError):
+            InfeasibilityWitness("low-degree", (vertex,))
     with pytest.raises(InputError):
         verify_witness(Graph(2, []), InfeasibilityWitness("low-degree", (0,)))
 

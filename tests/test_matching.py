@@ -2,7 +2,7 @@ from collections import deque
 
 import pytest
 from hypothesis import given, settings
-from hypothesis.strategies import data, floats, integers
+from hypothesis.strategies import floats, integers
 
 from squareham import (
     BipartiteInstance,
@@ -45,71 +45,40 @@ def neighborhood(inst: BipartiteInstance, subset: tuple[int, ...]) -> set[int]:
     return out
 
 
-def list_hopcroft_karp(
+def greedy_lowest_free(adj: list[list[int]]) -> list[int]:
+    """Each left vertex in turn takes its lowest free neighbour, or -1."""
+    taken: set[int] = set()
+    pairs = []
+    for row in adj:
+        b = next((b for b in row if b not in taken), -1)
+        taken.add(b)
+        pairs.append(b)
+    return pairs
+
+
+def list_maximum_matching(
     adj: list[list[int]], nr: int
 ) -> tuple[list[int], list[int]]:
-    """The engine over ascending neighbour lists, as a reference for the
-    bit-row engine: the same phases, roots and scan order."""
-    inf = float("inf")
-    nl = len(adj)
-    match_l = [-1] * nl
+    """Augment from any free left vertex until none has an augmenting path,
+    which by Berge's theorem leaves a maximum matching.  Left vertices and
+    neighbours go in descending order, so the matching often differs from
+    the engine's."""
+    match_l = [-1] * len(adj)
     match_r = [-1] * nr
-    dist = [0.0] * nl
 
-    def bfs() -> bool:
-        q: deque[int] = deque()
-        for a in range(nl):
-            if match_l[a] == -1:
-                dist[a] = 0.0
-                q.append(a)
-            else:
-                dist[a] = inf
-        reachable_free = False
-        while q:
-            a = q.popleft()
-            for b in adj[a]:
-                nxt = match_r[b]
-                if nxt == -1:
-                    reachable_free = True
-                elif dist[nxt] == inf:
-                    dist[nxt] = dist[a] + 1
-                    q.append(nxt)
-        return reachable_free
-
-    def dfs_iter(root: int) -> bool:
-        stack: list[tuple[int, int]] = [(root, 0)]
-        path: list[tuple[int, int]] = []
-        while stack:
-            a, idx = stack.pop()
-            row = adj[a]
-            advanced = False
-            while idx < len(row):
-                b = row[idx]
-                idx += 1
-                nxt = match_r[b]
-                if nxt == -1:
-                    match_l[a] = b
-                    match_r[b] = a
-                    for la, rb in reversed(path):
-                        match_l[la] = rb
-                        match_r[rb] = la
+    def augment(a: int, seen: set[int]) -> bool:
+        for b in reversed(adj[a]):
+            if b not in seen:
+                seen.add(b)
+                if match_r[b] == -1 or augment(match_r[b], seen):
+                    match_l[a], match_r[b] = b, a
                     return True
-                if dist[nxt] == dist[a] + 1:
-                    stack.append((a, idx))
-                    path.append((a, b))
-                    stack.append((nxt, 0))
-                    advanced = True
-                    break
-            if not advanced:
-                dist[a] = inf
-                if path:
-                    path.pop()
         return False
 
-    while bfs():
-        for a in range(nl):
-            if match_l[a] == -1:
-                dfs_iter(a)
+    while any(
+        match_l[a] == -1 and augment(a, set()) for a in reversed(range(len(adj)))
+    ):
+        pass
     return match_l, match_r
 
 
@@ -170,29 +139,61 @@ def test_deficient_witness_violates_the_expansion_bound(seed: int) -> None:
     assert len(nbhd) < len(result.violator)
 
 
+def random_rows(nl: int, nr: int, p: float, seed: int) -> tuple[int, ...]:
+    rng = rng_for(seed, 22)
+    return tuple(
+        sum(1 << b for b in range(nr) if rng.random() < p) for _ in range(nl)
+    )
+
+
 @settings(max_examples=300)
 @given(
     integers(min_value=0, max_value=25),
     integers(min_value=0, max_value=40),
     floats(min_value=0.0, max_value=1.0),
-    data(),
+    integers(min_value=0, max_value=2**31 - 1),
 )
-def test_bit_rows_match_exactly_as_the_list_engine_does(nl, nr, p, data) -> None:
-    seed = data.draw(integers(min_value=0, max_value=2**31 - 1))
-    rng = rng_for(seed, 22)
-    rows = tuple(
-        sum(1 << b for b in range(nr) if rng.random() < p) for _ in range(nl)
-    )
+def test_a_saturating_greedy_pass_is_the_matching(nl, nr, p, seed) -> None:
+    # Where each left vertex finds a free neighbour on its turn, every
+    # search ends at its first step, so the seeded pipeline outputs rest on
+    # the greedy pass alone.
+    rows = random_rows(nl, nr, p, seed)
+    greedy = greedy_lowest_free([bits(row) for row in rows])
+    if -1 in greedy:
+        return
+    result = hall_saturating_matching(BipartiteInstance(rows, nr))
+    assert (result.status, result.pairs) == ("matched", tuple(greedy))
+
+
+@settings(max_examples=300)
+@given(
+    integers(min_value=0, max_value=25),
+    integers(min_value=0, max_value=40),
+    floats(min_value=0.0, max_value=1.0),
+    integers(min_value=0, max_value=2**31 - 1),
+)
+def test_the_certificate_is_that_of_any_maximum_matching(nl, nr, p, seed) -> None:
+    # The left vertices that alternating paths reach from the free ones are
+    # the same for every maximum matching, so the violator does not depend
+    # on which maximum matching the engine found.
+    rows = random_rows(nl, nr, p, seed)
     result = hall_saturating_matching(BipartiteInstance(rows, nr))
     adj = [bits(row) for row in rows]
-    match_l, match_r = list_hopcroft_karp(adj, nr)
-    if all(b != -1 for b in match_l):
-        assert (result.status, result.pairs) == ("matched", tuple(match_l))
+    match_l, match_r = list_maximum_matching(adj, nr)
+    if -1 not in match_l:
+        assert result.status == "matched"
         return
     assert result.status == "deficient"
     assert (result.violator, result.neighborhood) == list_deficiency_certificate(
         adj, nr, match_l, match_r
     )
+
+
+def test_a_blocked_vertex_enters_its_lowest_neighbour_first() -> None:
+    # Left 2 finds both its neighbours taken; it enters right 0 and moves
+    # left 0 on to right 2, though entering right 1 would move left 1 to 3.
+    result = hall_saturating_matching(BipartiteInstance((0b101, 0b1010, 0b11), 4))
+    assert result.pairs == (2, 1, 0)
 
 
 def test_matching_rejects_out_of_range_adjacency() -> None:

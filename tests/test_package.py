@@ -314,7 +314,7 @@ def test_the_hall_rounds_never_list_a_row() -> None:
     # The matching engine walks bit rows by their lowest set bit; listing
     # each row before a round cost most of the star rounds.
     for name in ("bits", "sorted"):
-        assert _calls_in("matching", "_hopcroft_karp", name) == 0, name
+        assert _calls_in("matching", "_augmenting_search", name) == 0, name
     # The star rounds list the absorbee set once and pass rows as masks.
     assert _calls_in("absorber", "build_single_absorbers", "bits") == 1
 
