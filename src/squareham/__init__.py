@@ -9,8 +9,8 @@ Submodules:
         rows), family membership.
     gadgets: square-path checks, the connector's success check included.
     matching: Hall matching with a deficient-set witness.
-    connector: one pair-to-pair connection job per search over a
-        reservoir.
+    connector: pair-to-pair connection jobs over a reservoir, each
+        served shortest first up to its longest length.
     absorber: an absorber is one square path and the absorbees it may
         leave out; it is built from five-vertex units (each the star core
         its Hall rounds match) joined by links, and chaining runs the one

@@ -20,9 +20,9 @@ The absorbee set, the pool the cores and links draw from, and the absorbees
 a traversal drops are ``int`` bitsets, and so is an absorber's body.  The
 absorber keeps its walk and its absorbees as tuples: a stored file may name
 huge ids, and no bitset is built from them before the range check.  A link
-first tests the direct arc, which needs no search; the connector's searches
-pick each vertex uniformly from the pool vertices that fit, with seeded
-draws.
+is one connection job, served shortest first: the direct arc needs no
+search, and the connector's searches pick each vertex uniformly from the
+pool vertices that fit, with seeded draws.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .connector import ConnectionRequest, connect_one, direct_arc
+from .connector import ConnectionRequest, connect_one
 from .gadgets import is_square_path
 from .graphcore import Graph, InputError, bits, check_int, mask_of
 from .matching import BipartiteInstance, hall_saturating_matching
@@ -126,34 +126,6 @@ def complete_absorbers(
     )
 
 
-def _connect_with_fallback(
-    g: Graph,
-    frm: tuple[int, int],
-    to: tuple[int, int],
-    pool: int,
-    seed: int,
-) -> tuple[tuple[int, ...] | None, dict | None]:
-    """Shortest connection first, lengthening one vertex at a time; returns
-    the interior, or None and the last search's diagnostics.
-
-    Sweeping lengths 4..8 (zero to four interior vertices) keeps pool
-    consumption minimal: few links go direct (about one in ten on
-    G(200, .5) and G(800, .5), fewer on sparser hosts), and almost every
-    other link closes with one or two interior vertices, so the pool
-    survives many jobs.  Length 4 is the direct arc, which needs no
-    search; lengths 5..8 search the same ``pool`` mask.
-    """
-    if direct_arc(g, frm, to):
-        return (), None
-    for length in range(5, 9):
-        req = ConnectionRequest(frm, to, pool, length)
-        res = connect_one(g, req, seed * 31)
-        if res.ok:
-            # The ports are the first two and the last two vertices.
-            return res.path[2:-2], None
-    return None, res.diagnostics
-
-
 def chain_absorbers(
     g: Graph,
     units: Sequence[tuple[int, ...]],
@@ -163,12 +135,14 @@ def chain_absorbers(
     """Join units in order with square-path links into one audited absorber.
 
     Each unit is a five-vertex walk ``u1 u2 x v1 v2`` with its absorbee in
-    the middle.  Each link connects a unit's exit pair to the next one's
-    entry pair, directly when the three required host edges exist,
-    otherwise through the bitset ``pool`` less the units,
-    searched with connector seeds derived from ``seed``.  A link that
-    cannot be made aborts with diagnostics naming the ``link`` phase and
-    the absorbees it joins.  The finished absorber passes
+    the middle.  Each link is one :func:`connect_one` job of up to eight
+    vertices from a unit's exit pair to the next one's entry pair through
+    the bitset ``pool`` less the units and the earlier links, with a seed
+    derived from ``seed``.  Served shortest first, a link leaves the most
+    pool to the links after it: about one in ten goes direct on G(200, .5)
+    and G(800, .5), and almost all others take one or two vertices.  A link
+    that cannot be made aborts with diagnostics naming the ``link`` phase
+    and the absorbees it joins.  The finished absorber passes
     :func:`verify_absorber` once; this is the only audit a built absorber
     gets.
 
@@ -191,14 +165,14 @@ def chain_absorbers(
     walk = list(units[0])
     free = pool & ~body
     for i, (a, b) in enumerate(zip(units, units[1:])):
-        interior, diag = _connect_with_fallback(
-            g, a[-2:], b[:2], free, seed * 9_176 + i * 13
-        )
-        if interior is None:
-            return None, {"phase": "link", "link": (a[2], b[2]), "connect": diag}
-        walk += interior
-        walk += b
-        free &= ~mask_of(interior)
+        req = ConnectionRequest(a[-2:], b[:2], free, 8)
+        res = connect_one(g, req, (seed * 9_176 + i * 13) * 31)
+        if not res.ok:
+            link = (a[2], b[2])
+            return None, {"phase": "link", "link": link, "connect": res.diagnostics}
+        # The ports are the path's first two and last two vertices.
+        walk += (*res.path[2:-2], *b)
+        free &= ~mask_of(res.path)
     absorber = Absorber(tuple(walk), tuple(unit[2] for unit in units))
     audit = verify_absorber(g, absorber)
     if not audit.ok:

@@ -282,7 +282,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="the job 'a,b,c,d': connect ordered edge (a,b) to (c,d)",
     )
     p.add_argument("--w", default="", help="reservoir vertices (default: rest)")
-    p.add_argument("--length", type=int, default=4)
+    p.add_argument(
+        "--length",
+        type=int,
+        default=4,
+        help="longest path the job accepts, ports included; served shortest first",
+    )
     p.add_argument("--exclude", default="", help="vertices to keep out of interiors")
     common(p)
     p.set_defaults(handler=_cmd_connect)

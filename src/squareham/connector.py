@@ -1,32 +1,31 @@
 """Pair-to-pair connection search over a reservoir.
 
-A connection job asks for a square path whose entry and exit ports are two
-prescribed ordered host edges, with every other vertex drawn from a
-reservoir.  :func:`connect_one` serves one job with one seeded backtracking
-search that fills the path's interior position by position.
-:func:`direct_arc` tests the one connection with no interior, the length-4
-square path.
+A connection job is its ports, two prescribed ordered host edges, its
+reservoir, and the longest square path it accepts.  :func:`connect_one`
+serves it shortest first: lengths 4, 5, ... in turn, each by one seeded
+backtracking search that fills the path's interior position by position
+from the reservoir.  Length 4 is the direct arc, which :func:`direct_arc`
+also tests on its own.
 
-The search is exhaustive below its node budget, ``NODE_BUDGET``, and two
-facts follow that let a caller skip searches whose failure is certain.  A
-search that fails under budget has entered every state, so it fails the
-same way for every seed; and it fails on every sub-pool too, whose search
-tree is a sub-tree.  :func:`ports_admit` is a check on the ports alone: a
-job with an interior position whose nearby ports have no common neighbour
-in the pool fails for every seed without a search.
+A search is exhaustive below its node budget, ``NODE_BUDGET``, so one that
+fails under budget fails the same way for every seed, and on every
+sub-pool too, whose search tree is a sub-tree.  A length whose ports rule
+it out (a missing edge between the ports, or an interior position whose
+nearby ports have no common neighbour in the pool) fails for every seed,
+and the sweep skips it without a search.
 
-The reservoir is an ``int`` bitset (bit ``v`` set for vertex ``v``):
-:func:`connect_one` takes away the ports with one AND, and the pool reaches
-the search as that mask; no vertex set is ever listed.  Each position's
-candidates are one mask, the pool less the placed vertices ANDed with the
-rows of the vertices within distance two that are already fixed, and the
-search picks among them uniformly with draws from a seeded SplitMix64
-stream, one pick at a time.
+The reservoir is an ``int`` bitset (bit ``v`` set for vertex ``v``), and
+the pool, the reservoir less the ports, reaches each search as one mask;
+no vertex set is ever listed.  Each position's candidates are one mask,
+the pool less the placed vertices ANDed with the rows of the fixed
+vertices within distance two, and the search picks among them uniformly
+with draws from a seeded SplitMix64 stream, one pick at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .gadgets import validate_embedding
 from .graphcore import Graph, InputError, check_int, nth_bit, splitmix64
@@ -46,7 +45,8 @@ class ConnectionRequest:
             distinct.
         w: Reservoir the interior is drawn from, as a bitset (bit ``v`` set
             for vertex ``v``).
-        length: Vertex count of the square path, ports included (``>= 4``).
+        length: Vertex count of the longest square path the job accepts,
+            ports included (``>= 4``); the shortest that lands serves it.
     """
 
     frm: tuple[int, int]
@@ -81,11 +81,13 @@ def _validate_request(g: Graph, req: ConnectionRequest) -> int:
     """Check one job and return the bitset of its four ports.
 
     Raises:
-        InputError: On a length below 4 or above ``g.n`` (a square path's
-            vertices are distinct), ports that are not two ordered
-            pairs of distinct vertices of ``g`` joined by host edges, or a
-            reservoir that is not an ``int`` bitset of vertices of ``g``.
+        InputError: On a length that is not an integer of at least 4 and
+            at most ``g.n`` (a square path's vertices are distinct), ports
+            that are not two ordered pairs of distinct integer vertices of
+            ``g`` joined by host edges, or a reservoir that is not an
+            ``int`` bitset of vertices of ``g``.
     """
+    check_int("length", req.length)
     if req.length < 4:
         raise InputError(f"connections need length >= 4, got {req.length}")
     if req.length > g.n:
@@ -96,6 +98,9 @@ def _validate_request(g: Graph, req: ConnectionRequest) -> int:
         raise InputError(
             f"job ports must be two ordered pairs: {req.frm} -> {req.to}"
         ) from None
+    for v in (p, q, r, s):
+        if type(v) is not int:  # a plain int needs no call
+            check_int("a port vertex", v)
     if p == q or p == r or p == s or q == r or q == s or r == s:
         raise InputError(f"job ports overlap: {req.frm} -> {req.to}")
     n = g.n
@@ -119,21 +124,23 @@ def direct_arc(g: Graph, frm: tuple[int, int], to: tuple[int, int]) -> bool:
     if not (0 <= a < n and 0 <= b < n and 0 <= c < n and 0 <= d < n):
         g.check_vertices((a, b, c, d))
     rows = g.rows
-    ra, rb = rows[a], rows[b]
-    return bool(
-        ra >> b & 1 and rb >> c & 1 and rows[c] >> d & 1 and ra >> c & 1 and rb >> d & 1
-    )
+    ports = rows[a] >> b & 1 and rows[c] >> d & 1
+    return bool(ports and _cross_edges_hold(rows, frm, to, 4))
 
 
 def connect_one(g: Graph, req: ConnectionRequest, seed: int) -> ConnectResult:
-    """Serve one connection job from its reservoir.
+    """Serve one connection job from its reservoir, shortest path first.
 
-    A seeded backtracking search fills the square path between the job's
-    ports.  Interior vertices come only from ``req.w`` minus the ports.
+    Lengths 4 to ``req.length`` are tried in turn, each by one search
+    through ``req.w`` less the ports, all with draws from the one ``seed``.
+    A length the ports rule out is skipped without a search, and length 4,
+    the direct arc, makes no draw.  The first path that lands is returned.
 
     Returns:
         A :class:`ConnectResult`; never raises for purely quantitative
-        failures (a thin reservoir, an exhausted node budget).
+        failures (a thin reservoir, an exhausted node budget).  A failure's
+        diagnostics hold the job's ``length``, the ``pool`` size, the
+        ``seed`` and the ``nodes`` spent, summed over the searches.
 
     Raises:
         InputError: On a malformed request (a reservoir that is not an
@@ -141,9 +148,17 @@ def connect_one(g: Graph, req: ConnectionRequest, seed: int) -> ConnectResult:
             not a non-negative integer.
     """
     ports = _validate_request(g, req)
-    # The search draws lazily, so check the seed up front.
+    # The searches draw lazily, so check the seed up front.
     check_int("seed", seed, 0)
-    return _direct_connect(g, req, _Pool(req.w & ~ports), seed)
+    pool = _Pool(req.w & ~ports)
+    nodes = 0
+    for length in _admitted_lengths(g.rows, req.frm, req.to, pool, req.length):
+        res = _direct_connect(g, req, pool, length, seed)
+        if res.ok:
+            return res
+        nodes += res.diagnostics["nodes"]
+    cfg = {"length": req.length, "pool": len(pool), "seed": seed}
+    return ConnectResult(False, None, {"config": cfg, "nodes": nodes})
 
 
 def _cross_edges_hold(
@@ -161,46 +176,43 @@ def _cross_edges_hold(
     )
 
 
-def ports_admit(
-    g: Graph, frm: tuple[int, int], to: tuple[int, int], pool: int, length: int
-) -> bool:
-    """Whether the ports alone leave the length-``length`` job a chance.
+def _admitted_lengths(
+    rows: list[int], frm: tuple[int, int], to: tuple[int, int], pool: int, longest: int
+) -> Iterator[int]:
+    """The lengths ``4 .. longest``, ascending, that the ports leave a
+    chance on ``pool``, the reservoir less the ports.
 
-    ``False`` means :func:`connect_one` fails on the job for every seed: an
-    edge of the square path from an entry port to an exit port is missing
-    from ``g``, or the ports within distance two of some interior position
-    have no common neighbour in ``pool`` less the ports.  Every candidate
-    the search could place there lies in that common neighbourhood.  The
-    job must be valid, as :func:`connect_one` asks.
+    Any other length fails for every seed: it misses an edge between an
+    entry and an exit port, or some interior position has no candidate in
+    ``pool``.  Position 2 must see both entry ports, position 3 the second,
+    ``length - 4`` the first exit port and ``length - 3`` both.
     """
-    rows = g.rows
-    if not _cross_edges_hold(rows, frm, to, length):
-        return False
+    # Length 4 needs no pool, so a job the direct arc serves builds no mask.
+    if _cross_edges_hold(rows, frm, to, 4):
+        yield 4
     (a, b), (c, d) = frm, to
-    pool &= ~(1 << a | 1 << b | 1 << c | 1 << d)
-    entry, exit_ = rows[a] & rows[b], rows[c] & rows[d]
-    # Interior position k is within distance two of port position 0 at
-    # k = 2, of 1 at k <= 3, of length - 2 at k >= length - 4 and of
-    # length - 1 at k = length - 3.
-    for k in range(2, length - 2):
-        cands = pool
-        if k <= 3:
-            cands &= entry if k == 2 else rows[b]
-        if k >= length - 4:
-            cands &= exit_ if k == length - 3 else rows[c]
-        if not cands:
-            return False
-    return True
+    nb, nc = rows[b] & pool, rows[c] & pool
+    entry, exit_ = rows[a] & nb, rows[d] & nc
+    ends = entry and exit_
+    # Apart from where the four positions meet, the masks of positions 3 and
+    # length - 4 hold those of 2 and length - 3, and any position between
+    # takes the whole pool.
+    fits = {5: entry & exit_, 6: entry & nc and nb & exit_, 7: ends and nb & nc}
+    for length in range(5, longest + 1):
+        if fits.get(length, ends) and _cross_edges_hold(rows, frm, to, length):
+            yield length
 
 
 def _direct_connect(
     g: Graph,
     req: ConnectionRequest,
     pool: _Pool,
+    length: int,
     seed: int,
     budget: int = NODE_BUDGET,
 ) -> ConnectResult:
-    """Fill the square path's interior by backtracking over the reservoir.
+    """Fill the square path's interior by backtracking over the reservoir:
+    one search of a valid job at exactly ``length``.
 
     ``pool`` is the reservoir less the ports, ``req.w & ~ports``, as a
     bitset that ``len()`` counts, and the search starts from it.  Positions
@@ -226,7 +238,7 @@ def _direct_connect(
     ``pool`` too, whose candidate masks are subsets of these, so that its
     search tree is a sub-tree of this one.
     """
-    frm, to, length = req.frm, req.to, req.length
+    frm, to = req.frm, req.to
     path = [*frm, *[0] * (length - 4), *to]
     rows = g.rows
     size = pool.bit_count()
@@ -267,8 +279,9 @@ def _direct_connect(
         nodes = min(nodes, budget + 1)
         return ConnectResult(False, None, {"config": cfg, "nodes": nodes})
     path = tuple(path)
-    check = validate_embedding(g, path, connect_from=frm, connect_to=to)
-    if not check.ok:
+    # The direct arc's edges are the valid job's ports and the cross edges.
+    check = length == 4 or validate_embedding(g, path, connect_from=frm, connect_to=to)
+    if not check:
         raise AssertionError(
             f"connection produced an invalid square path: {check.reason}"
         )

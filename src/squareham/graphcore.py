@@ -66,6 +66,12 @@ def check_int(name: str, value: object, low: int | None = None) -> None:
         raise InputError(f"{name} must be {bound}, got {value}")
 
 
+def check_sequence(name: str, value: object) -> None:
+    """Raise :class:`InputError` naming ``name`` unless ``value`` is a sequence."""
+    if not isinstance(value, Sequence):
+        raise InputError(f"{name} must be a sequence, got {type(value).__name__}")
+
+
 def check_vertex_count(name: str, value: object) -> None:
     """:func:`check_int` with a floor of 0 and a ceiling of ``sys.maxsize``,
     the longest list of rows that can be indexed; a larger count is
@@ -589,10 +595,12 @@ class FamilyParams:
     p: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.p <= 1.0):
-            raise InputError(f"p must lie in (0, 1], got {self.p}")
-        if self.alpha <= 0:
-            raise InputError(f"alpha must be positive, got {self.alpha}")
+        check_probability("p", self.p)
+        if self.p == 0:
+            raise InputError(f"p must be positive, got {self.p}")
+        a = self.alpha
+        if isinstance(a, bool) or not isinstance(a, numbers.Real) or not 0 < a < np.inf:
+            raise InputError(f"alpha must be a finite positive real, got {a!r}")
 
 
 @dataclass(frozen=True)

@@ -25,13 +25,14 @@ from .absorber import (
     chain_absorbers,
     complete_absorbers,
 )
-from .connector import ConnectionRequest, connect_one, direct_arc, ports_admit
+from .connector import ConnectionRequest, connect_one, direct_arc
 from .gadgets import ValidationResult, is_square_path
 from .graphcore import (
     Graph,
     InputError,
     bits,
     check_int,
+    check_sequence,
     mask_of,
     nth_bit,
     packed_rows,
@@ -104,6 +105,12 @@ class Certificate:
 
     order: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        check_sequence("a certificate order", self.order)
+        for v in self.order:
+            if type(v) is not int:  # a plain int needs no call
+                check_int("a certificate vertex", v)
+
 
 @dataclass(frozen=True)
 class CertificateCheck:
@@ -134,6 +141,7 @@ class InfeasibilityWitness:
     def __post_init__(self) -> None:
         if self.kind not in WITNESS_KINDS:
             raise InputError(f"unknown witness kind {self.kind!r}")
+        check_sequence("witness vertices", self.vertices)
         for v in self.vertices:
             check_int("a witness vertex", v)
 
@@ -190,8 +198,6 @@ def certificate_from_json_obj(obj: Mapping) -> Certificate:
         order = tuple(obj["order"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed certificate: {exc}") from exc
-    for v in order:
-        check_int("a certificate vertex", v)
     return Certificate(order)
 
 
@@ -642,36 +648,6 @@ def build_absorber(
     return chain_absorbers(g, complete_absorbers(xs, cores), pool, seed)
 
 
-def _cascade_connect(
-    g: Graph,
-    frm: tuple[int, int],
-    to: tuple[int, int],
-    pool: int,
-    seed: int,
-) -> tuple[int, ...] | None:
-    """Shortest-first connection attempts through the ``pool`` mask; returns
-    the interior or None.
-
-    The caller has found no direct arc from ``frm`` to ``to``, and the
-    length-4 square path is exactly that arc, so the sweep runs lengths 5..8
-    that the host's vertex count allows; each length's seed is offset by
-    ``length - 4``.  A length whose ports
-    :func:`~squareham.connector.ports_admit` rules out is skipped without a
-    search.
-    """
-    if len({*frm, *to}) != 4:
-        return None
-    for length in range(5, min(8, g.n) + 1):
-        if not ports_admit(g, frm, to, pool, length):
-            continue
-        req = ConnectionRequest(frm, to, pool, length)
-        res = connect_one(g, req, seed * 37 + length - 4)
-        if res.ok:
-            # The ports are the first two and the last two vertices.
-            return res.path[2:-2]
-    return None
-
-
 def _insert_into_paths(g: Graph, paths: list[list[int]], q: int) -> bool:
     """Splice ``q`` into some path interior, preserving square-path pairs.
 
@@ -711,32 +687,26 @@ def _assemble_cycle(
 
     Piece order and orientation are free, so a budgeted depth-first search
     explores them: parity-free chains (three host edges) first, then short
-    connectors whose interiors consume the ``fuel`` mask.  Returns the cycle
-    segment that follows the absorber traversal and, under ``consumed``, the
-    bitset of the fuel it used; or ``None`` and diagnostics on the deepest
-    threading reached.
-
-    Each probe counts in ``probes``, including one that
-    :func:`_cascade_connect` answers from the ports without a search.
+    connectors whose interiors consume the ``fuel`` mask.  Each probe is one
+    :func:`connect_one` job of up to eight vertices through the fuel left,
+    served shortest first; it counts in ``probes`` even when the ports rule
+    out every length.  Returns the cycle segment that follows the absorber
+    traversal and, under ``consumed``, the bitset of the fuel it used; or
+    ``None`` and diagnostics on the deepest threading reached.
     """
     total = len(pieces)
     nodes = 0
     deepest = 0
 
     def probe(
-        cur: tuple[int, int],
-        to: tuple[int, int],
-        consumed: int,
-        salt: int,
-        arc: bool,
+        cur: tuple[int, int], to: tuple[int, int], consumed: int, salt: int
     ) -> tuple[int, ...] | None:
-        # ``arc`` is ``direct_arc(g, cur, to)``, which the caller has tested.
         nonlocal nodes
         nodes += 1
-        if arc:
-            return ()
-        pool = fuel & ~consumed
-        return _cascade_connect(g, cur, to, pool, seed * 7919 + salt)
+        req = ConnectionRequest(cur, to, fuel & ~consumed, min(8, g.n))
+        res = connect_one(g, req, seed * 7919 + salt)
+        # The ports are the path's first two and last two vertices.
+        return res.path[2:-2] if res.ok else None
 
     def dfs(
         cur: tuple[int, int],
@@ -749,7 +719,7 @@ def _assemble_cycle(
         if nodes > _ASSEMBLY_BUDGET:
             return None
         if not remaining:
-            interior = probe(cur, a.entry, consumed, 1, direct_arc(g, cur, a.entry))
+            interior = probe(cur, a.entry, consumed, 1)
             if interior is None:
                 return None
             return acc + interior, consumed | mask_of(interior)
@@ -760,12 +730,10 @@ def _assemble_cycle(
                 ranked.append((direct_arc(g, cur, (ori[0], ori[1])), pi, ori))
         # Direct arcs first, then by piece.
         ranked.sort(key=lambda t: (not t[0], t[1]))
-        for arc, pi, ori in ranked:
+        for _, pi, ori in ranked:
             if nodes > _ASSEMBLY_BUDGET:
                 return None
-            interior = probe(
-                cur, (ori[0], ori[1]), consumed, 101 * pi + 2 * len(acc), arc
-            )
+            interior = probe(cur, (ori[0], ori[1]), consumed, 101 * pi + 2 * len(acc))
             if interior is None:
                 continue
             out = dfs(

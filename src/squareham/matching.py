@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphcore import InputError, bits
+from .graphcore import InputError, bits, check_sequence
 
 
 @dataclass(frozen=True)
@@ -24,15 +24,16 @@ class BipartiteInstance:
     edge between left ``a`` and right ``b``, for ``0 <= b < right_count``.
 
     Raises:
-        InputError: If ``right_count`` is negative or not an ``int``, or a
-            row is not a non-negative ``int`` or holds a bit at or above
-            ``right_count``.
+        InputError: If the rows are not a sequence, ``right_count`` is
+            negative or not an ``int``, or a row is not a non-negative
+            ``int`` or holds a bit at or above ``right_count``.
     """
 
     adjacency: tuple[int, ...]
     right_count: int
 
     def __post_init__(self) -> None:
+        check_sequence("adjacency", self.adjacency)
         nr = self.right_count
         if type(nr) is not int or nr < 0:
             raise InputError(f"right_count must be a non-negative int, got {nr!r}")

@@ -20,6 +20,7 @@ from squareham import (
     verify_absorber,
 )
 from squareham import absorber as absorber_module
+from squareham import connector
 from squareham.absorber import absorber_from_json_obj, absorber_to_json_obj
 from squareham.graphcore import bits, mask_of
 
@@ -245,30 +246,46 @@ def test_verification_detects_a_corrupted_unit() -> None:
 def test_the_link_sweep_tests_the_direct_arc_before_any_search(
     monkeypatch,
 ) -> None:
-    # The length-4 template is exactly the direct arc, so the sweep checks
-    # it without a search and starts its searches at length 5.
-    asked = []
-    connect = absorber_module.connect_one
+    # Each link is one connect_one job of up to eight vertices, served
+    # shortest first: length 4 is the direct arc, which draws nothing, and
+    # longer searches run only past it.
+    asked, searched = [], []
+    connect, direct = absorber_module.connect_one, connector._direct_connect
 
     def recording(g, req, seed):
-        asked.append(req.length)
+        asked.append((req.length, seed))
         return connect(g, req, seed)
 
+    def searching(g, req, pool, length, seed):
+        searched.append(length)
+        return direct(g, req, pool, length, seed)
+
     monkeypatch.setattr(absorber_module, "connect_one", recording)
-    sweep = absorber_module._connect_with_fallback
-    g = complete_graph(12)
-    pool = mask_of(range(4, 12))
-    assert sweep(g, (0, 1), (2, 3), pool, 3) == ((), None)
-    assert asked == []
-    # Without the edge 0-2 there is no arc, and one interior vertex closes it.
-    g = g.remove_edges([(0, 2)])
-    interior, diag = sweep(g, (0, 1), (2, 3), pool, 3)
-    assert len(interior) == 1 and diag is None
-    assert asked == [5]
-    # With an empty pool every length fails; the report is the last search's.
-    interior, diag = sweep(g, (0, 1), (2, 3), 0, 3)
-    assert interior is None and diag["config"]["length"] == 8
-    assert asked == [5, 5, 6, 7, 8]
+    monkeypatch.setattr(connector, "_direct_connect", searching)
+    units = [(0, 1, 2, 3, 4), (5, 6, 7, 8, 9), (10, 11, 12, 13, 14)]
+    pool = mask_of(range(15, 24))
+    g = complete_graph(24)
+    built, fail = chain_absorbers(g, units, pool, 3)
+    assert fail is None and built.walk == tuple(range(15))
+    assert asked == [(8, 3 * 9_176 * 31), (8, (3 * 9_176 + 13) * 31)]
+    assert searched == [4, 4]
+    # Without the edge 3-5 there is no arc into the second unit, and one
+    # interior vertex closes the link.
+    g = g.remove_edges([(3, 5)])
+    searched.clear()
+    built, fail = chain_absorbers(g, units, pool, 3)
+    assert fail is None and len(built.walk) == 16
+    assert searched == [5, 4]
+    # With an empty pool the ports rule out every longer length, so the
+    # link fails without a search.
+    searched.clear()
+    assert chain_absorbers(g, units, 0, 3) == (None, {
+        "phase": "link",
+        "link": (2, 7),
+        "connect": {"config": {"length": 8, "pool": 0, "seed": 3 * 9_176 * 31},
+                    "nodes": 0},
+    })
+    assert searched == []
 
 
 def test_absorber_json_round_trip() -> None:

@@ -10,7 +10,7 @@ import pytest
 import squareham
 from squareham.absorber import absorber_from_json_obj, absorber_to_json_obj
 from squareham.cli import run_command
-from squareham.graphcore import graph_from_edgelist_text
+from squareham.graphcore import graph_from_edgelist_text, graph_to_edgelist_text
 
 
 def run(*argv: str) -> int:
@@ -198,8 +198,12 @@ def test_connect_embeds_each_requested_pair(tmp_path, capsys) -> None:
     assert set(payload) == {"ok", "path", "diagnostics"}
     path = payload["path"]
     assert path[:2] == [0, 1] and path[-2:] == [2, 3]
-    # One reservoir vertex cannot fill two interior positions.
-    assert run("connect", "--graph", graph, "--pairs", "0,1,2,3", "--w", "4",
+    # Without the edge 1-2 the ports rule out lengths 4 and 5, and one
+    # reservoir vertex cannot fill the two interior positions of length 6.
+    sparse = tmp_path / "h.edges"
+    host = squareham.complete_graph(30).remove_edges([(1, 2)])
+    sparse.write_text(graph_to_edgelist_text(host))
+    assert run("connect", "--graph", str(sparse), "--pairs", "0,1,2,3", "--w", "4",
                "--length", "6", "--seed", "5") == 1
     assert json.loads(capsys.readouterr().out) == {
         "ok": False,
@@ -267,6 +271,8 @@ def stdout_digest(capsys, *argv: str) -> tuple[int, str]:
 
 def test_connect_and_absorber_build_outputs_are_pinned(tmp_path, capsys) -> None:
     # The CLI turns its vertex lists into masks; the outputs must not move.
+    # 3-4 is no host edge, so the ports rule out lengths 4 and 5 and both
+    # jobs land at length 6, on the same interior by chance.
     graph = write_graph(tmp_path, "g.edges", 60, 0.6, 4)
     pairs = "2,3,4,5"
     reservoir = ",".join(str(v) for v in range(8, 60, 2))
@@ -277,7 +283,7 @@ def test_connect_and_absorber_build_outputs_are_pinned(tmp_path, capsys) -> None
     assert stdout_digest(
         capsys, "connect", "--graph", graph, "--pairs", pairs,
         "--length", "8", "--exclude", "9,11,13", "--seed", "1",
-    ) == (0, "f316e4a8fa2425f9d79edde83b5e6d8968114336691fcda5d7432b1a5e34c5b1")
+    ) == (0, "2164afa8d79283881a7cdafe8f074b8095dd1eed0305a590c530dde662306869")
     graph = write_graph(tmp_path, "h.edges", 120, 0.55, 7)
     assert stdout_digest(
         capsys, "absorber", "build", "--graph", graph, "--x", "0,1,2",

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
-from hypothesis.strategies import data, integers, sampled_from
+from hypothesis.strategies import booleans, data, integers, lists, sampled_from
 
 from squareham import (
     ConnectionRequest,
@@ -46,13 +46,26 @@ def host_and_job(n: int, p: float, seed: int):
     return g, frm, to, ((1 << n) - 1) & ~mask_of((*frm, *to))
 
 
+def search(g, req, seed: int, budget: int = connector.NODE_BUDGET):
+    """The one search ``connect_one`` runs per length, at exactly
+    ``req.length`` and with nothing skipped."""
+    pool = connector._Pool(req.w & ~mask_of((*req.frm, *req.to)))
+    return connector._direct_connect(g, req, pool, req.length, seed, budget)
+
+
+def admitted(g, frm, to, w, longest: int) -> list[int]:
+    """The lengths ``4 .. longest`` the ports leave the job over ``w``."""
+    pool = w & ~mask_of((*frm, *to))
+    return list(connector._admitted_lengths(g.rows, frm, to, pool, longest))
+
+
 @given(integers(min_value=4, max_value=16), integers(min_value=0, max_value=200))
 def test_short_connections_on_a_complete_graph_always_land(
     length: int, seed: int
 ) -> None:
     g = complete_graph(24)
     req = ConnectionRequest((0, 1), (2, 3), mask_of(range(4, 24)), length=length)
-    res = connect_one(g, req, seed=seed)
+    res = search(g, req, seed)
     assert res.ok
     path = res.path
     assert validate_embedding(g, path, connect_from=(0, 1), connect_to=(2, 3)).ok
@@ -99,7 +112,7 @@ def test_long_direct_connections_produce_valid_square_paths(seed: int) -> None:
         return
     g, frm, to, w = bundle
     req = ConnectionRequest(frm, to, w, length=12)
-    res = connect_one(g, req, seed=seed)
+    res = search(g, req, seed)
     assert res.ok
     assert validate_embedding(g, res.path, connect_from=frm, connect_to=to).ok
     assert len(res.path) == 12
@@ -137,6 +150,18 @@ def kept_id(i: int, frm, to, length: int, message: str):
         kept_id(5, (-1, 1), (2, 3), 4, "^vertex -1 out of range for n=10$"),
         kept_id(6, (0, 1), (2, 3, 4), 4, "^job ports must be two ordered pairs"),
         kept_id(7, (0, 1), (2, 3), 4, r"^job ports must be host edges: \(0, 1\) -> "),
+        # Lengths and ports that are not integers once raised TypeError.
+        *(
+            pytest.param(frm, to, length, message, id=f"not-an-integer-{length!r}-{frm}-{to}")
+            for frm, to, length, message in (
+                ((0, 1), (2, 3), 5.0, "^length must be an integer, got 5.0$"),
+                ((0, 1), (2, 3), "6", "^length must be an integer, got '6'$"),
+                ((0, 1), (2, 3), None, "^length must be an integer, got None$"),
+                ((0, 1), (2, 3), True, "^length must be an integer, got True$"),
+                ((0, 1.0), (2, 3), 5, "^a port vertex must be an integer, got 1.0$"),
+                ((0, 1), ("2", 3), 5, "^a port vertex must be an integer, got '2'$"),
+            )
+        ),
     ],
 )
 def test_each_malformed_job_gets_its_own_message(frm, to, length, message) -> None:
@@ -261,7 +286,7 @@ def test_search_lands_and_fails_exactly_where_the_shuffled_scan_does(g, data) ->
                 connect_one(g, req, 0)
             continue
         for seed in range(4):
-            res = connect_one(g, req, seed)
+            res = search(g, req, seed)
             ok, nodes = shuffled_scan(g, req, seed)
             assert res.ok == ok
             if not ok:
@@ -278,17 +303,18 @@ def test_a_job_the_ports_rule_out_fails_for_every_seed(g, data) -> None:
     assume(outs)
     to = data.draw(sampled_from(outs))
     w = data.draw(integers(min_value=0, max_value=(1 << g.n) - 1))
-    for length in range(5, min(8, g.n) + 1):
-        if not connector.ports_admit(g, frm, to, w, length):
+    lengths = admitted(g, frm, to, w, g.n)
+    for length in range(4, g.n + 1):
+        if length not in lengths:
             req = ConnectionRequest(frm, to, w, length)
             for seed in range(5):
-                res = connect_one(g, req, seed)
+                res = search(g, req, seed)
                 assert not res.ok
                 assert res.diagnostics["nodes"] <= connector.NODE_BUDGET
 
 
 def port_rule_oracle(g, frm, to, pool, length) -> bool:
-    """``ports_admit`` from ``square_path_edge_oracle``: every edge between
+    """The port rule from ``square_path_edge_oracle``: every edge between
     two port labels holds, and every free label's port neighbours have a
     common neighbour in the pool less the ports."""
     ports = {0: frm[0], 1: frm[1], length - 2: to[0], length - 1: to[1]}
@@ -316,24 +342,26 @@ def test_the_port_rule_sees_each_free_label_and_the_fixed_edges(g, data) -> None
     assume(outs)
     to = data.draw(sampled_from(outs))
     w = data.draw(integers(min_value=0, max_value=(1 << g.n) - 1))
-    for length in range(4, 9):
-        assert connector.ports_admit(g, frm, to, w, length) == port_rule_oracle(
-            g, frm, to, w, length
-        )
+    # From length 8 on, every length meets the same rule.
+    assert admitted(g, frm, to, w, 12) == [
+        length for length in range(4, 13) if port_rule_oracle(g, frm, to, w, length)
+    ]
 
 
 def test_the_port_rule_rules_out_exactly_what_it_names() -> None:
     # K_8 less one edge per rule: each rules out exactly what it names.
-    def admitted(g, pool=mask_of(range(4, 8))):
-        return [connector.ports_admit(g, (0, 1), (2, 3), pool, L) for L in range(5, 9)]
+    def lengths(g, pool=mask_of(range(4, 8))):
+        return admitted(g, (0, 1), (2, 3), pool, 8)
 
     g = complete_graph(8)
-    assert admitted(g) == [True] * 4
-    assert admitted(g.remove_edges([(1, 2)])) == [False, True, True, True]
+    assert lengths(g) == [4, 5, 6, 7, 8]
+    # The direct arc needs the edges 1-2, 0-2 and 1-3; length 5 needs 1-2.
+    assert lengths(g.remove_edges([(0, 2)])) == [5, 6, 7, 8]
+    assert lengths(g.remove_edges([(1, 2)])) == [6, 7, 8]
     # No pool vertex sees both entry ports.
-    assert admitted(g.remove_edges([(0, v) for v in range(4, 8)])) == [False] * 4
+    assert lengths(g.remove_edges([(0, v) for v in range(4, 8)])) == [4]
     # The ports never count as their own candidates.
-    assert admitted(g, 0b1111) == [False] * 4
+    assert lengths(g, 0b1111) == [4]
 
 
 # (n, p, host seed): the digests of the thin pool (every third vertex)
@@ -377,7 +405,7 @@ def test_connection_results_are_pinned(host) -> None:
         h = hashlib.sha256()
         for length in range(4, 13):
             for seed in range(6):
-                res = connect_one(g, ConnectionRequest(frm, to, pool, length), seed)
+                res = search(g, ConnectionRequest(frm, to, pool, length), seed)
                 h.update(repr(res.path if res.ok else res.diagnostics).encode())
         digests.append(h.hexdigest())
     assert tuple(digests) == PINNED_CONNECTIONS[host]
@@ -389,9 +417,7 @@ def test_a_pick_is_uniform_over_the_fitting_vertices() -> None:
     g = complete_graph(12).remove_edges([(11, 0)])
     req = ConnectionRequest((0, 1), (2, 3), mask_of((4, 5, 6, 7, 11)), length=5)
     seeds = 400
-    picks = Counter(
-        connect_one(g, req, seed).path[2] for seed in range(seeds)
-    )
+    picks = Counter(search(g, req, seed).path[2] for seed in range(seeds))
     assert set(picks) == {4, 5, 6, 7}
     for count in picks.values():
         assert abs(count - seeds / 4) < seeds / 10
@@ -404,13 +430,13 @@ def test_same_seed_same_embedding() -> None:
         req = ConnectionRequest((0, 1), (2, 3), w, length)
         found = set()
         for seed in range(6):
-            first = connect_one(g, req, seed)
-            assert first.ok and connect_one(g, req, seed) == first
+            first = search(g, req, seed)
+            assert first.ok and search(g, req, seed) == first
             found.add(first.path)
         # Every shape but the direct arc has a choice to make.
         assert (len(found) == 1) == (length == 4)
         # The draws take the seed modulo 2**64.
-        assert connect_one(g, req, 5 + 2**64) == first
+        assert search(g, req, 5 + 2**64) == first
 
 
 def test_a_search_past_its_budget_reports_budget_plus_one() -> None:
@@ -419,13 +445,12 @@ def test_a_search_past_its_budget_reports_budget_plus_one() -> None:
     pool = range(4, 20)
     g = complete_graph(20).remove_edges([(2, v) for v in pool])
     req = ConnectionRequest((0, 1), (2, 3), mask_of(pool), length=8)
-    res = connect_one(g, req, 5)
+    res = search(g, req, 5)
     assert not res.ok
     spent = res.diagnostics["nodes"]
     assert spent == shuffled_scan(g, req, 5)[1] and spent > 51
-    pool_mask = connector._Pool(req.w)
     for budget in (0, 15, 50):
-        res = connector._direct_connect(g, req, pool_mask, 5, budget)
+        res = search(g, req, 5, budget)
         assert not res.ok and res.diagnostics["nodes"] == budget + 1
         assert shuffled_scan(g, req, 5, budget) == (False, budget + 1)
 
@@ -446,14 +471,92 @@ def test_a_search_draws_once_per_pick_and_never_before_a_free_label(
     w = mask_of(range(6, 12))
     # Length 5 needs the port edge 1-2, so no job gets to a free label.
     blocked = ConnectionRequest((0, 1), (2, 3), w, length=5)
-    res = connect_one(g, blocked, seed=4)
+    res = search(g, blocked, 4)
     assert not res.ok and res.diagnostics["nodes"] == 0
-    # The direct arc has no free label.
-    assert connect_one(g, ConnectionRequest((0, 3), (4, 5), w, length=4), 4).ok
-    assert draws == []
-    # On a complete pool every pick fits, so a length-7 job picks three times.
+    # The direct arc has no free label, whatever the longest length.
     assert connect_one(g, ConnectionRequest((0, 3), (4, 5), w, length=7), 4).ok
+    assert draws == []
+    # On a complete pool every pick fits, so a length-7 search picks three times.
+    assert search(g, ConnectionRequest((0, 3), (4, 5), w, length=7), 4).ok
     assert len(draws) == 3
     for seed in (-1, 1.5):
         with pytest.raises(InputError):
             connect_one(g, blocked, seed=seed)
+
+
+def plain_sweep(g, req, seed: int):
+    """``connect_one`` with nothing skipped: the search at every length
+    from 4 to ``req.length``, in order; returns the first path that lands."""
+    for length in range(4, req.length + 1):
+        res = search(g, ConnectionRequest(req.frm, req.to, req.w, length), seed)
+        if res.ok:
+            return res.path
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(gnp_graphs(min_n=8, max_n=16, min_p=0.3, max_p=0.95), data())
+def test_the_pruned_sweep_returns_what_the_plain_sweep_returns(g, data) -> None:
+    # Skipping the lengths the ports rule out changes no job's outcome.
+    arcs = [*g.edges(), *((v, u) for u, v in g.edges())]
+    assume(arcs)
+    frm = data.draw(sampled_from(arcs))
+    outs = [e for e in arcs if not set(e) & set(frm)]
+    assume(outs)
+    tos = data.draw(lists(sampled_from(outs), min_size=1, max_size=3))
+    pairs = [(frm, to) for to in tos]
+    pools = {}
+    for _ in range(8):
+        frm, to = data.draw(sampled_from(pairs))
+        mask = data.draw(integers(min_value=0, max_value=(1 << g.n) - 1))
+        # Half the jobs shrink the pair's last pool, as the threading does.
+        pool = pools.get((frm, to), mask) & mask if data.draw(booleans()) else mask
+        pools[frm, to] = pool
+        req = ConnectionRequest(frm, to, pool, min(8, g.n))
+        seed = data.draw(integers(min_value=0, max_value=1000))
+        assert connect_one(g, req, seed).path == plain_sweep(g, req, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gnp_graphs(min_n=6, max_n=14, min_p=0.3, max_p=0.95), data())
+def test_a_job_is_served_at_its_shortest_length_that_lands(g, data) -> None:
+    # Each search is one length: the lengths come in ascending order, none
+    # of them is one the ports rule out, every one the ports leave below
+    # the last is searched and fails, and a path comes from the last.
+    arcs = [*g.edges(), *((v, u) for u, v in g.edges())]
+    assume(arcs)
+    frm = data.draw(sampled_from(arcs))
+    outs = [e for e in arcs if not set(e) & set(frm)]
+    assume(outs)
+    to = data.draw(sampled_from(outs))
+    w = data.draw(integers(min_value=0, max_value=(1 << g.n) - 1))
+    longest = data.draw(integers(min_value=4, max_value=g.n))
+    seed = data.draw(integers(min_value=0, max_value=1000))
+    searched = []
+    direct = connector._direct_connect
+
+    def recording(g, req, pool, length, seed):
+        res = direct(g, req, pool, length, seed)
+        searched.append((length, res))
+        return res
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(connector, "_direct_connect", recording)
+        res = connect_one(g, ConnectionRequest(frm, to, w, longest), seed)
+    lengths = [length for length, _ in searched]
+    ruled_in = [
+        length
+        for length in range(4, longest + 1)
+        if port_rule_oracle(g, frm, to, w, length)
+    ]
+    assert lengths == ruled_in[: len(lengths)]
+    assert all(not r.ok for _, r in searched[:-1])
+    if res.ok:
+        assert searched[-1][1] == res and len(res.path) == lengths[-1]
+    else:
+        assert lengths == ruled_in
+        pool = (w & ~mask_of((*frm, *to))).bit_count()
+        assert res.diagnostics == {
+            "config": {"length": longest, "pool": pool, "seed": seed},
+            "nodes": sum(r.diagnostics["nodes"] for _, r in searched),
+        }

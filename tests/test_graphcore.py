@@ -684,6 +684,28 @@ def test_family_membership_floors_follow_the_graph(n: int) -> None:
     assert report.codegree_threshold == pytest.approx(0.05 * n * 0.25)
 
 
+@pytest.mark.parametrize(
+    "alpha, p, message",
+    [
+        # A NaN alpha once passed and made every floor NaN.
+        (float("nan"), 0.5, "^alpha must be a finite positive real"),
+        (float("inf"), 0.5, "^alpha must be a finite positive real"),
+        (0.0, 0.5, "^alpha must be a finite positive real"),
+        ("x", 0.5, "^alpha must be a finite positive real"),
+        (True, 0.5, "^alpha must be a finite positive real"),
+        (0.1, float("nan"), r"^p must lie in \[0, 1\]"),
+        (0.1, 1.5, r"^p must lie in \[0, 1\]"),
+        # A string p once raised TypeError in the comparison.
+        (0.1, "x", "^p must be a real number"),
+        (0.1, 0.0, "^p must be positive"),
+    ],
+)
+def test_family_params_reject_what_no_floor_can_use(alpha, p, message) -> None:
+    with pytest.raises(InputError, match=message):
+        FamilyParams(alpha, p)
+    assert FamilyParams(np.float64(0.1), 1).p == 1
+
+
 @given(seeds())
 def test_rng_streams_differ_by_salt(seed: int) -> None:
     a = rng_for(seed, 1).integers(0, 2**30, size=8)

@@ -6,18 +6,17 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis.strategies import (
     booleans,
     data,
     integers,
-    lists,
     permutations,
-    sampled_from,
     sets,
 )
 
 from squareham import (
+    Absorber,
     Certificate,
     ConnectionRequest,
     Graph,
@@ -28,7 +27,6 @@ from squareham import (
     absorber,
     brute_force_square_ham,
     complete_graph,
-    connect_one,
     connector,
     find_infeasibility_witness,
     find_square_ham,
@@ -104,6 +102,15 @@ def test_verification_rejects_malformed_certificates() -> None:
         verify_certificate(g, Certificate((0, 1, 2)))
     with pytest.raises(InputError):
         verify_certificate(complete_graph(2), Certificate((0, 1)))
+    # A scalar once raised TypeError in len(), and a float vertex passed the
+    # permutation check (5.0 == 5), then raised in a shift.
+    for order in (5, None, set(range(6))):
+        with pytest.raises(InputError, match="^a certificate order must be a sequence"):
+            verify_certificate(g, Certificate(order))
+    for order in ((0, 1, 2, 3, 4, 5.0), (0, 1, 2, 3, 4, True)):
+        with pytest.raises(InputError, match="^a certificate vertex must be an integer"):
+            verify_certificate(g, Certificate(order))
+    assert verify_certificate(g, Certificate([0, 1, 2, 3, 4, 5])).ok
 
 
 @given(integers(min_value=3, max_value=9))
@@ -416,7 +423,7 @@ def test_default_config_outputs_are_pinned() -> None:
     g = gnp_generate(200, 0.5, 1)
     pinned = {
         0: "5054b32dff55a5fd6704a6c7c594ef38be754af7e0fe6f751f6e19ec7fb27075",
-        3: "4e5e86f81316d37be84629e7a117511686914787da7ac835860864668893bc62",
+        3: "43fd02e2131b3a65fdbf117ccc81a8c804fb6a46c4a3a3b1b802a3c0e736f2a9",
     }
     for seed, digest in pinned.items():
         outcome = find_square_ham(g, config=PipelineConfig(seed=seed))
@@ -442,7 +449,7 @@ def test_default_config_outputs_are_pinned() -> None:
     outcome = find_square_ham(gnp_generate(800, 0.7, 1), config=PipelineConfig(seed=0))
     assert isinstance(outcome, Certificate)
     assert outcome_digest(outcome) == (
-        "00877b6609fd09f64e921f284c8280b568d408ba44a7c6eabbee8a3abea5fd65"
+        "eaf1e5826b78ebc37ffd68a7e203e444ec5f2d176769357edc3dd57e78d1988c"
     )
 
 
@@ -453,8 +460,8 @@ def test_default_config_outputs_are_pinned() -> None:
         (0.3, 1, 1, 7, False,
          "7375ead28dcdc87886459a8403e78efa6f9f8bd800be1b0fdd172d4f379e6efd"),
         # Restart 0 fails at connecting and restart 1 certifies.
-        (0.35, 2, 1, 0, True,
-         "ee7d78abb52fe02dfb86cf5749f40484c309a798ea2001df1e83677159cbba1e"),
+        (0.35, 4, 1, 0, True,
+         "515bd2e16bf339085a28ffc4d2c907d471d33a281181151c23ff02850a012c7b"),
     ],
 )
 def test_outputs_through_the_threading_failure_path_are_pinned(
@@ -506,73 +513,60 @@ def test_cover_outputs_are_pinned(n: int, p: float, seed: int) -> None:
     assert (json_digest(cover_obj), json_digest(list(path))) == COVER_PINS[n, p, seed]
 
 
-def test_threading_never_asks_for_the_length_four_connection(monkeypatch) -> None:
-    # The threading tests the direct arc before it connects, and the
-    # length-4 template is that arc, so the sweep starts at length 5.
+def test_a_threading_probe_is_one_job_with_the_probe_seed(monkeypatch) -> None:
+    # Each probe asks connect_one once, for a path of up to eight vertices
+    # through the fuel not yet consumed, with the seed of its place in the
+    # threading; the direct arc is that job's length 4.
     asked = []
     connect = hamiltonian.connect_one
 
     def recording(g, req, seed):
-        asked.append((req.length, seed))
-        return connect(g, req, seed)
+        res = connect(g, req, seed)
+        asked.append((req, seed, len(res.path)))
+        return res
 
     monkeypatch.setattr(hamiltonian, "connect_one", recording)
+    fuel = sum(1 << v for v in range(6, 12))
+    # The walk's exit pair is (0, 1) and its entry pair (2, 3).
+    a = Absorber((2, 3, 0, 1), ())
     g = complete_graph(12).remove_edges([(0, 2)])
-    interior = hamiltonian._cascade_connect(
-        g, (0, 1), (2, 3), sum(1 << v for v in range(4, 12)), 3
+    suffix, info = hamiltonian._assemble_cycle(g, a, [], fuel, 3)
+    assert len(suffix) == 1 and info == {"consumed": 1 << suffix[0]}
+    assert asked == [(ConnectionRequest((0, 1), (2, 3), fuel, 8), 3 * 7919 + 1, 5)]
+    asked.clear()
+    # On a complete host every probe is a direct arc.
+    g = complete_graph(12)
+    assert hamiltonian._assemble_cycle(g, a, [(4, 5)], fuel, 3) == (
+        (4, 5), {"consumed": 0}
     )
-    assert interior is not None and len(interior) == 1
-    # Length 5 keeps the seed of its place in the sweep.
-    assert asked == [(5, 3 * 37 + 1)]
-
-
-def plain_sweep(g, frm, to, pool, seed):
-    """The threading sweep with nothing skipped: lengths 5..8 in order."""
-    for length in range(5, 9):
-        req = ConnectionRequest(frm, to, pool, length)
-        res = connect_one(g, req, seed * 37 + length - 4)
-        if res.ok:
-            return res.path[2:-2]
-    return None
-
-
-@settings(max_examples=40, deadline=None)
-@given(gnp_graphs(min_n=8, max_n=16, min_p=0.3, max_p=0.95), data())
-def test_the_pruned_sweep_returns_what_the_plain_sweep_returns(g, data) -> None:
-    arcs = [*g.edges(), *((v, u) for u, v in g.edges())]
-    assume(arcs)
-    frm = data.draw(sampled_from(arcs))
-    outs = [e for e in arcs if not set(e) & set(frm)]
-    assume(outs)
-    tos = data.draw(lists(sampled_from(outs), min_size=1, max_size=3))
-    pairs = [(frm, to) for to in tos]
-    pools = {}
-    for _ in range(8):
-        frm, to = data.draw(sampled_from(pairs))
-        mask = data.draw(integers(min_value=0, max_value=(1 << g.n) - 1))
-        # Half the probes shrink the pair's last pool, as the threading does.
-        pool = pools.get((frm, to), mask) & mask if data.draw(booleans()) else mask
-        pools[frm, to] = pool
-        seed = data.draw(integers(min_value=0, max_value=1000))
-        expected = plain_sweep(g, frm, to, pool, seed)
-        assert hamiltonian._cascade_connect(g, frm, to, pool, seed) == expected
+    assert asked == [
+        (ConnectionRequest((0, 1), (4, 5), fuel, 8), 3 * 7919, 4),
+        (ConnectionRequest((4, 5), (2, 3), fuel, 8), 3 * 7919 + 1, 4),
+    ]
 
 
 def test_the_sweep_stops_at_the_host_size(monkeypatch) -> None:
-    # Six vertices hold no square path of length 7, which the sweep once
-    # asked for here and raised InputError.  Length 5 needs the missing
-    # edge 1-2, and length 6 fails on the pool {4, 5}.
+    # Six vertices hold no square path of length 7, which the threading
+    # once asked for here and raised InputError.  Lengths 4 and 5 need the
+    # missing edge 1-2, and length 6 fails on the pool {4, 5}.
     g = gnp_generate(6, 0.7, 1)
-    asked = []
-    connect = hamiltonian.connect_one
+    asked, searched = [], []
+    connect, direct = hamiltonian.connect_one, connector._direct_connect
 
     def recording(g, req, seed):
         asked.append(req.length)
         return connect(g, req, seed)
 
+    def searching(g, req, pool, length, seed):
+        searched.append(length)
+        return direct(g, req, pool, length, seed)
+
     monkeypatch.setattr(hamiltonian, "connect_one", recording)
-    assert hamiltonian._cascade_connect(g, (0, 1), (2, 3), 0b110000, 0) is None
-    assert asked == [6]
+    monkeypatch.setattr(connector, "_direct_connect", searching)
+    a = Absorber((2, 3, 0, 1), ())
+    suffix, _ = hamiltonian._assemble_cycle(g, a, [], 0b110000, 0)
+    assert suffix is None
+    assert asked == [6] and searched == [6]
 
 
 def test_the_threading_tests_each_arc_once_per_state(monkeypatch) -> None:
@@ -644,27 +638,38 @@ def test_every_pipeline_search_passes_the_names_the_benchmark_wraps(
     # The traced benchmark names each connection after its call site by
     # wrapping connect_one in absorber and hamiltonian, and counts searches
     # and pool sizes at connector._direct_connect.  A search that reaches
-    # _direct_connect by another name would be counted but never named.
-    calls = {"absorber": 0, "hamiltonian": 0, "direct": 0}
+    # _direct_connect outside those two names would be counted but never
+    # named, so every search must run inside one of them.
+    calls = {"absorber": 0, "hamiltonian": 0}
+    inside = []
+    searches = []
 
-    def counting(key, fn):
+    def naming(key, fn):
         def wrapper(*args, **kwargs):
             calls[key] += 1
-            return fn(*args, **kwargs)
+            inside.append(key)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
 
         return wrapper
 
+    def searching(*args, **kwargs):
+        searches.append(tuple(inside))
+        return direct(*args, **kwargs)
+
     for key, module in (("absorber", absorber), ("hamiltonian", hamiltonian)):
-        monkeypatch.setattr(module, "connect_one", counting(key, module.connect_one))
-    monkeypatch.setattr(
-        connector, "_direct_connect", counting("direct", connector._direct_connect)
-    )
+        monkeypatch.setattr(module, "connect_one", naming(key, module.connect_one))
+    direct = connector._direct_connect
+    monkeypatch.setattr(connector, "_direct_connect", searching)
     host = gnp_generate(400, 0.5, 5)
     attacked = k3_attack(host, 0.05, 5).attacked
     for g, gamma_host in ((gnp_generate(200, 0.5, 1), None), (attacked, host)):
         find_square_ham(g, gamma_host=gamma_host, config=PipelineConfig(seed=0))
     assert calls["absorber"] > 0 and calls["hamiltonian"] > 0
-    assert calls["absorber"] + calls["hamiltonian"] == calls["direct"]
+    assert searches and all(len(names) == 1 for names in searches)
+    assert {names[0] for names in searches} == {"absorber", "hamiltonian"}
 
 
 def test_every_search_gets_its_pool_as_a_mask_that_len_counts(monkeypatch) -> None:
@@ -949,6 +954,10 @@ def test_witness_verification_rejects_broken_proofs() -> None:
     for vertex in (2.5, True, "0"):
         with pytest.raises(InputError):
             InfeasibilityWitness("low-degree", (vertex,))
+    # Vertices that are not a sequence once raised TypeError on iteration.
+    for vertices in (5, None, {0, 1}):
+        with pytest.raises(InputError, match="^witness vertices must be a sequence"):
+            InfeasibilityWitness("low-degree", vertices)
     with pytest.raises(InputError):
         verify_witness(Graph(2, []), InfeasibilityWitness("low-degree", (0,)))
 

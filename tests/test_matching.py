@@ -212,6 +212,10 @@ def test_matching_rejects_out_of_range_adjacency() -> None:
         (((0, 1),), 2),
         ((1.0,), 2),
         ((True,), 2),
+        # Rows that are not a sequence once raised TypeError on iteration.
+        (5, 2),
+        (None, 2),
+        ({1, 2}, 4),
     ],
 )
 def test_matching_rejects_malformed_rows_and_counts(rows, right_count) -> None:

@@ -210,6 +210,16 @@ def test_absorbers_are_audited_in_one_place() -> None:
     assert audits == {"absorber.chain_absorbers", "cli._cmd_absorber_verify"}
 
 
+def test_connect_one_is_the_only_length_sweep() -> None:
+    # connect_one serves each job shortest first, so the absorber's links
+    # and the threading make one call per job, and every search runs inside
+    # the names the traced benchmark wraps.
+    assert not hasattr(absorber, "_connect_with_fallback")
+    assert not hasattr(hamiltonian, "_cascade_connect")
+    assert not hasattr(connector, "ports_admit")
+    assert _library_callers({"_direct_connect"}) == {"connector.connect_one"}
+
+
 def test_only_find_square_ham_searches_for_a_witness() -> None:
     # find_square_ham looks for a "no" proof once, before any search; a
     # second caller in the library would repeat the search or let a
