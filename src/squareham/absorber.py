@@ -120,10 +120,21 @@ def complete_absorbers(
 ) -> tuple[tuple[int, int, int, int, int], ...]:
     """The units of the absorbees in ``xs``, ascending, each the walk
     ``u1 u2 x v1 v2`` of the core :func:`build_single_absorbers` matched to
-    ``x``, in the same order."""
-    return tuple(
-        (u1, u2, x, v1, v2) for x, (u1, u2, v1, v2) in zip(bits(xs), cores)
-    )
+    ``x``, in the same order.
+
+    Raises:
+        InputError: If ``xs`` is not a non-negative ``int`` bitset, or
+            ``cores`` is not one four-vertex core per absorbee.
+    """
+    if not isinstance(xs, int) or xs < 0:
+        raise InputError(f"absorbees must be a non-negative int bitset, got {xs!r}")
+    try:
+        return tuple(
+            (u1, u2, x, v1, v2)
+            for x, (u1, u2, v1, v2) in zip(bits(xs), cores, strict=True)
+        )
+    except (TypeError, ValueError):
+        raise InputError("cores must be one four-vertex core per absorbee") from None
 
 
 def chain_absorbers(
@@ -139,26 +150,35 @@ def chain_absorbers(
     vertices from a unit's exit pair to the next one's entry pair through
     the bitset ``pool`` less the units and the earlier links, with a seed
     derived from ``seed``.  Served shortest first, a link leaves the most
-    pool to the links after it: about one in ten goes direct on G(200, .5)
-    and G(800, .5), and almost all others take one or two vertices.  A link
+    pool to the links after it: about one in eight goes direct on
+    G(200, .5) and G(800, .5), and a third at p = .7; the others take one
+    or two vertices, but for 2% at (400, .35) that take three.  A link
     that cannot be made aborts with diagnostics naming the ``link`` phase
     and the absorbees it joins.  The finished absorber passes
     :func:`verify_absorber` once; this is the only audit a built absorber
     gets.
 
     Raises:
-        InputError: If there are no units, one is not five vertices, two of
-            them share a vertex, or ``seed`` is not a non-negative integer.
+        InputError: If there are no units, one is not five vertices of
+            ``g``, two of them share a vertex, or ``seed`` is not a
+            non-negative integer.
         AssertionError: If the finished absorber fails the audit.
     """
     check_int("seed", seed, 0)
     if not units:
         raise InputError("an absorber needs at least one unit")
     body = 0
+    n = g.n
     for unit in units:
-        if len(unit) != 5:
-            raise InputError(f"a unit is five vertices, got {len(unit)}")
-        more = mask_of(unit)
+        try:
+            if len(unit) != 5:
+                raise InputError(f"a unit is five vertices, got {len(unit)}")
+            # The range check comes first, so no bit is built from a huge id.
+            if not (0 <= min(unit) and max(unit) < n):
+                g.check_vertices(unit)
+            more = mask_of(unit)
+        except TypeError:
+            raise InputError(f"a unit is five vertices of g, got {unit!r}") from None
         if body & more:
             raise InputError("units to chain must be pairwise disjoint")
         body |= more
@@ -170,9 +190,11 @@ def chain_absorbers(
         if not res.ok:
             link = (a[2], b[2])
             return None, {"phase": "link", "link": link, "connect": res.diagnostics}
-        # The ports are the path's first two and last two vertices.
-        walk += (*res.path[2:-2], *b)
-        free &= ~mask_of(res.path)
+        # The ports are the path's first two and last two vertices, unit
+        # vertices that free never held.
+        interior = res.path[2:-2]
+        walk += (*interior, *b)
+        free &= ~mask_of(interior)
     absorber = Absorber(tuple(walk), tuple(unit[2] for unit in units))
     audit = verify_absorber(g, absorber)
     if not audit.ok:
@@ -191,6 +213,8 @@ def absorb(a: Absorber, x_prime: int) -> tuple[int, ...]:
         ``a.walk`` less ``x_prime``: the absorber's fixed entry and exit
         pairs, and the whole body minus ``x_prime``.
     """
+    if not isinstance(x_prime, int) or x_prime < 0:
+        raise InputError(f"x_prime must be a non-negative int bitset: {x_prime!r}")
     # Not a mask of the absorbees: an unaudited absorber may name a huge one.
     skip = set(bits(x_prime))
     unknown = skip.difference(a.absorbees)

@@ -2,30 +2,23 @@
 
 A connection job is its ports, two prescribed ordered host edges, its
 reservoir, and the longest square path it accepts.  :func:`connect_one`
-serves it shortest first: lengths 4, 5, ... in turn, each by one seeded
-backtracking search that fills the path's interior position by position
-from the reservoir.  Length 4 is the direct arc, which :func:`direct_arc`
-also tests on its own.
+serves it shortest first.  Length 4, the direct arc (:func:`direct_arc`
+tests it on its own), is read off the port rows; lengths 5 and 6 are one
+or two picks from masks of the reservoir; from 7 on each length is one
+seeded backtracking search that fills the interior position by position,
+exhaustive below its node budget, ``NODE_BUDGET``.
 
-A search is exhaustive below its node budget, ``NODE_BUDGET``, so one that
-fails under budget fails the same way for every seed, and on every
-sub-pool too, whose search tree is a sub-tree.  A length whose ports rule
-it out (a missing edge between the ports, or an interior position whose
-nearby ports have no common neighbour in the pool) fails for every seed,
-and the sweep skips it without a search.
-
-The reservoir is an ``int`` bitset (bit ``v`` set for vertex ``v``), and
-the pool, the reservoir less the ports, reaches each search as one mask;
-no vertex set is ever listed.  Each position's candidates are one mask,
-the pool less the placed vertices ANDed with the rows of the fixed
-vertices within distance two, and the search picks among them uniformly
-with draws from a seeded SplitMix64 stream, one pick at a time.
+The reservoir and the pool, the reservoir less the ports, are ``int``
+bitsets (bit ``v`` set for vertex ``v``); no vertex set is ever listed.
+Each position's candidates are one mask, the pool less the placed vertices
+ANDed with the rows of the fixed vertices within distance two, and the
+picks choose among them uniformly with draws from a seeded SplitMix64
+stream, one at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .gadgets import validate_embedding
 from .graphcore import Graph, InputError, check_int, nth_bit, splitmix64
@@ -57,13 +50,9 @@ class ConnectionRequest:
 
 @dataclass(frozen=True)
 class ConnectResult:
-    """Outcome of one connection search.
-
-    On success, ``path`` is a validated square path whose first two
-    vertices are ``frm`` and whose last two are ``to``.  On failure,
-    ``diagnostics`` holds the effective configuration and the search nodes
-    spent.
-    """
+    """Outcome of one connection job: on success, ``path`` is a validated
+    square path from ``frm`` to ``to``; on failure, ``diagnostics`` holds
+    the effective configuration and the search nodes spent."""
 
     ok: bool
     path: tuple[int, ...] | None
@@ -87,7 +76,8 @@ def _validate_request(g: Graph, req: ConnectionRequest) -> int:
             ``g`` joined by host edges, or a reservoir that is not an
             ``int`` bitset of vertices of ``g``.
     """
-    check_int("length", req.length)
+    if type(req.length) is not int:  # a plain int needs no call
+        check_int("length", req.length)
     if req.length < 4:
         raise InputError(f"connections need length >= 4, got {req.length}")
     if req.length > g.n:
@@ -131,16 +121,22 @@ def direct_arc(g: Graph, frm: tuple[int, int], to: tuple[int, int]) -> bool:
 def connect_one(g: Graph, req: ConnectionRequest, seed: int) -> ConnectResult:
     """Serve one connection job from its reservoir, shortest path first.
 
-    Lengths 4 to ``req.length`` are tried in turn, each by one search
-    through ``req.w`` less the ports, all with draws from the one ``seed``.
-    A length the ports rule out is skipped without a search, and length 4,
-    the direct arc, makes no draw.  The first path that lands is returned.
+    Lengths 4 to ``req.length`` are tried in turn, and the first path that
+    lands is returned, once :func:`~squareham.gadgets.validate_embedding`
+    has passed it.  Length 4 is read off the port rows before any mask is
+    built.  Lengths 5 and 6 are picks (:func:`_pick_connect`) from masks of
+    the pool, ``req.w`` less the ports, built once per job; each length from
+    7 on is one search (:func:`_direct_connect`).  Each length draws from a
+    fresh stream of ``seed``.  A length is skipped if it misses an edge
+    between an entry and an exit port, or if some interior position has no
+    candidate in the pool: position 2 must see both entry ports, position 3
+    the second, ``length - 4`` the first exit port and ``length - 3`` both.
 
     Returns:
         A :class:`ConnectResult`; never raises for purely quantitative
         failures (a thin reservoir, an exhausted node budget).  A failure's
         diagnostics hold the job's ``length``, the ``pool`` size, the
-        ``seed`` and the ``nodes`` spent, summed over the searches.
+        ``seed`` and the ``nodes`` spent, summed over the lengths tried.
 
     Raises:
         InputError: On a malformed request (a reservoir that is not an
@@ -148,16 +144,33 @@ def connect_one(g: Graph, req: ConnectionRequest, seed: int) -> ConnectResult:
             not a non-negative integer.
     """
     ports = _validate_request(g, req)
-    # The searches draw lazily, so check the seed up front.
-    check_int("seed", seed, 0)
-    pool = _Pool(req.w & ~ports)
+    # The picks and searches draw lazily, so check the seed up front.
+    if type(seed) is not int or seed < 0:  # a plain int needs no call
+        check_int("seed", seed, 0)
+    (a, b), (c, d) = frm, to = req.frm, req.to
+    rows = g.rows
+    if _cross_edges_hold(rows, frm, to, 4):
+        return ConnectResult(True, (*frm, *to), None)
+    pool = req.w & ~ports
+    nb, nc = rows[b] & pool, rows[c] & pool
+    entry, exit_ = rows[a] & nb, rows[d] & nc
     nodes = 0
-    for length in _admitted_lengths(g.rows, req.frm, req.to, pool, req.length):
-        res = _direct_connect(g, req, pool, length, seed)
+    for length in range(5, req.length + 1):
+        if length == 5 and rows[b] >> c & 1 and entry & exit_:
+            res = _pick_connect(g, req, pool, 5, seed, entry & exit_, 0)
+        elif length == 6 and entry & nc and nb & exit_:
+            res = _pick_connect(g, req, pool, 6, seed, entry & nc, nb & exit_)
+        elif length > 6 and entry and exit_ and (length > 7 or nb & nc):
+            res = _direct_connect(g, req, _Pool(pool), length, seed)
+        else:
+            continue
         if res.ok:
+            check = validate_embedding(g, res.path, connect_from=frm, connect_to=to)
+            if not check:
+                raise AssertionError(f"connection produced a bad path: {check.reason}")
             return res
         nodes += res.diagnostics["nodes"]
-    cfg = {"length": req.length, "pool": len(pool), "seed": seed}
+    cfg = {"length": req.length, "pool": pool.bit_count(), "seed": seed}
     return ConnectResult(False, None, {"config": cfg, "nodes": nodes})
 
 
@@ -171,36 +184,42 @@ def _cross_edges_hold(
     (a, b), (c, d) = frm, to
     if length > 5:
         return True
-    return bool(
-        rows[b] >> c & 1 and (length == 5 or rows[a] >> c & 1 and rows[b] >> d & 1)
-    )
+    bc = rows[b] >> c & 1
+    return bool(bc and (length == 5 or rows[a] >> c & 1 and rows[b] >> d & 1))
 
 
-def _admitted_lengths(
-    rows: list[int], frm: tuple[int, int], to: tuple[int, int], pool: int, longest: int
-) -> Iterator[int]:
-    """The lengths ``4 .. longest``, ascending, that the ports leave a
-    chance on ``pool``, the reservoir less the ports.
+def _pick_connect(
+    g: Graph, req: ConnectionRequest, pool: int, length: int, seed: int,
+    firsts: int, seconds: int,
+) -> ConnectResult:
+    """:func:`_direct_connect` at length 5 or 6, as picks from masks.
 
-    Any other length fails for every seed: it misses an edge between an
-    entry and an exit port, or some interior position has no candidate in
-    ``pool``.  Position 2 must see both entry ports, position 3 the second,
-    ``length - 4`` the first exit port and ``length - 3`` both.
+    Position 2 takes a vertex of ``firsts``; at length 6, position 3 takes
+    one of ``seconds`` adjacent to it, and a first pick with none is
+    dropped and another drawn.  Each pick is ``nth_bit(m, draw %
+    m.bit_count())`` from a fresh SplitMix64 stream of ``seed``, and nodes
+    count as the search counts them: the pool's size on entry, one less per
+    first pick tried, ``NODE_BUDGET + 1`` past the budget.  So the result,
+    a failure included, is the search's.
     """
-    # Length 4 needs no pool, so a job the direct arc serves builds no mask.
-    if _cross_edges_hold(rows, frm, to, 4):
-        yield 4
-    (a, b), (c, d) = frm, to
-    nb, nc = rows[b] & pool, rows[c] & pool
-    entry, exit_ = rows[a] & nb, rows[d] & nc
-    ends = entry and exit_
-    # Apart from where the four positions meet, the masks of positions 3 and
-    # length - 4 hold those of 2 and length - 3, and any position between
-    # takes the whole pool.
-    fits = {5: entry & exit_, 6: entry & nc and nb & exit_, 7: ends and nb & nc}
-    for length in range(5, longest + 1):
-        if fits.get(length, ends) and _cross_edges_hold(rows, frm, to, length):
-            yield length
+    nodes = size = pool.bit_count()
+    draws = splitmix64(seed)
+    rows = g.rows
+    while firsts and nodes <= NODE_BUDGET:
+        v = nth_bit(firsts, next(draws) % firsts.bit_count())
+        if length == 5:
+            return ConnectResult(True, (*req.frm, v, *req.to), None)
+        nodes += size - 1
+        if nodes > NODE_BUDGET:
+            break
+        fit = rows[v] & seconds
+        if fit:
+            w = nth_bit(fit, next(draws) % fit.bit_count())
+            return ConnectResult(True, (*req.frm, v, w, *req.to), None)
+        firsts ^= 1 << v
+    cfg = {"length": length, "pool": size, "seed": seed}
+    nodes = min(nodes, NODE_BUDGET + 1)
+    return ConnectResult(False, None, {"config": cfg, "nodes": nodes})
 
 
 def _direct_connect(
@@ -212,77 +231,58 @@ def _direct_connect(
     budget: int = NODE_BUDGET,
 ) -> ConnectResult:
     """Fill the square path's interior by backtracking over the reservoir:
-    one search of a valid job at exactly ``length``.
+    one search of a valid job at exactly ``length``, whose path
+    :func:`connect_one` validates.
 
-    ``pool`` is the reservoir less the ports, ``req.w & ~ports``, as a
-    bitset that ``len()`` counts, and the search starts from it.  Positions
-    ``2 .. length - 3`` are filled in ascending order.  A position's
-    candidates are one mask: the pool less the vertices placed so far,
-    ANDed with the rows of the vertices one and two places back and of the
-    exit ports within distance two.  The search tries them in a random
-    order drawn lazily, one pick at a time: ``nth_bit(cands, draw %
-    count)``, with ``draw`` from a SplitMix64 stream seeded by ``seed``.
-    The first fitting vertex of a uniformly random order of the whole pool
-    is a uniform pick from the fitting set, so each pick is distributed as
-    in a scan of a seeded shuffle of the pool.
+    ``pool`` is the reservoir less the ports, as a bitset that ``len()``
+    counts.  Positions ``2 .. length - 3`` are filled in ascending order.  A
+    position's candidates are one mask: the pool less the vertices placed
+    so far, ANDed with the rows of the vertices one and two places back and
+    of the exit ports within distance two.  The search tries them in a
+    random order drawn lazily, one pick at a time: ``nth_bit(cands, draw %
+    count)``, with ``draw`` from a SplitMix64 stream seeded by ``seed``, so
+    each pick is distributed as in a scan of a seeded shuffle of the pool.
 
     A node is one pool vertex looked at: entering a state with ``k``
-    positions filled costs ``len(pool) - k`` nodes, what a full pass over
-    the pool less the placed vertices costs.  A failed search enters every
-    state whatever the order, so its node count does not depend on the
-    draws.  Past ``budget`` nodes the search stops and reports
-    ``budget + 1``.
-
-    Two facts follow for a failure that stays within ``budget``: the job
-    fails the same way for every seed, and it fails on every sub-pool of
-    ``pool`` too, whose candidate masks are subsets of these, so that its
-    search tree is a sub-tree of this one.
+    positions filled costs ``len(pool) - k`` nodes.  A failed search enters
+    every state whatever the order, so its node count does not depend on
+    the draws, and a sub-pool's search tree is a sub-tree of this one.  Past
+    ``budget`` nodes the search stops and reports ``budget + 1``.
     """
     frm, to = req.frm, req.to
     path = [*frm, *[0] * (length - 4), *to]
     rows = g.rows
     size = pool.bit_count()
     nodes = 0
-    found = False
-    if _cross_edges_hold(rows, frm, to, length):
-        draws = splitmix64(seed)
-        last = length - 2
-        # Positions last - 2 and last - 1 are within distance two of the
-        # first exit port, and the second also of the last one.
-        exit0 = rows[to[0]]
-        exit01 = exit0 & rows[to[1]]
+    draws = splitmix64(seed)
+    last = length - 2
+    # Positions last - 2 and last - 1 are within distance two of the first
+    # exit port, and the second also of the last one.
+    exit0 = rows[to[0]]
+    exit01 = exit0 & rows[to[1]]
 
-        def fill(k: int, avail: int) -> bool:
-            nonlocal nodes
-            if k == last:
+    def fill(k: int, avail: int) -> bool:
+        nonlocal nodes
+        if k == last:
+            return True
+        nodes += size - (k - 2)
+        if nodes > budget:
+            return False
+        cands = avail & rows[path[k - 1]] & rows[path[k - 2]]
+        if k >= last - 2:
+            cands &= exit01 if k == last - 1 else exit0
+        while cands:
+            v = nth_bit(cands, next(draws) % cands.bit_count())
+            bit = 1 << v
+            cands ^= bit
+            path[k] = v
+            if fill(k + 1, avail ^ bit):
                 return True
-            nodes += size - (k - 2)
             if nodes > budget:
                 return False
-            cands = avail & rows[path[k - 1]] & rows[path[k - 2]]
-            if k >= last - 2:
-                cands &= exit01 if k == last - 1 else exit0
-            while cands:
-                v = nth_bit(cands, next(draws) % cands.bit_count())
-                bit = 1 << v
-                cands ^= bit
-                path[k] = v
-                if fill(k + 1, avail ^ bit):
-                    return True
-                if nodes > budget:
-                    return False
-            return False
+        return False
 
-        found = fill(2, pool)
-    if not found:
-        cfg = {"length": length, "pool": size, "seed": seed}
-        nodes = min(nodes, budget + 1)
-        return ConnectResult(False, None, {"config": cfg, "nodes": nodes})
-    path = tuple(path)
-    # The direct arc's edges are the valid job's ports and the cross edges.
-    check = length == 4 or validate_embedding(g, path, connect_from=frm, connect_to=to)
-    if not check:
-        raise AssertionError(
-            f"connection produced an invalid square path: {check.reason}"
-        )
-    return ConnectResult(True, path, None)
+    if _cross_edges_hold(rows, frm, to, length) and fill(2, pool):
+        return ConnectResult(True, tuple(path), None)
+    cfg = {"length": length, "pool": size, "seed": seed}
+    return ConnectResult(False, None, {"config": cfg, "nodes": min(nodes, budget + 1)})

@@ -213,7 +213,7 @@ class Graph:
 
     def check_vertices(self, vs: Collection[int]) -> None:
         """Raise :class:`InputError` unless every entry of ``vs`` is a vertex."""
-        if vs:
+        if len(vs):
             self.check_vertex(min(vs))
             self.check_vertex(max(vs))
 

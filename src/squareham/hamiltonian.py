@@ -238,6 +238,8 @@ def verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
     order = cert.order
     if len(order) != g.n or set(order) != set(range(g.n)):
         raise InputError("certificate order must be a permutation of all vertices")
+    # A certificate may hold numpy integers, whose shifts wrap at 64 bits.
+    order = [*map(int, order)]
     rows = g.rows
     # One pass: each vertex against its cyclic successors at distance 1 and
     # 2, each pair one AND of its row with the other vertex's bit.  A fault

@@ -247,37 +247,44 @@ def test_the_link_sweep_tests_the_direct_arc_before_any_search(
     monkeypatch,
 ) -> None:
     # Each link is one connect_one job of up to eight vertices, served
-    # shortest first: length 4 is the direct arc, which draws nothing, and
-    # longer searches run only past it.
-    asked, searched = [], []
-    connect, direct = absorber_module.connect_one, connector._direct_connect
+    # shortest first: length 4 is the direct arc, read off the port rows
+    # with no draw, and the picks and searches of longer lengths run only
+    # past it.
+    asked, served, searched = [], [], []
+    connect = absorber_module.connect_one
 
     def recording(g, req, seed):
         asked.append((req.length, seed))
-        return connect(g, req, seed)
+        res = connect(g, req, seed)
+        served.append(len(res.path) if res.ok else None)
+        return res
 
-    def searching(g, req, pool, length, seed):
-        searched.append(length)
-        return direct(g, req, pool, length, seed)
+    def searching(fn):
+        def spy(g, req, pool, length, seed, *masks):
+            searched.append(length)
+            return fn(g, req, pool, length, seed, *masks)
+
+        return spy
 
     monkeypatch.setattr(absorber_module, "connect_one", recording)
-    monkeypatch.setattr(connector, "_direct_connect", searching)
+    for name in ("_pick_connect", "_direct_connect"):
+        monkeypatch.setattr(connector, name, searching(getattr(connector, name)))
     units = [(0, 1, 2, 3, 4), (5, 6, 7, 8, 9), (10, 11, 12, 13, 14)]
     pool = mask_of(range(15, 24))
     g = complete_graph(24)
     built, fail = chain_absorbers(g, units, pool, 3)
     assert fail is None and built.walk == tuple(range(15))
     assert asked == [(8, 3 * 9_176 * 31), (8, (3 * 9_176 + 13) * 31)]
-    assert searched == [4, 4]
+    assert served == [4, 4] and searched == []
     # Without the edge 3-5 there is no arc into the second unit, and one
     # interior vertex closes the link.
     g = g.remove_edges([(3, 5)])
-    searched.clear()
+    served.clear()
     built, fail = chain_absorbers(g, units, pool, 3)
     assert fail is None and len(built.walk) == 16
-    assert searched == [5, 4]
+    assert served == [5, 4] and searched == [5]
     # With an empty pool the ports rule out every longer length, so the
-    # link fails without a search.
+    # link fails without a pick or a search.
     searched.clear()
     assert chain_absorbers(g, units, 0, 3) == (None, {
         "phase": "link",
@@ -424,3 +431,26 @@ def test_absorber_stages_reject_out_of_range_arguments(seed: int) -> None:
     assert fail is None
     with pytest.raises(InputError, match="seed"):
         chain_absorbers(g, complete_absorbers(xs, cores), 0, seed)
+
+
+ABSORBER_CALLS_ON_MALFORMED_INPUT = {
+    # Each once raised something other than InputError.
+    "absorb-float-mask": lambda g: absorb(Absorber((0, 1, 2, 3, 4), (2,)), 1.5),
+    "absorb-negative-mask": lambda g: absorb(Absorber((0, 1, 2, 3, 4), (2,)), -1),
+    "verify-float-vertex": lambda g: verify_absorber(
+        g, Absorber((0, 1, 2.5, 3, 4), (2,))
+    ),
+    "chain-string-unit": lambda g: chain_absorbers(g, ["abcde"], 0, 0),
+    "chain-float-unit": lambda g: chain_absorbers(g, [(0, 1, 2.5, 3, 4)], 0, 0),
+    "chain-huge-vertex": lambda g: chain_absorbers(g, [(0, 1, 2, 3, 10**30)], 0, 0),
+    "complete-short-core": lambda g: complete_absorbers(3, [(1, 2)]),
+    "complete-missing-core": lambda g: complete_absorbers(3, [(4, 5, 6, 7)]),
+    "complete-float-set": lambda g: complete_absorbers(1.5, []),
+}
+
+
+@pytest.mark.parametrize("call", ABSORBER_CALLS_ON_MALFORMED_INPUT.values(),
+                         ids=ABSORBER_CALLS_ON_MALFORMED_INPUT)
+def test_the_absorber_api_rejects_malformed_input_with_input_error(call) -> None:
+    with pytest.raises(InputError):
+        call(complete_graph(30))

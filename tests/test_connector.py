@@ -7,6 +7,8 @@ from hypothesis.strategies import booleans, data, integers, lists, sampled_from
 
 from squareham import (
     ConnectionRequest,
+    ConnectResult,
+    Graph,
     InputError,
     complete_graph,
     connect_one,
@@ -54,9 +56,26 @@ def search(g, req, seed: int, budget: int = connector.NODE_BUDGET):
 
 
 def admitted(g, frm, to, w, longest: int) -> list[int]:
-    """The lengths ``4 .. longest`` the ports leave the job over ``w``."""
-    pool = w & ~mask_of((*frm, *to))
-    return list(connector._admitted_lengths(g.rows, frm, to, pool, longest))
+    """The lengths ``4 .. longest`` the ports leave the job over ``w``.
+
+    Length 4 if the direct arc holds, and then the lengths ``connect_one``
+    tries when every pick and search fails.  Only the direct arc needs the
+    edge ``frm[0] to[0]``, so without it the job goes on past length 4, and
+    isolated vertices pad the host to ``longest``.
+    """
+    tried = [4] if connector.direct_arc(g, frm, to) else []
+
+    def failing(g, req, pool, length, seed, *masks):
+        tried.append(length)
+        return ConnectResult(False, None, {"nodes": 0})
+
+    cut = [e for e in g.edges() if set(e) != {frm[0], to[0]}]
+    host = Graph(max(g.n, longest), cut)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(connector, "_pick_connect", failing)
+        m.setattr(connector, "_direct_connect", failing)
+        connect_one(host, ConnectionRequest(frm, to, w, longest), 0)
+    return tried
 
 
 @given(integers(min_value=4, max_value=16), integers(min_value=0, max_value=200))
@@ -533,15 +552,18 @@ def test_a_job_is_served_at_its_shortest_length_that_lands(g, data) -> None:
     longest = data.draw(integers(min_value=4, max_value=g.n))
     seed = data.draw(integers(min_value=0, max_value=1000))
     searched = []
-    direct = connector._direct_connect
 
-    def recording(g, req, pool, length, seed):
-        res = direct(g, req, pool, length, seed)
-        searched.append((length, res))
-        return res
+    def recording(fn):
+        def spy(g, req, pool, length, seed, *masks):
+            res = fn(g, req, pool, length, seed, *masks)
+            searched.append((length, res))
+            return res
+
+        return spy
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(connector, "_direct_connect", recording)
+        for name in ("_pick_connect", "_direct_connect"):
+            m.setattr(connector, name, recording(getattr(connector, name)))
         res = connect_one(g, ConnectionRequest(frm, to, w, longest), seed)
     lengths = [length for length, _ in searched]
     ruled_in = [
@@ -549,6 +571,10 @@ def test_a_job_is_served_at_its_shortest_length_that_lands(g, data) -> None:
         for length in range(4, longest + 1)
         if port_rule_oracle(g, frm, to, w, length)
     ]
+    if ruled_in[:1] == [4]:
+        # The direct arc is read off the port rows, with no pick or search.
+        assert res == ConnectResult(True, (*frm, *to), None) and searched == []
+        return
     assert lengths == ruled_in[: len(lengths)]
     assert all(not r.ok for _, r in searched[:-1])
     if res.ok:
@@ -560,3 +586,87 @@ def test_a_job_is_served_at_its_shortest_length_that_lands(g, data) -> None:
             "config": {"length": longest, "pool": pool, "seed": seed},
             "nodes": sum(r.diagnostics["nodes"] for _, r in searched),
         }
+
+
+def swept(g, req, seed: int):
+    """``connect_one`` as a sweep of searches: the search at each length
+    ``4 .. req.length`` that ``port_rule_oracle`` leaves, in turn; the
+    first that lands, or else the job's failure with the nodes summed."""
+    nodes = 0
+    for length in range(4, req.length + 1):
+        if port_rule_oracle(g, req.frm, req.to, req.w, length):
+            res = search(g, ConnectionRequest(req.frm, req.to, req.w, length), seed)
+            if res.ok:
+                return res
+            nodes += res.diagnostics["nodes"]
+    pool = (req.w & ~mask_of((*req.frm, *req.to))).bit_count()
+    cfg = {"length": req.length, "pool": pool, "seed": seed}
+    return ConnectResult(False, None, {"config": cfg, "nodes": nodes})
+
+
+@settings(max_examples=150, deadline=None)
+@given(gnp_graphs(min_n=8, max_n=16, min_p=0.3, max_p=0.95), data())
+def test_connect_one_returns_what_the_sweep_of_searches_returns(g, data) -> None:
+    # The picks at lengths 5 and 6 draw and count nodes as the search does,
+    # so every result, failures included, is the one the search gives.
+    arcs = [*g.edges(), *((v, u) for u, v in g.edges())]
+    assume(arcs)
+    frm = data.draw(sampled_from(arcs))
+    outs = [e for e in arcs if not set(e) & set(frm)]
+    assume(outs)
+    to = data.draw(sampled_from(outs))
+    w = data.draw(integers(min_value=0, max_value=(1 << g.n) - 1))
+    longest = data.draw(integers(min_value=4, max_value=8))
+    seed = data.draw(integers(min_value=0, max_value=2**65))
+    req = ConnectionRequest(frm, to, w, longest)
+    assert connect_one(g, req, seed) == swept(g, req, seed)
+
+
+def test_a_length_six_job_past_the_budget_counts_as_the_search_does() -> None:
+    # Vertices 5..104 see 0, 1 and 2 and vertex 4 sees 1, 2 and 3, so each
+    # of the 100 first picks at length 6 has no second, and the 1,296-vertex
+    # pool runs the picks past the node budget; lengths 7 and 8 search past
+    # it too.
+    n = 1300
+    edges = [(0, 1), (1, 2), (2, 3), (1, 4), (2, 4), (3, 4)]
+    edges += [(u, v) for v in range(5, 105) for u in (0, 1, 2)]
+    g = Graph(n, edges)
+    for longest, nodes in ((6, 100_001), (8, 300_003)):
+        req = ConnectionRequest((0, 1), (2, 3), (1 << n) - 1, longest)
+        res = connect_one(g, req, 3)
+        assert res == swept(g, req, 3)
+        assert not res.ok and res.diagnostics["nodes"] == nodes
+
+
+def test_a_pool_of_exactly_the_budget_is_still_picked_from() -> None:
+    # Entering the first position costs the whole pool; the search goes on
+    # at NODE_BUDGET nodes and stops past it.  Vertex 4 sees all four ports
+    # and the edge 0-2 is missing, so the job goes to length 5.
+    n = 4 + connector.NODE_BUDGET + 1
+    g = Graph(n, [(0, 1), (1, 2), (2, 3), (1, 3), *((4, u) for u in range(4))])
+    for size, ok in ((connector.NODE_BUDGET, True), (connector.NODE_BUDGET + 1, False)):
+        req = ConnectionRequest((0, 1), (2, 3), mask_of(range(4, 4 + size)), 6)
+        res = connect_one(g, req, 5)
+        assert res == swept(g, req, 5) and res.ok == ok
+        assert res.ok or res.diagnostics["nodes"] == 2 * connector.NODE_BUDGET + 2
+
+
+def test_the_missing_port_edge_alone_rules_out_length_five(monkeypatch) -> None:
+    # On K_10 every pool vertex sees all four ports; without the edge 1-2
+    # neither the direct arc nor length 5 is left, and length 6 lands.
+    picked = []
+    pick = connector._pick_connect
+
+    def recording(g, req, pool, length, seed, *masks):
+        picked.append(length)
+        return pick(g, req, pool, length, seed, *masks)
+
+    monkeypatch.setattr(connector, "_pick_connect", recording)
+    w = mask_of(range(4, 10))
+    for g, length in ((complete_graph(10).remove_edges([(0, 2)]), 5),
+                      (complete_graph(10).remove_edges([(1, 2)]), 6)):
+        picked.clear()
+        req = ConnectionRequest((0, 1), (2, 3), w, 8)
+        res = connect_one(g, req, 11)
+        assert res == swept(g, req, 11)
+        assert len(res.path) == length and picked == [length]

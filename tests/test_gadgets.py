@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis.strategies import (
@@ -168,3 +169,36 @@ def test_validate_embedding_checks_port_images() -> None:
     assert wrong_entry.reason == "entry port is (2, 3), expected (3, 2)"
     wrong_exit = validate_embedding(host, path, connect_to=(5, 4))
     assert wrong_exit.reason == "exit port is (4, 5), expected (5, 4)"
+
+
+def test_numpy_integer_vertices_are_read_as_ints() -> None:
+    # 1 << np.int64(70) is 0, and a row AND an int64 overflows: each of
+    # these once raised OverflowError.
+    g = complete_graph(100)
+    assert verify_certificate(g, Certificate(tuple(np.arange(100)))).ok
+    cut = g.remove_edges([(70, 71)])
+    check = verify_certificate(cut, Certificate(tuple(np.arange(100))))
+    assert (check.position, check.distance, check.missing) == (70, 1, (70, 71))
+    assert is_square_path(g, tuple(np.arange(60, 75)))
+    check = is_square_path(cut, tuple(np.arange(60, 75)))
+    assert check.reason == "missing edge (70, 71)"
+    assert validate_embedding(g, np.arange(60, 75), connect_from=(60, 61)).ok
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda g: is_square_path(g, [0, 1.5, 2]),
+        lambda g: is_square_path(g, 5),
+        lambda g: is_square_path(g, "abc"),
+        lambda g: is_square_path(g, [[0], [1]]),
+        lambda g: is_square_path(g, np.array([0, 1, 100])),
+        lambda g: validate_embedding(g, (0, 1, 2), connect_from=5),
+        lambda g: validate_embedding(g, (0, 1, 2), connect_to=2.5),
+    ],
+    ids=["float", "int", "str", "lists", "array", "int-port", "float-port"],
+)
+def test_a_sequence_of_non_vertices_is_rejected_with_input_error(check) -> None:
+    # Each once raised TypeError, the array ValueError.
+    with pytest.raises(InputError):
+        check(complete_graph(100))

@@ -551,18 +551,22 @@ def test_the_sweep_stops_at_the_host_size(monkeypatch) -> None:
     # missing edge 1-2, and length 6 fails on the pool {4, 5}.
     g = gnp_generate(6, 0.7, 1)
     asked, searched = [], []
-    connect, direct = hamiltonian.connect_one, connector._direct_connect
+    connect = hamiltonian.connect_one
 
     def recording(g, req, seed):
         asked.append(req.length)
         return connect(g, req, seed)
 
-    def searching(g, req, pool, length, seed):
-        searched.append(length)
-        return direct(g, req, pool, length, seed)
+    def searching(fn):
+        def spy(g, req, pool, length, seed, *masks):
+            searched.append(length)
+            return fn(g, req, pool, length, seed, *masks)
+
+        return spy
 
     monkeypatch.setattr(hamiltonian, "connect_one", recording)
-    monkeypatch.setattr(connector, "_direct_connect", searching)
+    for name in ("_pick_connect", "_direct_connect"):
+        monkeypatch.setattr(connector, name, searching(getattr(connector, name)))
     a = Absorber((2, 3, 0, 1), ())
     suffix, _ = hamiltonian._assemble_cycle(g, a, [], 0b110000, 0)
     assert suffix is None
@@ -637,9 +641,9 @@ def test_every_pipeline_search_passes_the_names_the_benchmark_wraps(
 ) -> None:
     # The traced benchmark names each connection after its call site by
     # wrapping connect_one in absorber and hamiltonian, and counts searches
-    # and pool sizes at connector._direct_connect.  A search that reaches
-    # _direct_connect outside those two names would be counted but never
-    # named, so every search must run inside one of them.
+    # and pool sizes at connector._direct_connect.  A pick or a search that
+    # ran outside those two names would never be named, so every one of
+    # them must run inside one of them.
     calls = {"absorber": 0, "hamiltonian": 0}
     inside = []
     searches = []
@@ -655,14 +659,17 @@ def test_every_pipeline_search_passes_the_names_the_benchmark_wraps(
 
         return wrapper
 
-    def searching(*args, **kwargs):
-        searches.append(tuple(inside))
-        return direct(*args, **kwargs)
+    def searching(fn):
+        def spy(*args, **kwargs):
+            searches.append(tuple(inside))
+            return fn(*args, **kwargs)
+
+        return spy
 
     for key, module in (("absorber", absorber), ("hamiltonian", hamiltonian)):
         monkeypatch.setattr(module, "connect_one", naming(key, module.connect_one))
-    direct = connector._direct_connect
-    monkeypatch.setattr(connector, "_direct_connect", searching)
+    for name in ("_pick_connect", "_direct_connect"):
+        monkeypatch.setattr(connector, name, searching(getattr(connector, name)))
     host = gnp_generate(400, 0.5, 5)
     attacked = k3_attack(host, 0.05, 5).attacked
     for g, gamma_host in ((gnp_generate(200, 0.5, 1), None), (attacked, host)):

@@ -218,6 +218,7 @@ def test_connect_one_is_the_only_length_sweep() -> None:
     assert not hasattr(hamiltonian, "_cascade_connect")
     assert not hasattr(connector, "ports_admit")
     assert _library_callers({"_direct_connect"}) == {"connector.connect_one"}
+    assert _library_callers({"_pick_connect"}) == {"connector.connect_one"}
 
 
 def test_only_find_square_ham_searches_for_a_witness() -> None:
@@ -301,8 +302,8 @@ SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 
 def test_every_per_pick_search_draws_from_one_stream() -> None:
     # Numpy for bulk draws, SplitMix64 per pick: the stream is defined once,
-    # in graphcore, and the two searches that pick one vertex at a time
-    # draw from it.
+    # in graphcore, and the searches that pick one vertex at a time draw
+    # from it: the cover, and the connector's picks and search.
     definers = {
         f"{path.stem}.{fn.name}"
         for path in MODULES
@@ -316,6 +317,7 @@ def test_every_per_pick_search_draws_from_one_stream() -> None:
     assert definers == {"graphcore.splitmix64"}
     assert _library_callers({"splitmix64"}) == {
         "connector._direct_connect",
+        "connector._pick_connect",
         "hamiltonian.almost_spanning_square_path",
     }
 
