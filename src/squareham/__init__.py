@@ -9,8 +9,10 @@ Submodules:
         rows), family membership.
     gadgets: square-path checks, the connector's success check included.
     matching: Hall matching with a deficient-set witness.
-    connector: pair-to-pair connection jobs over a reservoir, each
-        served shortest first up to its longest length.
+    connector: pair-to-pair connection jobs over a reservoir, each one
+        ``connect_one`` call whose plain arguments are the job (its two
+        ports, its reservoir and its longest length), served shortest
+        first.
     absorber: an absorber is one square path and the absorbees it may
         leave out; it is built from five-vertex units (each the star core
         its Hall rounds match) joined by links, and chaining runs the one
@@ -45,11 +47,7 @@ from .adversary import (
     resilience_experiment,
     triangle_retention_profile,
 )
-from .connector import (
-    ConnectionRequest,
-    ConnectResult,
-    connect_one,
-)
+from .connector import ConnectResult, connect_one
 from .gadgets import is_square_path, validate_embedding
 from .graphcore import (
     FamilyParams,
@@ -84,7 +82,6 @@ __all__ = [
     "BipartiteInstance",
     "Certificate",
     "ConnectResult",
-    "ConnectionRequest",
     "FailureReport",
     "FamilyParams",
     "Graph",

@@ -27,10 +27,11 @@ pool vertices that fit, with seeded draws.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .connector import ConnectionRequest, connect_one
+from .connector import connect_one
 from .gadgets import is_square_path
 from .graphcore import Graph, InputError, bits, check_int, mask_of
 from .matching import BipartiteInstance, hall_saturating_matching
@@ -146,17 +147,17 @@ def chain_absorbers(
     """Join units in order with square-path links into one audited absorber.
 
     Each unit is a five-vertex walk ``u1 u2 x v1 v2`` with its absorbee in
-    the middle.  Each link is one :func:`connect_one` job of up to eight
-    vertices from a unit's exit pair to the next one's entry pair through
-    the bitset ``pool`` less the units and the earlier links, with a seed
-    derived from ``seed``.  Served shortest first, a link leaves the most
-    pool to the links after it: about one in eight goes direct on
-    G(200, .5) and G(800, .5), and a third at p = .7; the others take one
-    or two vertices, but for 2% at (400, .35) that take three.  A link
-    that cannot be made aborts with diagnostics naming the ``link`` phase
-    and the absorbees it joins.  The finished absorber passes
-    :func:`verify_absorber` once; this is the only audit a built absorber
-    gets.
+    the middle; numpy-integer vertices are read as ints.  Each link is
+    one :func:`connect_one` job of up to eight vertices from a unit's exit
+    pair to the next one's entry pair through the bitset ``pool`` less the
+    units and the earlier links, with a seed derived from ``seed``.  Served
+    shortest first, a link leaves the most pool to the links after it:
+    about one in eight goes direct on G(200, .5) and G(800, .5), and a
+    third at p = .7; the others take one or two vertices, but for 2% at
+    (400, .35) that take three.  A link that cannot be made aborts with
+    diagnostics naming the ``link`` phase and the absorbees it joins.  The
+    finished absorber passes :func:`verify_absorber` once; this is the only
+    audit a built absorber gets.
 
     Raises:
         InputError: If there are no units, one is not five vertices of
@@ -177,16 +178,26 @@ def chain_absorbers(
             if not (0 <= min(unit) and max(unit) < n):
                 g.check_vertices(unit)
             more = mask_of(unit)
-        except TypeError:
-            raise InputError(f"a unit is five vertices of g, got {unit!r}") from None
+        except (TypeError, OverflowError):
+            more = None
+        if type(more) is not int:
+            # A numpy integer shifts as an int64, so the units are read as
+            # ints; anything else is no vertex.
+            plain = []
+            for unit in units:
+                try:
+                    plain.append(tuple(map(operator.index, unit)))
+                except TypeError:
+                    message = f"a unit is five vertices of g, got {unit!r}"
+                    raise InputError(message) from None
+            return chain_absorbers(g, plain, pool, seed)
         if body & more:
             raise InputError("units to chain must be pairwise disjoint")
         body |= more
     walk = list(units[0])
     free = pool & ~body
     for i, (a, b) in enumerate(zip(units, units[1:])):
-        req = ConnectionRequest(a[-2:], b[:2], free, 8)
-        res = connect_one(g, req, (seed * 9_176 + i * 13) * 31)
+        res = connect_one(g, a[-2:], b[:2], free, 8, (seed * 9_176 + i * 13) * 31)
         if not res.ok:
             link = (a[2], b[2])
             return None, {"phase": "link", "link": link, "connect": res.diagnostics}
@@ -307,13 +318,9 @@ def verify_absorber(g: Graph, a: Absorber) -> AbsorberVerification:
 # -- serialization ------------------------------------------------------------
 
 
-def absorber_to_json_obj(a: Absorber) -> dict:
-    """JSON-ready description of an absorber (round-trips via ``from``)."""
-    return {"walk": list(a.walk), "absorbees": list(a.absorbees)}
-
-
 def absorber_from_json_obj(obj: Mapping) -> Absorber:
-    """The absorber a description of :func:`absorber_to_json_obj` holds.
+    """The absorber a JSON description holds: ``walk`` and ``absorbees``,
+    the two fields as lists, as ``hamiltonian.jsonable`` writes them.
 
     Raises:
         InputError: On a malformed description, files of earlier formats

@@ -203,7 +203,6 @@ def _all_triangles(g: Graph) -> list[tuple[int, int, int]]:
 def max_triangle_packing(
     g: Graph,
     v1: Iterable[int] | None = None,
-    budget: int = 200_000,
 ) -> PackingResult:
     """Maximum number of vertex-disjoint triangles, by branch and bound.
 
@@ -211,14 +210,13 @@ def max_triangle_packing(
     either one of its triangles joins the packing, or the vertex is set
     aside.  A vertices-remaining/3 bound prunes, capped by the structural
     bound when ``v1`` is given; a greedy packing seeds the incumbent.  When
-    the node budget runs out the result brackets the optimum instead of
-    pinning it.
+    the node budget, ``EXPERIMENT_CHECKS["packing_budget"]`` read at call
+    time, runs out, the result brackets the optimum instead of pinning it.
 
     Args:
         g: Host graph.
         v1: Optional vertex class that no triangle of ``g`` meets twice;
             supplies the structural bound.
-        budget: Search-node allowance.
 
     Returns:
         A :class:`PackingResult` with a witness packing.
@@ -249,6 +247,7 @@ def max_triangle_packing(
             taken.update(t)
     best = list(greedy)
     nodes = 0
+    budget = EXPERIMENT_CHECKS["packing_budget"]
     in_triangle = sorted(tri_at)
 
     def live_bound(covered: set[int]) -> int:
@@ -440,9 +439,7 @@ def _experiment_one_seed(args) -> dict:
     }
     packing = {"structural_bound": (3 * len(v2) // 2) // 3}
     if n <= EXPERIMENT_CHECKS["packing_exact_max_n"]:
-        res = max_triangle_packing(
-            attack.attacked, v1=attack.v1, budget=EXPERIMENT_CHECKS["packing_budget"]
-        )
+        res = max_triangle_packing(attack.attacked, v1=attack.v1)
         packing.update(
             status=res.status, size=res.size, lower=res.lower, upper=res.upper
         )

@@ -19,14 +19,14 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .absorber import absorber_from_json_obj, absorber_to_json_obj, verify_absorber
+from .absorber import absorber_from_json_obj, verify_absorber
 from .adversary import (
     experiment_report_to_csv,
     k3_attack,
     resilience_experiment,
     triangle_retention_profile,
 )
-from .connector import ConnectionRequest, connect_one
+from .connector import connect_one
 from .graphcore import (
     Graph,
     InputError,
@@ -42,7 +42,6 @@ from .hamiltonian import (
     PipelineConfig,
     build_absorber,
     certificate_from_json_obj,
-    certificate_to_json_obj,
     cover_with_square_paths,
     failure_report_to_json_obj,
     find_square_ham,
@@ -142,7 +141,7 @@ def _cmd_find(args) -> tuple[int, str, dict]:
     outcome = find_square_ham(g, host, config)
     cfg = dataclasses.asdict(config)
     if isinstance(outcome, Certificate):
-        return 0, _json_text(certificate_to_json_obj(outcome)), cfg
+        return 0, _json_text(outcome), cfg
     return 1, _json_text(failure_report_to_json_obj(outcome)), cfg
 
 
@@ -167,7 +166,7 @@ def _cmd_connect(args) -> tuple[int, str, dict]:
     w = _vertex_mask(g, args.w) if args.w else (1 << g.n) - 1
     w &= ~_vertex_mask(g, args.exclude)
     frm, to = _job(args.pairs)
-    res = connect_one(g, ConnectionRequest(frm, to, w, args.length), args.seed)
+    res = connect_one(g, frm, to, w, args.length, args.seed)
     cfg = {"pairs": args.pairs, "length": args.length, "seed": args.seed}
     return (0 if res.ok else 1), _json_text(res), cfg
 
@@ -183,7 +182,7 @@ def _cmd_absorber_build(args) -> tuple[int, str, dict]:
     if fail is not None:
         report = FailureReport("absorber", fail)
         return 1, _json_text(failure_report_to_json_obj(report)), meta
-    return 0, _json_text(absorber_to_json_obj(built)), meta
+    return 0, _json_text(built), meta
 
 
 def _cmd_absorber_verify(args) -> tuple[int, str, dict]:

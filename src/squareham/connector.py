@@ -1,12 +1,12 @@
 """Pair-to-pair connection search over a reservoir.
 
-A connection job is its ports, two prescribed ordered host edges, its
-reservoir, and the longest square path it accepts.  :func:`connect_one`
-serves it shortest first.  Length 4, the direct arc (:func:`direct_arc`
-tests it on its own), is read off the port rows; lengths 5 and 6 are one
-or two picks from masks of the reservoir; from 7 on each length is one
-seeded backtracking search that fills the interior position by position,
-exhaustive below its node budget, ``NODE_BUDGET``.
+A connection job is the plain arguments of :func:`connect_one`: its ports,
+two prescribed ordered host edges, its reservoir, and the longest square
+path it accepts.  It is served shortest first.  Length 4, the direct arc
+(:func:`direct_arc` tests it on its own), is read off the port rows;
+lengths 5 and 6 are one or two picks from masks of the reservoir; from 7
+on each length is one seeded backtracking search that fills the interior
+position by position, exhaustive below its node budget, ``NODE_BUDGET``.
 
 The reservoir and the pool, the reservoir less the ports, are ``int``
 bitsets (bit ``v`` set for vertex ``v``); no vertex set is ever listed.
@@ -29,26 +29,6 @@ NODE_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
-class ConnectionRequest:
-    """One ordered pair-to-pair connection job over a reservoir.
-
-    Attributes:
-        frm: Entry port, an ordered host edge.
-        to: Exit port, an ordered host edge; the four port vertices are
-            distinct.
-        w: Reservoir the interior is drawn from, as a bitset (bit ``v`` set
-            for vertex ``v``).
-        length: Vertex count of the longest square path the job accepts,
-            ports included (``>= 4``); the shortest that lands serves it.
-    """
-
-    frm: tuple[int, int]
-    to: tuple[int, int]
-    w: int
-    length: int = 4
-
-
-@dataclass(frozen=True)
 class ConnectResult:
     """Outcome of one connection job: on success, ``path`` is a validated
     square path from ``frm`` to ``to``; on failure, ``diagnostics`` holds
@@ -66,8 +46,12 @@ class _Pool(int):
     __len__ = int.bit_count
 
 
-def _validate_request(g: Graph, req: ConnectionRequest) -> int:
-    """Check one job and return the bitset of its four ports.
+def _validate_request(
+    g: Graph, frm: tuple[int, int], to: tuple[int, int], w: int, length: int
+) -> int | None:
+    """Check one job and return the bitset of its four ports, or ``None``
+    if a port vertex is an integer but not a plain ``int`` (a numpy one),
+    for the caller to read as an ``int``.
 
     Raises:
         InputError: On a length that is not an integer of at least 4 and
@@ -76,30 +60,31 @@ def _validate_request(g: Graph, req: ConnectionRequest) -> int:
             ``g`` joined by host edges, or a reservoir that is not an
             ``int`` bitset of vertices of ``g``.
     """
-    if type(req.length) is not int:  # a plain int needs no call
-        check_int("length", req.length)
-    if req.length < 4:
-        raise InputError(f"connections need length >= 4, got {req.length}")
-    if req.length > g.n:
-        raise InputError(f"length {req.length} exceeds the host's {g.n} vertices")
+    if type(length) is not int:  # a plain int needs no call
+        check_int("length", length)
+    if length < 4:
+        raise InputError(f"connections need length >= 4, got {length}")
+    if length > g.n:
+        raise InputError(f"length {length} exceeds the host's {g.n} vertices")
     try:
-        (p, q), (r, s) = req.frm, req.to
+        (p, q), (r, s) = frm, to
     except (TypeError, ValueError):
-        raise InputError(
-            f"job ports must be two ordered pairs: {req.frm} -> {req.to}"
-        ) from None
-    for v in (p, q, r, s):
-        if type(v) is not int:  # a plain int needs no call
+        message = f"job ports must be two ordered pairs: {frm} -> {to}"
+        raise InputError(message) from None
+    if not (type(p) is type(q) is type(r) is type(s) is int):  # plain ints need no call
+        for v in (p, q, r, s):
             check_int("a port vertex", v)
+        # A numpy integer shifts as an int64, so no bit is built from it.
+        return None
     if p == q or p == r or p == s or q == r or q == s or r == s:
-        raise InputError(f"job ports overlap: {req.frm} -> {req.to}")
+        raise InputError(f"job ports overlap: {frm} -> {to}")
     n = g.n
     if not (0 <= p < n and 0 <= q < n and 0 <= r < n and 0 <= s < n):
         g.check_vertices((p, q, r, s))
     rows = g.rows
     if not (rows[p] >> q & 1 and rows[r] >> s & 1):
-        raise InputError(f"job ports must be host edges: {req.frm} -> {req.to}")
-    g.check_mask(req.w, "reservoir")
+        raise InputError(f"job ports must be host edges: {frm} -> {to}")
+    g.check_mask(w, "reservoir")
     return 1 << p | 1 << q | 1 << r | 1 << s
 
 
@@ -118,15 +103,21 @@ def direct_arc(g: Graph, frm: tuple[int, int], to: tuple[int, int]) -> bool:
     return bool(ports and _cross_edges_hold(rows, frm, to, 4))
 
 
-def connect_one(g: Graph, req: ConnectionRequest, seed: int) -> ConnectResult:
+def connect_one(
+    g: Graph, frm: tuple[int, int], to: tuple[int, int], w: int, length: int, seed: int
+) -> ConnectResult:
     """Serve one connection job from its reservoir, shortest path first.
 
-    Lengths 4 to ``req.length`` are tried in turn, and the first path that
-    lands is returned, once :func:`~squareham.gadgets.validate_embedding`
-    has passed it.  Length 4 is read off the port rows before any mask is
-    built.  Lengths 5 and 6 are picks (:func:`_pick_connect`) from masks of
-    the pool, ``req.w`` less the ports, built once per job; each length from
-    7 on is one search (:func:`_direct_connect`).  Each length draws from a
+    The job asks for a square path of at most ``length`` vertices from the
+    entry port ``frm`` to the exit port ``to``, two ordered host edges on
+    four distinct vertices (numpy integers are read as ints), with its
+    interior drawn from the reservoir bitset ``w``.  Lengths 4 to
+    ``length`` are tried in turn, and the first path that lands is
+    returned, once :func:`~squareham.gadgets.validate_embedding` has passed
+    it.  Length 4 is read off the port rows before any mask is built.
+    Lengths 5 and 6 are picks (:func:`_pick_connect`) from masks of the
+    pool, ``w`` less the ports, built once per job; each length from 7 on
+    is one search (:func:`_direct_connect`).  Each length draws from a
     fresh stream of ``seed``.  A length is skipped if it misses an edge
     between an entry and an exit port, or if some interior position has no
     candidate in the pool: position 2 must see both entry ports, position 3
@@ -139,38 +130,41 @@ def connect_one(g: Graph, req: ConnectionRequest, seed: int) -> ConnectResult:
         ``seed`` and the ``nodes`` spent, summed over the lengths tried.
 
     Raises:
-        InputError: On a malformed request (a reservoir that is not an
-            ``int`` bitset of vertices of ``g`` included) or a seed that is
-            not a non-negative integer.
+        InputError: On a malformed job (a reservoir that is not an ``int``
+            bitset of vertices of ``g`` included) or a seed that is not a
+            non-negative integer.
     """
-    ports = _validate_request(g, req)
+    ports = _validate_request(g, frm, to, w, length)
+    if ports is None:  # numpy-integer ports, read as ints
+        (a, b), (c, d) = frm, to
+        return connect_one(g, (int(a), int(b)), (int(c), int(d)), w, length, seed)
     # The picks and searches draw lazily, so check the seed up front.
     if type(seed) is not int or seed < 0:  # a plain int needs no call
         check_int("seed", seed, 0)
-    (a, b), (c, d) = frm, to = req.frm, req.to
+    (a, b), (c, d) = frm, to
     rows = g.rows
     if _cross_edges_hold(rows, frm, to, 4):
         return ConnectResult(True, (*frm, *to), None)
-    pool = req.w & ~ports
+    pool = w & ~ports
     nb, nc = rows[b] & pool, rows[c] & pool
     entry, exit_ = rows[a] & nb, rows[d] & nc
     nodes = 0
-    for length in range(5, req.length + 1):
-        if length == 5 and rows[b] >> c & 1 and entry & exit_:
-            res = _pick_connect(g, req, pool, 5, seed, entry & exit_, 0)
-        elif length == 6 and entry & nc and nb & exit_:
-            res = _pick_connect(g, req, pool, 6, seed, entry & nc, nb & exit_)
-        elif length > 6 and entry and exit_ and (length > 7 or nb & nc):
-            res = _direct_connect(g, req, _Pool(pool), length, seed)
+    for k in range(5, length + 1):
+        if k == 5 and rows[b] >> c & 1 and entry & exit_:
+            res = _pick_connect(g, (frm, to), pool, 5, seed, entry & exit_, 0)
+        elif k == 6 and entry & nc and nb & exit_:
+            res = _pick_connect(g, (frm, to), pool, 6, seed, entry & nc, nb & exit_)
+        elif k > 6 and entry and exit_ and (k > 7 or nb & nc):
+            res = _direct_connect(g, (frm, to), _Pool(pool), k, seed)
         else:
             continue
         if res.ok:
-            check = validate_embedding(g, res.path, connect_from=frm, connect_to=to)
+            check = validate_embedding(g, res.path, frm, to)
             if not check:
                 raise AssertionError(f"connection produced a bad path: {check.reason}")
             return res
         nodes += res.diagnostics["nodes"]
-    cfg = {"length": req.length, "pool": pool.bit_count(), "seed": seed}
+    cfg = {"length": length, "pool": pool.bit_count(), "seed": seed}
     return ConnectResult(False, None, {"config": cfg, "nodes": nodes})
 
 
@@ -189,8 +183,8 @@ def _cross_edges_hold(
 
 
 def _pick_connect(
-    g: Graph, req: ConnectionRequest, pool: int, length: int, seed: int,
-    firsts: int, seconds: int,
+    g: Graph, ends: tuple[tuple[int, int], tuple[int, int]], pool: int,
+    length: int, seed: int, firsts: int, seconds: int,
 ) -> ConnectResult:
     """:func:`_direct_connect` at length 5 or 6, as picks from masks.
 
@@ -202,20 +196,21 @@ def _pick_connect(
     first pick tried, ``NODE_BUDGET + 1`` past the budget.  So the result,
     a failure included, is the search's.
     """
+    frm, to = ends
     nodes = size = pool.bit_count()
     draws = splitmix64(seed)
     rows = g.rows
     while firsts and nodes <= NODE_BUDGET:
         v = nth_bit(firsts, next(draws) % firsts.bit_count())
         if length == 5:
-            return ConnectResult(True, (*req.frm, v, *req.to), None)
+            return ConnectResult(True, (*frm, v, *to), None)
         nodes += size - 1
         if nodes > NODE_BUDGET:
             break
         fit = rows[v] & seconds
         if fit:
             w = nth_bit(fit, next(draws) % fit.bit_count())
-            return ConnectResult(True, (*req.frm, v, w, *req.to), None)
+            return ConnectResult(True, (*frm, v, w, *to), None)
         firsts ^= 1 << v
     cfg = {"length": length, "pool": size, "seed": seed}
     nodes = min(nodes, NODE_BUDGET + 1)
@@ -223,16 +218,12 @@ def _pick_connect(
 
 
 def _direct_connect(
-    g: Graph,
-    req: ConnectionRequest,
-    pool: _Pool,
-    length: int,
-    seed: int,
-    budget: int = NODE_BUDGET,
+    g: Graph, ends: tuple[tuple[int, int], tuple[int, int]], pool: _Pool,
+    length: int, seed: int,
 ) -> ConnectResult:
     """Fill the square path's interior by backtracking over the reservoir:
-    one search of a valid job at exactly ``length``, whose path
-    :func:`connect_one` validates.
+    one search of a valid job at exactly ``length``, from the entry port to
+    the exit port of ``ends``, whose path :func:`connect_one` validates.
 
     ``pool`` is the reservoir less the ports, as a bitset that ``len()``
     counts.  Positions ``2 .. length - 3`` are filled in ascending order.  A
@@ -247,9 +238,10 @@ def _direct_connect(
     positions filled costs ``len(pool) - k`` nodes.  A failed search enters
     every state whatever the order, so its node count does not depend on
     the draws, and a sub-pool's search tree is a sub-tree of this one.  Past
-    ``budget`` nodes the search stops and reports ``budget + 1``.
+    ``NODE_BUDGET`` nodes, read at call time, the search stops and reports
+    ``NODE_BUDGET + 1``.
     """
-    frm, to = req.frm, req.to
+    frm, to = ends
     path = [*frm, *[0] * (length - 4), *to]
     rows = g.rows
     size = pool.bit_count()
@@ -266,7 +258,7 @@ def _direct_connect(
         if k == last:
             return True
         nodes += size - (k - 2)
-        if nodes > budget:
+        if nodes > NODE_BUDGET:
             return False
         cands = avail & rows[path[k - 1]] & rows[path[k - 2]]
         if k >= last - 2:
@@ -278,11 +270,12 @@ def _direct_connect(
             path[k] = v
             if fill(k + 1, avail ^ bit):
                 return True
-            if nodes > budget:
+            if nodes > NODE_BUDGET:
                 return False
         return False
 
     if _cross_edges_hold(rows, frm, to, length) and fill(2, pool):
         return ConnectResult(True, tuple(path), None)
     cfg = {"length": length, "pool": size, "seed": seed}
-    return ConnectResult(False, None, {"config": cfg, "nodes": min(nodes, budget + 1)})
+    nodes = min(nodes, NODE_BUDGET + 1)
+    return ConnectResult(False, None, {"config": cfg, "nodes": nodes})

@@ -87,12 +87,12 @@ def is_square_path(g: Graph, seq: Sequence[int]) -> ValidationResult:
 def validate_embedding(
     g: Graph,
     path: Sequence[int],
-    connect_from: tuple[int, int] | None = None,
-    connect_to: tuple[int, int] | None = None,
+    connect_from: tuple[int, int],
+    connect_to: tuple[int, int],
 ) -> ValidationResult:
     """Check that ``path`` is a square path in ``g`` whose first two
     vertices are ``connect_from`` and whose last two are ``connect_to``, in
-    order; a port left ``None`` is not checked.
+    order.
 
     Raises:
         InputError: As :func:`is_square_path`, or on a port that is not
@@ -105,8 +105,6 @@ def validate_embedding(
         ("entry", path[:2], connect_from),
         ("exit", path[-2:], connect_to),
     ):
-        if want is None:
-            continue
         try:
             want = tuple(want)
         except TypeError:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Sequence
@@ -197,7 +198,8 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         self.check_vertex(u)
         self.check_vertex(v)
-        return self._rows[u] >> v & 1 == 1
+        # A row shifted by a numpy integer would be cast to an int64.
+        return self._rows[u] >> operator.index(v) & 1 == 1
 
     def neighbors(self, v: int) -> frozenset[int]:
         """The neighbours of ``v`` as a new frozenset (derived, not cached)."""

@@ -25,7 +25,7 @@ from .absorber import (
     chain_absorbers,
     complete_absorbers,
 )
-from .connector import ConnectionRequest, connect_one, direct_arc
+from .connector import connect_one, direct_arc
 from .gadgets import ValidationResult, is_square_path
 from .graphcore import (
     Graph,
@@ -60,6 +60,8 @@ _ANCHOR_SHARE = 0.75
 # small host loses an answer exhaustive search gives, until the two can be
 # compared on small hosts.
 _EXHAUSTIVE_MAX_N = 58
+# Search nodes the exhaustive search may spend before it reports unknown.
+_EXHAUSTIVE_BUDGET = 3_000_000
 # The absorbee count is round(_ABSORBEE_SHARE * n).  The absorbees the
 # leftover matching does not take are the threading's only fuel, so at .05
 # the threading runs short, and G(4000, .15) certifies more often at .11
@@ -185,10 +187,6 @@ def jsonable(obj):
     if hasattr(obj, "item") and callable(obj.item):
         return obj.item()
     return obj
-
-
-def certificate_to_json_obj(cert: Certificate) -> dict:
-    return {"order": list(cert.order)}
 
 
 def certificate_from_json_obj(obj: Mapping) -> Certificate:
@@ -392,17 +390,14 @@ class BruteForceResult:
     nodes: int
 
 
-def brute_force_square_ham(g: Graph, budget: int = 3_000_000) -> BruteForceResult:
+def brute_force_square_ham(g: Graph) -> BruteForceResult:
     """Exhaustive backtracking over cyclic orders with symmetry reduction.
 
     Vertex 0 is pinned first and the two traversal directions are collapsed
     by requiring the second vertex to precede the last one.  Intended for
-    small instances; larger ones exhaust ``budget`` and report ``unknown``.
-
-    Raises:
-        InputError: If ``budget`` is not an integer of at least 1.
+    small instances; larger ones spend ``_EXHAUSTIVE_BUDGET`` search nodes,
+    read at call time, and report ``unknown``.
     """
-    check_int("budget", budget, 1)
     n = g.n
     if n < 3:
         return BruteForceResult("none", None, 0)
@@ -439,7 +434,7 @@ def brute_force_square_ham(g: Graph, budget: int = 3_000_000) -> BruteForceResul
             assert check.ok, "brute-force search produced a bad certificate"
             return BruteForceResult("found", cert, nodes)
         nodes += 1
-        if nodes > budget:
+        if nodes > _EXHAUSTIVE_BUDGET:
             return BruteForceResult("unknown", None, nodes)
         order.append(v)
         used[v] = True
@@ -705,8 +700,7 @@ def _assemble_cycle(
     ) -> tuple[int, ...] | None:
         nonlocal nodes
         nodes += 1
-        req = ConnectionRequest(cur, to, fuel & ~consumed, min(8, g.n))
-        res = connect_one(g, req, seed * 7919 + salt)
+        res = connect_one(g, cur, to, fuel & ~consumed, min(8, g.n), seed * 7919 + salt)
         # The ports are the path's first two and last two vertices.
         return res.path[2:-2] if res.ok else None
 

@@ -56,7 +56,7 @@ def looped_verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
 
 
 def looped_validate_embedding(
-    g: Graph, path, connect_from=None, connect_to=None
+    g: Graph, path, connect_from, connect_to
 ) -> ValidationResult:
     """``validate_embedding`` one check after another, for a sequence of
     vertices of ``g``: repeats, then each close pair, then each port."""
@@ -65,11 +65,11 @@ def looped_validate_embedding(
     for u, v in square_path_pairs(path):
         if not g.has_edge(u, v):
             return ValidationResult(False, f"missing edge ({u}, {v})")
-    if connect_from is not None and tuple(path[:2]) != tuple(connect_from):
+    if tuple(path[:2]) != tuple(connect_from):
         return ValidationResult(
             False, f"entry port is {tuple(path[:2])}, expected {tuple(connect_from)}"
         )
-    if connect_to is not None and tuple(path[-2:]) != tuple(connect_to):
+    if tuple(path[-2:]) != tuple(connect_to):
         return ValidationResult(
             False, f"exit port is {tuple(path[-2:])}, expected {tuple(connect_to)}"
         )

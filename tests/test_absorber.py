@@ -1,6 +1,7 @@
 import itertools
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis.strategies import booleans, data, integers, permutations, sampled_from
@@ -21,8 +22,9 @@ from squareham import (
 )
 from squareham import absorber as absorber_module
 from squareham import connector
-from squareham.absorber import absorber_from_json_obj, absorber_to_json_obj
+from squareham.absorber import absorber_from_json_obj
 from squareham.graphcore import bits, mask_of
+from squareham.hamiltonian import jsonable
 
 from oracles import square_path_pairs
 
@@ -253,16 +255,16 @@ def test_the_link_sweep_tests_the_direct_arc_before_any_search(
     asked, served, searched = [], [], []
     connect = absorber_module.connect_one
 
-    def recording(g, req, seed):
-        asked.append((req.length, seed))
-        res = connect(g, req, seed)
+    def recording(g, frm, to, w, length, seed):
+        asked.append((length, seed))
+        res = connect(g, frm, to, w, length, seed)
         served.append(len(res.path) if res.ok else None)
         return res
 
     def searching(fn):
-        def spy(g, req, pool, length, seed, *masks):
+        def spy(g, ends, pool, length, seed, *masks):
             searched.append(length)
-            return fn(g, req, pool, length, seed, *masks)
+            return fn(g, ends, pool, length, seed, *masks)
 
         return spy
 
@@ -298,7 +300,7 @@ def test_the_link_sweep_tests_the_direct_arc_before_any_search(
 def test_absorber_json_round_trip() -> None:
     g, absorber, _ = build_full_absorber(150, 0.55, 11)
     assert absorber is not None
-    stored = absorber_to_json_obj(absorber)
+    stored = jsonable(absorber)
     assert stored == {"walk": list(absorber.walk),
                       "absorbees": list(absorber.absorbees)}
     assert absorber_from_json_obj(stored) == absorber
@@ -410,6 +412,32 @@ def test_chaining_audits_what_it_returns() -> None:
     pool = free & ~(1 << x)
     with pytest.raises(AssertionError, match="failed verification"):
         chain_absorbers(g, [(u1, u2, x, v1, v2), *units[1:]], pool, 5)
+
+
+def test_chaining_reads_numpy_integer_units_as_ints() -> None:
+    # 1 << np.int64(70) is 0, so the units' mask was no int, and the pool
+    # less it overflowed.
+    g = complete_graph(100)
+    pool = (1 << 100) - 1
+    units = [tuple(np.arange(70, 75)), tuple(np.arange(80, 85))]
+    built, fail = chain_absorbers(g, units, pool, 0)
+    plain = [tuple(range(70, 75)), tuple(range(80, 85))]
+    assert fail is None and (built, fail) == chain_absorbers(g, plain, pool, 0)
+    assert all(type(v) is int for v in built.walk + built.absorbees)
+    with pytest.raises(InputError, match=r"^a unit is five vertices of g, got \(80, 81, 82.0"):
+        chain_absorbers(g, [units[0], (80, 81, 82.0, 83, 84)], pool, 0)
+
+
+def test_the_audit_reads_a_numpy_integer_walk_as_ints() -> None:
+    # Graph.has_edge once shifted a row by a numpy integer and overflowed.
+    g = complete_graph(100)
+    walk = tuple(np.arange(60, 75))
+    report = verify_absorber(g, Absorber(walk, (62, 67)))
+    assert report == verify_absorber(g, Absorber(tuple(range(60, 75)), (62, 67)))
+    assert report.ok and report.subsets_checked == 3
+    cut = g.remove_edges([(60, 63)])
+    report = verify_absorber(cut, Absorber(walk, (62, 67)))
+    assert report.failure == {"subset": (62,), "reason": "missing bridge edge (60, 63)"}
 
 
 def test_chaining_rejects_empty_and_overlapping_units() -> None:

@@ -227,9 +227,11 @@ def test_packing_rejects_a_class_holding_two_corners_of_a_triangle() -> None:
         max_triangle_packing(complete_graph(6), v1=(0, 1))
 
 
-def test_packing_budget_exhaustion_brackets_the_answer() -> None:
+def test_packing_budget_exhaustion_brackets_the_answer(monkeypatch) -> None:
+    # The search reads its budget from the experiment's checks at call time.
+    monkeypatch.setitem(adversary.EXPERIMENT_CHECKS, "packing_budget", 10)
     g = gnp_generate(30, 0.6, 1)
-    res = max_triangle_packing(g, budget=10)
+    res = max_triangle_packing(g)
     assert res.status == "bracket"
     assert res.lower <= res.upper
     assert res.size == res.lower

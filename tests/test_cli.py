@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import squareham
-from squareham.absorber import absorber_from_json_obj, absorber_to_json_obj
+from squareham.absorber import absorber_from_json_obj
+from squareham.hamiltonian import jsonable
 from squareham.cli import run_command
 from squareham.graphcore import graph_from_edgelist_text, graph_to_edgelist_text
 
@@ -247,8 +248,8 @@ def test_a_batch_is_one_connect_call_per_job(tmp_path, capsys) -> None:
     first = connect("0,1,2,3", "4,5,6,7")
     second = connect("4,5,6,7", ",".join(map(str, first)))
     check = squareham.validate_embedding
-    assert check(g, first, connect_from=(0, 1), connect_to=(2, 3)).ok
-    assert check(g, second, connect_from=(4, 5), connect_to=(6, 7)).ok
+    assert check(g, first, (0, 1), (2, 3)).ok
+    assert check(g, second, (4, 5), (6, 7)).ok
     assert not set(first[2:-2]) & set(second[2:-2])
 
 
@@ -341,7 +342,7 @@ def test_absorber_files_round_trip_through_the_core_format(tmp_path, capsys) -> 
     assert places == sorted(places) and places[0] == 2
     assert all(j - i >= 5 for i, j in zip(places, places[1:]))
     assert places[-1] == len(walk) - 3
-    assert absorber_to_json_obj(absorber_from_json_obj(current)) == current
+    assert jsonable(absorber_from_json_obj(current)) == current
 
 
 def test_absorber_build_rejects_repeated_absorbees(tmp_path, capsys) -> None:

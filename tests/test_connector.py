@@ -1,12 +1,12 @@
 import hashlib
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis.strategies import booleans, data, integers, lists, sampled_from
 
 from squareham import (
-    ConnectionRequest,
     ConnectResult,
     Graph,
     InputError,
@@ -48,11 +48,11 @@ def host_and_job(n: int, p: float, seed: int):
     return g, frm, to, ((1 << n) - 1) & ~mask_of((*frm, *to))
 
 
-def search(g, req, seed: int, budget: int = connector.NODE_BUDGET):
+def search(g, frm, to, w, length: int, seed: int):
     """The one search ``connect_one`` runs per length, at exactly
-    ``req.length`` and with nothing skipped."""
-    pool = connector._Pool(req.w & ~mask_of((*req.frm, *req.to)))
-    return connector._direct_connect(g, req, pool, req.length, seed, budget)
+    ``length`` and with nothing skipped."""
+    pool = connector._Pool(w & ~mask_of((*frm, *to)))
+    return connector._direct_connect(g, (frm, to), pool, length, seed)
 
 
 def admitted(g, frm, to, w, longest: int) -> list[int]:
@@ -65,7 +65,7 @@ def admitted(g, frm, to, w, longest: int) -> list[int]:
     """
     tried = [4] if connector.direct_arc(g, frm, to) else []
 
-    def failing(g, req, pool, length, seed, *masks):
+    def failing(g, ends, pool, length, seed, *masks):
         tried.append(length)
         return ConnectResult(False, None, {"nodes": 0})
 
@@ -74,7 +74,7 @@ def admitted(g, frm, to, w, longest: int) -> list[int]:
     with pytest.MonkeyPatch.context() as m:
         m.setattr(connector, "_pick_connect", failing)
         m.setattr(connector, "_direct_connect", failing)
-        connect_one(host, ConnectionRequest(frm, to, w, longest), 0)
+        connect_one(host, frm, to, w, longest, 0)
     return tried
 
 
@@ -83,13 +83,13 @@ def test_short_connections_on_a_complete_graph_always_land(
     length: int, seed: int
 ) -> None:
     g = complete_graph(24)
-    req = ConnectionRequest((0, 1), (2, 3), mask_of(range(4, 24)), length=length)
-    res = search(g, req, seed)
+    w = mask_of(range(4, 24))
+    res = search(g, (0, 1), (2, 3), w, length, seed)
     assert res.ok
     path = res.path
-    assert validate_embedding(g, path, connect_from=(0, 1), connect_to=(2, 3)).ok
+    assert validate_embedding(g, path, (0, 1), (2, 3)).ok
     assert len(path) == length
-    assert mask_of(path[2:-2]) & ~req.w == 0
+    assert mask_of(path[2:-2]) & ~w == 0
 
 
 @given(integers(min_value=0, max_value=100))
@@ -100,8 +100,7 @@ def test_interiors_avoid_the_exclusion_set(seed: int) -> None:
         return
     g, frm, to, w = bundle
     x = mask_of(bits(w)[::3])
-    req = ConnectionRequest(frm, to, w & ~x, length=6)
-    res = connect_one(g, req, seed=seed)
+    res = connect_one(g, frm, to, w & ~x, 6, seed)
     if not res.ok:
         return
     interior = mask_of(res.path[2:-2])
@@ -115,9 +114,8 @@ def test_connection_is_deterministic_per_seed(seed: int) -> None:
     if bundle is None:
         return
     g, frm, to, w = bundle
-    req = ConnectionRequest(frm, to, w, length=6)
-    first = connect_one(g, req, seed=seed)
-    second = connect_one(g, req, seed=seed)
+    first = connect_one(g, frm, to, w, 6, seed)
+    second = connect_one(g, frm, to, w, 6, seed)
     assert first.ok == second.ok
     if first.ok:
         assert first.path == second.path
@@ -130,24 +128,21 @@ def test_long_direct_connections_produce_valid_square_paths(seed: int) -> None:
     if bundle is None:
         return
     g, frm, to, w = bundle
-    req = ConnectionRequest(frm, to, w, length=12)
-    res = search(g, req, seed)
+    res = search(g, frm, to, w, 12, seed)
     assert res.ok
-    assert validate_embedding(g, res.path, connect_from=frm, connect_to=to).ok
+    assert validate_embedding(g, res.path, frm, to).ok
     assert len(res.path) == 12
 
 
 def test_request_validation_rejects_malformed_jobs() -> None:
     g = complete_graph(10)
     with pytest.raises(InputError):
-        connect_one(g, ConnectionRequest((0, 1), (0, 2), 0b1100000, length=4), seed=0)
+        connect_one(g, (0, 1), (0, 2), 0b1100000, 4, 0)
     with pytest.raises(InputError):
-        connect_one(g, ConnectionRequest((0, 1), (2, 3), 0b1100000, length=3), seed=0)
+        connect_one(g, (0, 1), (2, 3), 0b1100000, 3, 0)
     sparse = gnp_generate(10, 0.0, 0)
     with pytest.raises(InputError):
-        connect_one(
-            sparse, ConnectionRequest((0, 1), (2, 3), 0b1100000, length=4), seed=0
-        )
+        connect_one(sparse, (0, 1), (2, 3), 0b1100000, 4, 0)
 
 
 def kept_id(i: int, frm, to, length: int, message: str):
@@ -186,17 +181,28 @@ def kept_id(i: int, frm, to, length: int, message: str):
 def test_each_malformed_job_gets_its_own_message(frm, to, length, message) -> None:
     # Every check before the host-edge one fires whatever the edges.
     g = complete_graph(10).remove_edges([(0, 1)])
-    req = ConnectionRequest(frm, to, mask_of(range(5, 10)), length)
     with pytest.raises(InputError, match=message):
-        connect_one(g, req, seed=0)
+        connect_one(g, frm, to, mask_of(range(5, 10)), length, 0)
+
+
+def test_numpy_integer_ports_are_read_as_ints() -> None:
+    # 1 << np.int64(70) is 0, and a row shifted by one overflows: this job
+    # once raised OverflowError.
+    g = complete_graph(100)
+    w = (1 << 100) - 1
+    res = connect_one(g, (np.int64(70), np.int64(71)), (2, 3), w, 6, 1)
+    assert res == connect_one(g, (70, 71), (2, 3), w, 6, 1)
+    assert res.ok and all(type(v) is int for v in res.path)
+    # A port vertex that is no integer is still rejected, numpy or not.
+    with pytest.raises(InputError, match="^a port vertex must be an integer"):
+        connect_one(g, (np.int64(70), 71.0), (2, 3), w, 6, 1)
 
 
 @pytest.mark.parametrize("w", [1.5, frozenset({5, 6}), None])
 def test_a_reservoir_that_is_not_an_int_is_rejected(w) -> None:
     g = complete_graph(10)
-    req = ConnectionRequest((0, 1), (2, 3), w, length=5)
     with pytest.raises(InputError, match="^a reservoir must be an int bitset"):
-        connect_one(g, req, seed=0)
+        connect_one(g, (0, 1), (2, 3), w, 5, 0)
 
 
 @pytest.mark.parametrize("bad", [-1, 10])
@@ -207,16 +213,14 @@ def test_reservoir_vertices_outside_the_host_are_rejected(bad: int) -> None:
     g = complete_graph(10)
     with pytest.raises(InputError):
         w = mask_of((4, 5, 6, 7, 8, 9, bad))
-        req = ConnectionRequest((0, 1), (2, 3), w, length=5)
-        connect_one(g, req, seed=0)
+        connect_one(g, (0, 1), (2, 3), w, 5, 0)
 
 
 def test_reservoir_masks_outside_the_host_are_rejected() -> None:
     g = complete_graph(10)
     for w in (mask_of((4, 5, 10)), -1):
-        req = ConnectionRequest((0, 1), (2, 3), w, length=5)
         with pytest.raises(InputError):
-            connect_one(g, req, seed=0)
+            connect_one(g, (0, 1), (2, 3), w, 5, 0)
 
 
 def test_a_length_above_the_vertex_count_is_rejected_at_once() -> None:
@@ -225,13 +229,14 @@ def test_a_length_above_the_vertex_count_is_rejected_at_once() -> None:
     g = complete_graph(10)
     w = mask_of(range(4, 10))
     for length in (11, 10**12):
-        req = ConnectionRequest((0, 1), (2, 3), w, length)
         with pytest.raises(InputError, match=f"^length {length} exceeds the host's 10"):
-            connect_one(g, req, seed=0)
-    assert connect_one(g, ConnectionRequest((0, 1), (2, 3), w, 10), seed=0).ok
+            connect_one(g, (0, 1), (2, 3), w, length, 0)
+    assert connect_one(g, (0, 1), (2, 3), w, 10, 0).ok
 
 
-def shuffled_scan(g, req, seed: int, budget: int = 100_000) -> tuple[bool, int]:
+def shuffled_scan(
+    g, frm, to, w, length: int, seed: int, budget: int = 100_000
+) -> tuple[bool, int]:
     """The search as a scan, at every state, of one seeded shuffle of the
     whole pool; returns whether it lands and the nodes it spent.
 
@@ -241,15 +246,14 @@ def shuffled_scan(g, req, seed: int, budget: int = 100_000) -> tuple[bool, int]:
     is the first fitting vertex of a uniformly random order, and a node is
     one unplaced pool vertex looked at.
     """
-    length = req.length
     edges = square_path_edge_oracle(length)
-    ports = {0: req.frm[0], 1: req.frm[1], length - 2: req.to[0], length - 1: req.to[1]}
+    ports = {0: frm[0], 1: frm[1], length - 2: to[0], length - 1: to[1]}
     rows = g.rows
     if not all(rows[ports[i]] >> ports[j] & 1 for i, j in edges if {i, j} <= set(ports)):
         return False, 0
     image = dict(ports)
     free = [k for k in range(length) if k not in ports]
-    pool = bits(req.w & ~mask_of(ports.values()))
+    pool = bits(w & ~mask_of(ports.values()))
     order = rng_for(seed, 13).permutation(pool).tolist() if pool else []
     taken: set[int] = set()
     nodes = 0
@@ -297,16 +301,16 @@ def test_search_lands_and_fails_exactly_where_the_shuffled_scan_does(g, data) ->
     to = data.draw(sampled_from(outs))
     w = data.draw(integers(min_value=0, max_value=(1 << g.n) - 1))
     for length in LENGTHS:
-        req = ConnectionRequest(frm, to, w, length)
+        job = (frm, to, w, length)
         if length > g.n:
             # No square path that long fits in the host.
-            assert not shuffled_scan(g, req, 0)[0]
+            assert not shuffled_scan(g, *job, 0)[0]
             with pytest.raises(InputError):
-                connect_one(g, req, 0)
+                connect_one(g, *job, 0)
             continue
         for seed in range(4):
-            res = search(g, req, seed)
-            ok, nodes = shuffled_scan(g, req, seed)
+            res = search(g, *job, seed)
+            ok, nodes = shuffled_scan(g, *job, seed)
             assert res.ok == ok
             if not ok:
                 assert res.diagnostics["nodes"] == nodes
@@ -325,9 +329,8 @@ def test_a_job_the_ports_rule_out_fails_for_every_seed(g, data) -> None:
     lengths = admitted(g, frm, to, w, g.n)
     for length in range(4, g.n + 1):
         if length not in lengths:
-            req = ConnectionRequest(frm, to, w, length)
             for seed in range(5):
-                res = search(g, req, seed)
+                res = search(g, frm, to, w, length, seed)
                 assert not res.ok
                 assert res.diagnostics["nodes"] <= connector.NODE_BUDGET
 
@@ -424,7 +427,7 @@ def test_connection_results_are_pinned(host) -> None:
         h = hashlib.sha256()
         for length in range(4, 13):
             for seed in range(6):
-                res = search(g, ConnectionRequest(frm, to, pool, length), seed)
+                res = search(g, frm, to, pool, length, seed)
                 h.update(repr(res.path if res.ok else res.diagnostics).encode())
         digests.append(h.hexdigest())
     assert tuple(digests) == PINNED_CONNECTIONS[host]
@@ -434,9 +437,9 @@ def test_a_pick_is_uniform_over_the_fitting_vertices() -> None:
     # Vertex 11 misses port 0, so the one free label of a length-5 path has
     # four candidates out of a pool of five.
     g = complete_graph(12).remove_edges([(11, 0)])
-    req = ConnectionRequest((0, 1), (2, 3), mask_of((4, 5, 6, 7, 11)), length=5)
+    job = ((0, 1), (2, 3), mask_of((4, 5, 6, 7, 11)), 5)
     seeds = 400
-    picks = Counter(search(g, req, seed).path[2] for seed in range(seeds))
+    picks = Counter(search(g, *job, seed).path[2] for seed in range(seeds))
     assert set(picks) == {4, 5, 6, 7}
     for count in picks.values():
         assert abs(count - seeds / 4) < seeds / 10
@@ -446,32 +449,34 @@ def test_same_seed_same_embedding() -> None:
     g = complete_graph(20)
     w = mask_of(range(4, 20))
     for length in LENGTHS:
-        req = ConnectionRequest((0, 1), (2, 3), w, length)
+        job = ((0, 1), (2, 3), w, length)
         found = set()
         for seed in range(6):
-            first = search(g, req, seed)
-            assert first.ok and search(g, req, seed) == first
+            first = search(g, *job, seed)
+            assert first.ok and search(g, *job, seed) == first
             found.add(first.path)
         # Every shape but the direct arc has a choice to make.
         assert (len(found) == 1) == (length == 4)
         # The draws take the seed modulo 2**64.
-        assert search(g, req, 5 + 2**64) == first
+        assert search(g, *job, 5 + 2**64) == first
 
 
-def test_a_search_past_its_budget_reports_budget_plus_one() -> None:
+def test_a_search_past_its_budget_reports_budget_plus_one(monkeypatch) -> None:
     # Vertex 2 (the exit port's first vertex) misses the whole pool, so the
     # last two free labels never fit and the search runs every state above.
     pool = range(4, 20)
     g = complete_graph(20).remove_edges([(2, v) for v in pool])
-    req = ConnectionRequest((0, 1), (2, 3), mask_of(pool), length=8)
-    res = search(g, req, 5)
+    job = ((0, 1), (2, 3), mask_of(pool), 8)
+    res = search(g, *job, 5)
     assert not res.ok
     spent = res.diagnostics["nodes"]
-    assert spent == shuffled_scan(g, req, 5)[1] and spent > 51
+    assert spent == shuffled_scan(g, *job, 5)[1] and spent > 51
     for budget in (0, 15, 50):
-        res = search(g, req, 5, budget)
+        # The search reads its budget at call time.
+        monkeypatch.setattr(connector, "NODE_BUDGET", budget)
+        res = search(g, *job, 5)
         assert not res.ok and res.diagnostics["nodes"] == budget + 1
-        assert shuffled_scan(g, req, 5, budget) == (False, budget + 1)
+        assert shuffled_scan(g, *job, 5, budget) == (False, budget + 1)
 
 
 def test_a_search_draws_once_per_pick_and_never_before_a_free_label(
@@ -489,25 +494,25 @@ def test_a_search_draws_once_per_pick_and_never_before_a_free_label(
     g = complete_graph(12).remove_edges([(1, 2)])
     w = mask_of(range(6, 12))
     # Length 5 needs the port edge 1-2, so no job gets to a free label.
-    blocked = ConnectionRequest((0, 1), (2, 3), w, length=5)
-    res = search(g, blocked, 4)
+    blocked = ((0, 1), (2, 3), w, 5)
+    res = search(g, *blocked, 4)
     assert not res.ok and res.diagnostics["nodes"] == 0
     # The direct arc has no free label, whatever the longest length.
-    assert connect_one(g, ConnectionRequest((0, 3), (4, 5), w, length=7), 4).ok
+    assert connect_one(g, (0, 3), (4, 5), w, 7, 4).ok
     assert draws == []
     # On a complete pool every pick fits, so a length-7 search picks three times.
-    assert search(g, ConnectionRequest((0, 3), (4, 5), w, length=7), 4).ok
+    assert search(g, (0, 3), (4, 5), w, 7, 4).ok
     assert len(draws) == 3
     for seed in (-1, 1.5):
         with pytest.raises(InputError):
-            connect_one(g, blocked, seed=seed)
+            connect_one(g, *blocked, seed)
 
 
-def plain_sweep(g, req, seed: int):
+def plain_sweep(g, frm, to, w, longest: int, seed: int):
     """``connect_one`` with nothing skipped: the search at every length
-    from 4 to ``req.length``, in order; returns the first path that lands."""
-    for length in range(4, req.length + 1):
-        res = search(g, ConnectionRequest(req.frm, req.to, req.w, length), seed)
+    from 4 to ``longest``, in order; returns the first path that lands."""
+    for length in range(4, longest + 1):
+        res = search(g, frm, to, w, length, seed)
         if res.ok:
             return res.path
     return None
@@ -531,9 +536,9 @@ def test_the_pruned_sweep_returns_what_the_plain_sweep_returns(g, data) -> None:
         # Half the jobs shrink the pair's last pool, as the threading does.
         pool = pools.get((frm, to), mask) & mask if data.draw(booleans()) else mask
         pools[frm, to] = pool
-        req = ConnectionRequest(frm, to, pool, min(8, g.n))
+        job = (frm, to, pool, min(8, g.n))
         seed = data.draw(integers(min_value=0, max_value=1000))
-        assert connect_one(g, req, seed).path == plain_sweep(g, req, seed)
+        assert connect_one(g, *job, seed).path == plain_sweep(g, *job, seed)
 
 
 @settings(max_examples=40, deadline=None)
@@ -554,8 +559,8 @@ def test_a_job_is_served_at_its_shortest_length_that_lands(g, data) -> None:
     searched = []
 
     def recording(fn):
-        def spy(g, req, pool, length, seed, *masks):
-            res = fn(g, req, pool, length, seed, *masks)
+        def spy(g, ends, pool, length, seed, *masks):
+            res = fn(g, ends, pool, length, seed, *masks)
             searched.append((length, res))
             return res
 
@@ -564,7 +569,7 @@ def test_a_job_is_served_at_its_shortest_length_that_lands(g, data) -> None:
     with pytest.MonkeyPatch.context() as m:
         for name in ("_pick_connect", "_direct_connect"):
             m.setattr(connector, name, recording(getattr(connector, name)))
-        res = connect_one(g, ConnectionRequest(frm, to, w, longest), seed)
+        res = connect_one(g, frm, to, w, longest, seed)
     lengths = [length for length, _ in searched]
     ruled_in = [
         length
@@ -588,19 +593,19 @@ def test_a_job_is_served_at_its_shortest_length_that_lands(g, data) -> None:
         }
 
 
-def swept(g, req, seed: int):
+def swept(g, frm, to, w, longest: int, seed: int):
     """``connect_one`` as a sweep of searches: the search at each length
-    ``4 .. req.length`` that ``port_rule_oracle`` leaves, in turn; the
-    first that lands, or else the job's failure with the nodes summed."""
+    ``4 .. longest`` that ``port_rule_oracle`` leaves, in turn; the first
+    that lands, or else the job's failure with the nodes summed."""
     nodes = 0
-    for length in range(4, req.length + 1):
-        if port_rule_oracle(g, req.frm, req.to, req.w, length):
-            res = search(g, ConnectionRequest(req.frm, req.to, req.w, length), seed)
+    for length in range(4, longest + 1):
+        if port_rule_oracle(g, frm, to, w, length):
+            res = search(g, frm, to, w, length, seed)
             if res.ok:
                 return res
             nodes += res.diagnostics["nodes"]
-    pool = (req.w & ~mask_of((*req.frm, *req.to))).bit_count()
-    cfg = {"length": req.length, "pool": pool, "seed": seed}
+    pool = (w & ~mask_of((*frm, *to))).bit_count()
+    cfg = {"length": longest, "pool": pool, "seed": seed}
     return ConnectResult(False, None, {"config": cfg, "nodes": nodes})
 
 
@@ -618,8 +623,8 @@ def test_connect_one_returns_what_the_sweep_of_searches_returns(g, data) -> None
     w = data.draw(integers(min_value=0, max_value=(1 << g.n) - 1))
     longest = data.draw(integers(min_value=4, max_value=8))
     seed = data.draw(integers(min_value=0, max_value=2**65))
-    req = ConnectionRequest(frm, to, w, longest)
-    assert connect_one(g, req, seed) == swept(g, req, seed)
+    job = (frm, to, w, longest)
+    assert connect_one(g, *job, seed) == swept(g, *job, seed)
 
 
 def test_a_length_six_job_past_the_budget_counts_as_the_search_does() -> None:
@@ -632,9 +637,9 @@ def test_a_length_six_job_past_the_budget_counts_as_the_search_does() -> None:
     edges += [(u, v) for v in range(5, 105) for u in (0, 1, 2)]
     g = Graph(n, edges)
     for longest, nodes in ((6, 100_001), (8, 300_003)):
-        req = ConnectionRequest((0, 1), (2, 3), (1 << n) - 1, longest)
-        res = connect_one(g, req, 3)
-        assert res == swept(g, req, 3)
+        job = ((0, 1), (2, 3), (1 << n) - 1, longest)
+        res = connect_one(g, *job, 3)
+        assert res == swept(g, *job, 3)
         assert not res.ok and res.diagnostics["nodes"] == nodes
 
 
@@ -645,9 +650,9 @@ def test_a_pool_of_exactly_the_budget_is_still_picked_from() -> None:
     n = 4 + connector.NODE_BUDGET + 1
     g = Graph(n, [(0, 1), (1, 2), (2, 3), (1, 3), *((4, u) for u in range(4))])
     for size, ok in ((connector.NODE_BUDGET, True), (connector.NODE_BUDGET + 1, False)):
-        req = ConnectionRequest((0, 1), (2, 3), mask_of(range(4, 4 + size)), 6)
-        res = connect_one(g, req, 5)
-        assert res == swept(g, req, 5) and res.ok == ok
+        job = ((0, 1), (2, 3), mask_of(range(4, 4 + size)), 6)
+        res = connect_one(g, *job, 5)
+        assert res == swept(g, *job, 5) and res.ok == ok
         assert res.ok or res.diagnostics["nodes"] == 2 * connector.NODE_BUDGET + 2
 
 
@@ -657,16 +662,16 @@ def test_the_missing_port_edge_alone_rules_out_length_five(monkeypatch) -> None:
     picked = []
     pick = connector._pick_connect
 
-    def recording(g, req, pool, length, seed, *masks):
+    def recording(g, ends, pool, length, seed, *masks):
         picked.append(length)
-        return pick(g, req, pool, length, seed, *masks)
+        return pick(g, ends, pool, length, seed, *masks)
 
     monkeypatch.setattr(connector, "_pick_connect", recording)
     w = mask_of(range(4, 10))
     for g, length in ((complete_graph(10).remove_edges([(0, 2)]), 5),
                       (complete_graph(10).remove_edges([(1, 2)]), 6)):
         picked.clear()
-        req = ConnectionRequest((0, 1), (2, 3), w, 8)
-        res = connect_one(g, req, 11)
-        assert res == swept(g, req, 11)
+        job = ((0, 1), (2, 3), w, 8)
+        res = connect_one(g, *job, 11)
+        assert res == swept(g, *job, 11)
         assert len(res.path) == length and picked == [length]

@@ -124,13 +124,13 @@ def test_certificate_check_reports_the_first_gap_that_wraps_around() -> None:
 def test_embedding_check_matches_the_looped_check(draw) -> None:
     g = draw.draw(gnp_graphs(min_n=4, max_n=14, min_p=0.4))
     length = draw.draw(sampled_from([2, 4, 5, 8, 12]))
-    # Vertices of the host, sometimes with one repeat; each port unchecked,
-    # the path's own, or the pair from its other end.
+    # Vertices of the host, sometimes with one repeat; each port the
+    # path's own or the pair from its other end.
     verts = draw.draw(permutations(range(g.n)))[:length]
     if draw.draw(booleans()):
         verts[draw.draw(integers(0, len(verts) - 1))] = verts[0]
     ports = [
-        draw.draw(sampled_from([None, tuple(verts[:2]), tuple(verts[-2:])]))
+        draw.draw(sampled_from([tuple(verts[:2]), tuple(verts[-2:])]))
         for _ in range(2)
     ]
     assert validate_embedding(g, verts, *ports) == looped_validate_embedding(
@@ -142,32 +142,32 @@ def test_embedding_check_reports_a_repeat_before_a_missing_edge() -> None:
     # The host lacks only (0, 3); positions 0 and 2 land on it in both
     # paths, and the first also repeats vertex 0.
     host = Graph(4, sorted(square_path_edge_oracle(4)))
-    res = validate_embedding(host, (0, 1, 3, 0))
+    res = validate_embedding(host, (0, 1, 3, 0), (0, 1), (3, 0))
     assert res.reason == "sequence repeats a vertex"
-    res = validate_embedding(host, (0, 1, 3, 2))
+    res = validate_embedding(host, (0, 1, 3, 2), (0, 1), (3, 2))
     assert res.reason == "missing edge (0, 3)"
 
 
 def test_validate_embedding_accepts_exact_image_and_flags_gaps() -> None:
     host = Graph(5, sorted(square_path_edge_oracle(5)))
-    good = validate_embedding(host, (0, 1, 2, 3, 4))
+    good = validate_embedding(host, (0, 1, 2, 3, 4), (0, 1), (3, 4))
     assert good.ok
-    bad = validate_embedding(host, (0, 2, 1, 3, 4))
+    bad = validate_embedding(host, (0, 2, 1, 3, 4), (0, 2), (3, 4))
     assert not bad.ok
     assert bad.reason
-    dup = validate_embedding(host, (0, 1, 2, 3, 0))
+    dup = validate_embedding(host, (0, 1, 2, 3, 0), (0, 1), (3, 0))
     assert not dup.ok
     with pytest.raises(InputError):
-        validate_embedding(host, (0, 1, 2, 3, 5))
+        validate_embedding(host, (0, 1, 2, 3, 5), (0, 1), (3, 5))
 
 
 def test_validate_embedding_checks_port_images() -> None:
     host = complete_graph(8)
     path = (2, 3, 4, 5)
-    assert validate_embedding(host, path, connect_from=(2, 3), connect_to=(4, 5)).ok
-    wrong_entry = validate_embedding(host, path, connect_from=(3, 2))
+    assert validate_embedding(host, path, (2, 3), (4, 5)).ok
+    wrong_entry = validate_embedding(host, path, (3, 2), (4, 5))
     assert wrong_entry.reason == "entry port is (2, 3), expected (3, 2)"
-    wrong_exit = validate_embedding(host, path, connect_to=(5, 4))
+    wrong_exit = validate_embedding(host, path, (2, 3), (5, 4))
     assert wrong_exit.reason == "exit port is (4, 5), expected (5, 4)"
 
 
@@ -182,7 +182,7 @@ def test_numpy_integer_vertices_are_read_as_ints() -> None:
     assert is_square_path(g, tuple(np.arange(60, 75)))
     check = is_square_path(cut, tuple(np.arange(60, 75)))
     assert check.reason == "missing edge (70, 71)"
-    assert validate_embedding(g, np.arange(60, 75), connect_from=(60, 61)).ok
+    assert validate_embedding(g, np.arange(60, 75), (60, 61), (73, 74)).ok
 
 
 @pytest.mark.parametrize(
@@ -193,8 +193,8 @@ def test_numpy_integer_vertices_are_read_as_ints() -> None:
         lambda g: is_square_path(g, "abc"),
         lambda g: is_square_path(g, [[0], [1]]),
         lambda g: is_square_path(g, np.array([0, 1, 100])),
-        lambda g: validate_embedding(g, (0, 1, 2), connect_from=5),
-        lambda g: validate_embedding(g, (0, 1, 2), connect_to=2.5),
+        lambda g: validate_embedding(g, (0, 1, 2), 5, (1, 2)),
+        lambda g: validate_embedding(g, (0, 1, 2), (0, 1), 2.5),
     ],
     ids=["float", "int", "str", "lists", "array", "int-port", "float-port"],
 )

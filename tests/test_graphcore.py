@@ -43,7 +43,7 @@ from squareham.graphcore import (
     triangle_profile,
 )
 from squareham.absorber import build_single_absorbers
-from squareham.connector import ConnectionRequest, connect_one
+from squareham.connector import connect_one
 from squareham.hamiltonian import (
     almost_spanning_square_path,
     cover_with_square_paths,
@@ -293,9 +293,7 @@ ENTRY_POINTS = {
     ),
     "match_leftover": lambda g, s: match_leftover(g, s, 0),
     "build_single_absorbers": lambda g, s: build_single_absorbers(g, s, 0),
-    "connect_one": lambda g, s: connect_one(
-        g, ConnectionRequest((0, 1), (2, 3), s, length=5), seed=0
-    ),
+    "connect_one": lambda g, s: connect_one(g, (0, 1), (2, 3), s, 5, 0),
 }
 
 

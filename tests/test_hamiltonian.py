@@ -18,7 +18,6 @@ from hypothesis.strategies import (
 from squareham import (
     Absorber,
     Certificate,
-    ConnectionRequest,
     Graph,
     FailureReport,
     InfeasibilityWitness,
@@ -42,9 +41,9 @@ from squareham.hamiltonian import (
     BruteForceResult,
     almost_spanning_square_path,
     certificate_from_json_obj,
-    certificate_to_json_obj,
     cover_with_square_paths,
     failure_report_to_json_obj,
+    jsonable,
     match_leftover,
     witness_from_json_obj,
 )
@@ -127,14 +126,13 @@ def test_exhaustive_search_proves_absence_on_a_path() -> None:
     assert res.certificate is None
 
 
-def test_exhaustive_search_respects_its_budget() -> None:
+def test_exhaustive_search_respects_its_budget(monkeypatch) -> None:
+    # The search reads its budget at call time.
+    monkeypatch.setattr(hamiltonian, "_EXHAUSTIVE_BUDGET", 50)
     g = gnp_generate(40, 0.5, 0)
-    res = brute_force_square_ham(g, budget=50)
+    res = brute_force_square_ham(g)
     assert res.status == "unknown"
     assert res.nodes <= 51
-    for budget in (0, -1, 1.5, "x", True):
-        with pytest.raises(InputError, match="budget"):
-            brute_force_square_ham(g, budget=budget)
 
 
 @settings(max_examples=30)
@@ -412,7 +410,7 @@ def test_pipeline_rejects_a_negative_seed() -> None:
 
 def outcome_digest(outcome: Certificate | FailureReport) -> str:
     if isinstance(outcome, Certificate):
-        obj = certificate_to_json_obj(outcome)
+        obj = jsonable(outcome)
     else:
         obj = failure_report_to_json_obj(outcome)
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
@@ -520,9 +518,9 @@ def test_a_threading_probe_is_one_job_with_the_probe_seed(monkeypatch) -> None:
     asked = []
     connect = hamiltonian.connect_one
 
-    def recording(g, req, seed):
-        res = connect(g, req, seed)
-        asked.append((req, seed, len(res.path)))
+    def recording(g, *job):
+        res = connect(g, *job)
+        asked.append((*job, len(res.path)))
         return res
 
     monkeypatch.setattr(hamiltonian, "connect_one", recording)
@@ -532,7 +530,7 @@ def test_a_threading_probe_is_one_job_with_the_probe_seed(monkeypatch) -> None:
     g = complete_graph(12).remove_edges([(0, 2)])
     suffix, info = hamiltonian._assemble_cycle(g, a, [], fuel, 3)
     assert len(suffix) == 1 and info == {"consumed": 1 << suffix[0]}
-    assert asked == [(ConnectionRequest((0, 1), (2, 3), fuel, 8), 3 * 7919 + 1, 5)]
+    assert asked == [((0, 1), (2, 3), fuel, 8, 3 * 7919 + 1, 5)]
     asked.clear()
     # On a complete host every probe is a direct arc.
     g = complete_graph(12)
@@ -540,8 +538,8 @@ def test_a_threading_probe_is_one_job_with_the_probe_seed(monkeypatch) -> None:
         (4, 5), {"consumed": 0}
     )
     assert asked == [
-        (ConnectionRequest((0, 1), (4, 5), fuel, 8), 3 * 7919, 4),
-        (ConnectionRequest((4, 5), (2, 3), fuel, 8), 3 * 7919 + 1, 4),
+        ((0, 1), (4, 5), fuel, 8, 3 * 7919, 4),
+        ((4, 5), (2, 3), fuel, 8, 3 * 7919 + 1, 4),
     ]
 
 
@@ -553,14 +551,14 @@ def test_the_sweep_stops_at_the_host_size(monkeypatch) -> None:
     asked, searched = [], []
     connect = hamiltonian.connect_one
 
-    def recording(g, req, seed):
-        asked.append(req.length)
-        return connect(g, req, seed)
+    def recording(g, frm, to, w, length, seed):
+        asked.append(length)
+        return connect(g, frm, to, w, length, seed)
 
     def searching(fn):
-        def spy(g, req, pool, length, seed, *masks):
+        def spy(g, ends, pool, length, seed, *masks):
             searched.append(length)
-            return fn(g, req, pool, length, seed, *masks)
+            return fn(g, ends, pool, length, seed, *masks)
 
         return spy
 
@@ -611,9 +609,9 @@ def test_the_threading_keeps_no_record_between_calls(monkeypatch) -> None:
         captured.append(args)
         return assemble(*args)
 
-    def recording(g, req, seed):
-        asked.append((req, seed))
-        return connect(g, req, seed)
+    def recording(g, *job):
+        asked.append(job)
+        return connect(g, *job)
 
     monkeypatch.setattr(hamiltonian, "_assemble_cycle", capturing)
     monkeypatch.setattr(hamiltonian, "connect_one", recording)
@@ -681,17 +679,29 @@ def test_every_pipeline_search_passes_the_names_the_benchmark_wraps(
 
 def test_every_search_gets_its_pool_as_a_mask_that_len_counts(monkeypatch) -> None:
     # The traced benchmark averages len(pool) at connector._direct_connect
-    # into connector.pool.mean: the reservoir less the ports.
-    sizes = []
+    # into connector.pool.mean: the reservoir less the ports.  The job's
+    # reservoir is seen where the pipeline calls connect_one.
+    sizes, jobs = [], []
     direct = connector._direct_connect
 
-    def checking(g, req, pool, *args, **kwargs):
-        ports = 1 << req.frm[0] | 1 << req.frm[1] | 1 << req.to[0] | 1 << req.to[1]
-        assert pool == req.w & ~ports
-        assert len(pool) == (req.w & ~ports).bit_count()
-        sizes.append(len(pool))
-        return direct(g, req, pool, *args, **kwargs)
+    def asking(connect):
+        def recording(g, frm, to, w, length, seed):
+            jobs.append((frm, to, w))
+            return connect(g, frm, to, w, length, seed)
 
+        return recording
+
+    def checking(g, ends, pool, *args, **kwargs):
+        frm, to, w = jobs[-1]
+        assert ends == (frm, to)
+        ports = 1 << frm[0] | 1 << frm[1] | 1 << to[0] | 1 << to[1]
+        assert pool == w & ~ports
+        assert len(pool) == (w & ~ports).bit_count()
+        sizes.append(len(pool))
+        return direct(g, ends, pool, *args, **kwargs)
+
+    for module in (absorber, hamiltonian):
+        monkeypatch.setattr(module, "connect_one", asking(module.connect_one))
     monkeypatch.setattr(connector, "_direct_connect", checking)
     out = find_square_ham(gnp_generate(200, 0.5, 1), config=PipelineConfig(seed=0))
     assert isinstance(out, Certificate)
@@ -790,7 +800,7 @@ def test_sparse_hosts_certify_with_the_whole_host_as_the_pool(n, p) -> None:
 
 def test_certificate_and_failure_serialization_round_trip() -> None:
     cert = Certificate((2, 0, 1, 3))
-    clone = certificate_from_json_obj(certificate_to_json_obj(cert))
+    clone = certificate_from_json_obj(jsonable(cert))
     assert clone == cert
     report = FailureReport("covering", {"leftover": [1, 2]})
     obj = failure_report_to_json_obj(report)

@@ -361,10 +361,11 @@ def test_pipeline_config_holds_only_settings_callers_change() -> None:
 
 
 def test_connections_and_units_keep_only_the_fields_they_use() -> None:
-    # A connection is a square path, so it has no width; an absorber is one
-    # square path and its absorbees, so it has no units or links beside it.
-    requests = [f.name for f in dataclasses.fields(squareham.ConnectionRequest)]
-    assert requests == ["frm", "to", "w", "length"]
+    # A connection is a square path, so its job has no width; an absorber is
+    # one square path and its absorbees, so it has no units or links beside
+    # it.  The job's checks read only its ports, reservoir and length.
+    checked = list(inspect.signature(connector._validate_request).parameters)
+    assert checked == ["g", "frm", "to", "w", "length"]
     # A connection's result is its path, a plain vertex tuple.
     results = [f.name for f in dataclasses.fields(squareham.ConnectResult)]
     assert results == ["ok", "path", "diagnostics"]
@@ -413,3 +414,38 @@ def test_the_absorber_draws_from_the_whole_host() -> None:
     assert not hasattr(graphcore, "random_partition")
     params = list(inspect.signature(hamiltonian.build_absorber).parameters)
     assert params == ["g", "xs", "seed"]
+
+
+def test_a_connection_job_is_the_arguments_of_connect_one() -> None:
+    # A job is four values and a seed, passed as they are: no record is
+    # built per job and unpacked at once.
+    assert not hasattr(connector, "ConnectionRequest")
+    assert not hasattr(squareham, "ConnectionRequest")
+    assert "ConnectionRequest" not in squareham.__all__
+    params = list(inspect.signature(squareham.connect_one).parameters)
+    assert params == ["g", "frm", "to", "w", "length", "seed"]
+
+
+def _budget_parameters(tree: ast.AST) -> list[str]:
+    """Functions of ``tree``, lambdas and nested ones included, that take a
+    parameter named ``budget``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+            if "budget" in names:
+                found.append(f"line {node.lineno}: {getattr(node, 'name', 'lambda')}")
+    return found
+
+
+def test_no_library_function_takes_a_budget() -> None:
+    # A search budget only tests set is a module constant, which tests
+    # change with monkeypatch, and no parameter.
+    for path in [*MODULES, Path(squareham.__file__)]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert _budget_parameters(tree) == [], path.name
+    for src in ("def f(g, budget=5): pass", "def f(*, budget): pass",
+                "class C:\n    def m(self):\n        def inner(budget): pass",
+                "f = lambda budget: budget"):
+        assert _budget_parameters(ast.parse(src)), src
