@@ -31,9 +31,11 @@ import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .connector import connect_one
-from .gadgets import is_square_path
-from .graphcore import Graph, InputError, bits, check_int, mask_of
+from .gadgets import BULK_PATH_LEN, is_square_path
+from .graphcore import Graph, InputError, bits, check_int, mask_of, vertex_ids
 from .matching import BipartiteInstance, hall_saturating_matching
 
 
@@ -174,15 +176,12 @@ def chain_absorbers(
         try:
             if len(unit) != 5:
                 raise InputError(f"a unit is five vertices, got {len(unit)}")
-            # The range check comes first, so no bit is built from a huge id.
-            if not (0 <= min(unit) and max(unit) < n):
-                g.check_vertices(unit)
-            more = mask_of(unit)
-        except (TypeError, OverflowError):
-            more = None
-        if type(more) is not int:
-            # A numpy integer shifts as an int64, so the units are read as
-            # ints; anything else is no vertex.
+            u1, u2, x, v1, v2 = unit
+            ints = type(u1) is type(u2) is type(x) is type(v1) is type(v2) is int
+        except TypeError:
+            ints = False
+        if not ints:
+            # Numpy integers are read as ints; anything else is no vertex.
             plain = []
             for unit in units:
                 try:
@@ -191,6 +190,10 @@ def chain_absorbers(
                     message = f"a unit is five vertices of g, got {unit!r}"
                     raise InputError(message) from None
             return chain_absorbers(g, plain, pool, seed)
+        # The range check comes first, so no bit is built from a huge id.
+        if not (0 <= min(unit) and max(unit) < n):
+            g.check_vertices(unit)
+        more = mask_of(unit)
         if body & more:
             raise InputError("units to chain must be pairwise disjoint")
         body |= more
@@ -276,22 +279,42 @@ def verify_absorber(g: Graph, a: Absorber) -> AbsorberVerification:
     closer than 3 places are rejected as structures the library never
     builds: it puts five or more places between two absorbees.
 
+    On a walk of :data:`~squareham.gadgets.BULK_PATH_LEN` or more
+    vertices, checks (a) to (c) run for all absorbees at once, by gathers
+    on ``g.packed``, and only an absorber that fails is walked absorbee by
+    absorbee, to name its first fault.
+
     Returns:
         ``ok`` with ``subsets_checked == |X| + 1``, or the first fault with
         ``failure["subset"]`` set to ``()`` for a walk that is no square
         path and ``(x,)`` for absorbee ``x`` failing (a), (b) or (c).
 
     Raises:
-        InputError: If the walk or the absorbees name a non-vertex.
+        InputError: If ``a`` is not an :class:`Absorber`, its walk or its
+            absorbees name a non-vertex, or an absorbee is not an integer.
     """
+    if not isinstance(a, Absorber):
+        raise InputError(f"an absorber must be an Absorber, got {a!r}")
     walk, xs = a.walk, a.absorbees
     # Both range checks come first, so an id of any size is rejected
     # before anything is built from it.
-    g.check_vertices(walk)
-    g.check_vertices(xs)
+    try:
+        g.check_vertices(walk)
+        g.check_vertices(xs)
+    except TypeError:
+        raise InputError(f"an absorber names a non-vertex: {a!r}") from None
+    for x in xs:
+        if type(x) is not int:  # a plain int needs no call
+            check_int("an absorbee", x)
     check = is_square_path(g, walk)
     if not check.ok:
         return AbsorberVerification(False, 1, {"subset": (), "reason": check.reason})
+    # A walk long enough for the bulk square-path check has its absorbees
+    # checked in bulk too; the loop below names the first fault.
+    if len(walk) >= BULK_PATH_LEN and _absorbees_hold(
+        g, vertex_ids(walk), vertex_ids(xs)
+    ):
+        return AbsorberVerification(True, len(xs) + 1, None)
     place = {v: i for i, v in enumerate(walk)}
     last = None
     for k, x in enumerate(xs):
@@ -313,6 +336,30 @@ def verify_absorber(g: Graph, a: Absorber) -> AbsorberVerification:
             continue
         return AbsorberVerification(False, k + 2, {"subset": (x,), "reason": fault})
     return AbsorberVerification(True, len(xs) + 1, None)
+
+
+#: Offsets from an absorbee's place to the four walk vertices its bridge
+#: edges join.
+_AROUND = np.array([-2, -1, 1, 2])
+
+
+def _absorbees_hold(g: Graph, walk: np.ndarray, xs: np.ndarray) -> bool:
+    """Whether every absorbee of ``xs`` passes checks (a), (b) and (c) of
+    :func:`verify_absorber` on ``walk``, a square path of ``g``, by gathers
+    on ``g.packed``; ``False`` says only that some check fails."""
+    if not len(xs):
+        return True
+    place = np.full(g.n, -1)
+    place[walk] = np.arange(len(walk))
+    at = place[xs]
+    # Places at least 3 apart ascend, so the first is the least and the
+    # last the greatest, and an absorbee off the walk, at -1, fails (a).
+    if at[0] < 2 or at[-1] > len(walk) - 3 or (at[1:] < at[:-1] + 3).any():
+        return False
+    # Row k holds the walk at places i - 2, i - 1, i + 1 and i + 2 around
+    # absorbee k; its bridge edges pair the first two with the last two.
+    around = walk[at[:, None] + _AROUND]
+    return g.has_edges(around[:, :2], around[:, 2:])
 
 
 # -- serialization ------------------------------------------------------------

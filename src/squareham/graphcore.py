@@ -13,15 +13,16 @@ adversary's attack class, an index array for numpy, is the one exception.
 :meth:`Graph.check_mask` checks a bitset's type and range, :func:`bits` and
 :func:`mask_of` convert between bitsets and ascending vertex lists, and
 :func:`nth_bit` picks one set bit without listing the others.  Numpy work
-reads two bulk views of the rows, never edited: the boolean matrix,
-unpacked once and cached, and :func:`packed_rows`, the rows as bytes, a
-transient view built fresh on every call and held only for it.  Graphs from
-outside edges go through the validating :class:`Graph` constructor;
-:func:`gnp_generate` writes its rows straight into packed bytes, a block
-of rows at a time, and graphs derived from another graph (edge deletion)
-are built from the parent's rows.  Every codegree and triangle count
-comes from one symmetric ``A·Aᵀ`` product over the matrix unpacked from
-the rows, squared in float32 by BLAS.  The square of a graph less the
+reads two bulk views of the rows, never edited and each built at most once
+per graph: :attr:`Graph.packed`, the rows as bytes, which whole-graph and
+whole-path passes gather from (:meth:`Graph.has_edges`), and the boolean
+matrix, unpacked from it for BLAS.  Graphs from outside edges go through
+the validating :class:`Graph` constructor; :func:`gnp_generate` writes its
+rows straight into packed bytes, a block of rows at a time, and hands that
+array to the graph as its packed view, and graphs derived from another
+graph (edge deletion) are built from the parent's rows.  Every codegree and
+triangle count comes from one symmetric ``A·Aᵀ`` product over the matrix,
+squared in float32 by BLAS.  The square of a graph less the
 edges inside a vertex set is taken from its host's square by one thin
 correction product on that set's rows, not squared again.  Both products
 are exact: every entry is an integer of at most ``n``, and float32 holds
@@ -39,6 +40,8 @@ up to a bias below ``k / 2^64``.
 
 from __future__ import annotations
 
+import array
+import itertools
 import json
 import numbers
 import operator
@@ -124,21 +127,33 @@ def splitmix64(seed: int) -> Iterator[int]:
         yield z ^ z >> 31
 
 
+#: Most bytes of packed rows :meth:`Graph.is_subgraph_of` compares at once.
+_SUBGRAPH_BLOCK_BYTES = 1 << 16
+
+#: ``_BYTE_BITS[b]`` is the byte with only bit ``b`` set.
+_BYTE_BITS = np.array([1 << b for b in range(8)], np.uint8)
+
+
 class Graph:
     """Immutable undirected simple graph on vertices ``0..n-1``.
 
     Adjacency is held as one Python ``int`` bitset per vertex (the rows):
-    bit ``v`` of ``rows[u]`` is set exactly when ``uv`` is an edge.  Hot
-    callers test candidates with row algebra (``rows[u] >> v & 1``, ``&`` of
-    several rows against a pool mask) instead of per-pair lookups.  The
-    boolean matrix used for bulk counting is unpacked from the rows and
-    cached; :meth:`neighbors` builds a fresh frozenset per call and is meant
-    for tests and cold paths.  ``Graph(n, edges)`` validates outside edges;
-    derived graphs are built from the parent's rows without re-validating
-    them.  Instances are safe to share across threads.
+    bit ``v`` of ``rows[u]`` is set exactly when ``uv`` is an edge.  Each
+    view serves one kind of work.  The rows serve picks: hot callers test
+    candidates with row algebra (``rows[u] >> v & 1``, ``&`` of several
+    rows against a pool mask) instead of per-pair lookups.  :attr:`packed`
+    serves bulk passes over the whole graph or a whole path: it holds the
+    rows as bytes, and :meth:`has_edges` tests many pairs in one gather.
+    :attr:`matrix`, unpacked from it, serves BLAS.  Both bulk views are
+    built once, on first use, and cached; a generated graph holds its
+    packed view from birth.  :meth:`neighbors` builds a fresh frozenset per
+    call and is meant for tests and cold paths.  ``Graph(n, edges)``
+    validates outside edges; derived graphs are built from the parent's
+    rows without re-validating them.  Instances are safe to share across
+    threads.
     """
 
-    __slots__ = ("n", "_rows", "_edge_count", "_matrix")
+    __slots__ = ("n", "_rows", "_edge_count", "_matrix", "_packed")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         check_vertex_count("vertex count", n)
@@ -159,17 +174,26 @@ class Graph:
         self._set_rows(tuple(rows))
 
     @classmethod
-    def _from_rows(cls, rows: tuple[int, ...]) -> "Graph":
-        """A graph on already symmetric, loop-free rows (not re-validated)."""
+    def _from_rows(
+        cls, rows: tuple[int, ...], packed: np.ndarray | None = None
+    ) -> "Graph":
+        """A graph on already symmetric, loop-free rows (not re-validated);
+        ``packed``, if given, is those rows as :func:`packed_rows` lays
+        them out, and becomes the graph's packed view."""
         g = cls.__new__(cls)
-        g._set_rows(rows)
+        g._set_rows(rows, packed)
         return g
 
-    def _set_rows(self, rows: tuple[int, ...]) -> None:
+    def _set_rows(
+        self, rows: tuple[int, ...], packed: np.ndarray | None = None
+    ) -> None:
         self.n = len(rows)
         self._rows = rows
         self._edge_count = sum(r.bit_count() for r in rows) // 2
         self._matrix: np.ndarray | None = None
+        if packed is not None:
+            packed.flags.writeable = False
+        self._packed = packed
 
     # -- basic views ------------------------------------------------------
 
@@ -230,14 +254,27 @@ class Graph:
             raise InputError(f"{name} holds bits outside 0..{self.n - 1}")
 
     @property
+    def packed(self) -> np.ndarray:
+        """The rows as a read-only ``n x ceil(n/8)`` ``uint8`` array in the
+        :func:`packed_rows` layout, built on first use and cached."""
+        if self._packed is None:
+            self._packed = packed_rows(self._rows, self.n)
+        return self._packed
+
+    @property
     def matrix(self) -> np.ndarray:
-        """Boolean adjacency matrix, unpacked from the rows and cached."""
+        """Boolean adjacency matrix, unpacked from :attr:`packed` and cached."""
         if self._matrix is None:
-            n = self.n
             self._matrix = np.unpackbits(
-                packed_rows(self._rows, n), axis=1, count=n, bitorder="little"
+                self.packed, axis=1, count=self.n, bitorder="little"
             ).view(bool)
         return self._matrix
+
+    def has_edges(self, us: np.ndarray, vs: np.ndarray) -> bool:
+        """Whether ``(us[i], vs[i])`` is an edge for every ``i``: one gather
+        on :attr:`packed`.  ``us`` and ``vs`` are integer arrays of one
+        length whose entries are vertices; they are not checked."""
+        return bool((self.packed[us, vs >> 3] & _BYTE_BITS[vs & 7]).all())
 
     # -- derived graphs ---------------------------------------------------
 
@@ -297,6 +334,15 @@ class Graph:
         """
         if self.n != other.n:
             return False, None
+        # One pass over the packed views, a block of rows at a time; only a
+        # graph that is no subgraph is walked row by row, to name the edge.
+        mine, theirs = self.packed, other.packed
+        step = max(1, _SUBGRAPH_BLOCK_BYTES // max(1, mine.shape[1]))
+        if not any(
+            (mine[at : at + step] & ~theirs[at : at + step]).any()
+            for at in range(0, self.n, step)
+        ):
+            return True, None
         for u, (mine, theirs) in enumerate(zip(self._rows, other._rows)):
             extra = mine & ~theirs
             if extra:
@@ -379,26 +425,65 @@ def nth_bit(mask: int, k: int) -> int:
 def packed_rows(rows: Sequence[int], n: int) -> np.ndarray:
     """Row bitsets of an ``n``-vertex graph as a ``len(rows) x ceil(n/8)``
     ``uint8`` array: bit ``v`` of a row is bit ``v % 8`` of byte ``v // 8``.
-    Built fresh on every call."""
+
+    This is the layout of :attr:`Graph.packed`, the one caller; every
+    other reader gathers the rows it needs from that cached view.
+    """
     width = (n + 7) // 8
     return np.frombuffer(
         b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8
     ).reshape(len(rows), width)
 
 
+def vertex_ids(seq: Iterable[int]) -> np.ndarray | None:
+    """The entries of ``seq`` as an ``int64`` array, for bulk passes; or
+    ``None`` when ``seq`` is not iterable or an entry is not an integer
+    (Python, numpy or ``bool``) that fits in 64 bits.  Entries are not
+    range-checked: the caller compares the array with its graph."""
+    if type(seq) is not tuple and type(seq) is not list:
+        # A bytes initializer would be read as machine values.
+        try:
+            seq = list(seq)
+        except TypeError:
+            return None
+    try:
+        return np.frombuffer(array.array("q", seq), np.int64)
+    except (TypeError, OverflowError):
+        return None
+
+
+#: Places :func:`mask_of` builds each bit up by, shifting the mask down at
+#: the end: a plain int still costs one shift and one OR, and ``2^64``, the
+#: bit it shifts, fits no numpy integer, so a numpy shift raises
+#: OverflowError instead of wrapping at 64 bits.
+_MASK_OFFSET = 64
+_MASK_ONE = 1 << _MASK_OFFSET
+
+
 def mask_of(vs: Iterable[int]) -> int:
-    """The bitset with bit ``v`` set for every ``v`` in ``vs``.
+    """The bitset with bit ``v`` set for every ``v`` in ``vs``; numpy
+    integers are read as ints.
 
     Raises:
-        InputError: If an entry is negative.
+        InputError: If ``vs`` is not iterable or an entry is not a
+            non-negative integer small enough to shift by.
     """
-    mask = 0
+    # A shift too large to allocate raises MemoryError, and a larger one
+    # OverflowError.
+    mask, one, v = 0, _MASK_ONE, vs
     try:
         for v in vs:
-            mask |= 1 << v
-    except ValueError:
-        raise InputError(f"vertices must be non-negative, got {v}") from None
-    return mask
+            mask |= one << v
+    except (TypeError, ValueError, OverflowError, MemoryError):
+        if not isinstance(v, np.integer):
+            message = f"vertices must be non-negative integers, got {v!r}"
+            raise InputError(message) from None
+        # The rest is read as ints: an iterator resumes after v, and a
+        # sequence starts over, which sets no new bit.
+        rest = itertools.chain((v,), vs)
+        ints = (int(u) if isinstance(u, np.integer) else u for u in rest)
+        mask |= mask_of(ints) << _MASK_OFFSET
+    return mask >> _MASK_OFFSET
 
 
 def complete_graph(n: int) -> Graph:
@@ -421,12 +506,14 @@ def gnp_generate(n: int, p: float, seed: int) -> Graph:
     """Binomial random graph G(n, p) from a deterministic seeded stream.
 
     Each unordered pair is included independently with probability ``p``; the
-    same ``(n, p, seed)`` always reproduces the identical graph.  Memory
-    beyond the graph's own rows is one packed copy of them,
-    ``n * ceil(n/8)`` bytes (two while it is handed from numpy to bytes),
-    and one block's work, about ``4 * 64 * n`` bytes plus 64 KiB of
-    uniforms: O(n**2 / 8) in all, not a byte per pair (G(5000, .5) peaks
-    at 6.6 MB, 3.5 MB of them the graph).
+    same ``(n, p, seed)`` always reproduces the identical graph.  The rows
+    are generated as one packed array, ``n * ceil(n/8)`` bytes, which the
+    graph keeps as its :attr:`~Graph.packed` view, so no bulk pass builds
+    it again.  Memory beyond the rows and that array is one more packed
+    copy while the array is handed from numpy to bytes, and one block's
+    work, about ``4 * 64 * n`` bytes plus 64 KiB of uniforms: O(n**2 / 8)
+    in all, not a byte per pair (G(5000, .5) peaks at 6.6 MB, 3.5 MB of
+    them the rows).
 
     Args:
         n: Vertex count, an integer in ``0..sys.maxsize``.
@@ -438,15 +525,15 @@ def gnp_generate(n: int, p: float, seed: int) -> Graph:
     """
     check_vertex_count("n", n)
     check_probability("p", p)
-    data = _gnp_packed(int(n), float(p), rng_for(seed, 0)).tobytes()
+    packed = _gnp_packed(int(n), float(p), rng_for(seed, 0))
+    data = packed.tobytes()
     width = (n + 7) // 8
     # Slicing one bytes object is about twice as fast as reading numpy rows.
-    return Graph._from_rows(
-        tuple(
-            int.from_bytes(data[i : i + width], "little")
-            for i in range(0, len(data), width or 1)
-        )
+    rows = tuple(
+        int.from_bytes(data[i : i + width], "little")
+        for i in range(0, len(data), width or 1)
     )
+    return Graph._from_rows(rows, packed)
 
 
 def _gnp_packed(n: int, p: float, rng: np.random.Generator) -> np.ndarray:

@@ -35,9 +35,9 @@ from .graphcore import (
     check_sequence,
     mask_of,
     nth_bit,
-    packed_rows,
     rng_for,
     splitmix64,
+    vertex_ids,
 )
 from .matching import BipartiteInstance, hall_saturating_matching
 
@@ -145,7 +145,8 @@ class InfeasibilityWitness:
             raise InputError(f"unknown witness kind {self.kind!r}")
         check_sequence("witness vertices", self.vertices)
         for v in self.vertices:
-            check_int("a witness vertex", v)
+            if type(v) is not int:  # a plain int needs no call
+                check_int("a witness vertex", v)
 
 
 @dataclass(frozen=True)
@@ -219,6 +220,10 @@ def witness_from_json_obj(obj: Mapping) -> InfeasibilityWitness:
 def verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
     """Check that every cyclic distance-1 and distance-2 pair is an edge.
 
+    All pairs are tested at once by gathers on ``g.packed``; only a
+    certificate that fails is walked position by position, to name its
+    first missing pair.
+
     Args:
         g: Host graph.
         cert: Candidate cyclic order.
@@ -228,20 +233,34 @@ def verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
         its position and cyclic distance.
 
     Raises:
-        InputError: If the order is not a permutation of all vertices, or
-            the graph has fewer than 3 vertices.
+        InputError: If ``cert`` is not a :class:`Certificate`, its order is
+            not a permutation of all vertices, or the graph has fewer than
+            3 vertices.
     """
-    if g.n < 3:
+    if not isinstance(cert, Certificate):
+        raise InputError(f"a certificate must be a Certificate, got {cert!r}")
+    n = g.n
+    if n < 3:
         raise InputError("squares of Hamilton cycles need at least 3 vertices")
-    order = cert.order
-    if len(order) != g.n or set(order) != set(range(g.n)):
+    # Every entry is an integer, so only a huge one gives no array.
+    ids = vertex_ids(cert.order)
+    permutation = ids is not None and len(ids) == n and 0 <= ids.min() <= ids.max() < n
+    if permutation:
+        seen = np.zeros(n, bool)
+        seen[ids] = True
+        permutation = seen.all()
+    if not permutation:
         raise InputError("certificate order must be a permutation of all vertices")
-    # A certificate may hold numpy integers, whose shifts wrap at 64 bits.
-    order = [*map(int, order)]
+    # Each vertex against its cyclic successors at distance 1 and 2.
+    ahead = np.concatenate((ids[1:], ids[:1], ids[2:], ids[:2]))
+    if g.has_edges(np.concatenate((ids, ids)), ahead):
+        return CertificateCheck(True, None, None, None)
+    # Plain ints: a numpy integer's shift wraps at 64 bits.
+    order = ids.tolist()
     rows = g.rows
-    # One pass: each vertex against its cyclic successors at distance 1 and
-    # 2, each pair one AND of its row with the other vertex's bit.  A fault
-    # reads its position back from the vertex, which holds only one.
+    # Each vertex against its cyclic successors at distance 1 and 2, each
+    # pair one AND of its row with the other vertex's bit.  A fault reads
+    # its position back from the vertex, which holds only one.
     marks = [1 << v for v in order]
     for u, near, far in zip(order, marks[1:] + marks[:1], marks[2:] + marks[:2]):
         row = rows[u]
@@ -253,13 +272,50 @@ def verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
             continue
         v = mark.bit_length() - 1
         return CertificateCheck(False, order.index(u), d, (min(u, v), max(u, v)))
-    return CertificateCheck(True, None, None, None)
+    raise AssertionError("the bulk check and the loop disagree")
 
 
-#: Most bytes the witness search unpacks at once: the dying rows of a kill
-#: are subtracted in chunks of this many bytes of unpacked rows (one row at
-#: least).
+#: Most bytes of rows the witness search works on at once: a degree update
+#: reads its rows a chunk of ``_WITNESS_CHUNK_BYTES // n`` at a time (one
+#: row at least), unpacked to a byte per vertex or left packed.
 _WITNESS_CHUNK_BYTES = 1 << 18
+
+#: The witness search recounts the alive rows while they number at most
+#: this many times the dying ones, and subtracts the dying rows otherwise.
+#: A recount reads a row packed and a subtraction unpacked, and per row a
+#: recount took 0.4 to 0.55 of a subtraction's time on G(800, .5),
+#: G(1500, .7) and G(2000, .5) (2-vCPU VM, Python 3.11, numpy 2.4).
+_RECOUNT_SHARE = 2
+
+
+def _alive_degrees(g: Graph, ids: list[int], alive: int) -> np.ndarray:
+    """For each vertex of ``ids``, its neighbours in the bitset ``alive``:
+    the popcounts of those rows of ``g.packed`` ANDed with ``alive``."""
+    packed = g.packed
+    keep = np.frombuffer(alive.to_bytes(packed.shape[1], "little"), np.uint8)
+    out = np.empty(len(ids), np.intp)
+    step = max(1, _WITNESS_CHUNK_BYTES // g.n)
+    for at in range(0, len(ids), step):
+        block = packed[ids[at : at + step]]
+        block &= keep
+        out[at : at + step] = np.bitwise_count(block, out=block).sum(axis=1)
+    return out
+
+
+def _column_sums(g: Graph, ids: list[int]) -> np.ndarray:
+    """For every vertex, its neighbours among ``ids``: the column sums of
+    those rows of ``g.packed``, unpacked a chunk at a time."""
+    n = g.n
+    # A column sum counts at most n rows, so the smallest unsigned type
+    # that holds n is exact, and far faster to sum in than intp.
+    count_type = np.min_scalar_type(n)
+    step = max(1, _WITNESS_CHUNK_BYTES // n)
+    sums = np.zeros(n, np.intp)
+    for at in range(0, len(ids), step):
+        sums += np.unpackbits(
+            g.packed[ids[at : at + step]], axis=1, count=n, bitorder="little"
+        ).sum(axis=0, dtype=count_type)
+    return sums
 
 
 def find_infeasibility_witness(g: Graph) -> InfeasibilityWitness | None:
@@ -274,17 +330,21 @@ def find_infeasibility_witness(g: Graph) -> InfeasibilityWitness | None:
     proves nothing.
 
     The alive degrees sit in one vector, started from the row popcounts
-    and kept up to date as vertices die: once a kill leaves the bound
-    reachable, the column sums of the dying rows alone are subtracted, a
-    chunk of rows at a time, each chunk packed by
-    :func:`~squareham.graphcore.packed_rows` and unpacked.  Sums add, so
+    and kept up to date as vertices die.  Once a kill leaves the bound
+    reachable, either the alive rows are recounted, each ANDed with the
+    alive set and popcounted, or the column sums of the dying rows are
+    subtracted, whichever costs less by the per-row ratio that
+    :data:`_RECOUNT_SHARE` records.
+    Both gather a chunk of rows at a time from ``g.packed``; sums add, so
     the chunks change no degree.  A dead vertex holds a value above every
     alive degree, so ``argmin``, which returns the first minimum, is the
     lowest-index pick, and the isolated vertices are exactly the zeros.
-    Memory beyond the graph is the vector, the dying vertices' list and
-    one chunk, packed and then unpacked to a byte per vertex: at most
-    ``9/8 * max(n, 2**18)`` bytes, whatever the kill's size.  Nothing is
-    cached on ``g``.
+    Memory beyond the graph and its packed view, which the search builds
+    on first use and leaves cached on ``g``, is a few vectors of ``n``
+    entries, the list of the vertices read and one chunk, gathered and
+    unpacked to a byte per vertex or left packed: at most
+    ``9/8 * max(n, 2**18)`` bytes for the chunk, whatever the kill's size.
+    The boolean matrix is not built.
     """
     n = g.n
     if n < 3:
@@ -297,10 +357,6 @@ def find_infeasibility_witness(g: Graph) -> InfeasibilityWitness | None:
             return InfeasibilityWitness("low-degree", (int(low[0]),))
     # A dead vertex loses at most n - 1 from later kills, so it stays above n.
     dead = 2 * n
-    # A column sum counts dying rows, at most n, so the smallest unsigned
-    # type that holds n is exact, and far faster to sum in than intp.
-    count_type = np.min_scalar_type(n)
-    chunk = max(1, _WITNESS_CHUNK_BYTES // n)
     bound = n // 3
     alive = (1 << n) - 1
     chosen: list[int] = []
@@ -310,17 +366,17 @@ def find_infeasibility_witness(g: Graph) -> InfeasibilityWitness | None:
             chosen.append(v)
             dying = rows[v] & alive | 1 << v
             alive ^= dying
-            if len(chosen) + alive.bit_count() <= bound:
+            left = alive.bit_count()
+            if len(chosen) + left <= bound:
                 return None
-            dying_ids = bits(dying)
-            for at in range(0, len(dying_ids), chunk):
-                degrees -= np.unpackbits(
-                    packed_rows([rows[u] for u in dying_ids[at : at + chunk]], n),
-                    axis=1,
-                    count=n,
-                    bitorder="little",
-                ).sum(axis=0, dtype=count_type)
-            degrees[dying_ids] = dead
+            if left <= _RECOUNT_SHARE * dying.bit_count():
+                alive_ids = bits(alive)
+                degrees.fill(dead)
+                degrees[alive_ids] = _alive_degrees(g, alive_ids, alive)
+            else:
+                dying_ids = bits(dying)
+                degrees -= _column_sums(g, dying_ids)
+                degrees[dying_ids] = dead
             continue
         # Taking an isolated vertex leaves every other degree as it was, so
         # the greedy takes all isolated vertices next, lowest first.
@@ -649,25 +705,32 @@ def _insert_into_paths(g: Graph, paths: list[list[int]], q: int) -> bool:
     """Splice ``q`` into some path interior, preserving square-path pairs.
 
     Splicing between positions ``i - 1`` and ``i`` needs ``q`` adjacent to
-    the two split vertices and to their outer distance-2 partners.  On the
-    string of ``q``'s adjacencies along a path, the first fit is a prefix
-    ``111`` (``11`` on a two-vertex path) at ``i = 1``, else the first
-    ``1111``, at ``i - 2``, else a suffix ``111`` at ``i = len(path) - 1``.
+    the two split vertices and to their outer distance-2 partners.  Along a
+    path, with ``run`` the count of consecutive neighbours of ``q`` ending
+    at the vertex read, the first fit is the first three vertices (both of
+    a two-vertex path) at ``i = 1``, else the first four in a row, which
+    start at ``i - 2``, else the last three at ``i = len(path) - 1``; the
+    scan stops at the first fit.
     """
     row = g.row(q)
     for path in paths:
         m = len(path)
         if m < 2:
             continue
-        adj = "".join("1" if row >> v & 1 else "0" for v in path)
-        if adj.startswith("111" if m > 2 else "11"):
-            i = 1
-        elif (j := adj.find("1111")) >= 0:
-            i = j + 2
-        elif adj.endswith("111"):
-            i = m - 1
+        run, head = 0, min(3, m)
+        for j, v in enumerate(path):
+            if not row >> v & 1:
+                run = 0
+                continue
+            run += 1
+            if run == 4 or run == j + 1 == head:
+                # Four in a row end at j; a prefix fit ends at j = 2 (j = 1).
+                i = j - 1 if run == 4 else 1
+                break
         else:
-            continue
+            if run < 3:
+                continue
+            i = m - 1
         path.insert(i, q)
         return True
     return False

@@ -3,10 +3,12 @@
 The list-based versions are the functions as they were before their vertex
 sets became ``int`` bitsets; the bitset versions must match them draw for
 draw.  The looped checks are the checks as they were before each became one
-pass over a precomputed table; the current ones must return the same result,
-the same first fault and the same message.
+pass over a precomputed table or a bulk pass over the packed rows; the
+current ones must return the same result, the same first fault and the same
+message.
 """
 
+from squareham.absorber import Absorber, AbsorberVerification
 from squareham.gadgets import ValidationResult
 from squareham.graphcore import Graph
 from squareham.hamiltonian import Certificate, CertificateCheck
@@ -35,8 +37,11 @@ def square_path_pairs(seq) -> tuple[tuple[int, int], ...]:
 
 def looped_is_square_path(g: Graph, seq) -> ValidationResult:
     """``is_square_path`` by ``square_path_pairs``, pair by pair, for a
-    repetition-free ``seq`` of vertices."""
-    assert len(set(seq)) == len(seq)
+    sequence of integers: the range check, then repeats, then each pair."""
+    for v in seq:
+        g.check_vertex(v)
+    if len(set(seq)) != len(seq):
+        return ValidationResult(False, "sequence repeats a vertex")
     for u, v in square_path_pairs(seq):
         if not g.has_edge(u, v):
             return ValidationResult(False, f"missing edge ({u}, {v})")
@@ -59,7 +64,10 @@ def looped_validate_embedding(
     g: Graph, path, connect_from, connect_to
 ) -> ValidationResult:
     """``validate_embedding`` one check after another, for a sequence of
-    vertices of ``g``: repeats, then each close pair, then each port."""
+    integers: the range check, repeats, then each close pair, then each
+    port."""
+    for v in path:
+        g.check_vertex(v)
     if len(set(path)) != len(path):
         return ValidationResult(False, "sequence repeats a vertex")
     for u, v in square_path_pairs(path):
@@ -90,3 +98,36 @@ def looped_splice(g: Graph, paths: list[list[int]], q: int) -> bool:
                 path.insert(i, q)
                 return True
     return False
+
+
+def looped_verify_absorber(g: Graph, a: Absorber) -> AbsorberVerification:
+    """``verify_absorber`` absorbee by absorbee: the walk by
+    ``looped_is_square_path``, then each absorbee's place, spacing and
+    bridge edges, each with ``Graph.has_edge``."""
+    walk, xs = a.walk, a.absorbees
+    g.check_vertices(walk)
+    g.check_vertices(xs)
+    check = looped_is_square_path(g, walk)
+    if not check.ok:
+        return AbsorberVerification(False, 1, {"subset": (), "reason": check.reason})
+    place = {v: i for i, v in enumerate(walk)}
+    last = None
+    for k, x in enumerate(xs):
+        i = place.get(x)
+        if i is None:
+            fault = "absorbee not on the walk"
+        elif not 2 <= i <= len(walk) - 3:
+            fault = "absorbee on an end pair of the walk"
+        elif last is not None and i <= last:
+            fault = "absorbee out of walk order or repeated"
+        elif last is not None and i < last + 3:
+            fault = "absorbee fewer than 3 places after the one before"
+        elif not g.has_edge(walk[i - 2], walk[i + 1]):
+            fault = f"missing bridge edge ({walk[i - 2]}, {walk[i + 1]})"
+        elif not g.has_edge(walk[i - 1], walk[i + 2]):
+            fault = f"missing bridge edge ({walk[i - 1]}, {walk[i + 2]})"
+        else:
+            last = i
+            continue
+        return AbsorberVerification(False, k + 2, {"subset": (x,), "reason": fault})
+    return AbsorberVerification(True, len(xs) + 1, None)

@@ -4,7 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis.strategies import booleans, data, integers, permutations, sampled_from
+from hypothesis.strategies import (
+    booleans,
+    data,
+    integers,
+    one_of,
+    permutations,
+    sampled_from,
+)
 
 from squareham import (
     Absorber,
@@ -23,10 +30,12 @@ from squareham import (
 from squareham import absorber as absorber_module
 from squareham import connector
 from squareham.absorber import absorber_from_json_obj
-from squareham.graphcore import bits, mask_of
+from squareham.gadgets import BULK_PATH_LEN
+from squareham.graphcore import bits, mask_of, rng_for
 from squareham.hamiltonian import jsonable
 
-from oracles import square_path_pairs
+from oracles import looped_verify_absorber, square_path_pairs
+from strategies import host_holding, seeds
 
 
 def build_full_absorber(n: int, p: float, seed: int, x_count: int = 3):
@@ -482,3 +491,78 @@ ABSORBER_CALLS_ON_MALFORMED_INPUT = {
 def test_the_absorber_api_rejects_malformed_input_with_input_error(call) -> None:
     with pytest.raises(InputError):
         call(complete_graph(30))
+
+
+@given(data())
+def test_bulk_audit_matches_the_looped_audit_under_faults(draw) -> None:
+    # Walks of 5 to 200 vertices with absorbees 3 to 8 places apart, on
+    # hosts missing up to two bridge edges, some with an absorbee added on
+    # an end pair, too close to the one before, off the walk, repeated or
+    # out of order.
+    k = draw.draw(one_of(integers(5, 200), integers(BULK_PATH_LEN, 200)))
+    n = k + draw.draw(integers(0, 10))
+    order = [int(v) for v in rng_for(draw.draw(seeds()), 8).permutation(n)]
+    walk = order[:k]
+    first, step = 2 + draw.draw(integers(0, 3)), draw.draw(integers(3, 8))
+    places = list(range(first, k - 2, step))
+    bridges = [(walk[i + a], walk[i + b]) for i in places for a, b in ((-2, 1), (-1, 2))]
+    # The walk stays a square path, so every example reaches the absorbee
+    # checks; the cuts fall on bridge edges.
+    cut = host_holding(draw, n, bridges, cut_most=2)
+    g = Graph(n, [*cut.edges(), *square_path_pairs(walk)])
+    fault = draw.draw(
+        sampled_from(["none", "end", "close", "off", "repeat", "order"])
+    )
+    at = draw.draw(integers(0, len(places)))
+    if fault == "end":
+        places.insert(at, draw.draw(sampled_from([0, 1, k - 2, k - 1])))
+    elif fault == "close" and places:
+        j = min(at, len(places) - 1)
+        places.insert(j + 1, min(places[j] + draw.draw(integers(1, 2)), k - 1))
+    elif fault in ("repeat", "order") and len(places) >= 2:
+        j = min(at, len(places) - 2)
+        if fault == "repeat":
+            places.insert(j, places[j])
+        else:
+            places[j], places[j + 1] = places[j + 1], places[j]
+    xs = [walk[i] for i in places]
+    if fault == "off" and n > k:
+        xs.insert(min(at, len(xs)), order[k])
+    a = Absorber(tuple(walk), tuple(xs))
+    assert verify_absorber(g, a) == looped_verify_absorber(g, a)
+
+
+def _long_absorber(k: int) -> tuple[list[int], list[int]]:
+    """A walk of ``k`` vertices, scrambled, and absorbees every six places."""
+    walk = [int(v) for v in rng_for(3, 11).permutation(k)]
+    return walk, list(range(2, k - 2, 6))
+
+
+FAULTS_ON_A_LONG_WALK = {
+    "none": lambda k, places: places,
+    "at-the-entry": lambda k, places: [1, *places[1:]],
+    "at-the-exit": lambda k, places: [*places, k - 2],
+    "one-after": lambda k, places: [*places[:3], places[2] + 1, *places[3:]],
+    "two-after": lambda k, places: [*places[:3], places[2] + 2, *places[3:]],
+    "out-of-order": lambda k, places: [places[1], places[0], *places[2:]],
+    "repeated": lambda k, places: [places[0], *places],
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTS_ON_A_LONG_WALK))
+@pytest.mark.parametrize("cut", [None, (-2, 1), (-1, 2)], ids=["whole", "cut2", "cut1"])
+def test_the_bulk_audit_names_what_the_loop_names(fault, cut) -> None:
+    # On a host holding every pair but at most one bridge edge, only the
+    # place, spacing and bridge checks can fail.
+    k = BULK_PATH_LEN + 10
+    walk, places = _long_absorber(k)
+    places = FAULTS_ON_A_LONG_WALK[fault](k, places)
+    g = complete_graph(k + 1)
+    if cut is not None:
+        i = places[len(places) // 2]
+        g = g.remove_edges([(walk[i + cut[0]], walk[i + cut[1]])])
+    a = Absorber(tuple(walk), tuple(walk[i] for i in places))
+    assert verify_absorber(g, a) == looped_verify_absorber(g, a)
+    for xs in ((walk[2], k), (k, walk[8])):
+        off = Absorber(tuple(walk), xs)
+        assert verify_absorber(g, off) == looped_verify_absorber(g, off)

@@ -5,6 +5,7 @@ from hypothesis.strategies import (
     booleans,
     data,
     integers,
+    one_of,
     permutations,
     sampled_from,
 )
@@ -18,6 +19,7 @@ from squareham import (
     validate_embedding,
     verify_certificate,
 )
+from squareham import gadgets
 from squareham.graphcore import rng_for
 
 from oracles import (
@@ -27,7 +29,7 @@ from oracles import (
     square_path_edge_oracle,
     square_path_pairs,
 )
-from strategies import gnp_graphs, seeds
+from strategies import gnp_graphs, host_holding, seeds
 
 
 @given(integers(min_value=2, max_value=40))
@@ -202,3 +204,109 @@ def test_a_sequence_of_non_vertices_is_rejected_with_input_error(check) -> None:
     # Each once raised TypeError, the array ValueError.
     with pytest.raises(InputError):
         check(complete_graph(100))
+
+
+def _repeat(draw, seq: list[int]) -> None:
+    """Now and then make ``seq`` repeat a vertex."""
+    if draw.draw(booleans()):
+        seq[draw.draw(integers(0, len(seq) - 1))] = draw.draw(sampled_from(seq))
+
+
+def _out_of_range(draw, seq: list[int], n: int) -> None:
+    """Now and then make ``seq`` name an id that is no vertex."""
+    if draw.draw(integers(0, 3)) == 0:
+        j = draw.draw(integers(0, len(seq) - 1))
+        seq[j] = draw.draw(sampled_from([n, n + 7, -1]))
+
+
+def _same_outcome(check, looped) -> None:
+    """``check()`` returns what ``looped()`` returns, or both raise InputError."""
+    try:
+        expected = looped()
+    except InputError:
+        with pytest.raises(InputError):
+            check()
+        return
+    assert check() == expected
+
+
+@given(data())
+def test_bulk_path_checks_match_the_looped_checks_under_faults(draw) -> None:
+    # Paths of 2 to 200 vertices, on both sides of the bulk crossover, on
+    # hosts missing up to three close pairs, some with a repeat or an id
+    # out of range; the bulk pass must give the loop's verdict and reason.
+    assert 2 < gadgets.BULK_PATH_LEN < 200
+    k = draw.draw(one_of(integers(2, 200), integers(gadgets.BULK_PATH_LEN, 200)))
+    n = k + draw.draw(integers(0, 20))
+    seq = [int(v) for v in rng_for(draw.draw(seeds()), 6).permutation(n)[:k]]
+    # A repeat before the host is drawn, so the host may hold every pair
+    # of distinct vertices around it.
+    _repeat(draw, seq)
+    g = host_holding(draw, n, square_path_pairs(seq))
+    _out_of_range(draw, seq, n)
+    # Each port the path's own pair from either end, or one that misses
+    # in its first or its second vertex.
+    a, b, c, d = seq[0], seq[1], seq[-2], seq[-1]
+    ports = [
+        draw.draw(sampled_from([(a, b), (c, d), (b, a), (c, a), (a, d)]))
+        for _ in range(2)
+    ]
+    path = draw.draw(sampled_from([seq, tuple(seq)]))
+    _same_outcome(
+        lambda: is_square_path(g, path), lambda: looped_is_square_path(g, path)
+    )
+    _same_outcome(
+        lambda: validate_embedding(g, path, *ports),
+        lambda: looped_validate_embedding(g, path, *ports),
+    )
+
+
+@given(data())
+def test_bulk_certificate_check_matches_the_looped_check_under_faults(draw) -> None:
+    n = draw.draw(integers(3, 200))
+    order = [int(v) for v in rng_for(draw.draw(seeds()), 7).permutation(n)]
+    cyclic = [
+        (order[i], order[(i + d) % n]) for i in range(n) for d in (1, 2)
+    ]
+    g = host_holding(draw, n, cyclic)
+    _repeat(draw, order)
+    _out_of_range(draw, order, n)
+    cert = Certificate(tuple(order))
+    if sorted(order) != list(range(n)):
+        with pytest.raises(InputError, match="permutation"):
+            verify_certificate(g, cert)
+    else:
+        assert verify_certificate(g, cert) == looped_verify_certificate(g, cert)
+
+
+@pytest.mark.parametrize("length", [2, 3, 6, gadgets.BULK_PATH_LEN])
+def test_embedding_check_reads_every_port_vertex(length: int) -> None:
+    # A port that misses in any one of its vertices, on a path that is
+    # otherwise fine, on both sides of the one-pass length.
+    g = complete_graph(length + 2)
+    path = tuple(range(length))
+    a, b, c, d, x = path[0], path[1], path[-2], path[-1], length
+    for frm in ((a, b), (b, a), (x, b), (a, x)):
+        for to in ((c, d), (d, c), (x, d), (c, x)):
+            assert validate_embedding(g, path, frm, to) == looped_validate_embedding(
+                g, path, frm, to
+            )
+
+
+@pytest.mark.parametrize("fault", ["none", "near", "far", "repeat", "range"])
+@pytest.mark.parametrize("at", [0, 80, -3])
+def test_the_bulk_path_check_names_what_the_loop_names(fault, at) -> None:
+    # A long path on a complete host less at most one close pair: only the
+    # repeat, range and pair checks of the bulk pass can fail.
+    k = gadgets.BULK_PATH_LEN + 10
+    seq = [int(v) for v in rng_for(4, 12).permutation(k)]
+    g = complete_graph(k)
+    if fault == "near":
+        g = g.remove_edges([(seq[at], seq[at + 1])])
+    elif fault == "far":
+        g = g.remove_edges([(seq[at], seq[at + 2])])
+    elif fault == "repeat":
+        seq[at] = seq[at + 5 if at >= 0 else at - 5]
+    elif fault == "range":
+        seq[at] = k
+    _same_outcome(lambda: is_square_path(g, seq), lambda: looped_is_square_path(g, seq))

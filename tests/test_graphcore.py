@@ -42,12 +42,16 @@ from squareham.graphcore import (
     splitmix64,
     triangle_profile,
 )
-from squareham.absorber import build_single_absorbers
+from squareham.absorber import Absorber, build_single_absorbers
 from squareham.connector import connect_one
 from squareham.hamiltonian import (
+    Certificate,
+    InfeasibilityWitness,
     almost_spanning_square_path,
     cover_with_square_paths,
+    find_square_ham,
     match_leftover,
+    verify_witness,
 )
 
 from strategies import gnp_graphs, seeds
@@ -711,3 +715,64 @@ def test_rng_streams_differ_by_salt(seed: int) -> None:
     c = rng_for(seed, 1).integers(0, 2**30, size=8)
     assert list(a) == list(c)
     assert list(a) != list(b)
+
+
+def _derived_graphs(g: Graph, seed: int) -> list[Graph]:
+    """``g`` less some pairs, by each way of deleting edges."""
+    n = g.n
+    rng = rng_for(seed, 9)
+    pairs = [tuple(int(v) for v in rng.integers(0, max(n, 1), 2)) for _ in range(n)]
+    inside = [int(v) for v in rng.permutation(n)[: n // 3]]
+    marked = np.zeros((n, n), bool)
+    for u, v in pairs:
+        marked[u, v] = marked[v, u] = u != v
+    return [
+        g.remove_edges(pairs),
+        g.remove_edges_within(inside),
+        g.remove_marked_edges(marked),
+    ]
+
+
+@given(integers(0, 40), floats(0, 1), integers(0, 2**31 - 1))
+def test_the_packed_view_is_the_rows_packed_on_every_graph(n, p, seed) -> None:
+    generated = gnp_generate(n, p, seed)
+    built = Graph(n, generated.edges())
+    for g in [generated, built, *_derived_graphs(generated, seed)]:
+        assert g.packed.dtype == np.uint8 and not g.packed.flags.writeable
+        assert (g.packed == packed_rows(g.rows, g.n)).all()
+        unpacked = np.unpackbits(g.packed, axis=1, count=g.n, bitorder="little")
+        assert (g.matrix == unpacked.view(bool)).all()
+
+
+def test_a_generated_graph_holds_its_packed_view_from_birth(monkeypatch) -> None:
+    # gnp_generate builds the packed rows anyway, so it hands them over;
+    # nothing packs the rows of a generated graph again.
+    g = gnp_generate(300, 0.5, 1)
+    monkeypatch.setattr(graphcore, "packed_rows", None)
+    assert g._packed is not None and g.packed is g.packed
+    assert g.matrix.shape == (300, 300)
+    # Any other graph packs its rows once, on first use.
+    monkeypatch.undo()
+    built = Graph(300, g.edges())
+    assert built._packed is None
+    first = built.packed
+    assert built.packed is first and (first == g.packed).all()
+
+
+def test_a_solve_on_a_generated_host_builds_no_matrix() -> None:
+    # Every bulk pass of a solve reads the packed view; the boolean matrix
+    # is for BLAS only.
+    g = gnp_generate(200, 0.5, 3)
+    assert isinstance(find_square_ham(g), Certificate)
+    assert g._matrix is None
+
+
+def test_masks_read_numpy_integers_as_ints() -> None:
+    # Each once shifted a numpy integer as an int64: the body came out
+    # negative, and the other two raised OverflowError.
+    assert Absorber(tuple(np.arange(60, 75)), (62,)).body() == mask_of(range(60, 75))
+    g = complete_graph(100)
+    numpy_witness = InfeasibilityWitness("independent-set", tuple(np.arange(64, 99)))
+    plain_witness = InfeasibilityWitness("independent-set", tuple(range(64, 99)))
+    assert verify_witness(g, numpy_witness) == verify_witness(g, plain_witness)
+    assert mask_of([np.int64(3), 70]) == 1 << 3 | 1 << 70

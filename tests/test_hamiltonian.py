@@ -901,10 +901,49 @@ def test_witness_search_chunks_change_no_pick(monkeypatch, attack) -> None:
         assert (whole is not None) == attack
 
 
+@pytest.mark.parametrize("attack", [False, True])
+def test_witness_search_recounts_and_subtractions_agree(monkeypatch, attack) -> None:
+    # Every update a subtraction, the shipped mix, and every update a
+    # recount give the same degrees, so the same picks.
+    hosts = [gnp_generate(300, p, s) for p, s in ((0.3, 1), (0.5, 2), (0.7, 3))]
+    if attack:
+        hosts = [k3_attack(g, 0.05, 1).attacked for g in hosts]
+    for g in hosts:
+        found = set()
+        for share in (0, hamiltonian._RECOUNT_SHARE, g.n):
+            monkeypatch.setattr(hamiltonian, "_RECOUNT_SHARE", share)
+            found.add(find_infeasibility_witness(g))
+        assert len(found) == 1
+        assert (found.pop() is not None) == attack
+
+
 def test_witness_search_memory_is_set_by_the_chunk() -> None:
     # The first kill on G(1500, .5) takes about 750 rows, over 1 MB
     # unpacked at once; in chunks the search stays within two of them.
     g = gnp_generate(1500, 0.5, 1)
+    tracemalloc.start()
+    try:
+        assert find_infeasibility_witness(g) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * hamiltonian._WITNESS_CHUNK_BYTES
+
+
+@pytest.mark.parametrize("p, recount", [(0.7, True), (0.3, False)])
+def test_witness_search_memory_is_set_by_the_chunk_in_either_update(p, recount) -> None:
+    # On G(1500, .7) the first kill leaves 501 alive rows against 999
+    # dying ones, and still lets the set pass n // 3, so the alive rows are
+    # recounted; on G(1500, .3) the 389 dying rows are subtracted.  Either
+    # way the search stays within two chunks.
+    g = gnp_generate(1500, p, 1)
+    rows = g.rows
+    dying = 1 + min(row.bit_count() for row in rows)
+    alive = g.n - dying
+    assert 1 + alive > g.n // 3
+    assert (alive <= dying) == recount
+    assert (alive <= hamiltonian._RECOUNT_SHARE * dying) == recount
+    assert g._packed is not None
     tracemalloc.start()
     try:
         assert find_infeasibility_witness(g) is None

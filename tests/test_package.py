@@ -210,6 +210,24 @@ def test_absorbers_are_audited_in_one_place() -> None:
     assert audits == {"absorber.chain_absorbers", "cli._cmd_absorber_verify"}
 
 
+def test_the_rows_are_packed_once_per_graph() -> None:
+    # Every bulk pass gathers from the one cached packed view; packing the
+    # rows afresh per call cost more than most of those passes.
+    assert _library_callers({"packed_rows"}) == {"graphcore.Graph.packed"}
+    path = Path(squareham.__file__).parent / "graphcore.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (graph,) = [
+        n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Graph"
+    ]
+    (slots,) = [
+        ast.literal_eval(n.value)
+        for n in graph.body
+        if isinstance(n, ast.Assign) and [t.id for t in n.targets] == ["__slots__"]
+    ]
+    # The rows and what they fix at birth, then the two caches.
+    assert set(slots) - {"n", "_rows", "_edge_count"} == {"_matrix", "_packed"}
+
+
 def test_connect_one_is_the_only_length_sweep() -> None:
     # connect_one serves each job shortest first, so the absorber's links
     # and the threading make one call per job, and every search runs inside
