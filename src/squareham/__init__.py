@@ -7,7 +7,9 @@ Submodules:
         triangle counts from one symmetric ``A·Aᵀ`` product (an attacked
         graph's square corrected from its host's on the attacked class's
         rows), family membership.
-    gadgets: square-path checks, the connector's success check included.
+    gadgets: the one square-path check, a loop on short sequences and a
+        gather on long ones, each naming its first fault from its one
+        pass; the connector's success check is it and the two ports.
     matching: Hall matching with a deficient-set witness.
     connector: pair-to-pair connection jobs over a reservoir, each one
         ``connect_one`` call whose plain arguments are the job (its two

@@ -159,15 +159,18 @@ def chain_absorbers(
     (400, .35) that take three.  A link that cannot be made aborts with
     diagnostics naming the ``link`` phase and the absorbees it joins.  The
     finished absorber passes :func:`verify_absorber` once; this is the only
-    audit a built absorber gets.
+    audit a built absorber gets.  The units are checked only if it fails:
+    each must be a star core, with ``u1 u2 x v1 v2`` and ``u1 u2 v1 v2``
+    both square paths in ``g``.
 
     Raises:
         InputError: If there are no units, one is not five vertices of
-            ``g``, two of them share a vertex, or ``seed`` is not a
-            non-negative integer.
-        AssertionError: If the finished absorber fails the audit.
+            ``g`` or is no star core of ``g``, two of them share a vertex,
+            or ``seed`` is not a non-negative integer.
+        AssertionError: If the finished absorber, built from star cores,
+            fails the audit.
     """
-    check_int("seed", seed, 0)
+    seed = check_int("seed", seed, 0)
     if not units:
         raise InputError("an absorber needs at least one unit")
     body = 0
@@ -212,6 +215,10 @@ def chain_absorbers(
     absorber = Absorber(tuple(walk), tuple(unit[2] for unit in units))
     audit = verify_absorber(g, absorber)
     if not audit.ok:
+        for unit in units:
+            u1, u2, _, v1, v2 = unit
+            if not (is_square_path(g, unit) and is_square_path(g, (u1, u2, v1, v2))):
+                raise InputError(f"unit {tuple(unit)} is no star core of g")
         raise AssertionError(f"constructed absorber failed verification: {audit}")
     return absorber, None
 
@@ -279,10 +286,11 @@ def verify_absorber(g: Graph, a: Absorber) -> AbsorberVerification:
     closer than 3 places are rejected as structures the library never
     builds: it puts five or more places between two absorbees.
 
-    On a walk of :data:`~squareham.gadgets.BULK_PATH_LEN` or more
-    vertices, checks (a) to (c) run for all absorbees at once, by gathers
-    on ``g.packed``, and only an absorber that fails is walked absorbee by
-    absorbee, to name its first fault.
+    A walk of :data:`~squareham.gadgets.BULK_PATH_LEN` or more vertices
+    is read once, as one array: its range check, its square-path pass and
+    checks (a) to (c) for all absorbees at once, by gathers on
+    ``g.packed``, read that array, and only an absorber that fails is
+    walked absorbee by absorbee, to name its first fault.
 
     Returns:
         ``ok`` with ``subsets_checked == |X| + 1``, or the first fault with
@@ -297,23 +305,24 @@ def verify_absorber(g: Graph, a: Absorber) -> AbsorberVerification:
         raise InputError(f"an absorber must be an Absorber, got {a!r}")
     walk, xs = a.walk, a.absorbees
     # Both range checks come first, so an id of any size is rejected
-    # before anything is built from it.
+    # before anything is built from it.  A long walk is read once, into
+    # the array every bulk pass below reads.
     try:
-        g.check_vertices(walk)
+        ids = vertex_ids(walk) if len(walk) >= BULK_PATH_LEN else None
+        if ids is None or ids.min() < 0 or ids.max() >= g.n:
+            g.check_vertices(walk)
         g.check_vertices(xs)
     except TypeError:
         raise InputError(f"an absorber names a non-vertex: {a!r}") from None
     for x in xs:
         if type(x) is not int:  # a plain int needs no call
             check_int("an absorbee", x)
-    check = is_square_path(g, walk)
+    check = is_square_path(g, walk if ids is None else ids)
     if not check.ok:
         return AbsorberVerification(False, 1, {"subset": (), "reason": check.reason})
-    # A walk long enough for the bulk square-path check has its absorbees
-    # checked in bulk too; the loop below names the first fault.
-    if len(walk) >= BULK_PATH_LEN and _absorbees_hold(
-        g, vertex_ids(walk), vertex_ids(xs)
-    ):
+    # A long walk has its absorbees checked in bulk too; the loop below
+    # names the first fault.
+    if ids is not None and _absorbees_hold(g, ids, vertex_ids(xs)):
         return AbsorberVerification(True, len(xs) + 1, None)
     place = {v: i for i, v in enumerate(walk)}
     last = None
@@ -359,7 +368,7 @@ def _absorbees_hold(g: Graph, walk: np.ndarray, xs: np.ndarray) -> bool:
     # Row k holds the walk at places i - 2, i - 1, i + 1 and i + 2 around
     # absorbee k; its bridge edges pair the first two with the last two.
     around = walk[at[:, None] + _AROUND]
-    return g.has_edges(around[:, :2], around[:, 2:])
+    return g.has_edges(around[:, :2], around[:, 2:]).all()
 
 
 # -- serialization ------------------------------------------------------------

@@ -91,8 +91,17 @@ def _validate_request(
 def direct_arc(g: Graph, frm: tuple[int, int], to: tuple[int, int]) -> bool:
     """Whether two ordered host edges chain into a square path with no
     interior: the four ports are distinct and ``frm + to`` carries all five
-    edges of the length-4 square path."""
+    edges of the length-4 square path.  Numpy-integer ports are read as
+    ints.
+
+    Raises:
+        InputError: If a port vertex is not a vertex of ``g``.
+    """
     (a, b), (c, d) = frm, to
+    if not (type(a) is type(b) is type(c) is type(d) is int):  # plain ints need no call
+        for v in (a, b, c, d):
+            check_int("a port vertex", v)
+        return direct_arc(g, (int(a), int(b)), (int(c), int(d)))
     if a == b or a == c or a == d or b == c or b == d or c == d:
         return False
     n = g.n
@@ -140,7 +149,7 @@ def connect_one(
         return connect_one(g, (int(a), int(b)), (int(c), int(d)), w, length, seed)
     # The picks and searches draw lazily, so check the seed up front.
     if type(seed) is not int or seed < 0:  # a plain int needs no call
-        check_int("seed", seed, 0)
+        seed = check_int("seed", seed, 0)
     (a, b), (c, d) = frm, to
     rows = g.rows
     if _cross_edges_hold(rows, frm, to, 4):

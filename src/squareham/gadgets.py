@@ -4,6 +4,12 @@ A *square path* is a sequence of distinct vertices in which every two
 entries at distance one or two along the sequence are adjacent: the square
 of a path.  A connection is one whose first two and last two vertices are
 two prescribed ordered host edges, its ports.
+
+:func:`is_square_path` is the one square-path check: a short sequence runs
+one loop, each entry against the two before it, and a long one one gather
+on the packed rows.  Either names the first fault from the pass that
+accepts a good sequence.  :func:`validate_embedding`, the connector's
+success check, is that check and then the two ports.
 """
 
 from __future__ import annotations
@@ -31,41 +37,41 @@ class ValidationResult:
 _VALID = ValidationResult(True, None)
 
 
-#: ``v -> 1 << v`` for a plain int ``v``, and NotImplemented for any other.
-_BIT = (1).__lshift__
-
-
 def _missing_edge(u: int, v: int) -> ValidationResult:
     a, b = (u, v) if u < v else (v, u)
     return ValidationResult(False, f"missing edge ({a}, {b})")
 
 
-#: Shortest sequence :func:`is_square_path` checks in bulk, by gathers on
-#: ``g.packed``, and shortest walk whose absorbees
+#: Shortest sequence :func:`is_square_path` checks in bulk, by one gather
+#: on ``g.packed``, and shortest walk whose absorbees
 #: :func:`~squareham.absorber.verify_absorber` checks in bulk.  Warm, bulk
 #: and loop meet near 72 vertices, but in a solve the first numpy calls
 #: after pure Python cost more: bulk from 80 took a G(200, .7) audit from
 #: 130 to 185 us.  Interleaved solves did best from 160 to 320 (2-vCPU VM).
+#: The walks of G(200, .) absorbers fall below it, the larger ones above.
 BULK_PATH_LEN = 160
 
 
 def is_square_path(g: Graph, seq: Sequence[int]) -> ValidationResult:
     """Whether ``seq`` traces the square of a path in ``g``.
 
-    The pairs are tested position by position, each entry against the next
-    and then the one after, so the reason names the first missing one.
-    Entries may be numpy integers; they are read as ints.  A sequence of
-    :data:`BULK_PATH_LEN` or more vertices is first checked in one bulk
-    pass, and the loop runs only to name the first fault.
+    The range check comes first, then repeats, then the pairs in position
+    order, each entry against the next and then the one after, so the
+    reason names the first missing one.  Entries may be numpy integers;
+    they give the answer their int values give.  A sequence of
+    :data:`BULK_PATH_LEN` or more integers is checked by one gather, whose
+    per-pair result names the fault; a shorter one by one loop.
 
     Raises:
         InputError: If ``seq`` is not a sequence of vertices of ``g``.
     """
     try:
         k = len(seq)
-        if k >= BULK_PATH_LEN and _square_path_holds(g, seq):
-            return _VALID
-        # An id of any size is rejected before a bit is built from it.
+        if k >= BULK_PATH_LEN:
+            ids = vertex_ids(seq)
+            if ids is not None:
+                return _bulk_square_path(g, ids)
+        # An id of any size is rejected before a row is read for it.
         if k and not (0 <= min(seq) and max(seq) < g.n):
             g.check_vertices(seq)
         if len(set(seq)) != k:
@@ -73,21 +79,24 @@ def is_square_path(g: Graph, seq: Sequence[int]) -> ValidationResult:
         if k < 2:
             return _VALID
         rows = g.rows
-        # One pass: entry i against entries i + 1 and i + 2, each pair one
-        # AND of entry i's row with the other entry's bit.  An entry that is
-        # not a plain int has no bit, so its AND raises TypeError, unless a
-        # fault before it decides the result first.
-        marks = [*map(_BIT, seq)]
-        for u, near, far in zip(seq, marks[1:], marks[2:]):
-            row = rows[u]
-            if not row & near:
-                return _missing_edge(u, near.bit_length() - 1)
-            if not row & far:
-                return _missing_edge(u, far.bit_length() - 1)
-        if not rows[seq[-2]] & marks[-1]:
-            return _missing_edge(seq[-2], seq[-1])
+        # Each entry against the two before it, the farther one first: that
+        # order meets the pairs in position order.  An entry that is not an
+        # integer raises TypeError, unless a fault before it decides the
+        # result first; a numpy one shifts in numpy, or raises
+        # OverflowError on a row wider than its type.
+        entries = iter(seq)
+        u, v = next(entries), next(entries)
+        if not rows[v] >> u & 1:
+            return _missing_edge(u, v)
+        for w in entries:
+            row = rows[w]
+            if not row >> u & 1:
+                return _missing_edge(u, w)
+            if not row >> v & 1:
+                return _missing_edge(v, w)
+            u, v = v, w
         return _VALID
-    except TypeError:
+    except (TypeError, OverflowError):
         pass
     # Numpy integers are read as ints, and anything else is no vertex.
     try:
@@ -99,20 +108,27 @@ def is_square_path(g: Graph, seq: Sequence[int]) -> ValidationResult:
     return is_square_path(g, [int(v) for v in vertices])
 
 
-def _square_path_holds(g: Graph, seq: Sequence[int]) -> bool:
-    """Whether ``seq`` is a square path of integer vertices of ``g``, by
-    gathers on ``g.packed``; ``False`` says only that some check fails."""
-    ids = vertex_ids(seq)
-    if ids is None or ids.min() < 0 or ids.max() >= g.n:
-        return False
+def _bulk_square_path(g: Graph, ids: np.ndarray) -> ValidationResult:
+    """:func:`is_square_path` on a sequence read as the ``int64`` array
+    ``ids``, in one pass."""
+    if ids.min() < 0 or ids.max() >= g.n:
+        g.check_vertices(ids)
     seen = np.zeros(g.n, bool)
     seen[ids] = True
     if np.count_nonzero(seen) != len(ids):
-        return False
+        return ValidationResult(False, "sequence repeats a vertex")
     # Each entry against the next, then each against the one after that.
-    return g.has_edges(
+    found = g.has_edges(
         np.concatenate((ids[:-1], ids[:-2])), np.concatenate((ids[1:], ids[2:]))
     )
+    if found.all():
+        return _VALID
+    # Column i holds entry i's pair at distance 1 over its pair at distance
+    # 2 (the last column has none), so the first column with a miss is the
+    # first fault's place.
+    i = np.append(found, 1).reshape(2, -1).min(axis=0).argmin()
+    d = 1 if found[i] == 0 else 2
+    return _missing_edge(int(ids[i]), int(ids[i + d]))
 
 
 def validate_embedding(
@@ -123,21 +139,12 @@ def validate_embedding(
 ) -> ValidationResult:
     """Check that ``path`` is a square path in ``g`` whose first two
     vertices are ``connect_from`` and whose last two are ``connect_to``, in
-    order.
-
-    A short path of plain ints, a connection, is checked in one pass; the
-    checks of :func:`is_square_path` and then of each port run only to
-    name the first fault, or on any other path.
+    order: :func:`is_square_path`, then each port.
 
     Raises:
         InputError: As :func:`is_square_path`, or on a port that is not
             iterable.
     """
-    try:
-        if _short_connection_holds(g, path, connect_from, connect_to):
-            return _VALID
-    except (TypeError, ValueError):
-        pass
     check = is_square_path(g, path)
     if not check:
         return check
@@ -159,36 +166,3 @@ def _ints(pair: Sequence) -> tuple:
     """``pair`` as a tuple, numpy integers read as ints, so that a reason
     reads the same whichever kind of integer it names."""
     return tuple(int(v) if isinstance(v, np.integer) else v for v in pair)
-
-
-def _short_connection_holds(
-    g: Graph, path: Sequence[int], frm: tuple[int, int], to: tuple[int, int]
-) -> bool:
-    """Whether ``path``, of 2 to ``BULK_PATH_LEN - 1`` plain-int vertices,
-    passes every check of :func:`validate_embedding`, in one pass over it;
-    ``False`` says only that some check fails or the path is of another
-    kind.  Raises ``TypeError`` or ``ValueError`` on ports that are not
-    pairs, or on a path whose entries cannot be hashed."""
-    (a, b), (c, d) = frm, to
-    if not (2 <= len(path) < BULK_PATH_LEN):
-        return False
-    if not (path[0] == a and path[1] == b and path[-2] == c and path[-1] == d):
-        return False
-    if len(set(path)) != len(path):
-        return False
-    n, rows = g.n, g.rows
-    # Each vertex against the two before it.
-    entries = iter(path)
-    u, v = next(entries), next(entries)
-    if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):
-        return False
-    if not rows[u] >> v & 1:
-        return False
-    for w in entries:
-        if type(w) is not int or not 0 <= w < n:
-            return False
-        row = rows[w]
-        if not (row >> v & 1 and row >> u & 1):
-            return False
-        u, v = v, w
-    return True

@@ -15,20 +15,22 @@ adversary's attack class, an index array for numpy, is the one exception.
 :func:`nth_bit` picks one set bit without listing the others.  Numpy work
 reads two bulk views of the rows, never edited and each built at most once
 per graph: :attr:`Graph.packed`, the rows as bytes, which whole-graph and
-whole-path passes gather from (:meth:`Graph.has_edges`), and the boolean
-matrix, unpacked from it for BLAS.  Graphs from outside edges go through
-the validating :class:`Graph` constructor; :func:`gnp_generate` writes its
-rows straight into packed bytes, a block of rows at a time, and hands that
-array to the graph as its packed view, and graphs derived from another
-graph (edge deletion) are built from the parent's rows.  Every codegree and
-triangle count comes from one symmetric ``A·Aᵀ`` product over the matrix,
-squared in float32 by BLAS.  The square of a graph less the
-edges inside a vertex set is taken from its host's square by one thin
-correction product on that set's rows, not squared again.  Both products
-are exact: every entry is an integer of at most ``n``, and float32 holds
-every integer below 2^24 exactly (a graph on 2^24 vertices would need a
-256 TiB matrix).  A triangle count sums a row of such entries, which can
-pass 2^24, so those sums are accumulated in float64 (exact below 2^53).
+whole-path passes gather from (:meth:`Graph.has_edges`, one flag per pair,
+so a check names its first fault from the pass that accepts a good input),
+and the boolean matrix, unpacked from it for BLAS.  Graphs from outside
+edges go through the validating :class:`Graph` constructor;
+:func:`gnp_generate` writes its rows straight into packed bytes, a block of
+rows at a time, and hands that array to the graph as its packed view, and
+graphs derived from another graph (edge deletion) are built from the
+parent's rows.  Every codegree and triangle count comes from one symmetric
+``A·Aᵀ`` product over the matrix, squared in float32 by BLAS.  The square
+of a graph less the edges inside a vertex set is taken from its host's
+square by one thin correction product on that set's rows, not squared
+again.  Both products are exact: every entry is an integer of at most
+``n``, and float32 holds every integer below 2^24 exactly (a graph on 2^24
+vertices would need a 256 TiB matrix).  A triangle count sums a row of such
+entries, which can pass 2^24, so those sums are accumulated in float64
+(exact below 2^53).
 
 Seeded randomness follows one rule: numpy for bulk draws, SplitMix64 per
 pick.  Permutations, G(n, p) rows and experiment samples come
@@ -59,15 +61,17 @@ class InputError(ValueError):
     """Raised when an operation receives structurally invalid input."""
 
 
-def check_int(name: str, value: object, low: int | None = None) -> None:
-    """Raise :class:`InputError` unless ``value`` is an integer, a Python or
-    numpy ``int`` but not a ``bool``, and at least ``low`` when one is given.
-    ``name`` says what the value is in the message."""
+def check_int(name: str, value: object, low: int | None = None) -> int:
+    """``value`` as a plain ``int``, or :class:`InputError` unless it is an
+    integer, a Python or numpy ``int`` but not a ``bool``, and at least
+    ``low`` when one is given.  ``name`` says what the value is in the
+    message."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InputError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         bound = "non-negative" if low == 0 else f"at least {low}"
         raise InputError(f"{name} must be {bound}, got {value}")
+    return int(value)
 
 
 def check_sequence(name: str, value: object) -> None:
@@ -143,7 +147,8 @@ class Graph:
     candidates with row algebra (``rows[u] >> v & 1``, ``&`` of several
     rows against a pool mask) instead of per-pair lookups.  :attr:`packed`
     serves bulk passes over the whole graph or a whole path: it holds the
-    rows as bytes, and :meth:`has_edges` tests many pairs in one gather.
+    rows as bytes, and :meth:`has_edges` tests many pairs in one gather,
+    with one flag per pair.
     :attr:`matrix`, unpacked from it, serves BLAS.  Both bulk views are
     built once, on first use, and cached; a generated graph holds its
     packed view from birth.  :meth:`neighbors` builds a fresh frozenset per
@@ -233,7 +238,10 @@ class Graph:
         return self.row(v).bit_count()
 
     def check_vertex(self, v: int) -> None:
-        """Raise :class:`InputError` unless ``v`` is a vertex of this graph."""
+        """Raise :class:`InputError` unless ``v`` is a vertex of this graph:
+        an integer, Python or numpy, in ``0..n-1``."""
+        if type(v) is not int and not isinstance(v, (int, np.integer)):
+            raise InputError(f"a vertex must be an integer, got {v!r}")
         if not (0 <= v < self.n):
             raise InputError(f"vertex {v} out of range for n={self.n}")
 
@@ -270,11 +278,14 @@ class Graph:
             ).view(bool)
         return self._matrix
 
-    def has_edges(self, us: np.ndarray, vs: np.ndarray) -> bool:
-        """Whether ``(us[i], vs[i])`` is an edge for every ``i``: one gather
+    def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Whether ``(us[i], vs[i])`` is an edge, for each ``i``: one gather
         on :attr:`packed`.  ``us`` and ``vs`` are integer arrays of one
-        length whose entries are vertices; they are not checked."""
-        return bool((self.packed[us, vs >> 3] & _BYTE_BITS[vs & 7]).all())
+        shape whose entries are vertices; they are not checked.  The
+        result is a ``uint8`` array of that shape, nonzero where the pair
+        is an edge, so a caller takes ``.all()`` and reads a fault's place
+        from the same array."""
+        return self.packed[us, vs >> 3] & _BYTE_BITS[vs & 7]
 
     # -- derived graphs ---------------------------------------------------
 
@@ -334,19 +345,16 @@ class Graph:
         """
         if self.n != other.n:
             return False, None
-        # One pass over the packed views, a block of rows at a time; only a
-        # graph that is no subgraph is walked row by row, to name the edge.
+        # One pass over the packed views, a block of rows at a time; the
+        # block that holds an extra edge names its first row.
         mine, theirs = self.packed, other.packed
         step = max(1, _SUBGRAPH_BLOCK_BYTES // max(1, mine.shape[1]))
-        if not any(
-            (mine[at : at + step] & ~theirs[at : at + step]).any()
-            for at in range(0, self.n, step)
-        ):
-            return True, None
-        for u, (mine, theirs) in enumerate(zip(self._rows, other._rows)):
-            extra = mine & ~theirs
-            if extra:
-                return False, (u, (extra & -extra).bit_length() - 1)
+        for at in range(0, self.n, step):
+            extra = mine[at : at + step] & ~theirs[at : at + step]
+            if extra.any():
+                u = at + int(extra.any(axis=1).argmax())
+                row = self._rows[u] & ~other._rows[u]
+                return False, (u, (row & -row).bit_length() - 1)
         return True, None
 
     # -- helpers ----------------------------------------------------------
@@ -439,7 +447,11 @@ def vertex_ids(seq: Iterable[int]) -> np.ndarray | None:
     """The entries of ``seq`` as an ``int64`` array, for bulk passes; or
     ``None`` when ``seq`` is not iterable or an entry is not an integer
     (Python, numpy or ``bool``) that fits in 64 bits.  Entries are not
-    range-checked: the caller compares the array with its graph."""
+    range-checked: the caller compares the array with its graph.  A
+    one-dimensional ``int64`` array is returned as it is, so a pass can
+    hand its array on to the next."""
+    if type(seq) is np.ndarray and seq.dtype == np.int64 and seq.ndim == 1:
+        return seq
     if type(seq) is not tuple and type(seq) is not list:
         # A bytes initializer would be read as machine values.
         try:

@@ -98,7 +98,8 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_int("seed", self.seed, 0)
+        # Held as a plain int: a numpy one would overflow in the draws.
+        object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
 
 
 @dataclass(frozen=True)
@@ -220,9 +221,8 @@ def witness_from_json_obj(obj: Mapping) -> InfeasibilityWitness:
 def verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
     """Check that every cyclic distance-1 and distance-2 pair is an edge.
 
-    All pairs are tested at once by gathers on ``g.packed``; only a
-    certificate that fails is walked position by position, to name its
-    first missing pair.
+    All pairs are tested by one gather on ``g.packed``, whose per-pair
+    result names the first missing one.
 
     Args:
         g: Host graph.
@@ -253,26 +253,15 @@ def verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
         raise InputError("certificate order must be a permutation of all vertices")
     # Each vertex against its cyclic successors at distance 1 and 2.
     ahead = np.concatenate((ids[1:], ids[:1], ids[2:], ids[:2]))
-    if g.has_edges(np.concatenate((ids, ids)), ahead):
+    found = g.has_edges(np.concatenate((ids, ids)), ahead)
+    if found.all():
         return CertificateCheck(True, None, None, None)
-    # Plain ints: a numpy integer's shift wraps at 64 bits.
-    order = ids.tolist()
-    rows = g.rows
-    # Each vertex against its cyclic successors at distance 1 and 2, each
-    # pair one AND of its row with the other vertex's bit.  A fault reads
-    # its position back from the vertex, which holds only one.
-    marks = [1 << v for v in order]
-    for u, near, far in zip(order, marks[1:] + marks[:1], marks[2:] + marks[:2]):
-        row = rows[u]
-        if not row & near:
-            d, mark = 1, near
-        elif not row & far:
-            d, mark = 2, far
-        else:
-            continue
-        v = mark.bit_length() - 1
-        return CertificateCheck(False, order.index(u), d, (min(u, v), max(u, v)))
-    raise AssertionError("the bulk check and the loop disagree")
+    # Column i holds position i's pair at distance 1 over its pair at
+    # distance 2, so the first column with a miss is the first fault's.
+    i = int(found.reshape(2, n).min(axis=0).argmin())
+    d = 1 if found[i] == 0 else 2
+    u, v = int(ids[i]), int(ids[(i + d) % n])
+    return CertificateCheck(False, i, d, (min(u, v), max(u, v)))
 
 
 #: Most bytes of rows the witness search works on at once: a degree update
@@ -539,7 +528,7 @@ def almost_spanning_square_path(
         return AlmostSpanningResult((vs[0],), 1.0)
     rows = g.rows
     # The stream draws lazily, so check the seed up front.
-    check_int("seed", seed, 0)
+    seed = check_int("seed", seed, 0)
     draws = splitmix64(64 * seed + 47)
     best: tuple[int, ...] = (vs[0],)
     target = math.ceil((1 - _COVER_EPS) * len(vs))
@@ -618,7 +607,7 @@ def cover_with_square_paths(g: Graph, u_prime: int, seed: int = 0) -> CoverResul
     """
     # Fewer than _COVER_FLOOR vertices start no search, so check the seed
     # here.
-    check_int("seed", seed, 0)
+    seed = check_int("seed", seed, 0)
     g.check_mask(u_prime)
     rest = u_prime
     paths: list[tuple[int, ...]] = []
@@ -693,7 +682,7 @@ def build_absorber(
         InputError: If ``seed`` is not a non-negative integer.
     """
     # The Hall rounds draw nothing, so check the seed before them.
-    check_int("seed", seed, 0)
+    seed = check_int("seed", seed, 0)
     pool = ((1 << g.n) - 1) & ~xs
     cores, fail = build_single_absorbers(g, xs, pool)
     if fail is not None:

@@ -3,9 +3,9 @@
 The list-based versions are the functions as they were before their vertex
 sets became ``int`` bitsets; the bitset versions must match them draw for
 draw.  The looped checks are the checks as they were before each became one
-pass over a precomputed table or a bulk pass over the packed rows; the
-current ones must return the same result, the same first fault and the same
-message.
+pass over a precomputed table or a bulk pass over the packed rows, whose
+per-pair result names the first fault; the current ones must return the
+same result, the same first fault and the same message.
 """
 
 from squareham.absorber import Absorber, AbsorberVerification

@@ -404,7 +404,7 @@ def test_built_units_are_square_paths_with_and_without_their_absorbee() -> None:
         assert is_square_path(g, (u1, u2, v1, v2)).ok
 
 
-def test_chaining_audits_what_it_returns() -> None:
+def test_chaining_audits_what_it_returns(monkeypatch) -> None:
     g, absorber, _ = build_full_absorber(150, 0.55, 5)
     assert absorber is not None
     free = ((1 << g.n) - 1) & ~absorber.body()
@@ -412,15 +412,24 @@ def test_chaining_audits_what_it_returns() -> None:
     again, fail = chain_absorbers(g, units, free, 5)
     assert fail is None and verify_absorber(g, again).ok
     # The first unit's absorbee moves to a vertex outside the body that
-    # misses one of its core; the link ports stay as they were.
+    # misses one of its core; the link ports stay as they were.  The audit
+    # fails, and the unit, no star core, is named as bad input.
     u1, u2, _, v1, v2 = units[0]
     x = next(
         v for v in bits(free)
         if not all(g.has_edge(v, u) for u in (u1, u2, v1, v2))
     )
     pool = free & ~(1 << x)
-    with pytest.raises(AssertionError, match="failed verification"):
+    with pytest.raises(InputError, match=rf"unit \({u1}, {u2}, {x}, {v1}, {v2}\)"):
         chain_absorbers(g, [(u1, u2, x, v1, v2), *units[1:]], pool, 5)
+    # A link that is no square path fails the audit with every unit a star
+    # core: that is the library's fault, not the input's.
+    a, b = units[0][-2:], units[1][:2]
+    stray = next(v for v in bits(free) if not g.has_edge(v, a[0]))
+    bad = connector.ConnectResult(True, (*a, stray, *b), None)
+    monkeypatch.setattr(absorber_module, "connect_one", lambda *args: bad)
+    with pytest.raises(AssertionError, match="failed verification"):
+        chain_absorbers(g, units[:2], free, 5)
 
 
 def test_chaining_reads_numpy_integer_units_as_ints() -> None:
@@ -447,6 +456,18 @@ def test_the_audit_reads_a_numpy_integer_walk_as_ints() -> None:
     cut = g.remove_edges([(60, 63)])
     report = verify_absorber(cut, Absorber(walk, (62, 67)))
     assert report.failure == {"subset": (62,), "reason": "missing bridge edge (60, 63)"}
+
+
+def test_the_audit_checks_the_walk_range_first() -> None:
+    # On both sides of the bulk length, a walk naming no vertex is reported
+    # before a bad absorbee, and before any pair is tested.
+    for k in (20, BULK_PATH_LEN + 10):
+        g = complete_graph(k).remove_edges([(0, 1)])
+        for bad in (-1, k, 2**70):
+            walk = (*range(k - 1), bad)
+            for xs in ((5,), (k + 3,), (0.5,)):
+                with pytest.raises(InputError, match=f"^vertex {bad} out of range"):
+                    verify_absorber(g, Absorber(walk, xs))
 
 
 def test_chaining_rejects_empty_and_overlapping_units() -> None:

@@ -5,6 +5,7 @@ and numpy integers give the answer their plain-int values give.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis.strategies import (
     SearchStrategy,
@@ -24,14 +25,21 @@ from squareham import (
     Absorber,
     Certificate,
     InputError,
+    PipelineConfig,
+    chain_absorbers,
+    complete_graph,
+    connect_one,
+    find_square_ham,
     gnp_generate,
     is_square_path,
     validate_embedding,
     verify_absorber,
     verify_certificate,
 )
+from squareham.connector import direct_arc
 from squareham.gadgets import BULK_PATH_LEN
 from squareham.graphcore import mask_of, rng_for
+from squareham.hamiltonian import almost_spanning_square_path, cover_with_square_paths
 
 from strategies import seeds
 
@@ -39,6 +47,8 @@ N = 200
 HOST = gnp_generate(N, 0.95, 1)
 # Lengths on both sides of the bulk passes.
 LENGTHS = [5, 8, 90, BULK_PATH_LEN, N]
+# A host whose rows fit an int64, so a numpy vertex may shift in numpy.
+SMALL_N = 63
 
 
 def malformed() -> SearchStrategy:
@@ -93,10 +103,11 @@ def test_the_checks_raise_only_input_error_on_malformed_input(draw) -> None:
 def test_numpy_integers_give_the_plain_int_answer(draw) -> None:
     # Hosts a little sparser than complete, so some checks fail and their
     # reasons are compared too.
-    g = gnp_generate(N, draw.draw(floats(0.85, 1)), draw.draw(seeds()))
+    n = draw.draw(sampled_from([N, SMALL_N]))
+    g = gnp_generate(n, draw.draw(floats(0.85, 1)), draw.draw(seeds()))
     kind = draw.draw(sampled_from([np.int64, np.int32, np.uint16, np.uint64]))
-    order = [int(v) for v in rng_for(draw.draw(seeds()), 10).permutation(N)]
-    k = draw.draw(sampled_from(LENGTHS))
+    order = [int(v) for v in rng_for(draw.draw(seeds()), 10).permutation(n)]
+    k = draw.draw(sampled_from([k for k in LENGTHS if k < n] + [n]))
     path = order[:k]
     ends = [
         draw.draw(sampled_from([tuple(path[:2]), tuple(path[-2:]), tuple(path[1::-1])]))
@@ -120,3 +131,94 @@ def test_numpy_integers_give_the_plain_int_answer(draw) -> None:
     )
     assert mask_of(numpy(path)) == mask_of(path)
     assert mask_of(iter(numpy(path))) == mask_of(path)
+
+
+def test_numpy_seeds_give_the_plain_int_answer() -> None:
+    # Each seed is read as an int where it is checked; a numpy one once
+    # overflowed in the SplitMix64 draws.
+    everything = (1 << N) - 1
+    plain = PipelineConfig(seed=3)
+    for seed in (np.int64(3), np.uint32(3), np.int16(3)):
+        config = PipelineConfig(seed=seed)
+        assert config == plain and type(config.seed) is int
+        assert find_square_ham(HOST, config=config) == find_square_ham(
+            HOST, config=plain
+        )
+        assert almost_spanning_square_path(HOST, seed) == almost_spanning_square_path(
+            HOST, 3
+        )
+        covered = cover_with_square_paths(HOST, everything, seed)
+        assert covered == cover_with_square_paths(HOST, everything, 3)
+        units = [(0, 1, 2, 3, 4), (5, 6, 7, 8, 9)]
+        pool = everything & ~1023
+        assert chain_absorbers(HOST, units, pool, seed) == chain_absorbers(
+            HOST, units, pool, 3
+        )
+        assert connect_one(HOST, (0, 1), (5, 6), pool, 8, seed) == connect_one(
+            HOST, (0, 1), (5, 6), pool, 8, 3
+        )
+
+
+G = gnp_generate(N, 0.9, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: G.has_edge(0.5, 1),
+        lambda: G.has_edge(None, 1),
+        lambda: G.has_edge(1, "a"),
+        lambda: G.row(1.5),
+        lambda: G.neighbors("a"),
+        lambda: G.degree(None),
+        lambda: direct_arc(G, (0.5, 1), (2, 3)),
+        lambda: direct_arc(G, (None, 1), (2, 3)),
+        lambda: direct_arc(G, (0, 1), (2, "a")),
+    ],
+    ids=[
+        "has_edge-float",
+        "has_edge-None",
+        "has_edge-str",
+        "row-float",
+        "neighbors-str",
+        "degree-None",
+        "direct_arc-float",
+        "direct_arc-None",
+        "direct_arc-str",
+    ],
+)
+def test_vertex_checks_raise_only_input_error(call) -> None:
+    # Each once raised TypeError.
+    with pytest.raises(InputError):
+        call()
+
+
+def test_vertex_checks_read_numpy_integers_as_ints() -> None:
+    for kind in (np.int64, np.int32, np.uint16, np.uint64):
+        u, v = kind(0), kind(1)
+        assert G.has_edge(u, v) == G.has_edge(0, 1)
+        assert G.has_edge(kind(3), kind(150)) == G.has_edge(3, 150)
+        assert G.row(u) == G.row(0)
+        assert G.neighbors(v) == G.neighbors(1)
+        assert G.degree(v) == G.degree(1)
+    # A direct arc on numpy ports once overflowed.
+    for frm, to in (((0, 1), (2, 3)), ((10, 20), (30, 40)), ((5, 6), (5, 7))):
+        for kind in (np.int64, np.uint16):
+            ported = tuple(map(kind, frm)), tuple(map(kind, to))
+            assert direct_arc(G, *ported) is direct_arc(G, frm, to)
+
+
+def test_a_unit_that_is_no_star_core_is_rejected_with_input_error() -> None:
+    # The audit of the chained absorber fails on the bad unit's own pairs;
+    # the units are checked only then, so the pipeline pays nothing.
+    g = complete_graph(12).remove_edges([(0, 2)])
+    units = [(0, 1, 2, 3, 4), (5, 6, 7, 8, 9)]
+    with pytest.raises(InputError, match=r"unit \(0, 1, 2, 3, 4\)"):
+        chain_absorbers(g, units, (1 << 12) - 1, 1)
+    # Its bridge pair u1 v1 missing: the unit with x is a square path, the
+    # one without it is not.
+    g = complete_graph(12).remove_edges([(5, 8)])
+    with pytest.raises(InputError, match=r"unit \(5, 6, 7, 8, 9\)"):
+        chain_absorbers(g, units, (1 << 12) - 1, 1)
+    absorber, fail = chain_absorbers(complete_graph(12), units, (1 << 12) - 1, 1)
+    assert fail is None and verify_absorber(complete_graph(12), absorber).ok

@@ -293,10 +293,12 @@ def test_embedding_check_reads_every_port_vertex(length: int) -> None:
             )
 
 
-@pytest.mark.parametrize("fault", ["none", "near", "far", "repeat", "range"])
+@pytest.mark.parametrize(
+    "fault", ["none", "near", "far", "far-then-near", "repeat", "range"]
+)
 @pytest.mark.parametrize("at", [0, 80, -3])
 def test_the_bulk_path_check_names_what_the_loop_names(fault, at) -> None:
-    # A long path on a complete host less at most one close pair: only the
+    # A long path on a complete host less at most two close pairs: only the
     # repeat, range and pair checks of the bulk pass can fail.
     k = gadgets.BULK_PATH_LEN + 10
     seq = [int(v) for v in rng_for(4, 12).permutation(k)]
@@ -305,6 +307,10 @@ def test_the_bulk_path_check_names_what_the_loop_names(fault, at) -> None:
         g = g.remove_edges([(seq[at], seq[at + 1])])
     elif fault == "far":
         g = g.remove_edges([(seq[at], seq[at + 2])])
+    elif fault == "far-then-near":
+        # The far pair comes first in position order, the near pair first
+        # in the order the gather lists the pairs.
+        g = g.remove_edges([(seq[at - 4], seq[at - 2]), (seq[at + 1], seq[at + 2])])
     elif fault == "repeat":
         seq[at] = seq[at + 5 if at >= 0 else at - 5]
     elif fault == "range":

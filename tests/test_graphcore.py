@@ -343,6 +343,42 @@ def test_subgraph_check_names_the_first_missing_edge(g: Graph, h: Graph) -> None
     assert g.is_subgraph_of(h) == expected
 
 
+@pytest.mark.parametrize("rows_per_block", [1, 2, 3])
+@pytest.mark.parametrize(
+    "extra",
+    [[(33, 35), (30, 40), (36, 37)], [(31, 39), (4, 9), (5, 6)], [(39, 40)]],
+    ids=["late-block", "two-blocks", "last-row"],
+)
+def test_subgraph_check_names_the_first_missing_edge_across_blocks(
+    monkeypatch, rows_per_block, extra
+) -> None:
+    # Blocks of a few rows, so the passes after the first block run; the
+    # last block of 41 rows is short for two and three rows a block.
+    g = complete_graph(41)
+    monkeypatch.setattr(
+        graphcore, "_SUBGRAPH_BLOCK_BYTES", rows_per_block * g.packed.shape[1]
+    )
+    h = g.remove_edges(extra)
+    assert g.is_subgraph_of(h) == (False, min(extra))
+    assert h.is_subgraph_of(g) == (True, None)
+    sparse = Graph(41, extra)
+    assert sparse.is_subgraph_of(h) == (False, min(extra))
+    assert sparse.is_subgraph_of(g) == (True, None)
+
+
+def test_the_packed_gather_returns_one_flag_per_pair() -> None:
+    g = gnp_generate(50, 0.5, 2)
+    us = np.array([[0, 1, 2], [3, 4, 5]])
+    vs = np.array([[9, 20, 49], [10, 30, 40]])
+    found = g.has_edges(us, vs)
+    assert found.shape == us.shape
+    expected = [
+        [g.has_edge(int(u), int(v)) for u, v in zip(row_u, row_v)]
+        for row_u, row_v in zip(us, vs)
+    ]
+    assert (found != 0).tolist() == expected
+
+
 def test_remove_edges_ignores_pairs_that_are_not_edges() -> None:
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     h = g.remove_edges([(0, 2), (3, 3), (1, 4), (-1, 3), (5, -2), (2, 1)])

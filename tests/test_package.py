@@ -210,6 +210,21 @@ def test_absorbers_are_audited_in_one_place() -> None:
     assert audits == {"absorber.chain_absorbers", "cli._cmd_absorber_verify"}
 
 
+def test_each_check_names_its_first_fault_from_its_one_pass() -> None:
+    # The packed gather answers per pair, so no check walks its input a
+    # second time to name a fault, and one loop checks a short square path.
+    for gone in ("_short_connection_holds", "_square_path_holds", "_BIT", "has_edges"):
+        assert not hasattr(gadgets, gone)
+    assert _library_callers({"has_edges"}) == {
+        "gadgets._bulk_square_path",
+        "absorber._absorbees_hold",
+        "hamiltonian.verify_certificate",
+    }
+    # validate_embedding is is_square_path and the two ports.
+    assert _library_callers({"is_square_path"}) >= {"gadgets.validate_embedding"}
+    assert _library_callers({"_bulk_square_path"}) == {"gadgets.is_square_path"}
+
+
 def test_the_rows_are_packed_once_per_graph() -> None:
     # Every bulk pass gathers from the one cached packed view; packing the
     # rows afresh per call cost more than most of those passes.
