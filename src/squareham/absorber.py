@@ -21,8 +21,8 @@ a traversal drops are ``int`` bitsets, and so is an absorber's body.  The
 absorber keeps its walk and its absorbees as tuples: a stored file may name
 huge ids, and no bitset is built from them before the range check.  A link
 is one connection job, served shortest first: the direct arc needs no
-search, and the connector's searches pick each vertex uniformly from the
-pool vertices that fit, with seeded draws.
+search, and the connector's searches pick each vertex from the pool
+vertices that fit by a seeded offset, not uniformly.
 """
 
 from __future__ import annotations

@@ -305,9 +305,14 @@ def prune_triangle_poor_edges(g: Graph, threshold: int) -> Graph:
 
     Returns:
         The pruned graph (the input itself when ``threshold`` is 0).
+
+    Raises:
+        InputError: If ``g`` is not a :class:`Graph` or ``threshold`` is not
+            a non-negative integer.
     """
-    if threshold < 0:
-        raise InputError(f"threshold must be nonnegative, got {threshold}")
+    if not isinstance(g, Graph):
+        raise InputError(f"g must be a Graph, got {type(g).__name__}")
+    threshold = check_int("threshold", threshold, 0)
     if threshold == 0 or g.edge_count == 0:
         return g
     return _prune_on_square(g, _square(g), threshold)

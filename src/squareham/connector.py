@@ -11,9 +11,9 @@ position by position, exhaustive below its node budget, ``NODE_BUDGET``.
 The reservoir and the pool, the reservoir less the ports, are ``int``
 bitsets (bit ``v`` set for vertex ``v``); no vertex set is ever listed.
 Each position's candidates are one mask, the pool less the placed vertices
-ANDed with the rows of the fixed vertices within distance two, and the
-picks choose among them uniformly with draws from a seeded SplitMix64
-stream, one at a time.
+ANDed with the rows of the fixed vertices within distance two, and a pick
+is :func:`~squareham.graphcore.pick_bit` of a draw from a seeded SplitMix64
+stream, the lowest candidate at or above a random offset, not uniform.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gadgets import validate_embedding
-from .graphcore import Graph, InputError, check_int, nth_bit, splitmix64
+from .graphcore import Graph, InputError, check_int, pick_bit, splitmix64
 
 # Pool vertices one search may look at; a failure past it reports
 # NODE_BUDGET + 1 nodes.
@@ -199,8 +199,8 @@ def _pick_connect(
 
     Position 2 takes a vertex of ``firsts``; at length 6, position 3 takes
     one of ``seconds`` adjacent to it, and a first pick with none is
-    dropped and another drawn.  Each pick is ``nth_bit(m, draw %
-    m.bit_count())`` from a fresh SplitMix64 stream of ``seed``, and nodes
+    dropped and another drawn.  Each pick is ``pick_bit(m, draw)``, as in
+    the search, from a fresh SplitMix64 stream of ``seed``, and nodes
     count as the search counts them: the pool's size on entry, one less per
     first pick tried, ``NODE_BUDGET + 1`` past the budget.  So the result,
     a failure included, is the search's.
@@ -210,7 +210,7 @@ def _pick_connect(
     draws = splitmix64(seed)
     rows = g.rows
     while firsts and nodes <= NODE_BUDGET:
-        v = nth_bit(firsts, next(draws) % firsts.bit_count())
+        v = pick_bit(firsts, next(draws))
         if length == 5:
             return ConnectResult(True, (*frm, v, *to), None)
         nodes += size - 1
@@ -218,7 +218,7 @@ def _pick_connect(
             break
         fit = rows[v] & seconds
         if fit:
-            w = nth_bit(fit, next(draws) % fit.bit_count())
+            w = pick_bit(fit, next(draws))
             return ConnectResult(True, (*frm, v, w, *to), None)
         firsts ^= 1 << v
     cfg = {"length": length, "pool": size, "seed": seed}
@@ -239,9 +239,9 @@ def _direct_connect(
     position's candidates are one mask: the pool less the vertices placed
     so far, ANDed with the rows of the vertices one and two places back and
     of the exit ports within distance two.  The search tries them in a
-    random order drawn lazily, one pick at a time: ``nth_bit(cands, draw %
-    count)``, with ``draw`` from a SplitMix64 stream seeded by ``seed``, so
-    each pick is distributed as in a scan of a seeded shuffle of the pool.
+    random order drawn lazily, one pick at a time: ``pick_bit(cands, draw)``
+    with ``draw`` from a SplitMix64 stream seeded by ``seed``, so the order
+    is not a uniform shuffle.
 
     A node is one pool vertex looked at: entering a state with ``k``
     positions filled costs ``len(pool) - k`` nodes.  A failed search enters
@@ -273,7 +273,7 @@ def _direct_connect(
         if k >= last - 2:
             cands &= exit01 if k == last - 1 else exit0
         while cands:
-            v = nth_bit(cands, next(draws) % cands.bit_count())
+            v = pick_bit(cands, next(draws))
             bit = 1 << v
             cands ^= bit
             path[k] = v

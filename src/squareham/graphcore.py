@@ -12,7 +12,7 @@ certificates, witnesses, and report fields that go to JSON).  The
 adversary's attack class, an index array for numpy, is the one exception.
 :meth:`Graph.check_mask` checks a bitset's type and range, :func:`bits` and
 :func:`mask_of` convert between bitsets and ascending vertex lists, and
-:func:`nth_bit` picks one set bit without listing the others.  Numpy work
+:func:`pick_bit` turns a draw into one set bit without listing.  Numpy work
 reads two bulk views of the rows, never edited and each built at most once
 per graph: :attr:`Graph.packed`, the rows as bytes, which whole-graph and
 whole-path passes gather from (:meth:`Graph.has_edges`, one flag per pair,
@@ -35,9 +35,9 @@ entries, which can pass 2^24, so those sums are accumulated in float64
 Seeded randomness follows one rule: numpy for bulk draws, SplitMix64 per
 pick.  Permutations, G(n, p) rows and experiment samples come
 from a numpy generator made by :func:`rng_for`.  A search that picks one
-vertex at a time takes each pick as ``next(stream) % k`` from a
-:func:`splitmix64` stream, with no numpy call per pick; the pick is uniform
-up to a bias below ``k / 2^64``.
+vertex at a time turns each draw of a :func:`splitmix64` stream into a
+candidate with :func:`pick_bit`, with no numpy call per pick; that pick is
+not uniform over the candidates (:func:`pick_bit` gives its odds).
 """
 
 from __future__ import annotations
@@ -294,13 +294,20 @@ class Graph:
 
         Pairs that are not edges (missing, self or out-of-range pairs) are
         ignored.  Rows no pair touches are shared with this graph.
+
+        Raises:
+            InputError: If ``edges`` is not an iterable of integer pairs.
         """
         n = self.n
         drop: dict[int, int] = {}
-        for u, v in edges:
-            if 0 <= u < n and 0 <= v < n:
-                drop[u] = drop.get(u, 0) | 1 << v
-                drop[v] = drop.get(v, 0) | 1 << u
+        try:
+            for u, v in edges:
+                u, v = check_int("an edge end", u), check_int("an edge end", v)
+                if 0 <= u < n and 0 <= v < n:
+                    drop[u] = drop.get(u, 0) | 1 << v
+                    drop[v] = drop.get(v, 0) | 1 << u
+        except (TypeError, ValueError) as err:  # an InputError is a ValueError
+            raise InputError(f"edges must be pairs of vertices: {err}") from None
         rows = (row & ~drop[u] if u in drop else row for u, row in enumerate(self._rows))
         return Graph._from_rows(tuple(rows))
 
@@ -392,42 +399,21 @@ def bits(mask: int) -> list[int]:
     return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
 
 
-#: Most low bits :func:`nth_bit` clears in a window wider than a machine
-#: word; that few clears cost less than halving the window again.
-_WIDE_CLEARS = 8
-
-
-def nth_bit(mask: int, k: int) -> int:
-    """``bits(mask)[k]`` for ``0 <= k < mask.bit_count()``, without listing.
-
-    Halves the window around the wanted bit by the population count of its
-    lower half until it is one machine word wide or ``k`` is small, then
-    clears the ``k`` lowest bits left.
+def pick_bit(mask: int, draw: int) -> int:
+    """The lowest set bit of a positive ``mask`` at or above the offset
+    ``draw % mask.bit_length()``, found by one shift; the top bit is set, so
+    there is one.  Of any ``mask.bit_length()`` consecutive draws,
+    ``v - prev(v)`` pick the set bit ``v`` (``prev(v)`` is the next lower
+    set bit, -1 below the lowest), so the pick is not uniform.
 
     Raises:
-        InputError: If ``mask`` is negative.
-        IndexError: If ``k`` is not the index of a set bit.
+        InputError: If ``mask`` is not positive.
     """
-    if mask < 0:
-        raise InputError(f"a vertex mask must be non-negative, got {mask}")
-    if not 0 <= k < mask.bit_count():
-        raise IndexError(f"bit index {k} out of range for {mask.bit_count()} set bits")
-    base = 0
-    width = mask.bit_length()
-    while width > 64 and k > _WIDE_CLEARS:
-        half = width >> 1
-        low = mask & ((1 << half) - 1)
-        below = low.bit_count()
-        if k < below:
-            mask, width = low, half
-        else:
-            k -= below
-            mask >>= half
-            base += half
-            width -= half
-    for _ in range(k):
-        mask &= mask - 1
-    return base + (mask & -mask).bit_length() - 1
+    if mask <= 0:
+        raise InputError(f"a pick needs a positive vertex mask, got {mask}")
+    r = draw % mask.bit_length()
+    above = mask >> r
+    return r + (above & -above).bit_length() - 1
 
 
 def packed_rows(rows: Sequence[int], n: int) -> np.ndarray:

@@ -34,7 +34,7 @@ from .graphcore import (
     check_int,
     check_sequence,
     mask_of,
-    nth_bit,
+    pick_bit,
     rng_for,
     splitmix64,
     vertex_ids,
@@ -233,12 +233,12 @@ def verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
         its position and cyclic distance.
 
     Raises:
-        InputError: If ``cert`` is not a :class:`Certificate`, its order is
-            not a permutation of all vertices, or the graph has fewer than
-            3 vertices.
+        InputError: If ``g`` is not a :class:`Graph`, ``cert`` is not a
+            :class:`Certificate`, its order is not a permutation of all
+            vertices, or the graph has fewer than 3 vertices.
     """
-    if not isinstance(cert, Certificate):
-        raise InputError(f"a certificate must be a Certificate, got {cert!r}")
+    if not (isinstance(g, Graph) and isinstance(cert, Certificate)):
+        raise InputError(f"expected a Graph and a Certificate, got {g!r}, {cert!r}")
     n = g.n
     if n < 3:
         raise InputError("squares of Hamilton cycles need at least 3 vertices")
@@ -510,8 +510,9 @@ def almost_spanning_square_path(
 
     Each end keeps its candidate mask between steps: the end that grew
     recomputes its own, and the other end only loses the new vertex.  Each
-    pick among ``k`` candidates is ``next(draws) % k``, with ``draws`` the
-    :func:`~squareham.graphcore.splitmix64` stream seeded by
+    pick, the start vertex's included, is ``pick_bit(candidates,
+    next(draws))``, not uniform (:func:`~squareham.graphcore.pick_bit`), with
+    ``draws`` the :func:`~squareham.graphcore.splitmix64` stream seeded by
     ``64 * seed + 47``, so that a cover search and a connector search given
     the same seed draw different streams.
 
@@ -521,26 +522,25 @@ def almost_spanning_square_path(
     """
     vmask = (1 << g.n) - 1 if verts is None else verts
     g.check_mask(vmask)
-    vs = bits(vmask)
-    if not vs:
+    size = vmask.bit_count()
+    if not size:
         return AlmostSpanningResult((), 0.0)
-    if len(vs) == 1:
-        return AlmostSpanningResult((vs[0],), 1.0)
+    # One vertex already meets the target, so the search never starts.
+    best: tuple[int, ...] = ((vmask & -vmask).bit_length() - 1,)
     rows = g.rows
     # The stream draws lazily, so check the seed up front.
     seed = check_int("seed", seed, 0)
     draws = splitmix64(64 * seed + 47)
-    best: tuple[int, ...] = (vs[0],)
-    target = math.ceil((1 - _COVER_EPS) * len(vs))
-    budget = _COVER_STEPS_PER_VERTEX * len(vs)
+    target = math.ceil((1 - _COVER_EPS) * size)
+    budget = _COVER_STEPS_PER_VERTEX * size
     spent = 0
     while spent < budget and len(best) < target:
         spent += 1
-        a = vs[next(draws) % len(vs)]
+        a = pick_bit(vmask, next(draws))
         nbrs = rows[a] & vmask
         if not nbrs:
             continue
-        b = nth_bit(nbrs, next(draws) % nbrs.bit_count())
+        b = pick_bit(nbrs, next(draws))
         # The path is head reversed, then tail; first and last are its ends.
         head, tail = [a], [b]
         first, last = a, b
@@ -552,16 +552,15 @@ def almost_spanning_square_path(
             if not fwd and not bwd:
                 break
             # Feed the scarcer end first so neither side starves early.
-            nf, nb = fwd.bit_count(), bwd.bit_count()
-            if fwd and (not bwd or nf <= nb):
-                v = nth_bit(fwd, next(draws) % nf)
+            if fwd and (not bwd or fwd.bit_count() <= bwd.bit_count()):
+                v = pick_bit(fwd, next(draws))
                 free &= ~(1 << v)
                 fwd = rows[v] & rows[last] & free
                 bwd &= free
                 tail.append(v)
                 last = v
             else:
-                v = nth_bit(bwd, next(draws) % nb)
+                v = pick_bit(bwd, next(draws))
                 free &= ~(1 << v)
                 bwd = rows[v] & rows[first] & free
                 fwd &= free
@@ -572,7 +571,7 @@ def almost_spanning_square_path(
     if len(best) >= 2:
         check = is_square_path(g, best)
         assert check.ok, f"greedy extension produced a bad path: {check.reason}"
-    return AlmostSpanningResult(best, len(best) / len(vs))
+    return AlmostSpanningResult(best, len(best) / size)
 
 
 @dataclass(frozen=True)
@@ -905,7 +904,15 @@ def find_square_ham(
         whose ``witness`` has passed :func:`verify_witness`; or the exhaustive
         search's or the last attempt's :class:`FailureReport`, with no
         witness, naming the stage that ran short.
+
+    Raises:
+        InputError: If an argument is of another type, or ``g`` is not a
+            subgraph of ``gamma_host`` on as many vertices.
     """
+    ambient = g if gamma_host is None else gamma_host
+    if not (isinstance(g, Graph) and isinstance(ambient, Graph)
+            and isinstance(config, PipelineConfig)):
+        raise InputError("find_square_ham takes Graphs and a PipelineConfig")
     if gamma_host is not None:
         if g.n != gamma_host.n:
             raise InputError(

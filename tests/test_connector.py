@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -244,7 +245,10 @@ def shuffled_scan(
     filled in ascending order, each needing an edge to every vertex already
     placed at distance one or two (by ``square_path_edge_oracle``), a pick
     is the first fitting vertex of a uniformly random order, and a node is
-    one unplaced pool vertex looked at.
+    one unplaced pool vertex looked at.  The search picks by a seeded
+    offset (``graphcore.pick_bit``), not from a shuffle, so the two agree
+    on whether a job lands and, on a failure, on the nodes spent, which
+    depend on no order; the paths they find differ.
     """
     edges = square_path_edge_oracle(length)
     ports = {0: frm[0], 1: frm[1], length - 2: to[0], length - 1: to[1]}
@@ -390,24 +394,24 @@ def test_the_port_rule_rules_out_exactly_what_it_names() -> None:
 # and the wide one (every vertex), ports excluded.
 PINNED_CONNECTIONS = {
     (40, 0.5, 11): (
-        "7af3a60db8cc9eec29c7e42584f2d57f114d1f66558b13a0b62104116e38e47e",
-        "8bef18c72f043bb23e2a19065fe79a55a52f00ca27070d4b5a0dfe8ab227c74d",
+        "350292d2c2eada369b1baad0af920421a4a7469b5d16806057291b0fbe98baec",
+        "a428f7e9628b12932b8440506b148802a47d051d958d80bb68d52ba719d37dc6",
     ),
     (60, 0.3, 12): (
         "4ca6943378e8c2058a3c3b627dfbbc96a444318a603af48b01d8281ddfe6c53b",
-        "d81c22809bced4111ec01a20f866c833903295fb8afcaa36992f83717f2bda80",
+        "1afb16216e1f3226cac394175dc0d5f207e36027004960f747f74e0ab6f53261",
     ),
     (30, 0.7, 13): (
-        "51d093905e961cec44ce980aaacb4a4aad8c301b7f4c879363332dc3aaea138c",
-        "a879b91ad4d195ba8b3d25268643a7d9ca0719166e3e32ef0853ae8f8bc9f1c3",
+        "a301ad5be01c2a02f85525c5f1f29197910eac6fa51df6d7a161e60aee871e36",
+        "6089a39a757c5a9c21f0e2593f60810c5e81c542b781ef96259cef95d4797af7",
     ),
     (80, 0.2, 14): (
         "15158f690a43164480ddddcead7e8074a22c8f5bab1464cf8dd172172df1dedd",
-        "6ec349484ee274461530ca09a678da6959844f9607956d293e2c8341f8f69b2a",
+        "c4ec8702e07e49e5b52595b409a4ce5fae0091e50dcf9081e75ca694dd099b70",
     ),
     (160, 0.14, 21): (
         "6bf837a7f98ef7a15b72c834894581269a4bde4c6e117495662c8e03c96fc6e4",
-        "5eb4007efafd38aac6389abc6ab42e51f30974ab7ff0992f31a00955c85756fc",
+        "935d0f5b9ff330c86cdc7307fbef3509125a177af18d55c5ba414e518e391b5e",
     ),
 }
 
@@ -433,16 +437,21 @@ def test_connection_results_are_pinned(host) -> None:
     assert tuple(digests) == PINNED_CONNECTIONS[host]
 
 
-def test_a_pick_is_uniform_over_the_fitting_vertices() -> None:
+def test_a_pick_takes_each_fitting_vertex_by_its_gap_below(monkeypatch) -> None:
     # Vertex 11 misses port 0, so the one free label of a length-5 path has
-    # four candidates out of a pool of five.
-    g = complete_graph(12).remove_edges([(11, 0)])
-    job = ((0, 1), (2, 3), mask_of((4, 5, 6, 7, 11)), 5)
-    seeds = 400
-    picks = Counter(search(g, *job, seed).path[2] for seed in range(seeds))
-    assert set(picks) == {4, 5, 6, 7}
-    for count in picks.values():
-        assert abs(count - seeds / 4) < seeds / 10
+    # the candidates 4, 6 and 9 out of a pool of four, a mask 10 bits wide.
+    # Ports 0 and 2 are not adjacent, so the job has no direct arc.
+    g = complete_graph(12).remove_edges([(11, 0), (0, 2)])
+    job = ((0, 1), (2, 3), mask_of((4, 6, 9, 11)), 5)
+    # Each seed's stream starts with the seed itself, so seeds 0..9 are one
+    # draw at each offset: a candidate is picked once per offset in the gap
+    # between it and the next lower candidate.
+    monkeypatch.setattr(connector, "splitmix64", itertools.count)
+    gaps = {4: 5, 6: 2, 9: 3}
+    assert Counter(search(g, *job, seed).path[2] for seed in range(10)) == gaps
+    # The length-5 picks of connect_one follow the same rule.
+    picks = Counter(connect_one(g, *job, seed).path[2] for seed in range(10))
+    assert picks == gaps
 
 
 def test_same_seed_same_embedding() -> None:

@@ -36,6 +36,7 @@ from squareham import (
     verify_absorber,
     verify_certificate,
 )
+from squareham.adversary import prune_triangle_poor_edges
 from squareham.connector import direct_arc
 from squareham.gadgets import BULK_PATH_LEN
 from squareham.graphcore import mask_of, rng_for
@@ -191,6 +192,52 @@ def test_vertex_checks_raise_only_input_error(call) -> None:
     # Each once raised TypeError.
     with pytest.raises(InputError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: G.remove_edges([(0.5, 1)]),
+        lambda: G.remove_edges([(0, None)]),
+        lambda: G.remove_edges([(0, 1, 2)]),
+        lambda: G.remove_edges(5),
+        lambda: prune_triangle_poor_edges(G, "a"),
+        lambda: prune_triangle_poor_edges(G, 1.5),
+        lambda: prune_triangle_poor_edges(None, 3),
+        lambda: find_square_ham(None),
+        lambda: find_square_ham(G, gamma_host=5),
+        lambda: find_square_ham(G, config=5),
+        lambda: find_square_ham(G, config=None),
+        lambda: verify_certificate(None, Certificate(tuple(range(N)))),
+    ],
+    ids=[
+        "remove_edges-float",
+        "remove_edges-None",
+        "remove_edges-triple",
+        "remove_edges-int",
+        "prune-str",
+        "prune-float",
+        "prune-graph-None",
+        "find-graph-None",
+        "find-gamma_host-int",
+        "find-config-int",
+        "find-config-None",
+        "verify_certificate-graph-None",
+    ],
+)
+def test_entry_checks_raise_only_input_error(call) -> None:
+    # Each once raised TypeError or AttributeError.
+    with pytest.raises(InputError):
+        call()
+
+
+def test_removed_edges_read_numpy_integers_as_ints() -> None:
+    # A numpy end once shifted as an int64, which overflows from bit 63.
+    pairs = [(0, 1), (3, 150), (199, 64)]
+    for kind in (np.int64, np.uint16):
+        typed = [(kind(u), kind(v)) for u, v in pairs]
+        assert G.remove_edges(typed) == G.remove_edges(pairs)
+    assert G.remove_edges(pairs).edge_count < G.edge_count
 
 
 def test_vertex_checks_read_numpy_integers_as_ints() -> None:

@@ -3,10 +3,11 @@ import itertools
 import json
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis.strategies import (
     data,
     floats,
@@ -37,8 +38,8 @@ from squareham.graphcore import (
     graph_to_edgelist_text,
     graph_to_json_obj,
     mask_of,
-    nth_bit,
     packed_rows,
+    pick_bit,
     splitmix64,
     triangle_profile,
 )
@@ -601,32 +602,20 @@ def test_bits_lists_the_same_vertices_on_both_paths(vs: set[int]) -> None:
         graphcore._SMALL_MASK_BITS = cutoff
 
 
-@given(small_and_large_sets, data())
-def test_nth_bit_is_the_kth_listed_bit(vs: set[int], draw) -> None:
+@given(small_and_large_sets, integers(min_value=0, max_value=2**64 - 1))
+def test_pick_bit_is_the_lowest_listed_bit_at_or_above_the_offset(
+    vs: set[int], draw: int
+) -> None:
+    assume(vs)
     mask = mask_of(vs)
     listed = bits(mask)
-    if listed:
-        picks = lists(integers(min_value=0, max_value=len(listed) - 1), max_size=8)
-        for k in [0, len(listed) - 1, *draw.draw(picks)]:
-            assert nth_bit(mask, k) == listed[k]
-    for k in (-1, len(listed)):
-        with pytest.raises(IndexError):
-            nth_bit(mask, k)
-
-
-@given(small_and_large_sets)
-def test_nth_bit_picks_the_same_bit_on_both_paths(vs: set[int]) -> None:
-    mask = mask_of(vs)
-    listed = sorted(vs)
-    # Force each path in turn: halving to one word, and clearing every low
-    # bit of the whole mask.
-    clears = graphcore._WIDE_CLEARS
-    try:
-        for forced in (-1, 10**6):
-            graphcore._WIDE_CLEARS = forced
-            assert [nth_bit(mask, k) for k in range(len(listed))] == listed
-    finally:
-        graphcore._WIDE_CLEARS = clears
+    width = listed[-1] + 1
+    offset = draw % width
+    assert pick_bit(mask, draw) == min(v for v in listed if v >= offset)
+    # Over one period of offsets, each bit is picked once per offset in the
+    # gap above the next lower bit.
+    counts = Counter(pick_bit(mask, d) for d in range(draw, draw + width))
+    assert counts == {v: v - prev for prev, v in zip([-1, *listed], listed)}
 
 
 def test_masks_reject_negative_vertices() -> None:
@@ -634,8 +623,9 @@ def test_masks_reject_negative_vertices() -> None:
         mask_of([3, -1])
     with pytest.raises(InputError):
         bits(-1)
-    with pytest.raises(InputError, match="non-negative"):
-        nth_bit(-5, 0)
+    for mask in (-5, 0):
+        with pytest.raises(InputError, match="positive"):
+            pick_bit(mask, 0)
 
 
 @given(gnp_graphs(max_n=40), seeds())

@@ -111,7 +111,7 @@ def test_the_connector_builds_no_numpy_generator() -> None:
 
 
 def test_the_connector_never_lists_a_vertex_set() -> None:
-    # A search starts from the pool's bitset and picks with nth_bit;
+    # A search starts from the pool's bitset and picks with pick_bit;
     # listing the pool per call cost more than most searches.
     path = Path(squareham.__file__).parent / "connector.py"
     found = _imported_modules_and_names(ast.parse(path.read_text(encoding="utf-8")))
@@ -482,3 +482,88 @@ def test_no_library_function_takes_a_budget() -> None:
                 "class C:\n    def m(self):\n        def inner(budget): pass",
                 "f = lambda budget: budget"):
         assert _budget_parameters(ast.parse(src)), src
+
+
+def _called(node: ast.AST | None, name: str) -> bool:
+    return isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None),
+        getattr(node.func, "attr", None),
+    )
+
+
+def _stray_picks(tree: ast.AST) -> list[str]:
+    """Places in ``tree`` that name ``nth_bit``, or that use a SplitMix64
+    stream other than as ``pick_bit(mask, next(stream))``."""
+    streams = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and _called(node.value, "splitmix64")
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if "nth_bit" in {getattr(node, key, None) for key in ("id", "attr", "name", "asname")}:
+            found.append(f"line {node.lineno}: nth_bit")
+        named = isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        if (named and node.id in streams) or (
+            _called(node, "splitmix64") and not isinstance(parents.get(node), ast.Assign)
+        ):
+            draw = parents.get(node)
+            pick = parents.get(draw)
+            if not (
+                _called(draw, "next")
+                and _called(pick, "pick_bit")
+                and pick.args[1:2] == [draw]
+            ):
+                found.append(f"line {node.lineno}: a draw that pick_bit does not take")
+    return found
+
+
+def test_pick_bit_is_the_one_place_a_draw_becomes_a_vertex() -> None:
+    # Counting to the k-th set bit was the largest self time of a dense
+    # solve; every pick is now the lowest candidate at or above a seeded
+    # offset, one rule in one function.
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert _stray_picks(tree) == [], path.name
+    assert not hasattr(graphcore, "nth_bit")
+    definers = {
+        f"{path.stem}.{fn.name}"
+        for path in MODULES
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(fn, ast.FunctionDef) and fn.name == "pick_bit"
+    }
+    assert definers == {"graphcore.pick_bit"}
+    assert _library_callers({"pick_bit"}) == {
+        "connector._direct_connect.fill",
+        "connector._pick_connect",
+        "hamiltonian.almost_spanning_square_path",
+    }
+
+
+def test_the_pick_guard_sees_every_spelling() -> None:
+    stream = "draws = splitmix64(s)\n"
+    flagged = (
+        "from .graphcore import nth_bit",
+        "from .graphcore import bits as nth_bit",
+        "v = graphcore.nth_bit(m, k)",
+        "def nth_bit(mask, k): pass",
+        stream + "v = vs[next(draws) % len(vs)]",
+        stream + "v = nth_bit(m, next(draws) % k)",
+        stream + "v = pick_bit(m, next(draws) % 7)",
+        stream + "v = pick_bit(next(draws), m)",
+        stream + "d = next(draws)\nv = pick_bit(m, d)",
+        stream + "for d in draws:\n    v = d % k",
+        "v = next(graphcore.splitmix64(s)) % k",
+    )
+    for src in flagged:
+        assert _stray_picks(ast.parse(src)), src
+    quiet = (
+        "draws = splitmix64(64 * seed + 47)\nwhile go:\n    v = pick_bit(m, next(draws))",
+        "draws = graphcore.splitmix64(s)\ndef fill():\n    return pick_bit(c, next(draws))",
+        "it = iter(xs)\nv = next(it)",
+    )
+    for src in quiet:
+        assert _stray_picks(ast.parse(src)) == [], src
