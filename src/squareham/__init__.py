@@ -27,7 +27,10 @@ Submodules:
 
 Vertex sets are ``int`` bitsets, bit ``v`` set for vertex ``v``, and
 sequences carry order (paths, certificates, witnesses, report fields); the
-CLI converts each parsed vertex list once.
+CLI converts each parsed vertex list once.  Every argument is read by one
+rule, graphcore's: a vertex, count or seed is a Python or numpy integer,
+never a ``bool``, read as a plain ``int``; a vertex set is a plain ``int``;
+a graph is a ``Graph``.  Anything else raises ``InputError``, and only it.
 """
 
 __version__ = "0.1.0"

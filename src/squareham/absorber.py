@@ -27,7 +27,6 @@ vertices that fit by a seeded offset, not uniformly.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -35,7 +34,17 @@ import numpy as np
 
 from .connector import connect_one
 from .gadgets import BULK_PATH_LEN, is_square_path
-from .graphcore import Graph, InputError, bits, check_int, mask_of, vertex_ids
+from .graphcore import (
+    Graph,
+    InputError,
+    bits,
+    check_graph,
+    check_int,
+    check_ints,
+    check_sequence,
+    mask_of,
+    vertex_ids,
+)
 from .matching import BipartiteInstance, hall_saturating_matching
 
 
@@ -88,6 +97,7 @@ def build_single_absorbers(
         InputError: If the two sets overlap or one holds a bit outside
             ``0..n-1``.
     """
+    check_graph(g)
     g.check_mask(xs)
     g.check_mask(pool)
     if xs & pool:
@@ -129,7 +139,7 @@ def complete_absorbers(
         InputError: If ``xs`` is not a non-negative ``int`` bitset, or
             ``cores`` is not one four-vertex core per absorbee.
     """
-    if not isinstance(xs, int) or xs < 0:
+    if type(xs) is not int or xs < 0:
         raise InputError(f"absorbees must be a non-negative int bitset, got {xs!r}")
     try:
         return tuple(
@@ -149,7 +159,7 @@ def chain_absorbers(
     """Join units in order with square-path links into one audited absorber.
 
     Each unit is a five-vertex walk ``u1 u2 x v1 v2`` with its absorbee in
-    the middle; numpy-integer vertices are read as ints.  Each link is
+    the middle, read by :func:`~squareham.graphcore.check_ints`.  Each link is
     one :func:`connect_one` job of up to eight vertices from a unit's exit
     pair to the next one's entry pair through the bitset ``pool`` less the
     units and the earlier links, with a seed derived from ``seed``.  Served
@@ -170,29 +180,26 @@ def chain_absorbers(
         AssertionError: If the finished absorber, built from star cores,
             fails the audit.
     """
+    check_graph(g)
+    g.check_mask(pool, "pool")
     seed = check_int("seed", seed, 0)
+    check_sequence("units", units)
     if not units:
         raise InputError("an absorber needs at least one unit")
     body = 0
     n = g.n
     for unit in units:
         try:
-            if len(unit) != 5:
-                raise InputError(f"a unit is five vertices, got {len(unit)}")
             u1, u2, x, v1, v2 = unit
-            ints = type(u1) is type(u2) is type(x) is type(v1) is type(v2) is int
-        except TypeError:
-            ints = False
-        if not ints:
-            # Numpy integers are read as ints; anything else is no vertex.
-            plain = []
+            plain = type(u1) is type(u2) is type(x) is type(v1) is type(v2) is int
+        except (TypeError, ValueError):
+            plain = False
+        if not plain:
+            units = [check_ints("a unit vertex", unit) for unit in units]
             for unit in units:
-                try:
-                    plain.append(tuple(map(operator.index, unit)))
-                except TypeError:
-                    message = f"a unit is five vertices of g, got {unit!r}"
-                    raise InputError(message) from None
-            return chain_absorbers(g, plain, pool, seed)
+                if len(unit) != 5:
+                    raise InputError(f"a unit is five vertices, got {len(unit)}")
+            return chain_absorbers(g, units, pool, seed)
         # The range check comes first, so no bit is built from a huge id.
         if not (0 <= min(unit) and max(unit) < n):
             g.check_vertices(unit)
@@ -234,7 +241,9 @@ def absorb(a: Absorber, x_prime: int) -> tuple[int, ...]:
         ``a.walk`` less ``x_prime``: the absorber's fixed entry and exit
         pairs, and the whole body minus ``x_prime``.
     """
-    if not isinstance(x_prime, int) or x_prime < 0:
+    if not isinstance(a, Absorber):
+        raise InputError(f"an absorber must be an Absorber, got {type(a).__name__}")
+    if type(x_prime) is not int or x_prime < 0:
         raise InputError(f"x_prime must be a non-negative int bitset: {x_prime!r}")
     # Not a mask of the absorbees: an unaudited absorber may name a huge one.
     skip = set(bits(x_prime))
@@ -298,32 +307,32 @@ def verify_absorber(g: Graph, a: Absorber) -> AbsorberVerification:
         path and ``(x,)`` for absorbee ``x`` failing (a), (b) or (c).
 
     Raises:
-        InputError: If ``a`` is not an :class:`Absorber`, its walk or its
-            absorbees name a non-vertex, or an absorbee is not an integer.
+        InputError: If ``a`` is not an :class:`Absorber`, or its walk or
+            its absorbees are not sequences of vertices of ``g``.
     """
+    check_graph(g)
     if not isinstance(a, Absorber):
-        raise InputError(f"an absorber must be an Absorber, got {a!r}")
-    walk, xs = a.walk, a.absorbees
-    # Both range checks come first, so an id of any size is rejected
+        raise InputError(f"an absorber must be an Absorber, got {type(a).__name__}")
+    # The walk is range-checked first, so an id of any size is rejected
     # before anything is built from it.  A long walk is read once, into
-    # the array every bulk pass below reads.
+    # the array every bulk pass below reads; any other by check_vertices.
+    walk = a.walk
     try:
         ids = vertex_ids(walk) if len(walk) >= BULK_PATH_LEN else None
-        if ids is None or ids.min() < 0 or ids.max() >= g.n:
-            g.check_vertices(walk)
-        g.check_vertices(xs)
     except TypeError:
-        raise InputError(f"an absorber names a non-vertex: {a!r}") from None
-    for x in xs:
-        if type(x) is not int:  # a plain int needs no call
-            check_int("an absorbee", x)
+        ids = None
+    if ids is None or ids.min() < 0 or ids.max() >= g.n:
+        walk, ids = g.check_vertices(walk), None
+    xs = g.check_vertices(a.absorbees)
     check = is_square_path(g, walk if ids is None else ids)
     if not check.ok:
         return AbsorberVerification(False, 1, {"subset": (), "reason": check.reason})
     # A long walk has its absorbees checked in bulk too; the loop below
-    # names the first fault.
-    if ids is not None and _absorbees_hold(g, ids, vertex_ids(xs)):
-        return AbsorberVerification(True, len(xs) + 1, None)
+    # names the first fault, on the walk read as plain ints.
+    if ids is not None:
+        if _absorbees_hold(g, ids, vertex_ids(xs)):
+            return AbsorberVerification(True, len(xs) + 1, None)
+        walk = ids.tolist()
     place = {v: i for i, v in enumerate(walk)}
     last = None
     for k, x in enumerate(xs):
@@ -384,11 +393,11 @@ def absorber_from_json_obj(obj: Mapping) -> Absorber:
             with no absorbee.
     """
     try:
-        walk, absorbees = tuple(obj["walk"]), tuple(obj["absorbees"])
+        walk, absorbees = obj["walk"], obj["absorbees"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed absorber description: {exc}") from exc
-    for v in walk + absorbees:
-        check_int("an absorber vertex", v)
+    walk = check_ints("an absorber vertex", walk)
+    absorbees = check_ints("an absorber vertex", absorbees)
     if not absorbees:
         raise InputError("an absorber needs at least one absorbee")
     return Absorber(walk, absorbees)

@@ -27,7 +27,9 @@ from .graphcore import (
     _square_less_within,
     _triangles,
     bits,
+    check_graph,
     check_int,
+    check_ints,
     check_probability,
     check_vertex_count,
     edges_within,
@@ -82,6 +84,7 @@ def k3_attack(gamma_graph: Graph, gamma, seed: int) -> AttackResult:
     Raises:
         InputError: If ``gamma`` is outside ``[0, 1/2)``.
     """
+    check_graph(gamma_graph, "gamma_graph")
     n = gamma_graph.n
     size = attack_class_size(n, gamma)
     rng = rng_for(seed, 61)
@@ -137,6 +140,8 @@ def triangle_retention_profile(
             is not a real number in ``[0, 1]``, or ``gamma`` is outside
             ``[0, 1/2)``.
     """
+    check_graph(before, "before")
+    check_graph(after, "after")
     if p_hint is not None:
         check_probability("p_hint", p_hint)
     gfrac = None if gamma is None else _gamma_fraction(gamma)
@@ -224,12 +229,13 @@ def max_triangle_packing(
     Raises:
         InputError: If a triangle of ``g`` has two vertices in ``v1``.
     """
+    check_graph(g)
     tris = _all_triangles(g)
     # No packing is larger than the triangle count or the structural bound.
     ceiling = len(tris)
     structural = None
     if v1 is not None:
-        v1_set = frozenset(v1)
+        v1_set = frozenset(check_ints("a v1 vertex", v1))
         if any(len(v1_set.intersection(t)) > 1 for t in tris):
             raise InputError("v1 must not hold two vertices of a triangle")
         v2_count = g.n - len(v1_set & set(range(g.n)))
@@ -310,8 +316,7 @@ def prune_triangle_poor_edges(g: Graph, threshold: int) -> Graph:
         InputError: If ``g`` is not a :class:`Graph` or ``threshold`` is not
             a non-negative integer.
     """
-    if not isinstance(g, Graph):
-        raise InputError(f"g must be a Graph, got {type(g).__name__}")
+    check_graph(g)
     threshold = check_int("threshold", threshold, 0)
     if threshold == 0 or g.edge_count == 0:
         return g
@@ -491,18 +496,14 @@ def resilience_experiment(
             ``[0, 1/2)``, the seed count or an explicit seed not a
             non-negative integer, or ``jobs`` not an integer of at least 1.
     """
-    check_vertex_count("n", n)
+    n = check_vertex_count("n", n)
     check_probability("p", p)
     _gamma_fraction(gamma)
-    check_int("jobs", jobs, 1)
+    jobs = check_int("jobs", jobs, 1)
     if isinstance(seeds, Iterable):
-        seeds = list(seeds)
-        for s in seeds:
-            check_int("seed", s, 0)
-        seed_list = [int(s) for s in seeds]
+        seed_list = [check_int("seed", s, 0) for s in seeds]
     else:
-        check_int("seed count", seeds, 0)
-        seed_list = list(range(seeds))
+        seed_list = list(range(check_vertex_count("seed count", seeds)))
     params = {
         "n": n,
         "p": p,

@@ -59,6 +59,15 @@ def _json_text(obj) -> str:
     return json.dumps(jsonable(obj), indent=2, sort_keys=True) + "\n"
 
 
+def _read_json(path: str):
+    """The JSON value the file at ``path`` holds; text that is no UTF-8 or
+    no JSON is an input error."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # text that is no JSON, or bytes that are no UTF-8
+        raise InputError(f"malformed JSON input: {exc}") from None
+
+
 def _ints(text: str) -> tuple[int, ...]:
     if not text.strip():
         return ()
@@ -148,7 +157,7 @@ def _cmd_find(args) -> tuple[int, str, dict]:
 def _cmd_verify(args) -> tuple[int, str, dict]:
     """Check a certificate, or the witness a failure report of ``find`` carries."""
     g = read_graph(args.graph)
-    obj = json.loads(Path(args.certificate).read_text())
+    obj = _read_json(args.certificate)
     if isinstance(obj, dict) and "witness" in obj:
         check = verify_witness(g, witness_from_json_obj(obj["witness"]))
     else:
@@ -187,7 +196,7 @@ def _cmd_absorber_build(args) -> tuple[int, str, dict]:
 
 def _cmd_absorber_verify(args) -> tuple[int, str, dict]:
     g = read_graph(args.graph)
-    obj = json.loads(Path(args.absorber).read_text())
+    obj = _read_json(args.absorber)
     a = absorber_from_json_obj(obj)
     report = verify_absorber(g, a)
     meta = {"absorber": args.absorber}
@@ -343,9 +352,6 @@ def run_command(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return _IO_ERROR
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON input: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
     elapsed = time.perf_counter() - start
     if args.out:
         try:

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gadgets import validate_embedding
-from .graphcore import Graph, InputError, check_int, pick_bit, splitmix64
+from .gadgets import read_ports, validate_embedding
+from .graphcore import Graph, InputError, check_graph, check_int, pick_bit, splitmix64
 
 # Pool vertices one search may look at; a failure past it reports
 # NODE_BUDGET + 1 nodes.
@@ -48,34 +48,19 @@ class _Pool(int):
 
 def _validate_request(
     g: Graph, frm: tuple[int, int], to: tuple[int, int], w: int, length: int
-) -> int | None:
-    """Check one job and return the bitset of its four ports, or ``None``
-    if a port vertex is an integer but not a plain ``int`` (a numpy one),
-    for the caller to read as an ``int``.
+) -> int:
+    """Check one job, its ports two pairs of plain ints and its length at
+    least 4, and return the bitset of its four ports.
 
     Raises:
-        InputError: On a length that is not an integer of at least 4 and
-            at most ``g.n`` (a square path's vertices are distinct), ports
-            that are not two ordered pairs of distinct integer vertices of
-            ``g`` joined by host edges, or a reservoir that is not an
-            ``int`` bitset of vertices of ``g``.
+        InputError: On a length over ``g.n`` (a square path's vertices are
+            distinct), ports that are not four distinct vertices of ``g``
+            joined by host edges, or a reservoir that is not an ``int``
+            bitset of vertices of ``g``.
     """
-    if type(length) is not int:  # a plain int needs no call
-        check_int("length", length)
-    if length < 4:
-        raise InputError(f"connections need length >= 4, got {length}")
     if length > g.n:
         raise InputError(f"length {length} exceeds the host's {g.n} vertices")
-    try:
-        (p, q), (r, s) = frm, to
-    except (TypeError, ValueError):
-        message = f"job ports must be two ordered pairs: {frm} -> {to}"
-        raise InputError(message) from None
-    if not (type(p) is type(q) is type(r) is type(s) is int):  # plain ints need no call
-        for v in (p, q, r, s):
-            check_int("a port vertex", v)
-        # A numpy integer shifts as an int64, so no bit is built from it.
-        return None
+    (p, q), (r, s) = frm, to
     if p == q or p == r or p == s or q == r or q == s or r == s:
         raise InputError(f"job ports overlap: {frm} -> {to}")
     n = g.n
@@ -91,17 +76,20 @@ def _validate_request(
 def direct_arc(g: Graph, frm: tuple[int, int], to: tuple[int, int]) -> bool:
     """Whether two ordered host edges chain into a square path with no
     interior: the four ports are distinct and ``frm + to`` carries all five
-    edges of the length-4 square path.  Numpy-integer ports are read as
-    ints.
+    edges of the length-4 square path.
 
     Raises:
         InputError: If a port vertex is not a vertex of ``g``.
     """
-    (a, b), (c, d) = frm, to
-    if not (type(a) is type(b) is type(c) is type(d) is int):  # plain ints need no call
-        for v in (a, b, c, d):
-            check_int("a port vertex", v)
-        return direct_arc(g, (int(a), int(b)), (int(c), int(d)))
+    if type(g) is not Graph:  # a Graph needs no call
+        check_graph(g)
+    try:
+        (a, b), (c, d) = frm, to
+        plain = type(a) is type(b) is type(c) is type(d) is int
+    except (TypeError, ValueError):
+        plain = False
+    if not plain:
+        return direct_arc(g, *read_ports(frm, to))
     if a == b or a == c or a == d or b == c or b == d or c == d:
         return False
     n = g.n
@@ -143,14 +131,23 @@ def connect_one(
             bitset of vertices of ``g`` included) or a seed that is not a
             non-negative integer.
     """
-    ports = _validate_request(g, frm, to, w, length)
-    if ports is None:  # numpy-integer ports, read as ints
+    if type(g) is not Graph:  # a Graph needs no call
+        check_graph(g)
+    if type(length) is not int or length < 4:  # a plain int needs no call
+        length = check_int("length", length)
+        if length < 4:
+            raise InputError(f"connections need length >= 4, got {length}")
+    try:
         (a, b), (c, d) = frm, to
-        return connect_one(g, (int(a), int(b)), (int(c), int(d)), w, length, seed)
+        plain = type(a) is type(b) is type(c) is type(d) is int
+    except (TypeError, ValueError):
+        plain = False
+    if not plain:
+        return connect_one(g, *read_ports(frm, to), w, length, seed)
+    ports = _validate_request(g, frm, to, w, length)
     # The picks and searches draw lazily, so check the seed up front.
     if type(seed) is not int or seed < 0:  # a plain int needs no call
         seed = check_int("seed", seed, 0)
-    (a, b), (c, d) = frm, to
     rows = g.rows
     if _cross_edges_hold(rows, frm, to, 4):
         return ConnectResult(True, (*frm, *to), None)

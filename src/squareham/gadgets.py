@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphcore import Graph, InputError, check_int, vertex_ids
+from .graphcore import Graph, InputError, check_graph, check_ints, vertex_ids
 
 
 @dataclass(frozen=True)
@@ -57,55 +57,57 @@ def is_square_path(g: Graph, seq: Sequence[int]) -> ValidationResult:
 
     The range check comes first, then repeats, then the pairs in position
     order, each entry against the next and then the one after, so the
-    reason names the first missing one.  Entries may be numpy integers;
-    they give the answer their int values give.  A sequence of
+    reason names the first missing one.  A sequence of
     :data:`BULK_PATH_LEN` or more integers is checked by one gather, whose
-    per-pair result names the fault; a shorter one by one loop.
+    per-pair result names the fault; a shorter one by one loop, which
+    tests each entry's type and range as it reads it.
 
     Raises:
         InputError: If ``seq`` is not a sequence of vertices of ``g``.
     """
+    if type(g) is not Graph:  # a Graph needs no call
+        check_graph(g)
     try:
         k = len(seq)
         if k >= BULK_PATH_LEN:
             ids = vertex_ids(seq)
             if ids is not None:
                 return _bulk_square_path(g, ids)
-        # An id of any size is rejected before a row is read for it.
-        if k and not (0 <= min(seq) and max(seq) < g.n):
-            g.check_vertices(seq)
         if len(set(seq)) != k:
-            return ValidationResult(False, "sequence repeats a vertex")
+            return _read(g, seq, ValidationResult(False, "sequence repeats a vertex"))
         if k < 2:
-            return _VALID
-        rows = g.rows
+            return _read(g, seq, _VALID)
+        n, rows = g.n, g.rows
         # Each entry against the two before it, the farther one first: that
-        # order meets the pairs in position order.  An entry that is not an
-        # integer raises TypeError, unless a fault before it decides the
-        # result first; a numpy one shifts in numpy, or raises
-        # OverflowError on a row wider than its type.
+        # order meets the pairs in position order.  An entry that is not a
+        # plain int vertex ends the loop, and the sequence is read below.
         entries = iter(seq)
         u, v = next(entries), next(entries)
-        if not rows[v] >> u & 1:
-            return _missing_edge(u, v)
-        for w in entries:
-            row = rows[w]
-            if not row >> u & 1:
-                return _missing_edge(u, w)
-            if not row >> v & 1:
-                return _missing_edge(v, w)
-            u, v = v, w
-        return _VALID
-    except (TypeError, OverflowError):
-        pass
-    # Numpy integers are read as ints, and anything else is no vertex.
-    try:
-        vertices = list(seq)
+        if type(u) is type(v) is int and 0 <= u < n and 0 <= v < n:
+            if not rows[v] >> u & 1:
+                return _read(g, seq, _missing_edge(u, v))
+            for w in entries:
+                if type(w) is not int or not 0 <= w < n:
+                    break
+                row = rows[w]
+                if not row >> u & 1:
+                    return _read(g, seq, _missing_edge(u, w))
+                if not row >> v & 1:
+                    return _read(g, seq, _missing_edge(v, w))
+                u, v = v, w
+            else:
+                return _VALID
     except TypeError:
-        raise InputError(f"a vertex sequence must be iterable, got {seq!r}") from None
-    for v in vertices:
-        check_int("a vertex", v)
-    return is_square_path(g, [int(v) for v in vertices])
+        pass
+    return is_square_path(g, g.check_vertices(seq))
+
+
+def _read(g: Graph, seq: Sequence, result: ValidationResult) -> ValidationResult:
+    """``result``, which :func:`is_square_path` met before it read all of
+    ``seq``, once every entry is read as a vertex of ``g``: a non-vertex
+    after a fault is still an :class:`InputError`."""
+    g.check_vertices(seq)
+    return result
 
 
 def _bulk_square_path(g: Graph, ids: np.ndarray) -> ValidationResult:
@@ -131,6 +133,21 @@ def _bulk_square_path(g: Graph, ids: np.ndarray) -> ValidationResult:
     return _missing_edge(int(ids[i]), int(ids[i + d]))
 
 
+def read_ports(
+    frm: tuple[int, int], to: tuple[int, int]
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The two ports of a connection as pairs of plain ints, or
+    :class:`InputError` unless each is a pair of integers.  A hot caller
+    tests the ports' types inline and calls this only on a miss."""
+    try:
+        (a, b), (c, d) = frm, to
+    except (TypeError, ValueError):
+        message = f"job ports must be two ordered pairs: {frm!r} -> {to!r}"
+        raise InputError(message) from None
+    a, b, c, d = check_ints("a port vertex", (a, b, c, d))
+    return (a, b), (c, d)
+
+
 def validate_embedding(
     g: Graph,
     path: Sequence[int],
@@ -142,27 +159,21 @@ def validate_embedding(
     order: :func:`is_square_path`, then each port.
 
     Raises:
-        InputError: As :func:`is_square_path`, or on a port that is not
-            iterable.
+        InputError: As :func:`is_square_path`, or on a port that is not a
+            pair of integers.
     """
+    try:
+        (a, b), (c, d) = connect_from, connect_to
+        plain = type(a) is type(b) is type(c) is type(d) is int
+    except (TypeError, ValueError):
+        plain = False
+    if not plain:
+        return validate_embedding(g, path, *read_ports(connect_from, connect_to))
     check = is_square_path(g, path)
     if not check:
         return check
-    for name, got, want in (
-        ("entry", path[:2], connect_from),
-        ("exit", path[-2:], connect_to),
-    ):
-        try:
-            want = tuple(want)
-        except TypeError:
-            raise InputError(f"the {name} port must be a pair, got {want!r}") from None
+    for name, got, want in (("entry", path[:2], (a, b)), ("exit", path[-2:], (c, d))):
         if tuple(got) != want:
-            reason = f"{name} port is {_ints(got)}, expected {_ints(want)}"
-            return ValidationResult(False, reason)
+            got = check_ints("a vertex", got)
+            return ValidationResult(False, f"{name} port is {got}, expected {want}")
     return _VALID
-
-
-def _ints(pair: Sequence) -> tuple:
-    """``pair`` as a tuple, numpy integers read as ints, so that a reason
-    reads the same whichever kind of integer it names."""
-    return tuple(int(v) if isinstance(v, np.integer) else v for v in pair)

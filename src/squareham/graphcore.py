@@ -32,6 +32,13 @@ vertices would need a 256 TiB matrix).  A triangle count sums a row of such
 entries, which can pass 2^24, so those sums are accumulated in float64
 (exact below 2^53).
 
+Every argument is read by one rule, here: a vertex, count or seed is a
+Python or numpy integer, never a ``bool``, read as a plain ``int``
+(:func:`check_int`, and :func:`check_ints` for a sequence of them); a
+vertex set is a plain ``int`` bitset; a graph is a :class:`Graph`
+(:func:`check_graph`).  Anything else raises :class:`InputError`.  A hot
+entry point tests ``type(x) is int`` inline and reads only on a miss.
+
 Seeded randomness follows one rule: numpy for bulk draws, SplitMix64 per
 pick.  Permutations, G(n, p) rows and experiment samples come
 from a numpy generator made by :func:`rng_for`.  A search that picks one
@@ -46,10 +53,10 @@ import array
 import itertools
 import json
 import numbers
-import operator
+import os
 import sys
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -65,7 +72,7 @@ def check_int(name: str, value: object, low: int | None = None) -> int:
     """``value`` as a plain ``int``, or :class:`InputError` unless it is an
     integer, a Python or numpy ``int`` but not a ``bool``, and at least
     ``low`` when one is given.  ``name`` says what the value is in the
-    message."""
+    message.  This is the package's one rule for an integer argument."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InputError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
@@ -74,19 +81,39 @@ def check_int(name: str, value: object, low: int | None = None) -> int:
     return int(value)
 
 
+def check_ints(name: str, values: object) -> tuple[int, ...]:
+    """The entries of the iterable ``values`` as a tuple of plain ints, each
+    read by :func:`check_int` under ``name``; a tuple of plain ints is
+    returned as it is."""
+    try:
+        out = tuple(values)
+    except TypeError:
+        raise InputError(f"expected integers, got {type(values).__name__}") from None
+    for v in out:
+        if type(v) is not int:  # plain ints need no call
+            return tuple([check_int(name, v) for v in out])
+    return out
+
+
+def check_graph(g: object, name: str = "g") -> None:
+    """Raise :class:`InputError` naming ``name`` unless ``g`` is a :class:`Graph`."""
+    if not isinstance(g, Graph):
+        raise InputError(f"{name} must be a Graph, got {type(g).__name__}")
+
+
 def check_sequence(name: str, value: object) -> None:
     """Raise :class:`InputError` naming ``name`` unless ``value`` is a sequence."""
     if not isinstance(value, Sequence):
         raise InputError(f"{name} must be a sequence, got {type(value).__name__}")
 
 
-def check_vertex_count(name: str, value: object) -> None:
+def check_vertex_count(name: str, value: object) -> int:
     """:func:`check_int` with a floor of 0 and a ceiling of ``sys.maxsize``,
     the longest list of rows that can be indexed; a larger count is
     rejected before anything is allocated."""
-    check_int(name, value, 0)
-    if value > sys.maxsize:
+    if check_int(name, value, 0) > sys.maxsize:
         raise InputError(f"{name} must be at most {sys.maxsize}, got {value}")
+    return int(value)
 
 
 def check_probability(name: str, value: object) -> None:
@@ -112,8 +139,7 @@ def rng_for(seed: int, *salt: int) -> np.random.Generator:
     Raises:
         InputError: If the seed or a salt is not an integer or is negative.
     """
-    for s in (seed, *salt):
-        check_int("a seed or salt", s)
+    seed, *salt = check_ints("a seed or salt", (seed, *salt))
     if seed < 0 or any(s < 0 for s in salt):
         raise InputError(f"seed and salt must be non-negative, got {(seed, *salt)}")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(salt)))
@@ -161,15 +187,16 @@ class Graph:
     __slots__ = ("n", "_rows", "_edge_count", "_matrix", "_packed")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        check_vertex_count("vertex count", n)
+        n = check_vertex_count("vertex count", n)
         rows = [0] * n
+        if not isinstance(edges, Iterable):
+            raise InputError(f"edges must be iterable, got {type(edges).__name__}")
         for edge in edges:
             try:
                 u, v = edge
             except (TypeError, ValueError) as exc:
                 raise InputError(f"edge {edge!r} is not a vertex pair") from exc
-            check_int("edge endpoint", u)
-            check_int("edge endpoint", v)
+            u, v = check_int("edge endpoint", u), check_int("edge endpoint", v)
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
@@ -213,8 +240,7 @@ class Graph:
 
     def row(self, v: int) -> int:
         """The adjacency bitset of vertex ``v`` (checked)."""
-        self.check_vertex(v)
-        return self._rows[v]
+        return self._rows[self.check_vertex(v)]
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as lexicographically sorted ``(u, v)`` pairs with ``u < v``."""
@@ -225,10 +251,7 @@ class Graph:
         )
 
     def has_edge(self, u: int, v: int) -> bool:
-        self.check_vertex(u)
-        self.check_vertex(v)
-        # A row shifted by a numpy integer would be cast to an int64.
-        return self._rows[u] >> operator.index(v) & 1 == 1
+        return self._rows[self.check_vertex(u)] >> self.check_vertex(v) & 1 == 1
 
     def neighbors(self, v: int) -> frozenset[int]:
         """The neighbours of ``v`` as a new frozenset (derived, not cached)."""
@@ -237,25 +260,30 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.row(v).bit_count()
 
-    def check_vertex(self, v: int) -> None:
-        """Raise :class:`InputError` unless ``v`` is a vertex of this graph:
-        an integer, Python or numpy, in ``0..n-1``."""
-        if type(v) is not int and not isinstance(v, (int, np.integer)):
-            raise InputError(f"a vertex must be an integer, got {v!r}")
+    def check_vertex(self, v: int) -> int:
+        """``v`` as a plain ``int``, or :class:`InputError` unless it is a
+        vertex of this graph: an integer by :func:`check_int`'s rule, in
+        ``0..n-1``."""
+        if type(v) is not int:  # a plain int needs no call
+            v = check_int("a vertex", v)
         if not (0 <= v < self.n):
             raise InputError(f"vertex {v} out of range for n={self.n}")
+        return v
 
-    def check_vertices(self, vs: Collection[int]) -> None:
-        """Raise :class:`InputError` unless every entry of ``vs`` is a vertex."""
-        if len(vs):
+    def check_vertices(self, vs: Iterable[int]) -> tuple[int, ...]:
+        """``vs`` read by :func:`check_ints`, or :class:`InputError` unless
+        every entry is a vertex of this graph."""
+        vs = check_ints("a vertex", vs)
+        if vs:
             self.check_vertex(min(vs))
             self.check_vertex(max(vs))
+        return vs
 
     def check_mask(self, mask: int, name: str = "vertex mask") -> None:
         """Raise :class:`InputError` unless ``mask`` is a bitset of vertices
-        of this graph: an ``int``, non-negative, with no bit at or above
-        ``n``.  ``name`` says what the mask is in the message."""
-        if not isinstance(mask, int):
+        of this graph: a plain ``int``, non-negative, with no bit at or
+        above ``n``.  ``name`` says what the mask is in the message."""
+        if type(mask) is not int:
             kind = type(mask).__name__
             raise InputError(f"a {name} must be an int bitset, got {kind}")
         if mask < 0 or mask >> self.n:
@@ -311,7 +339,7 @@ class Graph:
         rows = (row & ~drop[u] if u in drop else row for u, row in enumerate(self._rows))
         return Graph._from_rows(tuple(rows))
 
-    def remove_edges_within(self, vs: Collection[int]) -> "Graph":
+    def remove_edges_within(self, vs: Iterable[int]) -> "Graph":
         """A copy of this graph with every edge inside ``vs`` deleted.
 
         Rows outside ``vs`` are shared with this graph; rows inside are
@@ -320,7 +348,7 @@ class Graph:
         Raises:
             InputError: If an entry of ``vs`` is not a vertex.
         """
-        self.check_vertices(vs)
+        vs = self.check_vertices(vs)
         outside = ~mask_of(vs)
         rows = list(self._rows)
         for u in vs:
@@ -333,7 +361,10 @@ class Graph:
         ``marked`` is a symmetric boolean ``n x n`` matrix.  Each row of it
         is packed into one bitset; rows it leaves empty are shared with this
         graph.
+
         """
+        if getattr(marked, "shape", None) != (self.n, self.n) or marked.dtype != bool:
+            raise InputError(f"marked must be a boolean {self.n} x {self.n} array")
         packed = np.packbits(marked, axis=1, bitorder="little")
         rows = []
         for row, drop in zip(self._rows, packed):
@@ -350,6 +381,7 @@ class Graph:
             symmetric, so in the first row ``u`` that is not a subset every
             extra neighbour is larger than ``u``.
         """
+        check_graph(other, "other")
         if self.n != other.n:
             return False, None
         # One pass over the packed views, a block of rows at a time; the
@@ -385,7 +417,8 @@ _SMALL_MASK_BITS = 24
 
 
 def bits(mask: int) -> list[int]:
-    """The set bits of a non-negative ``mask``, in ascending order."""
+    """The set bits of a non-negative ``mask``, in ascending order.  Only
+    library code calls it, with plain ints, so a ``bool`` is read as one."""
     if mask < 0:
         raise InputError(f"a vertex mask must be non-negative, got {mask}")
     if mask.bit_count() <= _SMALL_MASK_BITS:
@@ -429,25 +462,27 @@ def packed_rows(rows: Sequence[int], n: int) -> np.ndarray:
     ).reshape(len(rows), width)
 
 
-def vertex_ids(seq: Iterable[int]) -> np.ndarray | None:
-    """The entries of ``seq`` as an ``int64`` array, for bulk passes; or
-    ``None`` when ``seq`` is not iterable or an entry is not an integer
-    (Python, numpy or ``bool``) that fits in 64 bits.  Entries are not
-    range-checked: the caller compares the array with its graph.  A
-    one-dimensional ``int64`` array is returned as it is, so a pass can
-    hand its array on to the next."""
-    if type(seq) is np.ndarray and seq.dtype == np.int64 and seq.ndim == 1:
-        return seq
+def vertex_ids(seq: Sequence[int] | np.ndarray) -> np.ndarray | None:
+    """The entries of a tuple or list as an ``int64`` array, for bulk
+    passes; or ``None`` when ``seq`` is of another kind or an entry is not
+    an integer (Python or numpy, not ``bool``) that fits in 64 bits.  A
+    bool reads as 0 or 1, so only the places that read so are tested for
+    one.  A one-dimensional ``int64`` array is returned as it is, so a pass
+    can hand its array on to the next; an array of another kind gives
+    ``None``.  Entries are not range-checked: the caller compares the
+    array with its graph."""
+    if type(seq) is np.ndarray:
+        return seq if seq.dtype == np.int64 and seq.ndim == 1 else None
     if type(seq) is not tuple and type(seq) is not list:
-        # A bytes initializer would be read as machine values.
-        try:
-            seq = list(seq)
-        except TypeError:
-            return None
+        return None  # a bytes initializer would be read as machine values
     try:
-        return np.frombuffer(array.array("q", seq), np.int64)
+        ids = np.frombuffer(array.array("q", seq), np.int64)
     except (TypeError, OverflowError):
         return None
+    for i in np.flatnonzero(ids <= 1).tolist():
+        if type(seq[i]) is bool:
+            return None
+    return ids
 
 
 #: Places :func:`mask_of` builds each bit up by, shifting the mask down at
@@ -459,8 +494,10 @@ _MASK_ONE = 1 << _MASK_OFFSET
 
 
 def mask_of(vs: Iterable[int]) -> int:
-    """The bitset with bit ``v`` set for every ``v`` in ``vs``; numpy
-    integers are read as ints.
+    """The bitset with bit ``v`` set for every ``v`` in ``vs``; an entry
+    that does not shift as a plain int is read by :func:`check_ints`.  Only
+    library code calls it, with plain ints, so no entry's type is tested
+    and a ``bool`` is read as an int.
 
     Raises:
         InputError: If ``vs`` is not iterable or an entry is not a
@@ -473,20 +510,19 @@ def mask_of(vs: Iterable[int]) -> int:
         for v in vs:
             mask |= one << v
     except (TypeError, ValueError, OverflowError, MemoryError):
-        if not isinstance(v, np.integer):
+        if type(v) is int:
             message = f"vertices must be non-negative integers, got {v!r}"
             raise InputError(message) from None
         # The rest is read as ints: an iterator resumes after v, and a
         # sequence starts over, which sets no new bit.
-        rest = itertools.chain((v,), vs)
-        ints = (int(u) if isinstance(u, np.integer) else u for u in rest)
-        mask |= mask_of(ints) << _MASK_OFFSET
+        rest = vs if v is vs else itertools.chain((v,), vs)
+        mask |= mask_of(check_ints("a vertex", rest)) << _MASK_OFFSET
     return mask >> _MASK_OFFSET
 
 
 def complete_graph(n: int) -> Graph:
     """The complete graph K_n."""
-    check_int("vertex count", n)
+    n = check_vertex_count("vertex count", n)
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
@@ -521,9 +557,9 @@ def gnp_generate(n: int, p: float, seed: int) -> Graph:
     Raises:
         InputError: If an argument is not of its kind or lies out of range.
     """
-    check_vertex_count("n", n)
+    n = check_vertex_count("n", n)
     check_probability("p", p)
-    packed = _gnp_packed(int(n), float(p), rng_for(seed, 0))
+    packed = _gnp_packed(n, float(p), rng_for(seed, 0))
     data = packed.tobytes()
     width = (n + 7) // 8
     # Slicing one bytes object is about twice as fast as reading numpy rows.
@@ -611,7 +647,7 @@ def _square(g: Graph) -> np.ndarray:
     return _product(a, a.T)
 
 
-def _square_less_within(g: Graph, sq: np.ndarray, vs: Collection[int]) -> None:
+def _square_less_within(g: Graph, sq: np.ndarray, vs: Iterable[int]) -> None:
     """Turn ``sq = _square(g)`` in place into the square of ``g`` less the
     edges inside ``vs`` (:meth:`Graph.remove_edges_within`).
 
@@ -625,7 +661,7 @@ def _square_less_within(g: Graph, sq: np.ndarray, vs: Collection[int]) -> None:
     Raises:
         InputError: If an entry of ``vs`` is not a vertex.
     """
-    g.check_vertices(vs)
+    vs = g.check_vertices(vs)
     idx = np.unique(np.fromiter(vs, dtype=np.intp, count=len(vs)))
     rows = g.matrix[idx].astype(np.float32)
     fixed = sq[idx]
@@ -716,7 +752,16 @@ def check_family_membership(
 
     Returns:
         A report carrying the minimizing vertex and edge.
+
+    Raises:
+        InputError: If ``g`` is not a spanning subgraph of ``gamma``.
     """
+    check_graph(gamma, "gamma")
+    check_graph(g)
+    if not isinstance(params, FamilyParams):
+        raise InputError(f"params must be FamilyParams, got {type(params).__name__}")
+    if isinstance(slack, bool) or not isinstance(slack, numbers.Real) or not slack >= 0:
+        raise InputError(f"slack must be a non-negative real, got {slack!r}")
     if g.n != gamma.n:
         raise InputError(f"subgraph has n={g.n} but host has n={gamma.n}")
     ok_sub, offending = g.is_subgraph_of(gamma)
@@ -799,27 +844,26 @@ def graph_from_json_obj(obj: dict) -> Graph:
     """
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise InputError("graph JSON must carry 'n' and 'edges'")
-    n = obj["n"]
-    check_int("graph JSON 'n'", n)
     if not isinstance(obj["edges"], (list, tuple)):
         raise InputError(f"graph JSON 'edges' must be a list, got {obj['edges']!r}")
-    edges = []
-    for e in obj["edges"]:
-        if not (
-            isinstance(e, (list, tuple))
-            and len(e) == 2
-            and type(e[0]) is int
-            and type(e[1]) is int
-        ):
-            raise InputError(f"malformed edge entry {e!r}")
-        edges.append((e[0], e[1]))
-    return Graph(n, edges)
+    return Graph(obj["n"], obj["edges"])
 
 
 def read_graph(path: str) -> Graph:
-    """Read a graph file, auto-detecting the edge-list and JSON formats."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Read a graph file, auto-detecting the edge-list and JSON formats.
+
+    Raises:
+        InputError: If ``path`` is not a path, or the file is not UTF-8 text
+            holding a graph in either format.
+        OSError: If the file cannot be read.
+    """
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise InputError(f"a graph path must be a str, got {type(path).__name__}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except ValueError as exc:  # a null byte in the path, or bytes that are no UTF-8
+        raise InputError(f"cannot read a graph from {path!r}: {exc}") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:

@@ -31,7 +31,9 @@ from .graphcore import (
     Graph,
     InputError,
     bits,
+    check_graph,
     check_int,
+    check_ints,
     check_sequence,
     mask_of,
     pick_bit,
@@ -104,15 +106,15 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class Certificate:
-    """A cyclic vertex order realizing the square of a Hamilton cycle."""
+    """A cyclic vertex order realizing the square of a Hamilton cycle, held
+    as a tuple of plain ints."""
 
     order: tuple[int, ...]
 
     def __post_init__(self) -> None:
         check_sequence("a certificate order", self.order)
-        for v in self.order:
-            if type(v) is not int:  # a plain int needs no call
-                check_int("a certificate vertex", v)
+        order = check_ints("a certificate vertex", self.order)
+        object.__setattr__(self, "order", order)
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,8 @@ class InfeasibilityWitness:
     ``low-degree``: ``vertices`` is one vertex of degree below 4; for
     ``n >= 5`` the square of ``C_n`` is 4-regular.  ``independent-set``:
     ``vertices`` is an independent set of more than ``n // 3`` vertices; the
-    square of ``C_n`` has independence number ``n // 3``.
+    square of ``C_n`` has independence number ``n // 3``.  The vertices are
+    held as a tuple of plain ints.
     """
 
     kind: str
@@ -145,9 +148,8 @@ class InfeasibilityWitness:
         if self.kind not in WITNESS_KINDS:
             raise InputError(f"unknown witness kind {self.kind!r}")
         check_sequence("witness vertices", self.vertices)
-        for v in self.vertices:
-            if type(v) is not int:  # a plain int needs no call
-                check_int("a witness vertex", v)
+        vertices = check_ints("a witness vertex", self.vertices)
+        object.__setattr__(self, "vertices", vertices)
 
 
 @dataclass(frozen=True)
@@ -237,12 +239,13 @@ def verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
             :class:`Certificate`, its order is not a permutation of all
             vertices, or the graph has fewer than 3 vertices.
     """
-    if not (isinstance(g, Graph) and isinstance(cert, Certificate)):
-        raise InputError(f"expected a Graph and a Certificate, got {g!r}, {cert!r}")
+    check_graph(g)
+    if not isinstance(cert, Certificate):
+        raise InputError(f"cert must be a Certificate, got {type(cert).__name__}")
     n = g.n
     if n < 3:
         raise InputError("squares of Hamilton cycles need at least 3 vertices")
-    # Every entry is an integer, so only a huge one gives no array.
+    # Every entry is a plain int, so only a huge one gives no array.
     ids = vertex_ids(cert.order)
     permutation = ids is not None and len(ids) == n and 0 <= ids.min() <= ids.max() < n
     if permutation:
@@ -335,6 +338,7 @@ def find_infeasibility_witness(g: Graph) -> InfeasibilityWitness | None:
     ``9/8 * max(n, 2**18)`` bytes for the chunk, whatever the kill's size.
     The boolean matrix is not built.
     """
+    check_graph(g)
     n = g.n
     if n < 3:
         return None
@@ -390,11 +394,16 @@ def verify_witness(g: Graph, w: InfeasibilityWitness) -> ValidationResult:
             of range or repeated, or a low-degree witness does not name
             exactly one vertex.
     """
+    check_graph(g)
+    if not isinstance(w, InfeasibilityWitness):
+        raise InputError(f"w must be an InfeasibilityWitness, got {type(w).__name__}")
     n = g.n
     if n < 3:
         raise InputError("squares of Hamilton cycles need at least 3 vertices")
+    # The witness holds plain ints, so only their range is checked here.
     vs = w.vertices
-    g.check_vertices(vs)
+    if vs and not (0 <= min(vs) and max(vs) < n):
+        g.check_vertices(vs)
     if len(set(vs)) != len(vs):
         raise InputError("witness vertices must be distinct")
     rows = g.rows
@@ -443,6 +452,7 @@ def brute_force_square_ham(g: Graph) -> BruteForceResult:
     small instances; larger ones spend ``_EXHAUSTIVE_BUDGET`` search nodes,
     read at call time, and report ``unknown``.
     """
+    check_graph(g)
     n = g.n
     if n < 3:
         return BruteForceResult("none", None, 0)
@@ -520,6 +530,7 @@ def almost_spanning_square_path(
         InputError: If ``verts`` is negative or holds a bit at or above
             ``n``, or ``seed`` is not a non-negative integer.
     """
+    check_graph(g)
     vmask = (1 << g.n) - 1 if verts is None else verts
     g.check_mask(vmask)
     size = vmask.bit_count()
@@ -604,6 +615,7 @@ def cover_with_square_paths(g: Graph, u_prime: int, seed: int = 0) -> CoverResul
         InputError: If ``seed`` is not a non-negative integer, or
             ``u_prime`` is negative or holds a bit at or above ``n``.
     """
+    check_graph(g)
     # Fewer than _COVER_FLOOR vertices start no search, so check the seed
     # here.
     seed = check_int("seed", seed, 0)
@@ -648,6 +660,7 @@ def match_leftover(g: Graph, q_set: int, x1: int) -> LeftoverMatching:
         A :class:`LeftoverMatching`; on failure the violating leftover set
         and its joint neighborhood witness Hall's condition breaking.
     """
+    check_graph(g)
     g.check_mask(q_set)
     g.check_mask(x1)
     if q_set & x1:
@@ -680,8 +693,10 @@ def build_absorber(
     Raises:
         InputError: If ``seed`` is not a non-negative integer.
     """
+    check_graph(g)
     # The Hall rounds draw nothing, so check the seed before them.
     seed = check_int("seed", seed, 0)
+    g.check_mask(xs)
     pool = ((1 << g.n) - 1) & ~xs
     cores, fail = build_single_absorbers(g, xs, pool)
     if fail is not None:
@@ -909,11 +924,12 @@ def find_square_ham(
         InputError: If an argument is of another type, or ``g`` is not a
             subgraph of ``gamma_host`` on as many vertices.
     """
-    ambient = g if gamma_host is None else gamma_host
-    if not (isinstance(g, Graph) and isinstance(ambient, Graph)
-            and isinstance(config, PipelineConfig)):
-        raise InputError("find_square_ham takes Graphs and a PipelineConfig")
+    check_graph(g)
+    if not isinstance(config, PipelineConfig):
+        kind = type(config).__name__
+        raise InputError(f"config must be a PipelineConfig, got {kind}")
     if gamma_host is not None:
+        check_graph(gamma_host, "gamma_host")
         if g.n != gamma_host.n:
             raise InputError(
                 f"graph has {g.n} vertices but the ambient host has {gamma_host.n}"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphcore import InputError, bits, check_sequence
+from .graphcore import InputError, bits, check_sequence, check_vertex_count
 
 
 @dataclass(frozen=True)
@@ -24,9 +24,9 @@ class BipartiteInstance:
     edge between left ``a`` and right ``b``, for ``0 <= b < right_count``.
 
     Raises:
-        InputError: If the rows are not a sequence, ``right_count`` is
-            negative or not an ``int``, or a row is not a non-negative
-            ``int`` or holds a bit at or above ``right_count``.
+        InputError: If the rows are not a sequence, ``right_count`` is not
+            a count, or a row is not a non-negative ``int`` or holds a bit
+            at or above ``right_count``.
     """
 
     adjacency: tuple[int, ...]
@@ -34,9 +34,8 @@ class BipartiteInstance:
 
     def __post_init__(self) -> None:
         check_sequence("adjacency", self.adjacency)
-        nr = self.right_count
-        if type(nr) is not int or nr < 0:
-            raise InputError(f"right_count must be a non-negative int, got {nr!r}")
+        nr = check_vertex_count("right_count", self.right_count)
+        object.__setattr__(self, "right_count", nr)
         for a, row in enumerate(self.adjacency):
             if type(row) is not int or row < 0:
                 raise InputError(
@@ -145,6 +144,8 @@ def hall_saturating_matching(inst: BipartiteInstance) -> MatchingResult:
         left vertex) or ``"deficient"`` (and a witness set with
         ``|N(A')| < |A'|``).
     """
+    if not isinstance(inst, BipartiteInstance):
+        raise InputError(f"expected a BipartiteInstance, got {type(inst).__name__}")
     match_l, match_r = _augmenting_search(inst)
     if all(b != -1 for b in match_l):
         return MatchingResult("matched", tuple(match_l), None, None)

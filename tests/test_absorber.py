@@ -442,7 +442,7 @@ def test_chaining_reads_numpy_integer_units_as_ints() -> None:
     plain = [tuple(range(70, 75)), tuple(range(80, 85))]
     assert fail is None and (built, fail) == chain_absorbers(g, plain, pool, 0)
     assert all(type(v) is int for v in built.walk + built.absorbees)
-    with pytest.raises(InputError, match=r"^a unit is five vertices of g, got \(80, 81, 82.0"):
+    with pytest.raises(InputError, match=r"^a unit vertex must be an integer, got 82\.0$"):
         chain_absorbers(g, [units[0], (80, 81, 82.0, 83, 84)], pool, 0)
 
 

@@ -567,3 +567,64 @@ def test_the_pick_guard_sees_every_spelling() -> None:
     )
     for src in quiet:
         assert _stray_picks(ast.parse(src)) == [], src
+
+
+#: What reads a numpy integer as an int: the one rule, graphcore's alone.
+INTEGER_READERS = {("numpy", "integer"), ("operator", "index")}
+
+
+def _integer_rereads(tree: ast.AST) -> list[str]:
+    """Each use in ``tree`` of ``numpy.integer`` or ``operator.index``, by
+    attribute or by ``from`` import, under any module alias."""
+    aliases = {"np": "numpy", "numpy": "numpy", "operator": "operator"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = alias.name
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [
+                f"line {node.lineno}: from {node.module} import {alias.name}"
+                for alias in node.names
+                if (node.module, alias.name) in INTEGER_READERS
+            ]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if (aliases.get(node.value.id), node.attr) in INTEGER_READERS:
+                found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "graphcore.py"], ids=lambda p: p.name
+)
+def test_only_graphcore_reads_a_numpy_integer(path: Path) -> None:
+    # Every argument is read by graphcore's one rule (check_int and
+    # check_ints); a module that read integers itself answered a bool
+    # differently from the others.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _integer_rereads(tree) == [], path.name
+
+
+def test_the_integer_reader_guard_sees_every_spelling() -> None:
+    flagged = (
+        "isinstance(v, np.integer)",
+        "import numpy\nisinstance(v, numpy.integer)",
+        "import numpy as xp\nisinstance(v, xp.integer)",
+        "from numpy import integer",
+        "from numpy import integer as whole",
+        "operator.index(v)",
+        "import operator as op\nop.index(v)",
+        "from operator import index",
+    )
+    for src in flagged:
+        assert _integer_rereads(ast.parse(src)), src
+    quiet = (
+        "np.int64(3)",
+        "seq.index(v)",
+        "from operator import itemgetter",
+        "integer = 3",
+        "check_int('a vertex', v)",
+    )
+    for src in quiet:
+        assert _integer_rereads(ast.parse(src)) == [], src
