@@ -10,16 +10,16 @@ Submodules:
     gadgets: the one square-path check, a loop on short sequences and a
         gather on long ones, each naming its first fault from its one
         pass; the connector's success check is it and the two ports.
-    matching: Hall matching with a deficient-set witness.
+    matching: Hall matching with a deficient-set witness, for the leftover.
     connector: pair-to-pair connection jobs over a reservoir, each one
         ``connect_one`` call whose plain arguments are the job (its two
         ports, its reservoir and its longest length), served shortest
         first.
     absorber: an absorber is one square path and the absorbees it may
         leave out; it is built from five-vertex units (each the star core
-        its Hall rounds match) joined by links, and chaining runs the one
-        absorber audit, a single pass over the walk, on every absorber it
-        returns.
+        one depth-first search per absorbee finds) joined by links, and
+        chaining runs the one absorber audit, a single pass over the walk,
+        on every absorber it returns.
     hamiltonian: the end-to-end pipeline, brute-force oracle, certificates
         and checkable infeasibility witnesses.
     adversary: triangle-removal attacks, retention profiling, experiments.

@@ -14,7 +14,8 @@ The paper extends each core by further absorbing blocks, because near
 ``p = n^(-1/2)`` a vertex lies in about ``n^4 p^9`` copies of ``K5`` minus
 an edge, far fewer than one, so a core of its own is rare.  At the sizes
 this library runs, a vertex lies in millions of them (about ``3.8 * 10^6``
-in ``G(1000, .25)``), and the core is a unit by itself.
+in ``G(1000, .25)``), and the core is a unit by itself, which one search
+per absorbee finds.
 
 The absorbee set, the pool the cores and links draw from, and the absorbees
 a traversal drops are ``int`` bitsets, and so is an absorber's body.  The
@@ -45,7 +46,6 @@ from .graphcore import (
     mask_of,
     vertex_ids,
 )
-from .matching import BipartiteInstance, hall_saturating_matching
 
 
 @dataclass(frozen=True)
@@ -73,25 +73,30 @@ class Absorber:
         return mask_of(self.walk)
 
 
+#: The most nodes one core search takes; read at call time.
+_CORE_BUDGET = 2_000
+
+
 def build_single_absorbers(
     g: Graph, xs: int, pool: int
 ) -> tuple[tuple[tuple[int, int, int, int], ...] | None, dict | None]:
-    """Match each absorbee to a disjoint star core by four Hall rounds.
+    """Find each absorbee a disjoint star core by one depth-first search.
 
-    The absorbee set ``xs`` and the ``pool`` are bitsets.  The
-    rounds pick ``u1``, ``u2``, ``v1`` and ``v2`` in turn, each from the
-    pool less the picks of the earlier rounds.  Every pick is adjacent to
-    ``x`` and to the two picks before it: ``u2 ~ u1``, ``v1 ~ u2, u1`` and
-    ``v2 ~ v1, u2``.  Those are exactly the edges that make both
-    ``u1 u2 x v1 v2`` and ``u1 u2 v1 v2`` square paths.  Each round matches
-    onto host vertex ids.
+    The absorbee set ``xs`` and the ``pool`` are bitsets.  The absorbees
+    go fewest pool neighbours first, each searching the pool less the
+    cores before it; there is no backtracking across absorbees, so a core
+    once found is kept.  A search takes ``u1``, ``u2``, ``v1`` and ``v2``,
+    each the lowest free neighbour of ``x`` that fits: ``u2 ~ u1``,
+    ``v1 ~ u1, u2`` and ``v2 ~ u2, v1`` with ``v2 != u1``, exactly the
+    edges that make both ``u1 u2 x v1 v2`` and ``u1 u2 v1 v2`` square
+    paths.  It backtracks over ``u1``, ``u2`` and ``v1``, each try a node,
+    and gives up after :data:`_CORE_BUDGET` nodes.
 
     Returns:
         The cores ``(u1, u2, v1, v2)``, one per absorbee in ascending
-        order; or ``None`` and the diagnostics of the first deficient
-        round: its ``round`` number, the violating absorbee set, the size
-        of its ``joint_neighborhood``, and ``pool``, the count of pool
-        vertices left when it ran.
+        order; or ``None`` and, for the first absorbee left without one,
+        the ``absorbee``, its ``pool_degree`` in ``pool``, ``free``, the
+        count of pool vertices left to it, and its search's ``nodes``.
 
     Raises:
         InputError: If the two sets overlap or one holds a bit outside
@@ -104,35 +109,55 @@ def build_single_absorbers(
         raise InputError("absorbee set and pool must be disjoint")
     rows = g.rows
     xs_listed = bits(xs)
-    cores: list[list[int]] = [[] for _ in xs_listed]
-    # The two picks before the next one; before the first, only x.
-    last = before = xs_listed
+    cores = {}
     free = pool
-    for round_no in range(1, 5):
-        adjacency = tuple(
-            rows[x] & rows[a] & rows[b] & free
-            for x, a, b in zip(xs_listed, last, before)
-        )
-        res = hall_saturating_matching(BipartiteInstance(adjacency, g.n))
-        if res.status != "matched":
+    # A stable sort, so ties keep ascending ids.
+    for x in sorted(xs_listed, key=lambda x: (rows[x] & pool).bit_count()):
+        core, nodes = _core_search(rows, rows[x] & free)
+        if core is None:
             return None, {
-                "round": round_no,
-                "violating_absorbees": [xs_listed[i] for i in res.violator],
-                "joint_neighborhood": len(res.neighborhood),
-                "pool": free.bit_count(),
+                "absorbee": x,
+                "pool_degree": (rows[x] & pool).bit_count(),
+                "free": free.bit_count(),
+                "nodes": nodes,
             }
-        for core, v in zip(cores, res.pairs):
-            core.append(v)
-        before, last = last, res.pairs
-        free &= ~mask_of(res.pairs)
-    return tuple(tuple(core) for core in cores), None
+        cores[x] = core
+        free ^= mask_of(core)
+    return tuple(cores[x] for x in xs_listed), None
+
+
+def _core_search(rows: Sequence[int], nx: int) -> tuple[tuple[int, ...] | None, int]:
+    """The least core ``(u1, u2, v1, v2)`` among ``nx``, an absorbee's free
+    neighbours, or ``None``, and the nodes taken; each candidate set is
+    walked by its lowest set bit, only as far as the search goes."""
+    nodes = 0
+    c1 = nx
+    while c1 and nodes < _CORE_BUDGET:
+        u1 = (c1 & -c1).bit_length() - 1
+        c1 ^= 1 << u1
+        n1 = nx & rows[u1]
+        c2 = n1
+        nodes += 1
+        while c2 and nodes < _CORE_BUDGET:
+            u2 = (c2 & -c2).bit_length() - 1
+            c2 ^= 1 << u2
+            c3 = n1 & rows[u2]
+            n2 = (nx ^ 1 << u1) & rows[u2]
+            nodes += 1
+            while c3 and nodes < _CORE_BUDGET:
+                v1 = (c3 & -c3).bit_length() - 1
+                c3 ^= 1 << v1
+                nodes += 1
+                if fits := n2 & rows[v1]:
+                    return (u1, u2, v1, (fits & -fits).bit_length() - 1), nodes
+    return None, nodes
 
 
 def complete_absorbers(
     xs: int, cores: Sequence[tuple[int, int, int, int]]
 ) -> tuple[tuple[int, int, int, int, int], ...]:
     """The units of the absorbees in ``xs``, ascending, each the walk
-    ``u1 u2 x v1 v2`` of the core :func:`build_single_absorbers` matched to
+    ``u1 u2 x v1 v2`` of the core :func:`build_single_absorbers` found for
     ``x``, in the same order.
 
     Raises:
@@ -164,8 +189,8 @@ def chain_absorbers(
     pair to the next one's entry pair through the bitset ``pool`` less the
     units and the earlier links, with a seed derived from ``seed``.  Served
     shortest first, a link leaves the most pool to the links after it:
-    about one in eight goes direct on G(200, .5) and G(800, .5), and a
-    third at p = .7; the others take one or two vertices, but for 2% at
+    about one in nine goes direct on G(200, .5) and G(800, .5), and a
+    third at p = .7; the others take one or two vertices, but for 1% at
     (400, .35) that take three.  A link that cannot be made aborts with
     diagnostics naming the ``link`` phase and the absorbees it joins.  The
     finished absorber passes :func:`verify_absorber` once; this is the only

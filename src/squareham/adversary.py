@@ -14,6 +14,7 @@ import concurrent.futures
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -41,10 +42,14 @@ from .graphcore import (
 
 
 def _gamma_fraction(gamma) -> Fraction:
-    """Interpret ``gamma`` as a decimal-precision rational in [0, 1/2)."""
+    """Interpret ``gamma``, a real number as ``p`` is (never a ``bool`` or a
+    ``str``), as a decimal-precision rational in [0, 1/2)."""
+    if isinstance(gamma, bool) or not isinstance(gamma, numbers.Real):
+        raise InputError(f"gamma must be a real number, got {gamma!r}")
     try:
-        frac = Fraction(gamma).limit_denominator(10**9)
-    except (TypeError, ValueError, OverflowError) as exc:
+        exact = gamma if isinstance(gamma, numbers.Rational) else float(gamma)
+        frac = Fraction(exact).limit_denominator(10**9)
+    except (ValueError, OverflowError) as exc:
         raise InputError(f"gamma must be a finite number, got {gamma!r}") from exc
     if not 0 <= frac < Fraction(1, 2):
         raise InputError(f"gamma must lie in [0, 1/2), got {gamma}")

@@ -683,8 +683,8 @@ def build_absorber(
     """Build one chained absorber over the bitset ``xs`` from every other
     vertex of ``g``.
 
-    The Hall rounds match each absorbee ``x`` to a star core drawn from the
-    complement of ``xs``, which makes it the five-vertex unit walk
+    :func:`build_single_absorbers` finds each absorbee ``x`` a star core in
+    the complement of ``xs``, which makes it the five-vertex unit walk
     ``u1 u2 x v1 v2``; chaining joins the units, in ascending order of
     ``x``, into the absorber's one walk, with links drawn from the same
     complement less the units.  A returned absorber has passed
@@ -694,7 +694,7 @@ def build_absorber(
         InputError: If ``seed`` is not a non-negative integer.
     """
     check_graph(g)
-    # The Hall rounds draw nothing, so check the seed before them.
+    # The core search draws nothing, so check the seed before it.
     seed = check_int("seed", seed, 0)
     g.check_mask(xs)
     pool = ((1 << g.n) - 1) & ~xs

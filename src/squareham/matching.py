@@ -1,4 +1,5 @@
-"""Bipartite matching with a failure certificate.
+"""Bipartite matching with a failure certificate, for the leftover step:
+``hamiltonian.match_leftover`` is its one pipeline caller.
 
 :func:`hall_saturating_matching` returns a matching that saturates the left
 side, or a deficient left set ``A'`` with ``|N(A')| < |A'|``.  Left and right

@@ -323,43 +323,44 @@ def test_absorber_json_round_trip() -> None:
 STAR_CLASSES = (1 << 0, 0b111111110)
 
 
-def test_star_stage_reports_a_deficient_round() -> None:
-    # An absorbee with no neighbors in the pool cannot be matched.
+def test_an_absorbee_with_no_pool_neighbour_finds_no_core() -> None:
     g = gnp_generate(40, 0.0, 0)
     cores, fail = build_single_absorbers(g, *STAR_CLASSES)
     assert cores is None
-    assert fail == {
-        "round": 1,
-        "violating_absorbees": [0],
-        "joint_neighborhood": 0,
-        "pool": 8,
-    }
+    assert fail == {"absorbee": 0, "pool_degree": 0, "free": 8, "nodes": 0}
 
 
-def test_a_failing_round_reports_the_star_vertices_it_ran_on() -> None:
-    # Three absorbees on a complete host: rounds 1 and 2 take six of the
-    # eight pool vertices, so round 3 runs on the last two.
+def test_a_failing_search_reports_the_free_pool_it_ran_on() -> None:
+    # Three absorbees on a complete host, served in id order: the first two
+    # take the eight pool vertices, lowest first, and leave the third none.
     g = complete_graph(20)
     xs = 0b111 << 10
     cores, fail = build_single_absorbers(g, xs, mask_of(range(8)))
     assert cores is None
-    assert fail["round"] == 3 and fail["pool"] == 2
-    assert fail["joint_neighborhood"] == 2
-    assert len(fail["violating_absorbees"]) == 3
+    assert fail == {"absorbee": 12, "pool_degree": 8, "free": 0, "nodes": 0}
     cores, fail = build_single_absorbers(g, xs, mask_of(range(13, 20)) | 0b11111)
     assert fail is None
-    assert len({v for core in cores for v in core}) == 12
+    assert cores == ((0, 1, 2, 3), (4, 13, 14, 15), (16, 17, 18, 19))
+
+
+def test_the_fewest_pool_neighbours_go_first() -> None:
+    # Absorbee 1 sees only 2..5 of the pool, absorbee 0 all of it; served
+    # in id order, 0 would take 2..5 and leave 1 no core.
+    g = complete_graph(10).remove_edges([(1, v) for v in range(6, 10)])
+    cores, fail = build_single_absorbers(g, 0b11, mask_of(range(2, 10)))
+    assert fail is None
+    assert cores == ((6, 7, 8, 9), (2, 3, 4, 5))
 
 
 def test_round_three_needs_v1_adjacent_to_u1() -> None:
-    # x = 0 sees the whole pool 1..4, which is the path 1 2 3 4.  The picks
-    # u1, u2 are two neighbours on the path, and the only common neighbour
-    # of x and u2 left in the pool is u2's other path neighbour, if any,
-    # which misses u1: the path has no triangle.  So round 3 fails.
+    # x = 0 sees the whole pool 1..4, which is the path 1 2 3 4.  Any u1, u2
+    # are two neighbours on the path, and a v1 must be a common neighbour of
+    # both: the path has no triangle, so no core exists.  The search tries
+    # each u1 and each u2 once, 10 nodes, and no v1.
     g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)])
     cores, fail = build_single_absorbers(g, 1 << 0, 0b11110)
     assert cores is None
-    assert fail["round"] == 3 and fail["pool"] == 2
+    assert fail == {"absorbee": 0, "pool_degree": 4, "free": 4, "nodes": 10}
     # Without v1 ~ u1 the core 1 2 x 3 4 would do: the walk with x is a
     # square path, and only the one without x lacks an edge, the bridge 1-3.
     unit = Absorber((1, 2, 0, 3, 4), (0,))
@@ -368,6 +369,78 @@ def test_round_three_needs_v1_adjacent_to_u1() -> None:
     assert verify_absorber(g, unit).failure == {
         "subset": (0,), "reason": "missing bridge edge (1, 3)"
     }
+
+
+def first_core(g: Graph, x: int, pool: int):
+    """The least ``(u1, u2, v1, v2)`` in ``pool`` that makes ``x`` a star
+    core, by brute force, or ``None``."""
+    for u1, u2, v1, v2 in itertools.permutations(bits(pool), 4):
+        if is_square_path(g, (u1, u2, x, v1, v2)) and is_square_path(
+            g, (u1, u2, v1, v2)
+        ):
+            return u1, u2, v1, v2
+    return None
+
+
+def cores_within(g: Graph, xs: int, pool: int, budget: int):
+    """:func:`build_single_absorbers` with ``_CORE_BUDGET`` set to ``budget``."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(absorber_module, "_CORE_BUDGET", budget)
+        return build_single_absorbers(g, xs, pool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=integers(6, 14), p=sampled_from([0.5, 0.7, 0.9, 1.0]), seed=seeds(),
+       k=integers(1, 3), draw=data())
+def test_every_core_found_is_a_disjoint_star_core_in_the_pool(
+    n, p, seed, k, draw
+) -> None:
+    g = gnp_generate(n, p, seed)
+    order = draw.draw(permutations(range(n)))
+    xs = mask_of(order[:k])
+    pool = mask_of(order[k : draw.draw(integers(k, n))])
+    cores, fail = build_single_absorbers(g, xs, pool)
+    if fail is not None:
+        assert fail["pool_degree"] == (g.rows[fail["absorbee"]] & pool).bit_count()
+        return
+    assert len(cores) == k
+    for x, (u1, u2, v1, v2) in zip(bits(xs), cores):
+        assert is_square_path(g, (u1, u2, x, v1, v2))
+        assert is_square_path(g, (u1, u2, v1, v2))
+    used = [v for core in cores for v in core]
+    assert len(set(used)) == len(used) and mask_of(used) & ~pool == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=integers(5, 10), p=sampled_from([0.4, 0.6, 0.8]), seed=seeds(),
+       budget=integers(0, 12))
+def test_a_search_finds_the_least_core_or_proves_there_is_none(
+    n, p, seed, budget
+) -> None:
+    # Inside its budget the search is exact; a search that spends it all
+    # may have missed a core.
+    g = gnp_generate(n, p, seed)
+    pool = ((1 << n) - 1) & ~1
+    cores, fail = cores_within(g, 1, pool, budget)
+    best = first_core(g, 0, pool)
+    if fail is None:
+        assert cores == (best,)
+    else:
+        assert fail["nodes"] <= budget
+        assert fail["nodes"] == budget or best is None
+
+
+def test_a_search_stops_at_its_budget() -> None:
+    # The path host of the test above takes 10 nodes to exhaust.
+    g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)])
+    for budget, nodes in ((0, 0), (3, 3), (9, 9), (10, 10), (11, 10)):
+        assert cores_within(g, 1, 0b11110, budget)[1]["nodes"] == nodes
+    # On a complete host the first u1, u2 and v1 make a core, in 3 nodes.
+    g = complete_graph(12)
+    assert cores_within(g, 1, ((1 << 12) - 1) & ~1, 2)[1] == {
+        "absorbee": 0, "pool_degree": 11, "free": 11, "nodes": 2,
+    }
+    assert cores_within(g, 1, ((1 << 12) - 1) & ~1, 3) == (((1, 2, 3, 4),), None)
 
 
 def test_star_stage_rejects_overlapping_classes() -> None:

@@ -91,6 +91,19 @@ def test_attack_rejects_gamma_outside_the_half_open_interval() -> None:
         k3_attack(g, -0.01, 0)
 
 
+@pytest.mark.parametrize("gamma", ["1/0", "0/0", "0.05", False, True])
+def test_gamma_is_a_real_number_never_a_bool_or_a_str(gamma) -> None:
+    # Text once went to the Fraction parser: "1/0" raised ZeroDivisionError
+    # and "0.05" was accepted.
+    g = complete_graph(9)
+    with pytest.raises(InputError, match="gamma must be a real number"):
+        k3_attack(g, gamma, 1)
+    with pytest.raises(InputError, match="gamma must be a real number"):
+        triangle_retention_profile(g, g, p_hint=1.0, gamma=gamma)
+    with pytest.raises(InputError, match="gamma must be a real number"):
+        resilience_experiment(12, 0.5, gamma, 0)
+
+
 def brute_triangles(g: Graph) -> list[tuple[int, int, int]]:
     return [
         (a, b, c)

@@ -474,17 +474,17 @@ def test_absorber_build_fills_its_pools_with_every_spare_vertex(
 
 
 def test_absorber_build_failure_reports_a_stage(tmp_path, capsys) -> None:
-    # The pool is the 27 other vertices.  When the third Hall round runs,
-    # none of the 21 left is a common neighbour of absorbee 1 and its two
-    # picks, so that round fails.
+    # The pool is the 25 other vertices.  Absorbees 2, 3 and 0 have fewer
+    # pool neighbours than absorbee 1, so their cores come first and leave
+    # 13 pool vertices; the search for absorbee 1 finds no core among them
+    # in 22 tries, and no earlier core is taken back.
     graph = write_graph(tmp_path, "g.edges", 30, 0.5, 0)
-    assert run("absorber", "build", "--graph", graph, "--x", "0,1,2",
+    assert run("absorber", "build", "--graph", graph, "--x", "0,1,2,3,4",
                "--seed", "0") == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["stage"] == "absorber"
     assert payload["diagnostics"] == {
-        "round": 3, "violating_absorbees": [1], "joint_neighborhood": 0,
-        "pool": 21,
+        "absorbee": 1, "pool_degree": 14, "free": 13, "nodes": 22,
     }
 
 
@@ -492,29 +492,31 @@ def test_absorber_build_partition_failures_record_their_config(
     tmp_path, capsys
 ) -> None:
     # The manifest records the absorbees and seed on every outcome, a
-    # failed Hall round included.
+    # failed core search included.
     graph = write_graph(tmp_path, "g.edges", 30, 0.5, 0)
     out = tmp_path / "ab.json"
-    assert run("absorber", "build", "--graph", graph, "--x", "0,1,2",
+    assert run("absorber", "build", "--graph", graph, "--x", "0,1,2,3,4",
                "--seed", "4", "--out", str(out)) == 1
     assert json.loads(out.read_text())["stage"] == "absorber"
     manifest = json.loads((tmp_path / "ab.json.manifest.json").read_text())
-    assert manifest["config"] == {"x": [0, 1, 2], "seed": 4}
+    assert manifest["config"] == {"x": [0, 1, 2, 3, 4], "seed": 4}
 
 
-def test_absorber_build_with_too_few_spare_vertices_fails_in_a_hall_round(
+def test_absorber_build_with_too_few_spare_vertices_fails_in_the_core_search(
     tmp_path, capsys
 ) -> None:
-    # Ten absorbees leave two spare vertices: the first Hall round cannot
-    # give each absorbee its own neighbour, and the build reports that
-    # round instead of refusing to start.
+    # Ten absorbees leave two spare vertices, too few for one core, and the
+    # build reports the first search instead of refusing to start:
+    # absorbees 8 and 9 see one of them, the others two, so 8 goes first
+    # and fails at its first u1.
     graph = write_graph(tmp_path, "g.edges", 12, 0.9, 0)
     assert run("absorber", "build", "--graph", graph,
                "--x", ",".join(map(str, range(10)))) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["stage"] == "absorber"
-    assert payload["diagnostics"]["round"] == 1
-    assert payload["diagnostics"]["pool"] == 2
+    assert payload["diagnostics"] == {
+        "absorbee": 8, "pool_degree": 1, "free": 2, "nodes": 1,
+    }
 
 
 def test_experiment_json_and_csv_agree_on_seed_count(tmp_path) -> None:
@@ -601,7 +603,7 @@ def test_negative_seeds_are_a_usage_error(tmp_path, capsys) -> None:
     assert "non-negative" in capsys.readouterr().err
     # Each seed is checked before any search, and the message names the
     # seed given, not one derived from it: three target vertices start no
-    # cover search, and this host's third Hall round fails before any link.
+    # cover search, and the absorber build checks it before its core search.
     host = write_graph(tmp_path, "g.edges", 30, 0.5, 0)
     complete = write_graph(tmp_path, "k.edges", 30, 1.0, 0)
     for argv in (

@@ -357,11 +357,39 @@ def test_every_per_pick_search_draws_from_one_stream() -> None:
 
 def test_the_hall_rounds_never_list_a_row() -> None:
     # The matching engine walks bit rows by their lowest set bit; listing
-    # each row before a round cost most of the star rounds.
+    # each row first cost most of a matching's time.
     for name in ("bits", "sorted"):
         assert _calls_in("matching", "_augmenting_search", name) == 0, name
-    # The star rounds list the absorbee set once and pass rows as masks.
-    assert _calls_in("absorber", "build_single_absorbers", "bits") == 1
+
+
+def test_the_core_search_uses_no_matching_and_lists_no_row() -> None:
+    # One search per absorbee finds the star cores, in place of four Hall
+    # rounds, so the leftover step is the matching's one library caller.
+    tree = ast.parse(Path(absorber.__file__).read_text(encoding="utf-8"))
+    imported = {
+        name.split(".")[-1]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in (getattr(node, "module", None) or "", *(a.name for a in node.names))
+    }
+    assert "matching" not in imported
+    assert _library_callers({"hall_saturating_matching"}) == {
+        "hamiltonian.match_leftover"
+    }
+    # The search picks each vertex by its lowest set bit: it lists the
+    # absorbee set once, and no row.
+    (fn,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "build_single_absorbers"
+    ]
+    listed = [
+        ast.unparse(call.args[0])
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "bits"
+    ]
+    assert listed == ["xs"]
+    assert _calls_in("absorber", "_core_search", "bits") == 0
 
 
 def test_the_caller_guard_sees_every_spelling() -> None:
