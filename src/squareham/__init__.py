@@ -16,10 +16,11 @@ Submodules:
         ports, its reservoir and its longest length), served shortest
         first.
     absorber: an absorber is one square path and the absorbees it may
-        leave out; it is built from five-vertex units (each the star core
-        one depth-first search per absorbee finds) joined by links, and
-        chaining runs the one absorber audit, a single pass over the walk,
-        on every absorber it returns.
+        leave out; it is built from five-vertex units, each the star core
+        one depth-first search per absorbee finds, chained onto the unit
+        before so that the two meet with no link; only a unit whose chained
+        search failed is linked.  Chaining runs the one absorber audit, a
+        single pass over the walk, on every absorber it returns.
     hamiltonian: the end-to-end pipeline, brute-force oracle, certificates
         and checkable infeasibility witnesses.
     adversary: triangle-removal attacks, retention profiling, experiments.

@@ -3,12 +3,15 @@
 An *absorber* for a set ``X`` is a square path, its ``walk``, that stays a
 square path between the same two end pairs whatever subset ``X'`` of its
 absorbees ``X`` it leaves out.  The library builds one from a *unit* per
-absorbee, the five-vertex star core ``u1 u2 x v1 v2``, joined by
-square-path links.  A unit is a square path both with ``x`` and without it
-(``u1 u2 v1 v2``), so ``x`` sits in the walk with the bridge edges
-``u1 v1`` and ``u2 v2`` around it.  :func:`chain_absorbers` audits the
-finished absorber once with :func:`verify_absorber`, links included; no
-earlier stage re-walks what it built.
+absorbee, the five-vertex star core ``u1 u2 x v1 v2``.  A unit is a square
+path both with ``x`` and without it (``u1 u2 v1 v2``), so ``x`` sits in the
+walk with the bridge edges ``u1 v1`` and ``u2 v2`` around it.  Each core is
+searched so that its unit extends the walk of the unit before, and then
+the walk is the units end to end, five vertices per absorbee; only a unit
+whose chained search failed is joined to the one before by a square-path
+link.  :func:`chain_absorbers` audits the finished absorber once with
+:func:`verify_absorber`, links included; no earlier stage re-walks what it
+built.
 
 The paper extends each core by further absorbing blocks, because near
 ``p = n^(-1/2)`` a vertex lies in about ``n^4 p^9`` copies of ``K5`` minus
@@ -20,10 +23,10 @@ per absorbee finds.
 The absorbee set, the pool the cores and links draw from, and the absorbees
 a traversal drops are ``int`` bitsets, and so is an absorber's body.  The
 absorber keeps its walk and its absorbees as tuples: a stored file may name
-huge ids, and no bitset is built from them before the range check.  A link
-is one connection job, served shortest first: the direct arc needs no
-search, and the connector's searches pick each vertex from the pool
-vertices that fit by a seeded offset, not uniformly.
+huge ids, and no bitset is built from them before the range check.  Two
+units that meet in the direct arc need no call; any other link is one
+connection job, served shortest first, whose searches pick each vertex
+from the pool vertices that fit by a seeded offset, not uniformly.
 """
 
 from __future__ import annotations
@@ -79,8 +82,8 @@ _CORE_BUDGET = 2_000
 
 def build_single_absorbers(
     g: Graph, xs: int, pool: int
-) -> tuple[tuple[tuple[int, int, int, int], ...] | None, dict | None]:
-    """Find each absorbee a disjoint star core by one depth-first search.
+) -> tuple[tuple[tuple[int, int, int, int, int], ...] | None, dict | None]:
+    """Find each absorbee a disjoint star core, chained onto the one before.
 
     The absorbee set ``xs`` and the ``pool`` are bitsets.  The absorbees
     go fewest pool neighbours first, each searching the pool less the
@@ -92,11 +95,19 @@ def build_single_absorbers(
     paths.  It backtracks over ``u1``, ``u2`` and ``v1``, each try a node,
     and gives up after :data:`_CORE_BUDGET` nodes.
 
+    Each search after the first also asks that its unit extend the walk
+    of the one before, ``... v1 v2``: ``u1`` must see ``v1`` and ``v2``,
+    and ``u2`` must see ``v2``, so the two units meet in the direct arc
+    and need no link.  If that search fails, the absorbee takes the core
+    the search without those two conditions finds in the same free pool,
+    and :func:`chain_absorbers` links it to the unit before.
+
     Returns:
-        The cores ``(u1, u2, v1, v2)``, one per absorbee in ascending
-        order; or ``None`` and, for the first absorbee left without one,
-        the ``absorbee``, its ``pool_degree`` in ``pool``, ``free``, the
-        count of pool vertices left to it, and its search's ``nodes``.
+        The units ``(u1, u2, x, v1, v2)`` in the order they were found,
+        which is walk order; or ``None`` and, for the first absorbee left
+        without a core, the ``absorbee``, its ``pool_degree`` in ``pool``,
+        ``free``, the count of pool vertices left to it, and the ``nodes``
+        its searches took, both of them for a chained absorbee.
 
     Raises:
         InputError: If the two sets overlap or one holds a bit outside
@@ -108,12 +119,16 @@ def build_single_absorbers(
     if xs & pool:
         raise InputError("absorbee set and pool must be disjoint")
     rows = g.rows
-    xs_listed = bits(xs)
-    cores = {}
+    units = []
     free = pool
+    # The first unit extends no walk: every u1 and u2 may enter it.
+    enter1 = enter2 = -1
     # A stable sort, so ties keep ascending ids.
-    for x in sorted(xs_listed, key=lambda x: (rows[x] & pool).bit_count()):
-        core, nodes = _core_search(rows, rows[x] & free)
+    for x in sorted(bits(xs), key=lambda x: (rows[x] & pool).bit_count()):
+        core, nodes = _core_search(rows, rows[x] & free, enter1, enter2)
+        if core is None and units:
+            core, more = _core_search(rows, rows[x] & free)
+            nodes += more
         if core is None:
             return None, {
                 "absorbee": x,
@@ -121,22 +136,27 @@ def build_single_absorbers(
                 "free": free.bit_count(),
                 "nodes": nodes,
             }
-        cores[x] = core
-        free ^= mask_of(core)
-    return tuple(cores[x] for x in xs_listed), None
+        u1, u2, v1, v2 = core
+        units.append((u1, u2, x, v1, v2))
+        free ^= 1 << u1 | 1 << u2 | 1 << v1 | 1 << v2
+        enter1, enter2 = rows[v1] & rows[v2], rows[v2]
+    return tuple(units), None
 
 
-def _core_search(rows: Sequence[int], nx: int) -> tuple[tuple[int, ...] | None, int]:
+def _core_search(
+    rows: Sequence[int], nx: int, enter1: int = -1, enter2: int = -1
+) -> tuple[tuple[int, ...] | None, int]:
     """The least core ``(u1, u2, v1, v2)`` among ``nx``, an absorbee's free
-    neighbours, or ``None``, and the nodes taken; each candidate set is
-    walked by its lowest set bit, only as far as the search goes."""
+    neighbours, with ``u1`` in the mask ``enter1`` and ``u2`` in ``enter2``,
+    or ``None``, and the nodes taken; each candidate set is walked by its
+    lowest set bit, only as far as the search goes."""
     nodes = 0
-    c1 = nx
+    c1 = nx & enter1
     while c1 and nodes < _CORE_BUDGET:
         u1 = (c1 & -c1).bit_length() - 1
         c1 ^= 1 << u1
         n1 = nx & rows[u1]
-        c2 = n1
+        c2 = n1 & enter2
         nodes += 1
         while c2 and nodes < _CORE_BUDGET:
             u2 = (c2 & -c2).bit_length() - 1
@@ -157,8 +177,9 @@ def complete_absorbers(
     xs: int, cores: Sequence[tuple[int, int, int, int]]
 ) -> tuple[tuple[int, int, int, int, int], ...]:
     """The units of the absorbees in ``xs``, ascending, each the walk
-    ``u1 u2 x v1 v2`` of the core :func:`build_single_absorbers` found for
-    ``x``, in the same order.
+    ``u1 u2 x v1 v2`` of the core ``(u1, u2, v1, v2)`` given for ``x``, in
+    the same order.  The pipeline does not call it:
+    :func:`build_single_absorbers` returns the units themselves.
 
     Raises:
         InputError: If ``xs`` is not a non-negative ``int`` bitset, or
@@ -181,22 +202,25 @@ def chain_absorbers(
     pool: int,
     seed: int,
 ) -> tuple[Absorber | None, dict | None]:
-    """Join units in order with square-path links into one audited absorber.
+    """Join units in order into one audited absorber, with a square-path
+    link where two units do not meet.
 
     Each unit is a five-vertex walk ``u1 u2 x v1 v2`` with its absorbee in
-    the middle, read by :func:`~squareham.graphcore.check_ints`.  Each link is
-    one :func:`connect_one` job of up to eight vertices from a unit's exit
-    pair to the next one's entry pair through the bitset ``pool`` less the
-    units and the earlier links, with a seed derived from ``seed``.  Served
-    shortest first, a link leaves the most pool to the links after it:
-    about one in nine goes direct on G(200, .5) and G(800, .5), and a
-    third at p = .7; the others take one or two vertices, but for 1% at
-    (400, .35) that take three.  A link that cannot be made aborts with
-    diagnostics naming the ``link`` phase and the absorbees it joins.  The
-    finished absorber passes :func:`verify_absorber` once; this is the only
-    audit a built absorber gets.  The units are checked only if it fails:
-    each must be a star core, with ``u1 u2 x v1 v2`` and ``u1 u2 v1 v2``
-    both square paths in ``g``.
+    the middle, read by :func:`~squareham.graphcore.check_ints`.  Where a
+    unit's ``v1 v2`` and the next one's ``u1 u2`` form the direct arc
+    (``v2 ~ u1``, ``v2 ~ u2`` and ``v1 ~ u1``), the next unit follows it in
+    the walk with no call.  Otherwise the link is one :func:`connect_one`
+    job of up to eight vertices from the exit pair to the entry pair
+    through the bitset ``pool`` less the units and the earlier links, with
+    a seed derived from ``seed`` and the link's place.  The units
+    :func:`build_single_absorbers` chains all meet on dense hosts; only an
+    absorbee whose chained search failed needs a link.  A link that cannot
+    be made aborts with diagnostics naming the ``link`` phase and the
+    absorbees it joins.  The finished absorber passes
+    :func:`verify_absorber` once; this is the only audit a built absorber
+    gets.  The units are checked only if it fails: each must be a star
+    core, with ``u1 u2 x v1 v2`` and ``u1 u2 v1 v2`` both square paths in
+    ``g``.
 
     Raises:
         InputError: If there are no units, one is not five vertices of
@@ -228,13 +252,19 @@ def chain_absorbers(
         # The range check comes first, so no bit is built from a huge id.
         if not (0 <= min(unit) and max(unit) < n):
             g.check_vertices(unit)
-        more = mask_of(unit)
+        more = 1 << u1 | 1 << u2 | 1 << x | 1 << v1 | 1 << v2
         if body & more:
             raise InputError("units to chain must be pairwise disjoint")
         body |= more
     walk = list(units[0])
     free = pool & ~body
+    rows = g.rows
     for i, (a, b) in enumerate(zip(units, units[1:])):
+        # The direct arc: v2 ~ u1, u2 and v1 ~ u1 from a into b.
+        v1, v2, u1, u2 = a[3], a[4], b[0], b[1]
+        if rows[v2] >> u1 & rows[v2] >> u2 & rows[v1] >> u1 & 1:
+            walk += b
+            continue
         res = connect_one(g, a[-2:], b[:2], free, 8, (seed * 9_176 + i * 13) * 31)
         if not res.ok:
             link = (a[2], b[2])

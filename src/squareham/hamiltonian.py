@@ -23,7 +23,6 @@ from .absorber import (
     absorb,
     build_single_absorbers,
     chain_absorbers,
-    complete_absorbers,
 )
 from .connector import connect_one, direct_arc
 from .gadgets import ValidationResult, is_square_path
@@ -67,8 +66,9 @@ _EXHAUSTIVE_BUDGET = 3_000_000
 # The absorbee count is round(_ABSORBEE_SHARE * n).  The absorbees the
 # leftover matching does not take are the threading's only fuel, so at .05
 # the threading runs short, and G(4000, .15) certifies more often at .11
-# than at .1.  Each unit and link takes about six vertices of the rest of
-# the host, so the links starve from .13 on, and first fail at .12.
+# than at .1.  It was tuned when each unit and its link took about six
+# vertices of the rest of the host; a chained unit takes four and needs no
+# link, and the share has not been tuned again since.
 _ABSORBEE_SHARE = 0.11
 # Fewest uncovered vertices the cover runs a search on; fewer go straight
 # to the splice and the leftover matching.
@@ -685,10 +685,11 @@ def build_absorber(
 
     :func:`build_single_absorbers` finds each absorbee ``x`` a star core in
     the complement of ``xs``, which makes it the five-vertex unit walk
-    ``u1 u2 x v1 v2``; chaining joins the units, in ascending order of
-    ``x``, into the absorber's one walk, with links drawn from the same
-    complement less the units.  A returned absorber has passed
-    :func:`chain_absorbers`' audit.
+    ``u1 u2 x v1 v2``, each chained onto the one before where it can be;
+    chaining joins the units, in the order they were found, into the
+    absorber's one walk, with a link drawn from the same complement less
+    the units only where two units do not meet.  A returned absorber has
+    passed :func:`chain_absorbers`' audit.
 
     Raises:
         InputError: If ``seed`` is not a non-negative integer.
@@ -698,10 +699,10 @@ def build_absorber(
     seed = check_int("seed", seed, 0)
     g.check_mask(xs)
     pool = ((1 << g.n) - 1) & ~xs
-    cores, fail = build_single_absorbers(g, xs, pool)
+    units, fail = build_single_absorbers(g, xs, pool)
     if fail is not None:
         return None, fail
-    return chain_absorbers(g, complete_absorbers(xs, cores), pool, seed)
+    return chain_absorbers(g, units, pool, seed)
 
 
 def _insert_into_paths(g: Graph, paths: list[list[int]], q: int) -> bool:

@@ -8,6 +8,7 @@ from hypothesis.strategies import (
     booleans,
     data,
     integers,
+    just,
     one_of,
     permutations,
     sampled_from,
@@ -28,7 +29,7 @@ from squareham import (
     verify_absorber,
 )
 from squareham import absorber as absorber_module
-from squareham import connector
+from squareham import connector, hamiltonian
 from squareham.absorber import absorber_from_json_obj
 from squareham.gadgets import BULK_PATH_LEN
 from squareham.graphcore import bits, mask_of, rng_for
@@ -47,10 +48,9 @@ def build_full_absorber(n: int, p: float, seed: int, x_count: int = 3):
     xs = mask_of(order[:x_count])
     star = mask_of(order[x_count : x_count + star_size])
     link_pool = mask_of(order[x_count + star_size :])
-    cores, fail = build_single_absorbers(g, xs, star)
+    units, fail = build_single_absorbers(g, xs, star)
     if fail is not None:
         return g, None, fail
-    units = complete_absorbers(xs, cores)
     built, fail = chain_absorbers(g, units, link_pool | star, seed)
     return g, built, fail
 
@@ -257,15 +257,15 @@ def test_verification_detects_a_corrupted_unit() -> None:
 def test_the_link_sweep_tests_the_direct_arc_before_any_search(
     monkeypatch,
 ) -> None:
-    # Each link is one connect_one job of up to eight vertices, served
-    # shortest first: length 4 is the direct arc, read off the port rows
-    # with no draw, and the picks and searches of longer lengths run only
-    # past it.
+    # Where a unit's v1 v2 and the next one's u1 u2 form the direct arc,
+    # chaining appends the next unit with no call.  Any other link is one
+    # connect_one job of up to eight vertices, served shortest first, with
+    # the seed of its place in the chain.
     asked, served, searched = [], [], []
     connect = absorber_module.connect_one
 
     def recording(g, frm, to, w, length, seed):
-        asked.append((length, seed))
+        asked.append((frm, to, w, length, seed))
         res = connect(g, frm, to, w, length, seed)
         served.append(len(res.path) if res.ok else None)
         return res
@@ -285,19 +285,26 @@ def test_the_link_sweep_tests_the_direct_arc_before_any_search(
     g = complete_graph(24)
     built, fail = chain_absorbers(g, units, pool, 3)
     assert fail is None and built.walk == tuple(range(15))
-    assert asked == [(8, 3 * 9_176 * 31), (8, (3 * 9_176 + 13) * 31)]
-    assert served == [4, 4] and searched == []
-    # Without the edge 3-5 there is no arc into the second unit, and one
-    # interior vertex closes the link.
-    g = g.remove_edges([(3, 5)])
-    served.clear()
-    built, fail = chain_absorbers(g, units, pool, 3)
+    assert asked == [] and searched == []
+    # Without the edge 3-5 there is no arc into the second unit: its link
+    # is the one call, and one interior vertex closes it.
+    cut = g.remove_edges([(3, 5)])
+    built, fail = chain_absorbers(cut, units, pool, 3)
     assert fail is None and len(built.walk) == 16
-    assert served == [5, 4] and searched == [5]
+    assert verify_absorber(cut, built).ok
+    assert asked == [((3, 4), (5, 6), pool, 8, 3 * 9_176 * 31)]
+    assert served == [5] and searched == [5]
+    # Each link's seed follows its place: without 8-10 the second link is
+    # a call too, through the pool less the first link's vertex.
+    asked.clear()
+    built, fail = chain_absorbers(g.remove_edges([(3, 5), (8, 10)]), units, pool, 3)
+    assert fail is None and len(built.walk) == 17
+    assert [job[-1] for job in asked] == [3 * 9_176 * 31, (3 * 9_176 + 13) * 31]
+    assert asked[1][2] == pool & ~(1 << built.walk[5])
     # With an empty pool the ports rule out every longer length, so the
     # link fails without a pick or a search.
     searched.clear()
-    assert chain_absorbers(g, units, 0, 3) == (None, {
+    assert chain_absorbers(cut, units, 0, 3) == (None, {
         "phase": "link",
         "link": (2, 7),
         "connect": {"config": {"length": 8, "pool": 0, "seed": 3 * 9_176 * 31},
@@ -338,18 +345,19 @@ def test_a_failing_search_reports_the_free_pool_it_ran_on() -> None:
     cores, fail = build_single_absorbers(g, xs, mask_of(range(8)))
     assert cores is None
     assert fail == {"absorbee": 12, "pool_degree": 8, "free": 0, "nodes": 0}
-    cores, fail = build_single_absorbers(g, xs, mask_of(range(13, 20)) | 0b11111)
+    units, fail = build_single_absorbers(g, xs, mask_of(range(13, 20)) | 0b11111)
     assert fail is None
-    assert cores == ((0, 1, 2, 3), (4, 13, 14, 15), (16, 17, 18, 19))
+    assert units == ((0, 1, 10, 2, 3), (4, 13, 11, 14, 15), (16, 17, 12, 18, 19))
 
 
 def test_the_fewest_pool_neighbours_go_first() -> None:
     # Absorbee 1 sees only 2..5 of the pool, absorbee 0 all of it; served
-    # in id order, 0 would take 2..5 and leave 1 no core.
+    # in id order, 0 would take 2..5 and leave 1 no core.  The units come
+    # in the order they were found, which is walk order.
     g = complete_graph(10).remove_edges([(1, v) for v in range(6, 10)])
-    cores, fail = build_single_absorbers(g, 0b11, mask_of(range(2, 10)))
+    units, fail = build_single_absorbers(g, 0b11, mask_of(range(2, 10)))
     assert fail is None
-    assert cores == ((6, 7, 8, 9), (2, 3, 4, 5))
+    assert units == ((2, 3, 1, 4, 5), (6, 7, 0, 8, 9))
 
 
 def test_round_three_needs_v1_adjacent_to_u1() -> None:
@@ -371,12 +379,15 @@ def test_round_three_needs_v1_adjacent_to_u1() -> None:
     }
 
 
-def first_core(g: Graph, x: int, pool: int):
+def first_core(g: Graph, x: int, pool: int, enter1: int = -1, enter2: int = -1):
     """The least ``(u1, u2, v1, v2)`` in ``pool`` that makes ``x`` a star
-    core, by brute force, or ``None``."""
+    core, with ``u1`` in ``enter1`` and ``u2`` in ``enter2``, by brute
+    force, or ``None``."""
     for u1, u2, v1, v2 in itertools.permutations(bits(pool), 4):
-        if is_square_path(g, (u1, u2, x, v1, v2)) and is_square_path(
-            g, (u1, u2, v1, v2)
+        if (
+            enter1 >> u1 & enter2 >> u2 & 1
+            and is_square_path(g, (u1, u2, x, v1, v2))
+            and is_square_path(g, (u1, u2, v1, v2))
         ):
             return u1, u2, v1, v2
     return None
@@ -399,35 +410,50 @@ def test_every_core_found_is_a_disjoint_star_core_in_the_pool(
     order = draw.draw(permutations(range(n)))
     xs = mask_of(order[:k])
     pool = mask_of(order[k : draw.draw(integers(k, n))])
-    cores, fail = build_single_absorbers(g, xs, pool)
+    units, fail = build_single_absorbers(g, xs, pool)
     if fail is not None:
         assert fail["pool_degree"] == (g.rows[fail["absorbee"]] & pool).bit_count()
         return
-    assert len(cores) == k
-    for x, (u1, u2, v1, v2) in zip(bits(xs), cores):
+    assert sorted(unit[2] for unit in units) == bits(xs)
+    for u1, u2, x, v1, v2 in units:
         assert is_square_path(g, (u1, u2, x, v1, v2))
         assert is_square_path(g, (u1, u2, v1, v2))
-    used = [v for core in cores for v in core]
+    used = [v for u1, u2, _, v1, v2 in units for v in (u1, u2, v1, v2)]
     assert len(set(used)) == len(used) and mask_of(used) & ~pool == 0
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(n=integers(5, 10), p=sampled_from([0.4, 0.6, 0.8]), seed=seeds(),
-       budget=integers(0, 12))
+       budget=integers(0, 12), draw=data())
 def test_a_search_finds_the_least_core_or_proves_there_is_none(
-    n, p, seed, budget
+    n, p, seed, budget, draw
 ) -> None:
     # Inside its budget the search is exact; a search that spends it all
-    # may have missed a core.
+    # may have missed a core.  The entry masks, which u1 and u2 must lie
+    # in, are everything, as for the first absorbee, or any set.
     g = gnp_generate(n, p, seed)
     pool = ((1 << n) - 1) & ~1
-    cores, fail = cores_within(g, 1, pool, budget)
-    best = first_core(g, 0, pool)
-    if fail is None:
-        assert cores == (best,)
+    masks = one_of(just(-1), integers(0, (1 << n) - 1))
+    enter1, enter2 = draw.draw(masks), draw.draw(masks)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(absorber_module, "_CORE_BUDGET", budget)
+        core, nodes = absorber_module._core_search(
+            g.rows, g.rows[0] & pool, enter1, enter2
+        )
+    best = first_core(g, 0, pool, enter1, enter2)
+    if core is not None:
+        assert core == best and nodes <= budget
     else:
-        assert fail["nodes"] <= budget
-        assert fail["nodes"] == budget or best is None
+        assert nodes <= budget
+        assert nodes == budget or best is None
+    if enter1 == enter2 == -1:
+        # An absorbee with no unit before it searches with no entry masks.
+        units, fail = cores_within(g, 1, pool, budget)
+        if core is None:
+            assert units is None and fail["nodes"] == nodes
+        else:
+            u1, u2, v1, v2 = core
+            assert units == ((u1, u2, 0, v1, v2),) and fail is None
 
 
 def test_a_search_stops_at_its_budget() -> None:
@@ -440,7 +466,62 @@ def test_a_search_stops_at_its_budget() -> None:
     assert cores_within(g, 1, ((1 << 12) - 1) & ~1, 2)[1] == {
         "absorbee": 0, "pool_degree": 11, "free": 11, "nodes": 2,
     }
-    assert cores_within(g, 1, ((1 << 12) - 1) & ~1, 3) == (((1, 2, 3, 4),), None)
+    assert cores_within(g, 1, ((1 << 12) - 1) & ~1, 3) == (((1, 2, 0, 3, 4),), None)
+
+
+@pytest.mark.parametrize("n, p", [(200, 0.5), (400, 0.35), (800, 0.7)])
+def test_consecutive_units_meet_in_the_direct_arc(n: int, p: float) -> None:
+    # On a dense host every core is chained onto the one before: the unit
+    # before's v1 v2 and the next one's u1 u2 form the direct arc.
+    for seed in range(3):
+        g = gnp_generate(n, p, seed)
+        xs = mask_of(range(0, n, 9))
+        units, fail = build_single_absorbers(g, xs, ((1 << n) - 1) & ~xs)
+        assert fail is None and len(units) == xs.bit_count()
+        for a, b in zip(units, units[1:]):
+            assert connector.direct_arc(g, a[-2:], b[:2])
+
+
+# Absorbee 0 sees only 2..5 of the pool 2..11 and absorbee 1 only 6..9, so
+# 0 goes first, by id, with the unit 2 3 0 4 5.  Vertex 5 sees 6 but not
+# 7, 8 or 9, so no core of 1 enters from 4 5.
+NO_CHAINED_CORE = complete_graph(12).remove_edges(
+    [(0, v) for v in range(6, 12)]
+    + [(1, v) for v in (2, 3, 4, 5, 10, 11)]
+    + [(5, v) for v in (7, 8, 9)]
+)
+
+
+def test_an_absorbee_with_no_chained_core_takes_a_plain_core_and_a_link(
+    monkeypatch,
+) -> None:
+    g = NO_CHAINED_CORE
+    units, fail = build_single_absorbers(g, 0b11, mask_of(range(2, 12)))
+    assert fail is None and units == ((2, 3, 0, 4, 5), (6, 7, 1, 8, 9))
+    asked = []
+    connect = absorber_module.connect_one
+
+    def recording(g, *job):
+        asked.append(job)
+        return connect(g, *job)
+
+    monkeypatch.setattr(absorber_module, "connect_one", recording)
+    built, fail = hamiltonian.build_absorber(g, 0b11, 2)
+    # The link is the connect_one job of the first place, with its seed,
+    # through the two pool vertices the units leave.
+    assert asked == [((4, 5), (6, 7), 1 << 10 | 1 << 11, 8, 2 * 9_176 * 31)]
+    assert fail is None and built.walk == (2, 3, 0, 4, 5, 10, 6, 7, 1, 8, 9)
+    assert verify_absorber(g, built).ok
+    # With 6-7 and 8-9 gone absorbee 1 has no core at all, and its failure
+    # counts the nodes of both searches: 1 chained and 12 plain.
+    cut = g.remove_edges([(6, 7), (8, 9)])
+    rows, nx = cut.rows, cut.rows[1] & mask_of(range(6, 12))
+    search = absorber_module._core_search
+    assert search(rows, nx, rows[4] & rows[5], rows[5]) == (None, 1)
+    assert search(rows, nx) == (None, 12)
+    assert build_single_absorbers(cut, 0b11, mask_of(range(2, 12))) == (None, {
+        "absorbee": 1, "pool_degree": 4, "free": 6, "nodes": 13,
+    })
 
 
 def test_star_stage_rejects_overlapping_classes() -> None:
@@ -460,11 +541,14 @@ def test_star_stage_rejects_overlapping_classes() -> None:
 def test_completion_pairs_each_absorbee_with_its_core() -> None:
     g = complete_graph(30)
     xs = 1 << 3 | 1 << 0
-    cores, fail = build_single_absorbers(g, xs, mask_of(range(10, 30)))
-    assert fail is None
+    cores = [(10, 11, 12, 13), (14, 15, 16, 17)]
     units = complete_absorbers(xs, cores)
     assert [u[2] for u in units] == [0, 3]
-    assert [u[:2] + u[3:] for u in units] == list(cores)
+    assert [u[:2] + u[3:] for u in units] == cores
+    # They are the units the core search finds, in ascending order.
+    built, fail = build_single_absorbers(g, xs, mask_of(range(10, 30)))
+    assert fail is None
+    assert complete_absorbers(xs, [u[:2] + u[3:] for u in built]) == built
 
 
 def test_built_units_are_square_paths_with_and_without_their_absorbee() -> None:
@@ -496,13 +580,18 @@ def test_chaining_audits_what_it_returns(monkeypatch) -> None:
     with pytest.raises(InputError, match=rf"unit \({u1}, {u2}, {x}, {v1}, {v2}\)"):
         chain_absorbers(g, [(u1, u2, x, v1, v2), *units[1:]], pool, 5)
     # A link that is no square path fails the audit with every unit a star
-    # core: that is the library's fault, not the input's.
-    a, b = units[0][-2:], units[1][:2]
+    # core: that is the library's fault, not the input's.  Two units that
+    # do not meet in the direct arc need a link.
+    first, second = next(
+        (a, b) for a in units for b in units
+        if a != b and not connector.direct_arc(g, a[-2:], b[:2])
+    )
+    a, b = first[-2:], second[:2]
     stray = next(v for v in bits(free) if not g.has_edge(v, a[0]))
     bad = connector.ConnectResult(True, (*a, stray, *b), None)
     monkeypatch.setattr(absorber_module, "connect_one", lambda *args: bad)
     with pytest.raises(AssertionError, match="failed verification"):
-        chain_absorbers(g, units[:2], free, 5)
+        chain_absorbers(g, [first, second], free, 5)
 
 
 def test_chaining_reads_numpy_integer_units_as_ints() -> None:
@@ -558,10 +647,10 @@ def test_chaining_rejects_empty_and_overlapping_units() -> None:
 def test_absorber_stages_reject_out_of_range_arguments(seed: int) -> None:
     g = complete_graph(30)
     xs, star = STAR_CLASSES
-    cores, fail = build_single_absorbers(g, xs, star)
+    units, fail = build_single_absorbers(g, xs, star)
     assert fail is None
     with pytest.raises(InputError, match="seed"):
-        chain_absorbers(g, complete_absorbers(xs, cores), 0, seed)
+        chain_absorbers(g, units, 0, seed)
 
 
 ABSORBER_CALLS_ON_MALFORMED_INPUT = {

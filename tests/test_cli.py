@@ -289,7 +289,7 @@ def test_connect_and_absorber_build_outputs_are_pinned(tmp_path, capsys) -> None
     assert stdout_digest(
         capsys, "absorber", "build", "--graph", graph, "--x", "0,1,2",
         "--seed", "3",
-    ) == (0, "2876e49698ca6d58a91420d408a498227d42d0bc6338cd864f31a0fe059ab450")
+    ) == (0, "9b5207e492e866c14f9348ceed4d82772214775c9d8e546672752d1bc2e140b1")
 
 
 def test_connect_rejects_negative_vertices(tmp_path, capsys) -> None:
@@ -336,7 +336,9 @@ def test_absorber_files_round_trip_through_the_core_format(tmp_path, capsys) -> 
     current = json.loads(capsys.readouterr().out)
     assert sorted(current) == ["absorbees", "walk"]
     walk, xs = current["walk"], current["absorbees"]
-    assert xs == [0, 1, 2]
+    # The absorbees come in walk order, the order the core search served
+    # them, fewest pool neighbours first.
+    assert xs == [1, 0, 2]
     # Each absorbee sits in the middle of its five-vertex core, in order.
     places = [walk.index(x) for x in xs]
     assert places == sorted(places) and places[0] == 2
@@ -476,15 +478,16 @@ def test_absorber_build_fills_its_pools_with_every_spare_vertex(
 def test_absorber_build_failure_reports_a_stage(tmp_path, capsys) -> None:
     # The pool is the 25 other vertices.  Absorbees 2, 3 and 0 have fewer
     # pool neighbours than absorbee 1, so their cores come first and leave
-    # 13 pool vertices; the search for absorbee 1 finds no core among them
-    # in 22 tries, and no earlier core is taken back.
+    # 13 pool vertices; absorbee 1 finds no core among them, chained onto
+    # the unit before in 1 try or plain in 29, and no earlier core is
+    # taken back.
     graph = write_graph(tmp_path, "g.edges", 30, 0.5, 0)
     assert run("absorber", "build", "--graph", graph, "--x", "0,1,2,3,4",
                "--seed", "0") == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["stage"] == "absorber"
     assert payload["diagnostics"] == {
-        "absorbee": 1, "pool_degree": 14, "free": 13, "nodes": 22,
+        "absorbee": 1, "pool_degree": 14, "free": 13, "nodes": 30,
     }
 
 

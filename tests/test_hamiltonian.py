@@ -420,8 +420,8 @@ def test_default_config_outputs_are_pinned() -> None:
     # Refactors of the pipeline must not move seeded default-config outputs.
     g = gnp_generate(200, 0.5, 1)
     pinned = {
-        0: "f0c60007efea6b255d6b44a37630ce1473dc5ae7dc8edaab8dcf1e6b558dba16",
-        3: "e599cf502af6a2dc0af2322852b48cb92c6ebc3aa45759db8e9df7003c9cb021",
+        0: "de84870a4f5890ac108373d19eb5d551182246b16d8a46f089521780649c88ee",
+        3: "a2958948171e3dc926d6e9492b6be7b539c5c2f61f31af62d92369156d040ca9",
     }
     for seed, digest in pinned.items():
         outcome = find_square_ham(g, config=PipelineConfig(seed=seed))
@@ -447,7 +447,7 @@ def test_default_config_outputs_are_pinned() -> None:
     outcome = find_square_ham(gnp_generate(800, 0.7, 1), config=PipelineConfig(seed=0))
     assert isinstance(outcome, Certificate)
     assert outcome_digest(outcome) == (
-        "61ffb1c1d6d787f3a2323a2bc3870bfbbe3bbd3065c7cf774d0d2422ff50d5eb"
+        "1c1ea7bfa2e4a698a89ca99e969947c8ace168c42e7af4bfbd2fa2f68a0cec5b"
     )
 
 
@@ -455,11 +455,11 @@ def test_default_config_outputs_are_pinned() -> None:
     "p, h, seed, restart, certified, digest",
     [
         # The last of the 8 restarts fails at connecting.
-        (0.3, 2, 0, 7, False,
-         "bddd0bb7911e79cf8d7122463823d14878ff12c58b529faad24ea573540b034d"),
+        (0.3, 395, 2, 7, False,
+         "6eb2df1f46dde5c4ddd8c4dc3ae51c9b815421e6d76ddeb06fddb9d05421e6bb"),
         # Restart 0 fails at connecting and restart 1 certifies.
-        (0.3, 3, 0, 0, True,
-         "845f24865fe8152d6464d569a0b5eb847dd7ff0232d20dc88c5761ccb9272e90"),
+        (0.3, 0, 1, 0, True,
+         "2b2837a37b306ee594946a1fc7eca6371fa3ff1b4226bebcbe4038afdcec5aed"),
     ],
     # Named by the path each case takes, so a re-pinned digest keeps its id.
     ids=["all-fail", "second-certifies"],
@@ -592,7 +592,7 @@ def test_the_threading_tests_each_arc_once_per_state(monkeypatch) -> None:
         return arc(g, frm, to)
 
     monkeypatch.setattr(hamiltonian, "direct_arc", recording)
-    failed = hamiltonian._attempt(g, PipelineConfig(seed=0), 0)
+    failed = hamiltonian._attempt(g, PipelineConfig(seed=1), 0)
     assert failed.stage == "connecting" and tested
     assert len(set(tested)) == len(tested)
 
@@ -621,7 +621,7 @@ def test_the_threading_keeps_no_record_between_calls(monkeypatch) -> None:
     def state():
         return [getattr(g, name) for name in type(g).__slots__]
 
-    failed = hamiltonian._attempt(g, PipelineConfig(seed=0), 0)
+    failed = hamiltonian._attempt(g, PipelineConfig(seed=1), 0)
     assert failed.stage == "connecting" and len(captured) == 1
     first = list(asked)
     assert first
@@ -670,13 +670,40 @@ def test_every_pipeline_search_passes_the_names_the_benchmark_wraps(
         monkeypatch.setattr(module, "connect_one", naming(key, module.connect_one))
     for name in ("_pick_connect", "_direct_connect"):
         monkeypatch.setattr(connector, name, searching(getattr(connector, name)))
+    # On a dense host every unit meets the next in the direct arc, so the
+    # absorber makes no call; on G(400, .3, 2) one absorbee takes a plain
+    # core and its link is a search.
     host = gnp_generate(400, 0.5, 5)
     attacked = k3_attack(host, 0.05, 5).attacked
-    for g, gamma_host in ((gnp_generate(200, 0.5, 1), None), (attacked, host)):
+    for g, gamma_host in ((gnp_generate(400, 0.3, 2), None), (attacked, host)):
         find_square_ham(g, gamma_host=gamma_host, config=PipelineConfig(seed=0))
     assert calls["absorber"] > 0 and calls["hamiltonian"] > 0
     assert searches and all(len(names) == 1 for names in searches)
     assert {names[0] for names in searches} == {"absorber", "hamiltonian"}
+
+
+@pytest.mark.parametrize("n, p", [(200, 0.5), (400, 0.35), (800, 0.7)])
+def test_a_dense_absorber_is_its_units_end_to_end(monkeypatch, n, p) -> None:
+    # On a dense host each core is chained onto the one before, so the
+    # absorber needs no link: its walk is five vertices per absorbee.  A
+    # link search brought back into the dense absorber fails here.
+    built = []
+    build = hamiltonian.build_absorber
+
+    def building(*args, **kwargs):
+        out = build(*args, **kwargs)
+        built.append(out[0])
+        return out
+
+    monkeypatch.setattr(hamiltonian, "build_absorber", building)
+    for h in range(2):
+        g = gnp_generate(n, p, h)
+        for seed in range(3):
+            outcome = find_square_ham(g, config=PipelineConfig(seed=seed))
+            assert isinstance(outcome, Certificate)
+    assert built and None not in built
+    for a in built:
+        assert len(a.walk) == 5 * len(a.absorbees)
 
 
 def test_every_search_gets_its_pool_as_a_mask_that_len_counts(monkeypatch) -> None:
@@ -1084,9 +1111,12 @@ def test_attacked_hosts_get_a_witness_before_any_attempt(monkeypatch) -> None:
     assert not verify_witness(host, outcome.witness).ok
 
 
-# On G(200, .5, 0), seed 0 certifies at restart 0 and seed 15 at restart 1.
-# G(400, .3, 0) with seed 1 certifies at restart 0, with seed 0 at restart 4,
-# and with seed 2 fails all 8 restarts.
+# On G(200, .5, 3), seed 0 certifies at restart 0 and seed 15 at restart 1.
+# G(400, .3, 395) with seed 1 certifies at restart 0, with seed 0 at restart
+# 4, and with seed 2 fails all 8 restarts.
+RESTART_HOSTS = {(200, 0.5): 3, (400, 0.3): 395}
+
+
 @pytest.mark.parametrize(
     "n, p, seed, attempts",
     [(200, 0.5, 0, 1), (200, 0.5, 15, 2), (400, 0.3, 1, 1), (400, 0.3, 0, 5),
@@ -1095,7 +1125,7 @@ def test_attacked_hosts_get_a_witness_before_any_attempt(monkeypatch) -> None:
 def test_gnp_restarts_are_untouched_by_the_witness_search(
     monkeypatch, n, p, seed, attempts
 ) -> None:
-    g = gnp_generate(n, p, 0)
+    g = gnp_generate(n, p, RESTART_HOSTS[n, p])
     config = PipelineConfig(seed=seed)
     expected = []
     for restart in range(hamiltonian._RESTARTS):
