@@ -7,9 +7,11 @@ Submodules:
         triangle counts from one symmetric ``A·Aᵀ`` product (an attacked
         graph's square corrected from its host's on the attacked class's
         rows), family membership.
-    gadgets: the one square-path check, a loop on short sequences and a
-        gather on long ones, each naming its first fault from its one
-        pass; the connector's success check is it and the two ports.
+    gadgets: the one square-path check, a loop on short sequences and
+        the one distance-1/2 pair pass on long ones, each naming its first
+        fault from its one pass; the certificate check and the absorber
+        audit run the same pair pass, and the connector's success check is
+        the square-path check and the two ports.
     matching: Hall matching with a deficient-set witness, for the leftover.
     connector: pair-to-pair connection jobs over a reservoir, each one
         ``connect_one`` call whose plain arguments are the job (its two
@@ -19,8 +21,9 @@ Submodules:
         leave out; it is built from five-vertex units, each the star core
         one depth-first search per absorbee finds, chained onto the unit
         before so that the two meet with no link; only a unit whose chained
-        search failed is linked.  Chaining runs the one absorber audit, a
-        single pass over the walk, on every absorber it returns.
+        search failed is linked.  Chaining runs the one absorber audit on
+        every absorber it returns: the square-path check on the walk and
+        on the walk less its absorbees, and one spacing pass.
     hamiltonian: the end-to-end pipeline, brute-force oracle, certificates
         and checkable infeasibility witnesses.
     adversary: triangle-removal attacks, retention profiling, experiments.

@@ -37,7 +37,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .connector import connect_one
-from .gadgets import BULK_PATH_LEN, is_square_path
+from .gadgets import _first_gap, is_square_path
 from .graphcore import (
     Graph,
     InputError,
@@ -327,13 +327,12 @@ def verify_absorber(g: Graph, a: Absorber) -> AbsorberVerification:
 
     Valid means a square path in ``g`` with distinct vertices, spanning
     ``a.body()`` minus ``X'``, from ``a.entry`` to ``a.exit``.  The check is
-    exact for all ``2^|X|`` subsets in one pass over the walk: the walk is a
-    square path, and each absorbee, at place ``i`` of the walk,
+    exact for all ``2^|X|`` subsets in two square-path passes: the walk is
+    a square path, the walk less ``X`` is a square path, and each absorbee,
+    at place ``i`` of the walk,
 
     (a) sits in the walk, off its end pairs: ``2 <= i <= len(walk) - 3``;
-    (b) sits at least 3 places after the absorbee before it;
-    (c) has both bridge edges, ``walk[i-2] walk[i+1]`` and
-        ``walk[i-1] walk[i+2]``.
+    (b) sits at least 3 places after the absorbee before it.
 
     Sufficiency: ``absorb(a, X')`` is the walk less ``X'``, so its vertices
     are distinct, it spans the body less ``X'``, and by (a) it keeps both
@@ -342,24 +341,29 @@ def verify_absorber(g: Graph, a: Absorber) -> AbsorberVerification:
     them would, by (b), hold at least two kept vertices apart.  So they
     skip at most one absorbee and sit at most 3 places apart in the walk:
     within 2 they are adjacent because the walk is a square path, and at
-    3, around a skipped absorbee at ``i``, they are one of its two bridge
-    edges, which (c) checks.  Necessity: a walk that is no square path
-    fails ``X' = ()``; an absorbee on an end pair moves that pair, and a
-    missing bridge edge leaves a non-adjacent pair at distance 2, both in
-    ``X' = (x,)``.  Absorbees off the walk, out of walk order, repeated, or
-    closer than 3 places are rejected as structures the library never
-    builds: it puts five or more places between two absorbees.
+    3, around a skipped absorbee at ``i``, they are ``walk[i-2] walk[i+1]``
+    or ``walk[i-1] walk[i+2]``, its bridge edges.  By (b) no absorbee
+    sits within 2 places of ``i``, so both pairs are at distance 2 in the
+    walk less ``X``, and adjacent because it is a square path.
+    Necessity: a walk that is no square path fails ``X' = ()``; an
+    absorbee on an end pair moves that pair, and a missing bridge edge
+    leaves a non-adjacent pair at distance 2, both in ``X' = (x,)``.
+    Absorbees off the walk, out of walk order, repeated, or closer than 3
+    places are rejected as structures the library never builds: it puts
+    five or more places between two absorbees.
 
-    A walk of :data:`~squareham.gadgets.BULK_PATH_LEN` or more vertices
-    is read once, as one array: its range check, its square-path pass and
-    checks (a) to (c) for all absorbees at once, by gathers on
-    ``g.packed``, read that array, and only an absorber that fails is
-    walked absorbee by absorbee, to name its first fault.
+    The walk is read once, into the array that both passes read.  One
+    numpy pass over the absorbees' places finds the first that fails (a)
+    or (b).  The second square-path pass runs on the walk less the
+    absorbees before it, whose pairs are walk pairs and those absorbees'
+    bridge edges, in absorbee order, the first bridge before the second,
+    so its first gap names the first absorbee with a missing bridge edge.
 
     Returns:
         ``ok`` with ``subsets_checked == |X| + 1``, or the first fault with
         ``failure["subset"]`` set to ``()`` for a walk that is no square
-        path and ``(x,)`` for absorbee ``x`` failing (a), (b) or (c).
+        path and ``(x,)`` for absorbee ``x`` failing (a), (b) or a bridge
+        edge.
 
     Raises:
         InputError: If ``a`` is not an :class:`Absorber`, or its walk or
@@ -369,70 +373,47 @@ def verify_absorber(g: Graph, a: Absorber) -> AbsorberVerification:
     if not isinstance(a, Absorber):
         raise InputError(f"an absorber must be an Absorber, got {type(a).__name__}")
     # The walk is range-checked first, so an id of any size is rejected
-    # before anything is built from it.  A long walk is read once, into
-    # the array every bulk pass below reads; any other by check_vertices.
-    walk = a.walk
-    try:
-        ids = vertex_ids(walk) if len(walk) >= BULK_PATH_LEN else None
-    except TypeError:
-        ids = None
-    if ids is None or ids.min() < 0 or ids.max() >= g.n:
-        walk, ids = g.check_vertices(walk), None
+    # before anything is built from it.
+    n, ids = g.n, vertex_ids(a.walk)
+    if ids is None or len(ids) and (ids.min() < 0 or ids.max() >= n):
+        ids = vertex_ids(g.check_vertices(a.walk))
     xs = g.check_vertices(a.absorbees)
-    check = is_square_path(g, walk if ids is None else ids)
+    check = is_square_path(g, ids)
     if not check.ok:
         return AbsorberVerification(False, 1, {"subset": (), "reason": check.reason})
-    # A long walk has its absorbees checked in bulk too; the loop below
-    # names the first fault, on the walk read as plain ints.
-    if ids is not None:
-        if _absorbees_hold(g, ids, vertex_ids(xs)):
-            return AbsorberVerification(True, len(xs) + 1, None)
-        walk = ids.tolist()
-    place = {v: i for i, v in enumerate(walk)}
-    last = None
-    for k, x in enumerate(xs):
-        i = place.get(x)
-        if i is None:
+    # Each absorbee's place, -1 off the walk, and the first absorbee that
+    # fails (a) or (b); the bridge edges of those before it are checked by
+    # the pass on the walk less them.
+    k = len(ids)
+    place = np.full(n, -1)
+    place[ids] = np.arange(k)
+    at = place[vertex_ids(xs)]
+    bad = (at < 2) | (at > k - 3)
+    bad[1:] |= at[1:] < at[:-1] + 3
+    first = int(bad.argmax()) if bad.any() else len(xs)
+    keep = np.ones(k, bool)
+    keep[at[:first]] = False
+    rest = ids[keep]
+    gap = _first_gap(g, rest)
+    if gap is not None:
+        # A bridge edge, so at distance 2 around the absorbee j after rest[i].
+        i, d = gap
+        u, v = int(rest[i]), int(rest[i + d])
+        j = int(np.searchsorted(at[:first], place[u]))
+        fault = f"missing bridge edge ({u}, {v})"
+    elif first == len(xs):
+        return AbsorberVerification(True, len(xs) + 1, None)
+    else:
+        j, i = first, at[first]
+        if i < 0:
             fault = "absorbee not on the walk"
-        elif not 2 <= i <= len(walk) - 3:
+        elif not 2 <= i <= k - 3:
             fault = "absorbee on an end pair of the walk"
-        elif last is not None and i <= last:
+        elif i <= at[j - 1]:
             fault = "absorbee out of walk order or repeated"
-        elif last is not None and i < last + 3:
-            fault = "absorbee fewer than 3 places after the one before"
-        elif not g.has_edge(walk[i - 2], walk[i + 1]):
-            fault = f"missing bridge edge ({walk[i - 2]}, {walk[i + 1]})"
-        elif not g.has_edge(walk[i - 1], walk[i + 2]):
-            fault = f"missing bridge edge ({walk[i - 1]}, {walk[i + 2]})"
         else:
-            last = i
-            continue
-        return AbsorberVerification(False, k + 2, {"subset": (x,), "reason": fault})
-    return AbsorberVerification(True, len(xs) + 1, None)
-
-
-#: Offsets from an absorbee's place to the four walk vertices its bridge
-#: edges join.
-_AROUND = np.array([-2, -1, 1, 2])
-
-
-def _absorbees_hold(g: Graph, walk: np.ndarray, xs: np.ndarray) -> bool:
-    """Whether every absorbee of ``xs`` passes checks (a), (b) and (c) of
-    :func:`verify_absorber` on ``walk``, a square path of ``g``, by gathers
-    on ``g.packed``; ``False`` says only that some check fails."""
-    if not len(xs):
-        return True
-    place = np.full(g.n, -1)
-    place[walk] = np.arange(len(walk))
-    at = place[xs]
-    # Places at least 3 apart ascend, so the first is the least and the
-    # last the greatest, and an absorbee off the walk, at -1, fails (a).
-    if at[0] < 2 or at[-1] > len(walk) - 3 or (at[1:] < at[:-1] + 3).any():
-        return False
-    # Row k holds the walk at places i - 2, i - 1, i + 1 and i + 2 around
-    # absorbee k; its bridge edges pair the first two with the last two.
-    around = walk[at[:, None] + _AROUND]
-    return g.has_edges(around[:, :2], around[:, 2:]).all()
+            fault = "absorbee fewer than 3 places after the one before"
+    return AbsorberVerification(False, j + 2, {"subset": (xs[j],), "reason": fault})
 
 
 # -- serialization ------------------------------------------------------------

@@ -6,10 +6,13 @@ of a path.  A connection is one whose first two and last two vertices are
 two prescribed ordered host edges, its ports.
 
 :func:`is_square_path` is the one square-path check: a short sequence runs
-one loop, each entry against the two before it, and a long one one gather
-on the packed rows.  Either names the first fault from the pass that
-accepts a good sequence.  :func:`validate_embedding`, the connector's
-success check, is that check and then the two ports.
+one loop, each entry against the two before it, and a long one, or an
+``int64`` array, one pair pass.  The pair pass, :func:`_first_gap`, is the
+package's one gather of distance-1 and distance-2 pairs on the packed rows;
+the certificate check and the absorber audit run it too.  Each names the
+first fault from the pass that accepts a good sequence.
+:func:`validate_embedding`, the connector's success check, is that check
+and then the two ports.
 """
 
 from __future__ import annotations
@@ -42,13 +45,11 @@ def _missing_edge(u: int, v: int) -> ValidationResult:
     return ValidationResult(False, f"missing edge ({a}, {b})")
 
 
-#: Shortest sequence :func:`is_square_path` checks in bulk, by one gather
-#: on ``g.packed``, and shortest walk whose absorbees
-#: :func:`~squareham.absorber.verify_absorber` checks in bulk.  Warm, bulk
-#: and loop meet near 72 vertices, but in a solve the first numpy calls
-#: after pure Python cost more: bulk from 80 took a G(200, .7) audit from
-#: 130 to 185 us.  Interleaved solves did best from 160 to 320 (2-vCPU VM).
-#: The walks of G(200, .) absorbers fall below it, the larger ones above.
+#: Shortest sequence :func:`is_square_path` checks in bulk, by one pair
+#: pass on ``g.packed``.  Warm, bulk and loop meet near 72 vertices, but in
+#: a solve the first numpy calls after pure Python cost more: bulk from 80
+#: took a G(200, .7) audit from 130 to 185 us.  Interleaved solves did best
+#: from 160 to 320 (2-vCPU VM).
 BULK_PATH_LEN = 160
 
 
@@ -58,9 +59,9 @@ def is_square_path(g: Graph, seq: Sequence[int]) -> ValidationResult:
     The range check comes first, then repeats, then the pairs in position
     order, each entry against the next and then the one after, so the
     reason names the first missing one.  A sequence of
-    :data:`BULK_PATH_LEN` or more integers is checked by one gather, whose
-    per-pair result names the fault; a shorter one by one loop, which
-    tests each entry's type and range as it reads it.
+    :data:`BULK_PATH_LEN` or more integers, or an ``int64`` array of any
+    length, is checked by one pair pass, :func:`_first_gap`; a shorter one
+    by one loop, which tests each entry's type and range as it reads it.
 
     Raises:
         InputError: If ``seq`` is not a sequence of vertices of ``g``.
@@ -69,10 +70,19 @@ def is_square_path(g: Graph, seq: Sequence[int]) -> ValidationResult:
         check_graph(g)
     try:
         k = len(seq)
-        if k >= BULK_PATH_LEN:
-            ids = vertex_ids(seq)
-            if ids is not None:
-                return _bulk_square_path(g, ids)
+        bulk = k >= BULK_PATH_LEN or type(seq) is np.ndarray
+        if bulk and (ids := vertex_ids(seq)) is not None:
+            if k and (ids.min() < 0 or ids.max() >= g.n):
+                g.check_vertices(ids)
+            seen = np.zeros(g.n, bool)
+            seen[ids] = True
+            if np.count_nonzero(seen) != k:
+                return ValidationResult(False, "sequence repeats a vertex")
+            gap = _first_gap(g, ids)
+            if gap is None:
+                return _VALID
+            i, d = gap
+            return _missing_edge(int(ids[i]), int(ids[i + d]))
         if len(set(seq)) != k:
             return _read(g, seq, ValidationResult(False, "sequence repeats a vertex"))
         if k < 2:
@@ -110,27 +120,22 @@ def _read(g: Graph, seq: Sequence, result: ValidationResult) -> ValidationResult
     return result
 
 
-def _bulk_square_path(g: Graph, ids: np.ndarray) -> ValidationResult:
-    """:func:`is_square_path` on a sequence read as the ``int64`` array
-    ``ids``, in one pass."""
-    if ids.min() < 0 or ids.max() >= g.n:
-        g.check_vertices(ids)
-    seen = np.zeros(g.n, bool)
-    seen[ids] = True
-    if np.count_nonzero(seen) != len(ids):
-        return ValidationResult(False, "sequence repeats a vertex")
+def _first_gap(g: Graph, ids: np.ndarray) -> tuple[int, int] | None:
+    """The first place ``i`` and distance ``d`` at which ``ids[i]`` and
+    ``ids[i + d]`` are no edge of ``g``, ``d = 1`` before ``d = 2``, or
+    ``None``: one gather on ``g.packed`` for the vertex array ``ids``,
+    whose entries are not checked."""
     # Each entry against the next, then each against the one after that.
     found = g.has_edges(
         np.concatenate((ids[:-1], ids[:-2])), np.concatenate((ids[1:], ids[2:]))
     )
     if found.all():
-        return _VALID
+        return None
     # Column i holds entry i's pair at distance 1 over its pair at distance
     # 2 (the last column has none), so the first column with a miss is the
     # first fault's place.
-    i = np.append(found, 1).reshape(2, -1).min(axis=0).argmin()
-    d = 1 if found[i] == 0 else 2
-    return _missing_edge(int(ids[i]), int(ids[i + d]))
+    i = int(np.append(found, 1).reshape(2, -1).min(axis=0).argmin())
+    return i, 1 if found[i] == 0 else 2
 
 
 def read_ports(

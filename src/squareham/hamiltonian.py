@@ -25,7 +25,7 @@ from .absorber import (
     chain_absorbers,
 )
 from .connector import connect_one, direct_arc
-from .gadgets import ValidationResult, is_square_path
+from .gadgets import ValidationResult, _first_gap, is_square_path
 from .graphcore import (
     Graph,
     InputError,
@@ -223,8 +223,10 @@ def witness_from_json_obj(obj: Mapping) -> InfeasibilityWitness:
 def verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
     """Check that every cyclic distance-1 and distance-2 pair is an edge.
 
-    All pairs are tested by one gather on ``g.packed``, whose per-pair
-    result names the first missing one.
+    After the permutation check, the order with its first two entries
+    appended runs the square-path pair pass.  Its pairs are the cyclic
+    ones, position by position, and then the first pair once more, so its
+    first gap is the first missing edge.
 
     Args:
         g: Host graph.
@@ -254,16 +256,12 @@ def verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
         permutation = seen.all()
     if not permutation:
         raise InputError("certificate order must be a permutation of all vertices")
-    # Each vertex against its cyclic successors at distance 1 and 2.
-    ahead = np.concatenate((ids[1:], ids[:1], ids[2:], ids[:2]))
-    found = g.has_edges(np.concatenate((ids, ids)), ahead)
-    if found.all():
+    cyclic = np.concatenate((ids, ids[:2]))
+    gap = _first_gap(g, cyclic)
+    if gap is None:
         return CertificateCheck(True, None, None, None)
-    # Column i holds position i's pair at distance 1 over its pair at
-    # distance 2, so the first column with a miss is the first fault's.
-    i = int(found.reshape(2, n).min(axis=0).argmin())
-    d = 1 if found[i] == 0 else 2
-    u, v = int(ids[i]), int(ids[(i + d) % n])
+    i, d = gap
+    u, v = int(cyclic[i]), int(cyclic[i + d])
     return CertificateCheck(False, i, d, (min(u, v), max(u, v)))
 
 

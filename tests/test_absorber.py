@@ -177,9 +177,16 @@ def test_compositional_check_matches_subset_enumeration(draws) -> None:
         ((4, 4), None, 1, "repeated"),
         ((4,), (2, 5), 0, "missing bridge edge (2, 5)"),
         ((2, 6), (5, 8), 1, "missing bridge edge (5, 8)"),
+        # A bridge is checked on the walk less the absorbees before the
+        # first that fails a place or spacing check, so these name the
+        # first fault in absorbee order too.
+        ((4, 5), (2, 5), 0, "missing bridge edge (2, 5)"),
+        ((1, 5), (3, 6), 0, "end pair"),
+        ((3, 6), (4, 7), 1, "missing bridge edge (4, 7)"),
     ],
     ids=["off-walk", "at-the-entry", "at-the-exit", "too-close", "out-of-order",
-         "repeated", "bridge", "second-bridge"],
+         "repeated", "bridge", "second-bridge", "bridge-then-too-close",
+         "end-then-bridge", "three-apart-bridge"],
 )
 def test_the_audit_names_each_rejection(absorbees, cut, k, reason) -> None:
     host = complete_graph(13)
@@ -736,16 +743,17 @@ FAULTS_ON_A_LONG_WALK = {
 @pytest.mark.parametrize("cut", [None, (-2, 1), (-1, 2)], ids=["whole", "cut2", "cut1"])
 def test_the_bulk_audit_names_what_the_loop_names(fault, cut) -> None:
     # On a host holding every pair but at most one bridge edge, only the
-    # place, spacing and bridge checks can fail.
-    k = BULK_PATH_LEN + 10
-    walk, places = _long_absorber(k)
-    places = FAULTS_ON_A_LONG_WALK[fault](k, places)
-    g = complete_graph(k + 1)
-    if cut is not None:
-        i = places[len(places) // 2]
-        g = g.remove_edges([(walk[i + cut[0]], walk[i + cut[1]])])
-    a = Absorber(tuple(walk), tuple(walk[i] for i in places))
-    assert verify_absorber(g, a) == looped_verify_absorber(g, a)
-    for xs in ((walk[2], k), (k, walk[8])):
-        off = Absorber(tuple(walk), xs)
-        assert verify_absorber(g, off) == looped_verify_absorber(g, off)
+    # place, spacing and bridge checks can fail.  The audit has one path,
+    # so a walk below the square-path check's bulk length is run too.
+    for k in (40, BULK_PATH_LEN + 10):
+        walk, places = _long_absorber(k)
+        places = FAULTS_ON_A_LONG_WALK[fault](k, places)
+        g = complete_graph(k + 1)
+        if cut is not None:
+            i = places[len(places) // 2]
+            g = g.remove_edges([(walk[i + cut[0]], walk[i + cut[1]])])
+        a = Absorber(tuple(walk), tuple(walk[i] for i in places))
+        assert verify_absorber(g, a) == looped_verify_absorber(g, a)
+        for xs in ((walk[2], k), (k, walk[8])):
+            off = Absorber(tuple(walk), xs)
+            assert verify_absorber(g, off) == looped_verify_absorber(g, off)

@@ -215,14 +215,33 @@ def test_each_check_names_its_first_fault_from_its_one_pass() -> None:
     # second time to name a fault, and one loop checks a short square path.
     for gone in ("_short_connection_holds", "_square_path_holds", "_BIT", "has_edges"):
         assert not hasattr(gadgets, gone)
-    assert _library_callers({"has_edges"}) == {
-        "gadgets._bulk_square_path",
-        "absorber._absorbees_hold",
+    # One pair pass gathers the distance-1 and distance-2 pairs, for the
+    # square-path check, the certificate check and the absorber audit.
+    assert _library_callers({"has_edges"}) == {"gadgets._first_gap"}
+    assert _library_callers({"_first_gap"}) == {
+        "gadgets.is_square_path",
+        "absorber.verify_absorber",
         "hamiltonian.verify_certificate",
     }
+    assert not hasattr(gadgets, "_bulk_square_path")
     # validate_embedding is is_square_path and the two ports.
     assert _library_callers({"is_square_path"}) >= {"gadgets.validate_embedding"}
-    assert _library_callers({"_bulk_square_path"}) == {"gadgets.is_square_path"}
+
+
+def test_the_absorber_audit_has_one_path_for_every_walk_length() -> None:
+    # The audit reads the walk once and runs the pair pass on it and on the
+    # walk less its absorbees; the bulk cut-over is the square-path check's.
+    for gone in ("_absorbees_hold", "_AROUND"):
+        assert not hasattr(absorber, gone)
+    def names(src: str) -> set[str]:
+        tree = ast.parse(src)
+        read = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(tree)}
+        return read | _imported_modules_and_names(tree)
+
+    path = Path(squareham.__file__).parent / "absorber.py"
+    assert "BULK_PATH_LEN" not in names(path.read_text(encoding="utf-8"))
+    for src in ("gadgets.BULK_PATH_LEN", "from .gadgets import BULK_PATH_LEN"):
+        assert "BULK_PATH_LEN" in names(src), src
 
 
 def test_the_rows_are_packed_once_per_graph() -> None:
