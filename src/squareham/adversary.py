@@ -435,7 +435,7 @@ def _experiment_one_seed(args) -> dict:
     v1_destroyed = np.sort(destroyed[v1]) if v1 else np.zeros(0)
     prune_threshold = math.ceil(EXPERIMENT_CHECKS["prune_eps"] * n * p * p)
     pruned = _prune_on_square(attack.attacked, sq, prune_threshold)
-    min_deg_after = min((r.bit_count() for r in pruned.rows), default=0)
+    min_deg_after = int(pruned.degrees.min()) if n else 0
     record = {
         "seed": seed,
         "v1_size": len(v1),

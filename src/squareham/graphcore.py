@@ -43,8 +43,13 @@ Seeded randomness follows one rule: numpy for bulk draws, SplitMix64 per
 pick.  Permutations, G(n, p) rows and experiment samples come
 from a numpy generator made by :func:`rng_for`.  A search that picks one
 vertex at a time turns each draw of a :func:`splitmix64` stream into a
-candidate with :func:`pick_bit`, with no numpy call per pick; that pick is
-not uniform over the candidates (:func:`pick_bit` gives its odds).
+candidate with :func:`pick_bit`.  The stream makes one numpy call per
+block of draws, not one per pick, after a short head of scalar draws, and
+a pick reads the next draw from a list; that pick is not uniform over the
+candidates (:func:`pick_bit` gives its odds).
+
+Each graph counts its degrees once, when it is built, from the rows it is
+built on (:attr:`Graph.degrees`); the edge count is their half-sum.
 """
 
 from __future__ import annotations
@@ -145,16 +150,50 @@ def rng_for(seed: int, *salt: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(salt)))
 
 
+#: Draws :func:`splitmix64` mixes one at a time before its first block.  A
+#: block costs 8 to 11 us of numpy calls whatever its size, the cost of
+#: about 20 scalar draws; most connector streams stop within 32 draws, and
+#: a cover stream runs to hundreds.
+_SCALAR_DRAWS = 32
+
+#: Draws in :func:`splitmix64`'s first block; each next block doubles, up
+#: to :data:`_BLOCK_CAP`, so a failing sparse search that draws for a long
+#: time holds at most one list of that many ints.
+_FIRST_BLOCK = 64
+_BLOCK_CAP = 4096
+
+
 def splitmix64(seed: int) -> Iterator[int]:
     """The SplitMix64 stream of 64-bit draws seeded by ``seed`` modulo 2^64
-    (Steele, Lea and Flood 2014)."""
-    m64 = (1 << 64) - 1
+    (Steele, Lea and Flood 2014).
+
+    Draw ``i`` (from 1) mixes ``seed + i * gamma`` modulo 2^64, so a run of
+    draws is one vectorised mix.  The first :data:`_SCALAR_DRAWS` are mixed
+    one at a time on Python ints, for the short streams; after them each
+    block is mixed at once in wrapping ``uint64`` arithmetic and handed out
+    from a list of Python ints.  Either way the stream is the same.
+    """
+    gamma, m64 = 0x9E3779B97F4A7C15, (1 << 64) - 1
+    mul1, mul2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
     state = seed & m64
-    while True:
-        state = state + 0x9E3779B97F4A7C15 & m64
-        z = (state ^ state >> 30) * 0xBF58476D1CE4E5B9 & m64
-        z = (z ^ z >> 27) * 0x94D049BB133111EB & m64
+    for _ in range(_SCALAR_DRAWS):
+        state = state + gamma & m64
+        z = (state ^ state >> 30) * mul1 & m64
+        z = (z ^ z >> 27) * mul2 & m64
         yield z ^ z >> 31
+    size = _FIRST_BLOCK
+    while True:
+        z = np.arange(1, size + 1, dtype=np.uint64)
+        z *= gamma
+        z += state
+        z ^= z >> 30
+        z *= mul1
+        z ^= z >> 27
+        z *= mul2
+        z ^= z >> 31
+        yield from z.tolist()
+        state = state + size * gamma & m64
+        size = min(2 * size, _BLOCK_CAP)
 
 
 #: Most bytes of packed rows :meth:`Graph.is_subgraph_of` compares at once.
@@ -177,14 +216,15 @@ class Graph:
     with one flag per pair.
     :attr:`matrix`, unpacked from it, serves BLAS.  Both bulk views are
     built once, on first use, and cached; a generated graph holds its
-    packed view from birth.  :meth:`neighbors` builds a fresh frozenset per
+    packed view from birth.  :attr:`degrees` is counted from the rows when
+    the graph is built.  :meth:`neighbors` builds a fresh frozenset per
     call and is meant for tests and cold paths.  ``Graph(n, edges)``
     validates outside edges; derived graphs are built from the parent's
     rows without re-validating them.  Instances are safe to share across
     threads.
     """
 
-    __slots__ = ("n", "_rows", "_edge_count", "_matrix", "_packed")
+    __slots__ = ("n", "_rows", "_degrees", "_edge_count", "_matrix", "_packed")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         n = check_vertex_count("vertex count", n)
@@ -221,7 +261,10 @@ class Graph:
     ) -> None:
         self.n = len(rows)
         self._rows = rows
-        self._edge_count = sum(r.bit_count() for r in rows) // 2
+        degrees = np.fromiter(map(int.bit_count, rows), np.intp, self.n)
+        degrees.flags.writeable = False
+        self._degrees = degrees
+        self._edge_count = int(degrees.sum()) // 2
         self._matrix: np.ndarray | None = None
         if packed is not None:
             packed.flags.writeable = False
@@ -232,6 +275,12 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return self._edge_count
+
+    @property
+    def degrees(self) -> np.ndarray:
+        """The degree of every vertex, a read-only ``intp`` array counted
+        once, when the graph is built."""
+        return self._degrees
 
     @property
     def rows(self) -> tuple[int, ...]:
@@ -493,16 +542,41 @@ _MASK_OFFSET = 64
 _MASK_ONE = 1 << _MASK_OFFSET
 
 
+#: Entries from which :func:`mask_of` builds a list's or tuple's mask in
+#: numpy.  Each OR of the loop copies the mask so far, so the loop costs the
+#: entry count times the mask's width; the numpy pass costs the width once,
+#: plus about 10 us of calls.  They cross between 150 and 200 entries
+#: (11 to 13 us each at widths of 200 to 2,000; 900 ids below 2,000 take
+#: 87 us looped and 31 us in numpy).
+_MASK_BULK_IDS = 160
+
+
 def mask_of(vs: Iterable[int]) -> int:
     """The bitset with bit ``v`` set for every ``v`` in ``vs``; an entry
     that does not shift as a plain int is read by :func:`check_ints`.  Only
     library code calls it, with plain ints, so no entry's type is tested
-    and a ``bool`` is read as an int.
+    and a ``bool`` is read as an int.  A list or tuple of at least
+    :data:`_MASK_BULK_IDS` entries that :func:`vertex_ids` reads, none
+    negative, is scattered into a byte per vertex up to its largest entry
+    and packed, in time linear in that width; anything else takes the loop.
 
     Raises:
         InputError: If ``vs`` is not iterable or an entry is not a
             non-negative integer small enough to shift by.
     """
+    if (type(vs) is list or type(vs) is tuple) and len(vs) >= _MASK_BULK_IDS:
+        ids = vertex_ids(vs)
+        # A bool, a negative entry or one too large to allocate a byte up to
+        # goes to the loop, which reads or rejects it as it always has.
+        if ids is not None and ids.min() >= 0:
+            try:
+                flags = np.zeros(int(ids.max()) + 1, np.uint8)
+            except MemoryError:
+                pass
+            else:
+                flags[ids] = 1
+                packed = np.packbits(flags, bitorder="little")
+                return int.from_bytes(packed.tobytes(), "little")
     # A shift too large to allocate raises MemoryError, and a larger one
     # OverflowError.
     mask, one, v = 0, _MASK_ONE, vs

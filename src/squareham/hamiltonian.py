@@ -319,7 +319,8 @@ def find_infeasibility_witness(g: Graph) -> InfeasibilityWitness | None:
     as the alive vertices could no longer lift it past that.  ``None``
     proves nothing.
 
-    The alive degrees sit in one vector, started from the row popcounts
+    The alive degrees sit in one vector, started from a copy of the row
+    popcounts the graph counted when it was built (:attr:`Graph.degrees`),
     and kept up to date as vertices die.  Once a kill leaves the bound
     reachable, either the alive rows are recounted, each ANDed with the
     alive set and popcounted, or the column sums of the dying rows are
@@ -341,7 +342,7 @@ def find_infeasibility_witness(g: Graph) -> InfeasibilityWitness | None:
     if n < 3:
         return None
     rows = g.rows
-    degrees = np.fromiter(map(int.bit_count, rows), np.intp, n)
+    degrees = g.degrees.copy()
     if n >= 5:
         low = np.flatnonzero(degrees < 4)
         if low.size:
@@ -846,7 +847,7 @@ def _attempt(
     xs = bits(x_mask)
     perm = rng_for(seed0, 59).permutation(len(xs))
     k1 = math.floor(_ANCHOR_SHARE * len(xs))
-    x1 = mask_of(xs[int(i)] for i in perm[:k1])
+    x1 = mask_of([xs[i] for i in perm[:k1].tolist()])
     if stragglers.bit_count() > k1:
         return FailureReport(
             "covering",

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis.strategies import (
+    booleans,
     data,
     floats,
     integers,
     just,
     lists,
+    one_of,
     sets,
     tuples,
 )
@@ -44,17 +46,20 @@ from squareham.graphcore import (
     triangle_profile,
 )
 from squareham.absorber import Absorber, build_single_absorbers
+from squareham.adversary import k3_attack
 from squareham.connector import connect_one
 from squareham.hamiltonian import (
     Certificate,
     InfeasibilityWitness,
     almost_spanning_square_path,
     cover_with_square_paths,
+    find_infeasibility_witness,
     find_square_ham,
     match_leftover,
     verify_witness,
 )
 
+from oracles import looped_mask_of, scalar_splitmix64
 from strategies import gnp_graphs, seeds
 
 
@@ -216,6 +221,27 @@ def test_splitmix64_gives_the_reference_outputs() -> None:
     expected = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
     for seed in (0, 2**64):
         assert list(itertools.islice(splitmix64(seed), 3)) == expected
+
+
+#: Draws the block stream is checked over, and the seeds: small ones, the
+#: middle and the top of the 64-bit range, one above it, and the cover's
+#: ``64 * seed + 47``.
+STREAM_DRAWS = 20_000
+STREAM_SEEDS = (0, 1, 47, 2**63, 2**64 - 1, 2**64 + 5, 64 * 10**12 + 47)
+
+
+def test_splitmix64_blocks_replay_the_scalar_stream() -> None:
+    # The scalar draws, then blocks doubling up to the cap: the draws
+    # checked cross every boundary, the cap's included, more than once.
+    ends, size = [graphcore._SCALAR_DRAWS], graphcore._FIRST_BLOCK
+    while ends[-1] + size <= STREAM_DRAWS:
+        ends.append(ends[-1] + size)
+        size = min(2 * size, graphcore._BLOCK_CAP)
+    assert ends[-1] - ends[-3] == 2 * graphcore._BLOCK_CAP
+    for seed in STREAM_SEEDS:
+        got = list(itertools.islice(splitmix64(seed), STREAM_DRAWS))
+        assert got == list(itertools.islice(scalar_splitmix64(seed), STREAM_DRAWS))
+        assert {type(d) for d in got} == {int}
 
 
 @given(integers(min_value=1, max_value=50))
@@ -618,6 +644,47 @@ def test_pick_bit_is_the_lowest_listed_bit_at_or_above_the_offset(
     assert counts == {v: v - prev for prev, v in zip([-1, *listed], listed)}
 
 
+#: Entries the numpy pass of ``mask_of`` must hand to the loop: a bool, a
+#: float, negatives, ints past 64 bits, and one that fits 64 bits but is too
+#: large to allocate a byte up to.
+ODD_MASK_ENTRIES = (True, False, 1.5, -1, -7, 2**62, 2**63, 2**64 + 3)
+
+
+@given(
+    integers(min_value=0, max_value=400).flatmap(
+        lambda k: lists(integers(min_value=0, max_value=3000), min_size=k, max_size=k)
+    ),
+    one_of(just(None), *(just(v) for v in ODD_MASK_ENTRIES)),
+    integers(min_value=0, max_value=400),
+    booleans(),
+    booleans(),
+)
+def test_mask_of_matches_the_loop_on_both_paths(
+    vs: list[int], odd, at: int, numpy_ints: bool, as_tuple: bool
+) -> None:
+    if numpy_ints:
+        vs = [np.int64(v) for v in vs]
+    if odd is not None:
+        vs = [*vs[:at], odd, *vs[at:]]
+    seq = tuple(vs) if as_tuple else vs
+    try:
+        expected = looped_mask_of(seq)
+    except InputError as err:
+        expected = f"InputError: {err}"
+    # Force each path in turn: the loop, and the numpy pass from one entry.
+    cutoff = graphcore._MASK_BULK_IDS
+    try:
+        for forced in (cutoff, 1, 10**9):
+            graphcore._MASK_BULK_IDS = forced
+            try:
+                got = mask_of(seq)
+            except InputError as err:
+                got = f"InputError: {err}"
+            assert got == expected, forced
+    finally:
+        graphcore._MASK_BULK_IDS = cutoff
+
+
 def test_masks_reject_negative_vertices() -> None:
     with pytest.raises(InputError):
         mask_of([3, -1])
@@ -768,6 +835,31 @@ def test_the_packed_view_is_the_rows_packed_on_every_graph(n, p, seed) -> None:
         assert (g.packed == packed_rows(g.rows, g.n)).all()
         unpacked = np.unpackbits(g.packed, axis=1, count=g.n, bitorder="little")
         assert (g.matrix == unpacked.view(bool)).all()
+
+
+@given(integers(0, 40), floats(0, 1), integers(0, 2**31 - 1))
+def test_degrees_are_the_row_popcounts_on_every_graph(n, p, seed) -> None:
+    generated = gnp_generate(n, p, seed)
+    built = Graph(n, generated.edges())
+    attacked = k3_attack(generated, 0.1, seed).attacked
+    for g in [generated, built, attacked, *_derived_graphs(generated, seed)]:
+        assert g.degrees.dtype == np.intp
+        assert g.degrees.tolist() == [r.bit_count() for r in g.rows]
+        assert g.edge_count == len(g.edges())
+        with pytest.raises(ValueError, match="read-only"):
+            g.degrees[:] = 0
+        with pytest.raises(AttributeError):
+            g.degrees = np.zeros(n, np.intp)
+
+
+@pytest.mark.parametrize("n, p, seed", [(120, 0.3, 2), (300, 0.5, 3)])
+def test_the_witness_search_leaves_the_degree_vector_as_it_was(n, p, seed) -> None:
+    # The search counts the alive degrees down in its own copy.
+    host = gnp_generate(n, p, seed)
+    for g in (host, k3_attack(host, 0.1, 5).attacked):
+        before = g.degrees.tolist()
+        find_infeasibility_witness(g)
+        assert g.degrees.tolist() == before
 
 
 def test_a_generated_graph_holds_its_packed_view_from_birth(monkeypatch) -> None:

@@ -169,9 +169,9 @@ def test_the_matrix_product_guard_sees_every_spelling() -> None:
     assert len(_matrix_products(ast.parse(graphcore.read_text(encoding="utf-8")))) == 1
 
 
-def _callers(tree: ast.AST, names: set[str]) -> set[str]:
+def _scopes_where(tree: ast.AST, matches) -> set[str]:
     """Names of the innermost functions (``Class.method`` for methods) whose
-    bodies call one of ``names``, by bare name or as an attribute."""
+    bodies hold a node for which ``matches`` is true."""
     found: set[str] = set()
 
     def visit(node: ast.AST, scope: str) -> None:
@@ -179,15 +179,22 @@ def _callers(tree: ast.AST, names: set[str]) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = getattr(func, "id", None) or getattr(func, "attr", None)
-                if name in names:
-                    found.add(scope or "<module>")
+            if matches(child):
+                found.add(scope or "<module>")
             visit(child, scope)
 
     visit(tree, "")
     return found
+
+
+def _callers(tree: ast.AST, names: set[str]) -> set[str]:
+    """Names of the innermost functions (``Class.method`` for methods) whose
+    bodies call one of ``names``, by bare name or as an attribute."""
+    return _scopes_where(
+        tree,
+        lambda node: isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in names,
+    )
 
 
 def _library_callers(names: set[str]) -> set[str]:
@@ -259,7 +266,79 @@ def test_the_rows_are_packed_once_per_graph() -> None:
         if isinstance(n, ast.Assign) and [t.id for t in n.targets] == ["__slots__"]
     ]
     # The rows and what they fix at birth, then the two caches.
-    assert set(slots) - {"n", "_rows", "_edge_count"} == {"_matrix", "_packed"}
+    birth = {"n", "_rows", "_degrees", "_edge_count"}
+    assert set(slots) - birth == {"_matrix", "_packed"}
+
+
+#: Names under which a graph's row tuple is read.
+ROW_TUPLES = {"rows", "_rows"}
+
+
+def _names_rows(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Name) and node.id in ROW_TUPLES) or (
+        isinstance(node, ast.Attribute) and node.attr in ROW_TUPLES
+    )
+
+
+def _popcounts_rows(node: ast.AST) -> bool:
+    """Whether ``node`` is ``map(int.bit_count, rows)``, or a comprehension
+    over ``rows`` or ``<x>.rows`` whose element is its target's
+    ``bit_count()``."""
+    if _called(node, "map") and len(node.args) == 2:
+        func, seq = node.args
+        return getattr(func, "attr", None) == "bit_count" and _names_rows(seq)
+    if isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+        elt = node.elt
+        return any(
+            _names_rows(gen.iter)
+            and _called(elt, "bit_count")
+            and isinstance(elt.func, ast.Attribute)
+            and isinstance(elt.func.value, ast.Name)
+            and isinstance(gen.target, ast.Name)
+            and elt.func.value.id == gen.target.id
+            for gen in node.generators
+        )
+    return False
+
+
+def _row_popcounts(tree: ast.AST) -> set[str]:
+    """Scopes (as :func:`_callers` names them) that popcount every row of a
+    row tuple."""
+    return _scopes_where(tree, _popcounts_rows)
+
+
+def test_degrees_are_counted_once_when_a_graph_is_built() -> None:
+    # Graph keeps its degree vector from construction; a second pass that
+    # popcounts every row cost the witness search 84 of its 196 us on
+    # G(800, .5).  The CLI is the outside and may count as it likes.
+    found = {
+        f"{path.stem}.{scope}"
+        for path in MODULES
+        if path.name != "cli.py"
+        for scope in _row_popcounts(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {"graphcore.Graph._set_rows"}
+
+
+def test_the_row_popcount_guard_sees_every_spelling() -> None:
+    flagged = (
+        "d = np.fromiter(map(int.bit_count, rows), np.intp, n)",
+        "m = sum(r.bit_count() for r in rows) // 2",
+        "low = min(r.bit_count() for r in g.rows)",
+        "ds = [r.bit_count() for r in self._rows]",
+        "def f(g):\n    return max(map(int.bit_count, g.rows))",
+    )
+    for src in flagged:
+        assert _row_popcounts(ast.parse(src)), src
+    quiet = (
+        "e = sum((rows[u] & s).bit_count() for u in bits(s)) // 2",
+        "d = rows[v].bit_count()",
+        "k = mask.bit_count()",
+        "ds = [m.bit_count() for m in masks]",
+        "d = g.degrees.copy()",
+    )
+    for src in quiet:
+        assert _row_popcounts(ast.parse(src)) == set(), src
 
 
 def test_connect_one_is_the_only_length_sweep() -> None:
