@@ -542,41 +542,16 @@ _MASK_OFFSET = 64
 _MASK_ONE = 1 << _MASK_OFFSET
 
 
-#: Entries from which :func:`mask_of` builds a list's or tuple's mask in
-#: numpy.  Each OR of the loop copies the mask so far, so the loop costs the
-#: entry count times the mask's width; the numpy pass costs the width once,
-#: plus about 10 us of calls.  They cross between 150 and 200 entries
-#: (11 to 13 us each at widths of 200 to 2,000; 900 ids below 2,000 take
-#: 87 us looped and 31 us in numpy).
-_MASK_BULK_IDS = 160
-
-
 def mask_of(vs: Iterable[int]) -> int:
     """The bitset with bit ``v`` set for every ``v`` in ``vs``; an entry
     that does not shift as a plain int is read by :func:`check_ints`.  Only
     library code calls it, with plain ints, so no entry's type is tested
-    and a ``bool`` is read as an int.  A list or tuple of at least
-    :data:`_MASK_BULK_IDS` entries that :func:`vertex_ids` reads, none
-    negative, is scattered into a byte per vertex up to its largest entry
-    and packed, in time linear in that width; anything else takes the loop.
+    and a ``bool`` is read as an int.
 
     Raises:
         InputError: If ``vs`` is not iterable or an entry is not a
             non-negative integer small enough to shift by.
     """
-    if (type(vs) is list or type(vs) is tuple) and len(vs) >= _MASK_BULK_IDS:
-        ids = vertex_ids(vs)
-        # A bool, a negative entry or one too large to allocate a byte up to
-        # goes to the loop, which reads or rejects it as it always has.
-        if ids is not None and ids.min() >= 0:
-            try:
-                flags = np.zeros(int(ids.max()) + 1, np.uint8)
-            except MemoryError:
-                pass
-            else:
-                flags[ids] = 1
-                packed = np.packbits(flags, bitorder="little")
-                return int.from_bytes(packed.tobytes(), "little")
     # A shift too large to allocate raises MemoryError, and a larger one
     # OverflowError.
     mask, one, v = 0, _MASK_ONE, vs

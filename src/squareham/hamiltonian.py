@@ -847,7 +847,7 @@ def _attempt(
     xs = bits(x_mask)
     perm = rng_for(seed0, 59).permutation(len(xs))
     k1 = math.floor(_ANCHOR_SHARE * len(xs))
-    x1 = mask_of([xs[i] for i in perm[:k1].tolist()])
+    x1 = mask_of(xs[int(i)] for i in perm[:k1])
     if stragglers.bit_count() > k1:
         return FailureReport(
             "covering",

@@ -6,16 +6,13 @@ draw.  The looped checks are the checks as they were before each became one
 pass over a precomputed table or a bulk pass over the packed rows, whose
 per-pair result names the first fault; the current ones must return the
 same result, the same first fault and the same message.  The scalar
-SplitMix64 and the looped mask are the stream and the mask builder as they
-were before each was computed in numpy blocks; the current ones must give
-the same draws, the same mask and the same error.
+SplitMix64 is the stream as it was before it was computed in numpy blocks;
+the current one must give the same draws.
 """
-
-import itertools
 
 from squareham.absorber import Absorber, AbsorberVerification
 from squareham.gadgets import ValidationResult
-from squareham.graphcore import Graph, InputError, check_ints
+from squareham.graphcore import Graph
 from squareham.hamiltonian import Certificate, CertificateCheck
 
 
@@ -29,23 +26,6 @@ def scalar_splitmix64(seed: int):
         z = (state ^ state >> 30) * 0xBF58476D1CE4E5B9 & m64
         z = (z ^ z >> 27) * 0x94D049BB133111EB & m64
         yield z ^ z >> 31
-
-
-def looped_mask_of(vs) -> int:
-    """``mask_of`` by one shift and OR per entry, offset by 64 places so
-    that a numpy integer raises instead of wrapping; an entry that does not
-    shift as a plain int sends the rest through ``check_ints``."""
-    mask, one, v = 0, 1 << 64, vs
-    try:
-        for v in vs:
-            mask |= one << v
-    except (TypeError, ValueError, OverflowError, MemoryError):
-        if type(v) is int:
-            message = f"vertices must be non-negative integers, got {v!r}"
-            raise InputError(message) from None
-        rest = vs if v is vs else itertools.chain((v,), vs)
-        mask |= looped_mask_of(check_ints("a vertex", rest)) << 64
-    return mask >> 64
 
 
 def square_path_edge_oracle(length: int) -> set[tuple[int, int]]:

@@ -9,13 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis.strategies import (
-    booleans,
     data,
     floats,
     integers,
     just,
     lists,
-    one_of,
     sets,
     tuples,
 )
@@ -59,7 +57,7 @@ from squareham.hamiltonian import (
     verify_witness,
 )
 
-from oracles import looped_mask_of, scalar_splitmix64
+from oracles import scalar_splitmix64
 from strategies import gnp_graphs, seeds
 
 
@@ -642,47 +640,6 @@ def test_pick_bit_is_the_lowest_listed_bit_at_or_above_the_offset(
     # gap above the next lower bit.
     counts = Counter(pick_bit(mask, d) for d in range(draw, draw + width))
     assert counts == {v: v - prev for prev, v in zip([-1, *listed], listed)}
-
-
-#: Entries the numpy pass of ``mask_of`` must hand to the loop: a bool, a
-#: float, negatives, ints past 64 bits, and one that fits 64 bits but is too
-#: large to allocate a byte up to.
-ODD_MASK_ENTRIES = (True, False, 1.5, -1, -7, 2**62, 2**63, 2**64 + 3)
-
-
-@given(
-    integers(min_value=0, max_value=400).flatmap(
-        lambda k: lists(integers(min_value=0, max_value=3000), min_size=k, max_size=k)
-    ),
-    one_of(just(None), *(just(v) for v in ODD_MASK_ENTRIES)),
-    integers(min_value=0, max_value=400),
-    booleans(),
-    booleans(),
-)
-def test_mask_of_matches_the_loop_on_both_paths(
-    vs: list[int], odd, at: int, numpy_ints: bool, as_tuple: bool
-) -> None:
-    if numpy_ints:
-        vs = [np.int64(v) for v in vs]
-    if odd is not None:
-        vs = [*vs[:at], odd, *vs[at:]]
-    seq = tuple(vs) if as_tuple else vs
-    try:
-        expected = looped_mask_of(seq)
-    except InputError as err:
-        expected = f"InputError: {err}"
-    # Force each path in turn: the loop, and the numpy pass from one entry.
-    cutoff = graphcore._MASK_BULK_IDS
-    try:
-        for forced in (cutoff, 1, 10**9):
-            graphcore._MASK_BULK_IDS = forced
-            try:
-                got = mask_of(seq)
-            except InputError as err:
-                got = f"InputError: {err}"
-            assert got == expected, forced
-    finally:
-        graphcore._MASK_BULK_IDS = cutoff
 
 
 def test_masks_reject_negative_vertices() -> None:
