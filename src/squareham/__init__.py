@@ -16,7 +16,7 @@ Submodules:
     connector: pair-to-pair connection jobs over a reservoir, each one
         ``connect_one`` call whose plain arguments are the job (its two
         ports, its reservoir and its longest length), served shortest
-        first.
+        first: the direct arc off the port rows, then one search per length.
     absorber: an absorber is one square path and the absorbees it may
         leave out; it is built from five-vertex units, each the star core
         one depth-first search per absorbee finds, chained onto the unit

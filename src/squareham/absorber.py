@@ -237,18 +237,18 @@ def chain_absorbers(
         raise InputError("an absorber needs at least one unit")
     body = 0
     n = g.n
+    read = []
     for unit in units:
         try:
             u1, u2, x, v1, v2 = unit
             plain = type(u1) is type(u2) is type(x) is type(v1) is type(v2) is int
         except (TypeError, ValueError):
             plain = False
-        if not plain:
-            units = [check_ints("a unit vertex", unit) for unit in units]
-            for unit in units:
-                if len(unit) != 5:
-                    raise InputError(f"a unit is five vertices, got {len(unit)}")
-            return chain_absorbers(g, units, pool, seed)
+        if not plain:  # plain ints need no call
+            unit = check_ints("a unit vertex", unit)
+            if len(unit) != 5:
+                raise InputError(f"a unit is five vertices, got {len(unit)}")
+            u1, u2, x, v1, v2 = unit
         # The range check comes first, so no bit is built from a huge id.
         if not (0 <= min(unit) and max(unit) < n):
             g.check_vertices(unit)
@@ -256,6 +256,8 @@ def chain_absorbers(
         if body & more:
             raise InputError("units to chain must be pairwise disjoint")
         body |= more
+        read.append(unit)
+    units = read
     walk = list(units[0])
     free = pool & ~body
     rows = g.rows

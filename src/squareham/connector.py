@@ -2,11 +2,11 @@
 
 A connection job is the plain arguments of :func:`connect_one`: its ports,
 two prescribed ordered host edges, its reservoir, and the longest square
-path it accepts.  It is served shortest first.  Length 4, the direct arc
-(:func:`direct_arc` tests it on its own), is read off the port rows;
-lengths 5 and 6 are one or two picks from masks of the reservoir; from 7
-on each length is one seeded backtracking search that fills the interior
-position by position, exhaustive below its node budget, ``NODE_BUDGET``.
+path it accepts.  It is served shortest first, by two routes.  Length 4,
+the direct arc (:func:`direct_arc` tests it on its own), is read off the
+port rows; each longer length is one seeded backtracking search that fills
+the interior position by position, exhaustive below its node budget,
+``NODE_BUDGET``.
 
 The reservoir and the pool, the reservoir less the ports, are ``int``
 bitsets (bit ``v`` set for vertex ``v``); no vertex set is ever listed.
@@ -79,17 +79,12 @@ def direct_arc(g: Graph, frm: tuple[int, int], to: tuple[int, int]) -> bool:
     edges of the length-4 square path.
 
     Raises:
-        InputError: If a port vertex is not a vertex of ``g``.
+        InputError: If a port is not a pair of integers, or a port vertex
+            is not a vertex of ``g``.
     """
     if type(g) is not Graph:  # a Graph needs no call
         check_graph(g)
-    try:
-        (a, b), (c, d) = frm, to
-        plain = type(a) is type(b) is type(c) is type(d) is int
-    except (TypeError, ValueError):
-        plain = False
-    if not plain:
-        return direct_arc(g, *read_ports(frm, to))
+    (a, b), (c, d) = frm, to = read_ports(frm, to)
     if a == b or a == c or a == d or b == c or b == d or c == d:
         return False
     n = g.n
@@ -112,13 +107,12 @@ def connect_one(
     ``length`` are tried in turn, and the first path that lands is
     returned, once :func:`~squareham.gadgets.validate_embedding` has passed
     it.  Length 4 is read off the port rows before any mask is built.
-    Lengths 5 and 6 are picks (:func:`_pick_connect`) from masks of the
-    pool, ``w`` less the ports, built once per job; each length from 7 on
-    is one search (:func:`_direct_connect`).  Each length draws from a
-    fresh stream of ``seed``.  A length is skipped if it misses an edge
-    between an entry and an exit port, or if some interior position has no
-    candidate in the pool: position 2 must see both entry ports, position 3
-    the second, ``length - 4`` the first exit port and ``length - 3`` both.
+    Each length from 5 on is one search (:func:`_direct_connect`) over the
+    pool, ``w`` less the ports, drawing from a fresh stream of ``seed``.  A
+    length is skipped, at no node cost, if it misses an edge between an
+    entry and an exit port, or if some interior position has no candidate
+    in the pool: position 2 must see both entry ports, position 3 the
+    second, ``length - 4`` the first exit port and ``length - 3`` both.
 
     Returns:
         A :class:`ConnectResult`; never raises for purely quantitative
@@ -137,33 +131,26 @@ def connect_one(
         length = check_int("length", length)
         if length < 4:
             raise InputError(f"connections need length >= 4, got {length}")
-    try:
-        (a, b), (c, d) = frm, to
-        plain = type(a) is type(b) is type(c) is type(d) is int
-    except (TypeError, ValueError):
-        plain = False
-    if not plain:
-        return connect_one(g, *read_ports(frm, to), w, length, seed)
+    (a, b), (c, d) = frm, to = read_ports(frm, to)
     ports = _validate_request(g, frm, to, w, length)
-    # The picks and searches draw lazily, so check the seed up front.
+    # The searches draw lazily, so check the seed up front.
     if type(seed) is not int or seed < 0:  # a plain int needs no call
         seed = check_int("seed", seed, 0)
     rows = g.rows
     if _cross_edges_hold(rows, frm, to, 4):
         return ConnectResult(True, (*frm, *to), None)
-    pool = w & ~ports
+    pool = _Pool(w & ~ports)
     nb, nc = rows[b] & pool, rows[c] & pool
     entry, exit_ = rows[a] & nb, rows[d] & nc
     nodes = 0
     for k in range(5, length + 1):
-        if k == 5 and rows[b] >> c & 1 and entry & exit_:
-            res = _pick_connect(g, (frm, to), pool, 5, seed, entry & exit_, 0)
-        elif k == 6 and entry & nc and nb & exit_:
-            res = _pick_connect(g, (frm, to), pool, 6, seed, entry & nc, nb & exit_)
-        elif k > 6 and entry and exit_ and (k > 7 or nb & nc):
-            res = _direct_connect(g, (frm, to), _Pool(pool), k, seed)
-        else:
+        if k == 5 and not (rows[b] >> c & 1 and entry & exit_):
             continue
+        if k == 6 and not (entry & nc and nb & exit_):
+            continue
+        if k > 6 and not (entry and exit_ and (k > 7 or nb & nc)):
+            continue
+        res = _direct_connect(g, (frm, to), pool, k, seed)
         if res.ok:
             check = validate_embedding(g, res.path, frm, to)
             if not check:
@@ -186,41 +173,6 @@ def _cross_edges_hold(
         return True
     bc = rows[b] >> c & 1
     return bool(bc and (length == 5 or rows[a] >> c & 1 and rows[b] >> d & 1))
-
-
-def _pick_connect(
-    g: Graph, ends: tuple[tuple[int, int], tuple[int, int]], pool: int,
-    length: int, seed: int, firsts: int, seconds: int,
-) -> ConnectResult:
-    """:func:`_direct_connect` at length 5 or 6, as picks from masks.
-
-    Position 2 takes a vertex of ``firsts``; at length 6, position 3 takes
-    one of ``seconds`` adjacent to it, and a first pick with none is
-    dropped and another drawn.  Each pick is ``pick_bit(m, draw)``, as in
-    the search, from a fresh SplitMix64 stream of ``seed``, and nodes
-    count as the search counts them: the pool's size on entry, one less per
-    first pick tried, ``NODE_BUDGET + 1`` past the budget.  So the result,
-    a failure included, is the search's.
-    """
-    frm, to = ends
-    nodes = size = pool.bit_count()
-    draws = splitmix64(seed)
-    rows = g.rows
-    while firsts and nodes <= NODE_BUDGET:
-        v = pick_bit(firsts, next(draws))
-        if length == 5:
-            return ConnectResult(True, (*frm, v, *to), None)
-        nodes += size - 1
-        if nodes > NODE_BUDGET:
-            break
-        fit = rows[v] & seconds
-        if fit:
-            w = pick_bit(fit, next(draws))
-            return ConnectResult(True, (*frm, v, w, *to), None)
-        firsts ^= 1 << v
-    cfg = {"length": length, "pool": size, "seed": seed}
-    nodes = min(nodes, NODE_BUDGET + 1)
-    return ConnectResult(False, None, {"config": cfg, "nodes": nodes})
 
 
 def _direct_connect(

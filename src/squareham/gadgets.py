@@ -142,14 +142,15 @@ def read_ports(
     frm: tuple[int, int], to: tuple[int, int]
 ) -> tuple[tuple[int, int], tuple[int, int]]:
     """The two ports of a connection as pairs of plain ints, or
-    :class:`InputError` unless each is a pair of integers.  A hot caller
-    tests the ports' types inline and calls this only on a miss."""
+    :class:`InputError` unless each is a pair of integers.  This is the
+    connector's one port reader; plain ints need no further call."""
     try:
         (a, b), (c, d) = frm, to
     except (TypeError, ValueError):
         message = f"job ports must be two ordered pairs: {frm!r} -> {to!r}"
         raise InputError(message) from None
-    a, b, c, d = check_ints("a port vertex", (a, b, c, d))
+    if not (type(a) is type(b) is type(c) is type(d) is int):
+        a, b, c, d = check_ints("a port vertex", (a, b, c, d))
     return (a, b), (c, d)
 
 
@@ -167,17 +168,11 @@ def validate_embedding(
         InputError: As :func:`is_square_path`, or on a port that is not a
             pair of integers.
     """
-    try:
-        (a, b), (c, d) = connect_from, connect_to
-        plain = type(a) is type(b) is type(c) is type(d) is int
-    except (TypeError, ValueError):
-        plain = False
-    if not plain:
-        return validate_embedding(g, path, *read_ports(connect_from, connect_to))
+    entry, exit_ = read_ports(connect_from, connect_to)
     check = is_square_path(g, path)
     if not check:
         return check
-    for name, got, want in (("entry", path[:2], (a, b)), ("exit", path[-2:], (c, d))):
+    for name, got, want in (("entry", path[:2], entry), ("exit", path[-2:], exit_)):
         if tuple(got) != want:
             got = check_ints("a vertex", got)
             return ValidationResult(False, f"{name} port is {got}, expected {want}")

@@ -530,6 +530,8 @@ def almost_spanning_square_path(
             ``n``, or ``seed`` is not a non-negative integer.
     """
     check_graph(g)
+    # The stream draws lazily, or not at all, so check the seed up front.
+    seed = check_int("seed", seed, 0)
     vmask = (1 << g.n) - 1 if verts is None else verts
     g.check_mask(vmask)
     size = vmask.bit_count()
@@ -538,8 +540,6 @@ def almost_spanning_square_path(
     # One vertex already meets the target, so the search never starts.
     best: tuple[int, ...] = ((vmask & -vmask).bit_length() - 1,)
     rows = g.rows
-    # The stream draws lazily, so check the seed up front.
-    seed = check_int("seed", seed, 0)
     draws = splitmix64(64 * seed + 47)
     target = math.ceil((1 - _COVER_EPS) * size)
     budget = _COVER_STEPS_PER_VERTEX * size

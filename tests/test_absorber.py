@@ -278,15 +278,14 @@ def test_the_link_sweep_tests_the_direct_arc_before_any_search(
         return res
 
     def searching(fn):
-        def spy(g, ends, pool, length, seed, *masks):
+        def spy(g, ends, pool, length, seed):
             searched.append(length)
-            return fn(g, ends, pool, length, seed, *masks)
+            return fn(g, ends, pool, length, seed)
 
         return spy
 
     monkeypatch.setattr(absorber_module, "connect_one", recording)
-    for name in ("_pick_connect", "_direct_connect"):
-        monkeypatch.setattr(connector, name, searching(getattr(connector, name)))
+    monkeypatch.setattr(connector, "_direct_connect", searching(connector._direct_connect))
     units = [(0, 1, 2, 3, 4), (5, 6, 7, 8, 9), (10, 11, 12, 13, 14)]
     pool = mask_of(range(15, 24))
     g = complete_graph(24)
@@ -309,7 +308,7 @@ def test_the_link_sweep_tests_the_direct_arc_before_any_search(
     assert [job[-1] for job in asked] == [3 * 9_176 * 31, (3 * 9_176 + 13) * 31]
     assert asked[1][2] == pool & ~(1 << built.walk[5])
     # With an empty pool the ports rule out every longer length, so the
-    # link fails without a pick or a search.
+    # link fails without a search.
     searched.clear()
     assert chain_absorbers(cut, units, 0, 3) == (None, {
         "phase": "link",

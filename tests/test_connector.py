@@ -60,20 +60,19 @@ def admitted(g, frm, to, w, longest: int) -> list[int]:
     """The lengths ``4 .. longest`` the ports leave the job over ``w``.
 
     Length 4 if the direct arc holds, and then the lengths ``connect_one``
-    tries when every pick and search fails.  Only the direct arc needs the
+    tries when every search fails.  Only the direct arc needs the
     edge ``frm[0] to[0]``, so without it the job goes on past length 4, and
     isolated vertices pad the host to ``longest``.
     """
     tried = [4] if connector.direct_arc(g, frm, to) else []
 
-    def failing(g, ends, pool, length, seed, *masks):
+    def failing(g, ends, pool, length, seed):
         tried.append(length)
         return ConnectResult(False, None, {"nodes": 0})
 
     cut = [e for e in g.edges() if set(e) != {frm[0], to[0]}]
     host = Graph(max(g.n, longest), cut)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(connector, "_pick_connect", failing)
         m.setattr(connector, "_direct_connect", failing)
         connect_one(host, frm, to, w, longest, 0)
     return tried
@@ -568,16 +567,15 @@ def test_a_job_is_served_at_its_shortest_length_that_lands(g, data) -> None:
     searched = []
 
     def recording(fn):
-        def spy(g, ends, pool, length, seed, *masks):
-            res = fn(g, ends, pool, length, seed, *masks)
+        def spy(g, ends, pool, length, seed):
+            res = fn(g, ends, pool, length, seed)
             searched.append((length, res))
             return res
 
         return spy
 
     with pytest.MonkeyPatch.context() as m:
-        for name in ("_pick_connect", "_direct_connect"):
-            m.setattr(connector, name, recording(getattr(connector, name)))
+        m.setattr(connector, "_direct_connect", recording(connector._direct_connect))
         res = connect_one(g, frm, to, w, longest, seed)
     lengths = [length for length, _ in searched]
     ruled_in = [
@@ -586,7 +584,7 @@ def test_a_job_is_served_at_its_shortest_length_that_lands(g, data) -> None:
         if port_rule_oracle(g, frm, to, w, length)
     ]
     if ruled_in[:1] == [4]:
-        # The direct arc is read off the port rows, with no pick or search.
+        # The direct arc is read off the port rows, with no search.
         assert res == ConnectResult(True, (*frm, *to), None) and searched == []
         return
     assert lengths == ruled_in[: len(lengths)]
@@ -668,19 +666,21 @@ def test_a_pool_of_exactly_the_budget_is_still_picked_from() -> None:
 def test_the_missing_port_edge_alone_rules_out_length_five(monkeypatch) -> None:
     # On K_10 every pool vertex sees all four ports; without the edge 1-2
     # neither the direct arc nor length 5 is left, and length 6 lands.
-    picked = []
-    pick = connector._pick_connect
+    searched = []
+    direct = connector._direct_connect
 
-    def recording(g, ends, pool, length, seed, *masks):
-        picked.append(length)
-        return pick(g, ends, pool, length, seed, *masks)
+    def recording(g, ends, pool, length, seed):
+        searched.append(length)
+        return direct(g, ends, pool, length, seed)
 
-    monkeypatch.setattr(connector, "_pick_connect", recording)
+    monkeypatch.setattr(connector, "_direct_connect", recording)
     w = mask_of(range(4, 10))
     for g, length in ((complete_graph(10).remove_edges([(0, 2)]), 5),
                       (complete_graph(10).remove_edges([(1, 2)]), 6)):
-        picked.clear()
         job = ((0, 1), (2, 3), w, 8)
+        want = swept(g, *job, 11)
+        # Only connect_one's own searches count, not the sweep's.
+        searched.clear()
         res = connect_one(g, *job, 11)
-        assert res == swept(g, *job, 11)
-        assert len(res.path) == length and picked == [length]
+        assert res == want
+        assert len(res.path) == length and searched == [length]

@@ -166,10 +166,12 @@ def test_almost_spanning_rejects_vertices_outside_the_host() -> None:
 
 
 def test_almost_spanning_rejects_bad_seeds() -> None:
+    # An empty target draws nothing, and its seed is still checked.
     g = gnp_generate(20, 0.5, 0)
-    for seed in (-1, 1.5, True):
-        with pytest.raises(InputError, match="seed"):
-            almost_spanning_square_path(g, seed=seed)
+    for verts in (None, 0):
+        for seed in (-1, -3, 1.5, "x", True):
+            with pytest.raises(InputError, match="seed"):
+                almost_spanning_square_path(g, seed=seed, verts=verts)
 
 
 def test_almost_spanning_is_deterministic() -> None:
@@ -558,15 +560,14 @@ def test_the_sweep_stops_at_the_host_size(monkeypatch) -> None:
         return connect(g, frm, to, w, length, seed)
 
     def searching(fn):
-        def spy(g, ends, pool, length, seed, *masks):
+        def spy(g, ends, pool, length, seed):
             searched.append(length)
-            return fn(g, ends, pool, length, seed, *masks)
+            return fn(g, ends, pool, length, seed)
 
         return spy
 
     monkeypatch.setattr(hamiltonian, "connect_one", recording)
-    for name in ("_pick_connect", "_direct_connect"):
-        monkeypatch.setattr(connector, name, searching(getattr(connector, name)))
+    monkeypatch.setattr(connector, "_direct_connect", searching(connector._direct_connect))
     a = Absorber((2, 3, 0, 1), ())
     suffix, _ = hamiltonian._assemble_cycle(g, a, [], 0b110000, 0)
     assert suffix is None
@@ -641,9 +642,9 @@ def test_every_pipeline_search_passes_the_names_the_benchmark_wraps(
 ) -> None:
     # The traced benchmark names each connection after its call site by
     # wrapping connect_one in absorber and hamiltonian, and counts searches
-    # and pool sizes at connector._direct_connect.  A pick or a search that
-    # ran outside those two names would never be named, so every one of
-    # them must run inside one of them.
+    # and pool sizes at connector._direct_connect.  A search that ran
+    # outside those two names would never be named, so every one of them
+    # must run inside one of them.
     calls = {"absorber": 0, "hamiltonian": 0}
     inside = []
     searches = []
@@ -668,8 +669,7 @@ def test_every_pipeline_search_passes_the_names_the_benchmark_wraps(
 
     for key, module in (("absorber", absorber), ("hamiltonian", hamiltonian)):
         monkeypatch.setattr(module, "connect_one", naming(key, module.connect_one))
-    for name in ("_pick_connect", "_direct_connect"):
-        monkeypatch.setattr(connector, name, searching(getattr(connector, name)))
+    monkeypatch.setattr(connector, "_direct_connect", searching(connector._direct_connect))
     # On a dense host every unit meets the next in the direct arc, so the
     # absorber makes no call; on G(400, .3, 2) one absorbee takes a plain
     # core and its link is a search.

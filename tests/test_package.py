@@ -349,7 +349,57 @@ def test_connect_one_is_the_only_length_sweep() -> None:
     assert not hasattr(hamiltonian, "_cascade_connect")
     assert not hasattr(connector, "ports_admit")
     assert _library_callers({"_direct_connect"}) == {"connector.connect_one"}
-    assert _library_callers({"_pick_connect"}) == {"connector.connect_one"}
+    assert not hasattr(connector, "_pick_connect")
+
+
+def _self_callers(tree: ast.AST) -> set[str]:
+    """Names of the functions whose bodies, nested ones included, call the
+    function's own name, bare or as an attribute."""
+    return {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+            == fn.name
+            for node in ast.walk(fn)
+        )
+    }
+
+
+def test_each_entry_point_reads_its_arguments_once() -> None:
+    # A slow path that re-reads the arguments and calls the function again
+    # is a second entry path; each of these reads its arguments in one place.
+    entry_points = (
+        ("absorber", "chain_absorbers"),
+        ("connector", "connect_one"),
+        ("connector", "direct_arc"),
+        ("gadgets", "validate_embedding"),
+    )
+    for module, name in entry_points:
+        path = Path(squareham.__file__).parent / f"{module}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert name in {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+        assert name not in _self_callers(tree), f"{module}.{name}"
+
+
+def test_the_self_call_guard_sees_every_spelling() -> None:
+    flagged = (
+        "def f(x):\n    return f(int(x))",
+        "def f(x):\n    return connector.f(int(x))",
+        "def f(x):\n    def g():\n        return f(1)\n    return g()",
+        "class C:\n    def f(self, x):\n        return self.f(int(x))",
+    )
+    for src in flagged:
+        assert _self_callers(ast.parse(src)) == {"f"}, src
+    quiet = (
+        "def f(x):\n    return g(x)",
+        "def f(x):\n    return f",
+        "def f(x):\n    return x.f",
+    )
+    for src in quiet:
+        assert _self_callers(ast.parse(src)) == set(), src
 
 
 def test_only_find_square_ham_searches_for_a_witness() -> None:
@@ -434,7 +484,7 @@ SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 def test_every_per_pick_search_draws_from_one_stream() -> None:
     # Numpy for bulk draws, SplitMix64 per pick: the stream is defined once,
     # in graphcore, and the searches that pick one vertex at a time draw
-    # from it: the cover, and the connector's picks and search.
+    # from it: the cover, and the connector's search.
     definers = {
         f"{path.stem}.{fn.name}"
         for path in MODULES
@@ -448,7 +498,6 @@ def test_every_per_pick_search_draws_from_one_stream() -> None:
     assert definers == {"graphcore.splitmix64"}
     assert _library_callers({"splitmix64"}) == {
         "connector._direct_connect",
-        "connector._pick_connect",
         "hamiltonian.almost_spanning_square_path",
     }
 
@@ -664,7 +713,6 @@ def test_pick_bit_is_the_one_place_a_draw_becomes_a_vertex() -> None:
     assert definers == {"graphcore.pick_bit"}
     assert _library_callers({"pick_bit"}) == {
         "connector._direct_connect.fill",
-        "connector._pick_connect",
         "hamiltonian.almost_spanning_square_path",
     }
 
