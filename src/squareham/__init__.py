@@ -12,7 +12,7 @@ Submodules:
         fault from its one pass; the certificate check and the absorber
         audit run the same pair pass, and the connector's success check is
         the square-path check and the two ports.
-    matching: Hall matching with a deficient-set witness, for the leftover.
+    matching: Hall matching over bit rows, pairs or a deficient-set witness.
     connector: pair-to-pair connection jobs over a reservoir, each one
         ``connect_one`` call whose plain arguments are the job (its two
         ports, its reservoir and its longest length), served shortest
@@ -79,16 +79,12 @@ from .hamiltonian import (
     verify_certificate,
     verify_witness,
 )
-from .matching import (
-    BipartiteInstance,
-    hall_saturating_matching,
-)
+from .matching import hall_saturating_matching
 
 __all__ = [
     "__version__",
     "Absorber",
     "AttackResult",
-    "BipartiteInstance",
     "Certificate",
     "ConnectResult",
     "FailureReport",

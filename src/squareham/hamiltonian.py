@@ -40,7 +40,7 @@ from .graphcore import (
     splitmix64,
     vertex_ids,
 )
-from .matching import BipartiteInstance, hall_saturating_matching
+from .matching import MatchingResult, hall_saturating_matching
 
 STAGES = (
     "partition",
@@ -637,17 +637,7 @@ def cover_with_square_paths(g: Graph, u_prime: int, seed: int = 0) -> CoverResul
     )
 
 
-@dataclass(frozen=True)
-class LeftoverMatching:
-    """Saturating matching of leftover vertices into anchor absorbees."""
-
-    ok: bool
-    pairs: tuple[tuple[int, int], ...]
-    violator: tuple[int, ...]
-    neighborhood: tuple[int, ...]
-
-
-def match_leftover(g: Graph, q_set: int, x1: int) -> LeftoverMatching:
+def match_leftover(g: Graph, q_set: int, x1: int) -> MatchingResult:
     """Match every leftover vertex to a distinct adjacent anchor.
 
     Args:
@@ -656,8 +646,9 @@ def match_leftover(g: Graph, q_set: int, x1: int) -> LeftoverMatching:
         x1: Bitset of the anchor vertices (disjoint from ``q_set``).
 
     Returns:
-        A :class:`LeftoverMatching`; on failure the violating leftover set
-        and its joint neighborhood witness Hall's condition breaking.
+        The engine's :class:`MatchingResult` on host ids: ``(leftover,
+        anchor)`` pairs, or the violating leftover set and its joint
+        neighborhood witness Hall's condition breaking.
     """
     check_graph(g)
     g.check_mask(q_set)
@@ -665,15 +656,12 @@ def match_leftover(g: Graph, q_set: int, x1: int) -> LeftoverMatching:
     if q_set & x1:
         raise InputError("leftover vertices and anchors must be disjoint")
     qs = bits(q_set)
-    # Matched onto host vertex ids: the right side is all of 0..n-1.
-    rows = tuple(g.rows[q] & x1 for q in qs)
-    res = hall_saturating_matching(BipartiteInstance(rows, g.n))
-    if res.status != "matched":
-        return LeftoverMatching(
-            False, (), tuple(qs[i] for i in res.violator), res.neighborhood
-        )
-    pairs = tuple(zip(qs, res.pairs))
-    return LeftoverMatching(True, pairs, (), ())
+    res = hall_saturating_matching([g.rows[q] & x1 for q in qs])
+    return dataclasses.replace(
+        res,
+        pairs=tuple((qs[a], x) for a, x in res.pairs),
+        violator=tuple(qs[a] for a in res.violator),
+    )
 
 
 def build_absorber(
@@ -859,7 +847,7 @@ def _attempt(
             },
         )
     matching = match_leftover(g, stragglers, x1)
-    if not matching.ok:
+    if matching.status != "matched":
         return FailureReport(
             "leftover-matching",
             {

@@ -1,71 +1,46 @@
 """Bipartite matching with a failure certificate, for the leftover step:
 ``hamiltonian.match_leftover`` is its one pipeline caller.
 
-:func:`hall_saturating_matching` returns a matching that saturates the left
-side, or a deficient left set ``A'`` with ``|N(A')| < |A'|``.  Left and right
-vertices are dense integers, and the engine is deterministic: one
-augmenting-path search per left vertex, in ascending order.  Each left
-vertex's neighbours are one ``int`` bitset over the right side, so a search
-picks the next neighbour to try as the lowest set bit of a mask, in
-ascending order as a sorted list would.  The certificate is the set of left
-vertices that alternating paths reach from the free ones, which is the same
-for every maximum matching.
+:func:`hall_saturating_matching` takes one bit row per left vertex and
+returns a matching that saturates the left side, or a deficient left set
+``A'`` with ``|N(A')| < |A'|``.  The right side is the union of the rows,
+so memory grows with the rows, not with the widest id.  The engine is
+deterministic: one augmenting-path search per left vertex, in ascending
+order, each picking the next neighbour to try as the lowest set bit of a
+mask.  The certificate is the set of left vertices that alternating paths
+reach from the free ones, which is the same for every maximum matching.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .graphcore import InputError, bits, check_sequence, check_vertex_count
-
-
-@dataclass(frozen=True)
-class BipartiteInstance:
-    """Bipartite adjacency as bit rows: bit ``b`` of ``adjacency[a]`` is the
-    edge between left ``a`` and right ``b``, for ``0 <= b < right_count``.
-
-    Raises:
-        InputError: If the rows are not a sequence, ``right_count`` is not
-            a count, or a row is not a non-negative ``int`` or holds a bit
-            at or above ``right_count``.
-    """
-
-    adjacency: tuple[int, ...]
-    right_count: int
-
-    def __post_init__(self) -> None:
-        check_sequence("adjacency", self.adjacency)
-        nr = check_vertex_count("right_count", self.right_count)
-        object.__setattr__(self, "right_count", nr)
-        for a, row in enumerate(self.adjacency):
-            if type(row) is not int or row < 0:
-                raise InputError(
-                    f"row of left {a} must be a non-negative int bitset, got {row!r}"
-                )
-            if row >> nr:
-                raise InputError(
-                    f"right vertex {row.bit_length() - 1} of left {a} out of range "
-                    f"({nr} right vertices)"
-                )
+from .graphcore import InputError, bits, check_sequence
 
 
 @dataclass(frozen=True)
 class MatchingResult:
     """Either a left-saturating matching or a Hall-deficiency certificate.
 
-    When ``status == "matched"``, ``pairs[a]`` is the partner of left ``a``.
-    When ``status == "deficient"``, ``violator`` is a left set whose combined
-    neighborhood ``neighborhood`` is strictly smaller than itself.
+    When ``status == "matched"``, ``pairs`` holds one ``(left, right)`` pair
+    per left vertex, in left order.  When ``status == "deficient"``,
+    ``violator`` is a left set whose combined neighborhood ``neighborhood``
+    is strictly smaller than itself.  A field with nothing to report is
+    empty.
     """
 
     status: str
-    pairs: tuple[int, ...] | None
-    violator: tuple[int, ...] | None
-    neighborhood: tuple[int, ...] | None
+    pairs: tuple[tuple[int, int], ...]
+    violator: tuple[int, ...]
+    neighborhood: tuple[int, ...]
 
 
-def _augmenting_search(inst: BipartiteInstance) -> tuple[list[int], list[int]]:
-    """Maximum matching; returns (match_left, match_right) with -1 for free.
+def _augmenting_search(
+    rows: Sequence[int], free_r: int
+) -> tuple[list[int], dict[int, int]]:
+    """Maximum matching; returns (match_left, match_right), -1 for a free
+    left vertex and no key for a free right one.
 
     One search per left vertex, in ascending order (Kuhn, 1955).  The search
     keeps its path as the right vertices ``picks`` it entered; from the
@@ -78,22 +53,20 @@ def _augmenting_search(inst: BipartiteInstance) -> tuple[list[int], list[int]]:
     vertex whose search fails has no augmenting path then or later, so it
     stays free for good and the pass ends with a maximum matching.
     """
-    adj = inst.adjacency
-    match_l = [-1] * len(adj)
-    match_r = [-1] * inst.right_count
-    free_r = (1 << inst.right_count) - 1
-    for root in range(len(adj)):
+    match_l = [-1] * len(rows)
+    match_r: dict[int, int] = {}
+    for root in range(len(rows)):
         picks: list[int] = []
         entered = 0
         while True:
-            row = adj[match_r[picks[-1]] if picks else root]
+            row = rows[match_r[picks[-1]] if picks else root]
             free = row & free_r
             if free:
                 low = free & -free
                 free_r ^= low
                 a = root
                 for b in picks + [low.bit_length() - 1]:
-                    nxt = match_r[b]
+                    nxt = match_r.get(b, -1)
                     match_l[a], match_r[b] = b, a
                     a = nxt
                 break
@@ -110,7 +83,7 @@ def _augmenting_search(inst: BipartiteInstance) -> tuple[list[int], list[int]]:
 
 
 def _deficiency_certificate(
-    inst: BipartiteInstance, match_l: list[int], match_r: list[int]
+    rows: Sequence[int], match_l: list[int], match_r: dict[int, int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Alternating-reachability certificate from the free left vertices.
 
@@ -118,17 +91,16 @@ def _deficiency_certificate(
     vertex form a set whose neighborhood consists exactly of their matched
     partners, hence is strictly smaller.
     """
-    adj = inst.adjacency
     layer = [a for a, b in enumerate(match_l) if b == -1]
     reached = list(layer)
     seen_r = 0
     while layer:
         nbrs = 0
         for a in layer:
-            nbrs |= adj[a]
+            nbrs |= rows[a]
         new = nbrs & ~seen_r
         seen_r |= new
-        layer = [match_r[b] for b in bits(new) if match_r[b] != -1]
+        layer = [match_r[b] for b in bits(new) if b in match_r]
         reached += layer
     violator = tuple(sorted(reached))
     neighborhood = tuple(bits(seen_r))
@@ -137,18 +109,32 @@ def _deficiency_certificate(
     return violator, neighborhood
 
 
-def hall_saturating_matching(inst: BipartiteInstance) -> MatchingResult:
+def hall_saturating_matching(rows: Sequence[int]) -> MatchingResult:
     """Left-saturating bipartite matching or a deficient-set certificate.
 
+    Args:
+        rows: One bit row per left vertex: bit ``b`` of ``rows[a]`` is the
+            edge between left ``a`` and right ``b``.
+
     Returns:
-        ``MatchingResult`` with ``status`` ``"matched"`` (and one partner per
+        ``MatchingResult`` with ``status`` ``"matched"`` (and one pair per
         left vertex) or ``"deficient"`` (and a witness set with
         ``|N(A')| < |A'|``).
+
+    Raises:
+        InputError: If ``rows`` is not a sequence or a row is not a
+            non-negative plain ``int``.
     """
-    if not isinstance(inst, BipartiteInstance):
-        raise InputError(f"expected a BipartiteInstance, got {type(inst).__name__}")
-    match_l, match_r = _augmenting_search(inst)
-    if all(b != -1 for b in match_l):
-        return MatchingResult("matched", tuple(match_l), None, None)
-    violator, neighborhood = _deficiency_certificate(inst, match_l, match_r)
-    return MatchingResult("deficient", None, violator, neighborhood)
+    check_sequence("rows", rows)
+    free_r = 0
+    for a, row in enumerate(rows):
+        if type(row) is not int or row < 0:
+            raise InputError(
+                f"row of left {a} must be a non-negative int bitset, got {row!r}"
+            )
+        free_r |= row
+    match_l, match_r = _augmenting_search(rows, free_r)
+    if -1 not in match_l:
+        return MatchingResult("matched", tuple(enumerate(match_l)), (), ())
+    violator, neighborhood = _deficiency_certificate(rows, match_l, match_r)
+    return MatchingResult("deficient", (), violator, neighborhood)

@@ -448,7 +448,7 @@ def test_a_pick_takes_each_fitting_vertex_by_its_gap_below(monkeypatch) -> None:
     monkeypatch.setattr(connector, "splitmix64", itertools.count)
     gaps = {4: 5, 6: 2, 9: 3}
     assert Counter(search(g, *job, seed).path[2] for seed in range(10)) == gaps
-    # The length-5 picks of connect_one follow the same rule.
+    # connect_one serves a length-5 job by the same search, so by the same rule.
     picks = Counter(connect_one(g, *job, seed).path[2] for seed in range(10))
     assert picks == gaps
 
@@ -619,8 +619,8 @@ def swept(g, frm, to, w, longest: int, seed: int):
 @settings(max_examples=150, deadline=None)
 @given(gnp_graphs(min_n=8, max_n=16, min_p=0.3, max_p=0.95), data())
 def test_connect_one_returns_what_the_sweep_of_searches_returns(g, data) -> None:
-    # The picks at lengths 5 and 6 draw and count nodes as the search does,
-    # so every result, failures included, is the one the search gives.
+    # connect_one runs one search per length past the direct arc, so every
+    # result, failures included, is the one the sweep of searches gives.
     arcs = [*g.edges(), *((v, u) for u, v in g.edges())]
     assume(arcs)
     frm = data.draw(sampled_from(arcs))
@@ -636,9 +636,9 @@ def test_connect_one_returns_what_the_sweep_of_searches_returns(g, data) -> None
 
 def test_a_length_six_job_past_the_budget_counts_as_the_search_does() -> None:
     # Vertices 5..104 see 0, 1 and 2 and vertex 4 sees 1, 2 and 3, so each
-    # of the 100 first picks at length 6 has no second, and the 1,296-vertex
-    # pool runs the picks past the node budget; lengths 7 and 8 search past
-    # it too.
+    # of the length-6 search's 100 first picks has no second, and the
+    # 1,296-vertex pool runs that search past the node budget; lengths 7 and
+    # 8 search past it too.
     n = 1300
     edges = [(0, 1), (1, 2), (2, 3), (1, 4), (2, 4), (3, 4)]
     edges += [(u, v) for v in range(5, 105) for u in (0, 1, 2)]

@@ -28,7 +28,6 @@ import squareham
 from squareham import (
     Absorber,
     AttackResult,
-    BipartiteInstance,
     Certificate,
     ConnectResult,
     FailureReport,
@@ -428,14 +427,12 @@ def test_a_bool_is_never_a_vertex_or_a_bitset(call) -> None:
 ALL10 = (1 << 10) - 1
 UNIT_PAIR = [(0, 1, 2, 3, 4), (5, 6, 7, 8, 9)]
 ABSORBER = Absorber((0, 1, 2, 3, 4), (2,))
-INSTANCE = BipartiteInstance((0b01, 0b10), 2)
 
 #: Every public callable with one valid argument tuple, and the positions
 #: that hold a bitset: a bitset is a plain int, so numpy is not read there.
 SURFACE = {
     "Absorber": (Absorber, ((0, 1, 2, 3, 4), (2,)), ()),
     "AttackResult": (AttackResult, ((0,), (1,), K10, 0), ()),
-    "BipartiteInstance": (BipartiteInstance, ((0b01, 0b10), 2), (0,)),
     "Certificate": (Certificate, ((0, 1, 2),), ()),
     "ConnectResult": (ConnectResult, (True, (0, 1, 2, 3), None), ()),
     "FailureReport": (FailureReport, ("absorber", {"x": 1}, None), ()),
@@ -458,7 +455,7 @@ SURFACE = {
     "find_infeasibility_witness": (find_infeasibility_witness, (K10,), ()),
     "find_square_ham": (find_square_ham, (K10, K10, PipelineConfig(1)), ()),
     "gnp_generate": (gnp_generate, (12, 0.5, 1), ()),
-    "hall_saturating_matching": (hall_saturating_matching, (INSTANCE,), ()),
+    "hall_saturating_matching": (hall_saturating_matching, ((0b01, 0b10),), (0,)),
     "is_square_path": (is_square_path, (K10, (0, 1, 2, 3)), ()),
     "k3_attack": (k3_attack, (K10, 0.05, 1), ()),
     "max_triangle_packing": (max_triangle_packing, (K10, (0,)), ()),

@@ -281,7 +281,8 @@ def test_a_straggler_splices_where_the_position_loop_put_it(g, data) -> None:
 def test_leftover_matching_pairs_into_the_absorbee_set() -> None:
     g = complete_graph(12)
     res = match_leftover(g, mask_of([0, 1, 2]), mask_of([3, 4, 5, 6]))
-    assert res.ok
+    assert res.status == "matched"
+    assert [q for q, _ in res.pairs] == [0, 1, 2]
     matched = [x for _, x in res.pairs]
     assert len(set(matched)) == 3
     assert set(matched) <= {3, 4, 5, 6}
@@ -297,8 +298,8 @@ def test_leftover_matching_pairs_into_the_absorbee_set() -> None:
 def test_leftover_matching_reports_deficiency() -> None:
     g = gnp_generate(10, 0.0, 0)
     res = match_leftover(g, mask_of([0, 1]), mask_of([2, 3]))
-    assert not res.ok
-    assert res.violator is not None
+    assert res.status == "deficient"
+    assert (res.pairs, res.violator, res.neighborhood) == ((), (0, 1), ())
 
 
 def test_pipeline_succeeds_and_certifies_on_a_dense_instance() -> None:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import squareham
-from squareham import absorber, connector, gadgets, graphcore, hamiltonian
+from squareham import absorber, connector, gadgets, graphcore, hamiltonian, matching
 from squareham.hamiltonian import STAGES, PipelineConfig
 
 # ``__init__.py`` is left out: its imports are the package's re-exports.
@@ -632,6 +632,19 @@ def test_a_connection_job_is_the_arguments_of_connect_one() -> None:
     assert "ConnectionRequest" not in squareham.__all__
     params = list(inspect.signature(squareham.connect_one).parameters)
     assert params == ["g", "frm", "to", "w", "length", "seed"]
+
+
+def test_a_matching_is_its_bit_rows_in_and_one_result_out() -> None:
+    # The rows are the one argument, with no right-side count, and the
+    # engine and match_leftover return the same record.
+    for name in ("BipartiteInstance", "LeftoverMatching"):
+        assert not hasattr(matching, name)
+        assert not hasattr(hamiltonian, name)
+        assert name not in squareham.__all__
+    params = list(inspect.signature(matching.hall_saturating_matching).parameters)
+    assert params == ["rows"]
+    fields = [f.name for f in dataclasses.fields(matching.MatchingResult)]
+    assert fields == ["status", "pairs", "violator", "neighborhood"]
 
 
 def _budget_parameters(tree: ast.AST) -> list[str]:
