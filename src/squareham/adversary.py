@@ -216,17 +216,19 @@ def max_triangle_packing(
 ) -> PackingResult:
     """Maximum number of vertex-disjoint triangles, by branch and bound.
 
-    Branches on the smallest vertex still usable by some live triangle:
-    either one of its triangles joins the packing, or the vertex is set
-    aside.  A vertices-remaining/3 bound prunes, capped by the structural
-    bound when ``v1`` is given; a greedy packing seeds the incumbent.  When
-    the node budget, ``EXPERIMENT_CHECKS["packing_budget"]`` read at call
-    time, runs out, the result brackets the optimum instead of pinning it.
+    Triangles are 3-bit masks and the covered vertices one bitset.
+    Branches on the lowest uncovered vertex on a live triangle (one that
+    meets no covered vertex): either one of its live triangles joins the
+    packing, or the vertex is set aside.  The uncovered vertices on
+    triangles, over 3, bound the rest, capped by the structural bound when
+    ``v1`` is given; a greedy packing seeds the incumbent.  When the node
+    budget, ``EXPERIMENT_CHECKS["packing_budget"]`` read at call time,
+    runs out, the result brackets the optimum instead of pinning it.
 
     Args:
         g: Host graph.
         v1: Optional vertex class that no triangle of ``g`` meets twice;
-            supplies the structural bound.
+            supplies the structural bound.  Ids outside ``g`` are ignored.
 
     Returns:
         A :class:`PackingResult` with a witness packing.
@@ -236,70 +238,63 @@ def max_triangle_packing(
     """
     check_graph(g)
     tris = _all_triangles(g)
+    masks = [1 << u | 1 << v | 1 << w for u, v, w in tris]
     # No packing is larger than the triangle count or the structural bound.
     ceiling = len(tris)
     structural = None
     if v1 is not None:
-        v1_set = frozenset(check_ints("a v1 vertex", v1))
-        if any(len(v1_set.intersection(t)) > 1 for t in tris):
+        v1_mask = mask_of(v for v in check_ints("a v1 vertex", v1) if 0 <= v < g.n)
+        if any((m & v1_mask).bit_count() > 1 for m in masks):
             raise InputError("v1 must not hold two vertices of a triangle")
-        v2_count = g.n - len(v1_set & set(range(g.n)))
+        v2_count = g.n - v1_mask.bit_count()
         structural = (3 * v2_count // 2) // 3
         ceiling = min(ceiling, structural)
     tri_at: dict[int, list[int]] = {}
     for idx, t in enumerate(tris):
         for v in t:
             tri_at.setdefault(v, []).append(idx)
-    greedy: list[int] = []
-    taken: set[int] = set()
-    for idx, t in enumerate(tris):
-        if not taken.intersection(t):
-            greedy.append(idx)
-            taken.update(t)
-    best = list(greedy)
+    on_triangle = mask_of(tri_at)
+    best: list[int] = []
+    taken = 0
+    for idx, m in enumerate(masks):
+        if not taken & m:
+            best.append(idx)
+            taken |= m
     nodes = 0
     budget = EXPERIMENT_CHECKS["packing_budget"]
-    in_triangle = sorted(tri_at)
 
-    def live_bound(covered: set[int]) -> int:
-        return sum(1 for v in in_triangle if v not in covered) // 3
-
-    def extend(chosen: list[int], covered: set[int]) -> None:
+    def extend(chosen: list[int], covered: int) -> None:
         nonlocal best, nodes
         nodes += 1
         if nodes > budget:
             raise _Budget
-        if min(len(chosen) + live_bound(covered), ceiling) <= len(best):
+        free = on_triangle & ~covered
+        if min(len(chosen) + free.bit_count() // 3, ceiling) <= len(best):
             return
-        pivot = None
-        for v in in_triangle:
-            if v in covered:
-                continue
-            if any(
-                not covered.intersection(tris[i]) for i in tri_at[v]
-            ):
-                pivot = v
+        while free:
+            low = free & -free
+            pivot = low.bit_length() - 1
+            if any(not masks[i] & covered for i in tri_at[pivot]):
                 break
-        if pivot is None:
+            free ^= low
+        else:
             if len(chosen) > len(best):
                 best = list(chosen)
             return
         for i in tri_at[pivot]:
-            t = tris[i]
-            if covered.intersection(t):
-                continue
-            chosen.append(i)
-            extend(chosen, covered | set(t))
-            chosen.pop()
-        extend(chosen, covered | {pivot})
+            if not masks[i] & covered:
+                chosen.append(i)
+                extend(chosen, covered | masks[i])
+                chosen.pop()
+        extend(chosen, covered | 1 << pivot)
 
     status = "exact"
     try:
-        extend([], set())
+        extend([], 0)
     except _Budget:
         status = "bracket"
     size = len(best)
-    upper = size if status == "exact" else min(len(in_triangle) // 3, ceiling)
+    upper = size if status == "exact" else min(on_triangle.bit_count() // 3, ceiling)
     witness = tuple(tris[i] for i in sorted(best))
     return PackingResult(status, size, size, upper, nodes, structural, witness)
 

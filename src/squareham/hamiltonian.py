@@ -265,31 +265,19 @@ def verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
     return CertificateCheck(False, i, d, (min(u, v), max(u, v)))
 
 
-#: Most bytes of rows the witness search works on at once: a degree update
-#: reads its rows a chunk of ``_WITNESS_CHUNK_BYTES // n`` at a time (one
-#: row at least), unpacked to a byte per vertex or left packed.
+#: Most bytes of rows a subtraction of the witness search works on at once:
+#: it reads the dying rows a chunk of ``_WITNESS_CHUNK_BYTES // n`` at a
+#: time (one row at least), unpacked to a byte per vertex.
 _WITNESS_CHUNK_BYTES = 1 << 18
 
 #: The witness search recounts the alive rows while they number at most
 #: this many times the dying ones, and subtracts the dying rows otherwise.
-#: A recount reads a row packed and a subtraction unpacked, and per row a
-#: recount took 0.4 to 0.55 of a subtraction's time on G(800, .5),
-#: G(1500, .7) and G(2000, .5) (2-vCPU VM, Python 3.11, numpy 2.4).
+#: A recount popcounts each alive row ANDed with the alive set as a Python
+#: int, and a subtraction unpacks each dying row; per row a recount took
+#: 0.42 to 0.86 (under 0.5 in most runs) of a subtraction's time on n/2
+#: rows of G(200, .5), G(800, .5), G(1500, .7) and G(2000, .5) (2-vCPU VM,
+#: Python 3.11, numpy 2.4).
 _RECOUNT_SHARE = 2
-
-
-def _alive_degrees(g: Graph, ids: list[int], alive: int) -> np.ndarray:
-    """For each vertex of ``ids``, its neighbours in the bitset ``alive``:
-    the popcounts of those rows of ``g.packed`` ANDed with ``alive``."""
-    packed = g.packed
-    keep = np.frombuffer(alive.to_bytes(packed.shape[1], "little"), np.uint8)
-    out = np.empty(len(ids), np.intp)
-    step = max(1, _WITNESS_CHUNK_BYTES // g.n)
-    for at in range(0, len(ids), step):
-        block = packed[ids[at : at + step]]
-        block &= keep
-        out[at : at + step] = np.bitwise_count(block, out=block).sum(axis=1)
-    return out
 
 
 def _column_sums(g: Graph, ids: list[int]) -> np.ndarray:
@@ -325,17 +313,16 @@ def find_infeasibility_witness(g: Graph) -> InfeasibilityWitness | None:
     reachable, either the alive rows are recounted, each ANDed with the
     alive set and popcounted, or the column sums of the dying rows are
     subtracted, whichever costs less by the per-row ratio that
-    :data:`_RECOUNT_SHARE` records.
-    Both gather a chunk of rows at a time from ``g.packed``; sums add, so
-    the chunks change no degree.  A dead vertex holds a value above every
-    alive degree, so ``argmin``, which returns the first minimum, is the
-    lowest-index pick, and the isolated vertices are exactly the zeros.
-    Memory beyond the graph and its packed view, which the search builds
-    on first use and leaves cached on ``g``, is a few vectors of ``n``
-    entries, the list of the vertices read and one chunk, gathered and
-    unpacked to a byte per vertex or left packed: at most
-    ``9/8 * max(n, 2**18)`` bytes for the chunk, whatever the kill's size.
-    The boolean matrix is not built.
+    :data:`_RECOUNT_SHARE` records.  A subtraction gathers a chunk of
+    rows at a time from ``g.packed``; sums add, so the chunks change no
+    degree.  A dead vertex holds a value above every alive degree, so
+    ``argmin``, which returns the first minimum, is the lowest-index pick,
+    and the isolated vertices are exactly the zeros.
+    Memory beyond the graph and its packed view, which a subtraction
+    builds on first use and leaves cached on ``g``, is a few vectors of
+    ``n`` entries, the list of the vertices read and a subtraction's one
+    chunk, unpacked to a byte per vertex: at most ``9/8 * max(n, 2**18)``
+    bytes, whatever the kill's size.  The boolean matrix is not built.
     """
     check_graph(g)
     n = g.n
@@ -364,7 +351,7 @@ def find_infeasibility_witness(g: Graph) -> InfeasibilityWitness | None:
             if left <= _RECOUNT_SHARE * dying.bit_count():
                 alive_ids = bits(alive)
                 degrees.fill(dead)
-                degrees[alive_ids] = _alive_degrees(g, alive_ids, alive)
+                degrees[alive_ids] = [(rows[u] & alive).bit_count() for u in alive_ids]
             else:
                 dying_ids = bits(dying)
                 degrees -= _column_sums(g, dying_ids)
@@ -403,7 +390,8 @@ def verify_witness(g: Graph, w: InfeasibilityWitness) -> ValidationResult:
     vs = w.vertices
     if vs and not (0 <= min(vs) and max(vs) < n):
         g.check_vertices(vs)
-    if len(set(vs)) != len(vs):
+    members = mask_of(vs)
+    if members.bit_count() != len(vs):
         raise InputError("witness vertices must be distinct")
     rows = g.rows
     if w.kind == "low-degree":
@@ -421,7 +409,6 @@ def verify_witness(g: Graph, w: InfeasibilityWitness) -> ValidationResult:
         return ValidationResult(
             False, f"{len(vs)} vertices, not more than n // 3 = {n // 3}"
         )
-    members = mask_of(vs)
     for v in vs:
         inside = rows[v] & members
         if inside:
@@ -447,9 +434,12 @@ def brute_force_square_ham(g: Graph) -> BruteForceResult:
     """Exhaustive backtracking over cyclic orders with symmetry reduction.
 
     Vertex 0 is pinned first and the two traversal directions are collapsed
-    by requiring the second vertex to precede the last one.  Intended for
-    small instances; larger ones spend ``_EXHAUSTIVE_BUDGET`` search nodes,
-    read at call time, and report ``unknown``.
+    by requiring the second vertex to precede the last one.  A stack, not
+    recursion, holds per level the bitset of untried free vertices that see
+    the two placed before, tried lowest first.  A search that places more
+    than ``_EXHAUSTIVE_BUDGET`` vertices before the last, read at call
+    time, reports ``unknown``; ``find_square_ham`` runs it on hosts of at
+    most ``_EXHAUSTIVE_MAX_N`` vertices.
     """
     check_graph(g)
     n = g.n
@@ -457,27 +447,20 @@ def brute_force_square_ham(g: Graph) -> BruteForceResult:
         return BruteForceResult("none", None, 0)
     rows = g.rows
     order = [0]
-    used = [False] * n
-    used[0] = True
-    iters = [iter(bits(rows[0]))]
+    free = (1 << n) - 2
+    stack = [rows[0]]
     nodes = 0
-    while iters:
-        depth = len(order)
-        try:
-            v = next(iters[-1])
-        except StopIteration:
-            iters.pop()
-            if len(order) > 1:
-                used[order.pop()] = False
+    while stack:
+        candidates = stack[-1]
+        if not candidates:
+            stack.pop()
+            free |= 1 << order.pop()
             continue
-        if used[v]:
-            continue
-        if depth >= 2 and not rows[v] >> order[-2] & 1:
-            continue
-        if depth == n - 1:
-            if order[1] > v:
-                continue
-            if not (
+        low = candidates & -candidates
+        stack[-1] = candidates ^ low
+        v = low.bit_length() - 1
+        if len(order) == n - 1:
+            if order[1] > v or not (
                 rows[v] >> order[0] & 1
                 and rows[v] >> order[1] & 1
                 and rows[order[-1]] >> order[0] & 1
@@ -490,9 +473,9 @@ def brute_force_square_ham(g: Graph) -> BruteForceResult:
         nodes += 1
         if nodes > _EXHAUSTIVE_BUDGET:
             return BruteForceResult("unknown", None, nodes)
+        free ^= low
+        stack.append(free & rows[v] & rows[order[-1]])
         order.append(v)
-        used[v] = True
-        iters.append(iter(bits(rows[v] & ~(1 << order[0]))))
     return BruteForceResult("none", None, nodes)
 
 

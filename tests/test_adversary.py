@@ -249,6 +249,9 @@ def test_packing_budget_exhaustion_brackets_the_answer(monkeypatch) -> None:
     assert res.lower <= res.upper
     assert res.size == res.lower
     assert res.nodes > 10
+    assert _digest(_packing_row(res)) == (
+        "1274de0a754c54697333f24ac5c989813ec869dded1252ce908f429d1dd4642f"
+    )
 
 
 def test_known_packing_sizes() -> None:
@@ -421,6 +424,52 @@ def test_experiment_report_is_pinned() -> None:
     csv_text = experiment_report_to_csv(report)
     assert hashlib.sha256(csv_text.encode()).hexdigest() == (
         "7797b9fd36a15ce653e46cad2b884bd30c6f10fba03be2814fce02092e53eabf"
+    )
+
+
+def _packing_row(res) -> list:
+    return [
+        res.status,
+        res.size,
+        res.lower,
+        res.upper,
+        res.nodes,
+        res.structural_bound,
+        [list(t) for t in res.triangles],
+    ]
+
+
+def test_packing_results_are_pinned() -> None:
+    plain, attacked = [], []
+    for n in range(3, 17):
+        for p in (0.3, 0.5, 0.7, 0.9):
+            for s in range(2):
+                g = gnp_generate(n, p, s)
+                plain.append(_packing_row(max_triangle_packing(g)))
+                res = k3_attack(g, 0.1, s)
+                attacked.append(
+                    _packing_row(max_triangle_packing(res.attacked, v1=res.v1))
+                )
+    assert _digest(plain) == (
+        "04cb46a19b76d6cc25c084c01c91b189c529ebf425d4f4b41090d2343629ca2c"
+    )
+    assert _digest(attacked) == (
+        "b24da881dac44392fe3598666e4e2e7546b627c0867da0618f5f33c4aa61993b"
+    )
+    # Ids outside the host are ignored: they leave nine vertices outside
+    # the class, so the structural bound stays 4.
+    res = k3_attack(gnp_generate(15, 0.7, 2), 0.1, 2)
+    outside = max_triangle_packing(res.attacked, v1=res.v1 + (-1, 99, 2**80))
+    assert outside == max_triangle_packing(res.attacked, v1=res.v1)
+    assert _packing_row(outside)[:6] == ["exact", 4, 4, 4, 1, 4]
+
+
+def test_a_long_packing_search_is_pinned() -> None:
+    res = k3_attack(gnp_generate(24, 0.9, 4), 0.05, 4)
+    packing = max_triangle_packing(res.attacked, v1=res.v1)
+    assert _packing_row(packing)[:6] == ["exact", 7, 7, 7, 55838, 7]
+    assert _digest(_packing_row(packing)) == (
+        "3c1d81be28d1e663dba99355eac588866fa520c6b99d48ef921b4c7406fbaac4"
     )
 
 

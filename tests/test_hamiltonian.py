@@ -135,6 +135,50 @@ def test_exhaustive_search_respects_its_budget(monkeypatch) -> None:
     assert res.nodes <= 51
 
 
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def _exhaustive_row(res: BruteForceResult) -> list:
+    order = res.certificate and list(res.certificate.order)
+    return [res.status, order, res.nodes]
+
+
+def test_exhaustive_search_outputs_are_pinned(monkeypatch) -> None:
+    # 45 hosts hold a square cycle and 75 do not, over 19,766 nodes.
+    rows = [
+        _exhaustive_row(brute_force_square_ham(gnp_generate(n, p, s)))
+        for n in range(3, 13)
+        for p in (0.4, 0.6, 0.8, 0.95)
+        for s in range(3)
+    ]
+    assert _digest(rows) == (
+        "3a630c6c845616f31bb3fd2945c5505170ae67709ec6d336e97eb4ad160594e6"
+    )
+    # G(20, .6, 0) takes 845 nodes: a budget of 50 cuts the search at its
+    # 51st, and one of 1000 lets it finish.
+    g = gnp_generate(20, 0.6, 0)
+    monkeypatch.setattr(hamiltonian, "_EXHAUSTIVE_BUDGET", 50)
+    assert _exhaustive_row(brute_force_square_ham(g)) == ["unknown", None, 51]
+    monkeypatch.setattr(hamiltonian, "_EXHAUSTIVE_BUDGET", 1000)
+    status, order, nodes = _exhaustive_row(brute_force_square_ham(g))
+    assert (status, nodes) == ("found", 845)
+    assert _digest(order) == (
+        "56afc2afdd10e0caf8b73fbfe137453c12b920d9437b5f9ac70af28afee2d8ba"
+    )
+
+
+def test_exhaustive_search_goes_deeper_than_the_recursion_limit() -> None:
+    # The first branch closes the cycle: one node per vertex placed before
+    # the last, 1,198 levels deep.
+    assert sys.getrecursionlimit() < 1198
+    res = brute_force_square_ham(gnp_generate(1200, 0.9, 1))
+    assert (res.status, res.nodes) == ("found", 1198)
+    assert _digest(list(res.certificate.order)) == (
+        "210284275f6f9ff43f513eb1794e9ab6affdaddaf69d723f01feb1adeab33d76"
+    )
+
+
 @settings(max_examples=30)
 @given(gnp_graphs(min_n=5, max_n=10, min_p=0.3, max_p=1.0))
 def test_small_instance_results_match_exhaustive_existence(g) -> None:

@@ -815,3 +815,71 @@ def test_the_integer_reader_guard_sees_every_spelling() -> None:
     )
     for src in quiet:
         assert _integer_rereads(ast.parse(src)) == [], src
+
+
+def _vertex_set_builders(tree: ast.AST) -> list[str]:
+    """Places in ``tree`` that build a ``set`` or ``frozenset``, a set
+    literal or comprehension, or a ``[x] * n`` flag list."""
+    found = []
+    for node in ast.walk(tree):
+        if _called(node, "set") or _called(node, "frozenset"):
+            found.append(f"line {node.lineno}: a set call")
+        elif isinstance(node, (ast.Set, ast.SetComp)):
+            found.append(f"line {node.lineno}: a set display")
+        elif (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Mult)
+            and ast.List in (type(node.left), type(node.right))
+        ):
+            found.append(f"line {node.lineno}: a flag list")
+    return found
+
+
+@pytest.mark.parametrize(
+    "module, function",
+    [
+        ("hamiltonian", "brute_force_square_ham"),
+        ("hamiltonian", "verify_witness"),
+        ("adversary", "max_triangle_packing"),
+    ],
+)
+def test_the_small_searches_hold_every_vertex_set_as_a_bitset(module, function) -> None:
+    # Vertex sets are int bitsets.  On a flag list, the exhaustive search
+    # took 22 to 28 s on G(58, .5, 1000) where its candidate masks take 1.7
+    # to 2 s; on Python sets, the packing search made the resilience
+    # experiment at n = 30 take 8 s where its masks take 2 to 3 s.
+    path = Path(squareham.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (fn,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == function
+    ]
+    assert _vertex_set_builders(fn) == []
+
+
+def test_the_vertex_set_guard_sees_every_spelling() -> None:
+    flagged = (
+        "seen = set(vs)",
+        "seen = set()",
+        "v1 = frozenset(check_ints('v', v1))",
+        "v1 = builtins.frozenset(v1)",
+        "covered = {pivot}",
+        "taken = {v for t in tris for v in t}",
+        "used = [False] * n",
+        "used = n * [0]",
+        "def f(n):\n    def g():\n        return [None] * n",
+    )
+    for src in flagged:
+        assert _vertex_set_builders(ast.parse(src)), src
+    quiet = (
+        "members = mask_of(vs)",
+        "taken |= 1 << v",
+        "order = [0]",
+        "row = [(rows[u] & alive).bit_count() for u in ids]",
+        "tri_at = {}",
+        "k = 3 * len(vs)",
+        "s = 'a' * n",
+    )
+    for src in quiet:
+        assert _vertex_set_builders(ast.parse(src)) == [], src
