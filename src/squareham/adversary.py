@@ -198,10 +198,6 @@ class PackingResult:
     triangles: tuple[tuple[int, int, int], ...]
 
 
-class _Budget(Exception):
-    pass
-
-
 def _all_triangles(g: Graph) -> list[tuple[int, int, int]]:
     rows = g.rows
     tris = []
@@ -262,15 +258,20 @@ def max_triangle_packing(
             taken |= m
     nodes = 0
     budget = EXPERIMENT_CHECKS["packing_budget"]
-
-    def extend(chosen: list[int], covered: int) -> None:
-        nonlocal best, nodes
+    status = "exact"
+    # A state is the covered bitset, the packing's size and the packing as
+    # a linked list (index, rest).  Branches are pushed last first, so the
+    # states pop in depth-first order.
+    stack: list[tuple[int, int, tuple | None]] = [(0, 0, None)]
+    while stack:
+        covered, size, chosen = stack.pop()
         nodes += 1
         if nodes > budget:
-            raise _Budget
+            status = "bracket"
+            break
         free = on_triangle & ~covered
-        if min(len(chosen) + free.bit_count() // 3, ceiling) <= len(best):
-            return
+        if min(size + free.bit_count() // 3, ceiling) <= len(best):
+            continue
         while free:
             low = free & -free
             pivot = low.bit_length() - 1
@@ -278,21 +279,16 @@ def max_triangle_packing(
                 break
             free ^= low
         else:
-            if len(chosen) > len(best):
-                best = list(chosen)
-            return
-        for i in tri_at[pivot]:
+            if size > len(best):
+                best = []
+                while chosen:
+                    i, chosen = chosen
+                    best.append(i)
+            continue
+        stack.append((covered | 1 << pivot, size, chosen))
+        for i in reversed(tri_at[pivot]):
             if not masks[i] & covered:
-                chosen.append(i)
-                extend(chosen, covered | masks[i])
-                chosen.pop()
-        extend(chosen, covered | 1 << pivot)
-
-    status = "exact"
-    try:
-        extend([], 0)
-    except _Budget:
-        status = "bracket"
+                stack.append((covered | masks[i], size + 1, (i, chosen)))
     size = len(best)
     upper = size if status == "exact" else min(on_triangle.bit_count() // 3, ceiling)
     witness = tuple(tris[i] for i in sorted(best))

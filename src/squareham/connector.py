@@ -3,10 +3,9 @@
 A connection job is the plain arguments of :func:`connect_one`: its ports,
 two prescribed ordered host edges, its reservoir, and the longest square
 path it accepts.  It is served shortest first, by two routes.  Length 4,
-the direct arc (:func:`direct_arc` tests it on its own), is read off the
-port rows; each longer length is one seeded backtracking search that fills
-the interior position by position, exhaustive below its node budget,
-``NODE_BUDGET``.
+the direct arc, is read off the port rows; each longer length is one
+seeded backtracking search that fills the interior position by position,
+exhaustive below its node budget, ``NODE_BUDGET``.
 
 The reservoir and the pool, the reservoir less the ports, are ``int``
 bitsets (bit ``v`` set for vertex ``v``); no vertex set is ever listed.
@@ -71,28 +70,6 @@ def _validate_request(
         raise InputError(f"job ports must be host edges: {frm} -> {to}")
     g.check_mask(w, "reservoir")
     return 1 << p | 1 << q | 1 << r | 1 << s
-
-
-def direct_arc(g: Graph, frm: tuple[int, int], to: tuple[int, int]) -> bool:
-    """Whether two ordered host edges chain into a square path with no
-    interior: the four ports are distinct and ``frm + to`` carries all five
-    edges of the length-4 square path.
-
-    Raises:
-        InputError: If a port is not a pair of integers, or a port vertex
-            is not a vertex of ``g``.
-    """
-    if type(g) is not Graph:  # a Graph needs no call
-        check_graph(g)
-    (a, b), (c, d) = frm, to = read_ports(frm, to)
-    if a == b or a == c or a == d or b == c or b == d or c == d:
-        return False
-    n = g.n
-    if not (0 <= a < n and 0 <= b < n and 0 <= c < n and 0 <= d < n):
-        g.check_vertices((a, b, c, d))
-    rows = g.rows
-    ports = rows[a] >> b & 1 and rows[c] >> d & 1
-    return bool(ports and _cross_edges_hold(rows, frm, to, 4))
 
 
 def connect_one(

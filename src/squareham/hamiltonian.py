@@ -24,7 +24,7 @@ from .absorber import (
     build_single_absorbers,
     chain_absorbers,
 )
-from .connector import connect_one, direct_arc
+from .connector import connect_one
 from .gadgets import ValidationResult, _first_gap, is_square_path
 from .graphcore import (
     Graph,
@@ -720,8 +720,9 @@ def _assemble_cycle(
     """Thread all pieces between the absorber's exit and entry pairs.
 
     Piece order and orientation are free, so a budgeted depth-first search
-    explores them: parity-free chains (three host edges) first, then short
-    connectors whose interiors consume the ``fuel`` mask.  Each probe is one
+    explores them: direct arcs first, read off the exit pair's rows, then
+    short connectors whose interiors consume the ``fuel`` mask; each group
+    by piece, forward before reversed.  Each probe is one
     :func:`connect_one` job of up to eight vertices through the fuel left,
     served shortest first; it counts in ``probes`` even when the ports rule
     out every length.  Returns the cycle segment that follows the absorber
@@ -729,6 +730,8 @@ def _assemble_cycle(
     ``None`` and diagnostics on the deepest threading reached.
     """
     total = len(pieces)
+    rows = g.rows
+    oriented = [(piece, piece[::-1]) for piece in pieces]
     nodes = 0
     deepest = 0
 
@@ -756,14 +759,17 @@ def _assemble_cycle(
             if interior is None:
                 return None
             return acc + interior, consumed | mask_of(interior)
-        ranked = []
+        # The pieces are disjoint host-edge-led paths, off the exit pair, so
+        # (c, d, ...) is a direct arc iff c sees both exit vertices, d the last.
+        first, second = rows[cur[0]] & rows[cur[1]], rows[cur[1]]
+        arcs, rest = [], []
         for pi in remaining:
-            piece = pieces[pi]
-            for ori in (piece, tuple(reversed(piece))):
-                ranked.append((direct_arc(g, cur, (ori[0], ori[1])), pi, ori))
-        # Direct arcs first, then by piece.
-        ranked.sort(key=lambda t: (not t[0], t[1]))
-        for _, pi, ori in ranked:
+            for ori in oriented[pi]:
+                if first >> ori[0] & second >> ori[1] & 1:
+                    arcs.append((pi, ori))
+                else:
+                    rest.append((pi, ori))
+        for pi, ori in arcs + rest:
             if nodes > _ASSEMBLY_BUDGET:
                 return None
             interior = probe(cur, (ori[0], ori[1]), consumed, 101 * pi + 2 * len(acc))

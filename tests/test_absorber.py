@@ -485,7 +485,7 @@ def test_consecutive_units_meet_in_the_direct_arc(n: int, p: float) -> None:
         units, fail = build_single_absorbers(g, xs, ((1 << n) - 1) & ~xs)
         assert fail is None and len(units) == xs.bit_count()
         for a, b in zip(units, units[1:]):
-            assert connector.direct_arc(g, a[-2:], b[:2])
+            assert is_square_path(g, (*a[-2:], *b[:2])).ok
 
 
 # Absorbee 0 sees only 2..5 of the pool 2..11 and absorbee 1 only 6..9, so
@@ -590,7 +590,7 @@ def test_chaining_audits_what_it_returns(monkeypatch) -> None:
     # do not meet in the direct arc need a link.
     first, second = next(
         (a, b) for a in units for b in units
-        if a != b and not connector.direct_arc(g, a[-2:], b[:2])
+        if a != b and not is_square_path(g, (*a[-2:], *b[:2])).ok
     )
     a, b = first[-2:], second[:2]
     stray = next(v for v in bits(free) if not g.has_edge(v, a[0]))

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -471,6 +472,18 @@ def test_a_long_packing_search_is_pinned() -> None:
     assert _digest(_packing_row(packing)) == (
         "3c1d81be28d1e663dba99355eac588866fa520c6b99d48ef921b4c7406fbaac4"
     )
+
+
+def test_packing_search_goes_deeper_than_the_recursion_limit(monkeypatch) -> None:
+    # On 1,200 disjoint K4s the greedy seed, one triangle per K4, is best,
+    # but the bound counts each K4's fourth vertex and cannot prove it.  The
+    # search's first branch is 1,200 levels deep, and the budget runs out.
+    monkeypatch.setitem(adversary.EXPERIMENT_CHECKS, "packing_budget", 2000)
+    assert sys.getrecursionlimit() < 1200
+    k4 = list(itertools.combinations(range(4), 2))
+    g = Graph(4800, [(4 * k + i, 4 * k + j) for k in range(1200) for i, j in k4])
+    res = max_triangle_packing(g)
+    assert _packing_row(res)[:6] == ["bracket", 1200, 1200, 1600, 2001, None]
 
 
 def test_attack_and_pruning_outputs_are_pinned() -> None:

@@ -15,6 +15,7 @@ from squareham import (
     connect_one,
     connector,
     gnp_generate,
+    is_square_path,
     rng_for,
     validate_embedding,
 )
@@ -64,7 +65,7 @@ def admitted(g, frm, to, w, longest: int) -> list[int]:
     edge ``frm[0] to[0]``, so without it the job goes on past length 4, and
     isolated vertices pad the host to ``longest``.
     """
-    tried = [4] if connector.direct_arc(g, frm, to) else []
+    tried = [4] if is_square_path(g, (*frm, *to)).ok else []
 
     def failing(g, ends, pool, length, seed):
         tried.append(length)

@@ -63,7 +63,6 @@ from squareham import (
     verify_witness,
 )
 from squareham.cli import run_command
-from squareham.connector import direct_arc
 from squareham.gadgets import BULK_PATH_LEN
 from squareham.graphcore import mask_of
 from squareham.hamiltonian import (
@@ -210,9 +209,6 @@ WITNESS = InfeasibilityWitness("low-degree", (0,))
         lambda: G.row(1.5),
         lambda: G.neighbors("a"),
         lambda: G.degree(None),
-        lambda: direct_arc(G, (0.5, 1), (2, 3)),
-        lambda: direct_arc(G, (None, 1), (2, 3)),
-        lambda: direct_arc(G, (0, 1), (2, "a")),
     ],
     ids=[
         "has_edge-float",
@@ -221,9 +217,6 @@ WITNESS = InfeasibilityWitness("low-degree", (0,))
         "row-float",
         "neighbors-str",
         "degree-None",
-        "direct_arc-float",
-        "direct_arc-None",
-        "direct_arc-str",
     ],
 )
 def test_vertex_checks_raise_only_input_error(call) -> None:
@@ -253,7 +246,6 @@ def test_vertex_checks_raise_only_input_error(call) -> None:
         lambda: almost_spanning_square_path(None),
         lambda: k3_attack(None, 0.05, 1),
         lambda: connect_one(None, (0, 1), (2, 3), 0, 5, 0),
-        lambda: direct_arc(None, (0, 1), (2, 3)),
         lambda: is_square_path(None, [0, 1, 2]),
         lambda: validate_embedding(None, [0, 1, 2, 3], (0, 1), (2, 3)),
         lambda: verify_absorber(None, Absorber((0, 1, 2, 3, 4), (2,))),
@@ -292,7 +284,6 @@ def test_vertex_checks_raise_only_input_error(call) -> None:
         "almost_spanning-graph-None",
         "k3_attack-graph-None",
         "connect_one-graph-None",
-        "direct_arc-graph-None",
         "is_square_path-graph-None",
         "validate_embedding-graph-None",
         "verify_absorber-graph-None",
@@ -337,11 +328,6 @@ def test_vertex_checks_read_numpy_integers_as_ints() -> None:
         assert G.row(u) == G.row(0)
         assert G.neighbors(v) == G.neighbors(1)
         assert G.degree(v) == G.degree(1)
-    # A direct arc on numpy ports once overflowed.
-    for frm, to in (((0, 1), (2, 3)), ((10, 20), (30, 40)), ((5, 6), (5, 7))):
-        for kind in (np.int64, np.uint16):
-            ported = tuple(map(kind, frm)), tuple(map(kind, to))
-            assert direct_arc(G, *ported) is direct_arc(G, frm, to)
 
 
 def test_a_unit_that_is_no_star_core_is_rejected_with_input_error() -> None:
@@ -387,7 +373,6 @@ BULK_WALK = (0, True, *range(2, BULK_PATH_LEN + 2))
         lambda: InfeasibilityWitness("low-degree", (True,)),
         lambda: connect_one(K10, (True, 2), (3, 4), 0, 5, 0),
         lambda: connect_one(K10, (0, 1), (2, 3), True, 5, 0),
-        lambda: direct_arc(K10, (0, 1), (2, True)),
         lambda: K10.remove_edges([(True, 5)]),
         lambda: max_triangle_packing(K10, (True,)),
     ],
@@ -411,7 +396,6 @@ BULK_WALK = (0, True, *range(2, BULK_PATH_LEN + 2))
         "InfeasibilityWitness",
         "connect_one-port",
         "connect_one-reservoir",
-        "direct_arc",
         "remove_edges",
         "max_triangle_packing",
     ],
@@ -477,7 +461,6 @@ SURFACE = {
     "almost_spanning_square_path": (almost_spanning_square_path, (K10, 1, ALL10), (2,)),
     "build_absorber": (build_absorber, (K10, 1, 1), (1,)),
     "cover_with_square_paths": (cover_with_square_paths, (K10, ALL10, 1), (1,)),
-    "direct_arc": (direct_arc, (K10, (0, 1), (2, 3)), ()),
     "match_leftover": (match_leftover, (K10, 1, 2), (1, 2)),
     **{
         f"Graph.{name}": (getattr(K10, name), args, bitsets)

@@ -619,28 +619,67 @@ def test_the_sweep_stops_at_the_host_size(monkeypatch) -> None:
     assert asked == [6] and searched == [6]
 
 
-def test_the_threading_tests_each_arc_once_per_state(monkeypatch) -> None:
-    # A state ranks its piece orientations by direct_arc and hands each
-    # result to its probe, so one state never repeats a pair.  A state is
-    # one call of the search, told apart by its frame: two states in a row
-    # can sit at the same position with different pieces left.  Each test
-    # counts for the nearest enclosing search call, so one that a probe or
-    # a connection makes on the state's behalf falls in that state too.
+def _threading_states(monkeypatch) -> tuple:
+    """The host G(400, .3, 0), every probe of its failing seed-1 threading
+    as ``(state, frm, to)``, and each state's exit pair, pieces left and
+    the absorber and pieces of its call.  A state is one call of the
+    search, told apart by its frame: two states in a row can sit at the
+    same position with different pieces left."""
     g = gnp_generate(400, 0.3, 0)
-    tested = []
-    arc = hamiltonian.direct_arc
+    probes, states, calls = [], {}, []
+    connect, assemble = hamiltonian.connect_one, hamiltonian._assemble_cycle
 
-    def recording(g, frm, to):
+    def recording(g, frm, to, *job):
         state = sys._getframe(1)
         while state.f_code.co_name != "dfs":
             state = state.f_back
-        tested.append((state, frm, to))
-        return arc(g, frm, to)
+        probes.append((state, frm, to))
+        local = state.f_locals
+        states.setdefault(state, (local["cur"], local["remaining"], *calls[-1]))
+        return connect(g, frm, to, *job)
 
-    monkeypatch.setattr(hamiltonian, "direct_arc", recording)
+    def capturing(g, a, pieces, *args):
+        calls.append((a, pieces))
+        return assemble(g, a, pieces, *args)
+
+    monkeypatch.setattr(hamiltonian, "connect_one", recording)
+    monkeypatch.setattr(hamiltonian, "_assemble_cycle", capturing)
     failed = hamiltonian._attempt(g, PipelineConfig(seed=1), 0)
-    assert failed.stage == "connecting" and tested
-    assert len(set(tested)) == len(tested)
+    assert failed.stage == "connecting" and probes
+    return g, probes, states
+
+
+def test_the_threading_tests_each_arc_once_per_state(monkeypatch) -> None:
+    # A state hands each of its piece orientations to one probe, so one
+    # state never repeats a pair.
+    _, probes, _ = _threading_states(monkeypatch)
+    assert len(set(probes)) == len(probes)
+
+
+def test_the_threading_probes_direct_arcs_first(monkeypatch) -> None:
+    # A state probes its piece orientations in the oracle's order: those
+    # that meet its exit pair in a square path first, then by piece, each
+    # forward before reversed.  A failing state probes them all, and a
+    # state the budget cuts a prefix.
+    g, probes, states = _threading_states(monkeypatch)
+    probed = {}
+    for state, _, to in probes:
+        probed.setdefault(state, []).append(to)
+    jumped = 0
+    for state, (cur, remaining, a, pieces) in states.items():
+        if not remaining:
+            assert probed[state] == [a.entry]
+            continue
+        order = [
+            ori[:2]
+            for pi in remaining
+            for ori in (pieces[pi], pieces[pi][::-1])
+        ]
+        order.sort(key=lambda to: not is_square_path(g, (*cur, *to)).ok)
+        assert probed[state] == order[: len(probed[state])]
+        jumped += order[0] != pieces[remaining[0]][:2]
+    # The ranking moves some state's first probe off its lowest piece.
+    assert jumped
 
 
 def test_the_threading_keeps_no_record_between_calls(monkeypatch) -> None:

@@ -374,7 +374,6 @@ def test_each_entry_point_reads_its_arguments_once() -> None:
     entry_points = (
         ("absorber", "chain_absorbers"),
         ("connector", "connect_one"),
-        ("connector", "direct_arc"),
         ("gadgets", "validate_embedding"),
     )
     for module, name in entry_points:
