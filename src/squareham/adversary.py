@@ -123,6 +123,12 @@ class RetentionProfile:
     above_high: int | None
 
 
+def _retained(t_before, t_after) -> tuple[np.ndarray, float, float]:
+    """Each vertex's share of its triangles kept (1 with none), its min and mean."""
+    r = np.where(t_before > 0, t_after / np.maximum(t_before, 1), 1.0)
+    return r, float(r.min()) if r.size else 1.0, float(r.mean()) if r.size else 1.0
+
+
 def triangle_retention_profile(
     before: Graph,
     after: Graph,
@@ -150,15 +156,16 @@ def triangle_retention_profile(
     if p_hint is not None:
         check_probability("p_hint", p_hint)
     gfrac = None if gamma is None else _gamma_fraction(gamma)
+    n = before.n
+    if after.n != n:
+        raise InputError(f"after-graph has {after.n} vertices, before-graph has {n}")
     ok, offending = after.is_subgraph_of(before)
     if not ok:
         raise InputError(f"after-graph has a new edge {offending}")
     t_before = triangle_profile(before)
     t_after = triangle_profile(after)
     assert (t_after <= t_before).all()
-    with np.errstate(invalid="ignore", divide="ignore"):
-        retained = np.where(t_before > 0, t_after / np.maximum(t_before, 1), 1.0)
-    n = before.n
+    _, min_retained, mean_retained = _retained(t_before, t_after)
     threshold_low = threshold_high = None
     below = above = None
     if p_hint is not None and gfrac is not None:
@@ -170,8 +177,8 @@ def triangle_retention_profile(
     return RetentionProfile(
         tuple(int(t) for t in t_before),
         tuple(int(t) for t in t_after),
-        float(retained.min()) if n else 1.0,
-        float(retained.mean()) if n else 1.0,
+        min_retained,
+        mean_retained,
         threshold_low,
         threshold_high,
         below,
@@ -416,8 +423,7 @@ def _experiment_one_seed(args) -> dict:
     t_before = _triangles(graph, sq)
     _square_less_within(graph, sq, attack.v1)
     t_after = _triangles(attack.attacked, sq)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        retained = np.where(t_before > 0, t_after / np.maximum(t_before, 1), 1.0)
+    retained, min_retained, mean_retained = _retained(t_before, t_after)
     destroyed = 1.0 - retained
     v1 = list(attack.v1)
     v2 = list(attack.v2)
@@ -431,8 +437,8 @@ def _experiment_one_seed(args) -> dict:
         "seed": seed,
         "v1_size": len(v1),
         "removed_edges": attack.removed_edge_count,
-        "min_retained": float(retained.min()) if n else 1.0,
-        "mean_retained": float(retained.mean()) if n else 1.0,
+        "min_retained": min_retained,
+        "mean_retained": mean_retained,
         "class_retained_v1": agg_v1,
         "class_retained_v2": agg_v2,
         "min_class_retained": min(agg_v1, agg_v2),

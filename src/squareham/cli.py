@@ -325,9 +325,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "cover",
-        help="cover a vertex set with square paths: each search aims at "
-        "3/4 of the uncovered vertices, stops after 50 steps per vertex, "
-        "and the cover stops after the first search that misses",
+        help="cover a vertex set with square paths (each search aims at 3/4 of "
+        "the uncovered vertices within 50 steps per vertex, until one misses) "
+        "and splice each vertex left into the first path that takes it",
     )
     p.add_argument("--graph", required=True)
     p.add_argument("--verts", default="", help="target vertices (default: all)")

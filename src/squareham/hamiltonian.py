@@ -479,19 +479,9 @@ def brute_force_square_ham(g: Graph) -> BruteForceResult:
     return BruteForceResult("none", None, nodes)
 
 
-@dataclass(frozen=True)
-class AlmostSpanningResult:
-    """Best square path found and the fraction of the target set it covers."""
-
-    path: tuple[int, ...]
-    coverage: float
-
-
-def almost_spanning_square_path(
-    g: Graph, seed: int = 0, verts: int | None = None
-) -> AlmostSpanningResult:
-    """Randomized greedy search for a long square path through the bitset
-    ``verts`` (every vertex of ``g`` when ``None``).
+def _grow_square_path(rows: list[int], verts: int, seed: int) -> tuple[int, ...]:
+    """Randomized greedy search for a long square path through the nonempty
+    bitset ``verts`` over the host's bit ``rows``, read unchecked.
 
     Grows a path from a random edge at both ends through common
     neighborhoods, restarting until the path holds
@@ -507,30 +497,18 @@ def almost_spanning_square_path(
     ``draws`` the :func:`~squareham.graphcore.splitmix64` stream seeded by
     ``64 * seed + 47``, so that a cover search and a connector search given
     the same seed draw different streams.
-
-    Raises:
-        InputError: If ``verts`` is negative or holds a bit at or above
-            ``n``, or ``seed`` is not a non-negative integer.
     """
-    check_graph(g)
-    # The stream draws lazily, or not at all, so check the seed up front.
-    seed = check_int("seed", seed, 0)
-    vmask = (1 << g.n) - 1 if verts is None else verts
-    g.check_mask(vmask)
-    size = vmask.bit_count()
-    if not size:
-        return AlmostSpanningResult((), 0.0)
+    size = verts.bit_count()
     # One vertex already meets the target, so the search never starts.
-    best: tuple[int, ...] = ((vmask & -vmask).bit_length() - 1,)
-    rows = g.rows
+    best: tuple[int, ...] = ((verts & -verts).bit_length() - 1,)
     draws = splitmix64(64 * seed + 47)
     target = math.ceil((1 - _COVER_EPS) * size)
     budget = _COVER_STEPS_PER_VERTEX * size
     spent = 0
     while spent < budget and len(best) < target:
         spent += 1
-        a = pick_bit(vmask, next(draws))
-        nbrs = rows[a] & vmask
+        a = pick_bit(verts, next(draws))
+        nbrs = rows[a] & verts
         if not nbrs:
             continue
         b = pick_bit(nbrs, next(draws))
@@ -538,7 +516,7 @@ def almost_spanning_square_path(
         head, tail = [a], [b]
         first, last = a, b
         # Target vertices not on the path yet.
-        free = vmask & ~(1 << a | 1 << b)
+        free = verts & ~(1 << a | 1 << b)
         fwd = bwd = rows[a] & rows[b] & free
         while spent < budget:
             spent += 1
@@ -561,10 +539,42 @@ def almost_spanning_square_path(
                 first = v
         if len(head) + len(tail) > len(best):
             best = tuple(head[::-1] + tail)
-    if len(best) >= 2:
-        check = is_square_path(g, best)
-        assert check.ok, f"greedy extension produced a bad path: {check.reason}"
-    return AlmostSpanningResult(best, len(best) / size)
+    return best
+
+
+def _insert_into_paths(g: Graph, paths: list[list[int]], q: int) -> bool:
+    """Splice ``q`` into some path interior, preserving square-path pairs.
+
+    Splicing between positions ``i - 1`` and ``i`` needs ``q`` adjacent to
+    the two split vertices and to their outer distance-2 partners.  Along a
+    path, with ``run`` the count of consecutive neighbours of ``q`` ending
+    at the vertex read, the first fit is the first three vertices (both of
+    a two-vertex path) at ``i = 1``, else the first four in a row, which
+    start at ``i - 2``, else the last three at ``i = len(path) - 1``; the
+    scan stops at the first fit.
+    """
+    row = g.row(q)
+    for path in paths:
+        m = len(path)
+        if m < 2:
+            continue
+        run, head = 0, min(3, m)
+        for j, v in enumerate(path):
+            if not row >> v & 1:
+                run = 0
+                continue
+            run += 1
+            if run == 4 or run == j + 1 == head:
+                # Four in a row end at j; a prefix fit ends at j = 2 (j = 1).
+                i = j - 1 if run == 4 else 1
+                break
+        else:
+            if run < 3:
+                continue
+            i = m - 1
+        path.insert(i, q)
+        return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -577,14 +587,17 @@ class CoverResult:
 
 
 def cover_with_square_paths(g: Graph, u_prime: int, seed: int = 0) -> CoverResult:
-    """Cover the bitset ``u_prime`` with square paths, one search at a time.
+    """Cover the bitset ``u_prime`` with square paths and splice in the rest.
 
     While at least ``_COVER_FLOOR`` vertices are uncovered, search ``i``
-    runs :func:`almost_spanning_square_path` with seed ``seed * 101 + i``
-    on them and keeps a path of two or more vertices; the loop stops after
-    the first search that misses its ``1 - _COVER_EPS`` target.  So every
-    search but the last leaves at most a quarter of its set, and the cover
-    spends fewer than ``4/3 * _COVER_STEPS_PER_VERTEX * |U'|`` steps.
+    runs :func:`_grow_square_path` with seed ``seed * 101 + i`` on them and
+    keeps a path of two or more vertices; the loop stops after the first
+    search that misses its ``1 - _COVER_EPS`` target.  So every search but
+    the last leaves at most a quarter of its set, and the cover spends fewer
+    than ``4/3 * _COVER_STEPS_PER_VERTEX * |U'|`` steps.  Then each vertex
+    left, in ascending order, goes into the first path that takes it
+    (:func:`_insert_into_paths`), ``leftover`` is what no path took, and
+    each returned path passes :func:`is_square_path` once.
 
     There are no classes.  The proof's bootstrap cuts U' into halving
     classes, each searched together with the dregs of the last; at desk
@@ -598,26 +611,26 @@ def cover_with_square_paths(g: Graph, u_prime: int, seed: int = 0) -> CoverResul
             ``u_prime`` is negative or holds a bit at or above ``n``.
     """
     check_graph(g)
-    # Fewer than _COVER_FLOOR vertices start no search, so check the seed
-    # here.
+    # Fewer than _COVER_FLOOR vertices start no search: check the seed here.
     seed = check_int("seed", seed, 0)
     g.check_mask(u_prime)
     rest = u_prime
-    paths: list[tuple[int, ...]] = []
+    paths: list[list[int]] = []
     i = 0
-    while rest.bit_count() >= _COVER_FLOOR:
-        res = almost_spanning_square_path(g, seed=seed * 101 + i, verts=rest)
-        if len(res.path) >= 2:
-            paths.append(res.path)
-            rest &= ~mask_of(res.path)
-        if res.coverage < 1 - _COVER_EPS:
+    while (size := rest.bit_count()) >= _COVER_FLOOR:
+        path = _grow_square_path(g.rows, rest, seed * 101 + i)
+        if len(path) >= 2:
+            paths.append(list(path))
+            rest &= ~mask_of(path)
+        if len(path) < (1 - _COVER_EPS) * size:
             break
         i += 1
-    leftover = tuple(bits(rest))
-    msize = u_prime.bit_count()
-    return CoverResult(
-        tuple(paths), leftover, len(leftover) / msize if msize else 0.0
-    )
+    leftover = tuple(q for q in bits(rest) if not _insert_into_paths(g, paths, q))
+    covering = tuple(tuple(path) for path in paths)
+    for path in covering:
+        check = is_square_path(g, path)
+        assert check.ok, f"the cover built a bad path: {check.reason}"
+    return CoverResult(covering, leftover, len(leftover) / max(1, u_prime.bit_count()))
 
 
 def match_leftover(g: Graph, q_set: int, x1: int) -> MatchingResult:
@@ -673,41 +686,6 @@ def build_absorber(
     if fail is not None:
         return None, fail
     return chain_absorbers(g, units, pool, seed)
-
-
-def _insert_into_paths(g: Graph, paths: list[list[int]], q: int) -> bool:
-    """Splice ``q`` into some path interior, preserving square-path pairs.
-
-    Splicing between positions ``i - 1`` and ``i`` needs ``q`` adjacent to
-    the two split vertices and to their outer distance-2 partners.  Along a
-    path, with ``run`` the count of consecutive neighbours of ``q`` ending
-    at the vertex read, the first fit is the first three vertices (both of
-    a two-vertex path) at ``i = 1``, else the first four in a row, which
-    start at ``i - 2``, else the last three at ``i = len(path) - 1``; the
-    scan stops at the first fit.
-    """
-    row = g.row(q)
-    for path in paths:
-        m = len(path)
-        if m < 2:
-            continue
-        run, head = 0, min(3, m)
-        for j, v in enumerate(path):
-            if not row >> v & 1:
-                run = 0
-                continue
-            run += 1
-            if run == 4 or run == j + 1 == head:
-                # Four in a row end at j; a prefix fit ends at j = 2 (j = 1).
-                i = j - 1 if run == 4 else 1
-                break
-        else:
-            if run < 3:
-                continue
-            i = m - 1
-        path.insert(i, q)
-        return True
-    return False
 
 
 def _assemble_cycle(
@@ -809,33 +787,23 @@ def _attempt(
     if fail is not None:
         return FailureReport("absorber", dict(fail, plan=plan))
 
-    cover = cover_with_square_paths(
-        g, ((1 << n) - 1) & ~absorber.body(), seed=seed0 + 2
-    )
-    # Most stragglers splice straight into a covering path; only the rest
-    # need an anchor absorbee each.
-    paths = [list(p) for p in cover.paths]
-    stragglers = mask_of(
-        q for q in cover.leftover if not _insert_into_paths(g, paths, q)
-    )
-    for path in paths:
-        check = is_square_path(g, tuple(path))
-        assert check.ok, f"splicing broke a covering path: {check.reason}"
+    cover = cover_with_square_paths(g, ((1 << n) - 1) & ~absorber.body(), seed0 + 2)
     xs = bits(x_mask)
     perm = rng_for(seed0, 59).permutation(len(xs))
     k1 = math.floor(_ANCHOR_SHARE * len(xs))
     x1 = mask_of(xs[int(i)] for i in perm[:k1])
-    if stragglers.bit_count() > k1:
+    # Only the vertices no covering path took need an anchor absorbee each.
+    if len(cover.leftover) > k1:
         return FailureReport(
             "covering",
             {
-                "leftover": stragglers.bit_count(),
+                "leftover": len(cover.leftover),
                 "anchor_capacity": k1,
                 "leftover_fraction": cover.leftover_fraction,
-                "paths": len(paths),
+                "paths": len(cover.paths),
             },
         )
-    matching = match_leftover(g, stragglers, x1)
+    matching = match_leftover(g, mask_of(cover.leftover), x1)
     if matching.status != "matched":
         return FailureReport(
             "leftover-matching",
@@ -846,8 +814,7 @@ def _attempt(
             },
         )
 
-    pieces: list[tuple[int, ...]] = [tuple(p) for p in paths]
-    pieces.extend((q, xv) for q, xv in matching.pairs)
+    pieces = [*cover.paths, *matching.pairs]
     # Every absorbee not sitting inside a piece is legal connector fuel: the
     # absorber hands over whatever the threading consumed.
     matched_anchors = mask_of(xv for _, xv in matching.pairs)

@@ -146,6 +146,13 @@ def test_retention_profile_rejects_non_subgraphs() -> None:
         triangle_retention_profile(sparse, dense)
 
 
+def test_retention_profile_names_both_vertex_counts() -> None:
+    # Graphs on different vertex counts share no edge order, so the counts
+    # are compared before any edge; the message once named edge None.
+    with pytest.raises(InputError, match="after-graph has 4 vertices, before-graph has 3"):
+        triangle_retention_profile(Graph(3, [(0, 1)]), Graph(4, [(0, 1)]))
+
+
 def complete_graph_v1_destroyed_fraction(n: int) -> Fraction:
     """Closed-form destroyed-triangle fraction at an attacked-class vertex
     of the complete graph under a gamma = 0 attack.

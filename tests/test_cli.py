@@ -94,6 +94,10 @@ def test_profile_csv_has_one_row_per_vertex(tmp_path, capsys) -> None:
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "vertex,before,after,retained"
     assert len(lines) == 16
+    smaller = write_graph(tmp_path, "smaller.edges", 14, 0.8, 4)
+    assert run("profile", "--before", before, "--after", smaller) == 2
+    err = capsys.readouterr().err
+    assert err == "error: after-graph has 14 vertices, before-graph has 15\n"
 
 
 def test_find_then_verify_round_trips(tmp_path, capsys) -> None:

@@ -66,7 +66,6 @@ from squareham.cli import run_command
 from squareham.gadgets import BULK_PATH_LEN
 from squareham.graphcore import mask_of
 from squareham.hamiltonian import (
-    almost_spanning_square_path,
     build_absorber,
     cover_with_square_paths,
     match_leftover,
@@ -181,9 +180,6 @@ def test_numpy_seeds_give_the_plain_int_answer() -> None:
         assert find_square_ham(HOST, config=config) == find_square_ham(
             HOST, config=plain
         )
-        assert almost_spanning_square_path(HOST, seed) == almost_spanning_square_path(
-            HOST, 3
-        )
         covered = cover_with_square_paths(HOST, everything, seed)
         assert covered == cover_with_square_paths(HOST, everything, 3)
         units = [(0, 1, 2, 3, 4), (5, 6, 7, 8, 9)]
@@ -243,7 +239,6 @@ def test_vertex_checks_raise_only_input_error(call) -> None:
         lambda: verify_witness(None, WITNESS),
         lambda: verify_witness(G, None),
         lambda: cover_with_square_paths(None, 3, 0),
-        lambda: almost_spanning_square_path(None),
         lambda: k3_attack(None, 0.05, 1),
         lambda: connect_one(None, (0, 1), (2, 3), 0, 5, 0),
         lambda: is_square_path(None, [0, 1, 2]),
@@ -281,7 +276,6 @@ def test_vertex_checks_raise_only_input_error(call) -> None:
         "verify_witness-graph-None",
         "verify_witness-witness-None",
         "cover-graph-None",
-        "almost_spanning-graph-None",
         "k3_attack-graph-None",
         "connect_one-graph-None",
         "is_square_path-graph-None",
@@ -458,7 +452,6 @@ SURFACE = {
     ),
     "verify_witness": (verify_witness, (K10, WITNESS), ()),
     # Public entry points below the package's exports.
-    "almost_spanning_square_path": (almost_spanning_square_path, (K10, 1, ALL10), (2,)),
     "build_absorber": (build_absorber, (K10, 1, 1), (1,)),
     "cover_with_square_paths": (cover_with_square_paths, (K10, ALL10, 1), (1,)),
     "match_leftover": (match_leftover, (K10, 1, 2), (1, 2)),

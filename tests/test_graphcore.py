@@ -49,7 +49,6 @@ from squareham.connector import connect_one
 from squareham.hamiltonian import (
     Certificate,
     InfeasibilityWitness,
-    almost_spanning_square_path,
     cover_with_square_paths,
     find_infeasibility_witness,
     find_square_ham,
@@ -317,9 +316,6 @@ def test_packed_rows_are_the_matrix_rows_packed(g, draw) -> None:
 ENTRY_POINTS = {
     "edges_within": edges_within,
     "cover_with_square_paths": cover_with_square_paths,
-    "almost_spanning_square_path": lambda g, s: almost_spanning_square_path(
-        g, verts=s
-    ),
     "match_leftover": lambda g, s: match_leftover(g, s, 0),
     "build_single_absorbers": lambda g, s: build_single_absorbers(g, s, 0),
     "connect_one": lambda g, s: connect_one(g, (0, 1), (2, 3), s, 5, 0),

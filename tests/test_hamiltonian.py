@@ -39,7 +39,6 @@ from squareham import (
 from squareham.hamiltonian import (
     STAGES,
     BruteForceResult,
-    almost_spanning_square_path,
     certificate_from_json_obj,
     cover_with_square_paths,
     failure_report_to_json_obj,
@@ -196,33 +195,17 @@ def test_small_instance_results_match_exhaustive_existence(g) -> None:
 @given(integers(min_value=0, max_value=30))
 def test_almost_spanning_paths_are_square_and_meet_coverage(seed: int) -> None:
     g = gnp_generate(80, 0.6, seed)
-    res = almost_spanning_square_path(g, seed=seed)
-    assert is_square_path(g, res.path).ok
-    assert res.coverage >= 1 - hamiltonian._COVER_EPS
-    assert len(res.path) == len(set(res.path))
-
-
-def test_almost_spanning_rejects_vertices_outside_the_host() -> None:
-    g = gnp_generate(20, 0.5, 0)
-    for verts in (1 << 10**6, mask_of([3, 10**6]), 1 << 20, -1):
-        with pytest.raises(InputError):
-            almost_spanning_square_path(g, verts=verts)
-
-
-def test_almost_spanning_rejects_bad_seeds() -> None:
-    # An empty target draws nothing, and its seed is still checked.
-    g = gnp_generate(20, 0.5, 0)
-    for verts in (None, 0):
-        for seed in (-1, -3, 1.5, "x", True):
-            with pytest.raises(InputError, match="seed"):
-                almost_spanning_square_path(g, seed=seed, verts=verts)
+    path = hamiltonian._grow_square_path(g.rows, (1 << g.n) - 1, seed)
+    assert is_square_path(g, path).ok
+    assert len(path) >= (1 - hamiltonian._COVER_EPS) * g.n
+    assert len(path) == len(set(path))
 
 
 def test_almost_spanning_is_deterministic() -> None:
     g = gnp_generate(80, 0.6, 4)
-    a = almost_spanning_square_path(g, seed=9)
-    b = almost_spanning_square_path(g, seed=9)
-    assert a.path == b.path
+    everything = (1 << g.n) - 1
+    a = hamiltonian._grow_square_path(g.rows, everything, 9)
+    assert a == hamiltonian._grow_square_path(g.rows, everything, 9)
 
 
 def test_a_hopeless_search_stops_at_its_step_budget(monkeypatch) -> None:
@@ -241,8 +224,7 @@ def test_a_hopeless_search_stops_at_its_step_budget(monkeypatch) -> None:
     monkeypatch.setattr(hamiltonian, "splitmix64", counting)
     n = 40
     g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
-    res = almost_spanning_square_path(g, seed=3)
-    assert len(res.path) == 2
+    assert len(hamiltonian._grow_square_path(g.rows, (1 << n) - 1, 3)) == 2
     assert 0 < picks <= 2 * 50 * n
     picks = 0
     cover = cover_with_square_paths(g, (1 << n) - 1, seed=3)
@@ -276,6 +258,40 @@ def test_cover_rejects_vertices_outside_the_host() -> None:
             cover_with_square_paths(g, u_prime, seed=0)
 
 
+def unspliced_cover(g: Graph, u_prime: int, seed: int) -> hamiltonian.CoverResult:
+    """The cover with its splice patched out: the searches' paths and the
+    vertices they left."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hamiltonian, "_insert_into_paths", lambda g, paths, q: False)
+        return cover_with_square_paths(g, u_prime, seed)
+
+
+def spliced_by_loop(g: Graph, u_prime: int, seed: int) -> hamiltonian.CoverResult:
+    """The unspliced cover with the position loop's splice applied to each
+    vertex it left, in ascending order."""
+    res = unspliced_cover(g, u_prime, seed)
+    paths = [list(path) for path in res.paths]
+    leftover = tuple(q for q in res.leftover if not looped_splice(g, paths, q))
+    fraction = len(leftover) / max(1, u_prime.bit_count())
+    return hamiltonian.CoverResult(tuple(map(tuple, paths)), leftover, fraction)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gnp_graphs(min_n=1, max_n=100, min_p=0.5),
+    integers(min_value=0, max_value=(1 << 100) - 1),
+    seeds(),
+)
+# The search leaves 3 vertices, and two of them splice.
+@example(gnp_generate(30, 0.6, 0), (1 << 30) - 1, 4)
+def test_a_sampled_cover_splices_what_its_searches_left(
+    g: Graph, targets: int, seed: int
+) -> None:
+    u_prime = targets & ((1 << g.n) - 1)
+    res = cover_with_square_paths(g, u_prime, seed)
+    assert res == spliced_by_loop(g, u_prime, seed)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     gnp_graphs(min_n=1, max_n=80),
@@ -290,12 +306,12 @@ def test_cover_rejects_vertices_outside_the_host() -> None:
 def test_the_cover_stops_at_the_floor_or_after_a_missed_target(
     g: Graph, targets: int, seed: int
 ) -> None:
-    # Read from the result alone.  Search k ran on its path, the later paths
-    # and the leftover, and every search but the last met its 3/4 target.
-    # The loop ended because fewer than _COVER_FLOOR vertices were left or
-    # because its last search missed; a search on a set that spans no edge
-    # keeps no path.
-    res = cover_with_square_paths(g, targets & ((1 << g.n) - 1), seed=seed)
+    # Read from the searches' result alone, before the splice.  Search k
+    # ran on its path, the later paths and the leftover, and every search
+    # but the last met its 3/4 target.  The loop ended because fewer than
+    # _COVER_FLOOR vertices were left or because its last search missed; a
+    # search on a set that spans no edge keeps no path.
+    res = unspliced_cover(g, targets & ((1 << g.n) - 1), seed)
     share = 1 - hamiltonian._COVER_EPS
     left = len(res.leftover)
     sizes = [len(path) for path in res.paths]
@@ -528,8 +544,8 @@ def json_digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
-# (n, p, seed) -> digests of the cover (paths and leftover) and of
-# the almost-spanning path on all of G(n, p, 1).
+# (n, p, seed) -> digests of the cover's searches (paths and leftover,
+# before the splice) and of one search's path on all of G(n, p, 1).
 COVER_PINS = {
     (200, 0.5, 0): (
         "86e58b67bb55c4af49661c61fe8b8bd92197eee44c7c4c4fcc4f7a107904557d",
@@ -554,10 +570,21 @@ COVER_PINS = {
 def test_cover_outputs_are_pinned(n: int, p: float, seed: int) -> None:
     # Refactors of the cover must not move its seeded paths.
     g = gnp_generate(n, p, 1)
-    cover = cover_with_square_paths(g, (1 << n) - 1, seed=seed)
-    path = almost_spanning_square_path(g, seed=seed).path
+    cover = unspliced_cover(g, (1 << n) - 1, seed)
+    path = hamiltonian._grow_square_path(g.rows, (1 << n) - 1, seed)
     cover_obj = [[list(q) for q in cover.paths], list(cover.leftover)]
     assert (json_digest(cover_obj), json_digest(list(path))) == COVER_PINS[n, p, seed]
+
+
+@pytest.mark.parametrize("n, p, seed", sorted(COVER_PINS))
+def test_the_cover_splices_what_its_searches_left(n: int, p: float, seed: int) -> None:
+    # The searches leave 6, 1 and 1 vertices on three of the four hosts,
+    # and the splice takes every one of them.
+    g = gnp_generate(n, p, 1)
+    everything = (1 << n) - 1
+    assert cover_with_square_paths(g, everything, seed) == spliced_by_loop(
+        g, everything, seed
+    )
 
 
 def test_a_threading_probe_is_one_job_with_the_probe_seed(monkeypatch) -> None:

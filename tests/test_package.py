@@ -457,8 +457,7 @@ def test_the_cover_makes_no_numpy_call_per_pick() -> None:
     (fn,) = [
         node
         for node in tree.body
-        if isinstance(node, ast.FunctionDef)
-        and node.name == "almost_spanning_square_path"
+        if isinstance(node, ast.FunctionDef) and node.name == "_grow_square_path"
     ]
     assert any(isinstance(node, ast.While) for node in ast.walk(fn))
     assert _rng_calls_in_loops(fn) == []
@@ -497,7 +496,7 @@ def test_every_per_pick_search_draws_from_one_stream() -> None:
     assert definers == {"graphcore.splitmix64"}
     assert _library_callers({"splitmix64"}) == {
         "connector._direct_connect",
-        "hamiltonian.almost_spanning_square_path",
+        "hamiltonian._grow_square_path",
     }
 
 
@@ -556,15 +555,12 @@ def test_pipeline_config_holds_only_settings_callers_change() -> None:
     # setting with one value in use is a module constant instead.
     fields = {f.name for f in dataclasses.fields(PipelineConfig)}
     assert fields == {"seed"}
-    # Each cover search's target and step budget follow from its set's size.
-    cover_params = {
-        fn: list(inspect.signature(getattr(hamiltonian, fn)).parameters)
-        for fn in ("almost_spanning_square_path", "cover_with_square_paths")
-    }
-    assert cover_params == {
-        "almost_spanning_square_path": ["g", "seed", "verts"],
-        "cover_with_square_paths": ["g", "u_prime", "seed"],
-    }
+    # Each cover search's target and step budget follow from its set's size,
+    # and the search is the cover's private step, with no result type.
+    cover_params = inspect.signature(hamiltonian.cover_with_square_paths).parameters
+    assert list(cover_params) == ["g", "u_prime", "seed"]
+    for gone in ("almost_spanning_square_path", "AlmostSpanningResult"):
+        assert not hasattr(hamiltonian, gone) and not hasattr(squareham, gone)
 
 
 def test_connections_and_units_keep_only_the_fields_they_use() -> None:
@@ -611,6 +607,28 @@ def test_the_cover_is_one_search_loop_and_the_batch_one_pass() -> None:
     assert not called & {"random_partition", "rng_for"}
     # No connector retries a seed.
     assert not hasattr(connector, "_ROUND_ATTEMPTS")
+
+
+def test_the_cover_splices_and_checks_its_own_paths() -> None:
+    # The cover splices what its searches leave and checks each path it
+    # returns once, so the pipeline neither splices nor checks a covering
+    # path again.  The cover reads its arguments, so its search reads none.
+    for name in ("_insert_into_paths", "is_square_path"):
+        assert _calls_in("hamiltonian", "_attempt", name) == 0, name
+        assert _calls_in("hamiltonian", "cover_with_square_paths", name) == 1, name
+    path = Path(squareham.__file__).parent / "hamiltonian.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (fn,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_grow_square_path"
+    ]
+    called = {
+        getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+    }
+    assert called and not {name for name in called if name.startswith("check_")}
 
 
 def test_the_absorber_draws_from_the_whole_host() -> None:
@@ -725,7 +743,7 @@ def test_pick_bit_is_the_one_place_a_draw_becomes_a_vertex() -> None:
     assert definers == {"graphcore.pick_bit"}
     assert _library_callers({"pick_bit"}) == {
         "connector._direct_connect.fill",
-        "hamiltonian.almost_spanning_square_path",
+        "hamiltonian._grow_square_path",
     }
 
 
