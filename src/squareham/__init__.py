@@ -6,7 +6,7 @@ Submodules:
         straight into packed rows, a block of rows at a time, codegrees and
         triangle counts from one symmetric ``A·Aᵀ`` product (an attacked
         graph's square corrected from its host's on the attacked class's
-        rows), family membership.
+        rows), family membership.  It holds no file format.
     gadgets: the one square-path check, a loop on short sequences and
         the one distance-1/2 pair pass on long ones, each naming its first
         fault from its one pass; the certificate check and the absorber
@@ -28,7 +28,9 @@ Submodules:
         the splice, one check per path), the exhaustive search for hosts of
         at most 58 vertices, certificates and checkable infeasibility witnesses.
     adversary: triangle-removal attacks, retention profiling, experiments.
-    cli: the ``artifact`` command-line front end.
+    cli: the ``artifact`` command-line front end, and the one module that
+        opens files: the edge-list and JSON graph formats and ``read_graph``,
+        one reader for every stored record, and the CSV reports.
 
 Vertex sets are ``int`` bitsets, bit ``v`` set for vertex ``v``, and
 sequences carry order (paths, certificates, witnesses, report fields); the
@@ -66,7 +68,6 @@ from .graphcore import (
     check_family_membership,
     complete_graph,
     gnp_generate,
-    read_graph,
     rng_for,
 )
 from .hamiltonian import (
@@ -111,7 +112,6 @@ __all__ = [
     "k3_attack",
     "max_triangle_packing",
     "prune_triangle_poor_edges",
-    "read_graph",
     "resilience_experiment",
     "rng_for",
     "triangle_retention_profile",

@@ -32,7 +32,7 @@ from the pool vertices that fit by a seeded offset, not uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -416,26 +416,3 @@ def verify_absorber(g: Graph, a: Absorber) -> AbsorberVerification:
         else:
             fault = "absorbee fewer than 3 places after the one before"
     return AbsorberVerification(False, j + 2, {"subset": (xs[j],), "reason": fault})
-
-
-# -- serialization ------------------------------------------------------------
-
-
-def absorber_from_json_obj(obj: Mapping) -> Absorber:
-    """The absorber a JSON description holds: ``walk`` and ``absorbees``,
-    the two fields as lists, as ``hamiltonian.jsonable`` writes them.
-
-    Raises:
-        InputError: On a malformed description, files of earlier formats
-            included, one naming a vertex that is not an integer, or one
-            with no absorbee.
-    """
-    try:
-        walk, absorbees = obj["walk"], obj["absorbees"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed absorber description: {exc}") from exc
-    walk = check_ints("an absorber vertex", walk)
-    absorbees = check_ints("an absorber vertex", absorbees)
-    if not absorbees:
-        raise InputError("an absorber needs at least one absorbee")
-    return Absorber(walk, absorbees)

@@ -11,13 +11,11 @@ experiments over random host graphs.
 from __future__ import annotations
 
 import concurrent.futures
-import csv
-import io
 import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -157,8 +155,6 @@ def triangle_retention_profile(
         check_probability("p_hint", p_hint)
     gfrac = None if gamma is None else _gamma_fraction(gamma)
     n = before.n
-    if after.n != n:
-        raise InputError(f"after-graph has {after.n} vertices, before-graph has {n}")
     ok, offending = after.is_subgraph_of(before)
     if not ok:
         raise InputError(f"after-graph has a new edge {offending}")
@@ -555,39 +551,3 @@ def resilience_experiment(
             ),
         }
     return {"params": params, "per_seed": per_seed, "aggregates": aggregates}
-
-
-def _flatten(prefix: str, obj, out: dict) -> None:
-    if isinstance(obj, Mapping):
-        for k in obj:
-            _flatten(f"{prefix}.{k}" if prefix else str(k), obj[k], out)
-    elif isinstance(obj, (list, tuple)):
-        out[prefix] = " ".join(str(v) for v in obj)
-    else:
-        out[prefix] = obj
-
-
-def experiment_report_to_csv(report: dict) -> str:
-    """Flatten a resilience report to CSV, one row per seed.
-
-    Params are repeated on every row under ``param.*`` columns; nested
-    per-seed values become dotted column names.
-    """
-    params: dict = {}
-    _flatten("param", report.get("params", {}), params)
-    rows = []
-    for rec in report.get("per_seed", []):
-        row = dict(params)
-        _flatten("", rec, row)
-        rows.append(row)
-    header: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in header:
-                header.append(key)
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()

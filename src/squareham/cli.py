@@ -1,9 +1,13 @@
 """Command-line front end: generation, attacks, pipeline runs, inspection.
 
-Every artifact-writing invocation drops a ``<out>.manifest.json`` sidecar
-recording the command, resolved configuration, seeds, library version, and
-wall-clock time.  Outputs themselves are deterministic for fixed seeds; the
-manifest (which carries timing) is the one file excluded from that contract.
+This is the one module that opens files, so it holds every file format: the
+graph formats (a plain edge list and JSON), the stored records (a
+certificate, a failure report with its witness, an absorber), and the CSV
+reports.  Every artifact-writing invocation drops a ``<out>.manifest.json``
+sidecar recording the command, resolved configuration, seeds, library
+version, and wall-clock time.  Outputs themselves are deterministic for
+fixed seeds; the manifest (which carries timing) is the one file excluded
+from that contract.
 
 Exit codes: 0 success, 1 algorithmic failure (a report is still emitted),
 2 usage or input error, 3 I/O error.
@@ -12,60 +16,176 @@ Exit codes: 0 success, 1 algorithmic failure (a report is still emitted),
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
+import os
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
-from .absorber import absorber_from_json_obj, verify_absorber
-from .adversary import (
-    experiment_report_to_csv,
-    k3_attack,
-    resilience_experiment,
-    triangle_retention_profile,
-)
+from .absorber import Absorber, verify_absorber
+from .adversary import k3_attack, resilience_experiment, triangle_retention_profile
 from .connector import connect_one
-from .graphcore import (
-    Graph,
-    InputError,
-    gnp_generate,
-    graph_to_edgelist_text,
-    graph_to_json_obj,
-    mask_of,
-    read_graph,
-)
+from .graphcore import Graph, InputError, check_ints, gnp_generate, mask_of
 from .hamiltonian import (
     Certificate,
     FailureReport,
+    InfeasibilityWitness,
     PipelineConfig,
     build_absorber,
-    certificate_from_json_obj,
     cover_with_square_paths,
-    failure_report_to_json_obj,
     find_square_ham,
     jsonable,
     verify_certificate,
     verify_witness,
-    witness_from_json_obj,
 )
 
 _USAGE_ERROR = 2
 _IO_ERROR = 3
 
 
-def _json_text(obj) -> str:
-    return json.dumps(jsonable(obj), indent=2, sort_keys=True) + "\n"
+def graph_to_edgelist_text(g: Graph) -> str:
+    """Plain edge-list serialization: ``"n m"`` header, then sorted ``"u v"`` lines."""
+    lines = [f"{g.n} {g.edge_count}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
 
 
-def _read_json(path: str):
-    """The JSON value the file at ``path`` holds; text that is no UTF-8 or
-    no JSON is an input error."""
+def graph_from_edgelist_text(text: str) -> Graph:
+    """Parse the plain edge-list format: an ``"n m"`` header, then ``m``
+    distinct edges ``"u v"``, one per line (strict; round-trips byte-exactly)."""
+    pairs = []
+    for ln in text.splitlines():
+        if ln.strip():
+            try:
+                u, v = map(int, ln.split())
+            except ValueError:
+                raise InputError(f"expected two integers, got {ln!r}") from None
+            pairs.append((u, v))
+    if not pairs:
+        raise InputError("empty edge-list input")
+    (n, m), edges = pairs[0], pairs[1:]
+    if len(edges) != m:
+        raise InputError(f"header promises {m} edges but {len(edges)} lines follow")
+    g = Graph(n, edges)
+    if g.edge_count != m:  # a line repeats an edge
+        counts = Counter((min(e), max(e)) for e in edges)
+        u, v = next(e for e, k in counts.items() if k > 1)
+        raise InputError(f"header promises {m} edges but edge {u} {v} repeats")
+    return g
+
+
+def graph_to_json_obj(g: Graph) -> dict:
+    """JSON-ready object ``{"n": ..., "edges": [[u, v], ...]}`` with sorted edges."""
+    return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
+
+
+def graph_from_json_obj(obj: dict) -> Graph:
+    """The graph of a ``{"n": ..., "edges": [[u, v], ...]}`` object.
+
+    Raises:
+        InputError: If a key is missing, ``edges`` is not a list, or ``n``
+            or an endpoint is not an integer (``true`` and ``1.5`` are not).
+    """
+    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
+        raise InputError("graph JSON must carry 'n' and 'edges'")
+    if not isinstance(obj["edges"], (list, tuple)):
+        raise InputError(f"graph JSON 'edges' must be a list, got {obj['edges']!r}")
+    return Graph(obj["n"], obj["edges"])
+
+
+def _read_text(path) -> str:
+    """The text of the UTF-8 file at ``path``; an unreadable file raises OSError."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise InputError(f"a path must be a str, got {type(path).__name__}")
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # text that is no JSON, or bytes that are no UTF-8
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except ValueError as exc:  # a null byte in the path, or bytes that are no UTF-8
+        raise InputError(f"cannot read {path!r}: {exc}") from None
+
+
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON input: {exc}") from None
+
+
+def read_graph(path: str) -> Graph:
+    """Read a graph file, auto-detecting the edge-list and JSON formats.
+
+    Raises:
+        InputError: If ``path`` is not a path, or the file is not UTF-8 text
+            holding a graph in either format.
+        OSError: If the file cannot be read.
+    """
+    text = _read_text(path)
+    if text.lstrip().startswith("{"):
+        return graph_from_json_obj(_parse_json(text))
+    return graph_from_edgelist_text(text)
+
+
+def _read_record(cls, obj):
+    """The ``cls`` record a JSON object holds, one entry per dataclass field,
+    read by the record's own checks; an :class:`Absorber` has none (tests
+    build degenerate ones), so its entries are read here as integers, and it
+    needs an absorbee."""
+    try:
+        values = [obj[f.name] for f in dataclasses.fields(cls)]
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"malformed {cls.__name__}: {exc}") from None
+    if cls is Absorber:
+        values = [check_ints("an absorber vertex", v) for v in values]
+        if not values[1]:
+            raise InputError("an absorber needs at least one absorbee")
+    return cls(*values)
+
+
+def _json_text(obj) -> str:
+    """``obj`` as indented JSON, a :class:`Graph` in it as graph JSON."""
+    obj = jsonable(obj)
+    return json.dumps(obj, indent=2, sort_keys=True, default=graph_to_json_obj) + "\n"
+
+
+def failure_report_to_json_obj(report: FailureReport) -> dict:
+    """A failure report as JSON, with no ``witness`` entry when it has none."""
+    return {k: v for k, v in jsonable(report).items() if v is not None}
+
+
+def _csv_text(header: list[str], rows: list[dict]) -> str:
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _flatten(prefix: str, obj) -> dict:
+    """``obj`` as one CSV row: nested keys joined by dots, lists by spaces."""
+    if isinstance(obj, dict):
+        row: dict = {}
+        for k, v in obj.items():
+            row.update(_flatten(f"{prefix}.{k}" if prefix else str(k), v))
+        return row
+    if isinstance(obj, (list, tuple)):
+        return {prefix: " ".join(str(v) for v in obj)}
+    return {prefix: obj}
+
+
+def experiment_report_to_csv(report: dict) -> str:
+    """Flatten a resilience report to CSV, one row per seed.
+
+    Params are repeated on every row under ``param.*`` columns; nested
+    per-seed values become dotted column names.
+    """
+    params = _flatten("param", report["params"])
+    rows = [{**params, **_flatten("", rec)} for rec in report["per_seed"]]
+    return _csv_text(list(dict.fromkeys(k for row in rows for k in row)), rows)
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -101,11 +221,7 @@ def _job(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
 
 def _cmd_generate(args) -> tuple[int, str, dict]:
     g = gnp_generate(args.n, args.p, args.seed)
-    text = (
-        graph_to_edgelist_text(g)
-        if args.format == "edgelist"
-        else _json_text(graph_to_json_obj(g))
-    )
+    text = graph_to_edgelist_text(g) if args.format == "edgelist" else _json_text(g)
     return 0, text, {"n": args.n, "p": args.p, "seed": args.seed}
 
 
@@ -115,14 +231,9 @@ def _cmd_attack(args) -> tuple[int, str, dict]:
     if args.format == "edgelist":
         text = graph_to_edgelist_text(res.attacked)
     else:
-        text = _json_text(
-            {
-                "v1": list(res.v1),
-                "v2": list(res.v2),
-                "removed_edge_count": res.removed_edge_count,
-                "graph": graph_to_json_obj(res.attacked),
-            }
-        )
+        obj = jsonable(res)
+        obj["graph"] = obj.pop("attacked")
+        text = _json_text(obj)
     return 0, text, {"gamma": args.gamma, "seed": args.seed, "graph": args.graph}
 
 
@@ -131,11 +242,11 @@ def _cmd_profile(args) -> tuple[int, str, dict]:
     after = read_graph(args.after)
     prof = triangle_retention_profile(before, after, args.p_hint, args.gamma)
     if args.format == "csv":
-        lines = ["vertex,before,after,retained"]
-        for v, (b, a) in enumerate(zip(prof.before, prof.after)):
-            ratio = a / b if b else 1.0
-            lines.append(f"{v},{b},{a},{ratio}")
-        text = "\n".join(lines) + "\n"
+        rows = [
+            {"vertex": v, "before": b, "after": a, "retained": a / b if b else 1.0}
+            for v, (b, a) in enumerate(zip(prof.before, prof.after))
+        ]
+        text = _csv_text(["vertex", "before", "after", "retained"], rows)
     else:
         text = _json_text(prof)
     return 0, text, {"before": args.before, "after": args.after}
@@ -157,11 +268,11 @@ def _cmd_find(args) -> tuple[int, str, dict]:
 def _cmd_verify(args) -> tuple[int, str, dict]:
     """Check a certificate, or the witness a failure report of ``find`` carries."""
     g = read_graph(args.graph)
-    obj = _read_json(args.certificate)
+    obj = _parse_json(_read_text(args.certificate))
     if isinstance(obj, dict) and "witness" in obj:
-        check = verify_witness(g, witness_from_json_obj(obj["witness"]))
+        check = verify_witness(g, _read_record(InfeasibilityWitness, obj["witness"]))
     else:
-        check = verify_certificate(g, certificate_from_json_obj(obj))
+        check = verify_certificate(g, _read_record(Certificate, obj))
     return (0 if check.ok else 1), _json_text(check), {
         "graph": args.graph,
         "certificate": args.certificate,
@@ -196,8 +307,7 @@ def _cmd_absorber_build(args) -> tuple[int, str, dict]:
 
 def _cmd_absorber_verify(args) -> tuple[int, str, dict]:
     g = read_graph(args.graph)
-    obj = _read_json(args.absorber)
-    a = absorber_from_json_obj(obj)
+    a = _read_record(Absorber, _parse_json(_read_text(args.absorber)))
     report = verify_absorber(g, a)
     meta = {"absorber": args.absorber}
     return (0 if report.ok else 1), _json_text(report), meta
@@ -205,19 +315,11 @@ def _cmd_absorber_verify(args) -> tuple[int, str, dict]:
 
 def _cmd_experiment(args) -> tuple[int, str, dict]:
     report = resilience_experiment(
-        args.n,
-        args.p,
-        args.gamma,
-        args.seeds,
-        jobs=args.jobs,
+        args.n, args.p, args.gamma, args.seeds, jobs=args.jobs
     )
-    text = (
-        experiment_report_to_csv(report)
-        if args.format == "csv"
-        else _json_text(report)
-    )
+    write = experiment_report_to_csv if args.format == "csv" else _json_text
     cfg = {"n": args.n, "p": args.p, "gamma": args.gamma, "seeds": args.seeds}
-    return 0, text, cfg
+    return 0, write(report), cfg
 
 
 def _cmd_cover(args) -> tuple[int, str, dict]:
@@ -360,15 +462,13 @@ def run_command(argv=None) -> int:
             manifest = {
                 "command": args.command,
                 "argv": list(argv) if argv is not None else sys.argv[1:],
-                "config": jsonable(config),
+                "config": config,
                 "seed": getattr(args, "seed", None),
                 "version": __version__,
                 "wall_clock_seconds": elapsed,
                 "outputs": [str(out)],
             }
-            Path(str(out) + ".manifest.json").write_text(
-                json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-            )
+            Path(str(out) + ".manifest.json").write_text(_json_text(manifest))
         except OSError as exc:
             print(f"i/o error: {exc}", file=sys.stderr)
             return _IO_ERROR

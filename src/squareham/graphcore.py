@@ -56,9 +56,7 @@ from __future__ import annotations
 
 import array
 import itertools
-import json
 import numbers
-import os
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -422,17 +420,22 @@ class Graph:
         return Graph._from_rows(tuple(rows))
 
     def is_subgraph_of(self, other: "Graph") -> tuple[bool, tuple[int, int] | None]:
-        """Whether every edge of this graph is an edge of ``other`` (same n).
+        """Whether every edge of this graph is an edge of ``other``.
 
         Returns:
             ``(True, None)`` or ``(False, offending_edge)``, where the
             offending edge is the first one in :meth:`edges` order.  Rows are
             symmetric, so in the first row ``u`` that is not a subset every
             extra neighbour is larger than ``u``.
+
+        Raises:
+            InputError: If ``other`` is not a graph on as many vertices.
         """
         check_graph(other, "other")
         if self.n != other.n:
-            return False, None
+            raise InputError(
+                f"a graph on {self.n} vertices is no subgraph of one on {other.n}"
+            )
         # One pass over the packed views, a block of rows at a time; the
         # block that holds an extra edge names its first row.
         mine, theirs = self.packed, other.packed
@@ -789,7 +792,7 @@ class MembershipReport:
 
 
 def check_family_membership(
-    gamma: Graph, g: Graph, params: FamilyParams, slack: float = DEFAULT_SLACK
+    gamma: Graph, g: Graph, params: FamilyParams
 ) -> MembershipReport:
     """Check the degree/codegree floors of the dense-subgraph family.
 
@@ -809,10 +812,6 @@ def check_family_membership(
     check_graph(g)
     if not isinstance(params, FamilyParams):
         raise InputError(f"params must be FamilyParams, got {type(params).__name__}")
-    if isinstance(slack, bool) or not isinstance(slack, numbers.Real) or not slack >= 0:
-        raise InputError(f"slack must be a non-negative real, got {slack!r}")
-    if g.n != gamma.n:
-        raise InputError(f"subgraph has n={g.n} but host has n={gamma.n}")
     ok_sub, offending = g.is_subgraph_of(gamma)
     if not ok_sub:
         raise InputError(f"edge {offending} of the subgraph is not a host edge")
@@ -832,8 +831,8 @@ def check_family_membership(
         flat = int(np.argmin(on_edge))
         min_codeg, min_codeg_e = int(on_edge.flat[flat]), divmod(flat, g.n)
 
-    ok = min_deg >= deg_thr - slack and (
-        min_codeg is None or min_codeg >= codeg_thr - slack
+    ok = min_deg >= deg_thr - DEFAULT_SLACK and (
+        min_codeg is None or min_codeg >= codeg_thr - DEFAULT_SLACK
     )
     return MembershipReport(
         ok=ok,
@@ -844,79 +843,3 @@ def check_family_membership(
         min_codegree=min_codeg,
         min_codegree_edge=min_codeg_e,
     )
-
-
-def graph_to_edgelist_text(g: Graph) -> str:
-    """Plain edge-list serialization: ``"n m"`` header, then sorted ``"u v"`` lines."""
-    lines = [f"{g.n} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
-
-
-def graph_from_edgelist_text(text: str) -> Graph:
-    """Parse the plain edge-list format (strict; round-trips byte-exactly)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise InputError("empty edge-list input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise InputError(f"expected 'n m' header, got {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise InputError(f"malformed header {lines[0]!r}") from exc
-    if len(lines) - 1 != m:
-        raise InputError(f"header promises {m} edges but {len(lines) - 1} lines follow")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise InputError(f"malformed edge line {ln!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise InputError(f"malformed edge line {ln!r}") from exc
-    return Graph(n, edges)
-
-
-def graph_to_json_obj(g: Graph) -> dict:
-    """JSON-ready object ``{"n": ..., "edges": [[u, v], ...]}`` with sorted edges."""
-    return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
-
-
-def graph_from_json_obj(obj: dict) -> Graph:
-    """The graph of a ``{"n": ..., "edges": [[u, v], ...]}`` object.
-
-    Raises:
-        InputError: If a key is missing, ``edges`` is not a list, or ``n``
-            or an endpoint is not an integer (``true`` and ``1.5`` are not).
-    """
-    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
-        raise InputError("graph JSON must carry 'n' and 'edges'")
-    if not isinstance(obj["edges"], (list, tuple)):
-        raise InputError(f"graph JSON 'edges' must be a list, got {obj['edges']!r}")
-    return Graph(obj["n"], obj["edges"])
-
-
-def read_graph(path: str) -> Graph:
-    """Read a graph file, auto-detecting the edge-list and JSON formats.
-
-    Raises:
-        InputError: If ``path`` is not a path, or the file is not UTF-8 text
-            holding a graph in either format.
-        OSError: If the file cannot be read.
-    """
-    if not isinstance(path, (str, bytes, os.PathLike)):
-        raise InputError(f"a graph path must be a str, got {type(path).__name__}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except ValueError as exc:  # a null byte in the path, or bytes that are no UTF-8
-        raise InputError(f"cannot read a graph from {path!r}: {exc}") from None
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            return graph_from_json_obj(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise InputError(f"malformed graph JSON: {exc}") from exc
-    return graph_from_edgelist_text(text)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -191,33 +191,6 @@ def jsonable(obj):
     if hasattr(obj, "item") and callable(obj.item):
         return obj.item()
     return obj
-
-
-def certificate_from_json_obj(obj: Mapping) -> Certificate:
-    """Raises :class:`InputError` on a malformed description, one naming a
-    vertex that is not an integer included."""
-    try:
-        order = tuple(obj["order"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed certificate: {exc}") from exc
-    return Certificate(order)
-
-
-def failure_report_to_json_obj(report: FailureReport) -> dict:
-    obj = {"stage": report.stage, "diagnostics": jsonable(report.diagnostics)}
-    if report.witness is not None:
-        obj["witness"] = jsonable(report.witness)
-    return obj
-
-
-def witness_from_json_obj(obj: Mapping) -> InfeasibilityWitness:
-    """Raises :class:`InputError` on a malformed entry, one naming a vertex
-    that is not an integer included."""
-    try:
-        kind, vertices = str(obj["kind"]), tuple(obj["vertices"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed witness: {exc}") from exc
-    return InfeasibilityWitness(kind, vertices)
 
 
 def verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
@@ -874,10 +847,6 @@ def find_square_ham(
         raise InputError(f"config must be a PipelineConfig, got {kind}")
     if gamma_host is not None:
         check_graph(gamma_host, "gamma_host")
-        if g.n != gamma_host.n:
-            raise InputError(
-                f"graph has {g.n} vertices but the ambient host has {gamma_host.n}"
-            )
         ok, offending = g.is_subgraph_of(gamma_host)
         if not ok:
             raise InputError(

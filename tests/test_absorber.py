@@ -30,7 +30,7 @@ from squareham import (
 )
 from squareham import absorber as absorber_module
 from squareham import connector, hamiltonian
-from squareham.absorber import absorber_from_json_obj
+from squareham.cli import _read_record
 from squareham.gadgets import BULK_PATH_LEN
 from squareham.graphcore import bits, mask_of, rng_for
 from squareham.hamiltonian import jsonable
@@ -325,11 +325,11 @@ def test_absorber_json_round_trip() -> None:
     stored = jsonable(absorber)
     assert stored == {"walk": list(absorber.walk),
                       "absorbees": list(absorber.absorbees)}
-    assert absorber_from_json_obj(stored) == absorber
+    assert _read_record(Absorber, stored) == absorber
     for bad in ({"nonsense": True}, {"walk": [1, 2, 0, 3, 4], "absorbees": []},
                 {"walk": [1, 2, "x"], "absorbees": [0]}):
         with pytest.raises(InputError):
-            absorber_from_json_obj(bad)
+            _read_record(Absorber, bad)
 
 
 # The absorbee 0 and a star pool of eight vertices, as bitsets.

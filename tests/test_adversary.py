@@ -19,11 +19,8 @@ from squareham import (
     triangle_retention_profile,
 )
 from squareham import adversary
-from squareham.adversary import (
-    attack_class_size,
-    experiment_report_to_csv,
-    resilience_experiment,
-)
+from squareham.adversary import attack_class_size, resilience_experiment
+from squareham.cli import experiment_report_to_csv
 from squareham import graphcore
 from squareham.graphcore import (
     Graph,
@@ -149,7 +146,7 @@ def test_retention_profile_rejects_non_subgraphs() -> None:
 def test_retention_profile_names_both_vertex_counts() -> None:
     # Graphs on different vertex counts share no edge order, so the counts
     # are compared before any edge; the message once named edge None.
-    with pytest.raises(InputError, match="after-graph has 4 vertices, before-graph has 3"):
+    with pytest.raises(InputError, match="a graph on 4 vertices is no subgraph of one on 3"):
         triangle_retention_profile(Graph(3, [(0, 1)]), Graph(4, [(0, 1)]))
 
 

@@ -8,10 +8,15 @@ from pathlib import Path
 import pytest
 
 import squareham
-from squareham.absorber import absorber_from_json_obj
+from squareham import Absorber
+from squareham.cli import (
+    _read_record,
+    graph_from_edgelist_text,
+    graph_to_edgelist_text,
+    read_graph,
+    run_command,
+)
 from squareham.hamiltonian import jsonable
-from squareham.cli import run_command
-from squareham.graphcore import graph_from_edgelist_text, graph_to_edgelist_text
 
 
 def run(*argv: str) -> int:
@@ -97,7 +102,7 @@ def test_profile_csv_has_one_row_per_vertex(tmp_path, capsys) -> None:
     smaller = write_graph(tmp_path, "smaller.edges", 14, 0.8, 4)
     assert run("profile", "--before", before, "--after", smaller) == 2
     err = capsys.readouterr().err
-    assert err == "error: after-graph has 14 vertices, before-graph has 15\n"
+    assert err == "error: a graph on 14 vertices is no subgraph of one on 15\n"
 
 
 def test_find_then_verify_round_trips(tmp_path, capsys) -> None:
@@ -242,7 +247,7 @@ def test_a_batch_is_one_connect_call_per_job(tmp_path, capsys) -> None:
     # Disjoint interiors come from --exclude: the first call keeps the
     # second job's ports out, and the second keeps the first path out.
     graph = write_graph(tmp_path, "g.edges", 30, 1.0, 0)
-    g = squareham.read_graph(graph)
+    g = read_graph(graph)
 
     def connect(pairs: str, exclude: str) -> tuple[int, ...]:
         assert run("connect", "--graph", graph, "--pairs", pairs, "--length", "8",
@@ -348,7 +353,7 @@ def test_absorber_files_round_trip_through_the_core_format(tmp_path, capsys) -> 
     assert places == sorted(places) and places[0] == 2
     assert all(j - i >= 5 for i, j in zip(places, places[1:]))
     assert places[-1] == len(walk) - 3
-    assert jsonable(absorber_from_json_obj(current)) == current
+    assert jsonable(_read_record(Absorber, current)) == current
 
 
 def test_absorber_build_rejects_repeated_absorbees(tmp_path, capsys) -> None:

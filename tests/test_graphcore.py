@@ -23,7 +23,6 @@ from squareham import (
     InputError,
     complete_graph,
     gnp_generate,
-    read_graph,
     rng_for,
 )
 from squareham import graphcore
@@ -33,15 +32,18 @@ from squareham.graphcore import (
     check_family_membership,
     codegrees,
     edges_within,
-    graph_from_edgelist_text,
-    graph_from_json_obj,
-    graph_to_edgelist_text,
-    graph_to_json_obj,
     mask_of,
     packed_rows,
     pick_bit,
     splitmix64,
     triangle_profile,
+)
+from squareham.cli import (
+    graph_from_edgelist_text,
+    graph_from_json_obj,
+    graph_to_edgelist_text,
+    graph_to_json_obj,
+    read_graph,
 )
 from squareham.absorber import Absorber, build_single_absorbers
 from squareham.adversary import k3_attack
@@ -357,7 +359,8 @@ def test_subgraph_relation_is_reflexive_and_detects_extras(g: Graph) -> None:
 @given(gnp_graphs(min_n=2, max_n=16), gnp_graphs(min_n=2, max_n=16))
 def test_subgraph_check_names_the_first_missing_edge(g: Graph, h: Graph) -> None:
     if g.n != h.n:
-        assert g.is_subgraph_of(h) == (False, None)
+        with pytest.raises(InputError, match=f"on {g.n} vertices .* one on {h.n}$"):
+            g.is_subgraph_of(h)
         return
     missing = [e for e in g.edges() if not h.has_edge(*e)]
     expected = (False, missing[0]) if missing else (True, None)
@@ -530,6 +533,9 @@ def test_edgelist_text_rejects_malformed_input() -> None:
         graph_from_edgelist_text("3 1\n0 5\n")
     with pytest.raises(InputError):
         graph_from_edgelist_text("3 2\n0 1\n")
+    # The header counts edges, and a repeated one counts once.
+    with pytest.raises(InputError, match="edge 0 1 repeats"):
+        graph_from_edgelist_text("3 2\n0 1\n1 0\n")
 
 
 def edge_lists(max_n: int = 12):

@@ -169,6 +169,79 @@ def test_the_matrix_product_guard_sees_every_spelling() -> None:
     assert len(_matrix_products(ast.parse(graphcore.read_text(encoding="utf-8")))) == 1
 
 
+#: Modules that read or write files; only the CLI imports them.
+FILE_MODULES = {"csv", "io", "json", "os", "pathlib"}
+
+
+def _file_access(tree: ast.AST) -> list[str]:
+    """Each import in ``tree`` of a file module, and each call of ``open``,
+    by name or as an attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [
+                f"line {node.lineno}: import {alias.name}"
+                for alias in node.names
+                if alias.name.split(".")[0] in FILE_MODULES
+            ]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] in FILE_MODULES:
+                found.append(f"line {node.lineno}: from {node.module}")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "open":
+                found.append(f"line {node.lineno}: open()")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in Path(squareham.__file__).parent.glob("*.py") if p.name != "cli.py"],
+    ids=lambda p: p.name,
+)
+def test_only_the_cli_touches_files(path: Path) -> None:
+    # The CLI holds every file format and reads every file, so a format
+    # changes in one module and the library never reads a path.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _file_access(tree) == [], path.name
+
+
+def test_the_file_guard_sees_every_spelling() -> None:
+    flagged = (
+        "import json",
+        "import os.path",
+        "import csv as table",
+        "import io, math",
+        "import pathlib",
+        "from io import StringIO",
+        "from os import path",
+        "from os.path import join",
+        "from pathlib import Path",
+        "open(p)",
+        "with open(p, 'w') as fh:\n    fh.write(text)",
+        "builtins.open(p)",
+        "Path(p).open()",
+    )
+    for src in flagged:
+        assert _file_access(ast.parse(src)), src
+    quiet = (
+        "import numpy as np",
+        "import jsonschema",
+        "from . import graphcore",
+        "from .io import reader",
+        "from typing import Mapping",
+        "jsonable(x)",
+        "reopen(p)",
+        "p.opened",
+        "os = 3",
+    )
+    for src in quiet:
+        assert _file_access(ast.parse(src)) == [], src
+    cli = Path(squareham.__file__).parent / "cli.py"
+    assert _file_access(ast.parse(cli.read_text(encoding="utf-8")))
+
+
 def _scopes_where(tree: ast.AST, matches) -> set[str]:
     """Names of the innermost functions (``Class.method`` for methods) whose
     bodies hold a node for which ``matches`` is true."""
