@@ -24,9 +24,10 @@ Submodules:
         search failed is linked.  Chaining runs the one absorber audit on
         every absorber it returns: the square-path check on the walk and
         on the walk less its absorbees, and one spacing pass.
-    hamiltonian: the end-to-end pipeline, its one cover stage (searches,
-        the splice, one check per path), the exhaustive search for hosts of
-        at most 58 vertices, certificates and checkable infeasibility witnesses.
+    hamiltonian: the pipeline, in which any absorbee may anchor a straggler
+        or fuel the threading, its one cover stage (searches, the splice,
+        one check per path), exhaustive search up to 58 vertices,
+        certificates and checkable infeasibility witnesses.
     adversary: triangle-removal attacks, retention profiling, experiments.
     cli: the ``artifact`` command-line front end, and the one module that
         opens files: the edge-list and JSON graph formats and ``read_graph``,

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .connector import connect_one
+from .connector import MAX_LENGTH, connect_one
 from .gadgets import _first_gap, is_square_path
 from .graphcore import (
     Graph,
@@ -210,7 +210,7 @@ def chain_absorbers(
     unit's ``v1 v2`` and the next one's ``u1 u2`` form the direct arc
     (``v2 ~ u1``, ``v2 ~ u2`` and ``v1 ~ u1``), the next unit follows it in
     the walk with no call.  Otherwise the link is one :func:`connect_one`
-    job of up to eight vertices from the exit pair to the entry pair
+    job of up to ``MAX_LENGTH`` vertices from the exit pair to the entry pair
     through the bitset ``pool`` less the units and the earlier links, with
     a seed derived from ``seed`` and the link's place.  The units
     :func:`build_single_absorbers` chains all meet on dense hosts; only an
@@ -267,7 +267,8 @@ def chain_absorbers(
         if rows[v2] >> u1 & rows[v2] >> u2 & rows[v1] >> u1 & 1:
             walk += b
             continue
-        res = connect_one(g, a[-2:], b[:2], free, 8, (seed * 9_176 + i * 13) * 31)
+        link_seed = (seed * 9_176 + i * 13) * 31
+        res = connect_one(g, a[-2:], b[:2], free, MAX_LENGTH, link_seed)
         if not res.ok:
             link = (a[2], b[2])
             return None, {"phase": "link", "link": link, "connect": res.diagnostics}

@@ -25,6 +25,8 @@ from .graphcore import Graph, InputError, check_graph, check_int, pick_bit, spli
 # Pool vertices one search may look at; a failure past it reports
 # NODE_BUDGET + 1 nodes.
 NODE_BUDGET = 100_000
+# The most vertices an absorber link or a threading probe asks for.
+MAX_LENGTH = 8
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,11 @@
 
 The pipeline draws a random absorbee set, builds a chained absorber around
 it from the rest of the host, covers what the absorber leaves with long
-square paths, matches stray vertices to anchor absorbees, threads everything
-into one cycle through the absorbees left over, and lets the absorber
-swallow whatever the threading consumed.  Every returned certificate is
-re-verified; failures are first-class reports naming the stage that ran out
-of room.
+square paths, matches each stray vertex to an adjacent absorbee, threads
+everything into one cycle through the absorbees left over, and lets the
+absorber swallow whatever the threading consumed.  Every returned
+certificate is re-verified; failures are first-class reports naming the
+stage that ran out of room.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .absorber import (
     build_single_absorbers,
     chain_absorbers,
 )
-from .connector import connect_one
+from .connector import MAX_LENGTH, connect_one
 from .gadgets import ValidationResult, _first_gap, is_square_path
 from .graphcore import (
     Graph,
@@ -54,8 +54,6 @@ STAGES = (
 
 # The paper fixes these constants existentially; at desk scale each one
 # holds the one value every caller runs with.
-# Share of the absorbees kept as anchors for the leftover matching.
-_ANCHOR_SHARE = 0.75
 # Hosts of at most this many vertices go to exhaustive search.  The value is
 # where the old fixed-size reservoirs stopped fitting; it stays so that no
 # small host loses an answer exhaustive search gives, until the two can be
@@ -63,12 +61,11 @@ _ANCHOR_SHARE = 0.75
 _EXHAUSTIVE_MAX_N = 58
 # Search nodes the exhaustive search may spend before it reports unknown.
 _EXHAUSTIVE_BUDGET = 3_000_000
-# The absorbee count is round(_ABSORBEE_SHARE * n).  The absorbees the
-# leftover matching does not take are the threading's only fuel, so at .05
-# the threading runs short, and G(4000, .15) certifies more often at .11
-# than at .1.  It was tuned when each unit and its link took about six
-# vertices of the rest of the host; a chained unit takes four and needs no
-# link, and the share has not been tuned again since.
+# The absorbee count is round(_ABSORBEE_SHARE * n).  Any absorbee may anchor
+# a straggler; the ones the leftover matching does not take are the
+# threading's only fuel, so at .05 the threading runs short, and G(4000, .15)
+# certified more often at .11 than at .1, when a unit and its link took six
+# vertices and a random 3/4 of the absorbees could anchor; not tuned since.
 _ABSORBEE_SHARE = 0.11
 # Fewest uncovered vertices the cover runs a search on; fewer go straight
 # to the splice and the leftover matching.
@@ -606,13 +603,13 @@ def cover_with_square_paths(g: Graph, u_prime: int, seed: int = 0) -> CoverResul
     return CoverResult(covering, leftover, len(leftover) / max(1, u_prime.bit_count()))
 
 
-def match_leftover(g: Graph, q_set: int, x1: int) -> MatchingResult:
+def match_leftover(g: Graph, q_set: int, anchors: int) -> MatchingResult:
     """Match every leftover vertex to a distinct adjacent anchor.
 
     Args:
         g: Host graph.
         q_set: Bitset of the leftover vertices that must all be matched.
-        x1: Bitset of the anchor vertices (disjoint from ``q_set``).
+        anchors: Bitset of the anchor vertices (disjoint from ``q_set``).
 
     Returns:
         The engine's :class:`MatchingResult` on host ids: ``(leftover,
@@ -621,11 +618,11 @@ def match_leftover(g: Graph, q_set: int, x1: int) -> MatchingResult:
     """
     check_graph(g)
     g.check_mask(q_set)
-    g.check_mask(x1)
-    if q_set & x1:
+    g.check_mask(anchors)
+    if q_set & anchors:
         raise InputError("leftover vertices and anchors must be disjoint")
     qs = bits(q_set)
-    res = hall_saturating_matching([g.rows[q] & x1 for q in qs])
+    res = hall_saturating_matching([g.rows[q] & anchors for q in qs])
     return dataclasses.replace(
         res,
         pairs=tuple((qs[a], x) for a, x in res.pairs),
@@ -674,14 +671,15 @@ def _assemble_cycle(
     explores them: direct arcs first, read off the exit pair's rows, then
     short connectors whose interiors consume the ``fuel`` mask; each group
     by piece, forward before reversed.  Each probe is one
-    :func:`connect_one` job of up to eight vertices through the fuel left,
-    served shortest first; it counts in ``probes`` even when the ports rule
-    out every length.  Returns the cycle segment that follows the absorber
-    traversal and, under ``consumed``, the bitset of the fuel it used; or
-    ``None`` and diagnostics on the deepest threading reached.
+    :func:`connect_one` job of up to ``min(MAX_LENGTH, g.n)`` vertices
+    through the fuel left, served shortest first; it counts in ``probes``
+    even when the ports rule out every length.  Returns the cycle segment
+    after the absorber traversal and, under ``consumed``, the fuel bitset
+    it used; or ``None`` and diagnostics on the deepest threading reached.
     """
     total = len(pieces)
     rows = g.rows
+    longest = min(MAX_LENGTH, g.n)
     oriented = [(piece, piece[::-1]) for piece in pieces]
     nodes = 0
     deepest = 0
@@ -691,7 +689,7 @@ def _assemble_cycle(
     ) -> tuple[int, ...] | None:
         nonlocal nodes
         nodes += 1
-        res = connect_one(g, cur, to, fuel & ~consumed, min(8, g.n), seed * 7919 + salt)
+        res = connect_one(g, cur, to, fuel & ~consumed, longest, seed * 7919 + salt)
         # The ports are the path's first two and last two vertices.
         return res.path[2:-2] if res.ok else None
 
@@ -761,29 +759,25 @@ def _attempt(
         return FailureReport("absorber", dict(fail, plan=plan))
 
     cover = cover_with_square_paths(g, ((1 << n) - 1) & ~absorber.body(), seed0 + 2)
-    xs = bits(x_mask)
-    perm = rng_for(seed0, 59).permutation(len(xs))
-    k1 = math.floor(_ANCHOR_SHARE * len(xs))
-    x1 = mask_of(xs[int(i)] for i in perm[:k1])
     # Only the vertices no covering path took need an anchor absorbee each.
-    if len(cover.leftover) > k1:
+    if len(cover.leftover) > x:
         return FailureReport(
             "covering",
             {
                 "leftover": len(cover.leftover),
-                "anchor_capacity": k1,
                 "leftover_fraction": cover.leftover_fraction,
                 "paths": len(cover.paths),
+                "plan": plan,
             },
         )
-    matching = match_leftover(g, mask_of(cover.leftover), x1)
+    matching = match_leftover(g, mask_of(cover.leftover), x_mask)
     if matching.status != "matched":
         return FailureReport(
             "leftover-matching",
             {
                 "violating_leftover": list(matching.violator),
                 "joint_neighborhood": list(matching.neighborhood),
-                "anchors": k1,
+                "plan": plan,
             },
         )
 
@@ -794,7 +788,8 @@ def _attempt(
     fuel = x_mask & ~matched_anchors
     suffix, info = _assemble_cycle(g, absorber, pieces, fuel, seed0 + 3)
     if suffix is None:
-        return FailureReport("connecting", dict(info, plan=plan))
+        stragglers = len(matching.pairs)
+        return FailureReport("connecting", dict(info, stragglers=stragglers, plan=plan))
     prime = absorb(absorber, matched_anchors | info["consumed"])
     cert = Certificate(tuple(prime) + suffix)
     check = verify_certificate(g, cert)
