@@ -22,6 +22,7 @@ import numpy as np
 from .graphcore import (
     Graph,
     InputError,
+    _row_dots,
     _square,
     _square_less_within,
     _triangles,
@@ -31,7 +32,6 @@ from .graphcore import (
     check_ints,
     check_probability,
     check_vertex_count,
-    edges_within,
     gnp_generate,
     mask_of,
     rng_for,
@@ -92,13 +92,13 @@ def k3_attack(gamma_graph: Graph, gamma, seed: int) -> AttackResult:
     size = attack_class_size(n, gamma)
     rng = rng_for(seed, 61)
     chosen = rng.choice(n, size=size, replace=False) if size else np.zeros(0, int)
-    v1 = tuple(sorted(int(v) for v in chosen))
+    v1 = tuple(sorted(chosen.tolist()))
     v1_mask = mask_of(v1)
-    removed = edges_within(gamma_graph, v1_mask)
     attacked = gamma_graph.remove_edges_within(v1)
     for u in v1:
         assert not attacked.rows[u] & v1_mask, "attack left an internal edge"
-    v2 = tuple(v for v in range(n) if not v1_mask >> v & 1)
+    v2 = tuple(bits(((1 << n) - 1) ^ v1_mask))
+    removed = gamma_graph.edge_count - attacked.edge_count
     return AttackResult(v1, v2, attacked, removed)
 
 
@@ -319,19 +319,9 @@ def prune_triangle_poor_edges(g: Graph, threshold: int) -> Graph:
     threshold = check_int("threshold", threshold, 0)
     if threshold == 0 or g.edge_count == 0:
         return g
-    return _prune_on_square(g, _square(g), threshold)
-
-
-def _prune_on_square(g: Graph, sq: np.ndarray, threshold: int) -> Graph:
-    """:func:`prune_triangle_poor_edges` with ``A·A`` of ``g`` given as ``sq``.
-
-    ``sq`` is the exact float32 square of :func:`graphcore._square`, or a
-    host's square turned into that of ``g`` by
-    :func:`graphcore._square_less_within`; both hold exact integers of at
-    most ``n``.  An edge lies on at most ``n - 2`` triangles, so capping the
-    threshold at ``n`` keeps the comparison exact in float32 and changes no
-    answer.
-    """
+    # An edge lies on at most n - 2 triangles, so capping the threshold at
+    # n keeps the float32 comparison exact and changes no answer.
+    sq = _square(g)[1]
     return g.remove_marked_edges(g.matrix & (sq < min(threshold, g.n)))
 
 
@@ -359,8 +349,7 @@ def _percentiles(values: np.ndarray) -> dict:
     return {f"p{q}": float(x) for q, x in zip(qs, pct)}
 
 
-def _class_aggregate(t_before, t_after, verts) -> float:
-    idx = list(verts)
+def _class_aggregate(t_before, t_after, idx: np.ndarray) -> float:
     denom = int(t_before[idx].sum())
     if denom == 0:
         return 1.0
@@ -408,27 +397,28 @@ def _experiment_one_seed(args) -> dict:
     n, p, gamma, seed = args
     graph = gnp_generate(n, p, seed)
     attack = k3_attack(graph, gamma, seed)
-    # Both cached matrices live to the end of the seed.  Unpacked before the
-    # squares' temporaries, they pin no freed heap above them: unpacking
-    # the attacked one after the correction raised peak RSS by about 0.5 MB.
-    graph.matrix, attack.attacked.matrix
-    # One square of the host serves its triangle counts; corrected in place
-    # to the attacked graph's square, it serves their triangle counts and
-    # the pruning below.
-    sq = _square(graph)
-    t_before = _triangles(graph, sq)
-    _square_less_within(graph, sq, attack.v1)
-    t_after = _triangles(attack.attacked, sq)
+    # Three buffers live to the end of the seed, allocated in this order
+    # before the correction's temporaries, so none pins freed heap above
+    # it (peak RSS moves with allocation order): the host's cached boolean
+    # matrix, which the density checks read, its float32 adjacency ``a``
+    # and ``sq``.  Turned in place into the attacked graph's, the pair also
+    # serves its triangle counts and pruned degrees; no attacked matrix is built.
+    a, sq = _square(graph)
+    t_before = _triangles(a, sq)
+    _square_less_within(graph, attack.v1, a, sq)
+    t_after = _triangles(a, sq)
     retained, min_retained, mean_retained = _retained(t_before, t_after)
     destroyed = 1.0 - retained
-    v1 = list(attack.v1)
-    v2 = list(attack.v2)
+    v1 = np.asarray(attack.v1, dtype=np.intp)
+    v2 = np.asarray(attack.v2, dtype=np.intp)
     agg_v1 = _class_aggregate(t_before, t_after, v1)
     agg_v2 = _class_aggregate(t_before, t_after, v2)
-    v1_destroyed = np.sort(destroyed[v1]) if v1 else np.zeros(0)
+    v1_destroyed = np.sort(destroyed[v1])
     prune_threshold = math.ceil(EXPERIMENT_CHECKS["prune_eps"] * n * p * p)
-    pruned = _prune_on_square(attack.attacked, sq, prune_threshold)
-    min_deg_after = int(pruned.degrees.min()) if n else 0
+    # prune_triangle_poor_edges keeps an edge whose codegree reaches the
+    # threshold; a vertex keeps the row dot of those flags with its row.
+    np.greater_equal(sq, prune_threshold, out=sq)
+    min_deg_after = int(_row_dots(sq, a).min()) if n else 0
     record = {
         "seed": seed,
         "v1_size": len(v1),
@@ -438,11 +428,11 @@ def _experiment_one_seed(args) -> dict:
         "class_retained_v1": agg_v1,
         "class_retained_v2": agg_v2,
         "min_class_retained": min(agg_v1, agg_v2),
-        "v1_destroyed_median": float(np.median(v1_destroyed)) if v1 else 0.0,
+        "v1_destroyed_median": float(np.median(v1_destroyed)) if v1.size else 0.0,
         "destroyed_percentiles": _percentiles(destroyed),
         "prune_threshold": prune_threshold,
         "min_degree_after_prune": int(min_deg_after),
-        "degree_reference": (2 / 3 + float(_gamma_fraction(gamma)) / 4) * n * p,
+        "degree_reference": (2 / 3 + float(gamma) / 4) * n * p,
         "density": _density_checks(graph, p, seed, t_before),
     }
     packing = {"structural_bound": (3 * len(v2) // 2) // 3}
@@ -496,7 +486,7 @@ def resilience_experiment(
     """
     n = check_vertex_count("n", n)
     check_probability("p", p)
-    _gamma_fraction(gamma)
+    gamma = _gamma_fraction(gamma)
     jobs = check_int("jobs", jobs, 1)
     if isinstance(seeds, Iterable):
         seed_list = [check_int("seed", s, 0) for s in seeds]
@@ -505,7 +495,7 @@ def resilience_experiment(
     params = {
         "n": n,
         "p": p,
-        "gamma": float(_gamma_fraction(gamma)),
+        "gamma": float(gamma),
         "seeds": seed_list,
         "checks": dict(EXPERIMENT_CHECKS),
     }

@@ -27,10 +27,10 @@ parent's rows.  Every codegree and triangle count comes from one symmetric
 of a graph less the edges inside a vertex set is taken from its host's
 square by one thin correction product on that set's rows, not squared
 again.  Both products are exact: every entry is an integer of at most
-``n``, and float32 holds every integer below 2^24 exactly (a graph on 2^24
-vertices would need a 256 TiB matrix).  A triangle count sums a row of such
-entries, which can pass 2^24, so those sums are accumulated in float64
-(exact below 2^53).
+``n``, and float32 holds every integer up to 2^24 exactly (a graph on 2^24
+vertices would need a 256 TiB matrix).  A triangle count is a row dot of
+the square with the float32 adjacency (:func:`_row_dots`, the one other
+kernel), exact in float32 up to n = 4096 and by float32 chunks beyond.
 
 Every argument is read by one rule, here: a vertex, count or seed is a
 Python or numpy integer, never a ``bool``, read as a plain ``int``
@@ -403,16 +403,16 @@ class Graph:
         return Graph._from_rows(tuple(rows))
 
     def remove_marked_edges(self, marked: np.ndarray) -> "Graph":
-        """A copy of this graph without the pairs set in ``marked``.
+        """A copy of this graph without the pairs marked in ``marked``.
 
-        ``marked`` is a symmetric boolean ``n x n`` matrix.  Each row of it
-        is packed into one bitset; rows it leaves empty are shared with this
-        graph.
-
+        ``marked`` is a boolean ``n x n`` matrix whose entry ``(u, v)``
+        marks the pair ``uv``, as :meth:`remove_edges` reads it.  Each row
+        of it ORed with its transpose is packed into one bitset; rows no
+        pair touches are shared with this graph.
         """
         if getattr(marked, "shape", None) != (self.n, self.n) or marked.dtype != bool:
             raise InputError(f"marked must be a boolean {self.n} x {self.n} array")
-        packed = np.packbits(marked, axis=1, bitorder="little")
+        packed = np.packbits(marked | marked.T, axis=1, bitorder="little")
         rows = []
         for row, drop in zip(self._rows, packed):
             gone = int.from_bytes(drop.tobytes(), "little")
@@ -678,11 +678,12 @@ def edges_within(g: Graph, s: int) -> int:
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` of two float32 0/1 matrices; the package's only matrix product.
+    """``a @ b`` of two float32 0/1 matrices; with :func:`_row_dots`, one of
+    the package's two matrix kernels.
 
     Every entry of the result counts the ones two rows share, so it is an
     integer of at most the inner dimension, which is at most ``n``.  Float32
-    holds every integer below 2^24 exactly, so every partial sum and the
+    holds every integer up to 2^24 exactly, so every partial sum and the
     result are exact for any graph whose matrix fits in memory (2^24
     vertices would need a 256 TiB matrix).  numpy sends ``a @ a.T`` of one
     buffer to BLAS ``ssyrk``, which computes one triangle and mirrors it.
@@ -690,17 +691,40 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def _square(g: Graph) -> np.ndarray:
-    """``A·A`` as float32, every entry an exact integer (see :func:`_product`).
+#: Float32 holds every integer up to this one exactly.
+_FLOAT32_EXACT = 1 << 24
+
+
+def _row_dots(sq: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``(sq * a).sum(axis=1)`` by ``np.vecdot``, for float32 ``n x n``
+    matrices of integers from 0 to ``n``, ``a`` a 0/1 adjacency.
+
+    A row has ``n`` terms of at most ``n``, so every partial sum, in any
+    order, is an integer below ``n^2``: exact in float32 while
+    ``n^2 <= 2^24`` (n <= 4096).  A wider graph sums float32 dots of
+    ``floor(2^24 / n)`` columns each in float64, exact below 2^53.
+    """
+    n = max(len(a), 1)
+    width = _FLOAT32_EXACT // n
+    cols = [slice(at, at + width) for at in range(0, n, width)]
+    dots = [np.vecdot(sq[:, c], a[:, c]) for c in cols]
+    return dots[0] if len(dots) == 1 else np.sum(dots, axis=0, dtype=np.float64)
+
+
+def _square(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 adjacency ``A`` of ``g`` and ``A·A``, every entry an exact
+    integer (see :func:`_product`).
 
     The matrix is symmetric, so ``A·A = A·Aᵀ``, the symmetric product.
     """
     a = g.matrix.astype(np.float32)
-    return _product(a, a.T)
+    return a, _product(a, a.T)
 
 
-def _square_less_within(g: Graph, sq: np.ndarray, vs: Iterable[int]) -> None:
-    """Turn ``sq = _square(g)`` in place into the square of ``g`` less the
+def _square_less_within(
+    g: Graph, vs: Iterable[int], a: np.ndarray, sq: np.ndarray
+) -> None:
+    """Turn ``a, sq = _square(g)`` in place into the pair of ``g`` less the
     edges inside ``vs`` (:meth:`Graph.remove_edges_within`).
 
     Deleting the ``vs x vs`` block ``A11`` of ``A`` changes only the rows
@@ -708,16 +732,21 @@ def _square_less_within(g: Graph, sq: np.ndarray, vs: Iterable[int]) -> None:
     ``A11[u]·[A11 A12]``, the common neighbours inside ``vs``, and the
     rest follows by symmetry.  The correction is one thin product, exact
     by the argument of :func:`_product`, and each difference is an exact
-    integer between 0 and ``n``.
+    integer between 0 and ``n``.  One gather of the rows of ``vs`` serves
+    the product and clearing ``A11``.
 
     Raises:
         InputError: If an entry of ``vs`` is not a vertex.
     """
     vs = g.check_vertices(vs)
     idx = np.unique(np.fromiter(vs, dtype=np.intp, count=len(vs)))
-    rows = g.matrix[idx].astype(np.float32)
+    rows = a[idx]
+    cut = _product(rows[:, idx], rows)
+    rows[:, idx] = 0
+    a[idx] = rows
+    del rows  # so that at most two |vs| x n arrays are live at once
     fixed = sq[idx]
-    fixed -= _product(rows[:, idx], rows)
+    fixed -= cut
     sq[idx] = fixed
     sq[:, idx] = fixed.T
 
@@ -732,26 +761,26 @@ def codegrees(g: Graph) -> np.ndarray:
         edge ``uv`` that is the number of triangles on it.  The diagonal
         holds the degrees.
     """
-    return _square(g).astype(np.int64)
+    return _square(g)[1].astype(np.int64)
 
 
 def triangle_profile(g: Graph) -> np.ndarray:
     """Per-vertex triangle counts, computed in bulk.
 
-    Reads the same exact float32 ``A·A`` as :func:`codegrees`; each row sum
-    (at most ``n^2``) is accumulated in float64, which is exact below 2^53.
+    Row ``v`` of the exact ``A·A`` of :func:`codegrees` dotted with row
+    ``v`` of ``A`` counts each triangle at ``v`` twice (:func:`_row_dots`).
 
     Returns:
         An ``int64`` array ``t`` with ``t[v]`` the number of triangles at ``v``;
         ``t.sum()`` equals three times the total triangle count.
     """
-    return _triangles(g, _square(g))
+    return _triangles(*_square(g))
 
 
-def _triangles(g: Graph, sq: np.ndarray) -> np.ndarray:
-    """:func:`triangle_profile` of ``g`` from its square ``sq``."""
-    on_edges = (sq * g.matrix).sum(axis=1, dtype=np.float64)
-    return on_edges.astype(np.int64) // 2
+def _triangles(a: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """:func:`triangle_profile` of the graph with float32 adjacency ``a``
+    from its square ``sq``."""
+    return _row_dots(sq, a).astype(np.int64) // 2
 
 
 # -- family membership -----------------------------------------------------

@@ -528,6 +528,21 @@ def test_each_experiment_seed_squares_one_graph(monkeypatch) -> None:
     assert len(report["per_seed"]) == 2
 
 
+@pytest.mark.parametrize(
+    "n, p", [(0, 0.5), (1, 0.5), (12, 0.5), (60, 0.5), (300, 0.0), (400, 0.5)]
+)
+def test_experiment_pruned_degrees_equal_pruning_the_attacked_graph(n, p) -> None:
+    # The experiment reads the pruned degrees off its corrected square; the
+    # oracle prunes the attacked graph and builds it.
+    seeds = [0, 1, 2] if n >= 300 else [0, 1, 2, 3, 4, 5]
+    report = resilience_experiment(n, p, 0.05, seeds)
+    for seed, record in zip(seeds, report["per_seed"]):
+        attacked = k3_attack(gnp_generate(n, p, seed), 0.05, seed).attacked
+        pruned = prune_triangle_poor_edges(attacked, record["prune_threshold"])
+        expected = int(pruned.degrees.min()) if n else 0
+        assert record["min_degree_after_prune"] == expected
+
+
 def _looped_density_checks(graph: Graph, p: float, seed: int) -> dict:
     """The per-vertex loop the experiment's density checks replaced."""
     n = graph.n

@@ -256,6 +256,31 @@ def test_triangle_profile_matches_per_vertex_enumeration(g: Graph) -> None:
     assert list(profile) == [brute_triangles_at(g, v) for v in range(g.n)]
 
 
+def test_row_dots_sum_column_chunks_on_wide_graphs(monkeypatch) -> None:
+    # Lowered from 2^24 so that G(60, .5) takes the path of a graph on more
+    # than 4096 vertices: three chunks of 20 columns, summed in float64.
+    g = gnp_generate(60, 0.5, 7)
+    a, sq = graphcore._square(g)
+    one_chunk = graphcore._row_dots(sq, a)
+    assert one_chunk.dtype == np.float32
+    widths = []
+    vecdot = np.vecdot
+
+    def counting(x, y):
+        widths.append(x.shape[1])
+        return vecdot(x, y)
+
+    monkeypatch.setattr(graphcore, "_FLOAT32_EXACT", 60 * 20)
+    monkeypatch.setattr(np, "vecdot", counting)
+    chunked = graphcore._row_dots(sq, a)
+    profile = triangle_profile(g)
+    monkeypatch.undo()
+    assert widths == [20, 20, 20, 20, 20, 20]
+    assert chunked.dtype == np.float64
+    assert np.array_equal(chunked, one_chunk)
+    assert list(profile) == [brute_triangles_at(g, v) for v in range(g.n)]
+
+
 def _int64_codegrees(g: Graph) -> np.ndarray:
     a = g.matrix.astype(np.int64)
     return a @ a
@@ -443,16 +468,17 @@ def test_square_less_within_equals_squaring_the_graph_less_the_inside(
         [int(v) for v in rng.choice(g.n, size=size, replace=False)],
     ]
     for vs in picks:
-        sq = graphcore._square(g)
-        graphcore._square_less_within(g, sq, vs)
-        assert np.array_equal(sq, graphcore._square(g.remove_edges_within(vs)))
+        a, sq = graphcore._square(g)
+        graphcore._square_less_within(g, vs, a, sq)
+        expected_a, expected_sq = graphcore._square(g.remove_edges_within(vs))
+        assert np.array_equal(a, expected_a) and np.array_equal(sq, expected_sq)
 
 
 def test_square_less_within_rejects_vertices_outside_the_graph() -> None:
     g = complete_graph(4)
     for vs in ([4], [-1, 2]):
         with pytest.raises(InputError):
-            graphcore._square_less_within(g, graphcore._square(g), vs)
+            graphcore._square_less_within(g, vs, *graphcore._square(g))
 
 
 def test_remove_edges_within_rejects_vertices_outside_the_graph() -> None:
@@ -661,6 +687,17 @@ def test_remove_marked_edges_equals_removing_the_marked_pairs(g: Graph, seed: in
     h = g.remove_marked_edges(marked)
     assert h == g.remove_edges(np.argwhere(upper).tolist())
     assert all(h.rows[u] is g.rows[u] for u in range(g.n) if not marked[u].any())
+
+
+def test_remove_marked_edges_reads_a_marked_entry_as_the_pair() -> None:
+    # Only (0, 1) is set; reading rows alone would drop 1 from row 0 but
+    # keep 0 in row 1.
+    marked = np.zeros((4, 4), bool)
+    marked[0, 1] = True
+    h = complete_graph(4).remove_marked_edges(marked)
+    assert not h.has_edge(0, 1) and not h.has_edge(1, 0)
+    assert h == complete_graph(4).remove_edges([(0, 1)])
+    assert h.edge_count == 5 and h.degrees.sum() == 10
 
 
 @pytest.mark.parametrize("v", [-1, 5, 99])

@@ -1280,6 +1280,8 @@ RESTART_HOSTS = {(200, 0.5): 3, (400, 0.3): 395}
     "n, p, seed, attempts",
     [(200, 0.5, 0, 1), (200, 0.5, 15, 1), (400, 0.3, 1, 1), (400, 0.3, 4, 4),
      (400, 0.3, 2, 8)],
+    ids=["dense-first", "dense-first-again", "sparse-first", "sparse-after-failures",
+         "sparse-all-fail"],
 )
 def test_gnp_restarts_are_untouched_by_the_witness_search(
     monkeypatch, n, p, seed, attempts

@@ -138,6 +138,10 @@ def test_benchmark_gates_one_failure_metric_per_stage() -> None:
     assert gated == {f"hamiltonian.fail.{stage}" for stage in STAGES}
 
 
+#: numpy's spellings of a matrix or row-by-row product, besides ``@``.
+MATRIX_KERNELS = ("matmul", "dot", "vecdot", "einsum", "inner", "tensordot")
+
+
 def _matrix_products(tree: ast.AST) -> list[str]:
     found = []
     for node in ast.walk(tree):
@@ -145,7 +149,7 @@ def _matrix_products(tree: ast.AST) -> list[str]:
             node.op, ast.MatMult
         ):
             found.append(f"line {node.lineno}: @")
-        elif isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot"):
+        elif isinstance(node, ast.Attribute) and node.attr in MATRIX_KERNELS:
             found.append(f"line {node.lineno}: .{node.attr}")
     return found
 
@@ -155,18 +159,24 @@ def _matrix_products(tree: ast.AST) -> list[str]:
 )
 def test_only_graphcore_multiplies_matrices(path: Path) -> None:
     # graphcore squares the adjacency matrix once, in float32, which is exact
-    # for integer entries of at most n; a second product elsewhere would
-    # have to repeat that argument.
+    # for integer entries of at most n, and takes the square's row dots with
+    # the adjacency, exact by chunks; a product elsewhere would have to
+    # repeat those arguments.
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert _matrix_products(tree) == [], f"{path.name} multiplies matrices"
 
 
 def test_the_matrix_product_guard_sees_every_spelling() -> None:
-    spellings = ("a @ b", "a @= b", "np.matmul(a, b)", "np.dot(a, b)", "a.dot(b)")
+    spellings = (
+        "a @ b", "a @= b", "np.matmul(a, b)", "np.dot(a, b)", "a.dot(b)",
+        "np.vecdot(a, b)", "np.einsum('ij,ij->i', a, b)", "np.inner(a, b)",
+        "np.tensordot(a, b)",
+    )
     for src in spellings:
         assert _matrix_products(ast.parse(src)), src
+    # Its two kernels: _product's ``@`` and _row_dots' ``np.vecdot``.
     graphcore = Path(squareham.__file__).parent / "graphcore.py"
-    assert len(_matrix_products(ast.parse(graphcore.read_text(encoding="utf-8")))) == 1
+    assert len(_matrix_products(ast.parse(graphcore.read_text(encoding="utf-8")))) == 2
 
 
 #: Modules that read or write files; only the CLI imports them.
