@@ -235,12 +235,12 @@ def verify_certificate(g: Graph, cert: Certificate) -> CertificateCheck:
     return CertificateCheck(False, i, d, (min(u, v), max(u, v)))
 
 
-#: Most bytes of rows a subtraction of the witness search works on at once:
+#: Most bytes of rows a subtraction of the fallback greedy works on at once:
 #: it reads the dying rows a chunk of ``_WITNESS_CHUNK_BYTES // n`` at a
 #: time (one row at least), unpacked to a byte per vertex.
 _WITNESS_CHUNK_BYTES = 1 << 18
 
-#: The witness search recounts the alive rows while they number at most
+#: The fallback greedy recounts the alive rows while they number at most
 #: this many times the dying ones, and subtracts the dying rows otherwise.
 #: A recount popcounts each alive row ANDed with the alive set as a Python
 #: int, and a subtraction unpacks each dying row; per row a recount took
@@ -270,12 +270,50 @@ def find_infeasibility_witness(g: Graph) -> InfeasibilityWitness | None:
     """A cheap proof that ``g`` holds no square Hamilton cycle, if one shows.
 
     First looks for a vertex of degree below 4 (a proof only for
-    ``n >= 5``), then grows a greedy minimum-degree independent set: the
-    alive vertex with the fewest alive neighbours (lowest index on ties)
-    joins it and its closed neighbourhood dies.  The set is returned only
-    if it holds more than ``n // 3`` vertices, so the growth stops as soon
-    as the alive vertices could no longer lift it past that.  ``None``
-    proves nothing.
+    ``n >= 5``), then for an independent set of more than ``n // 3``
+    vertices, which the square of C_n does not have.  One pass walks the
+    vertices in ascending (degree, id) order and takes each one no taken
+    vertex sees: a partition attack's class has lost its inner edges, so
+    its vertices come first.  The pass stops short once the taken vertices
+    and those outside their closed neighbourhood, the only ones it could
+    still take, number at most ``n // 3``; only then does the greedy of
+    :func:`_min_degree_greedy` run.  ``None`` proves nothing.
+
+    Memory beyond the graph and its packed view (built by a subtraction
+    and left cached on ``g``) is the pass's sort and a few other vectors
+    of ``n`` entries, the list of the vertices read and a subtraction's
+    chunk unpacked to a byte per vertex, at most ``9/8 * max(n, 2**18)``
+    bytes whatever the kill's size; the boolean matrix is not built.
+    """
+    check_graph(g)
+    n = g.n
+    if n < 3:
+        return None
+    rows = g.rows
+    if n >= 5:
+        low = np.flatnonzero(g.degrees < 4)
+        if low.size:
+            return InfeasibilityWitness("low-degree", (int(low[0]),))
+    bound = n // 3
+    # A stable sort of keys this narrow is numpy's radix sort.
+    order = np.argsort(g.degrees.astype(np.min_scalar_type(n)), kind="stable")
+    taken: list[int] = []
+    free = (1 << n) - 1
+    for v in map(int, order):
+        if free >> v & 1:
+            taken.append(v)
+            free &= ~(rows[v] | 1 << v)
+            if len(taken) > bound:
+                return InfeasibilityWitness("independent-set", tuple(taken))
+            if len(taken) + free.bit_count() <= bound:
+                break
+    return _min_degree_greedy(g)
+
+
+def _min_degree_greedy(g: Graph) -> InfeasibilityWitness | None:
+    """The minimum-degree greedy's independent set, if it grows past
+    ``n // 3`` vertices: the alive vertex with the fewest alive neighbours
+    (lowest index on ties) joins it and its closed neighbourhood dies.
 
     The alive degrees sit in one vector, started from a copy of the row
     popcounts the graph counted when it was built (:attr:`Graph.degrees`),
@@ -288,22 +326,10 @@ def find_infeasibility_witness(g: Graph) -> InfeasibilityWitness | None:
     degree.  A dead vertex holds a value above every alive degree, so
     ``argmin``, which returns the first minimum, is the lowest-index pick,
     and the isolated vertices are exactly the zeros.
-    Memory beyond the graph and its packed view, which a subtraction
-    builds on first use and leaves cached on ``g``, is a few vectors of
-    ``n`` entries, the list of the vertices read and a subtraction's one
-    chunk, unpacked to a byte per vertex: at most ``9/8 * max(n, 2**18)``
-    bytes, whatever the kill's size.  The boolean matrix is not built.
     """
-    check_graph(g)
     n = g.n
-    if n < 3:
-        return None
     rows = g.rows
     degrees = g.degrees.copy()
-    if n >= 5:
-        low = np.flatnonzero(degrees < 4)
-        if low.size:
-            return InfeasibilityWitness("low-degree", (int(low[0]),))
     # A dead vertex loses at most n - 1 from later kills, so it stays above n.
     dead = 2 * n
     bound = n // 3
@@ -740,7 +766,6 @@ def _assemble_cycle(
             "threaded_pieces": deepest,
             "unthreaded_pieces": total - deepest,
             "probes": nodes,
-            "reservoir": fuel.bit_count(),
         }
     suffix, consumed = result
     return suffix, {"consumed": consumed}

@@ -403,12 +403,13 @@ def test_a_failed_threading_names_its_stragglers(monkeypatch) -> None:
     # The three stragglers of G(400, .3, 0) at seed 0 each take one of the
     # 44 absorbees as anchor, and the fuel is the other 41.
     def failing(g, a, pieces, fuel, seed):
-        return None, {"reservoir": fuel.bit_count()}
+        assert fuel.bit_count() == 41
+        return None, {}
 
     monkeypatch.setattr(hamiltonian, "_assemble_cycle", failing)
     out = hamiltonian._attempt(gnp_generate(400, 0.3, 0), PipelineConfig(seed=0), 0)
     assert out.stage == "connecting"
-    assert out.diagnostics == {"reservoir": 41, "stragglers": 3, "plan": {"x": 44}}
+    assert out.diagnostics == {"stragglers": 3, "plan": {"x": 44}}
 
 
 def test_pipeline_succeeds_and_certifies_on_a_dense_instance() -> None:
@@ -554,7 +555,7 @@ def test_default_config_outputs_are_pinned() -> None:
         "26c0355e0ad158b27d096ed7f26de5236794588c7ffe566c40774a99162ec77c"
     )
     assert outcome_digest(outcome) == (
-        "10e613fa250e804be35809f8f4101ee121b134b6f571e8d1fa9b84ed5850ce18"
+        "72eb7fde952d1ab88291121b609dd3d4e3eba964c451ea7900fba5bb8ac29ea4"
     )
     outcome = find_square_ham(gnp_generate(800, 0.7, 1), config=PipelineConfig(seed=0))
     assert isinstance(outcome, Certificate)
@@ -568,7 +569,7 @@ def test_default_config_outputs_are_pinned() -> None:
     [
         # The last of the 8 restarts fails at connecting.
         (0.3, 395, 2, 7, False,
-         "1cc7f868a19abb1337d9dfa06806599c17609728951e186721a29f8d9a4c3c0f"),
+         "6ffcb64056ac1ec0d8260545142663295748d12a7cdddb785c1966aec8f004a0"),
         # Restart 0 fails at connecting and restart 1 certifies.
         (0.3, 0, 1, 0, True,
          "03fe070704b9aea365f24b7c87a896cb5cb7c174f976dbe7e21a5a8a8db17c71"),
@@ -1038,6 +1039,16 @@ def greedy_independent_set(g: Graph) -> list[int]:
     return chosen
 
 
+def ascending_independent_set(g: Graph) -> list[int]:
+    """Each vertex in ascending (degree, id) order that no vertex taken
+    before it sees, as a reference."""
+    taken = []
+    for v in sorted(range(g.n), key=lambda u: (g.degree(u), u)):
+        if not any(g.rows[v] >> u & 1 for u in taken):
+            taken.append(v)
+    return taken
+
+
 @settings(max_examples=60)
 @given(gnp_graphs(min_n=3, max_n=60, min_p=0.3), seeds(), booleans())
 # A host large enough for the search to stop early, without and with a witness.
@@ -1046,12 +1057,14 @@ def greedy_independent_set(g: Graph) -> list[int]:
 # Attacked hosts whose searches take degree-1 picks and isolated batches.
 @example(gnp_generate(400, 0.5, 1), 1, True)
 @example(gnp_generate(600, 0.7, 1), 1, True)
-# Below 5 vertices a low degree proves nothing, so only the greedy answers.
+# Below 5 vertices a low degree proves nothing, so only the two passes answer.
 @example(complete_graph(3), 0, False)
 @example(Graph(3, [(0, 1), (1, 2)]), 0, False)
 @example(complete_graph(4), 0, False)
 @example(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), 0, False)
-def test_witness_search_matches_the_one_step_greedy(g, seed, attack) -> None:
+def test_witness_search_matches_the_ascending_pass_then_the_greedy(
+    g, seed, attack
+) -> None:
     if attack:
         g = k3_attack(g, 0.05, seed).attacked
     witness = find_infeasibility_witness(g)
@@ -1059,11 +1072,41 @@ def test_witness_search_matches_the_one_step_greedy(g, seed, attack) -> None:
     if low:
         assert witness == InfeasibilityWitness("low-degree", (low[0],))
         return
+    # The ascending pass answers with its first n // 3 + 1 takes.
+    ascending = ascending_independent_set(g)
     greedy = greedy_independent_set(g)
-    if len(greedy) > g.n // 3:
-        assert witness == InfeasibilityWitness("independent-set", tuple(greedy))
+    if len(ascending) > g.n // 3:
+        expected = InfeasibilityWitness(
+            "independent-set", tuple(ascending[: g.n // 3 + 1])
+        )
+    elif len(greedy) > g.n // 3:
+        expected = InfeasibilityWitness("independent-set", tuple(greedy))
     else:
-        assert witness is None
+        expected = None
+    assert witness == expected
+
+
+def test_attacked_hosts_never_reach_the_greedy(monkeypatch) -> None:
+    # The attacked class is the lowest-degree vertices, so the ascending
+    # pass proves every attacked host; a feasible G(800, .5) falls through
+    # to the greedy once, which finds nothing either.
+    calls = []
+    greedy = hamiltonian._min_degree_greedy
+
+    def spy(g):
+        calls.append(greedy(g))
+        return calls[-1]
+
+    monkeypatch.setattr(hamiltonian, "_min_degree_greedy", spy)
+    for n, p in ((400, 0.5), (600, 0.5), (600, 0.7)):
+        for s in range(4):
+            g = k3_attack(gnp_generate(n, p, s), 0.05, s).attacked
+            witness = find_infeasibility_witness(g)
+            assert witness.kind == "independent-set"
+            assert verify_witness(g, witness).ok
+    assert calls == []
+    assert find_infeasibility_witness(gnp_generate(800, 0.5, 1)) is None
+    assert calls == [None]
 
 
 def test_witness_search_counts_past_a_byte() -> None:
@@ -1080,8 +1123,13 @@ def test_witness_search_counts_past_a_byte() -> None:
     g = Graph(532, edges)
     expected = (0, *far, near[0])
     assert tuple(greedy_independent_set(g)) == expected
-    assert find_infeasibility_witness(g) == InfeasibilityWitness(
+    assert hamiltonian._min_degree_greedy(g) == InfeasibilityWitness(
         "independent-set", expected
+    )
+    # Vertex 0 and every far and near vertex have degree 300, so the
+    # ascending pass takes 0 and far vertices until it passes n // 3 = 177.
+    assert find_infeasibility_witness(g) == InfeasibilityWitness(
+        "independent-set", (0, *range(301, 478))
     )
 
 
@@ -1090,14 +1138,17 @@ def test_witness_search_chunks_change_no_pick(monkeypatch, attack) -> None:
     # One row per chunk, and chunks that end mid-kill, against one chunk
     # that takes a whole kill.
     hosts = [gnp_generate(300, 0.5, s) for s in (1, 2)] + [gnp_generate(600, 0.7, 1)]
+    search = find_infeasibility_witness
     if attack:
+        # The ascending pass proves these, so the greedy is called directly.
         hosts = [k3_attack(g, 0.05, 1).attacked for g in hosts]
+        search = hamiltonian._min_degree_greedy
     for g in hosts:
         monkeypatch.setattr(hamiltonian, "_WITNESS_CHUNK_BYTES", g.n * g.n)
-        whole = find_infeasibility_witness(g)
+        whole = search(g)
         for chunk_rows in (1, 7):
             monkeypatch.setattr(hamiltonian, "_WITNESS_CHUNK_BYTES", chunk_rows * g.n)
-            assert find_infeasibility_witness(g) == whole
+            assert search(g) == whole
         assert (whole is not None) == attack
 
 
@@ -1106,13 +1157,16 @@ def test_witness_search_recounts_and_subtractions_agree(monkeypatch, attack) -> 
     # Every update a subtraction, the shipped mix, and every update a
     # recount give the same degrees, so the same picks.
     hosts = [gnp_generate(300, p, s) for p, s in ((0.3, 1), (0.5, 2), (0.7, 3))]
+    search = find_infeasibility_witness
     if attack:
+        # The ascending pass proves these, so the greedy is called directly.
         hosts = [k3_attack(g, 0.05, 1).attacked for g in hosts]
+        search = hamiltonian._min_degree_greedy
     for g in hosts:
         found = set()
         for share in (0, hamiltonian._RECOUNT_SHARE, g.n):
             monkeypatch.setattr(hamiltonian, "_RECOUNT_SHARE", share)
-            found.add(find_infeasibility_witness(g))
+            found.add(search(g))
         assert len(found) == 1
         assert (found.pop() is not None) == attack
 

@@ -493,6 +493,14 @@ def test_only_find_square_ham_searches_for_a_witness() -> None:
     }
 
 
+def test_only_the_witness_search_falls_back_to_the_greedy() -> None:
+    # The minimum-degree greedy runs only where the ascending pass of
+    # find_infeasibility_witness stops short.
+    assert _library_callers({"_min_degree_greedy"}) == {
+        "hamiltonian.find_infeasibility_witness"
+    }
+
+
 def _calls_in(module: str, function: str, name: str) -> int:
     path = Path(squareham.__file__).parent / f"{module}.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
