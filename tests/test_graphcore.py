@@ -390,6 +390,8 @@ def test_subgraph_check_names_the_first_missing_edge(g: Graph, h: Graph) -> None
     missing = [e for e in g.edges() if not h.has_edge(*e)]
     expected = (False, missing[0]) if missing else (True, None)
     assert g.is_subgraph_of(h) == expected
+    # Without a packed view on one side the rows are read instead.
+    assert Graph(g.n, g.edges()).is_subgraph_of(h) == expected
 
 
 @pytest.mark.parametrize("rows_per_block", [1, 2, 3])
@@ -408,11 +410,23 @@ def test_subgraph_check_names_the_first_missing_edge_across_blocks(
         graphcore, "_SUBGRAPH_BLOCK_BYTES", rows_per_block * g.packed.shape[1]
     )
     h = g.remove_edges(extra)
+    sparse = Graph(41, extra)
+    # Every view at hand, so the packed pass runs.
+    assert h.packed is not None and sparse.packed is not None
     assert g.is_subgraph_of(h) == (False, min(extra))
     assert h.is_subgraph_of(g) == (True, None)
-    sparse = Graph(41, extra)
     assert sparse.is_subgraph_of(h) == (False, min(extra))
     assert sparse.is_subgraph_of(g) == (True, None)
+
+
+def test_a_derived_graph_is_checked_on_the_rows_it_changed() -> None:
+    host = gnp_generate(60, 0.5, 1)
+    attacked = host.remove_edges_within(range(0, 60, 3))
+    shared = sum(a is b for a, b in zip(attacked.rows, host.rows))
+    assert shared == 40 and attacked.is_subgraph_of(host) == (True, None)
+    missing = [e for e in host.edges() if not attacked.has_edge(*e)]
+    assert host.is_subgraph_of(attacked) == (False, missing[0])
+    assert attacked._packed is None  # no view was built for the check
 
 
 def test_the_packed_gather_returns_one_flag_per_pair() -> None:
