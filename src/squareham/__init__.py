@@ -3,10 +3,11 @@
 Submodules:
     graphcore: graphs with one ``int`` bitset per adjacency row (derived
         graphs built from their parent's rows), random generation written
-        straight into packed rows, a block of rows at a time, codegrees and
-        triangle counts from one symmetric ``A·Aᵀ`` product (an attacked
-        graph's square corrected from its host's on the attacked class's
-        rows), family membership.  It holds no file format.
+        straight into packed rows, a block of rows at a time, a subgraph
+        check on the rows, triangle counts and the family check's codegrees
+        from one symmetric ``A·Aᵀ`` product (an attacked graph's square
+        corrected from its host's on the attacked class's rows), family
+        membership.  It holds no file format.
     gadgets: the one square-path check, a loop on short sequences and
         the one distance-1/2 pair pass on long ones, each naming its first
         fault from its one pass; the certificate check and the absorber

@@ -14,11 +14,11 @@ adversary's attack class, an index array for numpy, is the one exception.
 :func:`mask_of` convert between bitsets and ascending vertex lists, and
 :func:`pick_bit` turns a draw into one set bit without listing.  Numpy work
 reads two bulk views of the rows, never edited and each built at most once
-per graph: :attr:`Graph.packed`, the rows as bytes, which whole-graph and
-whole-path passes gather from (:meth:`Graph.has_edges`, one flag per pair,
-so a check names its first fault from the pass that accepts a good input),
-and the boolean matrix, unpacked from it for BLAS.  Graphs from outside
-edges go through the validating :class:`Graph` constructor;
+per graph: :attr:`Graph.packed`, the rows as bytes, which whole-path
+passes gather from (:meth:`Graph.has_edges`, one flag per pair, so a check
+names its first fault from the pass that accepts a good input), and the
+boolean matrix, unpacked from it for BLAS.  Graphs from outside edges go
+through the validating :class:`Graph` constructor;
 :func:`gnp_generate` writes its rows straight into packed bytes, a block of
 rows at a time, and hands that array to the graph as its packed view, and
 graphs derived from another graph (edge deletion) are built from the
@@ -195,9 +195,6 @@ def splitmix64(seed: int) -> Iterator[int]:
         size = min(2 * size, _BLOCK_CAP)
 
 
-#: Most bytes of packed rows :meth:`Graph.is_subgraph_of` compares at once.
-_SUBGRAPH_BLOCK_BYTES = 1 << 16
-
 #: ``_BYTE_BITS[b]`` is the byte with only bit ``b`` set.
 _BYTE_BITS = np.array([1 << b for b in range(8)], np.uint8)
 
@@ -209,10 +206,11 @@ class Graph:
     bit ``v`` of ``rows[u]`` is set exactly when ``uv`` is an edge.  Each
     view serves one kind of work.  The rows serve picks: hot callers test
     candidates with row algebra (``rows[u] >> v & 1``, ``&`` of several
-    rows against a pool mask) instead of per-pair lookups.  :attr:`packed`
-    serves bulk passes over the whole graph or a whole path: it holds the
-    rows as bytes, and :meth:`has_edges` tests many pairs in one gather,
-    with one flag per pair.
+    rows against a pool mask) instead of per-pair lookups, and
+    :meth:`is_subgraph_of` reads them, skipping each row two graphs share.
+    :attr:`packed` serves bulk passes over a whole path: it holds the rows
+    as bytes, and :meth:`has_edges` tests many pairs in one gather, with
+    one flag per pair.
     :attr:`matrix`, unpacked from it, serves BLAS.  Both bulk views are
     built once, on first use, and cached; a generated graph holds its
     packed view from birth.  :attr:`degrees` is counted from the rows when
@@ -421,11 +419,9 @@ class Graph:
         return Graph._from_rows(tuple(rows))
 
     def is_subgraph_of(self, other: "Graph") -> tuple[bool, tuple[int, int] | None]:
-        """Whether every edge of this graph is an edge of ``other``.
-
-        Packed views are compared only when both exist, since one costs
-        more to build than the rows to read; rows shared with ``other``,
-        as every row an edge deletion left alone is, are skipped.
+        """Whether every edge of this graph is an edge of ``other``, read off
+        the rows; rows shared with ``other``, as every row an edge deletion
+        left alone is, are skipped.
 
         Returns:
             ``(True, None)`` or ``(False, offending_edge)``, where the
@@ -441,22 +437,10 @@ class Graph:
             raise InputError(
                 f"a graph on {self.n} vertices is no subgraph of one on {other.n}"
             )
-        mine, theirs = self._packed, other._packed
-        if mine is None or theirs is None:
-            changed = map(operator.is_not, self._rows, other._rows)
-            for u in itertools.compress(itertools.count(), changed):
-                row = self._rows[u] & ~other._rows[u]
-                if row:
-                    return False, (u, (row & -row).bit_length() - 1)
-            return True, None
-        # One pass over the packed views, a block of rows at a time; the
-        # block that holds an extra edge names its first row.
-        step = max(1, _SUBGRAPH_BLOCK_BYTES // max(1, mine.shape[1]))
-        for at in range(0, self.n, step):
-            extra = mine[at : at + step] & ~theirs[at : at + step]
-            if extra.any():
-                u = at + int(extra.any(axis=1).argmax())
-                row = self._rows[u] & ~other._rows[u]
+        changed = map(operator.is_not, self._rows, other._rows)
+        for u in itertools.compress(itertools.count(), changed):
+            row = self._rows[u] & ~other._rows[u]
+            if row:
                 return False, (u, (row & -row).bit_length() - 1)
         return True, None
 
@@ -725,7 +709,8 @@ def _row_dots(sq: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def _square(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """The float32 adjacency ``A`` of ``g`` and ``A·A``, every entry an exact
-    integer (see :func:`_product`).
+    integer (see :func:`_product`): entry ``(u, v)`` of the square counts
+    the common neighbours of ``u`` and ``v``, the triangles on an edge.
 
     The matrix is symmetric, so ``A·A = A·Aᵀ``, the symmetric product.
     """
@@ -763,24 +748,11 @@ def _square_less_within(
     sq[:, idx] = fixed.T
 
 
-def codegrees(g: Graph) -> np.ndarray:
-    """Common-neighbour counts of all pairs, from one ``A·A`` product.
-
-    The product runs in float32 and is exact (see :func:`_product`).
-
-    Returns:
-        An ``int64`` matrix ``c`` with ``c[u, v] = |N(u) & N(v)|``: for an
-        edge ``uv`` that is the number of triangles on it.  The diagonal
-        holds the degrees.
-    """
-    return _square(g)[1].astype(np.int64)
-
-
 def triangle_profile(g: Graph) -> np.ndarray:
     """Per-vertex triangle counts, computed in bulk.
 
-    Row ``v`` of the exact ``A·A`` of :func:`codegrees` dotted with row
-    ``v`` of ``A`` counts each triangle at ``v`` twice (:func:`_row_dots`).
+    Row ``v`` of the exact ``A·A`` of :func:`_square` dotted with row ``v``
+    of ``A`` counts each triangle at ``v`` twice (:func:`_row_dots`).
 
     Returns:
         An ``int64`` array ``t`` with ``t[v]`` the number of triangles at ``v``;
@@ -837,6 +809,9 @@ def check_family_membership(
 ) -> MembershipReport:
     """Check the degree/codegree floors of the dense-subgraph family.
 
+    The degrees are :attr:`Graph.degrees`, and the codegrees of the edges
+    are read off :func:`_square`, taken only when ``g`` has an edge.
+
     Args:
         gamma: Host graph.
         g: Candidate spanning subgraph of ``gamma`` (checked).
@@ -859,16 +834,14 @@ def check_family_membership(
     deg_thr = (2.0 / 3.0 + params.alpha) * g.n * params.p
     codeg_thr = params.alpha * g.n * params.p**2
 
-    c = codegrees(g)
-    degrees = c.diagonal()
-    min_deg_v = int(np.argmin(degrees)) if g.n else None
-    min_deg = int(degrees[min_deg_v]) if g.n else 0
+    min_deg_v = int(np.argmin(g.degrees)) if g.n else None
+    min_deg = int(g.degrees[min_deg_v]) if g.n else 0
 
     # First minimum over the upper triangle in row-major order, which is
     # the order of g.edges().
-    on_edge = np.where(np.triu(g.matrix, 1), c, np.iinfo(np.int64).max)
     min_codeg, min_codeg_e = None, None
     if g.edge_count:
+        on_edge = np.where(np.triu(g.matrix, 1), _square(g)[1], np.inf)
         flat = int(np.argmin(on_edge))
         min_codeg, min_codeg_e = int(on_edge.flat[flat]), divmod(flat, g.n)
 

@@ -173,7 +173,7 @@ class FailureReport:
 
 
 def jsonable(obj):
-    """Recursively strip dataclasses, tuples, and sets down to JSON types."""
+    """Recursively strip dataclasses and tuples down to JSON types."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: jsonable(getattr(obj, f.name))
@@ -183,8 +183,6 @@ def jsonable(obj):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(jsonable(v) for v in obj)
     if hasattr(obj, "item") and callable(obj.item):
         return obj.item()
     return obj

@@ -5,9 +5,11 @@ sets became ``int`` bitsets; the bitset versions must match them draw for
 draw.  The looped checks are the checks as they were before each became one
 pass over a precomputed table or a bulk pass over the packed rows, whose
 per-pair result names the first fault; the current ones must return the
-same result, the same first fault and the same message.  The scalar
-SplitMix64 is the stream as it was before it was computed in numpy blocks;
-the current one must give the same draws.
+same result, the same first fault and the same message.  The looped least
+codegree is the family check's codegree minimum counted edge by edge off
+the rows, with no matrix; the check must name the same count and edge.
+The scalar SplitMix64 is the stream as it was before it was computed in
+numpy blocks; the current one must give the same draws.
 """
 
 from squareham.absorber import Absorber, AbsorberVerification
@@ -26,6 +28,17 @@ def scalar_splitmix64(seed: int):
         z = (state ^ state >> 30) * 0xBF58476D1CE4E5B9 & m64
         z = (z ^ z >> 27) * 0x94D049BB133111EB & m64
         yield z ^ z >> 31
+
+
+def looped_min_codegree(g: Graph) -> tuple[int | None, tuple[int, int] | None]:
+    """The least common-neighbour count of an edge and the first edge, in
+    ``g.edges()`` order, that has it; ``(None, None)`` with no edge."""
+    rows, least, first = g.rows, None, None
+    for u, v in g.edges():
+        shared = (rows[u] & rows[v]).bit_count()
+        if least is None or shared < least:
+            least, first = shared, (u, v)
+    return least, first
 
 
 def square_path_edge_oracle(length: int) -> set[tuple[int, int]]:

@@ -30,7 +30,6 @@ from squareham.graphcore import (
     FamilyParams,
     bits,
     check_family_membership,
-    codegrees,
     edges_within,
     mask_of,
     packed_rows,
@@ -58,7 +57,7 @@ from squareham.hamiltonian import (
     verify_witness,
 )
 
-from oracles import scalar_splitmix64
+from oracles import looped_min_codegree, scalar_splitmix64
 from strategies import gnp_graphs, seeds
 
 
@@ -289,7 +288,7 @@ def _int64_codegrees(g: Graph) -> np.ndarray:
 @given(gnp_graphs(max_n=60))
 def test_float32_products_equal_an_int64_reference(g: Graph) -> None:
     ref = _int64_codegrees(g)
-    c = codegrees(g)
+    c = graphcore._square(g)[1].astype(np.int64)
     assert c.dtype == np.int64 and (c == ref).all()
     rows = g.rows
     per_vertex = [
@@ -305,7 +304,7 @@ def test_float32_products_are_exact_on_k2000() -> None:
     n = 2000
     k = gnp_generate(n, 1.0, 0)
     assert k.edge_count == n * (n - 1) // 2
-    c = codegrees(k)
+    c = graphcore._square(k)[1]
     assert (c.diagonal() == n - 1).all()
     assert (c[~np.eye(n, dtype=bool)] == n - 2).all()
     assert (triangle_profile(k) == math.comb(n - 1, 2)).all()
@@ -313,7 +312,7 @@ def test_float32_products_are_exact_on_k2000() -> None:
 
 @given(gnp_graphs(max_n=14))
 def test_codegrees_count_common_neighbors_of_every_pair(g: Graph) -> None:
-    c = codegrees(g)
+    c = graphcore._square(g)[1].astype(np.int64)
     assert c.dtype == "int64" and c.shape == (g.n, g.n)
     for u in range(g.n):
         for v in range(g.n):
@@ -390,29 +389,22 @@ def test_subgraph_check_names_the_first_missing_edge(g: Graph, h: Graph) -> None
     missing = [e for e in g.edges() if not h.has_edge(*e)]
     expected = (False, missing[0]) if missing else (True, None)
     assert g.is_subgraph_of(h) == expected
-    # Without a packed view on one side the rows are read instead.
+    # A rebuilt copy shares no row with h, so every row is read.
     assert Graph(g.n, g.edges()).is_subgraph_of(h) == expected
 
 
-@pytest.mark.parametrize("rows_per_block", [1, 2, 3])
 @pytest.mark.parametrize(
     "extra",
     [[(33, 35), (30, 40), (36, 37)], [(31, 39), (4, 9), (5, 6)], [(39, 40)]],
-    ids=["late-block", "two-blocks", "last-row"],
+    ids=["late-rows", "early-and-late-rows", "last-row"],
 )
-def test_subgraph_check_names_the_first_missing_edge_across_blocks(
-    monkeypatch, rows_per_block, extra
-) -> None:
-    # Blocks of a few rows, so the passes after the first block run; the
-    # last block of 41 rows is short for two and three rows a block.
+def test_subgraph_check_names_the_first_missing_edge_with_views_built(extra) -> None:
+    # The check reads the rows whatever bulk views the graphs already hold.
     g = complete_graph(41)
-    monkeypatch.setattr(
-        graphcore, "_SUBGRAPH_BLOCK_BYTES", rows_per_block * g.packed.shape[1]
-    )
     h = g.remove_edges(extra)
     sparse = Graph(41, extra)
-    # Every view at hand, so the packed pass runs.
-    assert h.packed is not None and sparse.packed is not None
+    for graph in (g, h, sparse):
+        assert graph.packed is not None and graph.matrix is not None
     assert g.is_subgraph_of(h) == (False, min(extra))
     assert h.is_subgraph_of(g) == (True, None)
     assert sparse.is_subgraph_of(h) == (False, min(extra))
@@ -767,6 +759,17 @@ def test_family_membership_names_the_first_minimizers(g: Graph, alpha: float) ->
         assert report.min_codegree_edge == g.edges()[shared.index(min(shared))]
     else:
         assert report.min_codegree is None and report.min_codegree_edge is None
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 0.9, 1.0])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 9, 40, 130])
+def test_family_membership_finds_the_looped_least_codegree(n: int, p: float) -> None:
+    for seed in range(3):
+        g = gnp_generate(n, p, seed)
+        report = check_family_membership(g, g, FamilyParams(alpha=0.1, p=0.5))
+        least = (report.min_codegree, report.min_codegree_edge)
+        assert least == looped_min_codegree(g)
+        assert report.min_degree == min(g.degrees, default=0)
 
 
 def test_family_membership_flags_a_starved_vertex() -> None:

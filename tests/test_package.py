@@ -353,6 +353,55 @@ def test_the_rows_are_packed_once_per_graph() -> None:
     assert set(slots) - birth == {"_matrix", "_packed"}
 
 
+def _graphcore_def(qualname: str) -> ast.AST:
+    """The definition of ``qualname`` (``Class.method`` for a method) in
+    ``graphcore``."""
+    path = Path(squareham.__file__).parent / "graphcore.py"
+    node = ast.parse(path.read_text(encoding="utf-8"))
+    for name in qualname.split("."):
+        (node,) = [
+            n
+            for n in node.body
+            if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == name
+        ]
+    return node
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every bare name and attribute name under ``tree``."""
+    found = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(tree)}
+    return found - {None}
+
+
+def test_each_graph_check_is_one_path() -> None:
+    # The subgraph check reads only the rows, skipping each row two graphs
+    # share; its packed block pass ran only where a caller had built both
+    # views, which no workload does.  The family check reads each degree
+    # from Graph.degrees and each codegree off the one square, _square.
+    for gone in ("codegrees", "_SUBGRAPH_BLOCK_BYTES"):
+        assert not hasattr(graphcore, gone) and not hasattr(squareham, gone)
+    subgraph = _names_read(_graphcore_def("Graph.is_subgraph_of"))
+    assert subgraph & {"packed", "_packed"} == set()
+    assert "_rows" in subgraph
+    family = _names_read(_graphcore_def("check_family_membership"))
+    assert "diagonal" not in family
+    assert {"degrees", "_square"} <= family
+
+
+def test_the_graph_check_guard_sees_every_spelling() -> None:
+    flagged = {
+        "mine = self._packed": "_packed",
+        "extra = self.packed[at] & ~other.packed[at]": "packed",
+        "degrees = c.diagonal()": "diagonal",
+        "degrees = np.diagonal(c)": "diagonal",
+    }
+    for src, name in flagged.items():
+        assert name in _names_read(ast.parse(src)), src
+    quiet = ("p = packed_rows(rows, n)", "d = g.degrees", "a, sq = _square(g)")
+    for src in quiet:
+        assert _names_read(ast.parse(src)) & {"packed", "_packed", "diagonal"} == set()
+
+
 #: Names under which a graph's row tuple is read.
 ROW_TUPLES = {"rows", "_rows"}
 
