@@ -393,22 +393,30 @@ def test_subgraph_check_names_the_first_missing_edge(g: Graph, h: Graph) -> None
     assert Graph(g.n, g.edges()).is_subgraph_of(h) == expected
 
 
+@pytest.mark.parametrize("views", [1, 2, 3])
 @pytest.mark.parametrize(
     "extra",
     [[(33, 35), (30, 40), (36, 37)], [(31, 39), (4, 9), (5, 6)], [(39, 40)]],
-    ids=["late-rows", "early-and-late-rows", "last-row"],
+    ids=["late-block", "two-blocks", "last-row"],
 )
-def test_subgraph_check_names_the_first_missing_edge_with_views_built(extra) -> None:
-    # The check reads the rows whatever bulk views the graphs already hold.
+def test_subgraph_check_names_the_first_missing_edge_across_blocks(views, extra) -> None:
+    # Extra edges in one late block of rows, in an early and a late block,
+    # and in the last row.  The check reads the rows whatever bulk views the
+    # graphs hold: none (1), the packed view (2), or every view (3).
     g = complete_graph(41)
     h = g.remove_edges(extra)
     sparse = Graph(41, extra)
     for graph in (g, h, sparse):
-        assert graph.packed is not None and graph.matrix is not None
+        if views >= 2:
+            assert graph.packed is not None
+        if views == 3:
+            assert graph.matrix is not None
     assert g.is_subgraph_of(h) == (False, min(extra))
     assert h.is_subgraph_of(g) == (True, None)
     assert sparse.is_subgraph_of(h) == (False, min(extra))
     assert sparse.is_subgraph_of(g) == (True, None)
+    for graph in (g, h, sparse):
+        assert (graph._packed is None) == (views == 1)
 
 
 def test_a_derived_graph_is_checked_on_the_rows_it_changed() -> None:
