@@ -321,8 +321,10 @@ def prune_triangle_poor_edges(g: Graph, threshold: int) -> Graph:
         return g
     # An edge lies on at most n - 2 triangles, so capping the threshold at
     # n keeps the float32 comparison exact and changes no answer.
-    sq = _square(g)[1]
-    return g.remove_marked_edges(g.matrix & (sq < min(threshold, g.n)))
+    marked = _square(g)[1] < min(threshold, g.n)
+    # The square's block is already freed, so only the marks are live.
+    marked &= g.matrix
+    return g.remove_marked_edges(marked)
 
 
 # Per-seed measurement settings of :func:`resilience_experiment`, echoed in
@@ -356,6 +358,17 @@ def _class_aggregate(t_before, t_after, idx: np.ndarray) -> float:
     return float(t_after[idx].sum() / denom)
 
 
+def _edges_inside(graph: Graph, s: np.ndarray) -> int:
+    """Number of edges with both ends among the distinct vertices ``s``:
+    the rows of ``s`` in :attr:`Graph.packed`, each ANDed with ``s`` packed
+    the same way and popcounted, count every such edge from both ends."""
+    sel = np.zeros(graph.n, dtype=bool)
+    sel[s] = True
+    inside = graph.packed.take(s, axis=0)
+    inside &= np.packbits(sel, bitorder="little")
+    return int(np.bitwise_count(inside).sum()) // 2
+
+
 def _density_checks(graph: Graph, p: float, seed: int, triangles: np.ndarray) -> dict:
     """Sampled neighborhood edge-density tests.
 
@@ -379,9 +392,7 @@ def _density_checks(graph: Graph, p: float, seed: int, triangles: np.ndarray) ->
             if nbrs.size > floor:
                 size = int(rng.integers(floor, nbrs.size + 1))
                 s = rng.choice(nbrs, size, replace=False)
-                sel = np.zeros(n, dtype=bool)
-                sel[s] = True
-                sizes_and_edges.append((size, int(np.count_nonzero(m[s] & sel)) // 2))
+                sizes_and_edges.append((size, _edges_inside(graph, s)))
         for size, edges in sizes_and_edges:
             if size < max(floor, 2):
                 skipped += 1
@@ -397,12 +408,14 @@ def _experiment_one_seed(args) -> dict:
     n, p, gamma, seed = args
     graph = gnp_generate(n, p, seed)
     attack = k3_attack(graph, gamma, seed)
-    # Three buffers live to the end of the seed, allocated in this order
-    # before the correction's temporaries, so none pins freed heap above
+    # Two buffers live to the end of the seed, allocated in this order
+    # before the correction's temporaries, so neither pins freed heap above
     # it (peak RSS moves with allocation order): the host's cached boolean
-    # matrix, which the density checks read, its float32 adjacency ``a``
-    # and ``sq``.  Turned in place into the attacked graph's, the pair also
-    # serves its triangle counts and pruned degrees; no attacked matrix is built.
+    # matrix, which the density checks read, and the one block that holds
+    # its float32 adjacency ``a`` and ``sq``, whose size keeps the heap's
+    # pages mapped for the next seed (see _square).  Turned in place into
+    # the attacked graph's, the pair also serves its triangle counts and
+    # pruned degrees; no attacked matrix is built.
     a, sq = _square(graph)
     t_before = _triangles(a, sq)
     _square_less_within(graph, attack.v1, a, sq)

@@ -673,18 +673,21 @@ def edges_within(g: Graph, s: int) -> int:
     return sum((rows[u] & s).bit_count() for u in bits(s)) // 2
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` of two float32 0/1 matrices; with :func:`_row_dots`, one of
-    the package's two matrix kernels.
+def _product(
+    a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``a @ b`` of two float32 0/1 matrices, written into ``out`` when it is
+    given; with :func:`_row_dots`, one of the package's two matrix kernels.
 
     Every entry of the result counts the ones two rows share, so it is an
     integer of at most the inner dimension, which is at most ``n``.  Float32
     holds every integer up to 2^24 exactly, so every partial sum and the
     result are exact for any graph whose matrix fits in memory (2^24
     vertices would need a 256 TiB matrix).  numpy sends ``a @ a.T`` of one
-    buffer to BLAS ``ssyrk``, which computes one triangle and mirrors it.
+    buffer to BLAS ``ssyrk``, which computes one triangle and mirrors it,
+    also when the result goes to ``out``.
     """
-    return a @ b
+    return np.matmul(a, b, out=out)
 
 
 #: Float32 holds every integer up to this one exactly.
@@ -713,9 +716,25 @@ def _square(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     the common neighbours of ``u`` and ``v``, the triangles on an edge.
 
     The matrix is symmetric, so ``A·A = A·Aᵀ``, the symmetric product.
+
+    The two are the halves of one ``(2, n, n)`` float32 block, so neither
+    is freed alone.  glibc serves the first such block by ``mmap``, and
+    freeing it raises its mmap threshold to the block's ``8 n^2`` bytes
+    and its trim threshold to twice that, above everything a seed of
+    :func:`~squareham.adversary.resilience_experiment` holds at once
+    (about ``13 n^2`` bytes).  So later blocks come from the heap, which
+    keeps its pages mapped from one seed to the next; two ``4 n^2``
+    arrays would leave the threshold below the seed's heap, which is then
+    trimmed at the end of every seed and faulted in again by the next.
+    glibc caps the mmap threshold at 32 MiB, so this holds up to
+    n = 2048.  A threaded OpenBLAS mallocs a job buffer of about 512 KiB
+    per product, which tips a seed at n = 400 over the threshold.
     """
-    a = g.matrix.astype(np.float32)
-    return a, _product(a, a.T)
+    block = np.empty((2, g.n, g.n), np.float32)
+    a, sq = block
+    np.copyto(a, g.matrix)
+    _product(a, a.T, out=sq)
+    return a, sq
 
 
 def _square_less_within(
@@ -838,10 +857,13 @@ def check_family_membership(
     min_deg = int(g.degrees[min_deg_v]) if g.n else 0
 
     # First minimum over the upper triangle in row-major order, which is
-    # the order of g.edges().
+    # the order of g.edges().  The square's adjacency half is not read
+    # again, so it holds the codegrees on the edges and inf elsewhere.
     min_codeg, min_codeg_e = None, None
     if g.edge_count:
-        on_edge = np.where(np.triu(g.matrix, 1), _square(g)[1], np.inf)
+        on_edge, sq = _square(g)
+        on_edge.fill(np.inf)
+        np.copyto(on_edge, sq, where=np.triu(g.matrix, 1))
         flat = int(np.argmin(on_edge))
         min_codeg, min_codeg_e = int(on_edge.flat[flat]), divmod(flat, g.n)
 

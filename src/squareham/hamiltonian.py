@@ -278,10 +278,11 @@ def find_infeasibility_witness(g: Graph) -> InfeasibilityWitness | None:
     :func:`_min_degree_greedy` run.  ``None`` proves nothing.
 
     Memory beyond the graph and its packed view (built by a subtraction
-    and left cached on ``g``) is the pass's sort and a few other vectors
-    of ``n`` entries, the list of the vertices read and a subtraction's
-    chunk unpacked to a byte per vertex, at most ``9/8 * max(n, 2**18)``
-    bytes whatever the kill's size; the boolean matrix is not built.
+    and left cached on ``g``) is the pass's sort and its copy as one list
+    of ``n`` ints, the taken list, a few other vectors of ``n`` entries
+    and a subtraction's chunk unpacked to a byte per vertex, at most
+    ``9/8 * max(n, 2**18)`` bytes whatever the kill's size; the boolean
+    matrix is not built.
     """
     check_graph(g)
     n = g.n
@@ -297,7 +298,7 @@ def find_infeasibility_witness(g: Graph) -> InfeasibilityWitness | None:
     order = np.argsort(g.degrees.astype(np.min_scalar_type(n)), kind="stable")
     taken: list[int] = []
     free = (1 << n) - 1
-    for v in map(int, order):
+    for v in order.tolist():
         if free >> v & 1:
             taken.append(v)
             free &= ~(rows[v] | 1 << v)

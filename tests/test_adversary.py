@@ -2,13 +2,19 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import platform
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis.strategies import floats, integers, sampled_from
 
+import squareham
 from squareham import (
     InputError,
     complete_graph,
@@ -541,6 +547,62 @@ def test_experiment_pruned_degrees_equal_pruning_the_attacked_graph(n, p) -> Non
         pruned = prune_triangle_poor_edges(attacked, record["prune_threshold"])
         expected = int(pruned.degrees.min()) if n else 0
         assert record["min_degree_after_prune"] == expected
+
+
+#: Three same-size seeds in a fresh process; prints the minor page faults
+#: of each call.
+_FAULT_SCRIPT = """
+import resource
+from squareham.adversary import resilience_experiment
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    resilience_experiment(400, 0.5, 0.05, [3])
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults)
+"""
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+    reason="counts the page faults of glibc's heap",
+)
+def test_an_experiment_seed_reuses_the_last_seeds_pages() -> None:
+    # The square's one block raises glibc's trim threshold above a seed's
+    # whole heap once it is freed, so a third seed of the same size finds
+    # every page mapped; separate halves let each seed's end trim the heap,
+    # and each seed faulted about 417 pages in again.  A fresh process, so
+    # that no earlier test has raised the thresholds, with one BLAS thread
+    # as the benchmark pins it: a threaded OpenBLAS mallocs a job buffer of
+    # about 512 KiB per product, which tips an n = 400 seed past the
+    # threshold.
+    src = str(Path(squareham.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    ))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULT_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    faults = [int(f) for f in proc.stdout.split()]
+    assert len(faults) == 3 and faults[2] < 100, faults
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 50, 400])
+def test_packed_subset_edges_equal_the_matrix_count(n: int) -> None:
+    # The density checks count a subset's edges on the packed rows; the
+    # oracle ANDs the subset's boolean rows with its indicator.
+    rng = np.random.default_rng(n)
+    for p in (0.0, 0.3, 1.0):
+        g = gnp_generate(n, p, n + 1)
+        m = g.matrix
+        for size in sorted({0, n // 3, n - 1, n} - {-1}):
+            s = rng.choice(n, size, replace=False)
+            sel = np.zeros(n, dtype=bool)
+            sel[s] = True
+            expected = int(np.count_nonzero(m[s] & sel)) // 2
+            assert adversary._edges_inside(g, s) == expected
 
 
 def _looped_density_checks(graph: Graph, p: float, seed: int) -> dict:

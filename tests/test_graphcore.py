@@ -288,7 +288,12 @@ def _int64_codegrees(g: Graph) -> np.ndarray:
 @given(gnp_graphs(max_n=60))
 def test_float32_products_equal_an_int64_reference(g: Graph) -> None:
     ref = _int64_codegrees(g)
-    c = graphcore._square(g)[1].astype(np.int64)
+    a, sq = graphcore._square(g)
+    # Both halves of one block, so that freeing it keeps a seed's heap.
+    assert a.base is sq.base and a.base.shape == (2, g.n, g.n)
+    assert a.dtype == sq.dtype == np.float32
+    assert (a.astype(np.int64) == g.matrix.astype(np.int64)).all()
+    c = sq.astype(np.int64)
     assert c.dtype == np.int64 and (c == ref).all()
     rows = g.rows
     per_vertex = [

@@ -174,7 +174,7 @@ def test_the_matrix_product_guard_sees_every_spelling() -> None:
     )
     for src in spellings:
         assert _matrix_products(ast.parse(src)), src
-    # Its two kernels: _product's ``@`` and _row_dots' ``np.vecdot``.
+    # Its two kernels: _product's ``np.matmul`` and _row_dots' ``np.vecdot``.
     graphcore = Path(squareham.__file__).parent / "graphcore.py"
     assert len(_matrix_products(ast.parse(graphcore.read_text(encoding="utf-8")))) == 2
 
